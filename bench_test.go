@@ -829,6 +829,45 @@ func BenchmarkAUVMCommand(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmResolve measures the engineer's re-solve: an unchanged
+// 40×24 plate (2050 dof, 1920 CSTs) solved again and its stresses
+// recovered, through Session.Do.  Factor and symbolic assembly are both
+// warm, so a job is numeric re-assembly + value compare + triangular
+// solve + stress recovery; -benchmem shows the symbolic phase is gone.
+func BenchmarkWarmResolve(b *testing.B) {
+	sys, err := fem2.New()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := sys.Session("bench")
+	ctx := context.Background()
+	cmds := make([]fem2.Command, 0, 4)
+	for _, line := range []string{
+		"generate grid g 40 24 40 24 clamp-left",
+		"load g l endload 0 -1000",
+		"solve g l method cholesky-env",
+		"stresses g",
+	} {
+		cmd, err := fem2.Parse(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Do(ctx, cmd); err != nil {
+			b.Fatal(err)
+		}
+		cmds = append(cmds, cmd)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cmd := range cmds[2:] {
+			if _, err := s.Do(ctx, cmd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkGrammarValidateModel measures validating the AUVM model
 // grammar.
 func BenchmarkGrammarValidateModel(b *testing.B) {

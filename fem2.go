@@ -703,9 +703,10 @@ type Assembled = fem.Assembled
 type AssemblyWorkspace = fem.Workspace
 
 // NewAssemblyWorkspace runs the symbolic assembly phase over a model.
-// The topology (elements, connectivity, constraints) must stay fixed for
-// the workspace's lifetime; node coordinates and materials may change
-// between numeric assemblies.
+// The workspace is bound to that topology (elements, connectivity,
+// constraints): Matches reports whether a model still has it, and
+// Assemble refuses to run once it does not.  Node coordinates and
+// materials may change between numeric assemblies.
 func NewAssemblyWorkspace(m *Model) (*AssemblyWorkspace, error) { return fem.NewWorkspace(m) }
 
 // Assemble builds the reduced global stiffness system of a model in one
@@ -724,15 +725,26 @@ func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 // Stresses recovers element stresses from a solution.
 func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresses(m, sol) }
 
-// The factor-once direct-solve layer.  Direct solves through Solve,
-// the REPL's solve verb, and the job service all consult a per-model
-// FactorCache automatically: the first solve of a topology plans and
-// factors, later solves of the unchanged model cost one triangular
-// solve (Solution.Refactored / SolveResult.Refactored report which
-// happened), and a model whose values changed is re-factored in place
-// with no allocation.  The cache never trades correctness for reuse —
-// a hit requires the assembled values to match the factored ones bit
-// for bit, and cached solutions are bit-identical to cold solves.
+// The plan-once layer.  Solve keeps two pieces of symbolic state per
+// model and redoes neither on a re-solve.
+//
+// Assemble-symbolic-once: the first solve builds the model's
+// AssemblyWorkspace (sparsity pattern + scatter maps) and keeps it on
+// the Model; later solves check AssemblyWorkspace.Matches — dof count,
+// constraints, element count, every element's order and connectivity —
+// and run only the allocation-free numeric scatter, rebuilding when the
+// topology changed.  Values are re-assembled on every solve.
+//
+// Factor-once: direct solves through Solve, the REPL's solve verb, and
+// the job service all consult a per-model FactorCache automatically:
+// the first solve of a topology plans and factors, later solves of the
+// unchanged model cost one triangular solve (Solution.Refactored /
+// SolveResult.Refactored report which happened), and a model whose
+// values changed is re-factored in place with no allocation.  The
+// cache never trades correctness for reuse — a hit requires the freshly
+// assembled values to match the factored ones bit for bit, and cached
+// solutions are bit-identical to cold solves.  Model.Touch releases
+// both.
 
 // Factorization is a reusable direct factorisation: solve any number of
 // right-hand sides, re-factor in place when values change.

@@ -19,7 +19,10 @@ type Bar struct {
 func (b *Bar) Kind() string { return "bar" }
 
 // Nodes returns the element connectivity.
-func (b *Bar) Nodes() []int { return []int{b.N1, b.N2} }
+func (b *Bar) Nodes() []int { return b.AppendNodes(nil) }
+
+// AppendNodes appends the element connectivity to dst.
+func (b *Bar) AppendNodes(dst []int) []int { return append(dst, b.N1, b.N2) }
 
 // geometry returns length and direction cosines.
 func (b *Bar) geometry(m *Model) (l, c, s float64, err error) {
@@ -71,14 +74,19 @@ func (b *Bar) StiffnessInto(m *Model, ke *linalg.Dense) error {
 
 // Stress returns the single axial stress component (positive in tension).
 func (b *Bar) Stress(m *Model, u linalg.Vector) ([]float64, error) {
+	return b.AppendStress(m, u, nil)
+}
+
+// AppendStress appends the axial stress to dst.
+func (b *Bar) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
 	l, c, s, err := b.geometry(m)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	u1x, u1y := u[DOF(b.N1, 0)], u[DOF(b.N1, 1)]
 	u2x, u2y := u[DOF(b.N2, 0)], u[DOF(b.N2, 1)]
 	elong := (u2x-u1x)*c + (u2y-u1y)*s
-	return []float64{b.Mat.E * elong / l}, nil
+	return append(dst, b.Mat.E*elong/l), nil
 }
 
 // CST is the three-node constant strain triangle in plane stress.
@@ -93,42 +101,41 @@ type CST struct {
 func (t *CST) Kind() string { return "cst" }
 
 // Nodes returns the element connectivity.
-func (t *CST) Nodes() []int { return []int{t.N1, t.N2, t.N3} }
+func (t *CST) Nodes() []int { return t.AppendNodes(nil) }
 
-// bMatrixAndArea computes the 3×6 strain-displacement matrix and the
-// (signed) element area.
-func (t *CST) bMatrixAndArea(m *Model) (*linalg.Dense, float64, error) {
+// AppendNodes appends the element connectivity to dst.
+func (t *CST) AppendNodes(dst []int) []int { return append(dst, t.N1, t.N2, t.N3) }
+
+// bMatrix computes the 3×6 strain-displacement matrix and twice the
+// signed element area, in locals — shared by stiffness and stress
+// recovery, so neither allocates.
+func (t *CST) bMatrix(m *Model) (b [3][6]float64, a2 float64, err error) {
 	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
 	// Signed area via the shoelace formula.
-	a2 := (p2.X-p1.X)*(p3.Y-p1.Y) - (p3.X-p1.X)*(p2.Y-p1.Y)
+	a2 = (p2.X-p1.X)*(p3.Y-p1.Y) - (p3.X-p1.X)*(p2.Y-p1.Y)
 	if a2 == 0 {
-		return nil, 0, fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
+		return b, 0, fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
 	}
-	area := a2 / 2
-	b1 := p2.Y - p3.Y
-	b2 := p3.Y - p1.Y
-	b3 := p1.Y - p2.Y
-	c1 := p3.X - p2.X
-	c2 := p1.X - p3.X
-	c3 := p2.X - p1.X
+	b1, b2, b3 := p2.Y-p3.Y, p3.Y-p1.Y, p1.Y-p2.Y
+	c1, c2, c3 := p3.X-p2.X, p1.X-p3.X, p2.X-p1.X
 	inv := 1 / a2
-	b := linalg.DenseFromRows([][]float64{
+	b = [3][6]float64{
 		{b1 * inv, 0, b2 * inv, 0, b3 * inv, 0},
 		{0, c1 * inv, 0, c2 * inv, 0, c3 * inv},
 		{c1 * inv, b1 * inv, c2 * inv, b2 * inv, c3 * inv, b3 * inv},
-	})
-	return b, area, nil
+	}
+	return b, a2, nil
 }
 
 // dMatrix returns the plane stress constitutive matrix.
-func (t *CST) dMatrix() *linalg.Dense {
+func (t *CST) dMatrix() [3][3]float64 {
 	e, nu := t.Mat.E, t.Mat.Nu
 	f := e / (1 - nu*nu)
-	return linalg.DenseFromRows([][]float64{
+	return [3][3]float64{
 		{f, f * nu, 0},
 		{f * nu, f, 0},
 		{0, 0, f * (1 - nu) / 2},
-	})
+	}
 }
 
 // Stiffness returns the 6×6 element stiffness k = t·|A|·BᵀDB.
@@ -148,30 +155,15 @@ func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	if ke.Rows != 6 || ke.Cols != 6 {
 		return fmt.Errorf("%w: CST stiffness into %dx%d", linalg.ErrDimension, ke.Rows, ke.Cols)
 	}
-	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
-	a2 := (p2.X-p1.X)*(p3.Y-p1.Y) - (p3.X-p1.X)*(p2.Y-p1.Y)
-	if a2 == 0 {
-		return fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
+	b, a2, err := t.bMatrix(m)
+	if err != nil {
+		return err
 	}
 	area := a2 / 2
 	if area < 0 {
 		area = -area
 	}
-	b1, b2, b3 := p2.Y-p3.Y, p3.Y-p1.Y, p1.Y-p2.Y
-	c1, c2, c3 := p3.X-p2.X, p1.X-p3.X, p2.X-p1.X
-	inv := 1 / a2
-	b := [3][6]float64{
-		{b1 * inv, 0, b2 * inv, 0, b3 * inv, 0},
-		{0, c1 * inv, 0, c2 * inv, 0, c3 * inv},
-		{c1 * inv, b1 * inv, c2 * inv, b2 * inv, c3 * inv, b3 * inv},
-	}
-	e, nu := t.Mat.E, t.Mat.Nu
-	f := e / (1 - nu*nu)
-	d := [3][3]float64{
-		{f, f * nu, 0},
-		{f * nu, f, 0},
-		{0, 0, f * (1 - nu) / 2},
-	}
+	d := t.dMatrix()
 	// m1 = Bᵀ·D, then ke = (m1·B)·scale, both accumulated in Dense.Mul's
 	// i,k,j order with its zero skip.
 	var m1 [6][3]float64
@@ -208,18 +200,65 @@ func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 // Stress returns the element stress components (σx, σy, τxy), constant
 // over the triangle.
 func (t *CST) Stress(m *Model, u linalg.Vector) ([]float64, error) {
-	b, _, err := t.bMatrixAndArea(m)
+	return t.AppendStress(m, u, nil)
+}
+
+// AppendStress appends σ = D·(B·u_e) to dst, computed in locals.  Each
+// row accumulates in Dense.MulVec's order (every column, zeros
+// included), so the result is bit-identical to the Dense chain kept as
+// the reference in stress_test.go.
+func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
+	b, _, err := t.bMatrix(m)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	ue := linalg.Vector{
+	ue := [6]float64{
 		u[DOF(t.N1, 0)], u[DOF(t.N1, 1)],
 		u[DOF(t.N2, 0)], u[DOF(t.N2, 1)],
 		u[DOF(t.N3, 0)], u[DOF(t.N3, 1)],
 	}
-	strain := b.MulVec(ue, nil, nil)
-	stress := t.dMatrix().MulVec(strain, nil, nil)
-	return []float64(stress), nil
+	var strain [3]float64
+	for i := range b {
+		var s float64
+		for j, a := range b[i] {
+			s += a * ue[j]
+		}
+		strain[i] = s
+	}
+	d := t.dMatrix()
+	for i := range d {
+		var s float64
+		for j, a := range d[i] {
+			s += a * strain[j]
+		}
+		dst = append(dst, s)
+	}
+	return dst, nil
+}
+
+// NodeAppender is the optional allocation-free form of Element.Nodes:
+// the connectivity appends to a caller-owned slice.  The retained
+// assembly checks every element's connectivity before each reuse, so
+// Bar and CST implement it; elements that do not fall back to Nodes.
+type NodeAppender interface {
+	AppendNodes(dst []int) []int
+}
+
+// StressAppender is the optional allocation-free form of
+// Element.Stress: the components append to a caller-owned slice, which
+// lets Stresses carve every row from one backing array.  Bar and CST
+// implement it; elements that do not fall back to Stress.
+type StressAppender interface {
+	AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error)
+}
+
+// appendNodes appends e's connectivity to dst through the
+// allocation-free path when the element offers one.
+func appendNodes(dst []int, e Element) []int {
+	if na, ok := e.(NodeAppender); ok {
+		return na.AppendNodes(dst)
+	}
+	return append(dst, e.Nodes()...)
 }
 
 // ElementDOFs returns the global dof indices of an element in local

@@ -14,8 +14,10 @@ package fem
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // DOFPerNode is the planar degrees of freedom per node (u_x, u_y).
@@ -83,6 +85,42 @@ type Model struct {
 	// factors caches direct-solve factorisations of this model's
 	// assembled system; see Factors.
 	factors linalg.FactorCache
+	// retained is the symbolic assembly Solve keeps between solves.
+	retained retainedAssembly
+}
+
+// retainedAssembly is a model's symbolic assembly, built by the first
+// solve and reused by every later one for as long as the topology
+// holds.  mu also guards the workspace's shared value buffer: a solve
+// holds it from re-assembly until its last read of K.
+type retainedAssembly struct {
+	mu sync.Mutex
+	ws *Workspace
+	// symbolic and reused count solves that built a symbolic phase and
+	// solves that skipped one; nil no-op sinks until
+	// InstrumentAssembly.
+	symbolic, reused *obs.Counter
+}
+
+// assembleRetained re-assembles m numerically through the retained
+// workspace, rebuilding the symbolic phase first when there is none yet
+// or the model no longer has the topology it was built from.  The
+// caller holds m.retained.mu, and keeps holding it while it reads the
+// returned K.
+func (m *Model) assembleRetained() (*Assembled, error) {
+	r := &m.retained
+	if r.ws != nil && r.ws.Matches(m) {
+		r.reused.Inc()
+		return r.ws.assemble(1)
+	}
+	r.ws = nil
+	ws, err := NewWorkspace(m)
+	if err != nil {
+		return nil, err
+	}
+	r.symbolic.Inc()
+	r.ws = ws
+	return ws.assemble(1)
 }
 
 // NewModel returns an empty model.
@@ -109,18 +147,36 @@ func (m *Model) AddElement(e Element) error {
 
 // Factors returns the model's direct-solve factor cache: one retained
 // DirectPlan per direct backend, so repeated solves of an unchanged
-// model reuse the factorisation (Solve consults it automatically).  A
-// cache hit requires the freshly assembled values to equal the factored
-// ones bit for bit, so mutating the model — through its methods or its
-// exported fields — always triggers an in-place refactor on the next
-// solve rather than a stale answer.  Safe for concurrent use.
+// model reuse the factorisation (Solve consults it automatically).
+// Solve re-assembles the values on every call — through the model's
+// retained symbolic assembly, rebuilt whenever the topology changed —
+// and a cache hit requires them to equal the factored ones bit for bit,
+// so mutating the model — through its methods or its exported fields —
+// always triggers an in-place refactor on the next solve rather than a
+// stale answer.  Safe for concurrent use.
 func (m *Model) Factors() *linalg.FactorCache { return &m.factors }
 
-// Touch drops the model's cached factorisations outright, forcing the
-// next direct solve to replan.  Mutations are detected by value
-// comparison anyway, so Touch is only needed to release the cache's
-// memory early.
-func (m *Model) Touch() { m.factors.Invalidate() }
+// Touch drops the model's retained symbolic assembly and its cached
+// factorisations outright, forcing the next solve to rebuild the
+// sparsity pattern and the next direct solve to replan.  Topology edits
+// are detected by Workspace.Matches and value edits by value comparison
+// anyway, so Touch is only needed to release the memory early.
+func (m *Model) Touch() {
+	m.retained.mu.Lock()
+	m.retained.ws = nil
+	m.retained.mu.Unlock()
+	m.factors.Invalidate()
+}
+
+// InstrumentAssembly routes the retained assembly's counts into shared
+// counters — solves that built a symbolic phase, and solves that reused
+// one — the way FactorCache.Instrument does for factor.*.  Either
+// argument may be nil.
+func (m *Model) InstrumentAssembly(symbolic, reused *obs.Counter) {
+	m.retained.mu.Lock()
+	m.retained.symbolic, m.retained.reused = symbolic, reused
+	m.retained.mu.Unlock()
+}
 
 // NumDOF returns the total degree-of-freedom count.
 func (m *Model) NumDOF() int { return DOFPerNode * len(m.Nodes) }

@@ -95,6 +95,12 @@ type Solution struct {
 // operation, unified over sequential, NAVM-parallel, and substructured
 // execution.  All three paths honour ctx: a cancelled solve returns an
 // error wrapping errs.ErrCancelled.
+//
+// The symbolic assembly is planned once per model: the first solve
+// builds a Workspace and keeps it on the model, and every later solve
+// checks Workspace.Matches and runs only the numeric scatter, rebuilding
+// when the topology changed.  The values are re-assembled every time,
+// so results are bit-identical to solving a fresh copy of the model.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the
@@ -118,7 +124,12 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 		sol.Backend = opts.backendName()
 		return sol, nil
 	}
-	asm, err := Assemble(m)
+	// asm.K shares the retained workspace's value buffer, so the lock
+	// is held until the solve has read K for the last time (the
+	// residual check); concurrent solves of one model serialize here.
+	m.retained.mu.Lock()
+	defer m.retained.mu.Unlock()
+	asm, err := m.assembleRetained()
 	if err != nil {
 		return nil, err
 	}
@@ -264,12 +275,24 @@ func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts So
 // AUVM "calculate stresses" operation.
 func Stresses(m *Model, sol *Solution) ([][]float64, error) {
 	out := make([][]float64, len(m.Elements))
+	// Rows are carved from one backing array, sized for the widest
+	// built-in element (a CST's three components); a wider element
+	// only costs a regrowth, earlier rows keep their storage.
+	back := make([]float64, 0, 3*len(m.Elements))
 	for i, e := range m.Elements {
-		s, err := e.Stress(m, sol.U)
+		start := len(back)
+		var err error
+		if sa, ok := e.(StressAppender); ok {
+			back, err = sa.AppendStress(m, sol.U, back)
+		} else {
+			var s []float64
+			s, err = e.Stress(m, sol.U)
+			back = append(back, s...)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fem: stress of element %d: %w", i, err)
 		}
-		out[i] = s
+		out[i] = back[start:len(back):len(back)]
 	}
 	return out, nil
 }

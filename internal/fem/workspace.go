@@ -24,9 +24,11 @@ type StiffnessWriter interface {
 // new load step, changed node coordinates, another backend row of an
 // experiment table — is a scatter-add that allocates nothing.
 //
-// A workspace is bound to the topology it was built from: the element
-// list, connectivity, and constraint set of the model must not change
-// (node coordinates and materials may — they only affect values).
+// A workspace is bound to the topology it was built from: the dof
+// count, constraint set, element count, and every element's order and
+// connectivity (node coordinates and materials may change — they only
+// affect values).  Matches reports whether a model still has that
+// topology, and Assemble refuses to scatter through a stale map.
 // Assemble returns an Assembled whose K shares the workspace's value
 // buffer, so it is valid until the next Assemble/AssembleParallel call
 // on the same workspace; callers that need snapshots keep one workspace
@@ -42,6 +44,11 @@ type Workspace struct {
 	// index in K.Val, -1 where either dof is fixed.
 	scat [][]int32
 	ndof []int
+	// conn is the connectivity the maps were built from, element after
+	// element — what Matches compares a model against.
+	conn []int32
+	// nodes is the connectivity scratch of Matches.
+	nodes []int
 	// bufs are the per-worker accumulation buffers of the parallel
 	// numeric phase, grown lazily to the requested worker count.
 	bufs [][]float64
@@ -85,12 +92,20 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 	}
 	free, index := m.FreeDOFs()
 	var rows, cols []int
+	var conn []int32
 	scat := make([][]int32, len(m.Elements))
 	ndof := make([]int, len(m.Elements))
 	for ei, e := range m.Elements {
 		dofs := ElementDOFs(e)
 		nd := len(dofs)
 		ndof[ei] = nd
+		for k := 0; k < nd; k += DOFPerNode {
+			n := dofs[k] / DOFPerNode
+			if n < 0 || n >= len(m.Nodes) {
+				return nil, fmt.Errorf("%w: element %d references node %d of %d", ErrModel, ei, n, len(m.Nodes))
+			}
+			conn = append(conn, int32(n))
+		}
 		s := make([]int32, nd*nd)
 		for i, gi := range dofs {
 			ri := index[gi]
@@ -120,9 +135,44 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 			}
 		}
 	}
-	ws := &Workspace{m: m, free: free, index: index, pat: pat, scat: scat, ndof: ndof}
+	ws := &Workspace{m: m, free: free, index: index, pat: pat, scat: scat, ndof: ndof, conn: conn}
 	ws.asm = &Assembled{K: pat.NewCSR(), Free: free, Index: index}
 	return ws, nil
+}
+
+// Matches reports whether m still has the topology the workspace was
+// built from — dof count, constraint set, element count, and every
+// element's order and connectivity — so a numeric re-assembly of m
+// through the workspace's maps is sound.  It is an O(elements) integer
+// compare that allocates nothing for NodeAppender elements.
+func (ws *Workspace) Matches(m *Model) bool {
+	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
+		return false
+	}
+	// FixDOF only ever adds true entries, so equal counts plus every
+	// fixed dof being one the workspace eliminated means equal sets.
+	if len(m.fixed) != len(ws.index)-len(ws.free) {
+		return false
+	}
+	for d, fixed := range m.fixed {
+		if !fixed || ws.index[d] >= 0 {
+			return false
+		}
+	}
+	c := 0
+	for ei, e := range m.Elements {
+		ws.nodes = appendNodes(ws.nodes[:0], e)
+		if DOFPerNode*len(ws.nodes) != ws.ndof[ei] {
+			return false
+		}
+		for _, n := range ws.nodes {
+			if n != int(ws.conn[c]) {
+				return false
+			}
+			c++
+		}
+	}
+	return true
 }
 
 // Pattern returns the reduced system's sparsity pattern.
@@ -145,6 +195,15 @@ func (ws *Workspace) Assemble() (*Assembled, error) { return ws.AssembleParallel
 // given rather than clamped to GOMAXPROCS: results do not depend on it,
 // and benchmarks sweep it explicitly.
 func (ws *Workspace) AssembleParallel(workers int) (*Assembled, error) {
+	if !ws.Matches(ws.m) {
+		return nil, fmt.Errorf("%w: topology changed since NewWorkspace (build a new workspace)", ErrModel)
+	}
+	return ws.assemble(workers)
+}
+
+// assemble is AssembleParallel without the topology check, for callers
+// that have just run Matches themselves.
+func (ws *Workspace) assemble(workers int) (*Assembled, error) {
 	k := ws.asm.K
 	val := k.Val
 	for i := range val {

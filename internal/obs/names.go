@@ -49,6 +49,10 @@ const (
 	FactorRefactors = "factor.refactors" // counter: numeric refactorisations (misses included)
 	FactorEvictions = "factor.evictions" // counter: per-model caches dropped by the scheduler bound
 
+	// Retained symbolic assembly (internal/fem Solve).
+	AssembleSymbolic = "assemble.symbolic" // counter: solves that built a symbolic assembly (first solve, or topology changed)
+	AssembleReused   = "assemble.reused"   // counter: solves that skipped the symbolic phase (numeric re-assembly only)
+
 	// Network client (internal/client).
 	ClientReconnects = "client.reconnects" // counter: dead connections replaced
 	ClientRetries    = "client.retries"    // counter: request attempts beyond the first

@@ -119,6 +119,68 @@ func TestServerCountersMoveOverWire(t *testing.T) {
 	}
 }
 
+// TestWarmSolvesReuseSymbolicAssembly pins the assemble.* counters over
+// the wire: the first solve of a model builds its symbolic assembly,
+// and N further solves of the unchanged model — scheduled and
+// synchronous alike — move assemble.reused by exactly N and
+// assemble.symbolic by 0, while factor.refactors stays put.
+func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
+	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
+	defer srv.Shutdown(context.Background())
+	cl, err := fem2.Dial(addr, "eng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	counters := func() []fem2.StatEntry {
+		t.Helper()
+		res, err := cl.Do(ctx, fem2.StatsCommand{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.(*fem2.StatsResult).Counters
+	}
+
+	remotePlate(t, cl, "plate", 8, 4)
+	if _, _, err := submitAndWait(cl, "plate"); err != nil {
+		t.Fatal(err)
+	}
+	cold := counters()
+	if got := statVal(cold, obs.AssembleSymbolic); got != 1 {
+		t.Errorf("%s = %d after the first solve, want 1", obs.AssembleSymbolic, got)
+	}
+	if got := statVal(cold, obs.AssembleReused); got != 0 {
+		t.Errorf("%s = %d after the first solve, want 0", obs.AssembleReused, got)
+	}
+
+	const n = 6
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			_, _, err = submitAndWait(cl, "plate")
+		} else {
+			_, err = cl.Do(ctx, fem2.SolveCommand{Model: "plate", Set: "tip"})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := counters()
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{obs.AssembleReused, n},
+		{obs.AssembleSymbolic, 0},
+		{obs.FactorRefactors, 0},
+		{obs.FactorHits, n},
+	} {
+		if got := statVal(warm, c.name) - statVal(cold, c.name); got != c.want {
+			t.Errorf("%d warm solves moved %s by %d, want %d", n, c.name, got, c.want)
+		}
+	}
+}
+
 // TestStatsAnswersLocally pins the local path: a plain session answers
 // the stats verb from its system's registry, counting its own jobs.
 func TestStatsAnswersLocally(t *testing.T) {
