@@ -733,7 +733,10 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // the Model; later solves check AssemblyWorkspace.Matches — dof count,
 // constraints, element count, every element's order and connectivity —
 // and run only the allocation-free numeric scatter, rebuilding when the
-// topology changed.  Values are re-assembled on every solve.
+// topology changed.  Values are re-assembled on every solve.  Inside a
+// session the plan follows the model name: generate, retrieve and
+// restore hand the replaced model's workspace to the new object, which
+// runs the same Matches check before its first scatter.
 //
 // Factor-once: direct solves through Solve, the REPL's solve verb, and
 // the job service all consult a per-model FactorCache automatically:

@@ -44,10 +44,16 @@ func NewWorkspace() *Workspace {
 	}
 }
 
-// PutModel stores (or replaces) a model in the workspace.
+// PutModel stores (or replaces) a model in the workspace.  A replacement
+// takes over the retained symbolic assembly of the model it displaces —
+// generate, retrieve and restore all replace through here — and its
+// next solve checks that plan against its own topology before reuse.
 func (w *Workspace) PutModel(m *fem.Model) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if prev := w.models[m.Name]; prev != nil {
+		m.AdoptAssembly(prev)
+	}
 	w.models[m.Name] = m
 	if w.loads[m.Name] == nil {
 		w.loads[m.Name] = map[string]*fem.LoadSet{}

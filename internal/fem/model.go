@@ -89,10 +89,11 @@ type Model struct {
 	retained retainedAssembly
 }
 
-// retainedAssembly is a model's symbolic assembly, built by the first
-// solve and reused by every later one for as long as the topology
-// holds.  mu also guards the workspace's shared value buffer: a solve
-// holds it from re-assembly until its last read of K.
+// retainedAssembly is a model's symbolic assembly — built by its first
+// solve, or taken over from the model it replaced (AdoptAssembly) — and
+// reused by every later solve for as long as the topology holds.  mu
+// also guards the workspace's shared value buffer: a solve holds it from
+// re-assembly until its last read of K.
 type retainedAssembly struct {
 	mu sync.Mutex
 	ws *Workspace
@@ -153,10 +154,15 @@ func (m *Model) AddElement(e Element) error {
 // and a cache hit requires them to equal the factored ones bit for bit,
 // so mutating the model — through its methods or its exported fields —
 // always triggers an in-place refactor on the next solve rather than a
-// stale answer.  Safe for concurrent use.
+// stale answer.  This cache lives and dies with the Model object; across
+// a same-name replacement in a session it is the scheduler's name-keyed
+// cache that keeps the DirectPlan, and AdoptAssembly that keeps the
+// symbolic assembly under it (so the plan's pattern check stays a
+// pointer compare).  Safe for concurrent use.
 func (m *Model) Factors() *linalg.FactorCache { return &m.factors }
 
-// Touch drops the model's retained symbolic assembly and its cached
+// Touch drops the model's retained symbolic assembly — built by this
+// model or adopted from the one it replaced — and its cached
 // factorisations outright, forcing the next solve to rebuild the
 // sparsity pattern and the next direct solve to replan.  Topology edits
 // are detected by Workspace.Matches and value edits by value comparison
@@ -166,6 +172,33 @@ func (m *Model) Touch() {
 	m.retained.ws = nil
 	m.retained.mu.Unlock()
 	m.factors.Invalidate()
+}
+
+// AdoptAssembly moves prev's retained symbolic assembly to m, the model
+// about to replace it under the same name, so regenerating or retrieving
+// an unchanged topology does not rebuild the sparsity pattern.  It is a
+// move, never a share: prev is left without one.  Nothing is trusted —
+// m's next solve still runs Workspace.Matches against m itself and
+// rebuilds when the topology differs.  It never blocks: when a solve of
+// either model holds its assembly, or m already has one, m is left to
+// build its own.
+func (m *Model) AdoptAssembly(prev *Model) {
+	if prev == m || !prev.retained.mu.TryLock() {
+		return
+	}
+	ws := prev.retained.ws
+	prev.retained.ws = nil
+	prev.retained.mu.Unlock()
+	if ws == nil || !m.retained.mu.TryLock() {
+		return
+	}
+	if m.retained.ws == nil {
+		// Rebound here, so the retained workspace always evaluates the
+		// model that holds it and prev can be collected.
+		ws.m = m
+		m.retained.ws = ws
+	}
+	m.retained.mu.Unlock()
 }
 
 // InstrumentAssembly routes the retained assembly's counts into shared
@@ -214,12 +247,16 @@ func (m *Model) NumFixed() int { return len(m.fixed) }
 // order, plus the inverse map from global dof to reduced index (-1 for
 // fixed).
 func (m *Model) FreeDOFs() (free []int, index []int) {
-	index = make([]int, m.NumDOF())
-	for i := range index {
-		index[i] = -1
+	n := m.NumDOF()
+	index = make([]int, n)
+	for d, fixed := range m.fixed {
+		if fixed && d < n {
+			index[d] = -1
+		}
 	}
-	for d := 0; d < m.NumDOF(); d++ {
-		if !m.fixed[d] {
+	free = make([]int, 0, max(n-len(m.fixed), 0))
+	for d := range index {
+		if index[d] == 0 {
 			index[d] = len(free)
 			free = append(free, d)
 		}

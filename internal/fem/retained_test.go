@@ -228,30 +228,55 @@ var retainedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 61
 // retained assembly equals — bitwise in U, Residual, Stats.Flops and
 // Refactored — a solve of a deep-copied fresh model assembled one-shot
 // (the reference keeps its own factor cache across steps, so it
-// refactors exactly when the pre-retention path did).
+// refactors exactly when the pre-retention path did).  Some steps
+// replace the model object instead of editing it, the way generate and
+// retrieve do: the replacement adopts the retained assembly, and a
+// same-topology one must solve without a symbolic phase.
 func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 	backends := []string{linalg.BackendCholesky, linalg.BackendCholeskyRCM, linalg.BackendCholeskyEnv, linalg.BackendCG}
-	solved, failed, warm := 0, 0, 0
+	solved, failed, warm, adopted := 0, 0, 0, 0
 	defer func() {
 		// Guard against a vacuous run: most comparisons must be real
-		// solves, and a good share of them warm ones.
-		if solved < 4*failed || warm < solved/6 {
-			t.Errorf("%d solved (%d warm), %d failed alike: the edits no longer exercise the retained path", solved, warm, failed)
+		// solves, a good share of them warm ones, and some replacements
+		// must have inherited a plan.
+		if solved < 4*failed || warm < solved/6 || adopted < len(retainedSeeds)/2 {
+			t.Errorf("%d solved (%d warm), %d failed alike, %d plans adopted: the edits no longer exercise the retained path", solved, warm, failed, adopted)
 		}
 	}()
 	for _, seed := range retainedSeeds {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			m := randomModel(t, rng)
-			ls := &LoadSet{Name: "rand"}
-			for i := 0; i < 3; i++ {
-				ls.Entries = append(ls.Entries, LoadEntry{DOF: rng.Intn(m.NumDOF()), Value: 1000 * (rng.Float64() - 0.5)})
-			}
+			ls := randomLoads(rng, m)
+			reg := obs.New()
+			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
+			m.InstrumentAssembly(symbolic, reused)
 			refCache := &linalg.FactorCache{}
 			refCtx := linalg.NewFactorCacheContext(context.Background(), refCache)
 			for step := 0; step < 12; step++ {
-				what := mutateRandomly(t, rng, m)
-				if what == "touch" {
+				var what string
+				// wantSymbolic is the symbolic count a replacement that must
+				// inherit its plan may not exceed; -1 when the step says
+				// nothing about it.
+				wantSymbolic := int64(-1)
+				if rng.Intn(4) == 0 {
+					next := deepCopy(t, m)
+					what = "replace, same topology"
+					if rng.Intn(2) == 0 {
+						next, what = randomModel(t, rng), "replace, another model"
+						ls = randomLoads(rng, next)
+					} else if m.retained.ws != nil {
+						wantSymbolic = symbolic.Load()
+						adopted++
+					}
+					next.InstrumentAssembly(symbolic, reused)
+					next.AdoptAssembly(m)
+					if m.retained.ws != nil {
+						t.Fatalf("seed %d step %d: the replaced model kept its workspace", seed, step)
+					}
+					m = next
+					refCache.Invalidate() // a new model starts with no factors
+				} else if what = mutateRandomly(t, rng, m); what == "touch" {
 					refCache.Invalidate() // Touch drops the model's factors too
 				}
 				for _, backend := range backends {
@@ -290,9 +315,22 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 						}
 					}
 				}
+				if wantSymbolic >= 0 && symbolic.Load() != wantSymbolic {
+					t.Fatalf("seed %d step %d (%s): symbolic %d, want %d — the inherited plan was not used",
+						seed, step, what, symbolic.Load(), wantSymbolic)
+				}
 			}
 		})
 	}
+}
+
+// randomLoads draws three point loads on m.
+func randomLoads(rng *rand.Rand, m *Model) *LoadSet {
+	ls := &LoadSet{Name: "rand"}
+	for i := 0; i < 3; i++ {
+		ls.Entries = append(ls.Entries, LoadEntry{DOF: rng.Intn(m.NumDOF()), Value: 1000 * (rng.Float64() - 0.5)})
+	}
+	return ls
 }
 
 // mutateRandomly applies one random edit to m — or none, so some steps
@@ -442,5 +480,172 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("Stresses allocates %.0f times, ceiling 2", n)
+	}
+}
+
+// TestAdoptedAssemblyIsCheckedBeforeReuse pins that a plan handed over
+// by AdoptAssembly is trusted exactly as far as one the model built
+// itself: Matches runs against the new model before the first scatter,
+// so a replacement that differs in any part of the topology rebuilds
+// (skipping the check would scatter through the wrong map and these
+// rows would not count a symbolic phase), and one that differs only in
+// values reuses the very same pattern arrays.
+func TestAdoptedAssemblyIsCheckedBeforeReuse(t *testing.T) {
+	grid := func(nx, ny int, e float64) *Model {
+		mat := Steel()
+		mat.E = e
+		m, err := RectGrid("plate", RectGridOpts{NX: nx, NY: ny, W: 6, H: 4, Mat: mat, ClampLeft: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name    string
+		next    func() *Model
+		rebuild bool
+	}{
+		{"same grid, new modulus", func() *Model { return grid(6, 4, 70000) }, false},
+		{"larger grid", func() *Model { return grid(8, 6, 200000) }, true},
+		{"smaller grid", func() *Model { return grid(3, 2, 200000) }, true},
+		// 35 nodes and 48 elements either way: only the constraint set
+		// and the connectivity tell them apart.
+		{"transposed grid", func() *Model { return grid(4, 6, 200000) }, true},
+		{"one more fixed dof", func() *Model {
+			m := grid(6, 4, 200000)
+			if err := m.FixDOF(DOF(len(m.Nodes)-1, 0)); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, true},
+		{"elements reordered", func() *Model {
+			m := grid(6, 4, 200000)
+			m.Elements[0], m.Elements[9] = m.Elements[9], m.Elements[0]
+			return m
+		}, true},
+		{"truss", func() *Model {
+			m, err := CantileverTruss("plate", 4, 1000, 800, Steel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := grid(6, 4, 200000)
+			reg := obs.New()
+			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
+			prev.InstrumentAssembly(symbolic, reused)
+			pattern := retainedK(t, prev).RowPtr
+
+			next := tc.next()
+			next.InstrumentAssembly(symbolic, reused)
+			next.AdoptAssembly(prev)
+			if prev.retained.ws != nil || next.retained.ws == nil {
+				t.Fatalf("AdoptAssembly shared or dropped the workspace: prev %v next %v", prev.retained.ws != nil, next.retained.ws != nil)
+			}
+			got := retainedK(t, next)
+			wantSym, wantReused := int64(1), int64(1)
+			if tc.rebuild {
+				wantSym, wantReused = 2, 0
+			}
+			if s, r := symbolic.Load(), reused.Load(); s != wantSym || r != wantReused {
+				t.Errorf("symbolic %d reused %d, want %d %d", s, r, wantSym, wantReused)
+			}
+			if same := &got.RowPtr[0] == &pattern[0]; same == tc.rebuild {
+				t.Errorf("pattern arrays shared with the replaced model's = %v", same)
+			}
+			if next.retained.ws.m != next {
+				t.Error("the workspace still evaluates the replaced model")
+			}
+			fresh, err := Assemble(deepCopy(t, next))
+			if err != nil {
+				t.Fatal(err)
+			}
+			csrIdentical(t, "adopted vs fresh", got, fresh.K)
+		})
+	}
+}
+
+// TestAdoptAssemblyEdgeCases covers the hand-overs that must be no-ops:
+// a model re-put over itself, a predecessor that never solved, and a
+// successor that already has a plan of its own.
+func TestAdoptAssemblyEdgeCases(t *testing.T) {
+	solvedPlate := func() *Model {
+		m, _ := cachePlate(t)
+		retainedK(t, m)
+		return m
+	}
+	m := solvedPlate()
+	ws := m.retained.ws
+	m.AdoptAssembly(m)
+	if m.retained.ws != ws {
+		t.Error("adopting from itself lost the workspace")
+	}
+	unsolved, _ := cachePlate(t)
+	m.AdoptAssembly(unsolved)
+	if m.retained.ws != ws {
+		t.Error("adopting from an unsolved model lost the workspace")
+	}
+	other := solvedPlate()
+	m.AdoptAssembly(other)
+	if m.retained.ws != ws || other.retained.ws != nil {
+		t.Error("a model with its own plan must keep it, and the predecessor is emptied either way")
+	}
+}
+
+// TestSolutionOfReplacedModelIsRejected is the regression for the
+// daemon-killing panic: the workspace keeps a model's last solution
+// when the model is regenerated under the same name, and recovering
+// stresses (or reactions) for the new grid from the old displacements
+// indexed past U.
+func TestSolutionOfReplacedModelIsRejected(t *testing.T) {
+	grid := func(nx, ny int) (*Model, *LoadSet) {
+		o := RectGridOpts{NX: nx, NY: ny, W: 4, H: 3, Mat: Steel(), ClampLeft: true}
+		m, err := RectGrid("p", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, EndLoad("l", o, 0, -500)
+	}
+	for _, tc := range []struct {
+		name             string
+		nx, ny, nx2, ny2 int
+	}{
+		{"larger replacement", 4, 3, 8, 6},
+		{"smaller replacement", 8, 6, 4, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, ls := grid(tc.nx, tc.ny)
+			sol, err := Solve(context.Background(), m, ls, SolveOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, _ := grid(tc.nx2, tc.ny2)
+			if _, err := Stresses(next, sol); !errors.Is(err, ErrModel) {
+				t.Errorf("Stresses with the replaced model's solution: err = %v, want ErrModel", err)
+			}
+			if _, err := Reactions(next, sol); !errors.Is(err, ErrModel) {
+				t.Errorf("Reactions with the replaced model's solution: err = %v, want ErrModel", err)
+			}
+			if _, err := Stresses(m, sol); err != nil {
+				t.Errorf("Stresses with the model's own solution: %v", err)
+			}
+		})
+	}
+}
+
+// TestNewWorkspaceAllocationCeiling pins the cold path on the 40×24
+// plate: the symbolic phase counts first and allocates each array once,
+// where a scatter slice per element and grown coordinate lists cost
+// ~2000 allocations.
+func TestNewWorkspaceAllocationCeiling(t *testing.T) {
+	m, _ := largePlate(t)
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := NewWorkspace(m); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 24 {
+		t.Errorf("NewWorkspace allocates %.0f times, ceiling 24", n)
 	}
 }

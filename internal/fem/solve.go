@@ -97,10 +97,12 @@ type Solution struct {
 // error wrapping errs.ErrCancelled.
 //
 // The symbolic assembly is planned once per model: the first solve
-// builds a Workspace and keeps it on the model, and every later solve
-// checks Workspace.Matches and runs only the numeric scatter, rebuilding
-// when the topology changed.  The values are re-assembled every time,
-// so results are bit-identical to solving a fresh copy of the model.
+// builds a Workspace and keeps it on the model (a model that replaced
+// another under the same name starts with that one's, see
+// Model.AdoptAssembly), and every later solve checks Workspace.Matches
+// and runs only the numeric scatter, rebuilding when the topology
+// changed.  The values are re-assembled every time, so results are
+// bit-identical to solving a fresh copy of the model.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the
@@ -271,9 +273,23 @@ func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts So
 	return sol, nil
 }
 
+// checkSolutionFits rejects a solution computed for another model — the
+// workspace keeps a model's last solution when generate, retrieve or
+// restore replaces the model under the same name, and recovering
+// stresses through the new connectivity would index past U.
+func checkSolutionFits(m *Model, sol *Solution) error {
+	if len(sol.U) != m.NumDOF() {
+		return fmt.Errorf("%w: solution has %d dofs, model has %d — solve again", ErrModel, len(sol.U), m.NumDOF())
+	}
+	return nil
+}
+
 // Stresses recovers per-element stress components from a solution — the
 // AUVM "calculate stresses" operation.
 func Stresses(m *Model, sol *Solution) ([][]float64, error) {
+	if err := checkSolutionFits(m, sol); err != nil {
+		return nil, err
+	}
 	out := make([][]float64, len(m.Elements))
 	// Rows are carved from one backing array, sized for the widest
 	// built-in element (a CST's three components); a wider element
@@ -301,6 +317,9 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) {
 // fixed dofs (useful for equilibrium checks: reactions balance applied
 // loads).
 func Reactions(m *Model, sol *Solution) (map[int]float64, error) {
+	if err := checkSolutionFits(m, sol); err != nil {
+		return nil, err
+	}
 	reac := map[int]float64{}
 	for ei, e := range m.Elements {
 		ke, err := e.Stiffness(m)

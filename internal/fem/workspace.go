@@ -35,14 +35,17 @@ type StiffnessWriter interface {
 // per concurrent system.  Workspace methods are not safe for concurrent
 // use.
 type Workspace struct {
+	// m is the model Assemble evaluates: the one NewWorkspace was given,
+	// or the replacement Model.AdoptAssembly handed the workspace to.
 	m     *Model
 	free  []int
 	index []int
 	pat   *linalg.Pattern
 	asm   *Assembled
-	// scat[e] maps element e's dense-local (i*nd+j) entry to its flat
-	// index in K.Val, -1 where either dof is fixed.
-	scat [][]int32
+	// scat[off[e]:off[e+1]] maps element e's dense-local (i*nd+j) entry
+	// to its flat index in K.Val, -1 where either dof is fixed.
+	scat []int32
+	off  []int
 	ndof []int
 	// conn is the connectivity the maps were built from, element after
 	// element — what Matches compares a model against.
@@ -85,32 +88,55 @@ func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, e
 // reduces out the fixed dofs, builds the CSR sparsity pattern of the
 // free-dof system with a two-pass counting sort, and records where every
 // element stiffness entry scatters.  No element stiffness is evaluated —
-// the symbolic phase depends on topology alone.
+// the symbolic phase depends on topology alone.  A first pass over the
+// elements only counts, so every array is allocated once at its final
+// size: a session's first solve, a topology change and every one-shot
+// Assemble pay this phase in full.
 func NewWorkspace(m *Model) (*Workspace, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	free, index := m.FreeDOFs()
-	var rows, cols []int
-	var conn []int32
-	scat := make([][]int32, len(m.Elements))
-	ndof := make([]int, len(m.Elements))
+	ne := len(m.Elements)
+	ws := &Workspace{m: m, free: free, index: index, ndof: make([]int, ne), off: make([]int, ne+1)}
+	nconn, ncoord := 0, 0
 	for ei, e := range m.Elements {
-		dofs := ElementDOFs(e)
-		nd := len(dofs)
-		ndof[ei] = nd
-		for k := 0; k < nd; k += DOFPerNode {
-			n := dofs[k] / DOFPerNode
+		ws.nodes = appendNodes(ws.nodes[:0], e)
+		nfree := 0
+		for _, n := range ws.nodes {
 			if n < 0 || n >= len(m.Nodes) {
 				return nil, fmt.Errorf("%w: element %d references node %d of %d", ErrModel, ei, n, len(m.Nodes))
 			}
-			conn = append(conn, int32(n))
+			for d := 0; d < DOFPerNode; d++ {
+				if index[DOF(n, d)] >= 0 {
+					nfree++
+				}
+			}
 		}
-		s := make([]int32, nd*nd)
-		for i, gi := range dofs {
-			ri := index[gi]
-			for j, gj := range dofs {
-				rj := index[gj]
+		nd := DOFPerNode * len(ws.nodes)
+		ws.ndof[ei] = nd
+		ws.off[ei+1] = ws.off[ei] + nd*nd
+		nconn += len(ws.nodes)
+		ncoord += nfree * nfree
+	}
+	ws.conn = make([]int32, 0, nconn)
+	ws.scat = make([]int32, ws.off[ne])
+	rows, cols := make([]int, 0, ncoord), make([]int, 0, ncoord)
+	var reduced []int
+	for ei, e := range m.Elements {
+		ws.nodes = appendNodes(ws.nodes[:0], e)
+		// reduced holds the element's dofs as reduced indices, local order.
+		reduced = reduced[:0]
+		for _, n := range ws.nodes {
+			ws.conn = append(ws.conn, int32(n))
+			for d := 0; d < DOFPerNode; d++ {
+				reduced = append(reduced, index[DOF(n, d)])
+			}
+		}
+		nd := ws.ndof[ei]
+		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
+		for i, ri := range reduced {
+			for j, rj := range reduced {
 				if ri < 0 || rj < 0 {
 					s[i*nd+j] = -1
 					continue
@@ -122,20 +148,17 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 				cols = append(cols, rj)
 			}
 		}
-		scat[ei] = s
 	}
 	pat, scatter, err := linalg.NewPattern(len(free), rows, cols)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range scat {
-		for t, v := range s {
-			if v >= 0 {
-				s[t] = int32(scatter[v])
-			}
+	for t, v := range ws.scat {
+		if v >= 0 {
+			ws.scat[t] = int32(scatter[v])
 		}
 	}
-	ws := &Workspace{m: m, free: free, index: index, pat: pat, scat: scat, ndof: ndof, conn: conn}
+	ws.pat = pat
 	ws.asm = &Assembled{K: pat.NewCSR(), Free: free, Index: index}
 	return ws, nil
 }
@@ -177,9 +200,6 @@ func (ws *Workspace) Matches(m *Model) bool {
 
 // Pattern returns the reduced system's sparsity pattern.
 func (ws *Workspace) Pattern() *linalg.Pattern { return ws.pat }
-
-// Model returns the model the workspace was built from.
-func (ws *Workspace) Model() *Model { return ws.m }
 
 // Assemble runs the numeric phase sequentially: element stiffnesses are
 // re-evaluated and scatter-added through the cached map.  The returned
@@ -264,7 +284,7 @@ func (ws *Workspace) scatterRange(lo, hi int, val []float64, sc *stiffScratch) (
 		if ke.Rows != nd || ke.Cols != nd {
 			return flops, fmt.Errorf("fem: element %d stiffness %dx%d for %d dofs", ei, ke.Rows, ke.Cols, nd)
 		}
-		s := ws.scat[ei]
+		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
 		for i := 0; i < nd; i++ {
 			row := ke.Row(i)
 			base := i * nd

@@ -50,7 +50,7 @@ const (
 	FactorEvictions = "factor.evictions" // counter: per-model caches dropped by the scheduler bound
 
 	// Retained symbolic assembly (internal/fem Solve).
-	AssembleSymbolic = "assemble.symbolic" // counter: solves that built a symbolic assembly (first solve, or topology changed)
+	AssembleSymbolic = "assemble.symbolic" // counter: solves that built a symbolic assembly (no plan to inherit, or topology changed)
 	AssembleReused   = "assemble.reused"   // counter: solves that skipped the symbolic phase (numeric re-assembly only)
 
 	// Network client (internal/client).

@@ -28,6 +28,17 @@ func statVal(entries []fem2.StatEntry, name string) int64 {
 	return -1
 }
 
+// remoteCounters asks the daemon for its stats and returns the counter
+// table.
+func remoteCounters(t *testing.T, cl *fem2.Client) []fem2.StatEntry {
+	t.Helper()
+	res, err := cl.Do(context.Background(), fem2.StatsCommand{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(*fem2.StatsResult).Counters
+}
+
 // statHist finds a named histogram in a stats result, nil when absent.
 func statHist(hists []fem2.StatHistogram, name string) *fem2.StatHistogram {
 	for i := range hists {
@@ -133,20 +144,11 @@ func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	counters := func() []fem2.StatEntry {
-		t.Helper()
-		res, err := cl.Do(ctx, fem2.StatsCommand{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.(*fem2.StatsResult).Counters
-	}
-
 	remotePlate(t, cl, "plate", 8, 4)
 	if _, _, err := submitAndWait(cl, "plate"); err != nil {
 		t.Fatal(err)
 	}
-	cold := counters()
+	cold := remoteCounters(t, cl)
 	if got := statVal(cold, obs.AssembleSymbolic); got != 1 {
 		t.Errorf("%s = %d after the first solve, want 1", obs.AssembleSymbolic, got)
 	}
@@ -165,7 +167,7 @@ func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := counters()
+	warm := remoteCounters(t, cl)
 	for _, c := range []struct {
 		name string
 		want int64
@@ -177,6 +179,53 @@ func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 	} {
 		if got := statVal(warm, c.name) - statVal(cold, c.name); got != c.want {
 			t.Errorf("%d warm solves moved %s by %d, want %d", n, c.name, got, c.want)
+		}
+	}
+}
+
+// TestRegeneratedPlateKeepsSymbolicAssembly pins the hand-over over the
+// wire: N rounds of material + the same generate grid + solve replace
+// the model object N times, yet only the first solve builds a symbolic
+// assembly — every later one inherits it — while each new modulus still
+// refactors, so every reply says Refactored.
+func TestRegeneratedPlateKeepsSymbolicAssembly(t *testing.T) {
+	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
+	defer srv.Shutdown(context.Background())
+	cl, err := fem2.Dial(addr, "eng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	before := remoteCounters(t, cl)
+
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := cl.Do(ctx, fem2.SetMaterial{E: 200000 + 1000*float64(i), Nu: 0.3, T: 10, A: 100}); err != nil {
+			t.Fatal(err)
+		}
+		remotePlate(t, cl, "plate", 8, 4)
+		res, err := cl.Do(ctx, fem2.SolveCommand{Model: "plate", Set: "tip", Method: "cholesky-env"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.(*fem2.SolveResult).Refactored {
+			t.Errorf("round %d: a new modulus answered from a warm factor", i)
+		}
+	}
+	after := remoteCounters(t, cl)
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{obs.AssembleSymbolic, 1},
+		{obs.AssembleReused, n - 1},
+		{obs.FactorRefactors, n},
+		{obs.FactorMisses, 1},
+		{obs.FactorHits, 0},
+	} {
+		if got := statVal(after, c.name) - max(statVal(before, c.name), 0); got != c.want {
+			t.Errorf("%d regenerate+solve rounds moved %s by %d, want %d", n, c.name, got, c.want)
 		}
 	}
 }

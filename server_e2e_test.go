@@ -450,3 +450,40 @@ func TestServerPingVersionOverWire(t *testing.T) {
 		t.Errorf("welcome storage = %q, want %q", got, "mem")
 	}
 }
+
+// TestStressesAfterRegenerateOverWire is the regression for a request
+// that used to kill the daemon: the workspace keeps the solution of the
+// model a generate replaced, and stresses indexed the new, larger grid
+// into the old displacement vector — a panic nothing in the server
+// recovers, taking every tenant's session down.  The verb must answer
+// an error line and the daemon must keep serving.
+func TestStressesAfterRegenerateOverWire(t *testing.T) {
+	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
+	defer srv.Shutdown(context.Background())
+	cl, err := fem2.Dial(addr, "eng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	remotePlate(t, cl, "p", 4, 3)
+	if _, err := cl.Do(ctx, fem2.SolveCommand{Model: "p", Set: "tip"}); err != nil {
+		t.Fatal(err)
+	}
+	remotePlate(t, cl, "p", 8, 6)
+	_, err = cl.Do(ctx, fem2.StressesCommand{Model: "p"})
+	if want := "solution has 40 dofs, model has 126 — solve again"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("stresses after regenerate: err = %v, want it to say %q", err, want)
+	}
+	if res, err := cl.Do(ctx, fem2.PingCommand{}); err != nil || res.String() != "pong" {
+		t.Fatalf("ping after the refused stresses = %q, %v", res, err)
+	}
+	// Solving the new grid makes its stresses recoverable again.
+	if _, err := cl.Do(ctx, fem2.SolveCommand{Model: "p", Set: "tip"}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Do(ctx, fem2.StressesCommand{Model: "p"})
+	if err != nil || res.(*fem2.StressesResult).Elements != 96 {
+		t.Fatalf("stresses after re-solving = %v, %v", res, err)
+	}
+}
