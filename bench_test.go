@@ -810,7 +810,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 
 // BenchmarkAUVMCommand measures command interpretation end to end.
 func BenchmarkAUVMCommand(b *testing.B) {
-	sys, err := fem2.NewSystem(fem2.DefaultConfig())
+	sys, err := fem2.New()
 	if err != nil {
 		b.Fatal(err)
 	}

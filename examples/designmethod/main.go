@@ -23,7 +23,7 @@ func main() {
 
 	// Step 2: each layer is formally specified; the specs must be
 	// well-formed before the design can "firm up".
-	sys, err := fem2.NewSystem(fem2.DefaultConfig())
+	sys, err := fem2.New()
 	if err != nil {
 		log.Fatal(err)
 	}

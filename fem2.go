@@ -18,7 +18,7 @@
 //	       by a communication network, one kernel PE per cluster).
 //
 // The hardware was never fabricated; per the paper's own method it is
-// evaluated by simulation.  NewSystem builds the whole stack over a
+// evaluated by simulation.  New builds the whole stack over a
 // simulated machine; Session gives an interactive workstation; the
 // experiment runners regenerate the paper's evaluation (see DESIGN.md and
 // EXPERIMENTS.md).
@@ -36,7 +36,7 @@
 // Quick start, command language (the same layer through the Parse
 // adapter):
 //
-//	sys, _ := fem2.NewSystem(fem2.DefaultConfig())
+//	sys, _ := fem2.New()
 //	s := sys.Session("engineer")
 //	s.Execute("generate grid wing 16 8 16 8 clamp-left")
 //	s.Execute("load wing cruise endload 0 -1000")
@@ -99,49 +99,42 @@ func DefaultConfig() Config { return arch.DefaultConfig() }
 // and machine-wide instrumentation.
 type System = core.System
 
-// options collects everything New configures: the simulated hardware,
-// the front end's job scheduler bound, and the storage backend.
-type options struct {
-	cfg     Config
-	workers int
-	store   StoreConfig
-	guard   store.GuardOpts
-	cluster *ClusterOpts
-}
-
-// Option adjusts one dimension of the system New builds.
-type Option func(*options)
+// Option adjusts one dimension of the system New builds: the simulated
+// hardware, the front end's job scheduler bound, the storage backend.
+type Option func(*core.Options)
 
 // WithClusters sets the number of PE clusters.
-func WithClusters(n int) Option { return func(o *options) { o.cfg.Clusters = n } }
+func WithClusters(n int) Option { return func(o *core.Options) { o.Arch.Clusters = n } }
 
 // WithPEsPerCluster sets the PEs in each cluster (including the kernel
 // PE, so each cluster has n-1 workers).
-func WithPEsPerCluster(n int) Option { return func(o *options) { o.cfg.PEsPerCluster = n } }
+func WithPEsPerCluster(n int) Option { return func(o *core.Options) { o.Arch.PEsPerCluster = n } }
 
 // WithSharedMemoryWords sets each cluster's shared-memory capacity.
-func WithSharedMemoryWords(w int64) Option { return func(o *options) { o.cfg.SharedMemoryWords = w } }
+func WithSharedMemoryWords(w int64) Option {
+	return func(o *core.Options) { o.Arch.SharedMemoryWords = w }
+}
 
 // WithCostModel sets the simulator's cost parameters: the fixed network
 // message latency, the per-word network transfer cost, the per-word
 // shared-memory cost, and the kernel PE's message decode cost.
 func WithCostModel(netLatency, netCyclesPerWord, memCyclesPerWord, kernelDecodeCycles int64) Option {
-	return func(o *options) {
-		o.cfg.NetLatency = netLatency
-		o.cfg.NetCyclesPerWord = netCyclesPerWord
-		o.cfg.MemCyclesPerWord = memCyclesPerWord
-		o.cfg.KernelDecodeCycles = kernelDecodeCycles
+	return func(o *core.Options) {
+		o.Arch.NetLatency = netLatency
+		o.Arch.NetCyclesPerWord = netCyclesPerWord
+		o.Arch.MemCyclesPerWord = memCyclesPerWord
+		o.Arch.KernelDecodeCycles = kernelDecodeCycles
 	}
 }
 
 // WithConfig replaces the whole hardware configuration; later options
 // adjust it further.
-func WithConfig(cfg Config) Option { return func(o *options) { o.cfg = cfg } }
+func WithConfig(cfg Config) Option { return func(o *core.Options) { o.Arch = cfg } }
 
 // WithWorkers bounds the job scheduler's worker pool: at most n
 // asynchronous jobs execute at once (0, the default, selects GOMAXPROCS).
 // Workers start lazily on the first SubmitAsync / submit.
-func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
+func WithWorkers(n int) Option { return func(o *core.Options) { o.Workers = n } }
 
 // WithStore selects the storage backend the system's model database and
 // job journal persist through.  The default is the in-memory backend;
@@ -149,7 +142,7 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // models, solution history, and job records survive a restart — on
 // start the store is replayed, the database recovered, and jobs that
 // were in flight at a crash deterministically failed.
-func WithStore(sc StoreConfig) Option { return func(o *options) { o.store = sc } }
+func WithStore(sc StoreConfig) Option { return func(o *core.Options) { o.Store = sc } }
 
 // ClusterOpts configures lease-based multi-daemon failover: N daemons
 // over one shared store, one leaseholder serving writes, the rest
@@ -160,27 +153,17 @@ type ClusterOpts = core.ClusterOpts
 // WithCluster makes New build the system as one member of a
 // multi-daemon cluster sharing the configured store.  Requires the
 // file store backend (the store file is the coordination medium).
-func WithCluster(co ClusterOpts) Option { return func(o *options) { o.cluster = &co } }
+func WithCluster(co ClusterOpts) Option { return func(o *core.Options) { o.Cluster = &co } }
 
 // New builds the full four-layer stack over the default configuration
 // adjusted by the given options.
 func New(opts ...Option) (*System, error) {
-	o := options{cfg: DefaultConfig()}
+	o := core.Options{Arch: DefaultConfig()}
 	for _, f := range opts {
 		f(&o)
 	}
-	if o.store.Backend == "" {
-		o.store.Backend = StoreMem
-	}
-	if o.cluster != nil {
-		return core.NewSystemClustered(o.cfg, o.workers, o.store, o.guard, *o.cluster)
-	}
-	return core.NewSystemWithStoreGuard(o.cfg, o.workers, o.store, o.guard)
+	return core.Open(o)
 }
-
-// NewSystem builds the full four-layer stack over an explicit hardware
-// configuration.  It is New(WithConfig(cfg)).
-func NewSystem(cfg Config) (*System, error) { return New(WithConfig(cfg)) }
 
 // Session is one interactive workstation user: a workspace, the shared
 // database, and the command interpreter.
@@ -457,10 +440,6 @@ const (
 // database and the job journal — see docs/storage.md for the key
 // schema, encodings, and recovery semantics.
 
-// Store is the KV storage interface every backend implements:
-// Get/Put/Delete/Seek plus atomic Batch.
-type Store = store.Store
-
 // StoreConfig selects and parameterises a storage backend, in the
 // spirit of a database DBConfiguration: Backend names it, Path locates
 // a file-backed one.
@@ -474,10 +453,6 @@ const (
 	// file with CRC-framed records, replayed and compacted on open.
 	StoreFile = store.BackendFile
 )
-
-// OpenStore opens a configured storage backend directly — for tools
-// that inspect or migrate a store outside a running system.
-func OpenStore(cfg StoreConfig) (Store, error) { return store.Open(cfg) }
 
 // ErrStoreDegraded reports a write refused because the store guard has
 // degraded the system to read-only after persistent write failures.
@@ -493,7 +468,7 @@ var ErrStoreDegraded = store.ErrDegraded
 type GuardOpts = store.GuardOpts
 
 // WithStoreGuard adjusts the degradation guard's thresholds and hooks.
-func WithStoreGuard(g GuardOpts) Option { return func(o *options) { o.guard = g } }
+func WithStoreGuard(g GuardOpts) Option { return func(o *core.Options) { o.Guard = g } }
 
 // ResubmitPolicy bounds System.ResubmitLost's automatic requeue of
 // jobs lost to a crash; the zero value resubmits nothing.
@@ -694,24 +669,9 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 // grid.
 type Assembled = fem.Assembled
 
-// AssemblyWorkspace is the retained symbolic half of assembly: the
-// sparsity pattern and scatter maps of one mesh topology, computed once
-// and reused so every numeric re-assembly (new load step, moved nodes,
-// another solver-comparison row) is an allocation-free scatter-add —
-// sequential via Assemble or fanned over cores via AssembleParallel.
-// It is distinct from Workspace, the AUVM user workspace.
-type AssemblyWorkspace = fem.Workspace
-
-// NewAssemblyWorkspace runs the symbolic assembly phase over a model.
-// The workspace is bound to that topology (elements, connectivity,
-// constraints): Matches reports whether a model still has it, and
-// Assemble refuses to run once it does not.  Node coordinates and
-// materials may change between numeric assemblies.
-func NewAssemblyWorkspace(m *Model) (*AssemblyWorkspace, error) { return fem.NewWorkspace(m) }
-
 // Assemble builds the reduced global stiffness system of a model in one
-// shot.  Callers that re-assemble one topology should retain a
-// NewAssemblyWorkspace instead.
+// shot.  Solve retains the symbolic half per model by itself (see the
+// plan-once layer below).
 func Assemble(m *Model) (*Assembled, error) { return fem.Assemble(m) }
 
 // SolveAssembled solves a pre-assembled system for one load set —
@@ -728,9 +688,9 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // The plan-once layer.  Solve keeps two pieces of symbolic state per
 // model and redoes neither on a re-solve.
 //
-// Assemble-symbolic-once: the first solve builds the model's
-// AssemblyWorkspace (sparsity pattern + scatter maps) and keeps it on
-// the Model; later solves check AssemblyWorkspace.Matches — dof count,
+// Assemble-symbolic-once: the first solve builds the model's symbolic
+// assembly (sparsity pattern + scatter maps) and keeps it on the Model;
+// later solves check that it still matches the topology — dof count,
 // constraints, element count, every element's order and connectivity —
 // and run only the allocation-free numeric scatter, rebuilding when the
 // topology changed.  Values are re-assembled on every solve.  Inside a

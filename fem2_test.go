@@ -13,7 +13,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	sys, err := fem2.NewSystem(fem2.DefaultConfig())
+	sys, err := fem2.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestQuickstartFlow(t *testing.T) {
 // same displacements on the shared fixture (a bar chain, diagonally
 // dominant enough that even Jacobi converges).
 func TestREPLSolveBackendsAgree(t *testing.T) {
-	sys, err := fem2.NewSystem(fem2.DefaultConfig())
+	sys, err := fem2.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestProgrammaticAPIMatchesCommandAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sys, _ := fem2.NewSystem(fem2.DefaultConfig())
+	sys, _ := fem2.New()
 	s := sys.Session("u")
 	for _, cmd := range []string{
 		"generate grid plate 6 4 6 4 clamp-left",
@@ -227,7 +227,7 @@ func TestDesignIteratorThroughFacade(t *testing.T) {
 }
 
 func ExampleSession() {
-	sys, _ := fem2.NewSystem(fem2.DefaultConfig())
+	sys, _ := fem2.New()
 	s := sys.Session("engineer")
 	out, _ := s.Execute("generate grid panel 4 4 4 4 clamp-left")
 	fmt.Println(out)
@@ -280,9 +280,9 @@ func TestFunctionalOptions(t *testing.T) {
 	if _, err := fem2.New(fem2.WithClusters(0)); err == nil {
 		t.Error("zero clusters accepted")
 	}
-	// The compat constructor is New(WithConfig(cfg)).
-	if _, err := fem2.NewSystem(fem2.DefaultConfig()); err != nil {
-		t.Errorf("NewSystem compat: %v", err)
+	// No options at all is the default machine.
+	if _, err := fem2.New(); err != nil {
+		t.Errorf("New(): %v", err)
 	}
 }
 

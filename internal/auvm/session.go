@@ -298,7 +298,7 @@ func (s *Session) doSubmit(ctx context.Context, c command.Submit) (command.Resul
 	// nondeterministic); a cheap command ran inline and is terminal.
 	res := &command.SubmitResult{ID: int64(id), State: command.JobQueued,
 		Cmd: command.Value(c.Cmd).String()}
-	if !job.Heavy(c.Cmd) {
+	if !command.PropsOf(c.Cmd).Has(command.Heavy) {
 		if snap, err := s.Jobs.Status(id); err == nil {
 			res.State = stateName(snap.State)
 		}

@@ -14,7 +14,7 @@ import (
 // openFileDB opens (or reopens) a file-backed database at path.
 func openFileDB(t *testing.T, path string) (*Database, store.Store) {
 	t.Helper()
-	st, err := store.OpenFileStore(path)
+	st, err := store.OpenFileStoreWith(path, store.FileOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

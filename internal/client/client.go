@@ -16,8 +16,8 @@
 // With Options.MaxRetries > 0 the client rides out connection loss: a
 // dead connection is replaced transparently (exponential backoff with
 // seeded jitter between attempts), and requests that are safe to
-// replay — the idempotent global verbs ping, version, status, jobs,
-// wait — are retried on the fresh connection.  A request that may have
+// replay — the idempotent global verbs, command.Replayable in the verb
+// table — are retried on the fresh connection.  A request that may have
 // mutated server state (a submit, a model edit) is never replayed once
 // its frame has been sent; it fails back to the caller, who knows best
 // whether to repeat it.  Dial failures are retried for every verb,
@@ -469,18 +469,6 @@ func (c *Client) Degraded() bool {
 	return c.welcome != nil && c.welcome.Degraded
 }
 
-// Uptime returns the server's uptime in whole seconds as announced by
-// the most recent handshake's Welcome envelope (rev 4); zero from
-// servers that predate it or that just started.
-func (c *Client) Uptime() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.welcome == nil {
-		return 0
-	}
-	return c.welcome.UptimeSeconds
-}
-
 // Reconnects reports how many times the client has replaced a dead
 // connection — a chaos test's proof that the weather actually hit.
 func (c *Client) Reconnects() int {
@@ -615,7 +603,15 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 	case resp := <-ch:
 		return resp, nil
 	case <-ln.done:
-		return nil, ln.failure()
+		// quit is answered and then the server hangs up: the reader queued
+		// the reply before it saw the EOF, so when both are ready the
+		// reply wins.
+		select {
+		case resp := <-ch:
+			return resp, nil
+		default:
+			return nil, ln.failure()
+		}
 	case <-ctx.Done():
 		ln.mu.Lock()
 		if ln.pending != nil {
@@ -624,23 +620,6 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 		ln.mu.Unlock()
 		return nil, errs.Cancelled(ctx)
 	}
-}
-
-// replayable reports the idempotent global verbs — safe to repeat on a
-// fresh connection because they neither mutate nor depend on workspace
-// state the old session held.
-func replayable(cmd command.Command) bool {
-	switch command.Value(cmd).(type) {
-	case command.Ping, command.Version, command.Stats, command.Status, command.Jobs, command.Wait:
-		return true
-	}
-	return false
-}
-
-// isWait exempts the blocking wait verb from per-request deadlines.
-func isWait(cmd command.Command) bool {
-	_, ok := command.Value(cmd).(command.Wait)
-	return ok
 }
 
 // errRedirected marks a link retired because a follower pointed us at
@@ -773,7 +752,8 @@ func (c *Client) Do(ctx context.Context, cmd command.Command) (command.Result, e
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.roundTrip(ctx, data, replayable(cmd), isWait(cmd))
+	props := command.PropsOf(cmd)
+	resp, err := c.roundTrip(ctx, data, props.Has(command.Replayable), props.Has(command.Blocks))
 	if err != nil {
 		return nil, err
 	}

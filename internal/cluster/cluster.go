@@ -72,11 +72,11 @@ const (
 
 // Config parameterizes a Coordinator.
 type Config struct {
-	// Store is the handle lease I/O goes through.  It must support
-	// store.Conditional and sit *below* the Fenced wrapper (lease
-	// writes are how epochs change; fencing them would deadlock the
-	// protocol).  In core's layering this is the degradation guard.
-	Store store.Store
+	// Store is the handle lease I/O goes through.  It must sit *below*
+	// the Fenced wrapper (lease writes are how epochs change; fencing
+	// them would deadlock the protocol).  In core's layering this is the
+	// degradation guard.
+	Store store.Conditional
 	// Owner names this daemon in the lease record (diagnostics only).
 	Owner string
 	// Advertise is the address written into the lease — what followers
@@ -91,8 +91,9 @@ type Config struct {
 	// PollEvery is the follower's lease-watch cadence; zero means TTL/3.
 	PollEvery time.Duration
 	// Refresh, when non-nil, is called before each follower poll so the
-	// whole store stack (cache included) folds in what the leader
-	// committed.  Core wires it to the top-level cached store.
+	// store stack folds in what the leader committed.  Core wires it to
+	// the shared file handle's Refresh plus a cache invalidation; over
+	// an in-process store there is nothing to fold in.
 	Refresh func() error
 	// OnPromote runs on the coordinator goroutine after the lease is
 	// won but before IsLeader turns true — the takeover window where
@@ -238,7 +239,7 @@ func (c *Coordinator) Stop() {
 			Expires: c.cfg.Clock().UnixNano()}
 		if raw, err := json.Marshal(rec); err == nil {
 			// Best effort: a conflict just means somebody already took over.
-			_ = store.BatchIf(c.cfg.Store, store.KeyLease, last, []store.Op{store.Put(store.KeyLease, raw)})
+			_ = c.cfg.Store.BatchIf(store.KeyLease, last, []store.Op{store.Put(store.KeyLease, raw)})
 		}
 		c.demote("stopped")
 	}
@@ -328,8 +329,6 @@ func (c *Coordinator) TryAcquire() (bool, error) {
 		if err := c.cfg.Refresh(); err != nil {
 			return false, err
 		}
-	} else if err := store.Refresh(c.cfg.Store); err != nil {
-		return false, err
 	}
 	now := c.cfg.Clock()
 	raw, err := c.cfg.Store.Get(store.KeyLease)
@@ -365,7 +364,7 @@ func (c *Coordinator) TryAcquire() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	err = store.BatchIf(c.cfg.Store, store.KeyLease, raw, []store.Op{
+	err = c.cfg.Store.BatchIf(store.KeyLease, raw, []store.Op{
 		store.Put(store.KeyLease, nraw),
 		store.Put(store.KeyEpoch, epochBytes(next.Epoch)),
 	})
@@ -428,7 +427,7 @@ func (c *Coordinator) Renew() error {
 		return err
 	}
 	start := time.Now()
-	err = store.BatchIf(c.cfg.Store, store.KeyLease, last, []store.Op{store.Put(store.KeyLease, nraw)})
+	err = c.cfg.Store.BatchIf(store.KeyLease, last, []store.Op{store.Put(store.KeyLease, nraw)})
 	c.hRenew.Observe(time.Since(start))
 	if errors.Is(err, store.ErrConflict) {
 		c.demote("lease taken over")

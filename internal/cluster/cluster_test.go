@@ -38,7 +38,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // coordOver builds a hand-driven Coordinator (Start never called, so
 // TryAcquire/Renew run only when the test says).
-func coordOver(st store.Store, owner, addr string, ttl time.Duration, clock *fakeClock, reg *obs.Registry) *cluster.Coordinator {
+func coordOver(st store.Conditional, owner, addr string, ttl time.Duration, clock *fakeClock, reg *obs.Registry) *cluster.Coordinator {
 	cfg := cluster.Config{Store: st, Owner: owner, Advertise: addr, TTL: ttl, Obs: reg}
 	if clock != nil {
 		cfg.Clock = clock.Now

@@ -14,14 +14,14 @@ import (
 // daemon's epoch.  It sits between the guard and the cache in core's
 // layering, so a rejected write never pollutes the cache.
 type Fenced struct {
-	inner store.Store
+	inner store.Conditional
 	coord *Coordinator
 
 	mFenced *obs.Counter
 }
 
 // NewFenced wraps inner with coord's fence.
-func NewFenced(inner store.Store, coord *Coordinator, reg *obs.Registry) *Fenced {
+func NewFenced(inner store.Conditional, coord *Coordinator, reg *obs.Registry) *Fenced {
 	return &Fenced{inner: inner, coord: coord, mFenced: reg.Counter(obs.ClusterFencedWrites)}
 }
 
@@ -52,7 +52,7 @@ func (f *Fenced) write(ops []store.Op) error {
 	if !ok {
 		return ErrNotLeader
 	}
-	err := store.BatchIf(f.inner, store.KeyEpoch, epochBytes(epoch), ops)
+	err := f.inner.BatchIf(store.KeyEpoch, epochBytes(epoch), ops)
 	if errors.Is(err, store.ErrConflict) {
 		f.mFenced.Inc()
 		f.coord.fence()
@@ -60,22 +60,6 @@ func (f *Fenced) write(ops []store.Op) error {
 	}
 	return err
 }
-
-// BatchIf forwards a caller-supplied condition in place of the epoch
-// fence (still leader-gated).  Nothing above the fence uses it today —
-// the coordinator's own lease CAS deliberately bypasses this wrapper.
-func (f *Fenced) BatchIf(key string, want []byte, ops []store.Op) error {
-	if _, ok := f.coord.Serving(); !ok {
-		return ErrNotLeader
-	}
-	return store.BatchIf(f.inner, key, want, ops)
-}
-
-// Refresh passes through so followers can tail the leader's writes.
-func (f *Fenced) Refresh() error { return store.Refresh(f.inner) }
-
-// Seal passes through for the takeover sequence.
-func (f *Fenced) Seal() error { return store.Seal(f.inner) }
 
 // Close closes the backend chain.
 func (f *Fenced) Close() error { return f.inner.Close() }

@@ -365,9 +365,8 @@ func parseSubmit(args []string) (Command, error) {
 	if inner == nil {
 		return nil, usage("submit <command>")
 	}
-	switch inner.(type) {
-	case Submit, Status, Wait, Cancel, Jobs, Quit:
-		return nil, usage("%q cannot run as a job", strings.Fields(inner.String())[0])
+	if err := Submittable(inner); err != nil {
+		return nil, err
 	}
 	return Submit{Cmd: inner}, nil
 }

@@ -48,41 +48,109 @@ type resEnvelope struct {
 	Body json.RawMessage `json:"body,omitempty"`
 }
 
-// commandVerbs maps wire verb names onto command struct types.  Submit
-// is absent: its nested command field is an interface, so the codec
-// handles it explicitly.
-var commandVerbs = map[string]reflect.Type{
-	"help":           reflect.TypeOf(Help{}),
-	"ping":           reflect.TypeOf(Ping{}),
-	"version":        reflect.TypeOf(Version{}),
-	"quit":           reflect.TypeOf(Quit{}),
-	"define":         reflect.TypeOf(Define{}),
-	"material":       reflect.TypeOf(SetMaterial{}),
-	"generate-grid":  reflect.TypeOf(GenerateGrid{}),
-	"generate-truss": reflect.TypeOf(GenerateTruss{}),
-	"generate-bar":   reflect.TypeOf(GenerateBar{}),
-	"node":           reflect.TypeOf(AddNode{}),
-	"element-bar":    reflect.TypeOf(AddBar{}),
-	"element-cst":    reflect.TypeOf(AddCST{}),
-	"fix-node":       reflect.TypeOf(FixNode{}),
-	"fix-dof":        reflect.TypeOf(FixDOF{}),
-	"loadset":        reflect.TypeOf(DefineLoadSet{}),
-	"load":           reflect.TypeOf(AddLoad{}),
-	"endload":        reflect.TypeOf(EndLoad{}),
-	"solve":          reflect.TypeOf(Solve{}),
-	"stresses":       reflect.TypeOf(Stresses{}),
-	"display":        reflect.TypeOf(Display{}),
-	"store":          reflect.TypeOf(Store{}),
-	"retrieve":       reflect.TypeOf(Retrieve{}),
-	"delete":         reflect.TypeOf(Delete{}),
-	"list":           reflect.TypeOf(List{}),
-	"snapshot":       reflect.TypeOf(Snapshot{}),
-	"restore":        reflect.TypeOf(Restore{}),
-	"status":         reflect.TypeOf(Status{}),
-	"wait":           reflect.TypeOf(Wait{}),
-	"cancel":         reflect.TypeOf(Cancel{}),
-	"jobs":           reflect.TypeOf(Jobs{}),
-	"stats":          reflect.TypeOf(Stats{}),
+// Props is the set of policy-relevant properties of one verb.  Every
+// per-verb decision outside the interpreter — what a draining, degraded
+// or follower server refuses, what a client may replay, what the
+// scheduler queues — is derived from these flags through PropsOf, so a
+// verb states its nature once, on its commandVerbs row.
+type Props uint8
+
+const (
+	// MutatesWorkspace: the verb creates or changes state in the
+	// session's workspace (models, load sets, solutions, material).
+	MutatesWorkspace Props = 1 << iota
+	// WritesStore: the verb writes the shared store — the model
+	// database, the solution history, or the job journal.
+	WritesStore
+	// LeaderOnly: in a cluster the verb is served only by the
+	// leaseholder.  Every state-changing verb is, except retrieve, which
+	// changes only the local workspace from a store read; cancel is,
+	// because every job lives on the leader.
+	LeaderOnly
+	// Replayable: idempotent and independent of workspace state, so a
+	// client may repeat it on a fresh connection after a link failure.
+	Replayable
+	// Blocks: the verb waits for something else to finish by contract,
+	// so no per-request deadline applies on either side of the wire.
+	Blocks
+	// DetachesContext: the request's context outlives the reply (as the
+	// submitted job's context), so a server-side deadline on the request
+	// would cancel the work it started.
+	DetachesContext
+	// NotAJob: the verb cannot itself run under submit (job control, and
+	// quit).
+	NotAJob
+	// Heavy: long-running, so as a job it is queued for the scheduler's
+	// worker pool instead of running inline on the front-end goroutine.
+	Heavy
+)
+
+// Has reports whether p carries any of the flags in q.
+func (p Props) Has(q Props) bool { return p&q != 0 }
+
+// RefusedDraining reports whether a draining server refuses the verb:
+// everything that would create or change state.  Job control, reads and
+// health verbs keep answering so clients can collect results; snapshot
+// is a read (it serializes the workspace to a server-side file) and
+// stays allowed — the natural last act before a shutdown.
+func (p Props) RefusedDraining() bool { return p.Has(MutatesWorkspace | WritesStore) }
+
+// RefusedDegraded reports whether a server whose store degraded to
+// read-only refuses the verb: what drain refuses, minus what a follower
+// — the other read-only view of the store — still serves.  That spares
+// retrieve (the workspace is fine and it only reads the store) and
+// leaves cancel working (job state is in memory).
+func (p Props) RefusedDegraded() bool { return p.RefusedDraining() && p.Has(LeaderOnly) }
+
+// ServerTimeoutExempt reports the verbs a server's RequestTimeout must
+// not bound: wait blocks by contract, and submit's context becomes the
+// queued job's — a deadline would cancel the job right after the submit
+// answered.
+func (p Props) ServerTimeoutExempt() bool { return p.Has(Blocks | DetachesContext) }
+
+// verbRow is one row of the verb table: the command struct a wire verb
+// decodes into, and the verb's properties.
+type verbRow struct {
+	typ   reflect.Type
+	props Props
+}
+
+// commandVerbs is the verb table: one row per wire verb.  The codec
+// handles submit's body itself (its nested command field is an
+// interface); its row carries the name and the properties.
+var commandVerbs = map[string]verbRow{
+	"help":           {reflect.TypeOf(Help{}), 0},
+	"ping":           {reflect.TypeOf(Ping{}), Replayable},
+	"version":        {reflect.TypeOf(Version{}), Replayable},
+	"quit":           {reflect.TypeOf(Quit{}), NotAJob},
+	"define":         {reflect.TypeOf(Define{}), MutatesWorkspace | LeaderOnly},
+	"material":       {reflect.TypeOf(SetMaterial{}), MutatesWorkspace | LeaderOnly},
+	"generate-grid":  {reflect.TypeOf(GenerateGrid{}), MutatesWorkspace | LeaderOnly},
+	"generate-truss": {reflect.TypeOf(GenerateTruss{}), MutatesWorkspace | LeaderOnly},
+	"generate-bar":   {reflect.TypeOf(GenerateBar{}), MutatesWorkspace | LeaderOnly},
+	"node":           {reflect.TypeOf(AddNode{}), MutatesWorkspace | LeaderOnly},
+	"element-bar":    {reflect.TypeOf(AddBar{}), MutatesWorkspace | LeaderOnly},
+	"element-cst":    {reflect.TypeOf(AddCST{}), MutatesWorkspace | LeaderOnly},
+	"fix-node":       {reflect.TypeOf(FixNode{}), MutatesWorkspace | LeaderOnly},
+	"fix-dof":        {reflect.TypeOf(FixDOF{}), MutatesWorkspace | LeaderOnly},
+	"loadset":        {reflect.TypeOf(DefineLoadSet{}), MutatesWorkspace | LeaderOnly},
+	"load":           {reflect.TypeOf(AddLoad{}), MutatesWorkspace | LeaderOnly},
+	"endload":        {reflect.TypeOf(EndLoad{}), MutatesWorkspace | LeaderOnly},
+	"solve":          {reflect.TypeOf(Solve{}), MutatesWorkspace | WritesStore | LeaderOnly | Heavy},
+	"stresses":       {reflect.TypeOf(Stresses{}), MutatesWorkspace | LeaderOnly},
+	"display":        {reflect.TypeOf(Display{}), 0},
+	"store":          {reflect.TypeOf(Store{}), WritesStore | LeaderOnly},
+	"retrieve":       {reflect.TypeOf(Retrieve{}), MutatesWorkspace},
+	"delete":         {reflect.TypeOf(Delete{}), WritesStore | LeaderOnly},
+	"list":           {reflect.TypeOf(List{}), 0},
+	"snapshot":       {reflect.TypeOf(Snapshot{}), 0},
+	"restore":        {reflect.TypeOf(Restore{}), MutatesWorkspace | LeaderOnly},
+	"submit":         {reflect.TypeOf(Submit{}), MutatesWorkspace | WritesStore | LeaderOnly | DetachesContext | NotAJob},
+	"status":         {reflect.TypeOf(Status{}), Replayable | NotAJob},
+	"wait":           {reflect.TypeOf(Wait{}), Replayable | Blocks | NotAJob},
+	"cancel":         {reflect.TypeOf(Cancel{}), LeaderOnly | NotAJob},
+	"jobs":           {reflect.TypeOf(Jobs{}), Replayable | NotAJob},
+	"stats":          {reflect.TypeOf(Stats{}), Replayable},
 }
 
 // resultKinds maps wire result kinds onto result struct types.
@@ -119,35 +187,45 @@ var resultKinds = map[string]reflect.Type{
 }
 
 // verbOfCommand and kindOfResult are the marshal-direction inverses.
-var (
-	verbOfCommand = invert(commandVerbs)
-	kindOfResult  = invert(resultKinds)
-)
+var verbOfCommand, kindOfResult = map[reflect.Type]string{}, map[reflect.Type]string{}
 
-func invert(m map[string]reflect.Type) map[reflect.Type]string {
-	out := make(map[reflect.Type]string, len(m))
-	for k, t := range m {
-		out[t] = k
+func init() {
+	for verb, row := range commandVerbs {
+		verbOfCommand[row.typ] = verb
 	}
-	return out
+	for kind, typ := range resultKinds {
+		kindOfResult[typ] = kind
+	}
 }
 
-// Verb returns a command's wire verb name ("solve", "ping", …; "submit"
-// for Submit, "?" for a type the codec does not know).  Per-verb metric
-// families (job.latency.*, server.request.*) key on it, so the metric
-// vocabulary and the wire vocabulary are the same vocabulary.
+// Verb returns a command's wire verb name ("solve", "ping", …; "?" for
+// a type the codec does not know).  Per-verb metric families
+// (job.latency.*, server.request.*) key on it, so the metric vocabulary
+// and the wire vocabulary are the same vocabulary.  The pointer and
+// value spellings of a command are the same verb.
 func Verb(cmd Command) string {
-	if cmd == nil {
-		return "?"
+	t := reflect.TypeOf(cmd)
+	if t != nil && t.Kind() == reflect.Pointer {
+		t = t.Elem()
 	}
-	cmd = Value(cmd)
-	if _, ok := cmd.(Submit); ok {
-		return "submit"
-	}
-	if verb, ok := verbOfCommand[reflect.TypeOf(cmd)]; ok {
+	if verb, ok := verbOfCommand[t]; ok {
 		return verb
 	}
 	return "?"
+}
+
+// PropsOf returns a command's verb properties; a type the table does
+// not know has none.
+func PropsOf(cmd Command) Props { return commandVerbs[Verb(cmd)].props }
+
+// Submittable is the one check that a command may run as a job; the
+// parser, the wire decoder and the scheduler all refuse through it, so
+// the refusal reads the same locally, over the wire and in-process.
+func Submittable(cmd Command) error {
+	if PropsOf(cmd).Has(NotAJob) {
+		return usage("%q cannot run as a job", Verb(cmd))
+	}
+	return nil
 }
 
 // MarshalCommand encodes a command as its wire envelope.  Pointer
@@ -190,17 +268,16 @@ func UnmarshalCommand(data []byte) (Command, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch inner.(type) {
-		case Submit, Status, Wait, Cancel, Jobs, Quit:
-			return nil, usage("%q cannot run as a job", env.Verb)
+		if err := Submittable(inner); err != nil {
+			return nil, err
 		}
 		return Submit{Cmd: inner}, nil
 	}
-	typ, ok := commandVerbs[env.Verb]
+	row, ok := commandVerbs[env.Verb]
 	if !ok {
 		return nil, usage("wire: unknown verb %q", env.Verb)
 	}
-	ptr := reflect.New(typ)
+	ptr := reflect.New(row.typ)
 	if len(env.Body) > 0 {
 		if err := strictUnmarshal(env.Body, ptr.Interface()); err != nil {
 			return nil, usage("wire: bad %q body: %v", env.Verb, err)

@@ -114,13 +114,10 @@ func TestWireCommandCoversEveryVerb(t *testing.T) {
 	for _, cmd := range wireCommandSamples {
 		seen[reflect.TypeOf(cmd)] = true
 	}
-	for verb, typ := range commandVerbs {
-		if !seen[typ] {
-			t.Errorf("verb %q (%v) has no round-trip sample", verb, typ)
+	for verb, row := range commandVerbs {
+		if !seen[row.typ] {
+			t.Errorf("verb %q (%v) has no round-trip sample", verb, row.typ)
 		}
-	}
-	if !seen[reflect.TypeOf(Submit{})] {
-		t.Error("submit has no round-trip sample")
 	}
 }
 

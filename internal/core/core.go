@@ -232,7 +232,7 @@ type System struct {
 	// re-arms writes once the backend recovers.  See store.Guard.
 	Health *store.Guard
 	// Cluster, when non-nil, is the lease coordinator of a multi-daemon
-	// deployment (NewSystemClustered): it decides whether this daemon
+	// deployment (Options.Cluster): it decides whether this daemon
 	// may serve writes, and the server redirects mutating verbs to its
 	// LeaderAddr otherwise.  Nil on a standalone system.
 	Cluster *cluster.Coordinator
@@ -242,84 +242,36 @@ type System struct {
 	Obs *obs.Registry
 
 	storeCfg store.Config
+	// file is the file backend's own handle (nil on the memory backend):
+	// the one layer of the store stack with Refresh and Seal.
+	file     *store.FileStore
 	mu       sync.RWMutex
 	sessions map[string]*auvm.Session
 }
 
-// NewSystem builds the full stack over a hardware configuration, with
-// the job scheduler's worker pool bounded at GOMAXPROCS.
-func NewSystem(cfg arch.Config) (*System, error) {
-	return NewSystemWithWorkers(cfg, 0)
+// Options is everything Open configures.
+type Options struct {
+	// Arch is the simulated hardware configuration.
+	Arch arch.Config
+	// Workers bounds the job scheduler's worker pool (<= 0 selects
+	// GOMAXPROCS).  Workers start lazily on the first asynchronous
+	// submission.
+	Workers int
+	// Store selects the storage backend; the zero value is the in-memory
+	// one.  With the file backend a restarted system serves every
+	// previously-stored model and the complete terminal job history, with
+	// jobs that were in flight at the crash deterministically failed.
+	Store store.Config
+	// Guard is the degradation policy: the guard's failure threshold,
+	// probe cadence, and state-change hook (the daemon logs from it).
+	Guard store.GuardOpts
+	// Cluster, when non-nil, builds the system as one member of a
+	// multi-daemon cluster sharing Store.
+	Cluster *ClusterOpts
 }
 
-// NewSystemWithWorkers builds the full stack with the job scheduler's
-// worker pool bounded at workers goroutines (<= 0 selects GOMAXPROCS).
-// Workers start lazily on the first asynchronous submission.  Storage
-// is the in-memory backend; use NewSystemWithStore for a durable one.
-func NewSystemWithWorkers(cfg arch.Config, workers int) (*System, error) {
-	return NewSystemWithStore(cfg, workers, store.Config{Backend: store.BackendMem})
-}
-
-// NewSystemWithStore builds the full stack over a configured storage
-// backend: the store is opened (replaying and compacting a file-backed
-// log as needed), its format version checked, the model database
-// recovered from it, and the job journal attached — so with the file
-// backend a restarted system serves every previously-stored model and
-// the complete terminal job history, with jobs that were in flight at
-// the crash deterministically failed.
-func NewSystemWithStore(cfg arch.Config, workers int, sc store.Config) (*System, error) {
-	return NewSystemWithStoreGuard(cfg, workers, sc, store.GuardOpts{})
-}
-
-// NewSystemWithStoreGuard is NewSystemWithStore with the degradation
-// policy exposed: the guard's failure threshold, probe cadence, and
-// state-change hook (the daemon logs from it).
-func NewSystemWithStoreGuard(cfg arch.Config, workers int, sc store.Config, g store.GuardOpts) (*System, error) {
-	m, err := arch.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	backing, err := store.Open(sc)
-	if err != nil {
-		return nil, err
-	}
-	// Layering, bottom up: backend → degradation guard → write-through
-	// cache.  The guard under the cache means a degraded write is
-	// refused before the cache sees it, so cache and backend never
-	// diverge; reads keep flowing through both.
-	guard := store.NewGuard(backing, g)
-	st := store.NewCached(guard, 0)
-	if err := store.EnsureFormat(st); err != nil {
-		st.Close()
-		return nil, err
-	}
-	s := &System{
-		Machine:  m,
-		Runtime:  navm.NewRuntime(m),
-		Database: auvm.NewDatabaseOn(st, sc.BackendName()),
-		Metrics:  metrics.NewCollector(),
-		Trace:    trace.NewCapped(1 << 16),
-		Store:    st,
-		Health:   guard,
-		Obs:      obs.New(),
-		storeCfg: sc,
-		sessions: map[string]*auvm.Session{},
-	}
-	st.SetObs(s.Obs)
-	guard.SetObs(s.Obs)
-	s.Jobs = job.NewScheduler(workers, s.Metrics)
-	s.Jobs.SetObs(s.Obs)
-	if _, err := s.Jobs.AttachJournal(st); err != nil {
-		s.Jobs.Close()
-		st.Close()
-		return nil, err
-	}
-	s.Runtime.AttachInstrumentation(s.Metrics, s.Trace)
-	return s, nil
-}
-
-// ClusterOpts configures lease-based multi-daemon coordination for
-// NewSystemClustered (see internal/cluster and docs/cluster.md).
+// ClusterOpts configures lease-based multi-daemon coordination (see
+// internal/cluster and docs/cluster.md).
 type ClusterOpts struct {
 	// Owner names this daemon in the lease record (diagnostics only).
 	Owner string
@@ -341,84 +293,113 @@ type ClusterOpts struct {
 	Logf func(format string, args ...any)
 }
 
-// NewSystemClustered builds the full stack as one member of a
-// multi-daemon cluster sharing sc's store.  The layering grows one
-// stage over the standalone stack: backend → degradation guard →
-// epoch fence → write-through cache.  The fence sits under the cache
-// so a write refused on a follower (or fenced on a stale leader)
-// never pollutes the cache; the coordinator's own lease traffic goes
-// through the guard, below the fence, because lease writes are how
-// epochs change.
+// Open builds the full stack: the store is opened (replaying and
+// compacting a file-backed log as needed), its format version checked,
+// the model database recovered from it, and the job journal attached.
 //
-// Unlike the standalone constructors, the job journal is attached
-// without a recovery scan: recovery rewrites records, which only the
-// leader may do, so it runs in the promotion sequence instead.  The
-// coordinator is started before returning — a daemon pointed at an
-// unowned store is leader when this returns.
-func NewSystemClustered(cfg arch.Config, workers int, sc store.Config, g store.GuardOpts, co ClusterOpts) (*System, error) {
-	if co.Advertise == "" {
-		return nil, fmt.Errorf("core: cluster mode requires an advertise address")
+// The store layering, bottom up: backend → degradation guard → [epoch
+// fence] → write-through cache.  The guard under the cache means a
+// degraded write is refused before the cache sees it, so cache and
+// backend never diverge; reads keep flowing through both.
+//
+// A clustered system is the same stack with two differences.  The
+// fence is inserted under the cache, so a write refused on a follower
+// (or fenced on a stale leader) never pollutes the cache; the
+// coordinator's own lease traffic goes through the guard, below the
+// fence, because lease writes are how epochs change.  And the journal
+// is attached without a recovery scan: recovery rewrites records, which
+// only the leader may do, so it runs in the promotion sequence instead.
+// The coordinator is started before returning — a daemon pointed at an
+// unowned store is leader when Open returns.
+func Open(o Options) (*System, error) {
+	co := o.Cluster
+	if co != nil {
+		if co.Advertise == "" {
+			return nil, fmt.Errorf("core: cluster mode requires an advertise address")
+		}
+		if o.Store.Backend == store.BackendFile {
+			o.Store.Shared = true // N daemons append to one log; see store.FileOpts
+		}
 	}
-	if sc.Backend == store.BackendFile {
-		sc.Shared = true // N daemons append to one log; see store.FileOpts
-	}
-	m, err := arch.New(cfg)
+	m, err := arch.New(o.Arch)
 	if err != nil {
 		return nil, err
 	}
-	backing, err := store.Open(sc)
+	backing, file, err := store.Open(o.Store)
 	if err != nil {
 		return nil, err
 	}
-	guard := store.NewGuard(backing, g)
-	reg := obs.New()
-	// s is closed over by the coordinator hooks below; they only fire
-	// after coord.Start(), by which point it is fully built.
-	var s *System
-	coord := cluster.New(cluster.Config{
-		Store:      guard,
-		Owner:      co.Owner,
-		Advertise:  co.Advertise,
-		TTL:        co.TTL,
-		RenewEvery: co.RenewEvery,
-		PollEvery:  co.PollEvery,
-		Refresh:    func() error { return s.Store.Refresh() },
-		OnPromote:  func(epoch int64) error { return s.promote(epoch, co.OnPromote) },
-		OnDemote:   co.OnDemote,
-		Obs:        reg,
-		Logf:       co.Logf,
-	})
-	fenced := cluster.NewFenced(guard, coord, reg)
-	st := store.NewCached(fenced, 0)
+	guard := store.NewGuard(backing, o.Guard)
+	s := &System{
+		Machine:  m,
+		Runtime:  navm.NewRuntime(m),
+		Metrics:  metrics.NewCollector(),
+		Trace:    trace.NewCapped(1 << 16),
+		Health:   guard,
+		Obs:      obs.New(),
+		storeCfg: o.Store,
+		file:     file,
+		sessions: map[string]*auvm.Session{},
+	}
+	var under store.Store = guard
+	if co != nil {
+		// The hooks only fire after Start, below, by which point s is
+		// fully built.
+		s.Cluster = cluster.New(cluster.Config{
+			Store:      guard,
+			Owner:      co.Owner,
+			Advertise:  co.Advertise,
+			TTL:        co.TTL,
+			RenewEvery: co.RenewEvery,
+			PollEvery:  co.PollEvery,
+			Refresh:    s.refresh,
+			OnPromote:  func(epoch int64) error { return s.promote(epoch, co.OnPromote) },
+			OnDemote:   co.OnDemote,
+			Obs:        s.Obs,
+			Logf:       co.Logf,
+		})
+		under = cluster.NewFenced(guard, s.Cluster, s.Obs)
+	}
+	s.Store = store.NewCached(under, 0)
 	// Format check through the guard: on a follower the fenced handle
 	// refuses the first-ever format write, and the key predates any
 	// lease by definition.
 	if err := store.EnsureFormat(guard); err != nil {
-		st.Close()
+		s.Store.Close()
 		return nil, err
 	}
-	s = &System{
-		Machine:  m,
-		Runtime:  navm.NewRuntime(m),
-		Database: auvm.NewDatabaseOn(st, sc.BackendName()),
-		Metrics:  metrics.NewCollector(),
-		Trace:    trace.NewCapped(1 << 16),
-		Store:    st,
-		Health:   guard,
-		Cluster:  coord,
-		Obs:      reg,
-		storeCfg: sc,
-		sessions: map[string]*auvm.Session{},
+	s.Database = auvm.NewDatabaseOn(s.Store, o.Store.BackendName())
+	s.Store.SetObs(s.Obs)
+	guard.SetObs(s.Obs)
+	s.Jobs = job.NewScheduler(o.Workers, s.Metrics)
+	s.Jobs.SetObs(s.Obs)
+	if co != nil {
+		s.Jobs.SetJournal(s.Store)
+		s.Jobs.SetEpochSource(s.Cluster.Epoch)
+	} else if _, err := s.Jobs.AttachJournal(s.Store); err != nil {
+		s.Jobs.Close()
+		s.Store.Close()
+		return nil, err
 	}
-	st.SetObs(reg)
-	guard.SetObs(reg)
-	s.Jobs = job.NewScheduler(workers, s.Metrics)
-	s.Jobs.SetObs(reg)
-	s.Jobs.SetJournal(st)
-	s.Jobs.SetEpochSource(coord.Epoch)
 	s.Runtime.AttachInstrumentation(s.Metrics, s.Trace)
-	coord.Start()
+	if co != nil {
+		s.Cluster.Start()
+	}
 	return s, nil
+}
+
+// refresh folds in what another daemon committed to the shared store
+// file — the one layer that can tail it — then drops the cache above.
+// It never truncates, because the writer may be mid-append.  An
+// in-process backend is trivially fresh.
+func (s *System) refresh() error {
+	if s.file != nil {
+		if err := s.file.Refresh(); err != nil {
+			return err
+		}
+	}
+	s.Store.Invalidate()
+	return nil
 }
 
 // promote is the takeover sequence, run on the coordinator goroutine
@@ -429,9 +410,12 @@ func NewSystemClustered(cfg arch.Config, workers int, sc store.Config, g store.G
 // RecoverJournal rebuilds the job history, failing whatever was in
 // flight when it died.
 func (s *System) promote(epoch int64, hook func(int64)) error {
-	if err := s.Store.Seal(); err != nil {
-		return fmt.Errorf("sealing store: %w", err)
+	if s.file != nil {
+		if err := s.file.Seal(); err != nil {
+			return fmt.Errorf("sealing store: %w", err)
+		}
 	}
+	s.Store.Invalidate()
 	s.Database.Reload()
 	if _, err := s.Jobs.RecoverJournal(); err != nil {
 		return fmt.Errorf("replaying job journal: %w", err)
@@ -468,7 +452,7 @@ func (s *System) StorageBackend() string { return s.storeCfg.BackendName() }
 // Degraded reports whether the store has degraded to read-only mode.
 // ping/version surface it, and the server refuses mutating verbs with
 // the "degraded" wire code while it holds.
-func (s *System) Degraded() bool { return s.Health != nil && s.Health.Degraded() }
+func (s *System) Degraded() bool { return s.Health.Degraded() }
 
 // StatsSnapshot returns a point-in-time copy of the system's live
 // metrics — exactly what the stats verb answers.
@@ -565,9 +549,7 @@ func (s *System) Close() {
 		s.Cluster.Stop()
 	}
 	s.Jobs.Close()
-	if s.Store != nil {
-		s.Store.Close()
-	}
+	s.Store.Close()
 }
 
 // ValidateDesign checks every layer specification against its formal
@@ -602,7 +584,7 @@ type Workload func(sys *System) error
 // Evaluate builds a fresh system with cfg, runs the workload, and
 // collects the requirements.
 func Evaluate(cfg arch.Config, w Workload) (*Requirements, error) {
-	sys, err := NewSystem(cfg)
+	sys, err := Open(Options{Arch: cfg})
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,7 @@ func TestNewSystemWiring(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 3
-	sys, err := NewSystem(cfg)
+	sys, err := Open(Options{Arch: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestNewSystemWiring(t *testing.T) {
 }
 
 func TestNewSystemRejectsBadConfig(t *testing.T) {
-	if _, err := NewSystem(arch.Config{}); err == nil {
+	if _, err := Open(Options{}); err == nil {
 		t.Error("zero config accepted")
 	}
 }
@@ -264,7 +264,7 @@ func TestEndToEndAllFourLayers(t *testing.T) {
 	cfg := arch.DefaultConfig()
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 4
-	sys, err := NewSystem(cfg)
+	sys, err := Open(Options{Arch: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,134 @@
+package core
+
+import (
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/auvm"
+	"repro/internal/store"
+)
+
+// run executes command lines on a session and returns the last output.
+func run(t *testing.T, s *auvm.Session, lines ...string) string {
+	t.Helper()
+	var out string
+	for _, line := range lines {
+		var err error
+		if out, err = s.Execute(line); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	}
+	return out
+}
+
+// storeAndSolve leaves one stored model and one terminal job behind.
+func storeAndSolve(t *testing.T, sys *System) {
+	t.Helper()
+	run(t, sys.Session("eng"),
+		"generate grid plate 4 2 4 2 clamp-left", "load plate tip endload 0 -100",
+		"store plate", "submit solve plate tip", "wait job-1")
+}
+
+// wantRecovered checks that sys serves what storeAndSolve left.
+func wantRecovered(t *testing.T, sys *System) {
+	t.Helper()
+	s := sys.Session("later")
+	if out := run(t, s, "list db"); !strings.Contains(out, "plate") {
+		t.Errorf("list db after reopen = %q, want the stored plate", out)
+	}
+	if out := run(t, s, "status job-1"); !strings.Contains(out, "done") {
+		t.Errorf("status job-1 after reopen = %q, want the terminal record", out)
+	}
+}
+
+// TestOpen covers the one constructor's configurations: what used to be
+// five constructors is the presence or absence of a store path and of
+// ClusterOpts.
+func TestOpen(t *testing.T) {
+	file := func(t *testing.T) store.Config {
+		return store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}
+	}
+	open := func(t *testing.T, o Options) *System {
+		t.Helper()
+		o.Arch, o.Workers = arch.DefaultConfig(), 1
+		sys, err := Open(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		return sys
+	}
+
+	t.Run("standalone-mem", func(t *testing.T) {
+		sys := open(t, Options{})
+		if sys.StorageBackend() != "mem" || sys.Cluster != nil || sys.ClusterRole() != "" || sys.Degraded() {
+			t.Errorf("backend %q, cluster %v, role %q, degraded %v", sys.StorageBackend(), sys.Cluster, sys.ClusterRole(), sys.Degraded())
+		}
+		if v, err := sys.Store.Get(store.KeyFormat); err != nil || string(v) != store.FormatVersion {
+			t.Errorf("format key = %q, %v", v, err)
+		}
+		storeAndSolve(t, sys)
+		wantRecovered(t, sys) // same process: trivially still there
+	})
+
+	t.Run("standalone-file", func(t *testing.T) {
+		sc := file(t)
+		first := open(t, Options{Store: sc})
+		storeAndSolve(t, first)
+		first.Close()
+		second := open(t, Options{Store: sc})
+		if second.StorageBackend() != "file" {
+			t.Errorf("backend %q", second.StorageBackend())
+		}
+		wantRecovered(t, second) // journal recovered inside Open
+	})
+
+	t.Run("clustered-file", func(t *testing.T) {
+		sc := file(t)
+		var promotedA, promotedB atomic.Int64
+		member := func(name string, promoted *atomic.Int64) *System {
+			return open(t, Options{Store: sc, Cluster: &ClusterOpts{
+				Owner: name, Advertise: name + ":1", TTL: 100 * time.Millisecond,
+				OnPromote: func(epoch int64) { promoted.Store(epoch) }}})
+		}
+		a := member("a", &promotedA)
+		if a.ClusterRole() != "leader" || promotedA.Load() != 1 {
+			t.Fatalf("founder on return: role %q, promoted at epoch %d; want leader at 1", a.ClusterRole(), promotedA.Load())
+		}
+		storeAndSolve(t, a)
+		b := member("b", &promotedB)
+		if b.ClusterRole() != "follower" || b.ClusterLeader() != "a:1" || promotedB.Load() != 0 {
+			t.Fatalf("second member: role %q, leader %q, promoted %d", b.ClusterRole(), b.ClusterLeader(), promotedB.Load())
+		}
+		if err := b.Store.Put("x", nil); err == nil {
+			t.Error("a follower's store accepted a write")
+		}
+		a.Cluster.Abandon() // crash: the lease is left to expire
+		deadline := time.Now().Add(5 * time.Second)
+		for b.ClusterRole() != "leader" {
+			if time.Now().After(deadline) {
+				t.Fatal("b never took over")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if promotedB.Load() != 2 {
+			t.Errorf("b promoted at epoch %d, want 2", promotedB.Load())
+		}
+		// Promotion sealed the log and replayed the journal a wrote.
+		wantRecovered(t, b)
+		if err := b.Store.Put("x", nil); err != nil {
+			t.Errorf("the new leader's store refused a write: %v", err)
+		}
+	})
+
+	t.Run("clustered-needs-advertise", func(t *testing.T) {
+		_, err := Open(Options{Arch: arch.DefaultConfig(), Store: file(t), Cluster: &ClusterOpts{Owner: "a"}})
+		if err == nil || !strings.Contains(err.Error(), "advertise") {
+			t.Errorf("Open without an advertise address = %v", err)
+		}
+	})
+}

@@ -19,7 +19,7 @@ import (
 // create, enumerate, execute, and close concurrently.  Before the
 // registry grew its mutex, concurrent Session() calls raced on the map.
 func TestSessionRegistryRace(t *testing.T) {
-	sys, err := NewSystem(arch.DefaultConfig())
+	sys, err := Open(Options{Arch: arch.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSessionRegistryRace(t *testing.T) {
 // TestSessionIdentityUnderConcurrency: simultaneous Session calls for
 // one user all get the same session.
 func TestSessionIdentityUnderConcurrency(t *testing.T) {
-	sys, err := NewSystem(arch.DefaultConfig())
+	sys, err := Open(Options{Arch: arch.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSessionIdentityUnderConcurrency(t *testing.T) {
 }
 
 func TestSessionsAndCloseSession(t *testing.T) {
-	sys, err := NewSystem(arch.DefaultConfig())
+	sys, err := Open(Options{Arch: arch.DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSessionsAndCloseSession(t *testing.T) {
 // TestCloseSessionCancelsJobs: closing a session cancels the user's
 // live jobs but leaves other users' jobs alone.
 func TestCloseSessionCancelsJobs(t *testing.T) {
-	sys, err := NewSystemWithWorkers(arch.DefaultConfig(), 2)
+	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCloseSessionCancelsJobs(t *testing.T) {
 // TestSystemJobsWiring: every session shares the system scheduler, and
 // the command language drives it end to end.
 func TestSystemJobsWiring(t *testing.T) {
-	sys, err := NewSystemWithWorkers(arch.DefaultConfig(), 2)
+	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

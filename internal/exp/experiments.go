@@ -251,7 +251,7 @@ func E4MultiUser(userCounts []int) (*Table, error) {
 		Notes:   "user requests are independent problems; the machine overlaps them across clusters",
 	}
 	for _, u := range userCounts {
-		sys, err := core.NewSystem(defaultConfig(4, 5))
+		sys, err := core.Open(core.Options{Arch: defaultConfig(4, 5)})
 		if err != nil {
 			return nil, err
 		}
@@ -487,7 +487,7 @@ func E8Programmability() (*Table, error) {
 		Notes:   "each level hides roughly an order of magnitude of operations from the one above",
 	}
 	// AUVM: three commands.
-	sys, err := core.NewSystem(defaultConfig(2, 4))
+	sys, err := core.Open(core.Options{Arch: defaultConfig(2, 4)})
 	if err != nil {
 		return nil, err
 	}

@@ -16,29 +16,29 @@ const (
 	OpBatchIf = "batchif"
 )
 
-// Store decorates a store.Store with an Injector.  Every operation
+// Store decorates a store backend with an Injector.  Every operation
 // first consults the schedule: a matched fault delays and/or fails the
 // call before (or, for a torn batch, partway through) the underlying
 // store sees it.  With the injector disarmed the wrapper is a
 // transparent pass-through — the store conformance suite runs green
 // over it, which internal/fault's own tests pin.
 type Store struct {
-	inner store.Store
+	inner store.Conditional
 	in    *Injector
 }
 
 // NewStore wraps inner with the injector's weather.
-func NewStore(inner store.Store, in *Injector) *Store {
+func NewStore(inner store.Conditional, in *Injector) *Store {
 	return &Store{inner: inner, in: in}
 }
 
 // WrapStore adapts NewStore to the store.Config.Wrap hook signature.
-func WrapStore(in *Injector) func(store.Store) store.Store {
-	return func(inner store.Store) store.Store { return NewStore(inner, in) }
+func WrapStore(in *Injector) func(store.Conditional) store.Conditional {
+	return func(inner store.Conditional) store.Conditional { return NewStore(inner, in) }
 }
 
 // Inner returns the wrapped store.
-func (s *Store) Inner() store.Store { return s.inner }
+func (s *Store) Inner() store.Conditional { return s.inner }
 
 func (s *Store) Get(key string) ([]byte, error) {
 	if f := s.in.check(OpGet); f != nil && f.Err != nil {
@@ -107,14 +107,8 @@ func (s *Store) BatchIf(key string, want []byte, ops []Op) error {
 	if f := s.in.check(OpBatchIf); f != nil && f.Err != nil {
 		return fmt.Errorf("batchif %q: %w", key, f.Err)
 	}
-	return store.BatchIf(s.inner, key, want, ops)
+	return s.inner.BatchIf(key, want, ops)
 }
-
-// Refresh forwards to the inner store's Refresh when it has one.
-func (s *Store) Refresh() error { return store.Refresh(s.inner) }
-
-// Seal forwards to the inner store's Seal when it has one.
-func (s *Store) Seal() error { return store.Seal(s.inner) }
 
 func (s *Store) Close() error { return s.inner.Close() }
 

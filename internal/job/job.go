@@ -88,20 +88,6 @@ func ParseState(name string) (State, error) {
 	return 0, errs.Usage("unknown job state %q", name)
 }
 
-// Heavy reports whether a command routes through the worker pool: the
-// long-running AUVM verbs — today the solves, the policy seam for
-// anything else (bulk assembly, experiment sweeps) that should never
-// block a front-end goroutine.  Cheap verbs run inline under the same
-// job bookkeeping.
-func Heavy(cmd command.Command) bool {
-	switch command.Value(cmd).(type) {
-	case command.Solve:
-		return true
-	default:
-		return false
-	}
-}
-
 // ModelOf returns the model name a command reads or writes — the
 // scheduler's serialization key.  Jobs whose commands touch the same
 // model name run one at a time; commands that touch no model ("" key,

@@ -392,6 +392,39 @@ func TestJobControlVerbsRejected(t *testing.T) {
 	}
 }
 
+// TestNotAJobRefusalReadsTheSameEverywhere: the same mistake — running
+// a job-control verb (or quit) under submit — is refused by the parser
+// locally, by the wire decoder on the server, and by the scheduler
+// in-process.  All three must say the identical thing.
+func TestNotAJobRefusalReadsTheSameEverywhere(t *testing.T) {
+	s := NewScheduler(1, nil)
+	defer s.Close()
+	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		return nil, nil
+	})
+	for _, inner := range []command.Command{
+		command.Submit{Cmd: command.List{What: command.ListDB}},
+		command.Status{ID: 1}, command.Wait{ID: 1},
+		command.Cancel{ID: 1}, command.Jobs{}, command.Quit{},
+	} {
+		want := fmt.Sprintf("usage: %q cannot run as a job", command.Verb(inner))
+		_, parseErr := command.Parse("submit " + inner.String())
+		// MarshalCommand(Submit{inner}) is exactly the frame a client
+		// that skipped the parser would send.
+		frame, err := command.MarshalCommand(command.Submit{Cmd: inner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wireErr := command.UnmarshalCommand(frame)
+		_, schedErr := s.Submit(context.Background(), "eng", ex, inner)
+		for where, err := range map[string]error{"parser": parseErr, "wire": wireErr, "scheduler": schedErr} {
+			if err == nil || err.Error() != want {
+				t.Errorf("%s refuses %q with %q, want %q", where, inner, err, want)
+			}
+		}
+	}
+}
+
 func TestCloseCancelsAndRejects(t *testing.T) {
 	s := NewScheduler(1, nil)
 	release := make(chan struct{})
@@ -473,8 +506,8 @@ func TestModelOfAndHeavy(t *testing.T) {
 		if got := ModelOf(c.cmd); got != c.model {
 			t.Errorf("ModelOf(%T) = %q, want %q", c.cmd, got, c.model)
 		}
-		if got := Heavy(c.cmd); got != c.heavy {
-			t.Errorf("Heavy(%T) = %v, want %v", c.cmd, got, c.heavy)
+		if got := command.PropsOf(c.cmd).Has(command.Heavy); got != c.heavy {
+			t.Errorf("heavy(%T) = %v, want %v", c.cmd, got, c.heavy)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (s *Scheduler) AttachJournal(st store.Store) (int, error) {
 }
 
 // SetJournal attaches the store handle without the recovery scan.  The
-// clustered constructor uses it: a follower answers job lookups from
+// clustered core.Open uses it: a follower answers job lookups from
 // the journal read-only (journalLookup), while recovery — which
 // rewrites records — waits for promotion (RecoverJournal).
 func (s *Scheduler) SetJournal(st store.Store) {

@@ -275,7 +275,7 @@ func notFound(id JobID) error {
 }
 
 // Submit registers cmd as a job owned by owner and executed by ex.
-// Heavy commands (see Heavy) are enqueued for the worker pool and Submit
+// Heavy commands (command.Heavy) are enqueued for the worker pool and Submit
 // returns their JobID immediately; cheap commands run inline on the
 // caller's goroutine — synchronously, but under the same job record, so
 // Status and Wait work uniformly.  An inline command that touches a
@@ -297,9 +297,8 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 		return 0, errs.Usage("submit needs a command and an executor")
 	}
 	cmd = command.Value(cmd)
-	switch cmd.(type) {
-	case command.Submit, command.Status, command.Wait, command.Cancel, command.Jobs, command.Quit:
-		return 0, errs.Usage("%q cannot run as a job", cmd)
+	if err := command.Submittable(cmd); err != nil {
+		return 0, err
 	}
 	if err := errs.Cancelled(ctx); err != nil {
 		return 0, err
@@ -331,7 +330,7 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 	s.evictLocked()
 	s.persistLocked(j) // journal the submission; terminal write overtakes it
 	s.publishLocked(j)
-	if Heavy(cmd) {
+	if command.PropsOf(cmd).Has(command.Heavy) {
 		s.startWorkersLocked()
 		s.queue = append(s.queue, j)
 		s.syncQueueGaugeLocked()

@@ -28,15 +28,6 @@ func NewBanded(n, bandwidth int) *Banded {
 	return &Banded{N: n, Bandwidth: bandwidth, band: make([]float64, n*(bandwidth+1))}
 }
 
-// inBand reports whether (i,j) lies inside the stored band.
-func (b *Banded) inBand(i, j int) bool {
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	return d <= b.Bandwidth
-}
-
 // At returns element (i,j), exploiting symmetry; outside the band it is 0.
 func (b *Banded) At(i, j int) float64 {
 	if i < j {

@@ -176,9 +176,6 @@ func NewDirectPlan(a *CSR, opts PlanOpts) (*DirectPlan, error) {
 // N returns the system order.
 func (p *DirectPlan) N() int { return p.n }
 
-// Opts returns the plan's ordering and storage selection.
-func (p *DirectPlan) Opts() PlanOpts { return p.opts }
-
 // ProfileNNZ returns the stored lower-triangle entry count of the
 // factor storage — n·(bandwidth+1) for a band, the skyline profile for
 // an envelope — the storage the factorisation pays for.

@@ -304,9 +304,6 @@ func (g *TaskGroup) Wait(tc *TaskCtx) error {
 	return firstErr
 }
 
-// Ctx returns the TaskCtx of the i'th replication (test and harness use).
-func (g *TaskGroup) Ctx(i int) *TaskCtx { return g.ctxs[i] }
-
 // Pause performs "pause and notify parent": the task enters the paused
 // state and its goroutine blocks until some other task resumes it.  Local
 // data is retained across the pause.

@@ -189,14 +189,6 @@ func (h HistogramSnap) Merge(o HistogramSnap) HistogramSnap {
 	return out
 }
 
-// Mean returns the mean observation, zero when empty.
-func (h HistogramSnap) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return time.Duration(h.SumNS / h.Count)
-}
-
 // Snapshot is a point-in-time copy of a registry: every registered
 // metric, sorted by name, so two snapshots of identical state are
 // deeply equal and every rendering derived from one is deterministic.

@@ -55,11 +55,9 @@ type Config struct {
 	DefaultUser string
 	// RequestTimeout bounds each command's execution server-side; a
 	// request past it answers with the cancelled code.  <= 0 disables.
-	// wait and submit are exempt: blocking until a job finishes is
-	// wait's contract, and a submitted job inherits the submitting
-	// request's context — a deadline here would cancel the queued job
-	// the moment the submit answered.  Job lifetime is bounded by
-	// disconnect and cancel, not by the request that enqueued it.
+	// wait and submit are exempt (command.Props.ServerTimeoutExempt):
+	// job lifetime is bounded by disconnect and cancel, not by the
+	// request that enqueued it.
 	RequestTimeout time.Duration
 	// Logf, when non-nil, receives one line per connection lifecycle
 	// event.
@@ -417,21 +415,24 @@ func (c *conn) handleCommand(req *wire.Request) {
 		c.send(&wire.Response{ID: req.ID, Error: wireError(err)})
 		return
 	}
-	if c.srv.draining.Load() && mutatesUnderDrain(cmd) {
+	props := command.PropsOf(cmd)
+	if c.srv.draining.Load() && props.RefusedDraining() {
 		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
 			Code:    wire.CodeDraining,
 			Message: fmt.Sprintf("server is draining; %q not accepted", command.Value(cmd))}})
 		return
 	}
-	if c.srv.sys.Degraded() && refusedWhenDegraded(cmd) {
+	if c.srv.sys.Degraded() && props.RefusedDegraded() {
 		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
 			Code:    wire.CodeDegraded,
 			Message: fmt.Sprintf("store degraded (read-only); %q not accepted", command.Value(cmd))}})
 		return
 	}
-	if cl := c.srv.sys.Cluster; cl != nil && !cl.IsLeader() && refusedOnFollower(cmd) {
+	if cl := c.srv.sys.Cluster; cl != nil && !cl.IsLeader() && props.Has(command.LeaderOnly) {
 		// Refused before execution, so the client may retry any verb on
-		// the leader — see wire.CodeNotLeader.
+		// the leader — see wire.CodeNotLeader.  Reads — status, wait, jobs,
+		// retrieve, list, display — keep serving, which is the point of
+		// running followers at all.
 		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
 			Code:    wire.CodeNotLeader,
 			Leader:  cl.LeaderAddr(),
@@ -439,7 +440,7 @@ func (c *conn) handleCommand(req *wire.Request) {
 		return
 	}
 	ctx := c.ctx
-	if t := c.srv.cfg.RequestTimeout; t > 0 && !timeoutExempt(cmd) {
+	if t := c.srv.cfg.RequestTimeout; t > 0 && !props.ServerTimeoutExempt() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
@@ -470,61 +471,6 @@ func (c *conn) handleCommand(req *wire.Request) {
 		// quit ends the connection after its reply is flushed.
 		c.cancel()
 	}
-}
-
-// mutatesUnderDrain reports whether a command is refused while the
-// server drains.  Job control, reads, and health verbs keep answering
-// so clients can collect results; everything that would create or
-// change state is refused.  Snapshot is a read (it serializes the
-// workspace to a server-side file) and stays allowed — the natural
-// last act before a shutdown — while restore mutates and is refused.
-func mutatesUnderDrain(cmd command.Command) bool {
-	switch command.Value(cmd).(type) {
-	case command.Help, command.Ping, command.Version, command.Stats,
-		command.Quit, command.Status, command.Wait, command.Cancel,
-		command.Jobs, command.List, command.Display, command.Snapshot:
-		return false
-	default:
-		return true
-	}
-}
-
-// timeoutExempt reports the verbs RequestTimeout must not bound: wait
-// blocks by contract, and submit's context outlives the request as the
-// queued job's context — a deadline would cancel the job right after
-// the submit answered.
-func timeoutExempt(cmd command.Command) bool {
-	switch command.Value(cmd).(type) {
-	case command.Wait, command.Submit:
-		return true
-	}
-	return false
-}
-
-// refusedWhenDegraded reports whether a command is refused while the
-// store is degraded to read-only.  The set is the drain set minus
-// retrieve: drain refuses retrieve because it mutates the workspace
-// being flushed, but under degradation the workspace is fine and
-// retrieve only *reads* the store — a degraded daemon's whole point is
-// that reads keep serving.
-func refusedWhenDegraded(cmd command.Command) bool {
-	if _, ok := command.Value(cmd).(command.Retrieve); ok {
-		return false
-	}
-	return mutatesUnderDrain(cmd)
-}
-
-// refusedOnFollower reports whether a command is refused on a cluster
-// follower.  The set is the degraded set plus cancel: under
-// degradation cancel still works (job state is in memory), but on a
-// follower every job lives on the leader, so job mutation belongs
-// there too.  Reads — status, wait, jobs, retrieve, list, display —
-// keep serving, which is the point of running followers at all.
-func refusedOnFollower(cmd command.Command) bool {
-	if _, ok := command.Value(cmd).(command.Cancel); ok {
-		return true
-	}
-	return refusedWhenDegraded(cmd)
 }
 
 // wireError maps a server-side error onto its wire code, carrying the

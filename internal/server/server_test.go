@@ -1,0 +1,234 @@
+package server
+
+import (
+	"net"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/arch"
+	"repro/internal/command"
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/store"
+	"repro/internal/wire"
+)
+
+// pipeListener hands Serve the server ends of net.Pipe connections, so
+// the tests drive a real conn — reader, writer, gating, teardown —
+// without a socket.
+type pipeListener struct {
+	conns chan net.Conn
+	once  sync.Once
+	done  chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.done) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// peer is the client end of one piped connection.
+type peer struct {
+	t  *testing.T
+	nc net.Conn
+	id uint64
+}
+
+// serve starts srv on a pipe listener and returns a dialer for it.
+func serve(t *testing.T, srv *Server) func() *peer {
+	t.Helper()
+	ln := &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+	go srv.Serve(ln)
+	t.Cleanup(func() { ln.Close() })
+	return func() *peer {
+		client, server := net.Pipe()
+		ln.conns <- server
+		t.Cleanup(func() { client.Close() })
+		client.SetDeadline(time.Now().Add(10 * time.Second))
+		return &peer{t: t, nc: client}
+	}
+}
+
+// roundTrip sends one request and returns the response carrying its id,
+// skipping job notifications.
+func (p *peer) roundTrip(req *wire.Request) *wire.Response {
+	p.t.Helper()
+	if err := wire.EncodeRequest(p.nc, req); err != nil {
+		p.t.Fatalf("send: %v", err)
+	}
+	for {
+		resp, err := wire.DecodeResponse(p.nc)
+		if err != nil {
+			p.t.Fatalf("receive: %v", err)
+		}
+		if resp.Event == nil {
+			return resp
+		}
+	}
+}
+
+// do sends one command under a fresh id and returns the wire error code
+// ("" on success) and the whole response.
+func (p *peer) do(cmd command.Command) (string, *wire.Response) {
+	p.t.Helper()
+	data, err := command.MarshalCommand(cmd)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	p.id++
+	resp := p.roundTrip(&wire.Request{ID: p.id, Command: data})
+	if resp.ID != p.id {
+		p.t.Fatalf("response id %d, want %d", resp.ID, p.id)
+	}
+	if resp.Error != nil {
+		return resp.Error.Code, resp
+	}
+	return "", resp
+}
+
+func openSystem(t *testing.T, o core.Options) *core.System {
+	t.Helper()
+	o.Arch = arch.DefaultConfig()
+	o.Workers = 1
+	sys, err := core.Open(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	return sys
+}
+
+var (
+	generate = command.GenerateGrid{Name: "g", NX: 4, NY: 2, W: 4, H: 2, ClampLeft: true}
+	storeG   = command.Store{Model: "g"}
+	listDB   = command.List{What: command.ListDB}
+)
+
+func TestDrainingGate(t *testing.T) {
+	srv := New(openSystem(t, core.Options{}), Config{})
+	p := serve(t, srv)()
+	if code, _ := p.do(generate); code != "" {
+		t.Fatalf("generate before drain: %q", code)
+	}
+	srv.draining.Store(true)
+	for _, cmd := range []command.Command{generate, storeG, command.Retrieve{Name: "g"},
+		command.Submit{Cmd: listDB}, command.Restore{Path: "x"}} {
+		if code, resp := p.do(cmd); code != wire.CodeDraining || resp.Result != nil {
+			t.Errorf("%q while draining: code %q, want %q and no result", cmd, code, wire.CodeDraining)
+		}
+	}
+	// Reads, health and job control keep answering.
+	for _, cmd := range []command.Command{command.Ping{}, listDB, command.Jobs{},
+		command.Display{What: command.DisplayModel, Model: "g"}} {
+		if code, _ := p.do(cmd); code != "" {
+			t.Errorf("%q while draining: refused with %q", cmd, code)
+		}
+	}
+	if code, _ := p.do(command.Cancel{ID: 99}); code != wire.CodeNotFound {
+		t.Errorf("cancel of an unknown job while draining: %q, want it served (%q)", code, wire.CodeNotFound)
+	}
+}
+
+func TestDegradedGate(t *testing.T) {
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpBatch, Fault: fault.Fault{Err: fault.ErrIO}})
+	in.Disarm()
+	sys := openSystem(t, core.Options{
+		Store: store.Config{Wrap: fault.WrapStore(in)},
+		Guard: store.GuardOpts{Threshold: 1, ProbeInterval: -1},
+	})
+	p := serve(t, New(sys, Config{}))()
+	for _, cmd := range []command.Command{generate, storeG} {
+		if code, _ := p.do(cmd); code != "" {
+			t.Fatalf("%q on a healthy store: %q", cmd, code)
+		}
+	}
+	in.Arm()
+	if err := sys.Store.Put("x", nil); err == nil || !sys.Degraded() {
+		t.Fatalf("one failed write at threshold 1: err %v, degraded %v", err, sys.Degraded())
+	}
+	for _, cmd := range []command.Command{generate, storeG, command.Delete{Name: "g"}, command.Submit{Cmd: listDB}} {
+		if code, _ := p.do(cmd); code != wire.CodeDegraded {
+			t.Errorf("%q while degraded: code %q, want %q", cmd, code, wire.CodeDegraded)
+		}
+	}
+	// Degraded is read-only, not read-never: retrieve still loads from the
+	// store, and the in-memory job table still takes a cancel.
+	if code, resp := p.do(command.Retrieve{Name: "g"}); code != "" || resp.Result == nil {
+		t.Errorf("retrieve while degraded: code %q, result %s", code, resp.Result)
+	}
+	if code, _ := p.do(command.Cancel{ID: 99}); code != wire.CodeNotFound {
+		t.Errorf("cancel while degraded: %q, want it served (%q)", code, wire.CodeNotFound)
+	}
+}
+
+func TestFollowerGate(t *testing.T) {
+	sc := store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}
+	member := func(name string) *core.System {
+		return openSystem(t, core.Options{Store: sc,
+			Cluster: &core.ClusterOpts{Owner: name, Advertise: name + ":1", TTL: time.Hour}})
+	}
+	leader, follower := member("a"), member("b")
+	if leader.ClusterRole() != "leader" || follower.ClusterRole() != "follower" {
+		t.Fatalf("roles: a=%s b=%s", leader.ClusterRole(), follower.ClusterRole())
+	}
+	p := serve(t, New(follower, Config{}))()
+	welcome := p.roundTrip(&wire.Request{ID: 100, Hello: &wire.Hello{User: "eng", Proto: command.ProtocolVersion}}).Welcome
+	if welcome == nil || welcome.Role != "follower" || welcome.Leader != "a:1" {
+		t.Fatalf("follower welcome = %+v", welcome)
+	}
+	for _, cmd := range []command.Command{generate, storeG, command.Submit{Cmd: listDB}, command.Cancel{ID: 1}} {
+		code, resp := p.do(cmd)
+		if code != wire.CodeNotLeader || resp.Error.Leader != "a:1" {
+			t.Errorf("%q on a follower: code %q leader %q, want %q pointing at a:1", cmd, code, resp.Error.Leader, wire.CodeNotLeader)
+		}
+	}
+	// Followers exist to serve reads.
+	for _, cmd := range []command.Command{listDB, command.Jobs{}, command.Ping{}} {
+		if code, _ := p.do(cmd); code != "" {
+			t.Errorf("%q on a follower: refused with %q", cmd, code)
+		}
+	}
+	for _, cmd := range []command.Command{command.Status{ID: 99}, command.Retrieve{Name: "nosuch"}} {
+		if code, _ := p.do(cmd); code != wire.CodeNotFound {
+			t.Errorf("%q on a follower: %q, want it served (%q)", cmd, code, wire.CodeNotFound)
+		}
+	}
+	// The same verbs are accepted by the leader.
+	if code, _ := serve(t, New(leader, Config{}))().do(generate); code != "" {
+		t.Errorf("generate on the leader: %q", code)
+	}
+}
+
+func TestProtocolViolations(t *testing.T) {
+	p := serve(t, New(openSystem(t, core.Options{}), Config{}))()
+	ping, _ := command.MarshalCommand(command.Ping{})
+	if resp := p.roundTrip(&wire.Request{ID: 0, Command: ping}); resp.Error == nil || resp.Error.Code != wire.CodeProto {
+		t.Errorf("request id 0: %+v, want code %q", resp.Error, wire.CodeProto)
+	}
+	hello := &wire.Request{ID: 1, Hello: &wire.Hello{User: "eng", Proto: command.ProtocolVersion}}
+	if resp := p.roundTrip(hello); resp.Welcome == nil || resp.Welcome.Session != "eng@conn-1" {
+		t.Fatalf("first hello: %+v", resp)
+	}
+	hello.ID = 2
+	if resp := p.roundTrip(hello); resp.Error == nil || resp.Error.Code != wire.CodeProto || resp.Welcome != nil {
+		t.Errorf("second hello: %+v, want code %q", resp, wire.CodeProto)
+	}
+	// The connection survives both violations.
+	if code, _ := p.do(command.Ping{}); code != "" {
+		t.Errorf("ping after the violations: %q", code)
+	}
+	// A hello at the wrong revision is refused without a session.
+	q := serve(t, New(openSystem(t, core.Options{}), Config{}))()
+	old := &wire.Request{ID: 1, Hello: &wire.Hello{User: "eng", Proto: command.ProtocolVersion - 1}}
+	if resp := q.roundTrip(old); resp.Error == nil || resp.Error.Code != wire.CodeProto {
+		t.Errorf("hello at an old revision: %+v, want code %q", resp, wire.CodeProto)
+	}
+}

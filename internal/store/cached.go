@@ -26,12 +26,10 @@ type CachedStore struct {
 	cache  map[string][]byte
 	fifo   []string // insertion order for bounded eviction
 	limit  int
-	hits   int64
-	misses int64
 	closed bool
 
-	// obs mirrors of the ad-hoc stats above, plus latency histograms;
-	// nil no-op sinks until SetObs (see internal/obs).
+	// Hit/miss counters and latency histograms; nil no-op sinks until
+	// SetObs (see internal/obs).
 	mHits, mMisses     *obs.Counter
 	hGet, hPut, hBatch *obs.Histogram
 }
@@ -45,12 +43,8 @@ func NewCached(backend Store, limit int) *CachedStore {
 	return &CachedStore{backend: backend, cache: map[string][]byte{}, limit: limit}
 }
 
-// Backend returns the wrapped store.
-func (s *CachedStore) Backend() Store { return s.backend }
-
 // SetObs routes the cache's hit/miss stats and operation latencies
-// through reg — the same numbers Stats reports, finally reachable from
-// the binaries.  Nil reg reverts to no-op sinks.
+// through reg.  Nil reg reverts to no-op sinks.
 func (s *CachedStore) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -59,13 +53,6 @@ func (s *CachedStore) SetObs(reg *obs.Registry) {
 	s.hGet = reg.Histogram(obs.StoreGetLatency)
 	s.hPut = reg.Histogram(obs.StorePutLatency)
 	s.hBatch = reg.Histogram(obs.StoreBatchLatency)
-}
-
-// Stats reports cache hits and misses since open.
-func (s *CachedStore) Stats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
 }
 
 // Get returns the cached value, filling the cache from the backend on
@@ -79,14 +66,12 @@ func (s *CachedStore) Get(key string) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	if v, ok := s.cache[key]; ok {
-		s.hits++
 		s.mHits.Inc()
 		out := make([]byte, len(v))
 		copy(out, v)
 		s.mu.Unlock()
 		return out, nil
 	}
-	s.misses++
 	s.mMisses.Inc()
 	s.mu.Unlock()
 	v, err := s.backend.Get(key)
@@ -139,78 +124,17 @@ func (s *CachedStore) Batch(ops []Op) error {
 	return nil
 }
 
-// BatchIf writes through to the backend's conditional batch, then
-// applies the ops to the cache only when the compare won.  A conflict
-// leaves the cache untouched — the backend rejected the ops, so there
-// is nothing to mirror.
-func (s *CachedStore) BatchIf(key string, want []byte, ops []Op) error {
-	start := time.Now()
-	defer func() { s.hBatch.Observe(time.Since(start)) }()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.mu.Unlock()
-	if err := BatchIf(s.backend, key, want, ops); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, op := range ops {
-		if op.Delete {
-			s.dropLocked(op.Key)
-			continue
-		}
-		v := make([]byte, len(op.Value))
-		copy(v, op.Value)
-		s.fillLocked(op.Key, v)
-	}
-	return nil
-}
-
-// Refresh folds in state another process committed to the shared
-// backend, then drops the whole cache: entries cached before the
-// refresh may now be stale, and refilling on demand is cheaper than
-// diffing.
-func (s *CachedStore) Refresh() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.mu.Unlock()
-	if err := Refresh(s.backend); err != nil {
-		return err
-	}
+// Invalidate drops the whole cache.  core calls it after the shared
+// file backend folded in what another process committed (Refresh, Seal):
+// entries cached before may now be stale, and refilling on demand is
+// cheaper than diffing.
+func (s *CachedStore) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed {
 		s.cache = map[string][]byte{}
 		s.fifo = s.fifo[:0]
 	}
-	return nil
-}
-
-// Seal runs the backend's takeover step, then drops the cache like
-// Refresh does.
-func (s *CachedStore) Seal() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	s.mu.Unlock()
-	if err := Seal(s.backend); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.closed {
-		s.cache = map[string][]byte{}
-		s.fifo = s.fifo[:0]
-	}
-	return nil
 }
 
 // Seek delegates to the backend; write-through keeps it coherent.

@@ -40,32 +40,33 @@ type Config struct {
 	// anything else sees it.  It exists for fault injection: chaos tests
 	// interpose internal/fault's store wrapper here, underneath the
 	// degradation guard and the cache.
-	Wrap func(Store) Store
+	Wrap func(Conditional) Conditional
 }
 
-// Open builds the configured backend and applies the Wrap hook.  The
-// caller usually wraps the result in NewCached.
-func Open(cfg Config) (Store, error) {
-	var s Store
+// Open builds the configured backend and applies the Wrap hook.  file
+// is the file backend's own handle underneath the hook (nil for the
+// memory backend): the one layer with Refresh and Seal.  core.Open
+// stacks the guard, the cluster fence and the cache on s.
+func Open(cfg Config) (s Conditional, file *FileStore, err error) {
 	switch cfg.Backend {
 	case "", BackendMem:
 		s = NewMemStore()
 	case BackendFile:
 		if cfg.Path == "" {
-			return nil, fmt.Errorf("store: file backend needs a path")
+			return nil, nil, fmt.Errorf("store: file backend needs a path")
 		}
-		fs, err := OpenFileStoreWith(cfg.Path, FileOpts{Sync: cfg.Sync, CompactAt: cfg.CompactAt, Shared: cfg.Shared})
+		file, err = OpenFileStoreWith(cfg.Path, FileOpts{Sync: cfg.Sync, CompactAt: cfg.CompactAt, Shared: cfg.Shared})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		s = fs
+		s = file
 	default:
-		return nil, fmt.Errorf("store: unknown backend %q (want %s or %s)", cfg.Backend, BackendMem, BackendFile)
+		return nil, nil, fmt.Errorf("store: unknown backend %q (want %s or %s)", cfg.Backend, BackendMem, BackendFile)
 	}
 	if cfg.Wrap != nil {
 		s = cfg.Wrap(s)
 	}
-	return s, nil
+	return s, file, nil
 }
 
 // BackendName normalizes a Config's backend for display (the version

@@ -15,8 +15,8 @@ import (
 // wrapper with its weather disarmed — a decorator must be invisible
 // until it injects.
 func conformanceStores(t *testing.T) map[string]func(t *testing.T) store.Store {
-	openFile := func(t *testing.T, sync bool) store.Store {
-		s, err := store.OpenFileStoreSync(filepath.Join(t.TempDir(), "conf.db"), sync)
+	openFile := func(t *testing.T, sync bool) *store.FileStore {
+		s, err := store.OpenFileStoreWith(filepath.Join(t.TempDir(), "conf.db"), store.FileOpts{Sync: sync})
 		if err != nil {
 			t.Fatalf("open file store: %v", err)
 		}
@@ -77,28 +77,31 @@ func TestEnsureFormat(t *testing.T) {
 }
 
 func TestOpenConfig(t *testing.T) {
-	if s, err := store.Open(store.Config{}); err != nil {
+	if s, file, err := store.Open(store.Config{}); err != nil {
 		t.Fatalf("Open default: %v", err)
-	} else if _, ok := s.(*store.MemStore); !ok {
-		t.Fatalf("Open default = %T, want *MemStore", s)
+	} else if _, ok := s.(*store.MemStore); !ok || file != nil {
+		t.Fatalf("Open default = %T (file handle %v), want *MemStore and none", s, file)
 	}
 	path := filepath.Join(t.TempDir(), "x.db")
-	s, err := store.Open(store.Config{Backend: store.BackendFile, Path: path, Sync: true})
+	s, file, err := store.Open(store.Config{Backend: store.BackendFile, Path: path, Sync: true})
 	if err != nil {
 		t.Fatalf("Open file: %v", err)
 	}
+	if s != store.Conditional(file) {
+		t.Fatalf("Open file = %T, file handle %p: want the same store", s, file)
+	}
 	s.Close()
-	if _, err := store.Open(store.Config{Backend: store.BackendFile}); err == nil {
+	if _, _, err := store.Open(store.Config{Backend: store.BackendFile}); err == nil {
 		t.Fatal("Open file without path succeeded")
 	}
-	if _, err := store.Open(store.Config{Backend: "bolt"}); err == nil {
+	if _, _, err := store.Open(store.Config{Backend: "bolt"}); err == nil {
 		t.Fatal("Open unknown backend succeeded")
 	}
 	if got := (store.Config{}).BackendName(); got != store.BackendMem {
 		t.Fatalf("BackendName() = %q", got)
 	}
 	// The Wrap hook decorates the backend before Open returns it.
-	wrapped, err := store.Open(store.Config{Wrap: func(s store.Store) store.Store {
+	wrapped, _, err := store.Open(store.Config{Wrap: func(s store.Conditional) store.Conditional {
 		return store.NewGuard(s, store.GuardOpts{})
 	}})
 	if err != nil {

@@ -60,7 +60,7 @@ type GuardOpts struct {
 // write-through contract already refuses to cache a value the backend
 // rejected, so a degraded write leaves cache and backend coherent.
 type Guard struct {
-	inner Store
+	inner Conditional
 	opts  GuardOpts
 
 	mu       sync.Mutex
@@ -83,7 +83,7 @@ type Guard struct {
 }
 
 // NewGuard wraps inner with the degradation policy.
-func NewGuard(inner Store, opts GuardOpts) *Guard {
+func NewGuard(inner Conditional, opts GuardOpts) *Guard {
 	if opts.Threshold <= 0 {
 		opts.Threshold = GuardDefaultThreshold
 	}
@@ -145,15 +145,8 @@ func (g *Guard) Batch(ops []Op) error {
 // BatchIf runs the conditional batch under the write policy.  A
 // conflict is an outcome, not a store-health failure — see write.
 func (g *Guard) BatchIf(key string, want []byte, ops []Op) error {
-	return g.write(func() error { return BatchIf(g.inner, key, want, ops) })
+	return g.write(func() error { return g.inner.BatchIf(key, want, ops) })
 }
-
-// Refresh passes through like the reads: folding in another process's
-// committed frames works fine on a degraded store.
-func (g *Guard) Refresh() error { return Refresh(g.inner) }
-
-// Seal passes through for the takeover sequence.
-func (g *Guard) Seal() error { return Seal(g.inner) }
 
 // write runs one backend write under the policy.
 func (g *Guard) write(op func() error) error {

@@ -82,27 +82,13 @@ const (
 	compactMinGarbage = 1 << 16
 )
 
-// OpenFileStore opens (or creates) the store file at path, replays the
-// log to rebuild the index, truncates any torn tail left by a crash,
-// and compacts the log when dead bytes outweigh live ones.  Writes are
-// not fsynced; see OpenFileStoreSync.
-func OpenFileStore(path string) (*FileStore, error) {
-	return OpenFileStoreSync(path, false)
-}
-
-// OpenFileStoreSync is OpenFileStore with the durability knob exposed:
-// with sync true every Batch ends in an fsync, so a committed write
-// survives not just a process crash but a machine crash.  The default
-// is off — the CRC framing already guarantees a crash loses at most
-// the unsynced tail, never corrupts the log — and fsync-per-batch
-// trades orders of magnitude of write throughput for that last nine.
-func OpenFileStoreSync(path string, sync bool) (*FileStore, error) {
-	return OpenFileStoreWith(path, FileOpts{Sync: sync})
-}
-
 // FileOpts bundles the file-backend knobs beyond the path.
 type FileOpts struct {
-	// Sync fsyncs after every Batch; see OpenFileStoreSync.
+	// Sync ends every Batch in an fsync, so a committed write survives
+	// not just a process crash but a machine crash.  The default is off
+	// — the CRC framing already guarantees a crash loses at most the
+	// unsynced tail, never corrupts the log — and fsync-per-batch trades
+	// orders of magnitude of write throughput for that last nine.
 	Sync bool
 	// CompactAt overrides the dead-byte threshold that triggers
 	// compaction at open: 0 keeps the default (64 KiB), a positive
@@ -116,7 +102,9 @@ type FileOpts struct {
 	Shared bool
 }
 
-// OpenFileStoreWith opens the store file at path with explicit opts.
+// OpenFileStoreWith opens (or creates) the store file at path, replays
+// the log to rebuild the index, truncates any torn tail left by a crash,
+// and compacts the log when dead bytes outweigh live ones.
 func OpenFileStoreWith(path string, o FileOpts) (*FileStore, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -14,7 +14,7 @@ import (
 // the reopen-reads-own-writes leg of the conformance contract.
 func TestFileStoreReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "re.db")
-	s, err := OpenFileStore(path)
+	s, err := OpenFileStoreWith(path, FileOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestFileStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenFileStoreWith(path, FileOpts{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	dir := t.TempDir()
 	for _, cut := range []int64{1, 3, 7, 15} { // chop mid-frame at several depths
 		path := filepath.Join(dir, fmt.Sprintf("torn-%d.db", cut))
-		s, err := OpenFileStore(path)
+		s, err := OpenFileStoreWith(path, FileOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestFileStoreTornTail(t *testing.T) {
 		if err := os.Truncate(path, info.Size()-cut); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := OpenFileStore(path)
+		s2, err := OpenFileStoreWith(path, FileOpts{})
 		if err != nil {
 			t.Fatalf("open after %d-byte tear: %v", cut, err)
 		}
@@ -90,7 +90,7 @@ func TestFileStoreTornTail(t *testing.T) {
 // fail its CRC and drop it.
 func TestFileStoreCorruptTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crc.db")
-	s, _ := OpenFileStore(path)
+	s, _ := OpenFileStoreWith(path, FileOpts{})
 	s.Put("keep", []byte("ok"))
 	s.Put("doomed", []byte("corrupted-below"))
 	s.Close()
@@ -105,7 +105,7 @@ func TestFileStoreCorruptTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenFileStoreWith(path, FileOpts{})
 	if err != nil {
 		t.Fatalf("open after corruption: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestFileStoreCorruptTail(t *testing.T) {
 // just its live records, and the result reads identically.
 func TestFileStoreCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "compact.db")
-	s, _ := OpenFileStore(path)
+	s, _ := OpenFileStoreWith(path, FileOpts{})
 	big := make([]byte, 8192)
 	for i := range big {
 		big[i] = byte(i)
@@ -136,7 +136,7 @@ func TestFileStoreCompaction(t *testing.T) {
 	s.Close()
 	before, _ := os.Stat(path)
 
-	s2, err := OpenFileStore(path)
+	s2, err := OpenFileStoreWith(path, FileOpts{})
 	if err != nil {
 		t.Fatalf("open-with-compaction: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestFileStoreCompaction(t *testing.T) {
 func TestFileStoreBadMagic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not-a-store")
 	os.WriteFile(path, []byte("#!/bin/sh\necho hi\n"), 0o644)
-	if _, err := OpenFileStore(path); err == nil {
+	if _, err := OpenFileStoreWith(path, FileOpts{}); err == nil {
 		t.Fatal("opened a non-store file")
 	}
 }

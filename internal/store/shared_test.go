@@ -15,7 +15,7 @@ import (
 // rewrite.
 func TestFileStoreCompactAtCustom(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "small.db")
-	s, _ := OpenFileStore(path)
+	s, _ := OpenFileStoreWith(path, FileOpts{})
 	val := make([]byte, 1024)
 	// 10 generations over 4 keys: ~36 KiB garbage — under the default
 	// floor, over a 2 KiB one.
@@ -56,7 +56,7 @@ func TestFileStoreCompactAtCustom(t *testing.T) {
 
 func TestFileStoreCompactAtSuppressed(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nocompact.db")
-	s, _ := OpenFileStore(path)
+	s, _ := OpenFileStoreWith(path, FileOpts{})
 	val := make([]byte, 8192)
 	// ~600 KiB of garbage: far past the default floor.
 	for gen := 0; gen < 20; gen++ {
@@ -78,7 +78,7 @@ func TestFileStoreCompactAtSuppressed(t *testing.T) {
 	}
 
 	// The garbage was real: a default open rewrites it.
-	s3, err := OpenFileStore(path)
+	s3, err := OpenFileStoreWith(path, FileOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,60 +126,20 @@ type Store interface {
 	Close() error
 }
 
-// Conditional is the compare-and-batch extension every backend in this
-// repo implements: BatchIf applies ops atomically if and only if the
-// current value under key equals want byte-for-byte (want nil means
-// "key must be absent").  On mismatch it returns ErrConflict and writes
-// nothing.  The compare and the apply happen under one lock (and, for
-// a shared file store, one file lock), so two racing writers cannot
-// both see the same old value and both win — which is exactly the
+// Conditional is a Store with the compare-and-batch extension every
+// backend in this repo implements: BatchIf applies ops atomically if and
+// only if the current value under key equals want byte-for-byte (want
+// nil means "key must be absent").  On mismatch it returns ErrConflict
+// and writes nothing.  The compare and the apply happen under one lock
+// (and, for a shared file store, one file lock), so two racing writers
+// cannot both see the same old value and both win — which is exactly the
 // primitive lease acquisition and epoch fencing need.
+//
+// BatchIf ends at the degradation guard: the lease coordinator and the
+// epoch fence call it there, and nothing above the fence has it.
 type Conditional interface {
+	Store
 	BatchIf(key string, want []byte, ops []Op) error
-}
-
-// BatchIf dispatches to the store's Conditional implementation.  Every
-// store in this package (and the fault wrapper) implements it; the
-// error return exists for exotic third-party Store values.
-func BatchIf(s Store, key string, want []byte, ops []Op) error {
-	c, ok := s.(Conditional)
-	if !ok {
-		return fmt.Errorf("store: %T does not support conditional batches", s)
-	}
-	return c.BatchIf(key, want, ops)
-}
-
-// Refresher is implemented by stores that can tail state written by
-// another process sharing the same backing file (see FileStore's
-// shared mode).  Refresh folds newly committed frames into the index;
-// it never truncates, because the writer may be mid-append.
-type Refresher interface {
-	Refresh() error
-}
-
-// Refresh dispatches to the store's Refresher implementation; stores
-// without one (the in-process backends) are trivially fresh.
-func Refresh(s Store) error {
-	if r, ok := s.(Refresher); ok {
-		return r.Refresh()
-	}
-	return nil
-}
-
-// Sealer is implemented by stores with a takeover step: Seal tails
-// everything the dead previous writer committed and truncates its torn
-// tail (see FileStore's shared mode).
-type Sealer interface {
-	Seal() error
-}
-
-// Seal dispatches to the store's Sealer implementation; stores without
-// one have nothing to seal.
-func Seal(s Store) error {
-	if x, ok := s.(Sealer); ok {
-		return x.Seal()
-	}
-	return nil
 }
 
 // EnsureFormat checks the store's format version, writing it on a

@@ -19,7 +19,7 @@ func TestScriptedWorkstation(t *testing.T) {
 	}
 	defer f.Close()
 
-	sys, err := fem2.NewSystem(fem2.DefaultConfig())
+	sys, err := fem2.New()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestScriptedWorkstation(t *testing.T) {
 // parallel solve reconstructs the neighbour-banded cluster communication
 // pattern — the trace-level view of E14.
 func TestTraceCommunicationPattern(t *testing.T) {
-	sys, err := fem2.NewSystem(fem2.DefaultConfig())
+	sys, err := fem2.New()
 	if err != nil {
 		t.Fatal(err)
 	}
