@@ -670,7 +670,7 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 type Assembled = fem.Assembled
 
 // Assemble builds the reduced global stiffness system of a model in one
-// shot.  Solve retains the symbolic half per model by itself (see the
+// shot.  Solve retains the assembly per model by itself (see the
 // plan-once layer below).
 func Assemble(m *Model) (*Assembled, error) { return fem.Assemble(m) }
 
@@ -685,18 +685,26 @@ func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 // Stresses recovers element stresses from a solution.
 func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresses(m, sol) }
 
-// The plan-once layer.  Solve keeps two pieces of symbolic state per
-// model and redoes neither on a re-solve.
+// The plan-once layer.  Solve keeps three pieces of state per model and
+// redoes none of them on a re-solve of an unchanged model — and, since
+// nothing tells a Model it was edited, re-checks each on every solve.
 //
-// Assemble-symbolic-once: the first solve builds the model's symbolic
-// assembly (sparsity pattern + scatter maps) and keeps it on the Model;
-// later solves check that it still matches the topology — dof count,
-// constraints, element count, every element's order and connectivity —
-// and run only the allocation-free numeric scatter, rebuilding when the
-// topology changed.  Values are re-assembled on every solve.  Inside a
-// session the plan follows the model name: generate, retrieve and
-// restore hand the replaced model's workspace to the new object, which
-// runs the same Matches check before its first scatter.
+// Assemble-once: the first solve builds the model's symbolic assembly
+// (sparsity pattern + scatter maps) and keeps it on the Model with the
+// assembled matrix.  Later solves check that it still matches the
+// topology — dof count, constraints, element count, every element's
+// order and connectivity — and rebuild it when the topology changed;
+// then compare every element's stiffness inputs (node coordinates and
+// Material for Bar and CST) bit for bit with the record the matrix was
+// assembled from, and run the allocation-free numeric scatter unless all
+// are identical.  A custom Element takes part by offering the method
+// AppendStiffnessInputs(m *Model, dst []float64) []float64 and appending
+// everything its Stiffness reads beyond the connectivity; one that does
+// not is re-evaluated on every solve.
+// Inside a session the assembly follows the model name: generate,
+// retrieve and restore hand the replaced model's workspace to the new
+// object, which runs the same checks against itself before trusting any
+// of it.
 //
 // Factor-once: direct solves through Solve, the REPL's solve verb, and
 // the job service all consult a per-model FactorCache automatically:
@@ -704,9 +712,9 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // unchanged model cost one triangular solve (Solution.Refactored /
 // SolveResult.Refactored report which happened), and a model whose
 // values changed is re-factored in place with no allocation.  The
-// cache never trades correctness for reuse — a hit requires the freshly
-// assembled values to match the factored ones bit for bit, and cached
-// solutions are bit-identical to cold solves.  Model.Touch releases
+// cache never trades correctness for reuse — a hit requires the
+// assembled values, skipped assembly or not, to match the factored ones
+// bit for bit, and cached solutions are bit-identical to cold solves.  Model.Touch releases
 // both.
 
 // Factorization is a reusable direct factorisation: solve any number of

@@ -68,8 +68,9 @@ func (spec modelSpec) generate(t *testing.T, s *Session) {
 // Workspace.PutModel; after each step the four backends must answer
 // bitwise what a fresh session answers for the same model (both sides
 // keep a name-keyed factor cache, as the scheduler does, so Refactored
-// is compared too), and assemble.symbolic must move exactly when the
-// topology did.
+// is compared too), assemble.symbolic must move exactly when the
+// topology did, and assemble.unchanged must count every solve but the
+// first after the topology or the modulus moved.
 func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 	methods := []command.Method{command.MethodCholesky, command.MethodCholeskyRCM, command.MethodCholeskyEnv, command.MethodCG}
 	rebuilt, inherited := 0, 0
@@ -79,13 +80,15 @@ func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 			s := NewSession("engineer", NewDatabase())
 			s.Obs = obs.New()
 			symbolic, reused := s.Obs.Counter(obs.AssembleSymbolic), s.Obs.Counter(obs.AssembleReused)
+			unchanged := s.Obs.Counter(obs.AssembleUnchanged)
 			ctx := linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{})
 			refCtx := linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{})
 			snap := filepath.Join(t.TempDir(), "ws.snap")
 
 			spec := modelSpec{nx: 3 + rng.Intn(4), ny: 2 + rng.Intn(3), clamp: true, e: 200000}
 			spec.generate(t, s)
-			var planned modelSpec // the topology the retained plan was built for
+			var planned modelSpec  // the topology the retained plan was built for
+			var assembledE float64 // the modulus the retained matrix was assembled with
 			for step := 0; step < 14; step++ {
 				var what string
 				switch rng.Intn(8) {
@@ -136,6 +139,10 @@ func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 					inherited++
 				}
 				wantReused := reused.Load() + int64(len(methods)) - (wantSymbolic - symbolic.Load())
+				wantUnchanged := unchanged.Load() + int64(len(methods))
+				if planned != spec.topology() || assembledE != spec.e {
+					wantUnchanged-- // the step's first solve assembles, the rest find it unchanged
+				}
 
 				fresh := NewSession("fresh", NewDatabase())
 				spec.generate(t, fresh)
@@ -164,10 +171,10 @@ func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 						}
 					}
 				}
-				if sy, re := symbolic.Load(), reused.Load(); sy != wantSymbolic || re != wantReused {
-					t.Fatalf("seed %d step %d (%s): symbolic %d reused %d, want %d %d", seed, step, what, sy, re, wantSymbolic, wantReused)
+				if sy, re, un := symbolic.Load(), reused.Load(), unchanged.Load(); sy != wantSymbolic || re != wantReused || un != wantUnchanged {
+					t.Fatalf("seed %d step %d (%s): symbolic %d reused %d unchanged %d, want %d %d %d", seed, step, what, sy, re, un, wantSymbolic, wantReused, wantUnchanged)
 				}
-				planned = spec.topology()
+				planned, assembledE = spec.topology(), spec.e
 			}
 		})
 	}
@@ -244,7 +251,7 @@ func TestReplaceModelWhileSolveInFlight(t *testing.T) {
 	next, _ := plate(70000)
 	reg := obs.New()
 	symbolic := reg.Counter(obs.AssembleSymbolic)
-	next.InstrumentAssembly(symbolic, nil)
+	next.InstrumentAssembly(symbolic, nil, nil)
 	put := make(chan struct{})
 	go func() {
 		defer close(put)

@@ -557,7 +557,7 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 			ctx = linalg.NewFactorCacheContext(ctx, s.Jobs.FactorCache(c.Model))
 		}
 	}
-	m.InstrumentAssembly(s.Obs.Counter(obs.AssembleSymbolic), s.Obs.Counter(obs.AssembleReused))
+	m.InstrumentAssembly(s.Obs.Counter(obs.AssembleSymbolic), s.Obs.Counter(obs.AssembleReused), s.Obs.Counter(obs.AssembleUnchanged))
 	// One context-aware solve path: the command maps onto SolveOpts and
 	// fem.Solve routes to sequential, distributed, or substructured
 	// execution through the solver registry.

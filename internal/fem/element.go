@@ -72,6 +72,13 @@ func (b *Bar) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	return nil
 }
 
+// AppendStiffnessInputs appends the end-node coordinates and the
+// material: everything StiffnessInto reads beyond the connectivity.
+func (b *Bar) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
+	p1, p2 := m.Nodes[b.N1], m.Nodes[b.N2]
+	return append(dst, p1.X, p1.Y, p2.X, p2.Y, b.Mat.E, b.Mat.Nu, b.Mat.T, b.Mat.A)
+}
+
 // Stress returns the single axial stress component (positive in tension).
 func (b *Bar) Stress(m *Model, u linalg.Vector) ([]float64, error) {
 	return b.AppendStress(m, u, nil)
@@ -197,6 +204,13 @@ func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	return nil
 }
 
+// AppendStiffnessInputs appends the corner coordinates and the
+// material: everything StiffnessInto reads beyond the connectivity.
+func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
+	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
+	return append(dst, p1.X, p1.Y, p2.X, p2.Y, p3.X, p3.Y, t.Mat.E, t.Mat.Nu, t.Mat.T, t.Mat.A)
+}
+
 // Stress returns the element stress components (σx, σy, τxy), constant
 // over the triangle.
 func (t *CST) Stress(m *Model, u linalg.Vector) ([]float64, error) {
@@ -250,6 +264,24 @@ type NodeAppender interface {
 // implement it; elements that do not fall back to Stress.
 type StressAppender interface {
 	AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error)
+}
+
+// StiffnessInputs is the optional interface that lets a retained
+// assembly prove an element's stiffness did not move between two solves
+// without evaluating it: the element appends every value its Stiffness
+// reads beyond the connectivity — node coordinates, material, section,
+// any field of its own — in a fixed order.  Solve records the values a
+// stiffness was assembled from and skips the numeric assembly only while
+// every element of the model, of the same concrete type as recorded,
+// appends bit-identical values (see Workspace).  The contract is that two
+// elements of one type with equal connectivity and equal inputs have
+// equal stiffnesses; an input left out is a silently stale matrix, so an
+// element that cannot list them all omits the interface and is
+// re-evaluated on every solve, and a type that embeds a Bar or CST but
+// computes its own Stiffness must override the promoted method.  Bar and
+// CST implement it.
+type StiffnessInputs interface {
+	AppendStiffnessInputs(m *Model, dst []float64) []float64
 }
 
 // appendNodes appends e's connectivity to dst through the

@@ -1,0 +1,178 @@
+package fem
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/linalg"
+)
+
+// fuzzModel picks the script's subject: a small plate or a small truss.
+func fuzzModel(t *testing.T, pick byte) (*Model, *LoadSet) {
+	t.Helper()
+	if pick%2 == 0 {
+		o := RectGridOpts{NX: 3, NY: 2, W: 3, H: 2, Mat: Steel(), ClampLeft: true}
+		m, err := RectGrid("fuzz-plate", o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, EndLoad("tip", o, 0, -500)
+	}
+	m, err := CantileverTruss("fuzz-truss", 3, 1000, 800, Steel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, TipLoad("tip", 3, 5000)
+}
+
+// runRetainedScript interprets script as a model pick followed by
+// (op, a, b) triples — edits of every kind the witness table has a row
+// for.  It solves the model once as generated and again after each edit
+// (unless the op byte says to let edits pile up), with cholesky-env and
+// cg, each solve compared bit for bit with a fresh deep copy.
+func runRetainedScript(t *testing.T, script []byte) {
+	if len(script) == 0 {
+		return
+	}
+	m, ls := fuzzModel(t, script[0])
+	original := append([]NodeCoord(nil), m.Nodes...)
+	generated := len(m.Elements)
+	d := newDifferential()
+	backends := [2]string{linalg.BackendCholeskyEnv, linalg.BackendCG}
+	for _, backend := range backends {
+		d.solve(t, "as generated, "+backend, m, ls, backend)
+	}
+	for step := 0; 3*step+3 < len(script) && step < 32; step++ {
+		op, a, b := script[3*step+1], int(script[3*step+2]), int(script[3*step+3])
+		node, other := a%len(m.Nodes), b%len(m.Nodes)
+		ei := a % len(m.Elements)
+		switch op % 16 {
+		case 1:
+			delta := 0.125 * float64(1-b%4/2*2) // exactly undone by the opposite step
+			if b%2 == 0 {
+				m.Nodes[node].X += delta
+			} else {
+				m.Nodes[node].Y += delta
+			}
+		case 2:
+			switch b % 3 {
+			case 0:
+				m.Nodes[node].X = -m.Nodes[node].X // +0 becomes -0
+			case 1:
+				m.Nodes[node].Y = math.NaN()
+			default:
+				m.Nodes[node] = original[node]
+			}
+		case 3:
+			var mat *Material
+			switch e := m.Elements[ei].(type) {
+			case *Bar:
+				mat = &e.Mat
+			case *CST:
+				mat = &e.Mat
+			case *stiffCST:
+				mat = &e.Mat
+			case *opaqueCST:
+				mat = &e.c.Mat
+			}
+			field := [4]*float64{&mat.E, &mat.Nu, &mat.T, &mat.A}[b%4]
+			if b%8 < 4 {
+				*field *= 2
+			} else {
+				*field /= 2
+			}
+		case 4:
+			if node != other && len(m.Elements) < generated+8 {
+				m.Elements = append(m.Elements, &Bar{N1: node, N2: other, Mat: Steel()})
+			}
+		case 5:
+			if len(m.Elements) > generated {
+				m.Elements = m.Elements[:len(m.Elements)-1]
+			}
+		case 6:
+			if err := m.FixDOF(a % m.NumDOF()); err != nil {
+				t.Fatal(err)
+			}
+		case 7:
+			m.Touch()
+		case 8:
+			next := deepCopy(t, m)
+			next.AdoptAssembly(m)
+			m = next
+		case 9:
+			// A new object: of the same type, or of another one with the
+			// same connectivity and inputs.
+			switch e := m.Elements[ei].(type) {
+			case *Bar:
+				cp := *e
+				m.Elements[ei] = &cp
+			case *CST:
+				cp := *e
+				m.Elements[ei] = &cp
+				if b%3 == 1 {
+					m.Elements[ei] = &stiffCST{CST: cp}
+				} else if b%3 == 2 {
+					m.Elements[ei] = &opaqueCST{c: &cp}
+				}
+			case *stiffCST:
+				cp := e.CST
+				m.Elements[ei] = &cp
+			case *opaqueCST:
+				m.Elements[ei] = e.c
+			}
+		case 10:
+			m.Nodes[node] = m.Nodes[other] // elements between the two degenerate
+		case 11:
+			copy(m.Nodes, original)
+		case 12:
+			// Public assemblies through the retained workspace leave the
+			// buffer in another summation order, or half filled.
+			if ws := m.retained.ws; ws != nil {
+				_, _ = ws.AssembleParallel(1 + b%4)
+			}
+		}
+		if op&0x10 != 0 {
+			continue
+		}
+		for i := range backends {
+			backend := backends[(i+step)%2]
+			d.solve(t, fmt.Sprintf("step %d (op %d %d %d) %s", step, op%16, a, b, backend), m, ls, backend)
+		}
+	}
+}
+
+// FuzzRetainedSolve searches for an edit sequence after which a solve
+// through the retained assembly — symbolic phase kept, numeric phase
+// skipped when the input record says nothing moved — differs in any bit
+// from solving a fresh deep copy.  The seed corpus replays the rows of
+// TestStiffnessWitnessCannotLie on the plate (pick 0) and the truss
+// (pick 1).
+func FuzzRetainedSolve(f *testing.F) {
+	for _, ops := range [][]byte{
+		{},                                // as generated
+		{1, 5, 0, 1, 5, 2},                // coordinate moved, then moved back exactly
+		{0x11, 5, 0, 0x11, 5, 2, 0, 0, 0}, // the same between two solves
+		{3, 4, 0, 3, 4, 4},                // Mat.E doubled, then halved
+		{3, 4, 1},                         // Mat.Nu
+		{3, 4, 2},                         // Mat.T
+		{3, 4, 3},                         // Mat.A
+		{2, 0, 0, 2, 0, 0},                // +0 to -0 and back
+		{2, 11, 1, 0, 0, 0, 2, 11, 2},     // NaN, re-solve, restored
+		{9, 6, 0},                         // element replaced by an equal object
+		{9, 6, 1, 0, 0, 0, 9, 6, 0},       // … by another type, and back
+		{9, 6, 2, 0, 0, 0, 0, 0, 0},       // … by one without StiffnessInputs
+		{10, 11, 6, 0, 0, 0, 11, 0, 0},    // degenerate, re-solve, exact revert
+		{12, 0, 3},                        // public AssembleParallel(4)
+		{12, 0, 0},                        // public Assemble
+		{8, 0, 0},                         // adopted by an equal model
+		{0x13, 4, 0, 8, 0, 0},             // adopted by a model with another modulus
+		{7, 0, 0},                         // Touch
+		{4, 2, 9, 5, 0, 0},                // bar added, dropped
+		{6, 9, 0},                         // one more fixed dof
+	} {
+		f.Add(append([]byte{0}, ops...))
+		f.Add(append([]byte{1}, ops...))
+	}
+	f.Fuzz(runRetainedScript)
+}

@@ -89,30 +89,38 @@ type Model struct {
 	retained retainedAssembly
 }
 
-// retainedAssembly is a model's symbolic assembly — built by its first
-// solve, or taken over from the model it replaced (AdoptAssembly) — and
-// reused by every later solve for as long as the topology holds.  mu
-// also guards the workspace's shared value buffer: a solve holds it from
-// re-assembly until its last read of K.
+// retainedAssembly is a model's assembly — built by its first solve, or
+// taken over from the model it replaced (AdoptAssembly) — and reused by
+// every later solve: the symbolic half for as long as the topology
+// holds, the assembled values for as long as the model reads back the
+// inputs they were assembled from.  mu also guards the workspace's
+// shared value buffer: a solve holds it from re-assembly until its last
+// read of K.
 type retainedAssembly struct {
 	mu sync.Mutex
 	ws *Workspace
 	// symbolic and reused count solves that built a symbolic phase and
-	// solves that skipped one; nil no-op sinks until
-	// InstrumentAssembly.
-	symbolic, reused *obs.Counter
+	// solves that skipped one, unchanged those of the latter that skipped
+	// the numeric phase too; nil no-op sinks until InstrumentAssembly.
+	symbolic, reused, unchanged *obs.Counter
 }
 
-// assembleRetained re-assembles m numerically through the retained
-// workspace, rebuilding the symbolic phase first when there is none yet
-// or the model no longer has the topology it was built from.  The
-// caller holds m.retained.mu, and keeps holding it while it reads the
-// returned K.
+// assembleRetained assembles m through the retained workspace, doing
+// only what the model's edits since the last solve require: the symbolic
+// phase when there is no workspace yet or Matches finds another
+// topology, the numeric pass unless the workspace's input record proves
+// every element stiffness is the one already summed into K.  The caller
+// holds m.retained.mu, and keeps holding it while it reads the returned
+// K.
 func (m *Model) assembleRetained() (*Assembled, error) {
 	r := &m.retained
 	if r.ws != nil && r.ws.Matches(m) {
 		r.reused.Inc()
-		return r.ws.assemble(1)
+		if r.ws.unchanged() {
+			r.unchanged.Inc()
+			return r.ws.asm, nil
+		}
+		return r.ws.assemble(1, true)
 	}
 	r.ws = nil
 	ws, err := NewWorkspace(m)
@@ -121,7 +129,7 @@ func (m *Model) assembleRetained() (*Assembled, error) {
 	}
 	r.symbolic.Inc()
 	r.ws = ws
-	return ws.assemble(1)
+	return ws.assemble(1, true)
 }
 
 // NewModel returns an empty model.
@@ -149,24 +157,29 @@ func (m *Model) AddElement(e Element) error {
 // Factors returns the model's direct-solve factor cache: one retained
 // DirectPlan per direct backend, so repeated solves of an unchanged
 // model reuse the factorisation (Solve consults it automatically).
-// Solve re-assembles the values on every call — through the model's
-// retained symbolic assembly, rebuilt whenever the topology changed —
-// and a cache hit requires them to equal the factored ones bit for bit,
-// so mutating the model — through its methods or its exported fields —
-// always triggers an in-place refactor on the next solve rather than a
-// stale answer.  This cache lives and dies with the Model object; across
-// a same-name replacement in a session it is the scheduler's name-keyed
-// cache that keeps the DirectPlan, and AdoptAssembly that keeps the
-// symbolic assembly under it (so the plan's pattern check stays a
-// pointer compare).  Safe for concurrent use.
+// Nothing tells a model it was edited, so every solve checks instead:
+// the topology by Workspace.Matches (the symbolic assembly is rebuilt
+// when it moved), the values by comparing each element's StiffnessInputs
+// bit for bit with the record the retained matrix was assembled from
+// (the numeric assembly is skipped only when all are identical), and the
+// factor by comparing the assembled values bit for bit with the factored
+// ones.  Mutating the model — through its methods or its exported
+// fields — therefore always triggers a re-assembly and an in-place
+// refactor on the next solve rather than a stale answer.  This cache
+// lives and dies with the Model object; across a same-name replacement
+// in a session it is the scheduler's name-keyed cache that keeps the
+// DirectPlan, and AdoptAssembly that keeps the assembly under it (so the
+// plan's pattern check stays a pointer compare).  Safe for concurrent
+// use.
 func (m *Model) Factors() *linalg.FactorCache { return &m.factors }
 
-// Touch drops the model's retained symbolic assembly — built by this
-// model or adopted from the one it replaced — and its cached
-// factorisations outright, forcing the next solve to rebuild the
-// sparsity pattern and the next direct solve to replan.  Topology edits
-// are detected by Workspace.Matches and value edits by value comparison
-// anyway, so Touch is only needed to release the memory early.
+// Touch drops the model's retained assembly — built by this model or
+// adopted from the one it replaced — and its cached factorisations
+// outright, forcing the next solve to rebuild the sparsity pattern and
+// the matrix and the next direct solve to replan.  Topology edits are
+// detected by Workspace.Matches and value edits by the input record and
+// the factor cache's value comparison anyway, so Touch is only needed to
+// release the memory early.
 func (m *Model) Touch() {
 	m.retained.mu.Lock()
 	m.retained.ws = nil
@@ -174,14 +187,16 @@ func (m *Model) Touch() {
 	m.factors.Invalidate()
 }
 
-// AdoptAssembly moves prev's retained symbolic assembly to m, the model
-// about to replace it under the same name, so regenerating or retrieving
-// an unchanged topology does not rebuild the sparsity pattern.  It is a
+// AdoptAssembly moves prev's retained assembly to m, the model about to
+// replace it under the same name, so regenerating or retrieving an
+// unchanged topology does not rebuild the sparsity pattern, and one with
+// unchanged values does not re-evaluate the matrix either.  It is a
 // move, never a share: prev is left without one.  Nothing is trusted —
 // m's next solve still runs Workspace.Matches against m itself and
-// rebuilds when the topology differs.  It never blocks: when a solve of
-// either model holds its assembly, or m already has one, m is left to
-// build its own.
+// rebuilds when the topology differs, then compares m's own stiffness
+// inputs with the record and re-assembles when any differs.  It never
+// blocks: when a solve of either model holds its assembly, or m already
+// has one, m is left to build its own.
 func (m *Model) AdoptAssembly(prev *Model) {
 	if prev == m || !prev.retained.mu.TryLock() {
 		return
@@ -202,12 +217,13 @@ func (m *Model) AdoptAssembly(prev *Model) {
 }
 
 // InstrumentAssembly routes the retained assembly's counts into shared
-// counters — solves that built a symbolic phase, and solves that reused
-// one — the way FactorCache.Instrument does for factor.*.  Either
-// argument may be nil.
-func (m *Model) InstrumentAssembly(symbolic, reused *obs.Counter) {
+// counters — solves that built a symbolic phase, solves that reused one,
+// and the reusing solves that found the values unchanged and skipped the
+// numeric phase too — the way FactorCache.Instrument does for factor.*.
+// Any argument may be nil.
+func (m *Model) InstrumentAssembly(symbolic, reused, unchanged *obs.Counter) {
 	m.retained.mu.Lock()
-	m.retained.symbolic, m.retained.reused = symbolic, reused
+	m.retained.symbolic, m.retained.reused, m.retained.unchanged = symbolic, reused, unchanged
 	m.retained.mu.Unlock()
 }
 

@@ -27,6 +27,9 @@ func deepCopy(t testing.TB, m *Model) *Model {
 		case *CST:
 			cp := *e
 			c.Elements = append(c.Elements, &cp)
+		case interface{ copyElement() Element }:
+			// The test-only element types of witness_test.go.
+			c.Elements = append(c.Elements, e.copyElement())
 		default:
 			t.Fatalf("deepCopy: element %d is %T", i, e)
 		}
@@ -132,7 +135,7 @@ func TestWorkspaceBoundToTopology(t *testing.T) {
 			m := mixedModel(t)
 			reg := obs.New()
 			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-			m.InstrumentAssembly(symbolic, reused)
+			m.InstrumentAssembly(symbolic, reused, nil)
 			ws, err := NewWorkspace(m)
 			if err != nil {
 				t.Fatal(err)
@@ -196,7 +199,7 @@ func TestTouchDropsRetainedAssembly(t *testing.T) {
 	m, ls := cachePlate(t)
 	reg := obs.New()
 	symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-	m.InstrumentAssembly(symbolic, reused)
+	m.InstrumentAssembly(symbolic, reused, nil)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := Solve(ctx, m, ls, SolveOpts{}); err != nil {
@@ -235,12 +238,15 @@ var retainedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 61
 func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 	backends := []string{linalg.BackendCholesky, linalg.BackendCholeskyRCM, linalg.BackendCholeskyEnv, linalg.BackendCG}
 	solved, failed, warm, adopted := 0, 0, 0, 0
+	var skipped int64
 	defer func() {
 		// Guard against a vacuous run: most comparisons must be real
-		// solves, a good share of them warm ones, and some replacements
-		// must have inherited a plan.
-		if solved < 4*failed || warm < solved/6 || adopted < len(retainedSeeds)/2 {
-			t.Errorf("%d solved (%d warm), %d failed alike, %d plans adopted: the edits no longer exercise the retained path", solved, warm, failed, adopted)
+		// solves, a good share of them warm ones, some replacements must
+		// have inherited a plan, and — four backends a step — most solves
+		// must have found the matrix unchanged and skipped the numeric
+		// assembly.
+		if solved < 4*failed || warm < solved/6 || adopted < len(retainedSeeds)/2 || skipped < int64(solved)/2 {
+			t.Errorf("%d solved (%d warm, %d unchanged), %d failed alike, %d plans adopted: the edits no longer exercise the retained path", solved, warm, skipped, failed, adopted)
 		}
 	}()
 	for _, seed := range retainedSeeds {
@@ -250,7 +256,9 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 			ls := randomLoads(rng, m)
 			reg := obs.New()
 			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-			m.InstrumentAssembly(symbolic, reused)
+			unchanged := reg.Counter(obs.AssembleUnchanged)
+			defer func() { skipped += unchanged.Load() }()
+			m.InstrumentAssembly(symbolic, reused, unchanged)
 			refCache := &linalg.FactorCache{}
 			refCtx := linalg.NewFactorCacheContext(context.Background(), refCache)
 			for step := 0; step < 12; step++ {
@@ -269,7 +277,7 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 						wantSymbolic = symbolic.Load()
 						adopted++
 					}
-					next.InstrumentAssembly(symbolic, reused)
+					next.InstrumentAssembly(symbolic, reused, unchanged)
 					next.AdoptAssembly(m)
 					if m.retained.ws != nil {
 						t.Fatalf("seed %d step %d: the replaced model kept its workspace", seed, step)
@@ -535,11 +543,11 @@ func TestAdoptedAssemblyIsCheckedBeforeReuse(t *testing.T) {
 			prev := grid(6, 4, 200000)
 			reg := obs.New()
 			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-			prev.InstrumentAssembly(symbolic, reused)
+			prev.InstrumentAssembly(symbolic, reused, nil)
 			pattern := retainedK(t, prev).RowPtr
 
 			next := tc.next()
-			next.InstrumentAssembly(symbolic, reused)
+			next.InstrumentAssembly(symbolic, reused, nil)
 			next.AdoptAssembly(prev)
 			if prev.retained.ws != nil || next.retained.ws == nil {
 				t.Fatalf("AdoptAssembly shared or dropped the workspace: prev %v next %v", prev.retained.ws != nil, next.retained.ws != nil)

@@ -96,13 +96,19 @@ type Solution struct {
 // execution.  All three paths honour ctx: a cancelled solve returns an
 // error wrapping errs.ErrCancelled.
 //
-// The symbolic assembly is planned once per model: the first solve
-// builds a Workspace and keeps it on the model (a model that replaced
-// another under the same name starts with that one's, see
-// Model.AdoptAssembly), and every later solve checks Workspace.Matches
-// and runs only the numeric scatter, rebuilding when the topology
-// changed.  The values are re-assembled every time, so results are
-// bit-identical to solving a fresh copy of the model.
+// The assembly is kept on the model: the first solve builds a Workspace
+// (a model that replaced another under the same name starts with that
+// one's, see Model.AdoptAssembly), and every later solve redoes only
+// what the model's edits require.  Workspace.Matches checks the topology
+// and the symbolic phase is rebuilt when it changed; the elements'
+// StiffnessInputs are compared bit for bit with the record the matrix
+// was assembled from and the numeric scatter runs unless all are
+// identical; the factor cache compares the assembled values bit for bit
+// before reusing a factor.  Results are bit-identical to solving a fresh
+// copy of the model.  A custom Element takes part in the middle check by
+// implementing StiffnessInputs and listing everything its Stiffness
+// reads beyond the connectivity; one that does not is simply
+// re-evaluated on every solve.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the

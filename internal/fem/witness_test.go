@@ -1,0 +1,288 @@
+package fem
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/linalg"
+	"repro/internal/obs"
+)
+
+// differential solves one model two ways and demands the same bits: the
+// way Solve does, through the model's retained assembly, and from
+// scratch on a deep copy.  Each side keeps a factor cache of its own
+// across solves, so Refactored must agree too: the reference refactors
+// exactly when the assembled values moved.
+type differential struct {
+	ctx, refCtx                 context.Context
+	symbolic, reused, unchanged *obs.Counter
+}
+
+func newDifferential() *differential {
+	reg := obs.New()
+	return &differential{
+		ctx:       linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{}),
+		refCtx:    linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{}),
+		symbolic:  reg.Counter(obs.AssembleSymbolic),
+		reused:    reg.Counter(obs.AssembleReused),
+		unchanged: reg.Counter(obs.AssembleUnchanged),
+	}
+}
+
+// firstDiff returns the first index at which a and b differ in length or
+// bit pattern (so a NaN equals itself and -0 differs from +0), -1 when
+// there is none.
+func firstDiff(a, b []float64) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// solve solves m both ways and fails the test unless the two fail with
+// the same message or agree bit for bit in K, U, Residual, Iterations,
+// Stats.Flops and Refactored.  It reports whether the retained solve
+// skipped the numeric assembly, and the error both sides returned.
+func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, backend string) (skipped bool, err error) {
+	t.Helper()
+	m.InstrumentAssembly(d.symbolic, d.reused, d.unchanged)
+	opts := SolveOpts{Backend: backend}
+	before := d.unchanged.Load()
+	got, gotErr := Solve(d.ctx, m, ls, opts)
+	skipped = d.unchanged.Load() != before
+	if d.unchanged.Load() > d.reused.Load() {
+		t.Fatalf("%s: unchanged %d exceeds reused %d", label, d.unchanged.Load(), d.reused.Load())
+	}
+
+	fresh := deepCopy(t, m)
+	var want *Solution
+	asm, wantErr := Assemble(fresh)
+	if wantErr == nil {
+		// Equal error texts below mean the retained side assembled too.
+		k := m.retained.ws.asm.K
+		if i := firstDiff(k.Val, asm.K.Val); i >= 0 {
+			t.Fatalf("%s: K.Val differs from a fresh assembly at entry %d of %d/%d (skipped %v)", label, i, len(k.Val), len(asm.K.Val), skipped)
+		}
+		want, wantErr = SolveAssembled(d.refCtx, fresh, asm, ls, opts)
+	}
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: err %v vs fresh %v", label, gotErr, wantErr)
+		}
+		return skipped, gotErr
+	}
+	if got.Refactored != want.Refactored || got.Stats.Flops != want.Stats.Flops || got.Iterations != want.Iterations ||
+		math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
+		t.Fatalf("%s: refactored/flops/iterations/residual %v/%d/%d/%g vs fresh %v/%d/%d/%g (skipped %v)", label,
+			got.Refactored, got.Stats.Flops, got.Iterations, got.Residual,
+			want.Refactored, want.Stats.Flops, want.Iterations, want.Residual, skipped)
+	}
+	if i := firstDiff(got.U, want.U); i >= 0 {
+		t.Fatalf("%s: U differs from a fresh solve at dof %d of %d/%d (skipped %v)", label, i, len(got.U), len(want.U), skipped)
+	}
+	return skipped, nil
+}
+
+// stiffCST is a second element type with a CST's connectivity, Kind and
+// stiffness inputs (all promoted from the embedded CST) but twice its
+// stiffness: what tells the two apart is the concrete type alone.
+type stiffCST struct{ CST }
+
+func (s *stiffCST) Stiffness(m *Model) (*linalg.Dense, error) {
+	ke := linalg.NewDense(6, 6)
+	if err := s.StiffnessInto(m, ke); err != nil {
+		return nil, err
+	}
+	return ke, nil
+}
+
+func (s *stiffCST) StiffnessInto(m *Model, ke *linalg.Dense) error {
+	if err := s.CST.StiffnessInto(m, ke); err != nil {
+		return err
+	}
+	for i := 0; i < ke.Rows; i++ {
+		for j := 0; j < ke.Cols; j++ {
+			ke.Set(i, j, 2*ke.At(i, j))
+		}
+	}
+	return nil
+}
+
+func (s *stiffCST) copyElement() Element { cp := *s; return &cp }
+
+// opaqueCST hides a CST behind a named field, so none of the optional
+// interfaces is promoted: an element that gives the assembly no
+// StiffnessInputs to compare.
+type opaqueCST struct{ c *CST }
+
+func (o *opaqueCST) Kind() string                              { return "opaque" }
+func (o *opaqueCST) Nodes() []int                              { return o.c.Nodes() }
+func (o *opaqueCST) Stiffness(m *Model) (*linalg.Dense, error) { return o.c.Stiffness(m) }
+func (o *opaqueCST) Stress(m *Model, u linalg.Vector) ([]float64, error) {
+	return o.c.Stress(m, u)
+}
+func (o *opaqueCST) copyElement() Element { cp := *o.c; return &opaqueCST{c: &cp} }
+
+// witnessModel is mixedModel plus one clamped node no element uses.
+func witnessModel(t *testing.T) (*Model, *LoadSet) {
+	t.Helper()
+	m := mixedModel(t)
+	if err := m.FixNode(m.AddNode(9, 9)); err != nil {
+		t.Fatal(err)
+	}
+	_, ls := cachePlate(t)
+	return m, ls
+}
+
+// skipWant is what a row expects of one solve.
+type skipWant int
+
+const (
+	skips skipWant = iota
+	assembles
+	assemblesAndFails // the numeric pass runs into an element error
+	assemblesMayFail  // a NaN matrix: what the solver makes of it is the backend's business
+	either
+)
+
+// witnessStep is one edit (nil for none) and the solve after it; edit
+// returns the model to go on with, m or its replacement.
+type witnessStep struct {
+	edit func(t *testing.T, m *Model) *Model
+	want skipWant
+}
+
+// inPlace adapts an edit that keeps the model object.
+func inPlace(f func(m *Model)) func(*testing.T, *Model) *Model {
+	return func(_ *testing.T, m *Model) *Model { f(m); return m }
+}
+
+// moved is the common row shape: the solve after the edit must assemble,
+// and the next one, nothing having moved since, must skip again.
+func moved(f func(m *Model)) []witnessStep {
+	return []witnessStep{{inPlace(f), assembles}, {nil, skips}}
+}
+
+// TestStiffnessWitnessCannotLie has one row per way a value that K
+// depends on can move — or can look as if it had not — under a model
+// that was just solved twice (a cold solve, then a control that must
+// skip).  Every solve is compared bit for bit with a fresh deep copy,
+// and assemble.unchanged says whether the numeric pass was skipped.
+func TestStiffnessWitnessCannotLie(t *testing.T) {
+	const (
+		lastNode  = 34 // top right corner: only the last two CSTs use it
+		spareNode = 35 // witnessModel's clamped node no element uses
+		barIndex  = 48 // mixedModel's stiffener
+	)
+	cst := func(m *Model, i int) *CST { return m.Elements[i].(*CST) }
+	negZero := math.Copysign(0, -1)
+	var corner NodeCoord
+	rows := []struct {
+		name  string
+		steps []witnessStep
+	}{
+		{"nothing", []witnessStep{{nil, skips}}},
+		{"coordinate of a used node", moved(func(m *Model) { m.Nodes[12].X += 0.125 })},
+		{"coordinate of a node no element uses", []witnessStep{
+			{inPlace(func(m *Model) { m.Nodes[spareNode].Y -= 3 }), either}, {nil, skips}}},
+		{"CST Mat.E", moved(func(m *Model) { cst(m, 4).Mat.E *= 1.5 })},
+		{"CST Mat.Nu", moved(func(m *Model) { cst(m, 4).Mat.Nu = 0.25 })},
+		{"CST Mat.T", moved(func(m *Model) { cst(m, 4).Mat.T *= 2 })},
+		{"CST Mat.A", moved(func(m *Model) { cst(m, 4).Mat.A *= 2 })},
+		{"Bar Mat.E", moved(func(m *Model) { m.Elements[barIndex].(*Bar).Mat.E *= 1.5 })},
+		{"Bar Mat.A", moved(func(m *Model) { m.Elements[barIndex].(*Bar).Mat.A /= 2 })},
+		{"+0 to -0 and back", []witnessStep{
+			{inPlace(func(m *Model) { m.Nodes[0].X = negZero }), assembles}, {nil, skips},
+			{inPlace(func(m *Model) { m.Nodes[0].X = 0 }), assembles}, {nil, skips}}},
+		{"NaN coordinate", []witnessStep{
+			{inPlace(func(m *Model) { corner = m.Nodes[lastNode]; m.Nodes[lastNode].X = math.NaN() }), assemblesMayFail},
+			{nil, assemblesMayFail}, // a NaN never equals the record, not even itself
+			{inPlace(func(m *Model) { m.Nodes[lastNode] = corner }), assembles}, {nil, skips}}},
+		{"element replaced by an equal object", []witnessStep{
+			{inPlace(func(m *Model) { cp := *cst(m, 6); m.Elements[6] = &cp }), skips}}},
+		{"element replaced by another type, equal connectivity and inputs",
+			moved(func(m *Model) { m.Elements[6] = &stiffCST{CST: *cst(m, 6)} })},
+		{"element without StiffnessInputs", []witnessStep{
+			{inPlace(func(m *Model) { m.Elements[6] = &opaqueCST{c: cst(m, 6)} }), assembles},
+			{nil, assembles}, {nil, assembles}}},
+		{"assembly error, re-solve, then exact revert", []witnessStep{
+			// The corner slides onto the line through the last CST's other
+			// two nodes: that element alone degenerates, after the 47
+			// before it were scattered into the zeroed buffer.  Solved
+			// again as it is, the model reads exactly as the half-made
+			// record says and must fail again; put back bit for bit, it
+			// must be assembled in full.
+			{inPlace(func(m *Model) {
+				corner = m.Nodes[lastNode]
+				p := m.Nodes[cst(m, 47).N1]
+				m.Nodes[lastNode] = NodeCoord{X: p.X, Y: p.Y + 1.5}
+			}), assemblesAndFails},
+			{nil, assemblesAndFails},
+			{inPlace(func(m *Model) { m.Nodes[lastNode] = corner }), assembles}, {nil, skips}}},
+		{"public Assemble on the retained workspace", []witnessStep{
+			{func(t *testing.T, m *Model) *Model {
+				if _, err := m.retained.ws.Assemble(); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}, assembles}, {nil, skips}}},
+		{"public AssembleParallel(4) on the retained workspace", []witnessStep{
+			{func(t *testing.T, m *Model) *Model {
+				if _, err := m.retained.ws.AssembleParallel(4); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}, assembles}, {nil, skips}}},
+		{"adopted by an equal model", []witnessStep{
+			{func(t *testing.T, m *Model) *Model {
+				next := deepCopy(t, m)
+				next.AdoptAssembly(m)
+				return next
+			}, skips}}},
+		{"adopted by a model with another modulus", []witnessStep{
+			{func(t *testing.T, m *Model) *Model {
+				next := deepCopy(t, m)
+				cst(next, 4).Mat.E *= 1.5
+				next.AdoptAssembly(m)
+				return next
+			}, assembles}, {nil, skips}}},
+		{"Touch", moved(func(m *Model) { m.Touch() })},
+		{"topology edit", moved(func(m *Model) { m.Elements = append(m.Elements, &Bar{N1: 8, N2: 30, Mat: Steel()}) })},
+	}
+	for _, backend := range []string{linalg.BackendCholeskyEnv, linalg.BackendCG} {
+		for _, row := range rows {
+			t.Run(backend+"/"+row.name, func(t *testing.T) {
+				m, ls := witnessModel(t)
+				if x := m.Nodes[0].X; x != 0 || math.Signbit(x) {
+					t.Fatalf("node 0 starts at x = %g, the ±0 row needs +0", x)
+				}
+				d := newDifferential()
+				if skipped, err := d.solve(t, "cold", m, ls, backend); skipped || err != nil {
+					t.Fatalf("cold solve: skipped %v, err %v", skipped, err)
+				}
+				if skipped, err := d.solve(t, "control", m, ls, backend); !skipped || err != nil {
+					t.Fatalf("control re-solve: skipped %v, err %v", skipped, err)
+				}
+				for i, st := range row.steps {
+					if st.edit != nil {
+						m = st.edit(t, m)
+					}
+					skipped, err := d.solve(t, fmt.Sprintf("step %d", i), m, ls, backend)
+					if st.want != either && skipped != (st.want == skips) {
+						t.Fatalf("step %d: skipped the numeric assembly = %v", i, skipped)
+					}
+					if failed := err != nil; failed != (st.want == assemblesAndFails) && st.want != assemblesMayFail {
+						t.Fatalf("step %d: err = %v", i, err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -2,6 +2,8 @@ package fem
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 
 	"repro/internal/linalg"
@@ -57,6 +59,21 @@ type Workspace struct {
 	bufs [][]float64
 	// scratch holds one element-stiffness scratch per worker.
 	scratch []*stiffScratch
+	// flops is the scatter-add count of one numeric pass: the scatter
+	// entries with both dofs free, fixed by the topology.
+	flops int64
+
+	// The witness of the values K.Val was assembled from.  witnessed is
+	// cleared before any write to the value buffer and set only by a
+	// complete, error-free sequential pass in which every element
+	// offered StiffnessInputs; while it is set, element e was of type
+	// types[e] and appended inputs[inOff[e]:inOff[e+1]].  probe is the
+	// scratch unchanged reads the current inputs into.
+	witnessed bool
+	types     []reflect.Type
+	inputs    []float64
+	inOff     []int
+	probe     []float64
 }
 
 // stiffScratch reuses one stiffness matrix per element order for
@@ -159,6 +176,7 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 		}
 	}
 	ws.pat = pat
+	ws.flops = int64(len(rows))
 	ws.asm = &Assembled{K: pat.NewCSR(), Free: free, Index: index}
 	return ws, nil
 }
@@ -218,41 +236,48 @@ func (ws *Workspace) AssembleParallel(workers int) (*Assembled, error) {
 	if !ws.Matches(ws.m) {
 		return nil, fmt.Errorf("%w: topology changed since NewWorkspace (build a new workspace)", ErrModel)
 	}
-	return ws.assemble(workers)
+	return ws.assemble(workers, false)
 }
 
 // assemble is AssembleParallel without the topology check, for callers
-// that have just run Matches themselves.
-func (ws *Workspace) assemble(workers int) (*Assembled, error) {
+// that have just run Matches themselves.  With record set (sequential
+// passes only) it leaves the witness of the pass behind; either way the
+// previous witness is gone before the buffer is touched, so a pass that
+// fails half way, or merges worker buffers in another summation order,
+// cannot be mistaken for the recorded one.
+func (ws *Workspace) assemble(workers int, record bool) (*Assembled, error) {
+	ws.witnessed = false
 	k := ws.asm.K
 	val := k.Val
 	for i := range val {
 		val[i] = 0
 	}
-	ws.asm.Stats = linalg.Stats{}
-	if workers > len(ws.m.Elements) {
-		workers = len(ws.m.Elements)
+	ne := len(ws.m.Elements)
+	if workers > ne {
+		workers = ne
 	}
 	if workers <= 1 {
-		flops, err := ws.scatterRange(0, len(ws.m.Elements), val, ws.scratchFor(1)[0])
+		if record {
+			ws.resetRecord()
+		}
+		recorded, err := ws.scatterRange(0, ne, val, ws.scratchFor(1)[0], record)
 		if err != nil {
 			return nil, err
 		}
-		ws.asm.Stats.Flops = flops
+		ws.witnessed = recorded
+		ws.asm.Stats = linalg.Stats{Flops: ws.flops}
 		return ws.asm, nil
 	}
 	bufs := ws.bufsFor(workers, len(val))
 	scratch := ws.scratchFor(workers)
-	ne := len(ws.m.Elements)
 	errs := make([]error, workers)
-	flops := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*ne/workers, (w+1)*ne/workers
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			flops[w], errs[w] = ws.scatterRange(lo, hi, bufs[w], scratch[w])
+			_, errs[w] = ws.scatterRange(lo, hi, bufs[w], scratch[w], false)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -266,23 +291,32 @@ func (ws *Workspace) assemble(workers int) (*Assembled, error) {
 		for i, v := range buf {
 			val[i] += v
 		}
-		ws.asm.Stats.Flops += flops[w]
 	}
+	ws.asm.Stats = linalg.Stats{Flops: ws.flops}
 	return ws.asm, nil
 }
 
-// scatterRange evaluates and scatters elements [lo,hi) into val.
-func (ws *Workspace) scatterRange(lo, hi int, val []float64, sc *stiffScratch) (int64, error) {
-	var flops int64
+// scatterRange evaluates and scatters elements [lo,hi) into val.  With
+// record set it also records each element's type and StiffnessInputs as
+// it goes, and reports whether every element had them to give.
+func (ws *Workspace) scatterRange(lo, hi int, val []float64, sc *stiffScratch, record bool) (bool, error) {
 	for ei := lo; ei < hi; ei++ {
 		e := ws.m.Elements[ei]
+		if record {
+			si, ok := e.(StiffnessInputs)
+			if record = ok; ok {
+				ws.types[ei] = reflect.TypeOf(e)
+				ws.inputs = si.AppendStiffnessInputs(ws.m, ws.inputs)
+				ws.inOff[ei+1] = len(ws.inputs)
+			}
+		}
 		nd := ws.ndof[ei]
 		ke, err := sc.stiffness(ws.m, e, nd)
 		if err != nil {
-			return flops, fmt.Errorf("fem: element %d: %w", ei, err)
+			return false, fmt.Errorf("fem: element %d: %w", ei, err)
 		}
 		if ke.Rows != nd || ke.Cols != nd {
-			return flops, fmt.Errorf("fem: element %d stiffness %dx%d for %d dofs", ei, ke.Rows, ke.Cols, nd)
+			return false, fmt.Errorf("fem: element %d stiffness %dx%d for %d dofs", ei, ke.Rows, ke.Cols, nd)
 		}
 		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
 		for i := 0; i < nd; i++ {
@@ -291,12 +325,54 @@ func (ws *Workspace) scatterRange(lo, hi int, val []float64, sc *stiffScratch) (
 			for j, v := range row {
 				if t := s[base+j]; t >= 0 {
 					val[t] += v
-					flops++
 				}
 			}
 		}
 	}
-	return flops, nil
+	return record, nil
+}
+
+// resetRecord empties the input record for a new recording pass,
+// allocating it on the first one.
+func (ws *Workspace) resetRecord() {
+	if ws.types == nil {
+		ne := len(ws.ndof)
+		ws.types = make([]reflect.Type, ne)
+		ws.inOff = make([]int, ne+1)
+		// Sized for the built-in elements (two coordinates a node plus a
+		// Material); another element only costs a regrowth.
+		ws.inputs = make([]float64, 0, 2*len(ws.conn)+4*ne)
+		ws.probe = make([]float64, 0, 16)
+	}
+	ws.inputs = ws.inputs[:0]
+}
+
+// unchanged reports whether the value buffer still holds exactly what a
+// numeric pass over the model would write: the last pass was recorded in
+// full, and every element is of the recorded type and appends the
+// recorded inputs.  Values compare by bit pattern, so -0 differs from +0,
+// and a NaN never equals anything.  The caller has just run Matches.
+func (ws *Workspace) unchanged() bool {
+	if !ws.witnessed {
+		return false
+	}
+	for ei, e := range ws.m.Elements {
+		si, ok := e.(StiffnessInputs)
+		if !ok || reflect.TypeOf(e) != ws.types[ei] {
+			return false
+		}
+		ws.probe = si.AppendStiffnessInputs(ws.m, ws.probe[:0])
+		rec := ws.inputs[ws.inOff[ei]:ws.inOff[ei+1]]
+		if len(ws.probe) != len(rec) {
+			return false
+		}
+		for i, v := range ws.probe {
+			if v != v || math.Float64bits(v) != math.Float64bits(rec[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // bufsFor returns w zeroed accumulation buffers of length n, reusing

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/command"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -222,5 +223,80 @@ func TestJournalCorruptRecordFails(t *testing.T) {
 	defer s.Close()
 	if _, err := s.AttachJournal(st); err == nil {
 		t.Fatal("AttachJournal accepted a corrupt record")
+	}
+}
+
+// TestPanickingExecutorFailsTheJob pins the recover boundary around a
+// job's command, on a worker goroutine (a heavy solve) and inline on the
+// submitter's (a cheap command): the panic ends that job as an ordinary
+// failure — terminal, carrying the panic text, journaled so a restarted
+// scheduler still answers it — counts server.panics once, and leaves
+// the scheduler and the model's lock usable.
+func TestPanickingExecutorFailsTheJob(t *testing.T) {
+	panicking := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		var nodes []int
+		return nil, fmt.Errorf("unreachable %d", nodes[3])
+	})
+	for _, tc := range []struct {
+		name string
+		cmd  command.Command
+	}{
+		{"worker", solveOn("plate")},
+		{"inline", command.List{What: command.ListDB}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, st := attachMem(t, 1)
+			reg := obs.New()
+			s.SetObs(reg)
+			var logged []string
+			s.SetLogf(func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+			ctx := context.Background()
+
+			id, err := s.Submit(ctx, "eng", panicking, tc.cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, panicErr := s.Wait(ctx, id)
+			if panicErr == nil || !strings.Contains(panicErr.Error(), "panic executing") || !strings.Contains(panicErr.Error(), "index out of range") {
+				t.Fatalf("Wait on the panicked job: err = %v, want the panic text", panicErr)
+			}
+			if snap, _ := s.Status(id); snap.State != Failed {
+				t.Errorf("state = %v, want failed", snap.State)
+			}
+			if got := reg.Counter(obs.ServerPanics).Load(); got != 1 {
+				t.Errorf("%s = %d, want 1", obs.ServerPanics, got)
+			}
+			if got := reg.Counter(obs.JobFailed).Load(); got != 1 {
+				t.Errorf("%s = %d, want 1", obs.JobFailed, got)
+			}
+			if len(logged) != 1 || !strings.Contains(logged[0], "goroutine") {
+				t.Errorf("logged %q, want one line with the stack", logged)
+			}
+
+			// Same model, same worker: neither was lost to the panic.
+			runN(t, s, 1)
+			next, err := s.Submit(ctx, "eng", execFunc(func(context.Context, command.Command) (command.Result, error) {
+				return &command.SolveResult{Model: "plate", Set: "l"}, nil
+			}), tc.cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Wait(ctx, next); err != nil {
+				t.Errorf("job after the panic: %v", err)
+			}
+			s.Close()
+
+			s2 := NewScheduler(1, nil)
+			defer s2.Close()
+			if _, err := s2.AttachJournal(st); err != nil {
+				t.Fatal(err)
+			}
+			if snap, _ := s2.Status(id); snap.State != Failed {
+				t.Errorf("recovered state = %v, want failed", snap.State)
+			}
+			if _, err := s2.Wait(ctx, id); err == nil || err.Error() != panicErr.Error() {
+				t.Errorf("recovered failure = %v, want %v", err, panicErr)
+			}
+		})
 	}
 }

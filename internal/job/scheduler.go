@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -127,6 +128,7 @@ type Scheduler struct {
 	mQuotaRejected   *obs.Counter
 	mJournalErrs     *obs.Counter
 	mFactorEvictions *obs.Counter
+	mPanics          *obs.Counter
 	gQueueDepth      *obs.Gauge
 	gRunning         *obs.Gauge
 	gWorkers         *obs.Gauge
@@ -191,6 +193,7 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 	s.mQuotaRejected = reg.Counter(obs.JobQuotaRejected)
 	s.mJournalErrs = reg.Counter(obs.JobJournalErrors)
 	s.mFactorEvictions = reg.Counter(obs.FactorEvictions)
+	s.mPanics = reg.Counter(obs.ServerPanics)
 	s.gQueueDepth = reg.Gauge(obs.JobQueueDepth)
 	s.gRunning = reg.Gauge(obs.JobRunning)
 	s.gWorkers = reg.Gauge(obs.JobWorkers)
@@ -522,7 +525,7 @@ func (s *Scheduler) execute(j *job) {
 		ctx = linalg.NewFactorCacheContext(ctx, s.FactorCache(j.model))
 	}
 	start := time.Now()
-	res, err := j.ex.Do(ctx, j.cmd)
+	res, err := s.do(ctx, j)
 	elapsed := time.Since(start)
 	j.cancel()
 
@@ -554,6 +557,23 @@ func (s *Scheduler) execute(j *job) {
 	close(j.done)
 	s.finishLocked(j)
 	s.mu.Unlock()
+}
+
+// do runs the job's command on its executor.  A panic in there becomes
+// the job's error, so it ends an ordinary failed job — recorded,
+// journaled, its model lock released — where it would have ended the
+// process and every other tenant's work with it.
+func (s *Scheduler) do(ctx context.Context, j *job) (res command.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.mPanics.Inc()
+			s.mu.Lock()
+			s.logfLocked("job: %s: panic executing %q: %v\n%s", j.id, command.Verb(j.cmd), p, debug.Stack())
+			s.mu.Unlock()
+			res, err = nil, fmt.Errorf("job: panic executing %q: %v", command.Verb(j.cmd), p)
+		}
+	}()
+	return j.ex.Do(ctx, j.cmd)
 }
 
 // Status returns a snapshot of one job.  Ids retention has evicted

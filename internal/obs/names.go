@@ -41,6 +41,7 @@ const (
 	ServerFramesIn      = "server.frames_in"      // counter: request frames decoded
 	ServerFramesOut     = "server.frames_out"     // counter: response/notification frames written
 	ServerQuotaRejected = "server.quota_rejected" // counter: requests answered with the quota code
+	ServerPanics        = "server.panics"         // counter: panics recovered while executing a command (request goroutine or scheduled job), answered as errors
 	ServerRequestPrefix = "server.request."       // histogram family: decode-to-reply latency per verb
 
 	// Direct-solve factor cache (internal/linalg + scheduler eviction).
@@ -49,9 +50,10 @@ const (
 	FactorRefactors = "factor.refactors" // counter: numeric refactorisations (misses included)
 	FactorEvictions = "factor.evictions" // counter: per-model caches dropped by the scheduler bound
 
-	// Retained symbolic assembly (internal/fem Solve).
-	AssembleSymbolic = "assemble.symbolic" // counter: solves that built a symbolic assembly (no plan to inherit, or topology changed)
-	AssembleReused   = "assemble.reused"   // counter: solves that skipped the symbolic phase (numeric re-assembly only)
+	// Retained assembly (internal/fem Solve).
+	AssembleSymbolic  = "assemble.symbolic"  // counter: solves that built a symbolic assembly (no plan to inherit, or topology changed)
+	AssembleReused    = "assemble.reused"    // counter: solves that skipped the symbolic phase (numeric re-assembly at most)
+	AssembleUnchanged = "assemble.unchanged" // counter: reusing solves that skipped the numeric phase too (every stiffness input bit-identical to the record); always <= assemble.reused
 
 	// Network client (internal/client).
 	ClientReconnects = "client.reconnects" // counter: dead connections replaced

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +79,7 @@ type Server struct {
 	mFramesIn      *obs.Counter
 	mFramesOut     *obs.Counter
 	mQuotaRejected *obs.Counter
+	mPanics        *obs.Counter
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -99,6 +101,7 @@ func New(sys *core.System, cfg Config) *Server {
 	s.mFramesIn = s.obs.Counter(obs.ServerFramesIn)
 	s.mFramesOut = s.obs.Counter(obs.ServerFramesOut)
 	s.mQuotaRejected = s.obs.Counter(obs.ServerQuotaRejected)
+	s.mPanics = s.obs.Counter(obs.ServerPanics)
 	return s
 }
 
@@ -447,7 +450,7 @@ func (c *conn) handleCommand(req *wire.Request) {
 	}
 	sess := c.session("")
 	start := time.Now()
-	res, err := sess.Do(ctx, cmd)
+	res, err := c.do(ctx, sess, cmd)
 	c.srv.obs.Histogram(obs.ServerRequestPrefix + command.Verb(cmd)).Observe(time.Since(start))
 	if errors.Is(err, job.ErrQuota) {
 		c.srv.mQuotaRejected.Inc()
@@ -471,6 +474,21 @@ func (c *conn) handleCommand(req *wire.Request) {
 		// quit ends the connection after its reply is flushed.
 		c.cancel()
 	}
+}
+
+// do executes one command on the connection's session.  A panic in there
+// becomes the request's error, answered with the internal code, where it
+// would have ended the daemon and every other connection with it.
+// (Scheduled jobs have their own boundary in job.Scheduler.)
+func (c *conn) do(ctx context.Context, sess *auvm.Session, cmd command.Command) (res command.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.srv.mPanics.Inc()
+			c.srv.logf("conn-%d: panic executing %q: %v\n%s", c.id, command.Verb(cmd), p, debug.Stack())
+			res, err = nil, fmt.Errorf("server: panic executing %q: %v", command.Verb(cmd), p)
+		}
+	}()
+	return sess.Do(ctx, cmd)
 }
 
 // wireError maps a server-side error onto its wire code, carrying the

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +13,9 @@ import (
 	"repro/internal/command"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fem"
+	"repro/internal/linalg"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -230,5 +235,98 @@ func TestProtocolViolations(t *testing.T) {
 	old := &wire.Request{ID: 1, Hello: &wire.Hello{User: "eng", Proto: command.ProtocolVersion - 1}}
 	if resp := q.roundTrip(old); resp.Error == nil || resp.Error.Code != wire.CodeProto {
 		t.Errorf("hello at an old revision: %+v, want code %q", resp, wire.CodeProto)
+	}
+}
+
+// brokenElement is a custom element whose stiffness indexes past a
+// slice: the daemon-killing class PR 13 and 14 each fixed one instance
+// of at source.
+type brokenElement struct{ *fem.CST }
+
+func (brokenElement) StiffnessInto(*fem.Model, *linalg.Dense) error {
+	var dofs []int
+	_ = dofs[6]
+	return nil
+}
+
+// TestPanicBecomesErrorReply plants a panicking element in a
+// connection's model and solves it both ways — synchronously on the
+// request goroutine, and as a scheduled job on a worker.  Each panic
+// must come back as an error (the internal code; a failed job), move
+// server.panics by one, log its stack, and leave the connection and the
+// daemon answering.
+func TestPanicBecomesErrorReply(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	var mu sync.Mutex
+	var logged []string
+	srv := New(sys, Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	dial := serve(t, srv)
+	p := dial()
+	for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+		if code, resp := p.do(cmd); code != "" {
+			t.Fatalf("%v: %+v", cmd, resp.Error)
+		}
+	}
+	// The replies are in, so nothing else touches the session's model.
+	m := sys.Session("anon@conn-1").WS.Model("g")
+	m.Elements[3] = brokenElement{m.Elements[3].(*fem.CST)}
+	panics := sys.Obs.Counter(obs.ServerPanics)
+	solve := command.Solve{Model: "g", Set: "l"}
+
+	code, resp := p.do(solve)
+	if code != wire.CodeInternal || !strings.Contains(resp.Error.Message, `panic executing "solve"`) ||
+		!strings.Contains(resp.Error.Message, "index out of range") {
+		t.Fatalf("synchronous solve: %+v, want code %q carrying the panic text", resp.Error, wire.CodeInternal)
+	}
+	if got := panics.Load(); got != 1 {
+		t.Errorf("%s = %d after the synchronous solve, want 1", obs.ServerPanics, got)
+	}
+
+	code, resp = p.do(command.Submit{Cmd: solve})
+	if code != "" {
+		t.Fatalf("submit: %+v", resp.Error)
+	}
+	res, err := command.UnmarshalResult(resp.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := res.(*command.SubmitResult).ID
+	if code, resp = p.do(command.Wait{ID: id}); code != wire.CodeInternal || !strings.Contains(resp.Error.Message, "index out of range") {
+		t.Errorf("wait on the panicked job: %+v, want code %q carrying the panic text", resp.Error, wire.CodeInternal)
+	}
+	if code, resp = p.do(command.Status{ID: id}); code != "" {
+		t.Fatalf("status: %+v", resp.Error)
+	}
+	if res, err = command.UnmarshalResult(resp.Result); err != nil {
+		t.Fatal(err)
+	}
+	if st := res.(*command.JobStatusResult); st.State != command.JobFailed || !strings.Contains(st.Error, "panic executing") {
+		t.Errorf("status of the panicked job: %+v, want failed with the panic text", st)
+	}
+	if got := panics.Load(); got != 2 {
+		t.Errorf("%s = %d after the scheduled solve, want 2", obs.ServerPanics, got)
+	}
+
+	// This connection, and a new one, still answer.
+	if code, _ := p.do(command.Ping{}); code != "" {
+		t.Errorf("ping after the panics: %q", code)
+	}
+	if code, _ := dial().do(command.Ping{}); code != "" {
+		t.Errorf("ping on a new connection: %q", code)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	stacks := 0
+	for _, line := range logged {
+		if strings.Contains(line, "panic executing") && strings.Contains(line, "goroutine") {
+			stacks++
+		}
+	}
+	if stacks != 1 {
+		t.Errorf("%d logged stacks from the request goroutine, want 1 (the job's goes to the scheduler's log): %q", stacks, logged)
 	}
 }

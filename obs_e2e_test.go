@@ -133,8 +133,9 @@ func TestServerCountersMoveOverWire(t *testing.T) {
 // TestWarmSolvesReuseSymbolicAssembly pins the assemble.* counters over
 // the wire: the first solve of a model builds its symbolic assembly,
 // and N further solves of the unchanged model — scheduled and
-// synchronous alike — move assemble.reused by exactly N and
-// assemble.symbolic by 0, while factor.refactors stays put.
+// synchronous alike — move assemble.reused and assemble.unchanged by
+// exactly N and assemble.symbolic by 0, while factor.refactors stays
+// put.
 func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
 	defer srv.Shutdown(context.Background())
@@ -173,6 +174,7 @@ func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 		want int64
 	}{
 		{obs.AssembleReused, n},
+		{obs.AssembleUnchanged, n},
 		{obs.AssembleSymbolic, 0},
 		{obs.FactorRefactors, 0},
 		{obs.FactorHits, n},
@@ -186,8 +188,11 @@ func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 // TestRegeneratedPlateKeepsSymbolicAssembly pins the hand-over over the
 // wire: N rounds of material + the same generate grid + solve replace
 // the model object N times, yet only the first solve builds a symbolic
-// assembly — every later one inherits it — while each new modulus still
-// refactors, so every reply says Refactored.
+// assembly — every later one inherits it.  With a new modulus each
+// round every solve re-assembles and refactors, so every reply says
+// Refactored; with the same modulus the regenerated plate reads back the
+// inputs the inherited matrix was assembled from, so every solve skips
+// the numeric assembly and answers from the warm factor.
 func TestRegeneratedPlateKeepsSymbolicAssembly(t *testing.T) {
 	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
 	defer srv.Shutdown(context.Background())
@@ -197,37 +202,52 @@ func TestRegeneratedPlateKeepsSymbolicAssembly(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	before := remoteCounters(t, cl)
 
 	const n = 5
-	for i := 0; i < n; i++ {
-		if _, err := cl.Do(ctx, fem2.SetMaterial{E: 200000 + 1000*float64(i), Nu: 0.3, T: 10, A: 100}); err != nil {
-			t.Fatal(err)
-		}
-		remotePlate(t, cl, "plate", 8, 4)
-		res, err := cl.Do(ctx, fem2.SolveCommand{Model: "plate", Set: "tip", Method: "cholesky-env"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.(*fem2.SolveResult).Refactored {
-			t.Errorf("round %d: a new modulus answered from a warm factor", i)
-		}
-	}
-	after := remoteCounters(t, cl)
-	for _, c := range []struct {
+	type move struct {
 		name string
 		want int64
-	}{
+	}
+	rounds := func(label string, modulus func(i int) float64, refactored bool, moves []move) {
+		t.Helper()
+		before := remoteCounters(t, cl)
+		for i := 0; i < n; i++ {
+			if _, err := cl.Do(ctx, fem2.SetMaterial{E: modulus(i), Nu: 0.3, T: 10, A: 100}); err != nil {
+				t.Fatal(err)
+			}
+			remotePlate(t, cl, "plate", 8, 4)
+			res, err := cl.Do(ctx, fem2.SolveCommand{Model: "plate", Set: "tip", Method: "cholesky-env"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.(*fem2.SolveResult).Refactored; got != refactored {
+				t.Errorf("%s, round %d: Refactored = %v, want %v", label, i, got, refactored)
+			}
+		}
+		after := remoteCounters(t, cl)
+		for _, c := range moves {
+			if got := statVal(after, c.name) - max(statVal(before, c.name), 0); got != c.want {
+				t.Errorf("%s: %d regenerate+solve rounds moved %s by %d, want %d", label, n, c.name, got, c.want)
+			}
+		}
+	}
+	rounds("new modulus each round", func(i int) float64 { return 200000 + 1000*float64(i) }, true, []move{
 		{obs.AssembleSymbolic, 1},
 		{obs.AssembleReused, n - 1},
+		{obs.AssembleUnchanged, 0},
 		{obs.FactorRefactors, n},
 		{obs.FactorMisses, 1},
 		{obs.FactorHits, 0},
-	} {
-		if got := statVal(after, c.name) - max(statVal(before, c.name), 0); got != c.want {
-			t.Errorf("%d regenerate+solve rounds moved %s by %d, want %d", n, c.name, got, c.want)
-		}
-	}
+	})
+	last := 200000 + 1000*float64(n-1)
+	rounds("same modulus regenerated", func(int) float64 { return last }, false, []move{
+		{obs.AssembleSymbolic, 0},
+		{obs.AssembleReused, n},
+		{obs.AssembleUnchanged, n},
+		{obs.FactorRefactors, 0},
+		{obs.FactorMisses, 0},
+		{obs.FactorHits, n},
+	})
 }
 
 // TestStatsAnswersLocally pins the local path: a plain session answers
