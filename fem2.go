@@ -685,9 +685,10 @@ func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 // Stresses recovers element stresses from a solution.
 func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresses(m, sol) }
 
-// The plan-once layer.  Solve keeps three pieces of state per model and
-// redoes none of them on a re-solve of an unchanged model — and, since
-// nothing tells a Model it was edited, re-checks each on every solve.
+// The plan-once layer.  Solve keeps three pieces of state per model —
+// on the Model, its one owner — and redoes none of them on a re-solve
+// of an unchanged model; since nothing tells a Model it was edited, it
+// re-checks each on every solve.
 //
 // Assemble-once: the first solve builds the model's symbolic assembly
 // (sparsity pattern + scatter maps) and keeps it on the Model with the
@@ -701,13 +702,16 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // AppendStiffnessInputs(m *Model, dst []float64) []float64 and appending
 // everything its Stiffness reads beyond the connectivity; one that does
 // not is re-evaluated on every solve.
-// Inside a session the assembly follows the model name: generate,
-// retrieve and restore hand the replaced model's workspace to the new
-// object, which runs the same checks against itself before trusting any
-// of it.
+// Inside a session this state follows the model name: generate,
+// retrieve and restore hand the replaced model's assembly and factor
+// cache, as one unit, to the new object, which runs the same checks
+// against itself before trusting any of it.  Nothing else moves a
+// factor between Model objects: same-name models of different sessions
+// keep a plan each, and two sessions that retrieve one stored model
+// factor it once each.
 //
 // Factor-once: direct solves through Solve, the REPL's solve verb, and
-// the job service all consult a per-model FactorCache automatically:
+// the job service all go through the Model's own FactorCache:
 // the first solve of a topology plans and factors, later solves of the
 // unchanged model cost one triangular solve (Solution.Refactored /
 // SolveResult.Refactored report which happened), and a model whose
@@ -745,9 +749,8 @@ func NewDirectPlan(a *linalg.CSR, opts PlanOpts) (*DirectPlan, error) {
 	return linalg.NewDirectPlan(a, opts)
 }
 
-// FactorCache retains one DirectPlan per direct backend.  Models carry
-// one (Model.Factors), the job scheduler keeps one per model name
-// (JobScheduler.FactorCache), and Solve consults them automatically —
+// FactorCache retains one DirectPlan per direct backend.  Every Model
+// owns one (Model.Factors) and Solve goes through it automatically —
 // reach for the type directly only to share factors across hand-built
 // systems.
 type FactorCache = linalg.FactorCache

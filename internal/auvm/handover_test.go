@@ -66,11 +66,14 @@ func (spec modelSpec) generate(t *testing.T, s *Session) {
 // set, retrieve it from the database, restore it from a snapshot, or
 // just solve it again.  Every replacement goes through
 // Workspace.PutModel; after each step the four backends must answer
-// bitwise what a fresh session answers for the same model (both sides
-// keep a name-keyed factor cache, as the scheduler does, so Refactored
-// is compared too), assemble.symbolic must move exactly when the
-// topology did, and assemble.unchanged must count every solve but the
-// first after the topology or the modulus moved.
+// bitwise what a fresh session answers for the same model — Refactored
+// and Flops included: a direct backend must refactor exactly when the
+// topology or the modulus moved since the step before (it solved then,
+// and the factors followed the name here), so where it must not, the
+// fresh session solves twice and its warm answer is the reference —
+// assemble.symbolic must move exactly when the topology did, and
+// assemble.unchanged must count every solve but the first after the
+// topology or the modulus moved.
 func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 	methods := []command.Method{command.MethodCholesky, command.MethodCholeskyRCM, command.MethodCholeskyEnv, command.MethodCG}
 	rebuilt, inherited := 0, 0
@@ -81,8 +84,7 @@ func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 			s.Obs = obs.New()
 			symbolic, reused := s.Obs.Counter(obs.AssembleSymbolic), s.Obs.Counter(obs.AssembleReused)
 			unchanged := s.Obs.Counter(obs.AssembleUnchanged)
-			ctx := linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{})
-			refCtx := linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{})
+			ctx := context.Background()
 			snap := filepath.Join(t.TempDir(), "ws.snap")
 
 			spec := modelSpec{nx: 3 + rng.Intn(4), ny: 2 + rng.Intn(3), clamp: true, e: 200000}
@@ -140,7 +142,8 @@ func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 				}
 				wantReused := reused.Load() + int64(len(methods)) - (wantSymbolic - symbolic.Load())
 				wantUnchanged := unchanged.Load() + int64(len(methods))
-				if planned != spec.topology() || assembledE != spec.e {
+				moved := planned != spec.topology() || assembledE != spec.e
+				if moved {
 					wantUnchanged-- // the step's first solve assembles, the rest find it unchanged
 				}
 
@@ -153,11 +156,17 @@ func TestReplacedModelKeepsPlanThroughWorkspace(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					refRes, err := fresh.Do(refCtx, solve)
+					refRes, err := fresh.Do(ctx, solve)
+					if err == nil && !moved && method != command.MethodCG {
+						refRes, err = fresh.Do(ctx, solve)
+					}
 					if err != nil {
 						t.Fatalf("%s: fresh session: %v", label, err)
 					}
 					got, want := res.(*command.SolveResult), refRes.(*command.SolveResult)
+					if wantRefactored := moved || method == command.MethodCG; want.Refactored != wantRefactored {
+						t.Fatalf("%s: the reference answers Refactored=%v, want %v", label, want.Refactored, wantRefactored)
+					}
 					if *got != *want {
 						t.Fatalf("%s: result\n got %+v\nwant %+v", label, *got, *want)
 					}
@@ -227,8 +236,12 @@ func TestReplaceModelWhileSolveInFlight(t *testing.T) {
 	w := NewWorkspace()
 	old, ls := plate(200000)
 	w.PutModel(old)
-	if _, err := fem.Solve(ctx, old, ls, fem.SolveOpts{Backend: linalg.BackendCG}); err != nil {
-		t.Fatal(err)
+	// The replaced model holds a plan and a factor for the backend the
+	// replacement will ask for: what a hand-over would have moved.
+	for _, backend := range []string{linalg.BackendCholeskyEnv, linalg.BackendCG} {
+		if _, err := fem.Solve(ctx, old, ls, fem.SolveOpts{Backend: backend}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	inFlight, release := make(chan struct{}), make(chan struct{})
@@ -251,7 +264,8 @@ func TestReplaceModelWhileSolveInFlight(t *testing.T) {
 	next, _ := plate(70000)
 	reg := obs.New()
 	symbolic := reg.Counter(obs.AssembleSymbolic)
-	next.InstrumentAssembly(symbolic, nil, nil)
+	misses := reg.Counter(obs.FactorMisses)
+	next.Instrument(reg)
 	put := make(chan struct{})
 	go func() {
 		defer close(put)
@@ -269,8 +283,12 @@ func TestReplaceModelWhileSolveInFlight(t *testing.T) {
 	if err != nil || oldErr != nil {
 		t.Fatalf("solve of the replacement: %v; paused solve of the replaced model: %v", err, oldErr)
 	}
-	if symbolic.Load() != 1 {
-		t.Errorf("the replacement ran %d symbolic phases, want 1: the busy plan must not be handed over", symbolic.Load())
+	if symbolic.Load() != 1 || misses.Load() != 1 || !nextSol.Refactored {
+		t.Errorf("the replacement ran %d symbolic phases and %d direct plans, Refactored=%v; want 1 1 true: the busy state must not be handed over",
+			symbolic.Load(), misses.Load(), nextSol.Refactored)
+	}
+	if next.Factors() == old.Factors() || old.Factors().Generation() != 1 {
+		t.Error("the replaced model lost its factors to a hand-over that must not have happened")
 	}
 	sameU("replacement", nextSol, wantNext)
 	sameU("replaced model, paused across the replacement", oldSol, wantOld)

@@ -20,7 +20,7 @@ import (
 func jobSession(t *testing.T, workers int) *Session {
 	t.Helper()
 	s := newSession(t)
-	s.Jobs = job.NewScheduler(workers, s.Metrics)
+	s.Jobs = job.NewScheduler(workers)
 	t.Cleanup(s.Jobs.Close)
 	return s
 }

@@ -13,7 +13,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/fem"
 	"repro/internal/job"
-	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/navm"
 	"repro/internal/obs"
@@ -131,16 +130,6 @@ func statsResult(snap obs.Snapshot) *command.StatsResult {
 	return res
 }
 
-// collector resolves the metrics sink for one request: a context-carried
-// override (the job scheduler's per-job Tee collector) when present, the
-// session's shared collector otherwise.
-func (s *Session) collector(ctx context.Context) *metrics.Collector {
-	if c, ok := metrics.FromContext(ctx); ok {
-		return c
-	}
-	return s.Metrics
-}
-
 // Execute interprets one command line and returns its display output.
 // It is ExecuteContext under context.Background() — the no-deadline
 // spelling for REPLs and scripts.
@@ -158,7 +147,7 @@ func (s *Session) ExecuteContext(ctx context.Context, line string) (string, erro
 	if err != nil {
 		// A malformed line still counts as an AUVM operation, exactly
 		// as the pre-AST interpreter charged it.
-		s.collector(ctx).Add(metrics.LevelAUVM, metrics.CtrOps, 1)
+		s.Metrics.Add(metrics.LevelAUVM, metrics.CtrOps, 1)
 		return "", err
 	}
 	if cmd == nil { // blank line or comment
@@ -199,9 +188,9 @@ func (s *Session) Do(ctx context.Context, cmd command.Command) (command.Result, 
 	cmd = command.Value(cmd)
 	// Charge the op before the cancellation check so request accounting
 	// sees every command, shed or served — matching Execute, which
-	// charges even malformed lines.  The collector is the per-job one
-	// when this command runs as a job.
-	s.collector(ctx).Add(metrics.LevelAUVM, metrics.CtrOps, 1)
+	// charges even malformed lines.  Exactly one op per command: the job
+	// scheduler records the same 1 for a job it dispatched here.
+	s.Metrics.Add(metrics.LevelAUVM, metrics.CtrOps, 1)
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}
@@ -547,17 +536,10 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 		return nil, fmt.Errorf("auvm: no load set %q on model %q: %w",
 			c.Set, c.Model, errs.ErrNotFound)
 	}
-	// Cacheable direct solves ride the system's per-model-name factor
-	// cache when a front end is attached, so a REPL user's repeated
-	// solves, and jobs from any session on the same model, share one
-	// factorisation.  A job context already carries the scheduler's
-	// cache; the synchronous path attaches the same one here.
-	if s.Jobs != nil && job.CacheableSolve(c) {
-		if _, ok := linalg.FactorCacheFromContext(ctx); !ok {
-			ctx = linalg.NewFactorCacheContext(ctx, s.Jobs.FactorCache(c.Model))
-		}
-	}
-	m.InstrumentAssembly(s.Obs.Counter(obs.AssembleSymbolic), s.Obs.Counter(obs.AssembleReused), s.Obs.Counter(obs.AssembleUnchanged))
+	// The model owns everything a re-solve reuses — assembly and factors
+	// — so synchronous solves and jobs on it share both; this only points
+	// their counters at the system registry (resolved once per model).
+	m.Instrument(s.Obs)
 	// One context-aware solve path: the command maps onto SolveOpts and
 	// fem.Solve routes to sequential, distributed, or substructured
 	// execution through the solver registry.

@@ -45,9 +45,10 @@ func NewWorkspace() *Workspace {
 }
 
 // PutModel stores (or replaces) a model in the workspace.  A replacement
-// takes over the retained symbolic assembly of the model it displaces —
-// generate, retrieve and restore all replace through here — and its
-// next solve checks that plan against its own topology before reuse.
+// takes over the retained solve state — assembly and factor cache — of
+// the model it displaces: generate, retrieve and restore all replace
+// through here, this is the only way that state changes hands, and the
+// replacement's next solve checks all of it against itself before reuse.
 func (w *Workspace) PutModel(m *fem.Model) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

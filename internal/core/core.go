@@ -371,7 +371,7 @@ func Open(o Options) (*System, error) {
 	s.Database = auvm.NewDatabaseOn(s.Store, o.Store.BackendName())
 	s.Store.SetObs(s.Obs)
 	guard.SetObs(s.Obs)
-	s.Jobs = job.NewScheduler(o.Workers, s.Metrics)
+	s.Jobs = job.NewScheduler(o.Workers)
 	s.Jobs.SetObs(s.Obs)
 	if co != nil {
 		s.Jobs.SetJournal(s.Store)

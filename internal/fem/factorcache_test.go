@@ -2,9 +2,11 @@ package fem
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 // cachePlate builds the small plate fixture the cache tests solve.
@@ -142,34 +144,132 @@ func TestSolveFactorCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestSolveContextCarriedCache checks a context-carried cache outranks
-// the model's own — the channel the job scheduler shares one cache per
-// model name across sessions.
-func TestSolveContextCarriedCache(t *testing.T) {
-	m, ls := cachePlate(t)
-	shared := &linalg.FactorCache{}
-	ctx := linalg.NewFactorCacheContext(context.Background(), shared)
-	if _, err := Solve(ctx, m, ls, SolveOpts{}); err != nil {
-		t.Fatal(err)
+// TestHandOverCarriesFactor pins the one way a factor follows a model
+// name: the replacement adopts the replaced model's factor cache along
+// with its assembly.  An equal replacement solves warm off the very plan
+// and factor the old object computed, one that differs in values
+// refactors in place without replanning, and the replaced object is left
+// with nothing — a move, never a share.
+func TestHandOverCarriesFactor(t *testing.T) {
+	for _, backend := range []string{linalg.BackendCholesky, linalg.BackendCholeskyRCM, linalg.BackendCholeskyEnv} {
+		t.Run(backend, func(t *testing.T) {
+			ctx := context.Background()
+			opts := SolveOpts{Backend: backend}
+			reg := obs.New()
+			misses, refactors := reg.Counter(obs.FactorMisses), reg.Counter(obs.FactorRefactors)
+			prev, ls := cachePlate(t)
+			prev.Instrument(reg)
+			cold, err := Solve(ctx, prev, ls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := prev.Factors()
+
+			next, _ := cachePlate(t)
+			next.AdoptAssembly(prev)
+			if next.Factors() != cache || prev.Factors() == cache {
+				t.Fatal("the factor cache was not moved to the replacement")
+			}
+			warm, err := Solve(ctx, next, ls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No refactor and no miss means no new plan either: a fresh
+			// DirectPlan is unfactored.
+			if warm.Refactored || cache.Generation() != 1 || misses.Load() != 1 || refactors.Load() != 1 {
+				t.Errorf("equal replacement: Refactored %v, generation %d, misses %d, refactors %d; want false 1 1 1",
+					warm.Refactored, cache.Generation(), misses.Load(), refactors.Load())
+			}
+			if i := firstDiff(warm.U, cold.U); i >= 0 {
+				t.Errorf("equal replacement: U differs from the replaced model's at dof %d", i)
+			}
+
+			softer, _ := cachePlate(t)
+			softer.Elements[3].(*CST).Mat.E /= 2
+			softer.AdoptAssembly(next)
+			got, err := Solve(ctx, softer, ls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Refactored || misses.Load() != 1 || refactors.Load() != 2 {
+				t.Errorf("softer replacement: Refactored %v, misses %d, refactors %d; want true 1 2 (the plan is kept, the factor is not)",
+					got.Refactored, misses.Load(), refactors.Load())
+			}
+			alone, _ := cachePlate(t)
+			alone.Elements[3].(*CST).Mat.E /= 2
+			want, err := Solve(ctx, alone, ls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := firstDiff(got.U, want.U); i >= 0 {
+				t.Errorf("softer replacement: U differs from a stand-alone solve at dof %d", i)
+			}
+
+			// The emptied models start over when solved again.
+			again, err := Solve(ctx, prev, ls, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !again.Refactored || prev.Factors().Generation() != 1 {
+				t.Errorf("replaced model solved again: Refactored %v, generation %d; want true 1", again.Refactored, prev.Factors().Generation())
+			}
+		})
 	}
-	if g := shared.Generation(); g != 1 {
-		t.Errorf("shared cache generation = %d, want 1", g)
-	}
-	if g := m.Factors().Generation(); g != 0 {
-		t.Errorf("model cache generation = %d, want 0 (context cache should have served)", g)
-	}
-	// A second model with identical assembly shares the factor through
-	// the same context cache.
-	m2, ls2 := cachePlate(t)
-	sol, err := Solve(ctx, m2, ls2, SolveOpts{})
+}
+
+// TestFactorReuseComparesBitPatterns pins "bit for bit": the factor is
+// reused only when every assembled value has the bit pattern it was
+// factored from, by the stiffness witness's rule — a zero that changed
+// sign is a change, and a NaN equals nothing, itself included.
+func TestFactorReuseComparesBitPatterns(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	// SPD with one stored off-diagonal zero pair, entries 2 and 6.
+	k, err := linalg.NewCSRFromTriplets(3, []linalg.Triplet{
+		{Row: 0, Col: 0, Val: 4}, {Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 2, Val: 0},
+		{Row: 1, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 4}, {Row: 1, Col: 2, Val: 1},
+		{Row: 2, Col: 0, Val: 0}, {Row: 2, Col: 1, Val: 1}, {Row: 2, Col: 2, Val: 4},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Refactored {
-		t.Error("identical model through shared cache refactored")
+	if len(k.Val) != 9 || k.Val[2] != 0 || k.Val[6] != 0 {
+		t.Fatalf("fixture lost its stored zeros: %v", k.Val)
 	}
-	if g := shared.Generation(); g != 1 {
-		t.Errorf("shared cache generation after second model = %d, want 1", g)
+	b := linalg.Vector{1, 2, 3}
+	for _, backend := range []string{linalg.BackendCholesky, linalg.BackendCholeskyEnv} {
+		m := NewModel("bits")
+		for i, step := range []struct {
+			name       string
+			edit       func()
+			refactored bool
+		}{
+			{"cold", func() {}, true},
+			{"unchanged", func() {}, false},
+			{"+0 to -0", func() { k.Val[2], k.Val[6] = negZero, negZero }, true},
+			{"unchanged -0", func() {}, false},
+			{"-0 back to +0", func() { k.Val[2], k.Val[6] = 0, 0 }, true},
+			{"NaN", func() { k.Val[2], k.Val[6] = math.NaN(), math.NaN() }, true},
+			{"the same NaN again", func() {}, true},
+			{"restored", func() { k.Val[2], k.Val[6] = 0, 0 }, true},
+			{"unchanged again", func() {}, false},
+		} {
+			step.edit()
+			x, refactored, err := m.Factors().SolveCached(backend, k, b, nil)
+			if refactored != step.refactored {
+				t.Errorf("%s step %d (%s): refactored = %v, want %v (err %v)", backend, i, step.name, refactored, step.refactored, err)
+			}
+			if err == nil && k.Val[2] == 0 {
+				want, err := linalg.SolveCholeskyRCM(k, b, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if math.Abs(x[j]-want[j]) > 1e-12 {
+						t.Errorf("%s step %d (%s): x[%d] = %g, want %g", backend, i, step.name, j, x[j], want[j])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func runRetainedScript(t *testing.T, script []byte) {
 				t.Fatal(err)
 			}
 		case 7:
-			m.Touch()
+			d.touch(m)
 		case 8:
 			next := deepCopy(t, m)
 			next.AdoptAssembly(m)

@@ -82,27 +82,43 @@ type Model struct {
 	Elements []Element
 
 	fixed map[int]bool
-	// factors caches direct-solve factorisations of this model's
-	// assembled system; see Factors.
-	factors linalg.FactorCache
-	// retained is the symbolic assembly Solve keeps between solves.
-	retained retainedAssembly
+	// retained is everything a re-solve reuses; see retainedSolve.
+	retained struct {
+		mu sync.Mutex
+		retainedSolve
+	}
 }
 
-// retainedAssembly is a model's assembly — built by its first solve, or
-// taken over from the model it replaced (AdoptAssembly) — and reused by
-// every later solve: the symbolic half for as long as the topology
-// holds, the assembled values for as long as the model reads back the
-// inputs they were assembled from.  mu also guards the workspace's
-// shared value buffer: a solve holds it from re-assembly until its last
-// read of K.
-type retainedAssembly struct {
-	mu sync.Mutex
+// retainedSolve is a model's solve state — built by its first solve, or
+// taken over whole from the model it replaced (AdoptAssembly) — and
+// reused by every later solve: the symbolic assembly for as long as the
+// topology holds, the assembled values for as long as the model reads
+// back the inputs they were assembled from, and one DirectPlan per direct
+// backend for as long as the pattern holds, its factor for as long as the
+// values do.  The mutex beside it also guards the workspace's shared
+// value buffer: a solve holds it from re-assembly until its last read of
+// K.
+type retainedSolve struct {
 	ws *Workspace
-	// symbolic and reused count solves that built a symbolic phase and
-	// solves that skipped one, unchanged those of the latter that skipped
-	// the numeric phase too; nil no-op sinks until InstrumentAssembly.
+	// factors is created on first use (factorCache) and is a pointer so
+	// the hand-over can move it.
+	factors *linalg.FactorCache
+	// reg is the registry the counters below — and the factor cache's —
+	// were resolved from; nil, and the counters no-op sinks, until
+	// Instrument.  symbolic and reused count solves that built a symbolic
+	// phase and solves that skipped one, unchanged those of the latter
+	// that skipped the numeric phase too.
+	reg                         *obs.Registry
 	symbolic, reused, unchanged *obs.Counter
+}
+
+// factorCache returns the retained factor cache, creating it on first
+// use.  The caller holds the retained mutex.
+func (r *retainedSolve) factorCache() *linalg.FactorCache {
+	if r.factors == nil {
+		r.factors = &linalg.FactorCache{}
+	}
+	return r.factors
 }
 
 // assembleRetained assembles m through the retained workspace, doing
@@ -156,7 +172,7 @@ func (m *Model) AddElement(e Element) error {
 
 // Factors returns the model's direct-solve factor cache: one retained
 // DirectPlan per direct backend, so repeated solves of an unchanged
-// model reuse the factorisation (Solve consults it automatically).
+// model reuse the factorisation (every direct Solve goes through it).
 // Nothing tells a model it was edited, so every solve checks instead:
 // the topology by Workspace.Matches (the symbolic assembly is rebuilt
 // when it moved), the values by comparing each element's StiffnessInputs
@@ -165,66 +181,84 @@ func (m *Model) AddElement(e Element) error {
 // factor by comparing the assembled values bit for bit with the factored
 // ones.  Mutating the model — through its methods or its exported
 // fields — therefore always triggers a re-assembly and an in-place
-// refactor on the next solve rather than a stale answer.  This cache
-// lives and dies with the Model object; across a same-name replacement
-// in a session it is the scheduler's name-keyed cache that keeps the
-// DirectPlan, and AdoptAssembly that keeps the assembly under it (so the
-// plan's pattern check stays a pointer compare).  Safe for concurrent
-// use.
-func (m *Model) Factors() *linalg.FactorCache { return &m.factors }
+// refactor on the next solve rather than a stale answer.  The model is
+// the cache's only owner: it lives with the Model object and follows the
+// name to a replacement by AdoptAssembly, together with the assembly
+// under it (so the plan's pattern check stays a pointer compare); two
+// Model objects never share one.  Safe for concurrent use, but it waits
+// for a Solve of m in flight.
+func (m *Model) Factors() *linalg.FactorCache {
+	m.retained.mu.Lock()
+	defer m.retained.mu.Unlock()
+	return m.retained.factorCache()
+}
 
-// Touch drops the model's retained assembly — built by this model or
-// adopted from the one it replaced — and its cached factorisations
-// outright, forcing the next solve to rebuild the sparsity pattern and
-// the matrix and the next direct solve to replan.  Topology edits are
-// detected by Workspace.Matches and value edits by the input record and
-// the factor cache's value comparison anyway, so Touch is only needed to
-// release the memory early.
+// Touch drops the model's retained assembly and cached factorisations —
+// built by this model or adopted from the one it replaced — outright,
+// forcing the next solve to rebuild the sparsity pattern and the matrix
+// and the next direct solve to replan.  Topology edits are detected by
+// Workspace.Matches and value edits by the input record and the factor
+// cache's value comparison anyway, so Touch is only needed to release
+// the memory early.
 func (m *Model) Touch() {
 	m.retained.mu.Lock()
 	m.retained.ws = nil
+	if fc := m.retained.factors; fc != nil {
+		fc.Invalidate()
+	}
 	m.retained.mu.Unlock()
-	m.factors.Invalidate()
 }
 
-// AdoptAssembly moves prev's retained assembly to m, the model about to
-// replace it under the same name, so regenerating or retrieving an
-// unchanged topology does not rebuild the sparsity pattern, and one with
-// unchanged values does not re-evaluate the matrix either.  It is a
-// move, never a share: prev is left without one.  Nothing is trusted —
-// m's next solve still runs Workspace.Matches against m itself and
-// rebuilds when the topology differs, then compares m's own stiffness
-// inputs with the record and re-assembles when any differs.  It never
-// blocks: when a solve of either model holds its assembly, or m already
-// has one, m is left to build its own.
+// AdoptAssembly moves prev's retained solve state — assembly, factor
+// cache and their instrumentation, as one unit — to m, the model about
+// to replace it under the same name, so regenerating or retrieving an
+// unchanged topology rebuilds neither the sparsity pattern nor the
+// DirectPlan, and one with unchanged values re-evaluates and refactors
+// nothing.  It is a move, never a share: prev is left with none.
+// Nothing is trusted — m's next solve still runs Workspace.Matches
+// against m itself and rebuilds when the topology differs, compares m's
+// own stiffness inputs with the record and re-assembles when any differs,
+// and compares the assembled values with the factored ones.  It never
+// blocks: when a solve of either model holds its state, or m already has
+// an assembly, m is left to build its own.
 func (m *Model) AdoptAssembly(prev *Model) {
 	if prev == m || !prev.retained.mu.TryLock() {
 		return
 	}
-	ws := prev.retained.ws
-	prev.retained.ws = nil
+	st := prev.retained.retainedSolve
+	prev.retained.retainedSolve = retainedSolve{}
 	prev.retained.mu.Unlock()
-	if ws == nil || !m.retained.mu.TryLock() {
+	if (st.ws == nil && st.factors == nil) || !m.retained.mu.TryLock() {
 		return
 	}
 	if m.retained.ws == nil {
-		// Rebound here, so the retained workspace always evaluates the
-		// model that holds it and prev can be collected.
-		ws.m = m
-		m.retained.ws = ws
+		if st.ws != nil {
+			// Rebound here, so the retained workspace always evaluates the
+			// model that holds it and prev can be collected.
+			st.ws.m = m
+		}
+		m.retained.retainedSolve = st
 	}
 	m.retained.mu.Unlock()
 }
 
-// InstrumentAssembly routes the retained assembly's counts into shared
-// counters — solves that built a symbolic phase, solves that reused one,
-// and the reusing solves that found the values unchanged and skipped the
-// numeric phase too — the way FactorCache.Instrument does for factor.*.
-// Any argument may be nil.
-func (m *Model) InstrumentAssembly(symbolic, reused, unchanged *obs.Counter) {
-	m.retained.mu.Lock()
-	m.retained.symbolic, m.retained.reused, m.retained.unchanged = symbolic, reused, unchanged
-	m.retained.mu.Unlock()
+// Instrument routes the retained solve state's counts into reg's
+// assemble.* and factor.* families: solves that built a symbolic phase,
+// solves that reused one, the reusing solves that found the values
+// unchanged and skipped the numeric phase too, and the factor cache's
+// hits, misses and refactors.  The handles are resolved once per model
+// and registry and move with the state, so calling it before every solve
+// costs a pointer compare.  A nil reg reverts to no-op sinks.
+func (m *Model) Instrument(reg *obs.Registry) {
+	r := &m.retained
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.reg == reg {
+		return
+	}
+	r.reg = reg
+	r.symbolic, r.reused, r.unchanged = reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused), reg.Counter(obs.AssembleUnchanged)
+	r.factorCache().Instrument(reg.Counter(obs.FactorHits), reg.Counter(obs.FactorMisses), reg.Counter(obs.FactorRefactors))
 }
 
 // NumDOF returns the total degree-of-freedom count.

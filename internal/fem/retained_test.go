@@ -135,7 +135,7 @@ func TestWorkspaceBoundToTopology(t *testing.T) {
 			m := mixedModel(t)
 			reg := obs.New()
 			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-			m.InstrumentAssembly(symbolic, reused, nil)
+			m.Instrument(reg)
 			ws, err := NewWorkspace(m)
 			if err != nil {
 				t.Fatal(err)
@@ -199,7 +199,7 @@ func TestTouchDropsRetainedAssembly(t *testing.T) {
 	m, ls := cachePlate(t)
 	reg := obs.New()
 	symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-	m.InstrumentAssembly(symbolic, reused, nil)
+	m.Instrument(reg)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := Solve(ctx, m, ls, SolveOpts{}); err != nil {
@@ -230,11 +230,12 @@ var retainedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 61
 // and solves on random grids and trusses, a solve through the model's
 // retained assembly equals — bitwise in U, Residual, Stats.Flops and
 // Refactored — a solve of a deep-copied fresh model assembled one-shot
-// (the reference keeps its own factor cache across steps, so it
-// refactors exactly when the pre-retention path did).  Some steps
-// replace the model object instead of editing it, the way generate and
-// retrieve do: the replacement adopts the retained assembly, and a
-// same-topology one must solve without a symbolic phase.
+// (the reference's factor cache is seeded into every deep copy, so it
+// refactors exactly when the assembled values moved or Touch dropped
+// the factors).  Some steps replace the model object instead of editing
+// it, the way generate and retrieve do: the replacement adopts the
+// retained assembly and factors, and a same-topology one must solve
+// without a symbolic phase — or, unedited, a refactor.
 func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 	backends := []string{linalg.BackendCholesky, linalg.BackendCholeskyRCM, linalg.BackendCholeskyEnv, linalg.BackendCG}
 	solved, failed, warm, adopted := 0, 0, 0, 0
@@ -255,12 +256,10 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 			m := randomModel(t, rng)
 			ls := randomLoads(rng, m)
 			reg := obs.New()
-			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-			unchanged := reg.Counter(obs.AssembleUnchanged)
+			symbolic, unchanged := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleUnchanged)
 			defer func() { skipped += unchanged.Load() }()
-			m.InstrumentAssembly(symbolic, reused, unchanged)
+			m.Instrument(reg)
 			refCache := &linalg.FactorCache{}
-			refCtx := linalg.NewFactorCacheContext(context.Background(), refCache)
 			for step := 0; step < 12; step++ {
 				var what string
 				// wantSymbolic is the symbolic count a replacement that must
@@ -277,13 +276,12 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 						wantSymbolic = symbolic.Load()
 						adopted++
 					}
-					next.InstrumentAssembly(symbolic, reused, unchanged)
+					next.Instrument(reg)
 					next.AdoptAssembly(m)
 					if m.retained.ws != nil {
 						t.Fatalf("seed %d step %d: the replaced model kept its workspace", seed, step)
 					}
-					m = next
-					refCache.Invalidate() // a new model starts with no factors
+					m = next // and the factors came along: refCache stays as it is
 				} else if what = mutateRandomly(t, rng, m); what == "touch" {
 					refCache.Invalidate() // Touch drops the model's factors too
 				}
@@ -292,10 +290,11 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 					opts := SolveOpts{Backend: backend}
 					got, gotErr := Solve(context.Background(), m, ls, opts)
 					fresh := deepCopy(t, m)
+					fresh.retained.factors = refCache
 					var want *Solution
 					asm, wantErr := Assemble(fresh)
 					if wantErr == nil {
-						want, wantErr = SolveAssembled(refCtx, fresh, asm, ls, opts)
+						want, wantErr = SolveAssembled(context.Background(), fresh, asm, ls, opts)
 					}
 					if gotErr != nil || wantErr != nil {
 						if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -543,11 +542,11 @@ func TestAdoptedAssemblyIsCheckedBeforeReuse(t *testing.T) {
 			prev := grid(6, 4, 200000)
 			reg := obs.New()
 			symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-			prev.InstrumentAssembly(symbolic, reused, nil)
+			prev.Instrument(reg)
 			pattern := retainedK(t, prev).RowPtr
 
 			next := tc.next()
-			next.InstrumentAssembly(symbolic, reused, nil)
+			next.Instrument(reg)
 			next.AdoptAssembly(prev)
 			if prev.retained.ws != nil || next.retained.ws == nil {
 				t.Fatalf("AdoptAssembly shared or dropped the workspace: prev %v next %v", prev.retained.ws != nil, next.retained.ws != nil)

@@ -96,15 +96,15 @@ type Solution struct {
 // execution.  All three paths honour ctx: a cancelled solve returns an
 // error wrapping errs.ErrCancelled.
 //
-// The assembly is kept on the model: the first solve builds a Workspace
-// (a model that replaced another under the same name starts with that
-// one's, see Model.AdoptAssembly), and every later solve redoes only
-// what the model's edits require.  Workspace.Matches checks the topology
-// and the symbolic phase is rebuilt when it changed; the elements'
-// StiffnessInputs are compared bit for bit with the record the matrix
-// was assembled from and the numeric scatter runs unless all are
-// identical; the factor cache compares the assembled values bit for bit
-// before reusing a factor.  Results are bit-identical to solving a fresh
+// The assembly and the direct factors are kept on the model: the first
+// solve builds a Workspace and a DirectPlan (a model that replaced another
+// under the same name starts with that one's, see Model.AdoptAssembly),
+// and every later solve redoes only what the model's edits require.
+// Workspace.Matches checks the topology and the symbolic phase is
+// rebuilt when it changed; the elements' StiffnessInputs are compared
+// bit for bit with the record the matrix was assembled from and the
+// numeric scatter runs unless all are identical; the factor cache
+// compares the assembled values bit for bit before reusing a factor.  Results are bit-identical to solving a fresh
 // copy of the model.  A custom Element takes part in the middle check by
 // implementing StiffnessInputs and listing everything its Stiffness
 // reads beyond the connectivity; one that does not is simply
@@ -141,7 +141,7 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 	if err != nil {
 		return nil, err
 	}
-	return SolveAssembled(ctx, m, asm, ls, opts)
+	return solveAssembled(ctx, m, asm, ls, opts, m.retained.factorCache())
 }
 
 // SolveAssembled solves a pre-assembled system (several load sets can
@@ -150,6 +150,12 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 // ignored: it condenses element blocks instead of solving a global
 // assembly, so it only exists on Solve.
 func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
+	return solveAssembled(ctx, m, asm, ls, opts, m.Factors())
+}
+
+// solveAssembled is SolveAssembled with m's factor cache already in
+// hand — Solve holds the retained mutex Model.Factors would take.
+func solveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache) (*Solution, error) {
 	if opts.Substructured > 0 {
 		return nil, errs.Usage("SolveAssembled solves a pre-assembled global system; the substructured path condenses per-substructure blocks instead (use Solve)")
 	}
@@ -165,11 +171,10 @@ func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 		sol.Refactored = true
 		return sol, nil
 	}
-	// Direct backends route through the model's factor cache (or a
-	// context-carried one — the job scheduler's per-model cache), so the
+	// Direct backends route through the model's factor cache, so the
 	// production pattern of many solves on one model factors once.
 	if _, direct := linalg.PlanOptsFor(opts.backendName()); direct {
-		return solveDirectCached(ctx, m, asm, b, opts)
+		return solveDirectCached(ctx, fc, asm, b, opts)
 	}
 	solver, err := linalg.Backend(opts.Backend)
 	if err != nil {
@@ -191,25 +196,17 @@ func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 	return sol, nil
 }
 
-// solveDirectCached is the sequential direct path: solve through a
-// cached DirectPlan, factoring only when the assembled values changed
-// since the factor was computed.  The cache is the context-carried one
-// when present (the job scheduler threads its per-model cache through
-// the job context so queued solves on one model share a factorisation,
-// whichever session submitted them), the model's own otherwise.  A warm
-// result is bit-identical to the cold solve the registry backend would
-// have produced.
-func solveDirectCached(ctx context.Context, m *Model, asm *Assembled, b linalg.Vector, opts SolveOpts) (*Solution, error) {
+// solveDirectCached is the sequential direct path: solve through the
+// model's cached DirectPlan, factoring only when the assembled values
+// changed since the factor was computed.  A warm result is bit-identical
+// to the cold solve the registry backend would have produced.
+func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, b linalg.Vector, opts SolveOpts) (*Solution, error) {
 	name := opts.backendName()
 	if err := linalg.RejectDirectPrecond(name, opts.Precond); err != nil {
 		return nil, err
 	}
 	if err := linalg.CheckCancel(ctx, 1); err != nil {
 		return nil, err
-	}
-	fc, ok := linalg.FactorCacheFromContext(ctx)
-	if !ok {
-		fc = m.Factors()
 	}
 	sol := &Solution{}
 	sol.Stats.Merge(asm.Stats)

@@ -11,24 +11,32 @@ import (
 )
 
 // differential solves one model two ways and demands the same bits: the
-// way Solve does, through the model's retained assembly, and from
-// scratch on a deep copy.  Each side keeps a factor cache of its own
-// across solves, so Refactored must agree too: the reference refactors
-// exactly when the assembled values moved.
+// way Solve does, through the model's retained assembly and factors, and
+// from scratch on a deep copy.  The reference's factor cache is seeded
+// into each deep copy, so it outlives them the way the model's own
+// follows the hand-over, and Refactored must agree too: the reference
+// refactors exactly when the assembled values moved, or touch dropped
+// the factors.
 type differential struct {
-	ctx, refCtx                 context.Context
-	symbolic, reused, unchanged *obs.Counter
+	reg               *obs.Registry
+	ref               *linalg.FactorCache
+	reused, unchanged *obs.Counter
 }
 
 func newDifferential() *differential {
 	reg := obs.New()
 	return &differential{
-		ctx:       linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{}),
-		refCtx:    linalg.NewFactorCacheContext(context.Background(), &linalg.FactorCache{}),
-		symbolic:  reg.Counter(obs.AssembleSymbolic),
+		reg:       reg,
+		ref:       &linalg.FactorCache{},
 		reused:    reg.Counter(obs.AssembleReused),
 		unchanged: reg.Counter(obs.AssembleUnchanged),
 	}
+}
+
+// touch is Model.Touch on both sides.
+func (d *differential) touch(m *Model) {
+	m.Touch()
+	d.ref.Invalidate()
 }
 
 // firstDiff returns the first index at which a and b differ in length or
@@ -52,16 +60,17 @@ func firstDiff(a, b []float64) int {
 // skipped the numeric assembly, and the error both sides returned.
 func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, backend string) (skipped bool, err error) {
 	t.Helper()
-	m.InstrumentAssembly(d.symbolic, d.reused, d.unchanged)
+	m.Instrument(d.reg)
 	opts := SolveOpts{Backend: backend}
 	before := d.unchanged.Load()
-	got, gotErr := Solve(d.ctx, m, ls, opts)
+	got, gotErr := Solve(context.Background(), m, ls, opts)
 	skipped = d.unchanged.Load() != before
 	if d.unchanged.Load() > d.reused.Load() {
 		t.Fatalf("%s: unchanged %d exceeds reused %d", label, d.unchanged.Load(), d.reused.Load())
 	}
 
 	fresh := deepCopy(t, m)
+	fresh.retained.factors = d.ref
 	var want *Solution
 	asm, wantErr := Assemble(fresh)
 	if wantErr == nil {
@@ -70,7 +79,7 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 		if i := firstDiff(k.Val, asm.K.Val); i >= 0 {
 			t.Fatalf("%s: K.Val differs from a fresh assembly at entry %d of %d/%d (skipped %v)", label, i, len(k.Val), len(asm.K.Val), skipped)
 		}
-		want, wantErr = SolveAssembled(d.refCtx, fresh, asm, ls, opts)
+		want, wantErr = SolveAssembled(context.Background(), fresh, asm, ls, opts)
 	}
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -184,6 +193,7 @@ func TestStiffnessWitnessCannotLie(t *testing.T) {
 	cst := func(m *Model, i int) *CST { return m.Elements[i].(*CST) }
 	negZero := math.Copysign(0, -1)
 	var corner NodeCoord
+	var d *differential // the running row's
 	rows := []struct {
 		name  string
 		steps []witnessStep
@@ -253,7 +263,7 @@ func TestStiffnessWitnessCannotLie(t *testing.T) {
 				next.AdoptAssembly(m)
 				return next
 			}, assembles}, {nil, skips}}},
-		{"Touch", moved(func(m *Model) { m.Touch() })},
+		{"Touch", moved(func(m *Model) { d.touch(m) })},
 		{"topology edit", moved(func(m *Model) { m.Elements = append(m.Elements, &Bar{N1: 8, N2: 30, Mat: Steel()}) })},
 	}
 	for _, backend := range []string{linalg.BackendCholeskyEnv, linalg.BackendCG} {
@@ -263,7 +273,7 @@ func TestStiffnessWitnessCannotLie(t *testing.T) {
 				if x := m.Nodes[0].X; x != 0 || math.Signbit(x) {
 					t.Fatalf("node 0 starts at x = %g, the ±0 row needs +0", x)
 				}
-				d := newDifferential()
+				d = newDifferential()
 				if skipped, err := d.solve(t, "cold", m, ls, backend); skipped || err != nil {
 					t.Fatalf("cold solve: skipped %v, err %v", skipped, err)
 				}

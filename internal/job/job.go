@@ -154,8 +154,9 @@ type Snapshot struct {
 	Result command.Result
 	Err    error
 	// Ops, Flops, and Cycles attribute work to this job alone: AUVM
-	// operations charged while it ran, solver floating point operations,
-	// and simulated machine cycles (parallel solves only).
+	// operations (1 once the command was dispatched, 0 for a job
+	// cancelled before it ran), solver floating point operations, and
+	// simulated machine cycles (parallel solves only).
 	Ops, Flops, Cycles int64
 	// Attempt is the auto-resubmission generation: 0 for a job submitted
 	// by a user, n for the n'th bounded resubmission of a job recovered

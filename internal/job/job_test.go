@@ -42,7 +42,7 @@ func waitState(t *testing.T, s *Scheduler, id JobID, want State) {
 }
 
 func TestSubmitWaitDone(t *testing.T) {
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	want := &command.SolveResult{Model: "a", Set: "l", Backend: "cholesky"}
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -72,7 +72,7 @@ func TestSubmitWaitDone(t *testing.T) {
 }
 
 func TestCheapCommandRunsInline(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	var gid int64
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -97,7 +97,7 @@ func TestCheapCommandRunsInline(t *testing.T) {
 }
 
 func TestFailureState(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	boom := errors.New("boom")
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -117,7 +117,7 @@ func TestFailureState(t *testing.T) {
 }
 
 func TestCancelRunning(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	started := make(chan struct{})
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -143,7 +143,7 @@ func TestCancelRunning(t *testing.T) {
 }
 
 func TestCancelQueued(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -182,7 +182,7 @@ func TestCancelQueued(t *testing.T) {
 }
 
 func TestSubmitCtxCancelsJob(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	started := make(chan struct{})
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -205,7 +205,7 @@ func TestSubmitCtxCancelsJob(t *testing.T) {
 // TestPerModelSerialization proves the scheduler's locking story: jobs
 // on one model never overlap, while jobs on different models do.
 func TestPerModelSerialization(t *testing.T) {
-	s := NewScheduler(4, nil)
+	s := NewScheduler(4)
 	defer s.Close()
 
 	var mu sync.Mutex
@@ -263,7 +263,7 @@ func TestPerModelSerialization(t *testing.T) {
 }
 
 func TestWorkerPoolBound(t *testing.T) {
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	release := make(chan struct{})
 	var running int32
@@ -299,7 +299,7 @@ func TestWorkerPoolBound(t *testing.T) {
 }
 
 func TestListFilter(t *testing.T) {
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	ok := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
 		return &command.SolveResult{}, nil
@@ -327,7 +327,7 @@ func TestListFilter(t *testing.T) {
 }
 
 func TestCancelOwner(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -359,7 +359,7 @@ func TestCancelOwner(t *testing.T) {
 }
 
 func TestWaitHonoursContext(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	release := make(chan struct{})
 	defer close(release)
@@ -376,7 +376,7 @@ func TestWaitHonoursContext(t *testing.T) {
 }
 
 func TestJobControlVerbsRejected(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
 		return nil, nil
@@ -397,7 +397,7 @@ func TestJobControlVerbsRejected(t *testing.T) {
 // locally, by the wire decoder on the server, and by the scheduler
 // in-process.  All three must say the identical thing.
 func TestNotAJobRefusalReadsTheSameEverywhere(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
 		return nil, nil
@@ -426,7 +426,7 @@ func TestNotAJobRefusalReadsTheSameEverywhere(t *testing.T) {
 }
 
 func TestCloseCancelsAndRejects(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -459,7 +459,7 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 }
 
 func TestStatusUnknownJob(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	if _, err := s.Status(99); !errors.Is(err, errs.ErrNotFound) {
 		t.Errorf("Status(99) = %v, want ErrNotFound", err)
@@ -517,7 +517,7 @@ func TestModelOfAndHeavy(t *testing.T) {
 // context dies instead of blocking the submitter for the solve's
 // duration.
 func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	release := make(chan struct{})
 	defer close(release)
@@ -566,7 +566,7 @@ func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
 // TestRetentionEvictsOldTerminalJobs: the scheduler's job history is
 // bounded; the oldest finished jobs fall off while live jobs survive.
 func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	s.SetRetention(2)
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
@@ -589,29 +589,5 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 	}
 	if _, err := s.Status(1); !errors.Is(err, errs.ErrNotFound) {
 		t.Errorf("oldest job retained: %v", err)
-	}
-}
-
-// TestCacheableSolve pins which commands get a per-model factor cache
-// attached: only sequential direct-backend solves without a
-// preconditioner — everything else would just crowd the bounded cache
-// map with entries it never reads.
-func TestCacheableSolve(t *testing.T) {
-	for _, tc := range []struct {
-		cmd  command.Command
-		want bool
-	}{
-		{command.Solve{Model: "m", Set: "s"}, true},
-		{command.Solve{Model: "m", Set: "s", Method: command.MethodCholeskyRCM}, true},
-		{command.Solve{Model: "m", Set: "s", Method: command.MethodCholeskyEnv}, true},
-		{command.Solve{Model: "m", Set: "s", Method: command.MethodCG}, false},
-		{command.Solve{Model: "m", Set: "s", Parallel: 4}, false},
-		{command.Solve{Model: "m", Set: "s", Substructures: 4}, false},
-		{command.Solve{Model: "m", Set: "s", Precond: command.PrecondJacobi}, false},
-		{command.Display{What: command.DisplayModel, Model: "m"}, false},
-	} {
-		if got := CacheableSolve(tc.cmd); got != tc.want {
-			t.Errorf("CacheableSolve(%v) = %v, want %v", tc.cmd, got, tc.want)
-		}
 	}
 }

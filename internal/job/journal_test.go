@@ -16,7 +16,7 @@ import (
 // attachMem wires a fresh in-memory journal into a new scheduler.
 func attachMem(t *testing.T, workers int) (*Scheduler, store.Store) {
 	t.Helper()
-	s := NewScheduler(workers, nil)
+	s := NewScheduler(workers)
 	st := store.NewMemStore()
 	if _, err := s.AttachJournal(st); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestJournalRecoversHistory(t *testing.T) {
 	s.Wait(context.Background(), fid)
 	s.Close()
 
-	s2 := NewScheduler(2, nil)
+	s2 := NewScheduler(2)
 	defer s2.Close()
 	n, err := s2.AttachJournal(st)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestJournalLostToRestart(t *testing.T) {
 		}
 	}
 
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	if _, err := s.AttachJournal(st); err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestJournalRetentionLoad(t *testing.T) {
 	runN(t, s, 5)
 	s.Close()
 
-	s2 := NewScheduler(1, nil)
+	s2 := NewScheduler(1)
 	defer s2.Close()
 	s2.SetRetention(2)
 	if _, err := s2.AttachJournal(st); err != nil {
@@ -219,7 +219,7 @@ func TestJournalCorruptRecordFails(t *testing.T) {
 	if err := st.Put(store.JobKey(1), []byte("not json")); err != nil {
 		t.Fatal(err)
 	}
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	if _, err := s.AttachJournal(st); err == nil {
 		t.Fatal("AttachJournal accepted a corrupt record")
@@ -286,7 +286,7 @@ func TestPanickingExecutorFailsTheJob(t *testing.T) {
 			}
 			s.Close()
 
-			s2 := NewScheduler(1, nil)
+			s2 := NewScheduler(1)
 			defer s2.Close()
 			if _, err := s2.AttachJournal(st); err != nil {
 				t.Fatal(err)

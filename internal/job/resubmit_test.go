@@ -40,7 +40,7 @@ func lostRecord(t *testing.T, st store.Store, id int64, state string, attempt in
 func TestJournalWriteFailureDoesNotStopScheduler(t *testing.T) {
 	in := fault.NewInjector(1, fault.Rule{Op: fault.OpPut, Fault: fault.Fault{Err: fault.ErrIO}})
 	st := fault.NewStore(store.NewMemStore(), in)
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	if _, err := s.AttachJournal(st); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestResubmitLost(t *testing.T) {
 	lostRecord(t, st, 5, "queued", 0)
 	lostRecord(t, st, 8, "running", 2) // already at the bound
 
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	if _, err := s.AttachJournal(st); err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestResubmitLostSurvivesRestart(t *testing.T) {
 			return &command.SolveResult{}, nil
 		})
 	}
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	if _, err := s.AttachJournal(st); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestResubmitLostSurvivesRestart(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := NewScheduler(1, nil)
+	s2 := NewScheduler(1)
 	defer s2.Close()
 	if _, err := s2.AttachJournal(st); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestResubmitLostSurvivesRestart(t *testing.T) {
 func TestResubmitLostBackoffHonoursContext(t *testing.T) {
 	st := store.NewMemStore()
 	lostRecord(t, st, 1, "running", 0)
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	if _, err := s.AttachJournal(st); err != nil {
 		t.Fatal(err)

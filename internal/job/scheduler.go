@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/command"
 	"repro/internal/errs"
-	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -26,7 +24,7 @@ var ErrClosed = errors.New("job: scheduler closed")
 // scheduler never needs to know about sessions beyond this.  A job's Do
 // is invoked on a worker goroutine (inline on the submitter's goroutine
 // for cheap commands); the context it receives is the job's own
-// cancellable context, carrying a per-job metrics collector.
+// cancellable context and carries nothing else.
 type Executor interface {
 	Do(ctx context.Context, cmd command.Command) (command.Result, error)
 }
@@ -67,7 +65,6 @@ type job struct {
 // number of sessions.
 type Scheduler struct {
 	workers int
-	shared  *metrics.Collector
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -94,13 +91,6 @@ type Scheduler struct {
 	// subs are the job-event subscribers, keyed by registration id.
 	subs    map[int]func(Snapshot)
 	subNext int
-	// caches carries one direct-solve factor cache per model name —
-	// the companion of the per-model lock: the lock serializes solves on
-	// one model, the cache makes every solve after the first warm,
-	// whichever session submitted it.  cacheOrder remembers creation
-	// order for eviction past maxModelCaches.
-	caches     map[string]*linalg.FactorCache
-	cacheOrder []string
 	// journal, when non-nil, persists job records through the system's
 	// store (see journal.go): queued at submit, terminal at finish, and
 	// flushed before retention eviction.
@@ -120,24 +110,18 @@ type Scheduler struct {
 	// below are nil no-op sinks until it is installed, so a bare
 	// scheduler observes for free.  Counters are resolved once here and
 	// observed lock-free on the hot path.
-	obs              *obs.Registry
-	mSubmitted       *obs.Counter
-	mDone            *obs.Counter
-	mFailed          *obs.Counter
-	mCancelled       *obs.Counter
-	mQuotaRejected   *obs.Counter
-	mJournalErrs     *obs.Counter
-	mFactorEvictions *obs.Counter
-	mPanics          *obs.Counter
-	gQueueDepth      *obs.Gauge
-	gRunning         *obs.Gauge
-	gWorkers         *obs.Gauge
+	obs            *obs.Registry
+	mSubmitted     *obs.Counter
+	mDone          *obs.Counter
+	mFailed        *obs.Counter
+	mCancelled     *obs.Counter
+	mQuotaRejected *obs.Counter
+	mJournalErrs   *obs.Counter
+	mPanics        *obs.Counter
+	gQueueDepth    *obs.Gauge
+	gRunning       *obs.Gauge
+	gWorkers       *obs.Gauge
 }
-
-// maxModelCaches bounds the per-model factor caches a scheduler keeps;
-// past it, the oldest cache whose model is not busy is dropped (a
-// dropped cache only costs the next solve a refactor).
-const maxModelCaches = 64
 
 // DefaultRetainedJobs bounds the job history a scheduler keeps by
 // default — enough for any interactive or test workload while keeping a
@@ -147,15 +131,13 @@ const DefaultRetainedJobs = 4096
 // NewScheduler returns a scheduler whose pool is bounded at workers
 // goroutines (<= 0 selects GOMAXPROCS).  Worker goroutines start lazily
 // on the first heavy submission, so a scheduler that only ever sees
-// synchronous traffic costs nothing.  shared, which may be nil, receives
-// a forwarded copy of every job's metrics (see metrics.Tee).
-func NewScheduler(workers int, shared *metrics.Collector) *Scheduler {
+// synchronous traffic costs nothing.
+func NewScheduler(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Scheduler{
 		workers: workers,
-		shared:  shared,
 		retain:  DefaultRetainedJobs,
 		jobs:    map[JobID]*job{},
 		busy:    map[string]bool{},
@@ -192,15 +174,11 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 	s.mCancelled = reg.Counter(obs.JobCancelled)
 	s.mQuotaRejected = reg.Counter(obs.JobQuotaRejected)
 	s.mJournalErrs = reg.Counter(obs.JobJournalErrors)
-	s.mFactorEvictions = reg.Counter(obs.FactorEvictions)
 	s.mPanics = reg.Counter(obs.ServerPanics)
 	s.gQueueDepth = reg.Gauge(obs.JobQueueDepth)
 	s.gRunning = reg.Gauge(obs.JobRunning)
 	s.gWorkers = reg.Gauge(obs.JobWorkers)
 	s.gWorkers.Set(int64(s.workers))
-	for _, fc := range s.caches {
-		fc.Instrument(reg.Counter(obs.FactorHits), reg.Counter(obs.FactorMisses), reg.Counter(obs.FactorRefactors))
-	}
 }
 
 // syncQueueGaugeLocked publishes the current heavy-queue length.  Jobs
@@ -375,23 +353,31 @@ func (s *Scheduler) worker() {
 			s.mu.Unlock()
 			return
 		}
-		j.state = Running
-		s.gRunning.Add(1)
-		if j.model != "" {
-			s.busy[j.model] = true
-		}
-		s.publishLocked(j)
-		s.mu.Unlock()
-
-		s.execute(j)
-
-		s.mu.Lock()
-		if j.model != "" {
-			delete(s.busy, j.model)
-		}
-		s.cond.Broadcast()
-		s.mu.Unlock()
+		s.runLocked(j)
 	}
+}
+
+// runLocked runs a queued job the caller has chosen, holding the job's
+// model for the duration: mark it running, execute it unlocked, release
+// the model and wake whoever waited for it.  Called with s.mu held;
+// returns with it released.
+func (s *Scheduler) runLocked(j *job) {
+	j.state = Running
+	s.gRunning.Add(1)
+	if j.model != "" {
+		s.busy[j.model] = true
+	}
+	s.publishLocked(j)
+	s.mu.Unlock()
+
+	s.execute(j)
+
+	s.mu.Lock()
+	if j.model != "" {
+		delete(s.busy, j.model)
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // popLocked removes and returns the first queued job whose model is not
@@ -443,89 +429,16 @@ func (s *Scheduler) runInline(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	j.state = Running
-	s.gRunning.Add(1)
-	if j.model != "" {
-		s.busy[j.model] = true
-	}
-	s.publishLocked(j)
-	s.mu.Unlock()
-
-	s.execute(j)
-
-	s.mu.Lock()
-	if j.model != "" {
-		delete(s.busy, j.model)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// FactorCache returns the scheduler's shared direct-solve factor cache
-// for one model name, creating it on first use.  Every heavy job on
-// that model runs under a context carrying this cache, so N queued
-// solves on one model factor once and the rest ride the warm factor —
-// across sessions, since the key is the model name, not the workspace
-// copy.
-func (s *Scheduler) FactorCache(model string) *linalg.FactorCache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.caches == nil {
-		s.caches = map[string]*linalg.FactorCache{}
-	}
-	fc, ok := s.caches[model]
-	if !ok {
-		if len(s.caches) >= maxModelCaches {
-			for i, name := range s.cacheOrder {
-				if !s.busy[name] {
-					delete(s.caches, name)
-					s.cacheOrder = append(s.cacheOrder[:i], s.cacheOrder[i+1:]...)
-					s.mFactorEvictions.Inc()
-					break
-				}
-			}
-		}
-		fc = &linalg.FactorCache{}
-		if s.obs != nil {
-			fc.Instrument(s.obs.Counter(obs.FactorHits), s.obs.Counter(obs.FactorMisses), s.obs.Counter(obs.FactorRefactors))
-		}
-		s.caches[model] = fc
-		s.cacheOrder = append(s.cacheOrder, model)
-	}
-	return fc
-}
-
-// CacheableSolve reports whether cmd is a solve the per-model factor
-// cache can serve: a sequential direct-backend solve with no
-// preconditioner.  Iterative, parallel, and substructured solves have
-// no factor to retain, so attaching a cache for them would only create
-// empty entries that crowd warm ones out of the bounded cache map.
-func CacheableSolve(cmd command.Command) bool {
-	sc, ok := command.Value(cmd).(command.Solve)
-	if !ok || sc.Parallel > 0 || sc.Substructures > 0 {
-		return false
-	}
-	if sc.Precond != "" && sc.Precond != "none" {
-		return false
-	}
-	_, direct := linalg.PlanOptsFor(string(sc.Method))
-	return direct
+	s.runLocked(j)
 }
 
 // execute runs the job's command and stores its terminal state.  The
-// executor sees a context carrying a per-job Tee collector, so AUVM
-// operation counts land on the job and on the shared system collector
-// alike; solver flops and machine cycles come back on the typed result.
-// Cacheable direct solves additionally carry the model's shared factor
-// cache.
+// executor sees the job's context and nothing else; a dispatched job is
+// one AUVM operation (the executor charges it to its own collector), and
+// solver flops and machine cycles come back on the typed result.
 func (s *Scheduler) execute(j *job) {
-	mc := metrics.Tee(s.shared)
-	ctx := metrics.NewContext(j.ctx, mc)
-	if j.model != "" && CacheableSolve(j.cmd) {
-		ctx = linalg.NewFactorCacheContext(ctx, s.FactorCache(j.model))
-	}
 	start := time.Now()
-	res, err := s.do(ctx, j)
+	res, err := s.do(j)
 	elapsed := time.Since(start)
 	j.cancel()
 
@@ -549,7 +462,7 @@ func (s *Scheduler) execute(j *job) {
 	s.mu.Lock()
 	j.state = state
 	j.res, j.err = res, err
-	j.ops = mc.Get(metrics.LevelAUVM, metrics.CtrOps)
+	j.ops = 1
 	if sr, ok := res.(*command.SolveResult); ok {
 		j.flops = sr.Flops
 		j.cycles = sr.Makespan
@@ -563,7 +476,7 @@ func (s *Scheduler) execute(j *job) {
 // the job's error, so it ends an ordinary failed job — recorded,
 // journaled, its model lock released — where it would have ended the
 // process and every other tenant's work with it.
-func (s *Scheduler) do(ctx context.Context, j *job) (res command.Result, err error) {
+func (s *Scheduler) do(j *job) (res command.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.mPanics.Inc()
@@ -573,7 +486,7 @@ func (s *Scheduler) do(ctx context.Context, j *job) (res command.Result, err err
 			res, err = nil, fmt.Errorf("job: panic executing %q: %v", command.Verb(j.cmd), p)
 		}
 	}()
-	return j.ex.Do(ctx, j.cmd)
+	return j.ex.Do(j.ctx, j.cmd)
 }
 
 // Status returns a snapshot of one job.  Ids retention has evicted

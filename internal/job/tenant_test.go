@@ -30,7 +30,7 @@ func blockingExec(started chan struct{}, release chan struct{}) execFunc {
 }
 
 func TestQuotaRejectPolicy(t *testing.T) {
-	s := NewScheduler(4, nil)
+	s := NewScheduler(4)
 	defer s.Close()
 	s.SetQuota(2, QuotaReject)
 	started := make(chan struct{}, 4)
@@ -65,7 +65,7 @@ func TestQuotaRejectPolicy(t *testing.T) {
 }
 
 func TestQuotaQueuePolicyBlocks(t *testing.T) {
-	s := NewScheduler(4, nil)
+	s := NewScheduler(4)
 	defer s.Close()
 	s.SetQuota(1, QuotaQueue)
 	started := make(chan struct{}, 4)
@@ -108,7 +108,7 @@ func TestQuotaQueuePolicyBlocks(t *testing.T) {
 }
 
 func TestQuotaQueueHonoursContext(t *testing.T) {
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	s.SetQuota(1, QuotaQueue)
 	started := make(chan struct{}, 2)
@@ -142,7 +142,7 @@ func TestQuotaQueueHonoursContext(t *testing.T) {
 // queued → running → done trail, in order, and that unsubscribing
 // stops it.
 func TestSubscribeEventOrder(t *testing.T) {
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 
 	var mu sync.Mutex
@@ -191,7 +191,7 @@ func TestSubscribeEventOrder(t *testing.T) {
 // TestSubscribeSeesCancelledQueuedJob: a job cancelled before it runs
 // still produces a terminal notification.
 func TestSubscribeSeesCancelledQueuedJob(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	var mu sync.Mutex
 	var states []State
@@ -227,7 +227,7 @@ func TestSubscribeSeesCancelledQueuedJob(t *testing.T) {
 }
 
 func TestDrainWaitsForLiveJobs(t *testing.T) {
-	s := NewScheduler(2, nil)
+	s := NewScheduler(2)
 	defer s.Close()
 	started := make(chan struct{}, 2)
 	release := make(chan struct{})
@@ -267,7 +267,7 @@ func TestDrainWaitsForLiveJobs(t *testing.T) {
 }
 
 func TestDrainHonoursContext(t *testing.T) {
-	s := NewScheduler(1, nil)
+	s := NewScheduler(1)
 	defer s.Close()
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})

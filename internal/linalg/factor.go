@@ -10,8 +10,8 @@
 package linalg
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/errs"
@@ -389,7 +389,7 @@ type FactorCache struct {
 }
 
 // Instrument routes the cache's hit/miss/refactor counts into shared
-// counters — the scheduler points every per-model cache at the system
+// counters — fem.Model.Instrument points its cache at the system
 // registry's factor.* family.  Any argument may be nil.
 func (fc *FactorCache) Instrument(hits, misses, refactors *obs.Counter) {
 	fc.mu.Lock()
@@ -402,6 +402,10 @@ func (fc *FactorCache) Instrument(hits, misses, refactors *obs.Counter) {
 type factorEntry struct {
 	plan *DirectPlan
 	vals []float64
+	// nan records a NaN among vals: it equals nothing, itself included,
+	// so such a factor is never reused.  Looked for once per refactor,
+	// which keeps the per-solve comparison one integer compare a value.
+	nan bool
 }
 
 // Generation returns the number of factorisations the cache has
@@ -448,7 +452,7 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) 
 		e = &factorEntry{plan: plan}
 		fc.entries[backend] = e
 	}
-	if !e.plan.factored || !valuesEqual(e.vals, a.Val) {
+	if !e.plan.factored || e.nan || !valuesEqual(e.vals, a.Val) {
 		fc.refactors.Inc()
 		if err := e.plan.Refactor(a, st); err != nil {
 			return nil, true, err
@@ -457,6 +461,7 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) 
 			e.vals = make([]float64, len(a.Val))
 		}
 		copy(e.vals, a.Val)
+		e.nan = hasNaN(e.vals)
 		fc.gen++
 		refactored = true
 	} else {
@@ -466,34 +471,27 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) 
 	return x, refactored, err
 }
 
-// valuesEqual reports bitwise equality of two value arrays (NaN-free by
-// construction; a NaN-bearing matrix fails factorisation either way).
+// valuesEqual reports whether two value arrays hold the same bit
+// patterns (-0 differs from +0) — the stiffness witness's rule, but for
+// the NaNs, which are hasNaN's to find.
 func valuesEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i, v := range a {
-		if v != b[i] {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-// factorCtxKey keys the context-carried factor cache.
-type factorCtxKey struct{}
-
-// NewFactorCacheContext returns a context carrying fc; the fem solve
-// path prefers a context-carried cache over the model's own, which is
-// how the job scheduler makes N queued solves on one model share a
-// single factorisation.
-func NewFactorCacheContext(ctx context.Context, fc *FactorCache) context.Context {
-	return context.WithValue(ctx, factorCtxKey{}, fc)
-}
-
-// FactorCacheFromContext returns the context-carried factor cache, if
-// any.
-func FactorCacheFromContext(ctx context.Context) (*FactorCache, bool) {
-	fc, ok := ctx.Value(factorCtxKey{}).(*FactorCache)
-	return fc, ok
+// hasNaN reports whether any value is a NaN.
+func hasNaN(vals []float64) bool {
+	for _, v := range vals {
+		if v != v {
+			return true
+		}
+	}
+	return false
 }

@@ -12,29 +12,11 @@
 package metrics
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 )
-
-// ctxKey keys a context-carried Collector override.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying c.  Code that charges a session- or
-// system-wide collector consults FromContext first, so a scheduler can
-// attribute one job's operations to a per-job Tee collector without
-// touching the shared wiring.
-func NewContext(ctx context.Context, c *Collector) context.Context {
-	return context.WithValue(ctx, ctxKey{}, c)
-}
-
-// FromContext returns the collector carried by ctx, if any.
-func FromContext(ctx context.Context) (*Collector, bool) {
-	c, ok := ctx.Value(ctxKey{}).(*Collector)
-	return c, ok
-}
 
 // Level identifies one of the four FEM-2 virtual machine layers.
 type Level int
@@ -112,9 +94,6 @@ const (
 type Collector struct {
 	mu     sync.Mutex
 	levels [numLevels]map[string]int64
-	// parent, when non-nil, receives a forwarded copy of every Add (see
-	// Tee).
-	parent *Collector
 }
 
 // NewCollector returns an empty Collector.
@@ -123,16 +102,6 @@ func NewCollector() *Collector {
 	for i := range c.levels {
 		c.levels[i] = make(map[string]int64)
 	}
-	return c
-}
-
-// Tee returns a collector that records locally and forwards every Add
-// to parent, so a scope — one job, one request — gets its own counters
-// while system-wide accounting is unchanged.  A nil parent is valid (the
-// forward is a no-op), matching Add's nil-receiver contract.
-func Tee(parent *Collector) *Collector {
-	c := NewCollector()
-	c.parent = parent
 	return c
 }
 
@@ -145,7 +114,6 @@ func (c *Collector) Add(l Level, name string, delta int64) {
 	c.mu.Lock()
 	c.levels[l][name] += delta
 	c.mu.Unlock()
-	c.parent.Add(l, name, delta)
 }
 
 // AddFlops is shorthand for Add(l, CtrFlops, n).

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -197,44 +196,5 @@ func TestQuickDiffReportsDelta(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestTeeForwardsToParent: a Tee collector records locally and the
-// parent sees the same adds — per-scope attribution without losing
-// system-wide accounting.
-func TestTeeForwardsToParent(t *testing.T) {
-	parent := NewCollector()
-	parent.Add(LevelAUVM, CtrOps, 5)
-	child := Tee(parent)
-	child.Add(LevelAUVM, CtrOps, 2)
-	child.AddFlops(LevelNAVM, 100)
-	if got := child.Get(LevelAUVM, CtrOps); got != 2 {
-		t.Errorf("child ops = %d, want 2 (local only)", got)
-	}
-	if got := parent.Get(LevelAUVM, CtrOps); got != 7 {
-		t.Errorf("parent ops = %d, want 7", got)
-	}
-	if got := parent.Get(LevelNAVM, CtrFlops); got != 100 {
-		t.Errorf("parent flops = %d, want 100", got)
-	}
-	// A nil parent is a valid sink.
-	orphan := Tee(nil)
-	orphan.Add(LevelAUVM, CtrOps, 1)
-	if got := orphan.Get(LevelAUVM, CtrOps); got != 1 {
-		t.Errorf("orphan ops = %d", got)
-	}
-}
-
-// TestCollectorContext: the context override round-trips, and its
-// absence is reported.
-func TestCollectorContext(t *testing.T) {
-	ctx := context.Background()
-	if _, ok := FromContext(ctx); ok {
-		t.Error("empty context carried a collector")
-	}
-	c := NewCollector()
-	if got, ok := FromContext(NewContext(ctx, c)); !ok || got != c {
-		t.Errorf("FromContext = %v, %v", got, ok)
 	}
 }

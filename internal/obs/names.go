@@ -44,11 +44,10 @@ const (
 	ServerPanics        = "server.panics"         // counter: panics recovered while executing a command (request goroutine or scheduled job), answered as errors
 	ServerRequestPrefix = "server.request."       // histogram family: decode-to-reply latency per verb
 
-	// Direct-solve factor cache (internal/linalg + scheduler eviction).
+	// Direct-solve factor cache (internal/linalg; each fem.Model owns one).
 	FactorHits      = "factor.hits"      // counter: solves served by a warm factor
 	FactorMisses    = "factor.misses"    // counter: solves that had to plan (cold or pattern change)
 	FactorRefactors = "factor.refactors" // counter: numeric refactorisations (misses included)
-	FactorEvictions = "factor.evictions" // counter: per-model caches dropped by the scheduler bound
 
 	// Retained assembly (internal/fem Solve).
 	AssembleSymbolic  = "assemble.symbolic"  // counter: solves that built a symbolic assembly (no plan to inherit, or topology changed)

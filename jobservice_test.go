@@ -6,11 +6,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	fem2 "repro"
+	"repro/internal/obs"
 )
 
 // buildPlate builds one model + tip load set in a session, via the
@@ -231,9 +234,9 @@ func TestJobSurfaceThroughREPL(t *testing.T) {
 
 // TestConcurrentJobsShareFactorization is the factor-once guarantee of
 // ISSUE 5: N jobs submitted concurrently against one model serialize on
-// the per-model lock and share the scheduler's per-model factor cache,
-// so exactly one of them factors and the rest ride the warm factor with
-// identical displays.  go test -race runs this under the race detector.
+// the per-model lock and share the factor cache the session's model
+// owns, so exactly one of them factors and the rest ride the warm factor
+// with identical displays.  go test -race runs this under the race detector.
 func TestConcurrentJobsShareFactorization(t *testing.T) {
 	const jobs = 8
 	sys, err := fem2.New(fem2.WithWorkers(4))
@@ -287,12 +290,8 @@ func TestConcurrentJobsShareFactorization(t *testing.T) {
 	if refactored != 1 {
 		t.Errorf("%d of %d jobs refactored, want exactly 1", refactored, jobs)
 	}
-	if g := sys.Jobs.FactorCache("wing").Generation(); g != 1 {
-		t.Errorf("scheduler cache generation = %d, want 1", g)
-	}
-
-	// The synchronous solve verb shares the same per-model-name cache:
-	// it rides the factor the jobs computed.
+	// The synchronous solve verb solves the same model object: it rides
+	// the factor the jobs computed.
 	res, err := s.Do(ctx, fem2.SolveCommand{Model: "wing", Set: "tip", Method: fem2.SolveCholeskyRCM})
 	if err != nil {
 		t.Fatal(err)
@@ -302,5 +301,107 @@ func TestConcurrentJobsShareFactorization(t *testing.T) {
 	}
 	if got := res.String(); got != display {
 		t.Errorf("synchronous display %q differs from job display %q", got, display)
+	}
+	if g := s.WS.Model("wing").Factors().Generation(); g != 1 {
+		t.Errorf("model factor cache generation = %d after %d jobs and a synchronous solve, want 1", g, jobs)
+	}
+}
+
+// TestSameNameSessionsKeepTheirOwnFactor: a model's factor belongs to
+// the model object, not to its name.  Two sessions that each call their
+// model "g" — different sizes, or one size with different moduli — and
+// solve in alternation, synchronously and through the scheduler, factor
+// once each and never again: neither evicts the other's plan, and every
+// reply equals, bit for bit, the one the session gets solving alone.
+func TestSameNameSessionsKeepTheirOwnFactor(t *testing.T) {
+	type plate struct {
+		nx, ny int
+		e      float64
+	}
+	const rounds = 4
+	ctx := context.Background()
+	solve := fem2.SolveCommand{Model: "g", Set: "tip", Method: fem2.SolveCholeskyRCM}
+	build := func(s *fem2.Session, p plate) {
+		t.Helper()
+		if _, err := s.Do(ctx, fem2.SetMaterial{E: p.e, Nu: 0.3, T: 10, A: 100}); err != nil {
+			t.Fatal(err)
+		}
+		buildPlate(t, s, "g", p.nx, p.ny)
+	}
+	// run has each session solve its "g" once per round, the sessions
+	// taking turns, even rounds synchronously and odd ones as a job.
+	run := func(sys *fem2.System, sessions []*fem2.Session) (replies [][]fem2.SolveResult, us [][]float64) {
+		t.Helper()
+		replies, us = make([][]fem2.SolveResult, len(sessions)), make([][]float64, len(sessions))
+		for round := 0; round < rounds; round++ {
+			for i, s := range sessions {
+				var res fem2.Result
+				var err error
+				if round%2 == 0 {
+					res, err = s.Do(ctx, solve)
+				} else if id, serr := s.SubmitAsync(ctx, solve); serr != nil {
+					err = serr
+				} else {
+					res, err = sys.Jobs.Wait(ctx, id)
+				}
+				if err != nil {
+					t.Fatalf("session %d round %d: %v", i, round, err)
+				}
+				replies[i] = append(replies[i], *res.(*fem2.SolveResult))
+				us[i] = append([]float64(nil), s.WS.Solution("g").U...)
+			}
+		}
+		return replies, us
+	}
+	for _, tc := range []struct {
+		name   string
+		plates []plate
+	}{
+		{"two sizes", []plate{{8, 6, 200000}, {12, 8, 200000}}},
+		{"one size, two moduli", []plate{{8, 6, 200000}, {8, 6, 70000}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := fem2.New(fem2.WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			var sessions []*fem2.Session
+			for i, p := range tc.plates {
+				s := sys.Session(fmt.Sprintf("eng%d", i))
+				build(s, p)
+				sessions = append(sessions, s)
+			}
+			replies, us := run(sys, sessions)
+			for i, p := range tc.plates {
+				for round, r := range replies[i] {
+					if r.Refactored != (round == 0) {
+						t.Errorf("session %d round %d: Refactored = %v", i, round, r.Refactored)
+					}
+				}
+				alone, err := fem2.New(fem2.WithWorkers(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := alone.Session("alone")
+				build(s, p)
+				wantReplies, wantU := run(alone, []*fem2.Session{s})
+				alone.Close()
+				if !reflect.DeepEqual(replies[i], wantReplies[0]) {
+					t.Errorf("session %d replies\n got %+v\nalone %+v", i, replies[i], wantReplies[0])
+				}
+				if len(us[i]) != len(wantU[0]) {
+					t.Fatalf("session %d: %d dofs, alone %d", i, len(us[i]), len(wantU[0]))
+				}
+				for d := range wantU[0] {
+					if math.Float64bits(us[i][d]) != math.Float64bits(wantU[0][d]) {
+						t.Fatalf("session %d: U[%d] = %.17g, alone %.17g", i, d, us[i][d], wantU[0][d])
+					}
+				}
+			}
+			if got := sys.Obs.Counter(obs.FactorRefactors).Load(); got != int64(len(tc.plates)) {
+				t.Errorf("factor.refactors = %d, want %d: one per distinct model", got, len(tc.plates))
+			}
+		})
 	}
 }

@@ -318,7 +318,7 @@ func (pingExec) Do(ctx context.Context, cmd command.Command) (command.Result, er
 // quotes the measured overhead.
 func BenchmarkObsOverhead(b *testing.B) {
 	runDispatch := func(b *testing.B, instrumented bool) {
-		s := job.NewScheduler(1, nil)
+		s := job.NewScheduler(1)
 		defer s.Close()
 		if instrumented {
 			s.SetObs(obs.New())
