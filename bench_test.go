@@ -265,20 +265,28 @@ func BenchmarkDesignIteration(b *testing.B) {
 
 func benchSystem(b *testing.B, n int) (*linalg.CSR, linalg.Vector) {
 	b.Helper()
-	o := fem.RectGridOpts{NX: n, NY: n, W: float64(n), H: float64(n), Mat: fem.Steel(), ClampLeft: true}
+	return benchPlate(b, n, n)
+}
+
+// benchPlate is the free stiffness matrix and end-load right-hand side of
+// an nx×ny unit-cell plate clamped on the left — 40×24 is the benchmark's
+// large plate.
+func benchPlate(tb testing.TB, nx, ny int) (*linalg.CSR, linalg.Vector) {
+	tb.Helper()
+	o := fem.RectGridOpts{NX: nx, NY: ny, W: float64(nx), H: float64(ny), Mat: fem.Steel(), ClampLeft: true}
 	m, err := fem.RectGrid("bench", o)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	asm, err := fem.Assemble(m)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ls := fem.EndLoad("l", o, 0, -1000)
 	_, index := m.FreeDOFs()
 	rhs, err := m.RHS(ls, index, len(asm.Free))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return asm.K, rhs
 }
@@ -553,6 +561,25 @@ func BenchmarkDirectSolve(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// The in-process twin of the benchmark's linalg.refactor_large_ms and
+	// linalg.refactor_mflops probes: the numeric envelope refactorisation
+	// of the 40x24 plate alone.
+	b.Run("refactor-env", func(b *testing.B) {
+		k, _ := benchPlate(b, 40, 24)
+		plan, err := linalg.NewDirectPlan(k, linalg.PlanOpts{Ordering: linalg.OrderRCM, Storage: linalg.StorageEnvelope})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var st linalg.Stats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := plan.Refactor(k, &st); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(st.Flops)/1e6/b.Elapsed().Seconds(), "Mflop/s")
 	})
 }
 

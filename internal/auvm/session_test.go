@@ -3,6 +3,8 @@ package auvm
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/command"
@@ -169,5 +171,49 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	if _, err := s.Execute("load hand ls endload 1 0"); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("endload on non-grid: %v", err)
+	}
+}
+
+// TestNaNStiffnessFailsDirectSolves pins the pivot test of the direct
+// backends: a NaN modulus makes every stiffness entry NaN, which compares
+// false with zero both ways — so the factorisation must ask "is the pivot
+// positive", not "is it non-positive".  Each direct backend has to report
+// the matrix as not positive definite rather than answer a zero
+// displacement field at dof -1, leave no solution behind for stresses to
+// read, and solve a finite model correctly afterwards in the same
+// session.
+func TestNaNStiffnessFailsDirectSolves(t *testing.T) {
+	ctx := context.Background()
+	grid := command.GenerateGrid{Name: "g", NX: 4, NY: 3, W: 4, H: 3, ClampLeft: true}
+	load := command.EndLoad{Model: "g", Set: "l", FY: -1000}
+	for _, method := range []command.Method{command.MethodCholesky, command.MethodCholeskyRCM, command.MethodCholeskyEnv} {
+		t.Run(string(method), func(t *testing.T) {
+			s := newSession(t)
+			solve := command.Solve{Model: "g", Set: "l", Method: method}
+			for _, cmd := range []command.Command{command.SetMaterial{E: math.NaN(), Nu: 0.3, T: 1, A: 1}, grid, load} {
+				if _, err := s.Do(ctx, cmd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Do(ctx, solve)
+			if err == nil || !strings.Contains(err.Error(), "not positive definite") || !strings.Contains(err.Error(), "pivot NaN") {
+				t.Fatalf("solve of a NaN stiffness: result %v, error %v; want not positive definite (pivot NaN)", res, err)
+			}
+			if _, err := s.Do(ctx, command.Stresses{Model: "g"}); !errors.Is(err, errs.ErrNotFound) {
+				t.Errorf("stresses after the failed solve: %v; want no solution", err)
+			}
+			for _, cmd := range []command.Command{command.SetMaterial{E: 200000, Nu: 0.3, T: 1, A: 1}, grid, load} {
+				if _, err := s.Do(ctx, cmd); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err = s.Do(ctx, solve)
+			if err != nil {
+				t.Fatalf("finite model after the NaN one: %v", err)
+			}
+			if sr := res.(*command.SolveResult); math.Abs(sr.MaxDisp-0.05254312377856131) > 1e-12 || sr.MaxDOF != 33 {
+				t.Errorf("finite model after the NaN one: max |u| = %v at dof %d, want 0.0525431… at 33", sr.MaxDisp, sr.MaxDOF)
+			}
+		})
 	}
 }

@@ -246,9 +246,10 @@ func (m *Model) AdoptAssembly(prev *Model) {
 // assemble.* and factor.* families: solves that built a symbolic phase,
 // solves that reused one, the reusing solves that found the values
 // unchanged and skipped the numeric phase too, and the factor cache's
-// hits, misses and refactors.  The handles are resolved once per model
-// and registry and move with the state, so calling it before every solve
-// costs a pointer compare.  A nil reg reverts to no-op sinks.
+// hits, misses, refactors and refactorisation flops.  The handles are
+// resolved once per model and registry and move with the state, so
+// calling it before every solve costs a pointer compare.  A nil reg
+// reverts to no-op sinks.
 func (m *Model) Instrument(reg *obs.Registry) {
 	r := &m.retained
 	r.mu.Lock()
@@ -258,7 +259,7 @@ func (m *Model) Instrument(reg *obs.Registry) {
 	}
 	r.reg = reg
 	r.symbolic, r.reused, r.unchanged = reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused), reg.Counter(obs.AssembleUnchanged)
-	r.factorCache().Instrument(reg.Counter(obs.FactorHits), reg.Counter(obs.FactorMisses), reg.Counter(obs.FactorRefactors))
+	r.factorCache().Instrument(reg.Counter(obs.FactorHits), reg.Counter(obs.FactorMisses), reg.Counter(obs.FactorRefactors), reg.Counter(obs.FactorFlops))
 }
 
 // NumDOF returns the total degree-of-freedom count.

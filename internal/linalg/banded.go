@@ -127,7 +127,8 @@ func (b *Banded) CholeskyFactor(st *Stats) (*Banded, error) {
 
 // CholeskyFactorInPlace overwrites the receiver with its Cholesky
 // factor — the allocation-free form DirectPlan refactors through; the
-// arithmetic is identical to CholeskyFactor.
+// arithmetic is identical to CholeskyFactor.  A pivot that is not
+// positive, NaN included, fails it with the flops spent so far in st.
 func (b *Banded) CholeskyFactorInPlace(st *Stats) error {
 	l := b
 	w := l.Bandwidth
@@ -144,8 +145,8 @@ func (b *Banded) CholeskyFactorInPlace(st *Stats) error {
 			s -= v * v
 			flops += 2
 		}
-		if s <= 0 {
-			return fmt.Errorf("linalg: matrix not positive definite at row %d (pivot %g)", j, s)
+		if !(s > 0) {
+			return notPositiveDefinite(st, flops, j, s)
 		}
 		d := math.Sqrt(s)
 		flops++

@@ -28,7 +28,8 @@ func CholeskyDense(a *Dense, st *Stats) (*DenseChol, error) {
 			s -= v * v
 			flops += 2
 		}
-		if s <= 0 {
+		if !(s > 0) {
+			st.addFlops(flops)
 			return nil, fmt.Errorf("linalg: dense matrix not positive definite at %d (pivot %g)", j, s)
 		}
 		d := math.Sqrt(s)

@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -219,6 +221,14 @@ func TestDenseCholRejectsNonSPD(t *testing.T) {
 	indef := DenseFromRows([][]float64{{1, 2}, {2, 1}})
 	if _, err := CholeskyDense(indef, nil); err == nil {
 		t.Error("indefinite accepted")
+	}
+	// A NaN pivot is not positive either, and the work up to it is booked.
+	var st Stats
+	if _, err := CholeskyDense(DenseFromRows([][]float64{{4, 2}, {2, math.NaN()}}), &st); err == nil || !strings.Contains(err.Error(), "pivot NaN") {
+		t.Errorf("NaN pivot: error %v", err)
+	}
+	if st.Flops == 0 {
+		t.Error("NaN pivot: no flops booked for the first column")
 	}
 }
 

@@ -78,46 +78,159 @@ func (e *Envelope) Fill(x float64) {
 	}
 }
 
+// subDot returns s − Σ a[k]·b[k], subtracting in ascending k.  b may be
+// longer than a.
+func subDot(s float64, a, b []float64) float64 {
+	b = b[:len(a)]
+	for k, v := range a {
+		s -= v * b[k]
+	}
+	return s
+}
+
+// entryAlone computes L[i,j] on its own — row is row i's stored run, fi
+// its first column — and returns the flops spent.
+func (e *Envelope) entryAlone(row []float64, fi, j int) int64 {
+	fj := e.first[j]
+	rj := e.env[e.ptr[j]:e.ptr[j+1]]
+	k := max(fi, fj)
+	row[j-fi] = subDot(row[j-fi], row[k-fi:j-fi], rj[k-fj:]) / rj[j-fj]
+	return int64(2*(j-k) + 1)
+}
+
+// pivot finishes a row whose off-diagonal entries are factored: the
+// diagonal (the run's last entry) less their squares, subtracted in
+// ascending order, is replaced by its square root.  A sum that is not
+// positive — NaN included — is returned as it is, the row untouched.
+func pivot(row []float64) (s float64, ok bool) {
+	d := len(row) - 1
+	s = row[d]
+	for _, v := range row[:d] {
+		s -= v * v
+	}
+	if !(s > 0) {
+		return s, false
+	}
+	row[d] = math.Sqrt(s)
+	return s, true
+}
+
+// notPositiveDefinite books the flops spent up to a failed pivot and
+// names it; Banded.CholeskyFactorInPlace fails the same way.
+func notPositiveDefinite(st *Stats, flops int64, row int, pivot float64) error {
+	st.addFlops(flops)
+	return fmt.Errorf("linalg: matrix not positive definite at row %d (pivot %g)", row, pivot)
+}
+
 // CholeskyFactorInPlace overwrites the stored values with the Cholesky
 // factor L (the matrix equals L·Lᵀ).  It fails if the matrix is not
-// positive definite.  Flop counts are recorded in st.  The inner sums
-// run over exactly the columns both rows store, ascending; the terms
-// skipped relative to uniform banded Cholesky are products with exact
-// zeros, so the factor agrees with the banded factor bitwise (the
-// solves differ in summation order, so solutions agree to rounding).
+// positive definite — a NaN pivot included — leaving the storage partly
+// overwritten; st receives the flops of the rows up to the failing pivot
+// either way.
+//
+// The kernel's contract, which CholeskySolveInto shares: each factor
+// entry and each forward-substitution row is one ascending-k sum;
+// entries may be computed concurrently but never summed differently,
+// hence envelope ≡ banded bitwise and warm ≡ cold bitwise.  Entry (i,j)
+// subtracts L[i,k]·L[j,k] over exactly the columns both rows store,
+// k = max(first[i], first[j]) .. j-1 — the terms a uniform band adds to
+// that are products with exact zeros — and divides by L[j,j].
+//
+// Computed concurrently are four entries: columns j, j+1 of rows i, i+1.
+// Each runs alone up to the column where all four rows involved have
+// begun, one loop then carries the four sums side by side over the
+// shared L[i,k], L[i+1,k], L[j,k], L[j+1,k], and each row finishes its
+// pair in order.  A single sum is a chain of dependent subtractions
+// closed by a division the row's next entry waits for, so it runs at the
+// latency of those, not the throughput; four sums fill the pipeline, and
+// taking them from two rows lets one row's divisions overlap the other's.
 func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
+	env, first, ptr := e.env, e.first, e.ptr
 	var flops int64
-	for i := 0; i < e.N; i++ {
-		fi := e.first[i]
-		base := e.ptr[i]
-		for j := fi; j < i; j++ {
-			s := e.env[base+j-fi]
-			fj := e.first[j]
-			klo := fi
-			if fj > klo {
-				klo = fj
+	for i := 0; i < e.N; i += 2 {
+		// Rows a = i and b = i+1 go together.  A last odd row goes as an a
+		// whose b begins past every column they could share.
+		fa, ra := first[i], env[ptr[i]:ptr[i+1]]
+		fb, rb := i+1, []float64(nil)
+		if i+1 < e.N {
+			fb, rb = first[i+1], env[ptr[i+1]:ptr[i+2]]
+		}
+		// Row b's flops count only once row a has its pivot: a failure
+		// there reports what the row-by-row order would have spent.
+		var flopsB int64
+		lo := max(fa, fb)
+		for j := fa; j < min(lo, i); j++ {
+			flops += e.entryAlone(ra, fa, j)
+		}
+		for j := fb; j < min(lo, i); j++ {
+			flopsB += e.entryAlone(rb, fb, j)
+		}
+		j := lo
+		for j+2 <= i {
+			f0, f1 := first[j], first[j+1]
+			// All four rows have begun by column kjoin.  Row j+1 beginning
+			// at its own diagonal stores no L[j+1,j] to pair the columns
+			// through, so there column j goes alone.
+			kjoin := max(lo, f0, f1)
+			if kjoin > j {
+				flops += e.entryAlone(ra, fa, j)
+				flopsB += e.entryAlone(rb, fb, j)
+				j++
+				continue
 			}
-			rj := e.ptr[j] - fj
-			ri := base - fi
-			for k := klo; k < j; k++ {
-				s -= e.env[ri+k] * e.env[rj+k]
-				flops += 2
+			r0, r1 := env[ptr[j]:ptr[j+1]], env[ptr[j+1]:ptr[j+2]]
+			ka0, ka1 := max(fa, f0), max(fa, f1)
+			kb0, kb1 := max(fb, f0), max(fb, f1)
+			sa0 := subDot(ra[j-fa], ra[ka0-fa:kjoin-fa], r0[ka0-f0:])
+			sa1 := subDot(ra[j+1-fa], ra[ka1-fa:kjoin-fa], r1[ka1-f1:])
+			sb0 := subDot(rb[j-fb], rb[kb0-fb:kjoin-fb], r0[kb0-f0:])
+			sb1 := subDot(rb[j+1-fb], rb[kb1-fb:kjoin-fb], r1[kb1-f1:])
+			a := ra[kjoin-fa : j-fa]
+			b := rb[kjoin-fb:][:len(a)]
+			c0, c1 := r0[kjoin-f0:][:len(a)], r1[kjoin-f1:][:len(a)]
+			for k, va := range a {
+				vb := b[k]
+				sa0 -= va * c0[k]
+				sa1 -= va * c1[k]
+				sb0 -= vb * c0[k]
+				sb1 -= vb * c1[k]
 			}
-			e.env[base+j-fi] = s / e.env[e.ptr[j+1]-1]
-			flops++
+			d0, l10, d1 := r0[j-f0], r1[j-f1], r1[j+1-f1]
+			la := sa0 / d0
+			ra[j-fa] = la
+			sa1 -= la * l10
+			ra[j+1-fa] = sa1 / d1
+			lb := sb0 / d0
+			rb[j-fb] = lb
+			sb1 -= lb * l10
+			rb[j+1-fb] = sb1 / d1
+			// 2(j−k)+1 per entry.
+			flops += int64(2*(2*j+1-ka0-ka1) + 2)
+			flopsB += int64(2*(2*j+1-kb0-kb1) + 2)
+			j += 2
 		}
-		// Diagonal pivot.
-		s := e.env[e.ptr[i+1]-1]
-		for k := base; k < e.ptr[i+1]-1; k++ {
-			v := e.env[k]
-			s -= v * v
-			flops += 2
+		if j < i {
+			flops += e.entryAlone(ra, fa, j)
+			flopsB += e.entryAlone(rb, fb, j)
 		}
-		if s <= 0 {
-			st.addFlops(flops)
-			return fmt.Errorf("linalg: matrix not positive definite at row %d (pivot %g)", i, s)
+		s, ok := pivot(ra)
+		flops += int64(2 * (i - fa))
+		if !ok {
+			return notPositiveDefinite(st, flops, i, s)
 		}
-		e.env[e.ptr[i+1]-1] = math.Sqrt(s)
+		flops++
+		if i+1 == e.N {
+			break
+		}
+		flops += flopsB
+		if fb <= i {
+			flops += e.entryAlone(rb, fb, i)
+		}
+		s, ok = pivot(rb)
+		flops += int64(2 * (i + 1 - fb))
+		if !ok {
+			return notPositiveDefinite(st, flops, i+1, s)
+		}
 		flops++
 	}
 	st.addFlops(flops)
@@ -126,7 +239,10 @@ func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
 
 // CholeskySolveInto solves L·Lᵀ·x = rhs given the factor from
 // CholeskyFactorInPlace, writing into out (allocated when nil; may
-// alias rhs to solve in place).
+// alias rhs to solve in place).  The forward half computes four rows
+// side by side under CholeskyFactorInPlace's contract — each row's sum
+// still runs over its own columns in ascending order; the backward half
+// is one independent update per stored entry as it stands.
 func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if len(rhs) != e.N {
 		panic(fmt.Errorf("%w: Envelope.CholeskySolveInto order %d with rhs %d", ErrDimension, e.N, len(rhs)))
@@ -141,31 +257,65 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if e.N > 0 && &y[0] != &rhs[0] {
 		copy(y, rhs)
 	}
-	var flops int64
+	env, first, ptr := e.env, e.first, e.ptr
 	// Forward: L·y = rhs, row-oriented.
-	for i := 0; i < e.N; i++ {
-		fi := e.first[i]
-		base := e.ptr[i] - fi
-		s := y[i]
-		for k := fi; k < i; k++ {
-			s -= e.env[base+k] * y[k]
-			flops += 2
+	for i := 0; i < e.N; {
+		f0 := first[i]
+		r0 := env[ptr[i]:ptr[i+1]]
+		if i+4 <= e.N {
+			f1, f2, f3 := first[i+1], first[i+2], first[i+3]
+			// All four rows have begun by column kjoin.  A row beginning
+			// inside the block stores no multiplier for the block's earlier
+			// unknowns, so there row i goes alone.
+			if kjoin := max(f0, f1, f2, f3); kjoin <= i {
+				r1, r2, r3 := env[ptr[i+1]:ptr[i+2]], env[ptr[i+2]:ptr[i+3]], env[ptr[i+3]:ptr[i+4]]
+				s0 := subDot(y[i], r0[:kjoin-f0], y[f0:])
+				s1 := subDot(y[i+1], r1[:kjoin-f1], y[f1:])
+				s2 := subDot(y[i+2], r2[:kjoin-f2], y[f2:])
+				s3 := subDot(y[i+3], r3[:kjoin-f3], y[f3:])
+				yk := y[kjoin:i]
+				b0, b1 := r0[kjoin-f0:][:len(yk)], r1[kjoin-f1:][:len(yk)]
+				b2, b3 := r2[kjoin-f2:][:len(yk)], r3[kjoin-f3:][:len(yk)]
+				for k, v := range yk {
+					s0 -= b0[k] * v
+					s1 -= b1[k] * v
+					s2 -= b2[k] * v
+					s3 -= b3[k] * v
+				}
+				y0 := s0 / r0[i-f0]
+				y[i] = y0
+				s1 -= r1[i-f1] * y0
+				y1 := s1 / r1[i+1-f1]
+				y[i+1] = y1
+				s2 -= r2[i-f2] * y0
+				s2 -= r2[i+1-f2] * y1
+				y2 := s2 / r2[i+2-f2]
+				y[i+2] = y2
+				s3 -= r3[i-f3] * y0
+				s3 -= r3[i+1-f3] * y1
+				s3 -= r3[i+2-f3] * y2
+				y[i+3] = s3 / r3[i+3-f3]
+				i += 4
+				continue
+			}
 		}
-		y[i] = s / e.env[e.ptr[i+1]-1]
-		flops++
+		y[i] = subDot(y[i], r0[:i-f0], y[f0:]) / r0[i-f0]
+		i++
 	}
 	// Backward: Lᵀ·x = y, column-oriented over the row-stored factor.
 	for i := e.N - 1; i >= 0; i-- {
-		fi := e.first[i]
-		base := e.ptr[i] - fi
-		x := y[i] / e.env[e.ptr[i+1]-1]
-		flops++
+		fi := first[i]
+		row := env[ptr[i]:ptr[i+1]]
+		d := i - fi
+		x := y[i] / row[d]
 		y[i] = x
-		for k := fi; k < i; k++ {
-			y[k] -= e.env[base+k] * x
-			flops += 2
+		yk := y[fi:][:d]
+		for k, v := range row[:d] {
+			yk[k] -= v * x
 		}
 	}
-	st.addFlops(flops)
+	// Each half is one multiply-subtract per stored off-diagonal entry
+	// and one division per row.
+	st.addFlops(4*int64(len(env)) - 2*int64(e.N))
 	return y
 }

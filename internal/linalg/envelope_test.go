@@ -1,0 +1,363 @@
+package linalg
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// refEnvelopeFactor is the scalar row-by-row envelope Cholesky the
+// blocked kernel replaced, kept as its oracle: one entry at a time, each
+// a single s -= a*b chain over ascending k, the flop counter bumped
+// inside the loop.  Only the pivot test follows the kernel's (a NaN
+// pivot fails).
+func refEnvelopeFactor(e *Envelope, st *Stats) error {
+	var flops int64
+	for i := 0; i < e.N; i++ {
+		fi := e.first[i]
+		base := e.ptr[i]
+		for j := fi; j < i; j++ {
+			s := e.env[base+j-fi]
+			fj := e.first[j]
+			klo := fi
+			if fj > klo {
+				klo = fj
+			}
+			rj := e.ptr[j] - fj
+			ri := base - fi
+			for k := klo; k < j; k++ {
+				s -= e.env[ri+k] * e.env[rj+k]
+				flops += 2
+			}
+			e.env[base+j-fi] = s / e.env[e.ptr[j+1]-1]
+			flops++
+		}
+		// Diagonal pivot.
+		s := e.env[e.ptr[i+1]-1]
+		for k := base; k < e.ptr[i+1]-1; k++ {
+			v := e.env[k]
+			s -= v * v
+			flops += 2
+		}
+		if !(s > 0) {
+			st.addFlops(flops)
+			return fmt.Errorf("linalg: matrix not positive definite at row %d (pivot %g)", i, s)
+		}
+		e.env[e.ptr[i+1]-1] = math.Sqrt(s)
+		flops++
+	}
+	st.addFlops(flops)
+	return nil
+}
+
+// refEnvelopeSolveInto is the scalar substitution pair the kernel's
+// CholeskySolveInto replaced, solving in place in y.
+func refEnvelopeSolveInto(e *Envelope, y Vector, st *Stats) {
+	var flops int64
+	// Forward: L·y = rhs, row-oriented.
+	for i := 0; i < e.N; i++ {
+		fi := e.first[i]
+		base := e.ptr[i] - fi
+		s := y[i]
+		for k := fi; k < i; k++ {
+			s -= e.env[base+k] * y[k]
+			flops += 2
+		}
+		y[i] = s / e.env[e.ptr[i+1]-1]
+		flops++
+	}
+	// Backward: Lᵀ·x = y, column-oriented over the row-stored factor.
+	for i := e.N - 1; i >= 0; i-- {
+		fi := e.first[i]
+		base := e.ptr[i] - fi
+		x := y[i] / e.env[e.ptr[i+1]-1]
+		flops++
+		y[i] = x
+		for k := fi; k < i; k++ {
+			y[k] -= e.env[base+k] * x
+			flops += 2
+		}
+	}
+	st.addFlops(flops)
+}
+
+// firstBitDiff returns the first index where a and b differ in bit
+// pattern (or in length), -1 when they are identical.
+func firstBitDiff(a, b []float64) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// profileString prints a row profile for a failure message, the head of
+// it when the matrix is a mesh's.
+func profileString(first []int) string {
+	if len(first) > 64 {
+		return fmt.Sprintf("n=%d, first %v…", len(first), first[:64])
+	}
+	return fmt.Sprintf("first %v", first)
+}
+
+// checkEnvelopeKernel factors one copy of e with the kernel and one with
+// the oracle and demands the same error, the same stored bits (of a
+// failed factorisation, the rows down to the failing one) and the same
+// flop count; when the factorisation succeeds it does the same for the
+// substitution, into a fresh vector, a caller's vector and in place.  It
+// returns the kernel's error.
+func checkEnvelopeKernel(t testing.TB, e *Envelope, rhs Vector) error {
+	t.Helper()
+	got, want := NewEnvelope(e.first), NewEnvelope(e.first)
+	copy(got.env, e.env)
+	copy(want.env, e.env)
+	var gst, wst Stats
+	gerr, werr := got.CholeskyFactorInPlace(&gst), refEnvelopeFactor(want, &wst)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("factor error %v, oracle %v (%s)", gerr, werr, profileString(e.first))
+	}
+	// A failed factorisation is compared up to the failing row: the kernel
+	// takes rows in pairs and has by then been at the row below it.
+	stored := len(got.env)
+	if gerr != nil {
+		var row int
+		if _, err := fmt.Sscanf(gerr.Error(), "linalg: matrix not positive definite at row %d", &row); err != nil {
+			t.Fatalf("factor error %q names no row", gerr)
+		}
+		stored = got.ptr[row+1]
+	}
+	if i := firstBitDiff(got.env[:stored], want.env[:stored]); i >= 0 {
+		t.Fatalf("factor differs from the oracle at stored entry %d: %v vs %v (%s)", i, got.env[i], want.env[i], profileString(e.first))
+	}
+	if gst.Flops != wst.Flops {
+		t.Fatalf("factor flops %d, oracle %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
+	}
+	if gerr != nil {
+		return gerr
+	}
+	ref := rhs.Clone()
+	wst = Stats{}
+	refEnvelopeSolveInto(want, ref, &wst)
+	inPlace := rhs.Clone()
+	for name, x := range map[string]Vector{
+		"fresh":    got.CholeskySolveInto(rhs, nil, nil),
+		"into":     got.CholeskySolveInto(rhs, NewVector(e.N), nil),
+		"in place": got.CholeskySolveInto(inPlace, inPlace, nil),
+	} {
+		if i := firstBitDiff(x, ref); i >= 0 {
+			t.Fatalf("%s solve differs from the oracle at %d: %v vs %v (%s)", name, i, x[i], ref[i], profileString(e.first))
+		}
+	}
+	gst = Stats{}
+	got.CholeskySolveInto(rhs, nil, &gst)
+	if gst.Flops != wst.Flops {
+		t.Fatalf("solve flops %d, oracle %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
+	}
+	return nil
+}
+
+// profileKinds are the row-profile shapes the differential test draws:
+// the ragged cases the blocked kernel has to get right are rows narrower
+// than a block, neighbouring rows that begin far apart, rows whose first
+// column jumps past a block's start or lies inside one, and the dense
+// and diagonal extremes.
+var profileKinds = []struct {
+	name  string
+	first func(rng *rand.Rand, i int, prev int) int
+}{
+	{"dense", func(*rand.Rand, int, int) int { return 0 }},
+	{"diagonal", func(_ *rand.Rand, i, _ int) int { return i }},
+	{"ragged", func(rng *rand.Rand, i, _ int) int { return rng.Intn(i + 1) }},
+	{"narrow", func(rng *rand.Rand, i, _ int) int { return max(0, i-rng.Intn(4)) }},
+	{"band", func(_ *rand.Rand, i, _ int) int { return max(0, i-6) }},
+	// Monotone, as an RCM ordering leaves it, with occasional long jumps.
+	{"monotone", func(rng *rand.Rand, i, prev int) int {
+		f := prev + rng.Intn(3)
+		if rng.Intn(8) == 0 {
+			f += rng.Intn(6)
+		}
+		return min(f, i)
+	}},
+	// Mostly wide rows with narrow ones sprinkled in: the narrow rows
+	// begin inside the blocks of the wide rows below them.
+	{"holes", func(rng *rand.Rand, i, _ int) int {
+		if rng.Intn(3) == 0 {
+			return max(0, i-rng.Intn(3))
+		}
+		return rng.Intn(i/4 + 1)
+	}},
+	// Narrow rows closed by dense ones.
+	{"dense-rows", func(rng *rand.Rand, i, _ int) int {
+		if i%5 == 4 {
+			return 0
+		}
+		return max(0, i-rng.Intn(3))
+	}},
+}
+
+// randomEnvelope returns a diagonally dominant (hence SPD) matrix with
+// the given row profile and entries drawn from rng.
+func randomEnvelope(rng *rand.Rand, first []int) *Envelope {
+	e := NewEnvelope(first)
+	n := len(first)
+	sum := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := first[i]; j < i; j++ {
+			v := rng.Float64()*2 - 1
+			e.Set(i, j, v)
+			sum[i] += math.Abs(v)
+			sum[j] += math.Abs(v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		e.Set(i, i, sum[i]+0.5+rng.Float64())
+	}
+	return e
+}
+
+// sparseCSR returns e as a full symmetric CSR matrix keeping each
+// off-diagonal pair with probability 1/2 — still diagonally dominant.
+func sparseCSR(t testing.TB, rng *rand.Rand, e *Envelope) *CSR {
+	t.Helper()
+	var ts []Triplet
+	for i := 0; i < e.N; i++ {
+		ts = append(ts, Triplet{Row: i, Col: i, Val: e.At(i, i)})
+		for j := e.first[i]; j < i; j++ {
+			if rng.Intn(2) == 0 {
+				ts = append(ts, Triplet{Row: i, Col: j, Val: e.At(i, j)}, Triplet{Row: j, Col: i, Val: e.At(i, j)})
+			}
+		}
+	}
+	m, err := NewCSRFromTriplets(e.N, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func randomRHS(rng *rand.Rand, n int) Vector {
+	b := NewVector(n)
+	for i := range b {
+		b[i] = rng.Float64()*20 - 10
+	}
+	return b
+}
+
+// TestEnvelopeKernelMatchesScalarOracle is the kernel's contract as a
+// differential test: on seeded random SPD matrices over every profile
+// shape and every small order, the blocked factorisation and forward
+// substitution agree with the scalar loops they replaced in every stored
+// bit, in the solve output and in Stats.Flops.
+func TestEnvelopeKernelMatchesScalarOracle(t *testing.T) {
+	orders := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 22, 41, 63}
+	for _, kind := range profileKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			for _, n := range orders {
+				for rep := 0; rep < 6; rep++ {
+					first := make([]int, n)
+					for i := 1; i < n; i++ {
+						first[i] = kind.first(rng, i, first[i-1])
+					}
+					if err := checkEnvelopeKernel(t, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
+						t.Fatalf("n=%d: diagonally dominant matrix failed to factor: %v", n, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEnvelopeKernelFailsWhereOracleFails plants a non-positive pivot at
+// every row of a matrix — the first and the second row of a pair, the
+// odd last row — in each way a pivot can be unusable: the kernel must stop
+// at the same row with the same message, the same factor down to that row
+// and the same flop total as the scalar loop.
+func TestEnvelopeKernelFailsWhereOracleFails(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 15
+	for _, kind := range profileKinds {
+		first := make([]int, n)
+		for i := 1; i < n; i++ {
+			first[i] = kind.first(rng, i, first[i-1])
+		}
+		for row := 0; row < n; row++ {
+			for _, bad := range []float64{-1, 0, math.NaN(), math.Inf(-1)} {
+				e := randomEnvelope(rng, first)
+				e.Set(row, row, bad)
+				err := checkEnvelopeKernel(t, e, randomRHS(rng, n))
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at row %d ", row)) {
+					t.Errorf("%s: pivot %g at row %d: error %v", kind.name, bad, row, err)
+				}
+			}
+			// A +Inf pivot passes s > 0 and zeroes its column; whether a
+			// later row then meets Inf−Inf is the oracle's to say.
+			e := randomEnvelope(rng, first)
+			e.Set(row, row, math.Inf(1))
+			_ = checkEnvelopeKernel(t, e, randomRHS(rng, n))
+		}
+	}
+}
+
+// envelopeFromFuzz decodes a profile and values from fuzz bytes: the
+// first byte is the order (mod 24), then one byte per row for its width,
+// then one byte per stored value.  Diagonals get the row's absolute sum
+// added unless the value byte is odd, so most inputs factor and some fail
+// part-way.
+func envelopeFromFuzz(data []byte) (*Envelope, Vector) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	n := int(next()) % 24
+	first := make([]int, n)
+	for i := range first {
+		first[i] = i - int(next())%(i+1)
+	}
+	e := NewEnvelope(first)
+	sum := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := first[i]; j < i; j++ {
+			v := float64(int8(next())) / 16
+			e.Set(i, j, v)
+			sum[i] += math.Abs(v)
+			sum[j] += math.Abs(v)
+		}
+	}
+	rhs := NewVector(n)
+	for i := 0; i < n; i++ {
+		b := next()
+		d := float64(b)/8 + 0.25
+		if b&1 == 0 {
+			d += sum[i]
+		}
+		e.Set(i, i, d)
+		rhs[i] = float64(int8(next())) / 4
+	}
+	return e, rhs
+}
+
+// FuzzEnvelopeCholesky searches profiles and values for an input on
+// which the blocked kernel and the scalar oracle part ways — in a stored
+// bit, the solve output, the failing row or the flop count.
+func FuzzEnvelopeCholesky(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 8, 3})
+	f.Add([]byte{9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 200, 17, 33, 250, 4, 90})
+	f.Add([]byte{23, 0, 0, 1, 0, 3, 1, 5, 2, 7, 1, 9, 4, 11, 3, 13, 6, 2, 16, 1, 18, 5, 20, 7})
+	f.Add([]byte{12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 1, 255, 1, 255, 1, 255, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, rhs := envelopeFromFuzz(data)
+		_ = checkEnvelopeKernel(t, e, rhs)
+	})
+}

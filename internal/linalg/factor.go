@@ -383,17 +383,19 @@ type FactorCache struct {
 	entries map[string]*factorEntry
 
 	// Shared observability counters (Instrument): warm solves, plan
-	// misses, and refactorisations.  Nil no-op sinks by default, so an
-	// uninstrumented cache pays one nil check per solve.
-	hits, misses, refactors *obs.Counter
+	// misses, refactorisations and the flops those spent.  Nil no-op
+	// sinks by default, so an uninstrumented cache pays one nil check per
+	// solve.
+	hits, misses, refactors, flops *obs.Counter
 }
 
-// Instrument routes the cache's hit/miss/refactor counts into shared
-// counters — fem.Model.Instrument points its cache at the system
-// registry's factor.* family.  Any argument may be nil.
-func (fc *FactorCache) Instrument(hits, misses, refactors *obs.Counter) {
+// Instrument routes the cache's hit/miss/refactor counts and the flops
+// its refactorisations spend into shared counters — fem.Model.Instrument
+// points its cache at the system registry's factor.* family.  Any
+// argument may be nil.
+func (fc *FactorCache) Instrument(hits, misses, refactors, flops *obs.Counter) {
 	fc.mu.Lock()
-	fc.hits, fc.misses, fc.refactors = hits, misses, refactors
+	fc.hits, fc.misses, fc.refactors, fc.flops = hits, misses, refactors, flops
 	fc.mu.Unlock()
 }
 
@@ -454,7 +456,11 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) 
 	}
 	if !e.plan.factored || e.nan || !valuesEqual(e.vals, a.Val) {
 		fc.refactors.Inc()
-		if err := e.plan.Refactor(a, st); err != nil {
+		var spent Stats
+		err := e.plan.Refactor(a, &spent)
+		st.Merge(spent)
+		fc.flops.Add(spent.Flops)
+		if err != nil {
 			return nil, true, err
 		}
 		if len(e.vals) != len(a.Val) {

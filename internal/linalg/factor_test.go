@@ -3,6 +3,7 @@ package linalg
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -96,16 +97,29 @@ func TestDirectPlanMatchesBaselines(t *testing.T) {
 }
 
 // TestEnvelopeAgreesWithBand checks the skyline path against the banded
-// path on regular and badly numbered systems, and that the envelope
-// profile never exceeds (and on the shuffled system beats) the band.
+// path on regular, badly numbered and random systems, and that the
+// envelope profile never exceeds (and on the shuffled system beats) the
+// band.
 func TestEnvelopeAgreesWithBand(t *testing.T) {
-	for _, tc := range []struct {
+	type system struct {
 		name string
 		m    *CSR
-	}{
+	}
+	systems := []system{
 		{"poisson", poisson2D(9)},
 		{"poisson-shuffled", shuffled(t, poisson2D(9))},
-	} {
+	}
+	// The envelope kernel's random SPD systems, thinned to about half
+	// their entries so the RCM profile comes out ragged.
+	rng := rand.New(rand.NewSource(29))
+	for _, kind := range profileKinds {
+		first := make([]int, 41)
+		for i := 1; i < len(first); i++ {
+			first[i] = kind.first(rng, i, first[i-1])
+		}
+		systems = append(systems, system{"random-" + kind.name, sparseCSR(t, rng, randomEnvelope(rng, first))})
+	}
+	for _, tc := range systems {
 		t.Run(tc.name, func(t *testing.T) {
 			b := rhsFor(tc.m)
 			band, err := NewDirectPlan(tc.m, PlanOpts{Ordering: OrderRCM})

@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -293,13 +295,39 @@ func TestBandedCholeskySolves1DPoisson(t *testing.T) {
 	}
 }
 
+// TestBandedCholeskyNotPositiveDefinite: a pivot that is negative, zero
+// or NaN fails the factorisation at its row, and st is left holding the
+// work done up to it — the columns before the failing one and its pivot
+// sum — as the envelope kernel leaves it.
 func TestBandedCholeskyNotPositiveDefinite(t *testing.T) {
-	b := NewBanded(2, 1)
-	b.Set(0, 0, 1)
-	b.Set(1, 0, 5)
-	b.Set(1, 1, 1) // pivot 1 - 25 < 0
-	if _, err := b.CholeskyFactor(nil); err == nil {
-		t.Error("indefinite matrix factored without error")
+	const n, w = 9, 3
+	for row := 0; row < n; row++ {
+		for _, bad := range []float64{-1, 0, math.NaN()} {
+			b := NewBanded(n, w)
+			for i := 0; i < n; i++ {
+				b.Set(i, i, 8)
+				for j := max(0, i-w); j < i; j++ {
+					b.Set(i, j, 1/float64(1+i+j))
+				}
+			}
+			b.Set(row, row, bad)
+			st := &Stats{}
+			err := b.CholeskyFactorInPlace(st)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("not positive definite at row %d ", row)) {
+				t.Fatalf("pivot %g at row %d: error %v", bad, row, err)
+			}
+			var want int64
+			for c := 0; c < row; c++ {
+				want += int64(2*(c-max(0, c-w)) + 1)
+				for i := c + 1; i <= min(c+w, n-1); i++ {
+					want += int64(2*(c-max(0, i-w)) + 1)
+				}
+			}
+			want += int64(2 * (row - max(0, row-w)))
+			if st.Flops != want {
+				t.Errorf("pivot %g at row %d: %d flops booked, want %d", bad, row, st.Flops, want)
+			}
+		}
 	}
 }
 

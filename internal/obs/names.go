@@ -48,6 +48,7 @@ const (
 	FactorHits      = "factor.hits"      // counter: solves served by a warm factor
 	FactorMisses    = "factor.misses"    // counter: solves that had to plan (cold or pattern change)
 	FactorRefactors = "factor.refactors" // counter: numeric refactorisations (misses included)
+	FactorFlops     = "factor.flops"     // counter: floating-point operations spent in those refactorisations (a failed one's up to its failing pivot)
 
 	// Retained assembly (internal/fem Solve).
 	AssembleSymbolic  = "assemble.symbolic"  // counter: solves that built a symbolic assembly (no plan to inherit, or topology changed)

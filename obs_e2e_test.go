@@ -192,7 +192,8 @@ func TestWarmSolvesReuseSymbolicAssembly(t *testing.T) {
 // round every solve re-assembles and refactors, so every reply says
 // Refactored; with the same modulus the regenerated plate reads back the
 // inputs the inherited matrix was assembled from, so every solve skips
-// the numeric assembly and answers from the warm factor.
+// the numeric assembly and answers from the warm factor.  factor.flops
+// moves with the refactorisations, by the probe's count each.
 func TestRegeneratedPlateKeepsSymbolicAssembly(t *testing.T) {
 	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
 	defer srv.Shutdown(context.Background())
@@ -236,6 +237,7 @@ func TestRegeneratedPlateKeepsSymbolicAssembly(t *testing.T) {
 		{obs.AssembleReused, n - 1},
 		{obs.AssembleUnchanged, 0},
 		{obs.FactorRefactors, n},
+		{obs.FactorFlops, n * plateRefactorFlops(t, 8, 4)},
 		{obs.FactorMisses, 1},
 		{obs.FactorHits, 0},
 	})
@@ -245,9 +247,28 @@ func TestRegeneratedPlateKeepsSymbolicAssembly(t *testing.T) {
 		{obs.AssembleReused, n},
 		{obs.AssembleUnchanged, n},
 		{obs.FactorRefactors, 0},
+		{obs.FactorFlops, 0},
 		{obs.FactorMisses, 0},
 		{obs.FactorHits, n},
 	})
+}
+
+// plateRefactorFlops is the benchmark probe's linalg.refactor_flops taken
+// on remotePlate's nx×ny plate: the flops of one cholesky-env
+// refactorisation, which depend on the plate's topology alone.
+func plateRefactorFlops(t *testing.T, nx, ny int) int64 {
+	t.Helper()
+	k, _ := benchPlate(t, nx, ny)
+	opts, _ := linalg.PlanOptsFor(linalg.BackendCholeskyEnv)
+	plan, err := linalg.NewDirectPlan(k, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st linalg.Stats
+	if err := plan.Refactor(k, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Flops
 }
 
 // TestStatsAnswersLocally pins the local path: a plain session answers
@@ -345,7 +366,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		if instrumented {
 			reg := obs.New()
 			fc.Instrument(reg.Counter(obs.FactorHits), reg.Counter(obs.FactorMisses),
-				reg.Counter(obs.FactorRefactors))
+				reg.Counter(obs.FactorRefactors), reg.Counter(obs.FactorFlops))
 		}
 		// Prime the cache so every measured solve is the warm path.
 		if _, _, err := fc.SolveCached(linalg.BackendCholeskyRCM, k, rhs, nil); err != nil {
