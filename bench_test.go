@@ -19,6 +19,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/fem"
 	"repro/internal/hgraph"
+	"repro/internal/job"
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/navm"
@@ -833,6 +834,45 @@ func BenchmarkServerThroughput(b *testing.B) {
 			b.ReportMetric(float64(b.N*clients)/b.Elapsed().Seconds(), "jobs/s")
 		})
 	}
+	// The in-process twin of the benchmark's iterate_small workload: one
+	// client, closed-loop submit+wait on the 8x6 plate, timed only once
+	// the scheduler's retention window is full — the steady state a
+	// long-lived daemon is in, where every submit also evicts a record.
+	// Run with -benchmem: allocs/op is the ceiling a service-path change
+	// must not raise.
+	b.Run("submit-wait-steady", func(b *testing.B) {
+		sys, err := fem2.New(fem2.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := fem2.NewServer(sys, fem2.ServerConfig{})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		go srv.Serve(ln)
+		defer srv.Shutdown(context.Background())
+		cl, err := fem2.Dial(ln.Addr().String(), "steady")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		remotePlate(b, cl, "plate", 8, 6)
+		for n := 0; n <= job.DefaultRetainedJobs; n++ {
+			if _, _, err := submitAndWait(cl, "plate"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for n := 0; n < b.N; n++ {
+			if _, _, err := submitAndWait(cl, "plate"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+	})
 }
 
 // BenchmarkAUVMCommand measures command interpretation end to end.

@@ -18,9 +18,11 @@ import (
 // definition, a job the crash destroyed — recovery rewrites it as
 // Failed with a deterministic "lost to restart" cause.
 //
-// The journal also outlives retention eviction: evictLocked re-persists
-// a record before dropping it from memory, and Status/Wait/Cancel fall
-// back to the journal for ids the in-memory map no longer holds.
+// The journal also outlives retention eviction: evictLocked makes sure a
+// record is in the journal before dropping it from memory (writing it
+// then if the terminal write failed or never happened), and
+// Status/Wait/Cancel fall back to the journal for ids the in-memory map
+// no longer holds.
 
 // journalRecord is the JSON encoding of one job record.  Cmd and Result
 // reuse the wire envelopes (command.MarshalCommand/MarshalResult), so
@@ -185,9 +187,17 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 // recordLocked builds the journal encoding of a job's current state,
 // stamped with the cluster epoch when an epoch source is wired.
 func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
-	cmdRaw, err := command.MarshalCommand(j.cmd)
-	if err != nil {
-		return nil, err
+	if j.cmdRaw == nil {
+		var err error
+		if j.cmdRaw, err = command.MarshalCommand(j.cmd); err != nil {
+			return nil, err
+		}
+	}
+	cmdRaw := j.cmdRaw
+	if j.state.Terminal() {
+		// Normally the job's last record: the encoding is not kept with
+		// the retained history, and a retry at eviction re-encodes.
+		j.cmdRaw = nil
 	}
 	rec := journalRecord{
 		ID: int64(j.id), Owner: j.owner, Model: j.model, Cmd: cmdRaw,
@@ -214,19 +224,20 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 // it records (the job itself already ran) and must never take down the
 // scheduler — the failure is counted, logged, and the job carries on;
 // the record simply stays at its previous state and recovery treats it
-// accordingly.  No-op when no journal is attached.
-func (s *Scheduler) persistLocked(j *job) {
+// accordingly.  No-op when no journal is attached.  It reports whether
+// the journal now holds the record.
+func (s *Scheduler) persistLocked(j *job) bool {
 	if s.journal == nil {
-		return
+		return false
 	}
 	raw, err := s.recordLocked(j)
+	if err == nil {
+		err = s.journal.Put(store.JobKey(int64(j.id)), raw)
+	}
 	if err != nil {
 		s.journalWriteFailedLocked(j, err)
-		return
 	}
-	if err := s.journal.Put(store.JobKey(int64(j.id)), raw); err != nil {
-		s.journalWriteFailedLocked(j, err)
-	}
+	return err == nil
 }
 
 // journalWriteFailedLocked is the log-mark-continue half of the journal

@@ -54,6 +54,15 @@ type job struct {
 	// marks a lost record ResubmitLost has already requeued, so a
 	// crash-restart loop never requeues the same record twice.
 	lost, resubmitted bool
+	// cmdRaw is the journal encoding of cmd, made by the job's first
+	// record and reused by every later one until the job is terminal.
+	cmdRaw []byte
+	// journaled records that finishLocked's write of the terminal record
+	// reached the journal, so retention eviction has nothing to flush.  It
+	// stays false after a failed write, with no journal attached, and on a
+	// record recovered from a journal (lost, or resubmitted later): those
+	// are written at eviction.
+	journaled bool
 	// done is closed exactly once, when the job reaches a terminal
 	// state.
 	done chan struct{}
@@ -72,8 +81,12 @@ type Scheduler struct {
 	closed  bool
 	next    int64
 	jobs    map[JobID]*job
-	// order remembers submission order for retention eviction.
+	// order remembers submission order for retention eviction: a queue
+	// evictLocked consumes from the head.
 	order []JobID
+	// orderExamined counts the entries of order evictLocked has looked at
+	// — what the scaling test reads in place of a clock.
+	orderExamined int64
 	// retain bounds the job records kept: when the map outgrows it, the
 	// oldest terminal jobs are evicted (live jobs never are).
 	retain int
@@ -106,11 +119,11 @@ type Scheduler struct {
 	logf  func(format string, args ...any)
 	wg    sync.WaitGroup
 
-	// obs is the live-metrics registry (SetObs); the resolved metrics
-	// below are nil no-op sinks until it is installed, so a bare
-	// scheduler observes for free.  Counters are resolved once here and
+	// The live metrics (SetObs) are nil no-op sinks until a registry is
+	// installed, so a bare scheduler observes for free.  Handles are
+	// resolved once — hLatency's per verb, on a verb's first job — and
 	// observed lock-free on the hot path.
-	obs            *obs.Registry
+	hLatency       *obs.HistogramFamily // job.latency.<verb>
 	mSubmitted     *obs.Counter
 	mDone          *obs.Counter
 	mFailed        *obs.Counter
@@ -167,7 +180,7 @@ func (s *Scheduler) SetEpochSource(f func() int64) {
 func (s *Scheduler) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs = reg
+	s.hLatency = reg.HistogramFamily(obs.JobLatencyPrefix)
 	s.mSubmitted = reg.Counter(obs.JobSubmitted)
 	s.mDone = reg.Counter(obs.JobDone)
 	s.mFailed = reg.Counter(obs.JobFailed)
@@ -226,28 +239,40 @@ func (s *Scheduler) SetRetention(n int) {
 // evictLocked drops the oldest terminal job records until the map is
 // back within the retention bound.  Live (queued/running) jobs are
 // never evicted, so under a burst the map can exceed the bound by the
-// number of in-flight jobs.
+// number of in-flight jobs.  It walks order from the head and stops as
+// soon as the bound holds: the cost is the records evicted plus the live
+// jobs (and ids no longer in the map) passed over on the way, which keep
+// their place at the head.
 func (s *Scheduler) evictLocked() {
 	if s.retain <= 0 || len(s.jobs) <= s.retain {
 		return
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
+	i, kept := 0, 0
+	for ; i < len(s.order) && len(s.jobs) > s.retain; i++ {
+		s.orderExamined++
+		id := s.order[i]
 		j, ok := s.jobs[id]
 		if !ok {
 			continue
 		}
-		if len(s.jobs) > s.retain && j.state.Terminal() {
-			// Flush the record to the journal before dropping it from
-			// memory, so history survives eviction (and restart): Status
-			// and Wait keep answering for evicted ids via the journal.
-			s.persistLocked(j)
-			delete(s.jobs, id)
+		if !j.state.Terminal() {
+			s.order[kept] = id
+			kept++
 			continue
 		}
-		kept = append(kept, id)
+		// The record must be in the journal before it leaves memory, so
+		// history survives eviction (and restart): Status and Wait keep
+		// answering for evicted ids via the journal.  finishLocked has
+		// usually put it there already.
+		if !j.journaled {
+			s.persistLocked(j)
+		}
+		delete(s.jobs, id)
 	}
-	s.order = kept
+	// order[:kept] are the live jobs passed over; they go back in front of
+	// the unexamined tail.
+	copy(s.order[i-kept:i], s.order[:kept])
+	s.order = s.order[i-kept:]
 }
 
 // notFound builds the taxonomy error for an unknown job id.
@@ -449,7 +474,7 @@ func (s *Scheduler) execute(j *job) {
 			state = Cancelled
 		}
 	}
-	s.obs.Histogram(obs.JobLatencyPrefix + command.Verb(j.cmd)).Observe(elapsed)
+	s.hLatency.Get(command.Verb(j.cmd)).Observe(elapsed)
 	s.gRunning.Add(-1)
 	switch state {
 	case Done:

@@ -154,7 +154,7 @@ func (s *Scheduler) finishLocked(j *job) {
 	}
 	s.liveTotal--
 	s.cond.Broadcast()
-	s.persistLocked(j) // overwrite the queued record with the outcome
+	j.journaled = s.persistLocked(j) // overwrite the queued record with the outcome
 	s.publishLocked(j)
 }
 

@@ -40,6 +40,8 @@ const (
 	ServerConnections   = "server.connections"    // gauge: open client connections
 	ServerFramesIn      = "server.frames_in"      // counter: request frames decoded
 	ServerFramesOut     = "server.frames_out"     // counter: response/notification frames written
+	ServerFlushes       = "server.flushes"        // counter: socket flushes; frames_out / flushes is how many frames share one write
+	ServerEventsDropped = "server.events_dropped" // counter: job notifications dropped because the connection's event queue was full (status/wait stay authoritative)
 	ServerQuotaRejected = "server.quota_rejected" // counter: requests answered with the quota code
 	ServerPanics        = "server.panics"         // counter: panics recovered while executing a command (request goroutine or scheduled job), answered as errors
 	ServerRequestPrefix = "server.request."       // histogram family: decode-to-reply latency per verb

@@ -24,6 +24,7 @@
 package obs
 
 import (
+	"maps"
 	"math/bits"
 	"sort"
 	"sync"
@@ -295,6 +296,51 @@ func (r *Registry) Histogram(name string) *Histogram {
 		h = &Histogram{}
 		r.histograms[name] = h
 	}
+	return h
+}
+
+// HistogramFamily is one dynamic histogram family — the histograms named
+// prefix+member, such as server.request.<verb> — with each member's
+// handle resolved on its first observation and found again without the
+// registry mutex or the name concatenation: a hit is one atomic load and
+// one lookup in a map nobody writes, so a per-verb Observe costs what a
+// fixed metric's does.  Members register lazily, as Registry.Histogram
+// registers them, so a snapshot shows only the verbs that occurred.  A
+// nil family hands out nil histograms.
+type HistogramFamily struct {
+	reg    *Registry
+	prefix string
+	// members is replaced, never written: a miss stores a copy with the
+	// new member in it (under the registry's mutex, against another miss),
+	// and a family is as small as the verb table.
+	members atomic.Pointer[map[string]*Histogram]
+}
+
+// HistogramFamily returns a handle cache for the family named by prefix
+// (one of the *Prefix constants in names.go).
+func (r *Registry) HistogramFamily(prefix string) *HistogramFamily {
+	if r == nil {
+		return nil
+	}
+	f := &HistogramFamily{reg: r, prefix: prefix}
+	f.members.Store(&map[string]*Histogram{})
+	return f
+}
+
+// Get returns the histogram prefix+member.
+func (f *HistogramFamily) Get(member string) *Histogram {
+	if f == nil {
+		return nil
+	}
+	if h, ok := (*f.members.Load())[member]; ok {
+		return h
+	}
+	h := f.reg.Histogram(f.prefix + member)
+	f.reg.mu.Lock()
+	defer f.reg.mu.Unlock()
+	grown := maps.Clone(*f.members.Load())
+	grown[member] = h
+	f.members.Store(&grown)
 	return h
 }
 

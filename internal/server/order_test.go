@@ -1,0 +1,443 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/auvm"
+	"repro/internal/command"
+	"repro/internal/core"
+	"repro/internal/job"
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/request_placement.golden")
+
+// tcpPeer is the client end of a loopback connection, speaking raw
+// frames: it can put several requests on the wire in one write, which a
+// net.Pipe (no buffer) cannot, and half-close.
+type tcpPeer struct {
+	t  *testing.T
+	nc *net.TCPConn
+	br *bufio.Reader
+	id uint64
+}
+
+// serveTCP starts srv on a loopback listener and returns a dialer.
+func serveTCP(t *testing.T, srv *Server) func() *tcpPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { ln.Close() })
+	return func() *tcpPeer {
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(60 * time.Second))
+		return &tcpPeer{t: t, nc: nc.(*net.TCPConn), br: bufio.NewReader(nc)}
+	}
+}
+
+// send writes the commands back-to-back — one write(2), so the server's
+// reader finds them all in its buffer — and returns their request ids.
+func (p *tcpPeer) send(cmds ...command.Command) []uint64 {
+	p.t.Helper()
+	var buf bytes.Buffer
+	ids := make([]uint64, len(cmds))
+	for i, cmd := range cmds {
+		data, err := command.MarshalCommand(cmd)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		p.id++
+		ids[i] = p.id
+		if err := wire.EncodeRequest(&buf, &wire.Request{ID: p.id, Command: data}); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+	if _, err := p.nc.Write(buf.Bytes()); err != nil {
+		p.t.Fatalf("send: %v", err)
+	}
+	return ids
+}
+
+// next reads one frame.
+func (p *tcpPeer) next() *wire.Response {
+	p.t.Helper()
+	resp, err := wire.DecodeResponse(p.br)
+	if err != nil {
+		p.t.Fatalf("receive: %v", err)
+	}
+	return resp
+}
+
+// replies reads frames until it has the reply to each of ids, and
+// returns them keyed by id with the order they arrived in.
+func (p *tcpPeer) replies(ids []uint64) (byID map[uint64]*wire.Response, arrival []uint64) {
+	p.t.Helper()
+	byID = map[uint64]*wire.Response{}
+	for len(byID) < len(ids) {
+		resp := p.next()
+		if resp.Event != nil {
+			continue
+		}
+		byID[resp.ID] = resp
+		arrival = append(arrival, resp.ID)
+	}
+	return byID, arrival
+}
+
+// do is one closed-loop request; it fails the test on an error reply.
+func (p *tcpPeer) do(cmd command.Command) *wire.Response {
+	p.t.Helper()
+	ids := p.send(cmd)
+	byID, _ := p.replies(ids)
+	resp := byID[ids[0]]
+	if resp == nil || resp.Error != nil {
+		p.t.Fatalf("%v: %+v", cmd, resp)
+	}
+	return resp
+}
+
+// TestRunsBesideGolden pins the one rule for where a request runs over
+// every wire verb — alone, wrapped in submit, and wrapped in submit on a
+// server whose admission queues instead of refusing — against a golden
+// table.  The verb list is the first column of the command package's
+// verb_sets.golden, so a new verb fails here until it has a row.
+func TestRunsBesideGolden(t *testing.T) {
+	raw, err := os.ReadFile("../command/testdata/verb_sets.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject := New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject})
+	queue := New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue})
+	place := func(s *Server, cmd command.Command) string {
+		if s.runsBeside(cmd) {
+			return "beside"
+		}
+		return "reader"
+	}
+	var b strings.Builder
+	b.WriteString("# Where each wire verb's request executes: on the connection's reader goroutine, in\n" +
+		"# arrival order, or on a goroutine of its own beside what follows it (Server.runsBeside).\n" +
+		"# \"-\" marks a verb that cannot run under submit.\n" +
+		"# columns: the verb itself / submit of it / submit of it when admission queues (quota policy \"queue\")\n")
+	verbs := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		verb := strings.Fields(line)[0]
+		verbs++
+		if verb == "submit" {
+			// submit decodes only with a command inside; the columns for
+			// the other verbs are its rows.
+			fmt.Fprintf(&b, "%-14s see the submit columns\n", verb)
+			continue
+		}
+		cmd, err := command.UnmarshalCommand([]byte(fmt.Sprintf(`{"verb":%q}`, verb)))
+		if err != nil {
+			t.Fatalf("%s: %v", verb, err)
+		}
+		if place(reject, cmd) != place(queue, cmd) {
+			t.Errorf("%s: where it runs depends on the quota policy", verb)
+		}
+		wrapped, wrappedQueue := "-", "-"
+		if command.Submittable(cmd) == nil {
+			wrapped = place(reject, command.Submit{Cmd: cmd})
+			wrappedQueue = place(queue, command.Submit{Cmd: cmd})
+			if ptr := place(reject, &command.Submit{Cmd: cmd}); ptr != wrapped {
+				t.Errorf("submit %s: pointer spelling runs %s, value spelling %s", verb, ptr, wrapped)
+			}
+		}
+		fmt.Fprintf(&b, "%-14s %-6s %-6s %s\n", verb, place(reject, cmd), wrapped, wrappedQueue)
+	}
+	if verbs != 32 {
+		t.Errorf("verb_sets.golden lists %d verbs, want 32", verbs)
+	}
+	const golden = "testdata/request_placement.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("request placement drifted from %s (run with -update after checking):\n%s", golden, b.String())
+	}
+}
+
+// TestInlineRequestsExecuteInArrivalOrder pipelines two model builds
+// that differ only in the session material set just before each —
+// material E1, generate g, material E2, generate h — and then solves
+// both.  g must have been built with E1 and h with E2, every time: the
+// four requests run on the reader, in the order they were sent.  (With a
+// goroutine per request the four raced.)
+func TestInlineRequestsExecuteInArrivalOrder(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	p := serveTCP(t, New(sys, Config{}))()
+	ref := sys.Session("ref")
+	reps := 200
+	if testing.Short() {
+		reps = 20
+	}
+	for rep := 0; rep < reps; rep++ {
+		script := []command.Command{
+			command.SetMaterial{E: 1e6 + float64(rep), Nu: 0.3, T: 1},
+			command.GenerateGrid{Name: "g", NX: 4, NY: 2, W: 4, H: 2, ClampLeft: true},
+			command.EndLoad{Model: "g", Set: "l", FY: -100},
+			command.SetMaterial{E: 3e6 + float64(rep), Nu: 0.3, T: 1},
+			command.GenerateGrid{Name: "h", NX: 4, NY: 2, W: 4, H: 2, ClampLeft: true},
+			command.EndLoad{Model: "h", Set: "l", FY: -100},
+			command.Solve{Model: "g", Set: "l"},
+			command.Solve{Model: "h", Set: "l"},
+		}
+		ids := p.send(script...)
+		byID, _ := p.replies(ids)
+		for i, cmd := range script {
+			want, err := ref.Do(context.Background(), cmd)
+			if err != nil {
+				t.Fatalf("reference %v: %v", cmd, err)
+			}
+			wantRaw, err := command.MarshalResult(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := byID[ids[i]]
+			if got.Error != nil || !bytes.Equal(got.Result, wantRaw) {
+				t.Fatalf("repetition %d, %v:\n got %s %+v\nwant %s", rep, cmd, got.Result, got.Error, wantRaw)
+			}
+		}
+	}
+}
+
+// TestControlVerbsOvertakeARunningSolve: a ping and a cancel pipelined
+// behind a synchronous solve that runs for milliseconds both answer
+// before it does — solve has a goroutine of its own.
+func TestControlVerbsOvertakeARunningSolve(t *testing.T) {
+	p := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))()
+	p.do(command.GenerateGrid{Name: "big", NX: 48, NY: 48, W: 48, H: 48, ClampLeft: true})
+	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	ids := p.send(command.Solve{Model: "big", Set: "l"}, command.Ping{}, command.Cancel{ID: 999})
+	byID, arrival := p.replies(ids)
+	if arrival[2] != ids[0] {
+		t.Errorf("replies arrived in order %v, want the solve (id %d) last", arrival, ids[0])
+	}
+	if byID[ids[0]].Error != nil || byID[ids[1]].Error != nil {
+		t.Errorf("solve: %+v, ping: %+v", byID[ids[0]].Error, byID[ids[1]].Error)
+	}
+	if e := byID[ids[2]].Error; e == nil || e.Code != wire.CodeNotFound {
+		t.Errorf("cancel of an unknown job: %+v, want code %q", e, wire.CodeNotFound)
+	}
+}
+
+// TestFrameOrderPerJob pins, frame by frame, what a closed-loop
+// submit+wait job puts on the wire: five frames, of which the queued
+// event is the first (it was raised before the submit reply existed, so
+// the reply's write carries it out ahead of itself), running comes
+// before done, and the wait reply is the last (done was raised before
+// Wait returned).  The submit reply sits anywhere after queued: the
+// worker may start, or finish, the job before the reader has written
+// it.
+func TestFrameOrderPerJob(t *testing.T) {
+	p := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))()
+	p.do(generate)
+	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+	jobs := 1000
+	if testing.Short() {
+		jobs = 100
+	}
+	for n := 0; n < jobs; n++ {
+		var frames []string
+		var jobID int64
+		read := func(until uint64) {
+			for {
+				resp := p.next()
+				switch {
+				case resp.Event != nil:
+					frames = append(frames, resp.Event.State)
+					if jobID != 0 && resp.Event.Job != jobID {
+						t.Fatalf("job %d: event of job-%d among job-%d's frames", n, resp.Event.Job, jobID)
+					}
+					jobID = resp.Event.Job
+				case resp.Error != nil:
+					t.Fatalf("job %d: %+v", n, resp.Error)
+				default:
+					res, err := command.UnmarshalResult(resp.Result)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sub, ok := res.(*command.SubmitResult); ok {
+						frames = append(frames, "submit-reply")
+						if jobID != 0 && sub.ID != jobID {
+							t.Fatalf("job %d: submit answered job-%d, its events say job-%d", n, sub.ID, jobID)
+						}
+						jobID = sub.ID
+					} else {
+						frames = append(frames, "wait-reply")
+					}
+				}
+				if resp.ID == until {
+					return
+				}
+			}
+		}
+		read(p.send(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}})[0])
+		read(p.send(command.Wait{ID: jobID})[0])
+		at := map[string]int{}
+		for i, f := range frames {
+			at[f] = i
+		}
+		if len(frames) != 5 || len(at) != 5 || frames[0] != "queued" || frames[4] != "wait-reply" ||
+			at["running"] > at["done"] {
+			t.Fatalf("job %d put %v on the wire, want queued first, running before done, wait-reply last, submit-reply between", n, frames)
+		}
+	}
+}
+
+// connOf returns the server's only connection and its session.
+func connOf(t *testing.T, srv *Server) (*conn, *auvm.Session) {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.conns) != 1 {
+		t.Fatalf("%d connections, want 1", len(srv.conns))
+	}
+	for c := range srv.conns {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c, c.sess
+	}
+	return nil, nil
+}
+
+// TestQueuedEventsFlushBeforeClose: however a connection ends — quit, the
+// client hanging up its sending side, the server shutting down — the
+// events already queued for it, terminal ones included, reach the peer
+// before the socket closes.  The test holds the connection's write lock
+// while a job runs to completion, so its running and done events are
+// certainly still queued when the end begins.
+func TestQueuedEventsFlushBeforeClose(t *testing.T) {
+	ends := map[string]func(p *tcpPeer, srv *Server, c *conn){
+		"quit": func(p *tcpPeer, srv *Server, c *conn) { p.send(command.Quit{}) },
+		"client half-close": func(p *tcpPeer, srv *Server, c *conn) {
+			if err := p.nc.CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"shutdown": func(p *tcpPeer, srv *Server, c *conn) {
+			go srv.Shutdown(context.Background())
+			<-c.ctx.Done()
+		},
+	}
+	for name, end := range ends {
+		t.Run(name, func(t *testing.T) {
+			sys := openSystem(t, core.Options{})
+			srv := New(sys, Config{})
+			p := serveTCP(t, srv)()
+			p.do(generate)
+			p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+			c, sess := connOf(t, srv)
+
+			c.wmu.Lock()
+			id, err := sys.Jobs.Submit(context.Background(), "anon@conn-1", sess, command.Solve{Model: "g", Set: "l"})
+			if err == nil {
+				_, err = sys.Jobs.Wait(context.Background(), id)
+			}
+			if err != nil {
+				c.wmu.Unlock()
+				t.Fatal(err)
+			}
+			end(p, srv, c)
+			c.wmu.Unlock()
+
+			var states []string
+			for {
+				resp, err := wire.DecodeResponse(p.br)
+				if err != nil {
+					if !errors.Is(err, io.EOF) {
+						t.Fatalf("after %v: %v, want a clean close", states, err)
+					}
+					break
+				}
+				if resp.Event != nil {
+					states = append(states, resp.Event.State)
+				} else {
+					states = append(states, "reply")
+				}
+			}
+			want := []string{"queued", "running", "done"}
+			if name == "quit" {
+				want = append(want, "reply")
+			}
+			if fmt.Sprint(states) != fmt.Sprint(want) {
+				t.Errorf("frames before the close: %v, want %v", states, want)
+			}
+		})
+	}
+}
+
+// TestFullEventQueueDropsAndCounts: notify never waits for a connection
+// that is not being read — past outboundQueue pending events it drops,
+// and server.events_dropped says how many.
+func TestFullEventQueueDropsAndCounts(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	p := serveTCP(t, srv)()
+	p.do(generate)
+	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+	c, sess := connOf(t, srv)
+	dropped := sys.Obs.Counter(obs.ServerEventsDropped)
+
+	const jobs = 100 // three events each
+	c.wmu.Lock()
+	for n := 0; n < jobs; n++ {
+		id, err := sys.Jobs.Submit(context.Background(), "anon@conn-1", sess, command.Solve{Model: "g", Set: "l"})
+		if err == nil {
+			_, err = sys.Jobs.Wait(context.Background(), id)
+		}
+		if err != nil {
+			c.wmu.Unlock()
+			t.Fatal(err)
+		}
+	}
+	c.wmu.Unlock()
+	if got := dropped.Load(); got != 3*jobs-outboundQueue {
+		t.Errorf("%s = %d, want %d", obs.ServerEventsDropped, got, 3*jobs-outboundQueue)
+	}
+	// What was queued arrives, in order, ahead of the next reply.
+	ids := p.send(command.Ping{})
+	events := 0
+	for {
+		resp := p.next()
+		if resp.ID == ids[0] {
+			break
+		}
+		if want := []string{"queued", "running", "done"}[events%3]; resp.Event == nil || resp.Event.State != want {
+			t.Fatalf("frame %d: %+v, want a %s event", events, resp, want)
+		}
+		events++
+	}
+	if events != outboundQueue {
+		t.Errorf("%d events arrived, want the %d that fit the queue", events, outboundQueue)
+	}
+}

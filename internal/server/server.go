@@ -74,12 +74,14 @@ type Server struct {
 
 	// Front-end metrics, resolved once from the system registry; nil
 	// no-op sinks when the system has none (see internal/obs).
-	obs            *obs.Registry
 	gConnections   *obs.Gauge
 	mFramesIn      *obs.Counter
 	mFramesOut     *obs.Counter
+	mFlushes       *obs.Counter
+	mEventsDropped *obs.Counter
 	mQuotaRejected *obs.Counter
 	mPanics        *obs.Counter
+	hRequest       *obs.HistogramFamily // server.request.<verb>
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -96,12 +98,15 @@ func New(sys *core.System, cfg Config) *Server {
 	}
 	sys.Jobs.SetQuota(cfg.MaxJobsPerSession, cfg.QuotaPolicy)
 	s := &Server{sys: sys, cfg: cfg, conns: map[*conn]struct{}{}}
-	s.obs = sys.Obs
-	s.gConnections = s.obs.Gauge(obs.ServerConnections)
-	s.mFramesIn = s.obs.Counter(obs.ServerFramesIn)
-	s.mFramesOut = s.obs.Counter(obs.ServerFramesOut)
-	s.mQuotaRejected = s.obs.Counter(obs.ServerQuotaRejected)
-	s.mPanics = s.obs.Counter(obs.ServerPanics)
+	reg := sys.Obs
+	s.gConnections = reg.Gauge(obs.ServerConnections)
+	s.mFramesIn = reg.Counter(obs.ServerFramesIn)
+	s.mFramesOut = reg.Counter(obs.ServerFramesOut)
+	s.mFlushes = reg.Counter(obs.ServerFlushes)
+	s.mEventsDropped = reg.Counter(obs.ServerEventsDropped)
+	s.mQuotaRejected = reg.Counter(obs.ServerQuotaRejected)
+	s.mPanics = reg.Counter(obs.ServerPanics)
+	s.hRequest = reg.HistogramFamily(obs.ServerRequestPrefix)
 	return s
 }
 
@@ -202,10 +207,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// conn is one client connection: a reader goroutine dispatching
-// requests (each on its own goroutine, so a blocking wait never stalls
-// the link), a writer goroutine serializing responses and
-// notifications, and one private session in the shared system.
+// conn is one client connection and one private session in the shared
+// system.  Three kinds of goroutine touch it:
+//
+//   - The reader (serve) decodes requests in arrival order and executes
+//     each one itself, so a connection's requests take effect in the
+//     order they were sent — except those runsBeside names (solve, wait,
+//     submit of a command the scheduler runs inline), which get a
+//     goroutine of their own so a cancel, status or ping pipelined behind
+//     a long or blocked request still answers first.
+//   - Whichever goroutine has a reply writes it (write): under the write
+//     lock it first moves every queued event into the buffer, then the
+//     reply, and flushes once.  Frames therefore leave in the order they
+//     were produced, and everything queued before a reply existed
+//     precedes it on the wire: queued before the submit reply, done
+//     before the wait reply.
+//   - The event writer writes events that have no reply behind them.
+//     notify wakes it unless the reader is executing a request, whose
+//     reply will carry the queue out on its own flush.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -214,13 +233,29 @@ type conn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// out is the outbound queue the writer drains; notifications are
-	// enqueued best-effort (dropped when the queue is full — status
-	// remains authoritative), responses block until queued.
-	out chan *wire.Response
+	// wmu is the write lock: it orders the drain of events, the frames
+	// appended to bw and the flush of one writer against the next.
+	wmu sync.Mutex
+	bw  *bufio.Writer
+	// drained is the slice the last drain emptied, kept for the next.
+	drained []*wire.Response
 
-	// reqs tracks in-flight request goroutines so teardown can close out
-	// only after every sender is gone.
+	// qmu guards the event queue.  It is never held across I/O or a call
+	// out of this file, so notify — which runs under the scheduler's
+	// mutex — waits on it for a few instructions at most.
+	qmu sync.Mutex
+	// events are the job notifications not yet written, oldest first,
+	// at most outboundQueue of them: beyond that notify drops (status and
+	// wait remain the authoritative record).
+	events []*wire.Response
+	// inline is set while the reader executes a request itself.
+	inline bool
+	// wake tells the event writer the queue is not empty; one pending
+	// signal covers any number of events.
+	wake chan struct{}
+
+	// reqs tracks the requests running beside the reader so teardown can
+	// flush only after every one of them has written its reply.
 	reqs sync.WaitGroup
 
 	mu       sync.Mutex
@@ -230,7 +265,7 @@ type conn struct {
 	hello    bool
 }
 
-// outboundQueue bounds the per-connection response/notification queue.
+// outboundQueue bounds the per-connection notification queue.
 const outboundQueue = 256
 
 func newConn(s *Server, nc net.Conn, id int64) *conn {
@@ -238,8 +273,24 @@ func newConn(s *Server, nc net.Conn, id int64) *conn {
 	return &conn{
 		srv: s, nc: nc, id: id,
 		ctx: ctx, cancel: cancel,
-		out: make(chan *wire.Response, outboundQueue),
+		bw:   bufio.NewWriter(nc),
+		wake: make(chan struct{}, 1),
 	}
+}
+
+// runsBeside reports whether a request gets a goroutine of its own
+// instead of running on the connection's reader: the verbs that may take
+// long (Heavy: solve) or wait by contract (Blocks: wait), and a submit
+// the scheduler will not answer at once — one wrapping a command that is
+// not Heavy, which the scheduler runs on the submitter's goroutine where
+// it may wait for a model lock, or any submit when admission holds an
+// over-quota submitter (the queue policy) instead of refusing it.
+func (s *Server) runsBeside(cmd command.Command) bool {
+	if sub, ok := command.Value(cmd).(command.Submit); ok {
+		return !command.PropsOf(sub.Cmd).Has(command.Heavy) ||
+			(s.cfg.MaxJobsPerSession > 0 && s.cfg.QuotaPolicy == job.QuotaQueue)
+	}
+	return command.PropsOf(cmd).Has(command.Heavy | command.Blocks)
 }
 
 // serve runs the connection to completion.
@@ -250,29 +301,17 @@ func (c *conn) serve() {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		bw := bufio.NewWriter(c.nc)
-		for resp := range c.out {
-			if err := wire.EncodeResponse(bw, resp); err != nil {
-				c.cancel()
-				return
-			}
-			c.srv.mFramesOut.Inc()
-			// Flush per frame only when the queue is empty, so a burst of
-			// notifications coalesces into one write.
-			if len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					c.cancel()
-					return
-				}
-			}
+		for range c.wake {
+			c.write(nil)
 		}
-		bw.Flush()
 	}()
 
-	// Unblock the blocking read when the connection context dies (server
-	// shutdown, write failure, quit) — the reader owns teardown.
+	// When the connection context dies (server shutdown, write failure,
+	// quit) unblock the blocking read — the reader owns teardown — and
+	// bound any write a peer that stopped reading is holding up.
 	stop := context.AfterFunc(c.ctx, func() {
 		c.nc.SetReadDeadline(time.Now())
+		c.nc.SetWriteDeadline(time.Now().Add(teardownFlush))
 	})
 
 	br := bufio.NewReader(c.nc)
@@ -287,21 +326,33 @@ func (c *conn) serve() {
 			continue
 		}
 		if req.ID == 0 {
-			c.send(&wire.Response{Error: &wire.Error{
+			c.write(&wire.Response{Error: &wire.Error{
 				Code: wire.CodeProto, Message: "request id 0 is reserved for notifications"}})
 			continue
 		}
-		c.reqs.Add(1)
-		go func(req *wire.Request) {
-			defer c.reqs.Done()
-			c.handleCommand(req)
-		}(req)
+		cmd, err := command.UnmarshalCommand(req.Command)
+		if err != nil {
+			c.write(&wire.Response{ID: req.ID, Error: wireError(err)})
+			continue
+		}
+		if c.srv.runsBeside(cmd) {
+			c.reqs.Add(1)
+			go func() {
+				defer c.reqs.Done()
+				c.handleCommand(req.ID, cmd)
+			}()
+			continue
+		}
+		c.setInline(true)
+		c.handleCommand(req.ID, cmd)
+		c.setInline(false)
 	}
 
-	// Teardown, in dependency order: stop new sends (request goroutines
-	// finish, subscription detaches), then close the queue so the writer
-	// flushes what is left, then close the socket and the session —
-	// cancelling this connection's jobs, the mid-solve disconnect story.
+	// Teardown, in dependency order: stop new frames (requests beside the
+	// reader finish, the subscription detaches, the event writer exits),
+	// flush the events still queued — terminal notifications included —
+	// then close the socket and the session — cancelling this
+	// connection's jobs, the mid-solve disconnect story.
 	stop()
 	c.cancel()
 	c.reqs.Wait()
@@ -311,9 +362,10 @@ func (c *conn) serve() {
 	if unsub != nil {
 		unsub()
 	}
-	close(c.out)
-	c.nc.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	close(c.wake)
 	<-writerDone
+	c.nc.SetWriteDeadline(time.Now().Add(teardownFlush))
+	c.write(nil)
 	c.nc.Close()
 	if sessName != "" {
 		c.srv.sys.CloseSession(sessName)
@@ -321,14 +373,60 @@ func (c *conn) serve() {
 	c.srv.logf("conn-%d: closed (session %s)", c.id, sessName)
 }
 
-// send queues one response, blocking until the writer takes it or the
-// connection dies.
-func (c *conn) send(resp *wire.Response) bool {
+// teardownFlush bounds the writes of a connection that is going away.
+const teardownFlush = 2 * time.Second
+
+// write sends everything the connection owes its peer right now — the
+// queued events, then resp, the caller's reply (nil when it has none) —
+// in one flush, and reports whether the bytes reached the socket.  A
+// failed write ends the connection.
+func (c *conn) write(resp *wire.Response) bool {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.qmu.Lock()
+	frames := c.events
+	c.events = c.drained[:0]
+	c.qmu.Unlock()
+	if resp != nil {
+		frames = append(frames, resp)
+	}
+	var err error
+	for _, f := range frames {
+		if err = wire.EncodeResponse(c.bw, f); err != nil {
+			break
+		}
+		c.srv.mFramesOut.Inc()
+	}
+	clear(frames)
+	c.drained = frames
+	if err == nil && c.bw.Buffered() > 0 {
+		c.srv.mFlushes.Inc()
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.cancel()
+	}
+	return err == nil
+}
+
+// setInline brackets a request the reader executes itself.  Events
+// raised in between wait for that request's reply; one raised after the
+// reply drained the queue has nothing behind it, so the event writer is
+// woken for it when the bracket closes.
+func (c *conn) setInline(on bool) {
+	c.qmu.Lock()
+	c.inline = on
+	stranded := !on && len(c.events) > 0
+	c.qmu.Unlock()
+	if stranded {
+		c.wakeWriter()
+	}
+}
+
+func (c *conn) wakeWriter() {
 	select {
-	case c.out <- resp:
-		return true
-	case <-c.ctx.Done():
-		return false
+	case c.wake <- struct{}{}:
+	default:
 	}
 }
 
@@ -336,9 +434,17 @@ func (c *conn) send(resp *wire.Response) bool {
 // rather than blocking the scheduler (the callback runs under the
 // scheduler's mutex), and status/wait remain the authoritative record.
 func (c *conn) notify(resp *wire.Response) {
-	select {
-	case c.out <- resp:
-	default:
+	c.qmu.Lock()
+	full := len(c.events) >= outboundQueue
+	if !full {
+		c.events = append(c.events, resp)
+	}
+	inline := c.inline
+	c.qmu.Unlock()
+	if full {
+		c.srv.mEventsDropped.Inc()
+	} else if !inline {
+		c.wakeWriter()
 	}
 }
 
@@ -384,12 +490,12 @@ func (c *conn) handleHello(req *wire.Request) {
 	c.hello = true
 	c.mu.Unlock()
 	if already {
-		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
+		c.write(&wire.Response{ID: req.ID, Error: &wire.Error{
 			Code: wire.CodeProto, Message: "hello must be the first and only handshake"}})
 		return
 	}
 	if req.Hello.Proto != command.ProtocolVersion {
-		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
+		c.write(&wire.Response{ID: req.ID, Error: &wire.Error{
 			Code: wire.CodeProto,
 			Message: fmt.Sprintf("protocol mismatch: client %d, server %d",
 				req.Hello.Proto, command.ProtocolVersion)}})
@@ -399,7 +505,7 @@ func (c *conn) handleHello(req *wire.Request) {
 	c.mu.Lock()
 	sessName := c.sessName
 	c.mu.Unlock()
-	c.send(&wire.Response{ID: req.ID, Welcome: &wire.Welcome{
+	c.write(&wire.Response{ID: req.ID, Welcome: &wire.Welcome{
 		Server: "fem2d", Release: command.Release,
 		Proto: command.ProtocolVersion, Session: sessName,
 		Storage:       c.srv.sys.StorageBackend(),
@@ -410,23 +516,18 @@ func (c *conn) handleHello(req *wire.Request) {
 	}})
 }
 
-// handleCommand decodes, gates, executes, and answers one command
+// handleCommand gates, executes, and answers one decoded command
 // request.
-func (c *conn) handleCommand(req *wire.Request) {
-	cmd, err := command.UnmarshalCommand(req.Command)
-	if err != nil {
-		c.send(&wire.Response{ID: req.ID, Error: wireError(err)})
-		return
-	}
+func (c *conn) handleCommand(id uint64, cmd command.Command) {
 	props := command.PropsOf(cmd)
 	if c.srv.draining.Load() && props.RefusedDraining() {
-		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
+		c.write(&wire.Response{ID: id, Error: &wire.Error{
 			Code:    wire.CodeDraining,
 			Message: fmt.Sprintf("server is draining; %q not accepted", command.Value(cmd))}})
 		return
 	}
 	if c.srv.sys.Degraded() && props.RefusedDegraded() {
-		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
+		c.write(&wire.Response{ID: id, Error: &wire.Error{
 			Code:    wire.CodeDegraded,
 			Message: fmt.Sprintf("store degraded (read-only); %q not accepted", command.Value(cmd))}})
 		return
@@ -436,7 +537,7 @@ func (c *conn) handleCommand(req *wire.Request) {
 		// the leader — see wire.CodeNotLeader.  Reads — status, wait, jobs,
 		// retrieve, list, display — keep serving, which is the point of
 		// running followers at all.
-		c.send(&wire.Response{ID: req.ID, Error: &wire.Error{
+		c.write(&wire.Response{ID: id, Error: &wire.Error{
 			Code:    wire.CodeNotLeader,
 			Leader:  cl.LeaderAddr(),
 			Message: fmt.Sprintf("not the cluster leader; %q not accepted here", command.Value(cmd))}})
@@ -451,12 +552,12 @@ func (c *conn) handleCommand(req *wire.Request) {
 	sess := c.session("")
 	start := time.Now()
 	res, err := c.do(ctx, sess, cmd)
-	c.srv.obs.Histogram(obs.ServerRequestPrefix + command.Verb(cmd)).Observe(time.Since(start))
+	c.srv.hRequest.Get(command.Verb(cmd)).Observe(time.Since(start))
 	if errors.Is(err, job.ErrQuota) {
 		c.srv.mQuotaRejected.Inc()
 	}
 
-	resp := &wire.Response{ID: req.ID}
+	resp := &wire.Response{ID: id}
 	if res != nil {
 		if data, merr := command.MarshalResult(res); merr == nil {
 			resp.Result = data
@@ -467,10 +568,7 @@ func (c *conn) handleCommand(req *wire.Request) {
 	if err != nil {
 		resp.Error = wireError(err)
 	}
-	if !c.send(resp) {
-		return
-	}
-	if errors.Is(err, auvm.ErrQuit) {
+	if c.write(resp) && errors.Is(err, auvm.ErrQuit) {
 		// quit ends the connection after its reply is flushed.
 		c.cancel()
 	}
