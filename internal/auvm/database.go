@@ -5,8 +5,10 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/errs"
 	"repro/internal/fem"
 	"repro/internal/store"
@@ -265,6 +267,9 @@ type SolutionRecord struct {
 	MaxDisp    float64 `json:"max_disp"`
 }
 
+// solutionPlan writes a SolutionRecord byte for byte as encoding/json did.
+var solutionPlan = codec.PlanOf(reflect.TypeOf(SolutionRecord{}))
+
 // AppendSolution persists one solve-history record for a model,
 // assigning the next sequence number.
 func (db *Database) AppendSolution(rec SolutionRecord) error {
@@ -272,7 +277,7 @@ func (db *Database) AppendSolution(rec SolutionRecord) error {
 	db.seqs[rec.Model]++
 	rec.Seq = db.seqs[rec.Model]
 	db.mu.Unlock()
-	raw, err := json.Marshal(rec)
+	raw, err := solutionPlan.Append(make([]byte, 0, 256), reflect.ValueOf(&rec).Elem())
 	if err != nil {
 		return fmt.Errorf("auvm: encode solution record: %w", err)
 	}

@@ -1,12 +1,17 @@
 package auvm
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/codec/codectest"
 	"repro/internal/errs"
 	"repro/internal/store"
 )
@@ -200,5 +205,35 @@ func TestRestoreErrors(t *testing.T) {
 	if _, err := s.Execute("restore " + bogus); err == nil ||
 		!strings.Contains(err.Error(), "not a FEM-2 snapshot") {
 		t.Errorf("restore of a bogus file = %v", err)
+	}
+}
+
+// TestCodecMatchesEncodingJSON is the seeded differential for the
+// solve-history record: random field values (see codectest.Fill) are stored
+// as the bytes json.Marshal — the encoder the plan codec replaced — writes,
+// or refused with its text.
+func TestCodecMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	failed := 0
+	for i := 0; i < 3000; i++ {
+		var rec SolutionRecord
+		codectest.Fill(rng, reflect.ValueOf(&rec).Elem())
+		db := NewDatabase()
+		err := db.AppendSolution(rec)
+		rec.Seq = 1
+		want, werr := json.Marshal(rec)
+		if err != nil || werr != nil {
+			failed++
+			if err == nil || werr == nil || err.Error() != "auvm: encode solution record: "+werr.Error() {
+				t.Fatalf("%+v: AppendSolution %v, json.Marshal %v", rec, err, werr)
+			}
+			continue
+		}
+		if got, err := db.st.Get(store.SolutionKey(rec.Model, 1)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%+v:\nstored %s (%v)\n  json %s", rec, got, err, want)
+		}
+	}
+	if failed < 100 {
+		t.Errorf("%d records failed to encode: the generator no longer covers the refusals", failed)
 	}
 }

@@ -47,7 +47,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -584,10 +583,14 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 	ln.pending[req.ID] = ch
 	ln.mu.Unlock()
 
+	// The frame is encoded in place in the write buffer's free space.
 	ln.wmu.Lock()
-	err := wire.EncodeRequest(ln.bw, req)
+	frame, encErr := wire.AppendRequest(ln.bw.AvailableBuffer(), req)
+	err := encErr
 	if err == nil {
-		err = ln.bw.Flush()
+		if _, err = ln.bw.Write(frame); err == nil {
+			err = ln.bw.Flush()
+		}
 	}
 	ln.wmu.Unlock()
 	if err != nil {
@@ -596,6 +599,9 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 			delete(ln.pending, req.ID)
 		}
 		ln.mu.Unlock()
+		if encErr != nil {
+			return nil, unsendable{encErr}
+		}
 		return nil, fmt.Errorf("%w: %w", ErrClientClosed, err)
 	}
 
@@ -622,6 +628,11 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 	}
 }
 
+// unsendable marks a request no frame can carry (a NaN field, a command
+// outside the verb table): nothing was sent and the link is as good as it
+// was, so the caller gets the codec's error and nothing is retried.
+type unsendable struct{ error }
+
 // errRedirected marks a link retired because a follower pointed us at
 // the leader — bookkeeping, not a transport failure.
 var errRedirected = errors.New("client: redirected to cluster leader")
@@ -632,7 +643,7 @@ var errRedirected = errors.New("client: redirected to cluster leader")
 // cancellations and per-attempt deadlines never retry.  A not-leader
 // refusal retries any verb — the server refuses before executing — by
 // re-dialing toward the advertised leader.
-func (c *Client) roundTrip(ctx context.Context, data json.RawMessage, idem, deadlineExempt bool) (*wire.Response, error) {
+func (c *Client) roundTrip(ctx context.Context, cmd command.Command, idem, deadlineExempt bool) (*wire.Response, error) {
 	attempts := 0
 	for {
 		ln, err := c.live(ctx)
@@ -642,9 +653,12 @@ func (c *Client) roundTrip(ctx context.Context, data json.RawMessage, idem, dead
 				actx, cancel = context.WithTimeout(ctx, t)
 			}
 			var resp *wire.Response
-			resp, err = ln.roundTrip(actx, &wire.Request{Command: data})
+			resp, err = ln.roundTrip(actx, &wire.Request{Cmd: cmd})
 			if cancel != nil {
 				cancel()
+			}
+			if bad := (unsendable{}); errors.As(err, &bad) {
+				return nil, bad.error
 			}
 			if err == nil {
 				e := resp.Error
@@ -748,17 +762,16 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 // byte-identical to local execution; a server-side failure comes back
 // as a *RemoteError.
 func (c *Client) Do(ctx context.Context, cmd command.Command) (command.Result, error) {
-	data, err := command.MarshalCommand(cmd)
-	if err != nil {
-		return nil, err
+	if cmd == nil {
+		return nil, errs.Usage("wire: nil command")
 	}
 	props := command.PropsOf(cmd)
-	resp, err := c.roundTrip(ctx, data, props.Has(command.Replayable), props.Has(command.Blocks))
+	resp, err := c.roundTrip(ctx, cmd, props.Has(command.Replayable), props.Has(command.Blocks))
 	if err != nil {
 		return nil, err
 	}
-	var res command.Result
-	if len(resp.Result) > 0 {
+	res := resp.Res
+	if res == nil && len(resp.Result) > 0 { // a frame off the general path
 		if res, err = command.UnmarshalResult(resp.Result); err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"testing"
@@ -225,5 +226,34 @@ func TestRetriesExhausted(t *testing.T) {
 	}
 	if fmt.Sprint(err) == "" {
 		t.Error("empty RetryError rendering")
+	}
+}
+
+// TestUnsendableCommandLeavesTheLinkAlone: a command no frame can carry — a
+// NaN field, a nil command — fails Do with the codec's own error, as it did
+// when commands were marshalled before the link was touched, and costs the
+// connection nothing: not dropped, not retried, the next call answers.
+func TestUnsendableCommandLeavesTheLinkAlone(t *testing.T) {
+	_, addr := startServer(t)
+	cl, err := fem2.DialWithOptions(addr, "eng", fem2.ClientOptions{MaxRetries: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if _, err := cl.Do(ctx, fem2.SetMaterial{E: math.NaN(), Nu: 0.3, T: 10, A: 2000}); err == nil || err.Error() != "json: unsupported value: NaN" {
+		t.Errorf("Do(material NaN …) = %v, want json: unsupported value: NaN", err)
+	}
+	if _, err := cl.Do(ctx, fem2.SubmitCommand{Cmd: fem2.AddNode{Model: "g", X: math.Inf(1)}}); err == nil || err.Error() != "json: unsupported value: +Inf" {
+		t.Errorf("Do(submit node g +Inf 0) = %v, want json: unsupported value: +Inf", err)
+	}
+	if _, err := cl.Do(ctx, nil); !errors.Is(err, fem2.ErrUsage) || err.Error() != "usage: wire: nil command" {
+		t.Errorf("Do(nil) = %v, want the nil-command usage error", err)
+	}
+	if res, err := cl.Do(ctx, fem2.PingCommand{}); err != nil || res.String() != "pong" {
+		t.Errorf("ping after the refusals = %v, %v", res, err)
+	}
+	if n := cl.Reconnects(); n != 0 {
+		t.Errorf("client reconnected %d times; an unsendable command is not a link failure", n)
 	}
 }

@@ -1,6 +1,7 @@
 package command
 
 import (
+	"math"
 	"strconv"
 	"strings"
 
@@ -66,8 +67,8 @@ func Parse(line string) (Command, error) {
 		if len(args) != 3 {
 			return nil, usage("node <model> <x> <y>")
 		}
-		x, err1 := strconv.ParseFloat(args[1], 64)
-		y, err2 := strconv.ParseFloat(args[2], 64)
+		x, err1 := parseFinite(args[1])
+		y, err2 := parseFinite(args[2])
 		if err1 != nil || err2 != nil {
 			return nil, usage("node coordinates must be numeric")
 		}
@@ -190,8 +191,8 @@ func parseGenerate(args []string) (Command, error) {
 		}
 		nx, err1 := strconv.Atoi(rest[0])
 		ny, err2 := strconv.Atoi(rest[1])
-		w, err3 := strconv.ParseFloat(rest[2], 64)
-		h, err4 := strconv.ParseFloat(rest[3], 64)
+		w, err3 := parseFinite(rest[2])
+		h, err4 := parseFinite(rest[3])
 		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
 			return nil, usage("generate grid: numeric arguments required")
 		}
@@ -204,7 +205,7 @@ func parseGenerate(args []string) (Command, error) {
 				if i+2 >= len(rest) {
 					return nil, usage("jitter <frac> <seed>")
 				}
-				f, err := strconv.ParseFloat(rest[i+1], 64)
+				f, err := parseFinite(rest[i+1])
 				if err != nil {
 					return nil, usage("jitter fraction %q", rest[i+1])
 				}
@@ -224,8 +225,8 @@ func parseGenerate(args []string) (Command, error) {
 			return nil, usage("generate truss <name> <bays> <baylen> <height>")
 		}
 		bays, err1 := strconv.Atoi(rest[0])
-		bl, err2 := strconv.ParseFloat(rest[1], 64)
-		ht, err3 := strconv.ParseFloat(rest[2], 64)
+		bl, err2 := parseFinite(rest[1])
+		ht, err3 := parseFinite(rest[2])
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, usage("generate truss: numeric arguments required")
 		}
@@ -235,7 +236,7 @@ func parseGenerate(args []string) (Command, error) {
 			return nil, usage("generate bar <name> <segments> <length>")
 		}
 		n, err1 := strconv.Atoi(rest[0])
-		l, err2 := strconv.ParseFloat(rest[1], 64)
+		l, err2 := parseFinite(rest[1])
 		if err1 != nil || err2 != nil {
 			return nil, usage("generate bar: numeric arguments required")
 		}
@@ -278,8 +279,8 @@ func parseElement(args []string) (Command, error) {
 // load.
 func parseLoad(args []string) (Command, error) {
 	if len(args) == 5 && args[2] == "endload" {
-		fx, err1 := strconv.ParseFloat(args[3], 64)
-		fy, err2 := strconv.ParseFloat(args[4], 64)
+		fx, err1 := parseFinite(args[3])
+		fy, err2 := parseFinite(args[4])
 		if err1 != nil || err2 != nil {
 			return nil, usage("endload forces must be numeric")
 		}
@@ -289,7 +290,7 @@ func parseLoad(args []string) (Command, error) {
 		return nil, usage("load <model> <set> <dof> <value>")
 	}
 	dof, err1 := strconv.Atoi(args[2])
-	val, err2 := strconv.ParseFloat(args[3], 64)
+	val, err2 := parseFinite(args[3])
 	if err1 != nil || err2 != nil {
 		return nil, usage("load dof/value must be numeric")
 	}
@@ -430,11 +431,23 @@ func jobID(args []string, use string) (int64, error) {
 	return id, nil
 }
 
+// parseFinite parses one numeric argument.  NaN and the infinities are
+// refused like any other non-number: no command means anything with one,
+// and JSON cannot carry them, so a line the local interpreter accepted
+// would fail over the wire.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = strconv.ErrSyntax
+	}
+	return v, err
+}
+
 // floats parses every field as a float64.
 func floats(ss []string) ([]float64, error) {
 	out := make([]float64, len(ss))
 	for i, s := range ss {
-		v, err := strconv.ParseFloat(s, 64)
+		v, err := parseFinite(s)
 		if err != nil {
 			return nil, usage("numeric argument expected, got %q", s)
 		}

@@ -3,7 +3,10 @@ package command
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+
+	"repro/internal/codec"
 )
 
 // The typed command AST is also the wire schema: a Command or Result
@@ -13,6 +16,16 @@ import (
 // strict (unknown fields and unknown kinds are errors), and a decoded
 // value round-trips to the identical struct, so a network client's
 // Result.String() rendering is byte-identical to local execution.
+//
+// Which path runs when.  Encoding always goes through internal/codec: one
+// append pass writes envelope and body from the field plan of the verb's
+// struct, byte for byte what encoding/json wrote before it.  Decoding looks
+// at the bytes: an envelope in canonical form (docs/protocol.md — what the
+// encoder writes, strings without escapes) is read in one pass by the same
+// plans; any other input goes down the general path, generalCommand and
+// generalResult, which is encoding/json with DisallowUnknownFields at each
+// nesting level and defines what is accepted and every error text.  The
+// canonical decoder never rejects, it only declines.
 
 // Release is the FEM-2 software release the version verb reports.
 const Release = "0.9.0"
@@ -186,15 +199,46 @@ var resultKinds = map[string]reflect.Type{
 	"stats":          reflect.TypeOf(StatsResult{}),
 }
 
-// verbOfCommand and kindOfResult are the marshal-direction inverses.
-var verbOfCommand, kindOfResult = map[reflect.Type]string{}, map[reflect.Type]string{}
+// bodyCodec is the wire form of one verb or result kind: the envelope
+// bytes that precede its body and the body's field plan.
+type bodyCodec struct {
+	name string // the verb or kind
+	typ  reflect.Type
+	open []byte // {"verb":"solve","body":
+	plan *codec.Plan
+}
+
+// The codec tables, derived from commandVerbs and resultKinds: by wire name
+// for decoding, by struct type for encoding.
+var (
+	cmdByVerb, cmdByType = map[string]*bodyCodec{}, map[reflect.Type]*bodyCodec{}
+	resByKind, resByType = map[string]*bodyCodec{}, map[reflect.Type]*bodyCodec{}
+)
+
+var submitType = reflect.TypeOf(Submit{})
+
+// The bytes a canonical envelope starts with, up to the verb or kind name.
+var verbTag, kindTag = []byte(`{"verb":"`), []byte(`{"kind":"`)
 
 func init() {
+	// Verbs and kinds are plain identifiers: they stand for themselves
+	// inside a JSON string.
+	open := func(tag []byte, name, bodyKey string) []byte {
+		return []byte(string(tag) + name + `","` + bodyKey + `":`)
+	}
 	for verb, row := range commandVerbs {
-		verbOfCommand[row.typ] = verb
+		c := &bodyCodec{name: verb, typ: row.typ}
+		if row.typ == submitType {
+			// submit's body is its wrapped command's own envelope, under "cmd".
+			c.open = open(verbTag, verb, "cmd")
+		} else {
+			c.open, c.plan = open(verbTag, verb, "body"), codec.PlanOf(row.typ)
+		}
+		cmdByVerb[verb], cmdByType[row.typ] = c, c
 	}
 	for kind, typ := range resultKinds {
-		kindOfResult[typ] = kind
+		c := &bodyCodec{name: kind, typ: typ, open: open(kindTag, kind, "body"), plan: codec.PlanOf(typ)}
+		resByKind[kind], resByType[typ] = c, c
 	}
 }
 
@@ -208,8 +252,8 @@ func Verb(cmd Command) string {
 	if t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
-	if verb, ok := verbOfCommand[t]; ok {
-		return verb
+	if c, ok := cmdByType[t]; ok {
+		return c.name
 	}
 	return "?"
 }
@@ -228,29 +272,57 @@ func Submittable(cmd Command) error {
 	return nil
 }
 
+// CommandCodec and ResultCodec let another package's struct plan carry a
+// Command or Result field as its wire envelope — the wire frames, the job
+// journal record (see codec.PlanOf).
+var (
+	CommandCodec = codec.Variant{
+		Type:   reflect.TypeOf((*Command)(nil)).Elem(),
+		Append: func(dst []byte, v any) ([]byte, error) { return appendCommand(dst, v.(Command)) },
+		Decode: func(data []byte, into any) (rest []byte, ok bool) {
+			*into.(*Command), rest, ok = decodeCommand(data, false)
+			return rest, ok
+		},
+	}
+	ResultCodec = codec.Variant{
+		Type:   reflect.TypeOf((*Result)(nil)).Elem(),
+		Append: func(dst []byte, v any) ([]byte, error) { return appendResult(dst, v.(Result)) },
+		Decode: func(data []byte, into any) (rest []byte, ok bool) {
+			*into.(*Result), rest, ok = decodeResult(data)
+			return rest, ok
+		},
+	}
+)
+
 // MarshalCommand encodes a command as its wire envelope.  Pointer
 // commands are dereferenced first, exactly as Do dispatches them.
 func MarshalCommand(cmd Command) ([]byte, error) {
+	return appendCommand(make([]byte, 0, 128), cmd)
+}
+
+// appendCommand appends a command's envelope: verb, then the struct's
+// fields under "body" — or, for submit, the wrapped command's envelope
+// under "cmd".
+func appendCommand(dst []byte, cmd Command) ([]byte, error) {
 	if cmd == nil {
 		return nil, usage("wire: nil command")
 	}
 	cmd = Value(cmd)
-	if sub, ok := cmd.(Submit); ok {
-		inner, err := MarshalCommand(sub.Cmd)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(cmdEnvelope{Verb: "submit", Cmd: inner})
-	}
-	verb, ok := verbOfCommand[reflect.TypeOf(cmd)]
+	c, ok := cmdByType[reflect.TypeOf(cmd)]
 	if !ok {
 		return nil, usage("wire: unknown command type %T", cmd)
 	}
-	body, err := json.Marshal(cmd)
+	dst = append(dst, c.open...)
+	var err error
+	if sub, ok := cmd.(Submit); ok {
+		dst, err = appendCommand(dst, sub.Cmd)
+	} else {
+		dst, err = c.plan.Append(dst, reflect.ValueOf(cmd))
+	}
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(cmdEnvelope{Verb: verb, Body: body})
+	return append(dst, '}'), nil
 }
 
 // UnmarshalCommand decodes a wire envelope back into its typed Command.
@@ -259,12 +331,73 @@ func MarshalCommand(cmd Command) ([]byte, error) {
 // submit) is enforced here too, so a hand-built frame cannot smuggle an
 // unsubmittable command into the scheduler.
 func UnmarshalCommand(data []byte) (Command, error) {
+	if cmd, rest, ok := decodeCommand(data, false); ok && len(rest) == 0 {
+		return cmd, nil
+	}
+	return generalCommand(data, false)
+}
+
+// envelopeOf matches the opening of a canonical envelope at the front of
+// data — tag, the quoted name, the body key — and returns the named codec
+// and what follows the opening.
+func envelopeOf(data, tag []byte, byName map[string]*bodyCodec) (*bodyCodec, []byte, bool) {
+	name, ok := bytes.CutPrefix(data, tag)
+	end := bytes.IndexByte(name, '"')
+	if !ok || end < 0 {
+		return nil, nil, false
+	}
+	c := byName[string(name[:end])]
+	if c == nil {
+		return nil, nil, false
+	}
+	rest, ok := bytes.CutPrefix(data, c.open)
+	return c, rest, ok
+}
+
+// decodeCommand reads one canonical command envelope from the front of
+// data.  It declines (ok false) whatever generalCommand would refuse — an
+// unknown verb, a command submit may not wrap — as it declines any other
+// spelling; nested is set while reading a submit's wrapped command.
+func decodeCommand(data []byte, nested bool) (cmd Command, rest []byte, ok bool) {
+	c, data, ok := envelopeOf(data, verbTag, cmdByVerb)
+	if !ok || (nested && commandVerbs[c.name].props.Has(NotAJob)) {
+		return nil, nil, false
+	}
+	if c.typ == submitType {
+		var inner Command
+		if inner, data, ok = decodeCommand(data, true); !ok {
+			return nil, nil, false
+		}
+		cmd = Submit{Cmd: inner}
+	} else {
+		ptr := reflect.New(c.typ)
+		if data, ok = c.plan.Decode(data, ptr.Elem()); !ok {
+			return nil, nil, false
+		}
+		cmd = ptr.Elem().Interface().(Command)
+	}
+	if len(data) == 0 || data[0] != '}' {
+		return nil, nil, false
+	}
+	return cmd, data[1:], true
+}
+
+// generalCommand is the general decode path: any valid spelling of a
+// command envelope, and every refusal's text.  nested is set while
+// decoding a submit's wrapped command.
+func generalCommand(data []byte, nested bool) (Command, error) {
 	var env cmdEnvelope
 	if err := strictUnmarshal(data, &env); err != nil {
 		return nil, usage("wire: bad command envelope: %v", err)
 	}
 	if env.Verb == "submit" {
-		inner, err := UnmarshalCommand(env.Cmd)
+		if nested {
+			// Refused before descending: every level re-reads all the levels
+			// below it, so a frame of nested submits cost its depth squared
+			// (10 s of CPU for 200 KB) to be told the same thing.
+			return nil, Submittable(Submit{})
+		}
+		inner, err := generalCommand(env.Cmd, true)
 		if err != nil {
 			return nil, err
 		}
@@ -289,6 +422,12 @@ func UnmarshalCommand(data []byte) (Command, error) {
 // MarshalResult encodes a result as its wire envelope.  The interpreter
 // returns results as pointers; both spellings encode identically.
 func MarshalResult(r Result) ([]byte, error) {
+	return appendResult(make([]byte, 0, 256), r)
+}
+
+// appendResult appends a result's envelope: kind, then the struct's fields
+// under "body".
+func appendResult(dst []byte, r Result) ([]byte, error) {
 	if r == nil {
 		return nil, usage("wire: nil result")
 	}
@@ -299,20 +438,41 @@ func MarshalResult(r Result) ([]byte, error) {
 		}
 		v = v.Elem()
 	}
-	kind, ok := kindOfResult[v.Type()]
+	c, ok := resByType[v.Type()]
 	if !ok {
 		return nil, usage("wire: unknown result type %T", r)
 	}
-	body, err := json.Marshal(v.Interface())
+	dst, err := c.plan.Append(append(dst, c.open...), v)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(resEnvelope{Kind: kind, Body: body})
+	return append(dst, '}'), nil
 }
 
 // UnmarshalResult decodes a wire envelope back into its typed Result,
 // in the pointer form the interpreter returns.
 func UnmarshalResult(data []byte) (Result, error) {
+	if res, rest, ok := decodeResult(data); ok && len(rest) == 0 {
+		return res, nil
+	}
+	return generalResult(data)
+}
+
+// decodeResult reads one canonical result envelope from the front of data.
+func decodeResult(data []byte) (res Result, rest []byte, ok bool) {
+	c, data, ok := envelopeOf(data, kindTag, resByKind)
+	if !ok {
+		return nil, nil, false
+	}
+	ptr := reflect.New(c.typ)
+	if data, ok = c.plan.Decode(data, ptr.Elem()); !ok || len(data) == 0 || data[0] != '}' {
+		return nil, nil, false
+	}
+	return ptr.Interface().(Result), data[1:], true
+}
+
+// generalResult is the general decode path for results.
+func generalResult(data []byte) (Result, error) {
 	var env resEnvelope
 	if err := strictUnmarshal(data, &env); err != nil {
 		return nil, usage("wire: bad result envelope: %v", err)
@@ -330,11 +490,18 @@ func UnmarshalResult(data []byte) (Result, error) {
 	return ptr.Interface().(Result), nil
 }
 
-// strictUnmarshal decodes JSON rejecting unknown fields, so schema skew
-// between client and server surfaces as an error instead of silently
-// dropping data.
+// strictUnmarshal decodes exactly one JSON value rejecting unknown fields,
+// so schema skew between client and server surfaces as an error instead of
+// silently dropping data, and so does anything but white space after the
+// value.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return nil
 }

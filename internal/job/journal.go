@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/command"
 	"repro/internal/store"
 )
@@ -47,7 +49,17 @@ type journalRecord struct {
 	// internal/cluster); 0 outside a cluster.  A takeover's journal
 	// replay can tell which leadership stint wrote each record.
 	Epoch int64 `json:"epoch,omitempty"`
+	// Command and Res are the job's own command and result, written in
+	// place of Cmd and Result: the record of a live job is encoded in one
+	// pass with no envelope built in between.  A record read back carries
+	// the bytes only.
+	Command command.Command `json:"-" codec:"cmd"`
+	Res     command.Result  `json:"-" codec:"result"`
 }
+
+// recordPlan writes a journalRecord byte for byte as encoding/json did;
+// records are read with encoding/json still.
+var recordPlan = codec.PlanOf(reflect.TypeOf(journalRecord{}), command.CommandCodec, command.ResultCodec)
 
 // lostErr is the deterministic failure text recovery writes on a job
 // the crash destroyed; ResubmitLost recognizes candidates by it.
@@ -146,7 +158,7 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 			recs[i].State = Failed.String()
 			recs[i].Err = lostErr(recs[i].ID)
 			recs[i].Result = nil
-			raw, err := json.Marshal(recs[i])
+			raw, err := recordPlan.Append(nil, reflect.ValueOf(&recs[i]).Elem())
 			if err != nil {
 				return 0, fmt.Errorf("job: re-encode journal record: %w", err)
 			}
@@ -185,24 +197,13 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 }
 
 // recordLocked builds the journal encoding of a job's current state,
-// stamped with the cluster epoch when an epoch source is wired.
+// stamped with the cluster epoch when an epoch source is wired, in the
+// scheduler's record buffer: it is good until the next call.
 func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
-	if j.cmdRaw == nil {
-		var err error
-		if j.cmdRaw, err = command.MarshalCommand(j.cmd); err != nil {
-			return nil, err
-		}
-	}
-	cmdRaw := j.cmdRaw
-	if j.state.Terminal() {
-		// Normally the job's last record: the encoding is not kept with
-		// the retained history, and a retry at eviction re-encodes.
-		j.cmdRaw = nil
-	}
 	rec := journalRecord{
-		ID: int64(j.id), Owner: j.owner, Model: j.model, Cmd: cmdRaw,
-		State: j.state.String(),
-		Ops:   j.ops, Flops: j.flops, Cycles: j.cycles,
+		ID: int64(j.id), Owner: j.owner, Model: j.model, Command: j.cmd,
+		State: j.state.String(), Res: j.res,
+		Ops: j.ops, Flops: j.flops, Cycles: j.cycles,
 		Attempt: j.attempt, Resubmitted: j.resubmitted,
 	}
 	if s.epoch != nil {
@@ -211,12 +212,18 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 	if j.err != nil {
 		rec.Err = j.err.Error()
 	}
-	if j.res != nil {
-		if raw, err := command.MarshalResult(j.res); err == nil {
-			rec.Result = raw
-		}
+	v := reflect.ValueOf(&rec).Elem()
+	raw, err := recordPlan.Append(s.recBuf[:0], v)
+	if err != nil && rec.Res != nil {
+		// A result JSON cannot carry (a NaN field) is left out of the
+		// record; it must not cost the job its record.
+		rec.Res = nil
+		raw, err = recordPlan.Append(s.recBuf[:0], v)
 	}
-	return json.Marshal(rec)
+	if err == nil {
+		s.recBuf = raw
+	}
+	return raw, err
 }
 
 // persistLocked writes a job's current record through the journal.

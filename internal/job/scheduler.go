@@ -54,9 +54,6 @@ type job struct {
 	// marks a lost record ResubmitLost has already requeued, so a
 	// crash-restart loop never requeues the same record twice.
 	lost, resubmitted bool
-	// cmdRaw is the journal encoding of cmd, made by the job's first
-	// record and reused by every later one until the job is terminal.
-	cmdRaw []byte
 	// journaled records that finishLocked's write of the terminal record
 	// reached the journal, so retention eviction has nothing to flush.  It
 	// stays false after a failed write, with no journal attached, and on a
@@ -108,6 +105,9 @@ type Scheduler struct {
 	// store (see journal.go): queued at submit, terminal at finish, and
 	// flushed before retention eviction.
 	journal store.Store
+	// recBuf is the buffer every journal record is encoded in; the store
+	// copies what it is given.
+	recBuf []byte
 	// journalErrs counts journal writes that failed.  A journal failure
 	// never takes down the scheduler — the write is logged through logf
 	// and the job carries on — but the count surfaces the rot.

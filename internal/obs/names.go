@@ -40,6 +40,7 @@ const (
 	ServerConnections   = "server.connections"    // gauge: open client connections
 	ServerFramesIn      = "server.frames_in"      // counter: request frames decoded
 	ServerFramesOut     = "server.frames_out"     // counter: response/notification frames written
+	ServerFramesGeneral = "server.frames_general" // counter: request frames not in canonical form, decoded by the general path (docs/protocol.md); 0 when every client is ours
 	ServerFlushes       = "server.flushes"        // counter: socket flushes; frames_out / flushes is how many frames share one write
 	ServerEventsDropped = "server.events_dropped" // counter: job notifications dropped because the connection's event queue was full (status/wait stay authoritative)
 	ServerQuotaRejected = "server.quota_rejected" // counter: requests answered with the quota code

@@ -77,6 +77,7 @@ type Server struct {
 	gConnections   *obs.Gauge
 	mFramesIn      *obs.Counter
 	mFramesOut     *obs.Counter
+	mFramesGeneral *obs.Counter
 	mFlushes       *obs.Counter
 	mEventsDropped *obs.Counter
 	mQuotaRejected *obs.Counter
@@ -102,6 +103,7 @@ func New(sys *core.System, cfg Config) *Server {
 	s.gConnections = reg.Gauge(obs.ServerConnections)
 	s.mFramesIn = reg.Counter(obs.ServerFramesIn)
 	s.mFramesOut = reg.Counter(obs.ServerFramesOut)
+	s.mFramesGeneral = reg.Counter(obs.ServerFramesGeneral)
 	s.mFlushes = reg.Counter(obs.ServerFlushes)
 	s.mEventsDropped = reg.Counter(obs.ServerEventsDropped)
 	s.mQuotaRejected = reg.Counter(obs.ServerQuotaRejected)
@@ -321,6 +323,9 @@ func (c *conn) serve() {
 			break
 		}
 		c.srv.mFramesIn.Inc()
+		if req.General {
+			c.srv.mFramesGeneral.Inc()
+		}
 		if req.Hello != nil {
 			c.handleHello(req)
 			continue
@@ -330,10 +335,12 @@ func (c *conn) serve() {
 				Code: wire.CodeProto, Message: "request id 0 is reserved for notifications"}})
 			continue
 		}
-		cmd, err := command.UnmarshalCommand(req.Command)
-		if err != nil {
-			c.write(&wire.Response{ID: req.ID, Error: wireError(err)})
-			continue
+		cmd := req.Cmd
+		if cmd == nil { // a frame off the general path, or one with no command at all
+			if cmd, err = command.UnmarshalCommand(req.Command); err != nil {
+				c.write(&wire.Response{ID: req.ID, Error: wireError(err)})
+				continue
+			}
 		}
 		if c.srv.runsBeside(cmd) {
 			c.reqs.Add(1)
@@ -392,7 +399,17 @@ func (c *conn) write(resp *wire.Response) bool {
 	}
 	var err error
 	for _, f := range frames {
-		if err = wire.EncodeResponse(c.bw, f); err != nil {
+		// Each frame is encoded in place in the write buffer's free space.
+		var frame []byte
+		if frame, err = wire.AppendResponse(c.bw.AvailableBuffer(), f); err != nil && f.Res != nil {
+			// A result no frame can carry (a NaN field) is answered as
+			// the error it is.
+			frame, err = wire.AppendResponse(frame, &wire.Response{ID: f.ID, Error: wireError(err)})
+		}
+		if err == nil {
+			_, err = c.bw.Write(frame)
+		}
+		if err != nil {
 			break
 		}
 		c.srv.mFramesOut.Inc()
@@ -557,14 +574,7 @@ func (c *conn) handleCommand(id uint64, cmd command.Command) {
 		c.srv.mQuotaRejected.Inc()
 	}
 
-	resp := &wire.Response{ID: id}
-	if res != nil {
-		if data, merr := command.MarshalResult(res); merr == nil {
-			resp.Result = data
-		} else {
-			err = merr
-		}
-	}
+	resp := &wire.Response{ID: id, Res: res}
 	if err != nil {
 		resp.Error = wireError(err)
 	}

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -328,5 +331,94 @@ func TestPanicBecomesErrorReply(t *testing.T) {
 	}
 	if stacks != 1 {
 		t.Errorf("%d logged stacks from the request goroutine, want 1 (the job's goes to the scheduler's log): %q", stacks, logged)
+	}
+}
+
+// TestFramesGeneralCountsNonCanonicalFrames verifies the traffic instead of
+// guessing it: one frame per wire verb, as our encoder writes it, is read
+// by the one-pass decoder (server.frames_general stays 0, handshake
+// included); the same ping with one space in it is valid, goes down the
+// general path, is counted, and is answered with the same bytes.
+func TestFramesGeneralCountsNonCanonicalFrames(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	p := serve(t, New(sys, Config{}))()
+	general := sys.Obs.Counter(obs.ServerFramesGeneral)
+	if w := p.roundTrip(&wire.Request{ID: 100, Hello: &wire.Hello{User: "eng", Proto: command.ProtocolVersion}}).Welcome; w == nil {
+		t.Fatal("no welcome")
+	}
+	raw, err := os.ReadFile("../command/testdata/verb_sets.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	verbs := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		verb := strings.Fields(line)[0]
+		var cmd command.Command = command.Submit{Cmd: command.Ping{}}
+		if verb != "submit" {
+			if cmd, err = command.UnmarshalCommand([]byte(fmt.Sprintf(`{"verb":%q}`, verb))); err != nil {
+				t.Fatalf("%s: %v", verb, err)
+			}
+		}
+		if verb == "quit" {
+			continue // ends the connection; it is one more empty body
+		}
+		verbs++
+		p.id++
+		if resp := p.roundTrip(&wire.Request{ID: p.id, Cmd: cmd}); resp.ID != p.id {
+			t.Fatalf("%s: reply %+v", verb, resp)
+		}
+	}
+	if got := general.Load(); got != 0 || verbs < 30 {
+		t.Fatalf("%s = %d after %d canonical frames, want 0", obs.ServerFramesGeneral, got, verbs)
+	}
+
+	exchange := func(payload string) []byte {
+		t.Helper()
+		if err := wire.WriteFrame(p.nc, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.ReadFrame(p.nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	canonical := exchange(`{"id":7,"command":{"verb":"ping","body":{}}}`)
+	if got := general.Load(); got != 0 {
+		t.Fatalf("%s = %d after a hand-written canonical ping, want 0", obs.ServerFramesGeneral, got)
+	}
+	spaced := exchange(`{"id":7, "command":{"verb":"ping","body":{}}}`)
+	if got := general.Load(); got != 1 {
+		t.Errorf("%s = %d after a ping with a space in it, want 1", obs.ServerFramesGeneral, got)
+	}
+	if !bytes.Equal(spaced, canonical) || !bytes.Contains(canonical, []byte(`"result":{"kind":"ping"`)) {
+		t.Errorf("replies differ:\ncanonical %s\n   spaced %s", canonical, spaced)
+	}
+}
+
+// TestUnencodableResultIsAnsweredAsAnError: a result no frame can carry (an
+// infinity in it) is encoded straight into the write buffer like any other,
+// fails there, and is answered as the error it always was — the encoder's
+// text under the internal code, no result — on a connection that keeps
+// serving.
+func TestUnencodableResultIsAnsweredAsAnError(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	p := serve(t, New(sys, Config{}))()
+	for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100}, command.Solve{Model: "g", Set: "l"}} {
+		if code, resp := p.do(cmd); code != "" {
+			t.Fatalf("%v: %+v", cmd, resp.Error)
+		}
+	}
+	// The replies are in, so nothing else touches the session's solution.
+	sys.Session("anon@conn-1").WS.Solution("g").U[5] = math.Inf(1)
+	code, resp := p.do(command.Display{What: command.DisplayDisplacements, Model: "g"})
+	if code != wire.CodeInternal || resp.Error.Message != "json: unsupported value: +Inf" || resp.Result != nil {
+		t.Errorf("display of an infinite displacement: %+v with result %s; want code %q and the encoder's text alone", resp.Error, resp.Result, wire.CodeInternal)
+	}
+	if code, _ := p.do(command.Ping{}); code != "" {
+		t.Errorf("ping after the refusal: %q", code)
 	}
 }

@@ -5,14 +5,25 @@
 // followed by that many bytes of JSON.  The JSON payload is a Request
 // (client → server) or a Response (server → client).  A Request is
 // either the connection handshake (Hello) or one typed command from the
-// command AST, encoded by command.MarshalCommand; its ID is a
+// command AST in its command.MarshalCommand envelope; its ID is a
 // client-chosen correlation number echoed on the matching Response, so
 // requests may be pipelined and answered out of order.  A Response with
 // ID 0 and a non-nil Event is a server-pushed job-state notification —
 // the wait-without-blocking channel.
 //
-// The package is pure schema: it imports only the command layer and
-// knows nothing of sessions, scheduling, or sockets beyond io.
+// Which path runs when.  A frame is written by one append pass over
+// frame, envelope and body (internal/codec, from the field plans of
+// Request, Response and the command structs), byte for byte what
+// encoding/json wrote before it.  A frame that arrives in canonical form —
+// the form that pass writes, see docs/protocol.md — is read by one pass
+// over the same plans, which hands on the decoded Command or Result beside
+// its bytes.  Any other payload is decoded as it always was: json.Unmarshal
+// of the frame here, leaving the envelope bytes for command.UnmarshalCommand
+// or UnmarshalResult.  The bytes alone pick the path, and the general path
+// defines what is valid and every error text.
+//
+// The package is pure schema: it imports only the command layer and the
+// codec, and knows nothing of sessions, scheduling, or sockets beyond io.
 package wire
 
 import (
@@ -21,6 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+
+	"repro/internal/codec"
+	"repro/internal/command"
 )
 
 // MaxFrame bounds one frame's payload.  A frame whose declared length
@@ -81,6 +96,13 @@ type Request struct {
 	// Command is one typed command in its command.MarshalCommand
 	// envelope.
 	Command json.RawMessage `json:"command,omitempty"`
+	// Cmd is the command itself.  An encoder writes it in Command's place
+	// when it is set, with no envelope built in between; DecodeRequest sets
+	// it, beside Command, when the frame was canonical.
+	Cmd command.Command `json:"-" codec:"command"`
+	// General reports that DecodeRequest took the general path: the frame
+	// was valid but not canonical, and Command is still to be decoded.
+	General bool `json:"-"`
 }
 
 // Hello opens a connection: it names the user and pins the protocol
@@ -136,6 +158,9 @@ type Response struct {
 	// Result is the command's typed result in its command.MarshalResult
 	// envelope, absent when the command produced none.
 	Result json.RawMessage `json:"result,omitempty"`
+	// Res is the result itself: written in Result's place when set, and set
+	// by DecodeResponse beside Result when the frame was canonical.
+	Res command.Result `json:"-" codec:"result"`
 	// Error reports the command's failure; Result may accompany it
 	// (quit answers both).
 	Error *Error `json:"error,omitempty"`
@@ -216,44 +241,98 @@ func (e *JobEvent) String() string {
 	return fmt.Sprintf("[job-%d %s: %s]", e.Job, e.State, e.Cmd)
 }
 
-// EncodeRequest marshals and frames a request.
+var (
+	requestPlan  = codec.PlanOf(reflect.TypeOf(Request{}), command.CommandCodec)
+	responsePlan = codec.PlanOf(reflect.TypeOf(Response{}), command.ResultCodec)
+)
+
+// AppendRequest appends a request's frame — header, frame, envelope and
+// body in one pass — to dst.  It fails only on a command no frame can
+// carry (a NaN field, a type outside the verb table), with the text
+// command.MarshalCommand gives; dst comes back unchanged then.
+func AppendRequest(dst []byte, req *Request) ([]byte, error) {
+	return appendFrame(dst, requestPlan, reflect.ValueOf(req).Elem())
+}
+
+// AppendResponse appends a response's frame to dst, as AppendRequest does
+// a request's.
+func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
+	return appendFrame(dst, responsePlan, reflect.ValueOf(resp).Elem())
+}
+
+func appendFrame(dst []byte, plan *codec.Plan, v reflect.Value) ([]byte, error) {
+	start := len(dst)
+	out, err := plan.Append(append(dst, 0, 0, 0, 0), v)
+	if err != nil {
+		return dst, err
+	}
+	n := len(out) - start - 4
+	if n > MaxFrame {
+		return dst, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
+	}
+	binary.BigEndian.PutUint32(out[start:], uint32(n))
+	return out, nil
+}
+
+// frameBuffer returns room to build a frame in: w's own free space when it
+// offers a small frame's worth (a bufio.Writer, a bytes.Buffer in use: the
+// Write that follows then copies nothing), else a new buffer past the size
+// of the common frame.
+func frameBuffer(w io.Writer) []byte {
+	if ab, ok := w.(interface{ AvailableBuffer() []byte }); ok {
+		if buf := ab.AvailableBuffer(); cap(buf) >= 128 {
+			return buf
+		}
+	}
+	return make([]byte, 0, 512)
+}
+
+// EncodeRequest writes a request's frame in one Write.
 func EncodeRequest(w io.Writer, req *Request) error {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return err
+	frame, err := AppendRequest(frameBuffer(w), req)
+	if err == nil {
+		_, err = w.Write(frame)
 	}
-	return WriteFrame(w, payload)
+	return err
 }
 
-// EncodeResponse marshals and frames a response.
+// EncodeResponse writes a response's frame in one Write.
 func EncodeResponse(w io.Writer, resp *Response) error {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
+	frame, err := AppendResponse(frameBuffer(w), resp)
+	if err == nil {
+		_, err = w.Write(frame)
 	}
-	return WriteFrame(w, payload)
+	return err
 }
 
-// DecodeRequest reads one frame and unmarshals it as a Request.
+// DecodeRequest reads one frame and decodes it as a Request.
 func DecodeRequest(r io.Reader) (*Request, error) {
 	payload, err := ReadFrame(r)
 	if err != nil {
 		return nil, err
 	}
 	req := new(Request)
+	if rest, ok := requestPlan.Decode(payload, reflect.ValueOf(req).Elem()); ok && len(rest) == 0 {
+		return req, nil
+	}
+	*req = Request{General: true}
 	if err := json.Unmarshal(payload, req); err != nil {
 		return nil, fmt.Errorf("wire: bad request: %w", err)
 	}
 	return req, nil
 }
 
-// DecodeResponse reads one frame and unmarshals it as a Response.
+// DecodeResponse reads one frame and decodes it as a Response.
 func DecodeResponse(r io.Reader) (*Response, error) {
 	payload, err := ReadFrame(r)
 	if err != nil {
 		return nil, err
 	}
 	resp := new(Response)
+	if rest, ok := responsePlan.Decode(payload, reflect.ValueOf(resp).Elem()); ok && len(rest) == 0 {
+		return resp, nil
+	}
+	*resp = Response{}
 	if err := json.Unmarshal(payload, resp); err != nil {
 		return nil, fmt.Errorf("wire: bad response: %w", err)
 	}

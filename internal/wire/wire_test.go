@@ -8,6 +8,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"repro/internal/command"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -62,27 +64,42 @@ func TestFrameTooBig(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	// Envelopes in a valid spelling the encoder does not write (no body) go
+	// through as bytes and come back as bytes, off the general path; the
+	// canonical spelling comes back decoded as well, whether it was sent as
+	// bytes or as the value.
 	req := &Request{ID: 9, Command: json.RawMessage(`{"verb":"ping"}`)}
+	reqGeneral := &Request{ID: 9, Command: req.Command, General: true}
+	reqRaw := &Request{ID: 9, Command: json.RawMessage(`{"verb":"ping","body":{}}`)}
+	reqTyped := &Request{ID: 9, Cmd: command.Ping{}}
+	reqBoth := &Request{ID: 9, Command: reqRaw.Command, Cmd: command.Ping{}}
 	hello := &Request{ID: 1, Hello: &Hello{User: "eng", Proto: 5}}
 	resp := &Response{ID: 9, Result: json.RawMessage(`{"kind":"ping"}`),
 		Error: &Error{Code: CodeNotLeader, Message: "not here", Leader: "a:1"}}
+	respRaw := &Response{ID: 9, Result: json.RawMessage(`{"kind":"ping","body":{"Degraded":false}}`)}
+	respTyped := &Response{ID: 9, Res: &command.PingResult{}}
+	respBoth := &Response{ID: 9, Result: respRaw.Result, Res: &command.PingResult{}}
 	event := &Response{Event: &JobEvent{Job: 3, State: "done", Cmd: "solve g l"}}
-	for _, r := range []*Request{req, hello} {
-		if err := EncodeRequest(&buf, r); err != nil {
+	for _, c := range []struct{ send, want *Request }{
+		{req, reqGeneral}, {reqRaw, reqBoth}, {reqTyped, reqBoth}, {reqBoth, reqBoth}, {hello, hello},
+	} {
+		if err := EncodeRequest(&buf, c.send); err != nil {
 			t.Fatal(err)
 		}
 		got, err := DecodeRequest(&buf)
-		if err != nil || !reflect.DeepEqual(got, r) {
-			t.Errorf("request round trip = %+v, %v; want %+v", got, err, r)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("request round trip = %+v, %v; want %+v", got, err, c.want)
 		}
 	}
-	for _, r := range []*Response{resp, event} {
-		if err := EncodeResponse(&buf, r); err != nil {
+	for _, c := range []struct{ send, want *Response }{
+		{resp, resp}, {respRaw, respBoth}, {respTyped, respBoth}, {respBoth, respBoth}, {event, event},
+	} {
+		if err := EncodeResponse(&buf, c.send); err != nil {
 			t.Fatal(err)
 		}
 		got, err := DecodeResponse(&buf)
-		if err != nil || !reflect.DeepEqual(got, r) {
-			t.Errorf("response round trip = %+v, %v; want %+v", got, err, r)
+		if err != nil || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("response round trip = %+v, %v; want %+v", got, err, c.want)
 		}
 	}
 	// A well-framed payload that is not JSON is a decode error, not EOF.

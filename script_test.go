@@ -1,6 +1,7 @@
 package fem2_test
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -94,5 +95,73 @@ func TestTraceCommunicationPattern(t *testing.T) {
 	// The trace summary mentions the fetch events.
 	if sum := sys.Trace.Summary(); !strings.Contains(sum, "fetch") {
 		t.Errorf("trace summary missing fetch kind:\n%s", sum)
+	}
+}
+
+// TestNonFiniteNumbersRefusedLocallyAndOverWire replays one line per
+// numeric argument of the language with NaN or an infinity in it, locally
+// and through a client against a real listener, and requires identical
+// transcripts of usage errors.  Parse used to take them as numbers, so
+// locally "material NaN 0.3 10 2000" answered "material E=NaN …" while over
+// the wire — JSON has no NaN — the same line answered "error: json:
+// unsupported value: NaN".
+func TestNonFiniteNumbersRefusedLocallyAndOverWire(t *testing.T) {
+	lines := []string{
+		"material NaN 0.3 10 2000",
+		"material 200000 nan 10 2000",
+		"material 200000 0.3 Inf 2000",
+		"material 200000 0.3 10 -inf",
+		"material 1e999 0.3 10 2000",
+		"node g nan 1",
+		"node g 1 inf",
+		"generate grid p 2 2 +Inf 2",
+		"generate grid p 2 2 2 infinity",
+		"generate grid p 2 2 2 2 jitter NaN 1",
+		"generate truss t 2 -Inf 1",
+		"generate truss t 2 1 nan",
+		"generate bar b 2 Infinity",
+		"load g l endload NaN 0",
+		"load g l endload 0 inf",
+		"load g l 1 nan",
+		"submit node g nan 1",
+	}
+	script := "define structure g\n" + strings.Join(lines, "\n") + "\nmaterial 200000 0.3 10 2000\nnode g 1 2\nquit\n"
+
+	localSys, err := fem2.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer localSys.Close()
+	var local strings.Builder
+	if err := localSys.Session("eng").Run(strings.NewReader(script), &local); err != nil {
+		t.Fatal(err)
+	}
+
+	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
+	defer srv.Shutdown(context.Background())
+	cl, err := fem2.Dial(addr, "eng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var remote strings.Builder
+	if err := cl.Run(context.Background(), strings.NewReader(script), &remote, false); err != nil {
+		t.Fatal(err)
+	}
+
+	if local.String() != remote.String() {
+		t.Errorf("network transcript diverged from local:\n--- local ---\n%s--- remote ---\n%s", local.String(), remote.String())
+	}
+	got := strings.Split(strings.TrimSuffix(local.String(), "\n"), "\n")
+	if len(got) != len(lines)+4 {
+		t.Fatalf("%d transcript lines for %d script lines:\n%s", len(got), len(lines)+4, local.String())
+	}
+	for i, line := range lines {
+		if out := got[i+1]; !strings.HasPrefix(out, "error: usage: ") {
+			t.Errorf("%q answered %q, want a usage error", line, out)
+		}
+	}
+	if tail := got[len(lines)+1:]; tail[0] != "material E=200000 nu=0.3 t=10 A=2000" || tail[1] != "node 0 at (1, 2)" || tail[2] != "bye" {
+		t.Errorf("finite numbers after the refusals answered %q", tail)
 	}
 }
