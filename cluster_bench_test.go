@@ -1,10 +1,3 @@
-// Failover-latency benchmark: how long after a leader's crash does the
-// surviving follower serve writes?  This is the cluster's headline
-// number — bounded below by the lease TTL (a crashed leader's lease
-// must expire before anyone may take over) plus one follower poll plus
-// the takeover work itself (seal the log, reload the database, replay
-// the journal).  scripts/bench.sh writes it to BENCH_cluster.json and
-// the benchgate holds the trajectory.
 package fem2_test
 
 import (
@@ -15,6 +8,13 @@ import (
 	fem2 "repro"
 )
 
+// BenchmarkClusterFailover is kept because nothing under benchmark/
+// measures failover yet: how long after a leader's crash does the
+// surviving follower serve writes?  The number is bounded below by the
+// lease TTL (a crashed leader's lease must expire before anyone may take
+// over) plus one follower poll plus the takeover work itself (seal the
+// log, reload the database, replay the journal) — at the 150 ms TTL used
+// here it reads ~153–162 ms, so it moves with the TTL, not with code.
 func BenchmarkClusterFailover(b *testing.B) {
 	const ttl = 150 * time.Millisecond
 	for i := 0; i < b.N; i++ {

@@ -55,30 +55,8 @@ import (
 
 	fem2 "repro"
 	"repro/internal/client"
+	"repro/internal/obs"
 )
-
-// startMetrics starts the -metrics emitter over reg, writing to path
-// (created if needed, appended to) or stderr.  The returned stop
-// flushes the emitter out.
-func startMetrics(reg *fem2.ObsRegistry, interval time.Duration, path string) (stop func(), err error) {
-	w := io.Writer(os.Stderr)
-	var f *os.File
-	if path != "" {
-		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		w = f
-	}
-	em := fem2.NewMetricsEmitter(reg, fem2.MetricsEmitterOpts{Interval: interval, W: w})
-	em.Start()
-	return func() {
-		em.Stop()
-		if f != nil {
-			f.Close()
-		}
-	}, nil
-}
 
 func main() {
 	clusters := flag.Int("clusters", 4, "number of PE clusters")
@@ -123,7 +101,7 @@ func main() {
 		// stats verb.
 		reg := fem2.NewObsRegistry()
 		if *metricsInterval > 0 {
-			stop, err := startMetrics(reg, *metricsInterval, *metricsOut)
+			stop, err := obs.StartEmitter(reg, *metricsInterval, *metricsOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "fem2:", err)
 				os.Exit(1)
@@ -162,7 +140,7 @@ func main() {
 	}
 	defer sys.Close()
 	if *metricsInterval > 0 {
-		stop, err := startMetrics(sys.Obs, *metricsInterval, *metricsOut)
+		stop, err := obs.StartEmitter(sys.Obs, *metricsInterval, *metricsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fem2:", err)
 			os.Exit(1)

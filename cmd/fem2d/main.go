@@ -57,7 +57,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
@@ -67,31 +66,9 @@ import (
 
 	fem2 "repro"
 	"repro/internal/job"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
-
-// startMetrics starts the -metrics emitter over reg, writing to path
-// (created if needed, appended to) or stderr.  The returned stop
-// flushes the emitter out.
-func startMetrics(reg *fem2.ObsRegistry, interval time.Duration, path string) (stop func(), err error) {
-	w := io.Writer(os.Stderr)
-	var f *os.File
-	if path != "" {
-		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		w = f
-	}
-	em := fem2.NewMetricsEmitter(reg, fem2.MetricsEmitterOpts{Interval: interval, W: w})
-	em.Start()
-	return func() {
-		em.Stop()
-		if f != nil {
-			f.Close()
-		}
-	}, nil
-}
 
 func main() {
 	addr := flag.String("addr", ":7432", "TCP address to listen on")
@@ -158,7 +135,7 @@ func main() {
 	sys.Jobs.SetLogf(logger.Printf)
 
 	if *metricsInterval > 0 {
-		stopMetrics, err := startMetrics(sys.Obs, *metricsInterval, *metricsOut)
+		stopMetrics, err := obs.StartEmitter(sys.Obs, *metricsInterval, *metricsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fem2d:", err)
 			os.Exit(1)

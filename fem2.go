@@ -169,13 +169,6 @@ func New(opts ...Option) (*System, error) {
 // database, and the command interpreter.
 type Session = auvm.Session
 
-// Workspace holds a user's local models, load sets, solutions, and
-// stresses.
-type Workspace = auvm.Workspace
-
-// Database is the long-term shared model store.
-type Database = auvm.Database
-
 // Command is one typed AUVM request; Session.Do interprets it.  Build
 // commands as struct literals or Parse them from command lines.
 type Command = command.Command
@@ -405,20 +398,9 @@ const (
 	JobCancelledName = command.JobCancelled
 )
 
-// JobScheduler is the system's job service: Submit/Wait/Status/Cancel/
-// List over a bounded worker pool with per-model serialization.
-type JobScheduler = job.Scheduler
-
-// JobSnapshot is an immutable view of one job: state, stored result,
-// and per-job ops/flops/cycles attribution.
-type JobSnapshot = job.Snapshot
-
-// JobFilter selects jobs for JobScheduler.List; zero fields match
+// JobFilter selects jobs for System.Jobs.List; zero fields match
 // everything.
 type JobFilter = job.Filter
-
-// ErrSchedulerClosed is returned by Submit after the system closes.
-var ErrSchedulerClosed = job.ErrClosed
 
 // ErrJobQuota is returned by Submit when a tenant is at its in-flight
 // job bound under the reject policy.
@@ -531,11 +513,6 @@ var ErrRetriesExhausted = client.ErrRetriesExhausted
 // plus the last underlying failure.
 type RetryError = client.RetryError
 
-// RemoteError is a server-reported failure: the server's error text
-// verbatim, plus a wire code errors.Is maps back onto the shared
-// sentinels.
-type RemoteError = client.RemoteError
-
 // JobEvent is one server-pushed job lifecycle notification.
 type JobEvent = wire.JobEvent
 
@@ -548,10 +525,6 @@ type JobEvent = wire.JobEvent
 
 // ObsRegistry is a live metrics registry; System.Obs is the system's.
 type ObsRegistry = obs.Registry
-
-// ObsSnapshot is a point-in-time copy of a registry's metrics, sorted
-// by name — what System.StatsSnapshot and the stats verb report.
-type ObsSnapshot = obs.Snapshot
 
 // NewObsRegistry builds an empty standalone registry — for clients
 // that want reconnect/retry counters without a local System.
@@ -570,13 +543,10 @@ func NewMetricsEmitter(reg *ObsRegistry, o MetricsEmitterOpts) *MetricsEmitter {
 	return obs.NewEmitter(reg, o)
 }
 
-// MarshalCommand and UnmarshalCommand are the typed command wire
-// codec; MarshalResult and UnmarshalResult the result codec.  Both
-// directions are strict and round-trip to identical structs.
-func MarshalCommand(cmd Command) ([]byte, error)    { return command.MarshalCommand(cmd) }
-func UnmarshalCommand(data []byte) (Command, error) { return command.UnmarshalCommand(data) }
-func MarshalResult(r Result) ([]byte, error)        { return command.MarshalResult(r) }
-func UnmarshalResult(data []byte) (Result, error)   { return command.UnmarshalResult(data) }
+// MarshalResult and UnmarshalResult are the typed result wire codec:
+// strict in both directions, round-tripping to identical structs.
+func MarshalResult(r Result) ([]byte, error)      { return command.MarshalResult(r) }
+func UnmarshalResult(data []byte) (Result, error) { return command.UnmarshalResult(data) }
 
 // The shared error taxonomy.  Missing objects, malformed or ineligible
 // requests, and cancelled contexts wrap these sentinels across auvm,
@@ -597,13 +567,9 @@ var (
 	// shutdown.
 	ErrQuit = auvm.ErrQuit
 	// ErrNoConvergence reports an iterative backend that exhausted its
-	// budget; the concrete error is a *ConvergenceError.
+	// budget.
 	ErrNoConvergence = linalg.ErrNoConvergence
 )
-
-// ConvergenceError carries the final residual and iteration count of a
-// solve that wrapped ErrNoConvergence.
-type ConvergenceError = linalg.ConvergenceError
 
 // LayerSpec is the design-time description of one virtual machine layer.
 type LayerSpec = core.LayerSpec
@@ -614,10 +580,6 @@ func FEM2Layers() []*LayerSpec { return core.FEM2Layers() }
 // DesignIterator runs the design method's evaluate-adjust loop over a
 // hardware design space.
 type DesignIterator = core.DesignIterator
-
-// Requirements is one simulated evaluation: processing, storage, and
-// communication requirements plus makespan and utilization.
-type Requirements = core.Requirements
 
 // Model is a finite element structure/substructure model.
 type Model = fem.Model
@@ -630,9 +592,6 @@ type Material = fem.Material
 
 // Solution is a solved load case.
 type Solution = fem.Solution
-
-// NewModel returns an empty model.
-func NewModel(name string) *Model { return fem.NewModel(name) }
 
 // Steel returns the default structural steel material.
 func Steel() Material { return fem.Steel() }
@@ -662,24 +621,6 @@ type SolveOpts = fem.SolveOpts
 // wrapping ErrCancelled.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	return fem.Solve(ctx, m, ls, opts)
-}
-
-// Assembled is a model's reduced global system: the free-dof stiffness
-// matrix plus the dof maps needed to expand solutions back to the full
-// grid.
-type Assembled = fem.Assembled
-
-// Assemble builds the reduced global stiffness system of a model in one
-// shot.  Solve retains the assembly per model by itself (see the
-// plan-once layer below).
-func Assemble(m *Model) (*Assembled, error) { return fem.Assemble(m) }
-
-// SolveAssembled solves a pre-assembled system for one load set —
-// assemble once, solve many.  opts routes exactly as in Solve, minus the
-// substructured path (which performs its own condensation instead of a
-// global assembly).
-func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
-	return fem.SolveAssembled(ctx, m, asm, ls, opts)
 }
 
 // Stresses recovers element stresses from a solution.
@@ -721,40 +662,6 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // bit for bit, and cached solutions are bit-identical to cold solves.  Model.Touch releases
 // both.
 
-// Factorization is a reusable direct factorisation: solve any number of
-// right-hand sides, re-factor in place when values change.
-type Factorization = linalg.Factorization
-
-// DirectPlan is the symbolic state of a direct solve — ordering,
-// band/envelope profile, preallocated storage — computed once per
-// sparsity pattern and reused across factorisations.
-type DirectPlan = linalg.DirectPlan
-
-// PlanOpts selects a DirectPlan's ordering (natural or RCM) and factor
-// storage (uniform band or skyline envelope).
-type PlanOpts = linalg.PlanOpts
-
-// The DirectPlan ordering and storage selections.
-const (
-	OrderNatural    = linalg.OrderNatural
-	OrderRCM        = linalg.OrderRCM
-	StorageBand     = linalg.StorageBand
-	StorageEnvelope = linalg.StorageEnvelope
-)
-
-// NewDirectPlan runs the symbolic phase of a direct solve over a
-// matrix's sparsity pattern; Refactor and SolveInto are the numeric
-// phase.
-func NewDirectPlan(a *linalg.CSR, opts PlanOpts) (*DirectPlan, error) {
-	return linalg.NewDirectPlan(a, opts)
-}
-
-// FactorCache retains one DirectPlan per direct backend.  Every Model
-// owns one (Model.Factors) and Solve goes through it automatically —
-// reach for the type directly only to share factors across hand-built
-// systems.
-type FactorCache = linalg.FactorCache
-
 // The solver backend registry names, usable as SolveOpts.Backend, as a
 // SolveCommand.Method, and in the REPL's `solve ... method <name>`.
 const (
@@ -781,22 +688,6 @@ const (
 	// PrecondSSOR is the symmetric SOR preconditioner.
 	PrecondSSOR = linalg.PrecondSSOR
 )
-
-// Backends returns the registered solver backend names, sorted.
-func Backends() []string { return linalg.Backends() }
-
-// Preconds returns the registered preconditioner names, sorted.
-func Preconds() []string { return linalg.Preconds() }
-
-// Runtime is the NAVM parallel runtime bound to a simulated machine.
-type Runtime = navm.Runtime
-
-// TaskCtx is a running NAVM task's handle: task control, windows,
-// broadcast, remote calls, and parallel linear algebra.
-type TaskCtx = navm.TaskCtx
-
-// Window grants access to a rectangular region of another task's array.
-type Window = navm.Window
 
 // DistSystem is a row-partitioned linear system with its halo
 // communication plan.

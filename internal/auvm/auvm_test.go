@@ -1,13 +1,16 @@
 package auvm
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/command"
 	"repro/internal/fem"
 	"repro/internal/metrics"
 	"repro/internal/navm"
@@ -171,6 +174,35 @@ func TestSolveParallelThroughSession(t *testing.T) {
 	mustExec(t, s2, "load p l endload 1 0")
 	if _, err := s2.Execute("solve p l parallel 2"); err == nil {
 		t.Error("parallel solve without machine accepted")
+	}
+}
+
+// TestSolveParallelReportsWorkersUsed: navm.Partition makes at most one
+// row block per free dof, so the count a parallel solve reports — on the
+// display line and in SolveResult.Parallel — is the partition's, not the
+// one asked for.  The 3×3 plate clamped on the left has 24 free dofs.
+func TestSolveParallelReportsWorkersUsed(t *testing.T) {
+	s := newSession(t)
+	rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
+	rt.AttachInstrumentation(s.Metrics, trace.NewCapped(1000))
+	s.RT = rt
+	mustExec(t, s, "generate grid plate 3 3 3 3 clamp-left")
+	mustExec(t, s, "load plate tip endload 0 -100")
+	for _, tc := range []struct{ asked, want int }{
+		{99999, 24}, // over-asked: clamped to the free-dof count
+		{24, 24},    // exact
+		{4, 4},      // under-asked
+	} {
+		res, err := s.Do(context.Background(), command.Solve{Model: "plate", Set: "tip", Parallel: tc.asked})
+		if err != nil {
+			t.Fatalf("parallel %d: %v", tc.asked, err)
+		}
+		if got := res.(*command.SolveResult).Parallel; got != tc.want {
+			t.Errorf("parallel %d: SolveResult.Parallel = %d, want %d", tc.asked, got, tc.want)
+		}
+		if want := fmt.Sprintf("in parallel on %d workers", tc.want); !strings.Contains(res.String(), want) {
+			t.Errorf("parallel %d renders %q, want %q in it", tc.asked, res.String(), want)
+		}
 	}
 }
 

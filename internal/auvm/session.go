@@ -566,9 +566,10 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 		Flops: sol.Stats.Flops, Refactored: sol.Refactored,
 	}
 	// Par is set exactly when the distributed path ran (a substructured
-	// request outranks parallel, so echo the worker count only then).
+	// request outranks parallel), and carries the worker count the
+	// partition settled on, which is at most the count asked for.
 	if sol.Par != nil {
-		res.Parallel = c.Parallel
+		res.Parallel = sol.Par.Workers
 		res.HaloWords = sol.Par.HaloWords
 		res.Makespan = sol.Par.Makespan
 	}

@@ -156,7 +156,9 @@ type SolveResult struct {
 	Backend string
 	// Precond is the preconditioner applied, "" when none.
 	Precond string
-	// Parallel is the worker count of a parallel solve, 0 otherwise.
+	// Parallel is the worker count a parallel solve ran on — at most the
+	// count asked for, the partition makes no more blocks than there are
+	// free dofs — and 0 otherwise.
 	Parallel int
 	// Substructures is the band count of a substructured solve, 0
 	// otherwise.

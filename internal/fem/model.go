@@ -136,7 +136,7 @@ func (m *Model) assembleRetained() (*Assembled, error) {
 			r.unchanged.Inc()
 			return r.ws.asm, nil
 		}
-		return r.ws.assemble(1, true)
+		return r.ws.assemble(true)
 	}
 	r.ws = nil
 	ws, err := NewWorkspace(m)
@@ -145,7 +145,7 @@ func (m *Model) assembleRetained() (*Assembled, error) {
 	}
 	r.symbolic.Inc()
 	r.ws = ws
-	return ws.assemble(1, true)
+	return ws.assemble(true)
 }
 
 // NewModel returns an empty model.

@@ -257,29 +257,20 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 
 // SolveSubstructured solves the model by substructure analysis: each
 // substructure condenses its interior onto the interface (fanned out
-// over a host worker pool, and costed in parallel on the simulated
-// machine when rt is non-nil), the assembled interface system is solved,
-// and interiors are recovered by back-substitution.  ctx is checked
-// before each condensation and before the interface solve; a cancelled
-// solve returns an error wrapping errs.ErrCancelled.  The host pool uses
-// GOMAXPROCS workers; SolveSubstructuredWorkers pins the count.
+// over a host pool of GOMAXPROCS workers, and costed in parallel on the
+// simulated machine when rt is non-nil), the assembled interface system
+// is solved, and interiors are recovered by back-substitution.  The
+// result does not depend on the pool's size: condensations are mutually
+// independent and land in per-substructure slots.  ctx is checked before
+// each condensation and before the interface solve; a cancelled solve
+// returns an error wrapping errs.ErrCancelled.
 func SolveSubstructured(ctx context.Context, m *Model, s *Substructured, ls *LoadSet, rt *navm.Runtime) (*Solution, error) {
-	return SolveSubstructuredWorkers(ctx, m, s, ls, rt, 0)
-}
-
-// SolveSubstructuredWorkers is SolveSubstructured with an explicit host
-// worker count for the condensation fan-out (0 selects GOMAXPROCS).
-// Results are independent of the worker count: condensations are
-// mutually independent and land in per-substructure slots.
-func SolveSubstructuredWorkers(ctx context.Context, m *Model, s *Substructured, ls *LoadSet, rt *navm.Runtime, workers int) (*Solution, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	k := len(s.Subs)
 	conds := make([]*condensed, k)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > k {
 		workers = k
 	}

@@ -2,9 +2,14 @@ package fem
 
 import (
 	"context"
+	"errors"
+	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/errs"
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/navm"
@@ -197,5 +202,69 @@ func TestSubstructureParallelSpeedupShape(t *testing.T) {
 	fast := run(4)
 	if fast >= slow {
 		t.Errorf("4-cluster condensation (%d) not faster than 1-cluster (%d)", fast, slow)
+	}
+}
+
+// cancelAfter is a context that reports itself cancelled from its n-th
+// Err call on: the condensation fan-out asks once per substructure, so a
+// small n cancels it with condensations done, running and not started.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSubstructuredSolveIgnoresGOMAXPROCS: the condensation pool is as
+// wide as GOMAXPROCS and nobody sets it, so what has to hold is that the
+// width is invisible — the displacements are bitwise the same on one
+// host thread and on two — and that a cancellation arriving in the
+// middle of the fan-out is reported, whichever worker meets it.
+func TestSubstructuredSolveIgnoresGOMAXPROCS(t *testing.T) {
+	plate, _, plateLoad := plateAndLoad(t, 32, 8)
+	truss, err := CantileverTruss("truss", 6, 500, 400, Material{E: 200000, A: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name string
+		m    *Model
+		ls   *LoadSet
+		k    int
+	}{
+		{"plate 32x8, 8 substructures", plate, plateLoad, 8},
+		{"truss, 3 substructures", truss, TipLoad("tip", 6, 5000), 3},
+	} {
+		s, err := PartitionByX(tc.m, tc.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref linalg.Vector
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			ctx := &cancelAfter{Context: context.Background()}
+			ctx.left.Store(int64(tc.k / 2))
+			if _, err := SolveSubstructured(ctx, tc.m, s, tc.ls, nil); !errors.Is(err, errs.ErrCancelled) {
+				t.Errorf("%s cancelled mid-fan-out at GOMAXPROCS %d: err = %v, want ErrCancelled", tc.name, procs, err)
+			}
+			sol, err := SolveSubstructured(context.Background(), tc.m, s, tc.ls, nil)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", tc.name, procs, err)
+			}
+			if ref == nil {
+				ref = sol.U
+			}
+			for i, v := range sol.U {
+				if math.Float64bits(v) != math.Float64bits(ref[i]) {
+					t.Fatalf("%s: u[%d] = %.17g at GOMAXPROCS %d, %.17g at 1", tc.name, i, v, procs, ref[i])
+				}
+			}
+		}
 	}
 }

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 
 	"repro/internal/linalg"
 )
 
 // StiffnessWriter is the optional fast path of an Element: writing the
 // stiffness into a caller-owned matrix lets the numeric assembly phase
-// reuse one scratch matrix per worker instead of allocating the whole
-// Dense chain per element.  Bar and CST implement it; elements that do
-// not fall back to Stiffness.
+// reuse one scratch matrix instead of allocating the whole Dense chain
+// per element.  Bar and CST implement it; elements that do not fall
+// back to Stiffness.
 type StiffnessWriter interface {
 	StiffnessInto(m *Model, ke *linalg.Dense) error
 }
@@ -32,10 +31,9 @@ type StiffnessWriter interface {
 // affect values).  Matches reports whether a model still has that
 // topology, and Assemble refuses to scatter through a stale map.
 // Assemble returns an Assembled whose K shares the workspace's value
-// buffer, so it is valid until the next Assemble/AssembleParallel call
-// on the same workspace; callers that need snapshots keep one workspace
-// per concurrent system.  Workspace methods are not safe for concurrent
-// use.
+// buffer, so it is valid until the next Assemble call on the same
+// workspace; callers that need snapshots keep one workspace per
+// concurrent system.  Workspace methods are not safe for concurrent use.
 type Workspace struct {
 	// m is the model Assemble evaluates: the one NewWorkspace was given,
 	// or the replacement Model.AdoptAssembly handed the workspace to.
@@ -54,18 +52,15 @@ type Workspace struct {
 	conn []int32
 	// nodes is the connectivity scratch of Matches.
 	nodes []int
-	// bufs are the per-worker accumulation buffers of the parallel
-	// numeric phase, grown lazily to the requested worker count.
-	bufs [][]float64
-	// scratch holds one element-stiffness scratch per worker.
-	scratch []*stiffScratch
+	// scratch is the element-stiffness scratch of the numeric phase.
+	scratch stiffScratch
 	// flops is the scatter-add count of one numeric pass: the scatter
 	// entries with both dofs free, fixed by the topology.
 	flops int64
 
 	// The witness of the values K.Val was assembled from.  witnessed is
 	// cleared before any write to the value buffer and set only by a
-	// complete, error-free sequential pass in which every element
+	// complete, error-free recording pass in which every element
 	// offered StiffnessInputs; while it is set, element e was of type
 	// types[e] and appended inputs[inOff[e]:inOff[e+1]].  probe is the
 	// scratch unchanged reads the current inputs into.
@@ -77,7 +72,7 @@ type Workspace struct {
 }
 
 // stiffScratch reuses one stiffness matrix per element order for
-// StiffnessWriter elements.
+// StiffnessWriter elements; the zero value is ready to use.
 type stiffScratch struct {
 	ke map[int]*linalg.Dense
 }
@@ -92,6 +87,9 @@ func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, e
 	}
 	ke := sc.ke[nd]
 	if ke == nil {
+		if sc.ke == nil {
+			sc.ke = map[int]*linalg.Dense{}
+		}
 		ke = linalg.NewDense(nd, nd)
 		sc.ke[nd] = ke
 	}
@@ -219,89 +217,45 @@ func (ws *Workspace) Matches(m *Model) bool {
 // Pattern returns the reduced system's sparsity pattern.
 func (ws *Workspace) Pattern() *linalg.Pattern { return ws.pat }
 
-// Assemble runs the numeric phase sequentially: element stiffnesses are
-// re-evaluated and scatter-added through the cached map.  The returned
-// Assembled shares the workspace's value storage; see the type comment.
-func (ws *Workspace) Assemble() (*Assembled, error) { return ws.AssembleParallel(1) }
-
-// AssembleParallel runs the numeric phase with the given worker count
-// (values below 2 run sequentially; the count is capped at the element
-// count).  Workers scatter contiguous element ranges into private
-// accumulation buffers, which are then merged in worker order — a
-// deterministic reduction, so repeated parallel assemblies of one system
-// are bit-identical for a fixed worker count.  The count is taken as
-// given rather than clamped to GOMAXPROCS: results do not depend on it,
-// and benchmarks sweep it explicitly.
-func (ws *Workspace) AssembleParallel(workers int) (*Assembled, error) {
+// Assemble runs the numeric phase: element stiffnesses are re-evaluated
+// and scatter-added through the cached map, in element order.  The
+// returned Assembled shares the workspace's value storage; see the type
+// comment.
+func (ws *Workspace) Assemble() (*Assembled, error) {
 	if !ws.Matches(ws.m) {
 		return nil, fmt.Errorf("%w: topology changed since NewWorkspace (build a new workspace)", ErrModel)
 	}
-	return ws.assemble(workers, false)
+	return ws.assemble(false)
 }
 
-// assemble is AssembleParallel without the topology check, for callers
-// that have just run Matches themselves.  With record set (sequential
-// passes only) it leaves the witness of the pass behind; either way the
-// previous witness is gone before the buffer is touched, so a pass that
-// fails half way, or merges worker buffers in another summation order,
-// cannot be mistaken for the recorded one.
-func (ws *Workspace) assemble(workers int, record bool) (*Assembled, error) {
+// assemble is Assemble without the topology check, for callers that have
+// just run Matches themselves.  With record set it leaves the witness of
+// the pass behind; either way the previous witness is gone before the
+// buffer is touched, so a pass that fails half way cannot be mistaken
+// for the recorded one.
+func (ws *Workspace) assemble(record bool) (*Assembled, error) {
 	ws.witnessed = false
-	k := ws.asm.K
-	val := k.Val
+	val := ws.asm.K.Val
 	for i := range val {
 		val[i] = 0
 	}
-	ne := len(ws.m.Elements)
-	if workers > ne {
-		workers = ne
+	if record {
+		ws.resetRecord()
 	}
-	if workers <= 1 {
-		if record {
-			ws.resetRecord()
-		}
-		recorded, err := ws.scatterRange(0, ne, val, ws.scratchFor(1)[0], record)
-		if err != nil {
-			return nil, err
-		}
-		ws.witnessed = recorded
-		ws.asm.Stats = linalg.Stats{Flops: ws.flops}
-		return ws.asm, nil
+	recorded, err := ws.scatter(val, record)
+	if err != nil {
+		return nil, err
 	}
-	bufs := ws.bufsFor(workers, len(val))
-	scratch := ws.scratchFor(workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*ne/workers, (w+1)*ne/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			_, errs[w] = ws.scatterRange(lo, hi, bufs[w], scratch[w], false)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for w := 0; w < workers; w++ {
-		buf := bufs[w]
-		for i, v := range buf {
-			val[i] += v
-		}
-	}
+	ws.witnessed = recorded
 	ws.asm.Stats = linalg.Stats{Flops: ws.flops}
 	return ws.asm, nil
 }
 
-// scatterRange evaluates and scatters elements [lo,hi) into val.  With
-// record set it also records each element's type and StiffnessInputs as
-// it goes, and reports whether every element had them to give.
-func (ws *Workspace) scatterRange(lo, hi int, val []float64, sc *stiffScratch, record bool) (bool, error) {
-	for ei := lo; ei < hi; ei++ {
-		e := ws.m.Elements[ei]
+// scatter evaluates every element and scatters it into val.  With record
+// set it also records each element's type and StiffnessInputs as it
+// goes, and reports whether every element had them to give.
+func (ws *Workspace) scatter(val []float64, record bool) (bool, error) {
+	for ei, e := range ws.m.Elements {
 		if record {
 			si, ok := e.(StiffnessInputs)
 			if record = ok; ok {
@@ -311,7 +265,7 @@ func (ws *Workspace) scatterRange(lo, hi int, val []float64, sc *stiffScratch, r
 			}
 		}
 		nd := ws.ndof[ei]
-		ke, err := sc.stiffness(ws.m, e, nd)
+		ke, err := ws.scratch.stiffness(ws.m, e, nd)
 		if err != nil {
 			return false, fmt.Errorf("fem: element %d: %w", ei, err)
 		}
@@ -373,31 +327,4 @@ func (ws *Workspace) unchanged() bool {
 		}
 	}
 	return true
-}
-
-// bufsFor returns w zeroed accumulation buffers of length n, reusing
-// prior allocations where possible.
-func (ws *Workspace) bufsFor(w, n int) [][]float64 {
-	for len(ws.bufs) < w {
-		ws.bufs = append(ws.bufs, make([]float64, n))
-	}
-	for i := 0; i < w; i++ {
-		if len(ws.bufs[i]) != n {
-			ws.bufs[i] = make([]float64, n)
-			continue
-		}
-		buf := ws.bufs[i]
-		for j := range buf {
-			buf[j] = 0
-		}
-	}
-	return ws.bufs[:w]
-}
-
-// scratchFor returns w element-stiffness scratches.
-func (ws *Workspace) scratchFor(w int) []*stiffScratch {
-	for len(ws.scratch) < w {
-		ws.scratch = append(ws.scratch, &stiffScratch{ke: map[int]*linalg.Dense{}})
-	}
-	return ws.scratch[:w]
 }

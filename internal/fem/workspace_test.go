@@ -3,7 +3,6 @@ package fem
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -23,27 +22,6 @@ func csrEqualExact(t *testing.T, label string, a, b *linalg.CSR) {
 		for j := 0; j < a.N; j++ {
 			if av, bv := a.At(i, j), b.At(i, j); av != bv {
 				t.Fatalf("%s: (%d,%d) = %g vs %g", label, i, j, av, bv)
-			}
-		}
-	}
-}
-
-// csrEqualUlps asserts per-entry agreement within a few ulps — the slack
-// a reassociated parallel reduction is allowed.
-func csrEqualUlps(t *testing.T, label string, a, b *linalg.CSR) {
-	t.Helper()
-	if a.N != b.N {
-		t.Fatalf("%s: order %d vs %d", label, a.N, b.N)
-	}
-	for i := 0; i < a.N; i++ {
-		for j := 0; j < a.N; j++ {
-			av, bv := a.At(i, j), b.At(i, j)
-			if av == bv {
-				continue
-			}
-			scale := math.Max(math.Abs(av), math.Abs(bv))
-			if math.Abs(av-bv) > 4*scale*2.220446049250313e-16 {
-				t.Fatalf("%s: (%d,%d) = %.17g vs %.17g", label, i, j, av, bv)
 			}
 		}
 	}
@@ -84,10 +62,12 @@ func randomModel(t *testing.T, rng *rand.Rand) *Model {
 	return m
 }
 
-// TestWorkspaceMatchesTripletAssembly is the sequential half of the
-// differential property: on the fixed plate and bar fixtures the
-// workspace scatter path must agree bitwise with the triplet reference
-// path (both sum element contributions in the same order).
+// TestWorkspaceMatchesTripletAssembly is the differential property of
+// the numeric phase: on the fixed plate and bar fixtures and on
+// randomized meshes, the workspace scatter path must agree bitwise with
+// the triplet reference path (both sum element contributions in element
+// order), through the one-shot Assemble and through a kept workspace
+// assembled twice.
 func TestWorkspaceMatchesTripletAssembly(t *testing.T) {
 	plate, err := RectGrid("plate", RectGridOpts{NX: 6, NY: 4, W: 6, H: 4, Mat: Steel(), ClampLeft: true})
 	if err != nil {
@@ -97,7 +77,12 @@ func TestWorkspaceMatchesTripletAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []*Model{plate, truss} {
+	models := []*Model{plate, truss}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		models = append(models, randomModel(t, rng))
+	}
+	for _, m := range models {
 		ref, err := AssembleTriplets(m)
 		if err != nil {
 			t.Fatal(err)
@@ -110,47 +95,16 @@ func TestWorkspaceMatchesTripletAssembly(t *testing.T) {
 		if len(got.Free) != len(ref.Free) {
 			t.Errorf("%s: free dof count %d vs %d", m.Name, len(got.Free), len(ref.Free))
 		}
-	}
-}
-
-// TestWorkspaceParallelMatchesSequential is the parallel half: across
-// randomized meshes and worker counts, the parallel numeric phase agrees
-// with the sequential triplet path within a few ulps, and is bitwise
-// deterministic for a fixed worker count (per-worker buffers merge in
-// worker order).
-func TestWorkspaceParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		m := randomModel(t, rng)
-		ref, err := AssembleTriplets(m)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ws, err := NewWorkspace(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 3, 4} {
-			asm, err := ws.AssembleParallel(workers)
+		for pass := 0; pass < 2; pass++ {
+			asm, err := ws.Assemble()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if workers == 1 {
-				csrEqualExact(t, m.Name, ref.K, asm.K)
-			} else {
-				csrEqualUlps(t, m.Name, ref.K, asm.K)
-			}
-			first := append([]float64(nil), asm.K.Val...)
-			again, err := ws.AssembleParallel(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range again.K.Val {
-				if v != first[i] {
-					t.Fatalf("%s workers=%d: nondeterministic value at %d: %.17g vs %.17g",
-						m.Name, workers, i, v, first[i])
-				}
-			}
+			csrEqualExact(t, m.Name, ref.K, asm.K)
 		}
 	}
 }
@@ -246,26 +200,4 @@ func TestWorkspaceRejectsInvalidModel(t *testing.T) {
 	if _, err := NewWorkspace(NewModel("empty")); err == nil {
 		t.Error("workspace built over empty model")
 	}
-}
-
-// TestWorkspaceWorkerCountClamped: more workers than elements (or cores)
-// must still assemble correctly.
-func TestWorkspaceWorkerCountClamped(t *testing.T) {
-	m, err := CantileverTruss("small", 1, 100, 100, Steel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := NewWorkspace(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asm, err := ws.AssembleParallel(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := AssembleTriplets(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csrEqualExact(t, "clamped", ref.K, asm.K)
 }

@@ -82,6 +82,9 @@ func (d *DistSystem) TotalHaloWords() int64 {
 
 // SolveStats reports the simulated costs of a distributed solve.
 type SolveStats struct {
+	// Workers is the number of row blocks the solve ran on: the
+	// DistSystem's P, which Partition clamps to the system order.
+	Workers    int
 	Iterations int
 	// Flops is the total floating point work.
 	Flops int64
@@ -215,6 +218,7 @@ func (rt *Runtime) SolveWorkers(p int) ([]*arch.PE, error) {
 // stamps the simulated makespan; it runs on both success and
 // budget-exhaustion paths so callers always see the true cost.
 func finalizeStats(rt *Runtime, stats *SolveStats, st []linalg.Stats) {
+	stats.Workers = len(st)
 	stats.Flops = 0
 	for w := range st {
 		stats.Flops += st[w].Flops

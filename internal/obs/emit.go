@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,4 +202,28 @@ func rate(hits, misses int64) float64 {
 		return 0
 	}
 	return float64(hits) / float64(hits+misses)
+}
+
+// StartEmitter is the -metrics flag of fem2 and fem2d: it starts an
+// emitter over reg that writes a line per interval to the file at path
+// (created if needed, appended to), or to stderr when path is empty.  The
+// returned stop flushes the emitter out and closes the file.
+func StartEmitter(reg *Registry, interval time.Duration, path string) (stop func(), err error) {
+	w := io.Writer(os.Stderr)
+	var f *os.File
+	if path != "" {
+		f, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		w = f
+	}
+	em := NewEmitter(reg, EmitterOpts{Interval: interval, W: w})
+	em.Start()
+	return func() {
+		em.Stop()
+		if f != nil {
+			f.Close()
+		}
+	}, nil
 }

@@ -6,65 +6,8 @@ import (
 	"time"
 )
 
-// The hot-path contract: observing a metric allocates nothing.  CI runs
-// these with -benchmem; the committed overhead numbers in
-// docs/observability.md come from BenchmarkObsOverhead at the repo root,
-// which measures the instrumented scheduler and factor cache end to end.
-
-func BenchmarkCounterInc(b *testing.B) {
-	c := New().Counter("bench.counter")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterIncNil(b *testing.B) {
-	var c *Counter
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkGaugeSet(b *testing.B) {
-	g := New().Gauge("bench.gauge")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(int64(i))
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := New().Histogram("bench.hist")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(time.Duration(i))
-	}
-}
-
-func BenchmarkHistogramObserveNil(b *testing.B) {
-	var h *Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(time.Duration(i))
-	}
-}
-
-func BenchmarkSnapshot(b *testing.B) {
-	r := New()
-	for _, n := range []string{"a", "b", "c", "d"} {
-		r.Counter("count." + n).Inc()
-		r.Histogram("lat." + n).Observe(time.Millisecond)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = r.Snapshot()
-	}
-}
-
-// TestHotPathZeroAlloc pins the zero-alloc claim as a test so it fails
-// loudly in plain `go test`, not only when someone reads bench output.
+// TestHotPathZeroAlloc pins the hot-path contract — observing a metric
+// allocates nothing — as a test, so it fails loudly in plain `go test`.
 func TestHotPathZeroAlloc(t *testing.T) {
 	r := New()
 	c := r.Counter("z.c")

@@ -1,13 +1,6 @@
-// Storage benchmarks: the perf trajectory of the durable KV layer.
-// BenchmarkStorePutWriteThrough times one write-through put at the
-// store surface, BenchmarkStoreColdOpen times a full system open +
-// database recovery against store size, and
-// BenchmarkStoreSnapshotRoundTrip times the snapshot/restore verbs.
-// scripts/bench.sh writes the results to BENCH_store.json.
 package fem2_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -16,87 +9,13 @@ import (
 	fem2 "repro"
 )
 
-// benchFileSystem opens a file-backed system for benchmarking.
-func benchFileSystem(b *testing.B, path string) *fem2.System {
-	b.Helper()
-	sys, err := fem2.New(fileStoreOpts(path))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return sys
-}
-
-// BenchmarkStorePutWriteThrough times one 1 KiB put through the
-// write-through cache onto the append-only file backend — the
-// per-record latency every database store and journal write pays.
-func BenchmarkStorePutWriteThrough(b *testing.B) {
-	sys := benchFileSystem(b, filepath.Join(b.TempDir(), "bench.db"))
-	defer sys.Close()
-	value := bytes.Repeat([]byte{0xAB}, 1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sys.Store.Put(fmt.Sprintf("m:bench-%08d", i), value); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStoreColdOpen times a cold start against store size: open
-// the store file, replay the log, recover the model database, and
-// attach the job journal, for increasing stored-model counts.
-func BenchmarkStoreColdOpen(b *testing.B) {
-	for _, models := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("models-%d", models), func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "bench.db")
-			sys := benchFileSystem(b, path)
-			s := sys.Session("bench")
-			for i := 0; i < models; i++ {
-				name := fmt.Sprintf("m%02d", i)
-				mustBench(b, s, fmt.Sprintf("generate grid %s 6 4 6 4 clamp-left", name))
-				mustBench(b, s, "store "+name)
-			}
-			sys.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys, err := fem2.New(fileStoreOpts(path))
-				if err != nil {
-					b.Fatal(err)
-				}
-				sys.Close()
-			}
-		})
-	}
-}
-
-// BenchmarkStoreSnapshotRoundTrip times one snapshot of a solved
-// workspace plus its restore into another session.
-func BenchmarkStoreSnapshotRoundTrip(b *testing.B) {
-	dir := b.TempDir()
-	sys, err := fem2.New()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	s := sys.Session("bench")
-	mustBench(b, s, "generate grid plate 12 8 12 8 clamp-left")
-	mustBench(b, s, "load plate tip endload 0 -250")
-	mustBench(b, s, "solve plate tip")
-	mustBench(b, s, "stresses plate")
-	fresh := sys.Session("fresh")
-	path := filepath.Join(dir, "bench.snap")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mustBench(b, s, "snapshot "+path)
-		mustBench(b, fresh, "restore "+path)
-	}
-}
-
-// BenchmarkStoreKillRecovery measures the robustness headline number:
-// SIGKILL-to-serving time.  A file-backed daemon is seeded with stored
-// models and job history and killed; each iteration then starts a
-// fresh daemon on that store and times process start + log replay +
-// recovery until a network ping answers.  ns/op is the full outage
-// window a supervisor restart incurs.
+// BenchmarkStoreKillRecovery is kept because nothing under benchmark/
+// measures crash recovery yet: it is the only reading of the robustness
+// headline number, SIGKILL-to-serving time.  A file-backed daemon is
+// seeded with stored models and job history and killed; each iteration
+// then starts a fresh daemon on that store and times process start + log
+// replay + recovery until a network ping answers.  ns/op is the full
+// outage window a supervisor restart incurs.
 func BenchmarkStoreKillRecovery(b *testing.B) {
 	dir := b.TempDir()
 	bin := buildFem2d(b, dir)
@@ -149,13 +68,5 @@ func BenchmarkStoreKillRecovery(b *testing.B) {
 		d.Process.Kill()
 		d.Wait()
 		b.StartTimer()
-	}
-}
-
-// mustBench runs one command line, failing the benchmark on error.
-func mustBench(b *testing.B, s *fem2.Session, line string) {
-	b.Helper()
-	if _, err := s.Execute(line); err != nil {
-		b.Fatalf("command %q: %v", line, err)
 	}
 }
