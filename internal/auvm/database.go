@@ -83,8 +83,9 @@ func (db *Database) Reload() {
 // Backend reports the configured storage backend name ("mem", "file").
 func (db *Database) Backend() string { return db.backend }
 
-// modelDTO is the serialized form of a model: gob needs exported,
-// concrete fields.
+// modelDTO is the gob form of a model (gob needs exported, concrete
+// fields): what a snapshot file carries per model, and what "m:<name>"
+// held in format-1 stores.  Format 2 writes records (record.go).
 type modelDTO struct {
 	Name     string
 	Nodes    []fem.NodeCoord
@@ -117,10 +118,10 @@ func encodeModel(m *fem.Model, loads []*fem.LoadSet) (*modelDTO, error) {
 		switch el := e.(type) {
 		case *fem.Bar:
 			dto.Bars = append(dto.Bars, barDTO{N1: el.N1, N2: el.N2, Mat: el.Mat})
-			dto.Order = append(dto.Order, 0)
+			dto.Order = append(dto.Order, elemBar)
 		case *fem.CST:
 			dto.CSTs = append(dto.CSTs, cstDTO{N1: el.N1, N2: el.N2, N3: el.N3, Mat: el.Mat})
-			dto.Order = append(dto.Order, 1)
+			dto.Order = append(dto.Order, elemCST)
 		default:
 			return nil, fmt.Errorf("auvm: cannot serialize element kind %q", e.Kind())
 		}
@@ -146,11 +147,17 @@ func decodeModel(dto *modelDTO) (*fem.Model, []*fem.LoadSet, error) {
 	for _, which := range dto.Order {
 		var e fem.Element
 		switch which {
-		case 0:
+		case elemBar:
+			if bi >= len(dto.Bars) {
+				return nil, nil, errCorruptRecord
+			}
 			b := dto.Bars[bi]
 			bi++
 			e = &fem.Bar{N1: b.N1, N2: b.N2, Mat: b.Mat}
-		case 1:
+		case elemCST:
+			if ci >= len(dto.CSTs) {
+				return nil, nil, errCorruptRecord
+			}
 			c := dto.CSTs[ci]
 			ci++
 			e = &fem.CST{N1: c.N1, N2: c.N2, N3: c.N3, Mat: c.Mat}
@@ -173,24 +180,10 @@ func decodeModel(dto *modelDTO) (*fem.Model, []*fem.LoadSet, error) {
 	return m, loads, nil
 }
 
-// gobModel encodes a DTO to its stored bytes.  gob of a fixed concrete
-// type is deterministic, so identical models store identical bytes.
-func gobModel(dto *modelDTO) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
-		return nil, fmt.Errorf("auvm: encode model %q: %w", dto.Name, err)
-	}
-	return buf.Bytes(), nil
-}
-
 // Store serializes a model and its load sets into the database ("store
 // model in DB").
 func (db *Database) Store(m *fem.Model, loads []*fem.LoadSet) error {
-	dto, err := encodeModel(m, loads)
-	if err != nil {
-		return err
-	}
-	raw, err := gobModel(dto)
+	raw, err := encodeModelRecord(m, loads)
 	if err != nil {
 		return err
 	}
@@ -198,11 +191,16 @@ func (db *Database) Store(m *fem.Model, loads []*fem.LoadSet) error {
 }
 
 // Retrieve deserializes a model and its load sets out of the database
-// ("retrieve").  The caller receives fresh copies.
+// ("retrieve").  The caller receives fresh copies.  The stored bytes say
+// which reader they need: a record, or the gob modelDTO a format-1 store
+// still holds until the model is next stored.
 func (db *Database) Retrieve(name string) (*fem.Model, []*fem.LoadSet, error) {
 	raw, err := db.st.Get(store.ModelKey(name))
 	if err != nil {
 		return nil, nil, fmt.Errorf("auvm: model %q not in database: %w", name, err)
+	}
+	if isModelRecord(raw) {
+		return decodeModelRecord(raw)
 	}
 	var dto modelDTO
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&dto); err != nil {

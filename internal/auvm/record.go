@@ -1,0 +1,285 @@
+package auvm
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"repro/internal/fem"
+)
+
+// The stored form of a model under "m:<name>" since store format 2: one
+// append pass over the fem.Model writes it, one pass over the bytes
+// reads it back.  docs/storage.md has the layout table; in order:
+//
+//	0x00 'M' version
+//	name
+//	node count, then X and Y of every node
+//	element count, then per element: kind, node ids, material
+//	fixed dofs ascending, each as its gap to the one before, 0 ends them
+//	load-set count, then per set: name, entry count, (dof, value) pairs
+//
+// Counts, lengths, node ids and gaps are uvarints, load dofs signed
+// varints, floats their IEEE-754 bit patterns little-endian.  A material
+// is its index in a table kept in first-use order; an index equal to the
+// table's length introduces the next entry, whose E, Nu, T and A follow
+// it.  Entries are compared by bit pattern, so -0 and +0 are two
+// materials and a NaN equals only its own bits.  One model has one
+// encoding.
+const (
+	recordTag     = 'M'
+	recordVersion = 2
+)
+
+// Element kind bytes — the values modelDTO.Order uses.
+const (
+	elemBar = 0
+	elemCST = 1
+)
+
+// errCorruptRecord is what a stored model that cannot be read back
+// decodes to, in either format.
+var errCorruptRecord = errors.New("auvm: corrupt model record")
+
+// isModelRecord tells a record from a format-1 gob modelDTO by its first
+// byte: a gob stream opens with the byte count of its first message,
+// which is never zero.
+func isModelRecord(raw []byte) bool { return len(raw) > 0 && raw[0] == 0 }
+
+// matBits is a material as the bit patterns of E, Nu, T and A.
+type matBits [4]uint64
+
+// encodeModelRecord writes a model and its load sets as a record.
+func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
+	// Exact for the nodes, a guess for the rest (ids and indices of one
+	// or two bytes, a handful of materials); append grows a short guess.
+	size := 64 + len(m.Name) + 16*len(m.Nodes) + 8*len(m.Elements) + 2*m.NumFixed() + 4*32
+	for _, ls := range loads {
+		size += 12 + len(ls.Name) + 11*len(ls.Entries)
+	}
+	b := append(make([]byte, 0, size), 0, recordTag, recordVersion)
+	b = appendString(b, m.Name)
+
+	b = binary.AppendUvarint(b, uint64(len(m.Nodes)))
+	for _, n := range m.Nodes {
+		b = appendFloat(appendFloat(b, n.X), n.Y)
+	}
+
+	b = binary.AppendUvarint(b, uint64(len(m.Elements)))
+	mats := map[matBits]int{}
+	for _, e := range m.Elements {
+		var mat fem.Material
+		switch el := e.(type) {
+		case *fem.Bar:
+			b = append(b, elemBar)
+			b = binary.AppendUvarint(b, uint64(el.N1))
+			b = binary.AppendUvarint(b, uint64(el.N2))
+			mat = el.Mat
+		case *fem.CST:
+			b = append(b, elemCST)
+			b = binary.AppendUvarint(b, uint64(el.N1))
+			b = binary.AppendUvarint(b, uint64(el.N2))
+			b = binary.AppendUvarint(b, uint64(el.N3))
+			mat = el.Mat
+		default:
+			return nil, fmt.Errorf("auvm: cannot serialize element kind %q", e.Kind())
+		}
+		key := matBits{math.Float64bits(mat.E), math.Float64bits(mat.Nu), math.Float64bits(mat.T), math.Float64bits(mat.A)}
+		idx, seen := mats[key]
+		if !seen {
+			idx = len(mats)
+			mats[key] = idx
+		}
+		b = binary.AppendUvarint(b, uint64(idx))
+		if !seen {
+			for _, bits := range key {
+				b = binary.LittleEndian.AppendUint64(b, bits)
+			}
+		}
+	}
+
+	prev := -1
+	for d := 0; d < m.NumDOF(); d++ {
+		if m.Fixed(d) {
+			b = binary.AppendUvarint(b, uint64(d-prev))
+			prev = d
+		}
+	}
+	b = append(b, 0)
+
+	b = binary.AppendUvarint(b, uint64(len(loads)))
+	for _, ls := range loads {
+		b = appendString(b, ls.Name)
+		b = binary.AppendUvarint(b, uint64(len(ls.Entries)))
+		for _, e := range ls.Entries {
+			b = appendFloat(binary.AppendVarint(b, int64(e.DOF)), e.Value)
+		}
+	}
+	return b, nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// decodeModelRecord reads a record back.  Every count is checked against
+// the bytes that remain before anything is allocated for it, trailing
+// bytes are refused, and the model is built through the fem constructors,
+// so their validation runs on stored data as it does on typed data.
+func decodeModelRecord(raw []byte) (*fem.Model, []*fem.LoadSet, error) {
+	if len(raw) < 3 || raw[0] != 0 || raw[1] != recordTag {
+		return nil, nil, errCorruptRecord
+	}
+	if raw[2] != recordVersion {
+		return nil, nil, fmt.Errorf("auvm: model record version %d not supported (want %d)", raw[2], recordVersion)
+	}
+	r := recordReader{b: raw[3:]}
+	m := fem.NewModel(r.str())
+
+	n := r.count(16)
+	m.Nodes = make([]fem.NodeCoord, 0, n)
+	for i := 0; i < n; i++ {
+		m.AddNode(r.float(), r.float())
+	}
+
+	n = r.count(4)
+	m.Elements = make([]fem.Element, 0, n)
+	for i := 0; i < n; i++ {
+		var e fem.Element
+		switch r.byte() {
+		case elemBar:
+			e = &fem.Bar{N1: int(r.uvarint()), N2: int(r.uvarint()), Mat: r.material()}
+		case elemCST:
+			e = &fem.CST{N1: int(r.uvarint()), N2: int(r.uvarint()), N3: int(r.uvarint()), Mat: r.material()}
+		default:
+			r.bad = true
+		}
+		if r.bad {
+			return nil, nil, errCorruptRecord
+		}
+		if err := m.AddElement(e); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	for d := -1; ; {
+		gap := r.uvarint()
+		if gap == 0 {
+			break
+		}
+		if gap > uint64(m.NumDOF()) {
+			return nil, nil, errCorruptRecord
+		}
+		d += int(gap)
+		if err := m.FixDOF(d); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	n = r.count(2)
+	loads := make([]*fem.LoadSet, 0, n)
+	for i := 0; i < n && !r.bad; i++ {
+		ls := &fem.LoadSet{Name: r.str(), Entries: make([]fem.LoadEntry, r.count(9))}
+		for j := range ls.Entries {
+			ls.Entries[j] = fem.LoadEntry{DOF: int(r.varint()), Value: r.float()}
+		}
+		loads = append(loads, ls)
+	}
+	if r.bad || len(r.b) != 0 {
+		return nil, nil, errCorruptRecord
+	}
+	return m, loads, nil
+}
+
+// recordReader is a cursor over a record's bytes.  A read the bytes
+// cannot satisfy empties it and sets bad, so every later read fails too
+// and callers test bad once per loop turn, not after every field.
+type recordReader struct {
+	b    []byte
+	bad  bool
+	mats []fem.Material // the material table, in first-use order
+}
+
+func (r *recordReader) fail() {
+	r.b, r.bad = nil, true
+}
+
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *recordReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *recordReader) byte() byte {
+	if len(r.b) == 0 {
+		r.fail()
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c
+}
+
+func (r *recordReader) float() float64 {
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return f
+}
+
+// count reads how many items follow, each at least size bytes long, and
+// fails if that many cannot fit in what is left — before the caller
+// allocates for them.
+func (r *recordReader) count(size int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.b)/size) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
+func (r *recordReader) str() string {
+	n := r.count(1)
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// material reads an element's material: an index into the table read so
+// far, or the table's length followed by the next entry.
+func (r *recordReader) material() fem.Material {
+	idx := r.uvarint()
+	switch {
+	case idx < uint64(len(r.mats)):
+		return r.mats[idx]
+	case idx == uint64(len(r.mats)) && !r.bad:
+		mat := fem.Material{E: r.float(), Nu: r.float(), T: r.float(), A: r.float()}
+		r.mats = append(r.mats, mat)
+		return mat
+	}
+	r.fail()
+	return fem.Material{}
+}

@@ -1,0 +1,565 @@
+package auvm
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/command"
+	"repro/internal/fem"
+	"repro/internal/store"
+)
+
+// gobModel is the writer Store used for "m:<name>" until format 2, moved
+// here verbatim as the oracle: the record reader must rebuild from a
+// record exactly the model the gob reader rebuilds from these bytes.
+func gobModel(dto *modelDTO) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
+		return nil, fmt.Errorf("auvm: encode model %q: %w", dto.Name, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// oracleDecode is the format-1 path end to end: DTO, gob, DTO, model.
+func oracleDecode(t testing.TB, m *fem.Model, loads []*fem.LoadSet) (*fem.Model, []*fem.LoadSet) {
+	t.Helper()
+	dto, err := encodeModel(m, loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := gobModel(dto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back modelDTO
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	om, ol, err := decodeModel(&back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return om, ol
+}
+
+// floatEq says when two floats count as the same value.
+type floatEq func(a, b float64) bool
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameBitsOrZero is the most the gob oracle can be held to: gob leaves a
+// zero-valued struct field out of the stream and -0 == 0, so a format-1
+// store gave back +0 for a -0 coordinate, material property or load value.
+// The record keeps the sign (checkRecordAgainstOracle compares it to the
+// original by sameBits).
+func sameBitsOrZero(a, b float64) bool { return sameBits(a, b) || (a == 0 && b == 0) }
+
+func (eq floatEq) material(a, b fem.Material) bool {
+	return eq(a.E, b.E) && eq(a.Nu, b.Nu) && eq(a.T, b.T) && eq(a.A, b.A)
+}
+
+// diffModels compares two models and their load sets field for field,
+// floats by eq, elements by concrete type and order.  It returns ""
+// when they are equal.
+func diffModels(eq floatEq, a *fem.Model, al []*fem.LoadSet, b *fem.Model, bl []*fem.LoadSet) string {
+	if a.Name != b.Name {
+		return fmt.Sprintf("name %q vs %q", a.Name, b.Name)
+	}
+	if len(a.Nodes) != len(b.Nodes) || len(a.Elements) != len(b.Elements) || len(al) != len(bl) {
+		return fmt.Sprintf("%d/%d nodes, %d/%d elements, %d/%d load sets",
+			len(a.Nodes), len(b.Nodes), len(a.Elements), len(b.Elements), len(al), len(bl))
+	}
+	for i := range a.Nodes {
+		if !eq(a.Nodes[i].X, b.Nodes[i].X) || !eq(a.Nodes[i].Y, b.Nodes[i].Y) {
+			return fmt.Sprintf("node %d: %v vs %v", i, a.Nodes[i], b.Nodes[i])
+		}
+	}
+	for i := range a.Elements {
+		same := false
+		switch ea := a.Elements[i].(type) {
+		case *fem.Bar:
+			eb, ok := b.Elements[i].(*fem.Bar)
+			same = ok && ea.N1 == eb.N1 && ea.N2 == eb.N2 && eq.material(ea.Mat, eb.Mat)
+		case *fem.CST:
+			eb, ok := b.Elements[i].(*fem.CST)
+			same = ok && ea.N1 == eb.N1 && ea.N2 == eb.N2 && ea.N3 == eb.N3 && eq.material(ea.Mat, eb.Mat)
+		}
+		if !same {
+			return fmt.Sprintf("element %d: %#v vs %#v", i, a.Elements[i], b.Elements[i])
+		}
+	}
+	if a.NumFixed() != b.NumFixed() {
+		return fmt.Sprintf("%d vs %d fixed dofs", a.NumFixed(), b.NumFixed())
+	}
+	for d := 0; d < a.NumDOF(); d++ {
+		if a.Fixed(d) != b.Fixed(d) {
+			return fmt.Sprintf("dof %d fixed: %v vs %v", d, a.Fixed(d), b.Fixed(d))
+		}
+	}
+	for i := range al {
+		if al[i].Name != bl[i].Name || len(al[i].Entries) != len(bl[i].Entries) {
+			return fmt.Sprintf("load set %d: %q/%d vs %q/%d", i, al[i].Name, len(al[i].Entries), bl[i].Name, len(bl[i].Entries))
+		}
+		for j, e := range al[i].Entries {
+			if f := bl[i].Entries[j]; e.DOF != f.DOF || !eq(e.Value, f.Value) {
+				return fmt.Sprintf("load set %d entry %d: %v vs %v", i, j, e, f)
+			}
+		}
+	}
+	return ""
+}
+
+// benchGrid is one of the benchmark's three plates (benchmark/workload.go)
+// with the end load its workloads apply.
+func benchGrid(t testing.TB, name string, nx, ny int) (*fem.Model, []*fem.LoadSet) {
+	t.Helper()
+	o := fem.RectGridOpts{NX: nx, NY: ny, W: float64(nx), H: float64(ny), Mat: fem.Steel(), ClampLeft: true}
+	m, err := fem.RectGrid(name, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, []*fem.LoadSet{fem.EndLoad("tip", o, 0, -100)}
+}
+
+var benchGrids = []struct {
+	name   string
+	nx, ny int
+}{{"s", 8, 6}, {"t", 12, 8}, {"l", 40, 24}}
+
+// oddFloats are the values a text codec would lose and a bit-pattern
+// table must keep apart.
+var oddFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000123),
+	math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.MaxFloat64, 1e-300, -2.5}
+
+// randomModel draws a model no generator verb would: bars and CSTs
+// interleaved, a few materials reused in any order, odd floats anywhere
+// a float goes, names of several bytes per rune.
+func randomModel(rng *rand.Rand) (*fem.Model, []*fem.LoadSet) {
+	float := func() float64 {
+		if rng.Intn(4) == 0 {
+			return oddFloats[rng.Intn(len(oddFloats))]
+		}
+		return rng.NormFloat64() * 1e3
+	}
+	names := []string{"", "m", "plate", "träger-7", "模型", "a:b:c", "\x00\xff"}
+	m := fem.NewModel(names[rng.Intn(len(names))])
+	if rng.Intn(10) == 0 {
+		return m, nil // the empty model
+	}
+	for n := 1 + rng.Intn(40); n > 0; n-- {
+		m.AddNode(float(), float())
+	}
+	mats := make([]fem.Material, 1+rng.Intn(5))
+	for i := range mats {
+		mats[i] = fem.Material{E: float(), Nu: float(), T: float(), A: float()}
+	}
+	if len(mats) > 1 && rng.Intn(2) == 0 {
+		mats[1] = mats[0]
+		mats[1].Nu = -mats[1].Nu // differs from mats[0] in one sign bit, even when Nu is 0
+	}
+	node := func() int { return rng.Intn(len(m.Nodes)) }
+	for n := rng.Intn(80); n > 0; n-- {
+		var e fem.Element
+		if mat := mats[rng.Intn(len(mats))]; rng.Intn(2) == 0 {
+			e = &fem.Bar{N1: node(), N2: node(), Mat: mat}
+		} else {
+			e = &fem.CST{N1: node(), N2: node(), N3: node(), Mat: mat}
+		}
+		if err := m.AddElement(e); err != nil {
+			panic(err)
+		}
+	}
+	for n := rng.Intn(m.NumDOF() + 1); n > 0; n-- {
+		if err := m.FixDOF(rng.Intn(m.NumDOF())); err != nil {
+			panic(err)
+		}
+	}
+	var loads []*fem.LoadSet
+	for n := rng.Intn(4); n > 0; n-- {
+		ls := &fem.LoadSet{Name: names[rng.Intn(len(names))]}
+		for k := rng.Intn(6); k > 0; k-- {
+			// A load set is checked against the model at solve time, not
+			// at store time: any dof round-trips, negative ones too.
+			ls.Entries = append(ls.Entries, fem.LoadEntry{DOF: rng.Intn(4*m.NumDOF()+1) - m.NumDOF(), Value: float()})
+		}
+		loads = append(loads, ls)
+	}
+	return m, loads
+}
+
+// checkRecordAgainstOracle is the differential's one step: the record
+// decodes to the model it was written from and to what the gob oracle
+// decodes to, and re-encodes to itself.
+func checkRecordAgainstOracle(t *testing.T, m *fem.Model, loads []*fem.LoadSet) (*fem.Model, []*fem.LoadSet) {
+	t.Helper()
+	raw, err := encodeModelRecord(m, loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, rl, err := decodeModelRecord(raw)
+	if err != nil {
+		t.Fatalf("decode of our own record: %v", err)
+	}
+	if d := diffModels(sameBits, rm, rl, m, loads); d != "" {
+		t.Fatalf("record vs the model it was written from: %s", d)
+	}
+	om, ol := oracleDecode(t, m, loads)
+	if d := diffModels(sameBitsOrZero, rm, rl, om, ol); d != "" {
+		t.Fatalf("record vs gob oracle: %s", d)
+	}
+	again, err := encodeModelRecord(rm, rl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, raw) {
+		t.Fatalf("encode(decode(record)) differs from record: %d vs %d bytes", len(again), len(raw))
+	}
+	return rm, rl
+}
+
+// TestModelRecordMatchesGobOracle is the seeded differential between the
+// record codec and the gob codec it replaced.
+func TestModelRecordMatchesGobOracle(t *testing.T) {
+	n := 2000
+	if testing.Short() {
+		n = 200
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < n; i++ {
+		m, loads := randomModel(rng)
+		checkRecordAgainstOracle(t, m, loads)
+	}
+	fm, fl := format1Model()
+	checkRecordAgainstOracle(t, fm, fl)
+
+	// The three benchmark plates, and on each: the model a record gives
+	// back solves to the bits the model gob gave back solves to.
+	for _, g := range benchGrids {
+		m, loads := benchGrid(t, g.name, g.nx, g.ny)
+		rm, rl := checkRecordAgainstOracle(t, m, loads)
+		om, ol := oracleDecode(t, m, loads)
+		for _, backend := range []string{"", "cholesky-env"} {
+			got, err := fem.Solve(context.Background(), rm, rl[0], fem.SolveOpts{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fem.Solve(context.Background(), om, ol[0], fem.SolveOpts{Backend: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := range want.U {
+				if math.Float64bits(got.U[d]) != math.Float64bits(want.U[d]) {
+					t.Fatalf("grid %s backend %q: u[%d] = %x, oracle %x", g.name, backend, d, got.U[d], want.U[d])
+				}
+			}
+		}
+	}
+}
+
+// TestModelRecordLayout spells one small record out byte by byte — the
+// layout table of docs/storage.md as a test — so the stored format cannot
+// drift while every round trip still passes.
+func TestModelRecordLayout(t *testing.T) {
+	f := func(v float64) string { return string(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v))) }
+	mat := fem.Material{E: 1, Nu: 0.5, T: 2, A: 4}
+	m := fem.NewModel("ab")
+	m.AddNode(0, 0)
+	m.AddNode(1.5, -2)
+	for _, e := range []fem.Element{&fem.Bar{N1: 0, N2: 1, Mat: mat}, &fem.CST{N1: 1, N2: 0, N3: 1, Mat: mat}} {
+		if err := m.AddElement(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []int{0, 3} {
+		if err := m.FixDOF(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loads := []*fem.LoadSet{{Name: "p", Entries: []fem.LoadEntry{{DOF: 2, Value: -1}}}}
+	want := "\x00M\x02" + // magic: no gob stream opens with 0x00
+		"\x02ab" + // name
+		"\x02" + f(0) + f(0) + f(1.5) + f(-2) + // two nodes
+		"\x02" + // two elements
+		"\x00\x00\x01" + "\x00" + f(1) + f(0.5) + f(2) + f(4) + // bar 0-1, material 0: new, so it follows
+		"\x01\x01\x00\x01" + "\x00" + // cst 1-0-1, material 0 again
+		"\x01\x03\x00" + // fixed dofs 0 and 3 as gaps from -1, then the end
+		"\x01" + "\x01p" + "\x01" + "\x04" + f(-1) // one load set "p", one entry: dof 2 zigzag, value
+	got, err := encodeModelRecord(m, loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("record\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestModelRecordMaterialTable pins what the table buys and what it must
+// not merge: one entry per distinct bit pattern, in first-use order.
+func TestModelRecordMaterialTable(t *testing.T) {
+	m, loads := benchGrid(t, "t", 12, 8)
+	raw, err := encodeModelRecord(m, loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 117 nodes, 192 elements of 5 bytes, one material; gob wrote 8 279.
+	if len(raw) != 3077 {
+		t.Errorf("12x8 plate record is %d bytes, want 3077", len(raw))
+	}
+	nan1, nan2 := math.NaN(), math.Float64frombits(0x7ff8000000000123)
+	tm := fem.NewModel("x")
+	tm.AddNode(0, 0)
+	tm.AddNode(1, 0)
+	for _, e := range []float64{0, math.Copysign(0, -1), nan1, nan2, nan1, 0} {
+		if err := tm.AddElement(&fem.Bar{N1: 0, N2: 1, Mat: fem.Material{E: e}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one, err := encodeModelRecord(tm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four distinct patterns among six elements: four 32-byte entries.
+	if want := 3 + 2 + 1 + 2*16 + 1 + 6*4 + 4*32 + 1 + 1; len(one) != want {
+		t.Errorf("record is %d bytes, want %d (four table entries)", len(one), want)
+	}
+	checkRecordAgainstOracle(t, tm, nil)
+}
+
+type otherElement struct{ *fem.Bar }
+
+func (otherElement) Kind() string { return "beam" }
+
+func TestModelRecordRefusesUnknownElementKind(t *testing.T) {
+	m := fem.NewModel("x")
+	m.AddNode(0, 0)
+	m.AddNode(1, 0)
+	if err := m.AddElement(otherElement{&fem.Bar{N1: 0, N2: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	err := NewDatabase().Store(m, nil)
+	if err == nil || err.Error() != `auvm: cannot serialize element kind "beam"` {
+		t.Errorf("Store = %v", err)
+	}
+}
+
+// TestModelRecordStoreAllocs holds Store to the record buffer and what
+// the store's Put costs.  The gob encoder alone allocated 74 times.
+func TestModelRecordStoreAllocs(t *testing.T) {
+	m, loads := benchGrid(t, "t", 12, 8)
+	db := NewDatabase()
+	if err := db.Store(m, loads); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { db.Store(m, loads) }); n > 6 {
+		t.Errorf("Store of the 12x8 plate allocates %v times, want <= 6", n)
+	}
+}
+
+// format1Model is the model internal/auvm/testdata/model_format1.gob and
+// internal/core/testdata/store_format1.db hold.  Both files were written
+// by the last format-1 commit's gobModel and are never regenerated.
+func format1Model() (*fem.Model, []*fem.LoadSet) {
+	steel := fem.Steel()
+	tie := fem.Material{E: 70000, Nu: 0.33, T: 2, A: 450}
+	strut := fem.Material{E: 200000, Nu: 0.3, T: 10, A: 1200}
+	m := fem.NewModel("mixed")
+	for _, c := range [][2]float64{{0, 0}, {100, 0}, {100, 80}, {0, 80}, {150, 40}} {
+		m.AddNode(c[0], c[1])
+	}
+	for _, e := range []fem.Element{
+		&fem.CST{N1: 0, N2: 1, N3: 2, Mat: steel},
+		&fem.Bar{N1: 1, N2: 4, Mat: tie},
+		&fem.CST{N1: 0, N2: 2, N3: 3, Mat: steel},
+		&fem.Bar{N1: 2, N2: 4, Mat: tie},
+		&fem.Bar{N1: 1, N2: 2, Mat: strut},
+	} {
+		if err := m.AddElement(e); err != nil {
+			panic(err)
+		}
+	}
+	for _, d := range []int{0, 1, 6, 7} {
+		if err := m.FixDOF(d); err != nil {
+			panic(err)
+		}
+	}
+	return m, []*fem.LoadSet{
+		{Name: "tip", Entries: []fem.LoadEntry{{DOF: 9, Value: -500}}},
+		{Name: "push", Entries: []fem.LoadEntry{{DOF: 8, Value: 250}, {DOF: 5, Value: -0.5}}},
+	}
+}
+
+func readFixture(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "model_format1.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestModelRecordFormat1StaysReadable retrieves bytes a format-1 daemon
+// wrote: the first byte sends them to the gob reader.  The next store of
+// the model rewrites it as a record.
+func TestModelRecordFormat1StaysReadable(t *testing.T) {
+	st := store.NewMemStore()
+	if err := st.Put(store.ModelKey("mixed"), readFixture(t)); err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabaseOn(st, store.BackendMem)
+	m, loads, err := db.Retrieve("mixed")
+	if err != nil {
+		t.Fatalf("Retrieve of a format-1 record: %v", err)
+	}
+	wm, wl := format1Model()
+	if d := diffModels(sameBits, m, loads, wm, wl); d != "" {
+		t.Fatalf("format-1 record: %s", d)
+	}
+	if err := db.Store(m, loads); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := st.Get(store.ModelKey("mixed"))
+	if err != nil || !isModelRecord(raw) {
+		t.Fatalf("after store the key holds %x..., %v; want a record", raw[:3], err)
+	}
+	m, loads, err = db.Retrieve("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffModels(sameBits, m, loads, wm, wl); d != "" {
+		t.Fatalf("rewritten as a record: %s", d)
+	}
+}
+
+// corruptOrderDTO names an element its slices do not hold.
+func corruptOrderDTO() modelDTO { return modelDTO{Name: "x", Order: []byte{elemCST}} }
+
+// TestModelRecordCorruptOrderIsAnError: a gob model whose Order outruns
+// Bars/CSTs used to die on an unchecked index — a dead REPL locally, a
+// server.panics and an internal reply over the wire.
+func TestModelRecordCorruptOrderIsAnError(t *testing.T) {
+	dto := corruptOrderDTO()
+	raw, err := gobModel(&dto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMemStore()
+	if err := st.Put(store.ModelKey("x"), raw); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession("u", NewDatabaseOn(st, store.BackendMem))
+	if _, err := s.Execute("retrieve x"); !errors.Is(err, errCorruptRecord) {
+		t.Errorf("retrieve = %v, want %v", err, errCorruptRecord)
+	}
+
+	var snap bytes.Buffer
+	snap.WriteString(snapshotMagic)
+	if err := gob.NewEncoder(&snap).Encode(&snapshotDTO{Models: []modelSnapshotDTO{{Model: corruptOrderDTO()}}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.snap")
+	if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Do(context.Background(), command.Restore{Path: path}); !errors.Is(err, errCorruptRecord) {
+		t.Errorf("restore = %v, want %v", err, errCorruptRecord)
+	}
+}
+
+// TestModelRecordRefusesDamage cuts and pads a record at every offset and
+// plants counts no input of that size can hold.
+func TestModelRecordRefusesDamage(t *testing.T) {
+	m, loads := format1Model()
+	raw, err := encodeModelRecord(m, loads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(raw); cut++ {
+		if _, _, err := decodeModelRecord(raw[:cut]); err == nil {
+			t.Errorf("record cut to %d of %d bytes decoded", cut, len(raw))
+		}
+	}
+	if _, _, err := decodeModelRecord(append(raw[:len(raw):len(raw)], 0)); !errors.Is(err, errCorruptRecord) {
+		t.Errorf("trailing byte: %v", err)
+	}
+	future := append([]byte(nil), raw...)
+	future[2]++
+	if _, _, err := decodeModelRecord(future); err == nil || errors.Is(err, errCorruptRecord) {
+		t.Errorf("record version %d: %v, want a version error", future[2], err)
+	}
+
+	huge := binary.AppendUvarint(nil, 1<<60)
+	head := []byte{0, recordTag, recordVersion}
+	for name, in := range map[string][]byte{
+		"name length":   append(append([]byte(nil), head...), huge...),
+		"node count":    append(append(head[:3:3], 0), huge...),
+		"element count": append(append(head[:3:3], 0, 0), huge...),
+		"fixed gap":     append(append(head[:3:3], 0, 0, 0), huge...),
+		"load sets":     append(append(head[:3:3], 0, 0, 0, 0), huge...),
+		"load entries":  append(append(head[:3:3], 0, 0, 0, 0, 1, 0), huge...),
+	} {
+		in = append(in, make([]byte, 8)...)
+		if _, _, err := decodeModelRecord(in); !errors.Is(err, errCorruptRecord) {
+			t.Errorf("2^60 as %s: %v, want %v", name, err, errCorruptRecord)
+		}
+	}
+}
+
+// FuzzModelRecord feeds the stored-model readers arbitrary bytes: neither
+// may panic, the record reader may not allocate out of proportion to its
+// input, and whatever it accepts must re-encode to a record it accepts
+// to an equal model.
+func FuzzModelRecord(f *testing.F) {
+	for _, g := range benchGrids {
+		m, loads := benchGrid(f, g.name, g.nx, g.ny)
+		raw, err := encodeModelRecord(m, loads)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add(readFixture(f))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		st := store.NewMemStore()
+		if err := st.Put(store.ModelKey("f"), raw); err != nil {
+			t.Fatal(err)
+		}
+		db := NewDatabaseOn(st, store.BackendMem)
+		if !isModelRecord(raw) {
+			db.Retrieve("f") // the gob reader: must not panic, nothing more is promised
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, loads, err := db.Retrieve("f")
+		runtime.ReadMemStats(&after)
+		// An element is at least 4 bytes of input and 80 of model; the
+		// slack covers the empty model and the runtime's own goroutines.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw)+(1<<16)); got > limit {
+			t.Fatalf("reading %d bytes allocated %d, limit %d", len(raw), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := encodeModelRecord(m, loads)
+		if err != nil {
+			t.Fatalf("re-encode of an accepted record: %v", err)
+		}
+		m2, loads2, err := decodeModelRecord(again)
+		if err != nil {
+			t.Fatalf("re-encoded record refused: %v", err)
+		}
+		if d := diffModels(sameBits, m, loads, m2, loads2); d != "" {
+			t.Fatalf("re-encoded record decodes differently: %s", d)
+		}
+	})
+}

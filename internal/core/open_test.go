@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -122,6 +123,40 @@ func TestOpen(t *testing.T) {
 		wantRecovered(t, b)
 		if err := b.Store.Put("x", nil); err != nil {
 			t.Errorf("the new leader's store refused a write: %v", err)
+		}
+	})
+
+	// testdata/store_format1.db was written by the last format-1 commit
+	// (meta:format 1, a gob modelDTO under m:mixed; auvm's format1Model)
+	// and is never regenerated.
+	t.Run("format-1-file", func(t *testing.T) {
+		old, err := os.ReadFile(filepath.Join("testdata", "store_format1.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := file(t)
+		if err := os.WriteFile(sc.Path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sys := open(t, Options{Store: sc})
+		if v, err := sys.Store.Get(store.KeyFormat); err != nil || string(v) != "2" {
+			t.Errorf("format key after opening a format-1 file = %q, %v; want it stamped 2", v, err)
+		}
+		gobbed, err := sys.Store.Get(store.ModelKey("mixed"))
+		if err != nil || gobbed[0] == 0 {
+			t.Fatalf("the fixture's model: %x, %v; want a gob stream", gobbed, err)
+		}
+		s := sys.Session("eng")
+		solved := run(t, s, "retrieve mixed", "solve mixed tip")
+		run(t, s, "store mixed")
+		record, err := sys.Store.Get(store.ModelKey("mixed"))
+		if err != nil || record[0] != 0 || len(record) >= len(gobbed) {
+			t.Fatalf("after store the key holds %d bytes opening %x, %v; want a record shorter than gob's %d", len(record), record[:1], err, len(gobbed))
+		}
+		sys.Close()
+		again := open(t, Options{Store: sc})
+		if out := run(t, again.Session("later"), "retrieve mixed", "solve mixed tip"); out != solved {
+			t.Errorf("solve of the rewritten model = %q, of the format-1 one %q", out, solved)
 		}
 	})
 

@@ -61,18 +61,41 @@ func TestConformance(t *testing.T) {
 func TestEnsureFormat(t *testing.T) {
 	s := store.NewMemStore()
 	defer s.Close()
+	format := func() string {
+		t.Helper()
+		v, err := s.Get(store.KeyFormat)
+		if err != nil {
+			t.Fatalf("format key: %v", err)
+		}
+		return string(v)
+	}
 	if err := store.EnsureFormat(s); err != nil {
 		t.Fatalf("EnsureFormat on fresh store: %v", err)
 	}
-	if v, err := s.Get(store.KeyFormat); err != nil || string(v) != store.FormatVersion {
-		t.Fatalf("format key = %q, %v", v, err)
+	if store.FormatVersion != "2" || format() != "2" {
+		t.Fatalf("fresh store stamped %q, FormatVersion %q; want 2", format(), store.FormatVersion)
 	}
 	if err := store.EnsureFormat(s); err != nil {
 		t.Fatalf("EnsureFormat idempotent: %v", err)
 	}
-	s.Put(store.KeyFormat, []byte("99"))
-	if err := store.EnsureFormat(s); err == nil {
-		t.Fatal("EnsureFormat accepted future format version")
+	// A format-1 store opens and is stamped, so the daemon that wrote it
+	// refuses it from now on.
+	s.Put(store.KeyFormat, []byte("1"))
+	if err := store.EnsureFormat(s); err != nil {
+		t.Fatalf("EnsureFormat on a format-1 store: %v", err)
+	}
+	if format() != "2" {
+		t.Fatalf("format-1 store left at %q, want it stamped 2", format())
+	}
+	for _, future := range []string{"3", "99"} {
+		s.Put(store.KeyFormat, []byte(future))
+		err := store.EnsureFormat(s)
+		if want := `store: format version "` + future + `" not supported (want "2")`; err == nil || err.Error() != want {
+			t.Fatalf("EnsureFormat on format %s = %v, want %s", future, err, want)
+		}
+		if format() != future {
+			t.Fatalf("a refused store was restamped %q", format())
+		}
 	}
 }
 

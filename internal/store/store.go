@@ -6,8 +6,8 @@
 // Everything the service persists goes through this package under a
 // documented key schema (see docs/storage.md):
 //
-//	meta:format        store format version ("1"), written on first open
-//	m:<name>           model topology + properties (gob modelDTO, auvm)
+//	meta:format        store format version ("2"), written on first open
+//	m:<name>           model topology + properties (auvm record; gob modelDTO in format-1 stores)
 //	s:<name>:<seq>     solution history, seq zero-padded %08d (JSON)
 //	j:<id>             job records, id zero-padded %016x (JSON)
 //
@@ -39,7 +39,9 @@ var ErrNotFound = errs.ErrNotFound
 var ErrConflict = errors.New("store: conditional batch conflict")
 
 // FormatVersion is the current on-disk format, kept under KeyFormat.
-const FormatVersion = "1"
+// Format 2 differs from 1 in one thing: "m:<name>" holds an auvm model
+// record where format 1 held a gob modelDTO.
+const FormatVersion = "2"
 
 // KeyFormat is the metadata key holding the store format version.
 const KeyFormat = "meta:format"
@@ -144,7 +146,10 @@ type Conditional interface {
 
 // EnsureFormat checks the store's format version, writing it on a
 // fresh store and refusing to open a store written by an incompatible
-// future format.
+// future format.  A format-1 store is accepted — auvm still reads its
+// gob model records — and stamped with the current version, so that a
+// format-1 daemon refuses the file here instead of failing at retrieve on
+// the first record stored into it.
 func EnsureFormat(s Store) error {
 	v, err := s.Get(KeyFormat)
 	if err != nil {
@@ -153,8 +158,11 @@ func EnsureFormat(s Store) error {
 		}
 		return fmt.Errorf("store: reading format version: %w", err)
 	}
-	if string(v) != FormatVersion {
-		return fmt.Errorf("store: format version %q not supported (want %q)", v, FormatVersion)
+	switch string(v) {
+	case FormatVersion:
+		return nil
+	case "1":
+		return s.Put(KeyFormat, []byte(FormatVersion))
 	}
-	return nil
+	return fmt.Errorf("store: format version %q not supported (want %q)", v, FormatVersion)
 }
