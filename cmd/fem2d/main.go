@@ -15,8 +15,7 @@
 //	      [-drain-timeout 30s] [-metrics 0] [-metrics-out file]
 //
 // With -store file -store-path fem2.db the daemon is durable: stored
-// models, solution history, and the job journal live in the store
-// file, so a restarted daemon serves everything its predecessor did —
+// models and the job journal live in the store file, so a restarted daemon serves everything its predecessor did —
 // jobs in flight at a crash come back deterministically failed with a
 // "lost to restart" cause.  -store-sync additionally fsyncs every
 // batch (durable through power loss, not just process death) at a

@@ -139,7 +139,7 @@ func WithWorkers(n int) Option { return func(o *core.Options) { o.Workers = n } 
 // WithStore selects the storage backend the system's model database and
 // job journal persist through.  The default is the in-memory backend;
 // WithStore(StoreConfig{Backend: StoreFile, Path: "fem2.db"}) makes
-// models, solution history, and job records survive a restart — on
+// models and job records survive a restart — on
 // start the store is replayed, the database recovered, and jobs that
 // were in flight at a crash deterministically failed.
 func WithStore(sc StoreConfig) Option { return func(o *core.Options) { o.Store = sc } }

@@ -3,12 +3,9 @@ package auvm
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
-	"reflect"
 	"sync"
 
-	"repro/internal/codec"
 	"repro/internal/errs"
 	"repro/internal/fem"
 	"repro/internal/store"
@@ -27,14 +24,12 @@ var ErrNotFound = errs.ErrNotFound
 // describes.  It is safe for concurrent multi-user access.
 //
 // Since the durable-storage PR the database is a thin layer over a
-// store.Store: models live under "m:<name>" keys and per-model solve
-// history under "s:<name>:<seq>" (see docs/storage.md), so with a file
-// backend everything survives a daemon restart.
+// store.Store: models live under "m:<name>" keys (see docs/storage.md),
+// so with a file backend they survive a daemon restart.
 type Database struct {
 	st      store.Store
 	backend string
-	mu      sync.Mutex // serializes compound ops (delete check, seq counters)
-	seqs    map[string]int
+	mu      sync.Mutex // serializes Delete's check-then-batch
 }
 
 // NewDatabase returns an empty in-memory database — the pre-durability
@@ -44,40 +39,9 @@ func NewDatabase() *Database {
 }
 
 // NewDatabaseOn builds a database over an opened store.  backend is
-// the configured backend name, reported by the version verb.  Solution
-// sequence counters are recovered from the store, so appends continue
-// where the previous process stopped.
+// the configured backend name, reported by the version verb.
 func NewDatabaseOn(st store.Store, backend string) *Database {
-	db := &Database{st: st, backend: backend, seqs: map[string]int{}}
-	db.Reload()
-	return db
-}
-
-// Reload re-derives the solution sequence counters from the store.  A
-// cluster takeover calls it after sealing the shared store: the dead
-// leader may have appended history this process has never counted, and
-// continuing from stale counters would overwrite its records.
-func (db *Database) Reload() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.seqs = map[string]int{}
-	db.st.Seek(store.PrefixSolution, func(k string, _ []byte) bool {
-		// s:<name>:<seq> — name may itself contain colons, so split at
-		// the last one.
-		var name string
-		var seq int
-		for i := len(k) - 1; i > len(store.PrefixSolution); i-- {
-			if k[i] == ':' {
-				name = k[len(store.PrefixSolution):i]
-				fmt.Sscanf(k[i+1:], "%d", &seq)
-				break
-			}
-		}
-		if name != "" && seq >= db.seqs[name] {
-			db.seqs[name] = seq
-		}
-		return true
-	})
+	return &Database{st: st, backend: backend}
 }
 
 // Backend reports the configured storage backend name ("mem", "file").
@@ -209,8 +173,10 @@ func (db *Database) Retrieve(name string) (*fem.Model, []*fem.LoadSet, error) {
 	return decodeModel(&dto)
 }
 
-// Delete removes a model and its solution history, reporting whether
-// the model existed.
+// Delete removes a model, reporting whether it existed.  An older daemon
+// left an "s:<name>:<seq>" record behind every solve; nothing reads or
+// writes those any more, and a model's leftovers go with it here, in the
+// same atomic batch.
 func (db *Database) Delete(name string) bool {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -222,7 +188,6 @@ func (db *Database) Delete(name string) bool {
 		ops = append(ops, store.Del(k))
 		return true
 	})
-	delete(db.seqs, name)
 	return db.st.Batch(ops) == nil
 }
 
@@ -237,7 +202,7 @@ func (db *Database) Names() []string {
 }
 
 // Bytes returns the database's total serialized model size (storage
-// accounting; history and job records are not charged to the user).
+// accounting; job records are not charged to the user).
 func (db *Database) Bytes() int64 {
 	var t int64
 	db.st.Seek(store.PrefixModel, func(_ string, v []byte) bool {
@@ -245,56 +210,4 @@ func (db *Database) Bytes() int64 {
 		return true
 	})
 	return t
-}
-
-// SolutionRecord is one entry of a model's persisted solve history:
-// the metadata of a completed solve, JSON-encoded under
-// "s:<name>:<seq>".  It records what was solved and how it converged —
-// enough to audit a model's analysis trail across restarts — without
-// persisting the displacement vector itself (snapshot/restore carries
-// full state).
-type SolutionRecord struct {
-	Seq        int     `json:"seq"`
-	Model      string  `json:"model"`
-	Set        string  `json:"set"`
-	Backend    string  `json:"backend"`
-	Precond    string  `json:"precond,omitempty"`
-	Iterations int     `json:"iterations"`
-	Residual   float64 `json:"residual"`
-	DOF        int     `json:"dof"`
-	MaxDisp    float64 `json:"max_disp"`
-}
-
-// solutionPlan writes a SolutionRecord byte for byte as encoding/json did.
-var solutionPlan = codec.PlanOf(reflect.TypeOf(SolutionRecord{}))
-
-// AppendSolution persists one solve-history record for a model,
-// assigning the next sequence number.
-func (db *Database) AppendSolution(rec SolutionRecord) error {
-	db.mu.Lock()
-	db.seqs[rec.Model]++
-	rec.Seq = db.seqs[rec.Model]
-	db.mu.Unlock()
-	raw, err := solutionPlan.Append(make([]byte, 0, 256), reflect.ValueOf(&rec).Elem())
-	if err != nil {
-		return fmt.Errorf("auvm: encode solution record: %w", err)
-	}
-	return db.st.Put(store.SolutionKey(rec.Model, rec.Seq), raw)
-}
-
-// Solutions returns a model's persisted solve history in sequence
-// order.
-func (db *Database) Solutions(name string) ([]SolutionRecord, error) {
-	var out []SolutionRecord
-	var decodeErr error
-	db.st.Seek(store.SolutionPrefix(name), func(k string, v []byte) bool {
-		var rec SolutionRecord
-		if err := json.Unmarshal(v, &rec); err != nil {
-			decodeErr = fmt.Errorf("auvm: decode solution record %q: %w", k, err)
-			return false
-		}
-		out = append(out, rec)
-		return true
-	})
-	return out, decodeErr
 }

@@ -42,14 +42,18 @@ var ErrCancelled = errs.ErrCancelled
 // The session's own command loop is one goroutine, but a session with a
 // job scheduler attached (Jobs non-nil) is a concurrent front end:
 // SubmitAsync — and the submit verb — route heavy commands through the
-// scheduler's worker pool, which re-enters Do on worker goroutines, and
-// cheap commands run inline on each submitter's goroutine.  That is safe
-// because every piece of session state a verb touches is mutex-guarded:
-// the workspace, the database, and the interpreter-local state below
-// (stateMu).  Direct Do calls concurrent with a job on the same model
-// bypass the scheduler's per-model lock and are the caller's
-// responsibility — route model-touching work through SubmitAsync when a
-// solve may be in flight.
+// scheduler's worker pool, which re-enters the interpreter (DoHeld) on
+// worker goroutines, and cheap commands run inline on each submitter's
+// goroutine.  That is safe because every piece of session state a verb
+// touches is mutex-guarded — the workspace, the database, and the
+// interpreter-local state below (stateMu) — and because a model is only
+// ever touched by whoever holds it in the scheduler: a job holds its
+// model while it runs, and Do holds the model a synchronous command
+// names in the same way.  A synchronous solve waits for the model; any
+// other synchronous command that finds it held is refused with an error
+// naming the holder (wait for the job, or submit the edit and it queues
+// behind it).  A session without a scheduler has no such guard and is
+// for one goroutine.
 type Session struct {
 	// User names the session for multi-user experiments.
 	User string
@@ -82,6 +86,9 @@ type Session struct {
 	// run inline on submitter goroutines, so two SubmitAsync calls on
 	// one session may interpret commands concurrently.
 	stateMu sync.Mutex
+	// hSolve is job.latency.solve.<backend>, resolved from Obs by the
+	// first solve.
+	hSolve *obs.HistogramFamily
 	// mat is the current material, applied by generate/element
 	// commands.
 	mat fem.Material
@@ -178,8 +185,24 @@ func (s *Session) SubmitAsync(ctx context.Context, cmd command.Command) (job.Job
 // phase, returning an error wrapping ErrCancelled (and the context's own
 // error) once ctx is done — so a server can impose per-request deadlines
 // on one-goroutine-per-session traffic.  Quit returns QuitResult
-// alongside ErrQuit.
+// alongside ErrQuit.  With a scheduler attached, a command that names a
+// model holds it while it runs, as a job would (job.Scheduler.Hold).
 func (s *Session) Do(ctx context.Context, cmd command.Command) (command.Result, error) {
+	if s.Jobs != nil {
+		if model := job.ModelOf(cmd); model != "" {
+			if err := s.Jobs.Hold(ctx, s.User, model, cmd); err != nil {
+				s.Metrics.Add(metrics.LevelAUVM, metrics.CtrOps, 1) // shed, but counted
+				return nil, err
+			}
+			defer s.Jobs.Release(s.User, model)
+		}
+	}
+	return s.DoHeld(ctx, cmd)
+}
+
+// DoHeld is Do for a caller that already holds the command's model: the
+// scheduler, running a job (job.Executor).
+func (s *Session) DoHeld(ctx context.Context, cmd command.Command) (command.Result, error) {
 	if cmd == nil {
 		return nil, nil
 	}
@@ -554,10 +577,7 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 	if err != nil {
 		return nil, err
 	}
-	// Per-backend solve latency, keyed by the backend that actually ran
-	// (sol.Backend resolves "auto"); sync and scheduled solves both pass
-	// through here, so one histogram family covers both paths.
-	s.Obs.Histogram(obs.JobLatencySolvePrefix + sol.Backend).Observe(time.Since(start))
+	s.observeSolve(sol.Backend, time.Since(start))
 	res := &command.SolveResult{
 		Model: c.Model, Set: c.Set,
 		Backend: sol.Backend, Precond: sol.Precond,
@@ -575,17 +595,20 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 	}
 	s.WS.PutSolution(c.Model, sol)
 	res.MaxDOF, res.MaxDisp = MaxDisplacement(sol)
-	// Append the solve to the model's persisted history (best effort:
-	// history is an audit trail, not part of the solve's contract, so a
-	// store error does not fail a solve that already succeeded).
-	if s.DB != nil {
-		_ = s.DB.AppendSolution(SolutionRecord{
-			Model: c.Model, Set: c.Set, Backend: sol.Backend, Precond: sol.Precond,
-			Iterations: sol.Iterations, Residual: sol.Residual,
-			DOF: res.MaxDOF, MaxDisp: res.MaxDisp,
-		})
-	}
 	return res, nil
+}
+
+// observeSolve records one solve's wall time under the backend that
+// actually ran (sol.Backend resolves "auto"); sync and scheduled solves
+// both pass through here, so one histogram family covers both paths.
+func (s *Session) observeSolve(backend string, d time.Duration) {
+	s.stateMu.Lock()
+	if s.hSolve == nil {
+		s.hSolve = s.Obs.HistogramFamily(obs.JobLatencySolvePrefix)
+	}
+	h := s.hSolve
+	s.stateMu.Unlock()
+	h.Get(backend).Observe(d)
 }
 
 func (s *Session) doStresses(c command.Stresses) (command.Result, error) {

@@ -6,9 +6,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/command"
 	"repro/internal/errs"
+	"repro/internal/obs"
 )
 
 // TestMetricsLessSession is the regression test for sessions with no
@@ -215,5 +217,26 @@ func TestNaNStiffnessFailsDirectSolves(t *testing.T) {
 				t.Errorf("finite model after the NaN one: max |u| = %v at dof %d, want 0.0525431… at 33", sr.MaxDisp, sr.MaxDOF)
 			}
 		})
+	}
+}
+
+// TestSolveObservationZeroAlloc is obs.TestHotPathZeroAlloc's neighbour
+// for job.latency.solve.<backend>: once a backend has solved, recording
+// the next solve's latency takes no registry lookup and no name
+// concatenation — it allocates nothing — with a registry and without.
+func TestSolveObservationZeroAlloc(t *testing.T) {
+	s, bare := newSession(t), newSession(t)
+	s.Obs = obs.New()
+	for _, sess := range []*Session{s, bare} {
+		mustExec(t, sess, "generate grid g 4 3 4 3 clamp-left")
+		mustExec(t, sess, "load g tip endload 0 -100")
+		mustExec(t, sess, "solve g tip")
+		if n := testing.AllocsPerRun(100, func() { sess.observeSolve("cholesky", time.Microsecond) }); n != 0 {
+			t.Errorf("a warm solve's observation allocates %.1f times, want 0", n)
+		}
+	}
+	// One real solve, AllocsPerRun's warm-up and its 100 runs.
+	if got := s.Obs.Histogram(obs.JobLatencySolvePrefix + "cholesky").Count(); got != 102 {
+		t.Errorf("%scholesky observed %d times, want 102", obs.JobLatencySolvePrefix, got)
 	}
 }

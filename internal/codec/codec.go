@@ -1,8 +1,7 @@
 // Package codec is the JSON codec of the service path: the command and
-// result bodies, their envelopes, the wire frames, the job journal record
-// and the solve-history record are all written — and, when they arrive in
-// the form it writes, read — by one mechanism driven by a per-type field
-// plan.
+// result bodies, their envelopes, the wire frames and the job journal
+// record are all written — and, when they arrive in the form it writes,
+// read — by one mechanism driven by a per-type field plan.
 //
 // A Plan is compiled once from a struct's reflect.Type: per field the JSON
 // key, the field index, the kind and omitempty, exactly as encoding/json

@@ -73,7 +73,7 @@ const (
 	// session's workspace (models, load sets, solutions, material).
 	MutatesWorkspace Props = 1 << iota
 	// WritesStore: the verb writes the shared store — the model
-	// database, the solution history, or the job journal.
+	// database or the job journal.
 	WritesStore
 	// LeaderOnly: in a cluster the verb is served only by the
 	// leaseholder.  Every state-changing verb is, except retrieve, which
@@ -149,7 +149,7 @@ var commandVerbs = map[string]verbRow{
 	"loadset":        {reflect.TypeOf(DefineLoadSet{}), MutatesWorkspace | LeaderOnly},
 	"load":           {reflect.TypeOf(AddLoad{}), MutatesWorkspace | LeaderOnly},
 	"endload":        {reflect.TypeOf(EndLoad{}), MutatesWorkspace | LeaderOnly},
-	"solve":          {reflect.TypeOf(Solve{}), MutatesWorkspace | WritesStore | LeaderOnly | Heavy},
+	"solve":          {reflect.TypeOf(Solve{}), MutatesWorkspace | LeaderOnly | Heavy},
 	"stresses":       {reflect.TypeOf(Stresses{}), MutatesWorkspace | LeaderOnly},
 	"display":        {reflect.TypeOf(Display{}), 0},
 	"store":          {reflect.TypeOf(Store{}), WritesStore | LeaderOnly},

@@ -223,8 +223,7 @@ type System struct {
 	Jobs *job.Scheduler
 	// Store is the durable KV layer under the database and the job
 	// journal: a write-through cache over the configured backend.  With
-	// the file backend, models, solution history, and job records
-	// survive a restart.
+	// the file backend, models and job records survive a restart.
 	Store *store.CachedStore
 	// Health is the degradation guard between the cache and the backend:
 	// when backend writes keep failing it turns the store read-only
@@ -284,7 +283,7 @@ type ClusterOpts struct {
 	RenewEvery time.Duration
 	PollEvery  time.Duration
 	// OnPromote, when non-nil, runs after the system finished takeover
-	// recovery (store sealed, database reloaded, journal replayed) —
+	// recovery (store sealed, journal replayed) —
 	// the daemon logs and optionally resubmits lost jobs from it.
 	OnPromote func(epoch int64)
 	// OnDemote, when non-nil, runs when this daemon loses the lease.
@@ -405,8 +404,7 @@ func (s *System) refresh() error {
 // promote is the takeover sequence, run on the coordinator goroutine
 // with the lease won but IsLeader still false, so the server keeps
 // refusing writes until recovery finished.  Seal truncates the dead
-// leader's torn tail and folds in everything it committed; Reload
-// re-derives the solution counters it may have advanced; and
+// leader's torn tail and folds in everything it committed, and
 // RecoverJournal rebuilds the job history, failing whatever was in
 // flight when it died.
 func (s *System) promote(epoch int64, hook func(int64)) error {
@@ -416,7 +414,6 @@ func (s *System) promote(epoch int64, hook func(int64)) error {
 		}
 	}
 	s.Store.Invalidate()
-	s.Database.Reload()
 	if _, err := s.Jobs.RecoverJournal(); err != nil {
 		return fmt.Errorf("replaying job journal: %w", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/auvm"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -160,10 +162,96 @@ func TestOpen(t *testing.T) {
 		}
 	})
 
+	// testdata/store_history.db was written by the last commit that kept a
+	// solve history (b7ac0fd): two stored models, one terminal job, and an
+	// s:<name>:<seq> record for each of five solves.  Never regenerated.
+	t.Run("file-with-solve-history", func(t *testing.T) {
+		old, err := os.ReadFile(filepath.Join("testdata", "store_history.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := file(t)
+		if err := os.WriteFile(sc.Path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sys := open(t, Options{Store: sc})
+		history := func() map[string]string {
+			kv := map[string]string{}
+			sys.Store.Seek("s:", func(k string, v []byte) bool { kv[k] = string(v); return true })
+			return kv
+		}
+		was := history()
+		if len(was) != 5 || was["s:plate:00000003"] == "" || was["s:rod:00000002"] == "" {
+			t.Fatalf("the fixture's s: records: %v; want plate's three and rod's two", was)
+		}
+		s := sys.Session("eng")
+		if out := run(t, s, "list db"); !strings.Contains(out, "plate") || !strings.Contains(out, "rod") {
+			t.Errorf("list db = %q, want plate and rod", out)
+		}
+		if out := run(t, s, "status job-1"); !strings.Contains(out, "done") {
+			t.Errorf("status job-1 = %q, want the terminal record", out)
+		}
+		// Served as before: the renderings are the ones the writer printed.
+		if out := run(t, s, "retrieve plate", "solve plate tip"); out != `solved "plate"/"tip" (cholesky): max |u| = 0.0011146131964986782 at dof 25` {
+			t.Errorf("solve of the retrieved plate = %q", out)
+		}
+		if out := run(t, s, "retrieve rod", "solve rod pull"); out != `solved "rod"/"pull" (cholesky): max |u| = 2.5000000000000018e-05 at dof 8` {
+			t.Errorf("solve of the retrieved rod = %q", out)
+		}
+		// New solves, synchronous and submitted, and a store leave every
+		// s: key as it was.
+		run(t, s, "solve plate tip method cg", "store plate", "submit solve plate tip", "wait job-2")
+		if now := history(); !reflect.DeepEqual(now, was) {
+			t.Errorf("s: records after new solves: %v, were %v", now, was)
+		}
+		// delete sweeps the model's leftovers with the model, and only its.
+		run(t, s, "delete plate")
+		now := history()
+		if len(now) != 2 || now["s:rod:00000001"] != was["s:rod:00000001"] || now["s:rod:00000002"] != was["s:rod:00000002"] {
+			t.Errorf("s: records after delete plate: %v, want rod's two untouched", now)
+		}
+		if out := run(t, s, "list db"); strings.Contains(out, "plate") || !strings.Contains(out, "rod") {
+			t.Errorf("list db after delete plate = %q", out)
+		}
+		sys.Close()
+		again := open(t, Options{Store: sc})
+		if out := run(t, again.Session("later"), "list db"); strings.Contains(out, "plate") || !strings.Contains(out, "rod") {
+			t.Errorf("list db after reopen = %q", out)
+		}
+		n := 0
+		again.Store.Seek("s:", func(string, []byte) bool { n++; return true })
+		if n != 2 {
+			t.Errorf("%d s: records after reopen, want rod's 2", n)
+		}
+	})
+
 	t.Run("clustered-needs-advertise", func(t *testing.T) {
 		_, err := Open(Options{Arch: arch.DefaultConfig(), Store: file(t), Cluster: &ClusterOpts{Owner: "a"}})
 		if err == nil || !strings.Contains(err.Error(), "advertise") {
 			t.Errorf("Open without an advertise address = %v", err)
 		}
 	})
+}
+
+// TestSolveStoreBatches counts what a solve writes: a synchronous solve
+// nothing, a submitted one its journal record twice (queued, terminal).
+func TestSolveStoreBatches(t *testing.T) {
+	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	s := sys.Session("eng")
+	run(t, s, "generate grid plate 4 2 4 2 clamp-left", "load plate tip endload 0 -100")
+	batches := sys.Obs.Histogram(obs.StoreBatchLatency)
+	before := batches.Count()
+	run(t, s, "solve plate tip")
+	if got := batches.Count() - before; got != 0 {
+		t.Errorf("a synchronous solve made %d store batches, want 0", got)
+	}
+	before = batches.Count()
+	run(t, s, "submit solve plate tip", "wait job-1")
+	if got := batches.Count() - before; got != 2 {
+		t.Errorf("a submitted solve made %d store batches, want 2", got)
+	}
 }

@@ -70,7 +70,7 @@ func newEvictSide(workers int) *evictSide {
 
 // Do is the side's executor: announce the start, then finish when the
 // test opens the job's gate or cancels it.
-func (e *evictSide) Do(ctx context.Context, cmd command.Command) (command.Result, error) {
+func (e *evictSide) DoHeld(ctx context.Context, cmd command.Command) (command.Result, error) {
 	model := cmd.(command.Solve).Model
 	e.s.mu.Lock()
 	gate := e.gates[model]

@@ -16,7 +16,7 @@ import (
 // execFunc adapts a function to Executor.
 type execFunc func(ctx context.Context, cmd command.Command) (command.Result, error)
 
-func (f execFunc) Do(ctx context.Context, cmd command.Command) (command.Result, error) {
+func (f execFunc) DoHeld(ctx context.Context, cmd command.Command) (command.Result, error) {
 	return f(ctx, cmd)
 }
 

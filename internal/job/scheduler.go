@@ -21,12 +21,32 @@ import (
 var ErrClosed = errors.New("job: scheduler closed")
 
 // Executor runs one typed command — auvm.Session satisfies it, and the
-// scheduler never needs to know about sessions beyond this.  A job's Do
-// is invoked on a worker goroutine (inline on the submitter's goroutine
-// for cheap commands); the context it receives is the job's own
-// cancellable context and carries nothing else.
+// scheduler never needs to know about sessions beyond this.  A job's
+// DoHeld is invoked on a worker goroutine (inline on the submitter's
+// goroutine for cheap commands) with the command's model already held
+// for it; the context it receives is the job's own cancellable context
+// and carries nothing else.
 type Executor interface {
-	Do(ctx context.Context, cmd command.Command) (command.Result, error)
+	DoHeld(ctx context.Context, cmd command.Command) (command.Result, error)
+}
+
+// modelKey names one owner's model — the unit the scheduler serializes
+// on.  Workspaces are per owner, so two owners' models of one name are
+// two models.
+type modelKey struct{ owner, model string }
+
+// holder says who holds a model: the job with that id, or (id 0) a
+// synchronous command.
+type holder struct {
+	id  JobID
+	cmd command.Command
+}
+
+func (h holder) String() string {
+	if h.id != 0 {
+		return h.id.String() + " running"
+	}
+	return "a synchronous " + command.Verb(h.cmd) + " running"
 }
 
 // job is one unit of work.  Lifecycle fields are guarded by the
@@ -65,6 +85,8 @@ type job struct {
 	done chan struct{}
 }
 
+func (j *job) key() modelKey { return modelKey{j.owner, j.model} }
+
 // Scheduler is the multi-tenant job service: a bounded worker pool over
 // a queue of submitted commands, with per-model serialization and full
 // job bookkeeping.  All methods are safe for concurrent use by any
@@ -88,9 +110,15 @@ type Scheduler struct {
 	// oldest terminal jobs are evicted (live jobs never are).
 	retain int
 	queue  []*job
-	// busy holds the model names currently locked by a running job; a
-	// queued job whose key is busy is skipped until the key frees.
-	busy map[string]bool
+	// busy holds the models currently held, by a running job or by a
+	// synchronous command (Hold); a queued job whose model is busy is
+	// skipped until it frees.
+	busy map[modelKey]holder
+	// waiting counts the goroutines blocked on cond for a model — inline
+	// jobs and synchronous solves; wakes counts the broadcasts Release
+	// made for them and for the queue.
+	waiting int
+	wakes   int64
 	// live counts each owner's queued-or-running jobs; liveTotal is
 	// their sum.  quota bounds live per owner when positive, with policy
 	// choosing reject-vs-queue at the bound (see tenant.go).
@@ -153,7 +181,7 @@ func NewScheduler(workers int) *Scheduler {
 		workers: workers,
 		retain:  DefaultRetainedJobs,
 		jobs:    map[JobID]*job{},
-		busy:    map[string]bool{},
+		busy:    map[modelKey]holder{},
 		live:    map[string]int{},
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -383,25 +411,77 @@ func (s *Scheduler) worker() {
 }
 
 // runLocked runs a queued job the caller has chosen, holding the job's
-// model for the duration: mark it running, execute it unlocked, release
-// the model and wake whoever waited for it.  Called with s.mu held;
-// returns with it released.
+// model for the duration: mark it running and execute it unlocked;
+// execute releases the model as it records the outcome.  Called with
+// s.mu held; returns with it released.
 func (s *Scheduler) runLocked(j *job) {
 	j.state = Running
 	s.gRunning.Add(1)
 	if j.model != "" {
-		s.busy[j.model] = true
+		s.busy[j.key()] = holder{id: j.id}
 	}
 	s.publishLocked(j)
 	s.mu.Unlock()
 
 	s.execute(j)
+}
 
-	s.mu.Lock()
-	if j.model != "" {
-		delete(s.busy, j.model)
+// awaitLocked blocks until key is free or ctx is done — a queued job's
+// context is, once the job is cancelled — and reports whether key is free.
+func (s *Scheduler) awaitLocked(ctx context.Context, key modelKey) bool {
+	_, held := s.busy[key]
+	if !held {
+		return true
 	}
-	s.cond.Broadcast()
+	// The cond has no ctx case of its own; wake the wait loop when the
+	// context dies so nobody is stuck behind a long solve they no longer
+	// want to wait for.
+	defer context.AfterFunc(ctx, func() {
+		s.mu.Lock()
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})()
+	s.waiting++
+	for held && ctx.Err() == nil {
+		s.cond.Wait()
+		_, held = s.busy[key]
+	}
+	s.waiting--
+	return !held
+}
+
+// Hold takes owner's model for one synchronous command, exactly as a
+// running job holds it, until Release.  A model already held makes a
+// Heavy command wait its turn (never past ctx); any other command — the
+// kind a connection's reader executes itself — is refused with an error
+// naming the holder, outside the taxonomy like define's name collision.
+func (s *Scheduler) Hold(ctx context.Context, owner, model string, cmd command.Command) error {
+	key := modelKey{owner, model}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if h, held := s.busy[key]; held {
+		if !command.PropsOf(cmd).Has(command.Heavy) {
+			return fmt.Errorf("job: model %q is busy (%s): wait for it, or submit the edit", model, h)
+		}
+		if !s.awaitLocked(ctx, key) {
+			return errs.Cancelled(ctx)
+		}
+	}
+	s.busy[key] = holder{cmd: cmd}
+	return nil
+}
+
+// Release ends a Hold, waking those who may be waiting for a model:
+// workers with a queue to look through again, inline jobs and synchronous
+// solves.  An idle pool sleeps on — most requests release a model nobody
+// wanted.
+func (s *Scheduler) Release(owner, model string) {
+	s.mu.Lock()
+	delete(s.busy, modelKey{owner, model})
+	if len(s.queue) > 0 || s.waiting > 0 {
+		s.wakes++
+		s.cond.Broadcast()
+	}
 	s.mu.Unlock()
 }
 
@@ -416,7 +496,7 @@ func (s *Scheduler) popLocked() *job {
 			i--
 			continue
 		}
-		if j.model == "" || !s.busy[j.model] {
+		if _, held := s.busy[j.key()]; j.model == "" || !held {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			return j
 		}
@@ -431,19 +511,8 @@ func (s *Scheduler) popLocked() *job {
 // finalizes Cancelled instead of blocking the submitter past its ctx.
 func (s *Scheduler) runInline(j *job) {
 	s.mu.Lock()
-	if j.model != "" && s.busy[j.model] {
-		// The cond has no ctx case of its own; wake the wait loop when
-		// the job's context dies so the submitter is never stuck behind
-		// a long solve it no longer wants to wait for.
-		stop := context.AfterFunc(j.ctx, func() {
-			s.mu.Lock()
-			s.cond.Broadcast()
-			s.mu.Unlock()
-		})
-		defer stop()
-		for s.busy[j.model] && j.state == Queued && j.ctx.Err() == nil {
-			s.cond.Wait()
-		}
+	if j.model != "" {
+		s.awaitLocked(j.ctx, j.key())
 	}
 	if j.state != Queued { // cancelled (or closed) while waiting
 		s.mu.Unlock()
@@ -492,6 +561,10 @@ func (s *Scheduler) execute(j *job) {
 		j.flops = sr.Flops
 		j.cycles = sr.Makespan
 	}
+	// The model is free by the time anyone can see the job finished: what
+	// follows a wait on the same model is never refused on its account.
+	// finishLocked wakes whoever waited for it.
+	delete(s.busy, j.key())
 	close(j.done)
 	s.finishLocked(j)
 	s.mu.Unlock()
@@ -511,7 +584,7 @@ func (s *Scheduler) do(j *job) (res command.Result, err error) {
 			res, err = nil, fmt.Errorf("job: panic executing %q: %v", command.Verb(j.cmd), p)
 		}
 	}()
-	return j.ex.Do(j.ctx, j.cmd)
+	return j.ex.DoHeld(j.ctx, j.cmd)
 }
 
 // Status returns a snapshot of one job.  Ids retention has evicted

@@ -250,6 +250,47 @@ func TestControlVerbsOvertakeARunningSolve(t *testing.T) {
 	}
 }
 
+// TestPingAnswersBehindARefusedEdit: with a submitted solve running, an
+// edit of its model, a ping and a status pipelined in one write are all
+// answered by the reader, in order, while the solve runs on — the edit
+// with an ordinary error naming the job (the internal code: no wire code
+// of its own), never by waiting for the model on the reader.
+func TestPingAnswersBehindARefusedEdit(t *testing.T) {
+	p := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))()
+	p.do(command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true})
+	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	// Jacobi on this plate iterates for seconds; the cancel below ends it.
+	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi}})[0]
+	var jobID int64
+	for answered := false; jobID == 0 || !answered; {
+		resp := p.next()
+		if resp.Event != nil && resp.Event.State == "running" {
+			jobID = resp.Event.Job
+		}
+		answered = answered || resp.ID == sub
+	}
+	ids := p.send(command.AddNode{Model: "big", X: 1, Y: 1}, command.Ping{}, command.Status{ID: jobID})
+	byID, arrival := p.replies(ids)
+	if fmt.Sprint(arrival) != fmt.Sprint(ids) {
+		t.Errorf("replies arrived in order %v, want %v", arrival, ids)
+	}
+	want := fmt.Sprintf(`job: model "big" is busy (job-%d running): wait for it, or submit the edit`, jobID)
+	if e := byID[ids[0]].Error; e == nil || e.Code != wire.CodeInternal || e.Message != want {
+		t.Errorf("node on the held model: %+v, want code %q and %q", e, wire.CodeInternal, want)
+	}
+	if e := byID[ids[1]].Error; e != nil {
+		t.Errorf("ping behind the refused edit: %+v", e)
+	}
+	res, err := command.UnmarshalResult(byID[ids[2]].Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.(*command.JobStatusResult).State; st != command.JobRunning {
+		t.Errorf("job-%d is %s after the ping answered, want it still running", jobID, st)
+	}
+	p.do(command.Cancel{ID: jobID})
+}
+
 // TestFrameOrderPerJob pins, frame by frame, what a closed-loop
 // submit+wait job puts on the wire: five frames, of which the queued
 // event is the first (it was raised before the submit reply existed, so

@@ -153,8 +153,10 @@ func (s *FileStore) frameOverhead() int64 {
 	return int64(len(s.index)) * 17
 }
 
-// replay scans the log, rebuilding the index and truncating the file
-// at the first incomplete or corrupt frame (the torn tail of a crash).
+// replay opens the log: it checks the magic (writing it into an empty
+// file), scans every frame into the index, and in exclusive mode truncates
+// the file at the first incomplete or corrupt frame (the torn tail of a
+// crash).
 func (s *FileStore) replay() error {
 	info, err := s.f.Stat()
 	if err != nil {
@@ -171,11 +173,41 @@ func (s *FileStore) replay() error {
 	if _, err := io.ReadFull(s.f, magic); err != nil || string(magic) != fileMagic {
 		return fmt.Errorf("store: %s is not a FEM-2 store file", s.path)
 	}
-	off := int64(len(fileMagic))
+	s.size = int64(len(fileMagic))
+	end, err := s.scanLocked()
+	if err != nil {
+		return err
+	}
+	if s.size != end && !s.shared {
+		// Exclusive mode: the torn tail is ours, drop it.  Shared mode
+		// leaves it — another live process may be mid-append, and only
+		// Seal (with the old writer known dead) may truncate.
+		if err := s.f.Truncate(s.size); err != nil {
+			return fmt.Errorf("store: truncating torn tail of %s: %w", s.path, err)
+		}
+	}
+	if _, err := s.f.Seek(s.size, io.SeekStart); err != nil {
+		return fmt.Errorf("store: seeking %s: %w", s.path, err)
+	}
+	return nil
+}
+
+// scanLocked is the one reader of the log's frames: from s.size on it
+// folds every complete frame — length header, payload within the file,
+// CRC — into the index and advances s.size past it, stopping at the first
+// incomplete or corrupt one (a torn tail, or a frame another process is
+// still appending).  It never truncates; it returns the file's size so a
+// caller that may can tell whether a tail is left.
+func (s *FileStore) scanLocked() (fileSize int64, err error) {
+	info, err := s.f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("store: stat %s: %w", s.path, err)
+	}
+	off := s.size
 	var hdr [4]byte
-	for {
+	for off+8 <= info.Size() {
 		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-			break // clean EOF or torn length header: truncate here
+			break
 		}
 		plen := int64(binary.BigEndian.Uint32(hdr[:]))
 		frameEnd := off + 4 + plen + 4
@@ -193,61 +225,12 @@ func (s *FileStore) replay() error {
 			break // torn or corrupt frame
 		}
 		if err := s.applyPayload(payload, off+4); err != nil {
-			return err
-		}
-		off = frameEnd
-	}
-	if off != info.Size() && !s.shared {
-		// Exclusive mode: the torn tail is ours, drop it.  Shared mode
-		// leaves it — another live process may be mid-append, and only
-		// Seal (with the old writer known dead) may truncate.
-		if err := s.f.Truncate(off); err != nil {
-			return fmt.Errorf("store: truncating torn tail of %s: %w", s.path, err)
-		}
-	}
-	s.size = off
-	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
-		return fmt.Errorf("store: seeking %s: %w", s.path, err)
-	}
-	return nil
-}
-
-// refreshLocked tails frames appended past s.size by another process
-// sharing the file, folding them into the index.  It stops at the
-// first incomplete or corrupt frame and never truncates.
-func (s *FileStore) refreshLocked() error {
-	info, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat %s: %w", s.path, err)
-	}
-	off := s.size
-	var hdr [4]byte
-	for off+8 <= info.Size() {
-		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
-			break
-		}
-		plen := int64(binary.BigEndian.Uint32(hdr[:]))
-		frameEnd := off + 4 + plen + 4
-		if frameEnd > info.Size() {
-			break // torn payload: the writer may still be appending it
-		}
-		payload := make([]byte, plen)
-		if _, err := s.f.ReadAt(payload, off+4); err != nil {
-			break
-		}
-		if _, err := s.f.ReadAt(hdr[:], off+4+plen); err != nil {
-			break
-		}
-		if binary.BigEndian.Uint32(hdr[:]) != crc32.ChecksumIEEE(payload) {
-			break
-		}
-		if err := s.applyPayload(payload, off+4); err != nil {
-			return err
+			return 0, err
 		}
 		off = frameEnd
 	}
 	s.size = off
-	return nil
+	return info.Size(), nil
 }
 
 // Refresh folds in frames committed by another process sharing the
@@ -261,7 +244,8 @@ func (s *FileStore) Refresh() error {
 	if !s.shared {
 		return nil
 	}
-	return s.refreshLocked()
+	_, err := s.scanLocked()
+	return err
 }
 
 // Seal is the takeover step: with the previous writer known dead, tail
@@ -281,14 +265,11 @@ func (s *FileStore) Seal() error {
 		return fmt.Errorf("store: locking %s: %w", s.path, err)
 	}
 	defer funlockFile(s.f)
-	if err := s.refreshLocked(); err != nil {
+	end, err := s.scanLocked()
+	if err != nil {
 		return err
 	}
-	info, err := s.f.Stat()
-	if err != nil {
-		return fmt.Errorf("store: stat %s: %w", s.path, err)
-	}
-	if info.Size() > s.size {
+	if end > s.size {
 		if err := s.f.Truncate(s.size); err != nil {
 			return fmt.Errorf("store: sealing torn tail of %s: %w", s.path, err)
 		}
@@ -401,7 +382,7 @@ func (s *FileStore) batch(key string, want []byte, cond bool, ops []Op) error {
 			return fmt.Errorf("store: locking %s: %w", s.path, err)
 		}
 		defer funlockFile(s.f)
-		if err := s.refreshLocked(); err != nil {
+		if _, err := s.scanLocked(); err != nil {
 			return err
 		}
 	}

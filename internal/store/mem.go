@@ -55,6 +55,12 @@ func (s *MemStore) Batch(ops []Op) error {
 	if s.closed {
 		return ErrClosed
 	}
+	s.applyLocked(ops)
+	return nil
+}
+
+// applyLocked is the one place the map is written.
+func (s *MemStore) applyLocked(ops []Op) {
 	for _, op := range ops {
 		if op.Delete {
 			delete(s.m, op.Key)
@@ -64,7 +70,6 @@ func (s *MemStore) Batch(ops []Op) error {
 		copy(v, op.Value)
 		s.m[op.Key] = v
 	}
-	return nil
 }
 
 // BatchIf applies ops atomically iff the current value under key
@@ -81,15 +86,7 @@ func (s *MemStore) BatchIf(key string, want []byte, ops []Op) error {
 	if ok != (want != nil) || !bytes.Equal(cur, want) {
 		return ErrConflict
 	}
-	for _, op := range ops {
-		if op.Delete {
-			delete(s.m, op.Key)
-			continue
-		}
-		v := make([]byte, len(op.Value))
-		copy(v, op.Value)
-		s.m[op.Key] = v
-	}
+	s.applyLocked(ops)
 	return nil
 }
 

@@ -8,11 +8,14 @@
 //
 //	meta:format        store format version ("2"), written on first open
 //	m:<name>           model topology + properties (auvm record; gob modelDTO in format-1 stores)
-//	s:<name>:<seq>     solution history, seq zero-padded %08d (JSON)
 //	j:<id>             job records, id zero-padded %016x (JSON)
 //
 // Keys are ordered by byte comparison, so zero-padding the numeric
-// components makes Seek return history in submission order for free.
+// components makes Seek return job records in submission order for free.
+//
+// A file written by an older daemon also holds s:<name>:<seq> records (a
+// solve history nothing ever read); they are never read or written again,
+// and deleting a model sweeps its leftovers (SolutionPrefix).
 //
 // Encodings are deterministic: the same logical value always encodes
 // to the same bytes, so snapshot/restore round-trips and crash
@@ -65,25 +68,19 @@ const KeyEpoch = "meta:epoch"
 // Key-schema prefixes.  Callers build full keys with the helpers below
 // and iterate families with Seek(prefix).
 const (
-	PrefixModel    = "m:"
-	PrefixSolution = "s:"
-	PrefixJob      = "j:"
-	PrefixMeta     = "meta:"
+	PrefixModel = "m:"
+	PrefixJob   = "j:"
+	PrefixMeta  = "meta:"
 )
 
 // ModelKey returns the key holding model name's encoded topology.
 func ModelKey(name string) string { return PrefixModel + name }
 
-// SolutionPrefix returns the prefix under which model name's solution
-// history lives.  The trailing colon keeps "plate" from matching
-// "plate2" records.
-func SolutionPrefix(name string) string { return PrefixSolution + name + ":" }
-
-// SolutionKey returns the key for the seq'th solution of model name.
-// seq is zero-padded so byte order is submission order.
-func SolutionKey(name string, seq int) string {
-	return fmt.Sprintf("%s%s:%08d", PrefixSolution, name, seq)
-}
+// SolutionPrefix returns the prefix of the solve-history records an
+// older daemon left behind for model name; delete sweeps them with the
+// model, and nothing else knows the family.  The trailing colon keeps
+// "plate" from matching "plate2" records.
+func SolutionPrefix(name string) string { return "s:" + name + ":" }
 
 // JobKey returns the key for a job record.  The id is zero-padded hex
 // so byte order is submission order.

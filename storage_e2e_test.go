@@ -1,10 +1,9 @@
 // Acceptance tests for the durable storage layer: a file-backed system
-// serves its stored models, solution history, and complete terminal
-// job history across a restart; a daemon killed with SIGKILL
-// mid-workload recovers with in-flight jobs deterministically failed;
-// and snapshot/restore round-trips a workspace byte-identically, both
-// locally and over the wire.  go test -race runs all of it under the
-// race detector.
+// serves its stored models and complete terminal job history across a
+// restart; a daemon killed with SIGKILL mid-workload recovers with
+// in-flight jobs deterministically failed; and snapshot/restore
+// round-trips a workspace byte-identically, both locally and over the
+// wire.  go test -race runs all of it under the race detector.
 package fem2_test
 
 import (
