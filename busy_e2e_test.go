@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -237,6 +238,72 @@ func TestBusyModelRefusesAndQueues(t *testing.T) {
 		// after it (a loose node: it fails, but it ran).
 		if r := <-solve; r.err != nil && isBusy(r.err) {
 			t.Fatalf("a synchronous solve was refused instead of waiting: %v", r.err)
+		}
+	})
+}
+
+// TestRestoreBesideRunningSolve: snapshot a plate, regenerate it with
+// another width (the same dof count), submit a solve of the new one and
+// restore the snapshot while the job runs.  restore names no model of its
+// own, so it used to replace the model under the job, whose answer then
+// landed on the restored model: the displacements on display were the
+// job's, not the model's.  Now restore holds every model the file
+// carries first and is refused by the job's name — leaving the workspace
+// and the job's answer as they were — unless the job finished first, in
+// which case model and solution are both the snapshot's.
+func TestRestoreBesideRunningSolve(t *testing.T) {
+	localAndWire(t, func(t *testing.T, d doer) {
+		ctx := context.Background()
+		do := func(c fem2.Command) fem2.Result {
+			t.Helper()
+			res, err := d.Do(ctx, c)
+			if err != nil {
+				t.Fatalf("%s: %v", c, err)
+			}
+			return res
+		}
+		solve := fem2.SolveCommand{Model: "g", Set: "tip", Method: fem2.SolveCholesky}
+		plate := func(w float64) {
+			do(fem2.GenerateGrid{Name: "g", NX: 80, NY: 48, W: w, H: 48, ClampLeft: true})
+			do(fem2.EndLoad{Model: "g", Set: "tip", FY: -100})
+		}
+		displacements := func() string {
+			return do(fem2.Display{What: fem2.DisplayDisplacements, Model: "g"}).String()
+		}
+		plate(80)
+		do(solve)
+		narrow := displacements()
+		plate(160)
+		do(solve)
+		wide := displacements()
+		snap := filepath.Join(t.TempDir(), "wide.snap")
+		do(fem2.SnapshotCommand{Path: snap})
+		if narrow == wide {
+			t.Fatalf("both plates display %q; the test needs them apart", narrow)
+		}
+
+		plate(80)
+		id := do(fem2.SubmitCommand{Cmd: solve}).(*fem2.SubmitResult).ID
+		for jobState(t, d, id) == "queued" {
+		}
+		_, restoreErr := d.Do(ctx, fem2.RestoreCommand{Path: snap})
+		if _, err := d.Do(ctx, fem2.WaitCommand{ID: id}); err != nil {
+			t.Fatalf("wait job-%d: %v", id, err)
+		}
+		got := displacements()
+		if restoreErr == nil {
+			t.Log("restore accepted")
+			if got != wide {
+				t.Fatalf("after an accepted restore displacements read %q, want the snapshot's %q", got, wide)
+			}
+			return
+		}
+		want := fmt.Sprintf(`job: model "g" is busy (job-%d running): wait for it, or submit the edit`, id)
+		if !isBusy(restoreErr) || restoreErr.Error() != want {
+			t.Fatalf("restore beside a running solve = %v, want %q outside the taxonomy", restoreErr, want)
+		}
+		if got != narrow {
+			t.Fatalf("after a refused restore displacements read %q, want the solved plate's %q", got, narrow)
 		}
 	})
 }

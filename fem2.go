@@ -639,10 +639,8 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // then compare every element's stiffness inputs (node coordinates and
 // Material for Bar and CST) bit for bit with the record the matrix was
 // assembled from, and run the allocation-free numeric scatter unless all
-// are identical.  A custom Element takes part by offering the method
-// AppendStiffnessInputs(m *Model, dst []float64) []float64 and appending
-// everything its Stiffness reads beyond the connectivity; one that does
-// not is re-evaluated on every solve.
+// are identical.  The element set is closed (Bar and CST), so every
+// element offers the record and none is re-evaluated for lack of one.
 // Inside a session this state follows the model name: generate,
 // retrieve and restore hand the replaced model's assembly and factor
 // cache, as one unit, to the new object, which runs the same checks

@@ -277,7 +277,7 @@ func (s *Session) DoHeld(ctx context.Context, cmd command.Command) (command.Resu
 	case command.Snapshot:
 		return s.doSnapshot(c)
 	case command.Restore:
-		return s.doRestore(c)
+		return s.doRestore(ctx, c)
 	case command.Submit:
 		return s.doSubmit(ctx, c)
 	case command.Status:

@@ -2,9 +2,11 @@ package auvm
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/command"
 	"repro/internal/fem"
@@ -92,7 +94,12 @@ func (s *Session) doSnapshot(c command.Snapshot) (command.Result, error) {
 
 // doRestore loads a snapshot file into the session's workspace,
 // overwriting models of the same name and merging interpreter state.
-func (s *Session) doRestore(c command.Restore) (command.Result, error) {
+// With a scheduler attached it first holds every model the file carries,
+// in name order, as Do holds the one model of any other verb: if a job
+// is solving one of them, nothing is replaced and restore is refused with
+// the busy error naming the job, which still answers for the model it
+// solved.
+func (s *Session) doRestore(ctx context.Context, c command.Restore) (command.Result, error) {
 	raw, err := os.ReadFile(c.Path)
 	if err != nil {
 		return nil, fmt.Errorf("auvm: read snapshot: %w", err)
@@ -103,6 +110,26 @@ func (s *Session) doRestore(c command.Restore) (command.Result, error) {
 	var dto snapshotDTO
 	if err := gob.NewDecoder(bytes.NewReader(raw[len(snapshotMagic):])).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("auvm: decode snapshot: %w", err)
+	}
+	if s.Jobs != nil {
+		names := make([]string, 0, len(dto.Models))
+		for _, ms := range dto.Models {
+			names = append(names, ms.Model.Name)
+		}
+		slices.Sort(names)
+		names = slices.Compact(names)
+		release := func(held []string) {
+			for _, name := range held {
+				s.Jobs.Release(s.User, name)
+			}
+		}
+		for i, name := range names {
+			if err := s.Jobs.Hold(ctx, s.User, name, c); err != nil {
+				release(names[:i])
+				return nil, err
+			}
+		}
+		defer release(names)
 	}
 	for _, ms := range dto.Models {
 		m, loads, err := decodeModel(&ms.Model)

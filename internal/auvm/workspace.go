@@ -166,7 +166,7 @@ func (w *Workspace) Words() int64 {
 	for _, m := range w.models {
 		words += int64(2 * len(m.Nodes))
 		for _, e := range m.Elements {
-			words += int64(len(e.Nodes()) + 1)
+			words += int64(len(e.AppendNodes(nil)) + 1)
 		}
 	}
 	for _, sets := range w.loads {

@@ -141,12 +141,9 @@ type Options struct {
 	// failure closes the client for good.
 	MaxRetries int
 	// BaseBackoff spaces retries: attempt n waits about BaseBackoff·2ⁿ⁻¹
-	// (half fixed, half seeded jitter), capped at MaxBackoff.  Defaults
+	// (half fixed, half seeded jitter), capped at maxBackoff.  Defaults
 	// to 50ms when retries are enabled.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff growth.  Defaults to 2s when retries
-	// are enabled.
-	MaxBackoff time.Duration
 	// RequestTimeout bounds each attempt of each request client-side;
 	// 0 means none.  wait is exempt — blocking on a job is its job.
 	// A timed-out attempt is not retried (the deadline already cost the
@@ -234,13 +231,8 @@ func DialWithOptions(addr, user string, o Options) (*Client, error) {
 	if o.Dialer == nil {
 		o.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	if o.MaxRetries > 0 {
-		if o.BaseBackoff <= 0 {
-			o.BaseBackoff = 50 * time.Millisecond
-		}
-		if o.MaxBackoff <= 0 {
-			o.MaxBackoff = 2 * time.Second
-		}
+	if o.MaxRetries > 0 && o.BaseBackoff <= 0 {
+		o.BaseBackoff = 50 * time.Millisecond
 	}
 	var addrs []string
 	for _, a := range strings.Split(addr, ",") {
@@ -729,15 +721,15 @@ func (c *Client) redirect(ln *link, leader string) {
 	c.drop(ln, errRedirected)
 }
 
+// maxBackoff caps the retry backoff's growth.
+const maxBackoff = 2 * time.Second
+
 // backoff sleeps the exponential-with-jitter delay before retry n,
 // aborting early on context death or client close.
 func (c *Client) backoff(ctx context.Context, attempt int) error {
 	d := c.opts.BaseBackoff << (attempt - 1)
-	if d > c.opts.MaxBackoff || d <= 0 {
-		d = c.opts.MaxBackoff
-	}
-	if d <= 0 {
-		return nil
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	c.mu.Lock()
 	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))

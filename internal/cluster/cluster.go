@@ -84,12 +84,8 @@ type Config struct {
 	Advertise string
 	// TTL is the lease lifetime; a leader that cannot renew within it
 	// stops serving writes and a follower may take over.  Zero means
-	// DefaultTTL.
+	// DefaultTTL.  The leader renews, and a follower polls, every TTL/3.
 	TTL time.Duration
-	// RenewEvery is the leader's renewal cadence; zero means TTL/3.
-	RenewEvery time.Duration
-	// PollEvery is the follower's lease-watch cadence; zero means TTL/3.
-	PollEvery time.Duration
 	// Refresh, when non-nil, is called before each follower poll so the
 	// store stack folds in what the leader committed.  Core wires it to
 	// the shared file handle's Refresh plus a cache invalidation; over
@@ -143,12 +139,6 @@ func New(cfg Config) *Coordinator {
 	if cfg.TTL <= 0 {
 		cfg.TTL = DefaultTTL
 	}
-	if cfg.RenewEvery <= 0 {
-		cfg.RenewEvery = cfg.TTL / 3
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = cfg.TTL / 3
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -182,16 +172,10 @@ func (c *Coordinator) Start() {
 func (c *Coordinator) run(stop, done chan struct{}) {
 	defer close(done)
 	for {
-		var wait time.Duration
-		if c.IsLeader() {
-			wait = c.cfg.RenewEvery
-		} else {
-			wait = c.cfg.PollEvery
-		}
 		select {
 		case <-stop:
 			return
-		case <-time.After(wait):
+		case <-time.After(c.cfg.TTL / 3):
 		}
 		if c.IsLeader() || c.leading() {
 			if err := c.Renew(); err != nil && !errors.Is(err, ErrNotLeader) {

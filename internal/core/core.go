@@ -277,11 +277,9 @@ type ClusterOpts struct {
 	// Advertise is the address written into the lease — where followers
 	// redirect clients' mutating commands.  Required.
 	Advertise string
-	// TTL is the lease lifetime (zero selects cluster.DefaultTTL);
-	// RenewEvery and PollEvery default to TTL/3.
-	TTL        time.Duration
-	RenewEvery time.Duration
-	PollEvery  time.Duration
+	// TTL is the lease lifetime (zero selects cluster.DefaultTTL); the
+	// leader renews, and a follower polls, every TTL/3.
+	TTL time.Duration
 	// OnPromote, when non-nil, runs after the system finished takeover
 	// recovery (store sealed, journal replayed) —
 	// the daemon logs and optionally resubmits lost jobs from it.
@@ -345,17 +343,15 @@ func Open(o Options) (*System, error) {
 		// The hooks only fire after Start, below, by which point s is
 		// fully built.
 		s.Cluster = cluster.New(cluster.Config{
-			Store:      guard,
-			Owner:      co.Owner,
-			Advertise:  co.Advertise,
-			TTL:        co.TTL,
-			RenewEvery: co.RenewEvery,
-			PollEvery:  co.PollEvery,
-			Refresh:    s.refresh,
-			OnPromote:  func(epoch int64) error { return s.promote(epoch, co.OnPromote) },
-			OnDemote:   co.OnDemote,
-			Obs:        s.Obs,
-			Logf:       co.Logf,
+			Store:     guard,
+			Owner:     co.Owner,
+			Advertise: co.Advertise,
+			TTL:       co.TTL,
+			Refresh:   s.refresh,
+			OnPromote: func(epoch int64) error { return s.promote(epoch, co.OnPromote) },
+			OnDemote:  co.OnDemote,
+			Obs:       s.Obs,
+			Logf:      co.Logf,
 		})
 		under = cluster.NewFenced(guard, s.Cluster, s.Obs)
 	}

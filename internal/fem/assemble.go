@@ -48,14 +48,12 @@ func AssembleTriplets(m *Model) (*Assembled, error) {
 	free, index := m.FreeDOFs()
 	var ts []linalg.Triplet
 	st := linalg.Stats{}
+	var sc stiffScratch
 	for ei, e := range m.Elements {
-		ke, err := e.Stiffness(m)
+		dofs := ElementDOFs(e)
+		ke, err := sc.stiffness(m, e, len(dofs))
 		if err != nil {
 			return nil, fmt.Errorf("fem: element %d: %w", ei, err)
-		}
-		dofs := ElementDOFs(e)
-		if ke.Rows != len(dofs) || ke.Cols != len(dofs) {
-			return nil, fmt.Errorf("fem: element %d stiffness %dx%d for %d dofs", ei, ke.Rows, ke.Cols, len(dofs))
 		}
 		for i, gi := range dofs {
 			ri := index[gi]

@@ -18,9 +18,6 @@ type Bar struct {
 // Kind returns "bar".
 func (b *Bar) Kind() string { return "bar" }
 
-// Nodes returns the element connectivity.
-func (b *Bar) Nodes() []int { return b.AppendNodes(nil) }
-
 // AppendNodes appends the element connectivity to dst.
 func (b *Bar) AppendNodes(dst []int) []int { return append(dst, b.N1, b.N2) }
 
@@ -35,17 +32,8 @@ func (b *Bar) geometry(m *Model) (l, c, s float64, err error) {
 	return l, dx / l, dy / l, nil
 }
 
-// Stiffness returns the 4×4 global-coordinate bar stiffness
-// k = (EA/L)·[cc cs; cs ss] pattern.
-func (b *Bar) Stiffness(m *Model) (*linalg.Dense, error) {
-	ke := linalg.NewDense(4, 4)
-	if err := b.StiffnessInto(m, ke); err != nil {
-		return nil, err
-	}
-	return ke, nil
-}
-
-// StiffnessInto writes the bar stiffness into a caller-owned 4×4 matrix,
+// StiffnessInto writes the 4×4 global-coordinate bar stiffness
+// k = (EA/L)·[cc cs; cs ss] pattern into a caller-owned matrix,
 // allocating nothing — the assembly workspace's numeric phase calls it
 // once per element per re-assembly.
 func (b *Bar) StiffnessInto(m *Model, ke *linalg.Dense) error {
@@ -79,12 +67,8 @@ func (b *Bar) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 	return append(dst, p1.X, p1.Y, p2.X, p2.Y, b.Mat.E, b.Mat.Nu, b.Mat.T, b.Mat.A)
 }
 
-// Stress returns the single axial stress component (positive in tension).
-func (b *Bar) Stress(m *Model, u linalg.Vector) ([]float64, error) {
-	return b.AppendStress(m, u, nil)
-}
-
-// AppendStress appends the axial stress to dst.
+// AppendStress appends the single axial stress component (positive in
+// tension) to dst.
 func (b *Bar) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
 	l, c, s, err := b.geometry(m)
 	if err != nil {
@@ -106,9 +90,6 @@ type CST struct {
 
 // Kind returns "cst".
 func (t *CST) Kind() string { return "cst" }
-
-// Nodes returns the element connectivity.
-func (t *CST) Nodes() []int { return t.AppendNodes(nil) }
 
 // AppendNodes appends the element connectivity to dst.
 func (t *CST) AppendNodes(dst []int) []int { return append(dst, t.N1, t.N2, t.N3) }
@@ -143,15 +124,6 @@ func (t *CST) dMatrix() [3][3]float64 {
 		{f * nu, f, 0},
 		{0, 0, f * (1 - nu) / 2},
 	}
-}
-
-// Stiffness returns the 6×6 element stiffness k = t·|A|·BᵀDB.
-func (t *CST) Stiffness(m *Model) (*linalg.Dense, error) {
-	ke := linalg.NewDense(6, 6)
-	if err := t.StiffnessInto(m, ke); err != nil {
-		return nil, err
-	}
-	return ke, nil
 }
 
 // StiffnessInto writes the CST stiffness k = t·|A|·BᵀDB into a
@@ -211,14 +183,9 @@ func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 	return append(dst, p1.X, p1.Y, p2.X, p2.Y, p3.X, p3.Y, t.Mat.E, t.Mat.Nu, t.Mat.T, t.Mat.A)
 }
 
-// Stress returns the element stress components (σx, σy, τxy), constant
-// over the triangle.
-func (t *CST) Stress(m *Model, u linalg.Vector) ([]float64, error) {
-	return t.AppendStress(m, u, nil)
-}
-
-// AppendStress appends σ = D·(B·u_e) to dst, computed in locals.  Each
-// row accumulates in Dense.MulVec's order (every column, zeros
+// AppendStress appends the element stress components σ = D·(B·u_e) =
+// (σx, σy, τxy), constant over the triangle, to dst, computed in locals.
+// Each row accumulates in Dense.MulVec's order (every column, zeros
 // included), so the result is bit-identical to the Dense chain kept as
 // the reference in stress_test.go.
 func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
@@ -250,53 +217,10 @@ func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64,
 	return dst, nil
 }
 
-// NodeAppender is the optional allocation-free form of Element.Nodes:
-// the connectivity appends to a caller-owned slice.  The retained
-// assembly checks every element's connectivity before each reuse, so
-// Bar and CST implement it; elements that do not fall back to Nodes.
-type NodeAppender interface {
-	AppendNodes(dst []int) []int
-}
-
-// StressAppender is the optional allocation-free form of
-// Element.Stress: the components append to a caller-owned slice, which
-// lets Stresses carve every row from one backing array.  Bar and CST
-// implement it; elements that do not fall back to Stress.
-type StressAppender interface {
-	AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error)
-}
-
-// StiffnessInputs is the optional interface that lets a retained
-// assembly prove an element's stiffness did not move between two solves
-// without evaluating it: the element appends every value its Stiffness
-// reads beyond the connectivity — node coordinates, material, section,
-// any field of its own — in a fixed order.  Solve records the values a
-// stiffness was assembled from and skips the numeric assembly only while
-// every element of the model, of the same concrete type as recorded,
-// appends bit-identical values (see Workspace).  The contract is that two
-// elements of one type with equal connectivity and equal inputs have
-// equal stiffnesses; an input left out is a silently stale matrix, so an
-// element that cannot list them all omits the interface and is
-// re-evaluated on every solve, and a type that embeds a Bar or CST but
-// computes its own Stiffness must override the promoted method.  Bar and
-// CST implement it.
-type StiffnessInputs interface {
-	AppendStiffnessInputs(m *Model, dst []float64) []float64
-}
-
-// appendNodes appends e's connectivity to dst through the
-// allocation-free path when the element offers one.
-func appendNodes(dst []int, e Element) []int {
-	if na, ok := e.(NodeAppender); ok {
-		return na.AppendNodes(dst)
-	}
-	return append(dst, e.Nodes()...)
-}
-
 // ElementDOFs returns the global dof indices of an element in local
 // order.
 func ElementDOFs(e Element) []int {
-	ns := e.Nodes()
+	ns := e.AppendNodes(nil)
 	out := make([]int, 0, DOFPerNode*len(ns))
 	for _, n := range ns {
 		out = append(out, DOF(n, 0), DOF(n, 1))

@@ -67,13 +67,19 @@ func TestModelValidate(t *testing.T) {
 	}
 }
 
+// stiffnessOf evaluates e's stiffness the way every assembly path does.
+func stiffnessOf(m *Model, e Element) (*linalg.Dense, error) {
+	var sc stiffScratch
+	return sc.stiffness(m, e, DOFPerNode*len(e.AppendNodes(nil)))
+}
+
 func TestBarStiffnessAxial(t *testing.T) {
 	m := NewModel("bar")
 	m.AddNode(0, 0)
 	m.AddNode(2, 0)
 	mat := Material{E: 100, A: 3}
 	b := &Bar{N1: 0, N2: 1, Mat: mat}
-	k, err := b.Stiffness(m)
+	k, err := stiffnessOf(m, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +97,10 @@ func TestBarZeroLength(t *testing.T) {
 	m.AddNode(1, 1)
 	m.AddNode(1, 1)
 	b := &Bar{N1: 0, N2: 1, Mat: Steel()}
-	if _, err := b.Stiffness(m); err == nil {
+	if _, err := stiffnessOf(m, b); err == nil {
 		t.Error("zero-length bar accepted")
 	}
-	if _, err := b.Stress(m, linalg.NewVector(4)); err == nil {
+	if _, err := b.AppendStress(m, linalg.NewVector(4), nil); err == nil {
 		t.Error("zero-length bar stress accepted")
 	}
 }
@@ -226,7 +232,7 @@ func TestCSTDegenerateTriangle(t *testing.T) {
 	m.AddNode(1, 0)
 	m.AddNode(2, 0) // collinear
 	c := &CST{N1: 0, N2: 1, N3: 2, Mat: Steel()}
-	if _, err := c.Stiffness(m); err == nil {
+	if _, err := stiffnessOf(m, c); err == nil {
 		t.Error("degenerate CST accepted")
 	}
 }
@@ -419,7 +425,7 @@ func TestQuickBarStiffnessPSD(t *testing.T) {
 		m.AddNode(float64(x1), float64(y1))
 		m.AddNode(float64(x2), float64(y2))
 		b := &Bar{N1: 0, N2: 1, Mat: Material{E: 100, A: 1}}
-		k, err := b.Stiffness(m)
+		k, err := stiffnessOf(m, b)
 		if err != nil {
 			return false
 		}
@@ -446,7 +452,7 @@ func TestQuickRigidTranslationZeroStress(t *testing.T) {
 			u[DOF(n, 1)] = float64(ty)
 		}
 		for _, e := range m.Elements {
-			s, err := e.Stress(m, u)
+			s, err := e.AppendStress(m, u, nil)
 			if err != nil {
 				return false
 			}

@@ -73,8 +73,6 @@ func runRetainedScript(t *testing.T, script []byte) {
 				mat = &e.Mat
 			case *stiffCST:
 				mat = &e.Mat
-			case *opaqueCST:
-				mat = &e.c.Mat
 			}
 			field := [4]*float64{&mat.E, &mat.Nu, &mat.T, &mat.A}[b%4]
 			if b%8 < 4 {
@@ -112,14 +110,10 @@ func runRetainedScript(t *testing.T, script []byte) {
 				m.Elements[ei] = &cp
 				if b%3 == 1 {
 					m.Elements[ei] = &stiffCST{CST: cp}
-				} else if b%3 == 2 {
-					m.Elements[ei] = &opaqueCST{c: &cp}
 				}
 			case *stiffCST:
 				cp := e.CST
 				m.Elements[ei] = &cp
-			case *opaqueCST:
-				m.Elements[ei] = e.c
 			}
 		case 10:
 			m.Nodes[node] = m.Nodes[other] // elements between the two degenerate
@@ -161,9 +155,9 @@ func FuzzRetainedSolve(f *testing.F) {
 		{2, 11, 1, 0, 0, 0, 2, 11, 2},     // NaN, re-solve, restored
 		{9, 6, 0},                         // element replaced by an equal object
 		{9, 6, 1, 0, 0, 0, 9, 6, 0},       // … by another type, and back
-		{9, 6, 2, 0, 0, 0, 0, 0, 0},       // … by one without StiffnessInputs
 		{10, 11, 6, 0, 0, 0, 11, 0, 0},    // degenerate, re-solve, exact revert
 		{12, 0, 0},                        // public Assemble
+		{0x1c, 0, 0, 12, 0, 0},            // public Assemble twice, one solve
 		{0x1c, 0, 0, 3, 4, 0},             // public Assemble, then Mat.E doubled, one solve
 		{8, 0, 0},                         // adopted by an equal model
 		{0x13, 4, 0, 8, 0, 0},             // adopted by a model with another modulus

@@ -44,17 +44,30 @@ func Steel() Material { return Material{E: 200000, Nu: 0.3, T: 10, A: 100} }
 
 // Element is one finite element: it knows its connectivity, its local
 // stiffness matrix, and how to recover stresses from nodal displacements.
+// The set is closed — *Bar and *CST, the elements the Finite Element
+// Machine targeted, are the implementations, and every codec refuses any
+// other Kind — so each capability has one allocation-free form.
 type Element interface {
 	// Kind returns the element type name ("bar", "cst").
 	Kind() string
-	// Nodes returns the global node indices, element-local order.
-	Nodes() []int
-	// Stiffness returns the element stiffness matrix in global
-	// coordinates, of order DOFPerNode*len(Nodes()).
-	Stiffness(m *Model) (*linalg.Dense, error)
-	// Stress recovers the element stress components from the global
-	// displacement vector.
-	Stress(m *Model, u linalg.Vector) ([]float64, error)
+	// AppendNodes appends the global node indices, element-local order,
+	// to dst.
+	AppendNodes(dst []int) []int
+	// StiffnessInto writes the element stiffness matrix in global
+	// coordinates into ke, of order DOFPerNode × the node count.
+	StiffnessInto(m *Model, ke *linalg.Dense) error
+	// AppendStiffnessInputs appends every value StiffnessInto reads
+	// beyond the connectivity — node coordinates, material, section — in a
+	// fixed order.  It lets a retained assembly prove a stiffness did not
+	// move between two solves without evaluating it: Solve skips the
+	// numeric assembly only while every element, of the same concrete
+	// type as recorded, appends bit-identical values (see Workspace).
+	// Two elements of one type with equal connectivity and equal inputs
+	// must have equal stiffnesses.
+	AppendStiffnessInputs(m *Model, dst []float64) []float64
+	// AppendStress appends the element stress components recovered from
+	// the global displacement vector to dst.
+	AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error)
 }
 
 // LoadEntry applies a force value to one global degree of freedom.
@@ -161,7 +174,7 @@ func (m *Model) AddNode(x, y float64) int {
 
 // AddElement appends an element after validating its connectivity.
 func (m *Model) AddElement(e Element) error {
-	for _, n := range e.Nodes() {
+	for _, n := range e.AppendNodes(nil) {
 		if n < 0 || n >= len(m.Nodes) {
 			return fmt.Errorf("%w: element references node %d of %d", ErrModel, n, len(m.Nodes))
 		}
@@ -175,11 +188,11 @@ func (m *Model) AddElement(e Element) error {
 // model reuse the factorisation (every direct Solve goes through it).
 // Nothing tells a model it was edited, so every solve checks instead:
 // the topology by Workspace.Matches (the symbolic assembly is rebuilt
-// when it moved), the values by comparing each element's StiffnessInputs
-// bit for bit with the record the retained matrix was assembled from
-// (the numeric assembly is skipped only when all are identical), and the
-// factor by comparing the assembled values bit for bit with the factored
-// ones.  Mutating the model — through its methods or its exported
+// when it moved), the values by comparing each element's
+// AppendStiffnessInputs bit for bit with the record the retained matrix
+// was assembled from (the numeric assembly is skipped only when all are
+// identical), and the factor by comparing the assembled values bit for
+// bit with the factored ones.  Mutating the model — through its methods or its exported
 // fields — therefore always triggers a re-assembly and an in-place
 // refactor on the next solve rather than a stale answer.  The model is
 // the cache's only owner: it lives with the Model object and follows the

@@ -101,14 +101,11 @@ type Solution struct {
 // under the same name starts with that one's, see Model.AdoptAssembly),
 // and every later solve redoes only what the model's edits require.
 // Workspace.Matches checks the topology and the symbolic phase is
-// rebuilt when it changed; the elements' StiffnessInputs are compared
-// bit for bit with the record the matrix was assembled from and the
-// numeric scatter runs unless all are identical; the factor cache
-// compares the assembled values bit for bit before reusing a factor.  Results are bit-identical to solving a fresh
-// copy of the model.  A custom Element takes part in the middle check by
-// implementing StiffnessInputs and listing everything its Stiffness
-// reads beyond the connectivity; one that does not is simply
-// re-evaluated on every solve.
+// rebuilt when it changed; the elements' AppendStiffnessInputs are
+// compared bit for bit with the record the matrix was assembled from and
+// the numeric scatter runs unless all are identical; the factor cache
+// compares the assembled values bit for bit before reusing a factor.
+// Results are bit-identical to solving a fresh copy of the model.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the
@@ -295,19 +292,12 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) {
 	}
 	out := make([][]float64, len(m.Elements))
 	// Rows are carved from one backing array, sized for the widest
-	// built-in element (a CST's three components); a wider element
-	// only costs a regrowth, earlier rows keep their storage.
+	// element (a CST's three components).
 	back := make([]float64, 0, 3*len(m.Elements))
 	for i, e := range m.Elements {
 		start := len(back)
 		var err error
-		if sa, ok := e.(StressAppender); ok {
-			back, err = sa.AppendStress(m, sol.U, back)
-		} else {
-			var s []float64
-			s, err = e.Stress(m, sol.U)
-			back = append(back, s...)
-		}
+		back, err = e.AppendStress(m, sol.U, back)
 		if err != nil {
 			return nil, fmt.Errorf("fem: stress of element %d: %w", i, err)
 		}
@@ -324,12 +314,13 @@ func Reactions(m *Model, sol *Solution) (map[int]float64, error) {
 		return nil, err
 	}
 	reac := map[int]float64{}
+	var sc stiffScratch
 	for ei, e := range m.Elements {
-		ke, err := e.Stiffness(m)
+		dofs := ElementDOFs(e)
+		ke, err := sc.stiffness(m, e, len(dofs))
 		if err != nil {
 			return nil, fmt.Errorf("fem: element %d: %w", ei, err)
 		}
-		dofs := ElementDOFs(e)
 		for i, gi := range dofs {
 			if !m.Fixed(gi) {
 				continue

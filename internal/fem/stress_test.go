@@ -103,66 +103,13 @@ func TestStressesMatchDenseReference(t *testing.T) {
 				}
 			}
 			// The single-element form goes through the same code.
-			one, err := e.Stress(tc.m, sol.U)
+			one, err := e.AppendStress(tc.m, sol.U, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for c := range want {
 				if one[c] != want[c] {
 					t.Fatalf("%s element %d Stress component %d: %.17g vs reference %.17g", tc.m.Name, i, c, one[c], want[c])
-				}
-			}
-		}
-	}
-}
-
-// plainCST hides CST's optional fast paths, standing in for an element
-// type from outside the package that implements Element alone.
-type plainCST struct{ c *CST }
-
-func (p plainCST) Kind() string                              { return p.c.Kind() }
-func (p plainCST) Nodes() []int                              { return p.c.Nodes() }
-func (p plainCST) Stiffness(m *Model) (*linalg.Dense, error) { return p.c.Stiffness(m) }
-func (p plainCST) Stress(m *Model, u linalg.Vector) ([]float64, error) {
-	return p.c.Stress(m, u)
-}
-
-// TestPlainElementsTakeTheFallbackPaths checks an element that offers
-// none of the optional interfaces still assembles, solves and recovers
-// stresses identically.
-func TestPlainElementsTakeTheFallbackPaths(t *testing.T) {
-	m, ls := cachePlate(t)
-	plain, _ := cachePlate(t)
-	for i, e := range plain.Elements {
-		plain.Elements[i] = plainCST{e.(*CST)}
-	}
-	ctx := context.Background()
-	for round := 0; round < 2; round++ { // cold, then through the retained assembly
-		want, err := Solve(ctx, m, ls, SolveOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Solve(ctx, plain, ls, SolveOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.U {
-			if got.U[i] != want.U[i] {
-				t.Fatalf("round %d: U[%d] differs", round, i)
-			}
-		}
-		ws, err := Stresses(m, want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := Stresses(plain, got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ws {
-			for c := range ws[i] {
-				if gs[i][c] != ws[i][c] {
-					t.Fatalf("round %d: stress %d/%d differs", round, i, c)
 				}
 			}
 		}

@@ -65,12 +65,14 @@ func PartitionByX(m *Model, k int) (*Substructured, error) {
 	}
 	// Which substructures touch each dof?
 	touch := make([]map[int]bool, m.NumDOF())
+	var nodes []int
 	for ei, e := range m.Elements {
 		var cx float64
-		for _, n := range e.Nodes() {
+		nodes = e.AppendNodes(nodes[:0])
+		for _, n := range nodes {
 			cx += m.Nodes[n].X
 		}
-		cx /= float64(len(e.Nodes()))
+		cx /= float64(len(nodes))
 		band := int(float64(k) * (cx - minX) / width)
 		if band >= k {
 			band = k - 1
@@ -175,13 +177,14 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	kib := linalg.NewDense(ni, nb)
 	kbb := linalg.NewDense(nb, nb)
 	st := &linalg.Stats{}
+	var sc stiffScratch
 	for _, ei := range sub.Elems {
 		e := m.Elements[ei]
-		ke, err := e.Stiffness(m)
+		dofs := ElementDOFs(e)
+		ke, err := sc.stiffness(m, e, len(dofs))
 		if err != nil {
 			return nil, err
 		}
-		dofs := ElementDOFs(e)
 		for i, gi := range dofs {
 			ii, isI := idxI[gi]
 			ib, isB := idxB[gi]

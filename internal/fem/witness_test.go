@@ -104,14 +104,6 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 // stiffness: what tells the two apart is the concrete type alone.
 type stiffCST struct{ CST }
 
-func (s *stiffCST) Stiffness(m *Model) (*linalg.Dense, error) {
-	ke := linalg.NewDense(6, 6)
-	if err := s.StiffnessInto(m, ke); err != nil {
-		return nil, err
-	}
-	return ke, nil
-}
-
 func (s *stiffCST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	if err := s.CST.StiffnessInto(m, ke); err != nil {
 		return err
@@ -125,19 +117,6 @@ func (s *stiffCST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 }
 
 func (s *stiffCST) copyElement() Element { cp := *s; return &cp }
-
-// opaqueCST hides a CST behind a named field, so none of the optional
-// interfaces is promoted: an element that gives the assembly no
-// StiffnessInputs to compare.
-type opaqueCST struct{ c *CST }
-
-func (o *opaqueCST) Kind() string                              { return "opaque" }
-func (o *opaqueCST) Nodes() []int                              { return o.c.Nodes() }
-func (o *opaqueCST) Stiffness(m *Model) (*linalg.Dense, error) { return o.c.Stiffness(m) }
-func (o *opaqueCST) Stress(m *Model, u linalg.Vector) ([]float64, error) {
-	return o.c.Stress(m, u)
-}
-func (o *opaqueCST) copyElement() Element { cp := *o.c; return &opaqueCST{c: &cp} }
 
 // witnessModel is mixedModel plus one clamped node no element uses.
 func witnessModel(t *testing.T) (*Model, *LoadSet) {
@@ -219,9 +198,6 @@ func TestStiffnessWitnessCannotLie(t *testing.T) {
 			{inPlace(func(m *Model) { cp := *cst(m, 6); m.Elements[6] = &cp }), skips}}},
 		{"element replaced by another type, equal connectivity and inputs",
 			moved(func(m *Model) { m.Elements[6] = &stiffCST{CST: *cst(m, 6)} })},
-		{"element without StiffnessInputs", []witnessStep{
-			{inPlace(func(m *Model) { m.Elements[6] = &opaqueCST{c: cst(m, 6)} }), assembles},
-			{nil, assembles}, {nil, assembles}}},
 		{"assembly error, re-solve, then exact revert", []witnessStep{
 			// The corner slides onto the line through the last CST's other
 			// two nodes: that element alone degenerates, after the 47

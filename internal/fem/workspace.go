@@ -8,15 +8,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// StiffnessWriter is the optional fast path of an Element: writing the
-// stiffness into a caller-owned matrix lets the numeric assembly phase
-// reuse one scratch matrix instead of allocating the whole Dense chain
-// per element.  Bar and CST implement it; elements that do not fall
-// back to Stiffness.
-type StiffnessWriter interface {
-	StiffnessInto(m *Model, ke *linalg.Dense) error
-}
-
 // Workspace is the symbolic half of direct-stiffness assembly, retained
 // across solves: the reduced sparsity Pattern of the mesh topology and a
 // per-element scatter map from local (i,j) stiffness entries to flat
@@ -60,10 +51,9 @@ type Workspace struct {
 
 	// The witness of the values K.Val was assembled from.  witnessed is
 	// cleared before any write to the value buffer and set only by a
-	// complete, error-free recording pass in which every element
-	// offered StiffnessInputs; while it is set, element e was of type
-	// types[e] and appended inputs[inOff[e]:inOff[e+1]].  probe is the
-	// scratch unchanged reads the current inputs into.
+	// complete, error-free recording pass; while it is set, element e was
+	// of type types[e] and appended inputs[inOff[e]:inOff[e+1]].  probe is
+	// the scratch unchanged reads the current inputs into.
 	witnessed bool
 	types     []reflect.Type
 	inputs    []float64
@@ -71,20 +61,15 @@ type Workspace struct {
 	probe     []float64
 }
 
-// stiffScratch reuses one stiffness matrix per element order for
-// StiffnessWriter elements; the zero value is ready to use.
+// stiffScratch reuses one stiffness matrix per element order; the zero
+// value is ready to use.
 type stiffScratch struct {
 	ke map[int]*linalg.Dense
 }
 
-// stiffness computes an element's stiffness through the allocation-free
-// path when the element offers one.  The returned matrix may be a shared
-// scratch: it is only valid until the next call.
+// stiffness evaluates e's stiffness, of order nd, into the scratch
+// matrix of that order: the result is only valid until the next call.
 func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, error) {
-	sw, ok := e.(StiffnessWriter)
-	if !ok {
-		return e.Stiffness(m)
-	}
 	ke := sc.ke[nd]
 	if ke == nil {
 		if sc.ke == nil {
@@ -93,7 +78,7 @@ func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, e
 		ke = linalg.NewDense(nd, nd)
 		sc.ke[nd] = ke
 	}
-	if err := sw.StiffnessInto(m, ke); err != nil {
+	if err := e.StiffnessInto(m, ke); err != nil {
 		return nil, err
 	}
 	return ke, nil
@@ -116,7 +101,7 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 	ws := &Workspace{m: m, free: free, index: index, ndof: make([]int, ne), off: make([]int, ne+1)}
 	nconn, ncoord := 0, 0
 	for ei, e := range m.Elements {
-		ws.nodes = appendNodes(ws.nodes[:0], e)
+		ws.nodes = e.AppendNodes(ws.nodes[:0])
 		nfree := 0
 		for _, n := range ws.nodes {
 			if n < 0 || n >= len(m.Nodes) {
@@ -139,7 +124,7 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 	rows, cols := make([]int, 0, ncoord), make([]int, 0, ncoord)
 	var reduced []int
 	for ei, e := range m.Elements {
-		ws.nodes = appendNodes(ws.nodes[:0], e)
+		ws.nodes = e.AppendNodes(ws.nodes[:0])
 		// reduced holds the element's dofs as reduced indices, local order.
 		reduced = reduced[:0]
 		for _, n := range ws.nodes {
@@ -183,7 +168,7 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 // built from — dof count, constraint set, element count, and every
 // element's order and connectivity — so a numeric re-assembly of m
 // through the workspace's maps is sound.  It is an O(elements) integer
-// compare that allocates nothing for NodeAppender elements.
+// compare that allocates nothing.
 func (ws *Workspace) Matches(m *Model) bool {
 	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
 		return false
@@ -200,7 +185,7 @@ func (ws *Workspace) Matches(m *Model) bool {
 	}
 	c := 0
 	for ei, e := range m.Elements {
-		ws.nodes = appendNodes(ws.nodes[:0], e)
+		ws.nodes = e.AppendNodes(ws.nodes[:0])
 		if DOFPerNode*len(ws.nodes) != ws.ndof[ei] {
 			return false
 		}
@@ -242,35 +227,28 @@ func (ws *Workspace) assemble(record bool) (*Assembled, error) {
 	if record {
 		ws.resetRecord()
 	}
-	recorded, err := ws.scatter(val, record)
-	if err != nil {
+	if err := ws.scatter(val, record); err != nil {
 		return nil, err
 	}
-	ws.witnessed = recorded
+	ws.witnessed = record
 	ws.asm.Stats = linalg.Stats{Flops: ws.flops}
 	return ws.asm, nil
 }
 
 // scatter evaluates every element and scatters it into val.  With record
-// set it also records each element's type and StiffnessInputs as it
-// goes, and reports whether every element had them to give.
-func (ws *Workspace) scatter(val []float64, record bool) (bool, error) {
+// set it also records each element's type and stiffness inputs as it
+// goes.
+func (ws *Workspace) scatter(val []float64, record bool) error {
 	for ei, e := range ws.m.Elements {
 		if record {
-			si, ok := e.(StiffnessInputs)
-			if record = ok; ok {
-				ws.types[ei] = reflect.TypeOf(e)
-				ws.inputs = si.AppendStiffnessInputs(ws.m, ws.inputs)
-				ws.inOff[ei+1] = len(ws.inputs)
-			}
+			ws.types[ei] = reflect.TypeOf(e)
+			ws.inputs = e.AppendStiffnessInputs(ws.m, ws.inputs)
+			ws.inOff[ei+1] = len(ws.inputs)
 		}
 		nd := ws.ndof[ei]
 		ke, err := ws.scratch.stiffness(ws.m, e, nd)
 		if err != nil {
-			return false, fmt.Errorf("fem: element %d: %w", ei, err)
-		}
-		if ke.Rows != nd || ke.Cols != nd {
-			return false, fmt.Errorf("fem: element %d stiffness %dx%d for %d dofs", ei, ke.Rows, ke.Cols, nd)
+			return fmt.Errorf("fem: element %d: %w", ei, err)
 		}
 		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
 		for i := 0; i < nd; i++ {
@@ -283,7 +261,7 @@ func (ws *Workspace) scatter(val []float64, record bool) (bool, error) {
 			}
 		}
 	}
-	return record, nil
+	return nil
 }
 
 // resetRecord empties the input record for a new recording pass,
@@ -293,8 +271,7 @@ func (ws *Workspace) resetRecord() {
 		ne := len(ws.ndof)
 		ws.types = make([]reflect.Type, ne)
 		ws.inOff = make([]int, ne+1)
-		// Sized for the built-in elements (two coordinates a node plus a
-		// Material); another element only costs a regrowth.
+		// Two coordinates a node plus a Material.
 		ws.inputs = make([]float64, 0, 2*len(ws.conn)+4*ne)
 		ws.probe = make([]float64, 0, 16)
 	}
@@ -311,11 +288,10 @@ func (ws *Workspace) unchanged() bool {
 		return false
 	}
 	for ei, e := range ws.m.Elements {
-		si, ok := e.(StiffnessInputs)
-		if !ok || reflect.TypeOf(e) != ws.types[ei] {
+		if reflect.TypeOf(e) != ws.types[ei] {
 			return false
 		}
-		ws.probe = si.AppendStiffnessInputs(ws.m, ws.probe[:0])
+		ws.probe = e.AppendStiffnessInputs(ws.m, ws.probe[:0])
 		rec := ws.inputs[ws.inOff[ei]:ws.inOff[ei+1]]
 		if len(ws.probe) != len(rec) {
 			return false

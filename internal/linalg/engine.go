@@ -1,12 +1,11 @@
 // The solver engine API: every way of solving K·x = b — direct or
-// iterative, preconditioned or not — is a Solver registered under a
-// backend name, solved through one context-aware entry point, and
+// iterative, preconditioned or not — is a Solver in one static table
+// under a backend name, solved through one context-aware entry point, and
 // reported through one Info.  The fem layer, the REPL's solve verb, and
-// the experiment harness all route through this registry, so a new
-// backend registered here is immediately selectable by name everywhere
-// and appears in the paper's comparison tables without further wiring —
-// the point of evaluating alternative solution strategies under one
-// harness.
+// the experiment harness all route through this table, so the six
+// backends are selectable by name everywhere and appear in the paper's
+// comparison tables side by side — the point of evaluating alternative
+// solution strategies under one harness.
 
 package linalg
 
@@ -74,21 +73,14 @@ const (
 	BackendSOR = "sor"
 )
 
-var (
-	backendMu  sync.RWMutex
-	backendReg = map[string]Solver{}
-)
-
-// RegisterSolver installs a backend in the registry under its Name.  It
-// panics on a duplicate name: backend names are API surface (REPL syntax,
-// experiment table rows), so a silent replacement would be a bug.
-func RegisterSolver(s Solver) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if _, dup := backendReg[s.Name()]; dup {
-		panic("linalg: duplicate solver backend " + s.Name())
-	}
-	backendReg[s.Name()] = s
+// backends maps names to the solvers, which are stateless and shared.
+var backends = map[string]Solver{
+	BackendCholesky:    choleskySolver{name: BackendCholesky},
+	BackendCholeskyRCM: choleskySolver{name: BackendCholeskyRCM, opts: PlanOpts{Ordering: OrderRCM}},
+	BackendCholeskyEnv: choleskySolver{name: BackendCholeskyEnv, opts: PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}},
+	BackendCG:          cgSolver{},
+	BackendJacobi:      jacobiSolver{},
+	BackendSOR:         sorSolver{},
 }
 
 // Backend looks up a registered solver by name; the empty name selects
@@ -98,9 +90,7 @@ func Backend(name string) (Solver, error) {
 	if name == "" {
 		name = BackendCholesky
 	}
-	backendMu.RLock()
-	s, ok := backendReg[name]
-	backendMu.RUnlock()
+	s, ok := backends[name]
 	if !ok {
 		return nil, errs.Usage("unknown solver backend %q (have %v)", name, Backends())
 	}
@@ -109,10 +99,8 @@ func Backend(name string) (Solver, error) {
 
 // Backends returns the registered backend names, sorted.
 func Backends() []string {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]string, 0, len(backendReg))
-	for name := range backendReg {
+	out := make([]string, 0, len(backends))
+	for name := range backends {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -125,19 +113,8 @@ func HasBackend(name string) bool {
 	if name == "" {
 		return true
 	}
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	_, ok := backendReg[name]
+	_, ok := backends[name]
 	return ok
-}
-
-func init() {
-	RegisterSolver(choleskySolver{name: BackendCholesky})
-	RegisterSolver(choleskySolver{name: BackendCholeskyRCM, opts: PlanOpts{Ordering: OrderRCM}})
-	RegisterSolver(choleskySolver{name: BackendCholeskyEnv, opts: PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}})
-	RegisterSolver(cgSolver{})
-	RegisterSolver(jacobiSolver{})
-	RegisterSolver(sorSolver{})
 }
 
 // iterWorkPool recycles iterative-kernel workspaces across Solve calls.

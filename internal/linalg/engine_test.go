@@ -230,12 +230,3 @@ func TestDefaultIterOptsBounds(t *testing.T) {
 		t.Errorf("mid-n budget = %d, want 10n", got)
 	}
 }
-
-func TestRegisterSolverRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
-	RegisterSolver(cgSolver{})
-}

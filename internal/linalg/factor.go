@@ -18,23 +18,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Factorization is a reusable direct factorisation of a sparse SPD
-// system: solve any number of right-hand sides against the current
-// factor, and re-factor in place when the matrix values change.
-type Factorization interface {
-	// N returns the system order.
-	N() int
-	// Refactor re-factors from a's values in place.  a must have the
-	// sparsity pattern the factorisation was planned for.
-	Refactor(a *CSR, st *Stats) error
-	// SolveInto solves A·x = rhs into out (allocated when nil; may
-	// alias rhs), returning out.
-	SolveInto(rhs, out Vector, st *Stats) (Vector, error)
-	// SolveMatrixInto solves A·X = C column by column into out
-	// (allocated when nil), returning out.
-	SolveMatrixInto(c, out *Dense, st *Stats) (*Dense, error)
-}
-
 // Ordering selects the row/column ordering a DirectPlan factors under.
 type Ordering int
 
@@ -93,8 +76,6 @@ type DirectPlan struct {
 	cols     Vector
 	factored bool
 }
-
-var _ Factorization = (*DirectPlan)(nil)
 
 // NewDirectPlan runs the symbolic phase over a's sparsity pattern:
 // ordering, profile, storage, and scatter map.  No values are read —

@@ -51,9 +51,6 @@ type Config struct {
 	// QuotaPolicy picks reject-vs-queue when a connection saturates its
 	// bound.
 	QuotaPolicy job.QuotaPolicy
-	// DefaultUser names sessions of connections that skip the Hello
-	// handshake; defaults to "anon".
-	DefaultUser string
 	// RequestTimeout bounds each command's execution server-side; a
 	// request past it answers with the cancelled code.  <= 0 disables.
 	// wait and submit are exempt (command.Props.ServerTimeoutExempt):
@@ -94,9 +91,6 @@ type Server struct {
 // New builds a server over a system, installing the per-tenant quota on
 // the system's scheduler.
 func New(sys *core.System, cfg Config) *Server {
-	if cfg.DefaultUser == "" {
-		cfg.DefaultUser = "anon"
-	}
 	sys.Jobs.SetQuota(cfg.MaxJobsPerSession, cfg.QuotaPolicy)
 	s := &Server{sys: sys, cfg: cfg, conns: map[*conn]struct{}{}}
 	reg := sys.Obs
@@ -475,7 +469,7 @@ func (c *conn) session(user string) *auvm.Session {
 		return c.sess
 	}
 	if user == "" {
-		user = c.srv.cfg.DefaultUser
+		user = "anon" // a connection that skipped the Hello handshake
 	}
 	c.sessName = fmt.Sprintf("%s@conn-%d", user, c.id)
 	c.sess = c.srv.sys.Session(c.sessName)
