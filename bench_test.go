@@ -52,7 +52,9 @@ func BenchmarkSubstructureSolve(b *testing.B) {
 // twin of the benchmark's iterate_small workload: one client, closed-loop
 // submit+wait on the 8x6 plate, timed only once the scheduler's retention
 // window is full — the steady state a long-lived daemon is in, where
-// every submit also evicts a record.  Run with -benchmem: allocs/op is
+// every submit also evicts the oldest job, and (the mem store dying with
+// the process) deletes its journal record in the batch that writes the
+// new one.  Run with -benchmem: allocs/op is
 // the ceiling a service-path change must not raise.
 func BenchmarkServerThroughput(b *testing.B) {
 	b.Run("submit-wait-steady", func(b *testing.B) {

@@ -88,8 +88,8 @@ type Config struct {
 	TTL time.Duration
 	// Refresh, when non-nil, is called before each follower poll so the
 	// store stack folds in what the leader committed.  Core wires it to
-	// the shared file handle's Refresh plus a cache invalidation; over
-	// an in-process store there is nothing to fold in.
+	// the shared file handle's Refresh; over an in-process store there is
+	// nothing to fold in.
 	Refresh func() error
 	// OnPromote runs on the coordinator goroutine after the lease is
 	// won but before IsLeader turns true — the takeover window where

@@ -11,8 +11,7 @@ import (
 // Fenced is the write barrier between a daemon and the shared store:
 // reads pass through, writes require a live lease and are rewritten
 // into conditional batches asserting store.KeyEpoch still holds this
-// daemon's epoch.  It sits between the guard and the cache in core's
-// layering, so a rejected write never pollutes the cache.
+// daemon's epoch.  It is the top of core's store stack, on the guard.
 type Fenced struct {
 	inner store.Conditional
 	coord *Coordinator

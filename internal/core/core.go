@@ -222,13 +222,15 @@ type System struct {
 	// pool with per-model serialization, shared by every session.
 	Jobs *job.Scheduler
 	// Store is the durable KV layer under the database and the job
-	// journal: a write-through cache over the configured backend.  With
-	// the file backend, models and job records survive a restart.
-	Store *store.CachedStore
-	// Health is the degradation guard between the cache and the backend:
-	// when backend writes keep failing it turns the store read-only
-	// instead of letting errors cascade, and its background probe
-	// re-arms writes once the backend recovers.  See store.Guard.
+	// journal: the configured backend under the guard, and under the
+	// epoch fence when clustered.  With the file backend, models and job
+	// records survive a restart.
+	Store store.Store
+	// Health is the degradation guard on the backend: when backend
+	// writes keep failing it turns the store read-only instead of letting
+	// errors cascade, and its background probe re-arms writes once the
+	// backend recovers.  It also times every store read and write.  See
+	// store.Guard.
 	Health *store.Guard
 	// Cluster, when non-nil, is the lease coordinator of a multi-daemon
 	// deployment (Options.Cluster): it decides whether this daemon
@@ -295,19 +297,21 @@ type ClusterOpts struct {
 // the model database recovered from it, and the job journal attached.
 //
 // The store layering, bottom up: backend → degradation guard → [epoch
-// fence] → write-through cache.  The guard under the cache means a
-// degraded write is refused before the cache sees it, so cache and
-// backend never diverge; reads keep flowing through both.
+// fence].  There is no read cache: nothing re-reads the journal the
+// service writes, and each backend answers a Get from memory or one
+// pread.  On the memory backend, which dies with the process, the job
+// journal keeps only the retention window (job.Scheduler.ForgetEvicted):
+// an evicted id is not found, where the file backend answers it from
+// the journal.
 //
 // A clustered system is the same stack with two differences.  The
-// fence is inserted under the cache, so a write refused on a follower
-// (or fenced on a stale leader) never pollutes the cache; the
-// coordinator's own lease traffic goes through the guard, below the
-// fence, because lease writes are how epochs change.  And the journal
-// is attached without a recovery scan: recovery rewrites records, which
-// only the leader may do, so it runs in the promotion sequence instead.
-// The coordinator is started before returning — a daemon pointed at an
-// unowned store is leader when Open returns.
+// fence goes on the guard, and the coordinator's own lease traffic goes
+// through the guard, below the fence, because lease writes are how
+// epochs change.  And the journal is attached without a recovery scan:
+// recovery rewrites records, which only the leader may do, so it runs
+// in the promotion sequence instead.  The coordinator is started before
+// returning — a daemon pointed at an unowned store is leader when Open
+// returns.
 func Open(o Options) (*System, error) {
 	co := o.Cluster
 	if co != nil {
@@ -338,8 +342,12 @@ func Open(o Options) (*System, error) {
 		file:     file,
 		sessions: map[string]*auvm.Session{},
 	}
-	var under store.Store = guard
+	s.Store = guard
 	if co != nil {
+		var refresh func() error
+		if file != nil {
+			refresh = file.Refresh
+		}
 		// The hooks only fire after Start, below, by which point s is
 		// fully built.
 		s.Cluster = cluster.New(cluster.Config{
@@ -347,15 +355,14 @@ func Open(o Options) (*System, error) {
 			Owner:     co.Owner,
 			Advertise: co.Advertise,
 			TTL:       co.TTL,
-			Refresh:   s.refresh,
+			Refresh:   refresh,
 			OnPromote: func(epoch int64) error { return s.promote(epoch, co.OnPromote) },
 			OnDemote:  co.OnDemote,
 			Obs:       s.Obs,
 			Logf:      co.Logf,
 		})
-		under = cluster.NewFenced(guard, s.Cluster, s.Obs)
+		s.Store = cluster.NewFenced(guard, s.Cluster, s.Obs)
 	}
-	s.Store = store.NewCached(under, 0)
 	// Format check through the guard: on a follower the fenced handle
 	// refuses the first-ever format write, and the key predates any
 	// lease by definition.
@@ -363,11 +370,13 @@ func Open(o Options) (*System, error) {
 		s.Store.Close()
 		return nil, err
 	}
-	s.Database = auvm.NewDatabaseOn(s.Store, o.Store.BackendName())
-	s.Store.SetObs(s.Obs)
 	guard.SetObs(s.Obs)
+	s.Database = auvm.NewDatabaseOn(s.Store, o.Store.BackendName())
 	s.Jobs = job.NewScheduler(o.Workers)
 	s.Jobs.SetObs(s.Obs)
+	if file == nil {
+		s.Jobs.ForgetEvicted()
+	}
 	if co != nil {
 		s.Jobs.SetJournal(s.Store)
 		s.Jobs.SetEpochSource(s.Cluster.Epoch)
@@ -383,20 +392,6 @@ func Open(o Options) (*System, error) {
 	return s, nil
 }
 
-// refresh folds in what another daemon committed to the shared store
-// file — the one layer that can tail it — then drops the cache above.
-// It never truncates, because the writer may be mid-append.  An
-// in-process backend is trivially fresh.
-func (s *System) refresh() error {
-	if s.file != nil {
-		if err := s.file.Refresh(); err != nil {
-			return err
-		}
-	}
-	s.Store.Invalidate()
-	return nil
-}
-
 // promote is the takeover sequence, run on the coordinator goroutine
 // with the lease won but IsLeader still false, so the server keeps
 // refusing writes until recovery finished.  Seal truncates the dead
@@ -409,7 +404,6 @@ func (s *System) promote(epoch int64, hook func(int64)) error {
 			return fmt.Errorf("sealing store: %w", err)
 		}
 	}
-	s.Store.Invalidate()
 	if _, err := s.Jobs.RecoverJournal(); err != nil {
 		return fmt.Errorf("replaying job journal: %w", err)
 	}

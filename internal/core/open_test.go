@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -234,7 +235,9 @@ func TestOpen(t *testing.T) {
 }
 
 // TestSolveStoreBatches counts what a solve writes: a synchronous solve
-// nothing, a submitted one its journal record twice (queued, terminal).
+// nothing, a submitted one its journal record twice (queued, terminal) —
+// past the retention window too, where the delete of the evicted job's
+// record rides in the queued write.
 func TestSolveStoreBatches(t *testing.T) {
 	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1})
 	if err != nil {
@@ -253,5 +256,14 @@ func TestSolveStoreBatches(t *testing.T) {
 	run(t, s, "submit solve plate tip", "wait job-1")
 	if got := batches.Count() - before; got != 2 {
 		t.Errorf("a submitted solve made %d store batches, want 2", got)
+	}
+	sys.Jobs.SetRetention(1)
+	before = batches.Count()
+	run(t, s, "submit solve plate tip", "wait job-2", "submit solve plate tip", "wait job-3")
+	if got := batches.Count() - before; got != 4 {
+		t.Errorf("two submitted solves past retention made %d store batches, want 4", got)
+	}
+	if _, err := sys.Store.Get(store.JobKey(2)); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("job-2's record after job-3 evicted it: %v, want not found", err)
 	}
 }

@@ -24,7 +24,8 @@ import (
 // record is in the journal before dropping it from memory (writing it
 // then if the terminal write failed or never happened), and
 // Status/Wait/Cancel fall back to the journal for ids the in-memory map
-// no longer holds.
+// no longer holds.  A journal on a store that dies with the process
+// keeps only the retention window instead (ForgetEvicted).
 
 // journalRecord is the JSON encoding of one job record.  Cmd and Result
 // reuse the wire envelopes (command.MarshalCommand/MarshalResult), so
@@ -87,6 +88,18 @@ func (s *Scheduler) SetJournal(st store.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.journal = st
+}
+
+// ForgetEvicted makes retention eviction delete the evicted job's record
+// from the journal rather than keep it: for a store that dies with the
+// process, where no restart will read the record and only memory pays
+// for it.  An evicted id is then not found.  The delete rides in the
+// journal write that follows the eviction — the submit that caused it
+// — so a job still costs the store two batches.
+func (s *Scheduler) ForgetEvicted() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.forget = true
 }
 
 // RecoverJournal is the cluster-takeover replay: a freshly promoted
@@ -239,12 +252,27 @@ func (s *Scheduler) persistLocked(j *job) bool {
 	}
 	raw, err := s.recordLocked(j)
 	if err == nil {
-		err = s.journal.Put(store.JobKey(int64(j.id)), raw)
+		err = s.writeLocked(store.Put(store.JobKey(int64(j.id)), raw))
 	}
 	if err != nil {
 		s.journalWriteFailedLocked(j, err)
 	}
 	return err == nil
+}
+
+// writeLocked writes one record, with the deletes of the records
+// eviction forgot in the same batch; if the batch fails they stay
+// pending for the next write.
+func (s *Scheduler) writeLocked(op store.Op) error {
+	if len(s.forgotten) == 0 {
+		return s.journal.Put(op.Key, op.Value)
+	}
+	ops := append(s.forgotten, op)
+	if err := s.journal.Batch(ops); err != nil {
+		return err
+	}
+	s.forgotten = ops[:0]
+	return nil
 }
 
 // journalWriteFailedLocked is the log-mark-continue half of the journal

@@ -133,6 +133,11 @@ type Scheduler struct {
 	// store (see journal.go): queued at submit, terminal at finish, and
 	// flushed before retention eviction.
 	journal store.Store
+	// forget makes retention eviction delete the evicted job's record
+	// instead (ForgetEvicted); forgotten holds those deletes until the
+	// next journal write carries them.
+	forget    bool
+	forgotten []store.Op
 	// recBuf is the buffer every journal record is encoded in; the store
 	// copies what it is given.
 	recBuf []byte
@@ -255,13 +260,17 @@ func (s *Scheduler) JournalErrors() int64 {
 }
 
 // SetRetention rebounds the retained job history (<= 0 keeps everything
-// — unbounded, test use only).  Ids evicted by retention answer
-// ErrNotFound from Status/Wait/Cancel.
+// — unbounded, test use only).  Ids evicted by retention are answered
+// from the journal, or ErrNotFound from Status/Wait/Cancel when there is
+// none or it forgets them (ForgetEvicted).
 func (s *Scheduler) SetRetention(n int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.retain = n
 	s.evictLocked()
-	s.mu.Unlock()
+	if len(s.forgotten) > 0 && s.journal.Batch(s.forgotten) == nil {
+		s.forgotten = s.forgotten[:0]
+	}
 }
 
 // evictLocked drops the oldest terminal job records until the map is
@@ -291,8 +300,12 @@ func (s *Scheduler) evictLocked() {
 		// The record must be in the journal before it leaves memory, so
 		// history survives eviction (and restart): Status and Wait keep
 		// answering for evicted ids via the journal.  finishLocked has
-		// usually put it there already.
-		if !j.journaled {
+		// usually put it there already.  A journal that forgets evicted
+		// jobs is told to delete it instead, in the write that follows.
+		switch {
+		case s.forget:
+			s.forgotten = append(s.forgotten, store.Del(store.JobKey(int64(id))))
+		case !j.journaled:
 			s.persistLocked(j)
 		}
 		delete(s.jobs, id)

@@ -135,13 +135,12 @@ type emitLine struct {
 	TS            string `json:"ts"`
 	UptimeSeconds int64  `json:"uptime_s"`
 	// JobsPerSec is the job completion rate over the last tick; the
-	// hit rates are cumulative since start.
-	JobsPerSec        float64                  `json:"jobs_per_sec"`
-	FactorHitRate     float64                  `json:"factor_hit_rate"`
-	StoreCacheHitRate float64                  `json:"store_cache_hit_rate"`
-	Counters          map[string]int64         `json:"counters,omitempty"`
-	Gauges            map[string]int64         `json:"gauges,omitempty"`
-	Histograms        map[string]HistogramSnap `json:"hist,omitempty"`
+	// hit rate is cumulative since start.
+	JobsPerSec    float64                  `json:"jobs_per_sec"`
+	FactorHitRate float64                  `json:"factor_hit_rate"`
+	Counters      map[string]int64         `json:"counters,omitempty"`
+	Gauges        map[string]int64         `json:"gauges,omitempty"`
+	Histograms    map[string]HistogramSnap `json:"hist,omitempty"`
 }
 
 // emit writes one line.  at is the tick time (zero with a fake ticker
@@ -153,10 +152,9 @@ func (e *Emitter) emit(at time.Time) {
 	snap := e.reg.Snapshot()
 
 	line := emitLine{
-		TS:                at.UTC().Format(time.RFC3339Nano),
-		UptimeSeconds:     snap.UptimeSeconds,
-		FactorHitRate:     rate(snap.Counter(FactorHits), snap.Counter(FactorMisses)),
-		StoreCacheHitRate: rate(snap.Counter(StoreCacheHits), snap.Counter(StoreCacheMisses)),
+		TS:            at.UTC().Format(time.RFC3339Nano),
+		UptimeSeconds: snap.UptimeSeconds,
+		FactorHitRate: rate(snap.Counter(FactorHits), snap.Counter(FactorMisses)),
 	}
 	done := snap.Counter(JobDone)
 	if dt := at.Sub(e.prevTime).Seconds(); dt > 0 && done >= e.prevDone {

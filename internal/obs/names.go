@@ -27,14 +27,14 @@ const (
 	JobLatencySolvePrefix = "job.latency.solve." // histogram family: solve wall time per backend
 
 	// Durable store (internal/store).
-	StoreCacheHits       = "store.cache_hits"       // counter: CachedStore Gets served from memory
-	StoreCacheMisses     = "store.cache_misses"     // counter: CachedStore Gets that hit the backend
+	StoreCacheHits       = "store.cache_hits"       // counter: no longer emitted (no read cache in the daemon); the benchmark still reads it
+	StoreCacheMisses     = "store.cache_misses"     // counter: as store.cache_hits
 	StoreGuardTrips      = "store.guard_trips"      // counter: times the guard entered degraded mode
 	StoreDegraded        = "store.degraded"         // gauge: 1 while the store is read-only, else 0
 	StoreDegradedSeconds = "store.degraded_seconds" // counter: whole seconds spent degraded (completed episodes)
-	StoreGetLatency      = "store.get"              // histogram: Get latency, cache hits included
-	StorePutLatency      = "store.put"              // histogram: Put latency (write-through, rides Batch)
-	StoreBatchLatency    = "store.batch"            // histogram: Batch latency, backend write included
+	StoreGetLatency      = "store.get"              // histogram: Get latency at the guard
+	StorePutLatency      = "store.put"              // histogram: Put latency at the guard (each Put counts in store.batch too)
+	StoreBatchLatency    = "store.batch"            // histogram: write latency at the guard: Put, Delete, Batch, BatchIf
 
 	// Network front end (internal/server).
 	ServerConnections   = "server.connections"    // gauge: open client connections

@@ -146,7 +146,9 @@ func TestDrainingGate(t *testing.T) {
 }
 
 func TestDegradedGate(t *testing.T) {
-	in := fault.NewInjector(1, fault.Rule{Op: fault.OpBatch, Fault: fault.Fault{Err: fault.ErrIO}})
+	in := fault.NewInjector(1,
+		fault.Rule{Op: fault.OpPut, Fault: fault.Fault{Err: fault.ErrIO}},
+		fault.Rule{Op: fault.OpBatch, Fault: fault.Fault{Err: fault.ErrIO}})
 	in.Disarm()
 	sys := openSystem(t, core.Options{
 		Store: store.Config{Wrap: fault.WrapStore(in)},

@@ -39,14 +39,14 @@ type Config struct {
 	// Wrap, when non-nil, decorates the freshly opened backend before
 	// anything else sees it.  It exists for fault injection: chaos tests
 	// interpose internal/fault's store wrapper here, underneath the
-	// degradation guard and the cache.
+	// degradation guard.
 	Wrap func(Conditional) Conditional
 }
 
 // Open builds the configured backend and applies the Wrap hook.  file
 // is the file backend's own handle underneath the hook (nil for the
 // memory backend): the one layer with Refresh and Seal.  core.Open
-// stacks the guard, the cluster fence and the cache on s.
+// stacks the guard and, when clustered, the fence on s.
 func Open(cfg Config) (s Conditional, file *FileStore, err error) {
 	switch cfg.Backend {
 	case "", BackendMem:

@@ -49,16 +49,16 @@ type GuardOpts struct {
 //     consecutive failure; a success resets the count.  At Threshold
 //     consecutive failures the guard trips: it is now *degraded*.
 //   - While degraded, writes fail fast with ErrDegraded without
-//     touching the backend; reads pass through untouched (the cache
-//     and the backend's index still serve).
+//     touching the backend; reads pass through untouched (the backend's
+//     map or index still serves).
 //   - A background probe retries a tiny write (KeyProbe) every
 //     ProbeInterval; the first success re-arms writes and the guard
 //     reports healthy again.  Probe does the same synchronously for
 //     deterministic tests.
 //
-// Guard sits between the backend and the cache: the cache's
-// write-through contract already refuses to cache a value the backend
-// rejected, so a degraded write leaves cache and backend coherent.
+// Guard sits directly on the backend, under the cluster fence when there
+// is one: every read and write of the store stack passes it, so it also
+// times them (the store.get/put/batch histograms, see SetObs).
 type Guard struct {
 	inner Conditional
 	opts  GuardOpts
@@ -74,12 +74,13 @@ type Guard struct {
 	// healthy); recovery folds the episode into mDegradedSecs.
 	trippedAt time.Time
 
-	// obs mirrors (SetObs): trip count, live degraded gauge, and whole
-	// seconds spent degraded across completed episodes.  Nil no-op sinks
-	// until routed.
-	mTrips        *obs.Counter
-	mDegradedSecs *obs.Counter
-	gDegraded     *obs.Gauge
+	// obs mirrors (SetObs): trip count, live degraded gauge, whole
+	// seconds spent degraded across completed episodes, and the operation
+	// latencies.  Nil no-op sinks until routed.
+	mTrips             *obs.Counter
+	mDegradedSecs      *obs.Counter
+	gDegraded          *obs.Gauge
+	hGet, hPut, hBatch *obs.Histogram
 }
 
 // NewGuard wraps inner with the degradation policy.
@@ -93,16 +94,22 @@ func NewGuard(inner Conditional, opts GuardOpts) *Guard {
 	return &Guard{inner: inner, opts: opts}
 }
 
-// SetObs routes the guard's health metrics through reg: the trip count
-// that previously only Trips could read, a live degraded gauge, and the
-// seconds spent degraded (completed episodes; an episode still open
-// shows on the gauge, not the counter).  Nil reg reverts to no-op sinks.
+// SetObs routes the guard's metrics through reg: the trip count that
+// previously only Trips could read, a live degraded gauge, the seconds
+// spent degraded (completed episodes; an episode still open shows on the
+// gauge, not the counter), and the latency of every Get, Put and batch
+// that passes.  A Put counts in store.put and store.batch, a Delete or a
+// BatchIf in store.batch.  Call it before traffic; nil reg reverts to
+// no-op sinks.
 func (g *Guard) SetObs(reg *obs.Registry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.mTrips = reg.Counter(obs.StoreGuardTrips)
 	g.mDegradedSecs = reg.Counter(obs.StoreDegradedSeconds)
 	g.gDegraded = reg.Gauge(obs.StoreDegraded)
+	g.hGet = reg.Histogram(obs.StoreGetLatency)
+	g.hPut = reg.Histogram(obs.StorePutLatency)
+	g.hBatch = reg.Histogram(obs.StoreBatchLatency)
 	if g.degraded {
 		g.gDegraded.Set(1)
 	}
@@ -123,7 +130,11 @@ func (g *Guard) Trips() int64 {
 }
 
 // Get passes reads through: degraded mode is read-only, not read-never.
-func (g *Guard) Get(key string) ([]byte, error) { return g.inner.Get(key) }
+func (g *Guard) Get(key string) ([]byte, error) {
+	start := time.Now()
+	defer func() { g.hGet.Observe(time.Since(start)) }()
+	return g.inner.Get(key)
+}
 
 // Seek passes through like Get.
 func (g *Guard) Seek(prefix string, fn func(key string, value []byte) bool) error {
@@ -131,6 +142,8 @@ func (g *Guard) Seek(prefix string, fn func(key string, value []byte) bool) erro
 }
 
 func (g *Guard) Put(key string, value []byte) error {
+	start := time.Now()
+	defer func() { g.hPut.Observe(time.Since(start)) }()
 	return g.write(func() error { return g.inner.Put(key, value) })
 }
 
@@ -148,8 +161,10 @@ func (g *Guard) BatchIf(key string, want []byte, ops []Op) error {
 	return g.write(func() error { return g.inner.BatchIf(key, want, ops) })
 }
 
-// write runs one backend write under the policy.
+// write runs one backend write under the policy, timing it as a batch.
 func (g *Guard) write(op func() error) error {
+	start := time.Now()
+	defer func() { g.hBatch.Observe(time.Since(start)) }()
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()

@@ -1,7 +1,10 @@
 // Package store is the durable key-value layer under FEM-2: one small
-// Store interface, swappable backends behind a Config, and a
-// write-through cache in front — the neo-go core/storage + dbconfig +
-// MemCachedStore layering, sized for this repo.
+// Store interface, swappable backends behind a Config, and the
+// degradation Guard that core.Open stacks on the backend — the neo-go
+// core/storage + dbconfig layering, sized for this repo.  There is no
+// read cache in the stack: MemStore answers from its map and FileStore
+// with one pread at an indexed offset (CachedStore exists, unstacked;
+// see its comment).
 //
 // Everything the service persists goes through this package under a
 // documented key schema (see docs/storage.md):
