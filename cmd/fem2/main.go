@@ -24,8 +24,9 @@
 //
 // With -connect the REPL runs against a fem2d daemon instead of an
 // in-process system: the same command language, the same output lines,
-// with jobs running server-side.  -notify additionally prints the
-// server's job-state notifications as they arrive.  A dropped
+// with jobs running server-side.  -notify subscribes the connection to
+// the server's job-state notifications in the handshake and prints them
+// as they arrive; without it the server sends none.  A dropped
 // connection is redialed transparently up to -retries times per
 // request (0 disables reconnection), replaying only the idempotent
 // global verbs; -request-timeout bounds each request client-side
@@ -66,7 +67,7 @@ func main() {
 	user := flag.String("user", "engineer", "user name for the session")
 	report := flag.Bool("report", false, "print the machine report on exit")
 	connect := flag.String("connect", "", "serve the REPL from a fem2d daemon at host:port (comma-separate cluster endpoints)")
-	notify := flag.Bool("notify", false, "with -connect: print job-state notifications")
+	notify := flag.Bool("notify", false, "with -connect: subscribe to job-state notifications and print them")
 	storeBackend := flag.String("store", "mem", "storage backend: mem | file")
 	storePath := flag.String("store-path", "", "with -store file: the store's file path")
 	storeSync := flag.Bool("store-sync", false, "with -store file: fsync every batch (durable through power loss, slower)")
@@ -110,7 +111,7 @@ func main() {
 		}
 		cl, err := client.DialWithOptions(*connect, *user, client.Options{
 			MaxRetries: *retries, BaseBackoff: *retryBackoff,
-			RequestTimeout: *requestTimeout, Obs: reg})
+			RequestTimeout: *requestTimeout, Obs: reg, Notify: *notify})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fem2:", err)
 			os.Exit(1)

@@ -491,7 +491,8 @@ func Dial(addr, user string) (*Client, error) { return client.Dial(addr, user) }
 
 // ClientOptions tunes a client's resilience: reconnect budget,
 // exponential backoff with seeded jitter, per-request deadlines, and a
-// dialer hook.  The zero value is Dial's historical behaviour.
+// dialer hook; Notify subscribes to job notifications (Client.Events).
+// The zero value is Dial's behaviour.
 type ClientOptions = client.Options
 
 // DialWithOptions connects with explicit resilience settings: with a

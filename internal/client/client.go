@@ -9,7 +9,7 @@
 // A Client is safe for concurrent use: requests are correlated by id,
 // so goroutines may pipeline commands (a blocking wait does not stall
 // a concurrent cancel).  Server-pushed job-state notifications arrive
-// on Events.
+// on Events when Options.Notify asked for them.
 //
 // # Reconnection
 //
@@ -158,6 +158,10 @@ type Options struct {
 	// (client.reconnects, client.retries) — a standalone registry for
 	// the CLI's -metrics flag, or a shared one in larger deployments.
 	Obs *obs.Registry
+	// Notify subscribes every connection's handshake, reconnects
+	// included, to its jobs' notifications, which arrive on Events.
+	// Without it the server sends none.
+	Notify bool
 }
 
 // eventQueue bounds the notification buffer; a client that never reads
@@ -307,7 +311,7 @@ func (c *Client) connect(ctx context.Context) (*link, *wire.Welcome, error) {
 		defer cancel()
 	}
 	resp, err := ln.roundTrip(hctx, &wire.Request{
-		Hello: &wire.Hello{User: c.user, Proto: command.ProtocolVersion}})
+		Hello: &wire.Hello{User: c.user, Proto: command.ProtocolVersion, Notify: c.opts.Notify}})
 	if err != nil {
 		ln.fail(err)
 		return nil, nil, fmt.Errorf("client: handshake: %w", err)
@@ -499,10 +503,12 @@ func (c *Client) Failovers() int {
 }
 
 // Events is the notification stream: one JobEvent per lifecycle
-// transition of the current connection's jobs.  The channel closes
-// when the client closes for good (Close, or any connection failure
-// when retries are disabled).  Events are best-effort (a full buffer
-// drops); status and wait are the authoritative record.
+// transition of the current connection's jobs, when Options.Notify
+// subscribed to them; otherwise it stays open and receives nothing.
+// The channel closes when the client closes for good (Close, or any
+// connection failure when retries are disabled).  Events are
+// best-effort (a full buffer drops); status and wait are the
+// authoritative record.
 func (c *Client) Events() <-chan *wire.JobEvent { return c.events }
 
 // Close tears the client down.  In-flight Do calls fail with
@@ -795,8 +801,9 @@ func (c *Client) Execute(ctx context.Context, line string) (string, error) {
 
 // Run drives the remote session as a REPL, mirroring auvm.Session.Run
 // line for line: output then `error: ...` lines, quit returns nil.
-// When notify is true, job-state notifications print as they arrive,
-// interleaved between command outputs.
+// When notify is true, the job-state notifications Options.Notify
+// subscribed to print as they arrive, interleaved between command
+// outputs.
 func (c *Client) Run(ctx context.Context, r io.Reader, w io.Writer, notify bool) error {
 	var wmu sync.Mutex
 	if notify {

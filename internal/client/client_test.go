@@ -61,7 +61,7 @@ func TestEventsCloseOnClose(t *testing.T) {
 	_, addr := startServer(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		cl, err := fem2.Dial(addr, "eng")
+		cl, err := fem2.DialWithOptions(addr, "eng", fem2.ClientOptions{Notify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,6 +149,57 @@ func TestReconnectReplaysIdempotent(t *testing.T) {
 			t.Error("events closed by a survivable reconnect")
 		}
 	default:
+	}
+}
+
+// TestNotifySurvivesReconnect: Options.Notify goes out in every
+// handshake, so the connection that replaces a dead one is subscribed
+// too, and a job submitted on it reports queued, running and done.
+func TestNotifySurvivesReconnect(t *testing.T) {
+	_, addr := startServer(t)
+	// Connection 1 dies on its 2nd outbound frame: the first ping.
+	dialer := fault.Dialer(func(n int) *fault.Injector {
+		if n == 1 {
+			return fault.NewInjector(1, fault.Rule{
+				Op: fault.OpWrite, After: 1, Count: 1,
+				Fault: fault.Fault{Err: fault.ErrIO}})
+		}
+		return nil
+	})
+	cl, err := fem2.DialWithOptions(addr, "eng", fem2.ClientOptions{
+		MaxRetries: 3, BaseBackoff: time.Millisecond, Dialer: dialer, Notify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if _, err := cl.Do(ctx, fem2.PingCommand{}); err != nil {
+		t.Fatalf("ping across the drop: %v", err)
+	}
+	if cl.Reconnects() != 1 {
+		t.Fatalf("Reconnects() = %d, want 1", cl.Reconnects())
+	}
+	cl.Do(ctx, fem2.GenerateGrid{Name: "m", NX: 2, NY: 2, W: 2, H: 2, ClampLeft: true})
+	cl.Do(ctx, fem2.EndLoad{Model: "m", Set: "l", FY: -1})
+	res, err := cl.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "m", Set: "l"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := res.(*fem2.SubmitResult).ID
+	var states []string
+	deadline := time.After(5 * time.Second)
+	for len(states) < 3 {
+		select {
+		case ev := <-cl.Events():
+			if ev.Job == id {
+				states = append(states, ev.State)
+			}
+		case <-deadline:
+			t.Fatalf("after the reconnect job-%d reported %v, want queued, running, done", id, states)
+		}
+	}
+	if fmt.Sprint(states) != "[queued running done]" {
+		t.Errorf("after the reconnect job-%d reported %v, want [queued running done]", id, states)
 	}
 }
 

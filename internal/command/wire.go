@@ -43,8 +43,9 @@ const Release = "0.9.0"
 // "not-leader" error code (with its leader field) and the optional
 // role/leader fields on the Welcome envelope; all are JSON-only and
 // omitted outside a cluster, so every single-daemon rev-4 exchange is
-// byte-identical under rev 5.
-const ProtocolVersion = 5
+// byte-identical under rev 5.  Revision 6 added the handshake's notify
+// field: job notifications go only to a connection that set it.
+const ProtocolVersion = 6
 
 // cmdEnvelope is the wire form of one Command.  Submit nests its wrapped
 // command as another envelope under "cmd"; every other verb carries its

@@ -93,7 +93,7 @@ func TestFinishedJobHasReleasedItsModel(t *testing.T) {
 		return &command.SolveResult{}, nil
 	})
 	heldAtDone := 0
-	s.Subscribe(func(snap Snapshot) { // runs under s.mu
+	s.Subscribe("eng", func(snap Snapshot) { // runs under s.mu
 		if _, held := s.busy[modelKey{snap.Owner, snap.Model}]; held && snap.State.Terminal() {
 			heldAtDone++
 		}

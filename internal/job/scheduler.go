@@ -126,8 +126,9 @@ type Scheduler struct {
 	liveTotal int
 	quota     int
 	policy    QuotaPolicy
-	// subs are the job-event subscribers, keyed by registration id.
-	subs    map[int]func(Snapshot)
+	// subs are the job-event subscribers, keyed by owner and then by
+	// registration id.
+	subs    map[string]map[int]func(Snapshot)
 	subNext int
 	// journal, when non-nil, persists job records through the system's
 	// store (see journal.go): queued at submit, terminal at finish, and
@@ -188,6 +189,7 @@ func NewScheduler(workers int) *Scheduler {
 		jobs:    map[JobID]*job{},
 		busy:    map[modelKey]holder{},
 		live:    map[string]int{},
+		subs:    map[string]map[int]func(Snapshot){},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s

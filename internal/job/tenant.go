@@ -107,37 +107,42 @@ func (s *Scheduler) admitLocked(ctx context.Context, owner string) error {
 	return nil
 }
 
-// Subscribe registers fn to receive a Snapshot at every job lifecycle
-// transition — queued, running, and the terminal states — across all
-// owners; the caller filters.  It returns the unsubscribe function.
+// Subscribe registers fn to receive a Snapshot at every lifecycle
+// transition — queued, running, and the terminal states — of owner's
+// jobs, and of nobody else's.  It returns the unsubscribe function.
 // fn is invoked with the scheduler's mutex held, so it must be fast
 // and must not call back into the scheduler: hand the snapshot to a
 // channel or queue and return.
-func (s *Scheduler) Subscribe(fn func(Snapshot)) (cancel func()) {
+func (s *Scheduler) Subscribe(owner string, fn func(Snapshot)) (cancel func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.subs == nil {
-		s.subs = map[int]func(Snapshot){}
+	if s.subs[owner] == nil {
+		s.subs[owner] = map[int]func(Snapshot){}
 	}
 	s.subNext++
 	id := s.subNext
-	s.subs[id] = fn
+	s.subs[owner][id] = fn
 	return func() {
 		s.mu.Lock()
-		delete(s.subs, id)
+		delete(s.subs[owner], id)
+		if len(s.subs[owner]) == 0 {
+			delete(s.subs, owner)
+		}
 		s.mu.Unlock()
 	}
 }
 
-// publishLocked fans the job's current snapshot out to every
-// subscriber.  Called under the mutex at each state transition, so
-// subscribers observe transitions in true order.
+// publishLocked fans the job's current snapshot out to its owner's
+// subscribers, building it only when there is one.  Called under the
+// mutex at each state transition, so subscribers observe transitions in
+// true order.
 func (s *Scheduler) publishLocked(j *job) {
-	if len(s.subs) == 0 {
+	subs := s.subs[j.owner]
+	if len(subs) == 0 {
 		return
 	}
 	snap := s.snapshotLocked(j)
-	for _, fn := range s.subs {
+	for _, fn := range subs {
 		fn(snap)
 	}
 }

@@ -147,7 +147,7 @@ func TestSubscribeEventOrder(t *testing.T) {
 
 	var mu sync.Mutex
 	events := map[JobID][]State{}
-	unsub := s.Subscribe(func(snap Snapshot) {
+	unsub := s.Subscribe("alice", func(snap Snapshot) {
 		mu.Lock()
 		events[snap.ID] = append(events[snap.ID], snap.State)
 		mu.Unlock()
@@ -195,7 +195,7 @@ func TestSubscribeSeesCancelledQueuedJob(t *testing.T) {
 	defer s.Close()
 	var mu sync.Mutex
 	var states []State
-	s.Subscribe(func(snap Snapshot) {
+	s.Subscribe("alice", func(snap Snapshot) {
 		mu.Lock()
 		states = append(states, snap.State)
 		mu.Unlock()
@@ -223,6 +223,54 @@ func TestSubscribeSeesCancelledQueuedJob(t *testing.T) {
 	defer mu.Unlock()
 	if len(states) != 1 || states[0] != Cancelled {
 		t.Errorf("cancelled-queued trail = %v, want [cancelled]", states)
+	}
+}
+
+// TestSubscribeHearsOnlyItsOwner: a subscriber for alice receives every
+// transition of her jobs and none of bob's, and bob's jobs — his one
+// subscriber left before they ran — hand nobody a Snapshot.  publish
+// builds a Snapshot only to pass it to subscribers, so what the hooks
+// below count is every Snapshot built.
+func TestSubscribeHearsOnlyItsOwner(t *testing.T) {
+	s := NewScheduler(2)
+	defer s.Close()
+	var mu sync.Mutex
+	heard := map[string][]string{} // subscribed owner → owners of the snapshots it got
+	hook := func(owner string) func(Snapshot) {
+		return func(snap Snapshot) {
+			mu.Lock()
+			heard[owner] = append(heard[owner], snap.Owner)
+			mu.Unlock()
+		}
+	}
+	s.Subscribe("alice", hook("alice"))
+	s.Subscribe("carol", hook("carol"))
+	s.Subscribe("bob", hook("bob"))()
+	s.mu.Lock()
+	_, kept := s.subs["bob"]
+	s.mu.Unlock()
+	if kept {
+		t.Error("bob's last unsubscribe left an entry for him")
+	}
+
+	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		return &command.SolveResult{}, nil
+	})
+	ctx := context.Background()
+	for _, owner := range []string{"bob", "alice", "bob", "alice", "bob"} {
+		id, err := s.Submit(ctx, owner, ex, solveOn("a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Wait(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string][]string{"alice": {"alice", "alice", "alice", "alice", "alice", "alice"}}
+	if fmt.Sprint(heard) != fmt.Sprint(want) {
+		t.Errorf("snapshots heard, by subscriber: %v, want alice's two jobs × 3 transitions to alice alone", heard)
 	}
 }
 

@@ -2,6 +2,7 @@ package navm
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -224,11 +225,12 @@ func TestRemoteVsLocalWindowAccounting(t *testing.T) {
 
 	// Force a reader onto the other cluster.
 	homeCluster := a.HomeCluster()
-	var remoteReads int64
+	// Replicas run concurrently on different PEs, so the count is atomic.
+	var remoteReads atomic.Int64
 	rt.RegisterTaskType("reader", 32, 4, func(tc *TaskCtx, replica int) error {
 		if tc.pe.Cluster != homeCluster {
 			w.Read(tc)
-			remoteReads++
+			remoteReads.Add(1)
 		}
 		return nil
 	})
@@ -237,11 +239,11 @@ func TestRemoteVsLocalWindowAccounting(t *testing.T) {
 	if err := g.Wait(root); err != nil {
 		t.Fatal(err)
 	}
-	if remoteReads == 0 {
+	if remoteReads.Load() == 0 {
 		t.Fatal("no replication landed on a remote cluster")
 	}
-	if got := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrRemoteAccesses); got != remoteReads {
-		t.Errorf("remote_accesses = %d, want %d", got, remoteReads)
+	if got := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrRemoteAccesses); got != remoteReads.Load() {
+		t.Errorf("remote_accesses = %d, want %d", got, remoteReads.Load())
 	}
 	// Remote reads crossed the simulated network.
 	if rt.Machine().Network().TotalMessages() == 0 {

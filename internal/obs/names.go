@@ -42,7 +42,7 @@ const (
 	ServerFramesOut     = "server.frames_out"     // counter: response/notification frames written
 	ServerFramesGeneral = "server.frames_general" // counter: request frames not in canonical form, decoded by the general path (docs/protocol.md); 0 when every client is ours
 	ServerFlushes       = "server.flushes"        // counter: socket flushes; frames_out / flushes is how many frames share one write
-	ServerEventsDropped = "server.events_dropped" // counter: job notifications dropped because the connection's event queue was full (status/wait stay authoritative)
+	ServerEventsDropped = "server.events_dropped" // counter: job notifications dropped because a subscribed connection's event queue was full (status/wait stay authoritative)
 	ServerQuotaRejected = "server.quota_rejected" // counter: requests answered with the quota code
 	ServerPanics        = "server.panics"         // counter: panics recovered while executing a command (request goroutine or scheduled job), answered as errors
 	ServerRequestPrefix = "server.request."       // histogram family: decode-to-reply latency per verb

@@ -77,6 +77,20 @@ func (p *tcpPeer) send(cmds ...command.Command) []uint64 {
 	return ids
 }
 
+// hello opens the connection with the handshake as user, subscribed to
+// its jobs' notifications when notify is set.
+func (p *tcpPeer) hello(user string, notify bool) {
+	p.t.Helper()
+	p.id++
+	hello := &wire.Hello{User: user, Proto: command.ProtocolVersion, Notify: notify}
+	if err := wire.EncodeRequest(p.nc, &wire.Request{ID: p.id, Hello: hello}); err != nil {
+		p.t.Fatalf("send: %v", err)
+	}
+	if resp := p.next(); resp.ID != p.id || resp.Welcome == nil {
+		p.t.Fatalf("hello answered %+v", resp)
+	}
+}
+
 // next reads one frame.
 func (p *tcpPeer) next() *wire.Response {
 	p.t.Helper()
@@ -257,6 +271,7 @@ func TestControlVerbsOvertakeARunningSolve(t *testing.T) {
 // of its own), never by waiting for the model on the reader.
 func TestPingAnswersBehindARefusedEdit(t *testing.T) {
 	p := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))()
+	p.hello("eng", true)
 	p.do(command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true})
 	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
 	// Jacobi on this plate iterates for seconds; the cancel below ends it.
@@ -301,6 +316,7 @@ func TestPingAnswersBehindARefusedEdit(t *testing.T) {
 // it.
 func TestFrameOrderPerJob(t *testing.T) {
 	p := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))()
+	p.hello("eng", true)
 	p.do(generate)
 	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
 	jobs := 1000
@@ -355,6 +371,57 @@ func TestFrameOrderPerJob(t *testing.T) {
 	}
 }
 
+// TestOnlySubscribedConnectionsHearOfTheirJobs: three connections each
+// submit and wait one solve — one sending bare commands with no
+// handshake, one whose hello leaves notify out, one whose hello sets it.
+// Only the third is sent ID-0 frames, and exactly its job's queued,
+// running and done.
+func TestOnlySubscribedConnectionsHearOfTheirJobs(t *testing.T) {
+	dial := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))
+	for _, c := range []struct {
+		name string
+		open func(p *tcpPeer)
+		want string
+	}{
+		{"no hello", func(*tcpPeer) {}, "[]"},
+		{"hello without notify", func(p *tcpPeer) { p.hello("eng", false) }, "[]"},
+		{"hello with notify", func(p *tcpPeer) { p.hello("eng", true) }, "[queued running done]"},
+	} {
+		p := dial()
+		c.open(p)
+		var pushed []string
+		// until reads frames up to the reply to id, noting every ID-0 frame.
+		until := func(id uint64) *wire.Response {
+			for {
+				resp := p.next()
+				switch {
+				case resp.ID == 0 && resp.Event != nil:
+					pushed = append(pushed, resp.Event.State)
+				case resp.ID == 0:
+					pushed = append(pushed, fmt.Sprintf("%+v", resp))
+				case resp.ID == id:
+					if resp.Error != nil {
+						t.Fatalf("%s: %+v", c.name, resp.Error)
+					}
+					return resp
+				}
+			}
+		}
+		for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+			until(p.send(cmd)[0])
+		}
+		res, err := command.UnmarshalResult(until(p.send(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}})[0]).Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		until(p.send(command.Wait{ID: res.(*command.SubmitResult).ID})[0])
+		until(p.send(command.Ping{})[0])
+		if got := fmt.Sprint(pushed); got != c.want {
+			t.Errorf("%s: ID-0 frames %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // connOf returns the server's only connection and its session.
 func connOf(t *testing.T, srv *Server) (*conn, *auvm.Session) {
 	t.Helper()
@@ -395,6 +462,7 @@ func TestQueuedEventsFlushBeforeClose(t *testing.T) {
 			sys := openSystem(t, core.Options{})
 			srv := New(sys, Config{})
 			p := serveTCP(t, srv)()
+			p.hello("anon", true)
 			p.do(generate)
 			p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
 			c, sess := connOf(t, srv)
@@ -444,6 +512,7 @@ func TestFullEventQueueDropsAndCounts(t *testing.T) {
 	sys := openSystem(t, core.Options{})
 	srv := New(sys, Config{})
 	p := serveTCP(t, srv)()
+	p.hello("anon", true)
 	p.do(generate)
 	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
 	c, sess := connOf(t, srv)

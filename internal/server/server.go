@@ -1,8 +1,8 @@
 // Package server serves a FEM-2 system over the wire: a TCP front end
 // that exposes the full typed command surface — the synchronous verbs,
 // the asynchronous submit/status/wait/cancel/jobs job service, and
-// server-pushed job-state notifications — to any number of concurrent
-// network clients.
+// server-pushed job-state notifications for the connections that ask for
+// them in the handshake — to any number of concurrent network clients.
 //
 // Each connection is one tenant: the server registers a unique
 // per-connection session (user@conn-N) in the shared core.System, so
@@ -461,8 +461,9 @@ func (c *conn) notify(resp *wire.Response) {
 
 // session returns the connection's session, creating it on first use
 // under the handshake user (or the server default).  The session name
-// is unique per connection, so each connection is its own tenant.
-func (c *conn) session(user string) *auvm.Session {
+// is unique per connection, so each connection is its own tenant.  The
+// connection hears of its jobs only when the handshake asked (notify).
+func (c *conn) session(user string, notify bool) *auvm.Session {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.sess != nil {
@@ -473,13 +474,11 @@ func (c *conn) session(user string) *auvm.Session {
 	}
 	c.sessName = fmt.Sprintf("%s@conn-%d", user, c.id)
 	c.sess = c.srv.sys.Session(c.sessName)
-	owner := c.sessName
-	c.unsub = c.srv.sys.Jobs.Subscribe(func(snap job.Snapshot) {
-		if snap.Owner != owner {
-			return
-		}
-		c.notify(&wire.Response{Event: jobEvent(snap)})
-	})
+	if notify {
+		c.unsub = c.srv.sys.Jobs.Subscribe(c.sessName, func(snap job.Snapshot) {
+			c.notify(&wire.Response{Event: jobEvent(snap)})
+		})
+	}
 	return c.sess
 }
 
@@ -512,7 +511,7 @@ func (c *conn) handleHello(req *wire.Request) {
 				req.Hello.Proto, command.ProtocolVersion)}})
 		return
 	}
-	c.session(req.Hello.User)
+	c.session(req.Hello.User, req.Hello.Notify)
 	c.mu.Lock()
 	sessName := c.sessName
 	c.mu.Unlock()
@@ -560,7 +559,7 @@ func (c *conn) handleCommand(id uint64, cmd command.Command) {
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	sess := c.session("")
+	sess := c.session("", false)
 	start := time.Now()
 	res, err := c.do(ctx, sess, cmd)
 	c.srv.hRequest.Get(command.Verb(cmd)).Observe(time.Since(start))

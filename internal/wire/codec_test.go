@@ -225,7 +225,8 @@ var sampleResults = []command.Result{
 // sampleFrames are the frames of one connection's life around those
 // samples, in both directions.
 func sampleFrames() (reqs []*Request, resps []*Response) {
-	reqs = append(reqs, &Request{ID: 1, Hello: &Hello{User: "tenant0", Proto: command.ProtocolVersion}}, &Request{ID: 2})
+	reqs = append(reqs, &Request{ID: 1, Hello: &Hello{User: "tenant0", Proto: command.ProtocolVersion}},
+		&Request{ID: 1, Hello: &Hello{User: "tenant1", Proto: command.ProtocolVersion, Notify: true}}, &Request{ID: 2})
 	for i, cmd := range sampleCommands {
 		reqs = append(reqs, &Request{ID: uint64(3 + i), Cmd: cmd})
 	}
@@ -337,6 +338,8 @@ var hostileFrames = []string{
 	`{"id":1,"hello":{"proto":5,"user":"eng"}}`,
 	`{"id":1,"hello":{"user":"e\u006eg","proto":5}}`,
 	`{"id":1,"hello":{"user":"eng","proto":5,"extra":1}}`,
+	`{"id":1,"hello":{"user":"eng","proto":6,"notify":false}}`,
+	`{"id":1,"hello":{"user":"eng","proto":6,"notify":1}}`,
 	`{"id":0}`, `{}`, `{"id":7,"nope":1}`,
 	`{"id":7,"result":{"kind":"ping"}}`,
 	`{"id":7,"result":{"kind":"ping","body":{"Degraded":false,"uptime_s":0}}}`,

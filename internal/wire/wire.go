@@ -9,7 +9,8 @@
 // client-chosen correlation number echoed on the matching Response, so
 // requests may be pipelined and answered out of order.  A Response with
 // ID 0 and a non-nil Event is a server-pushed job-state notification —
-// the wait-without-blocking channel.
+// the wait-without-blocking channel, open to a connection whose Hello
+// asked for it.
 //
 // Which path runs when.  A frame is written by one append pass over
 // frame, envelope and body (internal/codec, from the field plans of
@@ -116,6 +117,9 @@ type Hello struct {
 	// Proto is the client's command.ProtocolVersion; the server rejects
 	// a mismatch.
 	Proto int `json:"proto"`
+	// Notify subscribes the connection to its own jobs' notifications
+	// (rev 6); without it the server pushes none.
+	Notify bool `json:"notify,omitempty"`
 }
 
 // Welcome answers Hello.
@@ -221,8 +225,9 @@ const (
 )
 
 // JobEvent is one job lifecycle transition, pushed to the connection
-// whose session owns the job: submit a solve, keep reading, and the
-// queued → running → done trail arrives without a blocking wait.
+// whose session owns the job when its Hello set Notify: submit a solve,
+// keep reading, and the queued → running → done trail arrives without a
+// blocking wait.
 type JobEvent struct {
 	// Job is the job id; State the lifecycle state just entered.
 	Job   int64  `json:"job"`

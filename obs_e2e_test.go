@@ -128,45 +128,58 @@ func TestServerCountersMoveOverWire(t *testing.T) {
 }
 
 // TestServerFramesAndFlushesPerJob pins what a closed-loop submit+wait
-// job costs the socket: exactly five frames out (queued, running, done
-// and the two replies — as ever), carried by at most four flushes,
-// because the queued event leaves on the submit reply's write instead of
-// one of its own; frames_out / flushes in stats is the coalescing.
+// job costs the socket.  A connection that did not subscribe is sent the
+// two replies and nothing else: two frames in two flushes.  A subscribed
+// one is sent exactly five frames (queued, running, done and the two
+// replies), carried by at most four flushes, because the queued event
+// leaves on the submit reply's write instead of one of its own;
+// frames_out / flushes in stats is the coalescing.
 func TestServerFramesAndFlushesPerJob(t *testing.T) {
-	sys, srv, addr, _ := startServer(t, fem2.ServerConfig{})
-	defer srv.Shutdown(context.Background())
-	cl, err := fem2.Dial(addr, "eng")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	remotePlate(t, cl, "plate", 8, 6)
-	if _, _, err := submitAndWait(cl, "plate"); err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name               string
+		notify             bool
+		frames, maxFlushes int64
+	}{
+		{"unsubscribed", false, 2, 2},
+		{"subscribed", true, 5, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys, srv, addr, _ := startServer(t, fem2.ServerConfig{})
+			defer srv.Shutdown(context.Background())
+			cl, err := fem2.DialWithOptions(addr, "eng", fem2.ClientOptions{Notify: c.notify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			remotePlate(t, cl, "plate", 8, 6)
+			if _, _, err := submitAndWait(cl, "plate"); err != nil {
+				t.Fatal(err)
+			}
 
-	const jobs = 200
-	// The wait reply is a job's last frame and is counted before it is
-	// written, so a snapshot between jobs counts whole jobs.
-	before := sys.StatsSnapshot()
-	for n := 0; n < jobs; n++ {
-		if _, _, err := submitAndWait(cl, "plate"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := sys.StatsSnapshot()
-	moved := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
-	if got := moved(obs.ServerFramesIn); got != 2*jobs {
-		t.Errorf("%s moved by %d over %d jobs, want %d", obs.ServerFramesIn, got, jobs, 2*jobs)
-	}
-	if got := moved(obs.ServerFramesOut); got != 5*jobs {
-		t.Errorf("%s moved by %d over %d jobs, want exactly %d", obs.ServerFramesOut, got, jobs, 5*jobs)
-	}
-	if got := moved(obs.ServerFlushes); got > 4*jobs || got < 2*jobs {
-		t.Errorf("%s moved by %d over %d jobs, want at most %d (and at least the %d replies)", obs.ServerFlushes, got, jobs, 4*jobs, 2*jobs)
-	}
-	if got := after.Counter(obs.ServerEventsDropped); got != 0 {
-		t.Errorf("%s = %d on a connection that is being read", obs.ServerEventsDropped, got)
+			const jobs = 200
+			// The wait reply is a job's last frame and is counted before it is
+			// written, so a snapshot between jobs counts whole jobs.
+			before := sys.StatsSnapshot()
+			for n := 0; n < jobs; n++ {
+				if _, _, err := submitAndWait(cl, "plate"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := sys.StatsSnapshot()
+			moved := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
+			if got := moved(obs.ServerFramesIn); got != 2*jobs {
+				t.Errorf("%s moved by %d over %d jobs, want %d", obs.ServerFramesIn, got, jobs, 2*jobs)
+			}
+			if got := moved(obs.ServerFramesOut); got != c.frames*jobs {
+				t.Errorf("%s moved by %d over %d jobs, want exactly %d", obs.ServerFramesOut, got, jobs, c.frames*jobs)
+			}
+			if got := moved(obs.ServerFlushes); got > c.maxFlushes*jobs || got < 2*jobs {
+				t.Errorf("%s moved by %d over %d jobs, want at most %d (and at least the %d replies)", obs.ServerFlushes, got, jobs, c.maxFlushes*jobs, 2*jobs)
+			}
+			if got := after.Counter(obs.ServerEventsDropped); got != 0 {
+				t.Errorf("%s = %d on a connection that is being read", obs.ServerEventsDropped, got)
+			}
+		})
 	}
 }
 

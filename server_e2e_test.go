@@ -321,7 +321,7 @@ func TestServerNotifications(t *testing.T) {
 	_, srv, addr, _ := startServer(t, fem2.ServerConfig{}, fem2.WithWorkers(2))
 	defer srv.Shutdown(context.Background())
 
-	cl, err := fem2.Dial(addr, "watcher")
+	cl, err := fem2.DialWithOptions(addr, "watcher", fem2.ClientOptions{Notify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
