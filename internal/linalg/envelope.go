@@ -23,6 +23,11 @@ type Envelope struct {
 	// env[ptr[i] : ptr[i+1]], ordered by column, diagonal last.
 	ptr []int
 	env []float64
+	// flops is what a successful factorisation spends, which the profile
+	// alone decides.
+	flops int64
+	// panel is the panel kernel's scratch, allocated by its first run.
+	panel []float64
 }
 
 // NewEnvelope returns a zero matrix of order len(first) with the given
@@ -35,9 +40,22 @@ func NewEnvelope(first []int) *Envelope {
 			panic(fmt.Errorf("%w: envelope row %d starts at %d", ErrDimension, i, f))
 		}
 		e.ptr[i+1] = e.ptr[i] + (i - f + 1)
+		e.flops += e.rowFlops(i)
 	}
 	e.env = make([]float64, e.ptr[n])
 	return e
+}
+
+// rowFlops returns the flops of factoring row i: 2(j−k)+1 for each entry
+// (i,j) whose sum starts at column k = max(first[i], first[j]), and
+// 2(i−first[i])+1 for the pivot.
+func (e *Envelope) rowFlops(i int) int64 {
+	fi := e.first[i]
+	flops := int64(2*(i-fi) + 1)
+	for j := fi; j < i; j++ {
+		flops += int64(2*(j-max(fi, e.first[j])) + 1)
+	}
+	return flops
 }
 
 // NNZ returns the number of stored entries (the envelope profile size,
@@ -89,13 +107,12 @@ func subDot(s float64, a, b []float64) float64 {
 }
 
 // entryAlone computes L[i,j] on its own — row is row i's stored run, fi
-// its first column — and returns the flops spent.
-func (e *Envelope) entryAlone(row []float64, fi, j int) int64 {
+// its first column.
+func (e *Envelope) entryAlone(row []float64, fi, j int) {
 	fj := e.first[j]
 	rj := e.env[e.ptr[j]:e.ptr[j+1]]
 	k := max(fi, fj)
 	row[j-fi] = subDot(row[j-fi], row[k-fi:j-fi], rj[k-fj:]) / rj[j-fj]
-	return int64(2*(j-k) + 1)
 }
 
 // pivot finishes a row whose off-diagonal entries are factored: the
@@ -122,59 +139,101 @@ func notPositiveDefinite(st *Stats, flops int64, row int, pivot float64) error {
 	return fmt.Errorf("linalg: matrix not positive definite at row %d (pivot %g)", row, pivot)
 }
 
+// failAt fails the factorisation at row r's pivot s, booking what the
+// row-by-row order spends up to it: the rows before r, r's off-diagonal
+// entries and the squares its pivot subtracts.
+func (e *Envelope) failAt(st *Stats, r int, s float64) error {
+	flops := e.rowFlops(r) - 1
+	for i := range r {
+		flops += e.rowFlops(i)
+	}
+	return notPositiveDefinite(st, flops, r, s)
+}
+
 // CholeskyFactorInPlace overwrites the stored values with the Cholesky
 // factor L (the matrix equals L·Lᵀ).  It fails if the matrix is not
 // positive definite — a NaN pivot included — leaving the storage partly
 // overwritten; st receives the flops of the rows up to the failing pivot
-// either way.
+// either way.  The profile alone decides the flops, so they are counted
+// once per Envelope, not in the loops.
 //
-// The kernel's contract, which CholeskySolveInto shares: each factor
-// entry and each forward-substitution row is one ascending-k sum;
-// entries may be computed concurrently but never summed differently,
-// hence envelope ≡ banded bitwise and warm ≡ cold bitwise.  Entry (i,j)
-// subtracts L[i,k]·L[j,k] over exactly the columns both rows store,
-// k = max(first[i], first[j]) .. j-1 — the terms a uniform band adds to
-// that are products with exact zeros — and divides by L[j,j].
+// The kernel's contract, which CholeskySolveInto's forward half shares:
+// each factor entry and each forward-substitution row is one ascending-k
+// sum; entries may be computed concurrently but never summed
+// differently, hence the envelope factor ≡ the banded factor bitwise and
+// warm ≡ cold bitwise.  Entry (i,j) subtracts L[i,k]·L[j,k] over exactly
+// the columns both rows store, k = max(first[i], first[j]) .. j-1 — the
+// terms a uniform band adds to that are products with exact zeros — and
+// divides by L[j,j].  Every product is rounded before it is subtracted:
+// Go does not fuse s -= a*b on amd64, and the assembly uses no FMA.
 //
-// Computed concurrently are four entries: columns j, j+1 of rows i, i+1.
-// Each runs alone up to the column where all four rows involved have
-// begun, one loop then carries the four sums side by side over the
-// shared L[i,k], L[i+1,k], L[j,k], L[j+1,k], and each row finishes its
-// pair in order.  A single sum is a chain of dependent subtractions
-// closed by a division the row's next entry waits for, so it runs at the
-// latency of those, not the throughput; four sums fill the pipeline, and
-// taking them from two rows lets one row's divisions overlap the other's.
+// Two kernels keep the contract, and the CPU alone picks one.  A single
+// sum is a chain of dependent subtractions closed by a division the
+// row's next entry waits for, so it runs at the latency of those, not the
+// throughput; both kernels therefore carry several sums side by side.
+//
+// The pair kernel, the only one off amd64 or without AVX2, computes four
+// entries concurrently: columns j, j+1 of rows i, i+1.  Each runs alone
+// up to the column where all four rows involved have begun, one loop then
+// carries the four sums over the shared L[i,k], L[i+1,k], L[j,k],
+// L[j+1,k], and each row finishes its pair in order; taking the sums from
+// two rows lets one row's divisions overlap the other's.
+//
+// The panel kernel (envelope_amd64.go) takes rows four at a time and
+// computes a 4×4 block of entries, rows i..i+3 × columns j..j+3, in one
+// assembly routine with one four-lane AVX2 register per column.  Each
+// lane (r,c) is exactly entry (i+r, j+c)'s scalar chain: for each k in
+// ascending order a multiply and a separately rounded subtract, then the
+// block's own columns j..j+c-1 in ascending order, then one division by
+// L[j+c,j+c].  At a k before lane (r,c)'s chain begins — row i+r or row
+// j+c starts after it — the lane's product is masked to +0, and
+// x − (+0) = x for every x, −0, infinities and NaN included, so masking
+// never changes a bit.
 func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
+	if haveAVX2 {
+		return e.choleskyPanel(st)
+	}
+	return e.choleskyPairs(st)
+}
+
+// choleskyPairs is CholeskyFactorInPlace by the pair kernel alone.
+func (e *Envelope) choleskyPairs(st *Stats) error {
+	if err := e.factorPairs(st, 0, e.N); err != nil {
+		return err
+	}
+	st.addFlops(e.flops)
+	return nil
+}
+
+// factorPairs factors rows lo..hi-1, every row before lo factored, with
+// the pair kernel.  Only a failure books flops.
+func (e *Envelope) factorPairs(st *Stats, lo, hi int) error {
 	env, first, ptr := e.env, e.first, e.ptr
-	var flops int64
-	for i := 0; i < e.N; i += 2 {
+	for i := lo; i < hi; i += 2 {
 		// Rows a = i and b = i+1 go together.  A last odd row goes as an a
 		// whose b begins past every column they could share.
 		fa, ra := first[i], env[ptr[i]:ptr[i+1]]
 		fb, rb := i+1, []float64(nil)
-		if i+1 < e.N {
+		if i+1 < hi {
 			fb, rb = first[i+1], env[ptr[i+1]:ptr[i+2]]
 		}
-		// Row b's flops count only once row a has its pivot: a failure
-		// there reports what the row-by-row order would have spent.
-		var flopsB int64
-		lo := max(fa, fb)
-		for j := fa; j < min(lo, i); j++ {
-			flops += e.entryAlone(ra, fa, j)
+		both := max(fa, fb)
+		for j := fa; j < min(both, i); j++ {
+			e.entryAlone(ra, fa, j)
 		}
-		for j := fb; j < min(lo, i); j++ {
-			flopsB += e.entryAlone(rb, fb, j)
+		for j := fb; j < min(both, i); j++ {
+			e.entryAlone(rb, fb, j)
 		}
-		j := lo
+		j := both
 		for j+2 <= i {
 			f0, f1 := first[j], first[j+1]
 			// All four rows have begun by column kjoin.  Row j+1 beginning
 			// at its own diagonal stores no L[j+1,j] to pair the columns
 			// through, so there column j goes alone.
-			kjoin := max(lo, f0, f1)
+			kjoin := max(both, f0, f1)
 			if kjoin > j {
-				flops += e.entryAlone(ra, fa, j)
-				flopsB += e.entryAlone(rb, fb, j)
+				e.entryAlone(ra, fa, j)
+				e.entryAlone(rb, fb, j)
 				j++
 				continue
 			}
@@ -204,36 +263,25 @@ func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
 			rb[j-fb] = lb
 			sb1 -= lb * l10
 			rb[j+1-fb] = sb1 / d1
-			// 2(j−k)+1 per entry.
-			flops += int64(2*(2*j+1-ka0-ka1) + 2)
-			flopsB += int64(2*(2*j+1-kb0-kb1) + 2)
 			j += 2
 		}
 		if j < i {
-			flops += e.entryAlone(ra, fa, j)
-			flopsB += e.entryAlone(rb, fb, j)
+			e.entryAlone(ra, fa, j)
+			e.entryAlone(rb, fb, j)
 		}
-		s, ok := pivot(ra)
-		flops += int64(2 * (i - fa))
-		if !ok {
-			return notPositiveDefinite(st, flops, i, s)
+		if s, ok := pivot(ra); !ok {
+			return e.failAt(st, i, s)
 		}
-		flops++
-		if i+1 == e.N {
+		if rb == nil {
 			break
 		}
-		flops += flopsB
 		if fb <= i {
-			flops += e.entryAlone(rb, fb, i)
+			e.entryAlone(rb, fb, i)
 		}
-		s, ok = pivot(rb)
-		flops += int64(2 * (i + 1 - fb))
-		if !ok {
-			return notPositiveDefinite(st, flops, i+1, s)
+		if s, ok := pivot(rb); !ok {
+			return e.failAt(st, i+1, s)
 		}
-		flops++
 	}
-	st.addFlops(flops)
 	return nil
 }
 
@@ -242,7 +290,10 @@ func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
 // alias rhs to solve in place).  The forward half computes four rows
 // side by side under CholeskyFactorInPlace's contract — each row's sum
 // still runs over its own columns in ascending order; the backward half
-// is one independent update per stored entry as it stands.
+// is one independent update per stored entry as it stands, a column
+// update over descending i.  Banded sums that half as a row dot over
+// ascending k instead, so the two storages' solutions differ in their
+// last bits though their factors do not.
 func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if len(rhs) != e.N {
 		panic(fmt.Errorf("%w: Envelope.CholeskySolveInto order %d with rhs %d", ErrDimension, e.N, len(rhs)))

@@ -106,24 +106,53 @@ func profileString(first []int) string {
 	return fmt.Sprintf("first %v", first)
 }
 
-// checkEnvelopeKernel factors one copy of e with the kernel and one with
+// envelopeKernel is one of CholeskyFactorInPlace's two kernels, run
+// directly so that each is tested whichever the host would pick.
+type envelopeKernel struct {
+	name   string
+	factor func(*Envelope, *Stats) error
+}
+
+var envelopeKernels = []envelopeKernel{
+	{"pair", (*Envelope).choleskyPairs},
+	{"panel", (*Envelope).choleskyPanel},
+}
+
+// runs reports whether the host can run the kernel.
+func (k envelopeKernel) runs() bool { return k.name != "panel" || haveAVX2 }
+
+// forEachKernel runs fn as one subtest per kernel, named after it.
+func forEachKernel(t *testing.T, fn func(t *testing.T, k envelopeKernel)) {
+	t.Helper()
+	for _, k := range envelopeKernels {
+		t.Run(k.name, func(t *testing.T) {
+			if !k.runs() {
+				t.Skip("CPU has no AVX2")
+			}
+			fn(t, k)
+		})
+	}
+}
+
+// checkEnvelopeKernel factors one copy of e with kernel k and one with
 // the oracle and demands the same error, the same stored bits (of a
 // failed factorisation, the rows down to the failing one) and the same
 // flop count; when the factorisation succeeds it does the same for the
 // substitution, into a fresh vector, a caller's vector and in place.  It
 // returns the kernel's error.
-func checkEnvelopeKernel(t testing.TB, e *Envelope, rhs Vector) error {
+func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector) error {
 	t.Helper()
 	got, want := NewEnvelope(e.first), NewEnvelope(e.first)
 	copy(got.env, e.env)
 	copy(want.env, e.env)
 	var gst, wst Stats
-	gerr, werr := got.CholeskyFactorInPlace(&gst), refEnvelopeFactor(want, &wst)
+	gerr, werr := k.factor(got, &gst), refEnvelopeFactor(want, &wst)
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
-		t.Fatalf("factor error %v, oracle %v (%s)", gerr, werr, profileString(e.first))
+		t.Fatalf("%s kernel: factor error %v, oracle %v (%s)", k.name, gerr, werr, profileString(e.first))
 	}
-	// A failed factorisation is compared up to the failing row: the kernel
-	// takes rows in pairs and has by then been at the row below it.
+	// A failed factorisation is compared up to the failing row: the
+	// kernels take rows in pairs or blocks and have by then been at the
+	// rows below it.
 	stored := len(got.env)
 	if gerr != nil {
 		var row int
@@ -133,10 +162,10 @@ func checkEnvelopeKernel(t testing.TB, e *Envelope, rhs Vector) error {
 		stored = got.ptr[row+1]
 	}
 	if i := firstBitDiff(got.env[:stored], want.env[:stored]); i >= 0 {
-		t.Fatalf("factor differs from the oracle at stored entry %d: %v vs %v (%s)", i, got.env[i], want.env[i], profileString(e.first))
+		t.Fatalf("%s kernel: factor differs from the oracle at stored entry %d: %v vs %v (%s)", k.name, i, got.env[i], want.env[i], profileString(e.first))
 	}
 	if gst.Flops != wst.Flops {
-		t.Fatalf("factor flops %d, oracle %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
+		t.Fatalf("%s kernel: factor flops %d, oracle %d (%s)", k.name, gst.Flops, wst.Flops, profileString(e.first))
 	}
 	if gerr != nil {
 		return gerr
@@ -202,7 +231,10 @@ var profileKinds = []struct {
 }
 
 // randomEnvelope returns a diagonally dominant (hence SPD) matrix with
-// the given row profile and entries drawn from rng.
+// the given row profile and entries drawn from rng.  One off-diagonal in
+// eight is an exact −0 beside the negative draws: a row's first entry
+// then factors to −0, which a masked lane keeps only if the mask zeroes
+// the product (x − (+0) = x) and not an operand (−0 − (−0) = +0).
 func randomEnvelope(rng *rand.Rand, first []int) *Envelope {
 	e := NewEnvelope(first)
 	n := len(first)
@@ -210,6 +242,9 @@ func randomEnvelope(rng *rand.Rand, first []int) *Envelope {
 	for i := 0; i < n; i++ {
 		for j := first[i]; j < i; j++ {
 			v := rng.Float64()*2 - 1
+			if rng.Intn(8) == 0 {
+				v = math.Copysign(0, -1)
+			}
 			e.Set(i, j, v)
 			sum[i] += math.Abs(v)
 			sum[j] += math.Abs(v)
@@ -258,18 +293,20 @@ func TestEnvelopeKernelMatchesScalarOracle(t *testing.T) {
 	orders := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 22, 41, 63}
 	for _, kind := range profileKinds {
 		t.Run(kind.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(19))
-			for _, n := range orders {
-				for rep := 0; rep < 6; rep++ {
-					first := make([]int, n)
-					for i := 1; i < n; i++ {
-						first[i] = kind.first(rng, i, first[i-1])
-					}
-					if err := checkEnvelopeKernel(t, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
-						t.Fatalf("n=%d: diagonally dominant matrix failed to factor: %v", n, err)
+			forEachKernel(t, func(t *testing.T, k envelopeKernel) {
+				rng := rand.New(rand.NewSource(19))
+				for _, n := range orders {
+					for rep := 0; rep < 6; rep++ {
+						first := make([]int, n)
+						for i := 1; i < n; i++ {
+							first[i] = kind.first(rng, i, first[i-1])
+						}
+						if err := checkEnvelopeKernel(t, k, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
+							t.Fatalf("n=%d: diagonally dominant matrix failed to factor: %v", n, err)
+						}
 					}
 				}
-			}
+			})
 		})
 	}
 }
@@ -280,29 +317,31 @@ func TestEnvelopeKernelMatchesScalarOracle(t *testing.T) {
 // at the same row with the same message, the same factor down to that row
 // and the same flop total as the scalar loop.
 func TestEnvelopeKernelFailsWhereOracleFails(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 15
-	for _, kind := range profileKinds {
-		first := make([]int, n)
-		for i := 1; i < n; i++ {
-			first[i] = kind.first(rng, i, first[i-1])
-		}
-		for row := 0; row < n; row++ {
-			for _, bad := range []float64{-1, 0, math.NaN(), math.Inf(-1)} {
-				e := randomEnvelope(rng, first)
-				e.Set(row, row, bad)
-				err := checkEnvelopeKernel(t, e, randomRHS(rng, n))
-				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at row %d ", row)) {
-					t.Errorf("%s: pivot %g at row %d: error %v", kind.name, bad, row, err)
-				}
+	forEachKernel(t, func(t *testing.T, k envelopeKernel) {
+		rng := rand.New(rand.NewSource(23))
+		const n = 15
+		for _, kind := range profileKinds {
+			first := make([]int, n)
+			for i := 1; i < n; i++ {
+				first[i] = kind.first(rng, i, first[i-1])
 			}
-			// A +Inf pivot passes s > 0 and zeroes its column; whether a
-			// later row then meets Inf−Inf is the oracle's to say.
-			e := randomEnvelope(rng, first)
-			e.Set(row, row, math.Inf(1))
-			_ = checkEnvelopeKernel(t, e, randomRHS(rng, n))
+			for row := 0; row < n; row++ {
+				for _, bad := range []float64{-1, 0, math.NaN(), math.Inf(-1)} {
+					e := randomEnvelope(rng, first)
+					e.Set(row, row, bad)
+					err := checkEnvelopeKernel(t, k, e, randomRHS(rng, n))
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("at row %d ", row)) {
+						t.Errorf("%s: pivot %g at row %d: error %v", kind.name, bad, row, err)
+					}
+				}
+				// A +Inf pivot passes s > 0 and zeroes its column; whether a
+				// later row then meets Inf−Inf is the oracle's to say.
+				e := randomEnvelope(rng, first)
+				e.Set(row, row, math.Inf(1))
+				_ = checkEnvelopeKernel(t, k, e, randomRHS(rng, n))
+			}
 		}
-	}
+	})
 }
 
 // envelopeFromFuzz decodes a profile and values from fuzz bytes: the
@@ -348,8 +387,8 @@ func envelopeFromFuzz(data []byte) (*Envelope, Vector) {
 }
 
 // FuzzEnvelopeCholesky searches profiles and values for an input on
-// which the blocked kernel and the scalar oracle part ways — in a stored
-// bit, the solve output, the failing row or the flop count.
+// which a kernel the host runs and the scalar oracle part ways — in a
+// stored bit, the solve output, the failing row or the flop count.
 func FuzzEnvelopeCholesky(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 8, 3})
@@ -358,6 +397,10 @@ func FuzzEnvelopeCholesky(f *testing.F) {
 	f.Add([]byte{12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 1, 255, 1, 255, 1, 255, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, rhs := envelopeFromFuzz(data)
-		_ = checkEnvelopeKernel(t, e, rhs)
+		for _, k := range envelopeKernels {
+			if k.runs() {
+				_ = checkEnvelopeKernel(t, k, e, rhs)
+			}
+		}
 	})
 }
