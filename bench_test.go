@@ -140,7 +140,20 @@ func BenchmarkWarmResolve(b *testing.B) {
 // must be recomputed every time (the check below), but the regenerated
 // model inherits the symbolic assembly of the one it replaces, so a job
 // is grid generation + numeric assembly + refactor + triangular solve.
+// "plate" is the workload's regular grid, whose 1920 CSTs are two
+// distinct stiffnesses; "jittered" moves every interior node, so every
+// CST misses the stiffness memo — the memo's cost on traffic it cannot
+// help.
 func BenchmarkRegenerateSolve(b *testing.B) {
+	for _, tc := range []struct{ name, generate string }{
+		{"plate", "generate grid g 40 24 40 24 clamp-left"},
+		{"jittered", "generate grid g 40 24 40 24 clamp-left jitter 0.2 29"},
+	} {
+		b.Run(tc.name, func(b *testing.B) { regenerateSolve(b, tc.generate) })
+	}
+}
+
+func regenerateSolve(b *testing.B, generate string) {
 	sys, err := fem2.New()
 	if err != nil {
 		b.Fatal(err)
@@ -149,7 +162,7 @@ func BenchmarkRegenerateSolve(b *testing.B) {
 	ctx := context.Background()
 	var cmds []fem2.Command
 	for _, line := range []string{
-		"generate grid g 40 24 40 24 clamp-left",
+		generate,
 		"load g l endload 0 -1000",
 		"solve g l method cholesky-env",
 	} {

@@ -94,30 +94,64 @@ func (t *CST) Kind() string { return "cst" }
 // AppendNodes appends the element connectivity to dst.
 func (t *CST) AppendNodes(dst []int) []int { return append(dst, t.N1, t.N2, t.N3) }
 
+// cstShape is everything a CST's stiffness and strain-displacement
+// matrix read: the eight corner-coordinate differences and the material
+// fields E, Nu and T.  Two CSTs with bitwise-equal shapes have
+// bitwise-equal stiffnesses, because the shape is the whole argument of
+// the numeric work — which is what lets stiffScratch reuse one.
+type cstShape struct {
+	// b1 b2 b3, c1 c2 c3 are the B-matrix differences; x31 = p3.X−p1.X
+	// and y21 = p2.Y−p1.Y complete the shoelace area.  x31 is not
+	// derived from c2: the two differ in the sign of a zero.
+	b1, b2, b3, c1, c2, c3, x31, y21 float64
+	e, nu, t                         float64
+}
+
+// shape reads t's corners and material into s.
+func (t *CST) shape(m *Model, s *cstShape) {
+	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
+	// Field by field: a composite literal would be built and then copied.
+	s.b1, s.b2, s.b3 = p2.Y-p3.Y, p3.Y-p1.Y, p1.Y-p2.Y
+	s.c1, s.c2, s.c3 = p3.X-p2.X, p1.X-p3.X, p2.X-p1.X
+	s.x31, s.y21 = p3.X-p1.X, p2.Y-p1.Y
+	s.e, s.nu, s.t = t.Mat.E, t.Mat.Nu, t.Mat.T
+}
+
+// same compares two shapes by bit pattern, field by field, so -0
+// differs from +0 and a NaN equals itself.
+func (s *cstShape) same(o *cstShape) bool {
+	eq := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	return eq(s.b1, o.b1) && eq(s.b2, o.b2) && eq(s.b3, o.b3) &&
+		eq(s.c1, o.c1) && eq(s.c2, o.c2) && eq(s.c3, o.c3) &&
+		eq(s.x31, o.x31) && eq(s.y21, o.y21) &&
+		eq(s.e, o.e) && eq(s.nu, o.nu) && eq(s.t, o.t)
+}
+
+// degenerate is the error of a CST whose corners span no area.
+func (t *CST) degenerate() error {
+	return fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
+}
+
 // bMatrix computes the 3×6 strain-displacement matrix and twice the
 // signed element area, in locals — shared by stiffness and stress
-// recovery, so neither allocates.
-func (t *CST) bMatrix(m *Model) (b [3][6]float64, a2 float64, err error) {
-	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
+// recovery, so neither allocates.  ok is false for a zero area.
+func (s *cstShape) bMatrix(b *[3][6]float64) (a2 float64, ok bool) {
 	// Signed area via the shoelace formula.
-	a2 = (p2.X-p1.X)*(p3.Y-p1.Y) - (p3.X-p1.X)*(p2.Y-p1.Y)
+	a2 = s.c3*s.b2 - s.x31*s.y21
 	if a2 == 0 {
-		return b, 0, fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
+		return 0, false
 	}
-	b1, b2, b3 := p2.Y-p3.Y, p3.Y-p1.Y, p1.Y-p2.Y
-	c1, c2, c3 := p3.X-p2.X, p1.X-p3.X, p2.X-p1.X
+	b1, b2, b3, c1, c2, c3 := s.b1, s.b2, s.b3, s.c1, s.c2, s.c3
 	inv := 1 / a2
-	b = [3][6]float64{
-		{b1 * inv, 0, b2 * inv, 0, b3 * inv, 0},
-		{0, c1 * inv, 0, c2 * inv, 0, c3 * inv},
-		{c1 * inv, b1 * inv, c2 * inv, b2 * inv, c3 * inv, b3 * inv},
-	}
-	return b, a2, nil
+	b[0][0], b[0][1], b[0][2], b[0][3], b[0][4], b[0][5] = b1*inv, 0, b2*inv, 0, b3*inv, 0
+	b[1][0], b[1][1], b[1][2], b[1][3], b[1][4], b[1][5] = 0, c1*inv, 0, c2*inv, 0, c3*inv
+	b[2][0], b[2][1], b[2][2], b[2][3], b[2][4], b[2][5] = c1*inv, b1*inv, c2*inv, b2*inv, c3*inv, b3*inv
+	return a2, true
 }
 
 // dMatrix returns the plane stress constitutive matrix.
-func (t *CST) dMatrix() [3][3]float64 {
-	e, nu := t.Mat.E, t.Mat.Nu
+func (s *cstShape) dMatrix() [3][3]float64 {
+	e, nu := s.e, s.nu
 	f := e / (1 - nu*nu)
 	return [3][3]float64{
 		{f, f * nu, 0},
@@ -127,22 +161,35 @@ func (t *CST) dMatrix() [3][3]float64 {
 }
 
 // StiffnessInto writes the CST stiffness k = t·|A|·BᵀDB into a
-// caller-owned 6×6 matrix using fixed-size local arrays, allocating
-// nothing.  The accumulation order matches the Dense.Mul chain the dense
-// path historically used, so both paths produce bit-identical entries.
+// caller-owned 6×6 matrix; see cstShape.stiffnessInto.
 func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	if ke.Rows != 6 || ke.Cols != 6 {
 		return fmt.Errorf("%w: CST stiffness into %dx%d", linalg.ErrDimension, ke.Rows, ke.Cols)
 	}
-	b, a2, err := t.bMatrix(m)
-	if err != nil {
-		return err
+	var s cstShape
+	t.shape(m, &s)
+	if !s.stiffnessInto(ke) {
+		return t.degenerate()
+	}
+	return nil
+}
+
+// stiffnessInto writes the stiffness of shape s into the 6×6 ke using
+// fixed-size local arrays, allocating nothing.  The accumulation order
+// matches the Dense.Mul chain the dense path historically used, so both
+// paths produce bit-identical entries.  For a degenerate shape it
+// reports false and leaves ke untouched.
+func (s *cstShape) stiffnessInto(ke *linalg.Dense) bool {
+	var b [3][6]float64
+	a2, ok := s.bMatrix(&b)
+	if !ok {
+		return false
 	}
 	area := a2 / 2
 	if area < 0 {
 		area = -area
 	}
-	d := t.dMatrix()
+	d := s.dMatrix()
 	// m1 = Bᵀ·D, then ke = (m1·B)·scale, both accumulated in Dense.Mul's
 	// i,k,j order with its zero skip.
 	var m1 [6][3]float64
@@ -157,7 +204,7 @@ func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 			}
 		}
 	}
-	scale := t.Mat.T * area
+	scale := s.t * area
 	for i := 0; i < 6; i++ {
 		var row [6]float64
 		for k := 0; k < 3; k++ {
@@ -173,7 +220,7 @@ func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 			ke.Set(i, j, row[j]*scale)
 		}
 	}
-	return nil
+	return true
 }
 
 // AppendStiffnessInputs appends the corner coordinates and the
@@ -189,9 +236,11 @@ func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 // included), so the result is bit-identical to the Dense chain kept as
 // the reference in stress_test.go.
 func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
-	b, _, err := t.bMatrix(m)
-	if err != nil {
-		return dst, err
+	var sh cstShape
+	t.shape(m, &sh)
+	var b [3][6]float64
+	if _, ok := sh.bMatrix(&b); !ok {
+		return dst, t.degenerate()
 	}
 	ue := [6]float64{
 		u[DOF(t.N1, 0)], u[DOF(t.N1, 1)],
@@ -206,7 +255,7 @@ func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64,
 		}
 		strain[i] = s
 	}
-	d := t.dMatrix()
+	d := sh.dMatrix()
 	for i := range d {
 		var s float64
 		for j, a := range d[i] {

@@ -26,11 +26,25 @@ func fuzzModel(t *testing.T, pick byte) (*Model, *LoadSet) {
 	return m, TipLoad("tip", 3, 5000)
 }
 
+// matOf returns a pointer to e's material.
+func matOf(e Element) *Material {
+	switch e := e.(type) {
+	case *Bar:
+		return &e.Mat
+	case *CST:
+		return &e.Mat
+	case *stiffCST:
+		return &e.Mat
+	}
+	panic(fmt.Sprintf("matOf: %T", e))
+}
+
 // runRetainedScript interprets script as a model pick followed by
 // (op, a, b) triples — edits of every kind the witness table has a row
 // for.  It solves the model once as generated and again after each edit
 // (unless the op byte says to let edits pile up), with cholesky-env and
-// cg, each solve compared bit for bit with a fresh deep copy.
+// cg, each solve compared bit for bit with a fresh deep copy, and the
+// retained K.Val with the unmemoised oracle scatter of the model.
 func runRetainedScript(t *testing.T, script []byte) {
 	if len(script) == 0 {
 		return
@@ -65,15 +79,7 @@ func runRetainedScript(t *testing.T, script []byte) {
 				m.Nodes[node] = original[node]
 			}
 		case 3:
-			var mat *Material
-			switch e := m.Elements[ei].(type) {
-			case *Bar:
-				mat = &e.Mat
-			case *CST:
-				mat = &e.Mat
-			case *stiffCST:
-				mat = &e.Mat
-			}
+			mat := matOf(m.Elements[ei])
 			field := [4]*float64{&mat.E, &mat.Nu, &mat.T, &mat.A}[b%4]
 			if b%8 < 4 {
 				*field *= 2
@@ -125,6 +131,10 @@ func runRetainedScript(t *testing.T, script []byte) {
 			if ws := m.retained.ws; ws != nil {
 				_, _ = ws.Assemble()
 			}
+		case 13:
+			// Element b's material onto element a: with the coordinate
+			// ops, equal shapes under different materials and the reverse.
+			*matOf(m.Elements[ei]) = *matOf(m.Elements[b%len(m.Elements)])
 		}
 		if op&0x10 != 0 {
 			continue
@@ -139,9 +149,10 @@ func runRetainedScript(t *testing.T, script []byte) {
 // FuzzRetainedSolve searches for an edit sequence after which a solve
 // through the retained assembly — symbolic phase kept, numeric phase
 // skipped when the input record says nothing moved — differs in any bit
-// from solving a fresh deep copy.  The seed corpus replays the rows of
+// from solving a fresh deep copy, or a retained K.Val differs from the
+// unmemoised oracle scatter.  The seed corpus replays the rows of
 // TestStiffnessWitnessCannotLie on the plate (pick 0) and the truss
-// (pick 1).
+// (pick 1), and two material copies (op 13).
 func FuzzRetainedSolve(f *testing.F) {
 	for _, ops := range [][]byte{
 		{},                                // as generated
@@ -164,6 +175,8 @@ func FuzzRetainedSolve(f *testing.F) {
 		{7, 0, 0},                         // Touch
 		{4, 2, 9, 5, 0, 0},                // bar added, dropped
 		{6, 9, 0},                         // one more fixed dof
+		{3, 4, 1, 13, 6, 4},               // Mat.Nu of one element, copied onto another
+		{3, 4, 2, 13, 7, 4, 1, 5, 0},      // Mat.T copied, then a coordinate moved
 	} {
 		f.Add(append([]byte{0}, ops...))
 		f.Add(append([]byte{1}, ops...))

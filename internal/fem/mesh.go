@@ -27,7 +27,9 @@ type RectGridOpts struct {
 }
 
 // RectGrid builds a rectangular plane-stress model: NX×NY cells, each
-// split into two counterclockwise CSTs.
+// split into two counterclockwise CSTs.  The mesh is allocated in three
+// slices — nodes, elements, and one backing array for the CSTs — whose
+// node indices are in range by construction.
 func RectGrid(name string, o RectGridOpts) (*Model, error) {
 	if o.NX < 1 || o.NY < 1 {
 		return nil, fmt.Errorf("%w: grid %dx%d", ErrModel, o.NX, o.NY)
@@ -35,9 +37,21 @@ func RectGrid(name string, o RectGridOpts) (*Model, error) {
 	if o.W <= 0 || o.H <= 0 {
 		return nil, fmt.Errorf("%w: grid extent %gx%g", ErrModel, o.W, o.H)
 	}
-	m := NewModel(name)
+	nfix := 0
+	if o.ClampLeft {
+		nfix = DOFPerNode * (o.NY + 1)
+	}
+	m := &Model{
+		Name:     name,
+		Nodes:    make([]NodeCoord, 0, (o.NX+1)*(o.NY+1)),
+		Elements: make([]Element, 0, 2*o.NX*o.NY),
+		fixed:    make(map[int]bool, nfix),
+	}
 	dx, dy := o.W/float64(o.NX), o.H/float64(o.NY)
-	rng := rand.New(rand.NewSource(o.Seed))
+	var rng *rand.Rand
+	if o.Jitter > 0 {
+		rng = rand.New(rand.NewSource(o.Seed))
+	}
 	id := func(i, j int) int { return i*(o.NY+1) + j }
 	for i := 0; i <= o.NX; i++ {
 		for j := 0; j <= o.NY; j++ {
@@ -49,18 +63,17 @@ func RectGrid(name string, o RectGridOpts) (*Model, error) {
 			m.AddNode(x, y)
 		}
 	}
+	csts := make([]CST, 0, 2*o.NX*o.NY)
 	for i := 0; i < o.NX; i++ {
 		for j := 0; j < o.NY; j++ {
 			n00 := id(i, j)
 			n10 := id(i+1, j)
 			n01 := id(i, j+1)
 			n11 := id(i+1, j+1)
-			if err := m.AddElement(&CST{N1: n00, N2: n10, N3: n11, Mat: o.Mat}); err != nil {
-				return nil, err
-			}
-			if err := m.AddElement(&CST{N1: n00, N2: n11, N3: n01, Mat: o.Mat}); err != nil {
-				return nil, err
-			}
+			csts = append(csts,
+				CST{N1: n00, N2: n10, N3: n11, Mat: o.Mat},
+				CST{N1: n00, N2: n11, N3: n01, Mat: o.Mat})
+			m.Elements = append(m.Elements, &csts[len(csts)-2], &csts[len(csts)-1])
 		}
 	}
 	if o.ClampLeft {

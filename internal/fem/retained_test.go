@@ -465,7 +465,9 @@ func TestConcurrentSolvesOfOneModel(t *testing.T) {
 // TestWarmSolveAllocationCeiling pins the warm path's allocation count
 // on the 40×24 plate: with the symbolic phase retained a re-solve
 // allocates its result vectors and little else (the symbolic phase
-// alone was thousands), and stress recovery allocates its two arrays.
+// alone was thousands), stress recovery allocates its two arrays, and a
+// numeric re-assembly after a change of modulus — every CST missing the
+// memo — allocates nothing.
 func TestWarmSolveAllocationCeiling(t *testing.T) {
 	m, ls := largePlate(t)
 	ctx := context.Background()
@@ -487,6 +489,35 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("Stresses allocates %.0f times, ceiling 2", n)
+	}
+	e := Steel().E
+	remodulus := func() {
+		e++
+		for _, el := range m.Elements {
+			el.(*CST).Mat.E = e
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		remodulus()
+		m.retained.mu.Lock()
+		defer m.retained.mu.Unlock()
+		if m.retained.ws.unchanged() {
+			t.Fatal("a new modulus read as unchanged")
+		}
+		if _, err := m.assembleRetained(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("re-assembly after a change of modulus allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		remodulus()
+		sol, err := Solve(ctx, m, ls, opts)
+		if err != nil || !sol.Refactored {
+			t.Fatalf("solve after a change of modulus: refactored %v, err %v", sol != nil && sol.Refactored, err)
+		}
+	}); n > 16 {
+		t.Errorf("Solve after a change of modulus allocates %.0f times, ceiling 16", n)
 	}
 }
 

@@ -12,11 +12,13 @@ import (
 // Dense.MulVec products.  It is kept as the differential reference for
 // CST.AppendStress.
 func cstStressDense(t *CST, m *Model, u linalg.Vector) ([]float64, error) {
-	ba, _, err := t.bMatrix(m)
-	if err != nil {
-		return nil, err
+	var sh cstShape
+	t.shape(m, &sh)
+	var ba [3][6]float64
+	if _, ok := sh.bMatrix(&ba); !ok {
+		return nil, t.degenerate()
 	}
-	da := t.dMatrix()
+	da := sh.dMatrix()
 	b := linalg.DenseFromRows([][]float64{ba[0][:], ba[1][:], ba[2][:]})
 	d := linalg.DenseFromRows([][]float64{da[0][:], da[1][:], da[2][:]})
 	ue := linalg.Vector{

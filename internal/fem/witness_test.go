@@ -12,7 +12,8 @@ import (
 
 // differential solves one model two ways and demands the same bits: the
 // way Solve does, through the model's retained assembly and factors, and
-// from scratch on a deep copy.  The reference's factor cache is seeded
+// from scratch on a deep copy; the retained K.Val must also equal the
+// unmemoised oracle scatter's (memo_test.go).  The reference's factor cache is seeded
 // into each deep copy, so it outlives them the way the model's own
 // follows the hand-over, and Refactored must agree too: the reference
 // refactors exactly when the assembled values moved, or touch dropped
@@ -72,12 +73,19 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 	fresh := deepCopy(t, m)
 	fresh.retained.factors = d.ref
 	var want *Solution
+	oracle, oracleErr := oracleK(fresh)
 	asm, wantErr := Assemble(fresh)
+	if (oracleErr == nil) != (wantErr == nil) || oracleErr != nil && oracleErr.Error() != wantErr.Error() {
+		t.Fatalf("%s: fresh assembly err %v vs unmemoised oracle %v", label, wantErr, oracleErr)
+	}
 	if wantErr == nil {
 		// Equal error texts below mean the retained side assembled too.
 		k := m.retained.ws.asm.K
 		if i := firstDiff(k.Val, asm.K.Val); i >= 0 {
 			t.Fatalf("%s: K.Val differs from a fresh assembly at entry %d of %d/%d (skipped %v)", label, i, len(k.Val), len(asm.K.Val), skipped)
+		}
+		if i := firstDiff(k.Val, oracle); i >= 0 {
+			t.Fatalf("%s: K.Val differs from the unmemoised oracle at entry %d of %d/%d (skipped %v)", label, i, len(k.Val), len(oracle), skipped)
 		}
 		want, wantErr = SolveAssembled(context.Background(), fresh, asm, ls, opts)
 	}

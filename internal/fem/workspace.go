@@ -61,15 +61,33 @@ type Workspace struct {
 	probe     []float64
 }
 
-// stiffScratch reuses one stiffness matrix per element order; the zero
-// value is ready to use.
+// stiffScratch reuses one stiffness matrix per element order, and keeps
+// the last few CST stiffnesses it evaluated keyed by their whole input
+// (cstShape), so a mesh of a few distinct triangles — a regular grid has
+// two — evaluates each once.  An entry never goes stale: a hit is the
+// stiffness an evaluation of the same bits would write.  The zero value
+// is ready to use.
 type stiffScratch struct {
 	ke map[int]*linalg.Dense
+	// cst[:ncst] is a ring of the last CST stiffnesses evaluated; the
+	// next miss is stored at cst[next], over the oldest once it is full.
+	cst        [4]cstMemo
+	ncst, next int
 }
 
-// stiffness evaluates e's stiffness, of order nd, into the scratch
-// matrix of that order: the result is only valid until the next call.
+// cstMemo is one memoised CST stiffness and the shape it was evaluated
+// from.
+type cstMemo struct {
+	shape cstShape
+	ke    *linalg.Dense
+}
+
+// stiffness evaluates e's stiffness, of order nd, into a scratch
+// matrix: the result is only valid until the next call.
 func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, error) {
+	if t, ok := e.(*CST); ok {
+		return sc.cstStiffness(m, t)
+	}
 	ke := sc.ke[nd]
 	if ke == nil {
 		if sc.ke == nil {
@@ -82,6 +100,34 @@ func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, e
 		return nil, err
 	}
 	return ke, nil
+}
+
+// cstStiffness is stiffness for a CST: the entries are scanned newest
+// first, a hit is returned as it is, and a miss is evaluated into the
+// oldest entry's matrix (or a new one while the ring fills) and becomes
+// the newest.  A degenerate triangle stores nothing.
+func (sc *stiffScratch) cstStiffness(m *Model, t *CST) (*linalg.Dense, error) {
+	var s cstShape
+	t.shape(m, &s)
+	const n = len(sc.cst)
+	for k, i := 0, sc.next; k < sc.ncst; k++ {
+		i = (i + n - 1) % n
+		if ent := &sc.cst[i]; ent.shape.same(&s) {
+			return ent.ke, nil
+		}
+	}
+	ent := &sc.cst[sc.next]
+	if ent.ke == nil {
+		ent.ke = linalg.NewDense(6, 6)
+	}
+	// A degenerate shape leaves ent.ke untouched, so an entry there
+	// stays valid.
+	if !s.stiffnessInto(ent.ke) {
+		return nil, t.degenerate()
+	}
+	ent.shape = s
+	sc.next, sc.ncst = (sc.next+1)%n, min(sc.ncst+1, n)
+	return ent.ke, nil
 }
 
 // NewWorkspace runs the symbolic assembly phase: it validates the model,
@@ -202,8 +248,9 @@ func (ws *Workspace) Matches(m *Model) bool {
 // Pattern returns the reduced system's sparsity pattern.
 func (ws *Workspace) Pattern() *linalg.Pattern { return ws.pat }
 
-// Assemble runs the numeric phase: element stiffnesses are re-evaluated
-// and scatter-added through the cached map, in element order.  The
+// Assemble runs the numeric phase: element stiffnesses are evaluated
+// (each distinct CST shape and material once; see stiffScratch) and
+// scatter-added through the cached map, in element order.  The
 // returned Assembled shares the workspace's value storage; see the type
 // comment.
 func (ws *Workspace) Assemble() (*Assembled, error) {
