@@ -96,9 +96,10 @@ func BenchmarkServerThroughput(b *testing.B) {
 // resolve_large workload.  It measures the engineer's re-solve: an
 // unchanged 40×24 plate (2050 dof, 1920 CSTs) solved again and its
 // stresses recovered, through Session.Do.  Factor and symbolic assembly
-// are both warm, so a job is numeric re-assembly + value compare +
-// triangular solve + stress recovery; -benchmem shows the symbolic phase
-// is gone.
+// are both warm and the unchanged plate's input record skips the numeric
+// re-assembly, so a job is the two "nothing changed" compares + the
+// factor's value compare + triangular solve + residual SpMV + stress
+// recovery; -benchmem shows the symbolic phase is gone.
 func BenchmarkWarmResolve(b *testing.B) {
 	sys, err := fem2.New()
 	if err != nil {

@@ -232,9 +232,12 @@ func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 
 // AppendStress appends the element stress components σ = D·(B·u_e) =
 // (σx, σy, τxy), constant over the triangle, to dst, computed in locals.
-// Each row accumulates in Dense.MulVec's order (every column, zeros
-// included), so the result is bit-identical to the Dense chain kept as
-// the reference in stress_test.go.
+// Each row is one sum from +0 in Dense.MulVec's order (every column, the
+// products with B's and D's structural zeros included, so −0, ±Inf and
+// NaN in u propagate as a dense product would), so the result is
+// bit-identical to the Dense chain kept as the reference in
+// stress_test.go.  The three rows are independent sums and advance
+// together, term by term, so that one row's additions overlap another's.
 func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
 	var sh cstShape
 	t.shape(m, &sh)
@@ -242,28 +245,22 @@ func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64,
 	if _, ok := sh.bMatrix(&b); !ok {
 		return dst, t.degenerate()
 	}
-	ue := [6]float64{
-		u[DOF(t.N1, 0)], u[DOF(t.N1, 1)],
-		u[DOF(t.N2, 0)], u[DOF(t.N2, 1)],
-		u[DOF(t.N3, 0)], u[DOF(t.N3, 1)],
-	}
-	var strain [3]float64
-	for i := range b {
-		var s float64
-		for j, a := range b[i] {
-			s += a * ue[j]
-		}
-		strain[i] = s
-	}
+	u0, u1 := u[DOF(t.N1, 0)], u[DOF(t.N1, 1)]
+	u2, u3 := u[DOF(t.N2, 0)], u[DOF(t.N2, 1)]
+	u4, u5 := u[DOF(t.N3, 0)], u[DOF(t.N3, 1)]
+	var e0, e1, e2 float64
+	e0, e1, e2 = e0+b[0][0]*u0, e1+b[1][0]*u0, e2+b[2][0]*u0
+	e0, e1, e2 = e0+b[0][1]*u1, e1+b[1][1]*u1, e2+b[2][1]*u1
+	e0, e1, e2 = e0+b[0][2]*u2, e1+b[1][2]*u2, e2+b[2][2]*u2
+	e0, e1, e2 = e0+b[0][3]*u3, e1+b[1][3]*u3, e2+b[2][3]*u3
+	e0, e1, e2 = e0+b[0][4]*u4, e1+b[1][4]*u4, e2+b[2][4]*u4
+	e0, e1, e2 = e0+b[0][5]*u5, e1+b[1][5]*u5, e2+b[2][5]*u5
 	d := sh.dMatrix()
-	for i := range d {
-		var s float64
-		for j, a := range d[i] {
-			s += a * strain[j]
-		}
-		dst = append(dst, s)
-	}
-	return dst, nil
+	var s0, s1, s2 float64
+	s0, s1, s2 = s0+d[0][0]*e0, s1+d[1][0]*e0, s2+d[2][0]*e0
+	s0, s1, s2 = s0+d[0][1]*e1, s1+d[1][1]*e1, s2+d[2][1]*e1
+	s0, s1, s2 = s0+d[0][2]*e2, s1+d[1][2]*e2, s2+d[2][2]*e2
+	return append(dst, s0, s1, s2), nil
 }
 
 // ElementDOFs returns the global dof indices of an element in local

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -65,6 +66,36 @@ func TestKernelIterationsAllocationFree(t *testing.T) {
 		_, _, _, err := sor(ctx, m, b, opts, nil, ws)
 		return err
 	})
+}
+
+// TestWarmResolveKernelsAllocationFree pins the two linalg kernels of a
+// warm re-solve to zero allocations when handed their output: the
+// envelope substitution (into a caller's vector and in place) and the
+// residual's SpMV.
+func TestWarmResolveKernelsAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const n = 61
+	first := make([]int, n)
+	for i := range first {
+		first[i] = max(0, i-rng.Intn(9))
+	}
+	e := randomEnvelope(rng, first)
+	if err := e.CholeskyFactorInPlace(nil); err != nil {
+		t.Fatal(err)
+	}
+	rhs, out := randomRHS(rng, n), NewVector(n)
+	st := &Stats{}
+	if avg := testing.AllocsPerRun(20, func() { e.CholeskySolveInto(rhs, out, st) }); avg != 0 {
+		t.Errorf("CholeskySolveInto into a caller's vector: %.1f allocs/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { e.CholeskySolveInto(out, out, st) }); avg != 0 {
+		t.Errorf("CholeskySolveInto in place: %.1f allocs/op, want 0", avg)
+	}
+	m := poisson2D(9)
+	x, y := randomRHS(rng, m.N), NewVector(m.N)
+	if avg := testing.AllocsPerRun(20, func() { m.MulVec(x, y, st) }); avg != 0 {
+		t.Errorf("CSR.MulVec into a caller's vector: %.1f allocs/op, want 0", avg)
+	}
 }
 
 // TestEngineBackendsReuseWorkspaces checks the registry path end to end:

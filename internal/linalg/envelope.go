@@ -106,6 +106,14 @@ func subDot(s float64, a, b []float64) float64 {
 	return s
 }
 
+// subScaled subtracts a[k]·x from each y[k], k < len(a).
+func subScaled(y, a []float64, x float64) {
+	y = y[:len(a)]
+	for k, v := range a {
+		y[k] -= v * x
+	}
+}
+
 // entryAlone computes L[i,j] on its own — row is row i's stored run, fi
 // its first column.
 func (e *Envelope) entryAlone(row []float64, fi, j int) {
@@ -289,11 +297,15 @@ func (e *Envelope) factorPairs(st *Stats, lo, hi int) error {
 // CholeskyFactorInPlace, writing into out (allocated when nil; may
 // alias rhs to solve in place).  The forward half computes four rows
 // side by side under CholeskyFactorInPlace's contract — each row's sum
-// still runs over its own columns in ascending order; the backward half
-// is one independent update per stored entry as it stands, a column
-// update over descending i.  Banded sums that half as a row dot over
-// ascending k instead, so the two storages' solutions differ in their
-// last bits though their factors do not.
+// still runs over its own columns in ascending order.  The backward half
+// is a column update over descending i, also four rows at a time: the
+// block's own triangle in row order, then one pass in which each y[k]
+// receives the four rows' updates in descending-row order, exactly the
+// order updating one row at a time gives it.  A block in which row i,
+// i-1 or i-2 begins after column i-3 takes its row i alone, as do the
+// fewer than four rows left at the end.  Banded sums the backward half
+// as a row dot over ascending k instead, so the two storages' solutions
+// differ in their last bits though their factors do not.
 func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if len(rhs) != e.N {
 		panic(fmt.Errorf("%w: Envelope.CholeskySolveInto order %d with rhs %d", ErrDimension, e.N, len(rhs)))
@@ -354,16 +366,57 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 		i++
 	}
 	// Backward: Lᵀ·x = y, column-oriented over the row-stored factor.
-	for i := e.N - 1; i >= 0; i-- {
-		fi := first[i]
-		row := env[ptr[i]:ptr[i+1]]
-		d := i - fi
-		x := y[i] / row[d]
-		y[i] = x
-		yk := y[fi:][:d]
-		for k, v := range row[:d] {
-			yk[k] -= v * x
+	for i := e.N - 1; i >= 0; {
+		f0 := first[i]
+		r0 := env[ptr[i]:ptr[i+1]]
+		if i >= 3 {
+			f1, f2, f3 := first[i-1], first[i-2], first[i-3]
+			// Rows i, i-1 and i-2 store the block's whole triangle.  A row
+			// beginning inside the block stores no multiplier for some of
+			// its later unknowns, so there row i goes alone.
+			if max(f0, f1, f2) <= i-3 {
+				r1, r2, r3 := env[ptr[i-1]:ptr[i]], env[ptr[i-2]:ptr[i-1]], env[ptr[i-3]:ptr[i-2]]
+				x0 := y[i] / r0[i-f0]
+				y[i] = x0
+				y1 := y[i-1] - r0[i-1-f0]*x0
+				y2 := y[i-2] - r0[i-2-f0]*x0
+				y3 := y[i-3] - r0[i-3-f0]*x0
+				x1 := y1 / r1[i-1-f1]
+				y[i-1] = x1
+				y2 -= r1[i-2-f1] * x1
+				y3 -= r1[i-3-f1] * x1
+				x2 := y2 / r2[i-2-f2]
+				y[i-2] = x2
+				y3 -= r2[i-3-f2] * x2
+				x3 := y3 / r3[i-3-f3]
+				y[i-3] = x3
+				// The columns only some of the four rows store, each row
+				// where it stores, rows descending; then the columns all
+				// four store, each y[k] loaded once and updated by the rows
+				// in descending order as the row-by-row loop would.
+				kjoin := max(f0, f1, f2, f3)
+				subScaled(y[f0:kjoin], r0[:kjoin-f0], x0)
+				subScaled(y[f1:kjoin], r1[:kjoin-f1], x1)
+				subScaled(y[f2:kjoin], r2[:kjoin-f2], x2)
+				subScaled(y[f3:kjoin], r3[:kjoin-f3], x3)
+				yk := y[kjoin : i-3]
+				a0, a1 := r0[kjoin-f0:][:len(yk)], r1[kjoin-f1:][:len(yk)]
+				a2, a3 := r2[kjoin-f2:][:len(yk)], r3[kjoin-f3:][:len(yk)]
+				for k, v := range yk {
+					v -= a0[k] * x0
+					v -= a1[k] * x1
+					v -= a2[k] * x2
+					v -= a3[k] * x3
+					yk[k] = v
+				}
+				i -= 4
+				continue
+			}
 		}
+		x := y[i] / r0[i-f0]
+		y[i] = x
+		subScaled(y[f0:i], r0[:i-f0], x)
+		i--
 	}
 	// Each half is one multiply-subtract per stored off-diagonal entry
 	// and one division per row.

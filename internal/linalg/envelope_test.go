@@ -311,6 +311,40 @@ func TestEnvelopeKernelMatchesScalarOracle(t *testing.T) {
 	}
 }
 
+// TestEnvelopeBackwardBlocksMatchScalarOracle aims at the backward
+// substitution's four-row blocks: in every order from 4 to 13 (each
+// order mod 4), one row at a time begins 0, 1 or 2 columns before its
+// diagonal — inside any block whose top three rows it is among, so that
+// block's top row goes alone and the blocks below shift — beneath dense,
+// banded and ragged rows.  The solution must equal the scalar loop's bit
+// for bit.
+func TestEnvelopeBackwardBlocksMatchScalarOracle(t *testing.T) {
+	forEachKernel(t, func(t *testing.T, k envelopeKernel) {
+		rng := rand.New(rand.NewSource(41))
+		for n := 4; n <= 13; n++ {
+			for _, kind := range []string{"dense", "band", "ragged"} {
+				for p := 1; p < n; p++ {
+					for o := 0; o <= 2; o++ {
+						first := make([]int, n)
+						for i := range first {
+							switch kind {
+							case "band":
+								first[i] = max(0, i-5)
+							case "ragged":
+								first[i] = rng.Intn(i + 1)
+							}
+						}
+						first[p] = max(0, p-o)
+						if err := checkEnvelopeKernel(t, k, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
+							t.Fatalf("n=%d %s, row %d from %d: %v", n, kind, p, first[p], err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestEnvelopeKernelFailsWhereOracleFails plants a non-positive pivot at
 // every row of a matrix — the first and the second row of a pair, the
 // odd last row — in each way a pivot can be unusable: the kernel must stop
@@ -395,6 +429,9 @@ func FuzzEnvelopeCholesky(f *testing.F) {
 	f.Add([]byte{9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 200, 17, 33, 250, 4, 90})
 	f.Add([]byte{23, 0, 0, 1, 0, 3, 1, 5, 2, 7, 1, 9, 4, 11, 3, 13, 6, 2, 16, 1, 18, 5, 20, 7})
 	f.Add([]byte{12, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 1, 255, 1, 255, 1, 255, 1})
+	// Order 7 (7 mod 4 = 3): row 5 begins at column 4, inside the
+	// backward block of rows 6..3, and row 6 is dense.
+	f.Add([]byte{7, 0, 1, 2, 3, 4, 1, 6, 16, 240, 33, 7, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150, 44})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, rhs := envelopeFromFuzz(data)
 		for _, k := range envelopeKernels {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -385,19 +386,159 @@ func TestCSRMulVecMatchesDense(t *testing.T) {
 	}
 }
 
+// refMulVec is CSR.MulVec as it was before rows went four at a time: one
+// row, one sum from +0 over ascending k, at a time.  It is kept as the
+// kernel's oracle.
+func refMulVec(m *CSR, x, out Vector) {
+	for i := 0; i < m.N; i++ {
+		var s float64
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			s += m.Val[k] * x[m.ColIdx[k]]
+		}
+		out[i] = s
+	}
+}
+
+// firstNaNClassDiff is firstBitDiff with every NaN alike: which payload
+// an addition of two NaNs keeps is the instruction's operand order, and
+// Go leaves that order to the compiler.
+func firstNaNClassDiff(a, b []float64) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) && !(math.IsNaN(v) && math.IsNaN(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// finiteDraw returns a value in [-10, 10), or, one time in eight, −0.
+func finiteDraw(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return math.Copysign(0, -1)
+	}
+	return rng.Float64()*20 - 10
+}
+
+// specialDraw returns a finiteDraw, or, one time in eight, NaN, +Inf or
+// −Inf.
+func specialDraw(rng *rand.Rand) float64 {
+	if rng.Intn(8) == 0 {
+		return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+	}
+	return finiteDraw(rng)
+}
+
+// raggedCSR returns an n×n matrix whose rows hold anywhere from no entry
+// to every column, in sorted random columns, with values from draw.
+func raggedCSR(rng *rand.Rand, n int, draw func(*rand.Rand) float64) *CSR {
+	m := &CSR{N: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		var width int
+		switch rng.Intn(4) {
+		case 0: // empty
+		case 1:
+			width = min(n, 1+rng.Intn(2))
+		default:
+			width = rng.Intn(n + 1)
+		}
+		for _, j := range rng.Perm(n)[:width] {
+			m.ColIdx = append(m.ColIdx, j)
+		}
+		sort.Ints(m.ColIdx[m.RowPtr[i]:])
+		for range width {
+			m.Val = append(m.Val, draw(rng))
+		}
+		m.RowPtr[i+1] = len(m.ColIdx)
+	}
+	return m
+}
+
+// TestCSRMulVecMatchesScalarOracle is the SpMV kernel's contract as a
+// differential test: on ragged random matrices (empty rows, one-entry
+// rows, rows of every width side by side) of every order mod 4, with −0
+// and, in every other matrix, NaN and ±Inf in Val and in x, MulVec into
+// a fresh and into a caller's vector, and MulVecRows over the whole
+// range, equal the one-row loop bit for bit (NaNs as a class) and count
+// 2 flops per stored entry.
+func TestCSRMulVecMatchesScalarOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 30, 31, 62, 63} {
+		for rep := 0; rep < 8; rep++ {
+			// Half the draws finite, where a sum taken in another order
+			// shows in its rounding rather than hiding behind a NaN.
+			draw := finiteDraw
+			if rep%2 == 1 {
+				draw = specialDraw
+			}
+			m := raggedCSR(rng, n, draw)
+			x := NewVector(n)
+			for i := range x {
+				x[i] = draw(rng)
+			}
+			want := NewVector(n)
+			refMulVec(m, x, want)
+			var fresh, into, rows Stats
+			rowsOut := NewVector(n)
+			m.MulVecRows(x, rowsOut, 0, n, &rows)
+			for name, got := range map[string]Vector{
+				"fresh":      m.MulVec(x, nil, &fresh),
+				"into":       m.MulVec(x, NewVector(n), &into),
+				"MulVecRows": rowsOut,
+			} {
+				if i := firstNaNClassDiff(got, want); i >= 0 {
+					t.Fatalf("n=%d rep %d: %s differs from the oracle at row %d: %v vs %v (row %v × %v)", n, rep, name, i, got[i], want[i],
+						m.Val[m.RowPtr[i]:m.RowPtr[i+1]], m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]])
+				}
+			}
+			for _, st := range []Stats{fresh, into, rows} {
+				if st.Flops != int64(2*m.NNZ()) {
+					t.Fatalf("n=%d: %d flops for %d stored entries", n, st.Flops, m.NNZ())
+				}
+			}
+		}
+	}
+}
+
+// TestCSRMulVecRowsPartitionEqualsWhole splits the rows at every pair of
+// boundaries, most of them not multiples of 4, so the four-row blocks of
+// each part fall differently than the whole's: the parts must equal the
+// whole product bit for bit (NaNs as a class) and their flops sum to its.
 func TestCSRMulVecRowsPartitionEqualsWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
 	m := poisson2D(4)
 	x := NewVector(m.N)
 	for i := range x {
-		x[i] = float64(i + 1)
+		x[i] = float64(i+1) / 3
 	}
-	whole := m.MulVec(x, nil, nil)
-	part := NewVector(m.N)
-	mid := m.N / 2
-	m.MulVecRows(x, part, 0, mid, nil)
-	m.MulVecRows(x, part, mid, m.N, nil)
-	if d := MaxAbsDiff(whole, part); d != 0 {
-		t.Errorf("row partition differs from whole by %g", d)
+	ragged := raggedCSR(rng, 23, specialDraw)
+	rx := NewVector(ragged.N)
+	for i := range rx {
+		rx[i] = specialDraw(rng)
+	}
+	for _, tc := range []struct {
+		m *CSR
+		x Vector
+	}{{m, x}, {ragged, rx}} {
+		var wst Stats
+		whole := tc.m.MulVec(tc.x, nil, &wst)
+		for a := 0; a <= tc.m.N; a++ {
+			for b := a; b <= tc.m.N; b++ {
+				part := NewVector(tc.m.N)
+				var st Stats
+				for _, r := range [][2]int{{0, a}, {a, b}, {b, tc.m.N}} {
+					tc.m.MulVecRows(tc.x, part, r[0], r[1], &st)
+				}
+				if i := firstNaNClassDiff(part, whole); i >= 0 {
+					t.Fatalf("order %d split at %d, %d: row %d is %v, whole %v", tc.m.N, a, b, i, part[i], whole[i])
+				}
+				if st.Flops != wst.Flops {
+					t.Fatalf("order %d split at %d, %d: %d flops, whole %d", tc.m.N, a, b, st.Flops, wst.Flops)
+				}
+			}
+		}
 	}
 }
 
