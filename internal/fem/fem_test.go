@@ -250,7 +250,11 @@ func TestAssembledSystemSPD(t *testing.T) {
 	if !asm.K.IsSymmetric(1e-9) {
 		t.Error("assembled stiffness not symmetric")
 	}
-	if _, err := asm.K.ToBanded().CholeskyFactor(nil); err != nil {
+	plan, err := linalg.NewDirectPlan(asm.K, linalg.PlanOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Refactor(asm.K, nil); err != nil {
 		t.Errorf("assembled stiffness not positive definite: %v", err)
 	}
 	wantN := m.NumDOF() - m.NumFixed()

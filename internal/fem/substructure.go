@@ -128,9 +128,9 @@ type condensed struct {
 	schur *linalg.Dense
 	// fb is the condensed boundary load.
 	fb linalg.Vector
-	// chol (the banded Cholesky factor of K_ii) and kib allow internal
+	// chol (the factored plan of K_ii) and kib allow internal
 	// back-substitution.
-	chol *linalg.Banded
+	chol *linalg.DirectPlan
 	kib  *linalg.Dense
 	fi   linalg.Vector
 	// flops spent condensing (for cost attribution).
@@ -138,79 +138,86 @@ type condensed struct {
 }
 
 // condense performs static condensation of one substructure for one load
-// set.  K_ii is stored and factored in symmetric banded form: the
-// internal dofs of a vertical band are nearly contiguous in the mesh
-// numbering, so the interior block has a small local bandwidth and the
+// set.  K_ii is factored through a natural-order band plan: the internal
+// dofs of a vertical band are nearly contiguous in the mesh numbering,
+// so the interior block has a small local bandwidth and the
 // factorisation costs O(ni·bw²) instead of the dense O(ni³).
 func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	ni, nb := len(sub.Internal), len(sub.Boundary)
-	idxI := map[int]int{}
-	for i, d := range sub.Internal {
-		idxI[d] = i
-	}
-	idxB := map[int]int{}
-	for i, d := range sub.Boundary {
-		idxB[d] = i
-	}
-	// Symbolic pass: the interior block's local half-bandwidth, from
-	// connectivity alone.
-	bw := 0
-	for _, ei := range sub.Elems {
-		dofs := ElementDOFs(m.Elements[ei])
-		for _, gi := range dofs {
-			ii, isI := idxI[gi]
-			if !isI {
-				continue
+	// idxI[d] and idxB[d] are global dof d's interior and boundary
+	// indices here, −1 where it is neither.
+	idxI, idxB := dofIndex(m, sub.Internal), dofIndex(m, sub.Boundary)
+	// Symbolic pass: the interior block's pattern, from connectivity
+	// alone — every interior pair of every element, in the order the
+	// numeric pass below visits them.
+	elemDOFs := make([][]int, len(sub.Elems))
+	pairs := 0
+	for k, ei := range sub.Elems {
+		elemDOFs[k] = ElementDOFs(m.Elements[ei])
+		in := 0
+		for _, d := range elemDOFs[k] {
+			if idxI[d] >= 0 {
+				in++
 			}
-			for _, gj := range dofs {
-				ji, jIsI := idxI[gj]
-				if !jIsI {
-					continue
-				}
-				if d := ii - ji; d > bw {
-					bw = d
+		}
+		pairs += in * in
+	}
+	rows, cols := make([]int, 0, pairs), make([]int, 0, pairs)
+	for _, dofs := range elemDOFs {
+		for _, gi := range dofs {
+			if ii := idxI[gi]; ii >= 0 {
+				for _, gj := range dofs {
+					if ji := idxI[gj]; ji >= 0 {
+						rows, cols = append(rows, ii), append(cols, ji)
+					}
 				}
 			}
 		}
 	}
-	kii := linalg.NewBanded(ni, bw)
+	pat, at, err := linalg.NewPattern(ni, rows, cols)
+	if err != nil {
+		return nil, err
+	}
+	kii := pat.NewCSR()
+	next := 0 // the interior pair the numeric pass is at, in rows/cols
 	kib := linalg.NewDense(ni, nb)
 	kbb := linalg.NewDense(nb, nb)
 	st := &linalg.Stats{}
 	var sc stiffScratch
-	for _, ei := range sub.Elems {
-		e := m.Elements[ei]
-		dofs := ElementDOFs(e)
+	for k, ei := range sub.Elems {
+		e, dofs := m.Elements[ei], elemDOFs[k]
 		ke, err := sc.stiffness(m, e, len(dofs))
 		if err != nil {
 			return nil, err
 		}
 		for i, gi := range dofs {
-			ii, isI := idxI[gi]
-			ib, isB := idxB[gi]
-			if !isI && !isB {
+			ii, ib := idxI[gi], idxB[gi]
+			if ii < 0 && ib < 0 {
 				continue // fixed dof
 			}
 			for j, gj := range dofs {
-				ji, jIsI := idxI[gj]
-				jb, jIsB := idxB[gj]
+				ji, jb := idxI[gj], idxB[gj]
 				v := ke.At(i, j)
+				p := -1 // the K_ii entry of an interior pair
+				if ii >= 0 && ji >= 0 {
+					p = at[next]
+					next++
+				}
 				if v == 0 {
 					continue
 				}
 				switch {
-				case isI && jIsI:
-					// Banded storage holds each symmetric pair once, so
-					// only the lower-triangle visit scatters (ke is
-					// symmetric; the upper visit is its mirror).
-					if ii >= ji {
-						kii.AddAt(ii, ji, v)
-					}
-				case isI && jIsB:
+				case p >= 0:
+					// Each visit adds to its own entry; the plan factors
+					// the lower triangle, which sums the lower visits in
+					// element order.
+					kii.Val[p] += v
+				case ii >= 0 && jb >= 0:
 					kib.AddAt(ii, jb, v)
-				case isB && jIsB:
+				case ib >= 0 && jb >= 0:
 					kbb.AddAt(ib, jb, v)
-					// isB && jIsI lands in kib via the symmetric visit.
+					// A boundary row's interior columns land in kib via
+					// the symmetric visit.
 				}
 				st.Flops++
 			}
@@ -222,19 +229,25 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	// system is assembled.
 	fi := linalg.NewVector(ni)
 	for _, le := range ls.Entries {
-		if i, ok := idxI[le.DOF]; ok {
-			fi[i] += le.Value
+		if le.DOF >= 0 && le.DOF < len(idxI) && idxI[le.DOF] >= 0 {
+			fi[idxI[le.DOF]] += le.Value
 		}
 	}
 	c := &condensed{sub: sub, fi: fi, kib: kib}
 	if ni > 0 {
-		chol, err := kii.CholeskyFactor(st)
+		chol, err := linalg.NewDirectPlan(kii, linalg.PlanOpts{})
 		if err != nil {
+			return nil, err
+		}
+		if err := chol.Refactor(kii, st); err != nil {
 			return nil, fmt.Errorf("fem: substructure interior not SPD: %w", err)
 		}
 		c.chol = chol
 		// S = K_bb - K_ibᵀ · (K_ii⁻¹ K_ib)
-		y := chol.CholeskySolveMatrix(kib, st) // ni×nb
+		y, err := chol.SolveMatrixInto(kib, nil, st) // ni×nb
+		if err != nil {
+			return nil, err
+		}
 		s := kib.Transpose().Mul(y, st)
 		for i := 0; i < nb; i++ {
 			for j := 0; j < nb; j++ {
@@ -243,7 +256,10 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 		}
 		// fb := -K_ibᵀ · K_ii⁻¹ fi  (applied loads on boundary added
 		// by the caller)
-		z := chol.CholeskySolve(fi, st)
+		z, err := chol.SolveInto(fi, nil, st)
+		if err != nil {
+			return nil, err
+		}
 		corr := kib.Transpose().MulVec(z, nil, st)
 		fbv := linalg.NewVector(nb)
 		for i := range fbv {
@@ -256,6 +272,19 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 	c.schur = kbb
 	c.flops = st.Flops
 	return c, nil
+}
+
+// dofIndex returns, for each of m's dofs, its position in dofs, −1 for
+// a dof not in it.
+func dofIndex(m *Model, dofs []int) []int {
+	idx := make([]int, m.NumDOF())
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, d := range dofs {
+		idx[d] = i
+	}
+	return idx
 }
 
 // SolveSubstructured solves the model by substructure analysis: each
@@ -384,7 +413,10 @@ func SolveSubstructured(ctx context.Context, m *Model, s *Substructured, ls *Loa
 		for i := range rhsI {
 			rhsI[i] = c.fi[i] - t[i]
 		}
-		ui := c.chol.CholeskySolve(rhsI, nil)
+		ui, err := c.chol.SolveInto(rhsI, rhsI, nil)
+		if err != nil {
+			return nil, err
+		}
 		for i, d := range c.sub.Internal {
 			u[d] = ui[i]
 		}

@@ -5,6 +5,11 @@ import (
 	"math"
 )
 
+// Banded and CSR.ToBanded are the storage and solver the cholesky and
+// cholesky-rcm backends ran before a band became an envelope with a
+// uniform profile, kept verbatim as the oracle of the band plans: a
+// band plan must match them in factor bits, solution bits and flops.
+//
 // Banded is a symmetric positive-definite matrix stored in lower banded
 // form: element (i,j) with 0 <= i-j <= Bandwidth is kept at band[i][i-j].
 // This is the classical storage scheme of 1980s finite element codes; the
@@ -263,4 +268,19 @@ func (b *Banded) SolveCholesky(rhs Vector, st *Stats) (Vector, error) {
 		return nil, err
 	}
 	return l.CholeskySolve(rhs, st), nil
+}
+
+// ToBanded converts to symmetric banded storage using the matrix's own
+// bandwidth, for handing to the sequential Cholesky baseline.
+func (m *CSR) ToBanded() *Banded {
+	b := NewBanded(m.N, m.Bandwidth())
+	for i := 0; i < m.N; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			j := m.ColIdx[k]
+			if j <= i {
+				b.Set(i, j, m.Val[k])
+			}
+		}
+	}
+	return b
 }

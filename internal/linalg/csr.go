@@ -207,21 +207,6 @@ func (m *CSR) Bandwidth() int {
 	return w
 }
 
-// ToBanded converts to symmetric banded storage using the matrix's own
-// bandwidth, for handing to the sequential Cholesky baseline.
-func (m *CSR) ToBanded() *Banded {
-	b := NewBanded(m.N, m.Bandwidth())
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			if j <= i {
-				b.Set(i, j, m.Val[k])
-			}
-		}
-	}
-	return b
-}
-
 // ToDense expands to dense form (tests only).
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.N, m.N)

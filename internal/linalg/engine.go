@@ -56,14 +56,17 @@ type Solver interface {
 // The built-in backend names.
 const (
 	// BackendCholesky is sequential banded Cholesky in the mesh's
-	// natural numbering — the 1980s production baseline.
+	// natural numbering — the 1980s production baseline: an envelope
+	// with a uniform band profile, back-substituted as a row dot.
 	BackendCholesky = "cholesky"
 	// BackendCholeskyRCM is banded Cholesky after reverse Cuthill–McKee
 	// bandwidth reduction — the full 1980s direct-solve pipeline.
 	BackendCholeskyRCM = "cholesky-rcm"
 	// BackendCholeskyEnv is envelope (skyline) Cholesky after RCM: each
 	// row pays for its own profile instead of the worst row's bandwidth,
-	// so irregular meshes stop subsidising their widest row.
+	// so irregular meshes stop subsidising their widest row.  All three
+	// share one factor kernel, so their factors of one ordering agree
+	// bitwise.
 	BackendCholeskyEnv = "cholesky-env"
 	// BackendCG is (optionally preconditioned) conjugate gradients.
 	BackendCG = "cg"
@@ -154,8 +157,8 @@ func DirectSolveInfo(backend string, a *CSR, x, b Vector, st *Stats) Info {
 	return Info{Backend: backend, Residual: resid, Flops: st.Flops, Direct: true}
 }
 
-// choleskySolver is the direct backend family: banded or envelope
-// storage, natural or RCM ordering, selected by its PlanOpts.  Each
+// choleskySolver is the direct backend family: a band or skyline
+// profile, natural or RCM ordering, selected by its PlanOpts.  Each
 // Solve is a one-shot DirectPlan — the registry backends are stateless;
 // the factor caches above this layer are what make solves warm.
 type choleskySolver struct {

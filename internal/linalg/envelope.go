@@ -8,13 +8,14 @@ import (
 // Envelope is a symmetric positive-definite matrix in lower envelope
 // (skyline) storage: row i keeps the contiguous run of columns
 // first[i]..i, where first[i] is the row's first structural non-zero.
-// Uniform banded storage charges every row for the worst row's
-// bandwidth; the envelope charges each row for its own profile, which
-// is what makes the direct baseline competitive on irregular meshes
-// where a handful of wide rows would otherwise inflate the whole band.
-// Cholesky fill is confined to the envelope (a row's first non-zero
-// never moves left during factorisation), so the factor lives in the
-// same storage the matrix does.
+// A band of half-width w is the profile first[i] = max(0, i−w), which
+// charges every row for the worst row's bandwidth; the skyline charges
+// each row for its own profile, which is what makes the direct baseline
+// competitive on irregular meshes where a handful of wide rows would
+// otherwise inflate the whole band.  Cholesky fill is confined to the
+// envelope (a row's first non-zero never moves left during
+// factorisation), so the factor lives in the same storage the matrix
+// does.
 type Envelope struct {
 	N int
 	// first[i] is the first stored column of row i (first[i] <= i).
@@ -28,6 +29,10 @@ type Envelope struct {
 	flops int64
 	// panel is the panel kernel's scratch, allocated by its first run.
 	panel []float64
+	// rowDot makes the backward substitution a row dot over ascending k,
+	// the order the banded solver summed it in.  NewDirectPlan sets it for
+	// StorageBand alone, so a band plan's solutions keep those bits.
+	rowDot bool
 }
 
 // NewEnvelope returns a zero matrix of order len(first) with the given
@@ -89,13 +94,6 @@ func (e *Envelope) Set(i, j int, v float64) {
 	e.env[e.ptr[i]+j-e.first[i]] = v
 }
 
-// Fill zeroes every stored entry, keeping the profile.
-func (e *Envelope) Fill(x float64) {
-	for i := range e.env {
-		e.env[i] = x
-	}
-}
-
 // subDot returns s − Σ a[k]·b[k], subtracting in ascending k.  b may be
 // longer than a.
 func subDot(s float64, a, b []float64) float64 {
@@ -141,7 +139,7 @@ func pivot(row []float64) (s float64, ok bool) {
 }
 
 // notPositiveDefinite books the flops spent up to a failed pivot and
-// names it; Banded.CholeskyFactorInPlace fails the same way.
+// names it.
 func notPositiveDefinite(st *Stats, flops int64, row int, pivot float64) error {
 	st.addFlops(flops)
 	return fmt.Errorf("linalg: matrix not positive definite at row %d (pivot %g)", row, pivot)
@@ -168,12 +166,14 @@ func (e *Envelope) failAt(st *Stats, r int, s float64) error {
 // The kernel's contract, which CholeskySolveInto's forward half shares:
 // each factor entry and each forward-substitution row is one ascending-k
 // sum; entries may be computed concurrently but never summed
-// differently, hence the envelope factor ≡ the banded factor bitwise and
-// warm ≡ cold bitwise.  Entry (i,j) subtracts L[i,k]·L[j,k] over exactly
-// the columns both rows store, k = max(first[i], first[j]) .. j-1 — the
-// terms a uniform band adds to that are products with exact zeros — and
-// divides by L[j,j].  Every product is rounded before it is subtracted:
-// Go does not fuse s -= a*b on amd64, and the assembly uses no FMA.
+// differently, hence the skyline factor ≡ the band factor of the same
+// matrix bitwise, a band's ≡ the banded solver's it replaced (kept in
+// banded_test.go as the oracle), and warm ≡ cold bitwise.  Entry (i,j)
+// subtracts L[i,k]·L[j,k] over exactly the columns both rows store,
+// k = max(first[i], first[j]) .. j-1 — the terms a uniform band adds to
+// that are products with exact zeros — and divides by L[j,j].  Every
+// product is rounded before it is subtracted: Go does not fuse
+// s -= a*b on amd64, and the assembly uses no FMA.
 //
 // Two kernels keep the contract, and the CPU alone picks one.  A single
 // sum is a chain of dependent subtractions closed by a division the
@@ -303,9 +303,10 @@ func (e *Envelope) factorPairs(st *Stats, lo, hi int) error {
 // receives the four rows' updates in descending-row order, exactly the
 // order updating one row at a time gives it.  A block in which row i,
 // i-1 or i-2 begins after column i-3 takes its row i alone, as do the
-// fewer than four rows left at the end.  Banded sums the backward half
-// as a row dot over ascending k instead, so the two storages' solutions
-// differ in their last bits though their factors do not.
+// fewer than four rows left at the end.  A band plan's envelope (rowDot)
+// sums the backward half as a row dot over ascending k instead, the
+// banded solver's order, so a band and a skyline plan of one matrix
+// differ in their solutions' last bits though not in their factors.
 func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if len(rhs) != e.N {
 		panic(fmt.Errorf("%w: Envelope.CholeskySolveInto order %d with rhs %d", ErrDimension, e.N, len(rhs)))
@@ -365,7 +366,36 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 		y[i] = subDot(y[i], r0[:i-f0], y[f0:]) / r0[i-f0]
 		i++
 	}
-	// Backward: Lᵀ·x = y, column-oriented over the row-stored factor.
+	if e.rowDot {
+		e.backwardRows(y)
+	} else {
+		e.backwardColumns(y)
+	}
+	// Each half is one multiply-subtract per stored off-diagonal entry
+	// and one division per row.
+	st.addFlops(4*int64(len(env)) - 2*int64(e.N))
+	return y
+}
+
+// backwardRows solves Lᵀ·x = y in place as a row dot over ascending k:
+// x[i] = (y[i] − Σ L[k,i]·x[k]) / L[i,i] over the contiguous rows
+// k = i+1 … whose first column is at most i.  In a band those are all
+// the rows that store column i, which is why only a band sets rowDot.
+func (e *Envelope) backwardRows(y Vector) {
+	env, first, ptr := e.env, e.first, e.ptr
+	for i := e.N - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < e.N && first[k] <= i; k++ {
+			s -= env[ptr[k]+i-first[k]] * y[k]
+		}
+		y[i] = s / env[ptr[i+1]-1]
+	}
+}
+
+// backwardColumns solves Lᵀ·x = y in place, column-oriented over the
+// row-stored factor.
+func (e *Envelope) backwardColumns(y Vector) {
+	env, first, ptr := e.env, e.first, e.ptr
 	for i := e.N - 1; i >= 0; {
 		f0 := first[i]
 		r0 := env[ptr[i]:ptr[i+1]]
@@ -418,8 +448,4 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 		subScaled(y[f0:i], r0[:i-f0], x)
 		i--
 	}
-	// Each half is one multiply-subtract per stored off-diagonal entry
-	// and one division per row.
-	st.addFlops(4*int64(len(env)) - 2*int64(e.N))
-	return y
 }

@@ -1,53 +1,85 @@
 package linalg_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fem"
 	"repro/internal/linalg"
 )
 
+// meshSystem is the reduced system K·u = f of a generated mesh.
+type meshSystem struct {
+	name string
+	k    *linalg.CSR
+	rhs  linalg.Vector
+}
+
+// plate is an NX×NY clamped steel plate, jittered by 0.25 when jitter is
+// set.
+func plate(nx, ny int, jitter bool) (string, fem.RectGridOpts) {
+	o := fem.RectGridOpts{NX: nx, NY: ny, W: float64(nx), H: float64(ny), Mat: fem.Steel(), ClampLeft: true}
+	name := fmt.Sprintf("plate-%dx%d", nx, ny)
+	if jitter {
+		o.Jitter, o.Seed = 0.25, 19
+		name += "-jittered"
+	}
+	return name, o
+}
+
+// meshSystems assembles the named plates, and a 30-bay truss when truss
+// is set.
+func meshSystems(t *testing.T, plates [][2]int, truss bool) []meshSystem {
+	t.Helper()
+	var out []meshSystem
+	add := func(name string, m *fem.Model, ls *fem.LoadSet, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		asm, err := fem.Assemble(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs, err := m.RHS(ls, asm.Index, len(asm.Free))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, meshSystem{name, asm.K, rhs})
+	}
+	for _, p := range plates {
+		for _, jitter := range []bool{false, true} {
+			name, o := plate(p[0], p[1], jitter)
+			m, err := fem.RectGrid("p", o)
+			add(name, m, fem.EndLoad("l", o, 0, -1000), err)
+		}
+	}
+	if truss {
+		m, err := fem.CantileverTruss("t", 30, 2, 1.5, fem.Steel())
+		add("truss-30", m, fem.TipLoad("l", 30, -500), err)
+	}
+	return out
+}
+
 // TestEnvelopeKernelMatchesScalarOracleOnMeshes runs the bitwise
 // kernel-against-oracle comparison on the systems the service factors:
 // the benchmark's 40x24 plate as generated and with jittered nodes, and
 // a truss, each under the cholesky-env plan.
 func TestEnvelopeKernelMatchesScalarOracleOnMeshes(t *testing.T) {
-	plate := fem.RectGridOpts{NX: 40, NY: 24, W: 40, H: 24, Mat: fem.Steel(), ClampLeft: true}
-	jittered := plate
-	jittered.Jitter, jittered.Seed = 0.25, 19
-	for _, tc := range []struct {
-		name  string
-		build func() (*fem.Model, *fem.LoadSet, error)
-	}{
-		{"plate-40x24", func() (*fem.Model, *fem.LoadSet, error) {
-			m, err := fem.RectGrid("p", plate)
-			return m, fem.EndLoad("l", plate, 0, -1000), err
-		}},
-		{"plate-40x24-jittered", func() (*fem.Model, *fem.LoadSet, error) {
-			m, err := fem.RectGrid("p", jittered)
-			return m, fem.EndLoad("l", jittered, 0, -1000), err
-		}},
-		{"truss-30", func() (*fem.Model, *fem.LoadSet, error) {
-			m, err := fem.CantileverTruss("t", 30, 2, 1.5, fem.Steel())
-			return m, fem.TipLoad("l", 30, -500), err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, ls, err := tc.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			asm, err := fem.Assemble(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rhs, err := m.RHS(ls, asm.Index, len(asm.Free))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nnz := linalg.CheckEnvelopeKernel(t, asm.K, rhs); nnz <= asm.K.N {
-				t.Errorf("envelope of %d rows stores %d entries: nothing off the diagonal was compared", asm.K.N, nnz)
+	for _, sys := range meshSystems(t, [][2]int{{40, 24}}, true) {
+		t.Run(sys.name, func(t *testing.T) {
+			if nnz := linalg.CheckEnvelopeKernel(t, sys.k, sys.rhs); nnz <= sys.k.N {
+				t.Errorf("envelope of %d rows stores %d entries: nothing off the diagonal was compared", sys.k.N, nnz)
 			}
 		})
+	}
+}
+
+// TestBandPlansMatchBandedOracleOnMeshes is TestBandPlansMatchBandedOracle
+// on the 8x6, 12x8 and 40x24 plates, each as generated and jittered, and
+// the truss: the cholesky and cholesky-rcm plans against the Banded
+// solver, bitwise, under both kernels.
+func TestBandPlansMatchBandedOracleOnMeshes(t *testing.T) {
+	for _, sys := range meshSystems(t, [][2]int{{8, 6}, {12, 8}, {40, 24}}, true) {
+		t.Run(sys.name, func(t *testing.T) { linalg.CheckBandPlan(t, sys.k, sys.rhs) })
 	}
 }

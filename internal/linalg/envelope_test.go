@@ -155,11 +155,7 @@ func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector
 	// rows below it.
 	stored := len(got.env)
 	if gerr != nil {
-		var row int
-		if _, err := fmt.Sscanf(gerr.Error(), "linalg: matrix not positive definite at row %d", &row); err != nil {
-			t.Fatalf("factor error %q names no row", gerr)
-		}
-		stored = got.ptr[row+1]
+		stored = got.ptr[failingRow(t, gerr)+1]
 	}
 	if i := firstBitDiff(got.env[:stored], want.env[:stored]); i >= 0 {
 		t.Fatalf("%s kernel: factor differs from the oracle at stored entry %d: %v vs %v (%s)", k.name, i, got.env[i], want.env[i], profileString(e.first))
@@ -187,6 +183,71 @@ func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector
 	got.CholeskySolveInto(rhs, nil, &gst)
 	if gst.Flops != wst.Flops {
 		t.Fatalf("solve flops %d, oracle %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
+	}
+	return nil
+}
+
+// failingRow returns the row a factorisation error names.
+func failingRow(t testing.TB, err error) int {
+	t.Helper()
+	var row int
+	if _, serr := fmt.Sscanf(err.Error(), "linalg: matrix not positive definite at row %d", &row); serr != nil {
+		t.Fatalf("factor error %q names no row", err)
+	}
+	return row
+}
+
+// checkBandKernel is checkEnvelopeKernel for a band-profile envelope e
+// against the Banded oracle b holding the same values: the same error,
+// the same stored bits (of a failed factorisation, the rows down to the
+// failing one) and, when the factorisation succeeds, the same flops and
+// the same solution bits, fresh, into a caller's vector and in place.
+// The flops of a failed factorisation are not compared: Banded books the
+// columns it finished, the envelope the rows.  It returns the kernel's
+// error.
+func checkBandKernel(t testing.TB, k envelopeKernel, e *Envelope, b *Banded, rhs Vector) error {
+	t.Helper()
+	got, want := NewEnvelope(e.first), b.Clone()
+	got.rowDot = e.rowDot
+	copy(got.env, e.env)
+	var gst, wst Stats
+	gerr, werr := k.factor(got, &gst), want.CholeskyFactorInPlace(&wst)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		t.Fatalf("%s kernel: band factor error %v, Banded %v (%s)", k.name, gerr, werr, profileString(e.first))
+	}
+	rows := e.N
+	if gerr != nil {
+		rows = failingRow(t, gerr) + 1
+	}
+	for i := range rows {
+		for j := e.first[i]; j <= i; j++ {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s kernel: band factor differs from Banded at (%d,%d): %v vs %v (%s)", k.name, i, j, g, w, profileString(e.first))
+			}
+		}
+	}
+	if gerr != nil {
+		return gerr
+	}
+	if gst.Flops != wst.Flops {
+		t.Fatalf("%s kernel: band factor flops %d, Banded %d (%s)", k.name, gst.Flops, wst.Flops, profileString(e.first))
+	}
+	wst = Stats{}
+	ref := want.CholeskySolveInto(rhs, nil, &wst)
+	inPlace := rhs.Clone()
+	for name, x := range map[string]Vector{
+		"fresh":    got.CholeskySolveInto(rhs, nil, nil),
+		"into":     got.CholeskySolveInto(rhs, NewVector(e.N), nil),
+		"in place": got.CholeskySolveInto(inPlace, inPlace, nil),
+	} {
+		if i := firstBitDiff(x, ref); i >= 0 {
+			t.Fatalf("%s band solve differs from Banded at %d: %v vs %v (%s)", name, i, x[i], ref[i], profileString(e.first))
+		}
+	}
+	gst = Stats{}
+	got.CholeskySolveInto(rhs, nil, &gst)
+	if gst.Flops != wst.Flops {
+		t.Fatalf("band solve flops %d, Banded %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
 	}
 	return nil
 }
@@ -379,11 +440,15 @@ func TestEnvelopeKernelFailsWhereOracleFails(t *testing.T) {
 }
 
 // envelopeFromFuzz decodes a profile and values from fuzz bytes: the
-// first byte is the order (mod 24), then one byte per row for its width,
-// then one byte per stored value.  Diagonals get the row's absolute sum
-// added unless the value byte is odd, so most inputs factor and some fail
-// part-way.
-func envelopeFromFuzz(data []byte) (*Envelope, Vector) {
+// first byte's low seven bits are the order (mod 24), then one byte per
+// row for its width, then one byte per stored value.  When the first
+// byte's top bit is set the profile is a band instead: the second byte is
+// the half-width w, every row begins at max(0, i−w), the envelope sums
+// its backward half as a band plan does, and the Banded oracle holding
+// the same values is returned beside it (nil otherwise).  Diagonals get
+// the row's absolute sum added unless the value byte is odd, so most
+// inputs factor and some fail part-way.
+func envelopeFromFuzz(data []byte) (*Envelope, *Banded, Vector) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -392,12 +457,22 @@ func envelopeFromFuzz(data []byte) (*Envelope, Vector) {
 		data = data[1:]
 		return b
 	}
-	n := int(next()) % 24
+	head := next()
+	n := int(head&0x7f) % 24
+	band, w := head&0x80 != 0, 0
+	if band {
+		w = int(next())
+	}
 	first := make([]int, n)
 	for i := range first {
-		first[i] = i - int(next())%(i+1)
+		if band {
+			first[i] = max(0, i-w)
+		} else {
+			first[i] = i - int(next())%(i+1)
+		}
 	}
 	e := NewEnvelope(first)
+	e.rowDot = band
 	sum := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for j := first[i]; j < i; j++ {
@@ -417,12 +492,23 @@ func envelopeFromFuzz(data []byte) (*Envelope, Vector) {
 		e.Set(i, i, d)
 		rhs[i] = float64(int8(next())) / 4
 	}
-	return e, rhs
+	if !band {
+		return e, nil, rhs
+	}
+	b := NewBanded(n, w)
+	for i := range n {
+		for j := first[i]; j <= i; j++ {
+			b.Set(i, j, e.At(i, j))
+		}
+	}
+	return e, b, rhs
 }
 
 // FuzzEnvelopeCholesky searches profiles and values for an input on
-// which a kernel the host runs and the scalar oracle part ways — in a
-// stored bit, the solve output, the failing row or the flop count.
+// which a kernel the host runs and its oracle part ways — in a stored
+// bit, the solve output, the failing row or the flop count.  The oracle
+// of a ragged profile is the scalar loops above, of a band profile the
+// Banded solver.
 func FuzzEnvelopeCholesky(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 8, 3})
@@ -432,10 +518,20 @@ func FuzzEnvelopeCholesky(f *testing.F) {
 	// Order 7 (7 mod 4 = 3): row 5 begins at column 4, inside the
 	// backward block of rows 6..3, and row 6 is dense.
 	f.Add([]byte{7, 0, 1, 2, 3, 4, 1, 6, 16, 240, 33, 7, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150, 44})
+	// Band profiles: order 9 with w = 0, order 10 with w = 1, order 13
+	// with w = 3, and order 7 with w = 255 ≥ n−1, a dense triangle.
+	f.Add([]byte{0x80 | 9, 0, 16, 8, 40, 250, 2, 17, 66, 3, 30, 200, 4, 9, 120, 100, 7, 70, 12, 33})
+	f.Add([]byte{0x80 | 10, 1, 200, 17, 33, 250, 4, 90, 12, 180, 5, 16, 240, 33, 8, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150, 44, 60, 61})
+	f.Add([]byte{0x80 | 13, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 1, 255, 1, 255, 1, 255, 1, 16, 240, 33, 7, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150, 44, 16, 240, 33, 7, 200, 9, 65, 3, 90, 12, 180})
+	f.Add([]byte{0x80 | 7, 255, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 200, 17, 33, 250, 4, 90, 16, 240, 33, 7, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, rhs := envelopeFromFuzz(data)
+		e, b, rhs := envelopeFromFuzz(data)
 		for _, k := range envelopeKernels {
-			if k.runs() {
+			switch {
+			case !k.runs():
+			case b != nil:
+				_ = checkBandKernel(t, k, e, b, rhs)
+			default:
 				_ = checkEnvelopeKernel(t, k, e, rhs)
 			}
 		}

@@ -13,11 +13,7 @@ func CheckEnvelopeKernel(t *testing.T, a *CSR, rhs Vector) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, at := range plan.scatter {
-		if at >= 0 {
-			plan.env.env[at] = a.Val[k]
-		}
-	}
+	loadPlan(plan, a)
 	forEachKernel(t, func(t *testing.T, k envelopeKernel) {
 		if err := checkEnvelopeKernel(t, k, plan.env, PermuteVector(rhs, plan.perm)); err != nil {
 			t.Fatal(err)
@@ -25,3 +21,8 @@ func CheckEnvelopeKernel(t *testing.T, a *CSR, rhs Vector) int {
 	})
 	return plan.env.NNZ()
 }
+
+// CheckBandPlan is checkBandPlan of factor_test.go — a's band plans in
+// natural and RCM order against the Banded oracle — for the external
+// test package.
+var CheckBandPlan = checkBandPlan

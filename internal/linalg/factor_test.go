@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,15 +153,193 @@ func TestEnvelopeAgreesWithBand(t *testing.T) {
 			}
 			// The factors themselves agree bitwise (same sums; skipped
 			// terms are exact zeros).
+			l, err := bandedOracle(t, band, tc.m).CholeskyFactor(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < tc.m.N; i++ {
 				for j := env.env.First(i); j <= i; j++ {
-					if bv, ev := band.band.At(i, j), env.env.At(i, j); bv != ev {
+					if bv, ev := l.At(i, j), env.env.At(i, j); bv != ev {
 						t.Fatalf("factor differs at (%d,%d): band %v env %v", i, j, bv, ev)
 					}
 				}
 			}
 		})
 	}
+}
+
+// loadPlan scatters a's values into p's envelope as Refactor does,
+// without factoring.
+func loadPlan(p *DirectPlan, a *CSR) {
+	clear(p.env.env)
+	for k, at := range p.scatter {
+		if at >= 0 {
+			p.env.env[at] = a.Val[k]
+		}
+	}
+}
+
+// bandedOracle returns a in p's ordering as the Banded oracle: ToBanded
+// of the permuted matrix, with a's lower-triangle values then copied
+// over bit for bit, since Permute sums its triplets from +0 and so turns
+// a −0 into +0.
+func bandedOracle(t testing.TB, p *DirectPlan, a *CSR) *Banded {
+	t.Helper()
+	pa, at := a, func(i int) int { return i }
+	if p.perm != nil {
+		var err error
+		if pa, err = a.Permute(p.perm); err != nil {
+			t.Fatal(err)
+		}
+		at = func(i int) int { return p.inv[i] }
+	}
+	b := pa.ToBanded()
+	for i := 0; i < a.N; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if pi, pj := at(i), at(a.ColIdx[k]); pj <= pi {
+				b.Set(pi, pj, a.Val[k])
+			}
+		}
+	}
+	return b
+}
+
+// checkBandPlan checks a's band plans, in natural and in RCM order,
+// against the Banded oracle: the plan's envelope under each kernel the
+// host runs by checkBandKernel, then Refactor and the permuting SolveInto
+// against the oracle's solution in a's ordering and its flops.
+func checkBandPlan(t *testing.T, a *CSR, rhs Vector) {
+	t.Helper()
+	for _, tc := range []struct {
+		name string
+		po   PlanOpts
+	}{{"natural", PlanOpts{}}, {"rcm", PlanOpts{Ordering: OrderRCM}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan, err := NewDirectPlan(a, tc.po)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := bandedOracle(t, plan, a)
+			prhs := rhs
+			if plan.perm != nil {
+				prhs = PermuteVector(rhs, plan.perm)
+			}
+			loadPlan(plan, a)
+			forEachKernel(t, func(t *testing.T, k envelopeKernel) {
+				if err := checkBandKernel(t, k, plan.env, oracle, prhs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			var st, wst Stats
+			want, err := oracle.SolveCholesky(prhs, &wst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.perm != nil {
+				want = UnpermuteVector(want, plan.perm)
+			}
+			if err := plan.Refactor(a, &st); err != nil {
+				t.Fatal(err)
+			}
+			x, err := plan.SolveInto(rhs, nil, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := firstBitDiff(x, want); i >= 0 {
+				t.Fatalf("plan solution differs from Banded at %d: %v vs %v", i, x[i], want[i])
+			}
+			if st.Flops != wst.Flops {
+				t.Fatalf("plan flops %d, Banded %d", st.Flops, wst.Flops)
+			}
+		})
+	}
+}
+
+// TestBandPlansMatchBandedOracle is the band profile's contract as a
+// seeded differential test: on the poisson system, its badly numbered
+// shuffle, and random SPD systems of every profile shape (with exact −0
+// entries), a band plan in natural and in RCM order, factored by either
+// kernel, equals the Banded solver it replaced in every factor bit,
+// every solution bit and both halves' flops.  The meshes are in
+// envelope_mesh_test.go.
+func TestBandPlansMatchBandedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	systems := []struct {
+		name string
+		m    *CSR
+	}{
+		{"poisson", poisson2D(9)},
+		{"poisson-shuffled", shuffled(t, poisson2D(9))},
+	}
+	for _, kind := range profileKinds {
+		for _, n := range []int{1, 7, 41} {
+			first := make([]int, n)
+			for i := 1; i < n; i++ {
+				first[i] = kind.first(rng, i, first[i-1])
+			}
+			systems = append(systems, struct {
+				name string
+				m    *CSR
+			}{fmt.Sprintf("random-%s-%d", kind.name, n), sparseCSR(t, rng, randomEnvelope(rng, first))})
+		}
+	}
+	for _, tc := range systems {
+		t.Run(tc.name, func(t *testing.T) { checkBandPlan(t, tc.m, randomRHS(rng, tc.m.N)) })
+	}
+}
+
+// TestBandPlanFailsWhereBandedFails plants a pivot of −1, 0 or NaN at
+// every row of a 9-row band of half-width 3: a band plan, factored by
+// either kernel and by Refactor, fails with the Banded oracle's message —
+// the same row and pivot — and books the flops of the row order,
+// refEnvelopeFactor's count, where Banded books its column order.
+func TestBandPlanFailsWhereBandedFails(t *testing.T) {
+	const n, w = 9, 3
+	forEachKernel(t, func(t *testing.T, k envelopeKernel) {
+		for row := 0; row < n; row++ {
+			for _, bad := range []float64{-1, 0, math.NaN()} {
+				var ts []Triplet
+				for i := 0; i < n; i++ {
+					d := 8.0
+					if i == row {
+						d = bad
+					}
+					ts = append(ts, Triplet{i, i, d})
+					for j := max(0, i-w); j < i; j++ {
+						v := 1 / float64(1+i+j)
+						ts = append(ts, Triplet{i, j, v}, Triplet{j, i, v})
+					}
+				}
+				a, err := NewCSRFromTriplets(n, ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, werr := a.ToBanded().CholeskyFactor(nil)
+				plan, err := NewDirectPlan(a, PlanOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				loadPlan(plan, a)
+				ref := NewEnvelope(plan.env.first)
+				copy(ref.env, plan.env.env)
+				var rst, st, pst Stats
+				refEnvelopeFactor(ref, &rst)
+				kerr := k.factor(plan.env, &st)
+				perr := plan.Refactor(a, &pst)
+				for name, got := range map[string]struct {
+					err   error
+					flops int64
+				}{k.name: {kerr, st.Flops}, "Refactor": {perr, pst.Flops}} {
+					if werr == nil || fmt.Sprint(got.err) != werr.Error() {
+						t.Fatalf("pivot %g at row %d: %s error %v, Banded %v", bad, row, name, got.err, werr)
+					}
+					if got.flops != rst.Flops {
+						t.Errorf("pivot %g at row %d: %s booked %d flops, the row order %d", bad, row, name, got.flops, rst.Flops)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestDirectPlanWarmBitIdentical is the differential guarantee the

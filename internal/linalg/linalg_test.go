@@ -298,8 +298,9 @@ func TestBandedCholeskySolves1DPoisson(t *testing.T) {
 
 // TestBandedCholeskyNotPositiveDefinite: a pivot that is negative, zero
 // or NaN fails the factorisation at its row, and st is left holding the
-// work done up to it — the columns before the failing one and its pivot
-// sum — as the envelope kernel leaves it.
+// work done up to it in Banded's column order — the columns before the
+// failing one and its pivot sum.  The envelope kernels, band plans
+// included, book the row order instead (TestBandPlanFailsWhereBandedFails).
 func TestBandedCholeskyNotPositiveDefinite(t *testing.T) {
 	const n, w = 9, 3
 	for row := 0; row < n; row++ {

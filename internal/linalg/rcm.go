@@ -109,10 +109,10 @@ func UnpermuteVector(v Vector, perm []int) Vector {
 // SolveCholeskyRCM solves A*x = b by banded Cholesky after RCM
 // reordering, returning the solution in the original ordering — the full
 // 1980s production direct-solve pipeline.  It is a one-shot DirectPlan:
-// the permuted values scatter straight into banded storage through the
-// plan's index map instead of materialising a permuted CSR from
-// triplets, which is where the old pipeline's hundreds of allocations
-// per solve went.  Callers that solve one topology repeatedly should
+// the permuted values scatter straight into the band-profile envelope
+// through the plan's index map instead of materialising a permuted CSR
+// from triplets, which is where the old pipeline's hundreds of
+// allocations per solve went.  Callers that solve one topology repeatedly should
 // retain the plan (NewDirectPlan) or go through a FactorCache instead.
 func SolveCholeskyRCM(a *CSR, b Vector, st *Stats) (Vector, error) {
 	plan, err := NewDirectPlan(a, PlanOpts{Ordering: OrderRCM})

@@ -97,7 +97,7 @@ func CheckCancel(ctx context.Context, iter int) error {
 }
 
 // Operator is anything that can apply itself to a vector: the iterative
-// solvers work on CSR, Banded or Dense operands alike.
+// solvers work on CSR or Dense operands alike.
 type Operator interface {
 	MulVec(x, out Vector, st *Stats) Vector
 }

@@ -1,5 +1,5 @@
-// Package linalg provides the dense, banded, and sparse linear algebra
-// kernels underlying the FEM-2 reproduction.
+// Package linalg provides the dense, envelope (band and skyline), and
+// sparse linear algebra kernels underlying the FEM-2 reproduction.
 //
 // The numerical analyst's virtual machine in the paper exposes "linear
 // algebra operations: inner product, vector operations, etc."; the hardware
