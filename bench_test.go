@@ -96,9 +96,9 @@ func BenchmarkServerThroughput(b *testing.B) {
 // resolve_large workload.  It measures the engineer's re-solve: an
 // unchanged 40×24 plate (2050 dof, 1920 CSTs) solved again and its
 // stresses recovered, through Session.Do.  Factor and symbolic assembly
-// are both warm and the unchanged plate's input record skips the numeric
-// re-assembly, so a job is the two "nothing changed" compares + the
-// factor's value compare + triangular solve + residual SpMV + stress
+// are both warm, one walk over the unchanged plate skips the numeric
+// re-assembly, and its pass token lets the factor skip its value compare,
+// so a job is the walk + triangular solve + residual SpMV + stress
 // recovery; -benchmem shows the symbolic phase is gone.
 func BenchmarkWarmResolve(b *testing.B) {
 	sys, err := fem2.New()

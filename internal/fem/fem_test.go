@@ -2,11 +2,14 @@ package fem
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 func TestModelBasics(t *testing.T) {
@@ -64,6 +67,67 @@ func TestModelValidate(t *testing.T) {
 	m.FixDOF(DOF(1, 1))
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid model rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsFixesOfDroppedNodes pins the fixes a truncation of
+// Nodes leaves behind: FixDOF range-checks its dof, but dropping the node
+// afterwards keeps the fix, which no longer constrains anything.  Such a
+// model used to pass Validate on the stale fix's count and fail in the
+// factor (or, adopting a workspace with as many fixes, panic in the
+// topology check); it is an ErrModel naming the dof.
+func TestValidateRejectsFixesOfDroppedNodes(t *testing.T) {
+	// A braced unit square, nodes 0..3, with node 0 pinned and the fix
+	// named by third: 3 (node 1's y) makes it rigid.
+	square := func(third int, extra bool) *Model {
+		m := NewModel("square")
+		for _, p := range []NodeCoord{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {2, 2}} {
+			m.AddNode(p.X, p.Y)
+		}
+		for _, ends := range [][2]int{{0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}, {1, 2}} {
+			if err := m.AddElement(&Bar{N1: ends[0], N2: ends[1], Mat: Steel()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range []int{0, 1, third} {
+			if err := m.FixDOF(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !extra {
+			m.Nodes = m.Nodes[:4] // node 4, and dof 9 with it, is gone
+		}
+		return m
+	}
+	ls := &LoadSet{Name: "pull", Entries: []LoadEntry{{DOF: DOF(3, 0), Value: 100}}}
+	stale := square(9, false)
+	err := stale.Validate()
+	if !errors.Is(err, ErrModel) || !strings.Contains(err.Error(), "fixed dof 9 of 8") {
+		t.Fatalf("Validate with a stale fix: %v", err)
+	}
+	reg := obs.New()
+	stale.Instrument(reg)
+	for i := 0; i < 3; i++ {
+		if _, err := Solve(context.Background(), stale, ls, SolveOpts{}); !errors.Is(err, ErrModel) {
+			t.Fatalf("solve %d with a stale fix: err = %v, want ErrModel", i, err)
+		}
+	}
+	if n := reg.Counter(obs.AssembleSymbolic).Load(); n != 0 {
+		t.Errorf("solves of an invalid model built %d symbolic phases", n)
+	}
+	if err := square(9, true).Validate(); err != nil {
+		t.Errorf("the same fixes with node 4 present: %v", err)
+	}
+
+	// A workspace with as many fixes, and as many dofs, handed over.
+	prev := square(3, false)
+	if _, err := Solve(context.Background(), prev, ls, SolveOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	next := square(9, false)
+	next.AdoptAssembly(prev)
+	if _, err := Solve(context.Background(), next, ls, SolveOpts{}); !errors.Is(err, ErrModel) {
+		t.Fatalf("solve of an adopting model with a stale fix: err = %v, want ErrModel", err)
 	}
 }
 

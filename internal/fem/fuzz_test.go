@@ -41,18 +41,21 @@ func matOf(e Element) *Material {
 
 // runRetainedScript interprets script as a model pick followed by
 // (op, a, b) triples — edits of every kind the witness table has a row
-// for.  It solves the model once as generated and again after each edit
-// (unless the op byte says to let edits pile up), with cholesky-env and
-// cg, each solve compared bit for bit with a fresh deep copy, and the
-// retained K.Val with the unmemoised oracle scatter of the model.
-func runRetainedScript(t *testing.T, script []byte) {
+// for, an unproven caller of the model's factor cache, and a node no
+// element uses.  It solves the model once as generated and again after
+// each edit (unless the op byte says to let edits pile up), with
+// cholesky-env and cg, each solve compared bit for bit with a fresh deep
+// copy, the retained K.Val with the unmemoised oracle scatter of the
+// model, and the walk with the two-walk oracle.  It returns the
+// differential it solved through.
+func runRetainedScript(t *testing.T, script []byte) *differential {
+	d := newDifferential()
 	if len(script) == 0 {
-		return
+		return d
 	}
 	m, ls := fuzzModel(t, script[0])
 	original := append([]NodeCoord(nil), m.Nodes...)
 	generated := len(m.Elements)
-	d := newDifferential()
 	backends := [2]string{linalg.BackendCholeskyEnv, linalg.BackendCG}
 	for _, backend := range backends {
 		d.solve(t, "as generated, "+backend, m, ls, backend)
@@ -76,7 +79,9 @@ func runRetainedScript(t *testing.T, script []byte) {
 			case 1:
 				m.Nodes[node].Y = math.NaN()
 			default:
-				m.Nodes[node] = original[node]
+				if node < len(original) {
+					m.Nodes[node] = original[node]
+				}
 			}
 		case 3:
 			mat := matOf(m.Elements[ei])
@@ -135,6 +140,19 @@ func runRetainedScript(t *testing.T, script []byte) {
 			// Element b's material onto element a: with the coordinate
 			// ops, equal shapes under different materials and the reverse.
 			*matOf(m.Elements[ei]) = *matOf(m.Elements[b%len(m.Elements)])
+		case 14:
+			// An unproven caller between retained solves: the retained
+			// values with entry a scaled by 1, 2 or 1/2, solved through
+			// SolveAssembled on the same model and factor cache.
+			d.unproven(t, fmt.Sprintf("step %d (op 14 %d %d)", step, a, b), m, a, [3]float64{1, 2, 0.5}[b%3], ls)
+		case 15:
+			// A clamped node no element uses, at (a, b): op 2 can put a
+			// NaN on it, which no solve reads.
+			if len(m.Nodes) < len(original)+4 {
+				if err := m.FixNode(m.AddNode(float64(a), float64(b))); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if op&0x10 != 0 {
 			continue
@@ -144,6 +162,7 @@ func runRetainedScript(t *testing.T, script []byte) {
 			d.solve(t, fmt.Sprintf("step %d (op %d %d %d) %s", step, op%16, a, b, backend), m, ls, backend)
 		}
 	}
+	return d
 }
 
 // FuzzRetainedSolve searches for an edit sequence after which a solve
@@ -152,7 +171,9 @@ func runRetainedScript(t *testing.T, script []byte) {
 // from solving a fresh deep copy, or a retained K.Val differs from the
 // unmemoised oracle scatter.  The seed corpus replays the rows of
 // TestStiffnessWitnessCannotLie on the plate (pick 0) and the truss
-// (pick 1), and two material copies (op 13).
+// (pick 1), two material copies (op 13), unproven callers of the
+// model's factor cache between retained solves (op 14), and a NaN on a
+// node no element uses (op 15, then op 2).
 func FuzzRetainedSolve(f *testing.F) {
 	for _, ops := range [][]byte{
 		{},                                // as generated
@@ -177,9 +198,16 @@ func FuzzRetainedSolve(f *testing.F) {
 		{6, 9, 0},                         // one more fixed dof
 		{3, 4, 1, 13, 6, 4},               // Mat.Nu of one element, copied onto another
 		{3, 4, 2, 13, 7, 4, 1, 5, 0},      // Mat.T copied, then a coordinate moved
+		{14, 3, 1},                        // an unproven caller's system with one entry doubled
+		{14, 3, 0},                        // … with the retained values as they are
+		{14, 7, 2, 0x13, 4, 0, 14, 0, 1},  // halved; Mat.E doubled, doubled again, one solve
+		// A spare node, then a NaN on it and a re-solve that must skip:
+		// 116 is the new node of the plate (12 mod 13) and the truss (8 mod 9).
+		{15, 0, 0, 2, 116, 1, 0, 0, 0},
+		{15, 5, 5, 0x12, 116, 1, 1, 5, 0}, // … then a used node moved too, one solve
 	} {
 		f.Add(append([]byte{0}, ops...))
 		f.Add(append([]byte{1}, ops...))
 	}
-	f.Fuzz(runRetainedScript)
+	f.Fuzz(func(t *testing.T, script []byte) { runRetainedScript(t, script) })
 }

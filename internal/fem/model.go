@@ -58,12 +58,15 @@ type Element interface {
 	StiffnessInto(m *Model, ke *linalg.Dense) error
 	// AppendStiffnessInputs appends every value StiffnessInto reads
 	// beyond the connectivity — node coordinates, material, section — in a
-	// fixed order.  It lets a retained assembly prove a stiffness did not
-	// move between two solves without evaluating it: Solve skips the
-	// numeric assembly only while every element, of the same concrete
-	// type as recorded, appends bit-identical values (see Workspace).
-	// Two elements of one type with equal connectivity and equal inputs
-	// must have equal stiffnesses.
+	// fixed order: for *Bar and *CST, the coordinates of its nodes and its
+	// Material.  It names what a retained assembly must compare to prove a
+	// stiffness did not move between two solves without evaluating it.
+	// For *Bar and *CST the workspace's walk compares exactly those values
+	// in place, without calling it: each used node's coordinates once, and
+	// each element's Material.  An element of any other type (only test
+	// types: the set is closed) is compared through it, by concrete type
+	// and appended values (see Workspace).  Two elements of one type with
+	// equal connectivity and equal inputs must have equal stiffnesses.
 	AppendStiffnessInputs(m *Model, dst []float64) []float64
 	// AppendStress appends the element stress components recovered from
 	// the global displacement vector to dst.
@@ -135,21 +138,28 @@ func (r *retainedSolve) factorCache() *linalg.FactorCache {
 }
 
 // assembleRetained assembles m through the retained workspace, doing
-// only what the model's edits since the last solve require: the symbolic
-// phase when there is no workspace yet or Matches finds another
-// topology, the numeric pass unless the workspace's input record proves
-// every element stiffness is the one already summed into K.  The caller
-// holds m.retained.mu, and keeps holding it while it reads the returned
-// K.
+// only what the model's edits since the last solve require.  One walk
+// (Workspace.walk) compares m with the workspace: the symbolic phase runs
+// when there is no workspace yet or the walk finds another topology, and
+// the numeric pass runs unless the walk also finds every used node's
+// coordinates and every element's kind and Material as the last
+// recording pass read them — which proves each element stiffness is the
+// one already summed into K.  Either way the workspace's pass token then
+// names the values in K, so the factor cache can trust it instead of
+// comparing them again.  The caller holds m.retained.mu, and keeps
+// holding it while it reads the returned K.
 func (m *Model) assembleRetained() (*Assembled, error) {
 	r := &m.retained
-	if r.ws != nil && r.ws.Matches(m) {
-		r.reused.Inc()
-		if r.ws.unchanged() {
-			r.unchanged.Inc()
-			return r.ws.asm, nil
+	if r.ws != nil {
+		topo, same := r.ws.walk(m)
+		if topo {
+			r.reused.Inc()
+			if same {
+				r.unchanged.Inc()
+				return r.ws.asm, nil
+			}
+			return r.ws.assemble(true)
 		}
-		return r.ws.assemble(true)
 	}
 	r.ws = nil
 	ws, err := NewWorkspace(m)
@@ -186,13 +196,18 @@ func (m *Model) AddElement(e Element) error {
 // Factors returns the model's direct-solve factor cache: one retained
 // DirectPlan per direct backend, so repeated solves of an unchanged
 // model reuse the factorisation (every direct Solve goes through it).
-// Nothing tells a model it was edited, so every solve checks instead:
-// the topology by Workspace.Matches (the symbolic assembly is rebuilt
-// when it moved), the values by comparing each element's
-// AppendStiffnessInputs bit for bit with the record the retained matrix
-// was assembled from (the numeric assembly is skipped only when all are
-// identical), and the factor by comparing the assembled values bit for
-// bit with the factored ones.  Mutating the model — through its methods or its exported
+// Nothing tells a model it was edited, so every solve checks instead,
+// in one walk over the model (see assembleRetained): the topology (the
+// symbolic assembly is rebuilt when it moved), then each used node's
+// coordinates and each element's kind and Material, bit for bit against
+// the record the retained matrix was assembled from (the numeric
+// assembly is skipped only when all are identical).  The factor is
+// chained to that proof: each recording pass leaves a token no other
+// pass shares, a factor remembers the token of the values it was
+// computed from, and a solve that presents the same token rides the
+// factor without comparing the values; any other solve — SolveAssembled
+// included — compares the assembled values bit for bit with the factored
+// ones.  Mutating the model — through its methods or its exported
 // fields — therefore always triggers a re-assembly and an in-place
 // refactor on the next solve rather than a stale answer.  The model is
 // the cache's only owner: it lives with the Model object and follows the
@@ -209,9 +224,8 @@ func (m *Model) Factors() *linalg.FactorCache {
 // Touch drops the model's retained assembly and cached factorisations —
 // built by this model or adopted from the one it replaced — outright,
 // forcing the next solve to rebuild the sparsity pattern and the matrix
-// and the next direct solve to replan.  Topology edits are detected by
-// Workspace.Matches and value edits by the input record and the factor
-// cache's value comparison anyway, so Touch is only needed to release
+// and the next direct solve to replan.  Every solve's walk detects
+// topology and value edits anyway, so Touch is only needed to release
 // the memory early.
 func (m *Model) Touch() {
 	m.retained.mu.Lock()
@@ -228,10 +242,11 @@ func (m *Model) Touch() {
 // unchanged topology rebuilds neither the sparsity pattern nor the
 // DirectPlan, and one with unchanged values re-evaluates and refactors
 // nothing.  It is a move, never a share: prev is left with none.
-// Nothing is trusted — m's next solve still runs Workspace.Matches
-// against m itself and rebuilds when the topology differs, compares m's
-// own stiffness inputs with the record and re-assembles when any differs,
-// and compares the assembled values with the factored ones.  It never
+// Nothing is trusted — m's next solve still walks m itself, rebuilds
+// when the topology differs and re-assembles when any coordinate or
+// material differs from the record; the recorded pass's token, and with
+// it the factor's, moves along only because it still names the values
+// in the moved buffer.  It never
 // blocks: when a solve of either model holds its state, or m already has
 // an assembly, m is left to build its own.
 func (m *Model) AdoptAssembly(prev *Model) {
@@ -328,14 +343,25 @@ func (m *Model) FreeDOFs() (free []int, index []int) {
 	return free, index
 }
 
-// Validate checks the model is solvable: nodes exist, elements exist, and
-// at least three freedoms are fixed (rigid body modes removed in 2D).
+// Validate checks the model is solvable: nodes exist, elements exist,
+// every fixed dof belongs to a node (truncating Nodes leaves the fixes of
+// the nodes it dropped behind), and at least three freedoms are fixed
+// (rigid body modes removed in 2D).
 func (m *Model) Validate() error {
 	if len(m.Nodes) == 0 {
 		return fmt.Errorf("%w: no nodes", ErrModel)
 	}
 	if len(m.Elements) == 0 {
 		return fmt.Errorf("%w: no elements", ErrModel)
+	}
+	n, stale := m.NumDOF(), -1
+	for d := range m.fixed {
+		if d >= n && (stale < 0 || d < stale) {
+			stale = d
+		}
+	}
+	if stale >= 0 {
+		return fmt.Errorf("%w: fixed dof %d of %d (its node is gone)", ErrModel, stale, n)
 	}
 	if len(m.fixed) < 3 {
 		return fmt.Errorf("%w: only %d constrained freedoms; 2D statics needs >= 3", ErrModel, len(m.fixed))

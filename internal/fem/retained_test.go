@@ -465,9 +465,10 @@ func TestConcurrentSolvesOfOneModel(t *testing.T) {
 // TestWarmSolveAllocationCeiling pins the warm path's allocation count
 // on the 40×24 plate: with the symbolic phase retained a re-solve
 // allocates its result vectors and little else (the symbolic phase
-// alone was thousands), stress recovery allocates its two arrays, and a
-// numeric re-assembly after a change of modulus — every CST missing the
-// memo — allocates nothing.
+// alone was thousands), the walk that proves the plate unchanged
+// allocates nothing, stress recovery allocates its two arrays, and a
+// recording re-assembly after a change of modulus — every CST missing
+// the memo — allocates nothing.
 func TestWarmSolveAllocationCeiling(t *testing.T) {
 	m, ls := largePlate(t)
 	ctx := context.Background()
@@ -475,6 +476,15 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 	sol, err := Solve(ctx, m, ls, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		m.retained.mu.Lock()
+		defer m.retained.mu.Unlock()
+		if topo, same := m.retained.ws.walk(m); !topo || !same {
+			t.Fatalf("walk of the unchanged plate: topo %v, same %v", topo, same)
+		}
+	}); n != 0 {
+		t.Errorf("the walk allocates %.0f times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		if _, err := Solve(ctx, m, ls, opts); err != nil {
@@ -501,11 +511,14 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 		remodulus()
 		m.retained.mu.Lock()
 		defer m.retained.mu.Unlock()
-		if m.retained.ws.unchanged() {
-			t.Fatal("a new modulus read as unchanged")
+		if topo, same := m.retained.ws.walk(m); !topo || same {
+			t.Fatalf("a new modulus: walk topo %v, same %v", topo, same)
 		}
 		if _, err := m.assembleRetained(); err != nil {
 			t.Fatal(err)
+		}
+		if m.retained.ws.pass == 0 {
+			t.Fatal("the re-assembly recorded nothing")
 		}
 	}); n != 0 {
 		t.Errorf("re-assembly after a change of modulus allocates %.0f times, want 0", n)

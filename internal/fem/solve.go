@@ -99,13 +99,16 @@ type Solution struct {
 // The assembly and the direct factors are kept on the model: the first
 // solve builds a Workspace and a DirectPlan (a model that replaced another
 // under the same name starts with that one's, see Model.AdoptAssembly),
-// and every later solve redoes only what the model's edits require.
-// Workspace.Matches checks the topology and the symbolic phase is
-// rebuilt when it changed; the elements' AppendStiffnessInputs are
-// compared bit for bit with the record the matrix was assembled from and
-// the numeric scatter runs unless all are identical; the factor cache
-// compares the assembled values bit for bit before reusing a factor.
-// Results are bit-identical to solving a fresh copy of the model.
+// and every later solve redoes only what the model's edits require.  One
+// walk over the model checks the topology, then compares every used
+// node's coordinates and every element's kind and Material bit for bit
+// with the record the matrix was assembled from: the symbolic phase is
+// rebuilt when the topology changed, and the numeric scatter runs unless
+// all values are identical.  The recording pass's token then stands for
+// the values in K, so the factor cache reuses a factor computed from the
+// same token without comparing them again, and compares them bit for bit
+// otherwise.  Results are bit-identical to solving a fresh copy of the
+// model.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the
@@ -138,21 +141,24 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 	if err != nil {
 		return nil, err
 	}
-	return solveAssembled(ctx, m, asm, ls, opts, m.retained.factorCache())
+	return solveAssembled(ctx, m, asm, m.retained.ws.pass, ls, opts, m.retained.factorCache())
 }
 
 // SolveAssembled solves a pre-assembled system (several load sets can
 // share one assembly) sequentially or NAVM-distributed as SolveOpts
 // directs.  The substructured route is rejected rather than silently
 // ignored: it condenses element blocks instead of solving a global
-// assembly, so it only exists on Solve.
+// assembly, so it only exists on Solve.  Nothing vouches for a caller's
+// Assembled, so m's factor cache compares its values before reusing a
+// factor.
 func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
-	return solveAssembled(ctx, m, asm, ls, opts, m.Factors())
+	return solveAssembled(ctx, m, asm, 0, ls, opts, m.Factors())
 }
 
 // solveAssembled is SolveAssembled with m's factor cache already in
-// hand — Solve holds the retained mutex Model.Factors would take.
-func solveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache) (*Solution, error) {
+// hand — Solve holds the retained mutex Model.Factors would take — and
+// the pass token that vouches for asm.K's values, 0 for none.
+func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache) (*Solution, error) {
 	if opts.Substructured > 0 {
 		return nil, errs.Usage("SolveAssembled solves a pre-assembled global system; the substructured path condenses per-substructure blocks instead (use Solve)")
 	}
@@ -171,7 +177,7 @@ func solveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 	// Direct backends route through the model's factor cache, so the
 	// production pattern of many solves on one model factors once.
 	if _, direct := linalg.PlanOptsFor(opts.backendName()); direct {
-		return solveDirectCached(ctx, fc, asm, b, opts)
+		return solveDirectCached(ctx, fc, asm, pass, b, opts)
 	}
 	solver, err := linalg.Backend(opts.Backend)
 	if err != nil {
@@ -195,9 +201,10 @@ func solveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, 
 
 // solveDirectCached is the sequential direct path: solve through the
 // model's cached DirectPlan, factoring only when the assembled values
-// changed since the factor was computed.  A warm result is bit-identical
-// to the cold solve the registry backend would have produced.
-func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, b linalg.Vector, opts SolveOpts) (*Solution, error) {
+// changed since the factor was computed (pass as in FactorCache.SolveCached).
+// A warm result is bit-identical to the cold solve the registry backend
+// would have produced.
+func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, pass uint64, b linalg.Vector, opts SolveOpts) (*Solution, error) {
 	name := opts.backendName()
 	if err := linalg.RejectDirectPrecond(name, opts.Precond); err != nil {
 		return nil, err
@@ -208,7 +215,7 @@ func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembl
 	sol := &Solution{}
 	sol.Stats.Merge(asm.Stats)
 	st := &linalg.Stats{}
-	x, refactored, err := fc.SolveCached(name, asm.K, b, st)
+	x, refactored, err := fc.SolveCached(name, asm.K, pass, b, st)
 	if err != nil {
 		return nil, err
 	}

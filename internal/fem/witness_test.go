@@ -17,11 +17,14 @@ import (
 // into each deep copy, so it outlives them the way the model's own
 // follows the hand-over, and Refactored must agree too: the reference
 // refactors exactly when the assembled values moved, or touch dropped
-// the factors.
+// the factors.  Before and after every solve the retained workspace's
+// walk is compared with the two-walk oracle (walk_test.go).
 type differential struct {
 	reg               *obs.Registry
 	ref               *linalg.FactorCache
 	reused, unchanged *obs.Counter
+	oracle            twoWalk
+	walks             [3]int
 }
 
 func newDifferential() *differential {
@@ -64,11 +67,14 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 	m.Instrument(d.reg)
 	opts := SolveOpts{Backend: backend}
 	before := d.unchanged.Load()
+	d.checkWalk(t, label+", before", m)
 	got, gotErr := Solve(context.Background(), m, ls, opts)
 	skipped = d.unchanged.Load() != before
 	if d.unchanged.Load() > d.reused.Load() {
 		t.Fatalf("%s: unchanged %d exceeds reused %d", label, d.unchanged.Load(), d.reused.Load())
 	}
+	d.recordPass(t, m)
+	d.checkWalk(t, label+", after", m)
 
 	fresh := deepCopy(t, m)
 	fresh.retained.factors = d.ref
@@ -89,22 +95,56 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 		}
 		want, wantErr = SolveAssembled(context.Background(), fresh, asm, ls, opts)
 	}
+	sameSolution(t, fmt.Sprintf("%s (skipped %v)", label, skipped), got, gotErr, want, wantErr)
+	return skipped, gotErr
+}
+
+// sameSolution fails the test unless two solves failed with the same
+// message or agree bit for bit in U, Residual, Iterations, Stats.Flops
+// and Refactored.
+func sameSolution(t testing.TB, label string, got *Solution, gotErr error, want *Solution, wantErr error) {
+	t.Helper()
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%s: err %v vs fresh %v", label, gotErr, wantErr)
 		}
-		return skipped, gotErr
+		return
 	}
 	if got.Refactored != want.Refactored || got.Stats.Flops != want.Stats.Flops || got.Iterations != want.Iterations ||
 		math.Float64bits(got.Residual) != math.Float64bits(want.Residual) {
-		t.Fatalf("%s: refactored/flops/iterations/residual %v/%d/%d/%g vs fresh %v/%d/%d/%g (skipped %v)", label,
+		t.Fatalf("%s: refactored/flops/iterations/residual %v/%d/%d/%g vs fresh %v/%d/%d/%g", label,
 			got.Refactored, got.Stats.Flops, got.Iterations, got.Residual,
-			want.Refactored, want.Stats.Flops, want.Iterations, want.Residual, skipped)
+			want.Refactored, want.Stats.Flops, want.Iterations, want.Residual)
 	}
 	if i := firstDiff(got.U, want.U); i >= 0 {
-		t.Fatalf("%s: U differs from a fresh solve at dof %d of %d/%d (skipped %v)", label, i, len(got.U), len(want.U), skipped)
+		t.Fatalf("%s: U differs from a fresh solve at dof %d of %d/%d", label, i, len(got.U), len(want.U))
 	}
-	return skipped, nil
+}
+
+// unproven is a caller between retained solves that vouches for nothing:
+// it solves a system of its own — the retained K with entry entry's value
+// scaled — through SolveAssembled on m, and so through m's factor cache,
+// and the same system through the reference cache, and demands the same
+// bits of both.  The next retained solve must not take the factor this
+// left behind for the one its token names.
+func (d *differential) unproven(t testing.TB, label string, m *Model, entry int, scale float64, ls *LoadSet) {
+	t.Helper()
+	ws := m.retained.ws
+	if ws == nil {
+		return
+	}
+	k := *ws.asm.K
+	k.Val = append([]float64(nil), k.Val...)
+	if len(k.Val) > 0 {
+		k.Val[entry%len(k.Val)] *= scale
+	}
+	asm := &Assembled{K: &k, Free: ws.asm.Free, Index: ws.asm.Index}
+	opts := SolveOpts{Backend: linalg.BackendCholeskyEnv}
+	got, gotErr := SolveAssembled(context.Background(), m, asm, ls, opts)
+	fresh := deepCopy(t, m)
+	fresh.retained.factors = d.ref
+	want, wantErr := SolveAssembled(context.Background(), fresh, asm, ls, opts)
+	sameSolution(t, label, got, gotErr, want, wantErr)
 }
 
 // stiffCST is a second element type with a CST's connectivity, Kind and

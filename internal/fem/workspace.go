@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 )
@@ -39,9 +40,12 @@ type Workspace struct {
 	off  []int
 	ndof []int
 	// conn is the connectivity the maps were built from, element after
-	// element — what Matches compares a model against.
+	// element — what walk compares a model against.
 	conn []int32
-	// nodes is the connectivity scratch of Matches.
+	// used lists, ascending, every node some element uses: the nodes
+	// whose coordinates a numeric pass reads (see resetRecord).
+	used []int32
+	// nodes is the connectivity scratch of walk.
 	nodes []int
 	// scratch is the element-stiffness scratch of the numeric phase.
 	scratch stiffScratch
@@ -49,16 +53,46 @@ type Workspace struct {
 	// entries with both dofs free, fixed by the topology.
 	flops int64
 
-	// The witness of the values K.Val was assembled from.  witnessed is
-	// cleared before any write to the value buffer and set only by a
-	// complete, error-free recording pass; while it is set, element e was
-	// of type types[e] and appended inputs[inOff[e]:inOff[e+1]].  probe is
-	// the scratch unchanged reads the current inputs into.
-	witnessed bool
-	types     []reflect.Type
-	inputs    []float64
-	inOff     []int
-	probe     []float64
+	// The record of the values K.Val was assembled from.  pass is zeroed
+	// before any write to the value buffer and set, to a token no other
+	// numeric pass of any workspace shares, only by a complete, error-free
+	// recording pass.  While it is non-zero, that pass read coords[i] for
+	// node used[i], and element e was of kind kinds[e] with material
+	// mats[e]; an element of another type (kindOther) is recorded the
+	// generic way, as others[k] for the k'th such element.  nan records a
+	// NaN among the recorded values: it matches nothing, itself included,
+	// so such a record proves nothing.  Looked for once per recording
+	// pass, which keeps walk's compare one integer compare a value.
+	pass   uint64
+	nan    bool
+	coords []NodeCoord
+	kinds  []elemKind
+	mats   []Material
+	others []otherRecord
+	inputs []float64
+	probe  []float64
+}
+
+// numericPasses hands out the tokens of recording passes: one counter for
+// every workspace, so a token names one pass of one value buffer.
+var numericPasses atomic.Uint64
+
+// elemKind is an element's concrete type as the record keeps it.
+type elemKind uint8
+
+const (
+	kindOther elemKind = iota
+	kindBar
+	kindCST
+)
+
+// otherRecord is an element of a type other than *Bar and *CST as a
+// recording pass saw it: its type, and the stiffness inputs it appended,
+// inputs[lo:hi].  The element set is closed (TestNoTypeEmbedsAnElement),
+// so only test types are recorded this way.
+type otherRecord struct {
+	typ    reflect.Type
+	lo, hi int
 }
 
 // stiffScratch reuses one stiffness matrix per element order, and keeps
@@ -213,36 +247,114 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 // Matches reports whether m still has the topology the workspace was
 // built from — dof count, constraint set, element count, and every
 // element's order and connectivity — so a numeric re-assembly of m
-// through the workspace's maps is sound.  It is an O(elements) integer
-// compare that allocates nothing.
+// through the workspace's maps is sound.  It is the topology half of
+// walk, and allocates nothing.
 func (ws *Workspace) Matches(m *Model) bool {
+	topo, _ := ws.walk(m)
+	return topo
+}
+
+// walk compares m with the workspace in one pass.  topo is Matches; same
+// reports, in addition, that the value buffer holds exactly what a
+// numeric pass over m would write: the last pass was recorded in full
+// and read no NaN, every node an element uses has the recorded
+// coordinates, and every element has the recorded kind and Material —
+// for a type other than *Bar and *CST, the recorded type and stiffness
+// inputs.  These are all StiffnessInto reads beyond the connectivity, so
+// a node no element uses is not compared.  Values compare by bit
+// pattern, so -0 differs from +0, and a NaN matches nothing.  The first
+// value difference ends the value compare; the topology is still
+// checked to the end.
+func (ws *Workspace) walk(m *Model) (topo, same bool) {
 	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
-		return false
+		return false, false
 	}
 	// FixDOF only ever adds true entries, so equal counts plus every
 	// fixed dof being one the workspace eliminated means equal sets.
 	if len(m.fixed) != len(ws.index)-len(ws.free) {
-		return false
+		return false, false
 	}
 	for d, fixed := range m.fixed {
-		if !fixed || ws.index[d] >= 0 {
-			return false
+		if !fixed || d >= len(ws.index) || ws.index[d] >= 0 {
+			return false, false
 		}
 	}
-	c := 0
-	for ei, e := range m.Elements {
-		ws.nodes = e.AppendNodes(ws.nodes[:0])
-		if DOFPerNode*len(ws.nodes) != ws.ndof[ei] {
-			return false
-		}
-		for _, n := range ws.nodes {
-			if n != int(ws.conn[c]) {
-				return false
+	same = ws.pass != 0 && !ws.nan
+	if same {
+		for i, n := range ws.used {
+			p, r := &m.Nodes[n], &ws.coords[i]
+			if !unchangedBits(p.X, r.X) || !unchangedBits(p.Y, r.Y) {
+				same = false
+				break
 			}
-			c++
+		}
+	}
+	conn := ws.conn
+	c, oi := 0, 0
+	for ei, e := range m.Elements {
+		switch e := e.(type) {
+		case *CST:
+			if ws.ndof[ei] != 3*DOFPerNode || e.N1 != int(conn[c]) || e.N2 != int(conn[c+1]) || e.N3 != int(conn[c+2]) {
+				return false, false
+			}
+			c += 3
+			same = same && ws.kinds[ei] == kindCST && sameMaterial(&e.Mat, &ws.mats[ei])
+		case *Bar:
+			if ws.ndof[ei] != 2*DOFPerNode || e.N1 != int(conn[c]) || e.N2 != int(conn[c+1]) {
+				return false, false
+			}
+			c += 2
+			same = same && ws.kinds[ei] == kindBar && sameMaterial(&e.Mat, &ws.mats[ei])
+		default:
+			ws.nodes = e.AppendNodes(ws.nodes[:0])
+			if DOFPerNode*len(ws.nodes) != ws.ndof[ei] {
+				return false, false
+			}
+			for _, n := range ws.nodes {
+				if n != int(conn[c]) {
+					return false, false
+				}
+				c++
+			}
+			// While same holds, every earlier element had its recorded
+			// kind, so others[oi] is this element's record.
+			if same {
+				same = ws.kinds[ei] == kindOther && ws.sameOther(m, e, &ws.others[oi])
+				oi++
+			}
+		}
+	}
+	return true, same
+}
+
+// sameOther compares an element of another type with its record: the
+// same concrete type, appending the recorded stiffness inputs.
+func (ws *Workspace) sameOther(m *Model, e Element, r *otherRecord) bool {
+	if reflect.TypeOf(e) != r.typ {
+		return false
+	}
+	ws.probe = e.AppendStiffnessInputs(m, ws.probe[:0])
+	rec := ws.inputs[r.lo:r.hi]
+	if len(ws.probe) != len(rec) {
+		return false
+	}
+	for i, v := range ws.probe {
+		if !unchangedBits(v, rec[i]) {
+			return false
 		}
 	}
 	return true
+}
+
+// sameMaterial compares two materials field by field with unchangedBits.
+func sameMaterial(a, b *Material) bool {
+	return unchangedBits(a.E, b.E) && unchangedBits(a.Nu, b.Nu) && unchangedBits(a.T, b.T) && unchangedBits(a.A, b.A)
+}
+
+// unchangedBits reports whether v has rec's bit pattern; a record with a
+// NaN in it is never compared (Workspace.nan).
+func unchangedBits(v, rec float64) bool {
+	return math.Float64bits(v) == math.Float64bits(rec)
 }
 
 // Pattern returns the reduced system's sparsity pattern.
@@ -261,12 +373,12 @@ func (ws *Workspace) Assemble() (*Assembled, error) {
 }
 
 // assemble is Assemble without the topology check, for callers that have
-// just run Matches themselves.  With record set it leaves the witness of
-// the pass behind; either way the previous witness is gone before the
-// buffer is touched, so a pass that fails half way cannot be mistaken
-// for the recorded one.
+// just run walk themselves.  With record set it leaves the record of the
+// pass behind, under a new token; either way the previous token is gone
+// before the buffer is touched, so a pass that fails half way cannot be
+// mistaken for the recorded one.
 func (ws *Workspace) assemble(record bool) (*Assembled, error) {
-	ws.witnessed = false
+	ws.pass = 0
 	val := ws.asm.K.Val
 	for i := range val {
 		val[i] = 0
@@ -277,20 +389,20 @@ func (ws *Workspace) assemble(record bool) (*Assembled, error) {
 	if err := ws.scatter(val, record); err != nil {
 		return nil, err
 	}
-	ws.witnessed = record
+	if record {
+		ws.pass = numericPasses.Add(1)
+	}
 	ws.asm.Stats = linalg.Stats{Flops: ws.flops}
 	return ws.asm, nil
 }
 
 // scatter evaluates every element and scatters it into val.  With record
-// set it also records each element's type and stiffness inputs as it
-// goes.
+// set it also records each element's kind and material (or, for another
+// type, its type and stiffness inputs) as it goes.
 func (ws *Workspace) scatter(val []float64, record bool) error {
 	for ei, e := range ws.m.Elements {
 		if record {
-			ws.types[ei] = reflect.TypeOf(e)
-			ws.inputs = e.AppendStiffnessInputs(ws.m, ws.inputs)
-			ws.inOff[ei+1] = len(ws.inputs)
+			ws.recordElement(ei, e)
 		}
 		nd := ws.ndof[ei]
 		ke, err := ws.scratch.stiffness(ws.m, e, nd)
@@ -311,43 +423,60 @@ func (ws *Workspace) scatter(val []float64, record bool) error {
 	return nil
 }
 
-// resetRecord empties the input record for a new recording pass,
-// allocating it on the first one.
-func (ws *Workspace) resetRecord() {
-	if ws.types == nil {
-		ne := len(ws.ndof)
-		ws.types = make([]reflect.Type, ne)
-		ws.inOff = make([]int, ne+1)
-		// Two coordinates a node plus a Material.
-		ws.inputs = make([]float64, 0, 2*len(ws.conn)+4*ne)
-		ws.probe = make([]float64, 0, 16)
+// recordElement records element ei for walk.
+func (ws *Workspace) recordElement(ei int, e Element) {
+	switch e := e.(type) {
+	case *CST:
+		ws.recordMaterial(ei, kindCST, e.Mat)
+	case *Bar:
+		ws.recordMaterial(ei, kindBar, e.Mat)
+	default:
+		lo := len(ws.inputs)
+		ws.inputs = e.AppendStiffnessInputs(ws.m, ws.inputs)
+		for _, v := range ws.inputs[lo:] {
+			ws.nan = ws.nan || v != v
+		}
+		ws.kinds[ei] = kindOther
+		ws.others = append(ws.others, otherRecord{typ: reflect.TypeOf(e), lo: lo, hi: len(ws.inputs)})
 	}
-	ws.inputs = ws.inputs[:0]
 }
 
-// unchanged reports whether the value buffer still holds exactly what a
-// numeric pass over the model would write: the last pass was recorded in
-// full, and every element is of the recorded type and appends the
-// recorded inputs.  Values compare by bit pattern, so -0 differs from +0,
-// and a NaN never equals anything.  The caller has just run Matches.
-func (ws *Workspace) unchanged() bool {
-	if !ws.witnessed {
-		return false
-	}
-	for ei, e := range ws.m.Elements {
-		if reflect.TypeOf(e) != ws.types[ei] {
-			return false
-		}
-		ws.probe = e.AppendStiffnessInputs(ws.m, ws.probe[:0])
-		rec := ws.inputs[ws.inOff[ei]:ws.inOff[ei+1]]
-		if len(ws.probe) != len(rec) {
-			return false
-		}
-		for i, v := range ws.probe {
-			if v != v || math.Float64bits(v) != math.Float64bits(rec[i]) {
-				return false
+// recordMaterial records a *Bar's or *CST's kind and material.
+func (ws *Workspace) recordMaterial(ei int, kind elemKind, mat Material) {
+	ws.kinds[ei], ws.mats[ei] = kind, mat
+	ws.nan = ws.nan || mat.E != mat.E || mat.Nu != mat.Nu || mat.T != mat.T || mat.A != mat.A
+}
+
+// resetRecord starts the record of a new recording pass with the
+// coordinates of the used nodes.  The first one allocates the record and
+// lists the used nodes, which only recording needs: a one-shot Assemble
+// never pays for them.
+func (ws *Workspace) resetRecord() {
+	if ws.kinds == nil {
+		seen := make([]bool, len(ws.m.Nodes))
+		nused := 0
+		for _, n := range ws.conn {
+			if !seen[n] {
+				seen[n] = true
+				nused++
 			}
 		}
+		ws.used = make([]int32, 0, nused)
+		for n, s := range seen {
+			if s {
+				ws.used = append(ws.used, int32(n))
+			}
+		}
+		ne := len(ws.ndof)
+		ws.kinds = make([]elemKind, ne)
+		ws.mats = make([]Material, ne)
+		ws.coords = make([]NodeCoord, nused)
 	}
-	return true
+	ws.nan = false
+	for i, n := range ws.used {
+		p := ws.m.Nodes[n]
+		ws.coords[i] = p
+		ws.nan = ws.nan || p.X != p.X || p.Y != p.Y
+	}
+	ws.others, ws.inputs = ws.others[:0], ws.inputs[:0]
 }

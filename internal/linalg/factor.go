@@ -338,6 +338,10 @@ type factorEntry struct {
 	// so such a factor is never reused.  Looked for once per refactor,
 	// which keeps the per-solve comparison one integer compare a value.
 	nan bool
+	// pass is the token of the solve the factor was computed for or last
+	// found its values equal in, 0 for none (see SolveCached).  It is
+	// cleared before Refactor runs and set only after it succeeds.
+	pass uint64
 }
 
 // Generation returns the number of factorisations the cache has
@@ -364,7 +368,16 @@ func (fc *FactorCache) Invalidate() {
 // bit-identical to the solve performed when the factor was computed.
 // st receives the factor flops only when a factorisation ran, so flop
 // accounting shows the factor-once win.
-func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) (x Vector, refactored bool, err error) {
+//
+// pass is the caller's proof that a.Val is unchanged, 0 for none.  A
+// non-zero pass is a token the caller never hands out for two different
+// contents of a.Val (fem's retained assembly: one per recording pass,
+// withdrawn before the buffer is written again).  When it equals the
+// token the current factor was computed from or last matched, the values
+// are not compared; any other call — every pass 0 included — compares
+// them bit for bit (-0 differs from +0, and a factor of values with a
+// NaN is never reused), so reuse never rests on anything weaker.
+func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b Vector, st *Stats) (x Vector, refactored bool, err error) {
 	po, ok := PlanOptsFor(backend)
 	if !ok {
 		return nil, false, errs.Usage("backend %q has no direct factorisation to cache", backend)
@@ -384,8 +397,10 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) 
 		e = &factorEntry{plan: plan}
 		fc.entries[backend] = e
 	}
-	if !e.plan.factored || e.nan || !valuesEqual(e.vals, a.Val) {
+	proven := pass != 0 && pass == e.pass && e.plan.factored && !e.nan
+	if !proven && (!e.plan.factored || e.nan || !valuesEqual(e.vals, a.Val)) {
 		fc.refactors.Inc()
+		e.pass = 0
 		var spent Stats
 		err := e.plan.Refactor(a, &spent)
 		st.Merge(spent)
@@ -403,6 +418,7 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, b Vector, st *Stats) 
 	} else {
 		fc.hits.Inc()
 	}
+	e.pass = pass
 	x, err = e.plan.SolveInto(b, nil, st)
 	return x, refactored, err
 }

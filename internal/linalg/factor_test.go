@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -535,7 +536,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	m := poisson2D(8)
 	b := rhsFor(m)
 	fc := &FactorCache{}
-	x1, refac, err := fc.SolveCached(BackendCholeskyRCM, m, b, nil)
+	x1, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +546,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	if g := fc.Generation(); g != 1 {
 		t.Errorf("generation after cold solve = %d, want 1", g)
 	}
-	x2, refac, err := fc.SolveCached(BackendCholeskyRCM, m, b, nil)
+	x2, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +568,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x3, refac, err := fc.SolveCached(BackendCholeskyRCM, m, b, nil)
+	x3, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,15 +585,114 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	}
 	// Invalidate forces a refactor even with unchanged values.
 	fc.Invalidate()
-	if _, refac, err = fc.SolveCached(BackendCholeskyRCM, m, b, nil); err != nil {
+	if _, refac, err = fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil); err != nil {
 		t.Fatal(err)
 	} else if !refac {
 		t.Error("solve after Invalidate did not refactor")
 	}
 	// Iterative backends have nothing to cache.
-	if _, _, err := fc.SolveCached(BackendCG, m, b, nil); err == nil {
+	if _, _, err := fc.SolveCached(BackendCG, m, 0, b, nil); err == nil {
 		t.Error("SolveCached accepted an iterative backend")
 	}
+}
+
+// TestFactorCachePassToken pins what a pass token buys and what it does
+// not.  Values go uncompared only on an equal, non-zero token, which is
+// shown by changing them behind an unchanged token: the hit must not
+// notice.  A pass 0 call after a token factor still compares them and
+// refactors when they differ, a failed Refactor leaves no token behind,
+// and a factor of values with a NaN never rides one.
+func TestFactorCachePassToken(t *testing.T) {
+	for _, backend := range []string{BackendCholesky, BackendCholeskyEnv} {
+		t.Run(backend, func(t *testing.T) {
+			a := poisson2D(6)
+			b := rhsFor(a)
+			orig := a.Val[0]
+			fc := &FactorCache{}
+			solve := func(name string, pass uint64, wantRefactor, wantErr bool) Vector {
+				t.Helper()
+				x, refac, err := fc.SolveCached(backend, a, pass, b, nil)
+				if refac != wantRefactor || (err != nil) != wantErr {
+					t.Fatalf("%s: refactored %v, err %v; want refactored %v, error %v", name, refac, err, wantRefactor, wantErr)
+				}
+				return x
+			}
+			entry := func() *factorEntry { return fc.entries[backend] }
+
+			cold := solve("cold, token 5", 5, true, false)
+			a.Val[0] *= 2
+			if x := solve("changed behind token 5", 5, false, false); MaxAbsDiff(x, cold) != 0 {
+				t.Fatal("a token hit did not answer from the factor it names")
+			}
+			solve("token 6", 6, true, false)
+			solve("token 6 again", 6, false, false)
+			a.Val[0] = orig
+			solve("pass 0 after a token factor, values changed", 0, true, false)
+			solve("pass 0, values unchanged", 0, false, false)
+			a.Val[0] *= 2
+			solve("pass 0 again, values changed", 0, true, false)
+			a.Val[0] = orig
+			solve("token 6 after a pass 0 factor", 6, true, false)
+			solve("token 7, values unchanged", 7, false, false)
+			if p := entry().pass; p != 7 {
+				t.Fatalf("a value match left token %d, want 7", p)
+			}
+
+			a.Val[0] = -1
+			solve("not positive definite, token 8", 8, true, true)
+			if p := entry().pass; p != 0 {
+				t.Fatalf("a failed Refactor left token %d behind", p)
+			}
+			a.Val[0] = orig
+			solve("restored, token 8", 8, true, false)
+
+			// A NaN the plan does not scatter (above its diagonal) factors
+			// fine, and is still never reused.
+			k := 0
+			for k < len(a.Val) && entry().plan.scatter[k] >= 0 {
+				k++
+			}
+			if k == len(a.Val) {
+				t.Fatal("the plan scatters every entry")
+			}
+			a.Val[k] = math.NaN()
+			solve("a NaN above the diagonal, token 9", 9, true, false)
+			solve("the same NaN, token 9", 9, true, false)
+			if !entry().nan {
+				t.Fatal("the entry does not know of its NaN")
+			}
+		})
+	}
+	// Concurrent callers, each with tokens of its own for the same
+	// values: every call compares and hits, and -race sees the entry's
+	// token change hands under the cache's lock.
+	t.Run("concurrent", func(t *testing.T) {
+		a := poisson2D(6)
+		b := rhsFor(a)
+		fc := &FactorCache{}
+		want, _, err := fc.SolveCached(BackendCholeskyEnv, a, 1, b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					x, _, err := fc.SolveCached(BackendCholeskyEnv, a, uint64(1+(g+i)%3), b, nil)
+					if err != nil || MaxAbsDiff(x, want) != 0 {
+						t.Errorf("goroutine %d call %d: err %v, or another answer", g, i, err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if g := fc.Generation(); g != 1 {
+			t.Errorf("generation %d after concurrent calls on unchanged values, want 1", g)
+		}
+	})
 }
 
 // TestCholeskyEnvBackend checks the new registry backend end to end:
@@ -668,10 +768,10 @@ func TestFactorCacheRejectsPatternImpostor(t *testing.T) {
 	}
 	b := Vector{1, 2, 3}
 	fc := &FactorCache{}
-	if _, _, err := fc.SolveCached(BackendCholesky, a1, b, nil); err != nil {
+	if _, _, err := fc.SolveCached(BackendCholesky, a1, 0, b, nil); err != nil {
 		t.Fatal(err)
 	}
-	x, refac, err := fc.SolveCached(BackendCholesky, a2, b, nil)
+	x, refac, err := fc.SolveCached(BackendCholesky, a2, 0, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
