@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -292,4 +293,67 @@ func TestReplaceModelWhileSolveInFlight(t *testing.T) {
 	}
 	sameU("replacement", nextSol, wantNext)
 	sameU("replaced model, paused across the replacement", oldSol, wantOld)
+}
+
+// TestReplacementDropsSolution: a model replaced under its name by
+// generate, retrieve or restore has no solution and no stresses until it
+// is solved, so stresses and display cannot answer from the displacements
+// of the model it replaced, even when the two have the same dof count.  A
+// restore puts back the solution its snapshot carried.
+func TestReplacementDropsSolution(t *testing.T) {
+	snapDir := t.TempDir()
+	solved := func(t *testing.T, s *Session) {
+		t.Helper()
+		mustExec(t, s, "generate grid g 4 2 4 2 clamp-left")
+		mustExec(t, s, "load g l endload 0 -1000")
+		mustExec(t, s, "solve g l")
+		mustExec(t, s, "stresses g")
+	}
+	unsolved := func(t *testing.T, s *Session) {
+		t.Helper()
+		for _, c := range []struct{ line, want string }{
+			{"stresses g", "no solution"},
+			{"display displacements g", "no solution"},
+			{"display stresses g", "no stresses"},
+		} {
+			line, want := c.line, c.want
+			if out, err := s.Execute(line); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s after the replacement: %q, %v; want an error saying %q", line, out, err, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		replace []string
+	}{
+		{"generate, other grid, same dof count", []string{"generate grid g 2 4 2 4 clamp-left"}},
+		{"generate, same grid, other material", []string{"material 100000 0.3 10 100", "generate grid g 4 2 4 2 clamp-left"}},
+		{"retrieve", []string{"retrieve g"}},
+		{"restore", []string{"restore " + filepath.Join(snapDir, "unsolved.snap")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSession(t)
+			mustExec(t, s, "generate grid g 4 2 4 2 clamp-left")
+			mustExec(t, s, "store g")
+			mustExec(t, s, "snapshot "+filepath.Join(snapDir, "unsolved.snap"))
+			solved(t, s)
+			for _, line := range tc.replace {
+				mustExec(t, s, line)
+			}
+			unsolved(t, s)
+		})
+	}
+	t.Run("restore of a solved snapshot", func(t *testing.T) {
+		s := newSession(t)
+		solved(t, s)
+		want := mustExec(t, s, "stresses g")
+		path := filepath.Join(snapDir, "solved.snap")
+		mustExec(t, s, "snapshot "+path)
+		mustExec(t, s, "generate grid g 2 4 2 4 clamp-left")
+		unsolved(t, s)
+		mustExec(t, s, "restore "+path)
+		if got := mustExec(t, s, "stresses g"); got != want {
+			t.Errorf("stresses after restoring a solved snapshot: %q, want %q", got, want)
+		}
+	})
 }

@@ -49,11 +49,15 @@ func NewWorkspace() *Workspace {
 // the model it displaces: generate, retrieve and restore all replace
 // through here, this is the only way that state changes hands, and the
 // replacement's next solve checks all of it against itself before reuse.
+// The displaced model's solution and stresses are dropped, as DropModel
+// drops them: they describe another model, whatever its dof count.
 func (w *Workspace) PutModel(m *fem.Model) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if prev := w.models[m.Name]; prev != nil {
 		m.AdoptAssembly(prev)
+		delete(w.solutions, m.Name)
+		delete(w.stresses, m.Name)
 	}
 	w.models[m.Name] = m
 	if w.loads[m.Name] == nil {

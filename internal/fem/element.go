@@ -132,12 +132,14 @@ func (t *CST) degenerate() error {
 	return fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
 }
 
+// area2 is twice the signed element area, by the shoelace formula.
+func (s *cstShape) area2() float64 { return s.c3*s.b2 - s.x31*s.y21 }
+
 // bMatrix computes the 3×6 strain-displacement matrix and twice the
 // signed element area, in locals — shared by stiffness and stress
 // recovery, so neither allocates.  ok is false for a zero area.
 func (s *cstShape) bMatrix(b *[3][6]float64) (a2 float64, ok bool) {
-	// Signed area via the shoelace formula.
-	a2 = s.c3*s.b2 - s.x31*s.y21
+	a2 = s.area2()
 	if a2 == 0 {
 		return 0, false
 	}
@@ -231,35 +233,49 @@ func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 }
 
 // AppendStress appends the element stress components σ = D·(B·u_e) =
-// (σx, σy, τxy), constant over the triangle, to dst, computed in locals.
-// Each row is one sum from +0 in Dense.MulVec's order (every column, the
-// products with B's and D's structural zeros included, so −0, ±Inf and
-// NaN in u propagate as a dense product would), so the result is
-// bit-identical to the Dense chain kept as the reference in
-// stress_test.go.  The three rows are independent sums and advance
-// together, term by term, so that one row's additions overlap another's.
+// (σx, σy, τxy), constant over the triangle, to dst.  B and D live in
+// scalars, never in arrays: B as its six distinct coefficients bk·inv and
+// ck·inv, computed as bMatrix computes them, D as its three distinct
+// entries, spelled as dMatrix spells them.  (dMatrix returns a [3][3] by
+// value, a copy written eight bytes at a time and read sixteen: every
+// element stalls on a load the store buffer cannot forward.)
+// Each row is one sum from +0 in Dense.MulVec's order, every column
+// included: a structural zero of B or D is an explicit product with z,
+// so −0, ±Inf and NaN in u propagate as a dense product would, and the
+// result is bit-identical to the Dense chain and the array kernel kept
+// as references in stress_test.go.  The three rows are independent sums
+// and advance together, term by term, so that one row's additions
+// overlap another's.
 func (t *CST) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
 	var sh cstShape
 	t.shape(m, &sh)
-	var b [3][6]float64
-	if _, ok := sh.bMatrix(&b); !ok {
+	a2 := sh.area2()
+	if a2 == 0 {
 		return dst, t.degenerate()
 	}
+	inv := 1 / a2
+	b1, b2, b3 := sh.b1*inv, sh.b2*inv, sh.b3*inv
+	c1, c2, c3 := sh.c1*inv, sh.c2*inv, sh.c3*inv
+	var z float64
 	u0, u1 := u[DOF(t.N1, 0)], u[DOF(t.N1, 1)]
 	u2, u3 := u[DOF(t.N2, 0)], u[DOF(t.N2, 1)]
 	u4, u5 := u[DOF(t.N3, 0)], u[DOF(t.N3, 1)]
+	// B = [b1 0 b2 0 b3 0; 0 c1 0 c2 0 c3; c1 b1 c2 b2 c3 b3].
 	var e0, e1, e2 float64
-	e0, e1, e2 = e0+b[0][0]*u0, e1+b[1][0]*u0, e2+b[2][0]*u0
-	e0, e1, e2 = e0+b[0][1]*u1, e1+b[1][1]*u1, e2+b[2][1]*u1
-	e0, e1, e2 = e0+b[0][2]*u2, e1+b[1][2]*u2, e2+b[2][2]*u2
-	e0, e1, e2 = e0+b[0][3]*u3, e1+b[1][3]*u3, e2+b[2][3]*u3
-	e0, e1, e2 = e0+b[0][4]*u4, e1+b[1][4]*u4, e2+b[2][4]*u4
-	e0, e1, e2 = e0+b[0][5]*u5, e1+b[1][5]*u5, e2+b[2][5]*u5
-	d := sh.dMatrix()
+	e0, e1, e2 = e0+b1*u0, e1+z*u0, e2+c1*u0
+	e0, e1, e2 = e0+z*u1, e1+c1*u1, e2+b1*u1
+	e0, e1, e2 = e0+b2*u2, e1+z*u2, e2+c2*u2
+	e0, e1, e2 = e0+z*u3, e1+c2*u3, e2+b2*u3
+	e0, e1, e2 = e0+b3*u4, e1+z*u4, e2+c3*u4
+	e0, e1, e2 = e0+z*u5, e1+c3*u5, e2+b3*u5
+	// D = [f fν 0; fν f 0; 0 0 g].
+	nu := sh.nu
+	f := sh.e / (1 - nu*nu)
+	fnu, g := f*nu, f*(1-nu)/2
 	var s0, s1, s2 float64
-	s0, s1, s2 = s0+d[0][0]*e0, s1+d[1][0]*e0, s2+d[2][0]*e0
-	s0, s1, s2 = s0+d[0][1]*e1, s1+d[1][1]*e1, s2+d[2][1]*e1
-	s0, s1, s2 = s0+d[0][2]*e2, s1+d[1][2]*e2, s2+d[2][2]*e2
+	s0, s1, s2 = s0+f*e0, s1+fnu*e0, s2+z*e0
+	s0, s1, s2 = s0+fnu*e1, s1+f*e1, s2+z*e1
+	s0, s1, s2 = s0+z*e2, s1+z*e2, s2+g*e2
 	return append(dst, s0, s1, s2), nil
 }
 

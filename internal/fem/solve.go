@@ -280,10 +280,12 @@ func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts So
 	return sol, nil
 }
 
-// checkSolutionFits rejects a solution computed for another model — the
-// workspace keeps a model's last solution when generate, retrieve or
-// restore replaces the model under the same name, and recovering
-// stresses through the new connectivity would index past U.
+// checkSolutionFits rejects a solution whose dof count is not the
+// model's, so recovering stresses through the model's connectivity
+// cannot index past U.  It is a bounds check, not an identity check: a
+// solution of another model with as many dofs passes, which is why the
+// session workspace drops a model's solution when generate, retrieve or
+// restore replaces the model under the same name.
 func checkSolutionFits(m *Model, sol *Solution) error {
 	if len(sol.U) != m.NumDOF() {
 		return fmt.Errorf("%w: solution has %d dofs, model has %d — solve again", ErrModel, len(sol.U), m.NumDOF())

@@ -452,11 +452,12 @@ func TestServerPingVersionOverWire(t *testing.T) {
 }
 
 // TestStressesAfterRegenerateOverWire is the regression for a request
-// that used to kill the daemon: the workspace keeps the solution of the
+// that used to kill the daemon: the workspace kept the solution of the
 // model a generate replaced, and stresses indexed the new, larger grid
 // into the old displacement vector — a panic nothing in the server
-// recovers, taking every tenant's session down.  The verb must answer
-// an error line and the daemon must keep serving.
+// recovers, taking every tenant's session down.  A replacement now drops
+// the solution, so the verb must answer "no solution" (not found), and
+// the daemon must keep serving.
 func TestStressesAfterRegenerateOverWire(t *testing.T) {
 	_, srv, addr, _ := startServer(t, fem2.ServerConfig{})
 	defer srv.Shutdown(context.Background())
@@ -472,7 +473,7 @@ func TestStressesAfterRegenerateOverWire(t *testing.T) {
 	}
 	remotePlate(t, cl, "p", 8, 6)
 	_, err = cl.Do(ctx, fem2.StressesCommand{Model: "p"})
-	if want := "solution has 40 dofs, model has 126 — solve again"; err == nil || !strings.Contains(err.Error(), want) {
+	if want := `model "p" has no solution`; !errors.Is(err, fem2.ErrNotFound) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("stresses after regenerate: err = %v, want it to say %q", err, want)
 	}
 	if res, err := cl.Do(ctx, fem2.PingCommand{}); err != nil || res.String() != "pong" {
