@@ -62,6 +62,37 @@ func (o SolveOpts) backendName() string {
 	return o.Backend
 }
 
+// parallelBackend resolves the default backend of a distributed solve.
+func (o SolveOpts) parallelBackend() string {
+	if o.Backend == "" {
+		return linalg.BackendCG
+	}
+	return o.Backend
+}
+
+// refusal returns the error that refuses a sequential or distributed
+// solve for its options alone, whatever the model; nil when there is
+// none.  Solve and SolveAssembled ask it before they read the model, so a
+// refused solve assembles nothing and moves no counter.
+func (o SolveOpts) refusal() error {
+	if o.Parallel > 0 {
+		backend := o.parallelBackend()
+		switch {
+		case o.RT == nil:
+			return fmt.Errorf("fem: parallel solve needs an attached runtime (no parallel machine)")
+		case o.Precond != "" && o.Precond != "none":
+			return errs.Usage("distributed %s has no preconditioned variant (%q requested)", backend, o.Precond)
+		case backend != linalg.BackendCG && backend != linalg.BackendJacobi && backend != linalg.BackendSOR:
+			return errs.Usage("backend %q has no distributed variant (try cg, jacobi, or sor)", backend)
+		}
+		return nil
+	}
+	if _, err := linalg.Backend(o.Backend); err != nil {
+		return err
+	}
+	return linalg.RejectPrecond(o.backendName(), o.Precond)
+}
+
 // Solution is a solved load case: full displacement vector and the
 // unified solver accounting.
 type Solution struct {
@@ -132,6 +163,9 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 		sol.Backend = opts.backendName()
 		return sol, nil
 	}
+	if err := opts.refusal(); err != nil {
+		return nil, err
+	}
 	// asm.K shares the retained workspace's value buffer, so the lock
 	// is held until the solve has read K for the last time (the
 	// residual check); concurrent solves of one model serialize here.
@@ -152,16 +186,20 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 // Assembled, so m's factor cache compares its values before reusing a
 // factor.
 func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
+	if opts.Substructured > 0 {
+		return nil, errs.Usage("SolveAssembled solves a pre-assembled global system; the substructured path condenses per-substructure blocks instead (use Solve)")
+	}
+	if err := opts.refusal(); err != nil {
+		return nil, err
+	}
 	return solveAssembled(ctx, m, asm, 0, ls, opts, m.Factors())
 }
 
 // solveAssembled is SolveAssembled with m's factor cache already in
 // hand — Solve holds the retained mutex Model.Factors would take — and
-// the pass token that vouches for asm.K's values, 0 for none.
+// the pass token that vouches for asm.K's values, 0 for none.  The
+// caller has checked opts.refusal.
 func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache) (*Solution, error) {
-	if opts.Substructured > 0 {
-		return nil, errs.Usage("SolveAssembled solves a pre-assembled global system; the substructured path condenses per-substructure blocks instead (use Solve)")
-	}
 	b, err := m.RHS(ls, asm.Index, len(asm.Free))
 	if err != nil {
 		return nil, err
@@ -206,9 +244,6 @@ func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, 
 // would have produced.
 func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, pass uint64, b linalg.Vector, opts SolveOpts) (*Solution, error) {
 	name := opts.backendName()
-	if err := linalg.RejectDirectPrecond(name, opts.Precond); err != nil {
-		return nil, err
-	}
 	if err := linalg.CheckCancel(ctx, 1); err != nil {
 		return nil, err
 	}
@@ -230,20 +265,10 @@ func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembl
 }
 
 // solveParallel routes a distributed solve to the backend's NAVM
-// variant: cg (the default), jacobi, or multi-colour sor.
+// variant: cg (the default), jacobi, or multi-colour sor.  The caller has
+// checked opts.refusal, which admits no other backend.
 func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts SolveOpts) (*Solution, error) {
-	rt := opts.RT
-	if rt == nil {
-		return nil, fmt.Errorf("fem: parallel solve needs an attached runtime (no parallel machine)")
-	}
-	backend := opts.Backend
-	if backend == "" {
-		backend = linalg.BackendCG
-	}
-	if opts.Precond != "" && opts.Precond != "none" {
-		return nil, errs.Usage("distributed %s has no preconditioned variant (%q requested)",
-			backend, opts.Precond)
-	}
+	rt, backend := opts.RT, opts.parallelBackend()
 	d, err := navm.Partition(asm.K, b, opts.Parallel)
 	if err != nil {
 		return nil, err
@@ -251,7 +276,7 @@ func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts So
 	// Zero-value fields pass through: each distributed solver applies
 	// the same linalg.IterDefaults as its sequential backend.
 	iopts := opts.iterOpts()
-	iopts.Precond = "" // rejected above; the distributed variants have none
+	iopts.Precond = "" // "none" at most; the distributed variants have none
 	var x linalg.Vector
 	var stats navm.SolveStats
 	switch backend {
@@ -259,10 +284,8 @@ func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts So
 		x, stats, err = rt.ParallelCG(ctx, d, iopts)
 	case linalg.BackendJacobi:
 		x, stats, err = rt.ParallelJacobi(ctx, d, iopts)
-	case linalg.BackendSOR:
-		x, stats, err = rt.ParallelMultiColorSOR(ctx, d, linalg.GreedyColoring(asm.K), iopts)
 	default:
-		return nil, errs.Usage("backend %q has no distributed variant (try cg, jacobi, or sor)", backend)
+		x, stats, err = rt.ParallelMultiColorSOR(ctx, d, linalg.GreedyColoring(asm.K), iopts)
 	}
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package fem
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/metrics"
 	"repro/internal/navm"
+	"repro/internal/obs"
 )
 
 // solveRuntime builds a small simulated machine for distributed-solve
@@ -99,6 +101,73 @@ func TestSolveParallelRejectsDirectBackend(t *testing.T) {
 	opts := SolveOpts{Backend: linalg.BackendCholesky, Parallel: 2, RT: solveRuntime(t)}
 	if _, err := Solve(context.Background(), m, ls, opts); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("parallel cholesky error = %v, want ErrUsage", err)
+	}
+}
+
+// TestRefusedSolveTouchesNothing pins each refusal of a solve's options —
+// its text, and which one wins when several apply — and that it comes
+// before the model is read: on a solved plate, untouched, after a
+// coordinate edit and after a topology edit, a refused Solve moves no
+// assemble counter and leaves the retained workspace and its pass as they
+// were, and SolveAssembled refuses alike.
+func TestRefusedSolveTouchesNothing(t *testing.T) {
+	env, rt := linalg.BackendCholeskyEnv, solveRuntime(t)
+	refused := []struct {
+		opts SolveOpts
+		want string
+	}{
+		{SolveOpts{Backend: env, Parallel: 2, RT: rt},
+			`usage: backend "cholesky-env" has no distributed variant (try cg, jacobi, or sor)`},
+		{SolveOpts{Backend: env, Precond: linalg.PrecondJacobi},
+			`usage: backend "cholesky-env" is direct and takes no preconditioner ("jacobi" requested)`},
+		{SolveOpts{Precond: linalg.PrecondSSOR},
+			`usage: backend "cholesky" is direct and takes no preconditioner ("ssor" requested)`},
+		{SolveOpts{Backend: linalg.BackendSOR, Precond: linalg.PrecondSSOR},
+			`usage: backend "sor" is iterative and takes no preconditioner (only cg does; "ssor" requested)`},
+		{SolveOpts{Parallel: 2, RT: rt, Precond: linalg.PrecondSSOR},
+			`usage: distributed cg has no preconditioned variant ("ssor" requested)`},
+		{SolveOpts{Backend: env, Parallel: 2, RT: rt, Precond: linalg.PrecondSSOR},
+			`usage: distributed cholesky-env has no preconditioned variant ("ssor" requested)`},
+		{SolveOpts{Backend: env, Parallel: 2, Precond: linalg.PrecondSSOR},
+			`fem: parallel solve needs an attached runtime (no parallel machine)`},
+	}
+	edits := []struct {
+		name string
+		edit func(m *Model)
+	}{
+		{"untouched", func(*Model) {}},
+		{"coordinate edit", func(m *Model) { m.Nodes[12].X += 0.125 }},
+		{"topology edit", func(m *Model) { m.AddNode(9, 9) }},
+	}
+	ctx := context.Background()
+	for _, e := range edits {
+		for _, r := range refused {
+			m, ls := cachePlate(t)
+			reg := obs.New()
+			m.Instrument(reg)
+			if _, err := Solve(ctx, m, ls, SolveOpts{Backend: env}); err != nil {
+				t.Fatal(err)
+			}
+			counters := func() [3]int64 {
+				return [3]int64{reg.Counter(obs.AssembleSymbolic).Load(), reg.Counter(obs.AssembleReused).Load(), reg.Counter(obs.AssembleUnchanged).Load()}
+			}
+			ws, pass, before := m.retained.ws, m.retained.ws.pass, counters()
+			e.edit(m)
+			o := r.opts
+			label := fmt.Sprintf("%s, backend %q precond %q parallel %d runtime %t", e.name, o.Backend, o.Precond, o.Parallel, o.RT != nil)
+			if _, err := Solve(ctx, m, ls, r.opts); fmt.Sprint(err) != r.want {
+				t.Errorf("%s: Solve error %v, want %s", label, err, r.want)
+			}
+			if _, err := SolveAssembled(ctx, m, ws.asm, ls, r.opts); fmt.Sprint(err) != r.want {
+				t.Errorf("%s: SolveAssembled error %v, want %s", label, err, r.want)
+			}
+			if got := counters(); got != before {
+				t.Errorf("%s: symbolic/reused/unchanged %v, was %v", label, got, before)
+			}
+			if m.retained.ws != ws || ws.pass != pass {
+				t.Errorf("%s: the retained workspace moved", label)
+			}
+		}
 	}
 }
 

@@ -126,20 +126,20 @@ func HasBackend(name string) bool {
 // returned solution, and concurrent solves each draw their own workspace.
 var iterWorkPool = sync.Pool{New: func() any { return new(IterWork) }}
 
-// RejectDirectPrecond is the direct solvers' guard: a preconditioner
-// only means something to an iterative method.  The fem layer's cached
-// direct path shares it so both routes reject with one message.
-func RejectDirectPrecond(backend, precond string) error {
-	if precond != "" && precond != "none" {
-		return errs.Usage("backend %q is direct and takes no preconditioner (%q requested)",
+// RejectPrecond is the guard of every backend but cg, the one method that
+// takes a preconditioner; a direct and an iterative backend each refuse
+// one in their own words.  The fem layer checks a solve's options with it
+// before it assembles, so both routes refuse with one message.
+func RejectPrecond(backend, precond string) error {
+	if precond == "" || precond == "none" || backend == BackendCG {
+		return nil
+	}
+	if backend == BackendJacobi || backend == BackendSOR {
+		return errs.Usage("backend %q is iterative and takes no preconditioner (only cg does; %q requested)",
 			backend, precond)
 	}
-	return nil
-}
-
-// rejectPrecond adapts RejectDirectPrecond to IterOpts.
-func rejectPrecond(backend string, opts IterOpts) error {
-	return RejectDirectPrecond(backend, opts.Precond)
+	return errs.Usage("backend %q is direct and takes no preconditioner (%q requested)",
+		backend, precond)
 }
 
 // DirectSolveInfo measures the residual of a direct solve and assembles
@@ -172,7 +172,7 @@ func (s choleskySolver) Name() string { return s.name }
 // Solve factorises and back-substitutes.  A direct solve is one
 // indivisible step, so ctx is honoured only before the factorisation.
 func (s choleskySolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	if err := rejectPrecond(s.name, opts); err != nil {
+	if err := RejectPrecond(s.name, opts.Precond); err != nil {
 		return nil, Info{Backend: s.name, Direct: true}, err
 	}
 	if err := CheckCancel(ctx, 1); err != nil {
@@ -252,7 +252,7 @@ func (jacobiSolver) Name() string { return BackendJacobi }
 // Solve runs Jacobi iteration (budget 200·n: the method converges slowly
 // but every update is independent).
 func (jacobiSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	if err := rejectPrecond(BackendJacobi, opts); err != nil {
+	if err := RejectPrecond(BackendJacobi, opts.Precond); err != nil {
 		return nil, Info{Backend: BackendJacobi}, err
 	}
 	opts = IterDefaults(opts, a.N, 200)
@@ -271,7 +271,7 @@ func (sorSolver) Name() string { return BackendSOR }
 
 // Solve runs SOR with opts.Omega (budget 100·n).
 func (sorSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	if err := rejectPrecond(BackendSOR, opts); err != nil {
+	if err := RejectPrecond(BackendSOR, opts.Precond); err != nil {
 		return nil, Info{Backend: BackendSOR}, err
 	}
 	opts = IterDefaults(opts, a.N, 100)

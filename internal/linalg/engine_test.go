@@ -3,6 +3,7 @@ package linalg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -115,6 +116,41 @@ func TestDirectBackendRejectsPrecond(t *testing.T) {
 		}
 		if _, _, err := s.Solve(context.Background(), m, b, IterOpts{Precond: PrecondJacobi}); !errors.Is(err, errs.ErrUsage) {
 			t.Errorf("%s accepted a preconditioner: %v", name, err)
+		}
+	}
+}
+
+// TestBackendsRefusePrecondInTheirOwnWords pins the refusal each backend
+// but cg gives a preconditioner: a direct one says it is direct, jacobi
+// and sor say they are iterative and name the one method that takes one.
+func TestBackendsRefusePrecondInTheirOwnWords(t *testing.T) {
+	m, b, _ := engineFixture(t, 3)
+	want := map[string]string{
+		BackendCholesky:    `usage: backend "cholesky" is direct and takes no preconditioner ("ssor" requested)`,
+		BackendCholeskyRCM: `usage: backend "cholesky-rcm" is direct and takes no preconditioner ("ssor" requested)`,
+		BackendCholeskyEnv: `usage: backend "cholesky-env" is direct and takes no preconditioner ("ssor" requested)`,
+		BackendJacobi:      `usage: backend "jacobi" is iterative and takes no preconditioner (only cg does; "ssor" requested)`,
+		BackendSOR:         `usage: backend "sor" is iterative and takes no preconditioner (only cg does; "ssor" requested)`,
+	}
+	for _, name := range Backends() {
+		if name == BackendCG {
+			continue
+		}
+		s, err := Backend(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = s.Solve(context.Background(), m, b, IterOpts{Precond: PrecondSSOR})
+		if fmt.Sprint(err) != want[name] {
+			t.Errorf("%s with a preconditioner: %v, want %s", name, err, want[name])
+		}
+		if rerr := RejectPrecond(name, PrecondSSOR); fmt.Sprint(rerr) != want[name] {
+			t.Errorf("RejectPrecond(%q): %v, want %s", name, rerr, want[name])
+		}
+	}
+	for _, p := range []string{"", "none"} {
+		if err := RejectPrecond(BackendJacobi, p); err != nil {
+			t.Errorf("RejectPrecond(jacobi, %q) = %v", p, err)
 		}
 	}
 }

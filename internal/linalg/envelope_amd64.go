@@ -27,47 +27,50 @@ func detectAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// tile is panelTile's argument block: a 4×4 block of factor entries,
-// rows i..i+3 × columns j..j+3, whose sums run over k = kmin .. j-1.
-// panelTile reads the offsets of its fields from go_asm.h.
-type tile struct {
-	// panel points at the panel's column kmin: lane r of column k is
-	// L[i+r,k], at panel[4(k−kmin)+r].
-	panel *float64
-	// col[c] points at L[j+c,kmin] in row j+c's storage; below the row's
-	// first column it points into earlier rows, which the mask hides.
-	col [4]*float64
-	// row[r] points at A[i+r,j] in row i+r's storage.
+// panelBlock is panelTile's argument block for the rows i..i+3, written
+// once per block; everything that differs from one tile to the next the
+// routine derives from first and ptr itself.  It reads the offsets of the
+// fields from go_asm.h.
+type panelBlock struct {
+	// The envelope's storage and the panel kernel's scratch: lane r of
+	// panel column k is L[i+r,k], at panel[4k+r].
+	env, panel *float64
+	first, ptr *int
+	// row[r] points at row i+r's column 0, &env[ptr[i+r]−first[i+r]]:
+	// its entry of column j is row[r][j].
 	row [4]*float64
-	// start[c][r] is lane (r,c)'s first k, less kmin; below masked some
-	// lane has not begun, from masked to n every lane runs.
-	start     [4][4]int64
-	masked, n int64
-	// diag marks the block on the diagonal (j = i): panelTile stores the
-	// sums over k < i in the panel and leaves the rest to Go.
-	diag bool
+	// fmin and fmax are the earliest and the latest of first[i..i+3].
+	fmin, fmax, i int
 }
 
-// panelTile computes one tile (envelope_amd64.s).  Each of its 16 lanes
-// starts from A[i+r,j+c] and subtracts L[i+r,k]·L[j+c,k] for k ascending,
-// the product masked to +0 before start[c][r].  Off the diagonal it then
+// panelTile computes the tile of rows i..i+3 × columns j..j+3
+// (envelope_amd64.s).  It sets itself up from first[i..i+3] and
+// first[j..j+3], ptr[j..j+3]: the sums run over k = kmin .. j-1, kmin
+// the later of the two quadruples' earliest first columns, and lane
+// (r,c) begins at max(first[i+r], first[j+c]); up to kmax, the latest of
+// the eight, some lane has not begun.  Each of the 16 lanes starts from
+// A[i+r,j+c] and subtracts L[i+r,k]·L[j+c,k] for k ascending, the
+// product masked to +0 before the lane begins.  Off the diagonal it then
 // subtracts the block's own columns c' < c in ascending order, divides by
-// L[j+c,j+c], and stores the result in the panel's columns j..j+3 and
-// in the rows.
+// L[j+c,j+c], and stores the result in the panel's columns j..j+3 and in
+// the rows; on it (diag, j = i) it stores the sums over k < i in the
+// panel and leaves the rest to Go.
 //
 //go:noescape
-func panelTile(t *tile)
+func panelTile(b *panelBlock, j int, diag bool)
 
 // choleskyPanel is CholeskyFactorInPlace by the panel kernel.  A block
 // of rows i..i+3 goes four-wide when i ≡ 0 mod 4 and all four rows have
 // begun by column i; otherwise, and for the last N mod 4 rows, the pair
-// kernel takes the rows unchanged.
+// kernel takes the rows unchanged.  Go decides, column by column, between
+// a tile and a column alone, and writes one panelBlock per block of rows;
+// the routine sets each tile up from first and ptr itself.
 func (e *Envelope) choleskyPanel(st *Stats) error {
 	if e.panel == nil {
 		e.panel = make([]float64, 4*e.N)
 	}
 	env, first, ptr, panel := e.env, e.first, e.ptr, e.panel
-	var t tile
+	var b panelBlock
 	var rows [4][]float64
 	n4 := e.N &^ 3
 	for i := 0; i < n4; i += 4 {
@@ -82,7 +85,10 @@ func (e *Envelope) choleskyPanel(st *Stats) error {
 			continue
 		}
 		early := min(f[0], f[1], f[2], f[3])
+		b = panelBlock{env: &env[0], panel: &panel[0], first: &first[0], ptr: &ptr[0], fmin: early, fmax: late, i: i}
 		for r, fr := range f {
+			// ptr[m] ≥ m ≥ first[m], so the index is never negative.
+			b.row[r] = &env[ptr[i+r]-fr]
 			rows[r] = env[ptr[i+r]:ptr[i+r+1]]
 			// The lanes of a row not yet begun read +0, which keeps NaNs
 			// and denormals out of the masked products.
@@ -94,7 +100,7 @@ func (e *Envelope) choleskyPanel(st *Stats) error {
 			// Columns j..j+3 go as a block once all four rows and all four
 			// column rows have begun.
 			if j >= late && j+4 <= i && max(first[j], first[j+1], first[j+2], first[j+3]) <= j {
-				e.runTile(&t, f, i, j)
+				panelTile(&b, j, false)
 				j += 4
 				continue
 			}
@@ -109,7 +115,7 @@ func (e *Envelope) choleskyPanel(st *Stats) error {
 		// The diagonal block: the routine's sums over k < i, then the
 		// block's triangle and pivots in row order, so a failing pivot
 		// stops at the row, with the rows, the row-by-row order would.
-		e.runTile(&t, f, i, i)
+		panelTile(&b, i, true)
 		sums := panel[4*i:][:16]
 		for r, row := range rows {
 			fr := f[r]
@@ -136,25 +142,4 @@ func (e *Envelope) choleskyPanel(st *Stats) error {
 	}
 	st.addFlops(e.flops)
 	return nil
-}
-
-// runTile fills t for rows i..i+3, whose first columns are f, and
-// columns j..j+3, and runs panelTile on it.
-func (e *Envelope) runTile(t *tile, f *[4]int, i, j int) {
-	env, first, ptr := e.env, e.first, e.ptr
-	fc := (*[4]int)(first[j : j+4])
-	kmin := max(min(f[0], f[1], f[2], f[3]), min(fc[0], fc[1], fc[2], fc[3]))
-	kmax := max(f[0], f[1], f[2], f[3], fc[0], fc[1], fc[2], fc[3])
-	t.panel = &e.panel[4*kmin]
-	for c, fj := range fc {
-		// ptr[m] ≥ m ≥ first[m], so the index is never negative.
-		t.col[c] = &env[ptr[j+c]-fj+kmin]
-		t.row[c] = &env[ptr[i+c]-f[c]+j]
-		for r, fi := range f {
-			t.start[c][r] = int64(max(fi, fj) - kmin)
-		}
-	}
-	t.masked, t.n = int64(kmax-kmin), int64(j-kmin)
-	t.diag = j == i
-	panelTile(t)
 }

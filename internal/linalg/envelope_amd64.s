@@ -48,45 +48,111 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPD T, Y10, T; \
 	VSUBPD T, acc, acc
 
-// func panelTile(t *tile)
+// COLUMN points col at L[j+c,kmin] in row j+c's storage, given
+// first[j+c] in col, the row's ptr at off(R13), kmin in CX and the
+// storage in AX: &env[ptr[j+c] − first[j+c] + kmin].  Below the row's
+// first column it points into earlier rows, which the mask hides.
+#define COLUMN(off, col) \
+	NEGQ col; \
+	ADDQ CX, col; \
+	ADDQ off(R13), col; \
+	LEAQ (AX)(col*8), col
+
+// START sets lane r of start to max(first[i+r], first[j+c]) − kmin, given
+// first[i..i+3] in Y9, kmin in every lane of Y8 and first[j+c] at
+// off(R12); Y10 is scratch.
+#define START(off, start) \
+	VPBROADCASTQ off(R12), start; \
+	VPCMPGTQ     start, Y9, Y10; \
+	VBLENDVPD    Y10, Y9, start, start; \
+	VPSUBQ       Y8, start, start
+
+// func panelTile(b *panelBlock, j int, diag bool)
 //
-// Registers: DI the tile, SI the panel at column k, R8..R11 the column
-// rows at kmin, CX k−kmin, DX masked, BX n; Y0..Y3 the sums of columns
-// j..j+3 (lane r = row i+r), Y4..Y7 the lane starts, Y8 k−kmin in every
-// lane, Y9 all ones (−1), Y10 the panel column.  VEX encoding only: one
-// legacy SSE instruction between these would cost a state transition.
-TEXT ·panelTile(SB), NOSPLIT, $0-8
-	MOVQ t+0(FP), DI
-	MOVQ tile_panel(DI), SI
-	MOVQ tile_col+0(DI), R8
-	MOVQ tile_col+8(DI), R9
-	MOVQ tile_col+16(DI), R10
-	MOVQ tile_col+24(DI), R11
-	MOVQ tile_masked(DI), DX
-	MOVQ tile_n(DI), BX
+// The set-up reads first[j..j+3] and ptr[j..j+3] and the block's fields
+// with scalar loads, and first[i..i+3] as one vector: Go writes nothing
+// per tile for a wide load to wait on.  Registers in the loops: DI the
+// block, SI the panel at column k, R8..R11 the column rows at kmin, CX
+// k−kmin, DX masked, BX n; Y0..Y3 the sums of columns j..j+3 (lane r =
+// row i+r), Y4..Y7 the lane starts, Y8 k−kmin in every lane, Y9 all ones
+// (−1), Y10 the panel column.  VEX encoding only: one legacy SSE
+// instruction between these would cost a state transition.
+TEXT ·panelTile(SB), NOSPLIT, $0-17
+	MOVQ b+0(FP), DI
+	MOVQ j+8(FP), BX
+	MOVQ panelBlock_first(DI), R12
+	LEAQ (R12)(BX*8), R12
+	MOVQ panelBlock_ptr(DI), R13
+	LEAQ (R13)(BX*8), R13
 
-	// The sums start from the rows' stored entries, transposed into
-	// columns.
-	MOVQ tile_row+0(DI), AX
-	VMOVUPD (AX), Y4
-	MOVQ tile_row+8(DI), AX
-	VMOVUPD (AX), Y5
-	MOVQ tile_row+16(DI), AX
-	VMOVUPD (AX), Y6
-	MOVQ tile_row+24(DI), AX
-	VMOVUPD (AX), Y7
+	// kmin (CX) is the later of the rows' earliest first column and the
+	// column rows' (first[j..j+3], R8..R11), kmax (DX) the latest of all.
+	MOVQ    (R12), R8
+	MOVQ    8(R12), R9
+	MOVQ    16(R12), R10
+	MOVQ    24(R12), R11
+	MOVQ    R8, AX
+	CMPQ    R9, AX
+	CMOVQLT R9, AX
+	CMPQ    R10, AX
+	CMOVQLT R10, AX
+	CMPQ    R11, AX
+	CMOVQLT R11, AX
+	MOVQ    panelBlock_fmin(DI), CX
+	CMPQ    AX, CX
+	CMOVQGT AX, CX
+	MOVQ    panelBlock_fmax(DI), DX
+	CMPQ    R8, DX
+	CMOVQGT R8, DX
+	CMPQ    R9, DX
+	CMOVQGT R9, DX
+	CMPQ    R10, DX
+	CMOVQGT R10, DX
+	CMPQ    R11, DX
+	CMOVQGT R11, DX
+	SUBQ    CX, DX
+
+	// The column rows and the panel at kmin.
+	MOVQ panelBlock_env(DI), AX
+	COLUMN(0, R8)
+	COLUMN(8, R9)
+	COLUMN(16, R10)
+	COLUMN(24, R11)
+	MOVQ CX, AX
+	SHLQ $5, AX
+	MOVQ panelBlock_panel(DI), SI
+	ADDQ AX, SI
+
+	// The sums start from the rows' stored entries in column j,
+	// transposed into columns.
+	MOVQ    panelBlock_row+0(DI), AX
+	VMOVUPD (AX)(BX*8), Y4
+	MOVQ    panelBlock_row+8(DI), AX
+	VMOVUPD (AX)(BX*8), Y5
+	MOVQ    panelBlock_row+16(DI), AX
+	VMOVUPD (AX)(BX*8), Y6
+	MOVQ    panelBlock_row+24(DI), AX
+	VMOVUPD (AX)(BX*8), Y7
 	TRANSPOSE4(Y4, Y5, Y6, Y7, Y0, Y1, Y2, Y3, Y8, Y9, Y10, Y11)
+	SUBQ CX, BX
 
-	XORQ CX, CX
+	// The lane starts, only when some lane has not begun at kmin.
+	MOVQ  CX, R13
+	XORQ  CX, CX
 	TESTQ DX, DX
-	JEQ  dense
+	JEQ   dense
 
-	VMOVDQU tile_start+0(DI), Y4
-	VMOVDQU tile_start+32(DI), Y5
-	VMOVDQU tile_start+64(DI), Y6
-	VMOVDQU tile_start+96(DI), Y7
-	VPXOR    Y8, Y8, Y8
-	VPCMPEQQ Y9, Y9, Y9
+	VMOVQ        R13, X8
+	VPBROADCASTQ X8, Y8
+	MOVQ         panelBlock_first(DI), AX
+	MOVQ         panelBlock_i(DI), R13
+	VMOVDQU      (AX)(R13*8), Y9
+	START(0, Y4)
+	START(8, Y5)
+	START(16, Y6)
+	START(24, Y7)
+	VPXOR        Y8, Y8, Y8
+	VPCMPEQQ     Y9, Y9, Y9
 
 masked:
 	VMOVUPD (SI), Y10
@@ -117,7 +183,7 @@ loop:
 
 sums:
 	// SI is the panel at column j now, and (col)(BX*8) is L[j+c,j].
-	CMPB tile_diag(DI), $0
+	CMPB diag+16(FP), $0
 	JNE  diag
 
 	// The block's own columns in ascending order, then the division.
@@ -156,14 +222,15 @@ sums:
 	VMOVUPD Y2, 64(SI)
 	VMOVUPD Y3, 96(SI)
 	TRANSPOSE4(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
-	MOVQ    tile_row+0(DI), AX
-	VMOVUPD Y4, (AX)
-	MOVQ    tile_row+8(DI), AX
-	VMOVUPD Y5, (AX)
-	MOVQ    tile_row+16(DI), AX
-	VMOVUPD Y6, (AX)
-	MOVQ    tile_row+24(DI), AX
-	VMOVUPD Y7, (AX)
+	MOVQ    j+8(FP), R12
+	MOVQ    panelBlock_row+0(DI), AX
+	VMOVUPD Y4, (AX)(R12*8)
+	MOVQ    panelBlock_row+8(DI), AX
+	VMOVUPD Y5, (AX)(R12*8)
+	MOVQ    panelBlock_row+16(DI), AX
+	VMOVUPD Y6, (AX)(R12*8)
+	MOVQ    panelBlock_row+24(DI), AX
+	VMOVUPD Y7, (AX)(R12*8)
 	VZEROUPPER
 	RET
 

@@ -406,6 +406,59 @@ func TestEnvelopeBackwardBlocksMatchScalarOracle(t *testing.T) {
 	})
 }
 
+// TestPanelTileSetUpMatchesScalarOracle aims at the panel routine's own
+// set-up — kmin, kmax, masked, n, the column pointers, the 16 lane starts
+// — which it derives from first and ptr.  In 12 rows, the block of rows
+// 8..11 runs one tile off the diagonal, columns 4..7 (column rows 4..7),
+// and the diagonal one.  Each of the eight rows begins at each column
+// 0..4, in every combination a tile at column 4 can meet: all block rows
+// at column 0 (rows 0..3 are then dense and the loop takes columns 0..3
+// as a tile first), or a block row or one of rows 4..6 at column 4 (rows
+// 0..3 then begin at their diagonals, so columns 0..3 go alone).  In the
+// others the loop runs columns 3..6 as the tile, and those are skipped.
+// All of them take about 2 s on a two-vCPU x86-64 host, more than the
+// rest of the package's tests together, so a seeded quarter runs; it
+// includes masked = 0 with sums to run (every row at column 0), kmin set
+// by the block rows and by the column rows, and lanes beginning at
+// column 4.
+// The values are drawn as randomEnvelope draws them, exact −0 included.
+// Factor, solution and flops must equal the scalar loops' bit for bit.
+func TestPanelTileSetUpMatchesScalarOracle(t *testing.T) {
+	k := envelopeKernel{"panel", (*Envelope).choleskyPanel}
+	if !k.runs() {
+		t.Skip("CPU has no AVX2")
+	}
+	const j, i, n = 4, 8, 12
+	rng := rand.New(rand.NewSource(37))
+	first := make([]int, n)
+	var firsts [8]int // first[i..i+3], then first[j..j+3]
+	for combo := range 625 * 625 {
+		if combo > 0 && rng.Intn(4) > 0 {
+			continue
+		}
+		for r, c := 0, combo; r < 8; r, c = r+1, c/5 {
+			firsts[r] = c % 5
+		}
+		rows, cols := firsts[:4], firsts[4:]
+		late := max(rows[0], rows[1], rows[2], rows[3])
+		switch {
+		case late == 0:
+			clear(first[:j])
+		case max(late, cols[0], cols[1], cols[2]) == j:
+			for m := range j {
+				first[m] = m
+			}
+		default:
+			continue
+		}
+		copy(first[i:], rows)
+		copy(first[j:], cols)
+		if err := checkEnvelopeKernel(t, k, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
+			t.Fatalf("block rows from %v, column rows from %v: %v", rows, cols, err)
+		}
+	}
+}
+
 // TestEnvelopeKernelFailsWhereOracleFails plants a non-positive pivot at
 // every row of a matrix — the first and the second row of a pair, the
 // odd last row — in each way a pivot can be unusable: the kernel must stop
