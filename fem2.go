@@ -658,8 +658,7 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // values changed is re-factored in place with no allocation.  The
 // cache never trades correctness for reuse — a hit requires the
 // assembled values, skipped assembly or not, to match the factored ones
-// bit for bit, and cached solutions are bit-identical to cold solves.  Model.Touch releases
-// both.
+// bit for bit, and cached solutions are bit-identical to cold solves.
 
 // The solver backend registry names, usable as SolveOpts.Backend, as a
 // SolveCommand.Method, and in the REPL's `solve ... method <name>`.

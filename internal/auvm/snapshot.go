@@ -94,11 +94,12 @@ func (s *Session) doSnapshot(c command.Snapshot) (command.Result, error) {
 
 // doRestore loads a snapshot file into the session's workspace,
 // overwriting models of the same name and merging interpreter state.
-// With a scheduler attached it first holds every model the file carries,
-// in name order, as Do holds the one model of any other verb: if a job
-// is solving one of them, nothing is replaced and restore is refused with
-// the busy error naming the job, which still answers for the model it
-// solved.
+// Every model is decoded before anything is applied, so a file with one
+// bad model replaces none.  With a scheduler attached it then holds every
+// model the file carries, in name order, as Do holds the one model of any
+// other verb: if a job is solving one of them, nothing is replaced and
+// restore is refused with the busy error naming the job, which still
+// answers for the model it solved.
 func (s *Session) doRestore(ctx context.Context, c command.Restore) (command.Result, error) {
 	raw, err := os.ReadFile(c.Path)
 	if err != nil {
@@ -110,6 +111,15 @@ func (s *Session) doRestore(ctx context.Context, c command.Restore) (command.Res
 	var dto snapshotDTO
 	if err := gob.NewDecoder(bytes.NewReader(raw[len(snapshotMagic):])).Decode(&dto); err != nil {
 		return nil, fmt.Errorf("auvm: decode snapshot: %w", err)
+	}
+	models := make([]*fem.Model, len(dto.Models))
+	loads := make([][]*fem.LoadSet, len(dto.Models))
+	for i := range dto.Models {
+		m, ls, err := decodeModel(&dto.Models[i].Model)
+		if err != nil {
+			return nil, fmt.Errorf("auvm: restore model %q: %w", dto.Models[i].Model.Name, err)
+		}
+		models[i], loads[i] = m, ls
 	}
 	if s.Jobs != nil {
 		names := make([]string, 0, len(dto.Models))
@@ -131,13 +141,10 @@ func (s *Session) doRestore(ctx context.Context, c command.Restore) (command.Res
 		}
 		defer release(names)
 	}
-	for _, ms := range dto.Models {
-		m, loads, err := decodeModel(&ms.Model)
-		if err != nil {
-			return nil, fmt.Errorf("auvm: restore model %q: %w", ms.Model.Name, err)
-		}
+	for i, ms := range dto.Models {
+		m := models[i]
 		s.WS.PutModel(m)
-		for _, ls := range loads {
+		for _, ls := range loads[i] {
 			if err := s.WS.PutLoadSet(m.Name, ls); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,8 @@
 package auvm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/fem"
 	"repro/internal/store"
 )
 
@@ -151,6 +154,49 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 	if len(one) != len(two) {
 		t.Errorf("snapshot sizes diverged: %d vs %d", len(one), len(two))
+	}
+}
+
+// TestRestoreOfABadModelReplacesNothing: a snapshot whose second model
+// cannot be decoded (a bar referencing a node the model does not have) is
+// refused, and the model its first entry would have replaced keeps its
+// grid and its solution.  Restore used to apply the models it decoded
+// before the bad one.
+func TestRestoreOfABadModelReplacesNothing(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, "generate grid a 2 2 2 2 clamp-left")
+	mustExec(t, s, "load a l endload 0 -100")
+	mustExec(t, s, "solve a l")
+	before := mustExec(t, s, "display model a") + mustExec(t, s, "display displacements a")
+
+	small, err := fem.RectGrid("a", fem.RectGridOpts{NX: 1, NY: 1, W: 1, H: 1, Mat: fem.Steel(), ClampLeft: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := encodeModel(small, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := modelDTO{Name: "b", Nodes: []fem.NodeCoord{{}}, Bars: []barDTO{{N1: 0, N2: 5, Mat: fem.Steel()}}, Order: []byte{elemBar}}
+	var snap bytes.Buffer
+	snap.WriteString(snapshotMagic)
+	if err := gob.NewEncoder(&snap).Encode(&snapshotDTO{Models: []modelSnapshotDTO{{Model: *good}, {Model: bad}}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bad.snap")
+	if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = s.Execute("restore " + path)
+	if err == nil || !strings.Contains(err.Error(), `auvm: restore model "b": `) || !strings.Contains(err.Error(), "references node 5 of 1") {
+		t.Fatalf("restore of a bad model: %v", err)
+	}
+	if after := mustExec(t, s, "display model a") + mustExec(t, s, "display displacements a"); after != before {
+		t.Errorf("a refused restore replaced model a:\n got: %q\nwant: %q", after, before)
+	}
+	if _, err := s.Execute("display model b"); err == nil {
+		t.Error("a refused restore added model b")
 	}
 }
 

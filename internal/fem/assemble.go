@@ -1,8 +1,6 @@
 package fem
 
 import (
-	"fmt"
-
 	"repro/internal/linalg"
 )
 
@@ -33,53 +31,6 @@ func Assemble(m *Model) (*Assembled, error) {
 	return ws.Assemble()
 }
 
-// AssembleTriplets is the reference assembly path: element stiffnesses
-// append to a triplet list that is then sorted into CSR form, with
-// zero-valued entries skipped.  It is kept for differential testing and
-// benchmarking against the Workspace scatter path; production callers
-// use Assemble.  On shared entries the two paths agree bitwise (both
-// sum contributions in element order); the Workspace pattern may store
-// additional explicit zeros where an element stiffness entry is exactly
-// zero.
-func AssembleTriplets(m *Model) (*Assembled, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	free, index := m.FreeDOFs()
-	var ts []linalg.Triplet
-	st := linalg.Stats{}
-	var sc stiffScratch
-	for ei, e := range m.Elements {
-		dofs := ElementDOFs(e)
-		ke, err := sc.stiffness(m, e, len(dofs))
-		if err != nil {
-			return nil, fmt.Errorf("fem: element %d: %w", ei, err)
-		}
-		for i, gi := range dofs {
-			ri := index[gi]
-			if ri < 0 {
-				continue
-			}
-			for j, gj := range dofs {
-				rj := index[gj]
-				if rj < 0 {
-					continue
-				}
-				v := ke.At(i, j)
-				if v != 0 {
-					ts = append(ts, linalg.Triplet{Row: ri, Col: rj, Val: v})
-					st.Flops++
-				}
-			}
-		}
-	}
-	k, err := linalg.NewCSRFromTriplets(len(free), ts)
-	if err != nil {
-		return nil, err
-	}
-	return &Assembled{K: k, Free: free, Index: index, Stats: st}, nil
-}
-
 // Expand scatters a reduced solution back to the full dof vector, with
 // zeros at fixed dofs.
 func (a *Assembled) Expand(x linalg.Vector) linalg.Vector {
@@ -88,13 +39,4 @@ func (a *Assembled) Expand(x linalg.Vector) linalg.Vector {
 		full[d] = x[ri]
 	}
 	return full
-}
-
-// Reduce gathers a full dof vector into reduced form.
-func (a *Assembled) Reduce(full linalg.Vector) linalg.Vector {
-	out := linalg.NewVector(len(a.Free))
-	for ri, d := range a.Free {
-		out[ri] = full[d]
-	}
-	return out
 }

@@ -60,13 +60,6 @@ func (b *Bar) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	return nil
 }
 
-// AppendStiffnessInputs appends the end-node coordinates and the
-// material: everything StiffnessInto reads beyond the connectivity.
-func (b *Bar) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
-	p1, p2 := m.Nodes[b.N1], m.Nodes[b.N2]
-	return append(dst, p1.X, p1.Y, p2.X, p2.Y, b.Mat.E, b.Mat.Nu, b.Mat.T, b.Mat.A)
-}
-
 // AppendStress appends the single axial stress component (positive in
 // tension) to dst.
 func (b *Bar) AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error) {
@@ -223,13 +216,6 @@ func (s *cstShape) stiffnessInto(ke *linalg.Dense) bool {
 		}
 	}
 	return true
-}
-
-// AppendStiffnessInputs appends the corner coordinates and the
-// material: everything StiffnessInto reads beyond the connectivity.
-func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
-	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
-	return append(dst, p1.X, p1.Y, p2.X, p2.Y, p3.X, p3.Y, t.Mat.E, t.Mat.Nu, t.Mat.T, t.Mat.A)
 }
 
 // AppendStress appends the element stress components σ = D·(B·u_e) =

@@ -133,15 +133,6 @@ func TestSolveFactorCacheInvalidation(t *testing.T) {
 	if len(grown.U) != m.NumDOF() {
 		t.Errorf("solution length %d, want %d", len(grown.U), m.NumDOF())
 	}
-	// Touch releases the cache; the next solve factors again.
-	m.Touch()
-	after, err := Solve(ctx, m, ls, SolveOpts{Backend: linalg.BackendCholeskyRCM})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.Refactored {
-		t.Error("solve after Touch did not refactor")
-	}
 }
 
 // TestHandOverCarriesFactor pins the one way a factor follows a model

@@ -143,7 +143,7 @@ func runRetainedScript(t *testing.T, script []byte) *differential {
 		case 14:
 			// An unproven caller between retained solves: the retained
 			// values with entry a scaled by 1, 2 or 1/2, solved through
-			// SolveAssembled on the same model and factor cache.
+			// solveUnproven on the same model and factor cache.
 			d.unproven(t, fmt.Sprintf("step %d (op 14 %d %d)", step, a, b), m, a, [3]float64{1, 2, 0.5}[b%3], ls)
 		case 15:
 			// A clamped node no element uses, at (a, b): op 2 can put a
@@ -193,7 +193,7 @@ func FuzzRetainedSolve(f *testing.F) {
 		{0x1c, 0, 0, 3, 4, 0},             // public Assemble, then Mat.E doubled, one solve
 		{8, 0, 0},                         // adopted by an equal model
 		{0x13, 4, 0, 8, 0, 0},             // adopted by a model with another modulus
-		{7, 0, 0},                         // Touch
+		{7, 0, 0},                         // touch: the retained state dropped
 		{4, 2, 9, 5, 0, 0},                // bar added, dropped
 		{6, 9, 0},                         // one more fixed dof
 		{3, 4, 1, 13, 6, 4},               // Mat.Nu of one element, copied onto another

@@ -56,18 +56,6 @@ type Element interface {
 	// StiffnessInto writes the element stiffness matrix in global
 	// coordinates into ke, of order DOFPerNode × the node count.
 	StiffnessInto(m *Model, ke *linalg.Dense) error
-	// AppendStiffnessInputs appends every value StiffnessInto reads
-	// beyond the connectivity — node coordinates, material, section — in a
-	// fixed order: for *Bar and *CST, the coordinates of its nodes and its
-	// Material.  It names what a retained assembly must compare to prove a
-	// stiffness did not move between two solves without evaluating it.
-	// For *Bar and *CST the workspace's walk compares exactly those values
-	// in place, without calling it: each used node's coordinates once, and
-	// each element's Material.  An element of any other type (only test
-	// types: the set is closed) is compared through it, by concrete type
-	// and appended values (see Workspace).  Two elements of one type with
-	// equal connectivity and equal inputs must have equal stiffnesses.
-	AppendStiffnessInputs(m *Model, dst []float64) []float64
 	// AppendStress appends the element stress components recovered from
 	// the global displacement vector to dst.
 	AppendStress(m *Model, u linalg.Vector, dst []float64) ([]float64, error)
@@ -205,9 +193,9 @@ func (m *Model) AddElement(e Element) error {
 // chained to that proof: each recording pass leaves a token no other
 // pass shares, a factor remembers the token of the values it was
 // computed from, and a solve that presents the same token rides the
-// factor without comparing the values; any other solve — SolveAssembled
-// included — compares the assembled values bit for bit with the factored
-// ones.  Mutating the model — through its methods or its exported
+// factor without comparing the values; any other call of the cache
+// compares the assembled values bit for bit with the factored ones.
+// Mutating the model — through its methods or its exported
 // fields — therefore always triggers a re-assembly and an in-place
 // refactor on the next solve rather than a stale answer.  The model is
 // the cache's only owner: it lives with the Model object and follows the
@@ -219,21 +207,6 @@ func (m *Model) Factors() *linalg.FactorCache {
 	m.retained.mu.Lock()
 	defer m.retained.mu.Unlock()
 	return m.retained.factorCache()
-}
-
-// Touch drops the model's retained assembly and cached factorisations —
-// built by this model or adopted from the one it replaced — outright,
-// forcing the next solve to rebuild the sparsity pattern and the matrix
-// and the next direct solve to replan.  Every solve's walk detects
-// topology and value edits anyway, so Touch is only needed to release
-// the memory early.
-func (m *Model) Touch() {
-	m.retained.mu.Lock()
-	m.retained.ws = nil
-	if fc := m.retained.factors; fc != nil {
-		fc.Invalidate()
-	}
-	m.retained.mu.Unlock()
 }
 
 // AdoptAssembly moves prev's retained solve state — assembly, factor

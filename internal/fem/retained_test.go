@@ -85,7 +85,7 @@ func mixedModel(t *testing.T) *Model {
 
 // TestWorkspaceBoundToTopology is the enforcement of the Workspace
 // contract, one row per way a model's topology can move under a
-// workspace: Matches must notice, Workspace.Assemble must refuse the
+// workspace: the walk must notice, Workspace.Assemble must refuse the
 // stale map, and the retained path must rebuild to exactly what a fresh
 // Assemble gives.  Value-only edits are the control: no rebuild.
 func TestWorkspaceBoundToTopology(t *testing.T) {
@@ -147,8 +147,8 @@ func TestWorkspaceBoundToTopology(t *testing.T) {
 
 			tc.mutate(t, m)
 
-			if got := ws.Matches(m); got == tc.rebuild {
-				t.Errorf("Matches = %v after mutation", got)
+			if topo, _ := ws.walk(m); topo == tc.rebuild {
+				t.Errorf("walk: topo = %v after mutation", topo)
 			}
 			_, err = ws.Assemble()
 			if tc.rebuild && !errors.Is(err, ErrModel) {
@@ -193,34 +193,6 @@ func TestWorkspaceRejectsOutOfRangeNode(t *testing.T) {
 	}
 }
 
-// TestTouchDropsRetainedAssembly checks Touch releases the symbolic
-// assembly along with the factors.
-func TestTouchDropsRetainedAssembly(t *testing.T) {
-	m, ls := cachePlate(t)
-	reg := obs.New()
-	symbolic, reused := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleReused)
-	m.Instrument(reg)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := Solve(ctx, m, ls, SolveOpts{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s, r := symbolic.Load(), reused.Load(); s != 1 || r != 2 {
-		t.Fatalf("three solves: symbolic %d reused %d, want 1 2", s, r)
-	}
-	m.Touch()
-	if m.retained.ws != nil {
-		t.Error("Touch kept the retained workspace")
-	}
-	if _, err := Solve(ctx, m, ls, SolveOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	if s := symbolic.Load(); s != 2 {
-		t.Errorf("solve after Touch: symbolic %d, want 2", s)
-	}
-}
-
 // retainedSeeds is the fixed seed list of the differential property
 // test; a failure prints its seed for replay.
 var retainedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597}
@@ -231,8 +203,8 @@ var retainedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 61
 // retained assembly equals — bitwise in U, Residual, Stats.Flops and
 // Refactored — a solve of a deep-copied fresh model assembled one-shot
 // (the reference's factor cache is seeded into every deep copy, so it
-// refactors exactly when the assembled values moved or Touch dropped
-// the factors).  Some steps replace the model object instead of editing
+// refactors exactly when the assembled values moved or the retained
+// state was dropped).  Some steps replace the model object instead of editing
 // it, the way generate and retrieve do: the replacement adopts the
 // retained assembly and factors, and a same-topology one must solve
 // without a symbolic phase — or, unedited, a refactor.
@@ -283,7 +255,7 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 					}
 					m = next // and the factors came along: refCache stays as it is
 				} else if what = mutateRandomly(t, rng, m); what == "touch" {
-					refCache.Invalidate() // Touch drops the model's factors too
+					refCache = &linalg.FactorCache{} // the model's factors were dropped too
 				}
 				for _, backend := range backends {
 					label := fmt.Sprintf("seed %d step %d (%s) backend %s", seed, step, what, backend)
@@ -294,7 +266,7 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 					var want *Solution
 					asm, wantErr := Assemble(fresh)
 					if wantErr == nil {
-						want, wantErr = SolveAssembled(context.Background(), fresh, asm, ls, opts)
+						want, wantErr = solveUnproven(fresh, asm, ls, opts)
 					}
 					if gotErr != nil || wantErr != nil {
 						if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
@@ -410,7 +382,7 @@ func mutateRandomly(t *testing.T, rng *rand.Rand, m *Model) string {
 		}
 		return "replace element object"
 	case 7:
-		m.Touch()
+		dropRetained(m)
 		return "touch"
 	}
 	return "none"
@@ -528,7 +500,7 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 
 // TestAdoptedAssemblyIsCheckedBeforeReuse pins that a plan handed over
 // by AdoptAssembly is trusted exactly as far as one the model built
-// itself: Matches runs against the new model before the first scatter,
+// itself: the walk runs against the new model before the first scatter,
 // so a replacement that differs in any part of the topology rebuilds
 // (skipping the check would scatter through the wrong map and these
 // rows would not count a symbolic phase), and one that differs only in

@@ -72,8 +72,8 @@ func (o SolveOpts) parallelBackend() string {
 
 // refusal returns the error that refuses a sequential or distributed
 // solve for its options alone, whatever the model; nil when there is
-// none.  Solve and SolveAssembled ask it before they read the model, so a
-// refused solve assembles nothing and moves no counter.
+// none.  Solve asks it before it reads the model, so a refused solve
+// assembles nothing and moves no counter.
 func (o SolveOpts) refusal() error {
 	if o.Parallel > 0 {
 		backend := o.parallelBackend()
@@ -178,26 +178,10 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 	return solveAssembled(ctx, m, asm, m.retained.ws.pass, ls, opts, m.retained.factorCache())
 }
 
-// SolveAssembled solves a pre-assembled system (several load sets can
-// share one assembly) sequentially or NAVM-distributed as SolveOpts
-// directs.  The substructured route is rejected rather than silently
-// ignored: it condenses element blocks instead of solving a global
-// assembly, so it only exists on Solve.  Nothing vouches for a caller's
-// Assembled, so m's factor cache compares its values before reusing a
-// factor.
-func SolveAssembled(ctx context.Context, m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
-	if opts.Substructured > 0 {
-		return nil, errs.Usage("SolveAssembled solves a pre-assembled global system; the substructured path condenses per-substructure blocks instead (use Solve)")
-	}
-	if err := opts.refusal(); err != nil {
-		return nil, err
-	}
-	return solveAssembled(ctx, m, asm, 0, ls, opts, m.Factors())
-}
-
-// solveAssembled is SolveAssembled with m's factor cache already in
-// hand — Solve holds the retained mutex Model.Factors would take — and
-// the pass token that vouches for asm.K's values, 0 for none.  The
+// solveAssembled solves asm, an assembly of m, for ls sequentially or
+// NAVM-distributed as opts directs.  fc is m's factor cache, passed in
+// because Solve holds the retained mutex Model.Factors would take, and
+// pass is the token that vouches for asm.K's values, 0 for none.  The
 // caller has checked opts.refusal.
 func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache) (*Solution, error) {
 	b, err := m.RHS(ls, asm.Index, len(asm.Free))

@@ -109,7 +109,7 @@ func TestSolveParallelRejectsDirectBackend(t *testing.T) {
 // before the model is read: on a solved plate, untouched, after a
 // coordinate edit and after a topology edit, a refused Solve moves no
 // assemble counter and leaves the retained workspace and its pass as they
-// were, and SolveAssembled refuses alike.
+// were.
 func TestRefusedSolveTouchesNothing(t *testing.T) {
 	env, rt := linalg.BackendCholeskyEnv, solveRuntime(t)
 	refused := []struct {
@@ -157,9 +157,6 @@ func TestRefusedSolveTouchesNothing(t *testing.T) {
 			label := fmt.Sprintf("%s, backend %q precond %q parallel %d runtime %t", e.name, o.Backend, o.Precond, o.Parallel, o.RT != nil)
 			if _, err := Solve(ctx, m, ls, r.opts); fmt.Sprint(err) != r.want {
 				t.Errorf("%s: Solve error %v, want %s", label, err, r.want)
-			}
-			if _, err := SolveAssembled(ctx, m, ws.asm, ls, r.opts); fmt.Sprint(err) != r.want {
-				t.Errorf("%s: SolveAssembled error %v, want %s", label, err, r.want)
 			}
 			if got := counters(); got != before {
 				t.Errorf("%s: symbolic/reused/unchanged %v, was %v", label, got, before)

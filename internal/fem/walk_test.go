@@ -1,6 +1,7 @@
 package fem
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,12 +11,13 @@ import (
 )
 
 // twoWalk is the oracle of the one walk: the retained workspace's checks
-// as they were before it, verbatim but for where they keep their state —
-// Matches over the workspace's topology, then unchanged over a record of
-// each element's concrete type and AppendStiffnessInputs.  The record is
-// taken from a deep copy of the model at each recording pass (a new
-// non-zero Workspace.pass), and it counts as the witness for as long as
-// the workspace keeps that pass's token.
+// as they were before it, verbatim but for where they keep their state
+// and one rule — matches over the workspace's topology, then unchanged
+// over a record of each element's concrete type and stiffness inputs
+// (appendStiffnessInputs), where an element that is not a *Bar or a *CST
+// is never unchanged.  The record is taken from a deep copy of the model
+// at each recording pass (a new non-zero Workspace.pass), and it counts
+// as the witness for as long as the workspace keeps that pass's token.
 type twoWalk struct {
 	pass   uint64
 	types  []reflect.Type
@@ -34,12 +36,12 @@ func (o *twoWalk) record(m *Model, pass uint64) {
 	o.inputs = o.inputs[:0]
 	for ei, e := range m.Elements {
 		o.types[ei] = reflect.TypeOf(e)
-		o.inputs = e.AppendStiffnessInputs(m, o.inputs)
+		o.inputs, _ = appendStiffnessInputs(m, e, o.inputs)
 		o.inOff[ei+1] = len(o.inputs)
 	}
 }
 
-// matches is Workspace.Matches before the one walk.
+// matches is the workspace's topology check before the one walk.
 func (o *twoWalk) matches(ws *Workspace, m *Model) bool {
 	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
 		return false
@@ -80,7 +82,10 @@ func (o *twoWalk) unchanged(ws *Workspace, m *Model) bool {
 		if reflect.TypeOf(e) != o.types[ei] {
 			return false
 		}
-		o.probe = e.AppendStiffnessInputs(m, o.probe[:0])
+		var ok bool
+		if o.probe, ok = appendStiffnessInputs(m, e, o.probe[:0]); !ok {
+			return false
+		}
 		rec := o.inputs[o.inOff[ei]:o.inOff[ei+1]]
 		if len(o.probe) != len(rec) {
 			return false
@@ -174,10 +179,6 @@ func TestWalkMatchesTwoWalkOracle(t *testing.T) {
 		{"Bar Mat.A", func(m *Model) { m.Elements[barIndex].(*Bar).Mat.A = nan }, false},
 		{"used node X", func(m *Model) { m.Nodes[12].X = nan }, false},
 		{"used node Y", func(m *Model) { m.Nodes[12].Y = nan }, false},
-		{"another type's Mat.A", func(m *Model) {
-			m.Elements[6] = &stiffCST{CST: *m.Elements[6].(*CST)}
-			m.Elements[6].(*stiffCST).Mat.A = nan
-		}, false},
 		{"unused node", func(m *Model) { m.Nodes[spareNode].X = nan }, true},
 	} {
 		m, ls := witnessModel(t)
@@ -196,4 +197,49 @@ func TestWalkMatchesTwoWalkOracle(t *testing.T) {
 			t.Errorf("outcome %d of the walk came up %d times: topology/values/same %v", k, n, walks)
 		}
 	}
+}
+
+// Stand-ins for names the product code no longer has, for the tests
+// that still need what they did.
+
+// appendStiffnessInputs appends the stiffness inputs of a *Bar or a *CST
+// to dst through the retired Element.AppendStiffnessInputs below; ok is
+// false for an element of any other type.
+func appendStiffnessInputs(m *Model, e Element, dst []float64) (_ []float64, ok bool) {
+	switch e := e.(type) {
+	case *Bar:
+		return e.AppendStiffnessInputs(m, dst), true
+	case *CST:
+		return e.AppendStiffnessInputs(m, dst), true
+	}
+	return dst, false
+}
+
+// AppendStiffnessInputs appends the end-node coordinates and the
+// material: everything StiffnessInto reads beyond the connectivity.
+func (b *Bar) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
+	p1, p2 := m.Nodes[b.N1], m.Nodes[b.N2]
+	return append(dst, p1.X, p1.Y, p2.X, p2.Y, b.Mat.E, b.Mat.Nu, b.Mat.T, b.Mat.A)
+}
+
+// AppendStiffnessInputs appends the corner coordinates and the
+// material: everything StiffnessInto reads beyond the connectivity.
+func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
+	p1, p2, p3 := m.Nodes[t.N1], m.Nodes[t.N2], m.Nodes[t.N3]
+	return append(dst, p1.X, p1.Y, p2.X, p2.Y, p3.X, p3.Y, t.Mat.E, t.Mat.Nu, t.Mat.T, t.Mat.A)
+}
+
+// solveUnproven stands in for SolveAssembled: it solves asm, a caller's
+// assembly of m, through m's factor cache with no pass token, so the
+// cache compares asm's values before it reuses a factor.
+func solveUnproven(m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
+	return solveAssembled(context.Background(), m, asm, 0, ls, opts, m.Factors())
+}
+
+// dropRetained stands in for Model.Touch: it drops m's retained assembly
+// and factor cache, so the next solve builds both as a first solve does.
+func dropRetained(m *Model) {
+	m.retained.mu.Lock()
+	m.retained.ws, m.retained.factors = nil, nil
+	m.retained.mu.Unlock()
 }

@@ -37,10 +37,10 @@ func newDifferential() *differential {
 	}
 }
 
-// touch is Model.Touch on both sides.
+// touch drops the retained state on both sides (dropRetained).
 func (d *differential) touch(m *Model) {
-	m.Touch()
-	d.ref.Invalidate()
+	dropRetained(m)
+	d.ref = &linalg.FactorCache{}
 }
 
 // firstDiff returns the first index at which a and b differ in length or
@@ -93,7 +93,7 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 		if i := firstDiff(k.Val, oracle); i >= 0 {
 			t.Fatalf("%s: K.Val differs from the unmemoised oracle at entry %d of %d/%d (skipped %v)", label, i, len(k.Val), len(oracle), skipped)
 		}
-		want, wantErr = SolveAssembled(context.Background(), fresh, asm, ls, opts)
+		want, wantErr = solveUnproven(fresh, asm, ls, opts)
 	}
 	sameSolution(t, fmt.Sprintf("%s (skipped %v)", label, skipped), got, gotErr, want, wantErr)
 	return skipped, gotErr
@@ -123,7 +123,7 @@ func sameSolution(t testing.TB, label string, got *Solution, gotErr error, want 
 
 // unproven is a caller between retained solves that vouches for nothing:
 // it solves a system of its own — the retained K with entry entry's value
-// scaled — through SolveAssembled on m, and so through m's factor cache,
+// scaled — through solveUnproven on m, and so through m's factor cache,
 // and the same system through the reference cache, and demands the same
 // bits of both.  The next retained solve must not take the factor this
 // left behind for the one its token names.
@@ -140,16 +140,17 @@ func (d *differential) unproven(t testing.TB, label string, m *Model, entry int,
 	}
 	asm := &Assembled{K: &k, Free: ws.asm.Free, Index: ws.asm.Index}
 	opts := SolveOpts{Backend: linalg.BackendCholeskyEnv}
-	got, gotErr := SolveAssembled(context.Background(), m, asm, ls, opts)
+	got, gotErr := solveUnproven(m, asm, ls, opts)
 	fresh := deepCopy(t, m)
 	fresh.retained.factors = d.ref
-	want, wantErr := SolveAssembled(context.Background(), fresh, asm, ls, opts)
+	want, wantErr := solveUnproven(fresh, asm, ls, opts)
 	sameSolution(t, label, got, gotErr, want, wantErr)
 }
 
-// stiffCST is a second element type with a CST's connectivity, Kind and
-// stiffness inputs (all promoted from the embedded CST) but twice its
-// stiffness: what tells the two apart is the concrete type alone.
+// stiffCST is a second element type with a CST's connectivity, Kind,
+// nodes and Material (all promoted from the embedded CST) but twice its
+// stiffness: what tells the two apart is the concrete type alone.  It is
+// neither a *Bar nor a *CST, so the walk never finds it unchanged.
 type stiffCST struct{ CST }
 
 func (s *stiffCST) StiffnessInto(m *Model, ke *linalg.Dense) error {
@@ -244,8 +245,9 @@ func TestStiffnessWitnessCannotLie(t *testing.T) {
 			{inPlace(func(m *Model) { m.Nodes[lastNode] = corner }), assembles}, {nil, skips}}},
 		{"element replaced by an equal object", []witnessStep{
 			{inPlace(func(m *Model) { cp := *cst(m, 6); m.Elements[6] = &cp }), skips}}},
-		{"element replaced by another type, equal connectivity and inputs",
-			moved(func(m *Model) { m.Elements[6] = &stiffCST{CST: *cst(m, 6)} })},
+		{"element replaced by another type, equal connectivity and inputs", []witnessStep{
+			// Neither a *Bar nor a *CST: assembled on every solve.
+			{inPlace(func(m *Model) { m.Elements[6] = &stiffCST{CST: *cst(m, 6)} }), assembles}, {nil, assembles}}},
 		{"assembly error, re-solve, then exact revert", []witnessStep{
 			// The corner slides onto the line through the last CST's other
 			// two nodes: that element alone degenerates, after the 47

@@ -3,7 +3,6 @@ package fem
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync/atomic"
 
 	"repro/internal/linalg"
@@ -20,8 +19,7 @@ import (
 // A workspace is bound to the topology it was built from: the dof
 // count, constraint set, element count, and every element's order and
 // connectivity (node coordinates and materials may change — they only
-// affect values).  Matches reports whether a model still has that
-// topology, and Assemble refuses to scatter through a stale map.
+// affect values).  Assemble refuses to scatter through a stale map.
 // Assemble returns an Assembled whose K shares the workspace's value
 // buffer, so it is valid until the next Assemble call on the same
 // workspace; callers that need snapshots keep one workspace per
@@ -58,19 +56,16 @@ type Workspace struct {
 	// numeric pass of any workspace shares, only by a complete, error-free
 	// recording pass.  While it is non-zero, that pass read coords[i] for
 	// node used[i], and element e was of kind kinds[e] with material
-	// mats[e]; an element of another type (kindOther) is recorded the
-	// generic way, as others[k] for the k'th such element.  nan records a
-	// NaN among the recorded values: it matches nothing, itself included,
-	// so such a record proves nothing.  Looked for once per recording
-	// pass, which keeps walk's compare one integer compare a value.
+	// mats[e]; an element of another type is recorded as kindOther alone.
+	// nan records a NaN among the recorded values: it matches nothing,
+	// itself included, so such a record proves nothing.  Looked for once
+	// per recording pass, which keeps walk's compare one integer compare a
+	// value.
 	pass   uint64
 	nan    bool
 	coords []NodeCoord
 	kinds  []elemKind
 	mats   []Material
-	others []otherRecord
-	inputs []float64
-	probe  []float64
 }
 
 // numericPasses hands out the tokens of recording passes: one counter for
@@ -85,15 +80,6 @@ const (
 	kindBar
 	kindCST
 )
-
-// otherRecord is an element of a type other than *Bar and *CST as a
-// recording pass saw it: its type, and the stiffness inputs it appended,
-// inputs[lo:hi].  The element set is closed (TestNoTypeEmbedsAnElement),
-// so only test types are recorded this way.
-type otherRecord struct {
-	typ    reflect.Type
-	lo, hi int
-}
 
 // stiffScratch reuses one stiffness matrix per element order, and keeps
 // the last few CST stiffnesses it evaluated keyed by their whole input
@@ -244,27 +230,20 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 	return ws, nil
 }
 
-// Matches reports whether m still has the topology the workspace was
-// built from — dof count, constraint set, element count, and every
-// element's order and connectivity — so a numeric re-assembly of m
-// through the workspace's maps is sound.  It is the topology half of
-// walk, and allocates nothing.
-func (ws *Workspace) Matches(m *Model) bool {
-	topo, _ := ws.walk(m)
-	return topo
-}
-
-// walk compares m with the workspace in one pass.  topo is Matches; same
-// reports, in addition, that the value buffer holds exactly what a
-// numeric pass over m would write: the last pass was recorded in full
-// and read no NaN, every node an element uses has the recorded
-// coordinates, and every element has the recorded kind and Material —
-// for a type other than *Bar and *CST, the recorded type and stiffness
-// inputs.  These are all StiffnessInto reads beyond the connectivity, so
-// a node no element uses is not compared.  Values compare by bit
-// pattern, so -0 differs from +0, and a NaN matches nothing.  The first
-// value difference ends the value compare; the topology is still
-// checked to the end.
+// walk compares m with the workspace in one pass, allocating nothing.
+// topo reports that m still has the topology the workspace was built
+// from — dof count, constraint set, element count, and every element's
+// order and connectivity — so a numeric re-assembly of m through the
+// workspace's maps is sound.  same reports, in addition, that the value
+// buffer holds exactly what a numeric pass over m would write: the last
+// pass was recorded in full and read no NaN, every node an element uses
+// has the recorded coordinates, and every element is a *Bar or a *CST of
+// the recorded kind and Material.  Those are everything a Bar's or a
+// CST's StiffnessInto reads beyond the connectivity, so a node no element
+// uses is not compared, and an element of any other type is never found
+// unchanged.  Values compare by bit pattern, so -0 differs from +0, and a
+// NaN matches nothing.  The first value difference ends the value
+// compare; the topology is still checked to the end.
 func (ws *Workspace) walk(m *Model) (topo, same bool) {
 	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
 		return false, false
@@ -290,7 +269,7 @@ func (ws *Workspace) walk(m *Model) (topo, same bool) {
 		}
 	}
 	conn := ws.conn
-	c, oi := 0, 0
+	c := 0
 	for ei, e := range m.Elements {
 		switch e := e.(type) {
 		case *CST:
@@ -316,34 +295,10 @@ func (ws *Workspace) walk(m *Model) (topo, same bool) {
 				}
 				c++
 			}
-			// While same holds, every earlier element had its recorded
-			// kind, so others[oi] is this element's record.
-			if same {
-				same = ws.kinds[ei] == kindOther && ws.sameOther(m, e, &ws.others[oi])
-				oi++
-			}
+			same = false
 		}
 	}
 	return true, same
-}
-
-// sameOther compares an element of another type with its record: the
-// same concrete type, appending the recorded stiffness inputs.
-func (ws *Workspace) sameOther(m *Model, e Element, r *otherRecord) bool {
-	if reflect.TypeOf(e) != r.typ {
-		return false
-	}
-	ws.probe = e.AppendStiffnessInputs(m, ws.probe[:0])
-	rec := ws.inputs[r.lo:r.hi]
-	if len(ws.probe) != len(rec) {
-		return false
-	}
-	for i, v := range ws.probe {
-		if !unchangedBits(v, rec[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // sameMaterial compares two materials field by field with unchangedBits.
@@ -366,7 +321,7 @@ func (ws *Workspace) Pattern() *linalg.Pattern { return ws.pat }
 // returned Assembled shares the workspace's value storage; see the type
 // comment.
 func (ws *Workspace) Assemble() (*Assembled, error) {
-	if !ws.Matches(ws.m) {
+	if topo, _ := ws.walk(ws.m); !topo {
 		return nil, fmt.Errorf("%w: topology changed since NewWorkspace (build a new workspace)", ErrModel)
 	}
 	return ws.assemble(false)
@@ -397,8 +352,7 @@ func (ws *Workspace) assemble(record bool) (*Assembled, error) {
 }
 
 // scatter evaluates every element and scatters it into val.  With record
-// set it also records each element's kind and material (or, for another
-// type, its type and stiffness inputs) as it goes.
+// set it also records each element's kind and material as it goes.
 func (ws *Workspace) scatter(val []float64, record bool) error {
 	for ei, e := range ws.m.Elements {
 		if record {
@@ -431,13 +385,7 @@ func (ws *Workspace) recordElement(ei int, e Element) {
 	case *Bar:
 		ws.recordMaterial(ei, kindBar, e.Mat)
 	default:
-		lo := len(ws.inputs)
-		ws.inputs = e.AppendStiffnessInputs(ws.m, ws.inputs)
-		for _, v := range ws.inputs[lo:] {
-			ws.nan = ws.nan || v != v
-		}
 		ws.kinds[ei] = kindOther
-		ws.others = append(ws.others, otherRecord{typ: reflect.TypeOf(e), lo: lo, hi: len(ws.inputs)})
 	}
 }
 
@@ -478,5 +426,4 @@ func (ws *Workspace) resetRecord() {
 		ws.coords[i] = p
 		ws.nan = ws.nan || p.X != p.X || p.Y != p.Y
 	}
-	ws.others, ws.inputs = ws.others[:0], ws.inputs[:0]
 }

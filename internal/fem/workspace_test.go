@@ -2,13 +2,68 @@ package fem
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/errs"
 	"repro/internal/linalg"
 )
+
+// AssembleTriplets is the reference assembly path: element stiffnesses
+// append to a triplet list that is then sorted into CSR form, with
+// zero-valued entries skipped.  It is kept for differential testing and
+// benchmarking against the Workspace scatter path; production callers
+// use Assemble.  On shared entries the two paths agree bitwise (both
+// sum contributions in element order); the Workspace pattern may store
+// additional explicit zeros where an element stiffness entry is exactly
+// zero.
+func AssembleTriplets(m *Model) (*Assembled, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	free, index := m.FreeDOFs()
+	var ts []linalg.Triplet
+	st := linalg.Stats{}
+	var sc stiffScratch
+	for ei, e := range m.Elements {
+		dofs := ElementDOFs(e)
+		ke, err := sc.stiffness(m, e, len(dofs))
+		if err != nil {
+			return nil, fmt.Errorf("fem: element %d: %w", ei, err)
+		}
+		for i, gi := range dofs {
+			ri := index[gi]
+			if ri < 0 {
+				continue
+			}
+			for j, gj := range dofs {
+				rj := index[gj]
+				if rj < 0 {
+					continue
+				}
+				v := ke.At(i, j)
+				if v != 0 {
+					ts = append(ts, linalg.Triplet{Row: ri, Col: rj, Val: v})
+					st.Flops++
+				}
+			}
+		}
+	}
+	k, err := linalg.NewCSRFromTriplets(len(free), ts)
+	if err != nil {
+		return nil, err
+	}
+	return &Assembled{K: k, Free: free, Index: index, Stats: st}, nil
+}
+
+// Reduce gathers a full dof vector into reduced form.
+func (a *Assembled) Reduce(full linalg.Vector) linalg.Vector {
+	out := linalg.NewVector(len(a.Free))
+	for ri, d := range a.Free {
+		out[ri] = full[d]
+	}
+	return out
+}
 
 // csrEqualExact asserts two assembled systems agree element-for-element
 // with no tolerance (explicit zeros in one pattern but not the other are
@@ -141,7 +196,7 @@ func TestWorkspaceReuseTracksValueChanges(t *testing.T) {
 
 // TestWorkspaceAssembleOnceSolveMany covers the retained-workspace
 // workflow end to end: one assembly feeding several load sets through
-// SolveAssembled must match independent Solve calls.
+// solveUnproven must match independent Solve calls.
 func TestWorkspaceAssembleOnceSolveMany(t *testing.T) {
 	o := RectGridOpts{NX: 5, NY: 3, W: 5, H: 3, Mat: Steel(), ClampLeft: true}
 	m, err := RectGrid("many", o)
@@ -162,7 +217,7 @@ func TestWorkspaceAssembleOnceSolveMany(t *testing.T) {
 		EndLoad("b", o, 500, 0),
 		EndLoad("c", o, -200, 300),
 	} {
-		shared, err := SolveAssembled(ctx, m, asm, ls, SolveOpts{})
+		shared, err := solveUnproven(m, asm, ls, SolveOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,25 +228,6 @@ func TestWorkspaceAssembleOnceSolveMany(t *testing.T) {
 		if d := linalg.MaxAbsDiff(shared.U, independent.U); d != 0 {
 			t.Errorf("load set %d: shared assembly differs by %g", i, d)
 		}
-	}
-}
-
-// TestSolveAssembledRejectsSubstructured: the substructured route
-// condenses instead of using a global assembly, so requesting it on a
-// pre-assembled system is a usage error, not a silent fallback.
-func TestSolveAssembledRejectsSubstructured(t *testing.T) {
-	o := RectGridOpts{NX: 3, NY: 3, W: 3, H: 3, Mat: Steel(), ClampLeft: true}
-	m, err := RectGrid("rej", o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asm, err := Assemble(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = SolveAssembled(context.Background(), m, asm, EndLoad("l", o, 0, -1), SolveOpts{Substructured: 2})
-	if !errors.Is(err, errs.ErrUsage) {
-		t.Errorf("Substructured on SolveAssembled: err = %v, want ErrUsage", err)
 	}
 }
 

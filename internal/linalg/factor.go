@@ -353,14 +353,6 @@ func (fc *FactorCache) Generation() uint64 {
 	return fc.gen
 }
 
-// Invalidate drops every cached factor; the next solve per backend
-// replans and refactors.
-func (fc *FactorCache) Invalidate() {
-	fc.mu.Lock()
-	fc.entries = nil
-	fc.mu.Unlock()
-}
-
 // SolveCached solves A·x = b through backend's cached plan, factoring
 // only when it must: a missing or pattern-mismatched entry replans, a
 // value change refactors in place, and unchanged values ride the warm
