@@ -12,6 +12,7 @@ package fem2_test
 import (
 	"context"
 	"net"
+	"runtime"
 	"testing"
 
 	fem2 "repro"
@@ -99,37 +100,79 @@ func BenchmarkServerThroughput(b *testing.B) {
 // are both warm, one walk over the unchanged plate skips the numeric
 // re-assembly, and its pass token lets the factor skip its value compare,
 // so a job is the walk + triangular solve + residual SpMV + stress
-// recovery; -benchmem shows the symbolic phase is gone.
+// recovery; -benchmem shows a few hundred bytes a job, none of them in
+// proportion to the plate (TestWarmResolveAllocationCeiling).
 func BenchmarkWarmResolve(b *testing.B) {
+	s, job := warmResolveSession(b, "40 24 40 24")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cmd := range job {
+			if _, err := s.Do(ctx, cmd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// warmResolveSession returns a session holding a solved, stress-recovered
+// clamped grid g of the given "nx ny w h", and BenchmarkWarmResolve's job
+// on it: solve g again and recover its stresses.
+func warmResolveSession(tb testing.TB, grid string) (*fem2.Session, []fem2.Command) {
+	tb.Helper()
 	sys, err := fem2.New()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := sys.Session("bench")
 	ctx := context.Background()
 	cmds := make([]fem2.Command, 0, 4)
 	for _, line := range []string{
-		"generate grid g 40 24 40 24 clamp-left",
+		"generate grid g " + grid + " clamp-left",
 		"load g l endload 0 -1000",
 		"solve g l method cholesky-env",
 		"stresses g",
 	} {
 		cmd, err := fem2.Parse(line)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := s.Do(ctx, cmd); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		cmds = append(cmds, cmd)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cmd := range cmds[2:] {
-			if _, err := s.Do(ctx, cmd); err != nil {
-				b.Fatal(err)
+	return s, cmds[2:]
+}
+
+// TestWarmResolveAllocationCeiling holds BenchmarkWarmResolve's job to a
+// byte ceiling that does not grow with the model: 4 KB a job on an 8×4
+// grid and on the 40×24 plate alike, whose U alone is 16 KB and whose
+// stresses are 92 KB.  The solve's reduced vectors are the retained
+// workspace's scratch, and each result is written over the one its
+// predecessor replaced.
+func TestWarmResolveAllocationCeiling(t *testing.T) {
+	const ceiling, runs = 4 << 10, 20
+	for _, grid := range []string{"8 4 8 4", "40 24 40 24"} {
+		s, job := warmResolveSession(t, grid)
+		ctx := context.Background()
+		run := func() {
+			for _, cmd := range job {
+				if _, err := s.Do(ctx, cmd); err != nil {
+					t.Fatal(err)
+				}
 			}
+		}
+		run() // the first run leaves a spare of each result behind
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > ceiling {
+			t.Errorf("grid %s: a warm solve + stresses allocates %d B, ceiling %d B", grid, per, ceiling)
 		}
 	}
 }

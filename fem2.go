@@ -659,6 +659,15 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // cache never trades correctness for reuse — a hit requires the
 // assembled values, skipped assembly or not, to match the factored ones
 // bit for bit, and cached solutions are bit-identical to cold solves.
+//
+// Allocate-once: the load vector, reduced solution and residual of a
+// solve are scratch of the retained assembly, so Solve allocates only the
+// Solution it returns.  Inside a session even that is recycled: each
+// model's workspace entry keeps the solution and stresses its latest ones
+// replaced, and the next solve or stress recovery of the model writes
+// over them, so a warm re-solve allocates nothing in proportion to the
+// model.  The recycling stays behind the session: Session.WS's Solution
+// and Stresses return copies, which are the caller's to keep.
 
 // The solver backend registry names, usable as SolveOpts.Backend, as a
 // SolveCommand.Method, and in the REPL's `solve ... method <name>`.

@@ -357,3 +357,48 @@ func TestReplacementDropsSolution(t *testing.T) {
 		}
 	})
 }
+
+// TestReplacementDropsGridOptions: endload reads the grid options of the
+// model the name holds now.  A truss, a bar, a retrieved model or a
+// restored non-grid model that replaces a generated grid has none, so
+// endload is refused; the session used to keep the replaced grid's
+// options and put its edge loads on arbitrary dofs of the new model.  A
+// restored grid brings its own options back.
+func TestReplacementDropsGridOptions(t *testing.T) {
+	const endload = "load g tip endload 0 -1000"
+	snap := filepath.Join(t.TempDir(), "truss.snap")
+	for _, tc := range []struct {
+		name    string
+		replace string
+	}{
+		{"generate truss", "generate truss g 6 100 80"},
+		{"generate bar", "generate bar g 4 100"},
+		{"retrieve", "retrieve g"},
+		{"restore", "restore " + snap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSession(t)
+			mustExec(t, s, "generate truss g 3 100 80")
+			mustExec(t, s, "store g")
+			mustExec(t, s, "snapshot "+snap)
+			mustExec(t, s, "generate grid g 2 2 2 2 clamp-left")
+			mustExec(t, s, endload)
+			mustExec(t, s, tc.replace)
+			if out, err := s.Execute(endload); err == nil || !strings.Contains(err.Error(), "requires a generated grid") {
+				t.Errorf("endload after %q: %q, %v; want it refused", tc.replace, out, err)
+			}
+		})
+	}
+	t.Run("restore of a grid", func(t *testing.T) {
+		s := newSession(t)
+		mustExec(t, s, "generate grid g 2 2 2 2 clamp-left")
+		want := mustExec(t, s, endload)
+		path := filepath.Join(t.TempDir(), "grid.snap")
+		mustExec(t, s, "snapshot "+path)
+		mustExec(t, s, "generate truss g 6 100 80")
+		mustExec(t, s, "restore "+path)
+		if got := mustExec(t, s, endload); got != want {
+			t.Errorf("endload on the restored grid: %q, want %q", got, want)
+		}
+	})
+}

@@ -92,16 +92,13 @@ type Session struct {
 	// mat is the current material, applied by generate/element
 	// commands.
 	mat fem.Material
-	// grids remembers grid generation parameters per model so EndLoad
-	// can find the right edge.
-	grids map[string]fem.RectGridOpts
 }
 
 // NewSession builds a session over a shared database.
 func NewSession(user string, db *Database) *Session {
 	return &Session{
 		User: user, WS: NewWorkspace(), DB: db,
-		mat: fem.Steel(), grids: map[string]fem.RectGridOpts{},
+		mat: fem.Steel(),
 	}
 }
 
@@ -410,8 +407,7 @@ func (s *Session) doGenerateGrid(c command.GenerateGrid) (command.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	s.WS.PutModel(m)
-	s.gridOpts(c.Name, o)
+	s.WS.PutGrid(m, o)
 	return &command.GenerateResult{Kind: "grid", Name: c.Name,
 		Nodes: len(m.Nodes), Elements: len(m.Elements)}, nil
 }
@@ -434,19 +430,6 @@ func (s *Session) doGenerateBar(c command.GenerateBar) (command.Result, error) {
 	s.WS.PutModel(m)
 	return &command.GenerateResult{Kind: "bar", Name: c.Name,
 		Nodes: len(m.Nodes), Elements: c.Segments}, nil
-}
-
-func (s *Session) gridOpts(name string, o fem.RectGridOpts) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	s.grids[name] = o
-}
-
-func (s *Session) lookupGridOpts(name string) (fem.RectGridOpts, bool) {
-	s.stateMu.Lock()
-	defer s.stateMu.Unlock()
-	o, ok := s.grids[name]
-	return o, ok
 }
 
 // material reads the session's current material under the state lock.
@@ -538,7 +521,7 @@ func (s *Session) doAddLoad(c command.AddLoad) (command.Result, error) {
 }
 
 func (s *Session) doEndLoad(c command.EndLoad) (command.Result, error) {
-	o, ok := s.lookupGridOpts(c.Model)
+	o, ok := s.WS.GridOpts(c.Model)
 	if !ok {
 		return nil, usage("endload requires a generated grid model")
 	}
@@ -564,16 +547,18 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 	// their counters at the system registry (resolved once per model).
 	m.Instrument(s.Obs)
 	// One context-aware solve path: the command maps onto SolveOpts and
-	// fem.Solve routes to sequential, distributed, or substructured
-	// execution through the solver registry.
+	// fem.SolveInto routes to sequential, distributed, or substructured
+	// execution through the solver registry, writing over the solution
+	// the model's last solve replaced.
 	start := time.Now()
-	sol, err := fem.Solve(ctx, m, ls, fem.SolveOpts{
+	spare, _ := s.WS.spares(c.Model)
+	sol, err := fem.SolveInto(ctx, m, ls, fem.SolveOpts{
 		Backend:       string(c.Method),
 		Precond:       string(c.Precond),
 		Parallel:      c.Parallel,
 		Substructured: c.Substructures,
 		RT:            s.RT,
-	})
+	}, spare)
 	if err != nil {
 		return nil, err
 	}
@@ -616,12 +601,13 @@ func (s *Session) doStresses(c command.Stresses) (command.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol := s.WS.Solution(c.Model)
+	sol := s.WS.solution(c.Model)
 	if sol == nil {
 		return nil, fmt.Errorf("auvm: model %q has no solution (solve first): %w",
 			c.Model, errs.ErrNotFound)
 	}
-	st, err := fem.Stresses(m, sol)
+	_, spare := s.WS.spares(c.Model)
+	st, err := fem.StressesInto(m, sol, spare)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +631,7 @@ func (s *Session) doDisplay(c command.Display) (command.Result, error) {
 		return &command.ModelInfoResult{Name: c.Model, Nodes: len(m.Nodes),
 			DOFs: m.NumDOF(), Fixed: m.NumFixed(), ElementCounts: kinds}, nil
 	case command.DisplayDisplacements:
-		sol := s.WS.Solution(c.Model)
+		sol := s.WS.solution(c.Model)
 		if sol == nil {
 			return nil, fmt.Errorf("auvm: model %q has no solution: %w",
 				c.Model, errs.ErrNotFound)
@@ -654,7 +640,7 @@ func (s *Session) doDisplay(c command.Display) (command.Result, error) {
 		return &command.DisplacementsResult{Model: c.Model, MaxDisp: v, MaxDOF: dof,
 			Norm: displacementNorm(sol)}, nil
 	case command.DisplayStresses:
-		st := s.WS.Stresses(c.Model)
+		st := s.WS.stresses(c.Model)
 		if st == nil {
 			return nil, fmt.Errorf("auvm: model %q has no stresses: %w",
 				c.Model, errs.ErrNotFound)

@@ -55,25 +55,20 @@ type solutionDTO struct {
 // doSnapshot writes the session's workspace to a file.
 func (s *Session) doSnapshot(c command.Snapshot) (command.Result, error) {
 	dto := snapshotDTO{Material: s.material(), Grids: map[string]fem.RectGridOpts{}}
-	s.stateMu.Lock()
-	for name, o := range s.grids {
-		dto.Grids[name] = o
-	}
-	s.stateMu.Unlock()
-	for _, name := range s.WS.ModelNames() {
-		m := s.WS.Model(name)
-		var loads []*fem.LoadSet
-		for _, ln := range s.WS.LoadSetNames(name) {
-			loads = append(loads, s.WS.LoadSet(name, ln))
+	// snapshot holds no model, so it reads every entry whole under the
+	// workspace lock, results copied before a solve can recycle them.
+	for _, e := range s.WS.save() {
+		if e.grid != nil {
+			dto.Grids[e.model.Name] = *e.grid
 		}
-		enc, err := encodeModel(m, loads)
+		enc, err := encodeModel(e.model, e.loads)
 		if err != nil {
 			return nil, err
 		}
-		ms := modelSnapshotDTO{Model: *enc, Stresses: s.WS.Stresses(name)}
-		if sol := s.WS.Solution(name); sol != nil {
+		ms := modelSnapshotDTO{Model: *enc, Stresses: e.stresses}
+		if sol := e.sol; sol != nil {
 			ms.Solution = &solutionDTO{
-				U: append([]float64(nil), sol.U...), Backend: sol.Backend,
+				U: sol.U, Backend: sol.Backend,
 				Precond: sol.Precond, Iterations: sol.Iterations,
 				Residual: sol.Residual, Refactored: sol.Refactored,
 			}
@@ -143,7 +138,11 @@ func (s *Session) doRestore(ctx context.Context, c command.Restore) (command.Res
 	}
 	for i, ms := range dto.Models {
 		m := models[i]
-		s.WS.PutModel(m)
+		if o, ok := dto.Grids[m.Name]; ok {
+			s.WS.PutGrid(m, o)
+		} else {
+			s.WS.PutModel(m)
+		}
 		for _, ls := range loads[i] {
 			if err := s.WS.PutLoadSet(m.Name, ls); err != nil {
 				return nil, err
@@ -162,9 +161,6 @@ func (s *Session) doRestore(ctx context.Context, c command.Restore) (command.Res
 	}
 	s.stateMu.Lock()
 	s.mat = dto.Material
-	for name, o := range dto.Grids {
-		s.grids[name] = o
-	}
 	s.stateMu.Unlock()
 	return &command.RestoreResult{Path: c.Path, Models: len(dto.Models)}, nil
 }

@@ -16,7 +16,9 @@ package auvm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/fem"
@@ -24,24 +26,36 @@ import (
 )
 
 // Workspace is one user's local data area: models under construction,
-// load sets, solutions, and stresses.  It tracks its word footprint so
-// experiments can report AUVM-level storage requirements.
+// load sets, solutions, and stresses, one entry per model name.  It
+// tracks its word footprint so experiments can report AUVM-level storage
+// requirements.
 type Workspace struct {
-	mu        sync.Mutex
-	models    map[string]*fem.Model
-	loads     map[string]map[string]*fem.LoadSet // model -> set name -> set
-	solutions map[string]*fem.Solution           // model -> last solution
-	stresses  map[string][][]float64             // model -> element stresses
+	mu      sync.Mutex
+	entries map[string]*entry
+}
+
+// entry is everything the workspace keeps under one model name.  Besides
+// the model's latest solution and stresses it keeps the ones they
+// replaced as spares, which no accessor returns: the model's next solve
+// or stress recovery writes over its spare (fem.SolveInto,
+// fem.StressesInto), so a steady re-solve allocates nothing in proportion
+// to the model.  A spare is never the current result, and a current
+// result is read itself only under the model's hold (Session.Do); every
+// other reader gets a copy (Solution, Stresses, save), so nothing still
+// reads a buffer when it is recycled.
+type entry struct {
+	model *fem.Model
+	// grid holds the options RectGrid generated model from, which endload
+	// reads; nil for a model built any other way.
+	grid                    *fem.RectGridOpts
+	loads                   map[string]*fem.LoadSet
+	sol, spareSol           *fem.Solution
+	stresses, spareStresses [][]float64
 }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{
-		models:    map[string]*fem.Model{},
-		loads:     map[string]map[string]*fem.LoadSet{},
-		solutions: map[string]*fem.Solution{},
-		stresses:  map[string][][]float64{},
-	}
+	return &Workspace{entries: map[string]*entry{}}
 }
 
 // PutModel stores (or replaces) a model in the workspace.  A replacement
@@ -49,35 +63,80 @@ func NewWorkspace() *Workspace {
 // the model it displaces: generate, retrieve and restore all replace
 // through here, this is the only way that state changes hands, and the
 // replacement's next solve checks all of it against itself before reuse.
-// The displaced model's solution and stresses are dropped, as DropModel
-// drops them: they describe another model, whatever its dof count.
-func (w *Workspace) PutModel(m *fem.Model) {
+// The displaced model's grid options, solution and stresses are dropped,
+// as DropModel drops them: they describe another model, whatever its dof
+// count.  The result buffers become the entry's spares, and its load sets
+// stay.
+func (w *Workspace) PutModel(m *fem.Model) { w.putModel(m, nil) }
+
+// PutGrid is PutModel for a model RectGrid generated from o, which
+// GridOpts then answers for the name until the model is replaced.
+func (w *Workspace) PutGrid(m *fem.Model, o fem.RectGridOpts) { w.putModel(m, &o) }
+
+func (w *Workspace) putModel(m *fem.Model, grid *fem.RectGridOpts) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if prev := w.models[m.Name]; prev != nil {
-		m.AdoptAssembly(prev)
-		delete(w.solutions, m.Name)
-		delete(w.stresses, m.Name)
+	e := w.entries[m.Name]
+	if e == nil {
+		w.entries[m.Name] = &entry{model: m, grid: grid, loads: map[string]*fem.LoadSet{}}
+		return
 	}
-	w.models[m.Name] = m
-	if w.loads[m.Name] == nil {
-		w.loads[m.Name] = map[string]*fem.LoadSet{}
+	m.AdoptAssembly(e.model)
+	e.model, e.grid = m, grid
+	e.putSolution(nil)
+	e.putStresses(nil)
+}
+
+// GridOpts returns the options the named model was generated from by
+// generate grid, and false for a model built any other way or no model.
+func (w *Workspace) GridOpts(name string) (fem.RectGridOpts, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e := w.entries[name]; e != nil && e.grid != nil {
+		return *e.grid, true
 	}
+	return fem.RectGridOpts{}, false
+}
+
+// putSolution makes sol the current solution, and the one it replaces the
+// spare.
+func (e *entry) putSolution(sol *fem.Solution) {
+	if e.sol != nil && e.sol != sol {
+		e.spareSol = e.sol
+	}
+	e.sol = sol
+}
+
+// putStresses makes st the current stresses, and the ones they replace the
+// spare.
+func (e *entry) putStresses(st [][]float64) {
+	if e.stresses != nil && !sameRows(e.stresses, st) {
+		e.spareStresses = e.stresses
+	}
+	e.stresses = st
+}
+
+// sameRows reports whether a and b are one stress table.
+func sameRows(a, b [][]float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Model returns the named model, or nil.
 func (w *Workspace) Model(name string) *fem.Model {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.models[name]
+	if e := w.entries[name]; e != nil {
+		return e.model
+	}
+	return nil
 }
 
 // ModelNames returns the workspace's model names, sorted.
 func (w *Workspace) ModelNames() []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.models))
-	for k := range w.models {
+	out := make([]string, 0, len(w.entries))
+	for k := range w.entries {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -89,13 +148,10 @@ func (w *Workspace) ModelNames() []string {
 func (w *Workspace) DropModel(name string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.models[name]; !ok {
+	if _, ok := w.entries[name]; !ok {
 		return false
 	}
-	delete(w.models, name)
-	delete(w.loads, name)
-	delete(w.solutions, name)
-	delete(w.stresses, name)
+	delete(w.entries, name)
 	return true
 }
 
@@ -103,13 +159,11 @@ func (w *Workspace) DropModel(name string) bool {
 func (w *Workspace) PutLoadSet(model string, ls *fem.LoadSet) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.models[model]; !ok {
+	e := w.entries[model]
+	if e == nil {
 		return fmt.Errorf("auvm: no model %q in workspace", model)
 	}
-	if w.loads[model] == nil {
-		w.loads[model] = map[string]*fem.LoadSet{}
-	}
-	w.loads[model][ls.Name] = ls
+	e.loads[ls.Name] = ls
 	return nil
 }
 
@@ -117,72 +171,179 @@ func (w *Workspace) PutLoadSet(model string, ls *fem.LoadSet) error {
 func (w *Workspace) LoadSet(model, name string) *fem.LoadSet {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.loads[model][name]
+	if e := w.entries[model]; e != nil {
+		return e.loads[name]
+	}
+	return nil
 }
 
 // LoadSetNames returns a model's load set names, sorted.
 func (w *Workspace) LoadSetNames(model string) []string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.loads[model]))
-	for k := range w.loads[model] {
-		out = append(out, k)
+	var out []string
+	if e := w.entries[model]; e != nil {
+		out = make([]string, 0, len(e.loads))
+		for k := range e.loads {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// PutSolution stores a model's latest displacement solution.
+// PutSolution stores a model's latest displacement solution; the one it
+// replaces becomes the spare its next solve writes over.  A name with no
+// model keeps nothing.
 func (w *Workspace) PutSolution(model string, s *fem.Solution) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.solutions[model] = s
+	if e := w.entries[model]; e != nil {
+		e.putSolution(s)
+	}
 }
 
-// Solution returns a model's latest solution, or nil.
+// Solution returns a copy of a model's latest solution, or nil.  The
+// workspace recycles its own buffers, so the copy is the caller's to keep
+// and to change.
 func (w *Workspace) Solution(model string) *fem.Solution {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.solutions[model]
+	if e := w.entries[model]; e != nil {
+		return copySolution(e.sol)
+	}
+	return nil
 }
 
-// PutStresses stores a model's latest element stresses.
+// solution returns a model's latest solution itself, or nil, for the
+// model's holder: it stays the model's until the model is solved again or
+// replaced, and its buffers are recycled by the solve after that.
+func (w *Workspace) solution(model string) *fem.Solution {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e := w.entries[model]; e != nil {
+		return e.sol
+	}
+	return nil
+}
+
+// PutStresses stores a model's latest element stresses; the ones they
+// replace become the spare its next stress recovery writes over.  A name
+// with no model keeps nothing.
 func (w *Workspace) PutStresses(model string, s [][]float64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.stresses[model] = s
+	if e := w.entries[model]; e != nil {
+		e.putStresses(s)
+	}
 }
 
-// Stresses returns a model's latest stresses, or nil.
+// Stresses returns a copy of a model's latest stresses, or nil, on the
+// same terms as Solution.
 func (w *Workspace) Stresses(model string) [][]float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.stresses[model]
+	if e := w.entries[model]; e != nil {
+		return copyRows(e.stresses)
+	}
+	return nil
+}
+
+// stresses returns a model's latest stresses themselves, or nil, on the
+// same terms as solution.
+func (w *Workspace) stresses(model string) [][]float64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e := w.entries[model]; e != nil {
+		return e.stresses
+	}
+	return nil
+}
+
+// savedEntry is one name's entry as snapshot writes it: the model, its
+// grid options (nil for none), its load sets in name order, and copies of
+// its results.
+type savedEntry struct {
+	model    *fem.Model
+	grid     *fem.RectGridOpts
+	loads    []*fem.LoadSet
+	sol      *fem.Solution
+	stresses [][]float64
+}
+
+// save returns every entry in name order, all read under one lock: no
+// replacement can pair a model with another's grid options or results,
+// and no solve can recycle a result while it is copied, so a caller that
+// holds no model gets a consistent workspace.
+func (w *Workspace) save() []savedEntry {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]savedEntry, 0, len(w.entries))
+	for _, e := range w.entries {
+		se := savedEntry{model: e.model, grid: e.grid,
+			sol: copySolution(e.sol), stresses: copyRows(e.stresses)}
+		for _, ls := range e.loads {
+			se.loads = append(se.loads, ls)
+		}
+		slices.SortFunc(se.loads, func(a, b *fem.LoadSet) int { return strings.Compare(a.Name, b.Name) })
+		out = append(out, se)
+	}
+	slices.SortFunc(out, func(a, b savedEntry) int { return strings.Compare(a.model.Name, b.model.Name) })
+	return out
+}
+
+// copySolution returns a copy of sol with its own U; nil stays nil.
+func copySolution(sol *fem.Solution) *fem.Solution {
+	if sol == nil {
+		return nil
+	}
+	cp := *sol
+	cp.U = slices.Clone(sol.U)
+	return &cp
+}
+
+// copyRows returns a copy of rows; nil stays nil.
+func copyRows(rows [][]float64) [][]float64 {
+	if rows == nil {
+		return nil
+	}
+	out := make([][]float64, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
+	return out
+}
+
+// spares returns a model's spare solution and stresses, each nil when
+// absent, for the model's holder to write over.
+func (w *Workspace) spares(model string) (*fem.Solution, [][]float64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e := w.entries[model]; e != nil {
+		return e.spareSol, e.spareStresses
+	}
+	return nil, nil
 }
 
 // Words estimates the workspace footprint in 8-byte words: node
 // coordinates, element connectivity, load entries, solutions, and
-// stresses.
+// stresses.  The spares are scratch and are not counted.
 func (w *Workspace) Words() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var words int64
-	for _, m := range w.models {
-		words += int64(2 * len(m.Nodes))
-		for _, e := range m.Elements {
-			words += int64(len(e.AppendNodes(nil)) + 1)
+	for _, e := range w.entries {
+		words += int64(2 * len(e.model.Nodes))
+		for _, el := range e.model.Elements {
+			words += int64(len(el.AppendNodes(nil)) + 1)
 		}
-	}
-	for _, sets := range w.loads {
-		for _, ls := range sets {
+		for _, ls := range e.loads {
 			words += int64(2 * len(ls.Entries))
 		}
-	}
-	for _, s := range w.solutions {
-		words += int64(len(s.U))
-	}
-	for _, ss := range w.stresses {
-		for _, s := range ss {
+		if e.sol != nil {
+			words += int64(len(e.sol.U))
+		}
+		for _, s := range e.stresses {
 			words += int64(len(s))
 		}
 	}

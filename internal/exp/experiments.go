@@ -460,7 +460,7 @@ func E7FaultIsolation(failCounts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		resid := linalg.Residual(k, x, b, nil) / linalg.Norm2(b, nil)
+		resid := linalg.Residual(k, x, b, nil, nil) / linalg.Norm2(b, nil)
 		if f == 0 {
 			base = stats.Makespan
 		}
@@ -1034,11 +1034,11 @@ func E16SequentialBackends(n int) (*Table, error) {
 		if _, direct := linalg.PlanOptsFor(c.backend); direct && c.precond == "" {
 			// Prime the cache (a no-op when an earlier table already
 			// factored this plate), then measure the warm repeat.
-			if _, _, err := factors.SolveCached(c.backend, k, 0, b, nil); err != nil {
+			if _, _, err := factors.SolveCached(c.backend, k, 0, b, nil, nil); err != nil {
 				return nil, fmt.Errorf("%s warm: %w", c.backend, err)
 			}
 			warmSt := &linalg.Stats{}
-			xw, refac, err := factors.SolveCached(c.backend, k, 0, b, warmSt)
+			xw, refac, err := factors.SolveCached(c.backend, k, 0, b, nil, warmSt)
 			if err != nil {
 				return nil, fmt.Errorf("%s warm: %w", c.backend, err)
 			}

@@ -32,11 +32,18 @@ func Assemble(m *Model) (*Assembled, error) {
 }
 
 // Expand scatters a reduced solution back to the full dof vector, with
-// zeros at fixed dofs.
-func (a *Assembled) Expand(x linalg.Vector) linalg.Vector {
-	full := linalg.NewVector(len(a.Index))
-	for ri, d := range a.Free {
-		full[d] = x[ri]
+// zeros at fixed dofs.  The vector is written over full when that has the
+// full dof count, and allocated otherwise.
+func (a *Assembled) Expand(x, full linalg.Vector) linalg.Vector {
+	if len(full) != len(a.Index) {
+		full = linalg.NewVector(len(a.Index))
+	}
+	for d, ri := range a.Index {
+		if ri < 0 {
+			full[d] = 0
+		} else {
+			full[d] = x[ri]
+		}
 	}
 	return full
 }

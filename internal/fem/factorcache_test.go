@@ -245,7 +245,7 @@ func TestFactorReuseComparesBitPatterns(t *testing.T) {
 			{"unchanged again", func() {}, false},
 		} {
 			step.edit()
-			x, refactored, err := m.Factors().SolveCached(backend, k, 0, b, nil)
+			x, refactored, err := m.Factors().SolveCached(backend, k, 0, b, nil, nil)
 			if refactored != step.refactored {
 				t.Errorf("%s step %d (%s): refactored = %v, want %v (err %v)", backend, i, step.name, refactored, step.refactored, err)
 			}

@@ -338,7 +338,7 @@ func TestExpandReduceRoundTrip(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i + 1)
 	}
-	full := asm.Expand(x)
+	full := asm.Expand(x, nil)
 	back := asm.Reduce(full)
 	if linalg.MaxAbsDiff(x, back) != 0 {
 		t.Error("Expand/Reduce not inverse")

@@ -346,9 +346,18 @@ func (m *Model) Validate() error {
 // dof→reduced index map from FreeDOFs.
 func (m *Model) RHS(ls *LoadSet, index []int, nfree int) (linalg.Vector, error) {
 	b := linalg.NewVector(nfree)
+	if err := m.rhsInto(ls, index, b); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// rhsInto is RHS written over b, a vector of the reduced order.
+func (m *Model) rhsInto(ls *LoadSet, index []int, b linalg.Vector) error {
+	clear(b)
 	for _, e := range ls.Entries {
 		if e.DOF < 0 || e.DOF >= m.NumDOF() {
-			return nil, fmt.Errorf("%w: load on dof %d of %d", ErrModel, e.DOF, m.NumDOF())
+			return fmt.Errorf("%w: load on dof %d of %d", ErrModel, e.DOF, m.NumDOF())
 		}
 		if idx := index[e.DOF]; idx >= 0 {
 			b[idx] += e.Value
@@ -356,5 +365,5 @@ func (m *Model) RHS(ls *LoadSet, index []int, nfree int) (linalg.Vector, error) 
 		// Loads on fixed dofs go straight into the reactions; they
 		// do not enter the reduced system.
 	}
-	return b, nil
+	return nil
 }

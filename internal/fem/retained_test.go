@@ -436,18 +436,34 @@ func TestConcurrentSolvesOfOneModel(t *testing.T) {
 
 // TestWarmSolveAllocationCeiling pins the warm path's allocation count
 // on the 40×24 plate: with the symbolic phase retained a re-solve
-// allocates its result vectors and little else (the symbolic phase
-// alone was thousands), the walk that proves the plate unchanged
-// allocates nothing, and a recording re-assembly after a change of
-// modulus — every CST missing the memo — allocates nothing.  Stress
-// recovery's count is TestStressesAllocations'.
+// allocates its result, the Solution and its U, and nothing else (the
+// symbolic phase alone was thousands; the load, the reduced solution and
+// the residual are the workspace's scratch), and SolveInto over the
+// solution the previous solve replaced allocates nothing, warm or after a
+// change of modulus.  The walk that proves the plate unchanged allocates
+// nothing, and so does a recording re-assembly after a change of modulus
+// — every CST missing the memo.  Stress recovery's count is
+// TestStressesAllocations'.
 func TestWarmSolveAllocationCeiling(t *testing.T) {
 	m, ls := largePlate(t)
 	ctx := context.Background()
 	opts := SolveOpts{Backend: linalg.BackendCholeskyEnv}
-	if _, err := Solve(ctx, m, ls, opts); err != nil {
+	cur, err := Solve(ctx, m, ls, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var spare *Solution
+	// solveInto solves into the spare, as a session's workspace entry
+	// does, and reports whether the factor was recomputed.
+	solveInto := func() bool {
+		got, err := SolveInto(ctx, m, ls, opts, spare)
+		if err != nil || (spare != nil && got != spare) {
+			t.Fatalf("SolveInto: err %v, or a Solution other than its destination", err)
+		}
+		cur, spare = got, cur
+		return got.Refactored
+	}
+	solveInto()
 	if n := testing.AllocsPerRun(10, func() {
 		m.retained.mu.Lock()
 		defer m.retained.mu.Unlock()
@@ -461,8 +477,15 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 		if _, err := Solve(ctx, m, ls, opts); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 16 {
-		t.Errorf("warm Solve allocates %.0f times, ceiling 16", n)
+	}); n != 2 {
+		t.Errorf("warm Solve allocates %.0f times, want 2 (the Solution and its U)", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if solveInto() {
+			t.Fatal("the unchanged plate was refactored")
+		}
+	}); n != 0 {
+		t.Errorf("warm SolveInto allocates %.0f times, want 0", n)
 	}
 	e := Steel().E
 	remodulus := func() {
@@ -489,12 +512,11 @@ func TestWarmSolveAllocationCeiling(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() {
 		remodulus()
-		sol, err := Solve(ctx, m, ls, opts)
-		if err != nil || !sol.Refactored {
-			t.Fatalf("solve after a change of modulus: refactored %v, err %v", sol != nil && sol.Refactored, err)
+		if !solveInto() {
+			t.Fatal("a new modulus was not refactored")
 		}
-	}); n > 16 {
-		t.Errorf("Solve after a change of modulus allocates %.0f times, ceiling 16", n)
+	}); n != 0 {
+		t.Errorf("SolveInto after a change of modulus allocates %.0f times, want 0", n)
 	}
 }
 

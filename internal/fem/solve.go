@@ -138,9 +138,21 @@ type Solution struct {
 // all values are identical.  The recording pass's token then stands for
 // the values in K, so the factor cache reuses a factor computed from the
 // same token without comparing them again, and compares them bit for bit
-// otherwise.  Results are bit-identical to solving a fresh copy of the
-// model.
+// otherwise.  The load vector, the reduced solution and the residual are
+// the workspace's scratch, so the only vector a warm solve allocates is
+// the returned U (none under SolveInto).  Results are bit-identical to
+// solving a fresh copy of the model.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
+	return SolveInto(ctx, m, ls, opts, nil)
+}
+
+// SolveInto is Solve recycling dst, a solution its caller will not read
+// again: the result is written over dst, and over dst.U when that has the
+// model's dof count, and dst is returned — so a steady re-solve allocates
+// nothing in proportion to the model.  A nil dst is Solve.  On an error
+// dst's contents are unspecified, and a substructured solve returns a new
+// Solution and leaves dst alone.
+func SolveInto(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts, dst *Solution) (*Solution, error) {
 	if opts.Substructured > 0 {
 		// The condensation path performs its own direct solves, so the
 		// backend name must still be a real one (usage error on every
@@ -166,47 +178,77 @@ func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solutio
 	if err := opts.refusal(); err != nil {
 		return nil, err
 	}
-	// asm.K shares the retained workspace's value buffer, so the lock
-	// is held until the solve has read K for the last time (the
-	// residual check); concurrent solves of one model serialize here.
+	if dst == nil {
+		dst = &Solution{}
+	}
+	// asm.K shares the retained workspace's value buffer, and the solve
+	// scratch is the workspace's too, so the lock is held until the solve
+	// has read both for the last time (the residual check); concurrent
+	// solves of one model serialize here.
 	m.retained.mu.Lock()
 	defer m.retained.mu.Unlock()
 	asm, err := m.assembleRetained()
 	if err != nil {
 		return nil, err
 	}
-	return solveAssembled(ctx, m, asm, m.retained.ws.pass, ls, opts, m.retained.factorCache())
+	ws := m.retained.ws
+	return solveAssembled(ctx, m, asm, ws.pass, ls, opts, m.retained.factorCache(), &ws.solve, dst)
+}
+
+// solveScratch holds the reduced-order vectors of a solve: the load b,
+// the direct solution x and the residual r.  A retained workspace keeps
+// one, so a warm solve allocates none of them; the zero value allocates
+// each on first use.
+type solveScratch struct{ b, x, r linalg.Vector }
+
+// sized returns *v as a vector of length n, allocating it when it has
+// another length.
+func sized(v *linalg.Vector, n int) linalg.Vector {
+	if len(*v) != n {
+		*v = linalg.NewVector(n)
+	}
+	return *v
 }
 
 // solveAssembled solves asm, an assembly of m, for ls sequentially or
-// NAVM-distributed as opts directs.  fc is m's factor cache, passed in
-// because Solve holds the retained mutex Model.Factors would take, and
-// pass is the token that vouches for asm.K's values, 0 for none.  The
-// caller has checked opts.refusal.
-func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache) (*Solution, error) {
-	b, err := m.RHS(ls, asm.Index, len(asm.Free))
+// NAVM-distributed as opts directs, into dst (recycling dst.U, see
+// SolveInto).  fc is m's factor cache, passed in because Solve holds the
+// retained mutex Model.Factors would take, pass is the token that vouches
+// for asm.K's values, 0 for none, and sc is the scratch the reduced
+// vectors are written into.  The caller has checked opts.refusal.
+func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache, sc *solveScratch, dst *Solution) (*Solution, error) {
+	b := sized(&sc.b, len(asm.Free))
+	if err := m.rhsInto(ls, asm.Index, b); err != nil {
+		return nil, err
+	}
+	u := dst.U
+	*dst = Solution{Refactored: true}
+	dst.Stats.Merge(asm.Stats)
+	var x linalg.Vector
+	var err error
+	if _, direct := linalg.PlanOptsFor(opts.backendName()); opts.Parallel > 0 {
+		x, err = solveParallel(ctx, asm, b, opts, dst)
+	} else if direct {
+		// Direct backends route through the model's factor cache, so the
+		// production pattern of many solves on one model factors once.
+		x, err = solveDirectCached(ctx, fc, asm, pass, b, sc, opts, dst)
+	} else {
+		x, err = solveIterative(ctx, asm, b, opts, dst)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if opts.Parallel > 0 {
-		sol, err := solveParallel(ctx, asm, b, opts)
-		if err != nil {
-			return nil, err
-		}
-		sol.Refactored = true
-		return sol, nil
-	}
-	// Direct backends route through the model's factor cache, so the
-	// production pattern of many solves on one model factors once.
-	if _, direct := linalg.PlanOptsFor(opts.backendName()); direct {
-		return solveDirectCached(ctx, fc, asm, pass, b, opts)
-	}
+	dst.U = asm.Expand(x, u)
+	return dst, nil
+}
+
+// solveIterative is the sequential path of an iterative backend: it
+// fills sol's accounting and returns the reduced solution.
+func solveIterative(ctx context.Context, asm *Assembled, b linalg.Vector, opts SolveOpts, sol *Solution) (linalg.Vector, error) {
 	solver, err := linalg.Backend(opts.Backend)
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Refactored: true}
-	sol.Stats.Merge(asm.Stats)
 	x, info, err := solver.Solve(ctx, asm.K, b, opts.iterOpts())
 	sol.Backend = info.Backend
 	sol.Precond = info.Precond
@@ -214,44 +256,39 @@ func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, 
 	sol.Residual = info.Residual
 	sol.Stats.Flops += info.Flops
 	sol.Stats.Iterations += info.Iterations
-	if err != nil {
-		return nil, err
-	}
-	sol.U = asm.Expand(x)
-	return sol, nil
+	return x, err
 }
 
 // solveDirectCached is the sequential direct path: solve through the
 // model's cached DirectPlan, factoring only when the assembled values
-// changed since the factor was computed (pass as in FactorCache.SolveCached).
-// A warm result is bit-identical to the cold solve the registry backend
-// would have produced.
-func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, pass uint64, b linalg.Vector, opts SolveOpts) (*Solution, error) {
+// changed since the factor was computed (pass as in FactorCache.SolveCached),
+// into sc's solution and residual.  It fills sol's accounting and returns
+// the reduced solution.  A warm result is bit-identical to the cold solve
+// the registry backend would have produced.
+func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, pass uint64, b linalg.Vector, sc *solveScratch, opts SolveOpts, sol *Solution) (linalg.Vector, error) {
 	name := opts.backendName()
 	if err := linalg.CheckCancel(ctx, 1); err != nil {
 		return nil, err
 	}
-	sol := &Solution{}
-	sol.Stats.Merge(asm.Stats)
-	st := &linalg.Stats{}
-	x, refactored, err := fc.SolveCached(name, asm.K, pass, b, st)
+	n := len(b)
+	var st linalg.Stats
+	x, refactored, err := fc.SolveCached(name, asm.K, pass, b, sized(&sc.x, n), &st)
 	if err != nil {
 		return nil, err
 	}
-	info := linalg.DirectSolveInfo(name, asm.K, x, b, st)
-	info.Refactored = refactored
+	info := linalg.DirectSolveInfo(name, asm.K, x, b, sized(&sc.r, n), &st)
 	sol.Backend = info.Backend
 	sol.Residual = info.Residual
 	sol.Stats.Flops += info.Flops
-	sol.Refactored = info.Refactored
-	sol.U = asm.Expand(x)
-	return sol, nil
+	sol.Refactored = refactored
+	return x, nil
 }
 
 // solveParallel routes a distributed solve to the backend's NAVM
-// variant: cg (the default), jacobi, or multi-colour sor.  The caller has
-// checked opts.refusal, which admits no other backend.
-func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts SolveOpts) (*Solution, error) {
+// variant: cg (the default), jacobi, or multi-colour sor.  It fills sol's
+// accounting and returns the reduced solution.  The caller has checked
+// opts.refusal, which admits no other backend.
+func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts SolveOpts, sol *Solution) (linalg.Vector, error) {
 	rt, backend := opts.RT, opts.parallelBackend()
 	d, err := navm.Partition(asm.K, b, opts.Parallel)
 	if err != nil {
@@ -274,17 +311,13 @@ func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts So
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{
-		Backend:    backend,
-		Iterations: stats.Iterations,
-		Residual:   stats.ResidualNorm,
-		Par:        &stats,
-	}
-	sol.Stats.Merge(asm.Stats)
+	sol.Backend = backend
+	sol.Iterations = stats.Iterations
+	sol.Residual = stats.ResidualNorm
+	sol.Par = &stats
 	sol.Stats.Flops += stats.Flops
 	sol.Stats.Iterations += stats.Iterations
-	sol.U = asm.Expand(x)
-	return sol, nil
+	return x, nil
 }
 
 // checkSolutionFits rejects a solution whose dof count is not the
@@ -303,23 +336,35 @@ func checkSolutionFits(m *Model, sol *Solution) error {
 // Stresses recovers per-element stress components from a solution — the
 // AUVM "calculate stresses" operation.
 func Stresses(m *Model, sol *Solution) ([][]float64, error) {
+	return StressesInto(m, sol, nil)
+}
+
+// StressesInto is Stresses recycling dst, stresses its caller will not
+// read again.  When dst has one row per element, each row is written over
+// in place — and reallocated alone only when it is too short for its
+// element — and dst is returned, so recovery into the previous recovery's
+// rows allocates nothing.  Any other dst is ignored.  On an error dst's
+// contents are unspecified.
+func StressesInto(m *Model, sol *Solution, dst [][]float64) ([][]float64, error) {
 	if err := checkSolutionFits(m, sol); err != nil {
 		return nil, err
 	}
-	out := make([][]float64, len(m.Elements))
-	// Rows are carved from one backing array, sized for the widest
-	// element (a CST's three components).
-	back := make([]float64, 0, 3*len(m.Elements))
+	if n := len(m.Elements); len(dst) != n {
+		// Rows are carved from one backing array, sized for the widest
+		// element (a CST's three components).
+		dst = make([][]float64, n)
+		back := make([]float64, 3*n)
+		for i := range dst {
+			dst[i] = back[3*i : 3*i : 3*i+3]
+		}
+	}
 	for i, e := range m.Elements {
-		start := len(back)
 		var err error
-		back, err = e.AppendStress(m, sol.U, back)
-		if err != nil {
+		if dst[i], err = e.AppendStress(m, sol.U, dst[i][:0]); err != nil {
 			return nil, fmt.Errorf("fem: stress of element %d: %w", i, err)
 		}
-		out[i] = back[start:len(back):len(back)]
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Reactions computes the constrained-dof reaction forces K_full·u at the

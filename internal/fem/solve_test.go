@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -306,5 +307,64 @@ func TestSolveSubstructuredThroughUnifiedPath(t *testing.T) {
 	}
 	if sol.Backend != linalg.BackendCholesky {
 		t.Errorf("substructured solution reports backend %q", sol.Backend)
+	}
+}
+
+// TestSolveIntoWritesOverItsDestination pins SolveInto's recycling on
+// every path of Solve: the result is the destination, its U keeps its
+// storage when the dof count fits, and every field and every entry of U —
+// a fixed dof's +0 included — is written over, so a destination full of
+// NaNs and stale accounting gives the bits Solve gives a fresh copy.  A
+// destination of another length gets a new U, and a substructured solve
+// returns a new Solution and leaves the destination alone.
+func TestSolveIntoWritesOverItsDestination(t *testing.T) {
+	m, ls := cachePlate(t)
+	if err := m.AddElement(&Bar{N1: 7, N2: 20, Mat: Steel()}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rt := solveRuntime(t)
+	stale := func(n int) *Solution {
+		u := linalg.NewVector(n)
+		u.Fill(math.NaN())
+		return &Solution{U: u, Backend: "stale", Precond: "stale", Iterations: 99, Residual: math.NaN(),
+			Stats: linalg.Stats{Flops: 1 << 40, Iterations: 7}, Refactored: false, Par: &navm.SolveStats{Workers: 9}}
+	}
+	for _, opts := range []SolveOpts{
+		{},
+		{Backend: linalg.BackendCholeskyEnv},
+		{Backend: linalg.BackendCG, Precond: linalg.PrecondJacobi},
+		{Backend: linalg.BackendSOR},
+		{Parallel: 2, RT: rt},
+		{Substructured: 2},
+	} {
+		label := fmt.Sprintf("%s+%s parallel %d substructured %d", opts.Backend, opts.Precond, opts.Parallel, opts.Substructured)
+		want, err := Solve(ctx, deepCopy(t, m), ls, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, n := range []int{m.NumDOF(), 3} {
+			dst := stale(n)
+			u := dst.U
+			got, err := SolveInto(ctx, deepCopy(t, m), ls, opts, dst)
+			sameSolution(t, label, got, err, want, nil)
+			if got.Backend != want.Backend || got.Precond != want.Precond || (got.Par == nil) != (want.Par == nil) ||
+				got.Stats != want.Stats {
+				t.Fatalf("%s: backend/precond/par/stats %q/%q/%v/%+v, want %q/%q/%v/%+v", label,
+					got.Backend, got.Precond, got.Par != nil, got.Stats, want.Backend, want.Precond, want.Par != nil, want.Stats)
+			}
+			if opts.Substructured > 0 {
+				if got == dst || dst.Backend != "stale" || !math.IsNaN(dst.U[0]) {
+					t.Fatalf("%s: a substructured solve wrote over its destination", label)
+				}
+				continue
+			}
+			if got != dst {
+				t.Fatalf("%s: SolveInto returned another Solution than its destination", label)
+			}
+			if kept := &got.U[0] == &u[0]; kept != (n == m.NumDOF()) {
+				t.Fatalf("%s: a destination U of %d dofs kept its storage: %v", label, n, kept)
+			}
+		}
 	}
 }

@@ -257,8 +257,10 @@ func checkStresses(t *testing.T, name string, m *Model, u linalg.Vector) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(refs[0]); len(got[i]) != n || cap(got[i]) != n || len(one) != n {
-			t.Fatalf("%s element %d: row len %d cap %d, AppendStress len %d, want %d", name, i, len(got[i]), cap(got[i]), len(one), n)
+		// Each row owns a three-wide slot of the backing array, so an
+		// append to one cannot reach the next.
+		if n := len(refs[0]); len(got[i]) != n || cap(got[i]) != 3 || len(one) != n {
+			t.Fatalf("%s element %d: row len %d cap %d, AppendStress len %d, want len %d cap 3", name, i, len(got[i]), cap(got[i]), len(one), n)
 		}
 		for _, want := range refs {
 			for c := range want {
@@ -365,9 +367,66 @@ func FuzzCSTStress(f *testing.F) {
 	})
 }
 
+// TestStressesIntoWritesOverItsRows pins StressesInto's recycling on a
+// plate stiffened by a bar: rows of the element count are written over in
+// place, every component of them, so NaN-filled rows give Stresses' bits;
+// a row too short for its element is replaced alone; and rows of another
+// count are ignored.
+func TestStressesIntoWritesOverItsRows(t *testing.T) {
+	m := mixedModel(t)
+	_, ls := cachePlate(t)
+	sol, err := Solve(context.Background(), m, ls, SolveOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Stresses(m, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(label string, got [][]float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if j := firstDiff(got[i], want[i]); j >= 0 {
+				t.Fatalf("%s: row %d differs from Stresses at component %d", label, i, j)
+			}
+		}
+	}
+	nan := func(n, width int) [][]float64 {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = []float64{math.NaN(), math.NaN(), math.NaN()}[:width]
+		}
+		return rows
+	}
+	dst := nan(len(m.Elements), 3)
+	first := &dst[0][0]
+	got, err := StressesInto(m, sol, dst)
+	same("recycled rows", got)
+	if err != nil || &got[0] != &dst[0] || &got[0][0] != first {
+		t.Fatalf("recycled rows: err %v, or the rows were not written in place", err)
+	}
+	short := nan(len(m.Elements), 1)
+	short[len(short)-1] = short[len(short)-1][:1:1] // the bar's row fits; every CST's has spare room
+	short[0] = short[0][:0:0]                       // a CST's row with no room at all
+	got, err = StressesInto(m, sol, short)
+	same("a row too short", got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = StressesInto(m, sol, nan(len(m.Elements)-1, 3))
+	same("rows of another count", got)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStressesAllocations holds the stress recovery's allocation
 // ceiling on the 40×24 plate: Stresses makes the row headers and the one
-// backing array the rows are carved from, and AppendStress into spare
+// backing array the rows are carved from, StressesInto over the rows of
+// the previous recovery makes nothing, and AppendStress into spare
 // capacity makes nothing.
 func TestStressesAllocations(t *testing.T) {
 	m, ls := largePlate(t)
@@ -381,6 +440,17 @@ func TestStressesAllocations(t *testing.T) {
 		}
 	}); n != 2 {
 		t.Errorf("Stresses: %v allocations, want 2", n)
+	}
+	rows, err := Stresses(m, sol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if rows, err = StressesInto(m, sol, rows); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("StressesInto over the previous rows: %v allocations, want 0", n)
 	}
 	e, dst := m.Elements[0], make([]float64, 0, 3)
 	if n := testing.AllocsPerRun(100, func() {

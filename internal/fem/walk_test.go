@@ -233,7 +233,7 @@ func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 // assembly of m, through m's factor cache with no pass token, so the
 // cache compares asm's values before it reuses a factor.
 func solveUnproven(m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
-	return solveAssembled(context.Background(), m, asm, 0, ls, opts, m.Factors())
+	return solveAssembled(context.Background(), m, asm, 0, ls, opts, m.Factors(), &solveScratch{}, &Solution{})
 }
 
 // dropRetained stands in for Model.Touch: it drops m's retained assembly

@@ -18,13 +18,17 @@ import (
 // follows the hand-over, and Refactored must agree too: the reference
 // refactors exactly when the assembled values moved, or touch dropped
 // the factors.  Before and after every solve the retained workspace's
-// walk is compared with the two-walk oracle (walk_test.go).
+// walk is compared with the two-walk oracle (walk_test.go).  The retained
+// side recycles as a session's workspace entry does: each solve writes
+// over the solution the previous one replaced (SolveInto), whatever model
+// and topology that one had.
 type differential struct {
 	reg               *obs.Registry
 	ref               *linalg.FactorCache
 	reused, unchanged *obs.Counter
 	oracle            twoWalk
 	walks             [3]int
+	sol, spare        *Solution
 }
 
 func newDifferential() *differential {
@@ -68,7 +72,11 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 	opts := SolveOpts{Backend: backend}
 	before := d.unchanged.Load()
 	d.checkWalk(t, label+", before", m)
-	got, gotErr := Solve(context.Background(), m, ls, opts)
+	got, gotErr := SolveInto(context.Background(), m, ls, opts, d.spare)
+	d.spare = nil
+	if gotErr == nil {
+		d.sol, d.spare = got, d.sol
+	}
 	skipped = d.unchanged.Load() != before
 	if d.unchanged.Load() > d.reused.Load() {
 		t.Fatalf("%s: unchanged %d exceeds reused %d", label, d.unchanged.Load(), d.reused.Load())

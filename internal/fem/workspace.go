@@ -45,8 +45,10 @@ type Workspace struct {
 	used []int32
 	// nodes is the connectivity scratch of walk.
 	nodes []int
-	// scratch is the element-stiffness scratch of the numeric phase.
+	// scratch is the element-stiffness scratch of the numeric phase, and
+	// solve the reduced vectors of the retained solves through it.
 	scratch stiffScratch
+	solve   solveScratch
 	// flops is the scatter-add count of one numeric pass: the scatter
 	// entries with both dofs free, fixed by the topology.
 	flops int64

@@ -143,15 +143,15 @@ func RejectPrecond(backend, precond string) error {
 }
 
 // DirectSolveInfo measures the residual of a direct solve and assembles
-// its Info.  The verification SpMV is measured with a throwaway Stats
-// so Info.Flops reports the factorisation work alone — keeping the
+// its Info.  The verification SpMV's flops are not counted, so
+// Info.Flops reports the factorisation work alone — keeping the
 // experiment tables' direct-solve cost figures comparable with the
 // pre-registry measurements.  The fem layer's cached path builds its
-// Info through the same helper so cold and warm solves report alike.
-func DirectSolveInfo(backend string, a *CSR, x, b Vector, st *Stats) Info {
-	verify := &Stats{}
-	resid := Residual(a, x, b, verify)
-	if bnorm := Norm2(b, verify); bnorm > 0 {
+// Info through the same helper so cold and warm solves report alike, and
+// passes r, its retained residual scratch (nil allocates one).
+func DirectSolveInfo(backend string, a *CSR, x, b, r Vector, st *Stats) Info {
+	resid := Residual(a, x, b, r, nil)
+	if bnorm := Norm2(b, nil); bnorm > 0 {
 		resid /= bnorm
 	}
 	return Info{Backend: backend, Residual: resid, Flops: st.Flops, Direct: true}
@@ -190,7 +190,7 @@ func (s choleskySolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOp
 	if err != nil {
 		return nil, Info{Backend: s.name, Flops: st.Flops, Direct: true, Refactored: true}, err
 	}
-	info := DirectSolveInfo(s.name, a, x, b, st)
+	info := DirectSolveInfo(s.name, a, x, b, nil, st)
 	info.Refactored = true
 	return x, info, nil
 }

@@ -358,7 +358,8 @@ func (fc *FactorCache) Generation() uint64 {
 // value change refactors in place, and unchanged values ride the warm
 // factor (refactored reports which happened).  Warm results are
 // bit-identical to the solve performed when the factor was computed.
-// st receives the factor flops only when a factorisation ran, so flop
+// x receives the solution (allocated when nil; may alias b).  st
+// receives the factor flops only when a factorisation ran, so flop
 // accounting shows the factor-once win.
 //
 // pass is the caller's proof that a.Val is unchanged, 0 for none.  A
@@ -369,7 +370,7 @@ func (fc *FactorCache) Generation() uint64 {
 // are not compared; any other call — every pass 0 included — compares
 // them bit for bit (-0 differs from +0, and a factor of values with a
 // NaN is never reused), so reuse never rests on anything weaker.
-func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b Vector, st *Stats) (x Vector, refactored bool, err error) {
+func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b, x Vector, st *Stats) (_ Vector, refactored bool, err error) {
 	po, ok := PlanOptsFor(backend)
 	if !ok {
 		return nil, false, errs.Usage("backend %q has no direct factorisation to cache", backend)
@@ -411,7 +412,7 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b Vector
 		fc.hits.Inc()
 	}
 	e.pass = pass
-	x, err = e.plan.SolveInto(b, nil, st)
+	x, err = e.plan.SolveInto(b, x, st)
 	return x, refactored, err
 }
 

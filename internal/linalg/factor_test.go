@@ -536,7 +536,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	m := poisson2D(8)
 	b := rhsFor(m)
 	fc := &FactorCache{}
-	x1, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil)
+	x1, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	if g := fc.Generation(); g != 1 {
 		t.Errorf("generation after cold solve = %d, want 1", g)
 	}
-	x2, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil)
+	x2, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x3, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil)
+	x3, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +584,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 		}
 	}
 	// Iterative backends have nothing to cache.
-	if _, _, err := fc.SolveCached(BackendCG, m, 0, b, nil); err == nil {
+	if _, _, err := fc.SolveCached(BackendCG, m, 0, b, nil, nil); err == nil {
 		t.Error("SolveCached accepted an iterative backend")
 	}
 }
@@ -604,7 +604,7 @@ func TestFactorCachePassToken(t *testing.T) {
 			fc := &FactorCache{}
 			solve := func(name string, pass uint64, wantRefactor, wantErr bool) Vector {
 				t.Helper()
-				x, refac, err := fc.SolveCached(backend, a, pass, b, nil)
+				x, refac, err := fc.SolveCached(backend, a, pass, b, nil, nil)
 				if refac != wantRefactor || (err != nil) != wantErr {
 					t.Fatalf("%s: refactored %v, err %v; want refactored %v, error %v", name, refac, err, wantRefactor, wantErr)
 				}
@@ -663,7 +663,7 @@ func TestFactorCachePassToken(t *testing.T) {
 		a := poisson2D(6)
 		b := rhsFor(a)
 		fc := &FactorCache{}
-		want, _, err := fc.SolveCached(BackendCholeskyEnv, a, 1, b, nil)
+		want, _, err := fc.SolveCached(BackendCholeskyEnv, a, 1, b, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -673,7 +673,7 @@ func TestFactorCachePassToken(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					x, _, err := fc.SolveCached(BackendCholeskyEnv, a, uint64(1+(g+i)%3), b, nil)
+					x, _, err := fc.SolveCached(BackendCholeskyEnv, a, uint64(1+(g+i)%3), b, nil, nil)
 					if err != nil || MaxAbsDiff(x, want) != 0 {
 						t.Errorf("goroutine %d call %d: err %v, or another answer", g, i, err)
 						return
@@ -761,10 +761,10 @@ func TestFactorCacheRejectsPatternImpostor(t *testing.T) {
 	}
 	b := Vector{1, 2, 3}
 	fc := &FactorCache{}
-	if _, _, err := fc.SolveCached(BackendCholesky, a1, 0, b, nil); err != nil {
+	if _, _, err := fc.SolveCached(BackendCholesky, a1, 0, b, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	x, refac, err := fc.SolveCached(BackendCholesky, a2, 0, b, nil)
+	x, refac, err := fc.SolveCached(BackendCholesky, a2, 0, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -350,9 +350,10 @@ func sor(ctx context.Context, a *CSR, b Vector, opts IterOpts, st *Stats, ws *It
 	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: BackendSOR, Iterations: opts.MaxIter, Residual: resid}
 }
 
-// Residual computes ‖b - A*x‖₂ for verification.
-func Residual(a Operator, x, b Vector, st *Stats) float64 {
-	r := a.MulVec(x, nil, st)
+// Residual computes ‖b - A*x‖₂ for verification, leaving b - A*x in r
+// (allocated when nil).
+func Residual(a Operator, x, b, r Vector, st *Stats) float64 {
+	r = a.MulVec(x, r, st)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}

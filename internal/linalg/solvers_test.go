@@ -197,7 +197,7 @@ func TestSORZeroDiagonal(t *testing.T) {
 
 func TestResidualZeroForExactSolution(t *testing.T) {
 	m, b, want := solveAllWaysSystem(t, 4)
-	if r := Residual(m, want, b, nil); r > 1e-10 {
+	if r := Residual(m, want, b, nil, nil); r > 1e-10 {
 		t.Errorf("residual of exact solution = %g", r)
 	}
 }

@@ -415,7 +415,10 @@ func TestUnencodableResultIsAnsweredAsAnError(t *testing.T) {
 		}
 	}
 	// The replies are in, so nothing else touches the session's solution.
-	sys.Session("anon@conn-1").WS.Solution("g").U[5] = math.Inf(1)
+	ws := sys.Session("anon@conn-1").WS
+	sol := ws.Solution("g")
+	sol.U[5] = math.Inf(1)
+	ws.PutSolution("g", sol)
 	code, resp := p.do(command.Display{What: command.DisplayDisplacements, Model: "g"})
 	if code != wire.CodeInternal || resp.Error.Message != "json: unsupported value: +Inf" || resp.Result != nil {
 		t.Errorf("display of an infinite displacement: %+v with result %s; want code %q and the encoder's text alone", resp.Error, resp.Result, wire.CodeInternal)
