@@ -476,22 +476,24 @@ func (c EndLoad) String() string {
 }
 
 // String renders the canonical command line.
+// Every submit reply carries it, so it is appended, not formatted.
 func (c Solve) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "solve %s %s", c.Model, c.Set)
+	var buf [64]byte
+	b := append(buf[:0], "solve "...)
+	b = append(append(append(b, c.Model...), ' '), c.Set...)
 	if c.Method != "" {
-		fmt.Fprintf(&b, " method %s", c.Method)
+		b = append(append(b, " method "...), c.Method...)
 	}
 	if c.Precond != "" {
-		fmt.Fprintf(&b, " precond %s", c.Precond)
+		b = append(append(b, " precond "...), c.Precond...)
 	}
 	if c.Parallel > 0 {
-		fmt.Fprintf(&b, " parallel %d", c.Parallel)
+		b = strconv.AppendInt(append(b, " parallel "...), int64(c.Parallel), 10)
 	}
 	if c.Substructures > 0 {
-		fmt.Fprintf(&b, " substructures %d", c.Substructures)
+		b = strconv.AppendInt(append(b, " substructures "...), int64(c.Substructures), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the canonical command line.

@@ -655,6 +655,20 @@ func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) 
 	return j.res, j.err
 }
 
+// Settled reports whether Wait(id) would return at once: the job is
+// terminal in memory, or it has left memory for good — evicted to the
+// journal, or forgotten — and is answered from the journal or as not
+// found.  An id the scheduler has not issued yet is not settled: a
+// Submit racing the caller could issue it and run a job under it.
+func (s *Scheduler) Settled(id JobID) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok {
+		return j.state.Terminal()
+	}
+	return int64(id) <= s.next
+}
+
 // Cancel stops a job: a queued job is cancelled outright; a running job
 // has its context cancelled, which the solver kernels poll, so it
 // reaches Cancelled shortly (or Done if completion won the race).  The

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/job"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -131,25 +133,26 @@ func (p *tcpPeer) do(cmd command.Command) *wire.Response {
 
 // TestRunsBesideGolden pins the one rule for where a request runs over
 // every wire verb — alone, wrapped in submit, and wrapped in submit on a
-// server whose admission queues instead of refusing — against a golden
-// table.  The verb list is the first column of the command package's
-// verb_sets.golden, so a new verb fails here until it has a row.
+// server whose admission queues instead of refusing — and, for wait,
+// over every state its job can be in, against a golden table.  The verb
+// list is the first column of the command package's verb_sets.golden, so
+// a new verb fails here until it has a row.
 func TestRunsBesideGolden(t *testing.T) {
 	raw, err := os.ReadFile("../command/testdata/verb_sets.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject := New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject})
-	queue := New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue})
-	place := func(s *Server, cmd command.Command) string {
-		if s.runsBeside(cmd) {
+	reject := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject})}
+	queue := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue})}
+	place := func(c *conn, cmd command.Command) string {
+		if c.runsBeside(cmd) {
 			return "beside"
 		}
 		return "reader"
 	}
 	var b strings.Builder
 	b.WriteString("# Where each wire verb's request executes: on the connection's reader goroutine, in\n" +
-		"# arrival order, or on a goroutine of its own beside what follows it (Server.runsBeside).\n" +
+		"# arrival order, or on a goroutine of its own beside what follows it (conn.runsBeside).\n" +
 		"# \"-\" marks a verb that cannot run under submit.\n" +
 		"# columns: the verb itself / submit of it / submit of it when admission queues (quota policy \"queue\")\n")
 	verbs := 0
@@ -159,10 +162,15 @@ func TestRunsBesideGolden(t *testing.T) {
 		}
 		verb := strings.Fields(line)[0]
 		verbs++
-		if verb == "submit" {
+		switch verb {
+		case "submit":
 			// submit decodes only with a command inside; the columns for
 			// the other verbs are its rows.
 			fmt.Fprintf(&b, "%-14s see the submit columns\n", verb)
+			continue
+		case "wait":
+			// Where a wait runs depends on its job; the rows below.
+			fmt.Fprintf(&b, "%-14s see the wait rows\n", verb)
 			continue
 		}
 		cmd, err := command.UnmarshalCommand([]byte(fmt.Sprintf(`{"verb":%q}`, verb)))
@@ -185,6 +193,16 @@ func TestRunsBesideGolden(t *testing.T) {
 	if verbs != 32 {
 		t.Errorf("verb_sets.golden lists %d verbs, want 32", verbs)
 	}
+	b.WriteString("# wait, by what its session's scheduler knows of the job when the reader decodes the\n" +
+		"# request (job.Scheduler.Settled): a wait that would return at once runs on the reader.\n")
+	for _, w := range waitCases(t) {
+		c := &conn{srv: reject.srv, sess: w.sess}
+		got := place(c, command.Wait{ID: w.id})
+		if ptr := place(c, &command.Wait{ID: w.id}); ptr != got {
+			t.Errorf("wait, %s: pointer spelling runs %s, value spelling %s", w.what, ptr, got)
+		}
+		fmt.Fprintf(&b, "wait, %-36s %s\n", w.what, got)
+	}
 	const golden = "testdata/request_placement.golden"
 	if *update {
 		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
@@ -198,6 +216,302 @@ func TestRunsBesideGolden(t *testing.T) {
 	if b.String() != string(want) {
 		t.Errorf("request placement drifted from %s (run with -update after checking):\n%s", golden, b.String())
 	}
+}
+
+// waitCase is a wait on a session whose scheduler holds its job in one
+// known state.
+type waitCase struct {
+	what string
+	sess *auvm.Session
+	id   int64
+}
+
+// waitCases builds a job in every state a wait can find: queued, running
+// and the three terminal states in memory, evicted to a file journal,
+// evicted from a memory store (forgotten), and not yet issued — plus a
+// session with no scheduler at all.
+func waitCases(t *testing.T) []waitCase {
+	t.Helper()
+	ctx := context.Background()
+	sys := openSystem(t, core.Options{Store: store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}})
+	mem := openSystem(t, core.Options{})
+	var cases []waitCase
+	for _, s := range []*core.System{sys, mem} {
+		sess := s.Session("eng")
+		for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+			if _, err := sess.Do(ctx, cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solved := func() int64 {
+			id, err := sess.SubmitAsync(ctx, command.Solve{Model: "g", Set: "l"})
+			if err == nil {
+				_, err = s.Jobs.Wait(ctx, id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return int64(id)
+		}
+		// Retention 1 evicts the first job as the second is submitted.
+		evicted := solved()
+		s.Jobs.SetRetention(1)
+		solved()
+		s.Jobs.SetRetention(0)
+		what := "evicted (file store: journal)"
+		if s == mem {
+			what = "evicted (memory store: forgotten)"
+		}
+		cases = append(cases, waitCase{what, sess, evicted})
+	}
+	sess := sys.Session("eng")
+	for _, cmd := range []command.Command{
+		command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true},
+		command.EndLoad{Model: "big", Set: "l", FY: -100},
+	} {
+		if _, err := sess.Do(ctx, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit := func(cmd command.Command) int64 {
+		id, err := sess.SubmitAsync(ctx, cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(id)
+	}
+	finished := func(cmd command.Command) int64 {
+		id := submit(cmd)
+		_, _ = sys.Jobs.Wait(ctx, job.JobID(id)) // the states are checked below
+		return id
+	}
+	done := finished(command.Solve{Model: "g", Set: "l"})
+	failed := finished(command.Solve{Model: "nope", Set: "l"})
+	// Jacobi on the 40×24 plate iterates for seconds (the system's Close
+	// cancels it), and the one worker leaves everything behind it queued.
+	running := submit(command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi})
+	for {
+		snap, err := sys.Jobs.Status(job.JobID(running))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.State == job.Running {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued := submit(command.Solve{Model: "big", Set: "l"})
+	cancelled := submit(command.Solve{Model: "big", Set: "l"})
+	if _, err := sys.Jobs.Cancel(job.JobID(cancelled)); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[int64]job.State{done: job.Done, failed: job.Failed, running: job.Running,
+		queued: job.Queued, cancelled: job.Cancelled} {
+		if snap, err := sys.Jobs.Status(job.JobID(id)); err != nil || snap.State != want {
+			t.Fatalf("job-%d: %v %v, want %v", id, snap.State, err, want)
+		}
+	}
+	return append(cases,
+		waitCase{"job queued", sess, queued},
+		waitCase{"job running", sess, running},
+		waitCase{"job done", sess, done},
+		waitCase{"job failed", sess, failed},
+		waitCase{"job cancelled", sess, cancelled},
+		waitCase{"id not issued yet", sess, cancelled + 1},
+		waitCase{"session with no scheduler", auvm.NewSession("eng", nil), done},
+	)
+}
+
+// TestSettledWaitRunsOnTheReader: 200 closed-loop submit+wait jobs on a
+// subscribed connection, each wait sent only after its job's done event
+// arrived.  Every wait finds its job settled, so the reader answers it
+// and none is given a goroutine of its own (with placement by verb, all
+// 200 were).  The submits wrap a solve, which the scheduler queues and
+// answers at once, so they run on the reader too.
+func TestSettledWaitRunsOnTheReader(t *testing.T) {
+	srv := New(openSystem(t, core.Options{}), Config{})
+	p := serveTCP(t, srv)()
+	p.hello("eng", true)
+	p.do(generate)
+	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+	before := srv.placedBeside.Load()
+	for n := 0; n < 200; n++ {
+		sub := p.send(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}})[0]
+		var jobID int64
+		for answered, done := false, false; !answered || !done; {
+			resp := p.next()
+			switch {
+			case resp.ID == sub:
+				answered = true
+			case resp.Event != nil && resp.Event.State == "done":
+				jobID, done = resp.Event.Job, true
+			}
+		}
+		if wait := p.do(command.Wait{ID: jobID}); wait.Res == nil {
+			t.Fatalf("job %d: wait answered %+v", n, wait)
+		}
+	}
+	if got := srv.placedBeside.Load() - before; got != 0 {
+		t.Errorf("%d of 200 waits on finished jobs were placed beside the reader, want 0", got)
+	}
+}
+
+// TestBlockedWaitRunsBeside: a wait on a running job still has a
+// goroutine of its own.  With a jacobi solve running until it is
+// cancelled, a wait, a ping and a status of the job sent in one write
+// answer ping and status first; the cancel then ends the job, and the
+// wait answers with its cancellation.
+func TestBlockedWaitRunsBeside(t *testing.T) {
+	srv := New(openSystem(t, core.Options{}), Config{})
+	p := serveTCP(t, srv)()
+	p.hello("eng", true)
+	p.do(command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true})
+	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi}})[0]
+	var jobID int64
+	for answered := false; jobID == 0 || !answered; {
+		resp := p.next()
+		if resp.Event != nil && resp.Event.State == "running" {
+			jobID = resp.Event.Job
+		}
+		answered = answered || resp.ID == sub
+	}
+	before := srv.placedBeside.Load()
+	ids := p.send(command.Wait{ID: jobID}, command.Ping{}, command.Status{ID: jobID})
+	byID, arrival := p.replies(ids[1:])
+	if fmt.Sprint(arrival) != fmt.Sprint(ids[1:]) {
+		t.Errorf("replies arrived in order %v, want ping and status (%v) first", arrival, ids[1:])
+	}
+	if e := byID[ids[1]].Error; e != nil {
+		t.Errorf("ping behind the blocked wait: %+v", e)
+	}
+	if res, ok := byID[ids[2]].Res.(*command.JobStatusResult); !ok || res.State != command.JobRunning {
+		t.Errorf("status behind the blocked wait: %+v, want job-%d running", byID[ids[2]], jobID)
+	}
+	if got := srv.placedBeside.Load() - before; got != 1 {
+		t.Errorf("%d requests placed beside the reader, want the wait alone", got)
+	}
+	cancel := p.send(command.Cancel{ID: jobID})[0]
+	byID, _ = p.replies([]uint64{ids[0], cancel})
+	if e := byID[ids[0]].Error; e == nil || e.Code != wire.CodeCancelled {
+		t.Errorf("wait on the cancelled job: %+v, want code %q", e, wire.CodeCancelled)
+	}
+}
+
+// TestSettledWaitRepliesMatchTheSession: a wait the reader answers
+// because its job is not in memory — an id the scheduler issued and then
+// forgot (memory store, retention 1: not found), one it evicted to a file
+// journal (retention 1: answered from there), an id not issued yet (not
+// found, beside), and a session with no scheduler — writes the very frame
+// the session's own answer encodes to, byte for byte.
+func TestSettledWaitRepliesMatchTheSession(t *testing.T) {
+	file := openSystem(t, core.Options{Store: store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}})
+	for _, c := range []struct {
+		name string
+		sys  *core.System
+		// placed is how many of the two waits go beside the reader.
+		placed int64
+	}{
+		{"memory store", openSystem(t, core.Options{}), 1},
+		{"file store", file, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(c.sys, Config{})
+			p := serveTCP(t, srv)()
+			p.hello("eng", false)
+			p.do(generate)
+			p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+			jobs := make([]int64, 2)
+			for i := range jobs {
+				res := p.do(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}).Res
+				jobs[i] = res.(*command.SubmitResult).ID
+				p.do(command.Wait{ID: jobs[i]})
+				c.sys.Jobs.SetRetention(1) // the second submit evicts the first job
+			}
+			ref := c.sys.Session("ref")
+			before := srv.placedBeside.Load()
+			for _, id := range []int64{jobs[0], jobs[1] + 100} {
+				ids := p.send(command.Wait{ID: id})
+				byID, _ := p.replies(ids)
+				sameFrame(t, byID[ids[0]], ref, command.Wait{ID: id})
+			}
+			if got := srv.placedBeside.Load() - before; got != c.placed {
+				t.Errorf("%d waits placed beside the reader, want %d (the id not issued yet)", got, c.placed)
+			}
+		})
+	}
+	t.Run("no scheduler", func(t *testing.T) {
+		srv := New(openSystem(t, core.Options{}), Config{})
+		p := serveTCP(t, srv)()
+		p.hello("eng", false)
+		c, sess := connOf(t, srv)
+		c.mu.Lock()
+		sess.Jobs = nil
+		c.mu.Unlock()
+		before := srv.placedBeside.Load()
+		ids := p.send(command.Wait{ID: 1})
+		byID, _ := p.replies(ids)
+		sameFrame(t, byID[ids[0]], auvm.NewSession("ref", nil), command.Wait{ID: 1})
+		if got := srv.placedBeside.Load() - before; got != 0 {
+			t.Errorf("%d waits placed beside the reader, want 0", got)
+		}
+	})
+}
+
+// sameFrame fails the test unless got encodes to the frame of ref's own
+// answer to cmd, as handleCommand would write it.
+func sameFrame(t *testing.T, got *wire.Response, ref *auvm.Session, cmd command.Command) {
+	t.Helper()
+	res, err := ref.Do(context.Background(), cmd)
+	want := &wire.Response{ID: got.ID, Res: res}
+	if err != nil {
+		want.Error = wireError(err)
+	}
+	wantFrame, err := wire.AppendResponse(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotFrame, err := wire.AppendResponse(nil, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotFrame, wantFrame) {
+		t.Errorf("%v:\n got %q\nwant %q", cmd, gotFrame, wantFrame)
+	}
+}
+
+// TestWaitRacingItsJobsFinish: a wait sent the moment the submit is
+// answered finds its job queued, running or just finished — its job's
+// finish lands on either side of the reader's Settled check — and is
+// answered with exactly the job's result every time.
+func TestWaitRacingItsJobsFinish(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	p := serveTCP(t, srv)()
+	p.hello("eng", false)
+	p.do(generate)
+	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+	before := srv.placedBeside.Load()
+	reps := 200
+	if testing.Short() {
+		reps = 20
+	}
+	for rep := 0; rep < reps; rep++ {
+		id := p.do(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}).Res.(*command.SubmitResult).ID
+		got := p.do(command.Wait{ID: id})
+		snap, err := sys.Jobs.Status(job.JobID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := command.MarshalResult(snap.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Result, want) {
+			t.Fatalf("repetition %d, wait job-%d:\n got %s\nwant %s", rep, id, got.Result, want)
+		}
+	}
+	t.Logf("%d of %d waits found their job still queued or running", srv.placedBeside.Load()-before, reps)
 }
 
 // TestInlineRequestsExecuteInArrivalOrder pipelines two model builds

@@ -81,6 +81,10 @@ type Server struct {
 	mPanics        *obs.Counter
 	hRequest       *obs.HistogramFamily // server.request.<verb>
 
+	// placedBeside counts the requests given a goroutine of their own
+	// (conn.runsBeside) — what the placement test reads.
+	placedBeside atomic.Int64
+
 	mu      sync.Mutex
 	ln      net.Listener
 	conns   map[*conn]struct{}
@@ -208,10 +212,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //
 //   - The reader (serve) decodes requests in arrival order and executes
 //     each one itself, so a connection's requests take effect in the
-//     order they were sent — except those runsBeside names (solve, wait,
-//     submit of a command the scheduler runs inline), which get a
-//     goroutine of their own so a cancel, status or ping pipelined behind
-//     a long or blocked request still answers first.
+//     order they were sent — except those runsBeside names (solve, a wait
+//     whose job is still queued or running, submit of a command the
+//     scheduler runs inline), which get a goroutine of their own so a
+//     cancel, status or ping pipelined behind a long or blocked request
+//     still answers first.  runsBeside decides per request: a wait whose
+//     job has already finished is answered by the reader.
 //   - Whichever goroutine has a reply writes it (write): under the write
 //     lock it first moves every queued event into the buffer, then the
 //     reply, and flushes once.  Frames therefore leave in the order they
@@ -275,16 +281,24 @@ func newConn(s *Server, nc net.Conn, id int64) *conn {
 }
 
 // runsBeside reports whether a request gets a goroutine of its own
-// instead of running on the connection's reader: the verbs that may take
-// long (Heavy: solve) or wait by contract (Blocks: wait), and a submit
-// the scheduler will not answer at once — one wrapping a command that is
-// not Heavy, which the scheduler runs on the submitter's goroutine where
-// it may wait for a model lock, or any submit when admission holds an
-// over-quota submitter (the queue policy) instead of refusing it.
-func (s *Server) runsBeside(cmd command.Command) bool {
-	if sub, ok := command.Value(cmd).(command.Submit); ok {
-		return !command.PropsOf(sub.Cmd).Has(command.Heavy) ||
-			(s.cfg.MaxJobsPerSession > 0 && s.cfg.QuotaPolicy == job.QuotaQueue)
+// instead of running on the connection's reader.  Three kinds do: a
+// request that may take long (Heavy: solve); a wait whose job may still
+// be queued or running — one its session's scheduler does not report
+// Settled (a settled wait, or one on a session with no scheduler,
+// answers at once); and a submit the scheduler will not answer at once —
+// one wrapping a command that is not Heavy, which the scheduler runs on
+// the submitter's goroutine where it may wait for a model lock, or any
+// submit when admission holds an over-quota submitter (the queue policy)
+// instead of refusing it.
+func (c *conn) runsBeside(cmd command.Command) bool {
+	switch v := command.Value(cmd).(type) {
+	case command.Submit:
+		cfg := c.srv.cfg
+		return !command.PropsOf(v.Cmd).Has(command.Heavy) ||
+			(cfg.MaxJobsPerSession > 0 && cfg.QuotaPolicy == job.QuotaQueue)
+	case command.Wait:
+		jobs := c.session("", false).Jobs
+		return jobs != nil && !jobs.Settled(job.JobID(v.ID))
 	}
 	return command.PropsOf(cmd).Has(command.Heavy | command.Blocks)
 }
@@ -336,7 +350,8 @@ func (c *conn) serve() {
 				continue
 			}
 		}
-		if c.srv.runsBeside(cmd) {
+		if c.runsBeside(cmd) {
+			c.srv.placedBeside.Add(1)
 			c.reqs.Add(1)
 			go func() {
 				defer c.reqs.Done()

@@ -28,6 +28,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/errs"
 )
@@ -86,8 +87,25 @@ func ModelKey(name string) string { return PrefixModel + name }
 func SolutionPrefix(name string) string { return "s:" + name + ":" }
 
 // JobKey returns the key for a job record.  The id is zero-padded hex
-// so byte order is submission order.
-func JobKey(id int64) string { return fmt.Sprintf("%s%016x", PrefixJob, id) }
+// so byte order is submission order: PrefixJob then the id as fmt's
+// %016x writes it, a negative id as '-' and its magnitude padded to 15.
+// Three journal writes of every job build one, so it is appended into a
+// buffer on the stack rather than formatted.
+func JobKey(id int64) string {
+	var buf [len(PrefixJob) + 17]byte // prefix, sign, 16 hex digits
+	var digits [16]byte
+	b := append(buf[:0], PrefixJob...)
+	u, width := uint64(id), 16
+	if id < 0 {
+		b = append(b, '-')
+		u, width = -u, 15
+	}
+	hex := strconv.AppendUint(digits[:0], u, 16)
+	for range width - len(hex) {
+		b = append(b, '0')
+	}
+	return string(append(b, hex...))
+}
 
 // Op is one write in a Batch: a put (Value non-nil semantics chosen by
 // Delete flag, not nilness, so empty values round-trip) or a delete.
