@@ -2,6 +2,7 @@ package fem2_test
 
 import (
 	"context"
+	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -10,9 +11,16 @@ import (
 	"repro/internal/metrics"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/demo.golden")
+
+// demoGolden is what "fem2 -report -script testdata/demo.fem2" prints:
+// the transcript, the machine report and the per-level counter table.
+const demoGolden = "testdata/demo.golden"
+
 // TestScriptedWorkstation drives the full stack with the same script file
 // cmd/fem2 -script consumes, and checks the run end to end: no errors,
-// both models stored, every VM level exercised.
+// both models stored, every VM level exercised, and the whole rendering
+// byte-identical to demoGolden.
 func TestScriptedWorkstation(t *testing.T) {
 	f, err := os.Open("testdata/demo.fem2")
 	if err != nil {
@@ -55,6 +63,19 @@ func TestScriptedWorkstation(t *testing.T) {
 		if !active {
 			t.Errorf("level %v recorded no activity", l)
 		}
+	}
+	got := text + sys.Machine.Report() + sys.Metrics.Report()
+	if *update {
+		if err := os.WriteFile(demoGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(demoGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("rendering drifted from %s (run with -update after checking):\n%s", demoGolden, got)
 	}
 }
 
