@@ -160,6 +160,6 @@ func main() {
 	}
 	if *report {
 		fmt.Print(sys.Machine.Report())
-		fmt.Print(sys.Metrics.Report())
+		fmt.Print(fem2.LevelReport(sys.StatsSnapshot()))
 	}
 }

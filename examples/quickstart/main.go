@@ -58,5 +58,5 @@ func main() {
 	fmt.Println("--- simulated machine ---")
 	fmt.Print(sys.Machine.Report())
 	fmt.Println("--- per-level requirements ---")
-	fmt.Print(sys.Metrics.Report())
+	fmt.Print(fem2.LevelReport(sys.StatsSnapshot()))
 }

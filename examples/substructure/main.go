@@ -14,8 +14,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/fem"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/navm"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -48,7 +48,7 @@ func main() {
 		cfg.Clusters = 4
 		cfg.PEsPerCluster = 4
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), trace.NewCapped(4096))
+		rt.AttachInstrumentation(obs.New(), trace.NewCapped(4096))
 		sol, err := fem.SolveSubstructured(context.Background(), model, sub, load, rt)
 		if err != nil {
 			log.Fatal(err)

@@ -76,5 +76,5 @@ func main() {
 	}
 	fmt.Println(strings.Repeat("-", 50))
 	fmt.Printf("session issued %d AUVM operations\n",
-		sys.Metrics.Get(fem2.LevelAUVM, "ops"))
+		sys.StatsSnapshot().Counter("auvm.ops"))
 }

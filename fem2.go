@@ -79,7 +79,6 @@ import (
 	"repro/internal/hgraph"
 	"repro/internal/job"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/navm"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -519,7 +518,8 @@ type JobEvent = wire.JobEvent
 
 // The observability layer: every System carries a registry of live
 // counters, gauges, and latency histograms (System.Obs), updated
-// lock-free by the instrumented layers.  System.StatsSnapshot and the
+// lock-free by the instrumented layers — the simulated machine's
+// per-level counts (LevelReport) included.  System.StatsSnapshot and the
 // stats verb read it point-in-time; a MetricsEmitter streams it as one
 // JSON line per interval — the fem2/fem2d -metrics flag.  See
 // docs/observability.md for the metric catalog and line format.
@@ -720,12 +720,18 @@ type Grammar = hgraph.Grammar
 func AllLevelGrammars() map[string]*Grammar { return hgraph.AllLevelGrammars() }
 
 // Level identifies a virtual machine layer in metrics and traces.
-type Level = metrics.Level
+type Level = obs.Level
 
 // The four layers, top-down.
 const (
-	LevelAUVM = metrics.LevelAUVM
-	LevelNAVM = metrics.LevelNAVM
-	LevelSPVM = metrics.LevelSPVM
-	LevelARCH = metrics.LevelARCH
+	LevelAUVM = obs.LevelAUVM
+	LevelNAVM = obs.LevelNAVM
+	LevelSPVM = obs.LevelSPVM
+	LevelARCH = obs.LevelARCH
 )
+
+// LevelReport renders the per-level requirements table from a snapshot's
+// auvm.*, navm.*, spvm.* and arch.* counters — levels as rows, every
+// counter non-zero at some level as a column.  fem2 -report prints it
+// from System.StatsSnapshot after the machine report.
+func LevelReport(s obs.Snapshot) string { return obs.LevelReport(s) }

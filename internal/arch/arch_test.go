@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -296,8 +296,8 @@ func TestClusterDeliverAllWorkersFailed(t *testing.T) {
 func TestMachineSendCrossCluster(t *testing.T) {
 	cfg := smallConfig()
 	m := MustNew(cfg)
-	m.Metrics = metrics.NewCollector()
-	m.Trace = trace.New()
+	reg := obs.New()
+	m.AttachInstrumentation(reg, trace.New())
 	done, w, err := m.Send(1 /* PE in cluster 0 */, 1, 10, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestMachineSendCrossCluster(t *testing.T) {
 	if done != 390 {
 		t.Errorf("completion = %d, want 390", done)
 	}
-	if got := m.Metrics.Get(metrics.LevelARCH, metrics.CtrMsgs); got != 1 {
+	if got := reg.Counter(obs.ARCHMsgs).Load(); got != 1 {
 		t.Errorf("ARCH msgs = %d", got)
 	}
 	if m.Trace.Len() != 1 {
@@ -367,14 +367,15 @@ func TestMachineSendBadArgs(t *testing.T) {
 
 func TestComputeAndMemoryTouch(t *testing.T) {
 	m := MustNew(smallConfig())
-	m.Metrics = metrics.NewCollector()
+	reg := obs.New()
+	m.AttachInstrumentation(reg, nil)
 	if done := m.Compute(1, 100); done != 100 {
 		t.Errorf("Compute = %d", done)
 	}
 	if done := m.MemoryTouch(1, 50); done != 150 {
 		t.Errorf("MemoryTouch = %d", done)
 	}
-	if got := m.Metrics.Get(metrics.LevelARCH, metrics.CtrCycles); got != 150 {
+	if got := reg.Counter(obs.ARCHCycles).Load(); got != 150 {
 		t.Errorf("cycles = %d", got)
 	}
 }

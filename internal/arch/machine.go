@@ -5,7 +5,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -18,10 +18,11 @@ type Machine struct {
 	pes      []*PE // flat index: cluster*PEsPerCluster + local
 	network  *Network
 
-	// Metrics receives ARCH-level counters when non-nil.
-	Metrics *metrics.Collector
 	// Trace receives ARCH-level events when non-nil.
 	Trace *trace.Trace
+	// msgs, msgWords and cycles are the arch.* counters, resolved by
+	// AttachInstrumentation; nil until then (no-op sinks).
+	msgs, msgWords, cycles *obs.Counter
 
 	mu     sync.Mutex
 	nextRR int // round-robin cursor for cross-cluster placement
@@ -47,6 +48,13 @@ func New(cfg Config) (*Machine, error) {
 		m.clusters = append(m.clusters, cl)
 	}
 	return m, nil
+}
+
+// AttachInstrumentation points the machine's counters at reg and its
+// events at tr; either may be nil.
+func (m *Machine) AttachInstrumentation(reg *obs.Registry, tr *trace.Trace) {
+	m.msgs, m.msgWords, m.cycles = reg.Counter(obs.ARCHMsgs), reg.Counter(obs.ARCHMsgWords), reg.Counter(obs.ARCHCycles)
+	m.Trace = tr
 }
 
 // MustNew builds a machine and panics on configuration errors (test and
@@ -105,11 +113,11 @@ func (m *Machine) Send(srcPE int, dst int, words, depart, workCycles int64) (int
 			tried++
 			continue
 		}
-		m.Metrics.Add(metrics.LevelARCH, metrics.CtrMsgs, 1)
-		m.Metrics.Add(metrics.LevelARCH, metrics.CtrMsgWords, words)
-		m.Metrics.Add(metrics.LevelARCH, metrics.CtrCycles, workCycles)
+		m.msgs.Inc()
+		m.msgWords.Add(words)
+		m.cycles.Add(workCycles)
 		m.Trace.Record(trace.Event{
-			Clock: done, Level: metrics.LevelARCH, Kind: "msg",
+			Clock: done, Level: obs.LevelARCH, Kind: "msg",
 			Src: src, Dst: target, Words: int(words),
 		})
 		return done, w, nil
@@ -121,7 +129,7 @@ func (m *Machine) Send(srcPE int, dst int, words, depart, workCycles int64) (int
 // current clock and returns the completion time.
 func (m *Machine) Compute(peID int, cycles int64) int64 {
 	done := m.pes[peID].Charge(cycles)
-	m.Metrics.Add(metrics.LevelARCH, metrics.CtrCycles, cycles)
+	m.cycles.Add(cycles)
 	return done
 }
 
@@ -143,10 +151,10 @@ func (m *Machine) RemoteFetch(peID int, srcCluster int, words int64) int64 {
 	depart := pe.Clock()
 	arrival := m.network.Transfer(srcCluster, pe.Cluster, words, depart)
 	pe.Sync(arrival)
-	m.Metrics.Add(metrics.LevelARCH, metrics.CtrMsgs, 1)
-	m.Metrics.Add(metrics.LevelARCH, metrics.CtrMsgWords, words)
+	m.msgs.Inc()
+	m.msgWords.Add(words)
 	m.Trace.Record(trace.Event{
-		Clock: arrival, Level: metrics.LevelARCH, Kind: "fetch",
+		Clock: arrival, Level: obs.LevelARCH, Kind: "fetch",
 		Src: srcCluster, Dst: pe.Cluster, Words: int(words),
 	})
 	return arrival
@@ -167,7 +175,7 @@ func (m *Machine) Barrier(peIDs []int) int64 {
 		m.pes[id].Sync(done)
 	}
 	m.Trace.Record(trace.Event{
-		Clock: done, Level: metrics.LevelARCH, Kind: "barrier",
+		Clock: done, Level: obs.LevelARCH, Kind: "barrier",
 		Src: -1, Dst: -1, Words: 0, Detail: fmt.Sprintf("%d PEs", len(peIDs)),
 	})
 	return done
@@ -220,7 +228,7 @@ func (m *Machine) FailPE(id int) error {
 		return fmt.Errorf("arch: FailPE: no PE %d", id)
 	}
 	m.pes[id].fail()
-	m.Trace.Recordf(metrics.LevelARCH, "fault", id, -1, 0, "PE %d isolated", id)
+	m.Trace.Recordf(obs.LevelARCH, "fault", id, -1, 0, "PE %d isolated", id)
 	return nil
 }
 

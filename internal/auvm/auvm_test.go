@@ -12,16 +12,14 @@ import (
 	"repro/internal/arch"
 	"repro/internal/command"
 	"repro/internal/fem"
-	"repro/internal/metrics"
 	"repro/internal/navm"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 func newSession(t *testing.T) *Session {
 	t.Helper()
-	s := NewSession("alice", NewDatabase())
-	s.Metrics = metrics.NewCollector()
-	return s
+	return NewSession("alice", NewDatabase())
 }
 
 // mustExec runs a command and fails the test on error.
@@ -160,7 +158,7 @@ func TestSolveParallelThroughSession(t *testing.T) {
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 4
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(s.Metrics, trace.NewCapped(1000))
+	rt.AttachInstrumentation(obs.New(), trace.NewCapped(1000))
 	s.RT = rt
 	mustExec(t, s, "generate grid plate 6 4 6 4 clamp-left")
 	mustExec(t, s, "load plate tip endload 0 -100")
@@ -184,7 +182,7 @@ func TestSolveParallelThroughSession(t *testing.T) {
 func TestSolveParallelReportsWorkersUsed(t *testing.T) {
 	s := newSession(t)
 	rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
-	rt.AttachInstrumentation(s.Metrics, trace.NewCapped(1000))
+	rt.AttachInstrumentation(obs.New(), trace.NewCapped(1000))
 	s.RT = rt
 	mustExec(t, s, "generate grid plate 3 3 3 3 clamp-left")
 	mustExec(t, s, "load plate tip endload 0 -100")
@@ -258,7 +256,6 @@ func TestErrorPaths(t *testing.T) {
 func TestStoreRetrieveRoundTripThroughDB(t *testing.T) {
 	db := NewDatabase()
 	alice := NewSession("alice", db)
-	alice.Metrics = metrics.NewCollector()
 	mustExec(t, alice, "generate truss bridge 4 1000 800")
 	mustExec(t, alice, "load bridge tip 9 -5000")
 	mustExec(t, alice, "store bridge")
@@ -266,7 +263,6 @@ func TestStoreRetrieveRoundTripThroughDB(t *testing.T) {
 	// Bob retrieves into his own workspace and solves; the database is
 	// the shared data path between users.
 	bob := NewSession("bob", db)
-	bob.Metrics = metrics.NewCollector()
 	mustExec(t, bob, "retrieve bridge")
 	out := mustExec(t, bob, "solve bridge tip")
 	if !strings.Contains(out, "solved") {
@@ -354,10 +350,11 @@ func TestWorkspaceAccounting(t *testing.T) {
 
 func TestAUVMOperationCounting(t *testing.T) {
 	s := newSession(t)
+	s.Obs = obs.New()
 	mustExec(t, s, "generate grid g 2 2 2 2 clamp-left")
 	mustExec(t, s, "load g l endload 1 0")
 	mustExec(t, s, "solve g l")
-	if got := s.Metrics.Get(metrics.LevelAUVM, metrics.CtrOps); got != 3 {
+	if got := s.Obs.Counter(obs.AUVMOps).Load(); got != 3 {
 		t.Errorf("AUVM ops = %d, want 3", got)
 	}
 }

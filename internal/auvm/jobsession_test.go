@@ -12,7 +12,7 @@ import (
 	"repro/internal/command"
 	"repro/internal/errs"
 	"repro/internal/job"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // jobSession is a session wired to its own single-purpose scheduler,
@@ -148,13 +148,14 @@ func TestCancelMidSolveLeavesStateUnchanged(t *testing.T) {
 }
 
 // TestPerJobAttribution: each job carries its own ops/flops accounting,
-// and the shared collector still sees the totals.
+// and the shared registry still sees the totals.
 func TestPerJobAttribution(t *testing.T) {
 	s := jobSession(t, 2)
+	s.Obs = obs.New()
 	ctx := context.Background()
 	mustExec(t, s, "generate grid g 4 3 4 3 clamp-left")
 	mustExec(t, s, "load g tip endload 0 -100")
-	sharedBefore := s.Metrics.Get(metrics.LevelAUVM, metrics.CtrOps)
+	sharedBefore := s.Obs.Counter(obs.AUVMOps).Load()
 
 	id, err := s.SubmitAsync(ctx, command.Solve{Model: "g", Set: "tip"})
 	if err != nil {
@@ -173,8 +174,8 @@ func TestPerJobAttribution(t *testing.T) {
 	if snap.Flops <= 0 {
 		t.Errorf("job flops = %d, want > 0", snap.Flops)
 	}
-	// The Tee forwarded the job's op to the shared collector.
-	if got := s.Metrics.Get(metrics.LevelAUVM, metrics.CtrOps); got != sharedBefore+1 {
+	// The job's op counted in the shared registry too.
+	if got := s.Obs.Counter(obs.AUVMOps).Load(); got != sharedBefore+1 {
 		t.Errorf("shared ops %d -> %d, want +1", sharedBefore, got)
 	}
 	// The status verb renders the attribution.

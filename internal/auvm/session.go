@@ -13,7 +13,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/fem"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/navm"
 	"repro/internal/obs"
 )
@@ -63,11 +62,6 @@ type Session struct {
 	DB *Database
 	// RT, when non-nil, enables Solve{Parallel: p}.
 	RT *navm.Runtime
-	// Metrics receives AUVM operation counts when non-nil.  A nil
-	// collector is a valid no-op sink (Collector methods are
-	// nil-receiver safe), so a metrics-less session interprets commands
-	// without instrumentation.
-	Metrics *metrics.Collector
 	// Jobs, when non-nil, is the system's job scheduler: it enables
 	// SubmitAsync and the submit/status/wait/cancel/jobs verbs.
 	// Sessions created through core.System get it wired automatically.
@@ -76,11 +70,15 @@ type Session struct {
 	// degraded to read-only; ping and version surface it.  Nil means
 	// healthy (a standalone session has no degradation machinery).
 	Health func() bool
-	// Obs, when non-nil, is the system's live-metrics registry: the
-	// stats verb snapshots it, and ping/version replies carry its
-	// uptime.  A standalone session leaves it nil and stats answers an
-	// empty snapshot.
+	// Obs, when non-nil, is the system's live-metrics registry: every
+	// command counts in its auvm.ops, the stats verb snapshots it, and
+	// ping/version replies carry its uptime.  A standalone session
+	// leaves it nil, counts nothing, and stats answers an empty snapshot.
 	Obs *obs.Registry
+	// opsOnce resolves ops, the auvm.ops counter, from Obs on the first
+	// command.
+	opsOnce sync.Once
+	ops     *obs.Counter
 
 	// stateMu guards the interpreter-local state below.  Cheap verbs
 	// run inline on submitter goroutines, so two SubmitAsync calls on
@@ -100,6 +98,12 @@ func NewSession(user string, db *Database) *Session {
 		User: user, WS: NewWorkspace(), DB: db,
 		mat: fem.Steel(),
 	}
+}
+
+// countOp charges one AUVM operation.
+func (s *Session) countOp() {
+	s.opsOnce.Do(func() { s.ops = s.Obs.Counter(obs.AUVMOps) })
+	s.ops.Inc()
 }
 
 // usage is the shared syntax-error constructor.
@@ -151,7 +155,7 @@ func (s *Session) ExecuteContext(ctx context.Context, line string) (string, erro
 	if err != nil {
 		// A malformed line still counts as an AUVM operation, exactly
 		// as the pre-AST interpreter charged it.
-		s.Metrics.Add(metrics.LevelAUVM, metrics.CtrOps, 1)
+		s.countOp()
 		return "", err
 	}
 	if cmd == nil { // blank line or comment
@@ -188,7 +192,7 @@ func (s *Session) Do(ctx context.Context, cmd command.Command) (command.Result, 
 	if s.Jobs != nil {
 		if model := job.ModelOf(cmd); model != "" {
 			if err := s.Jobs.Hold(ctx, s.User, model, cmd); err != nil {
-				s.Metrics.Add(metrics.LevelAUVM, metrics.CtrOps, 1) // shed, but counted
+				s.countOp() // shed, but counted
 				return nil, err
 			}
 			defer s.Jobs.Release(s.User, model)
@@ -210,7 +214,7 @@ func (s *Session) DoHeld(ctx context.Context, cmd command.Command) (command.Resu
 	// sees every command, shed or served — matching Execute, which
 	// charges even malformed lines.  Exactly one op per command: the job
 	// scheduler records the same 1 for a job it dispatched here.
-	s.Metrics.Add(metrics.LevelAUVM, metrics.CtrOps, 1)
+	s.countOp()
 	if err := cancelled(ctx); err != nil {
 		return nil, err
 	}

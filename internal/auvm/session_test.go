@@ -14,12 +14,12 @@ import (
 )
 
 // TestMetricsLessSession is the regression test for sessions with no
-// collector attached: every command class, including malformed lines,
-// must work with s.Metrics == nil.
+// registry attached: every command class, including malformed lines,
+// must work with s.Obs == nil.
 func TestMetricsLessSession(t *testing.T) {
 	s := NewSession("bare", NewDatabase())
-	if s.Metrics != nil {
-		t.Fatal("NewSession attached a collector")
+	if s.Obs != nil {
+		t.Fatal("NewSession attached a registry")
 	}
 	for _, line := range []string{
 		"generate grid g 3 3 3 3 clamp-left",
@@ -34,7 +34,7 @@ func TestMetricsLessSession(t *testing.T) {
 			t.Fatalf("metrics-less %q: %v", line, err)
 		}
 	}
-	// Malformed lines charge the (absent) collector too.
+	// Malformed lines charge the (absent) auvm.ops counter too.
 	if _, err := s.Execute("frobnicate"); !errors.Is(err, ErrUsage) {
 		t.Errorf("metrics-less parse error: %v", err)
 	}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/hgraph"
 	"repro/internal/job"
-	"repro/internal/metrics"
 	"repro/internal/navm"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -45,7 +44,7 @@ import (
 // categories plus the formal H-graph grammars defining its data objects.
 type LayerSpec struct {
 	// Level names the layer.
-	Level metrics.Level
+	Level obs.Level
 	// Audience is the class of user the layer serves.
 	Audience string
 	// DataObjects, Operations, SequenceControl, DataControl,
@@ -112,7 +111,7 @@ func (l *LayerSpec) String() string {
 func FEM2Layers() []*LayerSpec {
 	return []*LayerSpec{
 		{
-			Level:    metrics.LevelAUVM,
+			Level:    obs.LevelAUVM,
 			Audience: "structural engineer at an interactive workstation",
 			DataObjects: []string{
 				"structure/substructure model", "grid description",
@@ -133,7 +132,7 @@ func FEM2Layers() []*LayerSpec {
 			Grammars: []string{"auvm-model"},
 		},
 		{
-			Level:    metrics.LevelNAVM,
+			Level:    obs.LevelNAVM,
 			Audience: "numerical analyst programming the parallel linear algebra",
 			DataObjects: []string{
 				"windows on arrays (row, column, block descriptors)",
@@ -164,7 +163,7 @@ func FEM2Layers() []*LayerSpec {
 			Grammars: []string{"navm-window", "navm-task"},
 		},
 		{
-			Level:    metrics.LevelSPVM,
+			Level:    obs.LevelSPVM,
 			Audience: "system programmer implementing the NAVM",
 			DataObjects: []string{
 				"code blocks/constants blocks",
@@ -184,7 +183,7 @@ func FEM2Layers() []*LayerSpec {
 			Grammars: []string{"spvm-message", "spvm-activation"},
 		},
 		{
-			Level:    metrics.LevelARCH,
+			Level:    obs.LevelARCH,
 			Audience: "hardware organisation",
 			DataObjects: []string{
 				"clusters of processing elements around a shared memory",
@@ -207,7 +206,7 @@ func FEM2Layers() []*LayerSpec {
 // System is a complete FEM-2 instance: the simulated hardware, the
 // per-cluster SPVM kernels, the NAVM runtime, the shared AUVM database,
 // the job scheduler, and any number of user sessions — all sharing one
-// metrics collector and trace so experiments see every level at once.
+// registry and trace so experiments see every level at once.
 //
 // System is a concurrent multi-tenant front end: the session registry is
 // mutex-guarded, every session is wired to the shared job scheduler, and
@@ -216,7 +215,6 @@ type System struct {
 	Machine  *arch.Machine
 	Runtime  *navm.Runtime
 	Database *auvm.Database
-	Metrics  *metrics.Collector
 	Trace    *trace.Trace
 	// Jobs is the system's asynchronous job service: a bounded worker
 	// pool with per-model serialization, shared by every session.
@@ -238,8 +236,9 @@ type System struct {
 	// LeaderAddr otherwise.  Nil on a standalone system.
 	Cluster *cluster.Coordinator
 	// Obs is the system's live-metrics registry: every layer routes its
-	// counters, gauges, and latency histograms through it, the stats
-	// verb snapshots it, and the -metrics emitter ticks from it.
+	// counters, gauges, and latency histograms through it — the
+	// simulated machine's per-level counts (obs.LevelReport) among them —
+	// the stats verb snapshots it, and the -metrics emitter ticks from it.
 	Obs *obs.Registry
 
 	storeCfg store.Config
@@ -334,7 +333,6 @@ func Open(o Options) (*System, error) {
 	s := &System{
 		Machine:  m,
 		Runtime:  navm.NewRuntime(m),
-		Metrics:  metrics.NewCollector(),
 		Trace:    trace.NewCapped(1 << 16),
 		Health:   guard,
 		Obs:      obs.New(),
@@ -385,7 +383,10 @@ func Open(o Options) (*System, error) {
 		s.Store.Close()
 		return nil, err
 	}
-	s.Runtime.AttachInstrumentation(s.Metrics, s.Trace)
+	s.Runtime.AttachInstrumentation(s.Obs, s.Trace)
+	// Sessions resolve auvm.ops on their first command; registering it
+	// here lists it beside the machine's counters from the start.
+	s.Obs.Counter(obs.AUVMOps)
 	if co != nil {
 		s.Cluster.Start()
 	}
@@ -462,7 +463,6 @@ func (s *System) Session(user string) *auvm.Session {
 	}
 	sess = auvm.NewSession(user, s.Database)
 	sess.RT = s.Runtime
-	sess.Metrics = s.Metrics
 	sess.Jobs = s.Jobs
 	sess.Health = s.Degraded
 	sess.Obs = s.Obs
@@ -568,13 +568,14 @@ type Requirements struct {
 // the workload itself failed.
 type Workload func(sys *System) error
 
-// Evaluate builds a fresh system with cfg, runs the workload, and
-// collects the requirements.
+// Evaluate builds a fresh system with cfg, runs the workload, collects
+// the requirements, and closes the system.
 func Evaluate(cfg arch.Config, w Workload) (*Requirements, error) {
 	sys, err := Open(Options{Arch: cfg})
 	if err != nil {
 		return nil, err
 	}
+	defer sys.Close()
 	if err := w(sys); err != nil {
 		return nil, err
 	}
@@ -588,7 +589,7 @@ func Evaluate(cfg arch.Config, w Workload) (*Requirements, error) {
 	return &Requirements{
 		Config:       cfg,
 		Makespan:     sys.Machine.Makespan(),
-		Flops:        sys.Metrics.Get(metrics.LevelNAVM, metrics.CtrFlops),
+		Flops:        sys.Obs.Counter(obs.NAVMFlops).Load(),
 		Messages:     sys.Machine.Network().TotalMessages(),
 		MessageWords: sys.Machine.Network().TotalWords(),
 		StorageWords: storage,

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
+	"repro/internal/command"
 	"repro/internal/fem"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 func TestFEM2LayersCompleteAndValid(t *testing.T) {
@@ -15,7 +19,7 @@ func TestFEM2LayersCompleteAndValid(t *testing.T) {
 	if len(layers) != 4 {
 		t.Fatalf("layers = %d, want 4", len(layers))
 	}
-	wantOrder := []metrics.Level{metrics.LevelAUVM, metrics.LevelNAVM, metrics.LevelSPVM, metrics.LevelARCH}
+	wantOrder := []obs.Level{obs.LevelAUVM, obs.LevelNAVM, obs.LevelSPVM, obs.LevelARCH}
 	for i, l := range layers {
 		if l.Level != wantOrder[i] {
 			t.Errorf("layer %d is %v, want %v", i, l.Level, wantOrder[i])
@@ -38,7 +42,7 @@ func TestFEM2LayersCompleteAndValid(t *testing.T) {
 }
 
 func TestLayerSpecValidateCatchesGaps(t *testing.T) {
-	l := &LayerSpec{Level: metrics.LevelAUVM, Audience: "x"}
+	l := &LayerSpec{Level: obs.LevelAUVM, Audience: "x"}
 	if err := l.Validate(); err == nil {
 		t.Error("empty layer validated")
 	}
@@ -175,6 +179,42 @@ func TestEvaluatePropagatesWorkloadError(t *testing.T) {
 	}
 }
 
+// TestEvaluateClosesItsSystem: an evaluation whose workload starts the
+// job scheduler's workers leaves no goroutine behind.
+func TestEvaluateClosesItsSystem(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Clusters = 2
+	cfg.PEsPerCluster = 4
+	submitAndWait := func(sys *System) error {
+		ctx := context.Background()
+		s := sys.Session("eng")
+		for _, line := range []string{"generate grid g 4 2 4 2 clamp-left", "load g l endload 0 -100"} {
+			if _, err := s.Execute(line); err != nil {
+				return err
+			}
+		}
+		id, err := s.SubmitAsync(ctx, command.Solve{Model: "g", Set: "l"})
+		if err != nil {
+			return err
+		}
+		_, err = sys.Jobs.Wait(ctx, id)
+		return err
+	}
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if _, err := Evaluate(cfg, submitAndWait); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 5 evaluations, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestDesignIteratorPicksFasterConfig(t *testing.T) {
 	small := arch.DefaultConfig()
 	small.Clusters = 1
@@ -279,13 +319,13 @@ func TestEndToEndAllFourLayers(t *testing.T) {
 			t.Fatalf("%q: %v", c, err)
 		}
 	}
-	if got := sys.Metrics.Get(metrics.LevelAUVM, metrics.CtrOps); got != 4 {
+	if got := sys.Obs.Counter(obs.AUVMOps).Load(); got != 4 {
 		t.Errorf("AUVM ops = %d", got)
 	}
-	if sys.Metrics.Get(metrics.LevelNAVM, metrics.CtrFlops) == 0 {
+	if sys.Obs.Counter(obs.NAVMFlops).Load() == 0 {
 		t.Error("no NAVM flops")
 	}
-	if sys.Metrics.Get(metrics.LevelARCH, metrics.CtrCycles) == 0 {
+	if sys.Obs.Counter(obs.ARCHCycles).Load() == 0 {
 		t.Error("no ARCH cycles")
 	}
 	if sys.Machine.Makespan() == 0 {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/command"
 	"repro/internal/errs"
 	"repro/internal/job"
+	"repro/internal/obs"
 )
 
 // TestSessionRegistryRace is the -race stress test for the session
@@ -50,6 +51,73 @@ func TestSessionRegistryRace(t *testing.T) {
 
 // TestSessionIdentityUnderConcurrency: simultaneous Session calls for
 // one user all get the same session.
+// TestAUVMOpsExactUnderConcurrentSessions: many sessions issue commands
+// at once down every path that counts an AUVM operation — served,
+// malformed, refused at Hold, and dispatched by the scheduler — and
+// auvm.ops ends up at exactly one per command.
+func TestAUVMOpsExactUnderConcurrentSessions(t *testing.T) {
+	cfg := arch.DefaultConfig()
+	cfg.Clusters, cfg.PEsPerCluster = 2, 4
+	sys, err := Open(Options{Arch: cfg, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	const sessions, rounds, perRound = 8, 5, 5
+	ctx := context.Background()
+	errc := make(chan error, sessions)
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(user string) {
+			defer wg.Done()
+			errc <- func() error {
+				s := sys.Session(user)
+				for r := 0; r < rounds; r++ {
+					// Served: two ops.
+					for _, line := range []string{"generate grid g 3 2 3 2 clamp-left", "load g l endload 0 -100"} {
+						if _, err := s.Execute(line); err != nil {
+							return err
+						}
+					}
+					// Malformed: one op.
+					if _, err := s.Execute("frobnicate g"); !errors.Is(err, errs.ErrUsage) {
+						return fmt.Errorf("malformed line answered %v", err)
+					}
+					// Refused at Hold: one op.
+					if err := sys.Jobs.Hold(ctx, user, "g", command.Solve{Model: "g", Set: "l"}); err != nil {
+						return err
+					}
+					_, err := s.Do(ctx, command.EndLoad{Model: "g", Set: "l", FY: -1})
+					sys.Jobs.Release(user, "g")
+					if err == nil || !strings.Contains(err.Error(), "is busy") {
+						return fmt.Errorf("edit of a held model answered %v", err)
+					}
+					// Dispatched by the scheduler: one op.
+					id, err := s.SubmitAsync(ctx, command.Solve{Model: "g", Set: "l"})
+					if err != nil {
+						return err
+					}
+					if _, err := sys.Jobs.Wait(ctx, id); err != nil {
+						return err
+					}
+				}
+				return nil
+			}()
+		}(fmt.Sprintf("user%d", i))
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := sys.Obs.Counter(obs.AUVMOps).Load(), int64(sessions*rounds*perRound); got != want {
+		t.Errorf("auvm.ops = %d, want %d", got, want)
+	}
+}
+
 func TestSessionIdentityUnderConcurrency(t *testing.T) {
 	sys, err := Open(Options{Arch: arch.DefaultConfig()})
 	if err != nil {

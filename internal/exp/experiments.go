@@ -12,8 +12,8 @@ import (
 	"repro/internal/fem"
 	"repro/internal/hgraph"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/navm"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -104,8 +104,8 @@ func E1Requirements(sizes []int, workers int) (*Table, error) {
 		}
 		cfg := defaultConfig(4, 1+workers/4+1)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		col := metrics.NewCollector()
-		rt.AttachInstrumentation(col, nil)
+		reg := obs.New()
+		rt.AttachInstrumentation(reg, nil)
 		d, err := navm.Partition(k, b, workers)
 		if err != nil {
 			return nil, err
@@ -114,7 +114,7 @@ func E1Requirements(sizes []int, workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		storage := col.Get(metrics.LevelNAVM, metrics.CtrWordsAlloc)
+		storage := reg.Counter(obs.NAVMWordsAlloc).Load()
 		msgs := rt.Machine().Network().TotalMessages()
 		words := rt.Machine().Network().TotalWords()
 		haloPerIter := int64(0)
@@ -163,7 +163,7 @@ func E2SolverSpeedup(n int, workerCounts []int) (*Table, error) {
 		}
 		cfg := defaultConfig(clusters, 1+(p+clusters-1)/clusters)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), nil)
+		rt.AttachInstrumentation(obs.New(), nil)
 		d, err := navm.Partition(k, b, p)
 		if err != nil {
 			return nil, err
@@ -223,7 +223,7 @@ func E3Substructure(workerCounts []int) (*Table, error) {
 		}
 		cfg := defaultConfig(clusters, pes)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), nil)
+		rt.AttachInstrumentation(obs.New(), nil)
 		sol, err := fem.SolveSubstructured(context.Background(), m, s, ls, rt)
 		if err != nil {
 			return nil, err
@@ -289,8 +289,8 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 	for _, k := range counts {
 		cfg := defaultConfig(4, 5)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		col := metrics.NewCollector()
-		rt.AttachInstrumentation(col, nil)
+		reg := obs.New()
+		rt.AttachInstrumentation(reg, nil)
 		root, err := rt.NewRootTask()
 		if err != nil {
 			return nil, err
@@ -303,7 +303,7 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 		}
 		// Measure from here so code-block loading is excluded from the
 		// per-task storage figure.
-		baseline := col.Snapshot()
+		before := reg.Snapshot()
 		// Initiate in batches across clusters, as a large forall
 		// would.
 		batch := 64
@@ -322,9 +322,9 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 			}
 			remaining -= n
 		}
-		diff := col.Diff(baseline)
-		created := diff[metrics.LevelSPVM][metrics.CtrTasksInitiated]
-		heap := diff[metrics.LevelSPVM][metrics.CtrWordsAlloc]
+		after := reg.Snapshot()
+		created := after.Counter(obs.SPVMTasksInitiated) - before.Counter(obs.SPVMTasksInitiated)
+		heap := after.Counter(obs.SPVMWordsAlloc) - before.Counter(obs.SPVMWordsAlloc)
 		span := rt.Machine().Makespan()
 		var decoded int64
 		for _, kern := range rt.Kernels() {
@@ -343,8 +343,7 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 func E6WindowAccess() (*Table, error) {
 	cfg := defaultConfig(2, 4)
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	col := metrics.NewCollector()
-	rt.AttachInstrumentation(col, nil)
+	rt.AttachInstrumentation(obs.New(), nil)
 	root, err := rt.NewRootTask()
 	if err != nil {
 		return nil, err
@@ -440,7 +439,7 @@ func E7FaultIsolation(failCounts []int) (*Table, error) {
 	for _, f := range failCounts {
 		cfg := defaultConfig(4, 5)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), nil)
+		rt.AttachInstrumentation(obs.New(), nil)
 		m := rt.Machine()
 		// Fail f workers spread over clusters (never the kernels).
 		failed := 0
@@ -513,8 +512,8 @@ func E8Programmability() (*Table, error) {
 	}
 	const p = 4
 	rt := navm.NewRuntime(arch.MustNew(defaultConfig(2, 4)))
-	col := metrics.NewCollector()
-	rt.AttachInstrumentation(col, nil)
+	reg := obs.New()
+	rt.AttachInstrumentation(reg, nil)
 	d, err := navm.Partition(k, b, p)
 	if err != nil {
 		return nil, err
@@ -530,13 +529,13 @@ func E8Programmability() (*Table, error) {
 	// decoded — the halo messages the solve actually sent, plus the 2p
 	// synchronisation messages behind each of the ~5 barriers per
 	// iteration.
-	haloMsgs := col.Get(metrics.LevelNAVM, metrics.CtrMsgs)
+	haloMsgs := reg.Counter(obs.NAVMMsgs).Load()
 	barriers := int64(5*stats.Iterations + 3)
 	spvmOps := 2*haloMsgs + 2*int64(p)*barriers
 	t.AddRow("SPVM", spvmOps, 7, "format+decode for every halo and barrier message")
 
 	// ARCH: the cycle-level view.
-	cycles := col.Get(metrics.LevelARCH, metrics.CtrCycles)
+	cycles := reg.Counter(obs.ARCHCycles).Load()
 	t.AddRow("ARCH", cycles, 16*p, "simulated cycles (no programmer abstraction at all)")
 	return t, nil
 }
@@ -599,7 +598,7 @@ func E10LinalgKernels(workerCounts []int) (*Table, error) {
 	for _, p := range workerCounts {
 		cfg := defaultConfig(maxInt(1, p/4), 6)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), nil)
+		rt.AttachInstrumentation(obs.New(), nil)
 		d, err := navm.Partition(k, b, p)
 		if err != nil {
 			return nil, err
@@ -704,7 +703,7 @@ func E12SolverComparison(n, workers int) (*Table, error) {
 	}
 	for _, r := range runs {
 		rt := navm.NewRuntime(arch.MustNew(defaultConfig(4, 1+workers/4+1)))
-		rt.AttachInstrumentation(metrics.NewCollector(), nil)
+		rt.AttachInstrumentation(obs.New(), nil)
 		d, err := navm.Partition(k, b, workers)
 		if err != nil {
 			return nil, err
@@ -742,7 +741,7 @@ func E13LatencyAblation(latencies []int64) (*Table, error) {
 		cfg := defaultConfig(4, 6)
 		cfg.NetLatency = lat
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), nil)
+		rt.AttachInstrumentation(obs.New(), nil)
 		d, err := navm.Partition(k, b, 16)
 		if err != nil {
 			return nil, err
@@ -878,7 +877,7 @@ func E14CommunicationPattern() (*Table, error) {
 		return nil, err
 	}
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(metrics.NewCollector(), nil)
+	rt.AttachInstrumentation(obs.New(), nil)
 	d, err := navm.Partition(k, b, 4)
 	if err != nil {
 		return nil, err
@@ -901,7 +900,7 @@ func E14CommunicationPattern() (*Table, error) {
 		return nil, err
 	}
 	rt2 := navm.NewRuntime(arch.MustNew(cfg))
-	rt2.AttachInstrumentation(metrics.NewCollector(), nil)
+	rt2.AttachInstrumentation(obs.New(), nil)
 	if _, err := fem.SolveSubstructured(context.Background(), m2, s, ls, rt2); err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/errs"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/navm"
 	"repro/internal/obs"
 )
@@ -23,7 +22,7 @@ func solveRuntime(t *testing.T) *navm.Runtime {
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 4
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(metrics.NewCollector(), nil)
+	rt.AttachInstrumentation(obs.New(), nil)
 	return rt
 }
 

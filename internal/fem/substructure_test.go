@@ -11,8 +11,8 @@ import (
 	"repro/internal/arch"
 	"repro/internal/errs"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/navm"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -157,7 +157,7 @@ func TestSubstructuredParallelCostAccounting(t *testing.T) {
 	cfg.Clusters = 4
 	cfg.PEsPerCluster = 3
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(metrics.NewCollector(), trace.New())
+	rt.AttachInstrumentation(obs.New(), trace.New())
 	s, err := PartitionByX(m, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestSubstructureParallelSpeedupShape(t *testing.T) {
 		cfg.Clusters = clusters
 		cfg.PEsPerCluster = 3
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(metrics.NewCollector(), trace.New())
+		rt.AttachInstrumentation(obs.New(), trace.New())
 		s, err := PartitionByX(m, 4)
 		if err != nil {
 			t.Fatal(err)

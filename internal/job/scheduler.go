@@ -543,7 +543,7 @@ func (s *Scheduler) runInline(j *job) {
 
 // execute runs the job's command and stores its terminal state.  The
 // executor sees the job's context and nothing else; a dispatched job is
-// one AUVM operation (the executor charges it to its own collector), and
+// one AUVM operation (the executor counts it in its own auvm.ops), and
 // solver flops and machine cycles come back on the typed result.
 func (s *Scheduler) execute(j *job) {
 	start := time.Now()

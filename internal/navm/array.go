@@ -3,7 +3,7 @@ package navm
 import (
 	"fmt"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -53,8 +53,8 @@ func (tc *TaskCtx) NewArray(name string, rows, cols int) (*Array, error) {
 	}
 	rt.arrays[name] = a
 	rt.mu.Unlock()
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrWordsAlloc, words)
-	rt.Trace.Recordf(metrics.LevelNAVM, "array.new", int(tc.ID), a.homeCluster, int(words), "%s %dx%d", name, rows, cols)
+	rt.ctr.wordsAlloc.Add(words)
+	rt.Trace.Recordf(obs.LevelNAVM, "array.new", int(tc.ID), a.homeCluster, int(words), "%s %dx%d", name, rows, cols)
 	return a, nil
 }
 
@@ -80,7 +80,7 @@ func (a *Array) Free(tc *TaskCtx) error {
 	a.rt.mu.Lock()
 	delete(a.rt.arrays, a.Name)
 	a.rt.mu.Unlock()
-	a.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrWordsFreed, int64(a.Rows*a.Cols))
+	a.rt.ctr.wordsFreed.Add(int64(a.Rows * a.Cols))
 	return nil
 }
 
@@ -99,7 +99,7 @@ func (a *Array) Set(tc *TaskCtx, i, j int, v float64) error {
 	a.checkBounds(i, j)
 	a.data[i*a.Cols+j] = v
 	a.rt.machine.MemoryTouch(tc.pe.ID, 1)
-	a.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrLocalAccesses, 1)
+	a.rt.ctr.local.Inc()
 	return nil
 }
 
@@ -110,7 +110,7 @@ func (a *Array) At(tc *TaskCtx, i, j int) (float64, error) {
 	}
 	a.checkBounds(i, j)
 	a.rt.machine.MemoryTouch(tc.pe.ID, 1)
-	a.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrLocalAccesses, 1)
+	a.rt.ctr.local.Inc()
 	return a.data[i*a.Cols+j], nil
 }
 
@@ -125,7 +125,7 @@ func (a *Array) FillRow(tc *TaskCtx, i int, vals []float64) error {
 	a.checkBounds(i, 0)
 	copy(a.data[i*a.Cols:(i+1)*a.Cols], vals)
 	a.rt.machine.MemoryTouch(tc.pe.ID, int64(a.Cols))
-	a.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrLocalAccesses, int64(a.Cols))
+	a.rt.ctr.local.Add(int64(a.Cols))
 	return nil
 }
 

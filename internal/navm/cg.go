@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
 	"repro/internal/spvm"
 )
 
@@ -147,11 +146,10 @@ func (d *DistSystem) haloExchange(rt *Runtime, pes []*arch.PE) int64 {
 			}
 			rt.machine.RemoteFetch(pes[p].ID, pes[q].Cluster, w)
 			if pes[p].Cluster != pes[q].Cluster {
-				rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrRemoteAccesses, 1)
-				rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-				rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, w)
+				rt.ctr.remote.Inc()
+				rt.ctr.message(w)
 			} else {
-				rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrLocalAccesses, 1)
+				rt.ctr.local.Inc()
 			}
 			words += w
 		}
@@ -223,7 +221,7 @@ func finalizeStats(rt *Runtime, stats *SolveStats, st []linalg.Stats) {
 	for w := range st {
 		stats.Flops += st[w].Flops
 	}
-	rt.Metrics.AddFlops(metrics.LevelNAVM, stats.Flops)
+	rt.ctr.flops.Add(stats.Flops)
 	stats.Makespan = rt.machine.Makespan()
 }
 
@@ -271,7 +269,7 @@ func (rt *Runtime) ParallelCG(ctx context.Context, d *DistSystem, opts linalg.It
 		for i := d.Lo[w]; i < d.Hi[w]; i++ {
 			nnz += d.A.RowNNZ(i)
 		}
-		rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrWordsAlloc, int64(4*rows+2*nnz))
+		rt.ctr.wordsAlloc.Add(int64(4*rows + 2*nnz))
 	}
 
 	bnorm := math.Sqrt(dotBlocks(d, pes, st, r, r))

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -46,7 +46,7 @@ func newSolveRuntime(t *testing.T, clusters, pesPer int) *Runtime {
 	cfg.Clusters = clusters
 	cfg.PEsPerCluster = pesPer
 	rt := NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(metrics.NewCollector(), trace.NewCapped(10000))
+	rt.AttachInstrumentation(obs.New(), trace.NewCapped(10000))
 	return rt
 }
 

@@ -5,7 +5,7 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -87,8 +87,7 @@ func (tc *TaskCtx) Broadcast(data []float64, targets []*TaskCtx) error {
 		if dst.pe.Cluster != tc.pe.Cluster && !sent[dst.pe.Cluster] {
 			arrival := rt.machine.Network().Transfer(tc.pe.Cluster, dst.pe.Cluster, words, tc.pe.Clock())
 			sent[dst.pe.Cluster] = true
-			rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-			rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, words)
+			rt.ctr.message(words)
 			_ = arrival
 		}
 	}
@@ -99,7 +98,7 @@ func (tc *TaskCtx) Broadcast(data []float64, targets []*TaskCtx) error {
 		// arrives.
 		dst.pe.Sync(tc.pe.Clock())
 	}
-	rt.Trace.Recordf(metrics.LevelNAVM, "broadcast", int(tc.ID), len(targets), int(words), "%d clusters", len(sent))
+	rt.Trace.Recordf(obs.LevelNAVM, "broadcast", int(tc.ID), len(targets), int(words), "%d clusters", len(sent))
 	return nil
 }
 
@@ -173,8 +172,7 @@ func (tc *TaskCtx) RemoteCall(proc string, w *Window, args []float64) ([]float64
 	if err != nil {
 		return nil, err
 	}
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, msg.Words())
+	rt.ctr.message(msg.Words())
 
 	// Bind the callee to a PE in the data's cluster and run it.
 	pe, err := rt.machine.PlaceWorkerInCluster(dest)
@@ -204,10 +202,9 @@ func (tc *TaskCtx) RemoteCall(proc string, w *Window, args []float64) ([]float64
 	if _, err := tc.kern.Handle(ret); err != nil {
 		return nil, err
 	}
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, ret.Words())
+	rt.ctr.message(ret.Words())
 	kern.Handle(&spvm.Message{Type: spvm.MsgTerminate, Task: callee.ID, Parent: tc.ID})
-	rt.Trace.Recordf(metrics.LevelNAVM, "rpc", tc.pe.Cluster, dest, int(msg.Words()+ret.Words()), "%s", proc)
+	rt.Trace.Recordf(obs.LevelNAVM, "rpc", tc.pe.Cluster, dest, int(msg.Words()+ret.Words()), "%s", proc)
 	return results, nil
 }
 

@@ -20,7 +20,7 @@ import (
 	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 	"repro/internal/trace"
 )
@@ -51,9 +51,9 @@ type Runtime struct {
 	kernels []*spvm.Kernel
 	ids     *spvm.IDSource
 
-	// Metrics and Trace receive NAVM-level accounting when non-nil.
-	Metrics *metrics.Collector
-	Trace   *trace.Trace
+	// Trace receives NAVM-level events when non-nil.
+	Trace *trace.Trace
+	ctr   counters
 
 	mu           sync.Mutex
 	types        map[string]TaskFunc
@@ -82,16 +82,31 @@ func NewRuntime(m *arch.Machine) *Runtime {
 	return rt
 }
 
-// AttachInstrumentation wires a collector and trace into the runtime, its
-// kernels, and the machine.
-func (rt *Runtime) AttachInstrumentation(c *metrics.Collector, tr *trace.Trace) {
-	rt.Metrics = c
+// counters are the runtime's navm.* counters, resolved once by
+// AttachInstrumentation; nil until then (no-op sinks).
+type counters struct {
+	ops, flops, msgs, msgWords, local, remote, wordsAlloc, wordsFreed *obs.Counter
+}
+
+// message counts one message carrying words words.
+func (c *counters) message(words int64) {
+	c.msgs.Inc()
+	c.msgWords.Add(words)
+}
+
+// AttachInstrumentation points the counters of the runtime, its kernels
+// and the machine at reg, and their events at tr; either may be nil.
+func (rt *Runtime) AttachInstrumentation(reg *obs.Registry, tr *trace.Trace) {
+	rt.ctr = counters{
+		ops: reg.Counter(obs.NAVMOps), flops: reg.Counter(obs.NAVMFlops),
+		msgs: reg.Counter(obs.NAVMMsgs), msgWords: reg.Counter(obs.NAVMMsgWords),
+		local: reg.Counter(obs.NAVMLocalAccesses), remote: reg.Counter(obs.NAVMRemoteAccesses),
+		wordsAlloc: reg.Counter(obs.NAVMWordsAlloc), wordsFreed: reg.Counter(obs.NAVMWordsFreed),
+	}
 	rt.Trace = tr
-	rt.machine.Metrics = c
-	rt.machine.Trace = tr
+	rt.machine.AttachInstrumentation(reg, tr)
 	for _, k := range rt.kernels {
-		k.Metrics = c
-		k.Trace = tr
+		k.AttachInstrumentation(reg, tr)
 	}
 }
 
@@ -117,7 +132,7 @@ func (rt *Runtime) RegisterTaskType(name string, codeWords, localWords int64, fn
 			return fmt.Errorf("navm: load code %q on cluster %d: %w", name, k.ClusterID, err)
 		}
 	}
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrOps, 1)
+	rt.ctr.ops.Inc()
 	return nil
 }
 
@@ -177,7 +192,7 @@ func (tc *TaskCtx) Charge(flops int64) {
 	if flops <= 0 {
 		return
 	}
-	tc.rt.Metrics.AddFlops(metrics.LevelNAVM, flops)
+	tc.rt.ctr.flops.Add(flops)
 	tc.rt.machine.Compute(tc.pe.ID, flops*CyclesPerFlop)
 }
 
@@ -234,8 +249,7 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 	if _, _, err := rt.machine.Send(tc.pe.ID, dest, msg.Words(), tc.pe.Clock(), rt.machine.Config().KernelDecodeCycles); err != nil {
 		return nil, err
 	}
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-	rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, msg.Words())
+	rt.ctr.message(msg.Words())
 	kern := rt.kernels[dest]
 	ids, err := kern.Handle(msg)
 	if err != nil {
@@ -258,7 +272,7 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 		rt.mu.Unlock()
 		g.ctxs = append(g.ctxs, child)
 		g.group.Add(1)
-		rt.Trace.Recordf(metrics.LevelNAVM, "task.start", int(tc.ID), int(id), 0, "%s[%d] on PE %d", taskType, i, pe.ID)
+		rt.Trace.Recordf(obs.LevelNAVM, "task.start", int(tc.ID), int(id), 0, "%s[%d] on PE %d", taskType, i, pe.ID)
 		go func(child *TaskCtx, i int) {
 			defer g.group.Done()
 			defer close(child.done)
@@ -279,12 +293,11 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 func (tc *TaskCtx) terminate() {
 	msg := &spvm.Message{Type: spvm.MsgTerminate, Task: tc.ID, Parent: tc.Parent}
 	tc.kern.Handle(msg)
-	tc.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-	tc.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, msg.Words())
+	tc.rt.ctr.message(msg.Words())
 	tc.rt.mu.Lock()
 	delete(tc.rt.tasks, tc.ID)
 	tc.rt.mu.Unlock()
-	tc.rt.Trace.Recordf(metrics.LevelNAVM, "task.end", int(tc.ID), int(tc.Parent), 0, "%s", tc.Type)
+	tc.rt.Trace.Recordf(obs.LevelNAVM, "task.end", int(tc.ID), int(tc.Parent), 0, "%s", tc.Type)
 }
 
 // Wait blocks until every task in the group has terminated and returns
@@ -312,7 +325,7 @@ func (tc *TaskCtx) Pause() error {
 	if _, err := tc.kern.Handle(msg); err != nil {
 		return err
 	}
-	tc.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
+	tc.rt.ctr.msgs.Inc()
 	tc.mu.Lock()
 	tc.paused = true
 	tc.mu.Unlock()
@@ -347,7 +360,7 @@ func (tc *TaskCtx) Resume(child spvm.TaskID) error {
 	if _, err := target.kern.Handle(msg); err != nil {
 		return err
 	}
-	tc.rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
+	tc.rt.ctr.msgs.Inc()
 	// The resumed task observes the resumer's progress.
 	target.pe.Sync(tc.pe.Clock())
 	select {

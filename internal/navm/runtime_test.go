@@ -8,23 +8,31 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 	"repro/internal/trace"
 )
 
 func newTestRuntime(t *testing.T) (*Runtime, *TaskCtx) {
 	t.Helper()
+	rt, root, _ := newCountedRuntime(t)
+	return rt, root
+}
+
+// newCountedRuntime is newTestRuntime with the registry it counts into.
+func newCountedRuntime(t *testing.T) (*Runtime, *TaskCtx, *obs.Registry) {
+	t.Helper()
 	cfg := arch.DefaultConfig()
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 4
 	rt := NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(metrics.NewCollector(), trace.New())
+	reg := obs.New()
+	rt.AttachInstrumentation(reg, trace.New())
 	root, err := rt.NewRootTask()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, root
+	return rt, root, reg
 }
 
 func TestRootTaskRegistered(t *testing.T) {
@@ -42,7 +50,7 @@ func TestRootTaskRegistered(t *testing.T) {
 }
 
 func TestInitiateRunsReplications(t *testing.T) {
-	rt, root := newTestRuntime(t)
+	rt, root, reg := newCountedRuntime(t)
 	var ran int64
 	err := rt.RegisterTaskType("count", 128, 16, func(tc *TaskCtx, replica int) error {
 		atomic.AddInt64(&ran, 1)
@@ -62,7 +70,7 @@ func TestInitiateRunsReplications(t *testing.T) {
 	if ran != 6 {
 		t.Errorf("ran %d replications, want 6", ran)
 	}
-	if got := rt.Metrics.Get(metrics.LevelSPVM, metrics.CtrTasksInitiated); got != 6 {
+	if got := reg.Counter(obs.SPVMTasksInitiated).Load(); got != 6 {
 		t.Errorf("tasks_initiated = %d", got)
 	}
 	// All children terminated: only root remains.
@@ -278,24 +286,24 @@ func TestBroadcastReachesAllTargets(t *testing.T) {
 }
 
 func TestChargeAdvancesPEAndMetrics(t *testing.T) {
-	rt, root := newTestRuntime(t)
+	_, root, reg := newCountedRuntime(t)
 	before := root.pe.Clock()
 	root.Charge(50)
 	if root.pe.Clock() != before+50*CyclesPerFlop {
 		t.Errorf("PE clock = %d", root.pe.Clock())
 	}
-	if got := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrFlops); got != 50 {
+	if got := reg.Counter(obs.NAVMFlops).Load(); got != 50 {
 		t.Errorf("NAVM flops = %d", got)
 	}
 	root.Charge(0)  // no-op
 	root.Charge(-5) // no-op
-	if got := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrFlops); got != 50 {
+	if got := reg.Counter(obs.NAVMFlops).Load(); got != 50 {
 		t.Errorf("non-positive charge changed metrics: %d", got)
 	}
 }
 
 func TestManyTaskInitiationsScale(t *testing.T) {
-	rt, root := newTestRuntime(t)
+	rt, root, reg := newCountedRuntime(t)
 	rt.RegisterTaskType("tiny", 16, 2, func(tc *TaskCtx, replica int) error { return nil })
 	g, err := root.Initiate("tiny", 500, nil)
 	if err != nil {
@@ -304,7 +312,7 @@ func TestManyTaskInitiationsScale(t *testing.T) {
 	if err := g.Wait(root); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Metrics.Get(metrics.LevelSPVM, metrics.CtrTasksInitiated); got != 500 {
+	if got := reg.Counter(obs.SPVMTasksInitiated).Load(); got != 500 {
 		t.Errorf("tasks_initiated = %d", got)
 	}
 	// All activation records were freed on terminate.

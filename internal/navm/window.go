@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/linalg"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -105,14 +105,13 @@ func (w *Window) chargeAccess(tc *TaskCtx) {
 	words := w.Words()
 	if tc.pe.Cluster == w.Arr.homeCluster {
 		rt.machine.MemoryTouch(tc.pe.ID, words)
-		rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrLocalAccesses, 1)
+		rt.ctr.local.Inc()
 	} else {
 		rt.machine.RemoteFetch(tc.pe.ID, w.Arr.homeCluster, words)
-		rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrRemoteAccesses, 1)
-		rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgs, 1)
-		rt.Metrics.Add(metrics.LevelNAVM, metrics.CtrMsgWords, words)
+		rt.ctr.remote.Inc()
+		rt.ctr.message(words)
 	}
-	rt.Trace.Recordf(metrics.LevelNAVM, "window.access", tc.pe.Cluster, w.Arr.homeCluster, int(words),
+	rt.Trace.Recordf(obs.LevelNAVM, "window.access", tc.pe.Cluster, w.Arr.homeCluster, int(words),
 		"%s[%d:%d,%d:%d]", w.Arr.Name, w.Row0, w.Row0+w.Rows, w.Col0, w.Col0+w.Cols)
 }
 

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/hgraph"
 	"repro/internal/linalg"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -209,17 +209,18 @@ func TestWindowDescRoundTripAndGrammar(t *testing.T) {
 }
 
 func TestRemoteVsLocalWindowAccounting(t *testing.T) {
-	rt, root := newTestRuntime(t)
+	rt, root, reg := newCountedRuntime(t)
+	localAccesses, remoteAccesses := reg.Counter(obs.NAVMLocalAccesses), reg.Counter(obs.NAVMRemoteAccesses)
 	a, _ := root.NewArray("acct", 16, 1)
 	w, _ := RowWindow(a, 0, 16)
 
 	// Local read by the owner.
 	w.Read(root)
-	local := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrLocalAccesses)
+	local := localAccesses.Load()
 	if local < 1 {
 		t.Errorf("local_accesses = %d", local)
 	}
-	if got := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrRemoteAccesses); got != 0 {
+	if got := remoteAccesses.Load(); got != 0 {
 		t.Errorf("remote_accesses before remote read = %d", got)
 	}
 
@@ -242,7 +243,7 @@ func TestRemoteVsLocalWindowAccounting(t *testing.T) {
 	if remoteReads.Load() == 0 {
 		t.Fatal("no replication landed on a remote cluster")
 	}
-	if got := rt.Metrics.Get(metrics.LevelNAVM, metrics.CtrRemoteAccesses); got != remoteReads.Load() {
+	if got := remoteAccesses.Load(); got != remoteReads.Load() {
 		t.Errorf("remote_accesses = %d, want %d", got, remoteReads.Load())
 	}
 	// Remote reads crossed the simulated network.

@@ -80,9 +80,11 @@ func (e *Emitter) Start() {
 	}
 	e.started = true
 	// Seed the rate baseline before the goroutine exists, so jobs
-	// completed after Start returns are always counted in a tick.
+	// completed after Start returns are always counted in a tick.  A
+	// snapshot reads job.done without registering it in a registry that
+	// has none (a client's).
 	e.prevTime = e.now()
-	e.prevDone = e.reg.Counter(JobDone).Load()
+	e.prevDone = e.reg.Snapshot().Counter(JobDone)
 	go e.run()
 }
 

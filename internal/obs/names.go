@@ -69,4 +69,23 @@ const (
 	ClusterFailovers    = "cluster.failovers"     // counter: takeovers this daemon performed (lease acquired after expiry)
 	ClusterFencedWrites = "cluster.fenced_writes" // counter: writes rejected because this daemon's epoch went stale
 	ClusterRenewLatency = "cluster.lease_renew"   // histogram: lease renewal round-trip against the store
+
+	// The simulated machine, one counter per level and quantity the
+	// design method measures (level.go; LevelReport renders them).
+	AUVMOps            = "auvm.ops"             // counter: commands interpreted: served, refused, malformed, or run as a job
+	NAVMOps            = "navm.ops"             // counter: task types registered
+	NAVMFlops          = "navm.flops"           // counter: floating-point operations charged by tasks
+	NAVMMsgs           = "navm.msgs"            // counter: task control, window, broadcast and rpc messages sent
+	NAVMMsgWords       = "navm.msg_words"       // counter: words those messages carried
+	NAVMLocalAccesses  = "navm.local_accesses"  // counter: array and window accesses served from the task's own cluster
+	NAVMRemoteAccesses = "navm.remote_accesses" // counter: window accesses that crossed clusters
+	NAVMWordsAlloc     = "navm.words_alloc"     // counter: words of distributed arrays and CG workspace allocated
+	NAVMWordsFreed     = "navm.words_freed"     // counter: words of distributed arrays freed
+	SPVMOps            = "spvm.ops"             // counter: messages the cluster kernels decoded
+	SPVMTasksInitiated = "spvm.tasks_initiated" // counter: activation records created by initiate messages
+	SPVMWordsAlloc     = "spvm.words_alloc"     // counter: kernel heap and code-store words allocated
+	SPVMWordsFreed     = "spvm.words_freed"     // counter: kernel heap words freed at task termination
+	ARCHMsgs           = "arch.msgs"            // counter: network messages delivered and remote fetches
+	ARCHMsgWords       = "arch.msg_words"       // counter: words those carried
+	ARCHCycles         = "arch.cycles"          // counter: simulated PE cycles charged
 )

@@ -20,7 +20,8 @@
 //     rebinning.
 //
 // Metric names are flat dotted strings; the canonical catalog lives in
-// names.go and docs/observability.md.
+// names.go and docs/observability.md.  The simulated machine counts into
+// the same registry, per virtual machine level (level.go).
 package obs
 
 import (

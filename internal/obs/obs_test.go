@@ -234,6 +234,33 @@ func TestEmitterFakeClock(t *testing.T) {
 	}
 }
 
+// TestEmitterRegistersNothing: a line lists what the registry holds and
+// nothing else.  A client's registry (fem2 -connect -metrics) holds
+// client.* counters only, and its lines must not grow a job.done.
+func TestEmitterRegistersNothing(t *testing.T) {
+	r := New()
+	r.Counter(ClientRetries).Inc()
+	var buf bytes.Buffer
+	ticks := make(chan time.Time)
+	e := NewEmitter(r, EmitterOpts{W: &buf, Ticks: ticks})
+	e.Start()
+	ticks <- time.Now()
+	waitLines(t, e, 1)
+	e.Stop()
+	var line struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
+		t.Fatalf("line not valid JSON: %v\n%s", err, buf.String())
+	}
+	if want := map[string]int64{ClientRetries: 1}; !reflect.DeepEqual(line.Counters, want) {
+		t.Errorf("counters = %v, want %v", line.Counters, want)
+	}
+	if snap := r.Snapshot(); len(snap.Counters) != 1 {
+		t.Errorf("the emitter registered counters: %+v", snap.Counters)
+	}
+}
+
 func waitLines(t *testing.T, e *Emitter, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

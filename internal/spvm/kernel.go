@@ -7,7 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -45,9 +45,11 @@ type Kernel struct {
 	// Ready is the cluster's ready queue.
 	Ready *ReadyQueue
 
-	ids     *IDSource
-	Metrics *metrics.Collector
-	Trace   *trace.Trace
+	ids   *IDSource
+	Trace *trace.Trace
+	// The spvm.* counters, resolved by AttachInstrumentation; nil until
+	// then (no-op sinks).
+	ops, tasksInitiated, wordsAlloc, wordsFreed *obs.Counter
 
 	mu       sync.Mutex
 	tasks    map[TaskID]*ActivationRecord
@@ -67,6 +69,14 @@ func NewKernel(clusterID int, heapWords int64, ids *IDSource) *Kernel {
 		tasks:     map[TaskID]*ActivationRecord{},
 		handled:   map[MsgType]int64{},
 	}
+}
+
+// AttachInstrumentation points the kernel's counters at reg and its
+// events at tr; either may be nil.
+func (k *Kernel) AttachInstrumentation(reg *obs.Registry, tr *trace.Trace) {
+	k.ops, k.tasksInitiated = reg.Counter(obs.SPVMOps), reg.Counter(obs.SPVMTasksInitiated)
+	k.wordsAlloc, k.wordsFreed = reg.Counter(obs.SPVMWordsAlloc), reg.Counter(obs.SPVMWordsFreed)
+	k.Trace = tr
 }
 
 // Task returns the activation record for id, or nil.
@@ -138,8 +148,8 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 			k.handled[m.Type]++
 		}
 	}()
-	k.Metrics.Add(metrics.LevelSPVM, metrics.CtrOps, 1)
-	k.Trace.Recordf(metrics.LevelSPVM, "kernel."+m.Type.String(), int(m.Parent), k.ClusterID, int(m.Words()), "%s", m)
+	k.ops.Inc()
+	k.Trace.Recordf(obs.LevelSPVM, "kernel."+m.Type.String(), int(m.Parent), k.ClusterID, int(m.Words()), "%s", m)
 
 	switch m.Type {
 	case MsgInitiate:
@@ -177,8 +187,8 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 			k.tasks[id] = rec
 			k.Ready.Push(id)
 			created = append(created, id)
-			k.Metrics.Add(metrics.LevelSPVM, metrics.CtrTasksInitiated, 1)
-			k.Metrics.Add(metrics.LevelSPVM, metrics.CtrWordsAlloc, words)
+			k.tasksInitiated.Inc()
+			k.wordsAlloc.Add(words)
 		}
 		return created, nil
 
@@ -225,7 +235,7 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 			if err := k.Heap.Free(rec.LocalAddr); err != nil {
 				return nil, err
 			}
-			k.Metrics.Add(metrics.LevelSPVM, metrics.CtrWordsFreed, rec.LocalWords)
+			k.wordsFreed.Add(rec.LocalWords)
 		}
 		rec.State = TaskTerminated
 		delete(k.tasks, m.Task)
@@ -251,7 +261,7 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		}
 		k.tasks[id] = rec
 		k.Ready.Push(id)
-		k.Metrics.Add(metrics.LevelSPVM, metrics.CtrWordsAlloc, words)
+		k.wordsAlloc.Add(words)
 		return []TaskID{id}, nil
 
 	case MsgRemoteReturn:
@@ -271,7 +281,7 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 			return nil, fmt.Errorf("spvm: load-code with negative sizes")
 		}
 		k.Codes.Load(&CodeBlock{Name: m.CodeName, Words: m.CodeWords, LocalWords: m.LocalWords})
-		k.Metrics.Add(metrics.LevelSPVM, metrics.CtrWordsAlloc, m.CodeWords)
+		k.wordsAlloc.Add(m.CodeWords)
 		return nil, nil
 
 	default:

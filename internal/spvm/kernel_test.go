@@ -5,12 +5,12 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 func newTestKernel() *Kernel {
 	k := NewKernel(0, 1<<16, NewIDSource())
-	k.Metrics = metrics.NewCollector()
+	k.AttachInstrumentation(obs.New(), nil)
 	k.Codes.Load(&CodeBlock{Name: "worker", Words: 256, LocalWords: 32})
 	return k
 }
@@ -42,7 +42,7 @@ func TestInitiateCreatesReplications(t *testing.T) {
 			t.Errorf("LocalWords = %d, want 34", rec.LocalWords)
 		}
 	}
-	if got := k.Metrics.Get(metrics.LevelSPVM, metrics.CtrTasksInitiated); got != 4 {
+	if got := k.tasksInitiated.Load(); got != 4 {
 		t.Errorf("tasks_initiated = %d", got)
 	}
 	if got := k.Heap.Allocated(); got != 4*34 {

@@ -15,7 +15,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // Event is one record in a trace.
@@ -26,7 +26,7 @@ type Event struct {
 	// cycles for ARCH events, 0 if the producer has no clock).
 	Clock int64
 	// Level is the virtual machine level that produced the event.
-	Level metrics.Level
+	Level obs.Level
 	// Kind classifies the event, e.g. "send", "initiate", "window.read".
 	Kind string
 	// Src and Dst identify the endpoints of the event where meaningful
@@ -81,7 +81,7 @@ func (t *Trace) Record(e Event) Event {
 }
 
 // Recordf is a convenience wrapper building an Event in place.
-func (t *Trace) Recordf(l metrics.Level, kind string, src, dst, words int, format string, args ...any) {
+func (t *Trace) Recordf(l obs.Level, kind string, src, dst, words int, format string, args ...any) {
 	if t == nil {
 		return
 	}

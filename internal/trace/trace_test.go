@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 func TestRecordAssignsSequence(t *testing.T) {
@@ -23,7 +23,7 @@ func TestRecordAssignsSequence(t *testing.T) {
 func TestNilTraceIsNoop(t *testing.T) {
 	var tr *Trace
 	tr.Record(Event{Kind: "x"})
-	tr.Recordf(metrics.LevelNAVM, "y", 0, 1, 2, "detail %d", 3)
+	tr.Recordf(obs.LevelNAVM, "y", 0, 1, 2, "detail %d", 3)
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Error("nil Trace should be a no-op sink")
 	}
@@ -49,13 +49,13 @@ func TestCapDropsButCounts(t *testing.T) {
 
 func TestRecordfDetail(t *testing.T) {
 	tr := New()
-	tr.Recordf(metrics.LevelSPVM, "send", 1, 2, 8, "msg type %s", "initiate")
+	tr.Recordf(obs.LevelSPVM, "send", 1, 2, 8, "msg type %s", "initiate")
 	evs := tr.Events()
 	if len(evs) != 1 {
 		t.Fatalf("Len = %d, want 1", len(evs))
 	}
 	e := evs[0]
-	if e.Level != metrics.LevelSPVM || e.Kind != "send" || e.Src != 1 || e.Dst != 2 || e.Words != 8 {
+	if e.Level != obs.LevelSPVM || e.Kind != "send" || e.Src != 1 || e.Dst != 2 || e.Words != 8 {
 		t.Errorf("unexpected event %v", e)
 	}
 	if e.Detail != "msg type initiate" {
@@ -151,7 +151,7 @@ func TestSummaryRendersCountsAndDrops(t *testing.T) {
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{Seq: 3, Clock: 10, Level: metrics.LevelARCH, Kind: "send", Src: 1, Dst: 2, Words: 4, Detail: "d"}
+	e := Event{Seq: 3, Clock: 10, Level: obs.LevelARCH, Kind: "send", Src: 1, Dst: 2, Words: 4, Detail: "d"}
 	s := e.String()
 	for _, want := range []string{"#3", "t=10", "ARCH", "send", "1->2", "w=4"} {
 		if !strings.Contains(s, want) {

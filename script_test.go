@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	fem2 "repro"
-	"repro/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/demo.golden")
@@ -53,10 +52,11 @@ func TestScriptedWorkstation(t *testing.T) {
 		t.Errorf("database = %v", got)
 	}
 	// Every level saw activity.
+	snap := sys.StatsSnapshot()
 	for _, l := range []fem2.Level{fem2.LevelAUVM, fem2.LevelNAVM, fem2.LevelSPVM, fem2.LevelARCH} {
 		active := false
-		for _, ctr := range []string{metrics.CtrOps, metrics.CtrFlops, metrics.CtrCycles, metrics.CtrMsgs} {
-			if sys.Metrics.Get(l, ctr) > 0 {
+		for _, ctr := range []string{"ops", "flops", "cycles", "msgs"} {
+			if snap.Counter(strings.ToLower(l.String())+"."+ctr) > 0 {
 				active = true
 			}
 		}
@@ -64,7 +64,7 @@ func TestScriptedWorkstation(t *testing.T) {
 			t.Errorf("level %v recorded no activity", l)
 		}
 	}
-	got := text + sys.Machine.Report() + sys.Metrics.Report()
+	got := text + sys.Machine.Report() + fem2.LevelReport(snap)
 	if *update {
 		if err := os.WriteFile(demoGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
