@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -87,5 +88,64 @@ func TestLevelReportReadsOnlyLevelPrefixes(t *testing.T) {
 	empty := "level \nAUVM  \nNAVM  \nSPVM  \nARCH  \n"
 	if got := LevelReport(Snapshot{}); got != empty {
 		t.Errorf("LevelReport of an empty snapshot = %q, want %q", got, empty)
+	}
+}
+
+// TestLevelCountersConcurrentAdd: many goroutines counting into one
+// level counter, as the simulated PEs do, lose no update.
+func TestLevelCountersConcurrentAdd(t *testing.T) {
+	r := New()
+	const goroutines, perG = 16, 1000
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				r.Counter(SPVMWordsAlloc).Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Snapshot().Counter(SPVMWordsAlloc); got != goroutines*perG {
+		t.Errorf("concurrent adds lost updates: got %d, want %d", got, goroutines*perG)
+	}
+}
+
+// TestLevelCountersNilRegistryIsNoop: a simulation run without a
+// registry counts into nil sinks, and its report is the empty table.
+func TestLevelCountersNilRegistryIsNoop(t *testing.T) {
+	var r *Registry
+	r.Counter(NAVMFlops).Add(10) // must not panic
+	r.Counter(ARCHCycles).Inc()
+	if got := r.Counter(NAVMFlops).Load(); got != 0 {
+		t.Errorf("nil registry counter = %d, want 0", got)
+	}
+	s := r.Snapshot()
+	if got := s.Counter(NAVMFlops); got != 0 {
+		t.Errorf("nil registry snapshot counter = %d, want 0", got)
+	}
+	empty := "level \nAUVM  \nNAVM  \nSPVM  \nARCH  \n"
+	if got := LevelReport(s); got != empty {
+		t.Errorf("LevelReport of a nil registry = %q, want %q", got, empty)
+	}
+}
+
+// TestLevelSnapshotIsCopy: a snapshot taken before a phase is not moved
+// by later counts, and editing it does not move the registry — the
+// experiments subtract two snapshots to get one phase's counts.
+func TestLevelSnapshotIsCopy(t *testing.T) {
+	r := New()
+	r.Counter(AUVMOps).Add(2)
+	snap := r.Snapshot()
+	r.Counter(AUVMOps).Add(5)
+	if got := snap.Counter(AUVMOps); got != 2 {
+		t.Errorf("later adds changed the snapshot: got %d, want 2", got)
+	}
+	for i := range snap.Counters {
+		snap.Counters[i].Value = 999
+	}
+	if got := r.Counter(AUVMOps).Load(); got != 7 {
+		t.Errorf("mutating the snapshot changed the registry: got %d, want 7", got)
 	}
 }
