@@ -177,6 +177,43 @@ func TestWarmResolveAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestParallelSolveBytesCeiling bounds what one parallel solve on the
+// simulated machine allocates: a 16×16 plate solved on 4 workers, after a
+// warm-up solve, stays under 200 KB per solve.  The machine's activity is
+// counted, not logged: a record per event would take several times this.
+func TestParallelSolveBytesCeiling(t *testing.T) {
+	const ceiling, runs = 200 << 10, 10
+	sys, err := fem2.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	s := sys.Session("eng")
+	for _, line := range []string{
+		"generate grid g 16 16 16 16 clamp-left",
+		"load g l endload 0 -1000",
+	} {
+		if _, err := s.Execute(line); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	}
+	solve := func() {
+		if _, err := s.Execute("solve g l parallel 4"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > ceiling {
+		t.Errorf("a parallel solve allocates %d B, ceiling %d B", per, ceiling)
+	}
+}
+
 // BenchmarkRegenerateSolve is kept as the in-process twin of the
 // benchmark's refactor_large workload.  It measures the design iteration:
 // a new modulus, the same 40×24 plate regenerated under the same name,

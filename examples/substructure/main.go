@@ -16,7 +16,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/navm"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -48,7 +47,7 @@ func main() {
 		cfg.Clusters = 4
 		cfg.PEsPerCluster = 4
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), trace.NewCapped(4096))
+		rt.AttachInstrumentation(obs.New())
 		sol, err := fem.SolveSubstructured(context.Background(), model, sub, load, rt)
 		if err != nil {
 			log.Fatal(err)

@@ -719,7 +719,7 @@ type Grammar = hgraph.Grammar
 // level.
 func AllLevelGrammars() map[string]*Grammar { return hgraph.AllLevelGrammars() }
 
-// Level identifies a virtual machine layer in metrics and traces.
+// Level identifies a virtual machine layer in the per-level counters.
 type Level = obs.Level
 
 // The four layers, top-down.

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func smallConfig() Config {
@@ -297,7 +296,7 @@ func TestMachineSendCrossCluster(t *testing.T) {
 	cfg := smallConfig()
 	m := MustNew(cfg)
 	reg := obs.New()
-	m.AttachInstrumentation(reg, trace.New())
+	m.AttachInstrumentation(reg)
 	done, w, err := m.Send(1 /* PE in cluster 0 */, 1, 10, 0, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -312,8 +311,8 @@ func TestMachineSendCrossCluster(t *testing.T) {
 	if got := reg.Counter(obs.ARCHMsgs).Load(); got != 1 {
 		t.Errorf("ARCH msgs = %d", got)
 	}
-	if m.Trace.Len() != 1 {
-		t.Errorf("trace events = %d", m.Trace.Len())
+	if got := m.Network().Messages(0, 1); got != 1 {
+		t.Errorf("network messages 0->1 = %d", got)
 	}
 }
 
@@ -368,7 +367,7 @@ func TestMachineSendBadArgs(t *testing.T) {
 func TestComputeAndMemoryTouch(t *testing.T) {
 	m := MustNew(smallConfig())
 	reg := obs.New()
-	m.AttachInstrumentation(reg, nil)
+	m.AttachInstrumentation(reg)
 	if done := m.Compute(1, 100); done != 100 {
 		t.Errorf("Compute = %d", done)
 	}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // Machine is a configured FEM-2 hardware instance: clusters joined by the
@@ -18,8 +17,6 @@ type Machine struct {
 	pes      []*PE // flat index: cluster*PEsPerCluster + local
 	network  *Network
 
-	// Trace receives ARCH-level events when non-nil.
-	Trace *trace.Trace
 	// msgs, msgWords and cycles are the arch.* counters, resolved by
 	// AttachInstrumentation; nil until then (no-op sinks).
 	msgs, msgWords, cycles *obs.Counter
@@ -50,11 +47,10 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// AttachInstrumentation points the machine's counters at reg and its
-// events at tr; either may be nil.
-func (m *Machine) AttachInstrumentation(reg *obs.Registry, tr *trace.Trace) {
+// AttachInstrumentation points the machine's counters at reg, which may
+// be nil.
+func (m *Machine) AttachInstrumentation(reg *obs.Registry) {
 	m.msgs, m.msgWords, m.cycles = reg.Counter(obs.ARCHMsgs), reg.Counter(obs.ARCHMsgWords), reg.Counter(obs.ARCHCycles)
-	m.Trace = tr
 }
 
 // MustNew builds a machine and panics on configuration errors (test and
@@ -116,10 +112,6 @@ func (m *Machine) Send(srcPE int, dst int, words, depart, workCycles int64) (int
 		m.msgs.Inc()
 		m.msgWords.Add(words)
 		m.cycles.Add(workCycles)
-		m.Trace.Record(trace.Event{
-			Clock: done, Level: obs.LevelARCH, Kind: "msg",
-			Src: src, Dst: target, Words: int(words),
-		})
 		return done, w, nil
 	}
 	return 0, nil, fmt.Errorf("%w anywhere in the machine", ErrNoWorkers)
@@ -153,10 +145,6 @@ func (m *Machine) RemoteFetch(peID int, srcCluster int, words int64) int64 {
 	pe.Sync(arrival)
 	m.msgs.Inc()
 	m.msgWords.Add(words)
-	m.Trace.Record(trace.Event{
-		Clock: arrival, Level: obs.LevelARCH, Kind: "fetch",
-		Src: srcCluster, Dst: pe.Cluster, Words: int(words),
-	})
 	return arrival
 }
 
@@ -174,10 +162,6 @@ func (m *Machine) Barrier(peIDs []int) int64 {
 	for _, id := range peIDs {
 		m.pes[id].Sync(done)
 	}
-	m.Trace.Record(trace.Event{
-		Clock: done, Level: obs.LevelARCH, Kind: "barrier",
-		Src: -1, Dst: -1, Words: 0, Detail: fmt.Sprintf("%d PEs", len(peIDs)),
-	})
 	return done
 }
 
@@ -228,7 +212,6 @@ func (m *Machine) FailPE(id int) error {
 		return fmt.Errorf("arch: FailPE: no PE %d", id)
 	}
 	m.pes[id].fail()
-	m.Trace.Recordf(obs.LevelARCH, "fault", id, -1, 0, "PE %d isolated", id)
 	return nil
 }
 

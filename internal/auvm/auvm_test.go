@@ -14,7 +14,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/navm"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func newSession(t *testing.T) *Session {
@@ -158,7 +157,7 @@ func TestSolveParallelThroughSession(t *testing.T) {
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 4
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New(), trace.NewCapped(1000))
+	rt.AttachInstrumentation(obs.New())
 	s.RT = rt
 	mustExec(t, s, "generate grid plate 6 4 6 4 clamp-left")
 	mustExec(t, s, "load plate tip endload 0 -100")
@@ -182,7 +181,7 @@ func TestSolveParallelThroughSession(t *testing.T) {
 func TestSolveParallelReportsWorkersUsed(t *testing.T) {
 	s := newSession(t)
 	rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
-	rt.AttachInstrumentation(obs.New(), trace.NewCapped(1000))
+	rt.AttachInstrumentation(obs.New())
 	s.RT = rt
 	mustExec(t, s, "generate grid plate 3 3 3 3 clamp-left")
 	mustExec(t, s, "load plate tip endload 0 -100")

@@ -36,7 +36,6 @@ import (
 	"repro/internal/navm"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/trace"
 )
 
 // LayerSpec is the design-time description of one virtual machine layer,
@@ -205,8 +204,8 @@ func FEM2Layers() []*LayerSpec {
 
 // System is a complete FEM-2 instance: the simulated hardware, the
 // per-cluster SPVM kernels, the NAVM runtime, the shared AUVM database,
-// the job scheduler, and any number of user sessions — all sharing one
-// registry and trace so experiments see every level at once.
+// the job scheduler, and any number of user sessions — all counting into
+// one registry so experiments see every level at once.
 //
 // System is a concurrent multi-tenant front end: the session registry is
 // mutex-guarded, every session is wired to the shared job scheduler, and
@@ -215,7 +214,6 @@ type System struct {
 	Machine  *arch.Machine
 	Runtime  *navm.Runtime
 	Database *auvm.Database
-	Trace    *trace.Trace
 	// Jobs is the system's asynchronous job service: a bounded worker
 	// pool with per-model serialization, shared by every session.
 	Jobs *job.Scheduler
@@ -333,7 +331,6 @@ func Open(o Options) (*System, error) {
 	s := &System{
 		Machine:  m,
 		Runtime:  navm.NewRuntime(m),
-		Trace:    trace.NewCapped(1 << 16),
 		Health:   guard,
 		Obs:      obs.New(),
 		storeCfg: o.Store,
@@ -383,7 +380,7 @@ func Open(o Options) (*System, error) {
 		s.Store.Close()
 		return nil, err
 	}
-	s.Runtime.AttachInstrumentation(s.Obs, s.Trace)
+	s.Runtime.AttachInstrumentation(s.Obs)
 	// Sessions resolve auvm.ops on their first command; registering it
 	// here lists it beside the machine's counters from the start.
 	s.Obs.Counter(obs.AUVMOps)

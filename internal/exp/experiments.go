@@ -105,7 +105,7 @@ func E1Requirements(sizes []int, workers int) (*Table, error) {
 		cfg := defaultConfig(4, 1+workers/4+1)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
 		reg := obs.New()
-		rt.AttachInstrumentation(reg, nil)
+		rt.AttachInstrumentation(reg)
 		d, err := navm.Partition(k, b, workers)
 		if err != nil {
 			return nil, err
@@ -163,7 +163,7 @@ func E2SolverSpeedup(n int, workerCounts []int) (*Table, error) {
 		}
 		cfg := defaultConfig(clusters, 1+(p+clusters-1)/clusters)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), nil)
+		rt.AttachInstrumentation(obs.New())
 		d, err := navm.Partition(k, b, p)
 		if err != nil {
 			return nil, err
@@ -223,7 +223,7 @@ func E3Substructure(workerCounts []int) (*Table, error) {
 		}
 		cfg := defaultConfig(clusters, pes)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), nil)
+		rt.AttachInstrumentation(obs.New())
 		sol, err := fem.SolveSubstructured(context.Background(), m, s, ls, rt)
 		if err != nil {
 			return nil, err
@@ -290,7 +290,7 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 		cfg := defaultConfig(4, 5)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
 		reg := obs.New()
-		rt.AttachInstrumentation(reg, nil)
+		rt.AttachInstrumentation(reg)
 		root, err := rt.NewRootTask()
 		if err != nil {
 			return nil, err
@@ -343,7 +343,7 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 func E6WindowAccess() (*Table, error) {
 	cfg := defaultConfig(2, 4)
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New(), nil)
+	rt.AttachInstrumentation(obs.New())
 	root, err := rt.NewRootTask()
 	if err != nil {
 		return nil, err
@@ -439,7 +439,7 @@ func E7FaultIsolation(failCounts []int) (*Table, error) {
 	for _, f := range failCounts {
 		cfg := defaultConfig(4, 5)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), nil)
+		rt.AttachInstrumentation(obs.New())
 		m := rt.Machine()
 		// Fail f workers spread over clusters (never the kernels).
 		failed := 0
@@ -513,7 +513,7 @@ func E8Programmability() (*Table, error) {
 	const p = 4
 	rt := navm.NewRuntime(arch.MustNew(defaultConfig(2, 4)))
 	reg := obs.New()
-	rt.AttachInstrumentation(reg, nil)
+	rt.AttachInstrumentation(reg)
 	d, err := navm.Partition(k, b, p)
 	if err != nil {
 		return nil, err
@@ -598,7 +598,7 @@ func E10LinalgKernels(workerCounts []int) (*Table, error) {
 	for _, p := range workerCounts {
 		cfg := defaultConfig(maxInt(1, p/4), 6)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), nil)
+		rt.AttachInstrumentation(obs.New())
 		d, err := navm.Partition(k, b, p)
 		if err != nil {
 			return nil, err
@@ -703,7 +703,7 @@ func E12SolverComparison(n, workers int) (*Table, error) {
 	}
 	for _, r := range runs {
 		rt := navm.NewRuntime(arch.MustNew(defaultConfig(4, 1+workers/4+1)))
-		rt.AttachInstrumentation(obs.New(), nil)
+		rt.AttachInstrumentation(obs.New())
 		d, err := navm.Partition(k, b, workers)
 		if err != nil {
 			return nil, err
@@ -741,7 +741,7 @@ func E13LatencyAblation(latencies []int64) (*Table, error) {
 		cfg := defaultConfig(4, 6)
 		cfg.NetLatency = lat
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), nil)
+		rt.AttachInstrumentation(obs.New())
 		d, err := navm.Partition(k, b, 16)
 		if err != nil {
 			return nil, err
@@ -877,7 +877,7 @@ func E14CommunicationPattern() (*Table, error) {
 		return nil, err
 	}
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New(), nil)
+	rt.AttachInstrumentation(obs.New())
 	d, err := navm.Partition(k, b, 4)
 	if err != nil {
 		return nil, err
@@ -900,7 +900,7 @@ func E14CommunicationPattern() (*Table, error) {
 		return nil, err
 	}
 	rt2 := navm.NewRuntime(arch.MustNew(cfg))
-	rt2.AttachInstrumentation(obs.New(), nil)
+	rt2.AttachInstrumentation(obs.New())
 	if _, err := fem.SolveSubstructured(context.Background(), m2, s, ls, rt2); err != nil {
 		return nil, err
 	}

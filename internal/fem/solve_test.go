@@ -22,7 +22,7 @@ func solveRuntime(t *testing.T) *navm.Runtime {
 	cfg.Clusters = 2
 	cfg.PEsPerCluster = 4
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New(), nil)
+	rt.AttachInstrumentation(obs.New())
 	return rt
 }
 

@@ -13,7 +13,6 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/navm"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 func plateAndLoad(t *testing.T, nx, ny int) (*Model, RectGridOpts, *LoadSet) {
@@ -157,7 +156,7 @@ func TestSubstructuredParallelCostAccounting(t *testing.T) {
 	cfg.Clusters = 4
 	cfg.PEsPerCluster = 3
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New(), trace.New())
+	rt.AttachInstrumentation(obs.New())
 	s, err := PartitionByX(m, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestSubstructureParallelSpeedupShape(t *testing.T) {
 		cfg.Clusters = clusters
 		cfg.PEsPerCluster = 3
 		rt := navm.NewRuntime(arch.MustNew(cfg))
-		rt.AttachInstrumentation(obs.New(), trace.New())
+		rt.AttachInstrumentation(obs.New())
 		s, err := PartitionByX(m, 4)
 		if err != nil {
 			t.Fatal(err)

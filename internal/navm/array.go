@@ -3,7 +3,6 @@ package navm
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -54,7 +53,6 @@ func (tc *TaskCtx) NewArray(name string, rows, cols int) (*Array, error) {
 	rt.arrays[name] = a
 	rt.mu.Unlock()
 	rt.ctr.wordsAlloc.Add(words)
-	rt.Trace.Recordf(obs.LevelNAVM, "array.new", int(tc.ID), a.homeCluster, int(words), "%s %dx%d", name, rows, cols)
 	return a, nil
 }
 

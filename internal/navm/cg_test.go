@@ -9,7 +9,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/linalg"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // poisson2D builds the 5-point Laplacian on an n×n interior grid.
@@ -46,7 +45,7 @@ func newSolveRuntime(t *testing.T, clusters, pesPer int) *Runtime {
 	cfg.Clusters = clusters
 	cfg.PEsPerCluster = pesPer
 	rt := NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New(), trace.NewCapped(10000))
+	rt.AttachInstrumentation(obs.New())
 	return rt
 }
 

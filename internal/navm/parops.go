@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -85,10 +84,9 @@ func (tc *TaskCtx) Broadcast(data []float64, targets []*TaskCtx) error {
 	sent := map[int]bool{}
 	for _, dst := range targets {
 		if dst.pe.Cluster != tc.pe.Cluster && !sent[dst.pe.Cluster] {
-			arrival := rt.machine.Network().Transfer(tc.pe.Cluster, dst.pe.Cluster, words, tc.pe.Clock())
+			rt.machine.Network().Transfer(tc.pe.Cluster, dst.pe.Cluster, words, tc.pe.Clock())
 			sent[dst.pe.Cluster] = true
 			rt.ctr.message(words)
-			_ = arrival
 		}
 	}
 	for _, dst := range targets {
@@ -98,7 +96,6 @@ func (tc *TaskCtx) Broadcast(data []float64, targets []*TaskCtx) error {
 		// arrives.
 		dst.pe.Sync(tc.pe.Clock())
 	}
-	rt.Trace.Recordf(obs.LevelNAVM, "broadcast", int(tc.ID), len(targets), int(words), "%d clusters", len(sent))
 	return nil
 }
 
@@ -204,7 +201,6 @@ func (tc *TaskCtx) RemoteCall(proc string, w *Window, args []float64) ([]float64
 	}
 	rt.ctr.message(ret.Words())
 	kern.Handle(&spvm.Message{Type: spvm.MsgTerminate, Task: callee.ID, Parent: tc.ID})
-	rt.Trace.Recordf(obs.LevelNAVM, "rpc", tc.pe.Cluster, dest, int(msg.Words()+ret.Words()), "%s", proc)
 	return results, nil
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/obs"
 	"repro/internal/spvm"
-	"repro/internal/trace"
 )
 
 // CyclesPerFlop converts floating point work into simulated PE cycles
@@ -51,9 +50,7 @@ type Runtime struct {
 	kernels []*spvm.Kernel
 	ids     *spvm.IDSource
 
-	// Trace receives NAVM-level events when non-nil.
-	Trace *trace.Trace
-	ctr   counters
+	ctr counters
 
 	mu           sync.Mutex
 	types        map[string]TaskFunc
@@ -95,18 +92,17 @@ func (c *counters) message(words int64) {
 }
 
 // AttachInstrumentation points the counters of the runtime, its kernels
-// and the machine at reg, and their events at tr; either may be nil.
-func (rt *Runtime) AttachInstrumentation(reg *obs.Registry, tr *trace.Trace) {
+// and the machine at reg, which may be nil.
+func (rt *Runtime) AttachInstrumentation(reg *obs.Registry) {
 	rt.ctr = counters{
 		ops: reg.Counter(obs.NAVMOps), flops: reg.Counter(obs.NAVMFlops),
 		msgs: reg.Counter(obs.NAVMMsgs), msgWords: reg.Counter(obs.NAVMMsgWords),
 		local: reg.Counter(obs.NAVMLocalAccesses), remote: reg.Counter(obs.NAVMRemoteAccesses),
 		wordsAlloc: reg.Counter(obs.NAVMWordsAlloc), wordsFreed: reg.Counter(obs.NAVMWordsFreed),
 	}
-	rt.Trace = tr
-	rt.machine.AttachInstrumentation(reg, tr)
+	rt.machine.AttachInstrumentation(reg)
 	for _, k := range rt.kernels {
-		k.AttachInstrumentation(reg, tr)
+		k.AttachInstrumentation(reg)
 	}
 }
 
@@ -272,7 +268,6 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 		rt.mu.Unlock()
 		g.ctxs = append(g.ctxs, child)
 		g.group.Add(1)
-		rt.Trace.Recordf(obs.LevelNAVM, "task.start", int(tc.ID), int(id), 0, "%s[%d] on PE %d", taskType, i, pe.ID)
 		go func(child *TaskCtx, i int) {
 			defer g.group.Done()
 			defer close(child.done)
@@ -297,7 +292,6 @@ func (tc *TaskCtx) terminate() {
 	tc.rt.mu.Lock()
 	delete(tc.rt.tasks, tc.ID)
 	tc.rt.mu.Unlock()
-	tc.rt.Trace.Recordf(obs.LevelNAVM, "task.end", int(tc.ID), int(tc.Parent), 0, "%s", tc.Type)
 }
 
 // Wait blocks until every task in the group has terminated and returns

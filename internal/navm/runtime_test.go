@@ -10,7 +10,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/obs"
 	"repro/internal/spvm"
-	"repro/internal/trace"
 )
 
 func newTestRuntime(t *testing.T) (*Runtime, *TaskCtx) {
@@ -27,7 +26,7 @@ func newCountedRuntime(t *testing.T) (*Runtime, *TaskCtx, *obs.Registry) {
 	cfg.PEsPerCluster = 4
 	rt := NewRuntime(arch.MustNew(cfg))
 	reg := obs.New()
-	rt.AttachInstrumentation(reg, trace.New())
+	rt.AttachInstrumentation(reg)
 	root, err := rt.NewRootTask()
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/linalg"
-	"repro/internal/obs"
 	"repro/internal/spvm"
 )
 
@@ -111,8 +110,6 @@ func (w *Window) chargeAccess(tc *TaskCtx) {
 		rt.ctr.remote.Inc()
 		rt.ctr.message(words)
 	}
-	rt.Trace.Recordf(obs.LevelNAVM, "window.access", tc.pe.Cluster, w.Arr.homeCluster, int(words),
-		"%s[%d:%d,%d:%d]", w.Arr.Name, w.Row0, w.Row0+w.Rows, w.Col0, w.Col0+w.Cols)
 }
 
 // Read copies the data visible in the window into a row-major vector

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // ErrNoSuchTask is returned for control messages naming unknown tasks.
@@ -45,8 +44,7 @@ type Kernel struct {
 	// Ready is the cluster's ready queue.
 	Ready *ReadyQueue
 
-	ids   *IDSource
-	Trace *trace.Trace
+	ids *IDSource
 	// The spvm.* counters, resolved by AttachInstrumentation; nil until
 	// then (no-op sinks).
 	ops, tasksInitiated, wordsAlloc, wordsFreed *obs.Counter
@@ -71,12 +69,11 @@ func NewKernel(clusterID int, heapWords int64, ids *IDSource) *Kernel {
 	}
 }
 
-// AttachInstrumentation points the kernel's counters at reg and its
-// events at tr; either may be nil.
-func (k *Kernel) AttachInstrumentation(reg *obs.Registry, tr *trace.Trace) {
+// AttachInstrumentation points the kernel's counters at reg, which may be
+// nil.
+func (k *Kernel) AttachInstrumentation(reg *obs.Registry) {
 	k.ops, k.tasksInitiated = reg.Counter(obs.SPVMOps), reg.Counter(obs.SPVMTasksInitiated)
 	k.wordsAlloc, k.wordsFreed = reg.Counter(obs.SPVMWordsAlloc), reg.Counter(obs.SPVMWordsFreed)
-	k.Trace = tr
 }
 
 // Task returns the activation record for id, or nil.
@@ -149,7 +146,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		}
 	}()
 	k.ops.Inc()
-	k.Trace.Recordf(obs.LevelSPVM, "kernel."+m.Type.String(), int(m.Parent), k.ClusterID, int(m.Words()), "%s", m)
 
 	switch m.Type {
 	case MsgInitiate:

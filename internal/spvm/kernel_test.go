@@ -10,7 +10,7 @@ import (
 
 func newTestKernel() *Kernel {
 	k := NewKernel(0, 1<<16, NewIDSource())
-	k.AttachInstrumentation(obs.New(), nil)
+	k.AttachInstrumentation(obs.New())
 	k.Codes.Load(&CodeBlock{Name: "worker", Words: 256, LocalWords: 32})
 	return k
 }

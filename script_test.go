@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	fem2 "repro"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/demo.golden")
@@ -79,43 +80,50 @@ func TestScriptedWorkstation(t *testing.T) {
 	}
 }
 
-// TestTraceCommunicationPattern checks that the event trace of a real
-// parallel solve reconstructs the neighbour-banded cluster communication
-// pattern — the trace-level view of E14.
-func TestTraceCommunicationPattern(t *testing.T) {
+// TestParallelSolveCommunicationPattern checks that the network of a
+// real parallel solve records the neighbour-banded cluster communication
+// pattern E14 tabulates: traffic between distinct clusters, and exactly
+// the reply's halo words on the wire, agreeing with arch.msg_words.
+func TestParallelSolveCommunicationPattern(t *testing.T) {
 	sys, err := fem2.New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sys.Close()
 	s := sys.Session("eng")
 	for _, c := range []string{
 		"generate grid g 12 8 12 8 clamp-left",
 		"load g l endload 0 -100",
-		"solve g l parallel 4",
 	} {
 		if _, err := s.Execute(c); err != nil {
 			t.Fatalf("%q: %v", c, err)
 		}
 	}
-	ids, m := sys.Trace.CommunicationMatrix("fetch")
-	if len(ids) < 2 {
-		t.Fatalf("trace saw fetch traffic between %d clusters", len(ids))
+	res, err := s.Do(context.Background(), fem2.SolveCommand{Model: "g", Set: "l", Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var total, offDiag int
-	for i := range m {
-		for j := range m[i] {
-			total += m[i][j]
-			if i != j {
-				offDiag += m[i][j]
+	sr := res.(*fem2.SolveResult)
+	nw := sys.Machine.Network()
+	active := map[int]bool{}
+	var offDiag int64
+	for i, row := range nw.TrafficMatrix() {
+		for j, n := range row {
+			if n > 0 {
+				active[i], active[j] = true, true
+				if i != j {
+					offDiag += n
+				}
 			}
 		}
 	}
-	if total == 0 || offDiag == 0 {
-		t.Errorf("communication matrix empty: total=%d offdiag=%d", total, offDiag)
+	if len(active) < 2 || offDiag == 0 {
+		t.Errorf("network saw traffic between %d clusters, %d off-diagonal messages", len(active), offDiag)
 	}
-	// The trace summary mentions the fetch events.
-	if sum := sys.Trace.Summary(); !strings.Contains(sum, "fetch") {
-		t.Errorf("trace summary missing fetch kind:\n%s", sum)
+	words, counted := nw.TotalWords(), sys.Obs.Counter(obs.ARCHMsgWords).Load()
+	if words != counted || words != sr.HaloWords || words == 0 {
+		t.Errorf("network words %d, arch.msg_words %d, reply halo words %d: want all equal and non-zero",
+			words, counted, sr.HaloWords)
 	}
 }
 
