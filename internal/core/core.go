@@ -299,7 +299,8 @@ type ClusterOpts struct {
 // pread.  On the memory backend, which dies with the process, the job
 // journal keeps only the retention window (job.Scheduler.ForgetEvicted):
 // an evicted id is not found, where the file backend answers it from
-// the journal.
+// the journal, and a job's one write is its terminal record, where the
+// file backend also writes the queued record a restart would find.
 //
 // A clustered system is the same stack with two differences.  The
 // fence goes on the guard, and the coordinator's own lease traffic goes

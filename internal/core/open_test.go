@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/auvm"
+	"repro/internal/command"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -235,35 +237,72 @@ func TestOpen(t *testing.T) {
 }
 
 // TestSolveStoreBatches counts what a solve writes: a synchronous solve
-// nothing, a submitted one its journal record twice (queued, terminal) —
-// past the retention window too, where the delete of the evicted job's
-// record rides in the queued write.
+// nothing; a submitted one its journal record twice on a file store
+// (queued, terminal) and once on mem, which no restart reads, so only
+// the terminal record is written — past the retention window too, where
+// the delete of the evicted job's record rides in the next write.  A job
+// waiting for its model has its queued record on file and none on mem;
+// after wait both hold the terminal record (benchmark/probe.go reads it).
 func TestSolveStoreBatches(t *testing.T) {
-	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	s := sys.Session("eng")
-	run(t, s, "generate grid plate 4 2 4 2 clamp-left", "load plate tip endload 0 -100")
-	batches := sys.Obs.Histogram(obs.StoreBatchLatency)
-	before := batches.Count()
-	run(t, s, "solve plate tip")
-	if got := batches.Count() - before; got != 0 {
-		t.Errorf("a synchronous solve made %d store batches, want 0", got)
-	}
-	before = batches.Count()
-	run(t, s, "submit solve plate tip", "wait job-1")
-	if got := batches.Count() - before; got != 2 {
-		t.Errorf("a submitted solve made %d store batches, want 2", got)
-	}
-	sys.Jobs.SetRetention(1)
-	before = batches.Count()
-	run(t, s, "submit solve plate tip", "wait job-2", "submit solve plate tip", "wait job-3")
-	if got := batches.Count() - before; got != 4 {
-		t.Errorf("two submitted solves past retention made %d store batches, want 4", got)
-	}
-	if _, err := sys.Store.Get(store.JobKey(2)); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("job-2's record after job-3 evicted it: %v, want not found", err)
+	for _, c := range []struct {
+		name  string
+		store func(t *testing.T) store.Config
+		// queued says whether a submit writes the queued record.
+		queued bool
+	}{
+		{"mem", func(*testing.T) store.Config { return store.Config{} }, false},
+		{"file", func(t *testing.T) store.Config {
+			return store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			perJob := int64(1)
+			if c.queued {
+				perJob = 2
+			}
+			sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1, Store: c.store(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			s := sys.Session("eng")
+			run(t, s, "generate grid plate 4 2 4 2 clamp-left", "load plate tip endload 0 -100")
+			batches := sys.Obs.Histogram(obs.StoreBatchLatency)
+			before := batches.Count()
+			run(t, s, "solve plate tip")
+			if got := batches.Count() - before; got != 0 {
+				t.Errorf("a synchronous solve made %d store batches, want 0", got)
+			}
+			before = batches.Count()
+			run(t, s, "submit solve plate tip", "wait job-1")
+			if got := batches.Count() - before; got != perJob {
+				t.Errorf("a submitted solve made %d store batches, want %d", got, perJob)
+			}
+			sys.Jobs.SetRetention(1)
+			before = batches.Count()
+			run(t, s, "submit solve plate tip", "wait job-2", "submit solve plate tip", "wait job-3")
+			if got := batches.Count() - before; got != 2*perJob {
+				t.Errorf("two submitted solves past retention made %d store batches, want %d", got, 2*perJob)
+			}
+			_, err = sys.Store.Get(store.JobKey(2))
+			if forgotten := !c.queued; forgotten != errors.Is(err, store.ErrNotFound) {
+				t.Errorf("job-2's record after job-3 evicted it: %v, want not found: %v", err, forgotten)
+			}
+
+			if err := sys.Jobs.Hold(context.Background(), "eng", "plate", command.Solve{Model: "plate", Set: "tip"}); err != nil {
+				t.Fatal(err)
+			}
+			run(t, s, "submit solve plate tip")
+			v, err := sys.Store.Get(store.JobKey(4))
+			if c.queued && !strings.Contains(string(v), `"state":"queued"`) ||
+				!c.queued && !errors.Is(err, store.ErrNotFound) {
+				t.Errorf("record of a job waiting for its model: %q, %v, want queued: %v", v, err, c.queued)
+			}
+			sys.Jobs.Release("eng", "plate")
+			run(t, s, "wait job-4")
+			if v, err := sys.Store.Get(store.JobKey(4)); err != nil || !strings.Contains(string(v), `"state":"done"`) {
+				t.Errorf("record after wait: %q, %v, want the terminal record", v, err)
+			}
+		})
 	}
 }

@@ -160,14 +160,12 @@ func TestReleaseLeavesAnIdlePoolAsleep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond) // the workers look, find "a" held, sleep again
+	settledPool(t, s, 2) // a worker looked, found "a" held, parked again
 	if snap, _ := s.Status(id); snap.State != Queued {
 		t.Fatalf("job beside a synchronous hold is %v, want queued", snap.State)
 	}
 	s.Release("eng", "a")
-	if _, err := s.Wait(ctx, id); err != nil {
-		t.Fatal(err)
-	}
+	waitState(t, s, id, Done)
 	if got := wakes() - before; got != 1 {
 		t.Errorf("the release a job waited for woke the pool %d times, want 1", got)
 	}

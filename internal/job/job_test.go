@@ -41,6 +41,51 @@ func waitState(t *testing.T, s *Scheduler, id JobID, want State) {
 	t.Fatalf("job %s never reached %v (stuck at %v)", id, want, snap.State)
 }
 
+// settledPool waits until n workers are parked and the pool has been
+// still for 20ms — time enough for a worker woken for nothing to look
+// through the queue and park again — and returns the wake-ups so far
+// that found nothing to run.
+func settledPool(t *testing.T, s *Scheduler, n int) int64 {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	var since time.Time
+	last := struct {
+		parked int
+		idle   int64
+	}{-1, -1}
+	for time.Now().Before(deadline) {
+		s.mu.Lock()
+		parked, idle := s.parked, s.idleWakes
+		s.mu.Unlock()
+		switch {
+		case parked != last.parked || idle != last.idle:
+			last.parked, last.idle, since = parked, idle, time.Now()
+		case parked == n && time.Since(since) >= 20*time.Millisecond:
+			return idle
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("pool never settled with %d workers parked (%d parked)", n, last.parked)
+	return 0
+}
+
+// parkedPool returns a scheduler of n workers whose pool has started,
+// run one job and parked.
+func parkedPool(t *testing.T, n int) *Scheduler {
+	t.Helper()
+	s := NewScheduler(n)
+	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		return &command.SolveResult{}, nil
+	})
+	id, err := s.Submit(context.Background(), "eng", ex, solveOn("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, Done)
+	settledPool(t, s, n)
+	return s
+}
+
 func TestSubmitWaitDone(t *testing.T) {
 	s := NewScheduler(2)
 	defer s.Close()
@@ -68,6 +113,45 @@ func TestSubmitWaitDone(t *testing.T) {
 	}
 	if snap.State != Done || snap.Owner != "eng" || snap.Model != "a" {
 		t.Errorf("snapshot = %+v", snap)
+	}
+	// The first job found the pool starting; the next finds it parked,
+	// and its submit must wake a worker.
+	settledPool(t, s, 2)
+	id, err = s.Submit(context.Background(), "eng", ex, solveOn("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, Done)
+}
+
+// TestIdleWorkersSleepThroughOneJob: with the pool parked, a submitted
+// job wakes the one worker that runs it, and its finish wakes none.
+func TestIdleWorkersSleepThroughOneJob(t *testing.T) {
+	s := parkedPool(t, 4)
+	defer s.Close()
+	ctx := context.Background()
+	before := settledPool(t, s, 4)
+
+	gate, started := make(chan struct{}), make(chan struct{})
+	blocking := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		close(started)
+		<-gate
+		return &command.SolveResult{}, nil
+	})
+	id, err := s.Submit(ctx, "eng", blocking, solveOn("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if got := settledPool(t, s, 3) - before; got != 0 {
+		t.Errorf("one job submitted to a parked pool of 4 woke %d workers with nothing to run, want 0", got)
+	}
+	close(gate)
+	if _, err := s.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if got := settledPool(t, s, 4) - before; got != 0 {
+		t.Errorf("one job submitted and finished woke %d workers with nothing to run, want 0", got)
 	}
 }
 
@@ -456,6 +540,20 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	}
 	s.Close() // idempotent
 	close(release)
+
+	// A parked pool has nothing queued and nothing running: only Close
+	// itself can wake its workers to exit.
+	idle := parkedPool(t, 2)
+	closed := make(chan struct{})
+	go func() {
+		idle.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close of a parked pool never returned")
+	}
 }
 
 func TestStatusUnknownJob(t *testing.T) {
@@ -561,6 +659,44 @@ func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("inline Submit still blocked long after its ctx expired")
 	}
+}
+
+// TestInlineSubmitFinishRunsTheJobQueuedBehindIt: a solve queued behind
+// an inline job on the same model, with every worker parked, runs once
+// the inline job finishes — its finish is the only event that can wake a
+// worker for it.
+func TestInlineSubmitFinishRunsTheJobQueuedBehindIt(t *testing.T) {
+	s := parkedPool(t, 2)
+	defer s.Close()
+	ctx := context.Background()
+	gate, started := make(chan struct{}), make(chan struct{})
+	inline := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		close(started)
+		<-gate
+		return &command.StoreResult{}, nil
+	})
+	submitted := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, "eng", inline, command.Store{Model: "a"})
+		submitted <- err
+	}()
+	<-started // the inline job holds model "a"
+	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		return &command.SolveResult{}, nil
+	})
+	id, err := s.Submit(ctx, "eng", ex, solveOn("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	settledPool(t, s, 2) // a worker looked, found "a" held, parked again
+	if snap, _ := s.Status(id); snap.State != Queued {
+		t.Fatalf("solve behind the inline job is %v, want queued", snap.State)
+	}
+	close(gate)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, id, Done)
 }
 
 // TestRetentionEvictsOldTerminalJobs: the scheduler's job history is

@@ -25,7 +25,8 @@ import (
 // then if the terminal write failed or never happened), and
 // Status/Wait/Cancel fall back to the journal for ids the in-memory map
 // no longer holds.  A journal on a store that dies with the process
-// keeps only the retention window instead (ForgetEvicted).
+// keeps only the retention window instead, and writes each job once, at
+// its terminal transition (ForgetEvicted).
 
 // journalRecord is the JSON encoding of one job record.  Cmd and Result
 // reuse the wire envelopes (command.MarshalCommand/MarshalResult), so
@@ -93,9 +94,10 @@ func (s *Scheduler) SetJournal(st store.Store) {
 // ForgetEvicted makes retention eviction delete the evicted job's record
 // from the journal rather than keep it: for a store that dies with the
 // process, where no restart will read the record and only memory pays
-// for it.  An evicted id is then not found.  The delete rides in the
-// journal write that follows the eviction — the submit that caused it
-// — so a job still costs the store two batches.
+// for it.  An evicted id is then not found.  No queued record is written
+// either — nothing could read it: a live job is answered from memory —
+// so a job costs the store one batch, its terminal record, and the
+// deletes of the jobs evicted since the last write ride in it.
 func (s *Scheduler) ForgetEvicted() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,9 +213,12 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 
 // recordLocked builds the journal encoding of a job's current state,
 // stamped with the cluster epoch when an epoch source is wired, in the
-// scheduler's record buffer: it is good until the next call.
+// scheduler's record buffer: it is good until the next call.  The record
+// is the scheduler's own, so encoding one allocates nothing; it is
+// cleared after the encode so it keeps no job's command or result alive.
 func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
-	rec := journalRecord{
+	rec := &s.rec
+	*rec = journalRecord{
 		ID: int64(j.id), Owner: j.owner, Model: j.model, Command: j.cmd,
 		State: j.state.String(), Res: j.res,
 		Ops: j.ops, Flops: j.flops, Cycles: j.cycles,
@@ -225,7 +230,7 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 	if j.err != nil {
 		rec.Err = j.err.Error()
 	}
-	v := reflect.ValueOf(&rec).Elem()
+	v := reflect.ValueOf(rec).Elem()
 	raw, err := recordPlan.Append(s.recBuf[:0], v)
 	if err != nil && rec.Res != nil {
 		// A result JSON cannot carry (a NaN field) is left out of the
@@ -233,6 +238,7 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 		rec.Res = nil
 		raw, err = recordPlan.Append(s.recBuf[:0], v)
 	}
+	*rec = journalRecord{}
 	if err == nil {
 		s.recBuf = raw
 	}

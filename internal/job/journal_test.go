@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -298,5 +299,31 @@ func TestPanickingExecutorFailsTheJob(t *testing.T) {
 				t.Errorf("recovered failure = %v, want %v", err, panicErr)
 			}
 		})
+	}
+}
+
+// TestJournalRecordAllocationFree: encoding a job's record allocates
+// nothing once the buffer has grown, and the scheduler's record keeps
+// nothing of the job afterwards.
+func TestJournalRecordAllocationFree(t *testing.T) {
+	s := NewScheduler(1)
+	defer s.Close()
+	s.SetEpochSource(func() int64 { return 3 })
+	j := &job{
+		id: 7, owner: "eng", model: "a", cmd: solveOn("a"), state: Done, attempt: 1,
+		res: &command.SolveResult{Model: "a", Set: "l", Backend: "cholesky",
+			Residual: 1.5e-12, Flops: 120, Refactored: true, MaxDisp: 2.25, MaxDOF: 3},
+		ops: 1, flops: 120, cycles: 40,
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.recordLocked(j); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.recordLocked(j) }); n != 0 {
+		t.Errorf("recordLocked allocates %v times per record, want 0", n)
+	}
+	if !reflect.ValueOf(s.rec).IsZero() {
+		t.Errorf("the scheduler's record still holds %+v after the encode", s.rec)
 	}
 }

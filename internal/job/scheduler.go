@@ -94,8 +94,19 @@ func (j *job) key() modelKey { return modelKey{j.owner, j.model} }
 type Scheduler struct {
 	workers int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu sync.Mutex
+	// cond is where everyone but an idle worker waits for a change of
+	// scheduler state: model-lock waiters (awaitLocked: inline jobs and
+	// synchronous solves), quota-queued submitters (admitLocked) and
+	// Drain.  Each waiter re-checks its own condition, so it is broadcast
+	// at every change that may satisfy one — a finish, a Release with a
+	// model waiter, a quota change, Close, a waiter's dead context.
+	cond *sync.Cond
+	// work is where idle workers wait for a queued job to become
+	// runnable.  One such event makes one job runnable, so it is
+	// signalled once per event — a Heavy submit, and a finish or Release
+	// with jobs queued — and broadcast only by Close.
+	work    *sync.Cond
 	started bool
 	closed  bool
 	next    int64
@@ -115,10 +126,14 @@ type Scheduler struct {
 	// skipped until it frees.
 	busy map[modelKey]holder
 	// waiting counts the goroutines blocked on cond for a model — inline
-	// jobs and synchronous solves; wakes counts the broadcasts Release
-	// made for them and for the queue.
+	// jobs and synchronous solves; wakes counts the wake-ups Release made,
+	// a work signal for the queue and a cond broadcast for them.
 	waiting int
 	wakes   int64
+	// parked counts the workers waiting on work; idleWakes counts the
+	// times one woke from it and found nothing to run.
+	parked    int
+	idleWakes int64
 	// live counts each owner's queued-or-running jobs; liveTotal is
 	// their sum.  quota bounds live per owner when positive, with policy
 	// choosing reject-vs-queue at the bound (see tenant.go).
@@ -131,16 +146,18 @@ type Scheduler struct {
 	subs    map[string]map[int]func(Snapshot)
 	subNext int
 	// journal, when non-nil, persists job records through the system's
-	// store (see journal.go): queued at submit, terminal at finish, and
-	// flushed before retention eviction.
+	// store (see journal.go): queued at submit (unless forget is set),
+	// terminal at finish, and flushed before retention eviction.
 	journal store.Store
 	// forget makes retention eviction delete the evicted job's record
 	// instead (ForgetEvicted); forgotten holds those deletes until the
 	// next journal write carries them.
 	forget    bool
 	forgotten []store.Op
-	// recBuf is the buffer every journal record is encoded in; the store
-	// copies what it is given.
+	// rec is the record recordLocked encodes from, and recBuf the buffer
+	// it encodes into; the store copies what it is given, and rec is
+	// cleared after each encode.
+	rec    journalRecord
 	recBuf []byte
 	// journalErrs counts journal writes that failed.  A journal failure
 	// never takes down the scheduler — the write is logged through logf
@@ -192,6 +209,7 @@ func NewScheduler(workers int) *Scheduler {
 		subs:    map[string]map[int]func(Snapshot){},
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.work = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -377,13 +395,19 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 	s.live[owner]++
 	s.liveTotal++
 	s.evictLocked()
-	s.persistLocked(j) // journal the submission; terminal write overtakes it
+	if !s.forget {
+		// Journal the submission, for a restart or takeover to find it
+		// lost; the terminal write overwrites it.  A journal that forgets
+		// evicted jobs is read by no restart, and a live job is answered
+		// from memory, so there the terminal write is the only one.
+		s.persistLocked(j)
+	}
 	s.publishLocked(j)
 	if command.PropsOf(cmd).Has(command.Heavy) {
 		s.startWorkersLocked()
 		s.queue = append(s.queue, j)
 		s.syncQueueGaugeLocked()
-		s.cond.Broadcast()
+		s.work.Signal()
 		s.mu.Unlock()
 		return j.id, nil
 	}
@@ -411,11 +435,16 @@ func (s *Scheduler) worker() {
 	for {
 		s.mu.Lock()
 		var j *job
-		for {
+		for woke := false; ; woke = true {
 			if j = s.popLocked(); j != nil || s.closed {
 				break
 			}
-			s.cond.Wait()
+			if woke {
+				s.idleWakes++
+			}
+			s.parked++
+			s.work.Wait()
+			s.parked--
 		}
 		if j == nil {
 			s.mu.Unlock()
@@ -486,14 +515,19 @@ func (s *Scheduler) Hold(ctx context.Context, owner, model string, cmd command.C
 	return nil
 }
 
-// Release ends a Hold, waking those who may be waiting for a model:
-// workers with a queue to look through again, inline jobs and synchronous
-// solves.  An idle pool sleeps on — most requests release a model nobody
+// Release ends a Hold, waking those who may be waiting for the model: one
+// worker when jobs are queued (the freed model makes at most one of them
+// runnable), and every inline job and synchronous solve waiting for a
+// model.  An idle pool sleeps on — most requests release a model nobody
 // wanted.
 func (s *Scheduler) Release(owner, model string) {
 	s.mu.Lock()
 	delete(s.busy, modelKey{owner, model})
-	if len(s.queue) > 0 || s.waiting > 0 {
+	if len(s.queue) > 0 {
+		s.wakes++
+		s.work.Signal()
+	}
+	if s.waiting > 0 {
 		s.wakes++
 		s.cond.Broadcast()
 	}
@@ -774,6 +808,7 @@ func (s *Scheduler) Close() {
 		}
 	}
 	s.cond.Broadcast()
+	s.work.Broadcast()
 	s.mu.Unlock()
 	for _, j := range running {
 		j.cancel()

@@ -149,8 +149,10 @@ func (s *Scheduler) publishLocked(j *job) {
 
 // finishLocked settles the owner-keyed bookkeeping of a job that just
 // reached a terminal state: release the owner's quota slot, wake
-// quota-blocked submitters and Drain, and publish the transition.
-// Called exactly once per job, from execute or cancelQueuedLocked.
+// model waiters, quota-blocked submitters and Drain, wake one worker
+// when jobs are queued (the job's model may be what one of them waited
+// for), journal the outcome and publish the transition.  Called exactly
+// once per job, from execute or cancelQueuedLocked.
 func (s *Scheduler) finishLocked(j *job) {
 	if n := s.live[j.owner]; n > 1 {
 		s.live[j.owner] = n - 1
@@ -159,7 +161,10 @@ func (s *Scheduler) finishLocked(j *job) {
 	}
 	s.liveTotal--
 	s.cond.Broadcast()
-	j.journaled = s.persistLocked(j) // overwrite the queued record with the outcome
+	if len(s.queue) > 0 {
+		s.work.Signal()
+	}
+	j.journaled = s.persistLocked(j)
 	s.publishLocked(j)
 }
 
