@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/command"
 	"repro/internal/errs"
+	"repro/internal/fem"
+	"repro/internal/navm"
 	"repro/internal/obs"
 )
 
@@ -215,6 +218,60 @@ func TestNaNStiffnessFailsDirectSolves(t *testing.T) {
 			}
 			if sr := res.(*command.SolveResult); math.Abs(sr.MaxDisp-0.05254312377856131) > 1e-12 || sr.MaxDOF != 33 {
 				t.Errorf("finite model after the NaN one: max |u| = %v at dof %d, want 0.0525431… at 33", sr.MaxDisp, sr.MaxDOF)
+			}
+		})
+	}
+}
+
+// TestUnusableMaterialRefusedByEveryBackend: a material that cannot
+// give a positive-definite stiffness — a CST's thickness not positive or
+// Poisson's ratio outside (−1, 1), a bar's area not positive — is
+// refused where an element's stiffness is evaluated, with one error that
+// names the element and the field, whichever backend was asked to solve,
+// and leaves no solution behind.  `material` itself accepts the values
+// (a plate-only session may leave A at 0).  sor used to answer the t = −1
+// plate as solved in 175 iterations, and the other backends each failed
+// with a linear-algebra message of their own.
+func TestUnusableMaterialRefusedByEveryBackend(t *testing.T) {
+	const plate, plateLoad = "generate grid a 3 2 3 2 clamp-left", "load a l endload 0 -1"
+	const truss, trussLoad = "generate truss a 4 1000 800", "load a l 9 -10000"
+	solves := []string{"method cholesky", "method cholesky-rcm", "method cholesky-env", "method cg", "method jacobi", "method sor", "parallel 2"}
+	for _, tc := range []struct{ material, generate, load, field string }{
+		{"material 200000 0.3 -1 1", plate, plateLoad, "thickness T = -1;"},
+		{"material 200000 0.3 0 1", plate, plateLoad, "thickness T = 0;"},
+		{"material 200000 1 1 1", plate, plateLoad, "Poisson's ratio Nu = 1;"},
+		{"material 200000 -1 1 1", plate, plateLoad, "Poisson's ratio Nu = -1;"},
+		{"material 200000 1.5 1 1", plate, plateLoad, "Poisson's ratio Nu = 1.5;"},
+		{"material 200000 0.3 1 0", truss, trussLoad, "area A = 0;"},
+		{"material 200000 0.3 1 -1", truss, trussLoad, "area A = -1;"},
+	} {
+		t.Run(tc.material, func(t *testing.T) {
+			var want string
+			for _, solve := range solves {
+				s := newSession(t)
+				rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
+				rt.AttachInstrumentation(obs.New())
+				s.RT = rt
+				for _, line := range []string{tc.material, tc.generate, tc.load} {
+					mustExec(t, s, line)
+				}
+				out, err := s.Execute("solve a l " + solve)
+				if err == nil {
+					t.Errorf("%s: answered %q, want the material refused", solve, out)
+					continue
+				}
+				if !errors.Is(err, fem.ErrModel) || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s: error %q, want fem.ErrModel naming %q", solve, err, tc.field)
+					continue
+				}
+				if want == "" {
+					want = err.Error()
+				} else if err.Error() != want {
+					t.Errorf("%s: error %q, but %s said %q", solve, err, solves[0], want)
+				}
+				if _, err := s.Execute("stresses a"); !errors.Is(err, errs.ErrNotFound) {
+					t.Errorf("%s: stresses after the refused solve: %v; want no solution", solve, err)
+				}
 			}
 		})
 	}

@@ -40,6 +40,9 @@ func (b *Bar) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	if ke.Rows != 4 || ke.Cols != 4 {
 		return fmt.Errorf("%w: bar stiffness into %dx%d", linalg.ErrDimension, ke.Rows, ke.Cols)
 	}
+	if err := b.unusable(); err != nil {
+		return err
+	}
 	l, c, s, err := b.geometry(m)
 	if err != nil {
 		return err
@@ -56,6 +59,19 @@ func (b *Bar) StiffnessInto(m *Model, ke *linalg.Dense) error {
 		for j := 0; j < 4; j++ {
 			ke.Set(i, j, rows[i][j])
 		}
+	}
+	return nil
+}
+
+// unusable is the error of a bar whose material cannot give a stiffness
+// that is positive definite along its axis — EA/L needs E > 0 and A > 0
+// — or nil.  A NaN passes here and fails the factorisation's pivot test.
+func (b *Bar) unusable() error {
+	switch {
+	case b.Mat.E <= 0:
+		return fmt.Errorf("%w: bar %d-%d has modulus E = %g; its stiffness needs E > 0", ErrModel, b.N1, b.N2, b.Mat.E)
+	case b.Mat.A <= 0:
+		return fmt.Errorf("%w: bar %d-%d has area A = %g; its stiffness needs A > 0", ErrModel, b.N1, b.N2, b.Mat.A)
 	}
 	return nil
 }
@@ -125,6 +141,22 @@ func (t *CST) degenerate() error {
 	return fmt.Errorf("%w: degenerate CST %d-%d-%d", ErrModel, t.N1, t.N2, t.N3)
 }
 
+// unusable is the error of a CST whose material cannot give a
+// positive-definite stiffness, or nil: plane-stress D is positive
+// definite exactly when E > 0 and −1 < ν < 1, and the thickness T scales
+// it.  A NaN passes here and fails the factorisation's pivot test.
+func (t *CST) unusable() error {
+	switch mt := t.Mat; {
+	case mt.E <= 0:
+		return fmt.Errorf("%w: CST %d-%d-%d has modulus E = %g; its stiffness needs E > 0", ErrModel, t.N1, t.N2, t.N3, mt.E)
+	case mt.Nu <= -1 || mt.Nu >= 1:
+		return fmt.Errorf("%w: CST %d-%d-%d has Poisson's ratio Nu = %g; its stiffness needs -1 < Nu < 1", ErrModel, t.N1, t.N2, t.N3, mt.Nu)
+	case mt.T <= 0:
+		return fmt.Errorf("%w: CST %d-%d-%d has thickness T = %g; its stiffness needs T > 0", ErrModel, t.N1, t.N2, t.N3, mt.T)
+	}
+	return nil
+}
+
 // area2 is twice the signed element area, by the shoelace formula.
 func (s *cstShape) area2() float64 { return s.c3*s.b2 - s.x31*s.y21 }
 
@@ -160,6 +192,9 @@ func (s *cstShape) dMatrix() [3][3]float64 {
 func (t *CST) StiffnessInto(m *Model, ke *linalg.Dense) error {
 	if ke.Rows != 6 || ke.Cols != 6 {
 		return fmt.Errorf("%w: CST stiffness into %dx%d", linalg.ErrDimension, ke.Rows, ke.Cols)
+	}
+	if err := t.unusable(); err != nil {
+		return err
 	}
 	var s cstShape
 	t.shape(m, &s)

@@ -127,7 +127,9 @@ func (sc *stiffScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, e
 // cstStiffness is stiffness for a CST: the entries are scanned newest
 // first, a hit is returned as it is, and a miss is evaluated into the
 // oldest entry's matrix (or a new one while the ring fills) and becomes
-// the newest.  A degenerate triangle stores nothing.
+// the newest.  A degenerate triangle, or a material that cannot give a
+// positive-definite stiffness, stores nothing, so only a miss checks the
+// material.
 func (sc *stiffScratch) cstStiffness(m *Model, t *CST) (*linalg.Dense, error) {
 	var s cstShape
 	t.shape(m, &s)
@@ -137,6 +139,9 @@ func (sc *stiffScratch) cstStiffness(m *Model, t *CST) (*linalg.Dense, error) {
 		if ent := &sc.cst[i]; ent.shape.same(&s) {
 			return ent.ke, nil
 		}
+	}
+	if err := t.unusable(); err != nil {
+		return nil, err
 	}
 	ent := &sc.cst[sc.next]
 	if ent.ke == nil {

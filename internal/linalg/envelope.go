@@ -307,7 +307,28 @@ func (e *Envelope) factorPairs(st *Stats, lo, hi int) error {
 // sums the backward half as a row dot over ascending k instead, the
 // banded solver's order, so a band and a skyline plan of one matrix
 // differ in their solutions' last bits though not in their factors.
+//
+// Each half's loop over a block's shared columns — the columns all four
+// rows store, which carry most of the factor — has two bodies, and the
+// CPU alone picks one, as it picks the factor kernel.  On amd64 with
+// AVX2 two assembly routines (envelope_amd64.s) run it four k per
+// register and leave the last fewer than four to the Go loop.  The
+// forward routine keeps the block's four row sums in the lanes of one
+// register: each four k it transposes the rows' next four entries into
+// four column vectors, then for each k ascending broadcasts y[k],
+// multiplies and subtracts.  The backward routine updates four y[k] per
+// register, by the rows in descending order.  Neither uses FMA: every
+// product is rounded before it is subtracted, as in Go, so each solution
+// is bit for bit the Go body's.  Everything else — the runs before the
+// shared columns, the blocks' triangles and divisions, the rows that go
+// alone and the row dot — is the same Go for both.
 func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
+	return e.solveInto(rhs, out, st, haveAVX2)
+}
+
+// solveInto is CholeskySolveInto with the shared-column loops run by the
+// AVX2 routines when lanes is set and by Go alone otherwise.
+func (e *Envelope) solveInto(rhs, out Vector, st *Stats, lanes bool) Vector {
 	if len(rhs) != e.N {
 		panic(fmt.Errorf("%w: Envelope.CholeskySolveInto order %d with rhs %d", ErrDimension, e.N, len(rhs)))
 	}
@@ -337,6 +358,12 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 				s1 := subDot(y[i+1], r1[:kjoin-f1], y[f1:])
 				s2 := subDot(y[i+2], r2[:kjoin-f2], y[f2:])
 				s3 := subDot(y[i+3], r3[:kjoin-f3], y[f3:])
+				if n := (i - kjoin) &^ 3; lanes && n > 0 {
+					s := [4]float64{s0, s1, s2, s3}
+					forwardLanes(&s, &r0[kjoin-f0], &r1[kjoin-f1], &r2[kjoin-f2], &r3[kjoin-f3], &y[kjoin], i-kjoin)
+					s0, s1, s2, s3 = s[0], s[1], s[2], s[3]
+					kjoin += n
+				}
 				yk := y[kjoin:i]
 				b0, b1 := r0[kjoin-f0:][:len(yk)], r1[kjoin-f1:][:len(yk)]
 				b2, b3 := r2[kjoin-f2:][:len(yk)], r3[kjoin-f3:][:len(yk)]
@@ -369,7 +396,7 @@ func (e *Envelope) CholeskySolveInto(rhs, out Vector, st *Stats) Vector {
 	if e.rowDot {
 		e.backwardRows(y)
 	} else {
-		e.backwardColumns(y)
+		e.backwardColumns(y, lanes)
 	}
 	// Each half is one multiply-subtract per stored off-diagonal entry
 	// and one division per row.
@@ -393,8 +420,9 @@ func (e *Envelope) backwardRows(y Vector) {
 }
 
 // backwardColumns solves Lᵀ·x = y in place, column-oriented over the
-// row-stored factor.
-func (e *Envelope) backwardColumns(y Vector) {
+// row-stored factor, the shared columns by the AVX2 routine when lanes
+// is set.
+func (e *Envelope) backwardColumns(y Vector, lanes bool) {
 	env, first, ptr := e.env, e.first, e.ptr
 	for i := e.N - 1; i >= 0; {
 		f0 := first[i]
@@ -429,6 +457,10 @@ func (e *Envelope) backwardColumns(y Vector) {
 				subScaled(y[f1:kjoin], r1[:kjoin-f1], x1)
 				subScaled(y[f2:kjoin], r2[:kjoin-f2], x2)
 				subScaled(y[f3:kjoin], r3[:kjoin-f3], x3)
+				if n := (i - 3 - kjoin) &^ 3; lanes && n > 0 {
+					backwardLanes(&y[kjoin], &r0[kjoin-f0], &r1[kjoin-f1], &r2[kjoin-f2], &r3[kjoin-f3], x0, x1, x2, x3, i-3-kjoin)
+					kjoin += n
+				}
 				yk := y[kjoin : i-3]
 				a0, a1 := r0[kjoin-f0:][:len(yk)], r1[kjoin-f1:][:len(yk)]
 				a2, a3 := r2[kjoin-f2:][:len(yk)], r3[kjoin-f3:][:len(yk)]

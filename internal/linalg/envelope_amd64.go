@@ -3,7 +3,7 @@ package linalg
 import "math"
 
 // haveAVX2 reports whether the CPU runs AVX2 code and the OS saves the
-// YMM registers; it selects the panel kernel.
+// YMM registers; it selects the panel kernel and the solve routines.
 var haveAVX2 = detectAVX2()
 
 // cpuid and xgetbv execute the instructions of the same names
@@ -143,3 +143,21 @@ func (e *Envelope) choleskyPanel(st *Stats) error {
 	st.addFlops(e.flops)
 	return nil
 }
+
+// forwardLanes subtracts b_r[k]·y[k] from s[r] for k = 0 … n&^3 − 1 in
+// ascending order, each product rounded before it is subtracted: the
+// four rows' shared-column loop of CholeskySolveInto's forward half,
+// with row r's entries from b_r (envelope_amd64.s).  Go runs the last
+// n mod 4 columns.
+//
+//go:noescape
+func forwardLanes(s *[4]float64, b0, b1, b2, b3, y *float64, n int)
+
+// backwardLanes subtracts a0[k]·x0, a1[k]·x1, a2[k]·x2 and a3[k]·x3, in
+// that order, from each y[k], k = 0 … n&^3 − 1, each product rounded
+// before it is subtracted: the four rows' shared-column loop of
+// CholeskySolveInto's backward half, row i−r's entries from a_r
+// (envelope_amd64.s).  Go runs the last n mod 4 columns.
+//
+//go:noescape
+func backwardLanes(y, a0, a1, a2, a3 *float64, x0, x1, x2, x3 float64, n int)

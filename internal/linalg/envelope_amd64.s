@@ -241,3 +241,99 @@ diag:
 	VMOVUPD Y3, 96(SI)
 	VZEROUPPER
 	RET
+
+// func forwardLanes(s *[4]float64, b0, b1, b2, b3, y *float64, n int)
+//
+// Lane r of Y0 is row r's sum s[r].  Each four k, the rows' entries
+// b_r[k..k+3] are loaded and transposed into Y4..Y7, lane r of Y(4+c)
+// being b_r[k+c]; then for c ascending y[k+c] is broadcast, multiplied
+// by Y(4+c) and subtracted from Y0, so each lane is its row's scalar
+// chain.  AX is the byte offset of k, CX the vectors left.  Go has just
+// written s eight bytes at a time, so it is read back the same way: one
+// 32-byte load of it would wait for the stores to retire, as the store
+// buffer cannot forward four stores into one load.
+TEXT ·forwardLanes(SB), NOSPLIT, $0-56
+	MOVQ        s+0(FP), DI
+	MOVQ        b0+8(FP), R8
+	MOVQ        b1+16(FP), R9
+	MOVQ        b2+24(FP), R10
+	MOVQ        b3+32(FP), R11
+	MOVQ        y+40(FP), SI
+	MOVQ        n+48(FP), CX
+	SHRQ        $2, CX
+	VMOVSD      (DI), X0
+	VMOVHPD     8(DI), X0, X0
+	VMOVSD      16(DI), X1
+	VMOVHPD     24(DI), X1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	XORQ        AX, AX
+	TESTQ       CX, CX
+	JEQ         fstore
+
+floop:
+	VMOVUPD (R8)(AX*1), Y4
+	VMOVUPD (R9)(AX*1), Y5
+	VMOVUPD (R10)(AX*1), Y6
+	VMOVUPD (R11)(AX*1), Y7
+	TRANSPOSE4(Y4, Y5, Y6, Y7, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	VBROADCASTSD (SI)(AX*1), Y12
+	VMULPD       Y12, Y4, Y12
+	VSUBPD       Y12, Y0, Y0
+	VBROADCASTSD 8(SI)(AX*1), Y13
+	VMULPD       Y13, Y5, Y13
+	VSUBPD       Y13, Y0, Y0
+	VBROADCASTSD 16(SI)(AX*1), Y12
+	VMULPD       Y12, Y6, Y12
+	VSUBPD       Y12, Y0, Y0
+	VBROADCASTSD 24(SI)(AX*1), Y13
+	VMULPD       Y13, Y7, Y13
+	VSUBPD       Y13, Y0, Y0
+	ADDQ         $32, AX
+	DECQ         CX
+	JNE          floop
+
+fstore:
+	VMOVUPD Y0, (DI)
+	VZEROUPPER
+	RET
+
+// func backwardLanes(y, a0, a1, a2, a3 *float64, x0, x1, x2, x3 float64, n int)
+//
+// Y4..Y7 hold x0..x3 in every lane.  Each four k, y[k..k+3] is loaded,
+// receives a0·x0, a1·x1, a2·x2 and a3·x3 in that order, each product
+// rounded on its own, and is stored.  AX is the byte offset of k, CX
+// the vectors left.
+TEXT ·backwardLanes(SB), NOSPLIT, $0-80
+	MOVQ         y+0(FP), DI
+	MOVQ         a0+8(FP), R8
+	MOVQ         a1+16(FP), R9
+	MOVQ         a2+24(FP), R10
+	MOVQ         a3+32(FP), R11
+	VBROADCASTSD x0+40(FP), Y4
+	VBROADCASTSD x1+48(FP), Y5
+	VBROADCASTSD x2+56(FP), Y6
+	VBROADCASTSD x3+64(FP), Y7
+	MOVQ         n+72(FP), CX
+	SHRQ         $2, CX
+	XORQ         AX, AX
+	TESTQ        CX, CX
+	JEQ          bdone
+
+bloop:
+	VMOVUPD (DI)(AX*1), Y0
+	VMULPD  (R8)(AX*1), Y4, Y8
+	VSUBPD  Y8, Y0, Y0
+	VMULPD  (R9)(AX*1), Y5, Y9
+	VSUBPD  Y9, Y0, Y0
+	VMULPD  (R10)(AX*1), Y6, Y10
+	VSUBPD  Y10, Y0, Y0
+	VMULPD  (R11)(AX*1), Y7, Y11
+	VSUBPD  Y11, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNE     bloop
+
+bdone:
+	VZEROUPPER
+	RET

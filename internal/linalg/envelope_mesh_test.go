@@ -29,7 +29,7 @@ func plate(nx, ny int, jitter bool) (string, fem.RectGridOpts) {
 
 // meshSystems assembles the named plates, and a 30-bay truss when truss
 // is set.
-func meshSystems(t *testing.T, plates [][2]int, truss bool) []meshSystem {
+func meshSystems(t testing.TB, plates [][2]int, truss bool) []meshSystem {
 	t.Helper()
 	var out []meshSystem
 	add := func(name string, m *fem.Model, ls *fem.LoadSet, err error) {
@@ -81,5 +81,32 @@ func TestEnvelopeKernelMatchesScalarOracleOnMeshes(t *testing.T) {
 func TestBandPlansMatchBandedOracleOnMeshes(t *testing.T) {
 	for _, sys := range meshSystems(t, [][2]int{{8, 6}, {12, 8}, {40, 24}}, true) {
 		t.Run(sys.name, func(t *testing.T) { linalg.CheckBandPlan(t, sys.k, sys.rhs) })
+	}
+}
+
+// BenchmarkEnvelopeSolve times the triangular solve alone — the kernel
+// a warm re-solve spends most of its linear algebra in — on the 40x24
+// plate's factor under the cholesky-env plan, by each body of its
+// shared-column loops: go, and avx2 (skipped on a CPU without AVX2).
+func BenchmarkEnvelopeSolve(b *testing.B) {
+	sys := meshSystems(b, [][2]int{{40, 24}}, false)[0]
+	plan, err := linalg.NewDirectPlan(sys.k, linalg.PlanOpts{Ordering: linalg.OrderRCM, Storage: linalg.StorageEnvelope})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := plan.Refactor(sys.k, nil); err != nil {
+		b.Fatal(err)
+	}
+	out := linalg.NewVector(sys.k.N)
+	for _, body := range []string{"go", "avx2"} {
+		b.Run(body, func(b *testing.B) {
+			solve := linalg.SolveBody(plan, body, sys.rhs)
+			if solve == nil {
+				b.Skip("CPU has no AVX2")
+			}
+			for b.Loop() {
+				solve(out)
+			}
+		})
 	}
 }

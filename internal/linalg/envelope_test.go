@@ -134,12 +134,57 @@ func forEachKernel(t *testing.T, fn func(t *testing.T, k envelopeKernel)) {
 	}
 }
 
+// solveBody is one of CholeskySolveInto's two bodies of its
+// shared-column loops, run directly so that each is tested whichever the
+// host would pick.
+type solveBody struct {
+	name  string
+	lanes bool
+}
+
+var solveBodies = []solveBody{{"go", false}, {"avx2", true}}
+
+// runs reports whether the host can run the body.
+func (b solveBody) runs() bool { return !b.lanes || haveAVX2 }
+
+// solve is CholeskySolveInto by body b.
+func (b solveBody) solve(e *Envelope, rhs, out Vector, st *Stats) Vector {
+	return e.solveInto(rhs, out, st, b.lanes)
+}
+
+// checkSolveBodies solves got with every body the host runs — into a
+// fresh vector, a caller's vector and in place — and demands ref's bits
+// and wantFlops; oracle names ref in a failure.
+func checkSolveBodies(t testing.TB, got *Envelope, rhs, ref Vector, wantFlops int64, oracle string) {
+	t.Helper()
+	for _, b := range solveBodies {
+		if !b.runs() {
+			continue
+		}
+		inPlace := rhs.Clone()
+		for name, x := range map[string]Vector{
+			"fresh":    b.solve(got, rhs, nil, nil),
+			"into":     b.solve(got, rhs, NewVector(got.N), nil),
+			"in place": b.solve(got, inPlace, inPlace, nil),
+		} {
+			if i := firstBitDiff(x, ref); i >= 0 {
+				t.Fatalf("%s body: %s solve differs from %s at %d: %v vs %v (%s)", b.name, name, oracle, i, x[i], ref[i], profileString(got.first))
+			}
+		}
+		var st Stats
+		b.solve(got, rhs, nil, &st)
+		if st.Flops != wantFlops {
+			t.Fatalf("%s body: solve flops %d, %s %d (%s)", b.name, st.Flops, oracle, wantFlops, profileString(got.first))
+		}
+	}
+}
+
 // checkEnvelopeKernel factors one copy of e with kernel k and one with
 // the oracle and demands the same error, the same stored bits (of a
 // failed factorisation, the rows down to the failing one) and the same
 // flop count; when the factorisation succeeds it does the same for the
-// substitution, into a fresh vector, a caller's vector and in place.  It
-// returns the kernel's error.
+// substitution by each solve body the host runs, into a fresh vector, a
+// caller's vector and in place.  It returns the kernel's error.
 func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector) error {
 	t.Helper()
 	got, want := NewEnvelope(e.first), NewEnvelope(e.first)
@@ -169,21 +214,7 @@ func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector
 	ref := rhs.Clone()
 	wst = Stats{}
 	refEnvelopeSolveInto(want, ref, &wst)
-	inPlace := rhs.Clone()
-	for name, x := range map[string]Vector{
-		"fresh":    got.CholeskySolveInto(rhs, nil, nil),
-		"into":     got.CholeskySolveInto(rhs, NewVector(e.N), nil),
-		"in place": got.CholeskySolveInto(inPlace, inPlace, nil),
-	} {
-		if i := firstBitDiff(x, ref); i >= 0 {
-			t.Fatalf("%s solve differs from the oracle at %d: %v vs %v (%s)", name, i, x[i], ref[i], profileString(e.first))
-		}
-	}
-	gst = Stats{}
-	got.CholeskySolveInto(rhs, nil, &gst)
-	if gst.Flops != wst.Flops {
-		t.Fatalf("solve flops %d, oracle %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
-	}
+	checkSolveBodies(t, got, rhs, ref, wst.Flops, "the oracle")
 	return nil
 }
 
@@ -201,7 +232,8 @@ func failingRow(t testing.TB, err error) int {
 // against the Banded oracle b holding the same values: the same error,
 // the same stored bits (of a failed factorisation, the rows down to the
 // failing one) and, when the factorisation succeeds, the same flops and
-// the same solution bits, fresh, into a caller's vector and in place.
+// the same solution bits by each solve body the host runs, fresh, into a
+// caller's vector and in place.
 // The flops of a failed factorisation are not compared: Banded books the
 // columns it finished, the envelope the rows.  It returns the kernel's
 // error.
@@ -234,21 +266,7 @@ func checkBandKernel(t testing.TB, k envelopeKernel, e *Envelope, b *Banded, rhs
 	}
 	wst = Stats{}
 	ref := want.CholeskySolveInto(rhs, nil, &wst)
-	inPlace := rhs.Clone()
-	for name, x := range map[string]Vector{
-		"fresh":    got.CholeskySolveInto(rhs, nil, nil),
-		"into":     got.CholeskySolveInto(rhs, NewVector(e.N), nil),
-		"in place": got.CholeskySolveInto(inPlace, inPlace, nil),
-	} {
-		if i := firstBitDiff(x, ref); i >= 0 {
-			t.Fatalf("%s band solve differs from Banded at %d: %v vs %v (%s)", name, i, x[i], ref[i], profileString(e.first))
-		}
-	}
-	gst = Stats{}
-	got.CholeskySolveInto(rhs, nil, &gst)
-	if gst.Flops != wst.Flops {
-		t.Fatalf("band solve flops %d, Banded %d (%s)", gst.Flops, wst.Flops, profileString(e.first))
-	}
+	checkSolveBodies(t, got, rhs, ref, wst.Flops, "Banded")
 	return nil
 }
 
@@ -404,6 +422,118 @@ func TestEnvelopeBackwardBlocksMatchScalarOracle(t *testing.T) {
 			}
 		}
 	})
+}
+
+// laneSpecials are the values TestEnvelopeSolveLanesMatchScalarOracle
+// mixes into a factor and a right-hand side: −0, the infinities, the
+// smallest and the largest subnormal of each sign, and ±MaxFloat64,
+// whose products overflow unless a multiply and a subtract are fused.
+var laneSpecials = []float64{
+	math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	math.Float64frombits(0x000fffffffffffff), -math.Float64frombits(0x000fffffffffffff),
+	math.MaxFloat64, -math.MaxFloat64,
+}
+
+// TestEnvelopeSolveLanesMatchScalarOracle aims at the solve's
+// shared-column loops, the part the AVX2 routines run.  In 16 rows, the
+// block of rows 12..15 is the forward half's last block and the backward
+// half's first, and its shared run (12 − kjoin, the same in both halves)
+// takes every length from 0 to 11 — one of its rows, each in turn,
+// begins at 12 − length, the others at or before it — beneath dense,
+// band and ragged rows, whose own blocks meet other lengths.  The
+// stored values are not factored but drawn: finite ones with exact −0s,
+// or, in every other case, one in eight from laneSpecials (a sixteenth
+// of one off the diagonal); every other case also puts a single NaN in
+// the factor or the right-hand side.  Each
+// body's solution must equal the scalar loop's bit for bit, NaNs as a
+// class (firstNaNClassDiff), and its flops the loop's.
+func TestEnvelopeSolveLanesMatchScalarOracle(t *testing.T) {
+	const n, block = 16, 12
+	for _, b := range solveBodies {
+		t.Run(b.name, func(t *testing.T) {
+			if !b.runs() {
+				t.Skip("CPU has no AVX2")
+			}
+			rng := rand.New(rand.NewSource(47))
+			rep := 0
+			for _, kind := range []string{"dense", "band", "ragged"} {
+				for length := 0; length < block; length++ {
+					for late := range 4 {
+						for mode := range 4 {
+							rep++
+							first := make([]int, n)
+							for i := range first {
+								switch kind {
+								case "band":
+									first[i] = max(0, i-5)
+								case "ragged":
+									first[i] = rng.Intn(i + 1)
+								}
+								if i >= block {
+									first[i] = min(first[i], block-length)
+								}
+							}
+							first[block+late] = block - length
+							e := NewEnvelope(first)
+							rhs := NewVector(n)
+							draw := finiteDraw
+							if mode&1 == 1 {
+								draw = func(rng *rand.Rand) float64 {
+									if rng.Intn(8) == 0 {
+										return laneSpecials[rng.Intn(len(laneSpecials))]
+									}
+									return finiteDraw(rng)
+								}
+							}
+							// Diagonals in [1, 2) and off-diagonals of a sixteenth
+							// keep a finite case finite, so a product fused into
+							// its subtraction shows in the rounding.
+							for i := range n {
+								row := e.env[e.ptr[i]:e.ptr[i+1]]
+								for k := range row[:len(row)-1] {
+									row[k] = draw(rng) / 16
+								}
+								row[len(row)-1] = 1 + rng.Float64()
+								if mode&1 == 1 && rng.Intn(8) == 0 {
+									row[len(row)-1] = laneSpecials[rng.Intn(len(laneSpecials))]
+								}
+							}
+							for k := range rhs {
+								rhs[k] = draw(rng)
+							}
+							if mode&2 == 2 {
+								if k := rng.Intn(len(e.env) + n); k < len(e.env) {
+									e.env[k] = math.NaN()
+								} else {
+									rhs[k-len(e.env)] = math.NaN()
+								}
+							}
+							want := rhs.Clone()
+							var wst Stats
+							refEnvelopeSolveInto(e, want, &wst)
+							inPlace := rhs.Clone()
+							for name, x := range map[string]Vector{
+								"fresh":    b.solve(e, rhs, nil, nil),
+								"into":     b.solve(e, rhs, NewVector(n), nil),
+								"in place": b.solve(e, inPlace, inPlace, nil),
+							} {
+								if i := firstNaNClassDiff(x, want); i >= 0 {
+									t.Fatalf("%s rows, run of %d, row %d late, mode %d (case %d): %s solve differs from the oracle at %d: %v vs %v (%s)",
+										kind, length, block+late, mode, rep, name, i, x[i], want[i], profileString(first))
+								}
+							}
+							var st Stats
+							b.solve(e, rhs, nil, &st)
+							if st.Flops != wst.Flops {
+								t.Fatalf("%s rows, run of %d: solve flops %d, oracle %d", kind, length, st.Flops, wst.Flops)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
 }
 
 // TestPanelTileSetUpMatchesScalarOracle aims at the panel routine's own

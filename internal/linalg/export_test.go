@@ -26,3 +26,20 @@ func CheckEnvelopeKernel(t *testing.T, a *CSR, rhs Vector) int {
 // natural and RCM order against the Banded oracle — for the external
 // test package.
 var CheckBandPlan = checkBandPlan
+
+// SolveBody returns a solve of p's factored envelope by the named body
+// of CholeskySolveInto ("go" or "avx2"), from rhs permuted into p's
+// order into out, or nil when the host cannot run that body: the handle
+// BenchmarkEnvelopeSolve times each body by.
+func SolveBody(p *DirectPlan, name string, rhs Vector) func(out Vector) {
+	prhs := rhs
+	if p.perm != nil {
+		prhs = PermuteVector(rhs, p.perm)
+	}
+	for _, b := range solveBodies {
+		if b.name == name && b.runs() {
+			return func(out Vector) { b.solve(p.env, prhs, out, nil) }
+		}
+	}
+	return nil
+}
