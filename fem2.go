@@ -482,7 +482,13 @@ func NewServer(sys *System, cfg ServerConfig) *Server { return server.New(sys, c
 var ErrServerClosed = server.ErrServerClosed
 
 // Client is one connection to a fem2d daemon: the typed Do surface
-// over the wire.
+// over the wire.  A call reads its own reply off the socket when it is
+// the only one in flight; concurrent calls hand each other's replies
+// over.  Client.Events starts a read loop on first use, on this and every
+// later connection, so that its channel closes when the server hangs up
+// even while no call is in flight.  A connection the client cannot read
+// without waiting (one from a Dialer that is not a syscall.Conn, or any
+// on a non-unix build) runs a read loop from the start.
 type Client = client.Client
 
 // Dial connects to a fem2d daemon and completes the handshake as user.
@@ -490,8 +496,9 @@ func Dial(addr, user string) (*Client, error) { return client.Dial(addr, user) }
 
 // ClientOptions tunes a client's resilience: reconnect budget,
 // exponential backoff with seeded jitter, per-request deadlines, and a
-// dialer hook; Notify subscribes to job notifications (Client.Events).
-// The zero value is Dial's behaviour.
+// dialer hook; Notify subscribes to job notifications (Client.Events),
+// and runs a read loop on every connection to deliver them while no call
+// is in flight.  The zero value is Dial's behaviour.
 type ClientOptions = client.Options
 
 // DialWithOptions connects with explicit resilience settings: with a

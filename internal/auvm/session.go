@@ -513,6 +513,13 @@ func (s *Session) doLoadSet(c command.DefineLoadSet) (command.Result, error) {
 }
 
 func (s *Session) doAddLoad(c command.AddLoad) (command.Result, error) {
+	// A load names a dof of the model as it stands, as an element names
+	// its nodes: one past the model is refused before anything changes.
+	if m := s.WS.Model(c.Model); m != nil {
+		if err := m.CheckLoad(c.DOF); err != nil {
+			return nil, err
+		}
+	}
 	ls := s.WS.LoadSet(c.Model, c.Set)
 	if ls == nil {
 		ls = &fem.LoadSet{Name: c.Set}

@@ -11,6 +11,24 @@
 // a concurrent cancel).  Server-pushed job-state notifications arrive
 // on Events when Options.Notify asked for them.
 //
+// # Who reads the socket
+//
+// A round trip reads its own reply: the goroutine that sent a request
+// takes the connection's read role and reads frames until its reply
+// arrives, handing any other caller's reply to that caller and any
+// notification to Events on the way, then passes the role on.  A caller
+// that finds the role taken waits for its reply or for the role, so only
+// concurrent callers pay a hand-off between goroutines.  A read cut short
+// (a cancelled caller, an expired RequestTimeout) keeps the bytes of a
+// half-read frame for the next reader.  A read loop runs only where
+// something must be read with no call in flight: on a connection with
+// Options.Notify, on every connection once Events has been called, so
+// that the channel closes when the server hangs up, and on a connection
+// that cannot be read without waiting (one that is not a syscall.Conn,
+// such as a fault.Conn or a TLS conn, and every one on a non-unix build),
+// so that it still finds an idle hang-up.  Without one, a hang-up while
+// the client was idle is found before the next send (see Reconnection).
+//
 // # Reconnection
 //
 // With Options.MaxRetries > 0 the client rides out connection loss: a
@@ -21,9 +39,11 @@
 // mutated server state (a submit, a model edit) is never replayed once
 // its frame has been sent; it fails back to the caller, who knows best
 // whether to repeat it.  Dial failures are retried for every verb,
-// because nothing was sent.  Note that a reconnect is a fresh server
-// session: workspace state (models, the session name) does not carry
-// over, which is exactly why only global verbs replay.
+// because nothing was sent, and so is a connection found dead before the
+// send: a server that hung up while the client was idle.  Note that a
+// reconnect is a fresh server session: workspace state (models, the
+// session name) does not carry over, which is exactly why only global
+// verbs replay.
 //
 // With MaxRetries == 0 (the default, and Dial's behaviour) any
 // connection failure is permanent, as before: in-flight and future
@@ -52,6 +72,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -160,7 +181,8 @@ type Options struct {
 	Obs *obs.Registry
 	// Notify subscribes every connection's handshake, reconnects
 	// included, to its jobs' notifications, which arrive on Events.
-	// Without it the server sends none.
+	// Without it the server sends none.  With it every connection runs a
+	// read loop, so replies reach their callers through it.
 	Notify bool
 }
 
@@ -186,6 +208,7 @@ type Client struct {
 	closed       bool
 	closeErr     error
 	eventsClosed bool
+	watched      bool // Events has been called: every link runs a read loop
 	reconnects   int
 	failovers    int
 	everLinked   bool
@@ -203,22 +226,46 @@ type Client struct {
 }
 
 // link is one TCP connection's worth of state: its own writer, its own
-// pending-request map, its own failure.  A link failing releases only
-// its own waiters; the Client above decides whether that failure is
-// the end (MaxRetries 0) or just weather.
+// pending-request map, its own read role, its own failure.  A link
+// failing releases only its own waiters; the Client above decides
+// whether that failure is the end (MaxRetries 0) or just weather.
 type link struct {
 	cl *Client
 	nc net.Conn
+	// now reads nc without waiting, for the drain before a send; nil
+	// where the conn offers no descriptor (a fault.Conn, any conn on a
+	// non-unix build), and such a link runs a read loop instead.
+	now io.Reader
 
 	wmu sync.Mutex // serializes frame writes
 	bw  *bufio.Writer
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan *wire.Response
+	pending map[uint64]waiter
+	reading bool          // the read role is held
+	looping bool          // a read loop was started (guarded by cl.mu)
+	turn    chan struct{} // the read loop waiting for the role, else nil
+	armed   uint64        // generation of the holder's interrupt
 	err     error
 	done    chan struct{}
+
+	fr wire.FrameReader // read by the role's holder only
 }
+
+// waiter is a request in flight.  A caller that reads for itself needs
+// neither field; a reply read by someone else before its caller waited is
+// parked in resp, and ch exists once the caller waits.
+type waiter struct {
+	ch   chan *wire.Response
+	resp *wire.Response
+}
+
+// roleGrant, sent on a waiter's channel, hands it the read role.
+var roleGrant = new(wire.Response)
+
+// errWouldBlock is a read that found nothing to read.
+var errWouldBlock = errors.New("client: nothing to read")
 
 // Dial connects to a fem2d daemon at addr and completes the handshake
 // as user, with the historical no-retry behaviour.
@@ -262,7 +309,7 @@ func DialWithOptions(addr, user string, o Options) (*Client, error) {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.ln, c.welcome, c.everLinked = ln, w, true
+	c.installLocked(ln, w)
 	c.mu.Unlock()
 	return c, nil
 }
@@ -299,11 +346,10 @@ func (c *Client) connect(ctx context.Context) (*link, *wire.Welcome, error) {
 	}
 	c.mu.Unlock()
 	ln := &link{
-		cl: c, nc: nc, bw: bufio.NewWriter(nc),
-		pending: map[uint64]chan *wire.Response{},
+		cl: c, nc: nc, now: readerNow(nc), bw: bufio.NewWriter(nc),
+		pending: map[uint64]waiter{},
 		done:    make(chan struct{}),
 	}
-	go ln.readLoop()
 	hctx := ctx
 	if t := c.opts.RequestTimeout; t > 0 {
 		var cancel context.CancelFunc
@@ -370,14 +416,30 @@ func (c *Client) live(ctx context.Context) (*link, error) {
 		ln.fail(ErrClientClosed)
 		return nil, err
 	}
-	c.ln, c.welcome = ln, w
 	if c.everLinked {
 		c.reconnects++
 		c.mReconnects.Inc()
 	}
-	c.everLinked = true
+	c.installLocked(ln, w)
 	c.mu.Unlock()
 	return ln, nil
+}
+
+// installLocked makes a handshaken link the live one, with a read loop
+// when something must be read while no call is in flight.
+func (c *Client) installLocked(ln *link, w *wire.Welcome) {
+	c.ln, c.welcome, c.everLinked = ln, w, true
+	c.watchLocked()
+}
+
+// watchLocked starts the live link's read loop, once, when notifications
+// were asked for, Events is watched, or the link cannot be drained before
+// a send (the loop is then what finds an idle hang-up).
+func (c *Client) watchLocked() {
+	if ln := c.ln; ln != nil && !ln.looping && (c.opts.Notify || c.watched || ln.now == nil) {
+		ln.looping = true
+		go ln.readLoop()
+	}
 }
 
 // drop retires a failed link.  With retries disabled the first drop is
@@ -508,8 +570,18 @@ func (c *Client) Failovers() int {
 // The channel closes when the client closes for good (Close, or any
 // connection failure when retries are disabled).  Events are
 // best-effort (a full buffer drops); status and wait are the
-// authoritative record.
-func (c *Client) Events() <-chan *wire.JobEvent { return c.events }
+// authoritative record.  The first call starts a read loop on every
+// connection from then on, so that a hang-up closes the channel even
+// while no call is in flight.
+func (c *Client) Events() <-chan *wire.JobEvent {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.watched {
+		c.watched = true
+		c.watchLocked()
+	}
+	return c.events
+}
 
 // Close tears the client down.  In-flight Do calls fail with
 // ErrClientClosed and the Events channel closes.
@@ -518,40 +590,169 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// readLoop dispatches one link's inbound frames: notifications to the
-// client's events channel, responses to their waiting callers.  A
-// decode error retires the link.
+// readLoop holds the link's read role for good, once it gets it: every
+// reply goes to its waiting caller, every notification to Events.  A
+// read or decode error retires the link.
 func (ln *link) readLoop() {
-	br := bufio.NewReader(ln.nc)
-	for {
-		resp, err := wire.DecodeResponse(br)
-		if err != nil {
-			ln.cl.drop(ln, fmt.Errorf("%w: %w", ErrClientClosed, err))
+	ln.mu.Lock()
+	if ln.reading {
+		turn := make(chan struct{}, 1)
+		ln.turn = turn
+		ln.mu.Unlock()
+		select {
+		case <-turn:
+		case <-ln.done:
 			return
 		}
-		if resp.ID == 0 {
-			if resp.Event != nil {
-				ln.cl.pushEvent(resp.Event)
+	} else {
+		ln.reading = true
+		ln.mu.Unlock()
+	}
+	_, err := ln.readFrames(ln.nc, 0)
+	ln.cl.drop(ln, fmt.Errorf("%w: %w", ErrClientClosed, err))
+}
+
+// readFrames reads frames from r until the reply to id arrives,
+// dispatching every other one; id 0 reads until r fails.  Only the read
+// role's holder calls it.
+func (ln *link) readFrames(r io.Reader, id uint64) (*wire.Response, error) {
+	var rerr error
+	for {
+		payload, ok, err := ln.fr.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			if rerr != nil {
+				return nil, rerr
 			}
+			rerr = ln.fr.Fill(r)
 			continue
 		}
-		ln.mu.Lock()
-		ch := ln.pending[resp.ID]
-		delete(ln.pending, resp.ID)
-		ln.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		resp, err := wire.ParseResponse(payload)
+		if err != nil {
+			return nil, err
 		}
+		if resp.ID != 0 && resp.ID == id {
+			return resp, nil
+		}
+		ln.dispatch(resp)
 	}
 }
 
-// fail marks the link dead and releases its waiters, once.
+// dispatch delivers a frame read for someone else: a notification to
+// Events, a reply to its caller.  A reply nobody waits for — its caller
+// gave up — is dropped.
+func (ln *link) dispatch(resp *wire.Response) {
+	if resp.ID == 0 {
+		if resp.Event != nil {
+			ln.cl.pushEvent(resp.Event)
+		}
+		return
+	}
+	ln.mu.Lock()
+	if w, ok := ln.pending[resp.ID]; ok {
+		if w.ch != nil {
+			w.ch <- resp
+			delete(ln.pending, resp.ID)
+		} else {
+			ln.pending[resp.ID] = waiter{resp: resp}
+		}
+	}
+	ln.mu.Unlock()
+}
+
+// passRoleLocked hands the read role on: to the read loop when it waits
+// for it, else to any caller still waiting for its reply; with nobody
+// waiting the role is free.
+func (ln *link) passRoleLocked() {
+	if ln.turn != nil {
+		ln.turn <- struct{}{}
+		ln.turn = nil
+		return
+	}
+	for _, w := range ln.pending {
+		if w.ch != nil {
+			w.ch <- roleGrant
+			return
+		}
+	}
+	ln.reading = false
+}
+
+// hold reads for the caller of id, who holds the read role, until its
+// reply arrives, then passes the role on.  When ctx ends first, a read
+// deadline in the past cuts the blocked read short; whatever the race,
+// the deadline is cleared before the role moves, and the bytes of a
+// half-read frame stay for the next holder.
+func (ln *link) hold(ctx context.Context, id uint64) (*wire.Response, error) {
+	var stop func() bool
+	if ctx.Done() != nil {
+		ln.mu.Lock()
+		ln.armed++
+		gen := ln.armed
+		ln.mu.Unlock()
+		stop = context.AfterFunc(ctx, func() {
+			ln.mu.Lock()
+			if ln.armed == gen {
+				ln.nc.SetReadDeadline(aLongTimeAgo)
+			}
+			ln.mu.Unlock()
+		})
+	}
+	resp, err := ln.readFrames(ln.nc, id)
+	ln.mu.Lock()
+	if stop != nil && !stop() {
+		ln.armed++ // a callback yet to take the lock finds itself stale
+		ln.nc.SetReadDeadline(time.Time{})
+	}
+	delete(ln.pending, id)
+	ln.passRoleLocked()
+	ln.mu.Unlock()
+	if err != nil {
+		if ctx.Err() != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, errs.Cancelled(ctx)
+		}
+		ln.cl.drop(ln, fmt.Errorf("%w: %w", ErrClientClosed, err))
+		return nil, ln.failure()
+	}
+	return resp, nil
+}
+
+// aLongTimeAgo is a read deadline that has passed.
+var aLongTimeAgo = time.Unix(1, 0)
+
+// drain reads what has already arrived on a link, without waiting for
+// more, dispatches it and passes the read role on.  It is how a hang-up
+// while no call was in flight shows before the next send.  Only the read
+// role's holder calls it.  A link found dead is failed with the plain
+// error before the role moves: other callers' frames may have gone out,
+// so only the drainer's own request, which did not, is marked unsent.
+func (ln *link) drain() error {
+	_, err := ln.readFrames(ln.now, 0)
+	if err == errWouldBlock {
+		err = nil
+	}
+	if err != nil {
+		err = fmt.Errorf("%w: %w", ErrClientClosed, err)
+		ln.fail(err)
+	}
+	ln.mu.Lock()
+	ln.passRoleLocked()
+	ln.mu.Unlock()
+	if err != nil {
+		return unsent{err}
+	}
+	return nil
+}
+
+// fail marks the link dead and releases its waiters, once.  A reply
+// already parked for its caller stays there.
 func (ln *link) fail(err error) {
 	ln.mu.Lock()
 	if ln.err == nil {
 		ln.err = err
 		close(ln.done)
-		ln.pending = nil
 	}
 	ln.mu.Unlock()
 	ln.nc.Close()
@@ -568,8 +769,9 @@ func (ln *link) failure() error {
 }
 
 // roundTrip sends one request on this link and waits for its response.
+// When the read role is free the link is drained first: a connection
+// found dead there fails as unsent, since nothing went out on it.
 func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	ch := make(chan *wire.Response, 1)
 	ln.mu.Lock()
 	if ln.err != nil {
 		err := ln.err
@@ -577,9 +779,23 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 		return nil, err
 	}
 	ln.nextID++
-	req.ID = ln.nextID
-	ln.pending[req.ID] = ch
+	id := ln.nextID
+	req.ID = id
+	ln.pending[id] = waiter{}
+	drain := ln.now != nil && !ln.reading
+	if drain {
+		ln.reading = true
+	}
 	ln.mu.Unlock()
+
+	if drain {
+		if err := ln.drain(); err != nil {
+			ln.mu.Lock()
+			delete(ln.pending, id)
+			ln.mu.Unlock()
+			return nil, err
+		}
+	}
 
 	// The frame is encoded in place in the write buffer's free space.
 	ln.wmu.Lock()
@@ -593,33 +809,67 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 	ln.wmu.Unlock()
 	if err != nil {
 		ln.mu.Lock()
-		if ln.pending != nil {
-			delete(ln.pending, req.ID)
-		}
+		delete(ln.pending, id)
 		ln.mu.Unlock()
 		if encErr != nil {
 			return nil, unsendable{encErr}
 		}
 		return nil, fmt.Errorf("%w: %w", ErrClientClosed, err)
 	}
+	return ln.await(ctx, id)
+}
+
+// await gets the reply to id: parked by a reader that came across it,
+// read by the caller itself when the read role is free, else waited for
+// — the reply, or the role, whichever comes to it first.
+func (ln *link) await(ctx context.Context, id uint64) (*wire.Response, error) {
+	ln.mu.Lock()
+	if w := ln.pending[id]; w.resp != nil {
+		delete(ln.pending, id)
+		ln.mu.Unlock()
+		return w.resp, nil
+	}
+	if ln.err != nil {
+		delete(ln.pending, id)
+		ln.mu.Unlock()
+		return nil, ln.failure()
+	}
+	if !ln.reading {
+		ln.reading = true
+		ln.mu.Unlock()
+		return ln.hold(ctx, id)
+	}
+	ch := make(chan *wire.Response, 1)
+	ln.pending[id] = waiter{ch: ch}
+	ln.mu.Unlock()
 
 	select {
 	case resp := <-ch:
+		if resp == roleGrant {
+			return ln.hold(ctx, id)
+		}
 		return resp, nil
 	case <-ln.done:
-		// quit is answered and then the server hangs up: the reader queued
-		// the reply before it saw the EOF, so when both are ready the
-		// reply wins.
+		// quit is answered and then the server hangs up: the reader hands
+		// the reply over before it sees the EOF, so when both are ready
+		// the reply wins.
 		select {
 		case resp := <-ch:
-			return resp, nil
+			if resp != roleGrant {
+				return resp, nil
+			}
 		default:
-			return nil, ln.failure()
 		}
+		return nil, ln.failure()
 	case <-ctx.Done():
 		ln.mu.Lock()
-		if ln.pending != nil {
-			delete(ln.pending, req.ID)
+		delete(ln.pending, id)
+		select {
+		case resp := <-ch:
+			if resp == roleGrant {
+				ln.passRoleLocked()
+			}
+		default:
 		}
 		ln.mu.Unlock()
 		return nil, errs.Cancelled(ctx)
@@ -630,6 +880,13 @@ func (ln *link) roundTrip(ctx context.Context, req *wire.Request) (*wire.Respons
 // outside the verb table): nothing was sent and the link is as good as it
 // was, so the caller gets the codec's error and nothing is retried.
 type unsendable struct{ error }
+
+// unsent marks a link found dead before the request went out on it — a
+// hang-up while the client was idle: like a dial failure, it is retried
+// whatever the verb.
+type unsent struct{ error }
+
+func (e unsent) Unwrap() error { return e.error }
 
 // errRedirected marks a link retired because a follower pointed us at
 // the leader — bookkeeping, not a transport failure.
@@ -672,6 +929,11 @@ func (c *Client) roundTrip(ctx context.Context, cmd command.Command, idem, deadl
 				if errors.Is(err, errs.ErrCancelled) {
 					return nil, err // the caller's context or our deadline, not weather
 				}
+				bad := unsent{}
+				sent := !errors.As(err, &bad)
+				if !sent {
+					err = bad.error // the mark is this call's alone, never the link's
+				}
 				c.drop(ln, err)
 				c.mu.Lock()
 				closed := c.closed
@@ -680,7 +942,7 @@ func (c *Client) roundTrip(ctx context.Context, cmd command.Command, idem, deadl
 				if closed { // retries disabled: first failure is final
 					return nil, closeErr
 				}
-				if !idem {
+				if sent && !idem {
 					return nil, err // may have reached the server; never replay
 				}
 			}

@@ -342,6 +342,14 @@ func (m *Model) Validate() error {
 	return nil
 }
 
+// CheckLoad refuses a load on a dof the model does not have.
+func (m *Model) CheckLoad(dof int) error {
+	if dof < 0 || dof >= m.NumDOF() {
+		return fmt.Errorf("%w: load on dof %d of %d", ErrModel, dof, m.NumDOF())
+	}
+	return nil
+}
+
 // RHS builds the load vector over free dofs for a load set, using the
 // dof→reduced index map from FreeDOFs.
 func (m *Model) RHS(ls *LoadSet, index []int, nfree int) (linalg.Vector, error) {
@@ -356,8 +364,8 @@ func (m *Model) RHS(ls *LoadSet, index []int, nfree int) (linalg.Vector, error) 
 func (m *Model) rhsInto(ls *LoadSet, index []int, b linalg.Vector) error {
 	clear(b)
 	for _, e := range ls.Entries {
-		if e.DOF < 0 || e.DOF >= m.NumDOF() {
-			return fmt.Errorf("%w: load on dof %d of %d", ErrModel, e.DOF, m.NumDOF())
+		if err := m.CheckLoad(e.DOF); err != nil {
+			return err
 		}
 		if idx := index[e.DOF]; idx >= 0 {
 			b[idx] += e.Value

@@ -85,6 +85,69 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
+// FrameReader reads frames off a stream a piece at a time.  The bytes of
+// a frame that is not yet whole stay in it between reads, so a read cut
+// short — by a deadline, say — loses nothing, and the next Fill resumes
+// mid-frame.  Each payload is handed over in a buffer of its own, as
+// ReadFrame's is; the rest of a large frame is read straight into it.
+type FrameReader struct {
+	buf     []byte // read but not yet framed: buf[r:w]
+	r, w    int
+	payload []byte // the frame being gathered, once its header is in
+	got     int    // how much of payload is gathered
+}
+
+// frameChunk is the FrameReader's buffer: one read's worth of small
+// frames, as a bufio.Reader's default.
+const frameChunk = 4096
+
+// Next returns the next frame's payload when the bytes read so far
+// complete it; ok is false when they do not.  A declared length past
+// MaxFrame fails with ErrFrameTooBig.
+func (f *FrameReader) Next() (payload []byte, ok bool, err error) {
+	if f.payload == nil {
+		if f.w-f.r < 4 {
+			return nil, false, nil
+		}
+		n := binary.BigEndian.Uint32(f.buf[f.r:])
+		if n > MaxFrame {
+			return nil, false, fmt.Errorf("%w: %d bytes declared", ErrFrameTooBig, n)
+		}
+		f.r += 4
+		f.payload, f.got = make([]byte, n), 0
+	}
+	c := copy(f.payload[f.got:], f.buf[f.r:f.w])
+	f.r += c
+	f.got += c
+	if f.got < len(f.payload) {
+		return nil, false, nil
+	}
+	payload, f.payload = f.payload, nil
+	return payload, true, nil
+}
+
+// Fill makes one Read from r.  Call it only once Next has reported no
+// whole frame; the bytes the Read returns are kept whatever its error.
+func (f *FrameReader) Fill(r io.Reader) error {
+	if f.r == f.w {
+		f.r, f.w = 0, 0
+	}
+	if f.payload != nil && f.w == 0 && len(f.payload)-f.got >= frameChunk {
+		n, err := r.Read(f.payload[f.got:])
+		f.got += n
+		return err
+	}
+	if f.buf == nil {
+		f.buf = make([]byte, frameChunk)
+	}
+	// What Next left unframed is a partial header, three bytes at most.
+	f.w = copy(f.buf, f.buf[f.r:f.w])
+	f.r = 0
+	n, err := r.Read(f.buf[f.w:])
+	f.w += n
+	return err
+}
+
 // Request is one client → server message.
 type Request struct {
 	// ID correlates the response; clients choose it (monotonic is
@@ -333,6 +396,12 @@ func DecodeResponse(r io.Reader) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ParseResponse(payload)
+}
+
+// ParseResponse decodes one frame's payload as a Response.  The Response
+// may keep slices of payload, so the caller hands it over for good.
+func ParseResponse(payload []byte) (*Response, error) {
 	resp := new(Response)
 	if rest, ok := responsePlan.Decode(payload, reflect.ValueOf(resp).Elem()); ok && len(rest) == 0 {
 		return resp, nil

@@ -32,6 +32,80 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// choppy hands a stream out in pieces of seeded sizes, failing every
+// third read with nothing read — a read cut short by a deadline.
+type choppy struct {
+	data  []byte
+	reads int
+	seed  uint32
+}
+
+var errCut = errors.New("read cut short")
+
+func (c *choppy) Read(p []byte) (int, error) {
+	c.reads++
+	if c.reads%3 == 0 {
+		return 0, errCut
+	}
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	c.seed = c.seed*1664525 + 1013904223
+	n := min(len(p), len(c.data), 1+int(c.seed>>20)%5000)
+	copy(p, c.data[:n])
+	c.data = c.data[n:]
+	return n, nil
+}
+
+// TestFrameReaderResumesMidFrame: a FrameReader fed in arbitrary pieces,
+// with reads cut short between them, yields exactly ReadFrame's payloads
+// — the empty one and one larger than its buffer included — and refuses
+// a declared length past MaxFrame.
+func TestFrameReaderResumesMidFrame(t *testing.T) {
+	var stream bytes.Buffer
+	payloads := [][]byte{[]byte(`{"id":1}`), {}, bytes.Repeat([]byte("x"), 70000), []byte(`{"id":2}`)}
+	for i := 0; i < 40; i++ {
+		payloads = append(payloads, bytes.Repeat([]byte{byte('a' + i%26)}, i*97))
+	}
+	for _, p := range payloads {
+		if err := WriteFrame(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := uint32(1); seed <= 20; seed++ {
+		r := &choppy{data: bytes.Clone(stream.Bytes()), seed: seed}
+		var f FrameReader
+		for i, want := range payloads {
+			for {
+				got, ok, err := f.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					if !bytes.Equal(got, want) {
+						t.Fatalf("seed %d: frame %d = %d bytes, want %d", seed, i, len(got), len(want))
+					}
+					break
+				}
+				if err := f.Fill(r); err != nil && err != errCut {
+					t.Fatalf("seed %d: frame %d: Fill = %v", seed, i, err)
+				}
+			}
+		}
+		if err := f.Fill(r); err != io.EOF && err != errCut {
+			t.Errorf("seed %d: Fill past the last frame = %v", seed, err)
+		}
+	}
+
+	var f FrameReader
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
+	f.Fill(bytes.NewReader(hdr[:]))
+	if _, _, err := f.Next(); !errors.Is(err, ErrFrameTooBig) {
+		t.Errorf("Next on an oversized declaration = %v, want ErrFrameTooBig", err)
+	}
+}
+
 func TestReadFrameTruncated(t *testing.T) {
 	var whole bytes.Buffer
 	if err := WriteFrame(&whole, []byte(`{"id":7}`)); err != nil {
