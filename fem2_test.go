@@ -32,7 +32,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if sys.Machine.Makespan() == 0 {
 		t.Error("no simulated time elapsed")
 	}
-	if got := sys.Database.Names(); len(got) != 1 || got[0] != "wing" {
+	if got, _, _ := sys.Database.List(); len(got) != 1 || got[0] != "wing" {
 		t.Errorf("database = %v", got)
 	}
 }

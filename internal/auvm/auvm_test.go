@@ -316,8 +316,8 @@ func TestDatabaseSerializesMixedElements(t *testing.T) {
 	if len(loads) != 1 || loads[0].Entries[0].Value != 2 {
 		t.Errorf("loads = %+v", loads)
 	}
-	if db.Bytes() == 0 {
-		t.Error("Bytes() = 0")
+	if _, size, err := db.List(); err != nil || size == 0 {
+		t.Errorf("List() size = %d, %v", size, err)
 	}
 }
 
@@ -332,18 +332,14 @@ func TestWorkspaceAccounting(t *testing.T) {
 		t.Error("model contributes no words")
 	}
 	mustExec(t, s, "load g l endload 1 0")
+	loaded := s.WS.Words()
 	mustExec(t, s, "solve g l")
-	if s.WS.Words() <= w1 {
+	if s.WS.Words() <= loaded {
 		t.Error("solution did not grow the workspace")
 	}
-	if !s.WS.DropModel("g") {
-		t.Error("DropModel failed")
-	}
-	if s.WS.DropModel("g") {
-		t.Error("double drop succeeded")
-	}
-	if s.WS.Words() != 0 {
-		t.Errorf("workspace after drop = %d words", s.WS.Words())
+	mustExec(t, s, "generate grid g 3 3 3 3 clamp-left")
+	if got := s.WS.Words(); got != loaded {
+		t.Errorf("workspace after the model is replaced = %d words, want %d (solution dropped, load set kept)", got, loaded)
 	}
 }
 
@@ -418,8 +414,8 @@ func TestConcurrentMultiUserDatabase(t *testing.T) {
 			t.Errorf("user %d: %v", u, err)
 		}
 	}
-	if len(db.Names()) != users {
-		t.Errorf("db has %d models, want %d", len(db.Names()), users)
+	if names, _, err := db.List(); err != nil || len(names) != users {
+		t.Errorf("db has %d models (%v), want %d", len(names), err, users)
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 	recordVersion = 2
 )
 
-// Element kind bytes — the values modelDTO.Order uses.
+// Element kind bytes — the values a format-1 modelDTO.Order uses too.
 const (
 	elemBar = 0
 	elemCST = 1
@@ -49,6 +49,10 @@ func isModelRecord(raw []byte) bool { return len(raw) > 0 && raw[0] == 0 }
 
 // matBits is a material as the bit patterns of E, Nu, T and A.
 type matBits [4]uint64
+
+func materialBits(m fem.Material) matBits {
+	return matBits{math.Float64bits(m.E), math.Float64bits(m.Nu), math.Float64bits(m.T), math.Float64bits(m.A)}
+}
 
 // encodeModelRecord writes a model and its load sets as a record.
 func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
@@ -85,7 +89,7 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("auvm: cannot serialize element kind %q", e.Kind())
 		}
-		key := matBits{math.Float64bits(mat.E), math.Float64bits(mat.Nu), math.Float64bits(mat.T), math.Float64bits(mat.A)}
+		key := materialBits(mat)
 		idx, seen := mats[key]
 		if !seen {
 			idx = len(mats)
@@ -93,9 +97,7 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 		}
 		b = binary.AppendUvarint(b, uint64(idx))
 		if !seen {
-			for _, bits := range key {
-				b = binary.LittleEndian.AppendUint64(b, bits)
-			}
+			b = appendMaterial(b, mat)
 		}
 	}
 
@@ -125,6 +127,29 @@ func appendString(b []byte, s string) []byte {
 
 func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// appendFloats writes a count, then the floats.
+func appendFloats(b []byte, fs []float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(fs)))
+	for _, f := range fs {
+		b = appendFloat(b, f)
+	}
+	return b
+}
+
+func appendMaterial(b []byte, m fem.Material) []byte {
+	b = appendFloat(b, m.E)
+	b = appendFloat(b, m.Nu)
+	b = appendFloat(b, m.T)
+	return appendFloat(b, m.A)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
 }
 
 // decodeModelRecord reads a record back.  Every count is checked against
@@ -198,11 +223,14 @@ func decodeModelRecord(raw []byte) (*fem.Model, []*fem.LoadSet, error) {
 
 // recordReader is a cursor over a record's bytes.  A read the bytes
 // cannot satisfy empties it and sets bad, so every later read fails too
-// and callers test bad once per loop turn, not after every field.
+// and callers test bad once per loop turn, not after every field.  A
+// varint in more bytes than it needs is refused too, so bytes that read
+// back write back as themselves.
 type recordReader struct {
 	b    []byte
 	bad  bool
-	mats []fem.Material // the material table, in first-use order
+	mats []fem.Material   // the material table, in first-use order
+	seen map[matBits]bool // the table's entries
 }
 
 func (r *recordReader) fail() {
@@ -211,7 +239,7 @@ func (r *recordReader) fail() {
 
 func (r *recordReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail()
 		return 0
 	}
@@ -221,7 +249,7 @@ func (r *recordReader) uvarint() uint64 {
 
 func (r *recordReader) varint() int64 {
 	v, n := binary.Varint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.fail()
 		return 0
 	}
@@ -261,22 +289,56 @@ func (r *recordReader) count(size int) int {
 	return int(n)
 }
 
-func (r *recordReader) str() string {
+func (r *recordReader) str() string { return string(r.bytes()) }
+
+// bytes reads a length, then that many bytes.
+func (r *recordReader) bytes() []byte {
 	n := r.count(1)
-	s := string(r.b[:n])
+	b := r.b[:n:n]
 	r.b = r.b[n:]
-	return s
+	return b
+}
+
+// bool reads a byte that must be 0 or 1.
+func (r *recordReader) bool() bool {
+	c := r.byte()
+	if c > 1 {
+		r.fail()
+	}
+	return c == 1
+}
+
+// floats reads what appendFloats wrote.
+func (r *recordReader) floats() []float64 {
+	fs := make([]float64, r.count(8))
+	for i := range fs {
+		fs[i] = r.float()
+	}
+	return fs
+}
+
+func (r *recordReader) materialFields() fem.Material {
+	return fem.Material{E: r.float(), Nu: r.float(), T: r.float(), A: r.float()}
 }
 
 // material reads an element's material: an index into the table read so
-// far, or the table's length followed by the next entry.
+// far, or the table's length followed by the next entry.  A next entry
+// whose bits are already in the table is refused: the writer gives one
+// material one entry.
 func (r *recordReader) material() fem.Material {
 	idx := r.uvarint()
 	switch {
 	case idx < uint64(len(r.mats)):
 		return r.mats[idx]
 	case idx == uint64(len(r.mats)) && !r.bad:
-		mat := fem.Material{E: r.float(), Nu: r.float(), T: r.float(), A: r.float()}
+		mat := r.materialFields()
+		if r.seen[materialBits(mat)] {
+			break
+		}
+		if r.seen == nil {
+			r.seen = map[matBits]bool{}
+		}
+		r.seen[materialBits(mat)] = true
 		r.mats = append(r.mats, mat)
 		return mat
 	}

@@ -30,6 +30,34 @@ func gobModel(dto *modelDTO) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// encodeModel flattens a model (plus its load sets) into the DTO: the
+// writer of format-1 stores and FEM2SNAP1 snapshots, moved here verbatim
+// as gobModel's front half.
+func encodeModel(m *fem.Model, loads []*fem.LoadSet) (*modelDTO, error) {
+	dto := &modelDTO{Name: m.Name, Nodes: append([]fem.NodeCoord(nil), m.Nodes...)}
+	for _, e := range m.Elements {
+		switch el := e.(type) {
+		case *fem.Bar:
+			dto.Bars = append(dto.Bars, barDTO{N1: el.N1, N2: el.N2, Mat: el.Mat})
+			dto.Order = append(dto.Order, elemBar)
+		case *fem.CST:
+			dto.CSTs = append(dto.CSTs, cstDTO{N1: el.N1, N2: el.N2, N3: el.N3, Mat: el.Mat})
+			dto.Order = append(dto.Order, elemCST)
+		default:
+			return nil, fmt.Errorf("auvm: cannot serialize element kind %q", e.Kind())
+		}
+	}
+	for d := 0; d < m.NumDOF(); d++ {
+		if m.Fixed(d) {
+			dto.Fixed = append(dto.Fixed, d)
+		}
+	}
+	for _, ls := range loads {
+		dto.LoadSets = append(dto.LoadSets, loadSetDTO{Name: ls.Name, Entries: append([]fem.LoadEntry(nil), ls.Entries...)})
+	}
+	return dto, nil
+}
+
 // oracleDecode is the format-1 path end to end: DTO, gob, DTO, model.
 func oracleDecode(t testing.TB, m *fem.Model, loads []*fem.LoadSet) (*fem.Model, []*fem.LoadSet) {
 	t.Helper()
@@ -462,7 +490,7 @@ func TestModelRecordCorruptOrderIsAnError(t *testing.T) {
 	}
 
 	var snap bytes.Buffer
-	snap.WriteString(snapshotMagic)
+	snap.WriteString(legacySnapshotMagic)
 	if err := gob.NewEncoder(&snap).Encode(&snapshotDTO{Models: []modelSnapshotDTO{{Model: corruptOrderDTO()}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -495,6 +523,27 @@ func TestModelRecordRefusesDamage(t *testing.T) {
 	future[2]++
 	if _, _, err := decodeModelRecord(future); err == nil || errors.Is(err, errCorruptRecord) {
 		t.Errorf("record version %d: %v, want a version error", future[2], err)
+	}
+
+	// Two bars, the second introducing a table entry: one with bits of its
+	// own reads, one repeating the first entry is corrupt, since the
+	// writer gives one material one entry.
+	twoMaterials := func(e2 float64) []byte {
+		b := []byte{0, recordTag, recordVersion, 0, 2} // no name, two nodes
+		for _, xy := range []float64{0, 0, 1, 0} {
+			b = appendFloat(b, xy)
+		}
+		b = append(b, 2, elemBar, 0, 1, 0)
+		b = appendMaterial(b, fem.Material{E: 1, A: 1})
+		b = append(b, elemBar, 0, 1, 1)
+		b = appendMaterial(b, fem.Material{E: e2, A: 1})
+		return append(b, 0, 0)
+	}
+	if _, _, err := decodeModelRecord(twoMaterials(2)); err != nil {
+		t.Errorf("two materials: %v", err)
+	}
+	if _, _, err := decodeModelRecord(twoMaterials(1)); !errors.Is(err, errCorruptRecord) {
+		t.Errorf("a material entry repeated: %v, want %v", err, errCorruptRecord)
 	}
 
 	huge := binary.AppendUvarint(nil, 1<<60)

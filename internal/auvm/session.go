@@ -684,17 +684,16 @@ func (s *Session) doRetrieve(c command.Retrieve) (command.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.WS.PutModel(m)
-	for _, ls := range loads {
-		if err := s.WS.PutLoadSet(m.Name, ls); err != nil {
-			return nil, err
-		}
-	}
+	s.WS.restore([]savedEntry{{model: m, loads: loads}})
 	return &command.RetrieveResult{Name: c.Name, LoadSets: len(loads)}, nil
 }
 
 func (s *Session) doDelete(c command.Delete) (command.Result, error) {
-	if !s.DB.Delete(c.Name) {
+	found, err := s.DB.Delete(c.Name)
+	if err != nil {
+		return nil, fmt.Errorf("auvm: delete model %q: %w", c.Name, err)
+	}
+	if !found {
 		return nil, fmt.Errorf("auvm: model %q not in database: %w", c.Name, ErrNotFound)
 	}
 	return &command.DeleteResult{Name: c.Name}, nil
@@ -703,7 +702,11 @@ func (s *Session) doDelete(c command.Delete) (command.Result, error) {
 func (s *Session) doList(c command.List) (command.Result, error) {
 	switch c.What {
 	case command.ListDB:
-		return &command.ListResult{What: c.What, Names: s.DB.Names(), Bytes: s.DB.Bytes()}, nil
+		names, size, err := s.DB.List()
+		if err != nil {
+			return nil, fmt.Errorf("auvm: list db: %w", err)
+		}
+		return &command.ListResult{What: c.What, Names: names, Bytes: size}, nil
 	case command.ListWorkspace:
 		return &command.ListResult{What: c.What, Names: s.WS.ModelNames(), Words: s.WS.Words()}, nil
 	default:

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/errs"
+	"repro/internal/fault"
 	"repro/internal/fem"
 	"repro/internal/store"
 )
@@ -69,8 +71,8 @@ func TestDatabaseDeleteClearsSolutions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !db.Delete("rod") {
-		t.Fatal("Delete(rod) = false, want true")
+	if found, err := db.Delete("rod"); !found || err != nil {
+		t.Fatalf("Delete(rod) = %v, %v; want true, nil", found, err)
 	}
 	if _, _, err := db.Retrieve("rod"); !errors.Is(err, errs.ErrNotFound) {
 		t.Errorf("Retrieve after delete = %v, want not-found", err)
@@ -79,6 +81,52 @@ func TestDatabaseDeleteClearsSolutions(t *testing.T) {
 	st.Seek("s:", func(k string, _ []byte) bool { left = append(left, k); return true })
 	if len(left) != 1 || left[0] != "s:rod2:00000001" {
 		t.Errorf("s: keys after delete = %q, want only rod2's", left)
+	}
+}
+
+// faultDB is a database over a mem store behind a disarmed fault
+// injector with one rule.
+func faultDB(rule fault.Rule) (*Database, *fault.Injector) {
+	in := fault.NewInjector(1, rule)
+	in.Disarm()
+	return NewDatabaseOn(fault.NewStore(store.NewMemStore(), in), store.BackendMem), in
+}
+
+// TestDeleteReportsStoreFailure: a delete the store cannot write is that
+// failure, not "not found", and the model stays.
+func TestDeleteReportsStoreFailure(t *testing.T) {
+	db, in := faultDB(fault.Rule{Op: fault.OpBatch, Fault: fault.Fault{Err: fault.ErrIO}})
+	s := NewSession("alice", db)
+	mustExec(t, s, "generate grid g 2 2 2 2")
+	mustExec(t, s, "store g")
+	in.Arm()
+	_, err := s.Execute("delete g")
+	if !errors.Is(err, fault.ErrIO) || errors.Is(err, errs.ErrNotFound) {
+		t.Errorf("delete with a failing store = %v, want the injected I/O error", err)
+	}
+	in.Disarm()
+	if names, _, err := db.List(); err != nil || len(names) != 1 || names[0] != "g" {
+		t.Errorf("database after a failed delete = %q, %v; want g", names, err)
+	}
+	if _, err := s.Execute("delete nothing"); !errors.Is(err, errs.ErrNotFound) {
+		t.Errorf("delete of a missing model = %v, want not-found", err)
+	}
+}
+
+// TestListDBReportsSeekFailure: a listing the store cannot scan is that
+// failure, not an empty database.
+func TestListDBReportsSeekFailure(t *testing.T) {
+	db, in := faultDB(fault.Rule{Op: fault.OpSeek, Fault: fault.Fault{Err: fault.ErrIO}})
+	s := NewSession("alice", db)
+	mustExec(t, s, "generate grid g 2 2 2 2")
+	mustExec(t, s, "store g")
+	in.Arm()
+	if out, err := s.Execute("list db"); !errors.Is(err, fault.ErrIO) {
+		t.Errorf("list db with a failing store = %q, %v; want the injected I/O error", out, err)
+	}
+	in.Disarm()
+	if got := mustExec(t, s, "list db"); !strings.Contains(got, "1 models") {
+		t.Errorf("list db = %q", got)
 	}
 }
 
@@ -136,24 +184,29 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDeterministic pins the snapshot encoding: the same
-// workspace snapshots to the same byte count every time (gob of fixed
-// concrete types), so the acceptance comparison is stable.
+// workspace snapshots to the same bytes every time.  With six grid models
+// FEM2SNAP1 differed in 16 of 19 back-to-back snapshots: gob wrote the map
+// of grid options in the map's random order.
 func TestSnapshotDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	a := newSession(t)
 	snapshotScript(t, a)
-	mustExec(t, a, "snapshot "+filepath.Join(dir, "one.snap"))
-	mustExec(t, a, "snapshot "+filepath.Join(dir, "two.snap"))
-	one, err := os.ReadFile(filepath.Join(dir, "one.snap"))
-	if err != nil {
-		t.Fatal(err)
+	for _, g := range []string{"g1 2 2 2 2", "g2 3 1 3 1 clamp-left", "g3 1 3 1 3", "g4 2 1 2 1 jitter 0.1 4", "g5 1 1 1 1"} {
+		mustExec(t, a, "generate grid "+g)
 	}
-	two, err := os.ReadFile(filepath.Join(dir, "two.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != len(two) {
-		t.Errorf("snapshot sizes diverged: %d vs %d", len(one), len(two))
+	var first []byte
+	for i := 0; i < 20; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("%d.snap", i))
+		mustExec(t, a, "snapshot "+path)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = raw
+		} else if !bytes.Equal(raw, first) {
+			t.Fatalf("snapshot %d differs from the first: %d vs %d bytes", i, len(raw), len(first))
+		}
 	}
 }
 
@@ -179,7 +232,7 @@ func TestRestoreOfABadModelReplacesNothing(t *testing.T) {
 	}
 	bad := modelDTO{Name: "b", Nodes: []fem.NodeCoord{{}}, Bars: []barDTO{{N1: 0, N2: 5, Mat: fem.Steel()}}, Order: []byte{elemBar}}
 	var snap bytes.Buffer
-	snap.WriteString(snapshotMagic)
+	snap.WriteString(legacySnapshotMagic)
 	if err := gob.NewEncoder(&snap).Encode(&snapshotDTO{Models: []modelSnapshotDTO{{Model: *good}, {Model: bad}}}); err != nil {
 		t.Fatal(err)
 	}

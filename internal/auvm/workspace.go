@@ -61,30 +61,17 @@ func NewWorkspace() *Workspace {
 // PutModel stores (or replaces) a model in the workspace.  A replacement
 // takes over the retained solve state — assembly and factor cache — of
 // the model it displaces: generate, retrieve and restore all replace
-// through here, this is the only way that state changes hands, and the
+// through restore, the only way that state changes hands, and the
 // replacement's next solve checks all of it against itself before reuse.
-// The displaced model's grid options, solution and stresses are dropped,
-// as DropModel drops them: they describe another model, whatever its dof
-// count.  The result buffers become the entry's spares, and its load sets
+// The displaced model's grid options, solution and stresses are dropped:
+// they describe another model, whatever its dof count.  The result buffers become the entry's spares, and its load sets
 // stay.
-func (w *Workspace) PutModel(m *fem.Model) { w.putModel(m, nil) }
+func (w *Workspace) PutModel(m *fem.Model) { w.restore([]savedEntry{{model: m}}) }
 
 // PutGrid is PutModel for a model RectGrid generated from o, which
 // GridOpts then answers for the name until the model is replaced.
-func (w *Workspace) PutGrid(m *fem.Model, o fem.RectGridOpts) { w.putModel(m, &o) }
-
-func (w *Workspace) putModel(m *fem.Model, grid *fem.RectGridOpts) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e := w.entries[m.Name]
-	if e == nil {
-		w.entries[m.Name] = &entry{model: m, grid: grid, loads: map[string]*fem.LoadSet{}}
-		return
-	}
-	m.AdoptAssembly(e.model)
-	e.model, e.grid = m, grid
-	e.putSolution(nil)
-	e.putStresses(nil)
+func (w *Workspace) PutGrid(m *fem.Model, o fem.RectGridOpts) {
+	w.restore([]savedEntry{{model: m, grid: &o}})
 }
 
 // GridOpts returns the options the named model was generated from by
@@ -141,18 +128,6 @@ func (w *Workspace) ModelNames() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// DropModel removes a model and its dependent data, reporting whether it
-// existed.
-func (w *Workspace) DropModel(name string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.entries[name]; !ok {
-		return false
-	}
-	delete(w.entries, name)
-	return true
 }
 
 // PutLoadSet attaches a load set to a model.
@@ -260,9 +235,9 @@ func (w *Workspace) stresses(model string) [][]float64 {
 	return nil
 }
 
-// savedEntry is one name's entry as snapshot writes it: the model, its
-// grid options (nil for none), its load sets in name order, and copies of
-// its results.
+// savedEntry is one name's entry as snapshot writes it and restore reads
+// it: the model, its grid options (nil for none), its load sets in name
+// order, and copies of its results.
 type savedEntry struct {
 	model    *fem.Model
 	grid     *fem.RectGridOpts
@@ -290,6 +265,30 @@ func (w *Workspace) save() []savedEntry {
 	}
 	slices.SortFunc(out, func(a, b savedEntry) int { return strings.Compare(a.model.Name, b.model.Name) })
 	return out
+}
+
+// restore is save's inverse, under one lock: each entry's model replaces
+// its name's as PutModel does, keeping the name's other load sets, and
+// brings its grid options, load sets and results, which become the
+// workspace's own; the results they replace become the spares.
+func (w *Workspace) restore(saved []savedEntry) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, se := range saved {
+		e := w.entries[se.model.Name]
+		if e == nil {
+			e = &entry{loads: map[string]*fem.LoadSet{}}
+			w.entries[se.model.Name] = e
+		} else {
+			se.model.AdoptAssembly(e.model)
+		}
+		e.model, e.grid = se.model, se.grid
+		for _, ls := range se.loads {
+			e.loads[ls.Name] = ls
+		}
+		e.putSolution(se.sol)
+		e.putStresses(se.stresses)
+	}
 }
 
 // copySolution returns a copy of sol with its own U; nil stays nil.

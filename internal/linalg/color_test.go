@@ -1,9 +1,7 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -174,96 +172,6 @@ func TestQuickGreedyColoringValid(t *testing.T) {
 		return c.NumColors <= maxDeg+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDenseCholFactorAndSolve(t *testing.T) {
-	a := DenseFromRows([][]float64{
-		{4, 1, 0},
-		{1, 3, 1},
-		{0, 1, 5},
-	})
-	ch, err := CholeskyDense(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vector{1, -2, 0.5}
-	b := a.MulVec(want, nil, nil)
-	x := ch.Solve(b, nil)
-	if d := MaxAbsDiff(x, want); d > 1e-12 {
-		t.Errorf("DenseChol solve error %g", d)
-	}
-	// Multi-RHS solve.
-	bm := NewDense(3, 2)
-	for i := 0; i < 3; i++ {
-		bm.Set(i, 0, b[i])
-		bm.Set(i, 1, 2*b[i])
-	}
-	xm := ch.SolveMatrix(bm, nil)
-	for i := 0; i < 3; i++ {
-		if d := xm.At(i, 0) - want[i]; d > 1e-12 || d < -1e-12 {
-			t.Errorf("SolveMatrix col 0 row %d off by %g", i, d)
-		}
-		if d := xm.At(i, 1) - 2*want[i]; d > 1e-12 || d < -1e-12 {
-			t.Errorf("SolveMatrix col 1 row %d off by %g", i, d)
-		}
-	}
-}
-
-func TestDenseCholRejectsNonSPD(t *testing.T) {
-	if _, err := CholeskyDense(DenseFromRows([][]float64{{0}}), nil); err == nil {
-		t.Error("zero pivot accepted")
-	}
-	if _, err := CholeskyDense(NewDense(2, 3), nil); err == nil {
-		t.Error("non-square accepted")
-	}
-	indef := DenseFromRows([][]float64{{1, 2}, {2, 1}})
-	if _, err := CholeskyDense(indef, nil); err == nil {
-		t.Error("indefinite accepted")
-	}
-	// A NaN pivot is not positive either, and the work up to it is booked.
-	var st Stats
-	if _, err := CholeskyDense(DenseFromRows([][]float64{{4, 2}, {2, math.NaN()}}), &st); err == nil || !strings.Contains(err.Error(), "pivot NaN") {
-		t.Errorf("NaN pivot: error %v", err)
-	}
-	if st.Flops == 0 {
-		t.Error("NaN pivot: no flops booked for the first column")
-	}
-}
-
-// Property: DenseChol agrees with Gaussian elimination on random SPD
-// matrices A = MᵀM + I.
-func TestQuickDenseCholMatchesGauss(t *testing.T) {
-	f := func(seed int64, szRaw uint8) bool {
-		n := int(szRaw)%8 + 1
-		rng := rand.New(rand.NewSource(seed))
-		m := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				m.Set(i, j, rng.Float64()*2-1)
-			}
-		}
-		a := m.Transpose().Mul(m, nil)
-		for i := 0; i < n; i++ {
-			a.AddAt(i, i, 1)
-		}
-		b := NewVector(n)
-		for i := range b {
-			b[i] = rng.Float64()*2 - 1
-		}
-		ch, err := CholeskyDense(a, nil)
-		if err != nil {
-			return false
-		}
-		xc := ch.Solve(b, nil)
-		xg, err := a.SolveGauss(b, nil)
-		if err != nil {
-			return false
-		}
-		return MaxAbsDiff(xc, xg) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }

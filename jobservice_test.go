@@ -137,7 +137,7 @@ func TestCancelMidSolveThroughFacade(t *testing.T) {
 	if _, err := s.Do(ctx, fem2.StoreCommand{Model: "big"}); err != nil {
 		t.Fatal(err)
 	}
-	namesBefore := fmt.Sprint(sys.Database.Names())
+	namesBefore := fmt.Sprint(sys.Database.List())
 
 	id, err := s.SubmitAsync(ctx, fem2.SolveCommand{Model: "big", Set: "tip", Method: fem2.SolveJacobi})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestCancelMidSolveThroughFacade(t *testing.T) {
 	if snap.State != fem2.JobCancelled {
 		t.Errorf("state = %v, want cancelled", snap.State)
 	}
-	if got := fmt.Sprint(sys.Database.Names()); got != namesBefore {
+	if got := fmt.Sprint(sys.Database.List()); got != namesBefore {
 		t.Errorf("database changed across cancel: %s -> %s", namesBefore, got)
 	}
 	if s.WS.Solution("big") != nil {

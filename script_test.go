@@ -49,7 +49,7 @@ func TestScriptedWorkstation(t *testing.T) {
 			t.Errorf("script output missing %q", want)
 		}
 	}
-	if got := sys.Database.Names(); len(got) != 2 || got[0] != "jib" || got[1] != "spar" {
+	if got, _, _ := sys.Database.List(); len(got) != 2 || got[0] != "jib" || got[1] != "spar" {
 		t.Errorf("database = %v", got)
 	}
 	// Every level saw activity.
