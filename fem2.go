@@ -9,9 +9,8 @@
 //
 //	AUVM — the application user's machine (interactive command language,
 //	       model database, workspaces),
-//	NAVM — the numerical analyst's machine (tasks, windows on arrays,
-//	       forall/pardo, broadcast, remote procedure call, parallel
-//	       linear algebra),
+//	NAVM — the numerical analyst's machine (tasks, task-owned arrays,
+//	       row windows, distributed CG, Jacobi and SOR),
 //	SPVM — the system programmer's machine (the seven task messages,
 //	       activation records, ready queues, a variable-size-block heap),
 //	ARCH — the hardware (clusters of PEs around shared memories, joined

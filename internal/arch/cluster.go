@@ -36,14 +36,6 @@ func (c *Cluster) Delivered() int64 {
 	return c.delivered
 }
 
-// Rerouted returns how many messages were bounced to another cluster
-// because no local worker was live.
-func (c *Cluster) Rerouted() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rerouted
-}
-
 // liveWorkers returns the cluster's non-failed workers.
 func (c *Cluster) liveWorkers() []*PE {
 	var out []*PE
@@ -97,11 +89,4 @@ func (c *Cluster) Deliver(arrival, decodeCycles, workCycles int64) (int64, *PE, 
 	done := w.RunAt(decoded, workCycles)
 	c.delivered++
 	return done, w, nil
-}
-
-// PEs returns all PEs of the cluster, kernel first.
-func (c *Cluster) PEs() []*PE {
-	out := make([]*PE, 0, 1+len(c.Workers))
-	out = append(out, c.Kernel)
-	return append(out, c.Workers...)
 }

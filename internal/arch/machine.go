@@ -75,9 +75,6 @@ func (m *Machine) Cluster(i int) *Cluster { return m.clusters[i] }
 // PE returns the PE with the given machine-wide ID.
 func (m *Machine) PE(id int) *PE { return m.pes[id] }
 
-// PEs returns every PE in ID order.
-func (m *Machine) PEs() []*PE { return m.pes }
-
 // Network returns the communication network.
 func (m *Machine) Network() *Network { return m.network }
 
@@ -181,8 +178,8 @@ func (m *Machine) PlaceWorker() (*PE, error) {
 	return nil, ErrNoWorkers
 }
 
-// PlaceWorkerInCluster picks the earliest live worker within one cluster
-// (remote procedure calls execute where the window's data lives).
+// PlaceWorkerInCluster picks the earliest live worker within one cluster,
+// for work that must run beside a given cluster's data or away from it.
 func (m *Machine) PlaceWorkerInCluster(cluster int) (*PE, error) {
 	if cluster < 0 || cluster >= len(m.clusters) {
 		return nil, fmt.Errorf("arch: no cluster %d", cluster)
@@ -212,15 +209,6 @@ func (m *Machine) FailPE(id int) error {
 		return fmt.Errorf("arch: FailPE: no PE %d", id)
 	}
 	m.pes[id].fail()
-	return nil
-}
-
-// RepairPE returns a failed PE to service.
-func (m *Machine) RepairPE(id int) error {
-	if id < 0 || id >= len(m.pes) {
-		return fmt.Errorf("arch: RepairPE: no PE %d", id)
-	}
-	m.pes[id].repair()
 	return nil
 }
 
@@ -262,19 +250,6 @@ func (m *Machine) Utilization() float64 {
 		return 0
 	}
 	return float64(m.TotalBusy()) / float64(span*live)
-}
-
-// Reset zeroes all PE clocks, memory, network occupancy and statistics,
-// preserving the failure pattern (the fault experiments re-run workloads
-// on a degraded machine).
-func (m *Machine) Reset() {
-	for _, p := range m.pes {
-		p.reset()
-	}
-	for _, c := range m.clusters {
-		c.Memory.reset()
-	}
-	m.network.reset()
 }
 
 // Report summarises the machine state for the experiment harness.

@@ -11,89 +11,39 @@ import (
 var ErrOutOfMemory = errors.New("arch: cluster shared memory exhausted")
 
 // SharedMemory models one cluster's shared memory: a capacity in words
-// with dynamic allocation, tracking the high-water mark so experiments can
-// report the storage requirement of an application ("large storage
-// requirements; dynamic allocation").
+// from which tasks allocate their arrays ("large storage requirements;
+// dynamic allocation").  Nothing frees, so the words in use are also the
+// high-water mark the experiments report as an application's storage
+// requirement.
 type SharedMemory struct {
-	mu        sync.Mutex
-	capacity  int64
-	used      int64
-	highWater int64
-	allocs    map[int64]int64 // handle -> words
-	next      int64
+	mu       sync.Mutex
+	capacity int64
+	used     int64
 }
 
 // NewSharedMemory returns an empty memory of the given word capacity.
 func NewSharedMemory(capacity int64) *SharedMemory {
-	return &SharedMemory{capacity: capacity, allocs: map[int64]int64{}}
+	return &SharedMemory{capacity: capacity}
 }
 
-// Alloc reserves words of storage, returning an opaque handle.
-func (m *SharedMemory) Alloc(words int64) (int64, error) {
+// Alloc reserves words of storage.
+func (m *SharedMemory) Alloc(words int64) error {
 	if words <= 0 {
-		return 0, fmt.Errorf("arch: allocation of %d words", words)
+		return fmt.Errorf("arch: allocation of %d words", words)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.used+words > m.capacity {
-		return 0, fmt.Errorf("%w: %d used + %d requested > %d capacity",
+		return fmt.Errorf("%w: %d used + %d requested > %d capacity",
 			ErrOutOfMemory, m.used, words, m.capacity)
 	}
 	m.used += words
-	if m.used > m.highWater {
-		m.highWater = m.used
-	}
-	h := m.next
-	m.next++
-	m.allocs[h] = words
-	return h, nil
-}
-
-// Free releases the allocation named by handle.
-func (m *SharedMemory) Free(handle int64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	words, ok := m.allocs[handle]
-	if !ok {
-		return fmt.Errorf("arch: free of unknown handle %d", handle)
-	}
-	delete(m.allocs, handle)
-	m.used -= words
 	return nil
 }
 
-// Used returns the words currently allocated.
-func (m *SharedMemory) Used() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.used
-}
-
-// HighWater returns the maximum words ever simultaneously allocated.
+// HighWater returns the words allocated, the most ever in use.
 func (m *SharedMemory) HighWater() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.highWater
-}
-
-// Capacity returns the configured capacity in words.
-func (m *SharedMemory) Capacity() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.capacity
-}
-
-// Live returns the number of outstanding allocations.
-func (m *SharedMemory) Live() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.allocs)
-}
-
-// reset drops every allocation and statistic.
-func (m *SharedMemory) reset() {
-	m.mu.Lock()
-	m.used, m.highWater = 0, 0
-	m.allocs = map[int64]int64{}
-	m.mu.Unlock()
+	return m.used
 }

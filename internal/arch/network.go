@@ -84,20 +84,6 @@ func (nw *Network) Transfer(src, dst int, words int64, depart int64) int64 {
 	return start + occupy + nw.latency
 }
 
-// Messages returns the message count sent from cluster src to dst.
-func (nw *Network) Messages(src, dst int) int64 {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.msgs[src][dst]
-}
-
-// Words returns the word count sent from cluster src to dst.
-func (nw *Network) Words(src, dst int) int64 {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return nw.words[src][dst]
-}
-
 // TotalMessages returns the machine-wide inter-cluster message count.
 func (nw *Network) TotalMessages() int64 {
 	nw.mu.Lock()
@@ -135,17 +121,4 @@ func (nw *Network) TrafficMatrix() [][]int64 {
 		copy(out[i], nw.msgs[i])
 	}
 	return out
-}
-
-// reset clears link schedules and traffic counts.
-func (nw *Network) reset() {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	for i := range nw.busy {
-		for j := range nw.busy[i] {
-			nw.busy[i][j] = nil
-			nw.msgs[i][j] = 0
-			nw.words[i][j] = 0
-		}
-	}
 }

@@ -137,19 +137,3 @@ func (p *PE) fail() {
 	p.state = PEFailed
 	p.mu.Unlock()
 }
-
-// repair returns a failed PE to service.
-func (p *PE) repair() {
-	p.mu.Lock()
-	if p.state == PEFailed {
-		p.state = PEIdle
-	}
-	p.mu.Unlock()
-}
-
-// reset zeroes clock and statistics, preserving failure state.
-func (p *PE) reset() {
-	p.mu.Lock()
-	p.clock, p.busy, p.jobsDone = 0, 0, 0
-	p.mu.Unlock()
-}

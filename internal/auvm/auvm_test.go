@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/command"
+	"repro/internal/errs"
 	"repro/internal/fem"
 	"repro/internal/navm"
 	"repro/internal/obs"
@@ -36,7 +37,7 @@ func TestHelpAndUnknown(t *testing.T) {
 	if out := mustExec(t, s, "help"); !strings.Contains(out, "solve") {
 		t.Error("help missing solve")
 	}
-	if _, err := s.Execute("frobnicate"); !errors.Is(err, ErrUsage) {
+	if _, err := s.Execute("frobnicate"); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("unknown command: %v", err)
 	}
 	// Blank lines and comments are no-ops.

@@ -31,12 +31,6 @@ type Database struct {
 	mu      sync.Mutex // serializes Delete's check-then-batch
 }
 
-// NewDatabase returns an empty in-memory database — the pre-durability
-// behaviour, used by tests and embedded callers.
-func NewDatabase() *Database {
-	return NewDatabaseOn(store.NewMemStore(), store.BackendMem)
-}
-
 // NewDatabaseOn builds a database over an opened store.  backend is
 // the configured backend name, reported by the version verb.
 func NewDatabaseOn(st store.Store, backend string) *Database {

@@ -31,7 +31,7 @@ func TestExecuteContextCancellation(t *testing.T) {
 	s := newSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.ExecuteContext(ctx, "list db"); !errors.Is(err, ErrCancelled) {
+	if _, err := s.ExecuteContext(ctx, "list db"); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("cancelled ExecuteContext: %v", err)
 	} else if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ExecuteContext lost the context error: %v", err)

@@ -21,16 +21,6 @@ import (
 // command; the REPL loop treats it as a clean shutdown.
 var ErrQuit = errors.New("auvm: quit")
 
-// ErrUsage aliases the shared errs.ErrUsage sentinel; every malformed
-// command, whether rejected by the parser or by the interpreter, wraps
-// it.
-var ErrUsage = errs.ErrUsage
-
-// ErrCancelled aliases the shared errs.ErrCancelled sentinel; Do wraps
-// it (together with the context's own error) when its context is
-// cancelled or past its deadline.
-var ErrCancelled = errs.ErrCancelled
-
 // Session is one interactive user of the FEM-2 workstation: a workspace
 // of local data, a shared database, and (optionally) a NAVM runtime for
 // parallel solution.  The session is an interpreter over the typed
@@ -149,7 +139,7 @@ func (s *Session) Execute(line string) (string, error) {
 // its display output.  It is a thin adapter over the typed API: parse
 // the line, Do the command, render the result — so the string API has
 // the same cancellation story as Do: once ctx is done the command
-// returns an error wrapping ErrCancelled.
+// returns an error wrapping errs.ErrCancelled.
 func (s *Session) ExecuteContext(ctx context.Context, line string) (string, error) {
 	cmd, err := command.Parse(line)
 	if err != nil {
@@ -183,7 +173,7 @@ func (s *Session) SubmitAsync(ctx context.Context, cmd command.Command) (job.Job
 
 // Do interprets one typed command and returns its typed result.  It
 // checks ctx before starting and again before each long-running solve
-// phase, returning an error wrapping ErrCancelled (and the context's own
+// phase, returning an error wrapping errs.ErrCancelled (and the context's own
 // error) once ctx is done — so a server can impose per-request deadlines
 // on one-goroutine-per-session traffic.  Quit returns QuitResult
 // alongside ErrQuit.  With a scheduler attached, a command that names a
@@ -724,7 +714,7 @@ func (s *Session) Run(r io.Reader, w io.Writer) error {
 // RunContext drives the REPL under a context: every command executes
 // under ctx, so cancelling it (a SIGINT, a server shutdown) interrupts
 // an in-flight solve, and the loop itself stops — returning an error
-// wrapping ErrCancelled — once ctx is done.
+// wrapping errs.ErrCancelled — once ctx is done.
 func (s *Session) RunContext(ctx context.Context, r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -38,7 +38,7 @@ func TestMetricsLessSession(t *testing.T) {
 		}
 	}
 	// Malformed lines charge the (absent) auvm.ops counter too.
-	if _, err := s.Execute("frobnicate"); !errors.Is(err, ErrUsage) {
+	if _, err := s.Execute("frobnicate"); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("metrics-less parse error: %v", err)
 	}
 }
@@ -98,7 +98,7 @@ func TestDoCancelledContext(t *testing.T) {
 	s := newSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Do(ctx, command.List{What: command.ListDB}); !errors.Is(err, ErrCancelled) {
+	if _, err := s.Do(ctx, command.List{What: command.ListDB}); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("cancelled Do: %v", err)
 	} else if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled Do lost the context error: %v", err)

@@ -213,17 +213,6 @@ func (w *Workspace) PutStresses(model string, s [][]float64) {
 	}
 }
 
-// Stresses returns a copy of a model's latest stresses, or nil, on the
-// same terms as Solution.
-func (w *Workspace) Stresses(model string) [][]float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if e := w.entries[model]; e != nil {
-		return copyRows(e.stresses)
-	}
-	return nil
-}
-
 // stresses returns a model's latest stresses themselves, or nil, on the
 // same terms as solution.
 func (w *Workspace) stresses(model string) [][]float64 {

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/codec/codectest"
+
+	"repro/internal/errs"
 )
 
 // oracleMarshalCommand and oracleMarshalResult are the encoders the plan
@@ -148,7 +150,7 @@ func (c envelopeCodec[T]) check(t *testing.T, data []byte) bool {
 		}
 	}
 	if gerr != nil {
-		if !errors.Is(gerr, ErrUsage) {
+		if !errors.Is(gerr, errs.ErrUsage) {
 			t.Fatalf("malformed input %q: %v, want a usage error", data, gerr)
 		}
 		return false
@@ -304,7 +306,7 @@ func TestGeneralPathRefusesTrailingBytes(t *testing.T) {
 		`{"verb":"ping","body":{}}}`,
 		`{"verb":"submit","cmd":{"verb":"ping","body":{}}}"`,
 	} {
-		if cmd, err := UnmarshalCommand([]byte(data)); !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), "after top-level value") {
+		if cmd, err := UnmarshalCommand([]byte(data)); !errors.Is(err, errs.ErrUsage) || !strings.Contains(err.Error(), "after top-level value") {
 			t.Errorf("UnmarshalCommand(%s) = %#v, %v; want a usage error naming the trailing byte", data, cmd, err)
 		}
 	}
@@ -313,7 +315,7 @@ func TestGeneralPathRefusesTrailingBytes(t *testing.T) {
 		`{"kind":"ping"}{"kind":"quit"}`,
 		`{"kind":"ping","body":{"Degraded":false}}0`,
 	} {
-		if res, err := UnmarshalResult([]byte(data)); !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), "after top-level value") {
+		if res, err := UnmarshalResult([]byte(data)); !errors.Is(err, errs.ErrUsage) || !strings.Contains(err.Error(), "after top-level value") {
 			t.Errorf("UnmarshalResult(%s) = %#v, %v; want a usage error naming the trailing byte", data, res, err)
 		}
 	}
@@ -335,7 +337,7 @@ func TestNestedSubmitIsRefusedBeforeDescending(t *testing.T) {
 	data := []byte(strings.Repeat(`{"verb":"submit","cmd":`, depth) + `{"verb":"ping","body":{}}` + strings.Repeat(`}`, depth))
 	start := time.Now()
 	_, err := UnmarshalCommand(data)
-	if took := time.Since(start); !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), `"submit" cannot run as a job`) || took > 2*time.Second {
+	if took := time.Since(start); !errors.Is(err, errs.ErrUsage) || !strings.Contains(err.Error(), `"submit" cannot run as a job`) || took > 2*time.Second {
 		t.Errorf("UnmarshalCommand of %d nested submits = %v after %v; want the not-a-job refusal at once", depth, err, took)
 	}
 }

@@ -55,12 +55,6 @@ const (
 // backends (see linalg.Preconds).  The zero value applies none.
 type Precond string
 
-// The built-in preconditioners of the solve verb.
-const (
-	PrecondJacobi Precond = "jacobi"
-	PrecondSSOR   Precond = "ssor"
-)
-
 // Help requests the command-language summary.
 type Help struct{}
 

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/errs"
 )
 
 // TestParseEveryVerb drives the parser through every verb and option
@@ -45,9 +47,9 @@ func TestParseEveryVerb(t *testing.T) {
 		{"solve m ls method jacobi", Solve{Model: "m", Set: "ls", Method: MethodJacobi}},
 		{"solve m ls method cholesky-rcm", Solve{Model: "m", Set: "ls", Method: MethodCholeskyRCM}},
 		{"solve m ls method cholesky-env", Solve{Model: "m", Set: "ls", Method: MethodCholeskyEnv}},
-		{"solve m ls method cg precond jacobi", Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: PrecondJacobi}},
+		{"solve m ls method cg precond jacobi", Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("jacobi")}},
 		{"solve m ls method cg precond ssor parallel 8",
-			Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: PrecondSSOR, Parallel: 8}},
+			Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("ssor"), Parallel: 8}},
 		{"solve m ls parallel 8", Solve{Model: "m", Set: "ls", Parallel: 8}},
 		{"solve m ls substructures 4", Solve{Model: "m", Set: "ls", Substructures: 4}},
 		{"solve m ls method sor parallel 2 substructures 3",
@@ -145,7 +147,7 @@ func TestParseUsageErrors(t *testing.T) {
 			t.Errorf("Parse(%q) accepted as %#v", line, cmd)
 			continue
 		}
-		if !errors.Is(err, ErrUsage) {
+		if !errors.Is(err, errs.ErrUsage) {
 			t.Errorf("Parse(%q) error %v does not wrap ErrUsage", line, err)
 		}
 		if cmd != nil {
@@ -181,8 +183,8 @@ func TestRoundTrip(t *testing.T) {
 		Solve{Model: "m", Set: "ls", Method: MethodCG},
 		Solve{Model: "m", Set: "ls", Method: MethodCholeskyRCM},
 		Solve{Model: "m", Set: "ls", Method: MethodCholeskyEnv},
-		Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: PrecondJacobi},
-		Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: PrecondSSOR, Parallel: 2},
+		Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("jacobi")},
+		Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("ssor"), Parallel: 2},
 		Solve{Model: "m", Set: "ls", Parallel: 8},
 		Solve{Model: "m", Set: "ls", Substructures: 4},
 		Solve{Model: "m", Set: "ls", Method: MethodSOR, Parallel: 2, Substructures: 3},

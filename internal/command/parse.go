@@ -9,17 +9,12 @@ import (
 	"repro/internal/linalg"
 )
 
-// ErrUsage aliases the shared errs.ErrUsage sentinel: every syntax error
-// Parse returns wraps it, so errors.Is(err, command.ErrUsage) classifies
-// malformed command lines.
-var ErrUsage = errs.ErrUsage
-
 // usage is the shared syntax-error constructor.
 var usage = errs.Usage
 
 // Parse lexes and parses one command line into its typed Command.  A
 // blank line or a # comment parses to (nil, nil).  Syntax errors wrap
-// ErrUsage; all name/object resolution is deferred to the interpreter.
+// errs.ErrUsage; all name/object resolution is deferred to the interpreter.
 func Parse(line string) (Command, error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {

@@ -35,7 +35,7 @@ func oracleSolveString(c Solve) string {
 func TestSolveStringMatchesFmtOracle(t *testing.T) {
 	names := [][2]string{{"g", "l"}, {"", ""}, {strings.Repeat("plate", 20), "cruise"}}
 	methods := []Method{"", MethodCholesky, MethodCholeskyRCM, MethodCholeskyEnv, MethodCG, MethodSOR, MethodJacobi}
-	preconds := []Precond{"", PrecondJacobi, PrecondSSOR}
+	preconds := []Precond{"", Precond("jacobi"), Precond("ssor")}
 	counts := []int{0, -1, 1, 4, 12, math.MaxInt, math.MinInt}
 	n := 0
 	for _, name := range names {
@@ -56,7 +56,7 @@ func TestSolveStringMatchesFmtOracle(t *testing.T) {
 	if want := len(names) * len(methods) * len(preconds) * len(counts) * len(counts); n != want {
 		t.Fatalf("%d combinations, want %d", n, want)
 	}
-	c := Solve{Model: "g", Set: "l", Method: MethodCG, Precond: PrecondJacobi, Parallel: 4}
+	c := Solve{Model: "g", Set: "l", Method: MethodCG, Precond: Precond("jacobi"), Parallel: 4}
 	if allocs := testing.AllocsPerRun(100, func() { _ = c.String() }); allocs != 1 {
 		t.Errorf("Solve.String allocates %v times, want 1", allocs)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/errs"
 )
 
 // wireCommandSamples is one populated sample per command verb — every
@@ -26,7 +28,7 @@ var wireCommandSamples = []Command{
 	DefineLoadSet{Model: "m", Set: "ls"},
 	AddLoad{Model: "m", Set: "ls", DOF: 3, Value: -50.5},
 	EndLoad{Model: "m", Set: "ls", FX: 10, FY: -1000},
-	Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: PrecondJacobi},
+	Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("jacobi")},
 	Solve{Model: "m", Set: "ls", Substructures: 4},
 	Stresses{Model: "m"},
 	Display{What: DisplayDisplacements, Model: "m"},
@@ -161,14 +163,14 @@ func TestWireCommandErrors(t *testing.T) {
 		`not json`,
 	}
 	for _, data := range cases {
-		if _, err := UnmarshalCommand([]byte(data)); !errors.Is(err, ErrUsage) {
+		if _, err := UnmarshalCommand([]byte(data)); !errors.Is(err, errs.ErrUsage) {
 			t.Errorf("UnmarshalCommand(%s) = %v, want ErrUsage", data, err)
 		}
 	}
-	if _, err := UnmarshalResult([]byte(`{"kind":"warp"}`)); !errors.Is(err, ErrUsage) {
+	if _, err := UnmarshalResult([]byte(`{"kind":"warp"}`)); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("UnmarshalResult unknown kind = %v, want ErrUsage", err)
 	}
-	if _, err := MarshalCommand(nil); !errors.Is(err, ErrUsage) {
+	if _, err := MarshalCommand(nil); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("MarshalCommand(nil) = %v, want ErrUsage", err)
 	}
 }

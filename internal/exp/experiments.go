@@ -121,7 +121,7 @@ func E1Requirements(sizes []int, workers int) (*Table, error) {
 		if stats.Iterations > 0 {
 			haloPerIter = stats.HaloWords / int64(stats.Iterations)
 		}
-		ratio := float64(stats.Flops) / float64(maxI64(words, 1))
+		ratio := float64(stats.Flops) / float64(max(words, 1))
 		t.AddRow(n, k.N, stats.Iterations, float64(stats.Flops)/1e6,
 			storage, msgs, words, haloPerIter, ratio)
 	}
@@ -232,7 +232,7 @@ func E3Substructure(workerCounts []int) (*Table, error) {
 		if base == 0 {
 			base = span
 		}
-		t.AddRow(w, span, float64(base)/float64(maxI64(span, 1)),
+		t.AddRow(w, span, float64(base)/float64(max(span, 1)),
 			linalg.MaxAbsDiff(sol.U, ref.U),
 			rt.Machine().Network().TotalMessages())
 	}
@@ -271,7 +271,7 @@ func E4MultiUser(userCounts []int) (*Table, error) {
 			}
 		}
 		span := sys.Machine.Makespan()
-		t.AddRow(u, u, span, float64(u)*1e6/float64(maxI64(span, 1)), sys.Machine.Utilization())
+		t.AddRow(u, u, span, float64(u)*1e6/float64(max(span, 1)), sys.Machine.Utilization())
 	}
 	return t, nil
 }
@@ -330,7 +330,7 @@ func E5TaskInitiation(counts []int) (*Table, error) {
 		for _, kern := range rt.Kernels() {
 			decoded += kern.Decoded()
 		}
-		t.AddRow(k, created, heap, decoded, span, float64(span)/float64(maxI64(int64(k), 1)))
+		t.AddRow(k, created, heap, decoded, span, float64(span)/float64(max(int64(k), 1)))
 	}
 	return t, nil
 }
@@ -370,7 +370,7 @@ func E6WindowAccess() (*Table, error) {
 			return err
 		}
 		cycles := pe.Clock() - start
-		t.AddRow(label, locality, words, accesses, cycles, float64(cycles)/float64(maxI64(words, 1)))
+		t.AddRow(label, locality, words, accesses, cycles, float64(cycles)/float64(max(words, 1)))
 		return nil
 	}
 	// Local accesses run on the root's own PE.
@@ -596,7 +596,7 @@ func E10LinalgKernels(workerCounts []int) (*Table, error) {
 		Notes:   "dot pays a reduction + barrier; axpy is embarrassingly parallel",
 	}
 	for _, p := range workerCounts {
-		cfg := defaultConfig(maxInt(1, p/4), 6)
+		cfg := defaultConfig(max(1, p/4), 6)
 		rt := navm.NewRuntime(arch.MustNew(cfg))
 		rt.AttachInstrumentation(obs.New())
 		d, err := navm.Partition(k, b, p)
@@ -1086,18 +1086,4 @@ func RunAll() ([]*Table, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

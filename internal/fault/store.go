@@ -37,9 +37,6 @@ func WrapStore(in *Injector) func(store.Conditional) store.Conditional {
 	return func(inner store.Conditional) store.Conditional { return NewStore(inner, in) }
 }
 
-// Inner returns the wrapped store.
-func (s *Store) Inner() store.Conditional { return s.inner }
-
 func (s *Store) Get(key string) ([]byte, error) {
 	if f := s.in.check(OpGet); f != nil && f.Err != nil {
 		return nil, fmt.Errorf("get %q: %w", key, f.Err)

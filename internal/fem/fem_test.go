@@ -151,7 +151,7 @@ func TestBarStiffnessAxial(t *testing.T) {
 	if k.At(0, 0) != 150 || k.At(0, 2) != -150 || k.At(1, 1) != 0 {
 		t.Errorf("bar stiffness wrong: %v %v %v", k.At(0, 0), k.At(0, 2), k.At(1, 1))
 	}
-	if !k.IsSymmetric(0) {
+	if !symmetric(k.Rows, k.At, 0) {
 		t.Error("bar stiffness asymmetric")
 	}
 }
@@ -311,7 +311,7 @@ func TestAssembledSystemSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !asm.K.IsSymmetric(1e-9) {
+	if !symmetric(asm.K.N, asm.K.At, 1e-9) {
 		t.Error("assembled stiffness not symmetric")
 	}
 	plan, err := linalg.NewDirectPlan(asm.K, linalg.PlanOpts{})
@@ -497,7 +497,7 @@ func TestQuickBarStiffnessPSD(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !k.IsSymmetric(1e-9) {
+		if !symmetric(k.Rows, k.At, 1e-9) {
 			return false
 		}
 		v := linalg.Vector{float64(probe[0]), float64(probe[1]), float64(probe[2]), float64(probe[3])}
@@ -535,4 +535,17 @@ func TestQuickRigidTranslationZeroStress(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// symmetric reports whether the n×n matrix at reads is symmetric within
+// tol.
+func symmetric(n int, at func(i, j int) float64, tol float64) bool {
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if d := at(i, j) - at(j, i); d < -tol || d > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -153,14 +153,6 @@ func CantileverTruss(name string, bays int, bayLen, height float64, mat Material
 	return m, nil
 }
 
-// TipLoad builds a load set with a single downward force at the free-end
-// bottom node of a CantileverTruss.
-func TipLoad(name string, bays int, f float64) *LoadSet {
-	return &LoadSet{Name: name, Entries: []LoadEntry{
-		{DOF: DOF(bays, 1), Value: -f},
-	}}
-}
-
 // UniaxialBar builds the textbook verification model: a chain of n bar
 // elements along the x axis, clamped at node 0, so that a tip load P
 // yields the exact solution u(i) = P·x_i/(E·A).

@@ -366,32 +366,3 @@ func StressesInto(m *Model, sol *Solution, dst [][]float64) ([][]float64, error)
 	}
 	return dst, nil
 }
-
-// Reactions computes the constrained-dof reaction forces K_full·u at the
-// fixed dofs (useful for equilibrium checks: reactions balance applied
-// loads).
-func Reactions(m *Model, sol *Solution) (map[int]float64, error) {
-	if err := checkSolutionFits(m, sol); err != nil {
-		return nil, err
-	}
-	reac := map[int]float64{}
-	var sc stiffScratch
-	for ei, e := range m.Elements {
-		dofs := ElementDOFs(e)
-		ke, err := sc.stiffness(m, e, len(dofs))
-		if err != nil {
-			return nil, fmt.Errorf("fem: element %d: %w", ei, err)
-		}
-		for i, gi := range dofs {
-			if !m.Fixed(gi) {
-				continue
-			}
-			var f float64
-			for j, gj := range dofs {
-				f += ke.At(i, j) * sol.U[gj]
-			}
-			reac[gi] += f
-		}
-	}
-	return reac, nil
-}

@@ -22,8 +22,15 @@ func cstStressDense(t *CST, m *Model, u linalg.Vector) ([]float64, error) {
 		return nil, t.degenerate()
 	}
 	da := sh.dMatrix()
-	b := linalg.DenseFromRows([][]float64{ba[0][:], ba[1][:], ba[2][:]})
-	d := linalg.DenseFromRows([][]float64{da[0][:], da[1][:], da[2][:]})
+	b, d := linalg.NewDense(3, 6), linalg.NewDense(3, 3)
+	for i := range 3 {
+		for j, v := range ba[i] {
+			b.Set(i, j, v)
+		}
+		for j, v := range da[i] {
+			d.Set(i, j, v)
+		}
+	}
 	ue := linalg.Vector{
 		u[DOF(t.N1, 0)], u[DOF(t.N1, 1)],
 		u[DOF(t.N2, 0)], u[DOF(t.N2, 1)],

@@ -319,9 +319,6 @@ func unchangedBits(v, rec float64) bool {
 	return math.Float64bits(v) == math.Float64bits(rec)
 }
 
-// Pattern returns the reduced system's sparsity pattern.
-func (ws *Workspace) Pattern() *linalg.Pattern { return ws.pat }
-
 // Assemble runs the numeric phase: element stiffnesses are evaluated
 // (each distinct CST shape and material once; see stiffScratch) and
 // scatter-added through the cached map, in element order.  The

@@ -1,0 +1,26 @@
+package hgraph
+
+// Len returns the number of nodes.
+func (g *Graph) Len() int { return len(g.nodes) }
+
+// RemoveArc deletes the access path named sel, reporting whether it
+// existed.
+func (n *Node) RemoveArc(sel string) bool {
+	if _, ok := n.arcs[sel]; !ok {
+		return false
+	}
+	delete(n.arcs, sel)
+	return true
+}
+
+// SetSub stores a nested graph in the node, clearing any atom.
+func (n *Node) SetSub(g *Graph) {
+	n.Sub, n.HasAtom = g, false
+}
+
+// Calls returns the recorded call hierarchy in invocation order.
+func (ip *Interp) Calls() []CallRecord {
+	out := make([]CallRecord, len(ip.calls))
+	copy(out, ip.calls)
+	return out
+}

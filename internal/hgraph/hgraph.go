@@ -74,9 +74,6 @@ func Float(v float64) Atom { return Atom{Kind: AtomFloat, F: v} }
 // Str returns a string atom.
 func Str(v string) Atom { return Atom{Kind: AtomString, S: v} }
 
-// Bool returns a boolean atom.
-func Bool(v bool) Atom { return Atom{Kind: AtomBool, B: v} }
-
 // Node is an abstract storage location.  Its value is either an Atom
 // (leaf) or a nested *Graph (hierarchy), or empty.  Arcs to other nodes
 // are labeled with selectors and represent access paths.
@@ -106,11 +103,6 @@ func (n *Node) SetAtom(a Atom) {
 	n.Atom, n.HasAtom, n.Sub = a, true, nil
 }
 
-// SetSub stores a nested graph in the node, clearing any atom.
-func (n *Node) SetSub(g *Graph) {
-	n.Sub, n.HasAtom = g, false
-}
-
 // Arc creates (or replaces) the access path named sel from n to target.
 func (n *Node) Arc(sel string, target *Node) *Node {
 	if n.arcs == nil {
@@ -133,16 +125,6 @@ func (n *Node) Selectors() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RemoveArc deletes the access path named sel, reporting whether it
-// existed.
-func (n *Node) RemoveArc(sel string) bool {
-	if _, ok := n.arcs[sel]; !ok {
-		return false
-	}
-	delete(n.arcs, sel)
-	return true
 }
 
 // Graph is a directed graph of nodes with one distinguished entry node.
@@ -176,25 +158,8 @@ func (g *Graph) AddAtom(label string, a Atom) *Node {
 	return g.AddNode(NewAtomNode(label, a))
 }
 
-// SetEntry designates n as the entry node; n must already be in the graph.
-func (g *Graph) SetEntry(n *Node) {
-	for _, m := range g.nodes {
-		if m == n {
-			g.entry = n
-			return
-		}
-	}
-	panic(fmt.Sprintf("hgraph: SetEntry node %q not in graph %q", n.Label, g.Name))
-}
-
 // Entry returns the distinguished entry node (nil for an empty graph).
 func (g *Graph) Entry() *Node { return g.entry }
-
-// Nodes returns the graph's nodes in insertion order (shared storage).
-func (g *Graph) Nodes() []*Node { return g.nodes }
-
-// Len returns the number of nodes.
-func (g *Graph) Len() int { return len(g.nodes) }
 
 // Walk visits every node reachable from the entry (following arcs and
 // descending into subgraphs), in deterministic order, calling visit once

@@ -3,7 +3,6 @@ package hgraph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -65,16 +64,6 @@ func (r *Registry) Register(t *Transform) *Registry {
 // Lookup returns the named transform, or nil.
 func (r *Registry) Lookup(name string) *Transform { return r.m[name] }
 
-// Names returns the sorted transform names.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.m))
-	for k := range r.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CallRecord is one entry in an interpreter's call trace.
 type CallRecord struct {
 	Depth int
@@ -98,13 +87,6 @@ type Interp struct {
 // NewInterp returns an interpreter over the registry.
 func NewInterp(reg *Registry) *Interp {
 	return &Interp{reg: reg, CheckPost: true}
-}
-
-// Calls returns the recorded call hierarchy in invocation order.
-func (ip *Interp) Calls() []CallRecord {
-	out := make([]CallRecord, len(ip.calls))
-	copy(out, ip.calls)
-	return out
 }
 
 // CallTree renders the recorded hierarchy with indentation.

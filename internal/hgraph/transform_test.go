@@ -176,19 +176,6 @@ func TestBodyErrorWrapped(t *testing.T) {
 	}
 }
 
-func TestRegistryNamesSorted(t *testing.T) {
-	reg := NewRegistry("r")
-	reg.Register(&Transform{Name: "zeta"})
-	reg.Register(&Transform{Name: "alpha"})
-	names := reg.Names()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Errorf("Names = %v", names)
-	}
-	if reg.Lookup("alpha") == nil || reg.Lookup("missing") != nil {
-		t.Error("Lookup misbehaved")
-	}
-}
-
 func ExampleInterp_Invoke() {
 	reg := NewRegistry("demo")
 	reg.Register(incTransform())

@@ -213,9 +213,6 @@ func NewScheduler(workers int) *Scheduler {
 	return s
 }
 
-// Workers returns the pool bound.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // SetEpochSource wires the cluster lease epoch into journal records.
 // f is called under the scheduler lock at each journal write, so it
 // must be cheap and non-blocking (cluster.Coordinator.Epoch is both).
@@ -268,15 +265,6 @@ func (s *Scheduler) logfLocked(format string, args ...any) {
 	if s.logf != nil {
 		s.logf(format, args...)
 	}
-}
-
-// JournalErrors reports how many journal writes have failed since the
-// scheduler started — the scheduler survives every one of them, so the
-// count is the only trace short of the log.
-func (s *Scheduler) JournalErrors() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.journalErrs
 }
 
 // SetRetention rebounds the retained job history (<= 0 keeps everything

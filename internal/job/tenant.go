@@ -168,14 +168,6 @@ func (s *Scheduler) finishLocked(j *job) {
 	s.publishLocked(j)
 }
 
-// Live returns the number of live (queued or running) jobs across all
-// owners.
-func (s *Scheduler) Live() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveTotal
-}
-
 // Drain blocks until every live job reaches a terminal state or ctx
 // dies, whichever is first — the graceful-shutdown wait.  Drain does
 // not stop new submissions; the caller decides what "no new work"

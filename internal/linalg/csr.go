@@ -176,20 +176,6 @@ func (m *CSR) DiagonalInto(d Vector) Vector {
 	return d
 }
 
-// IsSymmetric reports whether the matrix equals its transpose within tol.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			d := m.Val[k] - m.At(j, i)
-			if d < -tol || d > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Bandwidth returns the maximum |i-j| over stored non-zeros.
 func (m *CSR) Bandwidth() int {
 	var w int
@@ -205,17 +191,6 @@ func (m *CSR) Bandwidth() int {
 		}
 	}
 	return w
-}
-
-// ToDense expands to dense form (tests only).
-func (m *CSR) ToDense() *Dense {
-	d := NewDense(m.N, m.N)
-	for i := 0; i < m.N; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			d.Set(i, m.ColIdx[k], m.Val[k])
-		}
-	}
-	return d
 }
 
 // RowColumns returns the column indices of row i (shared storage; callers

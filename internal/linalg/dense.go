@@ -18,22 +18,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, data: make([]float64, rows*cols)}
 }
 
-// DenseFromRows builds a matrix from row slices, which must all share one
-// length.
-func DenseFromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Errorf("%w: DenseFromRows row %d has %d cols, want %d", ErrDimension, i, len(r), m.Cols))
-		}
-		copy(m.data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
 // At returns element (i,j).
 func (m *Dense) At(i, j int) float64 { return m.data[i*m.Cols+j] }
 
@@ -103,22 +87,6 @@ func (m *Dense) Transpose() *Dense {
 		}
 	}
 	return out
-}
-
-// IsSymmetric reports whether |m_ij - m_ji| <= tol for all i,j.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			d := m.At(i, j) - m.At(j, i)
-			if d < -tol || d > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // SolveGauss solves M*x = b by Gaussian elimination with partial pivoting,

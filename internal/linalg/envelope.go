@@ -67,33 +67,6 @@ func (e *Envelope) rowFlops(i int) int64 {
 // lower triangle including the diagonal).
 func (e *Envelope) NNZ() int { return len(e.env) }
 
-// First returns the first stored column of row i.
-func (e *Envelope) First(i int) int { return e.first[i] }
-
-// At returns element (i,j), exploiting symmetry; outside the envelope
-// it is 0.
-func (e *Envelope) At(i, j int) float64 {
-	if i < j {
-		i, j = j, i
-	}
-	if j < e.first[i] {
-		return 0
-	}
-	return e.env[e.ptr[i]+j-e.first[i]]
-}
-
-// Set assigns element (i,j) (and by symmetry (j,i)).  Setting outside
-// the envelope panics: the profile is fixed at construction.
-func (e *Envelope) Set(i, j int, v float64) {
-	if i < j {
-		i, j = j, i
-	}
-	if j < e.first[i] {
-		panic(fmt.Errorf("linalg: Envelope.Set(%d,%d) outside profile (row starts at %d)", i, j, e.first[i]))
-	}
-	e.env[e.ptr[i]+j-e.first[i]] = v
-}
-
 // subDot returns s − Σ a[k]·b[k], subtracting in ascending k.  b may be
 // longer than a.
 func subDot(s float64, a, b []float64) float64 {

@@ -55,7 +55,8 @@ func meshSystems(t testing.TB, plates [][2]int, truss bool) []meshSystem {
 	}
 	if truss {
 		m, err := fem.CantileverTruss("t", 30, 2, 1.5, fem.Steel())
-		add("truss-30", m, fem.TipLoad("l", 30, -500), err)
+		tip := &fem.LoadSet{Name: "l", Entries: []fem.LoadEntry{{DOF: fem.DOF(30, 1), Value: 500}}}
+		add("truss-30", m, tip, err)
 	}
 	return out
 }

@@ -1,6 +1,9 @@
 package linalg
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // CheckEnvelopeKernel runs the kernel-against-oracle comparison of
 // envelope_test.go, one subtest per kernel, on a's values laid out as the
@@ -42,4 +45,113 @@ func SolveBody(p *DirectPlan, name string, rhs Vector) func(out Vector) {
 		}
 	}
 	return nil
+}
+
+// IsSymmetric reports whether the matrix equals its transpose within tol.
+func (m *CSR) IsSymmetric(tol float64) bool {
+	for i := 0; i < m.N; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			j := m.ColIdx[k]
+			d := m.Val[k] - m.At(j, i)
+			if d < -tol || d > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ToDense expands to dense form (tests only).
+func (m *CSR) ToDense() *Dense {
+	d := NewDense(m.N, m.N)
+	for i := 0; i < m.N; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			d.Set(i, m.ColIdx[k], m.Val[k])
+		}
+	}
+	return d
+}
+
+// IsSymmetric reports whether |m_ij - m_ji| <= tol for all i,j.
+func (m *Dense) IsSymmetric(tol float64) bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			d := m.At(i, j) - m.At(j, i)
+			if d < -tol || d > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// DenseFromRows builds a matrix from row slices, which must all share one
+// length.
+func DenseFromRows(rows [][]float64) *Dense {
+	if len(rows) == 0 {
+		return NewDense(0, 0)
+	}
+	m := NewDense(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Errorf("%w: DenseFromRows row %d has %d cols, want %d", ErrDimension, i, len(r), m.Cols))
+		}
+		copy(m.data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+// First returns the first stored column of row i.
+func (e *Envelope) First(i int) int { return e.first[i] }
+
+// At returns element (i,j), exploiting symmetry; outside the envelope
+// it is 0.
+func (e *Envelope) At(i, j int) float64 {
+	if i < j {
+		i, j = j, i
+	}
+	if j < e.first[i] {
+		return 0
+	}
+	return e.env[e.ptr[i]+j-e.first[i]]
+}
+
+// Set assigns element (i,j) (and by symmetry (j,i)).  Setting outside
+// the envelope panics: the profile is fixed at construction.
+func (e *Envelope) Set(i, j int, v float64) {
+	if i < j {
+		i, j = j, i
+	}
+	if j < e.first[i] {
+		panic(fmt.Errorf("linalg: Envelope.Set(%d,%d) outside profile (row starts at %d)", i, j, e.first[i]))
+	}
+	e.env[e.ptr[i]+j-e.first[i]] = v
+}
+
+// NNZ returns the number of stored entries the pattern describes.
+func (p *Pattern) NNZ() int { return len(p.ColIdx) }
+
+// RowNNZ returns the number of stored entries in row i.
+func (p *Pattern) RowNNZ(i int) int { return p.RowPtr[i+1] - p.RowPtr[i] }
+
+// PermuteVector gathers v into the new ordering: out[i] = v[perm[i]].
+func PermuteVector(v Vector, perm []int) Vector {
+	out := NewVector(len(perm))
+	for i, oldI := range perm {
+		out[i] = v[oldI]
+	}
+	return out
+}
+
+// UnpermuteVector scatters a solution back to the original ordering:
+// out[perm[i]] = v[i].
+func UnpermuteVector(v Vector, perm []int) Vector {
+	out := NewVector(len(perm))
+	for i, oldI := range perm {
+		out[oldI] = v[i]
+	}
+	return out
 }

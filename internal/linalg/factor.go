@@ -22,12 +22,9 @@ import (
 // Ordering selects the row/column ordering a DirectPlan factors under.
 type Ordering int
 
-const (
-	// OrderNatural keeps the mesh numbering.
-	OrderNatural Ordering = iota
-	// OrderRCM renumbers by reverse Cuthill–McKee to shrink the profile.
-	OrderRCM
-)
+// OrderRCM renumbers by reverse Cuthill–McKee to shrink the profile;
+// the zero Ordering keeps the mesh numbering.
+const OrderRCM Ordering = 1
 
 // StorageKind selects the row profile of a DirectPlan's envelope.  Both
 // kinds factor with the same kernel, so their factors agree bitwise.
@@ -145,9 +142,6 @@ func NewDirectPlan(a *CSR, opts PlanOpts) (*DirectPlan, error) {
 	}
 	return p, nil
 }
-
-// N returns the system order.
-func (p *DirectPlan) N() int { return p.n }
 
 // ProfileNNZ returns the stored lower-triangle entry count of the
 // factor storage, the storage the factorisation pays for: the skyline

@@ -95,12 +95,6 @@ func NewPattern(n int, rows, cols []int) (*Pattern, []int, error) {
 	return p, scatter, nil
 }
 
-// NNZ returns the number of stored entries the pattern describes.
-func (p *Pattern) NNZ() int { return len(p.ColIdx) }
-
-// RowNNZ returns the number of stored entries in row i.
-func (p *Pattern) RowNNZ(i int) int { return p.RowPtr[i+1] - p.RowPtr[i] }
-
 // NewCSR returns a CSR matrix over this pattern with a fresh zero value
 // array.  RowPtr and ColIdx are shared with the pattern (and with every
 // other CSR built from it); only Val is private to the returned matrix.

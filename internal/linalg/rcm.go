@@ -87,25 +87,6 @@ func (a *CSR) Permute(perm []int) (*CSR, error) {
 	return NewCSRFromTriplets(a.N, ts)
 }
 
-// PermuteVector gathers v into the new ordering: out[i] = v[perm[i]].
-func PermuteVector(v Vector, perm []int) Vector {
-	out := NewVector(len(perm))
-	for i, oldI := range perm {
-		out[i] = v[oldI]
-	}
-	return out
-}
-
-// UnpermuteVector scatters a solution back to the original ordering:
-// out[perm[i]] = v[i].
-func UnpermuteVector(v Vector, perm []int) Vector {
-	out := NewVector(len(perm))
-	for i, oldI := range perm {
-		out[oldI] = v[i]
-	}
-	return out
-}
-
 // SolveCholeskyRCM solves A*x = b by banded Cholesky after RCM
 // reordering, returning the solution in the original ordering — the full
 // 1980s production direct-solve pipeline.  It is a one-shot DirectPlan:

@@ -94,14 +94,6 @@ func Axpy(alpha float64, x, y Vector, st *Stats) {
 	st.addFlops(int64(2 * len(x)))
 }
 
-// Scale multiplies every element of v by alpha in place.
-func Scale(alpha float64, v Vector, st *Stats) {
-	for i := range v {
-		v[i] *= alpha
-	}
-	st.addFlops(int64(len(v)))
-}
-
 // Norm2 returns the Euclidean norm of v.
 func Norm2(v Vector, st *Stats) float64 {
 	s := Dot(v, v, st)
@@ -118,36 +110,6 @@ func NormInf(v Vector) float64 {
 		}
 	}
 	return m
-}
-
-// Sub computes out = a - b, allocating out when nil.
-func Sub(a, b, out Vector, st *Stats) Vector {
-	if len(a) != len(b) {
-		panic(fmt.Errorf("%w: Sub %d vs %d", ErrDimension, len(a), len(b)))
-	}
-	if out == nil {
-		out = NewVector(len(a))
-	}
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	st.addFlops(int64(len(a)))
-	return out
-}
-
-// Add computes out = a + b, allocating out when nil.
-func Add(a, b, out Vector, st *Stats) Vector {
-	if len(a) != len(b) {
-		panic(fmt.Errorf("%w: Add %d vs %d", ErrDimension, len(a), len(b)))
-	}
-	if out == nil {
-		out = NewVector(len(a))
-	}
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	st.addFlops(int64(len(a)))
-	return out
 }
 
 // MaxAbsDiff returns max_i |a_i - b_i|, useful for solution comparisons in

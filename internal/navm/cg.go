@@ -67,6 +67,20 @@ func Partition(a *linalg.CSR, b linalg.Vector, p int) (*DistSystem, error) {
 	return d, nil
 }
 
+// blockRange splits n items into p contiguous blocks and returns block
+// i's [lo,hi) range; earlier blocks are one longer when p does not divide
+// n.
+func blockRange(n, p, i int) (lo, hi int) {
+	base := n / p
+	rem := n % p
+	lo = i*base + min(i, rem)
+	hi = lo + base
+	if i < rem {
+		hi++
+	}
+	return lo, hi
+}
+
 // TotalHaloWords returns the per-SpMV halo exchange volume summed over all
 // worker pairs.
 func (d *DistSystem) TotalHaloWords() int64 {
@@ -156,6 +170,9 @@ func (d *DistSystem) haloExchange(rt *Runtime, pes []*arch.PE) int64 {
 	}
 	return words
 }
+
+// solverType is the task type behind the distributed solver workers.
+const solverType = "__solver"
 
 // spawnSolverTasks runs the SPVM side of a distributed solve: each
 // cluster hosting workers receives one initiate message creating that

@@ -2,7 +2,6 @@ package navm
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -272,9 +271,9 @@ func TestParallelCGSurvivesFailedPEs(t *testing.T) {
 func TestParallelCGAllWorkersFailed(t *testing.T) {
 	a, b, _ := testSystem(4)
 	rt := newSolveRuntime(t, 2, 3)
-	for _, p := range rt.Machine().PEs() {
-		if !p.Kernel {
-			rt.Machine().FailPE(p.ID)
+	for _, c := range rt.Machine().Clusters() {
+		for _, w := range c.Workers {
+			rt.Machine().FailPE(w.ID)
 		}
 	}
 	d, _ := Partition(a, b, 4)
@@ -303,136 +302,6 @@ func TestHaloCommunicationScalesWithPerimeterNotArea(t *testing.T) {
 		t.Errorf("work growth %0.2f, want ~4 (area)", flopGrowth)
 	}
 }
-
-func TestParallelDotMatchesSequential(t *testing.T) {
-	rt, root := newTestRuntime(t)
-	n := 64
-	x, _ := root.NewVectorArray("px", n)
-	y, _ := root.NewVectorArray("py", n)
-	var wantDot float64
-	for i := 0; i < n; i++ {
-		xi, yi := float64(i+1), float64(2*i-3)
-		x.Set(root, i, 0, xi)
-		y.Set(root, i, 0, yi)
-		wantDot += xi * yi
-	}
-	got, err := root.ParallelDot(x, y, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-wantDot) > 1e-9*math.Abs(wantDot) {
-		t.Errorf("ParallelDot = %g, want %g", got, wantDot)
-	}
-	// p clamped to n and to >=1.
-	if _, err := root.ParallelDot(x, y, 0); err != nil {
-		t.Errorf("p=0: %v", err)
-	}
-	if _, err := root.ParallelDot(x, y, 1000); err != nil {
-		t.Errorf("p>n: %v", err)
-	}
-	_ = rt
-}
-
-func TestParallelDotShapeErrors(t *testing.T) {
-	_, root := newTestRuntime(t)
-	x, _ := root.NewVectorArray("sx", 4)
-	m, _ := root.NewArray("sm", 4, 2)
-	if _, err := root.ParallelDot(x, m, 2); err == nil {
-		t.Error("matrix operand accepted")
-	}
-}
-
-func TestParallelAxpyAndNorm(t *testing.T) {
-	_, root := newTestRuntime(t)
-	n := 32
-	x, _ := root.NewVectorArray("ax", n)
-	y, _ := root.NewVectorArray("ay", n)
-	for i := 0; i < n; i++ {
-		x.Set(root, i, 0, 1)
-		y.Set(root, i, 0, float64(i))
-	}
-	if err := root.ParallelAxpy(2, x, y, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		v, _ := y.At(root, i, 0)
-		if v != float64(i)+2 {
-			t.Fatalf("y[%d] = %g", i, v)
-		}
-	}
-	norm, err := root.ParallelNorm2(x, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(norm-math.Sqrt(float64(n))) > 1e-12 {
-		t.Errorf("norm = %g", norm)
-	}
-}
-
-func TestRemoteCallExecutesAtDataLocation(t *testing.T) {
-	rt, root := newTestRuntime(t)
-	a, _ := root.NewArray("rdata", 8, 1)
-	for i := 0; i < 8; i++ {
-		a.Set(root, i, 0, float64(i+1))
-	}
-	w, _ := RowWindow(a, 0, 8)
-	var calleeCluster int
-	err := rt.RegisterProcedure("sum", 128, 16, func(callee *TaskCtx, w *Window, args []float64) ([]float64, error) {
-		calleeCluster = callee.PE().Cluster
-		v := w.Read(callee)
-		var s float64
-		for _, x := range v {
-			s += x
-		}
-		callee.Charge(int64(len(v)))
-		return []float64{s}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := root.RemoteCall("sum", w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 1 || res[0] != 36 {
-		t.Errorf("remote sum = %v", res)
-	}
-	if calleeCluster != a.HomeCluster() {
-		t.Errorf("procedure ran on cluster %d, data lives on %d", calleeCluster, a.HomeCluster())
-	}
-	// Results were also delivered through the SPVM remote-return path.
-	rec := rt.Kernel(root.pe.Cluster).Task(root.ID)
-	if len(rec.Results) != 1 || rec.Results[0] != 36 {
-		t.Errorf("kernel-level results = %v", rec.Results)
-	}
-}
-
-func TestRemoteCallUnknownProcedure(t *testing.T) {
-	_, root := newTestRuntime(t)
-	a, _ := root.NewArray("rc", 2, 2)
-	w, _ := NewWindow(a, 0, 1, 0, 1)
-	if _, err := root.RemoteCall("ghost", w, nil); err == nil {
-		t.Error("unknown procedure accepted")
-	}
-}
-
-func TestRemoteCallBodyErrorPropagates(t *testing.T) {
-	rt, root := newTestRuntime(t)
-	a, _ := root.NewArray("re", 2, 2)
-	w, _ := NewWindow(a, 0, 1, 0, 1)
-	rt.RegisterProcedure("bad", 64, 8, func(callee *TaskCtx, w *Window, args []float64) ([]float64, error) {
-		return nil, errTest
-	})
-	if _, err := root.RemoteCall("bad", w, nil); err == nil {
-		t.Error("procedure error not propagated")
-	}
-}
-
-var errTest = errorString("test error")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
 
 func absInt(x int) int {
 	if x < 0 {

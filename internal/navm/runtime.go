@@ -1,17 +1,20 @@
 // Package navm implements the FEM-2 numerical analyst's virtual machine:
 // the high-level parallel programming layer offering tasks
-// (programmer-defined parallel procedures), windows on arrays for remote
-// access to non-local data, broadcast, forall/pardo parallel control,
-// remote procedure call located by window, and parallel linear algebra
-// operations.
+// (programmer-defined parallel procedures) with initiate and wait, arrays
+// owned by a task, row windows on them for reading non-local data, and
+// the distributed solvers (CG, Jacobi, multi-colour SOR) with their halo
+// exchanges.  The paper's layer specification (core.FEM2Layers) also
+// names pause/resume, broadcast, pardo and remote procedure call.  The
+// SPVM kernels handle those messages, but no program here issues them, so
+// this layer does not offer them.
 //
-// The layer is implemented on the system programmer's VM (spvm): every
-// task control operation formats and sends one of the seven SPVM messages,
-// which a cluster kernel decodes and executes; tasks then run as
-// goroutines bound to simulated PEs of the hardware layer (arch), so the
-// numerical results are real while processing, storage, and communication
-// costs accrue on the simulated machine exactly as the paper's
-// evaluation-by-simulation calls for.
+// The layer is implemented on the system programmer's VM (spvm): task
+// initiation and termination each format and send an SPVM message, which
+// a cluster kernel executes; the kernels' task tables are the one task
+// registry.  Tasks then run as goroutines bound to simulated PEs of the
+// hardware layer (arch), so the numerical results are real while
+// processing, storage, and communication costs accrue on the simulated
+// machine exactly as the paper's evaluation-by-simulation calls for.
 package navm
 
 import (
@@ -33,18 +36,13 @@ const CyclesPerFlop = 10
 // registered.
 var ErrUnknownTaskType = errors.New("navm: unknown task type")
 
-// ErrNotOwner is returned when a task violates the data control rule
-// "all data owned by a single task" by writing another task's array
-// without a window.
-var ErrNotOwner = errors.New("navm: task does not own array")
-
 // TaskFunc is the body of a programmer-defined parallel procedure.  The
 // replica index runs 0..K-1 within one initiation.
 type TaskFunc func(tc *TaskCtx, replica int) error
 
 // Runtime is one NAVM instance bound to a simulated machine.  It owns the
-// per-cluster SPVM kernels, the task registry, and the distributed array
-// directory.
+// per-cluster SPVM kernels, which hold the task registry, and the
+// registered task types.
 type Runtime struct {
 	machine *arch.Machine
 	kernels []*spvm.Kernel
@@ -52,37 +50,31 @@ type Runtime struct {
 
 	ctr counters
 
-	mu           sync.Mutex
-	types        map[string]TaskFunc
-	tasks        map[spvm.TaskID]*TaskCtx
-	arrays       map[string]*Array
-	procs        map[string]ProcFunc
-	forallBodies map[int64]TaskFunc
-	nextForall   int64
+	mu    sync.Mutex
+	types map[string]TaskFunc
 }
 
 // NewRuntime builds a runtime over the machine, creating one kernel per
-// cluster with a heap sized to the cluster's shared memory.
+// cluster with a heap sized to the cluster's shared memory and the code
+// block of the distributed solvers' tasks loaded.
 func NewRuntime(m *arch.Machine) *Runtime {
 	rt := &Runtime{
 		machine: m,
 		ids:     spvm.NewIDSource(),
 		types:   map[string]TaskFunc{},
-		tasks:   map[spvm.TaskID]*TaskCtx{},
-		arrays:  map[string]*Array{},
 	}
 	for _, c := range m.Clusters() {
 		k := spvm.NewKernel(c.ID, m.Config().SharedMemoryWords, rt.ids)
+		k.Handle(&spvm.Message{Type: spvm.MsgLoadCode, CodeName: solverType, CodeWords: 256, LocalWords: 32})
 		rt.kernels = append(rt.kernels, k)
 	}
-	rt.registerInternalTypes()
 	return rt
 }
 
 // counters are the runtime's navm.* counters, resolved once by
 // AttachInstrumentation; nil until then (no-op sinks).
 type counters struct {
-	ops, flops, msgs, msgWords, local, remote, wordsAlloc, wordsFreed *obs.Counter
+	ops, flops, msgs, msgWords, local, remote, wordsAlloc *obs.Counter
 }
 
 // message counts one message carrying words words.
@@ -98,7 +90,7 @@ func (rt *Runtime) AttachInstrumentation(reg *obs.Registry) {
 		ops: reg.Counter(obs.NAVMOps), flops: reg.Counter(obs.NAVMFlops),
 		msgs: reg.Counter(obs.NAVMMsgs), msgWords: reg.Counter(obs.NAVMMsgWords),
 		local: reg.Counter(obs.NAVMLocalAccesses), remote: reg.Counter(obs.NAVMRemoteAccesses),
-		wordsAlloc: reg.Counter(obs.NAVMWordsAlloc), wordsFreed: reg.Counter(obs.NAVMWordsFreed),
+		wordsAlloc: reg.Counter(obs.NAVMWordsAlloc),
 	}
 	rt.machine.AttachInstrumentation(reg)
 	for _, k := range rt.kernels {
@@ -108,9 +100,6 @@ func (rt *Runtime) AttachInstrumentation(reg *obs.Registry) {
 
 // Machine returns the underlying simulated hardware.
 func (rt *Runtime) Machine() *arch.Machine { return rt.machine }
-
-// Kernel returns the SPVM kernel of cluster i.
-func (rt *Runtime) Kernel(i int) *spvm.Kernel { return rt.kernels[i] }
 
 // Kernels returns all cluster kernels.
 func (rt *Runtime) Kernels() []*spvm.Kernel { return rt.kernels }
@@ -140,7 +129,7 @@ func (rt *Runtime) taskFunc(name string) TaskFunc {
 }
 
 // TaskCtx is the numerical analyst's handle on one running task: its
-// identity, its PE binding, its parameters, and the VM operations.
+// identity, its PE binding, and the VM operations.
 type TaskCtx struct {
 	// ID is the SPVM task id.
 	ID spvm.TaskID
@@ -151,36 +140,14 @@ type TaskCtx struct {
 	// Replica is this task's index within its initiation group.
 	Replica int
 
-	rt     *Runtime
-	pe     *arch.PE
-	kern   *spvm.Kernel
-	params []float64
-
-	mu      sync.Mutex
-	paused  bool
-	resume  chan struct{}
-	done    chan struct{}
-	err     error
-	results []float64
-	mailbox chan []float64
+	rt   *Runtime
+	pe   *arch.PE
+	kern *spvm.Kernel
+	err  error
 }
 
 // PE returns the processing element the task is bound to.
 func (tc *TaskCtx) PE() *arch.PE { return tc.pe }
-
-// Runtime returns the owning runtime.
-func (tc *TaskCtx) Runtime() *Runtime { return tc.rt }
-
-// Params returns the task's initiation parameters.
-func (tc *TaskCtx) Params() []float64 { return tc.params }
-
-// Param returns parameter i, or 0 when absent.
-func (tc *TaskCtx) Param(i int) float64 {
-	if i < 0 || i >= len(tc.params) {
-		return 0
-	}
-	return tc.params[i]
-}
 
 // Charge accounts flops of numerical work: NAVM flop counters plus
 // simulated cycles on the task's PE.
@@ -203,15 +170,10 @@ func (rt *Runtime) NewRootTask() (*TaskCtx, error) {
 	id := rt.ids.Next()
 	kern := rt.kernels[pe.Cluster]
 	kern.RegisterRoot(id)
-	tc := &TaskCtx{
+	return &TaskCtx{
 		ID: id, Type: "<root>", Parent: spvm.NoTask,
 		rt: rt, pe: pe, kern: kern,
-		resume: make(chan struct{}, 1), done: make(chan struct{}),
-	}
-	rt.mu.Lock()
-	rt.tasks[id] = tc
-	rt.mu.Unlock()
-	return tc, nil
+	}, nil
 }
 
 // TaskGroup is a handle on a set of initiated task replications.
@@ -260,17 +222,11 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 		child := &TaskCtx{
 			ID: id, Type: taskType, Parent: tc.ID, Replica: i,
 			rt: rt, pe: pe, kern: kern,
-			params: append([]float64(nil), params...),
-			resume: make(chan struct{}, 1), done: make(chan struct{}),
 		}
-		rt.mu.Lock()
-		rt.tasks[id] = child
-		rt.mu.Unlock()
 		g.ctxs = append(g.ctxs, child)
 		g.group.Add(1)
 		go func(child *TaskCtx, i int) {
 			defer g.group.Done()
-			defer close(child.done)
 			// The kernel's ready->running transition.
 			if rec := kern.Task(child.ID); rec != nil {
 				kern.Ready.Remove(child.ID)
@@ -289,9 +245,6 @@ func (tc *TaskCtx) terminate() {
 	msg := &spvm.Message{Type: spvm.MsgTerminate, Task: tc.ID, Parent: tc.Parent}
 	tc.kern.Handle(msg)
 	tc.rt.ctr.message(msg.Words())
-	tc.rt.mu.Lock()
-	delete(tc.rt.tasks, tc.ID)
-	tc.rt.mu.Unlock()
 }
 
 // Wait blocks until every task in the group has terminated and returns
@@ -309,71 +262,4 @@ func (g *TaskGroup) Wait(tc *TaskCtx) error {
 	}
 	tc.rt.machine.Barrier(peIDs)
 	return firstErr
-}
-
-// Pause performs "pause and notify parent": the task enters the paused
-// state and its goroutine blocks until some other task resumes it.  Local
-// data is retained across the pause.
-func (tc *TaskCtx) Pause() error {
-	msg := &spvm.Message{Type: spvm.MsgPause, Task: tc.ID, Parent: tc.Parent}
-	if _, err := tc.kern.Handle(msg); err != nil {
-		return err
-	}
-	tc.rt.ctr.msgs.Inc()
-	tc.mu.Lock()
-	tc.paused = true
-	tc.mu.Unlock()
-	<-tc.resume
-	tc.mu.Lock()
-	tc.paused = false
-	tc.mu.Unlock()
-	// Back on the ready queue -> running again.
-	if rec := tc.kern.Task(tc.ID); rec != nil {
-		tc.kern.Ready.Remove(tc.ID)
-		rec.State = spvm.TaskRunning
-	}
-	return nil
-}
-
-// Paused reports whether the task is currently paused.
-func (tc *TaskCtx) Paused() bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.paused
-}
-
-// Resume performs "resume a child task" on the named task.
-func (tc *TaskCtx) Resume(child spvm.TaskID) error {
-	tc.rt.mu.Lock()
-	target := tc.rt.tasks[child]
-	tc.rt.mu.Unlock()
-	if target == nil {
-		return fmt.Errorf("%w: resume %d", spvm.ErrNoSuchTask, child)
-	}
-	msg := &spvm.Message{Type: spvm.MsgResume, Child: child}
-	if _, err := target.kern.Handle(msg); err != nil {
-		return err
-	}
-	tc.rt.ctr.msgs.Inc()
-	// The resumed task observes the resumer's progress.
-	target.pe.Sync(tc.pe.Clock())
-	select {
-	case target.resume <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// Task returns the live TaskCtx with the given id, or nil.
-func (rt *Runtime) Task(id spvm.TaskID) *TaskCtx {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.tasks[id]
-}
-
-// LiveTasks returns the number of live tasks.
-func (rt *Runtime) LiveTasks() int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return len(rt.tasks)
 }

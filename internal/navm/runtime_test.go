@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/obs"
@@ -34,15 +33,22 @@ func newCountedRuntime(t *testing.T) (*Runtime, *TaskCtx, *obs.Registry) {
 	return rt, root, reg
 }
 
+// liveTasks returns the tasks the runtime's kernels hold, the one task
+// registry, in kernel order.
+func liveTasks(rt *Runtime) []spvm.TaskID {
+	var ids []spvm.TaskID
+	for _, k := range rt.Kernels() {
+		ids = append(ids, k.TaskIDs()...)
+	}
+	return ids
+}
+
 func TestRootTaskRegistered(t *testing.T) {
 	rt, root := newTestRuntime(t)
 	if root.ID <= 0 {
 		t.Errorf("root id = %d", root.ID)
 	}
-	if rt.Task(root.ID) != root {
-		t.Error("root not in task table")
-	}
-	rec := rt.Kernel(root.pe.Cluster).Task(root.ID)
+	rec := rt.Kernels()[root.pe.Cluster].Task(root.ID)
 	if rec == nil || rec.State != spvm.TaskRunning {
 		t.Errorf("kernel record %+v", rec)
 	}
@@ -72,9 +78,9 @@ func TestInitiateRunsReplications(t *testing.T) {
 	if got := reg.Counter(obs.SPVMTasksInitiated).Load(); got != 6 {
 		t.Errorf("tasks_initiated = %d", got)
 	}
-	// All children terminated: only root remains.
-	if rt.LiveTasks() != 1 {
-		t.Errorf("LiveTasks = %d", rt.LiveTasks())
+	// All children terminated: only root remains in the kernels' tables.
+	if live := liveTasks(rt); len(live) != 1 || live[0] != root.ID {
+		t.Errorf("live tasks = %v, want only root %d", live, root.ID)
 	}
 	// Flops were charged to simulated PEs.
 	if rt.Machine().Makespan() == 0 {
@@ -93,13 +99,13 @@ func TestTaskParamsAndReplicaIndex(t *testing.T) {
 	rt, root := newTestRuntime(t)
 	seen := make([]float64, 4)
 	rt.RegisterTaskType("params", 64, 8, func(tc *TaskCtx, replica int) error {
-		seen[replica] = tc.Param(0) + float64(replica)
-		if tc.Param(99) != 0 {
-			return fmt.Errorf("out-of-range param not zero")
+		// The initiate message's parameters land in the kernel's
+		// activation record.
+		rec := tc.kern.Task(tc.ID)
+		if rec == nil || len(rec.Params) != 1 {
+			return fmt.Errorf("activation record %+v", rec)
 		}
-		if len(tc.Params()) != 1 {
-			return fmt.Errorf("params len %d", len(tc.Params()))
-		}
+		seen[replica] = rec.Params[0] + float64(replica)
 		return nil
 	})
 	g, _ := root.Initiate("params", 4, []float64{10})
@@ -128,162 +134,6 @@ func TestWaitPropagatesBodyError(t *testing.T) {
 	}
 }
 
-func TestPauseResumeBetweenTasks(t *testing.T) {
-	rt, root := newTestRuntime(t)
-	var childID atomic.Int64
-	resumedAt := make(chan struct{})
-	rt.RegisterTaskType("pauser", 64, 8, func(tc *TaskCtx, replica int) error {
-		childID.Store(int64(tc.ID))
-		if err := tc.Pause(); err != nil {
-			return err
-		}
-		close(resumedAt)
-		return nil
-	})
-	g, err := root.Initiate("pauser", 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the child is actually paused.
-	deadline := time.After(5 * time.Second)
-	for {
-		id := spvm.TaskID(childID.Load())
-		if id != 0 {
-			if tcx := rt.Task(id); tcx != nil && tcx.Paused() {
-				break
-			}
-		}
-		select {
-		case <-deadline:
-			t.Fatal("child never paused")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	id := spvm.TaskID(childID.Load())
-	// The kernel also sees it paused.
-	kern := rt.Task(id).kern
-	if rec := kern.Task(id); rec.State != spvm.TaskPaused {
-		t.Errorf("kernel state = %v", rec.State)
-	}
-	if err := root.Resume(id); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-resumedAt:
-	case <-time.After(5 * time.Second):
-		t.Fatal("child never resumed")
-	}
-	if err := g.Wait(root); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResumeUnknownTask(t *testing.T) {
-	_, root := newTestRuntime(t)
-	if err := root.Resume(spvm.TaskID(424242)); !errors.Is(err, spvm.ErrNoSuchTask) {
-		t.Errorf("want ErrNoSuchTask, got %v", err)
-	}
-}
-
-func TestForallRunsAllIterations(t *testing.T) {
-	_, root := newTestRuntime(t)
-	var sum int64
-	err := root.Forall(10, func(tc *TaskCtx, i int) error {
-		atomic.AddInt64(&sum, int64(i))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 45 {
-		t.Errorf("sum = %d, want 45", sum)
-	}
-}
-
-func TestForallRejectsNonPositive(t *testing.T) {
-	_, root := newTestRuntime(t)
-	if err := root.Forall(0, func(tc *TaskCtx, i int) error { return nil }); err == nil {
-		t.Error("Forall(0) accepted")
-	}
-}
-
-func TestForallNested(t *testing.T) {
-	_, root := newTestRuntime(t)
-	var count int64
-	err := root.Forall(3, func(outer *TaskCtx, i int) error {
-		return outer.Forall(4, func(inner *TaskCtx, j int) error {
-			atomic.AddInt64(&count, 1)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 12 {
-		t.Errorf("nested count = %d, want 12", count)
-	}
-}
-
-func TestPardoRunsEachStatement(t *testing.T) {
-	_, root := newTestRuntime(t)
-	var a, b, c atomic.Int64
-	err := root.Pardo(
-		func(tc *TaskCtx) error { a.Store(1); return nil },
-		func(tc *TaskCtx) error { b.Store(2); return nil },
-		func(tc *TaskCtx) error { c.Store(3); return nil },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Load() != 1 || b.Load() != 2 || c.Load() != 3 {
-		t.Error("pardo statements did not all run")
-	}
-	if err := root.Pardo(); err != nil {
-		t.Errorf("empty Pardo: %v", err)
-	}
-}
-
-func TestBroadcastReachesAllTargets(t *testing.T) {
-	rt, root := newTestRuntime(t)
-	const n = 5
-	got := make([][]float64, n)
-	started := make(chan *TaskCtx, n)
-	proceed := make(chan struct{})
-	rt.RegisterTaskType("recv", 64, 8, func(tc *TaskCtx, replica int) error {
-		started <- tc
-		<-proceed
-		got[replica] = tc.Recv()
-		return nil
-	})
-	g, err := root.Initiate("recv", n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var targets []*TaskCtx
-	for i := 0; i < n; i++ {
-		targets = append(targets, <-started)
-	}
-	payload := []float64{3.14, 2.71}
-	if err := root.Broadcast(payload, targets); err != nil {
-		t.Fatal(err)
-	}
-	close(proceed)
-	if err := g.Wait(root); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if len(v) != 2 || v[0] != 3.14 || v[1] != 2.71 {
-			t.Errorf("target %d got %v", i, v)
-		}
-	}
-	// Broadcast payloads are independent copies.
-	got[0][0] = 0
-	if got[1][0] != 3.14 {
-		t.Error("broadcast shares payload storage")
-	}
-}
-
 func TestChargeAdvancesPEAndMetrics(t *testing.T) {
 	_, root, reg := newCountedRuntime(t)
 	before := root.pe.Clock()
@@ -304,6 +154,8 @@ func TestChargeAdvancesPEAndMetrics(t *testing.T) {
 func TestManyTaskInitiationsScale(t *testing.T) {
 	rt, root, reg := newCountedRuntime(t)
 	rt.RegisterTaskType("tiny", 16, 2, func(tc *TaskCtx, replica int) error { return nil })
+	allocated, freed := reg.Counter(obs.SPVMWordsAlloc), reg.Counter(obs.SPVMWordsFreed)
+	codeWords := allocated.Load()
 	g, err := root.Initiate("tiny", 500, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -315,9 +167,7 @@ func TestManyTaskInitiationsScale(t *testing.T) {
 		t.Errorf("tasks_initiated = %d", got)
 	}
 	// All activation records were freed on terminate.
-	for _, k := range rt.Kernels() {
-		if k.Heap.Allocated() != 0 {
-			t.Errorf("cluster %d heap leaks %d words", k.ClusterID, k.Heap.Allocated())
-		}
+	if records := allocated.Load() - codeWords; records != 500*2 || freed.Load() != records {
+		t.Errorf("activation records took %d heap words and freed %d, want 1000 each", records, freed.Load())
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/linalg"
+	"repro/internal/obs"
 )
 
 func TestParallelMultiColorSORMatchesSequential(t *testing.T) {
@@ -148,5 +150,52 @@ func TestWorkerPEsLeastLoadedAndDisjoint(t *testing.T) {
 	}
 	if newlyBusy < 4 {
 		t.Errorf("second solve reused loaded PEs; only %d fresh PEs engaged", newlyBusy)
+	}
+}
+
+// TestSolversLeaveNoTaskInKernels reads the kernels' task tables, the one
+// task registry: each distributed solver initiates its tasks there, and
+// after the solve, converged or out of budget, no kernel still holds one.
+func TestSolversLeaveNoTaskInKernels(t *testing.T) {
+	a, b, _ := testSystem(6)
+	c := linalg.GreedyColoring(a)
+	solvers := map[string]func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error{
+		"cg": func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error {
+			_, _, err := rt.ParallelCG(context.Background(), d, opts)
+			return err
+		},
+		"jacobi": func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error {
+			_, _, err := rt.ParallelJacobi(context.Background(), d, opts)
+			return err
+		},
+		"multicolor-sor": func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error {
+			_, _, err := rt.ParallelMultiColorSOR(context.Background(), d, c, opts)
+			return err
+		},
+	}
+	for name, solve := range solvers {
+		for _, exhausted := range []bool{false, true} {
+			cfg := arch.DefaultConfig()
+			cfg.Clusters, cfg.PEsPerCluster = 2, 5
+			rt := NewRuntime(arch.MustNew(cfg))
+			reg := obs.New()
+			rt.AttachInstrumentation(reg)
+			d, _ := Partition(a, b, 4)
+			opts := linalg.DefaultIterOpts(a.N)
+			opts.Tol, opts.MaxIter = 1e-9, 50000
+			if exhausted {
+				opts.MaxIter = 2
+			}
+			err := solve(rt, d, opts)
+			if exhausted != (err != nil) {
+				t.Errorf("%s (budget exhausted %v): err = %v", name, exhausted, err)
+			}
+			if got := reg.Counter(obs.SPVMTasksInitiated).Load(); got != 4 {
+				t.Errorf("%s (budget exhausted %v): %d solver tasks initiated, want 4", name, exhausted, got)
+			}
+			if live := liveTasks(rt); len(live) != 0 {
+				t.Errorf("%s (budget exhausted %v): kernels still hold tasks %v", name, exhausted, live)
+			}
+		}
 	}
 }

@@ -20,7 +20,7 @@ const (
 	// command language, model database, workspaces).
 	LevelAUVM Level = iota
 	// LevelNAVM is the numerical analyst's virtual machine (tasks,
-	// windows, forall/pardo, broadcast, linear algebra operations).
+	// arrays, windows, the distributed solvers).
 	LevelNAVM
 	// LevelSPVM is the system programmer's virtual machine (messages,
 	// activation records, ready queues, heap storage).

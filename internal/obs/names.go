@@ -75,12 +75,11 @@ const (
 	AUVMOps            = "auvm.ops"             // counter: commands interpreted: served, refused, malformed, or run as a job
 	NAVMOps            = "navm.ops"             // counter: task types registered
 	NAVMFlops          = "navm.flops"           // counter: floating-point operations charged by tasks
-	NAVMMsgs           = "navm.msgs"            // counter: task control, window, broadcast and rpc messages sent
+	NAVMMsgs           = "navm.msgs"            // counter: initiate, terminate, remote window and halo messages sent
 	NAVMMsgWords       = "navm.msg_words"       // counter: words those messages carried
-	NAVMLocalAccesses  = "navm.local_accesses"  // counter: array and window accesses served from the task's own cluster
+	NAVMLocalAccesses  = "navm.local_accesses"  // counter: window and halo accesses served from the task's own cluster
 	NAVMRemoteAccesses = "navm.remote_accesses" // counter: window accesses that crossed clusters
 	NAVMWordsAlloc     = "navm.words_alloc"     // counter: words of distributed arrays and CG workspace allocated
-	NAVMWordsFreed     = "navm.words_freed"     // counter: words of distributed arrays freed
 	SPVMOps            = "spvm.ops"             // counter: messages the cluster kernels decoded
 	SPVMTasksInitiated = "spvm.tasks_initiated" // counter: activation records created by initiate messages
 	SPVMWordsAlloc     = "spvm.words_alloc"     // counter: kernel heap and code-store words allocated

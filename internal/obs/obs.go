@@ -168,29 +168,6 @@ type HistogramSnap struct {
 	Buckets []BucketSnap `json:"buckets,omitempty"`
 }
 
-// Merge combines two snapshots of power-of-two histograms — same-pow
-// buckets add, which is the whole point of fixed buckets.  The receiver
-// is unchanged; the merged snapshot keeps the receiver's name.
-func (h HistogramSnap) Merge(o HistogramSnap) HistogramSnap {
-	out := HistogramSnap{Name: h.Name, Count: h.Count + o.Count, SumNS: h.SumNS + o.SumNS}
-	counts := map[int]int64{}
-	for _, b := range h.Buckets {
-		counts[b.Pow] += b.Count
-	}
-	for _, b := range o.Buckets {
-		counts[b.Pow] += b.Count
-	}
-	pows := make([]int, 0, len(counts))
-	for p := range counts {
-		pows = append(pows, p)
-	}
-	sort.Ints(pows)
-	for _, p := range pows {
-		out.Buckets = append(out.Buckets, BucketSnap{Pow: p, Count: counts[p]})
-	}
-	return out
-}
-
 // Snapshot is a point-in-time copy of a registry: every registered
 // metric, sorted by name, so two snapshots of identical state are
 // deeply equal and every rendering derived from one is deterministic.
@@ -208,19 +185,6 @@ type Snapshot struct {
 
 // Counter returns the named counter's value, zero when absent.
 func (s Snapshot) Counter(name string) int64 { return findMetric(s.Counters, name) }
-
-// Gauge returns the named gauge's value, zero when absent.
-func (s Snapshot) Gauge(name string) int64 { return findMetric(s.Gauges, name) }
-
-// Histogram returns the named histogram's snapshot and whether it was
-// registered.
-func (s Snapshot) Histogram(name string) (HistogramSnap, bool) {
-	i := sort.Search(len(s.Histograms), func(i int) bool { return s.Histograms[i].Name >= name })
-	if i < len(s.Histograms) && s.Histograms[i].Name == name {
-		return s.Histograms[i], true
-	}
-	return HistogramSnap{}, false
-}
 
 func findMetric(ms []MetricSnap, name string) int64 {
 	i := sort.Search(len(ms), func(i int) bool { return ms[i].Name >= name })
@@ -343,14 +307,6 @@ func (f *HistogramFamily) Get(member string) *Histogram {
 	grown[member] = h
 	f.members.Store(&grown)
 	return h
-}
-
-// Start returns the registry's creation time; zero for a nil registry.
-func (r *Registry) Start() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.start
 }
 
 // UptimeSeconds returns whole seconds since the registry was created.

@@ -44,29 +44,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge checks same-pow buckets add and distinct pows
-// union in sorted order.
-func TestHistogramMerge(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	a.Observe(3)    // pow 2
-	a.Observe(100)  // pow 7
-	b.Observe(2)    // pow 2
-	b.Observe(5000) // pow 13
-
-	m := a.snap("a").Merge(b.snap("b"))
-	want := HistogramSnap{
-		Name: "a", Count: 4, SumNS: 3 + 100 + 2 + 5000,
-		Buckets: []BucketSnap{{Pow: 2, Count: 2}, {Pow: 7, Count: 1}, {Pow: 13, Count: 1}},
-	}
-	if !reflect.DeepEqual(m, want) {
-		t.Errorf("merge = %+v, want %+v", m, want)
-	}
-	// Merge is value-level: the inputs are unchanged.
-	if a.snap("a").Count != 2 || b.snap("b").Count != 2 {
-		t.Error("merge mutated an input snapshot source")
-	}
-}
-
 // TestSnapshotDeterministic takes two snapshots of one registry with
 // no traffic in between and requires them deeply equal — the property
 // that makes the stats verb's rendering stable.

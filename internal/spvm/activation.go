@@ -2,7 +2,6 @@ package spvm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -87,29 +86,6 @@ func (s *CodeStore) Find(name string) *CodeBlock {
 	return s.m[name]
 }
 
-// Names returns the sorted loaded block names.
-func (s *CodeStore) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalWords returns the storage held by loaded code blocks.
-func (s *CodeStore) TotalWords() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t int64
-	for _, b := range s.m {
-		t += b.Words
-	}
-	return t
-}
-
 // ReadyQueue is the kernel's FIFO of tasks awaiting a PE ("enter task in
 // ready queue").
 type ReadyQueue struct {
@@ -125,25 +101,6 @@ func (r *ReadyQueue) Push(id TaskID) {
 	r.mu.Lock()
 	r.q = append(r.q, id)
 	r.mu.Unlock()
-}
-
-// Pop removes and returns the oldest task; ok is false when empty.
-func (r *ReadyQueue) Pop() (TaskID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.q) == 0 {
-		return NoTask, false
-	}
-	id := r.q[0]
-	r.q = r.q[1:]
-	return id, true
-}
-
-// Len returns the queue length.
-func (r *ReadyQueue) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.q)
 }
 
 // Remove deletes the first occurrence of id, reporting whether it was

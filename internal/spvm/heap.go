@@ -121,43 +121,12 @@ func (h *Heap) Free(addr int64) error {
 	return nil
 }
 
-// Size returns the arena size in words.
-func (h *Heap) Size() int64 { return h.size }
-
-// Allocated returns the words currently allocated.
-func (h *Heap) Allocated() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.allocated
-}
-
 // HighWater returns the maximum words ever simultaneously allocated — the
 // storage requirement figure the experiments report.
 func (h *Heap) HighWater() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.highWater
-}
-
-// FailedAllocs returns how many allocations could not be satisfied.
-func (h *Heap) FailedAllocs() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.fails
-}
-
-// Ops returns the total allocation and free operation counts.
-func (h *Heap) Ops() (allocs, frees int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.allocOps, h.freeOps
-}
-
-// LargestFree returns the size of the largest free block.
-func (h *Heap) LargestFree() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.largestFreeLocked()
 }
 
 func (h *Heap) largestFreeLocked() int64 {
@@ -168,60 +137,4 @@ func (h *Heap) largestFreeLocked() int64 {
 		}
 	}
 	return mx
-}
-
-// Fragmentation returns 1 - largestFree/totalFree, the standard external
-// fragmentation measure (0 when free space is one block or the heap is
-// full).
-func (h *Heap) Fragmentation() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	free := h.size - h.allocated
-	if free == 0 {
-		return 0
-	}
-	return 1 - float64(h.largestFreeLocked())/float64(free)
-}
-
-// BlockCount returns the number of blocks in the arena partition
-// (diagnostics and invariant tests).
-func (h *Heap) BlockCount() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.blocks)
-}
-
-// CheckInvariants verifies the internal consistency of the block table:
-// the blocks partition [0,size) exactly, no two adjacent blocks are both
-// free (full coalescing), and the allocated total matches the address
-// index.  Property tests call it after random workloads.
-func (h *Heap) CheckInvariants() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var off, alloc int64
-	for i, b := range h.blocks {
-		if b.off != off {
-			return fmt.Errorf("spvm: heap block %d at %d, expected %d", i, b.off, off)
-		}
-		if b.size <= 0 {
-			return fmt.Errorf("spvm: heap block %d has size %d", i, b.size)
-		}
-		if i > 0 && b.free && h.blocks[i-1].free {
-			return fmt.Errorf("spvm: adjacent free blocks at %d", b.off)
-		}
-		if !b.free {
-			alloc += b.size
-			if h.byAddr[b.off] != b.size {
-				return fmt.Errorf("spvm: index mismatch at %d: %d vs %d", b.off, h.byAddr[b.off], b.size)
-			}
-		}
-		off += b.size
-	}
-	if off != h.size {
-		return fmt.Errorf("spvm: blocks cover %d of %d words", off, h.size)
-	}
-	if alloc != h.allocated {
-		return fmt.Errorf("spvm: allocated mismatch %d vs %d", alloc, h.allocated)
-	}
-	return nil
 }

@@ -104,33 +104,6 @@ func (k *Kernel) Decoded() int64 {
 	return k.decoded
 }
 
-// Handled returns the per-type count of successfully executed messages.
-func (k *Kernel) Handled(t MsgType) int64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.handled[t]
-}
-
-// Rejected returns how many messages failed to execute.
-func (k *Kernel) Rejected() int64 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.rejected
-}
-
-// HandleEncoded decodes a wire-format message and executes it — the full
-// "decode and execute message" kernel operation.
-func (k *Kernel) HandleEncoded(b []byte) ([]TaskID, error) {
-	m, err := Decode(b)
-	if err != nil {
-		k.mu.Lock()
-		k.rejected++
-		k.mu.Unlock()
-		return nil, err
-	}
-	return k.Handle(m)
-}
-
 // Handle executes one message.  For initiate and remote-call messages it
 // returns the IDs of the tasks created.  Errors leave kernel state
 // unchanged except for the rejection counter.
@@ -283,24 +256,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 	default:
 		return nil, fmt.Errorf("%w: type %d", ErrBadMessage, m.Type)
 	}
-}
-
-// StartNext pops the ready queue and marks the task running, returning its
-// activation record; ok is false when the queue is empty.  The NAVM
-// runtime calls this when a PE becomes available.
-func (k *Kernel) StartNext() (*ActivationRecord, bool) {
-	id, ok := k.Ready.Pop()
-	if !ok {
-		return nil, false
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	rec := k.tasks[id]
-	if rec == nil || rec.State != TaskReady {
-		return nil, false
-	}
-	rec.State = TaskRunning
-	return rec, true
 }
 
 // RegisterRoot installs an externally-managed task (an AUVM/NAVM driver

@@ -17,7 +17,9 @@
 //
 // plus the kernel operations "format and send message" and "decode and
 // execute message", and a general heap with variable size blocks for
-// storage management.  All of those are implemented here.
+// storage management.  The NAVM hands a kernel each message as a value;
+// the wire format sizes what it would carry, and its decoder lives with
+// the tests that round-trip it.
 package spvm
 
 import (
@@ -133,21 +135,6 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-func readString(buf *bytes.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(buf, binary.LittleEndian, &n); err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrBadMessage, err)
-	}
-	if int(n) > buf.Len() {
-		return "", fmt.Errorf("%w: string length %d exceeds remaining %d", ErrBadMessage, n, buf.Len())
-	}
-	b := make([]byte, n)
-	if _, err := buf.Read(b); err != nil {
-		return "", fmt.Errorf("%w: string body: %v", ErrBadMessage, err)
-	}
-	return string(b), nil
-}
-
 // Encode serializes the message to the SPVM wire format ("format and send
 // message").
 func (m *Message) Encode() ([]byte, error) {
@@ -203,142 +190,6 @@ func writeParams(buf *bytes.Buffer, ps []float64) {
 	for _, p := range ps {
 		binary.Write(buf, binary.LittleEndian, math.Float64bits(p))
 	}
-}
-
-func readParams(buf *bytes.Reader) ([]float64, error) {
-	var n uint32
-	if err := binary.Read(buf, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: param count: %v", ErrBadMessage, err)
-	}
-	if int(n)*8 > buf.Len() {
-		return nil, fmt.Errorf("%w: %d params exceed remaining %d bytes", ErrBadMessage, n, buf.Len())
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		var u uint64
-		if err := binary.Read(buf, binary.LittleEndian, &u); err != nil {
-			return nil, fmt.Errorf("%w: param %d: %v", ErrBadMessage, i, err)
-		}
-		out[i] = math.Float64frombits(u)
-	}
-	return out, nil
-}
-
-// Decode parses the SPVM wire format back into a Message ("decode and
-// execute message" — the decode half).
-func Decode(b []byte) (*Message, error) {
-	buf := bytes.NewReader(b)
-	var mg uint16
-	if err := binary.Read(buf, binary.LittleEndian, &mg); err != nil || mg != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadMessage)
-	}
-	tb, err := buf.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("%w: missing type", ErrBadMessage)
-	}
-	m := &Message{Type: MsgType(tb)}
-	readI64 := func(dst *int64) error {
-		return binary.Read(buf, binary.LittleEndian, dst)
-	}
-	readTask := func(dst *TaskID) error {
-		var v int64
-		if err := readI64(&v); err != nil {
-			return err
-		}
-		*dst = TaskID(v)
-		return nil
-	}
-	switch m.Type {
-	case MsgInitiate:
-		if m.TaskType, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if err = readI64(&m.Replications); err != nil {
-			return nil, fmt.Errorf("%w: replications", ErrBadMessage)
-		}
-		if err = readTask(&m.Parent); err != nil {
-			return nil, fmt.Errorf("%w: parent", ErrBadMessage)
-		}
-		if m.Params, err = readParams(buf); err != nil {
-			return nil, err
-		}
-	case MsgPause:
-		if err = readTask(&m.Task); err != nil {
-			return nil, fmt.Errorf("%w: task", ErrBadMessage)
-		}
-		if err = readTask(&m.Parent); err != nil {
-			return nil, fmt.Errorf("%w: parent", ErrBadMessage)
-		}
-	case MsgResume:
-		if err = readTask(&m.Child); err != nil {
-			return nil, fmt.Errorf("%w: child", ErrBadMessage)
-		}
-	case MsgTerminate:
-		if err = readTask(&m.Task); err != nil {
-			return nil, fmt.Errorf("%w: task", ErrBadMessage)
-		}
-		if err = readTask(&m.Parent); err != nil {
-			return nil, fmt.Errorf("%w: parent", ErrBadMessage)
-		}
-	case MsgRemoteCall:
-		if m.Procedure, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if err = readTask(&m.Caller); err != nil {
-			return nil, fmt.Errorf("%w: caller", ErrBadMessage)
-		}
-		flag, err := buf.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: window flag", ErrBadMessage)
-		}
-		if flag == 1 {
-			w := &WindowDesc{}
-			if w.Array, err = readString(buf); err != nil {
-				return nil, err
-			}
-			if w.Kind, err = readString(buf); err != nil {
-				return nil, err
-			}
-			if err = readTask(&w.Owner); err != nil {
-				return nil, fmt.Errorf("%w: window owner", ErrBadMessage)
-			}
-			for _, dst := range []*int64{&w.Row0, &w.Rows, &w.Col0, &w.Cols} {
-				if err = readI64(dst); err != nil {
-					return nil, fmt.Errorf("%w: window extent", ErrBadMessage)
-				}
-			}
-			m.Window = w
-		}
-		if m.Params, err = readParams(buf); err != nil {
-			return nil, err
-		}
-	case MsgRemoteReturn:
-		if err = readTask(&m.Caller); err != nil {
-			return nil, fmt.Errorf("%w: caller", ErrBadMessage)
-		}
-		if m.Params, err = readParams(buf); err != nil {
-			return nil, err
-		}
-	case MsgLoadCode:
-		if m.CodeName, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if err = readI64(&m.CodeWords); err != nil {
-			return nil, fmt.Errorf("%w: code words", ErrBadMessage)
-		}
-		if err = readI64(&m.LocalWords); err != nil {
-			return nil, fmt.Errorf("%w: local words", ErrBadMessage)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown type %d", ErrBadMessage, tb)
-	}
-	if buf.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, buf.Len())
-	}
-	return m, nil
 }
 
 // ToHGraph builds the formal H-graph model of the message, in the language

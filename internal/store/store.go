@@ -74,7 +74,6 @@ const KeyEpoch = "meta:epoch"
 const (
 	PrefixModel = "m:"
 	PrefixJob   = "j:"
-	PrefixMeta  = "meta:"
 )
 
 // ModelKey returns the key holding model name's encoded topology.
