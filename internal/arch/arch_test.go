@@ -43,7 +43,7 @@ func TestPEChargeSyncAndStats(t *testing.T) {
 	if p.State() != PEIdle {
 		t.Errorf("initial state = %v", p.State())
 	}
-	if got := p.Charge(100); got != 100 {
+	if got := p.charge(100); got != 100 {
 		t.Errorf("Charge = %d", got)
 	}
 	if got := p.Sync(50); got != 100 {
@@ -78,7 +78,7 @@ func TestPEFailureSemantics(t *testing.T) {
 				t.Error("Charge on failed PE did not panic")
 			}
 		}()
-		p.Charge(1)
+		p.charge(1)
 	}()
 }
 
@@ -88,7 +88,7 @@ func TestPENegativeChargePanics(t *testing.T) {
 			t.Error("negative charge did not panic")
 		}
 	}()
-	(&PE{}).Charge(-1)
+	(&PE{}).charge(-1)
 }
 
 func TestSharedMemoryAlloc(t *testing.T) {
@@ -224,7 +224,7 @@ func TestClusterDeliverPicksEarliestWorker(t *testing.T) {
 	m := MustNew(smallConfig())
 	cl := m.Cluster(0)
 	// Load worker 1 so worker 2 is earliest.
-	cl.Workers[0].Charge(1000)
+	cl.Workers[0].charge(1000)
 	done, w, err := cl.Deliver(0, 50, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -374,8 +374,8 @@ func TestRemoteFetchLocalVsRemote(t *testing.T) {
 
 func TestBarrierAlignsClocks(t *testing.T) {
 	m := MustNew(smallConfig())
-	m.PE(1).Charge(100)
-	m.PE(2).Charge(500)
+	m.PE(1).charge(100)
+	m.PE(2).charge(500)
 	done := m.Barrier([]int{1, 2})
 	want := 500 + m.Config().NetLatency
 	if done != want {

@@ -117,7 +117,7 @@ func (m *Machine) Send(srcPE int, dst int, words, depart, workCycles int64) (int
 // Compute charges cycles of local computation to the given PE at its
 // current clock and returns the completion time.
 func (m *Machine) Compute(peID int, cycles int64) int64 {
-	done := m.pes[peID].Charge(cycles)
+	done := m.pes[peID].charge(cycles)
 	m.cycles.Add(cycles)
 	return done
 }

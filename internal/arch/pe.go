@@ -80,10 +80,11 @@ func (p *PE) JobsDone() int64 {
 	return p.jobsDone
 }
 
-// Charge advances the PE's clock by cycles of compute and returns the new
+// charge advances the PE's clock by cycles of compute and returns the new
 // clock value.  Charging a failed PE panics: the scheduler must never
-// route work to an isolated component.
-func (p *PE) Charge(cycles int64) int64 {
+// route work to an isolated component.  Machine.Compute is the one
+// caller, so every cycle charged is counted in arch.cycles.
+func (p *PE) charge(cycles int64) int64 {
 	if cycles < 0 {
 		panic(fmt.Sprintf("arch: negative charge %d on PE %d", cycles, p.ID))
 	}

@@ -175,6 +175,30 @@ func TestSolveParallelThroughSession(t *testing.T) {
 	}
 }
 
+// TestParallelZeroLoadReportsItsCost: a zero load ends a distributed
+// solve before its first iteration, and the reply is still the parallel
+// one — the workers, no iterations, the makespan the check of the load's
+// norm cost — and that check's flops reach navm.flops.
+func TestParallelZeroLoadReportsItsCost(t *testing.T) {
+	s := newSession(t)
+	rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
+	reg := obs.New()
+	rt.AttachInstrumentation(reg)
+	s.RT = rt
+	mustExec(t, s, "generate grid g 4 2 4 2 clamp-left")
+	mustExec(t, s, "load g z endload 0 0")
+	for _, method := range []string{"cg", "jacobi", "sor"} {
+		out := mustExec(t, s, "solve g z parallel 4 method "+method)
+		want := fmt.Sprintf(`solved "g"/"z" in parallel on 4 workers (%s): 0 iterations, 0 halo words, makespan 120 cycles; max |u| = 0 at dof -1`, method)
+		if out != want {
+			t.Errorf("zero load, %s:\n got %s\nwant %s", method, out, want)
+		}
+	}
+	if got := reg.Counter(obs.NAVMFlops).Load(); got != 3*2*24 {
+		t.Errorf("navm.flops = %d, want three norms of a 24-dof load (144)", got)
+	}
+}
+
 // TestSolveParallelReportsWorkersUsed: navm.Partition makes at most one
 // row block per free dof, so the count a parallel solve reports — on the
 // display line and in SolveResult.Parallel — is the partition's, not the

@@ -348,7 +348,7 @@ func SolveSubstructured(ctx context.Context, m *Model, s *Substructured, ls *Loa
 		ids := make([]int, 0, k)
 		for i, c := range conds {
 			pe := pes[i]
-			pe.Charge(c.flops * navm.CyclesPerFlop)
+			rt.Machine().Compute(pe.ID, c.flops*navm.CyclesPerFlop)
 			ids = append(ids, pe.ID)
 			// Interface contribution ships to the coordinator.
 			words := int64(len(c.sub.Boundary) * (len(c.sub.Boundary) + 1))

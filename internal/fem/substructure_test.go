@@ -156,7 +156,8 @@ func TestSubstructuredParallelCostAccounting(t *testing.T) {
 	cfg.Clusters = 4
 	cfg.PEsPerCluster = 3
 	rt := navm.NewRuntime(arch.MustNew(cfg))
-	rt.AttachInstrumentation(obs.New())
+	reg := obs.New()
+	rt.AttachInstrumentation(reg)
 	s, err := PartitionByX(m, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +175,11 @@ func TestSubstructuredParallelCostAccounting(t *testing.T) {
 	}
 	if rt.Machine().Network().TotalMessages() == 0 {
 		t.Error("interface gather produced no network traffic")
+	}
+	// Every cycle charged to a PE, the condensations' included, is
+	// counted in arch.cycles.
+	if got, busy := reg.Counter(obs.ARCHCycles).Load(), rt.Machine().TotalBusy(); got != busy {
+		t.Errorf("arch.cycles = %d, but the PEs were busy %d cycles", got, busy)
 	}
 }
 

@@ -47,23 +47,23 @@ func TestKernelIterationsAllocationFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	run("cg", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := cg(ctx, m, b, nil, opts, nil, ws)
+		_, _, _, err := CG(ctx, m, b, nil, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("cg+jacobi", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := cg(ctx, m, b, jac, opts, nil, ws)
+		_, _, _, err := CG(ctx, m, b, jac, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("cg+ssor", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := cg(ctx, m, b, ssor, opts, nil, ws)
+		_, _, _, err := CG(ctx, m, b, ssor, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("jacobi", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := jacobi(ctx, m, b, opts, nil, ws)
+		_, _, _, err := Jacobi(ctx, m, b, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("sor", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := sor(ctx, m, b, opts, nil, ws)
+		_, _, _, err := SOR(ctx, m, b, ws.natural(m.N), opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 }

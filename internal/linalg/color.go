@@ -12,7 +12,8 @@ type Coloring struct {
 	ColorOf []int
 	// NumColors is the number of colors used.
 	NumColors int
-	// Rows[c] lists the rows of color c, ascending.
+	// Rows[c] lists the rows of color c, ascending: the classes SOR
+	// sweeps in turn.
 	Rows [][]int
 }
 
@@ -57,11 +58,24 @@ func GreedyColoring(a *CSR) *Coloring {
 	return c
 }
 
-// Validate checks the coloring invariant: no off-diagonal non-zero joins
-// two rows of one color.
+// Validate checks the coloring invariant — no off-diagonal non-zero
+// joins two rows of one color — and that Rows lists exactly the rows of
+// each color, ascending, as SOR sweeps them.
 func (c *Coloring) Validate(a *CSR) error {
 	if len(c.ColorOf) != a.N {
 		return fmt.Errorf("%w: coloring of %d rows for order %d", ErrDimension, len(c.ColorOf), a.N)
+	}
+	listed := 0
+	for col, rows := range c.Rows {
+		for k, i := range rows {
+			if i < 0 || i >= a.N || c.ColorOf[i] != col || (k > 0 && i <= rows[k-1]) {
+				return fmt.Errorf("linalg: coloring lists row %d out of place in color %d", i, col)
+			}
+		}
+		listed += len(rows)
+	}
+	if listed != a.N {
+		return fmt.Errorf("linalg: coloring lists %d of %d rows", listed, a.N)
 	}
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -72,69 +86,4 @@ func (c *Coloring) Validate(a *CSR) error {
 		}
 	}
 	return nil
-}
-
-// MultiColorSOR solves A*x = b by SOR with the update order given by the
-// coloring: all rows of color 0, then color 1, and so on.  Every row
-// within a color is independent, so each color sweep parallelises
-// perfectly — the property the FEM machines were built to exploit.  The
-// sequential implementation here is the reference; navm runs the colors
-// in parallel with the same arithmetic.
-func MultiColorSOR(a *CSR, b Vector, c *Coloring, opts IterOpts, st *Stats) (Vector, int, error) {
-	n := a.N
-	if len(b) != n {
-		panic(fmt.Errorf("%w: MultiColorSOR order %d with rhs %d", ErrDimension, n, len(b)))
-	}
-	if err := c.Validate(a); err != nil {
-		return nil, 0, err
-	}
-	w := opts.Omega
-	if w <= 0 || w >= 2 {
-		return nil, 0, fmt.Errorf("linalg: SOR relaxation factor %g outside (0,2)", w)
-	}
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return nil, 0, fmt.Errorf("linalg: MultiColorSOR zero diagonal at %d", i)
-		}
-	}
-	x := NewVector(n)
-	bnorm := Norm2(b, st)
-	if bnorm == 0 {
-		return x, 0, nil
-	}
-	r := NewVector(n)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		var flops int64
-		for _, rows := range c.Rows {
-			for _, i := range rows {
-				s := b[i]
-				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					j := a.ColIdx[k]
-					if j != i {
-						s -= a.Val[k] * x[j]
-					}
-				}
-				x[i] = (1-w)*x[i] + w*s/d[i]
-				flops += int64(2*a.RowNNZ(i) + 4)
-			}
-		}
-		st.addFlops(flops)
-		a.MulVec(x, r, st)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		st.addFlops(int64(n))
-		resid := Norm2(r, st) / bnorm
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, resid)
-		}
-		if st != nil {
-			st.Iterations++
-		}
-		if resid <= opts.Tol {
-			return x, iter, nil
-		}
-	}
-	return x, opts.MaxIter, fmt.Errorf("%w: multi-colour SOR after %d iterations", ErrNoConvergence, opts.MaxIter)
 }

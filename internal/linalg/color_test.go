@@ -38,6 +38,21 @@ func TestColoringValidateCatchesConflict(t *testing.T) {
 	if err := bad.Validate(m); err == nil {
 		t.Error("short coloring validated")
 	}
+	// Rows, the classes SOR sweeps, must list each row once, in its
+	// color, ascending.
+	for name, edit := range map[string]func(c *Coloring){
+		"row missing":        func(c *Coloring) { c.Rows[0] = c.Rows[0][1:] },
+		"row repeated":       func(c *Coloring) { c.Rows[0] = append(c.Rows[0], c.Rows[0][0]) },
+		"row in other color": func(c *Coloring) { c.Rows[1] = append(c.Rows[1], c.Rows[0][0]) },
+		"rows descending":    func(c *Coloring) { c.Rows[0][0], c.Rows[0][1] = c.Rows[0][1], c.Rows[0][0] },
+		"row out of range":   func(c *Coloring) { c.Rows[0] = append(c.Rows[0], m.N) },
+	} {
+		c := GreedyColoring(m)
+		edit(c)
+		if err := c.Validate(m); err == nil {
+			t.Errorf("%s: coloring validated", name)
+		}
+	}
 }
 
 func TestGreedyColoringDiagonalMatrixOneColor(t *testing.T) {
@@ -66,7 +81,7 @@ func TestMultiColorSORSolvesPoisson(t *testing.T) {
 	opts.Tol = 1e-9
 	opts.MaxIter = 20000
 	st := &Stats{}
-	x, iters, err := MultiColorSOR(m, b, c, opts, st)
+	x, iters, err := multiColorSOR(m, b, c, opts, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +110,7 @@ func TestMultiColorSORConvergesLikeLexicographicSOR(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := GreedyColoring(m)
-	xRB, rbIters, err := MultiColorSOR(m, b, c, opts, nil)
+	xRB, rbIters, err := multiColorSOR(m, b, c, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,24 +130,24 @@ func TestMultiColorSORErrors(t *testing.T) {
 	c := GreedyColoring(m)
 	opts := DefaultIterOpts(m.N)
 	opts.Omega = 2.5
-	if _, _, err := MultiColorSOR(m, b, c, opts, nil); err == nil {
+	if _, _, err := multiColorSOR(m, b, c, opts, nil); err == nil {
 		t.Error("bad omega accepted")
 	}
 	// Zero diagonal.
 	zd, _ := NewCSRFromTriplets(2, []Triplet{{0, 1, 1}, {1, 0, 1}})
 	czd := GreedyColoring(zd)
-	if _, _, err := MultiColorSOR(zd, Vector{1, 1}, czd, DefaultIterOpts(2), nil); err == nil {
+	if _, _, err := multiColorSOR(zd, Vector{1, 1}, czd, DefaultIterOpts(2), nil); err == nil {
 		t.Error("zero diagonal accepted")
 	}
 	// Budget exhaustion.
 	opts = DefaultIterOpts(m.N)
 	opts.MaxIter = 1
 	opts.Tol = 1e-15
-	if _, _, err := MultiColorSOR(m, b, c, opts, nil); err == nil {
+	if _, _, err := multiColorSOR(m, b, c, opts, nil); err == nil {
 		t.Error("budget exhaustion not reported")
 	}
 	// Zero RHS short-circuits.
-	if x, iters, err := MultiColorSOR(m, NewVector(m.N), c, DefaultIterOpts(m.N), nil); err != nil || iters != 0 || NormInf(x) != 0 {
+	if x, iters, err := multiColorSOR(m, NewVector(m.N), c, DefaultIterOpts(m.N), nil); err != nil || iters != 0 || NormInf(x) != 0 {
 		t.Error("zero rhs mishandled")
 	}
 }

@@ -83,8 +83,8 @@ func (m *CSR) MulVec(x, out Vector, st *Stats) Vector {
 }
 
 // MulVecRows computes out[i] = (M*x)[i] for i in [rowLo,rowHi) only.  The
-// parallel NAVM solvers partition rows across tasks and call this kernel on
-// each partition; x is the task's window onto the full iterate.
+// iterative kernels partition rows into blocks (Blocks) and call it on
+// each block; x is the block's window onto the full iterate.
 func (m *CSR) MulVecRows(x, out Vector, rowLo, rowHi int, st *Stats) {
 	if len(x) != m.N || len(out) != m.N {
 		panic(fmt.Errorf("%w: CSR.MulVecRows", ErrDimension))

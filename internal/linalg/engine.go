@@ -81,9 +81,9 @@ var backends = map[string]Solver{
 	BackendCholesky:    choleskySolver{name: BackendCholesky},
 	BackendCholeskyRCM: choleskySolver{name: BackendCholeskyRCM, opts: PlanOpts{Ordering: OrderRCM}},
 	BackendCholeskyEnv: choleskySolver{name: BackendCholeskyEnv, opts: PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}},
-	BackendCG:          cgSolver{},
-	BackendJacobi:      jacobiSolver{},
-	BackendSOR:         sorSolver{},
+	BackendCG:          iterSolver{name: BackendCG, iterFactor: 10},
+	BackendJacobi:      iterSolver{name: BackendJacobi, iterFactor: 200},
+	BackendSOR:         iterSolver{name: BackendSOR, iterFactor: 100},
 }
 
 // Backend looks up a registered solver by name; the empty name selects
@@ -199,7 +199,7 @@ func (s choleskySolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOp
 // method of order n: the shared 1e-8 tolerance, an iterFactor·n
 // iteration budget (floored at 200 and clamped to MaxIterCeiling), and
 // ω=1.5.  Explicitly set fields pass through unchanged — including an
-// out-of-range Omega, which the SOR kernels reject.  The sequential
+// out-of-range Omega, which the SOR kernel rejects.  The sequential
 // backends and the NAVM distributed solvers share it, so both paths of
 // one method always default to the same budget.
 func IterDefaults(opts IterOpts, n, iterFactor int) IterOpts {
@@ -215,69 +215,45 @@ func IterDefaults(opts IterOpts, n, iterFactor int) IterOpts {
 	return opts
 }
 
-// cgSolver is the conjugate gradient backend; opts.Precond selects a
-// preconditioner from the preconditioner registry.
-type cgSolver struct{}
+// iterSolver is an iterative backend: the method's kernel run as the
+// sequential solve (one block, no cost hook) with an iterFactor·n
+// default budget — cg 10·n, jacobi 200·n (it converges slowly, but every
+// update is independent), sor 100·n.  Only cg takes a preconditioner,
+// which opts.Precond selects from the preconditioner registry.
+type iterSolver struct {
+	name       string
+	iterFactor int
+}
 
 // Name returns the registry name.
-func (cgSolver) Name() string { return BackendCG }
+func (s iterSolver) Name() string { return s.name }
 
-// Solve runs (preconditioned) CG.
-func (cgSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	opts = IterDefaults(opts, a.N, 10)
+// Solve runs the method.
+func (s iterSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
+	info := Info{Backend: s.name}
+	if err := RejectPrecond(s.name, opts.Precond); err != nil {
+		return nil, info, err
+	}
+	opts = IterDefaults(opts, a.N, s.iterFactor)
 	m, err := NewPreconditioner(opts.Precond, a, opts.Omega)
 	if err != nil {
-		return nil, Info{Backend: BackendCG}, err
+		return nil, info, err
 	}
-	info := Info{Backend: BackendCG}
 	if m != nil {
 		info.Precond = m.Name()
 	}
 	st := &Stats{}
 	ws := iterWorkPool.Get().(*IterWork)
 	defer iterWorkPool.Put(ws)
-	x, iters, resid, err := cg(ctx, a, b, m, opts, st, ws)
-	info.Iterations = iters
-	info.Residual = resid
+	var x Vector
+	switch s.name {
+	case BackendCG:
+		x, info.Iterations, info.Residual, err = CG(ctx, a, b, m, opts, oneBlock(a.N), st, ws)
+	case BackendJacobi:
+		x, info.Iterations, info.Residual, err = Jacobi(ctx, a, b, opts, oneBlock(a.N), st, ws)
+	default:
+		x, info.Iterations, info.Residual, err = SOR(ctx, a, b, ws.natural(a.N), opts, oneBlock(a.N), st, ws)
+	}
 	info.Flops = st.Flops
 	return x, info, err
-}
-
-// jacobiSolver is the Jacobi iteration backend.
-type jacobiSolver struct{}
-
-// Name returns the registry name.
-func (jacobiSolver) Name() string { return BackendJacobi }
-
-// Solve runs Jacobi iteration (budget 200·n: the method converges slowly
-// but every update is independent).
-func (jacobiSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	if err := RejectPrecond(BackendJacobi, opts.Precond); err != nil {
-		return nil, Info{Backend: BackendJacobi}, err
-	}
-	opts = IterDefaults(opts, a.N, 200)
-	st := &Stats{}
-	ws := iterWorkPool.Get().(*IterWork)
-	defer iterWorkPool.Put(ws)
-	x, iters, resid, err := jacobi(ctx, a, b, opts, st, ws)
-	return x, Info{Backend: BackendJacobi, Iterations: iters, Residual: resid, Flops: st.Flops}, err
-}
-
-// sorSolver is the successive over-relaxation backend.
-type sorSolver struct{}
-
-// Name returns the registry name.
-func (sorSolver) Name() string { return BackendSOR }
-
-// Solve runs SOR with opts.Omega (budget 100·n).
-func (sorSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	if err := RejectPrecond(BackendSOR, opts.Precond); err != nil {
-		return nil, Info{Backend: BackendSOR}, err
-	}
-	opts = IterDefaults(opts, a.N, 100)
-	st := &Stats{}
-	ws := iterWorkPool.Get().(*IterWork)
-	defer iterWorkPool.Put(ws)
-	x, iters, resid, err := sor(ctx, a, b, opts, st, ws)
-	return x, Info{Backend: BackendSOR, Iterations: iters, Residual: resid, Flops: st.Flops}, err
 }

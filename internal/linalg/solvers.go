@@ -96,12 +96,6 @@ func CheckCancel(ctx context.Context, iter int) error {
 	return errs.Cancelled(ctx)
 }
 
-// Operator is anything that can apply itself to a vector: the iterative
-// solvers work on CSR or Dense operands alike.
-type Operator interface {
-	MulVec(x, out Vector, st *Stats) Vector
-}
-
 // IterWork holds the scratch vectors of the iterative kernels — the
 // system diagonal, iterates, residual, and direction buffers — so
 // repeated solves of same-order systems reuse storage instead of
@@ -112,6 +106,18 @@ type Operator interface {
 // reused assembly rewrites the matrix values in place.
 type IterWork struct {
 	diag, x, x2, r, z, p, ap Vector
+	order                    [1][]int
+}
+
+// natural returns natural-order SOR's classes: one class, every row of
+// n ascending.
+func (ws *IterWork) natural(n int) [][]int {
+	rows := ws.order[0][:0]
+	for i := range n {
+		rows = append(rows, i)
+	}
+	ws.order[0] = rows
+	return ws.order[:]
 }
 
 // grow returns a zeroed length-n vector, reusing v's storage when it is
@@ -127,18 +133,24 @@ func grow(v Vector, n int) Vector {
 	return v
 }
 
-// cg is the (optionally preconditioned) conjugate gradient kernel for
+// CG is the (optionally preconditioned) conjugate gradient kernel for
 // symmetric positive definite A — the "solution of a particular system
 // of simultaneous equations" workload at the bottom of the paper's
 // parallelism hierarchy.  With a nil preconditioner the iteration is the
 // classical CG recurrence; with one, z = M⁻¹r replaces r in the
-// direction updates.  It returns the solution, the iteration count, and
-// the final relative residual.
-func cg(ctx context.Context, a Operator, b Vector, m Preconditioner, opts IterOpts, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+// direction updates (only the sequential backend passes one, and its
+// work is not priced on bl's hook).  Each inner product is a reduction
+// every block waits for, and the product reads the direction's halo.  It
+// returns the solution, the iteration count, and the final relative
+// residual.
+func CG(ctx context.Context, a *CSR, b Vector, m Preconditioner, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+	n := a.N
+	if len(b) != n {
+		panic(fmt.Errorf("%w: CG order %d with rhs %d", ErrDimension, n, len(b)))
+	}
 	if ws == nil {
 		ws = &IterWork{}
 	}
-	n := len(b)
 	x := NewVector(n) // returned; never drawn from the workspace
 	ws.r = grow(ws.r, n)
 	r := ws.r
@@ -155,33 +167,39 @@ func cg(ctx context.Context, a Operator, b Vector, m Preconditioner, opts IterOp
 	ws.ap = grow(ws.ap, n)
 	ap := ws.ap
 
-	bnorm := Norm2(b, st)
+	bnorm := math.Sqrt(bl.Dot(b, b, st))
 	if bnorm == 0 {
 		return x, 0, 0, nil
 	}
-	rz := Dot(r, z, st)
+	bl.barrier()
+	rz := bl.Dot(r, z, st)
+	bl.barrier()
 	resid := math.Inf(1)
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		if err := CheckCancel(ctx, iter); err != nil {
 			return x, iter - 1, resid, err
 		}
-		a.MulVec(p, ap, st)
-		pap := Dot(p, ap, st)
+		bl.halo()
+		bl.MulVec(a, p, ap, st)
+		bl.barrier()
+		pap := bl.Dot(p, ap, st)
+		bl.barrier()
 		if pap <= 0 {
 			return nil, iter, resid, fmt.Errorf("linalg: CG breakdown, pᵀAp = %g (matrix not SPD?)", pap)
 		}
 		alpha := rz / pap
-		Axpy(alpha, p, x, st)
-		Axpy(-alpha, ap, r, st)
+		bl.Axpy(alpha, p, x, st)
+		bl.Axpy(-alpha, ap, r, st)
 		var rzNew float64
 		if m == nil {
-			rzNew = Dot(r, r, st)
+			rzNew = bl.Dot(r, r, st)
 			resid = math.Sqrt(rzNew) / bnorm
 		} else {
 			m.Apply(r, z, st)
-			rzNew = Dot(r, z, st)
-			resid = math.Sqrt(Dot(r, r, st)) / bnorm
+			rzNew = bl.Dot(r, z, st)
+			resid = math.Sqrt(bl.Dot(r, r, st)) / bnorm
 		}
+		bl.barrier()
 		if opts.OnIteration != nil {
 			opts.OnIteration(iter, resid)
 		}
@@ -191,11 +209,18 @@ func cg(ctx context.Context, a Operator, b Vector, m Preconditioner, opts IterOp
 		if resid <= opts.Tol {
 			return x, iter, resid, nil
 		}
-		beta := rzNew / rz
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
+		if iter == opts.MaxIter {
+			break
 		}
-		st.addFlops(int64(2 * n))
+		beta := rzNew / rz
+		for w, lo := range bl.Lo {
+			hi := bl.Hi[w]
+			for i := lo; i < hi; i++ {
+				p[i] = z[i] + beta*p[i]
+			}
+			bl.work(w, int64(2*(hi-lo)), st)
+		}
+		bl.barrier()
 		rz = rzNew
 	}
 	return x, opts.MaxIter, resid, &ConvergenceError{Backend: cgName(m), Iterations: opts.MaxIter, Residual: resid}
@@ -209,12 +234,61 @@ func cgName(m Preconditioner) string {
 	return BackendCG + "+" + m.Name()
 }
 
-// jacobi is the Jacobi iteration kernel.  A must have non-zero diagonal;
+// diagonal returns A's diagonal in ws, or an error naming the first zero
+// entry: Jacobi and SOR divide by it.
+func diagonal(method string, a *CSR, ws *IterWork) (Vector, error) {
+	ws.diag = grow(ws.diag, a.N)
+	d := a.DiagonalInto(ws.diag)
+	for i, v := range d {
+		if v == 0 {
+			return nil, fmt.Errorf("linalg: %s zero diagonal at %d", method, i)
+		}
+	}
+	return d, nil
+}
+
+// stationary iterates a stationary method (Jacobi, SOR) from x until the
+// relative residual meets opts.Tol: each iteration is the method's sweep,
+// which returns the new iterate, then the residual check, a reduction
+// every block waits for.  The returned solution is detached from the
+// workspace with a single Clone at each exit.
+func stationary(ctx context.Context, backend string, a *CSR, b Vector, opts IterOpts, bl Blocks, st *Stats, ws *IterWork, x Vector, sweep func(x Vector) Vector) (Vector, int, float64, error) {
+	bnorm := math.Sqrt(bl.Dot(b, b, st))
+	if bnorm == 0 {
+		return x.Clone(), 0, 0, nil
+	}
+	ws.r = grow(ws.r, a.N)
+	r := ws.r
+	resid := math.Inf(1)
+	for iter := 1; iter <= opts.MaxIter; iter++ {
+		if err := CheckCancel(ctx, iter); err != nil {
+			return x.Clone(), iter - 1, resid, err
+		}
+		x = sweep(x)
+		bl.residual(a, x, b, r, st)
+		resid = math.Sqrt(bl.Dot(r, r, st)) / bnorm
+		bl.barrier()
+		if opts.OnIteration != nil {
+			opts.OnIteration(iter, resid)
+		}
+		if st != nil {
+			st.Iterations++
+		}
+		if resid <= opts.Tol {
+			return x.Clone(), iter, resid, nil
+		}
+	}
+	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: backend, Iterations: opts.MaxIter, Residual: resid}
+}
+
+// Jacobi is the Jacobi iteration kernel.  A must have non-zero diagonal;
 // convergence requires A (after constraint application) to be diagonally
 // dominant enough, which the FEM systems here are for modest meshes.
 // Jacobi is the most naturally parallel method — every component update
-// is independent — which is why the FEM-1/FEM-2 literature leaned on it.
-func jacobi(ctx context.Context, a *CSR, b Vector, opts IterOpts, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+// is independent — which is why the FEM-1/FEM-2 literature leaned on it:
+// a sweep reads the halo once, and the residual check is the only
+// reduction.
+func Jacobi(ctx context.Context, a *CSR, b Vector, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
 	n := a.N
 	if len(b) != n {
 		panic(fmt.Errorf("%w: Jacobi order %d with rhs %d", ErrDimension, n, len(b)))
@@ -222,137 +296,91 @@ func jacobi(ctx context.Context, a *CSR, b Vector, opts IterOpts, st *Stats, ws 
 	if ws == nil {
 		ws = &IterWork{}
 	}
-	ws.diag = grow(ws.diag, n)
-	d := a.DiagonalInto(ws.diag)
-	for i, v := range d {
-		if v == 0 {
-			return nil, 0, 0, fmt.Errorf("linalg: Jacobi zero diagonal at %d", i)
-		}
+	d, err := diagonal("Jacobi", a, ws)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	// The iterate ping-pongs between two workspace buffers, so the
-	// returned solution is detached with a single Clone at each exit.
-	ws.x = grow(ws.x, n)
-	x := ws.x
-	ws.x2 = grow(ws.x2, n)
+	// The iterate ping-pongs between two workspace buffers.
+	ws.x, ws.x2 = grow(ws.x, n), grow(ws.x2, n)
 	xNew := ws.x2
-	bnorm := Norm2(b, st)
-	if bnorm == 0 {
-		return x.Clone(), 0, 0, nil
-	}
-	ws.r = grow(ws.r, n)
-	r := ws.r
-	resid := math.Inf(1)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if err := CheckCancel(ctx, iter); err != nil {
-			return x.Clone(), iter - 1, resid, err
-		}
+	return stationary(ctx, BackendJacobi, a, b, opts, bl, st, ws, ws.x, func(x Vector) Vector {
 		// xNew_i = (b_i - sum_{j≠i} a_ij x_j) / a_ii
-		var flops int64
-		for i := 0; i < n; i++ {
-			s := b[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
-				if j != i {
-					s -= a.Val[k] * x[j]
+		bl.halo()
+		for w, lo := range bl.Lo {
+			var flops int64
+			for i := lo; i < bl.Hi[w]; i++ {
+				s := b[i]
+				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+					j := a.ColIdx[k]
+					if j != i {
+						s -= a.Val[k] * x[j]
+					}
 				}
+				xNew[i] = s / d[i]
+				flops += int64(2*a.RowNNZ(i) + 1)
 			}
-			xNew[i] = s / d[i]
-			flops += int64(2*a.RowNNZ(i) + 1)
+			bl.work(w, flops, st)
 		}
-		st.addFlops(flops)
+		bl.barrier()
 		x, xNew = xNew, x
-		// Residual check.
-		a.MulVec(x, r, st)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		st.addFlops(int64(n))
-		resid = Norm2(r, st) / bnorm
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, resid)
-		}
-		if st != nil {
-			st.Iterations++
-		}
-		if resid <= opts.Tol {
-			return x.Clone(), iter, resid, nil
-		}
-	}
-	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: BackendJacobi, Iterations: opts.MaxIter, Residual: resid}
+		return x
+	})
 }
 
-// sor is the successive over-relaxation kernel with factor opts.Omega
-// (ω=1 gives Gauss-Seidel).  Adams' contemporaneous ICASE work analysed
-// multi-colour SOR for the Finite Element Machine; the sequential kernel
-// here is the building block, and the NAVM layer runs it red/black in
+// SOR is the successive over-relaxation kernel with factor opts.Omega
+// (ω=1 gives Gauss-Seidel).  It sweeps the rows class by class, each
+// class in ascending order, reading the halo before each class.
+// Natural-order SOR is one class holding every row.  With a colouring's
+// classes (Coloring.Rows) no two rows of one class are coupled, so a
+// class's blocks could update at once: the multi-colour SOR Adams
+// analysed for the Finite Element Machine, which the NAVM layer runs in
 // parallel.
-func sor(ctx context.Context, a *CSR, b Vector, opts IterOpts, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+func SOR(ctx context.Context, a *CSR, b Vector, classes [][]int, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
 	n := a.N
 	if len(b) != n {
 		panic(fmt.Errorf("%w: SOR order %d with rhs %d", ErrDimension, n, len(b)))
 	}
-	w := opts.Omega
-	if w <= 0 || w >= 2 {
-		return nil, 0, 0, fmt.Errorf("linalg: SOR relaxation factor %g outside (0,2)", w)
+	omega := opts.Omega
+	if omega <= 0 || omega >= 2 {
+		return nil, 0, 0, fmt.Errorf("linalg: SOR relaxation factor %g outside (0,2)", omega)
 	}
 	if ws == nil {
 		ws = &IterWork{}
 	}
-	ws.diag = grow(ws.diag, n)
-	d := a.DiagonalInto(ws.diag)
-	for i, v := range d {
-		if v == 0 {
-			return nil, 0, 0, fmt.Errorf("linalg: SOR zero diagonal at %d", i)
-		}
+	d, err := diagonal("SOR", a, ws)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	ws.x = grow(ws.x, n)
-	x := ws.x
-	bnorm := Norm2(b, st)
-	if bnorm == 0 {
-		return x.Clone(), 0, 0, nil
-	}
-	ws.r = grow(ws.r, n)
-	r := ws.r
-	resid := math.Inf(1)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if err := CheckCancel(ctx, iter); err != nil {
-			return x.Clone(), iter - 1, resid, err
-		}
-		var flops int64
-		for i := 0; i < n; i++ {
-			s := b[i]
-			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				j := a.ColIdx[k]
-				if j != i {
-					s -= a.Val[k] * x[j]
+	return stationary(ctx, BackendSOR, a, b, opts, bl, st, ws, ws.x, func(x Vector) Vector {
+		for _, rows := range classes {
+			bl.halo()
+			k := 0 // rows ascend, so each block's rows follow the last block's
+			for w, hi := range bl.Hi {
+				var flops int64
+				for ; k < len(rows) && rows[k] < hi; k++ {
+					i := rows[k]
+					s := b[i]
+					for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+						j := a.ColIdx[p]
+						if j != i {
+							s -= a.Val[p] * x[j]
+						}
+					}
+					x[i] = (1-omega)*x[i] + omega*s/d[i]
+					flops += int64(2*a.RowNNZ(i) + 4)
 				}
+				bl.work(w, flops, st)
 			}
-			x[i] = (1-w)*x[i] + w*s/d[i]
-			flops += int64(2*a.RowNNZ(i) + 4)
+			bl.barrier()
 		}
-		st.addFlops(flops)
-		a.MulVec(x, r, st)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		st.addFlops(int64(n))
-		resid = Norm2(r, st) / bnorm
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, resid)
-		}
-		if st != nil {
-			st.Iterations++
-		}
-		if resid <= opts.Tol {
-			return x.Clone(), iter, resid, nil
-		}
-	}
-	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: BackendSOR, Iterations: opts.MaxIter, Residual: resid}
+		return x
+	})
 }
 
 // Residual computes ‖b - A*x‖₂ for verification, leaving b - A*x in r
 // (allocated when nil).
-func Residual(a Operator, x, b, r Vector, st *Stats) float64 {
+func Residual(a *CSR, x, b, r Vector, st *Stats) float64 {
 	r = a.MulVec(x, r, st)
 	for i := range r {
 		r[i] = b[i] - r[i]

@@ -8,21 +8,33 @@ import (
 	"testing/quick"
 )
 
-// seqCG, seqJacobi, and seqSOR adapt the engine kernels to the historic
-// (x, iters, err) shape the kernel-level tests in this package assert
-// against; the engine API itself is covered by engine_test.go.
-func seqCG(a Operator, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
-	x, iters, _, err := cg(context.Background(), a, b, nil, opts, st, nil)
+// seqCG, seqJacobi, and seqSOR run the kernels as the sequential
+// backends do (one block, no cost hook) in the historic (x, iters, err)
+// shape the kernel-level tests in this package assert against; the
+// engine API itself is covered by engine_test.go.
+func seqCG(a *CSR, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
+	x, iters, _, err := CG(context.Background(), a, b, nil, opts, oneBlock(a.N), st, nil)
 	return x, iters, err
 }
 
 func seqJacobi(a *CSR, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
-	x, iters, _, err := jacobi(context.Background(), a, b, opts, st, nil)
+	x, iters, _, err := Jacobi(context.Background(), a, b, opts, oneBlock(a.N), st, nil)
 	return x, iters, err
 }
 
 func seqSOR(a *CSR, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
-	x, iters, _, err := sor(context.Background(), a, b, opts, st, nil)
+	ws := &IterWork{}
+	x, iters, _, err := SOR(context.Background(), a, b, ws.natural(a.N), opts, oneBlock(a.N), st, ws)
+	return x, iters, err
+}
+
+// multiColorSOR runs the SOR kernel over c's colour classes, one block,
+// after checking the colouring as the NAVM solver does.
+func multiColorSOR(a *CSR, b Vector, c *Coloring, opts IterOpts, st *Stats) (Vector, int, error) {
+	if err := c.Validate(a); err != nil {
+		return nil, 0, err
+	}
+	x, iters, _, err := SOR(context.Background(), a, b, c.Rows, opts, oneBlock(a.N), st, nil)
 	return x, iters, err
 }
 

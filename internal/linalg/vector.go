@@ -4,14 +4,18 @@
 // The numerical analyst's virtual machine in the paper exposes "linear
 // algebra operations: inner product, vector operations, etc."; the hardware
 // requirements list "fast linear algebra operations (to extract the
-// low-level parallelism available in these operations)".  This package is
-// the sequential substrate for those operations: the NAVM layer wraps these
-// kernels with tasks and windows to obtain the parallel versions, and the
-// sequential solvers here serve as the baselines the experiments compare
-// against.
+// low-level parallelism available in these operations)".  This package
+// holds those operations and the one implementation of each iterative
+// method (CG, Jacobi, SOR).  Each runs over row blocks (Blocks) and calls
+// an optional cost hook where a distributed solve pays: the halo before a
+// product, each block's work, each barrier.  The sequential backends run
+// one block and no hook; the NAVM layer runs one block per worker with a
+// hook that charges the simulated machine.  So a one-block distributed
+// solve is the sequential solve, bit for bit.
 //
 // All operations count floating point work through the optional *Stats so
-// experiments can report processing requirements exactly.
+// experiments can report processing requirements exactly.  The iterative
+// kernels do not count a reduction's square root: it is no block's work.
 package linalg
 
 import (

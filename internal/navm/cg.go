@@ -2,8 +2,8 @@ package navm
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/arch"
@@ -109,12 +109,14 @@ type SolveStats struct {
 	ResidualNorm float64
 }
 
-// workerPEs picks P live worker PEs for a solve: the least-loaded PEs
+// SolveWorkers picks P live worker PEs for a solve: the least-loaded PEs
 // (smallest clocks) first, interleaved across clusters on ties.  Picking
 // by load lets independent solves on one machine overlap on disjoint PEs
-// — the kernel assigns "available PEs".  An error means the machine is
+// — the kernel assigns "available PEs".  Substructure analysis uses it to
+// spread its condensations the same way.  An error means the machine is
 // too degraded.
-func workerPEs(m *arch.Machine, p int) ([]*arch.PE, error) {
+func (rt *Runtime) SolveWorkers(p int) ([]*arch.PE, error) {
+	m := rt.machine
 	live := m.LiveWorkers()
 	if len(live) == 0 {
 		return nil, arch.ErrNoWorkers
@@ -145,30 +147,6 @@ func workerPEs(m *arch.Machine, p int) ([]*arch.PE, error) {
 		}
 	}
 	return out, nil
-}
-
-// haloExchange charges the per-iteration halo communication: worker p
-// fetches CommWords[p][q] words from worker q's cluster through a block
-// window (one message per non-empty pair).
-func (d *DistSystem) haloExchange(rt *Runtime, pes []*arch.PE) int64 {
-	var words int64
-	for p := 0; p < d.P; p++ {
-		for q := 0; q < d.P; q++ {
-			w := d.CommWords[p][q]
-			if w == 0 {
-				continue
-			}
-			rt.machine.RemoteFetch(pes[p].ID, pes[q].Cluster, w)
-			if pes[p].Cluster != pes[q].Cluster {
-				rt.ctr.remote.Inc()
-				rt.ctr.message(w)
-			} else {
-				rt.ctr.local.Inc()
-			}
-			words += w
-		}
-	}
-	return words
 }
 
 // solverType is the task type behind the distributed solver workers.
@@ -221,181 +199,122 @@ func (rt *Runtime) spawnSolverTasks(pes []*arch.PE) func() {
 	}
 }
 
-// SolveWorkers exposes the solver placement policy: the P least-loaded
-// live worker PEs, interleaved across clusters on ties.  Substructure
-// analysis and other layer-above schedulers use it to spread independent
-// work the same way the distributed solvers do.
-func (rt *Runtime) SolveWorkers(p int) ([]*arch.PE, error) {
-	return workerPEs(rt.machine, p)
+// machineCost is the linalg.CostHook of a distributed solve: it charges
+// block w's work to pes[w], exchanges the halo through windows, and
+// synchronizes the workers, all on the simulated machine.
+type machineCost struct {
+	rt   *Runtime
+	d    *DistSystem
+	pes  []*arch.PE
+	ids  []int // the pes' IDs, the barrier's participants
+	halo int64 // halo words exchanged so far
 }
 
-// finalizeStats folds the per-worker flop counts into the solve stats and
-// stamps the simulated makespan; it runs on both success and
-// budget-exhaustion paths so callers always see the true cost.
-func finalizeStats(rt *Runtime, stats *SolveStats, st []linalg.Stats) {
-	stats.Workers = len(st)
-	stats.Flops = 0
-	for w := range st {
-		stats.Flops += st[w].Flops
-	}
-	rt.ctr.flops.Add(stats.Flops)
-	stats.Makespan = rt.machine.Makespan()
-}
-
-// barrier synchronizes the worker PEs (the reduction/synchronisation point
-// after each parallel phase).
-func barrier(rt *Runtime, pes []*arch.PE) {
+func newMachineCost(rt *Runtime, d *DistSystem, pes []*arch.PE) *machineCost {
 	ids := make([]int, len(pes))
-	for i, p := range pes {
-		ids[i] = p.ID
+	for i, pe := range pes {
+		ids[i] = pe.ID
 	}
-	rt.machine.Barrier(ids)
+	return &machineCost{rt: rt, d: d, pes: pes, ids: ids}
+}
+
+// Halo charges one halo exchange: worker p fetches CommWords[p][q]
+// words from worker q's cluster through a block window (one message per
+// non-empty pair).
+func (c *machineCost) Halo() {
+	for p, row := range c.d.CommWords {
+		for q, w := range row {
+			if w == 0 {
+				continue
+			}
+			c.rt.machine.RemoteFetch(c.pes[p].ID, c.pes[q].Cluster, w)
+			if c.pes[p].Cluster != c.pes[q].Cluster {
+				c.rt.ctr.remote.Inc()
+				c.rt.ctr.message(w)
+			} else {
+				c.rt.ctr.local.Inc()
+			}
+			c.halo += w
+		}
+	}
+}
+
+// Work charges block w's flops to its worker's PE.
+func (c *machineCost) Work(w int, flops int64) {
+	c.rt.machine.Compute(c.pes[w].ID, flops*CyclesPerFlop)
+}
+
+// Barrier synchronizes the worker PEs (the reduction/synchronisation
+// point after each parallel phase).
+func (c *machineCost) Barrier() { c.rt.machine.Barrier(c.ids) }
+
+// solve runs kernel on d's row blocks, priced on P worker PEs that each
+// host a solver task for the solve's duration.  Every exit — converged,
+// out of budget, cancelled, broken down, or a zero load — reports the
+// solve's cost: its flops (also added to navm.flops), halo words and the
+// machine's makespan.  An exhausted budget's error names backend.
+func (rt *Runtime) solve(d *DistSystem, backend string, kernel func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error)) (linalg.Vector, SolveStats, error) {
+	pes, err := rt.SolveWorkers(d.P)
+	if err != nil {
+		return nil, SolveStats{}, err
+	}
+	defer rt.spawnSolverTasks(pes)()
+	cost := newMachineCost(rt, d, pes)
+	var st linalg.Stats
+	x, iters, resid, err := kernel(linalg.Blocks{Lo: d.Lo, Hi: d.Hi, Cost: cost}, &st)
+	rt.ctr.flops.Add(st.Flops)
+	stats := SolveStats{
+		Workers: d.P, Iterations: iters, Flops: st.Flops, HaloWords: cost.halo,
+		Makespan: rt.machine.Makespan(), ResidualNorm: resid,
+	}
+	var ce *linalg.ConvergenceError
+	if errors.As(err, &ce) {
+		ce.Backend = backend
+	}
+	return x, stats, err
 }
 
 // ParallelCG solves the distributed system by conjugate gradients on P
-// simulated workers.  The numerics are exact (the returned solution
-// matches the sequential solver to rounding); the processing, storage and
-// communication costs accrue on the simulated machine: each worker's
-// flops advance its own PE clock, each halo word crosses the network, and
-// each inner product costs a barrier — reproducing the Adams–Voigt
-// analysis of the finite element process on FEM-class hardware.  The
-// iteration loop polls ctx, so a cancelled solve stops promptly with an
-// error wrapping errs.ErrCancelled.
+// simulated workers: each worker's flops advance its own PE clock, each
+// halo word crosses the network, and each inner product costs a barrier
+// — reproducing the Adams–Voigt analysis of the finite element process
+// on FEM-class hardware.  The iteration loop polls ctx, so a cancelled
+// solve stops promptly with an error wrapping errs.ErrCancelled.
 func (rt *Runtime) ParallelCG(ctx context.Context, d *DistSystem, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
-	var stats SolveStats
-	pes, err := workerPEs(rt.machine, d.P)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer rt.spawnSolverTasks(pes)()
-	n := d.A.N
-	// Same defaults as the sequential cg backend.
-	opts = linalg.IterDefaults(opts, n, 10)
-	st := make([]linalg.Stats, d.P) // per-worker flop counts
-
-	x := linalg.NewVector(n)
-	r := d.B.Clone()
-	p := r.Clone()
-	ap := linalg.NewVector(n)
-
-	// Distributed storage: each worker owns its block of x, r, p, ap
-	// (4 vectors) plus its matrix rows.
-	for w := 0; w < d.P; w++ {
-		rows := d.Hi[w] - d.Lo[w]
-		var nnz int
-		for i := d.Lo[w]; i < d.Hi[w]; i++ {
-			nnz += d.A.RowNNZ(i)
-		}
-		rt.ctr.wordsAlloc.Add(int64(4*rows + 2*nnz))
-	}
-
-	bnorm := math.Sqrt(dotBlocks(d, pes, st, r, r))
-	if bnorm == 0 {
-		return x, stats, nil
-	}
-	barrier(rt, pes)
-	rr := dotBlocks(d, pes, st, r, r)
-	barrier(rt, pes)
-
-	maxIter := opts.MaxIter
-	for iter := 1; iter <= maxIter; iter++ {
-		if err := linalg.CheckCancel(ctx, iter); err != nil {
-			finalizeStats(rt, &stats, st)
-			return x, stats, err
-		}
-		// Halo exchange then local SpMV rows, each worker's flops on
-		// its own PE.
-		stats.HaloWords += d.haloExchange(rt, pes)
-		for w := 0; w < d.P; w++ {
-			before := st[w].Flops
-			d.A.MulVecRows(p, ap, d.Lo[w], d.Hi[w], &st[w])
-			pes[w].Charge((st[w].Flops - before) * CyclesPerFlop)
-		}
-		barrier(rt, pes)
-
-		pap := dotBlocks(d, pes, st, p, ap)
-		barrier(rt, pes)
-		if pap <= 0 {
-			return nil, stats, fmt.Errorf("navm: CG breakdown, pᵀAp = %g", pap)
-		}
-		alpha := rr / pap
-		axpyBlocks(d, pes, st, alpha, p, x)
-		axpyBlocks(d, pes, st, -alpha, ap, r)
-		rrNew := dotBlocks(d, pes, st, r, r)
-		barrier(rt, pes)
-
-		stats.Iterations = iter
-		resid := math.Sqrt(rrNew) / bnorm
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, resid)
-		}
-		if resid <= opts.Tol {
-			stats.ResidualNorm = resid
-			break
-		}
-		if iter == maxIter {
-			stats.ResidualNorm = resid
-			finalizeStats(rt, &stats, st)
-			return x, stats, &linalg.ConvergenceError{Backend: "parallel-cg", Iterations: maxIter, Residual: resid}
-		}
-		beta := rrNew / rr
-		for w := 0; w < d.P; w++ {
-			for i := d.Lo[w]; i < d.Hi[w]; i++ {
-				p[i] = r[i] + beta*p[i]
-			}
-			st[w].Flops += int64(2 * (d.Hi[w] - d.Lo[w]))
-			rt.machine.Compute(pes[w].ID, int64(2*(d.Hi[w]-d.Lo[w]))*CyclesPerFlop)
-		}
-		barrier(rt, pes)
-		rr = rrNew
-	}
-	finalizeStats(rt, &stats, st)
-	return x, stats, nil
+	return rt.solve(d, "parallel-cg", func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error) {
+		// Distributed storage: each worker owns its block of x, r, p,
+		// ap (4 vectors) plus its matrix rows (values and columns).
+		rt.ctr.wordsAlloc.Add(int64(4*d.A.N + 2*d.A.NNZ()))
+		// Same defaults as the sequential cg backend.
+		return linalg.CG(ctx, d.A, d.B, nil, linalg.IterDefaults(opts, d.A.N, 10), bl, st, nil)
+	})
 }
 
-// dotBlocks computes a distributed inner product: each worker's partial
-// runs on its own PE, then one word per worker flows to worker 0 for the
-// reduction.
-func dotBlocks(d *DistSystem, pes []*arch.PE, st []linalg.Stats, a, b linalg.Vector) float64 {
-	var sum float64
-	for w := 0; w < d.P; w++ {
-		var s float64
-		for i := d.Lo[w]; i < d.Hi[w]; i++ {
-			s += a[i] * b[i]
-		}
-		flops := int64(2 * (d.Hi[w] - d.Lo[w]))
-		st[w].Flops += flops
-		pes[w].Charge(flops * CyclesPerFlop)
-		sum += s
-	}
-	return sum
-}
-
-// axpyBlocks computes y += alpha*x blockwise on the workers' PEs.
-func axpyBlocks(d *DistSystem, pes []*arch.PE, st []linalg.Stats, alpha float64, x, y linalg.Vector) {
-	for w := 0; w < d.P; w++ {
-		for i := d.Lo[w]; i < d.Hi[w]; i++ {
-			y[i] += alpha * x[i]
-		}
-		flops := int64(2 * (d.Hi[w] - d.Lo[w]))
-		st[w].Flops += flops
-		pes[w].Charge(flops * CyclesPerFlop)
-	}
+// ParallelJacobi solves the distributed system by Jacobi iteration on P
+// simulated workers — the maximally parallel method the original Finite
+// Element Machine favoured.  Same cost model as ParallelCG, but the only
+// synchronisation per iteration is the halo exchange, the sweep's
+// barrier and the convergence check's.
+func (rt *Runtime) ParallelJacobi(ctx context.Context, d *DistSystem, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
+	return rt.solve(d, "parallel-jacobi", func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error) {
+		return linalg.Jacobi(ctx, d.A, d.B, linalg.IterDefaults(opts, d.A.N, 200), bl, st, nil)
+	})
 }
 
 // KernelCycles measures the simulated cost of the three NAVM linear
-// algebra kernels on the distributed system's P workers: one
-// halo-exchanged SpMV, one inner product (with its one-word-per-worker
-// reduction and barrier), and one axpy (no synchronisation at all).  The
-// axpy/dot contrast isolates the reduction cost that limits CG
-// scalability.
+// algebra kernels on the distributed system's P workers, priced as the
+// solvers price them: one halo-exchanged SpMV, one inner product (with
+// its one-word-per-worker reduction and barrier), and one axpy (no
+// synchronisation at all).  The axpy/dot contrast isolates the reduction
+// cost that limits CG scalability.
 func (rt *Runtime) KernelCycles(d *DistSystem) (spmv, dot, axpy int64, err error) {
-	pes, err := workerPEs(rt.machine, d.P)
+	pes, err := rt.SolveWorkers(d.P)
 	if err != nil {
 		return 0, 0, 0, err
 	}
+	cost := newMachineCost(rt, d, pes)
+	bl := linalg.Blocks{Lo: d.Lo, Hi: d.Hi, Cost: cost}
 	n := d.A.N
-	st := make([]linalg.Stats, d.P)
 	x := linalg.NewVector(n)
 	y := linalg.NewVector(n)
 	x.Fill(1)
@@ -404,112 +323,23 @@ func (rt *Runtime) KernelCycles(d *DistSystem) (spmv, dot, axpy int64, err error
 
 	// Axpy: pure local work, no barrier.
 	m0 := rt.machine.Makespan()
-	axpyBlocks(d, pes, st, 2, x, y)
+	bl.Axpy(2, x, y, nil)
 	axpy = rt.machine.Makespan() - m0
 
 	// Dot: local partials, one word per worker to the reducer, barrier.
 	m1 := rt.machine.Makespan()
-	dotBlocks(d, pes, st, x, y)
+	bl.Dot(x, y, nil)
 	for w := 1; w < d.P; w++ {
 		rt.machine.RemoteFetch(pes[0].ID, pes[w].Cluster, 1)
 	}
-	barrier(rt, pes)
+	cost.Barrier()
 	dot = rt.machine.Makespan() - m1
 
 	// SpMV: halo exchange, local rows, barrier.
 	m2 := rt.machine.Makespan()
-	d.haloExchange(rt, pes)
-	for w := 0; w < d.P; w++ {
-		before := st[w].Flops
-		d.A.MulVecRows(x, out, d.Lo[w], d.Hi[w], &st[w])
-		pes[w].Charge((st[w].Flops - before) * CyclesPerFlop)
-	}
-	barrier(rt, pes)
+	cost.Halo()
+	bl.MulVec(d.A, x, out, nil)
+	cost.Barrier()
 	spmv = rt.machine.Makespan() - m2
 	return spmv, dot, axpy, nil
-}
-
-// ParallelJacobi solves the distributed system by Jacobi iteration on P
-// simulated workers — the maximally parallel method the original Finite
-// Element Machine favoured.  Same cost model as ParallelCG, but the only
-// synchronisation per iteration is the halo exchange and one barrier
-// (no inner products except the convergence check).  The iteration loop
-// polls ctx like ParallelCG does.
-func (rt *Runtime) ParallelJacobi(ctx context.Context, d *DistSystem, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
-	var stats SolveStats
-	pes, err := workerPEs(rt.machine, d.P)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer rt.spawnSolverTasks(pes)()
-	n := d.A.N
-	// Same defaults as the sequential jacobi backend.
-	opts = linalg.IterDefaults(opts, n, 200)
-	st := make([]linalg.Stats, d.P)
-	diag := d.A.Diagonal()
-	for i, v := range diag {
-		if v == 0 {
-			return nil, stats, fmt.Errorf("navm: Jacobi zero diagonal at %d", i)
-		}
-	}
-	x := linalg.NewVector(n)
-	xNew := linalg.NewVector(n)
-	bnorm := math.Sqrt(dotBlocks(d, pes, st, d.B, d.B))
-	if bnorm == 0 {
-		return x, stats, nil
-	}
-	maxIter := opts.MaxIter
-	r := linalg.NewVector(n)
-	for iter := 1; iter <= maxIter; iter++ {
-		if err := linalg.CheckCancel(ctx, iter); err != nil {
-			finalizeStats(rt, &stats, st)
-			return x, stats, err
-		}
-		stats.HaloWords += d.haloExchange(rt, pes)
-		for w := 0; w < d.P; w++ {
-			var flops int64
-			for i := d.Lo[w]; i < d.Hi[w]; i++ {
-				s := d.B[i]
-				for k := d.A.RowPtr[i]; k < d.A.RowPtr[i+1]; k++ {
-					j := d.A.ColIdx[k]
-					if j != i {
-						s -= d.A.Val[k] * x[j]
-					}
-				}
-				xNew[i] = s / diag[i]
-				flops += int64(2*d.A.RowNNZ(i) + 1)
-			}
-			st[w].Flops += flops
-			pes[w].Charge(flops * CyclesPerFlop)
-		}
-		barrier(rt, pes)
-		x, xNew = xNew, x
-		// Convergence check: distributed residual.
-		for w := 0; w < d.P; w++ {
-			before := st[w].Flops
-			d.A.MulVecRows(x, r, d.Lo[w], d.Hi[w], &st[w])
-			for i := d.Lo[w]; i < d.Hi[w]; i++ {
-				r[i] = d.B[i] - r[i]
-			}
-			st[w].Flops += int64(d.Hi[w] - d.Lo[w])
-			pes[w].Charge((st[w].Flops - before) * CyclesPerFlop)
-		}
-		resid := math.Sqrt(dotBlocks(d, pes, st, r, r)) / bnorm
-		barrier(rt, pes)
-		stats.Iterations = iter
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, resid)
-		}
-		if resid <= opts.Tol {
-			stats.ResidualNorm = resid
-			break
-		}
-		if iter == maxIter {
-			stats.ResidualNorm = resid
-			finalizeStats(rt, &stats, st)
-			return x, stats, &linalg.ConvergenceError{Backend: "parallel-jacobi", Iterations: maxIter, Residual: resid}
-		}
-	}
-	finalizeStats(rt, &stats, st)
-	return x, stats, nil
 }

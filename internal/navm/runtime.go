@@ -2,11 +2,15 @@
 // the high-level parallel programming layer offering tasks
 // (programmer-defined parallel procedures) with initiate and wait, arrays
 // owned by a task, row windows on them for reading non-local data, and
-// the distributed solvers (CG, Jacobi, multi-colour SOR) with their halo
-// exchanges.  The paper's layer specification (core.FEM2Layers) also
-// names pause/resume, broadcast, pardo and remote procedure call.  The
-// SPVM kernels handle those messages, but no program here issues them, so
-// this layer does not offer them.
+// the distributed solvers (CG, Jacobi, multi-colour SOR).  Those are
+// linalg's one iterative kernel per method, run on one row block per
+// worker with a linalg.CostHook that charges the simulated machine: the
+// halo exchange before each product, each block's work on its worker's
+// PE, each barrier.  This package only picks the workers, spawns their
+// solver tasks and reports the cost.  The paper's layer specification
+// (core.FEM2Layers) also names pause/resume, broadcast, pardo and remote
+// procedure call.  The SPVM kernels handle those messages, but no
+// program here issues them, so this layer does not offer them.
 //
 // The layer is implemented on the system programmer's VM (spvm): task
 // initiation and termination each format and send an SPVM message, which

@@ -2,8 +2,6 @@ package navm
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"repro/internal/linalg"
 )
@@ -17,98 +15,10 @@ import (
 // problems) while exposing Jacobi-like parallelism within each color.
 // The iteration loop polls ctx like ParallelCG does.
 func (rt *Runtime) ParallelMultiColorSOR(ctx context.Context, d *DistSystem, c *linalg.Coloring, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
-	var stats SolveStats
 	if err := c.Validate(d.A); err != nil {
-		return nil, stats, err
+		return nil, SolveStats{}, err
 	}
-	// Same defaults as the sequential sor backend.
-	opts = linalg.IterDefaults(opts, d.A.N, 100)
-	w := opts.Omega
-	if w <= 0 || w >= 2 {
-		return nil, stats, fmt.Errorf("navm: SOR relaxation factor %g outside (0,2)", w)
-	}
-	pes, err := workerPEs(rt.machine, d.P)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer rt.spawnSolverTasks(pes)()
-	n := d.A.N
-	diag := d.A.Diagonal()
-	for i, v := range diag {
-		if v == 0 {
-			return nil, stats, fmt.Errorf("navm: SOR zero diagonal at %d", i)
-		}
-	}
-	// Pre-split each worker's rows by color.
-	rowsBy := make([][][]int, d.P)
-	for p := 0; p < d.P; p++ {
-		rowsBy[p] = make([][]int, c.NumColors)
-		for r := d.Lo[p]; r < d.Hi[p]; r++ {
-			col := c.ColorOf[r]
-			rowsBy[p][col] = append(rowsBy[p][col], r)
-		}
-	}
-	st := make([]linalg.Stats, d.P)
-	x := linalg.NewVector(n)
-	bnorm := math.Sqrt(dotBlocks(d, pes, st, d.B, d.B))
-	if bnorm == 0 {
-		return x, stats, nil
-	}
-	maxIter := opts.MaxIter
-	r := linalg.NewVector(n)
-	for iter := 1; iter <= maxIter; iter++ {
-		if err := linalg.CheckCancel(ctx, iter); err != nil {
-			finalizeStats(rt, &stats, st)
-			return x, stats, err
-		}
-		for color := 0; color < c.NumColors; color++ {
-			// Boundary values of the previous colors must be
-			// visible before this sweep.
-			stats.HaloWords += d.haloExchange(rt, pes)
-			for p := 0; p < d.P; p++ {
-				var flops int64
-				for _, i := range rowsBy[p][color] {
-					s := d.B[i]
-					for k := d.A.RowPtr[i]; k < d.A.RowPtr[i+1]; k++ {
-						j := d.A.ColIdx[k]
-						if j != i {
-							s -= d.A.Val[k] * x[j]
-						}
-					}
-					x[i] = (1-w)*x[i] + w*s/diag[i]
-					flops += int64(2*d.A.RowNNZ(i) + 4)
-				}
-				st[p].Flops += flops
-				pes[p].Charge(flops * CyclesPerFlop)
-			}
-			barrier(rt, pes)
-		}
-		// Distributed residual check.
-		for p := 0; p < d.P; p++ {
-			before := st[p].Flops
-			d.A.MulVecRows(x, r, d.Lo[p], d.Hi[p], &st[p])
-			for i := d.Lo[p]; i < d.Hi[p]; i++ {
-				r[i] = d.B[i] - r[i]
-			}
-			st[p].Flops += int64(d.Hi[p] - d.Lo[p])
-			pes[p].Charge((st[p].Flops - before) * CyclesPerFlop)
-		}
-		resid := math.Sqrt(dotBlocks(d, pes, st, r, r)) / bnorm
-		barrier(rt, pes)
-		stats.Iterations = iter
-		if opts.OnIteration != nil {
-			opts.OnIteration(iter, resid)
-		}
-		if resid <= opts.Tol {
-			stats.ResidualNorm = resid
-			break
-		}
-		if iter == maxIter {
-			stats.ResidualNorm = resid
-			finalizeStats(rt, &stats, st)
-			return x, stats, &linalg.ConvergenceError{Backend: "parallel-multicolor-sor", Iterations: maxIter, Residual: resid}
-		}
-	}
-	finalizeStats(rt, &stats, st)
-	return x, stats, nil
+	return rt.solve(d, "parallel-multicolor-sor", func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error) {
+		return linalg.SOR(ctx, d.A, d.B, c.Rows, linalg.IterDefaults(opts, d.A.N, 100), bl, st, nil)
+	})
 }

@@ -2,6 +2,7 @@ package navm
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/arch"
@@ -30,13 +31,17 @@ func TestParallelMultiColorSORMatchesSequential(t *testing.T) {
 	if stats.Iterations == 0 || stats.Flops == 0 || stats.Makespan == 0 {
 		t.Errorf("stats %+v", stats)
 	}
-	// The parallel arithmetic equals the sequential multi-colour SOR.
-	xSeq, seqIters, err := linalg.MultiColorSOR(a, b, c, opts, nil)
+	// The parallel arithmetic is the sequential SOR kernel's over the
+	// same colour classes, bit for bit.
+	one := linalg.Blocks{Lo: []int{0}, Hi: []int{a.N}}
+	xSeq, seqIters, _, err := linalg.SOR(context.Background(), a, b, c.Rows, opts, one, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := linalg.MaxAbsDiff(x, xSeq); diff > 1e-12 {
-		t.Errorf("parallel differs from sequential ordering by %g", diff)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(xSeq[i]) {
+			t.Fatalf("x[%d] = %v in parallel, %v sequentially", i, x[i], xSeq[i])
+		}
 	}
 	if stats.Iterations != seqIters {
 		t.Errorf("parallel %d vs sequential %d iterations", stats.Iterations, seqIters)
