@@ -1,6 +1,6 @@
-// Command fem2sim runs the FEM-2 evaluation: every experiment table from
-// DESIGN.md's per-experiment index (E1-E11 plus the design-method
-// iteration), regenerated on the simulated machine.
+// Command fem2sim runs the FEM-2 evaluation: every experiment table of
+// package exp (E1-E16 plus the design-method iteration, DM), regenerated
+// on the simulated machine.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment by id (E1..E11, DM)")
+	only := flag.String("only", "", "run a single experiment by id (E1..E16, DM)")
 	flag.Parse()
 
 	tables, err := fem2.RunAllExperiments()

@@ -1,9 +1,8 @@
 // Formal specification in action: H-graph semantics as the FEM-2 design
 // method uses it.  This example prints the formal grammar of the system
 // programmer's VM message formats, builds the H-graph model of a live
-// message, validates it, demonstrates that a corrupted message is
-// rejected, and runs an H-graph transform under its formal pre- and
-// post-conditions.
+// message, validates it, and demonstrates that a corrupted message is
+// rejected.
 package main
 
 import (
@@ -41,30 +40,4 @@ func main() {
 	for _, e := range errs {
 		fmt.Println("  ", e)
 	}
-
-	// 4. Operations are H-graph transforms with formal pre/post
-	// conditions.  A transform that doubles an initiate message's
-	// replication count must map grammar-valid inputs to grammar-valid
-	// outputs; the interpreter enforces both directions.
-	reg := hgraph.NewRegistry("spvm-ops")
-	reg.Register(&hgraph.Transform{
-		Name: "double-replications",
-		In:   g,
-		Out:  g,
-		Doc:  "double the replication count of an initiate message",
-		Body: func(in *hgraph.Graph, ip *hgraph.Interp) (*hgraph.Graph, error) {
-			n := in.Path("replications")
-			n.SetAtom(hgraph.Int(n.Atom.I * 2))
-			return in, nil
-		},
-	})
-	ip := hgraph.NewInterp(reg)
-	out, err := ip.Invoke("double-replications", msg.ToHGraph())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ntransform applied: replications %d -> %d (post-condition checked)\n",
-		msg.Replications, out.Path("replications").Atom.I)
-	fmt.Println("transform call hierarchy:")
-	fmt.Print(ip.CallTree())
 }

@@ -19,8 +19,8 @@
 // The hardware was never fabricated; per the paper's own method it is
 // evaluated by simulation.  New builds the whole stack over a
 // simulated machine; Session gives an interactive workstation; the
-// experiment runners regenerate the paper's evaluation (see DESIGN.md and
-// EXPERIMENTS.md).
+// experiment runners regenerate the paper's evaluation (package exp,
+// cmd/fem2sim).
 //
 // Quick start, typed API:
 //
@@ -714,7 +714,7 @@ func Partition(a *linalg.CSR, b linalg.Vector, p int) (*DistSystem, error) {
 // Table is one experiment's printable result.
 type Table = exp.Table
 
-// RunAllExperiments regenerates every experiment table (E1-E11 plus the
+// RunAllExperiments regenerates every experiment table (E1-E16 plus the
 // design-method iteration) with default parameters.
 func RunAllExperiments() ([]*Table, error) { return exp.RunAll() }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,12 +162,31 @@ func TestLayerSpecsAndGrammarsExported(t *testing.T) {
 		t.Fatalf("layers = %d", len(layers))
 	}
 	grammars := fem2.AllLevelGrammars()
-	if len(grammars) < 5 {
-		t.Fatalf("grammars = %d", len(grammars))
-	}
+	var names []string
 	for name, g := range grammars {
+		names = append(names, name)
 		if errs := g.WellFormed(); len(errs) > 0 {
 			t.Errorf("grammar %s: %v", name, errs)
+		}
+	}
+	slices.Sort(names)
+	if want := []string{"auvm-model", "navm-window", "spvm-activation", "spvm-message"}; !slices.Equal(names, want) {
+		t.Errorf("grammars = %v, want %v", names, want)
+	}
+	// Each grammar defines the data objects of exactly one layer, and
+	// every grammar a layer names exists.
+	namedBy := map[string][]string{}
+	for _, l := range layers {
+		for _, g := range l.Grammars {
+			if grammars[g] == nil {
+				t.Errorf("layer %s names unknown grammar %q", l.Level, g)
+			}
+			namedBy[g] = append(namedBy[g], l.Level.String())
+		}
+	}
+	for _, name := range names {
+		if len(namedBy[name]) != 1 {
+			t.Errorf("grammar %s is named by layers %v, want exactly one", name, namedBy[name])
 		}
 	}
 	if fem2.LevelAUVM.String() != "AUVM" || fem2.LevelARCH.String() != "ARCH" {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/fem"
+	"repro/internal/hgraph"
 	"repro/internal/store"
 )
 
@@ -63,6 +64,18 @@ func (db *Database) Retrieve(name string) (*fem.Model, []*fem.LoadSet, error) {
 		return decodeModelRecord(raw)
 	}
 	return decodeGobModel(name, raw)
+}
+
+// ModelGraph builds the formal H-graph model of the model stored under
+// name, in the language of hgraph.StructureModelGrammar, from what
+// Retrieve reads out of the stored bytes: the grammar specifies what the
+// database holds.  Experiment E11 counts the stored models it accepts.
+func (db *Database) ModelGraph(name string) (*hgraph.Graph, error) {
+	m, loads, err := db.Retrieve(name)
+	if err != nil {
+		return nil, err
+	}
+	return modelGraph(m, loads), nil
 }
 
 // Delete removes a model, reporting whether it was there.  An older daemon

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/fem"
+	"repro/internal/hgraph"
 )
 
 // The stored form of a model under "m:<name>" since store format 2: one
@@ -119,6 +121,69 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// modelGraph builds the H-graph of a model and its load sets.  Elements
+// of one material share its node, as they share its material table entry
+// in the record.
+func modelGraph(m *fem.Model, loads []*fem.LoadSet) *hgraph.Graph {
+	g := hgraph.NewGraph("model")
+	root := g.Add("model")
+	root.Arc("name", g.AddAtom("name", hgraph.Str(m.Name)))
+	root.Arc("nodes", g.AddList("nodes", len(m.Nodes), func(i int) *hgraph.Node {
+		n := g.Add("node")
+		n.Arc("x", g.AddAtom("x", hgraph.Float(m.Nodes[i].X)))
+		n.Arc("y", g.AddAtom("y", hgraph.Float(m.Nodes[i].Y)))
+		return n
+	}))
+	mats := map[matBits]*hgraph.Node{}
+	root.Arc("elements", g.AddList("elements", len(m.Elements), func(i int) *hgraph.Node {
+		e := m.Elements[i]
+		n := g.Add(e.Kind())
+		n.Arc("kind", g.AddAtom("kind", hgraph.Str(e.Kind())))
+		for j, id := range e.AppendNodes(nil) {
+			n.Arc("n"+strconv.Itoa(j+1), g.AddAtom("node", hgraph.Int(int64(id))))
+		}
+		var mat fem.Material
+		switch el := e.(type) {
+		case *fem.Bar:
+			mat = el.Mat
+		case *fem.CST:
+			mat = el.Mat
+		}
+		mn := mats[materialBits(mat)]
+		if mn == nil {
+			mn = g.Add("material")
+			mn.Arc("E", g.AddAtom("E", hgraph.Float(mat.E)))
+			mn.Arc("nu", g.AddAtom("nu", hgraph.Float(mat.Nu)))
+			mn.Arc("t", g.AddAtom("t", hgraph.Float(mat.T)))
+			mn.Arc("A", g.AddAtom("A", hgraph.Float(mat.A)))
+			mats[materialBits(mat)] = mn
+		}
+		n.Arc("material", mn)
+		return n
+	}))
+	var fixed []int
+	for d := 0; d < m.NumDOF(); d++ {
+		if m.Fixed(d) {
+			fixed = append(fixed, d)
+		}
+	}
+	root.Arc("fixed", g.AddList("fixed", len(fixed), func(i int) *hgraph.Node {
+		return g.AddAtom("dof", hgraph.Int(int64(fixed[i])))
+	}))
+	root.Arc("loads", g.AddList("loads", len(loads), func(i int) *hgraph.Node {
+		ls := g.Add("loadset")
+		ls.Arc("name", g.AddAtom("name", hgraph.Str(loads[i].Name)))
+		ls.Arc("entries", g.AddList("entries", len(loads[i].Entries), func(j int) *hgraph.Node {
+			e := g.Add("entry")
+			e.Arc("dof", g.AddAtom("dof", hgraph.Int(int64(loads[i].Entries[j].DOF))))
+			e.Arc("value", g.AddAtom("value", hgraph.Float(loads[i].Entries[j].Value)))
+			return e
+		}))
+		return ls
+	}))
+	return g
 }
 
 func appendString(b []byte, s string) []byte {

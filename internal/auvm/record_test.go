@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/command"
 	"repro/internal/fem"
+	"repro/internal/hgraph"
 	"repro/internal/store"
 )
 
@@ -225,9 +226,21 @@ func randomModel(rng *rand.Rand) (*fem.Model, []*fem.LoadSet) {
 	return m, loads
 }
 
+var modelGrammar = hgraph.StructureModelGrammar()
+
+// checkModelGrammar validates the graph of a stored model against the
+// formal grammar of models.
+func checkModelGrammar(t testing.TB, gr *hgraph.Graph) {
+	t.Helper()
+	if errs := modelGrammar.Validate(gr); len(errs) > 0 {
+		t.Fatalf("stored model violates formal grammar: %v", errs)
+	}
+}
+
 // checkRecordAgainstOracle is the differential's one step: the record
 // decodes to the model it was written from and to what the gob oracle
-// decodes to, and re-encodes to itself.
+// decodes to, re-encodes to itself, and is in the model grammar's
+// language.
 func checkRecordAgainstOracle(t *testing.T, m *fem.Model, loads []*fem.LoadSet) (*fem.Model, []*fem.LoadSet) {
 	t.Helper()
 	raw, err := encodeModelRecord(m, loads)
@@ -252,6 +265,7 @@ func checkRecordAgainstOracle(t *testing.T, m *fem.Model, loads []*fem.LoadSet) 
 	if !bytes.Equal(again, raw) {
 		t.Fatalf("encode(decode(record)) differs from record: %d vs %d bytes", len(again), len(raw))
 	}
+	checkModelGrammar(t, modelGraph(rm, rl))
 	return rm, rl
 }
 
@@ -452,6 +466,11 @@ func TestModelRecordFormat1StaysReadable(t *testing.T) {
 	if d := diffModels(sameBits, m, loads, wm, wl); d != "" {
 		t.Fatalf("format-1 record: %s", d)
 	}
+	gr, err := db.ModelGraph("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkModelGrammar(t, gr)
 	if err := db.Store(m, loads); err != nil {
 		t.Fatal(err)
 	}
@@ -565,8 +584,8 @@ func TestModelRecordRefusesDamage(t *testing.T) {
 
 // FuzzModelRecord feeds the stored-model readers arbitrary bytes: neither
 // may panic, the record reader may not allocate out of proportion to its
-// input, and whatever it accepts must re-encode to a record it accepts
-// to an equal model.
+// input, and whatever it accepts must be in the model grammar's language
+// and re-encode to a record it accepts to an equal model.
 func FuzzModelRecord(f *testing.F) {
 	for _, g := range benchGrids {
 		m, loads := benchGrid(f, g.name, g.nx, g.ny)
@@ -599,6 +618,7 @@ func FuzzModelRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkModelGrammar(t, modelGraph(m, loads))
 		again, err := encodeModelRecord(m, loads)
 		if err != nil {
 			t.Fatalf("re-encode of an accepted record: %v", err)

@@ -54,6 +54,19 @@ func TestLayerSpecValidateCatchesGaps(t *testing.T) {
 	}
 }
 
+// TestLayerSpecValidateIsDeterministic validates a spec missing two
+// categories many times: it must name the first in the paper's order
+// every time.
+func TestLayerSpecValidateIsDeterministic(t *testing.T) {
+	l := *FEM2Layers()[0]
+	l.Operations, l.StorageManagement = nil, nil
+	for i := 0; i < 100; i++ {
+		if err := l.Validate(); err == nil || err.Error() != "core: layer AUVM has no operations" {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
+
 func TestLayerSpecString(t *testing.T) {
 	s := FEM2Layers()[1].String()
 	for _, want := range []string{"NAVM", "Data objects", "windows", "forall", "Formal grammars"} {

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/arch"
+	"repro/internal/auvm"
 	"repro/internal/command"
 	"repro/internal/core"
 	"repro/internal/fem"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/navm"
 	"repro/internal/obs"
 	"repro/internal/spvm"
+	"repro/internal/store"
 )
 
 // defaultConfig is the experiment baseline machine.
@@ -613,16 +615,44 @@ func E10LinalgKernels(workerCounts []int) (*Table, error) {
 }
 
 // E11HGraphValidation reproduces the formal-specification evaluation:
-// every live SPVM message type validates against the H-graph grammar, and
-// mutated messages are rejected.  The bench measures grammar-check
-// throughput.
+// the live values of every specified layer validate against their H-graph
+// grammars, and mutants of each are rejected.  The values are the seven
+// SPVM message types, the activation records a kernel creates for
+// initiate and remote-call messages, NAVM row, column and block windows,
+// and models read back from the AUVM database; the mutants carry an
+// unknown message type, task state, window kind or element kind.
 func E11HGraphValidation(instances int) (*Table, error) {
-	g := hgraph.SPVMMessageGrammar()
 	t := &Table{
 		ID:      "E11",
-		Title:   fmt.Sprintf("H-graph grammar validation over %d message instances per type", instances),
-		Columns: []string{"message.type", "valid.accepted", "mutants.rejected"},
-		Notes:   "the formal definitions are executable: the runtime's own messages are checked",
+		Title:   fmt.Sprintf("H-graph grammar validation over %d live instances per type", instances),
+		Columns: []string{"object", "valid.accepted", "mutants.rejected"},
+		Notes: "the formal definitions are executable: the runtime's own messages, activation records, " +
+			"windows and stored models are checked",
+	}
+	k := spvm.NewKernel(0, 1<<20, spvm.NewIDSource())
+	k.RegisterRoot(0)
+	if _, err := k.Handle(&spvm.Message{Type: spvm.MsgLoadCode, CodeName: "w", CodeWords: 64, LocalWords: 8}); err != nil {
+		return nil, err
+	}
+	owner, err := navm.NewRuntime(arch.MustNew(defaultConfig(1, 2))).NewRootTask()
+	if err != nil {
+		return nil, err
+	}
+	arr, err := owner.NewArray("x", instances, 4)
+	if err != nil {
+		return nil, err
+	}
+	db := auvm.NewDatabaseOn(store.NewMemStore(), store.BackendMem)
+
+	type row struct {
+		name   string
+		g      *hgraph.Grammar
+		live   func(i int) (*hgraph.Graph, error)
+		mutate func(*hgraph.Graph)
+	}
+	// retag re-points the entry's arc sel at a string atom v.
+	retag := func(sel, v string) func(*hgraph.Graph) {
+		return func(gr *hgraph.Graph) { gr.Entry().Arc(sel, gr.AddAtom("bad", hgraph.Str(v))) }
 	}
 	mk := func(i int64) []*spvm.Message {
 		return []*spvm.Message{
@@ -636,24 +666,65 @@ func E11HGraphValidation(instances int) (*Table, error) {
 			{Type: spvm.MsgLoadCode, CodeName: "w", CodeWords: i + 1, LocalWords: i},
 		}
 	}
-	accepted := make([]int, 7)
-	rejected := make([]int, 7)
-	for i := 0; i < instances; i++ {
-		for j, m := range mk(int64(i)) {
-			gr := m.ToHGraph()
-			if len(g.Validate(gr)) == 0 {
-				accepted[j]++
+	var rows []row
+	for j, m := range mk(0) {
+		rows = append(rows, row{m.Type.String(), hgraph.SPVMMessageGrammar(), func(i int) (*hgraph.Graph, error) {
+			return mk(int64(i))[j].ToHGraph(), nil
+		}, retag("type", "bogus")})
+	}
+	// Records of initiate and remote-call messages in turn.
+	rows = append(rows, row{"activation", hgraph.ActivationRecordGrammar(), func(i int) (*hgraph.Graph, error) {
+		m := &spvm.Message{Type: spvm.MsgInitiate, TaskType: "w", Replications: 1, Params: []float64{float64(i)}}
+		if i%2 == 1 {
+			m = &spvm.Message{Type: spvm.MsgRemoteCall, Procedure: "w", Params: []float64{float64(i), 1}}
+		}
+		ids, err := k.Handle(m)
+		if err != nil {
+			return nil, err
+		}
+		return k.Task(ids[0]).ToHGraph(), nil
+	}, retag("state", "zombie")})
+	// Row, column and block windows in turn.
+	rows = append(rows, row{"window", hgraph.WindowGrammar(), func(i int) (*hgraph.Graph, error) {
+		w := []navm.Window{{Arr: arr, Row0: i, Rows: 1, Cols: 4}, {Arr: arr, Rows: instances, Col0: i % 4, Cols: 1},
+			{Arr: arr, Row0: i, Rows: 1, Col0: 1, Cols: 2}}[i%3]
+		return w.Desc().ToHGraph(), nil
+	}, retag("kind", "diagonal")})
+	// Plates and trusses in turn, stored and read back.
+	rows = append(rows, row{"model", hgraph.StructureModelGrammar(), func(i int) (*hgraph.Graph, error) {
+		name := fmt.Sprintf("m%d", i)
+		o := fem.RectGridOpts{NX: 1 + i%4, NY: 1 + i%3, W: 2, H: 1, Mat: fem.Steel(), ClampLeft: true}
+		m, err := fem.RectGrid(name, o)
+		if i%2 == 1 {
+			m, err = fem.CantileverTruss(name, 1+i%5, 1, 1, fem.Steel())
+		}
+		if err == nil {
+			err = db.Store(m, []*fem.LoadSet{{Name: "tip", Entries: []fem.LoadEntry{{DOF: fem.DOF(1, 1), Value: -100}}}})
+		}
+		if err != nil {
+			return nil, err
+		}
+		return db.ModelGraph(name)
+	}, func(gr *hgraph.Graph) {
+		gr.Entry().Follow("elements").Follow("0").Arc("kind", gr.AddAtom("bad", hgraph.Str("frame")))
+	}})
+
+	for _, r := range rows {
+		accepted, rejected := 0, 0
+		for i := 0; i < instances; i++ {
+			gr, err := r.live(i)
+			if err != nil {
+				return nil, fmt.Errorf("E11 %s %d: %w", r.name, i, err)
 			}
-			// Mutate: break the type tag.
-			gr.Entry().Arc("type", gr.AddAtom("bad", hgraph.Str("bogus")))
-			if len(g.Validate(gr)) > 0 {
-				rejected[j]++
+			if len(r.g.Validate(gr)) == 0 {
+				accepted++
+			}
+			r.mutate(gr)
+			if len(r.g.Validate(gr)) > 0 {
+				rejected++
 			}
 		}
-	}
-	names := []string{"initiate", "pause", "resume", "terminate", "remote-call", "remote-return", "load-code"}
-	for j, name := range names {
-		t.AddRow(name, fmt.Sprintf("%d/%d", accepted[j], instances), fmt.Sprintf("%d/%d", rejected[j], instances))
+		t.AddRow(r.name, fmt.Sprintf("%d/%d", accepted, instances), fmt.Sprintf("%d/%d", rejected, instances))
 	}
 	return t, nil
 }

@@ -244,10 +244,15 @@ func TestE11AllAcceptedAllMutantsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 7 {
-		t.Fatalf("rows = %d, want 7 message types", len(tab.Rows))
+	want := []string{"initiate", "pause", "resume", "terminate", "remote-call", "remote-return", "load-code",
+		"activation", "window", "model"}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("rows = %d, want the 7 message types, activation, window and model", len(tab.Rows))
 	}
-	for _, r := range tab.Rows {
+	for i, r := range tab.Rows {
+		if r[0] != want[i] {
+			t.Errorf("row %d is %s, want %s", i, r[0], want[i])
+		}
 		if r[1] != "10/10" {
 			t.Errorf("%s: valid accepted %s", r[0], r[1])
 		}

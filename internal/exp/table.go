@@ -6,9 +6,10 @@
 // requirements list (dynamic task initiation, window access, fault
 // isolation, cluster scheduling, fast linear algebra).
 //
-// The paper itself contains no numbered tables or figures; DESIGN.md maps
-// each of its textual evaluation commitments to an experiment id (E1-E11)
-// and to the bench target in bench_test.go that regenerates it.
+// The paper itself contains no numbered tables or figures; each experiment
+// (E1-E16, and DM, the design-method iteration) reproduces one of its
+// textual evaluation commitments, and its function's doc comment says
+// which.
 package exp
 
 import (

@@ -17,10 +17,3 @@ func (n *Node) RemoveArc(sel string) bool {
 func (n *Node) SetSub(g *Graph) {
 	n.Sub, n.HasAtom = g, false
 }
-
-// Calls returns the recorded call hierarchy in invocation order.
-func (ip *Interp) Calls() []CallRecord {
-	out := make([]CallRecord, len(ip.calls))
-	copy(out, ip.calls)
-	return out
-}

@@ -3,6 +3,7 @@ package hgraph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -37,8 +38,6 @@ func (t AtomType) String() string {
 		return "FLOAT"
 	case AtomString:
 		return "STRING"
-	case AtomBool:
-		return "BOOL"
 	default:
 		return fmt.Sprintf("ATOM(%d)", int(t.Kind))
 	}
@@ -140,7 +139,7 @@ func (t ListType) String() string { return fmt.Sprintf("LIST(%s)", t.Elem) }
 func (t ListType) check(g *Grammar, n *Node, path string, seen map[memoKey]bool, errs *[]error) {
 	count := 0
 	for {
-		target := n.Follow(fmt.Sprintf("%d", count))
+		target := n.Follow(strconv.Itoa(count))
 		if target == nil {
 			break
 		}
@@ -150,10 +149,10 @@ func (t ListType) check(g *Grammar, n *Node, path string, seen map[memoKey]bool,
 	if count < t.MinLen {
 		*errs = append(*errs, fmt.Errorf("%s: list has %d elements, minimum %d", path, count, t.MinLen))
 	}
-	// Every arc must be a dense index.
+	// Every arc must be a dense index, written in canonical decimal: "01",
+	// "+1" and "1x" are not index 1.
 	for _, s := range n.Selectors() {
-		var idx int
-		if _, err := fmt.Sscanf(s, "%d", &idx); err != nil || idx < 0 || idx >= count {
+		if idx, err := strconv.Atoi(s); err != nil || idx < 0 || idx >= count || strconv.Itoa(idx) != s {
 			*errs = append(*errs, fmt.Errorf("%s: non-index or gapped arc %q in list node %q", path, s, n.Label))
 		}
 	}

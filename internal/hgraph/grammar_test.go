@@ -112,6 +112,21 @@ func TestListTypeGapRejected(t *testing.T) {
 	}
 }
 
+func TestListTypeNonCanonicalIndexRejected(t *testing.T) {
+	g := NewGrammar("l", "s")
+	g.Define("s", ListType{Elem: AtomType{AtomInt}})
+	for _, sel := range []string{"1x", "01", "+1", "-0", " 1"} {
+		gr := NewGraph("x")
+		root := gr.Add("root")
+		root.Arc("0", gr.AddAtom("a", Int(1)))
+		root.Arc("1", gr.AddAtom("b", Int(2)))
+		root.Arc(sel, gr.AddAtom("c", Str("not an int")))
+		if errs := g.Validate(gr); len(errs) == 0 {
+			t.Errorf("list with arc %q accepted", sel)
+		}
+	}
+}
+
 func TestListMinLen(t *testing.T) {
 	g := NewGrammar("l", "s")
 	g.Define("s", ListType{Elem: AtomType{AtomInt}, MinLen: 2})
@@ -162,14 +177,17 @@ func TestWindowGrammarRejectsBadKind(t *testing.T) {
 }
 
 func TestTaskStateGrammar(t *testing.T) {
-	g := TaskStateGrammar()
+	g := ActivationRecordGrammar()
 	mk := func(state string) *Graph {
-		gr := NewGraph("task")
-		root := gr.Add("task")
-		root.Arc("id", gr.AddAtom("id", Int(7)))
-		root.Arc("type", gr.AddAtom("ty", Str("worker")))
+		gr := NewGraph("activation")
+		root := gr.Add("activation")
+		root.Arc("task", gr.AddAtom("id", Int(7)))
 		root.Arc("parent", gr.AddAtom("p", Int(0)))
+		root.Arc("code-block", gr.AddAtom("cb", Str("worker")))
+		root.Arc("params", gr.AddList("params", 1, func(int) *Node { return gr.AddAtom("p", Float(2)) }))
+		root.Arc("local-words", gr.AddAtom("lw", Int(33)))
 		root.Arc("state", gr.AddAtom("s", Str(state)))
+		root.Arc("results", gr.Add("results"))
 		return gr
 	}
 	for _, s := range []string{"ready", "running", "paused", "terminated"} {
@@ -180,16 +198,21 @@ func TestTaskStateGrammar(t *testing.T) {
 	if errs := g.Validate(mk("zombie")); len(errs) == 0 {
 		t.Error("task state \"zombie\" accepted")
 	}
+	saved := mk("paused")
+	saved.Entry().Arc("saved", saved.AddAtom("sv", Int(1)))
+	if errs := g.Validate(saved); len(errs) == 0 {
+		t.Error("activation record with a saved flag accepted")
+	}
 }
 
 func TestSubgraphTypeRequiresNestedGraph(t *testing.T) {
-	g := TaskStateGrammar()
+	g := NewGrammar("task", "task")
+	g.Define("task", StructType{Fields: []Field{
+		{Sel: "locals", Type: SubgraphType{Prod: "locals"}},
+	}})
+	g.Define("locals", StructType{Fields: nil}) // any named set of objects
 	gr := NewGraph("task")
 	root := gr.Add("task")
-	root.Arc("id", gr.AddAtom("id", Int(7)))
-	root.Arc("type", gr.AddAtom("ty", Str("worker")))
-	root.Arc("parent", gr.AddAtom("p", Int(0)))
-	root.Arc("state", gr.AddAtom("s", Str("ready")))
 	// locals present but not a subgraph:
 	root.Arc("locals", gr.AddAtom("l", Int(0)))
 	if errs := g.Validate(gr); len(errs) == 0 {
@@ -212,46 +235,56 @@ func TestStructureModelGrammar(t *testing.T) {
 	gr := NewGraph("model")
 	root := gr.Add("model")
 	root.Arc("name", gr.AddAtom("n", Str("wing-panel")))
-	grid := NewGraph("grid")
-	groot := grid.Add("grid")
-	groot.Arc("nodes", grid.AddAtom("n", Int(25)))
-	groot.Arc("dof-per-node", grid.AddAtom("d", Int(2)))
-	gn := NewNode("grid")
-	gn.SetSub(grid)
-	gr.AddNode(gn)
-	root.Arc("grid", gn)
-
-	elems := gr.Add("elements")
-	e0 := gr.Add("e0")
-	e0.Arc("kind", gr.AddAtom("k", Str("cst")))
-	ns := gr.Add("ns")
-	ns.Arc("0", gr.AddAtom("n0", Int(0)))
-	ns.Arc("1", gr.AddAtom("n1", Int(1)))
-	ns.Arc("2", gr.AddAtom("n2", Int(5)))
-	e0.Arc("nodes", ns)
-	elems.Arc("0", e0)
-	root.Arc("elements", elems)
-
-	loads := gr.Add("loads")
-	l0 := gr.Add("l0")
-	l0.Arc("name", gr.AddAtom("ln", Str("tip-load")))
-	entries := gr.Add("entries")
-	ent := gr.Add("ent")
-	ent.Arc("dof", gr.AddAtom("d", Int(48)))
-	ent.Arc("value", gr.AddAtom("v", Float(-1000)))
-	entries.Arc("0", ent)
-	l0.Arc("entries", entries)
-	loads.Arc("0", l0)
-	root.Arc("loads", loads)
+	root.Arc("nodes", gr.AddList("nodes", 3, func(i int) *Node {
+		n := gr.Add("node")
+		n.Arc("x", gr.AddAtom("x", Float(float64(i))))
+		n.Arc("y", gr.AddAtom("y", Float(0)))
+		return n
+	}))
+	steel := gr.Add("material")
+	for _, sel := range []string{"E", "nu", "t", "A"} {
+		steel.Arc(sel, gr.AddAtom(sel, Float(1)))
+	}
+	cst := gr.Add("cst")
+	cst.Arc("kind", gr.AddAtom("k", Str("cst")))
+	bar := gr.Add("bar")
+	bar.Arc("kind", gr.AddAtom("k", Str("bar")))
+	for i, sel := range []string{"n1", "n2", "n3"} {
+		cst.Arc(sel, gr.AddAtom(sel, Int(int64(i))))
+		if sel != "n3" {
+			bar.Arc(sel, gr.AddAtom(sel, Int(int64(i))))
+		}
+	}
+	cst.Arc("material", steel)
+	bar.Arc("material", steel)
+	elems := []*Node{cst, bar}
+	root.Arc("elements", gr.AddList("elements", 2, func(i int) *Node { return elems[i] }))
+	root.Arc("fixed", gr.AddList("fixed", 2, func(i int) *Node { return gr.AddAtom("d", Int(int64(i))) }))
+	entry := gr.Add("entry")
+	entry.Arc("dof", gr.AddAtom("d", Int(4)))
+	entry.Arc("value", gr.AddAtom("v", Float(-1000)))
+	tip := gr.Add("loadset")
+	tip.Arc("name", gr.AddAtom("ln", Str("tip-load")))
+	tip.Arc("entries", gr.AddList("entries", 1, func(int) *Node { return entry }))
+	root.Arc("loads", gr.AddList("loads", 1, func(int) *Node { return tip }))
 
 	if errs := g.Validate(gr); len(errs) > 0 {
 		t.Errorf("valid model rejected: %v", errs)
 	}
-	// Element with only 1 node violates MinLen 2.
-	ns.RemoveArc("1")
-	ns.RemoveArc("2")
+	// A bar with a third node is no element the model record holds.
+	bar.Arc("n3", gr.AddAtom("n3", Int(2)))
 	if errs := g.Validate(gr); len(errs) == 0 {
-		t.Error("element with 1 node accepted")
+		t.Error("bar with three nodes accepted")
+	}
+	bar.RemoveArc("n3")
+	cst.Arc("kind", gr.AddAtom("k", Str("frame")))
+	if errs := g.Validate(gr); len(errs) == 0 {
+		t.Error("frame element accepted")
+	}
+	cst.Arc("kind", gr.AddAtom("k", Str("cst")))
+	root.Arc("grid", gr.Add("grid"))
+	if errs := g.Validate(gr); len(errs) == 0 {
+		t.Error("model with a grid arc accepted")
 	}
 }
 
@@ -332,7 +365,7 @@ func TestTypeExprStrings(t *testing.T) {
 		{AtomType{AtomInt}, "INT"},
 		{AtomType{AtomFloat}, "FLOAT"},
 		{AtomType{AtomString}, "STRING"},
-		{AtomType{AtomBool}, "BOOL"},
+		{AtomType{7}, "ATOM(7)"},
 		{LitString{"x"}, `"x"`},
 		{Ref("foo"), "<foo>"},
 		{AnyType{}, "ANY"},

@@ -15,27 +15,31 @@
 //     invoke each other in the usual manner of subprogram calling
 //     hierarchies.
 //
-// The reproduction uses this package two ways: the spec.go file carries the
-// formal definitions of the FEM-2 virtual machine levels (message formats,
-// task states, window descriptors, model objects), and the runtime layers
-// validate their live data structures against those grammars in tests.
+// This package implements the first two: graphs and grammars.  spec.go
+// carries the formal definitions of the FEM-2 virtual machine levels, and
+// each grammar has one builder that renders the live value it specifies:
+// spvm.Message and spvm.ActivationRecord's ToHGraph, spvm.WindowDesc's
+// (which a navm.Window renders through) and auvm.Database's ModelGraph of
+// a stored model.  Those packages' tests validate the values their layer
+// builds, and experiment E11 counts the live instances accepted and the
+// mutants rejected.
 package hgraph
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// Atom is a primitive value stored in a node: one of int64, float64,
-// string, or bool.  An Atom distinguishes leaf storage locations from
-// locations whose value is a nested graph.
+// Atom is a primitive value stored in a node: one of int64, float64 or
+// string.  An Atom distinguishes leaf storage locations from locations
+// whose value is a nested graph.
 type Atom struct {
 	Kind AtomKind
 	I    int64
 	F    float64
 	S    string
-	B    bool
 }
 
 // AtomKind enumerates the primitive kinds.
@@ -46,7 +50,6 @@ const (
 	AtomInt AtomKind = iota
 	AtomFloat
 	AtomString
-	AtomBool
 )
 
 // String renders the atom as a literal.
@@ -58,8 +61,6 @@ func (a Atom) String() string {
 		return fmt.Sprintf("%g", a.F)
 	case AtomString:
 		return fmt.Sprintf("%q", a.S)
-	case AtomBool:
-		return fmt.Sprintf("%t", a.B)
 	default:
 		return fmt.Sprintf("atom(%d)", int(a.Kind))
 	}
@@ -96,11 +97,6 @@ func NewNode(label string) *Node { return &Node{Label: label} }
 // NewAtomNode returns a leaf node holding the atom.
 func NewAtomNode(label string, a Atom) *Node {
 	return &Node{Label: label, Atom: a, HasAtom: true}
-}
-
-// SetAtom stores a leaf value in the node, clearing any subgraph.
-func (n *Node) SetAtom(a Atom) {
-	n.Atom, n.HasAtom, n.Sub = a, true, nil
 }
 
 // Arc creates (or replaces) the access path named sel from n to target.
@@ -141,7 +137,7 @@ type Graph struct {
 func NewGraph(name string) *Graph { return &Graph{Name: name} }
 
 // AddNode inserts a node into the graph and returns it.  The first node
-// added becomes the entry unless SetEntry overrides it.
+// added becomes the entry.
 func (g *Graph) AddNode(n *Node) *Node {
 	g.nodes = append(g.nodes, n)
 	if g.entry == nil {
@@ -156,6 +152,16 @@ func (g *Graph) Add(label string) *Node { return g.AddNode(NewNode(label)) }
 // AddAtom is shorthand for AddNode(NewAtomNode(label, a)).
 func (g *Graph) AddAtom(label string, a Atom) *Node {
 	return g.AddNode(NewAtomNode(label, a))
+}
+
+// AddList adds a list node whose arcs "0" .. "n-1" lead to elem(0) ..
+// elem(n-1), the shape ListType accepts, and returns it.
+func (g *Graph) AddList(label string, n int, elem func(i int) *Node) *Node {
+	l := g.Add(label)
+	for i := 0; i < n; i++ {
+		l.Arc(strconv.Itoa(i), elem(i))
+	}
+	return l
 }
 
 // Entry returns the distinguished entry node (nil for an empty graph).
@@ -206,56 +212,4 @@ func (g *Graph) String() string {
 		b.WriteByte('\n')
 	})
 	return b.String()
-}
-
-// Clone returns a deep copy of the graph: fresh nodes, arcs, and nested
-// subgraphs.  Transforms operate on clones so formal pre-states survive
-// for comparison.
-func (g *Graph) Clone() *Graph {
-	if g == nil {
-		return nil
-	}
-	mapping := map[*Node]*Node{}
-	out := NewGraph(g.Name)
-	var cloneNode func(n *Node) *Node
-	cloneNode = func(n *Node) *Node {
-		if n == nil {
-			return nil
-		}
-		if c, ok := mapping[n]; ok {
-			return c
-		}
-		c := &Node{Label: n.Label, Atom: n.Atom, HasAtom: n.HasAtom}
-		mapping[n] = c
-		if n.Sub != nil {
-			c.Sub = n.Sub.Clone()
-		}
-		for _, s := range n.Selectors() {
-			c.Arc(s, cloneNode(n.Follow(s)))
-		}
-		return c
-	}
-	for _, n := range g.nodes {
-		out.nodes = append(out.nodes, cloneNode(n))
-	}
-	if g.entry != nil {
-		out.entry = mapping[g.entry]
-	}
-	return out
-}
-
-// Path follows a dotted access path ("header.type") from the entry node
-// and returns the node reached, or nil if any step is missing.
-func (g *Graph) Path(path string) *Node {
-	n := g.entry
-	if path == "" {
-		return n
-	}
-	for _, sel := range strings.Split(path, ".") {
-		if n == nil {
-			return nil
-		}
-		n = n.Follow(sel)
-	}
-	return n
 }

@@ -3,9 +3,8 @@ package hgraph
 // This file carries the formal H-graph grammar definitions of the FEM-2
 // virtual machine levels — the artifact the paper's design process
 // produces ("H-graph semantics definitions of the various levels are being
-// constructed").  The runtime packages build H-graph models of their live
-// data structures and tests validate them against these grammars, so the
-// formal specification actually constrains the implementation.
+// constructed").  Each grammar's doc names the live value it specifies;
+// the package doc names the builder that renders it.
 
 // SPVMMessageGrammar returns the grammar of the system programmer's VM
 // message formats.  The paper lists exactly seven messages from tasks:
@@ -89,68 +88,75 @@ func WindowGrammar() *Grammar {
 	return g
 }
 
-// TaskStateGrammar returns the grammar of NAVM task states.  A task owns
-// local data (a nested graph of named objects), has a parent, and is in
-// one of the four life-cycle states implied by the paper's task control
-// operations (initiate, pause, resume, terminate).
-func TaskStateGrammar() *Grammar {
-	g := NewGrammar("navm-task", "task")
-	g.Define("task", StructType{Fields: []Field{
-		{Sel: "id", Type: AtomType{AtomInt}},
-		{Sel: "type", Type: AtomType{AtomString}},
+// ActivationRecordGrammar returns the grammar of SPVM activation records,
+// the kernel's one representation of a task (a NAVM task is an SPVM
+// activation): the task and its parent, the code block it runs, the
+// parameters copied from its initiate or remote-call message, the size of
+// its local data, its life-cycle state under the initiate / pause /
+// resume / terminate messages, and the remote-return results delivered to
+// it.  Where the heap holds the local data is storage management's
+// business, not part of the record's type.
+func ActivationRecordGrammar() *Grammar {
+	g := NewGrammar("spvm-activation", "activation")
+	g.Define("activation", StructType{Closed: true, Fields: []Field{
+		{Sel: "task", Type: AtomType{AtomInt}},
 		{Sel: "parent", Type: AtomType{AtomInt}},
+		{Sel: "code-block", Type: AtomType{AtomString}},
+		{Sel: "params", Type: ListType{Elem: AtomType{AtomFloat}}},
+		{Sel: "local-words", Type: AtomType{AtomInt}},
 		{Sel: "state", Type: UnionType{Alts: []TypeExpr{
 			LitString{"ready"}, LitString{"running"},
 			LitString{"paused"}, LitString{"terminated"},
 		}}},
-		{Sel: "locals", Type: SubgraphType{Prod: "locals"}, Optional: true},
-	}})
-	g.Define("locals", StructType{Fields: nil}) // any named set of objects
-	return g
-}
-
-// ActivationRecordGrammar returns the grammar of SPVM task/procedure
-// activation records (code block reference, local storage size, parameter
-// list, saved state for pause/resume).
-func ActivationRecordGrammar() *Grammar {
-	g := NewGrammar("spvm-activation", "activation")
-	g.Define("activation", StructType{Fields: []Field{
-		{Sel: "task", Type: AtomType{AtomInt}},
-		{Sel: "code-block", Type: AtomType{AtomString}},
-		{Sel: "local-words", Type: AtomType{AtomInt}},
-		{Sel: "params", Type: ListType{Elem: AnyType{}}},
-		{Sel: "saved", Type: AtomType{AtomBool}},
+		{Sel: "results", Type: ListType{Elem: AtomType{AtomFloat}}},
 	}})
 	return g
 }
 
 // StructureModelGrammar returns the grammar of the application user's VM
-// central data object: the structure/substructure model with its grid
-// description, node/element descriptions, and load sets.
+// central data object, the structure model, as the database stores it:
+// its name, node coordinates, elements, fixed degrees of freedom and
+// load sets.  An element is a bar or a constant-strain triangle over
+// node indices, with its material; elements of one material share its
+// node, as the stored record shares a material table entry.
 func StructureModelGrammar() *Grammar {
 	g := NewGrammar("auvm-model", "model")
-	g.Define("model", StructType{Fields: []Field{
+	g.Define("model", StructType{Closed: true, Fields: []Field{
 		{Sel: "name", Type: AtomType{AtomString}},
-		{Sel: "grid", Type: SubgraphType{Prod: "grid"}},
+		{Sel: "nodes", Type: ListType{Elem: Ref("node")}},
 		{Sel: "elements", Type: ListType{Elem: Ref("element")}},
+		{Sel: "fixed", Type: ListType{Elem: AtomType{AtomInt}}},
 		{Sel: "loads", Type: ListType{Elem: Ref("loadset")}},
-		{Sel: "substructures", Type: ListType{Elem: AtomType{AtomString}}, Optional: true},
 	}})
-	g.Define("grid", StructType{Fields: []Field{
-		{Sel: "nodes", Type: AtomType{AtomInt}},
-		{Sel: "dof-per-node", Type: AtomType{AtomInt}},
+	g.Define("node", StructType{Closed: true, Fields: []Field{
+		{Sel: "x", Type: AtomType{AtomFloat}},
+		{Sel: "y", Type: AtomType{AtomFloat}},
 	}})
-	g.Define("element", StructType{Fields: []Field{
-		{Sel: "kind", Type: UnionType{Alts: []TypeExpr{
-			LitString{"bar"}, LitString{"cst"}, LitString{"frame"},
-		}}},
-		{Sel: "nodes", Type: ListType{Elem: AtomType{AtomInt}, MinLen: 2}},
+	g.Define("element", UnionType{Alts: []TypeExpr{Ref("bar"), Ref("cst")}})
+	g.Define("bar", StructType{Closed: true, Fields: []Field{
+		{Sel: "kind", Type: LitString{"bar"}},
+		{Sel: "n1", Type: AtomType{AtomInt}},
+		{Sel: "n2", Type: AtomType{AtomInt}},
+		{Sel: "material", Type: Ref("material")},
 	}})
-	g.Define("loadset", StructType{Fields: []Field{
+	g.Define("cst", StructType{Closed: true, Fields: []Field{
+		{Sel: "kind", Type: LitString{"cst"}},
+		{Sel: "n1", Type: AtomType{AtomInt}},
+		{Sel: "n2", Type: AtomType{AtomInt}},
+		{Sel: "n3", Type: AtomType{AtomInt}},
+		{Sel: "material", Type: Ref("material")},
+	}})
+	g.Define("material", StructType{Closed: true, Fields: []Field{
+		{Sel: "E", Type: AtomType{AtomFloat}},
+		{Sel: "nu", Type: AtomType{AtomFloat}},
+		{Sel: "t", Type: AtomType{AtomFloat}},
+		{Sel: "A", Type: AtomType{AtomFloat}},
+	}})
+	g.Define("loadset", StructType{Closed: true, Fields: []Field{
 		{Sel: "name", Type: AtomType{AtomString}},
 		{Sel: "entries", Type: ListType{Elem: Ref("load-entry")}},
 	}})
-	g.Define("load-entry", StructType{Fields: []Field{
+	g.Define("load-entry", StructType{Closed: true, Fields: []Field{
 		{Sel: "dof", Type: AtomType{AtomInt}},
 		{Sel: "value", Type: AtomType{AtomFloat}},
 	}})
@@ -158,13 +164,12 @@ func StructureModelGrammar() *Grammar {
 }
 
 // AllLevelGrammars returns the formal grammar of every specified VM level,
-// keyed by a stable name; cmd/hgraph and the E11 experiment iterate it.
+// keyed by a stable name; cmd/hgraph and core.LayerSpec iterate it.
 func AllLevelGrammars() map[string]*Grammar {
 	return map[string]*Grammar{
 		"spvm-message":    SPVMMessageGrammar(),
-		"navm-window":     WindowGrammar(),
-		"navm-task":       TaskStateGrammar(),
 		"spvm-activation": ActivationRecordGrammar(),
+		"navm-window":     WindowGrammar(),
 		"auvm-model":      StructureModelGrammar(),
 	}
 }

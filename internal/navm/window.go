@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/linalg"
+	"repro/internal/spvm"
 )
 
 // Window is a NAVM window on an array: a descriptor granting access to a
@@ -22,6 +23,22 @@ func RowWindow(a *Array, row0, rows int) (*Window, error) {
 		return nil, fmt.Errorf("navm: row window [%d:%d) outside array %q (%d rows)", row0, row0+rows, a.Name, a.Rows)
 	}
 	return &Window{Arr: a, Row0: row0, Rows: rows, Cols: a.Cols}, nil
+}
+
+// Desc returns the SPVM storage representation of the window, the
+// descriptor a remote-call message carries.  Its kind is "row" when the
+// window spans every column, else "col" when it spans every row, else
+// "block".
+func (w *Window) Desc() *spvm.WindowDesc {
+	kind := "block"
+	switch {
+	case w.Col0 == 0 && w.Cols == w.Arr.Cols:
+		kind = "row"
+	case w.Row0 == 0 && w.Rows == w.Arr.Rows:
+		kind = "col"
+	}
+	return &spvm.WindowDesc{Array: w.Arr.Name, Kind: kind, Owner: w.Arr.Owner,
+		Row0: int64(w.Row0), Rows: int64(w.Rows), Col0: int64(w.Col0), Cols: int64(w.Cols)}
 }
 
 // Words returns the number of words visible through the window.

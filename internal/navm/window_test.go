@@ -1,9 +1,11 @@
 package navm
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/hgraph"
 	"repro/internal/linalg"
 	"repro/internal/obs"
 )
@@ -109,5 +111,51 @@ func TestRemoteVsLocalWindowAccounting(t *testing.T) {
 	// Remote reads crossed the simulated network.
 	if rt.Machine().Network().TotalMessages() == 0 {
 		t.Error("remote window reads generated no network traffic")
+	}
+}
+
+// TestTaskRecordsAndWindowsMatchGrammars validates, from inside running
+// task bodies, each task's own activation record and every window it
+// opens against the formal grammars of their layers.
+func TestTaskRecordsAndWindowsMatchGrammars(t *testing.T) {
+	rt, root := newTestRuntime(t)
+	a, err := root.NewArray("K", 6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	activation, window := hgraph.ActivationRecordGrammar(), hgraph.WindowGrammar()
+	var opened atomic.Int64
+	rt.RegisterTaskType("spec", 32, 4, func(tc *TaskCtx, replica int) error {
+		if errs := activation.Validate(tc.kern.Task(tc.ID).ToHGraph()); len(errs) > 0 {
+			return fmt.Errorf("task %d: live activation record violates formal grammar: %v", tc.ID, errs)
+		}
+		row, err := RowWindow(a, replica, 1)
+		if err != nil {
+			return err
+		}
+		col := &Window{Arr: a, Rows: a.Rows, Col0: replica % a.Cols, Cols: 1}
+		block := &Window{Arr: a, Row0: 1, Rows: 2, Col0: 1, Cols: 2}
+		for kind, w := range map[string]*Window{"row": row, "col": col, "block": block} {
+			w.Read(tc)
+			d := w.Desc()
+			if d.Kind != kind || d.Owner != root.ID || d.Array != "K" {
+				return fmt.Errorf("%s window described as %+v", kind, d)
+			}
+			if errs := window.Validate(d.ToHGraph()); len(errs) > 0 {
+				return fmt.Errorf("%s window: live descriptor violates formal grammar: %v", kind, errs)
+			}
+			opened.Add(1)
+		}
+		return nil
+	})
+	g, err := root.Initiate("spec", 4, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Wait(root); err != nil {
+		t.Fatal(err)
+	}
+	if got := opened.Load(); got != 12 {
+		t.Errorf("%d windows validated, want 12", got)
 	}
 }

@@ -3,6 +3,8 @@ package spvm
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/hgraph"
 )
 
 // CodeBlock is an SPVM code/constants block, registered with a kernel via
@@ -59,6 +61,23 @@ type ActivationRecord struct {
 	State      TaskState
 	// Results holds remote-return payloads delivered to this task.
 	Results []float64
+}
+
+// ToHGraph builds the formal H-graph model of the record, in the language
+// of hgraph.ActivationRecordGrammar.  This package's tests validate every
+// record a kernel creates, navm's validate a task's own record from inside
+// its body, and experiment E11 counts them.
+func (r *ActivationRecord) ToHGraph() *hgraph.Graph {
+	g := hgraph.NewGraph("activation")
+	root := g.Add("activation")
+	root.Arc("task", g.AddAtom("id", hgraph.Int(int64(r.Task))))
+	root.Arc("parent", g.AddAtom("p", hgraph.Int(int64(r.Parent))))
+	root.Arc("code-block", g.AddAtom("cb", hgraph.Str(r.CodeBlock)))
+	root.Arc("params", floatList(g, "params", r.Params))
+	root.Arc("local-words", g.AddAtom("lw", hgraph.Int(r.LocalWords)))
+	root.Arc("state", g.AddAtom("s", hgraph.Str(r.State.String())))
+	root.Arc("results", floatList(g, "results", r.Results))
+	return g
 }
 
 // CodeStore holds the code blocks a kernel has loaded.

@@ -13,6 +13,7 @@ import (
 //   - the heap's block table stays consistent (CheckInvariants),
 //   - heap words allocated == sum of live activation records' LocalWords,
 //   - every ready task is live and in the Ready state,
+//   - every live record is in the language of the activation grammar,
 //   - terminated tasks never reappear.
 func TestQuickKernelLifecycleInvariants(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
@@ -33,7 +34,7 @@ func TestQuickKernelLifecycleInvariants(t *testing.T) {
 					return false
 				}
 				want += rec.LocalWords
-				if state[id] != rec.State {
+				if state[id] != rec.State || len(activationGrammar.Validate(rec.ToHGraph())) > 0 {
 					return false
 				}
 			}

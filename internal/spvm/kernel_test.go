@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/hgraph"
 	"repro/internal/obs"
 )
 
@@ -13,6 +14,19 @@ func newTestKernel() *Kernel {
 	k.AttachInstrumentation(obs.New())
 	k.Codes.Load(&CodeBlock{Name: "worker", Words: 256, LocalWords: 32})
 	return k
+}
+
+var activationGrammar = hgraph.ActivationRecordGrammar()
+
+// checkRecords validates the kernel's records of ids against the formal
+// grammar of activation records.
+func checkRecords(t *testing.T, k *Kernel, ids ...TaskID) {
+	t.Helper()
+	for _, id := range ids {
+		if errs := activationGrammar.Validate(k.Task(id).ToHGraph()); len(errs) > 0 {
+			t.Errorf("task %d: live activation record violates formal grammar: %v", id, errs)
+		}
+	}
 }
 
 func TestInitiateCreatesReplications(t *testing.T) {
@@ -24,6 +38,7 @@ func TestInitiateCreatesReplications(t *testing.T) {
 	if len(ids) != 4 {
 		t.Fatalf("created %d tasks, want 4", len(ids))
 	}
+	checkRecords(t, k, ids...)
 	if k.Ready.Len() != 4 {
 		t.Errorf("ready queue has %d, want 4", k.Ready.Len())
 	}
@@ -120,6 +135,7 @@ func TestPauseResumeLifecycle(t *testing.T) {
 	if k.Task(id).State != TaskPaused {
 		t.Errorf("state after pause = %v", k.Task(id).State)
 	}
+	checkRecords(t, k, id)
 	// Local data must survive pause ("retained over pause/resume").
 	if k.Heap.Allocated() == 0 {
 		t.Error("pause released the activation record")
@@ -212,6 +228,7 @@ func TestRemoteCallCreatesActivation(t *testing.T) {
 	if rec.Parent != 0 || rec.CodeBlock != "dot" {
 		t.Errorf("callee record %+v", rec)
 	}
+	checkRecords(t, k, 0, ids[0])
 	// Return results to the caller.
 	if _, err := k.Handle(&Message{Type: MsgRemoteReturn, Caller: 0, Params: []float64{3.5}}); err != nil {
 		t.Fatal(err)
@@ -219,6 +236,7 @@ func TestRemoteCallCreatesActivation(t *testing.T) {
 	if got := k.Task(TaskID(0)).Results; len(got) != 1 || got[0] != 3.5 {
 		t.Errorf("caller results = %v", got)
 	}
+	checkRecords(t, k, 0)
 }
 
 func TestRemoteCallUnknownProcedure(t *testing.T) {

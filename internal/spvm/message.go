@@ -193,26 +193,20 @@ func writeParams(buf *bytes.Buffer, ps []float64) {
 }
 
 // ToHGraph builds the formal H-graph model of the message, in the language
-// of hgraph.SPVMMessageGrammar.  Tests validate every live message against
-// the grammar, closing the loop between the formal specification and the
-// implementation.
+// of hgraph.SPVMMessageGrammar.  Its window arc is the graph
+// WindowDesc.ToHGraph builds.  This package's tests validate every message
+// type, and experiment E11 counts the messages the grammar accepts and
+// the mutants it rejects.
 func (m *Message) ToHGraph() *hgraph.Graph {
 	g := hgraph.NewGraph("message")
 	root := g.Add("message")
 	root.Arc("type", g.AddAtom("t", hgraph.Str(m.Type.String())))
-	addParams := func() {
-		params := g.Add("params")
-		for i, p := range m.Params {
-			params.Arc(fmt.Sprintf("%d", i), g.AddAtom(fmt.Sprintf("p%d", i), hgraph.Float(p)))
-		}
-		root.Arc("params", params)
-	}
 	switch m.Type {
 	case MsgInitiate:
 		root.Arc("task-type", g.AddAtom("tt", hgraph.Str(m.TaskType)))
 		root.Arc("replications", g.AddAtom("k", hgraph.Int(m.Replications)))
 		root.Arc("parent", g.AddAtom("p", hgraph.Int(int64(m.Parent))))
-		addParams()
+		root.Arc("params", floatList(g, "params", m.Params))
 	case MsgPause:
 		root.Arc("task", g.AddAtom("id", hgraph.Int(int64(m.Task))))
 		root.Arc("parent", g.AddAtom("p", hgraph.Int(int64(m.Parent))))
@@ -225,36 +219,44 @@ func (m *Message) ToHGraph() *hgraph.Graph {
 		root.Arc("procedure", g.AddAtom("pr", hgraph.Str(m.Procedure)))
 		root.Arc("caller", g.AddAtom("c", hgraph.Int(int64(m.Caller))))
 		if m.Window != nil {
-			w := g.Add("window")
-			w.Arc("array", g.AddAtom("a", hgraph.Str(m.Window.Array)))
-			w.Arc("kind", g.AddAtom("k", hgraph.Str(m.Window.Kind)))
-			w.Arc("owner", g.AddAtom("o", hgraph.Int(int64(m.Window.Owner))))
-			w.Arc("row0", g.AddAtom("r0", hgraph.Int(m.Window.Row0)))
-			w.Arc("rows", g.AddAtom("r", hgraph.Int(m.Window.Rows)))
-			w.Arc("col0", g.AddAtom("c0", hgraph.Int(m.Window.Col0)))
-			w.Arc("cols", g.AddAtom("cs", hgraph.Int(m.Window.Cols)))
-			root.Arc("window", w)
+			root.Arc("window", m.Window.addNode(g))
 		}
-		root.Arc("args", func() *hgraph.Node {
-			args := g.Add("args")
-			for i, p := range m.Params {
-				args.Arc(fmt.Sprintf("%d", i), g.AddAtom(fmt.Sprintf("a%d", i), hgraph.Float(p)))
-			}
-			return args
-		}())
+		root.Arc("args", floatList(g, "args", m.Params))
 	case MsgRemoteReturn:
 		root.Arc("caller", g.AddAtom("c", hgraph.Int(int64(m.Caller))))
-		results := g.Add("results")
-		for i, p := range m.Params {
-			results.Arc(fmt.Sprintf("%d", i), g.AddAtom(fmt.Sprintf("r%d", i), hgraph.Float(p)))
-		}
-		root.Arc("results", results)
+		root.Arc("results", floatList(g, "results", m.Params))
 	case MsgLoadCode:
 		root.Arc("block", g.AddAtom("b", hgraph.Str(m.CodeName)))
 		root.Arc("words", g.AddAtom("w", hgraph.Int(m.CodeWords)))
 		root.Arc("local-words", g.AddAtom("lw", hgraph.Int(m.LocalWords)))
 	}
 	return g
+}
+
+// ToHGraph builds the formal H-graph model of the window, in the language
+// of hgraph.WindowGrammar; a navm.Window renders through its Desc.
+func (w *WindowDesc) ToHGraph() *hgraph.Graph {
+	g := hgraph.NewGraph("window")
+	w.addNode(g)
+	return g
+}
+
+// addNode adds the window's node to g and returns it.
+func (w *WindowDesc) addNode(g *hgraph.Graph) *hgraph.Node {
+	n := g.Add("window")
+	n.Arc("array", g.AddAtom("a", hgraph.Str(w.Array)))
+	n.Arc("kind", g.AddAtom("k", hgraph.Str(w.Kind)))
+	n.Arc("owner", g.AddAtom("o", hgraph.Int(int64(w.Owner))))
+	n.Arc("row0", g.AddAtom("r0", hgraph.Int(w.Row0)))
+	n.Arc("rows", g.AddAtom("r", hgraph.Int(w.Rows)))
+	n.Arc("col0", g.AddAtom("c0", hgraph.Int(w.Col0)))
+	n.Arc("cols", g.AddAtom("cs", hgraph.Int(w.Cols)))
+	return n
+}
+
+// floatList adds a list node of float atoms to g.
+func floatList(g *hgraph.Graph, label string, fs []float64) *hgraph.Node {
+	return g.AddList(label, len(fs), func(i int) *hgraph.Node { return g.AddAtom(label, hgraph.Float(fs[i])) })
 }
 
 // String renders the message for logs.
