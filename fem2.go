@@ -616,14 +616,14 @@ func CantileverTruss(name string, bays int, bayLen, height float64, mat Material
 }
 
 // SolveOpts selects and tunes the solution strategy for Solve: a solver
-// Backend by registry name, an optional Precond for iterative backends,
+// Backend by name, an optional Precond for iterative backends,
 // a Parallel worker count or Substructured band count, and the iterative
 // Tol/MaxIter/Omega knobs.
 type SolveOpts = fem.SolveOpts
 
 // Solve assembles and solves a model/load set as SolveOpts directs —
-// sequential, NAVM-distributed, or substructured — through the solver
-// engine registry.  The zero SolveOpts runs the banded Cholesky
+// sequential, NAVM-distributed, or substructured — by a method of the
+// solver method table.  The zero SolveOpts runs the banded Cholesky
 // baseline.  All paths honour ctx: a cancelled solve returns an error
 // wrapping ErrCancelled.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
@@ -675,7 +675,7 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // model.  The recycling stays behind the session: Session.WS's Solution
 // and Stresses return copies, which are the caller's to keep.
 
-// The solver backend registry names, usable as SolveOpts.Backend, as a
+// The solver method table's backend names, usable as SolveOpts.Backend, as a
 // SolveCommand.Method, and in the REPL's `solve ... method <name>`.
 const (
 	// BackendCholesky is sequential banded Cholesky — the baseline.

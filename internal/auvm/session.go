@@ -19,7 +19,7 @@ import (
 
 // ErrQuit is returned by Do and Execute when the user issues the quit
 // command; the REPL loop treats it as a clean shutdown.
-var ErrQuit = errors.New("auvm: quit")
+var ErrQuit = errs.ErrQuit
 
 // Session is one interactive user of the FEM-2 workstation: a workspace
 // of local data, a shared database, and (optionally) a NAVM runtime for
@@ -549,8 +549,9 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 	m.Instrument(s.Obs)
 	// One context-aware solve path: the command maps onto SolveOpts and
 	// fem.SolveInto routes to sequential, distributed, or substructured
-	// execution through the solver registry, writing over the solution
-	// the model's last solve replaced.
+	// execution by a method of linalg's method table (a direct one
+	// through the model's factor cache), writing over the solution the
+	// model's last solve replaced.
 	start := time.Now()
 	spare, _ := s.WS.spares(c.Model)
 	sol, err := fem.SolveInto(ctx, m, ls, fem.SolveOpts{
@@ -563,7 +564,14 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 	if err != nil {
 		return nil, err
 	}
-	s.observeSolve(sol.Backend, time.Since(start))
+	// A substructured solve condenses directly whatever method was asked
+	// (sol.Backend echoes the request, as SolveResult.Backend shows), so
+	// its time goes under its own name.
+	ran := sol.Backend
+	if c.Substructures > 0 {
+		ran = "substructured"
+	}
+	s.observeSolve(ran, time.Since(start))
 	res := &command.SolveResult{
 		Model: c.Model, Set: c.Set,
 		Backend: sol.Backend, Precond: sol.Precond,
@@ -584,9 +592,10 @@ func (s *Session) doSolve(ctx context.Context, c command.Solve) (command.Result,
 	return res, nil
 }
 
-// observeSolve records one solve's wall time under the backend that
-// actually ran (sol.Backend resolves "auto"); sync and scheduled solves
-// both pass through here, so one histogram family covers both paths.
+// observeSolve records one solve's wall time under the method that
+// actually ran: its backend, or "substructured" for a condensation.  Sync
+// and scheduled solves both pass through here, so one histogram family
+// covers both paths.
 func (s *Session) observeSolve(backend string, d time.Duration) {
 	s.stateMu.Lock()
 	if s.hSolve == nil {

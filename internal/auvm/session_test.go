@@ -297,3 +297,26 @@ func TestSolveObservationZeroAlloc(t *testing.T) {
 		t.Errorf("%scholesky observed %d times, want 102", obs.JobLatencySolvePrefix, got)
 	}
 }
+
+// TestSubstructuredSolveTimedAsSubstructured: a substructured solve
+// condenses directly whatever method was asked, so its time is recorded
+// under job.latency.solve.substructured, never under the requested
+// backend, while the reply still echoes the request.
+func TestSubstructuredSolveTimedAsSubstructured(t *testing.T) {
+	s := newSession(t)
+	s.Obs = obs.New()
+	mustExec(t, s, "generate grid g 4 3 4 3 clamp-left")
+	mustExec(t, s, "load g tip endload 0 -100")
+	out := mustExec(t, s, "solve g tip method sor substructures 2")
+	if !strings.Contains(out, "sor") {
+		t.Errorf("reply %q does not echo the requested method", out)
+	}
+	if got := s.Obs.Histogram(obs.JobLatencySolvePrefix + "substructured").Count(); got != 1 {
+		t.Errorf("%ssubstructured observed %d times, want 1", obs.JobLatencySolvePrefix, got)
+	}
+	for _, h := range s.Obs.Snapshot().Histograms {
+		if h.Name == obs.JobLatencySolvePrefix+"sor" {
+			t.Errorf("%s observed %d times, but no SOR solve ran", h.Name, h.Count)
+		}
+	}
+}

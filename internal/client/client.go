@@ -78,12 +78,9 @@ import (
 	"time"
 
 	"repro/internal/auvm"
-	"repro/internal/cluster"
 	"repro/internal/command"
 	"repro/internal/errs"
-	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -100,28 +97,14 @@ type RemoteError struct {
 // Error returns the server-side error text.
 func (e *RemoteError) Error() string { return e.Message }
 
-// Is maps the wire code onto the sentinel taxonomy.
+// Is maps the wire code onto the sentinel taxonomy (wire.Errors).
 func (e *RemoteError) Is(target error) bool {
-	switch e.Code {
-	case wire.CodeUsage:
-		return target == errs.ErrUsage
-	case wire.CodeNotFound:
-		return target == errs.ErrNotFound
-	case wire.CodeCancelled:
-		return target == errs.ErrCancelled
-	case wire.CodeQuota:
-		return target == job.ErrQuota
-	case wire.CodeClosed:
-		return target == job.ErrClosed
-	case wire.CodeDegraded:
-		return target == store.ErrDegraded
-	case wire.CodeNotLeader:
-		return target == cluster.ErrNotLeader
-	case wire.CodeQuit:
-		return target == auvm.ErrQuit
-	default:
-		return false
+	for _, c := range wire.Errors {
+		if c.Code == e.Code {
+			return target == c.Err
+		}
 	}
+	return false
 }
 
 // ErrClientClosed is returned by Do once the connection is gone for

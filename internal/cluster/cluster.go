@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -37,7 +38,7 @@ import (
 // ErrNotLeader is returned by Fenced writes on a daemon that does not
 // currently hold the lease.  The server maps it to the wire code
 // "not-leader" with the leader's advertised address attached.
-var ErrNotLeader = errors.New("cluster: not the leader")
+var ErrNotLeader = errs.ErrNotLeader
 
 // ErrFenced is returned when a write was rejected by the epoch check:
 // this daemon held the lease once, but a takeover superseded its

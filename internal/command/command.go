@@ -35,10 +35,10 @@ type Command interface {
 	isCommand()
 }
 
-// Method selects a solver backend by registry name (see
-// linalg.Backends).  The zero value selects the interpreter's default
-// (banded Cholesky).  The parser validates names against the live
-// registry, so a newly registered backend is immediately speakable.
+// Method selects a solver backend by name (see linalg.Backends).  The
+// zero value selects the interpreter's default (banded Cholesky).  The
+// parser validates names against linalg's method table, so a backend
+// added to it is immediately speakable.
 type Method string
 
 // The built-in solver backends of the solve verb.

@@ -30,6 +30,24 @@ var ErrUsage = errors.New("usage")
 // the operation completed.
 var ErrCancelled = errors.New("cancelled")
 
+// The sentinels of the service layers, defined here so the wire
+// protocol's one code table (wire.Errors) can name them; each layer keeps
+// its own name for its sentinel as an alias.
+var (
+	// ErrQuit is auvm.ErrQuit: the user issued the quit command.
+	ErrQuit = errors.New("auvm: quit")
+	// ErrQuota is job.ErrQuota: per-owner admission control rejected a
+	// submission.
+	ErrQuota = errors.New("job: quota exceeded")
+	// ErrClosed is job.ErrClosed: the job scheduler has shut down.
+	ErrClosed = errors.New("job: scheduler closed")
+	// ErrDegraded is store.ErrDegraded: the store is read-only.
+	ErrDegraded = errors.New("store: degraded (read-only)")
+	// ErrNotLeader is cluster.ErrNotLeader: the daemon does not hold the
+	// lease.
+	ErrNotLeader = errors.New("cluster: not the leader")
+)
+
 // Usage builds a request-specific error wrapping ErrUsage; the parser
 // and the interpreters share it so usage errors format identically at
 // every layer.

@@ -112,7 +112,7 @@ func E1Requirements(sizes []int, workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(k.N))
+		_, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func E2SolverSpeedup(n int, workerCounts []int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sequential baselines through the solver registry, costed on a
+	// Sequential baselines from the method table, costed on a
 	// single simulated PE.
 	cholCycles, err := backendCycles(linalg.BackendCholesky, k, b)
 	if err != nil {
@@ -170,7 +170,7 @@ func E2SolverSpeedup(n int, workerCounts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(k.N))
+		_, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -457,7 +457,7 @@ func E7FaultIsolation(failCounts []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		x, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(k.N))
+		x, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -520,7 +520,7 @@ func E8Programmability() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(k.N))
+	_, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterOpts{})
 	if err != nil {
 		return nil, err
 	}
@@ -748,29 +748,14 @@ func E12SolverComparison(n, workers int) (*Table, error) {
 		Notes: "CG < multi-colour SOR < Jacobi in iterations; plain Jacobi often exhausts its budget " +
 			"on plate problems — the 1980s reason the FEM machines moved to coloured SOR and CG",
 	}
-	type run struct {
-		name string
-		f    func(rt *navm.Runtime, d *navm.DistSystem) (navm.SolveStats, error)
-	}
-	coloring := linalg.GreedyColoring(k)
-	opts := linalg.DefaultIterOpts(k.N)
-	opts.Tol = 1e-6
-	opts.MaxIter = 30 * k.N
-	runs := []run{
-		{"cg", func(rt *navm.Runtime, d *navm.DistSystem) (navm.SolveStats, error) {
-			_, s, err := rt.ParallelCG(context.Background(), d, opts)
-			return s, err
-		}},
-		{"multicolor-sor", func(rt *navm.Runtime, d *navm.DistSystem) (navm.SolveStats, error) {
-			o := opts
-			o.Omega = 1.8
-			_, s, err := rt.ParallelMultiColorSOR(context.Background(), d, coloring, o)
-			return s, err
-		}},
-		{"jacobi", func(rt *navm.Runtime, d *navm.DistSystem) (navm.SolveStats, error) {
-			_, s, err := rt.ParallelJacobi(context.Background(), d, opts)
-			return s, err
-		}},
+	// SOR runs at ω = 1.8; an omega of 0 selects the default.
+	runs := []struct {
+		name, backend string
+		omega         float64
+	}{
+		{"cg", linalg.BackendCG, 0},
+		{"multicolor-sor", linalg.BackendSOR, 1.8},
+		{"jacobi", linalg.BackendJacobi, 0},
 	}
 	for _, r := range runs {
 		rt := navm.NewRuntime(arch.MustNew(defaultConfig(4, 1+workers/4+1)))
@@ -779,7 +764,8 @@ func E12SolverComparison(n, workers int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		stats, err := r.f(rt, d)
+		_, stats, err := rt.Solve(context.Background(), d, r.backend,
+			linalg.IterOpts{Tol: 1e-6, MaxIter: 30 * k.N, Omega: r.omega})
 		converged := err == nil
 		if err != nil && stats.Iterations == 0 {
 			return nil, fmt.Errorf("%s: %w", r.name, err)
@@ -817,7 +803,7 @@ func E13LatencyAblation(latencies []int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(k.N))
+		_, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterOpts{})
 		if err != nil {
 			return nil, err
 		}
@@ -884,35 +870,23 @@ func E15RenumberingAblation() (*Table, error) {
 			want[i] = float64(i%5) - 2
 		}
 		b := c.k.MulVec(want, nil, nil)
-		// Natural order, through a one-shot DirectPlan (the same numeric
-		// path the factor caches retain).
-		stNat := &linalg.Stats{}
-		planNat, err := linalg.NewDirectPlan(c.k, linalg.PlanOpts{})
-		if err != nil {
-			return nil, err
-		}
-		if err := planNat.Refactor(c.k, stNat); err != nil {
-			return nil, err
-		}
-		xNat, err := planNat.SolveInto(b, nil, stNat)
+		// Each order solved cold: a fresh factor cache's one plan.
+		xNat, nat, err := coldSolve(linalg.BackendCholesky, c.k, b, "")
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(c.name, "natural", c.k.Bandwidth(),
-			float64(stNat.Flops)/1e6, linalg.MaxAbsDiff(xNat, want))
-		// RCM order.
-		perm := linalg.RCM(c.k)
-		pk, err := c.k.Permute(perm)
+			float64(nat.Flops)/1e6, linalg.MaxAbsDiff(xNat, want))
+		pk, err := c.k.Permute(linalg.RCM(c.k))
 		if err != nil {
 			return nil, err
 		}
-		stRCM := &linalg.Stats{}
-		xRCM, err := linalg.SolveCholeskyRCM(c.k, b, stRCM)
+		xRCM, rcm, err := coldSolve(linalg.BackendCholeskyRCM, c.k, b, "")
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(c.name, "rcm", pk.Bandwidth(),
-			float64(stRCM.Flops)/1e6, linalg.MaxAbsDiff(xRCM, want))
+			float64(rcm.Flops)/1e6, linalg.MaxAbsDiff(xRCM, want))
 	}
 	return t, nil
 }
@@ -953,7 +927,7 @@ func E14CommunicationPattern() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(k.N)); err != nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterOpts{}); err != nil {
 		return nil, err
 	}
 	addMatrix("grid-cg", rt.Machine().Network().TrafficMatrix())
@@ -1029,21 +1003,27 @@ func DesignIteration() (*Table, error) {
 	return t, nil
 }
 
-// backendCycles solves through the registry and converts the flop count
-// into single-PE cycles.
+// backendCycles solves by the named method cold — a direct one through a
+// fresh factor cache — and converts the flop count into single-PE cycles.
 func backendCycles(name string, k *linalg.CSR, b linalg.Vector) (int64, error) {
-	s, err := linalg.Backend(name)
-	if err != nil {
-		return 0, err
-	}
-	_, info, err := s.Solve(context.Background(), k, b, linalg.IterOpts{})
+	_, info, err := coldSolve(name, k, b, "")
 	if err != nil {
 		return 0, err
 	}
 	return info.Flops * navm.CyclesPerFlop, nil
 }
 
-// E16SequentialBackends compares every backend in the solver registry —
+// coldSolve solves k·x = b sequentially by the named method with
+// preconditioner precond, a direct method through a fresh factor cache.
+func coldSolve(name string, k *linalg.CSR, b linalg.Vector, precond string) (linalg.Vector, linalg.Info, error) {
+	m, err := linalg.Backend(name)
+	if err != nil {
+		return nil, linalg.Info{}, err
+	}
+	return m.Solve(context.Background(), new(linalg.FactorCache), k, 0, b, nil, nil, linalg.IterOpts{Precond: precond})
+}
+
+// E16SequentialBackends compares every backend in the method table —
 // plus CG under each registered preconditioner — on the same plate.
 // Because the case list is generated from the registries, a newly
 // registered engine appears in this table with no experiment change.
@@ -1073,26 +1053,18 @@ func E16SequentialBackends(n int) (*Table, error) {
 	var cases []engine
 	for _, name := range linalg.Backends() {
 		cases = append(cases, engine{name, ""})
-		if name == linalg.BackendCG {
+		if m, _ := linalg.Backend(name); m.Precond {
 			for _, p := range linalg.Preconds() {
 				cases = append(cases, engine{name, p})
 			}
 		}
 	}
-	chol, err := linalg.Backend(linalg.BackendCholesky)
-	if err != nil {
-		return nil, err
-	}
-	ref, _, err := chol.Solve(context.Background(), k, b, linalg.IterOpts{})
+	ref, _, err := coldSolve(linalg.BackendCholesky, k, b, "")
 	if err != nil {
 		return nil, err
 	}
 	for _, c := range cases {
-		s, err := linalg.Backend(c.backend)
-		if err != nil {
-			return nil, err
-		}
-		x, info, err := s.Solve(context.Background(), k, b, linalg.IterOpts{Precond: c.precond})
+		x, info, err := coldSolve(c.backend, k, b, c.precond)
 		if err != nil && !errors.Is(err, linalg.ErrNoConvergence) {
 			return nil, fmt.Errorf("%s: %w", c.backend, err)
 		}
@@ -1101,7 +1073,7 @@ func E16SequentialBackends(n int) (*Table, error) {
 			label += "+" + info.Precond
 		}
 		warmFlops := info.Flops
-		if _, direct := linalg.PlanOptsFor(c.backend); direct && c.precond == "" {
+		if info.Direct {
 			// Prime the cache (a no-op when an earlier table already
 			// factored this plate), then measure the warm repeat.
 			if _, _, err := factors.SolveCached(c.backend, k, 0, b, nil, nil); err != nil {

@@ -250,7 +250,7 @@ func TestFactorReuseComparesBitPatterns(t *testing.T) {
 				t.Errorf("%s step %d (%s): refactored = %v, want %v (err %v)", backend, i, step.name, refactored, step.refactored, err)
 			}
 			if err == nil && k.Val[2] == 0 {
-				want, err := linalg.SolveCholeskyRCM(k, b, nil)
+				want, _, err := new(linalg.FactorCache).SolveCached(linalg.BackendCholeskyRCM, k, 0, b, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -265,7 +265,7 @@ func TestFactorReuseComparesBitPatterns(t *testing.T) {
 }
 
 // TestSolveCachedPathOptionGuards pins the cached path's error
-// behaviour to the registry backends': preconditioners are rejected,
+// behaviour to the method table's: preconditioners are rejected,
 // unknown backends are usage errors, cancellation is honoured.
 func TestSolveCachedPathOptionGuards(t *testing.T) {
 	m, ls := cachePlate(t)

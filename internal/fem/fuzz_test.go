@@ -43,9 +43,10 @@ func matOf(e Element) *Material {
 // (op, a, b) triples — edits of every kind the witness table has a row
 // for, an unproven caller of the model's factor cache, and a node no
 // element uses.  It solves the model once as generated and again after
-// each edit (unless the op byte says to let edits pile up), with
-// cholesky-env and cg, each solve compared bit for bit with a fresh deep
-// copy, the retained K.Val with the unmemoised oracle scatter of the
+// each edit (unless the op byte says to let edits pile up), with every
+// method of linalg's table, each solve compared bit for bit with a fresh
+// deep copy (a solve that fails, a Jacobi run out of budget say, by its
+// error), the retained K.Val with the unmemoised oracle scatter of the
 // model, and the walk with the two-walk oracle.  It returns the
 // differential it solved through.
 func runRetainedScript(t *testing.T, script []byte) *differential {
@@ -56,7 +57,7 @@ func runRetainedScript(t *testing.T, script []byte) *differential {
 	m, ls := fuzzModel(t, script[0])
 	original := append([]NodeCoord(nil), m.Nodes...)
 	generated := len(m.Elements)
-	backends := [2]string{linalg.BackendCholeskyEnv, linalg.BackendCG}
+	backends := linalg.Backends()
 	for _, backend := range backends {
 		d.solve(t, "as generated, "+backend, m, ls, backend)
 	}
@@ -158,7 +159,7 @@ func runRetainedScript(t *testing.T, script []byte) *differential {
 			continue
 		}
 		for i := range backends {
-			backend := backends[(i+step)%2]
+			backend := backends[(i+step)%len(backends)]
 			d.solve(t, fmt.Sprintf("step %d (op %d %d %d) %s", step, op%16, a, b, backend), m, ls, backend)
 		}
 	}

@@ -15,17 +15,18 @@ import (
 // that many vertical bands and condenses them (in parallel on RT when
 // attached); otherwise Parallel > 0 runs the Backend's NAVM-distributed
 // variant on that many simulated workers; otherwise the Backend runs
-// sequentially through the linalg solver registry.
+// sequentially, a direct one through the model's factor cache.
 type SolveOpts struct {
 	// Backend names the solver engine ("" selects the banded Cholesky
-	// baseline); see linalg.Backends for the registry.
+	// baseline, or cg for a distributed solve); see linalg.Backends for
+	// the method table.
 	Backend string
 	// Precond names the preconditioner for iterative backends ("" for
 	// none); see linalg.Preconds.
 	Precond string
 	// Parallel, when positive, solves with the backend's distributed
-	// variant on that many simulated workers (cg, jacobi, and sor have
-	// one; the direct backends do not).  Requires RT.
+	// variant on that many simulated workers (see linalg.Distributed;
+	// the direct backends have none).  Requires RT.
 	Parallel int
 	// Substructured, when positive, partitions the model into that many
 	// vertical bands and condenses them, in parallel when RT is
@@ -46,51 +47,22 @@ type SolveOpts struct {
 	OnIteration func(iter int, resid float64)
 }
 
-// iterOpts lowers the solve options to the linalg layer.
-func (o SolveOpts) iterOpts() linalg.IterOpts {
-	return linalg.IterOpts{
-		Tol: o.Tol, MaxIter: o.MaxIter, Omega: o.Omega,
-		Precond: o.Precond, OnIteration: o.OnIteration,
-	}
-}
-
-// backendName resolves the default backend name.
-func (o SolveOpts) backendName() string {
-	if o.Backend == "" {
-		return linalg.BackendCholesky
-	}
-	return o.Backend
-}
-
-// parallelBackend resolves the default backend of a distributed solve.
-func (o SolveOpts) parallelBackend() string {
-	if o.Backend == "" {
-		return linalg.BackendCG
-	}
-	return o.Backend
-}
-
-// refusal returns the error that refuses a sequential or distributed
-// solve for its options alone, whatever the model; nil when there is
-// none.  Solve asks it before it reads the model, so a refused solve
-// assembles nothing and moves no counter.
-func (o SolveOpts) refusal() error {
+// method returns the row a sequential or distributed solve runs, or the
+// error that refuses the solve for its options alone, whatever the model.
+// Solve asks it before it reads the model, so a refused solve assembles
+// nothing and moves no counter.
+func (o SolveOpts) method() (linalg.Method, error) {
 	if o.Parallel > 0 {
-		backend := o.parallelBackend()
-		switch {
-		case o.RT == nil:
-			return fmt.Errorf("fem: parallel solve needs an attached runtime (no parallel machine)")
-		case o.Precond != "" && o.Precond != "none":
-			return errs.Usage("distributed %s has no preconditioned variant (%q requested)", backend, o.Precond)
-		case backend != linalg.BackendCG && backend != linalg.BackendJacobi && backend != linalg.BackendSOR:
-			return errs.Usage("backend %q has no distributed variant (try cg, jacobi, or sor)", backend)
+		if o.RT == nil {
+			return linalg.Method{}, fmt.Errorf("fem: parallel solve needs an attached runtime (no parallel machine)")
 		}
-		return nil
+		return linalg.Distributed(o.Backend, o.Precond)
 	}
-	if _, err := linalg.Backend(o.Backend); err != nil {
-		return err
+	m, err := linalg.Backend(o.Backend)
+	if err != nil {
+		return m, err
 	}
-	return linalg.RejectPrecond(o.backendName(), o.Precond)
+	return m, m.RejectPrecond(o.Precond)
 }
 
 // Solution is a solved load case: full displacement vector and the
@@ -158,7 +130,8 @@ func SolveInto(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts, dst *
 		// backend name must still be a real one (usage error on every
 		// route) and a preconditioner is rejected rather than silently
 		// ignored — mirroring the direct backends.
-		if _, err := linalg.Backend(opts.Backend); err != nil {
+		meth, err := linalg.Backend(opts.Backend)
+		if err != nil {
 			return nil, err
 		}
 		if opts.Precond != "" && opts.Precond != "none" {
@@ -172,10 +145,11 @@ func SolveInto(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts, dst *
 		if err != nil {
 			return nil, err
 		}
-		sol.Backend = opts.backendName()
+		sol.Backend = meth.Name
 		return sol, nil
 	}
-	if err := opts.refusal(); err != nil {
+	meth, err := opts.method()
+	if err != nil {
 		return nil, err
 	}
 	if dst == nil {
@@ -192,7 +166,7 @@ func SolveInto(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts, dst *
 		return nil, err
 	}
 	ws := m.retained.ws
-	return solveAssembled(ctx, m, asm, ws.pass, ls, opts, m.retained.factorCache(), &ws.solve, dst)
+	return solveAssembled(ctx, m, asm, ws.pass, ls, meth, opts, m.retained.factorCache(), &ws.solve, dst)
 }
 
 // solveScratch holds the reduced-order vectors of a solve: the load b,
@@ -210,114 +184,53 @@ func sized(v *linalg.Vector, n int) linalg.Vector {
 	return *v
 }
 
-// solveAssembled solves asm, an assembly of m, for ls sequentially or
-// NAVM-distributed as opts directs, into dst (recycling dst.U, see
-// SolveInto).  fc is m's factor cache, passed in because Solve holds the
-// retained mutex Model.Factors would take, pass is the token that vouches
-// for asm.K's values, 0 for none, and sc is the scratch the reduced
-// vectors are written into.  The caller has checked opts.refusal.
-func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, opts SolveOpts, fc *linalg.FactorCache, sc *solveScratch, dst *Solution) (*Solution, error) {
+// solveAssembled solves asm, an assembly of m, for ls by meth,
+// sequentially or NAVM-distributed as opts directs, into dst (recycling
+// dst.U, see SolveInto).  fc is m's factor cache, passed in because Solve
+// holds the retained mutex Model.Factors would take, pass is the token
+// that vouches for asm.K's values, 0 for none, and sc is the scratch the
+// reduced vectors are written into.  meth is opts.method's answer.
+func solveAssembled(ctx context.Context, m *Model, asm *Assembled, pass uint64, ls *LoadSet, meth linalg.Method, opts SolveOpts, fc *linalg.FactorCache, sc *solveScratch, dst *Solution) (*Solution, error) {
 	b := sized(&sc.b, len(asm.Free))
 	if err := m.rhsInto(ls, asm.Index, b); err != nil {
 		return nil, err
 	}
 	u := dst.U
-	*dst = Solution{Refactored: true}
+	*dst = Solution{}
 	dst.Stats.Merge(asm.Stats)
+	iopts := linalg.IterOpts{
+		Tol: opts.Tol, MaxIter: opts.MaxIter, Omega: opts.Omega,
+		Precond: opts.Precond, OnIteration: opts.OnIteration,
+	}
 	var x linalg.Vector
+	var info linalg.Info
 	var err error
-	if _, direct := linalg.PlanOptsFor(opts.backendName()); opts.Parallel > 0 {
-		x, err = solveParallel(ctx, asm, b, opts, dst)
-	} else if direct {
-		// Direct backends route through the model's factor cache, so the
-		// production pattern of many solves on one model factors once.
-		x, err = solveDirectCached(ctx, fc, asm, pass, b, sc, opts, dst)
+	if opts.Parallel > 0 {
+		var d *navm.DistSystem
+		if d, err = navm.Partition(asm.K, b, opts.Parallel); err != nil {
+			return nil, err
+		}
+		iopts.Precond = "" // "none" at most; the distributed variants have none
+		var st navm.SolveStats
+		x, st, err = opts.RT.Solve(ctx, d, meth.Name, iopts)
+		dst.Par = &st
+		info = linalg.Info{Backend: meth.Name, Iterations: st.Iterations, Residual: st.ResidualNorm,
+			Flops: st.Flops, Refactored: true}
 	} else {
-		x, err = solveIterative(ctx, asm, b, opts, dst)
+		// A direct method rides the model's factor cache, so the
+		// production pattern of many solves on one model factors once.
+		n := len(b)
+		x, info, err = meth.Solve(ctx, fc, asm.K, pass, b, sized(&sc.x, n), sized(&sc.r, n), iopts)
 	}
 	if err != nil {
 		return nil, err
 	}
+	dst.Backend, dst.Precond, dst.Refactored = info.Backend, info.Precond, info.Refactored
+	dst.Iterations, dst.Residual = info.Iterations, info.Residual
+	dst.Stats.Flops += info.Flops
+	dst.Stats.Iterations += info.Iterations
 	dst.U = asm.Expand(x, u)
 	return dst, nil
-}
-
-// solveIterative is the sequential path of an iterative backend: it
-// fills sol's accounting and returns the reduced solution.
-func solveIterative(ctx context.Context, asm *Assembled, b linalg.Vector, opts SolveOpts, sol *Solution) (linalg.Vector, error) {
-	solver, err := linalg.Backend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	x, info, err := solver.Solve(ctx, asm.K, b, opts.iterOpts())
-	sol.Backend = info.Backend
-	sol.Precond = info.Precond
-	sol.Iterations = info.Iterations
-	sol.Residual = info.Residual
-	sol.Stats.Flops += info.Flops
-	sol.Stats.Iterations += info.Iterations
-	return x, err
-}
-
-// solveDirectCached is the sequential direct path: solve through the
-// model's cached DirectPlan, factoring only when the assembled values
-// changed since the factor was computed (pass as in FactorCache.SolveCached),
-// into sc's solution and residual.  It fills sol's accounting and returns
-// the reduced solution.  A warm result is bit-identical to the cold solve
-// the registry backend would have produced.
-func solveDirectCached(ctx context.Context, fc *linalg.FactorCache, asm *Assembled, pass uint64, b linalg.Vector, sc *solveScratch, opts SolveOpts, sol *Solution) (linalg.Vector, error) {
-	name := opts.backendName()
-	if err := linalg.CheckCancel(ctx, 1); err != nil {
-		return nil, err
-	}
-	n := len(b)
-	var st linalg.Stats
-	x, refactored, err := fc.SolveCached(name, asm.K, pass, b, sized(&sc.x, n), &st)
-	if err != nil {
-		return nil, err
-	}
-	info := linalg.DirectSolveInfo(name, asm.K, x, b, sized(&sc.r, n), &st)
-	sol.Backend = info.Backend
-	sol.Residual = info.Residual
-	sol.Stats.Flops += info.Flops
-	sol.Refactored = refactored
-	return x, nil
-}
-
-// solveParallel routes a distributed solve to the backend's NAVM
-// variant: cg (the default), jacobi, or multi-colour sor.  It fills sol's
-// accounting and returns the reduced solution.  The caller has checked
-// opts.refusal, which admits no other backend.
-func solveParallel(ctx context.Context, asm *Assembled, b linalg.Vector, opts SolveOpts, sol *Solution) (linalg.Vector, error) {
-	rt, backend := opts.RT, opts.parallelBackend()
-	d, err := navm.Partition(asm.K, b, opts.Parallel)
-	if err != nil {
-		return nil, err
-	}
-	// Zero-value fields pass through: each distributed solver applies
-	// the same linalg.IterDefaults as its sequential backend.
-	iopts := opts.iterOpts()
-	iopts.Precond = "" // "none" at most; the distributed variants have none
-	var x linalg.Vector
-	var stats navm.SolveStats
-	switch backend {
-	case linalg.BackendCG:
-		x, stats, err = rt.ParallelCG(ctx, d, iopts)
-	case linalg.BackendJacobi:
-		x, stats, err = rt.ParallelJacobi(ctx, d, iopts)
-	default:
-		x, stats, err = rt.ParallelMultiColorSOR(ctx, d, linalg.GreedyColoring(asm.K), iopts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sol.Backend = backend
-	sol.Iterations = stats.Iterations
-	sol.Residual = stats.ResidualNorm
-	sol.Par = &stats
-	sol.Stats.Flops += stats.Flops
-	sol.Stats.Iterations += stats.Iterations
-	return x, nil
 }
 
 // checkSolutionFits rejects a solution whose dof count is not the

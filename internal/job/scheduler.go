@@ -18,7 +18,7 @@ import (
 )
 
 // ErrClosed is returned by Submit after the scheduler shuts down.
-var ErrClosed = errors.New("job: scheduler closed")
+var ErrClosed = errs.ErrClosed
 
 // Executor runs one typed command — auvm.Session satisfies it, and the
 // scheduler never needs to know about sessions beyond this.  A job's

@@ -2,7 +2,6 @@ package job
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/errs"
@@ -19,7 +18,7 @@ import (
 // ErrQuota is returned by Submit when the per-owner admission control
 // rejects a submission (QuotaReject policy, owner at the in-flight
 // bound).
-var ErrQuota = errors.New("job: quota exceeded")
+var ErrQuota = errs.ErrQuota
 
 // QuotaPolicy selects what Submit does when an owner is at the
 // in-flight bound.

@@ -47,23 +47,23 @@ func TestKernelIterationsAllocationFree(t *testing.T) {
 	}
 	ctx := context.Background()
 	run("cg", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := CG(ctx, m, b, nil, opts, oneBlock(m.N), nil, ws)
+		_, _, _, err := CG(ctx, m, b, nil, nil, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("cg+jacobi", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := CG(ctx, m, b, jac, opts, oneBlock(m.N), nil, ws)
+		_, _, _, err := CG(ctx, m, b, jac, nil, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("cg+ssor", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := CG(ctx, m, b, ssor, opts, oneBlock(m.N), nil, ws)
+		_, _, _, err := CG(ctx, m, b, ssor, nil, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("jacobi", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := Jacobi(ctx, m, b, opts, oneBlock(m.N), nil, ws)
+		_, _, _, err := Jacobi(ctx, m, b, nil, nil, opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 	run("sor", func(opts IterOpts, ws *IterWork) error {
-		_, _, _, err := SOR(ctx, m, b, ws.natural(m.N), opts, oneBlock(m.N), nil, ws)
+		_, _, _, err := SOR(ctx, m, b, nil, ws.natural(m.N), opts, oneBlock(m.N), nil, ws)
 		return err
 	})
 }
@@ -118,7 +118,7 @@ func TestEngineBackendsReuseWorkspaces(t *testing.T) {
 			}
 			opts := IterOpts{Tol: 1e-300, MaxIter: iters}
 			avg := testing.AllocsPerRun(10, func() {
-				if _, _, err := s.Solve(context.Background(), m, b, opts); err != nil && !errors.Is(err, ErrNoConvergence) {
+				if _, _, err := s.Solve(context.Background(), nil, m, 0, b, nil, nil, opts); err != nil && !errors.Is(err, ErrNoConvergence) {
 					t.Fatal(err)
 				}
 			})

@@ -5,8 +5,8 @@ package linalg
 // are contiguous and ascending and cover every row.  A kernel does each
 // phase block by block and adds per-block partial sums in block order,
 // so its bits depend on the partition and never on the hook.  The
-// sequential backends run one block and no hook; the NAVM distributed
-// solvers run one block per worker with a hook that charges the
+// sequential solve runs one block and no hook; the NAVM distributed
+// solve runs one block per worker with a hook that charges the
 // simulated machine.
 type Blocks struct {
 	Lo, Hi []int

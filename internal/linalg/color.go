@@ -1,7 +1,5 @@
 package linalg
 
-import "fmt"
-
 // Coloring is a partition of a matrix's rows into colors such that no two
 // rows of one color are coupled by a non-zero off-diagonal entry.  Within
 // a color, Gauss-Seidel/SOR updates are independent and can run fully in
@@ -56,34 +54,4 @@ func GreedyColoring(a *CSR) *Coloring {
 		c.Rows[col] = append(c.Rows[col], i)
 	}
 	return c
-}
-
-// Validate checks the coloring invariant — no off-diagonal non-zero
-// joins two rows of one color — and that Rows lists exactly the rows of
-// each color, ascending, as SOR sweeps them.
-func (c *Coloring) Validate(a *CSR) error {
-	if len(c.ColorOf) != a.N {
-		return fmt.Errorf("%w: coloring of %d rows for order %d", ErrDimension, len(c.ColorOf), a.N)
-	}
-	listed := 0
-	for col, rows := range c.Rows {
-		for k, i := range rows {
-			if i < 0 || i >= a.N || c.ColorOf[i] != col || (k > 0 && i <= rows[k-1]) {
-				return fmt.Errorf("linalg: coloring lists row %d out of place in color %d", i, col)
-			}
-		}
-		listed += len(rows)
-	}
-	if listed != a.N {
-		return fmt.Errorf("linalg: coloring lists %d of %d rows", listed, a.N)
-	}
-	for i := 0; i < a.N; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j != i && c.ColorOf[i] == c.ColorOf[j] {
-				return fmt.Errorf("linalg: rows %d and %d coupled but share color %d", i, j, c.ColorOf[i])
-			}
-		}
-	}
-	return nil
 }

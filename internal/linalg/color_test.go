@@ -77,7 +77,7 @@ func TestMultiColorSORSolvesPoisson(t *testing.T) {
 	}
 	b := m.MulVec(want, nil, nil)
 	c := GreedyColoring(m)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Tol = 1e-9
 	opts.MaxIter = 20000
 	st := &Stats{}
@@ -102,7 +102,7 @@ func TestMultiColorSORConvergesLikeLexicographicSOR(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%7) - 3
 	}
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Tol = 1e-8
 	opts.MaxIter = 50000
 	_, lexIters, err := seqSOR(m, b, opts, nil)
@@ -128,7 +128,7 @@ func TestMultiColorSORErrors(t *testing.T) {
 	b := NewVector(m.N)
 	b.Fill(1)
 	c := GreedyColoring(m)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Omega = 2.5
 	if _, _, err := multiColorSOR(m, b, c, opts, nil); err == nil {
 		t.Error("bad omega accepted")
@@ -136,18 +136,18 @@ func TestMultiColorSORErrors(t *testing.T) {
 	// Zero diagonal.
 	zd, _ := NewCSRFromTriplets(2, []Triplet{{0, 1, 1}, {1, 0, 1}})
 	czd := GreedyColoring(zd)
-	if _, _, err := multiColorSOR(zd, Vector{1, 1}, czd, DefaultIterOpts(2), nil); err == nil {
+	if _, _, err := multiColorSOR(zd, Vector{1, 1}, czd, IterDefaults(IterOpts{}, 2, 10), nil); err == nil {
 		t.Error("zero diagonal accepted")
 	}
 	// Budget exhaustion.
-	opts = DefaultIterOpts(m.N)
+	opts = IterDefaults(IterOpts{}, m.N, 10)
 	opts.MaxIter = 1
 	opts.Tol = 1e-15
 	if _, _, err := multiColorSOR(m, b, c, opts, nil); err == nil {
 		t.Error("budget exhaustion not reported")
 	}
 	// Zero RHS short-circuits.
-	if x, iters, err := multiColorSOR(m, NewVector(m.N), c, DefaultIterOpts(m.N), nil); err != nil || iters != 0 || NormInf(x) != 0 {
+	if x, iters, err := multiColorSOR(m, NewVector(m.N), c, IterDefaults(IterOpts{}, m.N, 10), nil); err != nil || iters != 0 || NormInf(x) != 0 {
 		t.Error("zero rhs mishandled")
 	}
 }

@@ -1,8 +1,10 @@
 // The solver engine API: every way of solving K·x = b — direct or
-// iterative, preconditioned or not — is a Solver in one static table
-// under a backend name, solved through one context-aware entry point, and
-// reported through one Info.  The fem layer, the REPL's solve verb, and
-// the experiment harness all route through this table, so the six
+// iterative, preconditioned or not — is one row of the method table
+// under a backend name, and every fact about a method is written in its
+// row once: a direct row's plan; an iterative row's kernel over row
+// blocks, default budget, preconditioner flag and distributed variant.
+// The fem layer, the REPL's solve verb, the NAVM distributed solve and
+// the experiment harness all look their method up here, so the six
 // backends are selectable by name everywhere and appear in the paper's
 // comparison tables side by side — the point of evaluating alternative
 // solution strategies under one harness.
@@ -11,7 +13,7 @@ package linalg
 
 import (
 	"context"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/errs"
@@ -20,7 +22,7 @@ import (
 // Info is the unified accounting of one completed (or abandoned) solve:
 // which engine ran, how hard it worked, and how good the answer is.
 type Info struct {
-	// Backend is the registry name of the solver that ran.
+	// Backend is the table name of the method that ran.
 	Backend string
 	// Precond is the preconditioner name, "" when none applied.
 	Precond string
@@ -34,23 +36,10 @@ type Info struct {
 	// Direct reports whether the backend factorises rather than
 	// iterates.
 	Direct bool
-	// Refactored reports whether a direct solve computed a fresh
-	// factorisation (always true for the stateless registry backends);
-	// false when a factor cache served the solve from a warm factor.
-	// Meaningless for iterative backends.
+	// Refactored reports whether the solve did all its work: a direct
+	// solve that computed a fresh factorisation, or any iterative solve;
+	// false when a factor cache served a direct solve from a warm factor.
 	Refactored bool
-}
-
-// Solver is one solution engine for symmetric positive definite sparse
-// systems.  Solve honours ctx (long solves return errs.ErrCancelled once
-// the context is done), applies opts where meaningful (direct backends
-// ignore tolerances and reject preconditioners), and always reports Info
-// — on success, on cancellation, and on convergence failure alike.
-type Solver interface {
-	// Name is the backend's registry name.
-	Name() string
-	// Solve computes x with A·x = b.
-	Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error)
 }
 
 // The built-in backend names.
@@ -76,123 +65,192 @@ const (
 	BackendSOR = "sor"
 )
 
-// backends maps names to the solvers, which are stateless and shared.
-var backends = map[string]Solver{
-	BackendCholesky:    choleskySolver{name: BackendCholesky},
-	BackendCholeskyRCM: choleskySolver{name: BackendCholeskyRCM, opts: PlanOpts{Ordering: OrderRCM}},
-	BackendCholeskyEnv: choleskySolver{name: BackendCholeskyEnv, opts: PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}},
-	BackendCG:          iterSolver{name: BackendCG, iterFactor: 10},
-	BackendJacobi:      iterSolver{name: BackendJacobi, iterFactor: 200},
-	BackendSOR:         iterSolver{name: BackendSOR, iterFactor: 100},
+// Kernel is an iterative method's iteration over a's row blocks bl (see
+// Blocks): it solves a·x = b to opts.Tol within opts.MaxIter, applying
+// m when it is not nil (only cg takes one) and sweeping the row classes
+// in order (only sor reads them; nil sweeps every row in natural order).
+// ws is the scratch workspace, nil to allocate.  It returns the solution,
+// the iteration count and the final relative residual.
+type Kernel func(ctx context.Context, a *CSR, b Vector, m Preconditioner, classes [][]int, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error)
+
+// Method is one row of the method table.  A direct row has a Plan and no
+// Kernel; an iterative row has the rest.
+type Method struct {
+	// Name is the backend name the row is selected by.
+	Name string
+	// Plan is a direct row's factor configuration.
+	Plan PlanOpts
+	// Kernel is an iterative row's iteration, run sequentially on one
+	// block and distributed on one block per worker.
+	Kernel Kernel
+	// Budget is the default iteration budget per unknown: MaxIter
+	// defaults to Budget·n (see IterDefaults) on both routes.
+	Budget int
+	// Precond reports whether the method takes a preconditioner.
+	Precond bool
+	// Distributed names the NAVM variant; its ConvergenceError carries
+	// this name.
+	Distributed string
+	// Colored makes the distributed variant sweep a greedy colouring's
+	// classes (the sequential solve sweeps natural order).
+	Colored bool
+	// Vectors is the per-unknown vector count of the distributed
+	// variant's workspace, counted with its matrix rows in
+	// navm.words_alloc; 0 counts nothing.
+	Vectors int
 }
 
-// Backend looks up a registered solver by name; the empty name selects
-// the Cholesky baseline.  Unknown names are a usage error listing the
-// registry.
-func Backend(name string) (Solver, error) {
+// methods is the table, sorted by name.  Jacobi gets the largest budget:
+// it converges slowly, but every update is independent.
+var methods = []Method{
+	{Name: BackendCG, Kernel: CG, Budget: 10, Precond: true, Distributed: "parallel-cg", Vectors: 4},
+	{Name: BackendCholesky},
+	{Name: BackendCholeskyEnv, Plan: PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}},
+	{Name: BackendCholeskyRCM, Plan: PlanOpts{Ordering: OrderRCM}},
+	{Name: BackendJacobi, Kernel: Jacobi, Budget: 200, Distributed: "parallel-jacobi"},
+	{Name: BackendSOR, Kernel: SOR, Budget: 100, Distributed: "parallel-multicolor-sor", Colored: true},
+}
+
+// lookup returns the named row; the empty name selects the Cholesky
+// baseline.
+func lookup(name string) (Method, bool) {
 	if name == "" {
 		name = BackendCholesky
 	}
-	s, ok := backends[name]
-	if !ok {
-		return nil, errs.Usage("unknown solver backend %q (have %v)", name, Backends())
+	for _, m := range methods {
+		if m.Name == name {
+			return m, true
+		}
 	}
-	return s, nil
+	return Method{}, false
 }
 
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
+// Backend looks up a method by name; the empty name selects the
+// Cholesky baseline.  Unknown names are a usage error listing the table.
+func Backend(name string) (Method, error) {
+	m, ok := lookup(name)
+	if !ok {
+		return m, errs.Usage("unknown solver backend %q (have %v)", name, Backends())
 	}
-	sort.Strings(out)
+	return m, nil
+}
+
+// Backends returns the table's backend names, sorted.
+func Backends() []string {
+	out := make([]string, len(methods))
+	for i, m := range methods {
+		out[i] = m.Name
+	}
 	return out
 }
 
-// HasBackend reports whether name is a registered backend ("" selects
-// the default and is always valid).
+// HasBackend reports whether name is in the table ("" selects the
+// default and is always valid).
 func HasBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := backends[name]
+	_, ok := lookup(name)
 	return ok
 }
 
+// PlanOptsFor maps a direct backend's name onto its plan configuration;
+// ok is false for iterative backends (and unknown names), which have
+// nothing to cache.
+func PlanOptsFor(backend string) (PlanOpts, bool) {
+	m, ok := lookup(backend)
+	return m.Plan, ok && m.Kernel == nil
+}
+
+// Distributed looks up the method of a distributed solve: the empty name
+// selects cg.  A preconditioner, or a method with no distributed variant,
+// is a usage error.
+func Distributed(backend, precond string) (Method, error) {
+	if backend == "" {
+		backend = BackendCG
+	}
+	if precond != "" && precond != "none" {
+		return Method{}, errs.Usage("distributed %s has no preconditioned variant (%q requested)", backend, precond)
+	}
+	m, ok := lookup(backend)
+	if !ok || m.Distributed == "" {
+		var have []string
+		for _, d := range methods {
+			if d.Distributed != "" {
+				have = append(have, d.Name)
+			}
+		}
+		last := len(have) - 1
+		return Method{}, errs.Usage("backend %q has no distributed variant (try %s, or %s)",
+			backend, strings.Join(have[:last], ", "), have[last])
+	}
+	return m, nil
+}
+
+// RejectPrecond is the guard of every method that takes no
+// preconditioner; a direct and an iterative method each refuse one in
+// their own words.  The fem layer checks a solve's options with it
+// before it assembles, so every route refuses with one message.
+func (m Method) RejectPrecond(precond string) error {
+	switch {
+	case precond == "" || precond == "none" || m.Precond:
+		return nil
+	case m.Kernel != nil:
+		return errs.Usage("backend %q is iterative and takes no preconditioner (only cg does; %q requested)",
+			m.Name, precond)
+	}
+	return errs.Usage("backend %q is direct and takes no preconditioner (%q requested)", m.Name, precond)
+}
+
 // iterWorkPool recycles iterative-kernel workspaces across Solve calls.
-// The registry's backends are stateless shared singletons, so the scratch
-// vectors live here instead: a steady-state solve allocates only its
-// returned solution, and concurrent solves each draw their own workspace.
+// The table's rows are plain shared values, so the scratch vectors live
+// here instead: a steady-state solve allocates only its returned
+// solution, and concurrent solves each draw their own workspace.
 var iterWorkPool = sync.Pool{New: func() any { return new(IterWork) }}
 
-// RejectPrecond is the guard of every backend but cg, the one method that
-// takes a preconditioner; a direct and an iterative backend each refuse
-// one in their own words.  The fem layer checks a solve's options with it
-// before it assembles, so both routes refuse with one message.
-func RejectPrecond(backend, precond string) error {
-	if precond == "" || precond == "none" || backend == BackendCG {
-		return nil
+// Solve runs the method sequentially on a·x = b.  A direct row solves
+// through fc's plan for it (FactorCache.SolveCached, with pass as there),
+// factoring only when it must — a fresh cache is the one-shot solve — into
+// x, with r the residual's scratch (each allocated when nil); a direct solve
+// is one indivisible step, so ctx is honoured only before it.  An
+// iterative row runs its kernel on one block under the row's defaults
+// for opts' zero fields, returns a new vector, and ignores fc, pass, x
+// and r.  Info is reported on success, on cancellation and on
+// convergence failure alike.
+func (m Method) Solve(ctx context.Context, fc *FactorCache, a *CSR, pass uint64, b, x, r Vector, opts IterOpts) (Vector, Info, error) {
+	info := Info{Backend: m.Name, Direct: m.Kernel == nil, Refactored: true}
+	if err := m.RejectPrecond(opts.Precond); err != nil {
+		return nil, info, err
 	}
-	if backend == BackendJacobi || backend == BackendSOR {
-		return errs.Usage("backend %q is iterative and takes no preconditioner (only cg does; %q requested)",
-			backend, precond)
+	if info.Direct {
+		if err := CheckCancel(ctx, 1); err != nil {
+			return nil, info, err
+		}
+		var st Stats
+		sol, refactored, err := fc.SolveCached(m.Name, a, pass, b, x, &st)
+		if err != nil {
+			return nil, info, err
+		}
+		// The residual check's product is not counted: Info.Flops is the
+		// solve's work, comparable with the experiments' older figures.
+		info.Residual = Residual(a, sol, b, r, nil)
+		if bnorm := Norm2(b, nil); bnorm > 0 {
+			info.Residual /= bnorm
+		}
+		info.Flops, info.Refactored = st.Flops, refactored
+		return sol, info, nil
 	}
-	return errs.Usage("backend %q is direct and takes no preconditioner (%q requested)",
-		backend, precond)
-}
-
-// DirectSolveInfo measures the residual of a direct solve and assembles
-// its Info.  The verification SpMV's flops are not counted, so
-// Info.Flops reports the factorisation work alone — keeping the
-// experiment tables' direct-solve cost figures comparable with the
-// pre-registry measurements.  The fem layer's cached path builds its
-// Info through the same helper so cold and warm solves report alike, and
-// passes r, its retained residual scratch (nil allocates one).
-func DirectSolveInfo(backend string, a *CSR, x, b, r Vector, st *Stats) Info {
-	resid := Residual(a, x, b, r, nil)
-	if bnorm := Norm2(b, nil); bnorm > 0 {
-		resid /= bnorm
+	opts = IterDefaults(opts, a.N, m.Budget)
+	pc, err := NewPreconditioner(opts.Precond, a, opts.Omega)
+	if err != nil {
+		return nil, info, err
 	}
-	return Info{Backend: backend, Residual: resid, Flops: st.Flops, Direct: true}
-}
-
-// choleskySolver is the direct backend family: a band or skyline
-// profile, natural or RCM ordering, selected by its PlanOpts.  Each
-// Solve is a one-shot DirectPlan — the registry backends are stateless;
-// the factor caches above this layer are what make solves warm.
-type choleskySolver struct {
-	name string
-	opts PlanOpts
-}
-
-// Name returns the registry name.
-func (s choleskySolver) Name() string { return s.name }
-
-// Solve factorises and back-substitutes.  A direct solve is one
-// indivisible step, so ctx is honoured only before the factorisation.
-func (s choleskySolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	if err := RejectPrecond(s.name, opts.Precond); err != nil {
-		return nil, Info{Backend: s.name, Direct: true}, err
-	}
-	if err := CheckCancel(ctx, 1); err != nil {
-		return nil, Info{Backend: s.name, Direct: true}, err
+	if pc != nil {
+		info.Precond = pc.Name()
 	}
 	st := &Stats{}
-	plan, err := NewDirectPlan(a, s.opts)
-	if err != nil {
-		return nil, Info{Backend: s.name, Direct: true}, err
-	}
-	if err := plan.Refactor(a, st); err != nil {
-		return nil, Info{Backend: s.name, Flops: st.Flops, Direct: true, Refactored: true}, err
-	}
-	x, err := plan.SolveInto(b, nil, st)
-	if err != nil {
-		return nil, Info{Backend: s.name, Flops: st.Flops, Direct: true, Refactored: true}, err
-	}
-	info := DirectSolveInfo(s.name, a, x, b, nil, st)
-	info.Refactored = true
-	return x, info, nil
+	ws := iterWorkPool.Get().(*IterWork)
+	defer iterWorkPool.Put(ws)
+	x, info.Iterations, info.Residual, err = m.Kernel(ctx, a, b, pc, nil, opts, oneBlock(a.N), st, ws)
+	info.Flops = st.Flops
+	return x, info, err
 }
 
 // IterDefaults fills the zero-value fields of opts for an iterative
@@ -200,8 +258,8 @@ func (s choleskySolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOp
 // iteration budget (floored at 200 and clamped to MaxIterCeiling), and
 // ω=1.5.  Explicitly set fields pass through unchanged — including an
 // out-of-range Omega, which the SOR kernel rejects.  The sequential
-// backends and the NAVM distributed solvers share it, so both paths of
-// one method always default to the same budget.
+// solve and the NAVM distributed one both call it with the row's
+// Budget, so both routes of one method default to the same budget.
 func IterDefaults(opts IterOpts, n, iterFactor int) IterOpts {
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-8
@@ -213,47 +271,4 @@ func IterDefaults(opts IterOpts, n, iterFactor int) IterOpts {
 		opts.Omega = 1.5
 	}
 	return opts
-}
-
-// iterSolver is an iterative backend: the method's kernel run as the
-// sequential solve (one block, no cost hook) with an iterFactor·n
-// default budget — cg 10·n, jacobi 200·n (it converges slowly, but every
-// update is independent), sor 100·n.  Only cg takes a preconditioner,
-// which opts.Precond selects from the preconditioner registry.
-type iterSolver struct {
-	name       string
-	iterFactor int
-}
-
-// Name returns the registry name.
-func (s iterSolver) Name() string { return s.name }
-
-// Solve runs the method.
-func (s iterSolver) Solve(ctx context.Context, a *CSR, b Vector, opts IterOpts) (Vector, Info, error) {
-	info := Info{Backend: s.name}
-	if err := RejectPrecond(s.name, opts.Precond); err != nil {
-		return nil, info, err
-	}
-	opts = IterDefaults(opts, a.N, s.iterFactor)
-	m, err := NewPreconditioner(opts.Precond, a, opts.Omega)
-	if err != nil {
-		return nil, info, err
-	}
-	if m != nil {
-		info.Precond = m.Name()
-	}
-	st := &Stats{}
-	ws := iterWorkPool.Get().(*IterWork)
-	defer iterWorkPool.Put(ws)
-	var x Vector
-	switch s.name {
-	case BackendCG:
-		x, info.Iterations, info.Residual, err = CG(ctx, a, b, m, opts, oneBlock(a.N), st, ws)
-	case BackendJacobi:
-		x, info.Iterations, info.Residual, err = Jacobi(ctx, a, b, opts, oneBlock(a.N), st, ws)
-	default:
-		x, info.Iterations, info.Residual, err = SOR(ctx, a, b, ws.natural(a.N), opts, oneBlock(a.N), st, ws)
-	}
-	info.Flops = st.Flops
-	return x, info, err
 }

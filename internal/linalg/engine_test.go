@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,7 +58,7 @@ func TestBackendUnknownName(t *testing.T) {
 
 func TestBackendEmptyNameIsCholesky(t *testing.T) {
 	s, err := Backend("")
-	if err != nil || s.Name() != BackendCholesky {
+	if err != nil || s.Name != BackendCholesky {
 		t.Fatalf("Backend(\"\") = %v, %v", s, err)
 	}
 }
@@ -81,7 +83,7 @@ func TestEveryBackendSolvesSharedFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := IterOpts{Tol: 1e-10, MaxIter: 50000, Precond: c.precond}
-		x, info, err := s.Solve(ctx, m, b, opts)
+		x, info, err := s.Solve(ctx, new(FactorCache), m, 0, b, nil, nil, opts)
 		if err != nil {
 			t.Errorf("%s+%s: %v", c.backend, c.precond, err)
 			continue
@@ -114,7 +116,7 @@ func TestDirectBackendRejectsPrecond(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.Solve(context.Background(), m, b, IterOpts{Precond: PrecondJacobi}); !errors.Is(err, errs.ErrUsage) {
+		if _, _, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{Precond: PrecondJacobi}); !errors.Is(err, errs.ErrUsage) {
 			t.Errorf("%s accepted a preconditioner: %v", name, err)
 		}
 	}
@@ -140,16 +142,17 @@ func TestBackendsRefusePrecondInTheirOwnWords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = s.Solve(context.Background(), m, b, IterOpts{Precond: PrecondSSOR})
+		_, _, err = s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{Precond: PrecondSSOR})
 		if fmt.Sprint(err) != want[name] {
 			t.Errorf("%s with a preconditioner: %v, want %s", name, err, want[name])
 		}
-		if rerr := RejectPrecond(name, PrecondSSOR); fmt.Sprint(rerr) != want[name] {
+		if rerr := s.RejectPrecond(PrecondSSOR); fmt.Sprint(rerr) != want[name] {
 			t.Errorf("RejectPrecond(%q): %v, want %s", name, rerr, want[name])
 		}
 	}
+	jacobi, _ := Backend(BackendJacobi)
 	for _, p := range []string{"", "none"} {
-		if err := RejectPrecond(BackendJacobi, p); err != nil {
+		if err := jacobi.RejectPrecond(p); err != nil {
 			t.Errorf("RejectPrecond(jacobi, %q) = %v", p, err)
 		}
 	}
@@ -158,7 +161,7 @@ func TestBackendsRefusePrecondInTheirOwnWords(t *testing.T) {
 func TestCGUnknownPrecond(t *testing.T) {
 	m, b, _ := engineFixture(t, 3)
 	s, _ := Backend(BackendCG)
-	if _, _, err := s.Solve(context.Background(), m, b, IterOpts{Precond: "ilu"}); !errors.Is(err, errs.ErrUsage) {
+	if _, _, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{Precond: "ilu"}); !errors.Is(err, errs.ErrUsage) {
 		t.Errorf("unknown preconditioner error = %v, want ErrUsage", err)
 	}
 	if HasPrecond("ilu") {
@@ -175,11 +178,11 @@ func TestCGUnknownPrecond(t *testing.T) {
 func TestSSORPrecondReducesCGIterations(t *testing.T) {
 	m, b, _ := engineFixture(t, 12)
 	s, _ := Backend(BackendCG)
-	_, plain, err := s.Solve(context.Background(), m, b, IterOpts{})
+	_, plain, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pre, err := s.Solve(context.Background(), m, b, IterOpts{Precond: PrecondSSOR})
+	_, pre, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{Precond: PrecondSSOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +213,7 @@ func TestIterativeBackendsHonourCancel(t *testing.T) {
 				}
 			},
 		}
-		_, _, err = s.Solve(ctx, m, b, opts)
+		_, _, err = s.Solve(ctx, new(FactorCache), m, 0, b, nil, nil, opts)
 		if !errors.Is(err, errs.ErrCancelled) {
 			t.Errorf("%s: cancelled solve returned %v, want ErrCancelled", name, err)
 		}
@@ -230,7 +233,7 @@ func TestDirectBackendsHonourPreCancelledCtx(t *testing.T) {
 	cancel()
 	for _, name := range []string{BackendCholesky, BackendCholeskyRCM} {
 		s, _ := Backend(name)
-		if _, _, err := s.Solve(ctx, m, b, IterOpts{}); !errors.Is(err, errs.ErrCancelled) {
+		if _, _, err := s.Solve(ctx, new(FactorCache), m, 0, b, nil, nil, IterOpts{}); !errors.Is(err, errs.ErrCancelled) {
 			t.Errorf("%s: pre-cancelled ctx returned %v", name, err)
 		}
 	}
@@ -239,7 +242,7 @@ func TestDirectBackendsHonourPreCancelledCtx(t *testing.T) {
 func TestConvergenceErrorCarriesFinalState(t *testing.T) {
 	m, b, _ := engineFixture(t, 8)
 	s, _ := Backend(BackendCG)
-	_, info, err := s.Solve(context.Background(), m, b, IterOpts{Tol: 1e-14, MaxIter: 3})
+	_, info, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{Tol: 1e-14, MaxIter: 3})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("budget exhaustion returned %v, want ErrNoConvergence", err)
 	}
@@ -255,14 +258,94 @@ func TestConvergenceErrorCarriesFinalState(t *testing.T) {
 	}
 }
 
-func TestDefaultIterOptsBounds(t *testing.T) {
-	if got := DefaultIterOpts(5).MaxIter; got != 200 {
-		t.Errorf("small-n budget = %d, want the 200 floor", got)
+// budgetOf returns the iteration budget the sequential route gives the
+// named method on an n×n Poisson grid by default: a NaN load never
+// converges, so the solve runs its whole budget.
+func budgetOf(t *testing.T, name string, n int) int {
+	t.Helper()
+	a := poisson2D(n)
+	b := NewVector(a.N)
+	b.Fill(math.NaN())
+	s, err := Backend(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := DefaultIterOpts(1_000_000).MaxIter; got != MaxIterCeiling {
+	_, info, err := s.Solve(context.Background(), nil, a, 0, b, nil, nil, IterOpts{})
+	var ce *ConvergenceError
+	if !errors.As(err, &ce) || ce.Iterations != info.Iterations {
+		t.Fatalf("%s on a NaN load: %v after %d iterations", name, err, info.Iterations)
+	}
+	return ce.Iterations
+}
+
+// TestDefaultIterOptsBounds pins the cg row's default budget: the 200
+// floor and 10·n are read off the sequential route, and the
+// MaxIterCeiling cap, which only a system of over 20 000 unknowns
+// reaches, off the defaults the row gives both routes.  navm's
+// TestDefaultBudgets reads the distributed route.
+func TestDefaultIterOptsBounds(t *testing.T) {
+	if got := budgetOf(t, BackendCG, 2); got != 200 {
+		t.Errorf("4-unknown budget = %d, want the 200 floor", got)
+	}
+	cg, _ := Backend(BackendCG)
+	if got := IterDefaults(IterOpts{}, 1_000_000, cg.Budget).MaxIter; got != MaxIterCeiling {
 		t.Errorf("huge-n budget = %d, want the %d ceiling", got, MaxIterCeiling)
 	}
-	if got := DefaultIterOpts(100).MaxIter; got != 1000 {
-		t.Errorf("mid-n budget = %d, want 10n", got)
+	if got := budgetOf(t, BackendCG, 10); got != 1000 {
+		t.Errorf("100-unknown budget = %d, want 10n", got)
+	}
+}
+
+// TestDefaultBudgets pins the stationary methods' default budgets on the
+// sequential route: jacobi 200·n, sor 100·n.
+func TestDefaultBudgets(t *testing.T) {
+	for name, want := range map[string]int{BackendJacobi: 800, BackendSOR: 400} {
+		if got := budgetOf(t, name, 2); got != want {
+			t.Errorf("%s on 4 unknowns: budget %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestMethodTable pins the table's shape: sorted names, the three direct
+// plans, cg alone taking a preconditioner, and the distributed variants.
+func TestMethodTable(t *testing.T) {
+	if names := Backends(); !sort.StringsAreSorted(names) {
+		t.Errorf("Backends() = %v, not sorted", names)
+	}
+	plans := map[string]PlanOpts{
+		"":                 {},
+		BackendCholesky:    {},
+		BackendCholeskyRCM: {Ordering: OrderRCM},
+		BackendCholeskyEnv: {Ordering: OrderRCM, Storage: StorageEnvelope},
+	}
+	for name, want := range plans {
+		if got, ok := PlanOptsFor(name); !ok || got != want {
+			t.Errorf("PlanOptsFor(%q) = %+v, %v; want %+v", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{BackendCG, BackendJacobi, BackendSOR, "gauss"} {
+		if _, ok := PlanOptsFor(name); ok {
+			t.Errorf("PlanOptsFor(%q) reports a direct plan", name)
+		}
+	}
+	distributed := map[string]string{
+		"":            "parallel-cg",
+		BackendCG:     "parallel-cg",
+		BackendJacobi: "parallel-jacobi",
+		BackendSOR:    "parallel-multicolor-sor",
+	}
+	for name, want := range distributed {
+		if m, err := Distributed(name, "none"); err != nil || m.Distributed != want {
+			t.Errorf("Distributed(%q) = %q, %v; want %q", name, m.Distributed, err, want)
+		}
+	}
+	for _, name := range []string{BackendCholesky, BackendCholeskyRCM, BackendCholeskyEnv, "gauss"} {
+		want := fmt.Sprintf(`usage: backend %q has no distributed variant (try cg, jacobi, or sor)`, name)
+		if _, err := Distributed(name, ""); fmt.Sprint(err) != want {
+			t.Errorf("Distributed(%q): %v, want %s", name, err, want)
+		}
+	}
+	if _, err := Distributed(BackendJacobi, PrecondSSOR); fmt.Sprint(err) != `usage: distributed jacobi has no preconditioned variant ("ssor" requested)` {
+		t.Errorf("Distributed(jacobi, ssor): %v", err)
 	}
 }

@@ -274,22 +274,6 @@ func (p *DirectPlan) SolveMatrixInto(c, out *Dense, st *Stats) (*Dense, error) {
 	return out, nil
 }
 
-// PlanOptsFor maps a direct backend's registry name onto its plan
-// configuration; ok is false for iterative backends (and unknown
-// names), which have nothing to cache.
-func PlanOptsFor(backend string) (PlanOpts, bool) {
-	switch backend {
-	case "", BackendCholesky:
-		return PlanOpts{}, true
-	case BackendCholeskyRCM:
-		return PlanOpts{Ordering: OrderRCM}, true
-	case BackendCholeskyEnv:
-		return PlanOpts{Ordering: OrderRCM, Storage: StorageEnvelope}, true
-	default:
-		return PlanOpts{}, false
-	}
-}
-
 // FactorCache retains one DirectPlan per direct backend for a model's
 // system, so repeated solves of an unchanged matrix reuse the factor
 // and solves after a value change refactor in place instead of

@@ -86,7 +86,7 @@ func TestDirectPlanMatchesBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := UnpermuteVector(px, perm)
-		x, err := SolveCholeskyRCM(m, b, nil)
+		x, err := solveCholeskyRCM(m, b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +412,7 @@ func TestDirectPlanRefactorTracksValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveCholeskyRCM(m2, b, nil)
+	want, err := solveCholeskyRCM(m2, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	// Changed values: must refactor and match a cold solve of the new
 	// system exactly.
 	m.Val[0] *= 3
-	want, err := SolveCholeskyRCM(m, b, nil)
+	want, err := solveCholeskyRCM(m, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +688,7 @@ func TestFactorCachePassToken(t *testing.T) {
 	})
 }
 
-// TestCholeskyEnvBackend checks the new registry backend end to end:
+// TestCholeskyEnvBackend checks the cholesky-env backend end to end:
 // selectable by name, agrees with the banded baseline, rejects
 // preconditioners, and honours cancellation.
 func TestCholeskyEnvBackend(t *testing.T) {
@@ -702,7 +702,7 @@ func TestCholeskyEnvBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, info, err := s.Solve(context.Background(), m, b, IterOpts{})
+	x, info, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,30 +715,30 @@ func TestCholeskyEnvBackend(t *testing.T) {
 	if info.Residual > 1e-10 || math.IsNaN(info.Residual) {
 		t.Errorf("residual = %g", info.Residual)
 	}
-	if _, _, err := s.Solve(context.Background(), m, b, IterOpts{Precond: "jacobi"}); err == nil {
+	if _, _, err := s.Solve(context.Background(), new(FactorCache), m, 0, b, nil, nil, IterOpts{Precond: "jacobi"}); err == nil {
 		t.Error("cholesky-env accepted a preconditioner")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := s.Solve(ctx, m, b, IterOpts{}); err == nil {
+	if _, _, err := s.Solve(ctx, new(FactorCache), m, 0, b, nil, nil, IterOpts{}); err == nil {
 		t.Error("cholesky-env ignored a cancelled context")
 	}
 }
 
-// TestSolveCholeskyRCMColdAllocs guards the satellite: the one-shot RCM
-// pipeline no longer materialises a permuted CSR from triplets, so its
-// cold allocation count is a small constant (the old pipeline paid 631
-// allocs on the bench plate).
+// TestSolveCholeskyRCMColdAllocs: the one-shot cholesky-rcm solve (a
+// fresh factor cache) does not materialise a permuted CSR from triplets,
+// so its cold allocation count is a small constant (a pipeline that did
+// paid 631 allocs on the bench plate).
 func TestSolveCholeskyRCMColdAllocs(t *testing.T) {
 	m := poisson2D(10)
 	b := rhsFor(m)
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := SolveCholeskyRCM(m, b, nil); err != nil {
+		if _, err := solveCholeskyRCM(m, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > 40 {
-		t.Errorf("cold SolveCholeskyRCM: %.0f allocs/op, want a small constant (<= 40)", avg)
+		t.Errorf("cold cholesky-rcm: %.0f allocs/op, want a small constant (<= 40)", avg)
 	}
 }
 

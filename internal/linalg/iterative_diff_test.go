@@ -92,19 +92,19 @@ func TestIterativeKernelsMatchOracles(t *testing.T) {
 			perIter := func(iters int) int64 { return int64(iters + 1) }
 			for _, m := range []Preconditioner{nil, jac(a), ssor(a)} {
 				same(cgName(m), cgExtra, func(ctx context.Context, o IterOpts, st *Stats) (Vector, int, float64, error) {
-					return CG(ctx, a, b, m, o, oneBlock(a.N), st, nil)
+					return CG(ctx, a, b, m, nil, o, oneBlock(a.N), st, nil)
 				}, func(ctx context.Context, o IterOpts, st *Stats) (Vector, int, float64, error) {
 					return oracleCG(ctx, a, b, m, o, st, nil)
 				})
 			}
 			same(BackendJacobi, perIter, func(ctx context.Context, o IterOpts, st *Stats) (Vector, int, float64, error) {
-				return Jacobi(ctx, a, b, o, oneBlock(a.N), st, nil)
+				return Jacobi(ctx, a, b, nil, nil, o, oneBlock(a.N), st, nil)
 			}, func(ctx context.Context, o IterOpts, st *Stats) (Vector, int, float64, error) {
 				return oracleJacobi(ctx, a, b, o, st, nil)
 			})
 			same(BackendSOR, perIter, func(ctx context.Context, o IterOpts, st *Stats) (Vector, int, float64, error) {
 				ws := &IterWork{}
-				return SOR(ctx, a, b, ws.natural(a.N), o, oneBlock(a.N), st, ws)
+				return SOR(ctx, a, b, nil, ws.natural(a.N), o, oneBlock(a.N), st, ws)
 			}, func(ctx context.Context, o IterOpts, st *Stats) (Vector, int, float64, error) {
 				return oracleSOR(ctx, a, b, o, st, nil)
 			})
@@ -116,7 +116,7 @@ func TestIterativeKernelsMatchOracles(t *testing.T) {
 			var st, stOld Stats
 			_, cancel, o := opts()
 			cancel() // the multi-colour oracle polls no context
-			x, iters, _, err := SOR(context.Background(), a, b, c.Rows, o, oneBlock(a.N), &st, nil)
+			x, iters, _, err := SOR(context.Background(), a, b, nil, c.Rows, o, oneBlock(a.N), &st, nil)
 			xOld, itersOld, errOld := oracleMultiColorSOR(a, b, c, o, &stOld)
 			if (err == nil) != (errOld == nil) || err != nil && !(errors.Is(err, ErrNoConvergence) && errors.Is(errOld, ErrNoConvergence)) {
 				t.Fatalf("%s, multi-colour sor: error %v, oracle %v", name, err, errOld)

@@ -47,7 +47,8 @@ type IterOpts struct {
 	Omega float64
 	// Precond names the preconditioner an iterative backend should build
 	// and apply ("" or "none" for unpreconditioned; see Preconds).  Only
-	// the CG backend uses it; direct backends reject it.
+	// a method whose row says it takes one (cg) uses it; the others
+	// reject it.
 	Precond string
 	// OnIteration, when non-nil, is invoked after each iteration with
 	// the iteration index and current residual norm.  The experiment
@@ -55,9 +56,9 @@ type IterOpts struct {
 	OnIteration func(iter int, resid float64)
 }
 
-// MaxIterCeiling bounds every iteration budget: DefaultIterOpts and the
-// per-backend defaults clamp to it, so a huge system cannot turn a
-// mistyped solve into an unbounded loop.
+// MaxIterCeiling bounds every default iteration budget: IterDefaults
+// clamps to it, so a huge system cannot turn a mistyped solve into an
+// unbounded loop.
 const MaxIterCeiling = 200_000
 
 // clampIter applies the floor-200 / MaxIterCeiling bounds to an
@@ -70,13 +71,6 @@ func clampIter(m int) int {
 		m = MaxIterCeiling
 	}
 	return m
-}
-
-// DefaultIterOpts returns the options used throughout the experiments:
-// 1e-8 relative tolerance, an n-proportional iteration cap (bounded by
-// MaxIterCeiling) and the classical ω=1.5 for SOR.
-func DefaultIterOpts(n int) IterOpts {
-	return IterOpts{Tol: 1e-8, MaxIter: clampIter(10 * n), Omega: 1.5}
 }
 
 // cancelCheckInterval is how many iterations pass between context polls
@@ -99,7 +93,7 @@ func CheckCancel(ctx context.Context, iter int) error {
 // IterWork holds the scratch vectors of the iterative kernels — the
 // system diagonal, iterates, residual, and direction buffers — so
 // repeated solves of same-order systems reuse storage instead of
-// reallocating it.  The engine backends draw these from a pool; a nil
+// reallocating it.  Method.Solve draws these from a pool; a nil
 // *IterWork is valid and simply allocates fresh buffers.  The kernels
 // refresh the cached diagonal from the matrix on every invocation
 // (DiagonalInto, one row walk), so a workspace never goes stale when a
@@ -141,9 +135,9 @@ func grow(v Vector, n int) Vector {
 // direction updates (only the sequential backend passes one, and its
 // work is not priced on bl's hook).  Each inner product is a reduction
 // every block waits for, and the product reads the direction's halo.  It
-// returns the solution, the iteration count, and the final relative
-// residual.
-func CG(ctx context.Context, a *CSR, b Vector, m Preconditioner, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+// is the cg row's Kernel, so it ignores the row classes; it returns the
+// solution, the iteration count, and the final relative residual.
+func CG(ctx context.Context, a *CSR, b Vector, m Preconditioner, _ [][]int, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
 	n := a.N
 	if len(b) != n {
 		panic(fmt.Errorf("%w: CG order %d with rhs %d", ErrDimension, n, len(b)))
@@ -287,8 +281,9 @@ func stationary(ctx context.Context, backend string, a *CSR, b Vector, opts Iter
 // Jacobi is the most naturally parallel method — every component update
 // is independent — which is why the FEM-1/FEM-2 literature leaned on it:
 // a sweep reads the halo once, and the residual check is the only
-// reduction.
-func Jacobi(ctx context.Context, a *CSR, b Vector, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+// reduction.  It is the jacobi row's Kernel and ignores m and the row
+// classes.
+func Jacobi(ctx context.Context, a *CSR, b Vector, _ Preconditioner, _ [][]int, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
 	n := a.N
 	if len(b) != n {
 		panic(fmt.Errorf("%w: Jacobi order %d with rhs %d", ErrDimension, n, len(b)))
@@ -330,12 +325,13 @@ func Jacobi(ctx context.Context, a *CSR, b Vector, opts IterOpts, bl Blocks, st 
 // SOR is the successive over-relaxation kernel with factor opts.Omega
 // (ω=1 gives Gauss-Seidel).  It sweeps the rows class by class, each
 // class in ascending order, reading the halo before each class.
-// Natural-order SOR is one class holding every row.  With a colouring's
-// classes (Coloring.Rows) no two rows of one class are coupled, so a
-// class's blocks could update at once: the multi-colour SOR Adams
-// analysed for the Finite Element Machine, which the NAVM layer runs in
-// parallel.
-func SOR(ctx context.Context, a *CSR, b Vector, classes [][]int, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
+// Natural-order SOR, which nil classes select, is one class holding every
+// row.  With a colouring's classes (Coloring.Rows) no two rows of one
+// class are coupled, so a class's blocks could update at once: the
+// multi-colour SOR Adams analysed for the Finite Element Machine, which
+// the NAVM layer runs in parallel.  It is the sor row's Kernel and
+// ignores m.
+func SOR(ctx context.Context, a *CSR, b Vector, _ Preconditioner, classes [][]int, opts IterOpts, bl Blocks, st *Stats, ws *IterWork) (Vector, int, float64, error) {
 	n := a.N
 	if len(b) != n {
 		panic(fmt.Errorf("%w: SOR order %d with rhs %d", ErrDimension, n, len(b)))
@@ -350,6 +346,9 @@ func SOR(ctx context.Context, a *CSR, b Vector, classes [][]int, opts IterOpts, 
 	d, err := diagonal("SOR", a, ws)
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	if classes == nil {
+		classes = ws.natural(n)
 	}
 	ws.x = grow(ws.x, n)
 	return stationary(ctx, BackendSOR, a, b, opts, bl, st, ws, ws.x, func(x Vector) Vector {

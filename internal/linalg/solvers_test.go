@@ -13,18 +13,18 @@ import (
 // shape the kernel-level tests in this package assert against; the
 // engine API itself is covered by engine_test.go.
 func seqCG(a *CSR, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
-	x, iters, _, err := CG(context.Background(), a, b, nil, opts, oneBlock(a.N), st, nil)
+	x, iters, _, err := CG(context.Background(), a, b, nil, nil, opts, oneBlock(a.N), st, nil)
 	return x, iters, err
 }
 
 func seqJacobi(a *CSR, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
-	x, iters, _, err := Jacobi(context.Background(), a, b, opts, oneBlock(a.N), st, nil)
+	x, iters, _, err := Jacobi(context.Background(), a, b, nil, nil, opts, oneBlock(a.N), st, nil)
 	return x, iters, err
 }
 
 func seqSOR(a *CSR, b Vector, opts IterOpts, st *Stats) (Vector, int, error) {
 	ws := &IterWork{}
-	x, iters, _, err := SOR(context.Background(), a, b, ws.natural(a.N), opts, oneBlock(a.N), st, ws)
+	x, iters, _, err := SOR(context.Background(), a, b, nil, ws.natural(a.N), opts, oneBlock(a.N), st, ws)
 	return x, iters, err
 }
 
@@ -34,7 +34,7 @@ func multiColorSOR(a *CSR, b Vector, c *Coloring, opts IterOpts, st *Stats) (Vec
 	if err := c.Validate(a); err != nil {
 		return nil, 0, err
 	}
-	x, iters, _, err := SOR(context.Background(), a, b, c.Rows, opts, oneBlock(a.N), st, nil)
+	x, iters, _, err := SOR(context.Background(), a, b, nil, c.Rows, opts, oneBlock(a.N), st, nil)
 	return x, iters, err
 }
 
@@ -53,7 +53,7 @@ func solveAllWaysSystem(t *testing.T, n int) (*CSR, Vector, Vector) {
 func TestCGSolvesPoisson(t *testing.T) {
 	m, b, want := solveAllWaysSystem(t, 8)
 	st := &Stats{}
-	x, iters, err := seqCG(m, b, DefaultIterOpts(m.N), st)
+	x, iters, err := seqCG(m, b, IterDefaults(IterOpts{}, m.N, 10), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCGSolvesPoisson(t *testing.T) {
 
 func TestCGZeroRHS(t *testing.T) {
 	m, _, _ := solveAllWaysSystem(t, 4)
-	x, iters, err := seqCG(m, NewVector(m.N), DefaultIterOpts(m.N), nil)
+	x, iters, err := seqCG(m, NewVector(m.N), IterDefaults(IterOpts{}, m.N, 10), nil)
 	if err != nil || iters != 0 {
 		t.Fatalf("zero rhs: err=%v iters=%d", err, iters)
 	}
@@ -85,14 +85,14 @@ func TestCGBreakdownOnIndefinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := seqCG(m, Vector{1, 1, 1}, DefaultIterOpts(3), nil); err == nil {
+	if _, _, err := seqCG(m, Vector{1, 1, 1}, IterDefaults(IterOpts{}, 3, 10), nil); err == nil {
 		t.Error("CG on negative definite matrix did not report breakdown")
 	}
 }
 
 func TestCGNoConvergenceBudget(t *testing.T) {
 	m, b, _ := solveAllWaysSystem(t, 8)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.MaxIter = 1
 	opts.Tol = 1e-14
 	_, _, err := seqCG(m, b, opts, nil)
@@ -104,7 +104,7 @@ func TestCGNoConvergenceBudget(t *testing.T) {
 func TestCGIterationCallback(t *testing.T) {
 	m, b, _ := solveAllWaysSystem(t, 4)
 	var history []float64
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.OnIteration = func(iter int, resid float64) { history = append(history, resid) }
 	_, iters, err := seqCG(m, b, opts, nil)
 	if err != nil {
@@ -120,7 +120,7 @@ func TestCGIterationCallback(t *testing.T) {
 
 func TestJacobiSolvesPoisson(t *testing.T) {
 	m, b, want := solveAllWaysSystem(t, 5)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Tol = 1e-10
 	opts.MaxIter = 20000
 	x, iters, err := seqJacobi(m, b, opts, nil)
@@ -137,14 +137,14 @@ func TestJacobiZeroDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := seqJacobi(m, Vector{1, 1}, DefaultIterOpts(2), nil); err == nil {
+	if _, _, err := seqJacobi(m, Vector{1, 1}, IterDefaults(IterOpts{}, 2, 10), nil); err == nil {
 		t.Error("Jacobi with zero diagonal did not fail")
 	}
 }
 
 func TestJacobiZeroRHS(t *testing.T) {
 	m, _, _ := solveAllWaysSystem(t, 3)
-	x, iters, err := seqJacobi(m, NewVector(m.N), DefaultIterOpts(m.N), nil)
+	x, iters, err := seqJacobi(m, NewVector(m.N), IterDefaults(IterOpts{}, m.N, 10), nil)
 	if err != nil || iters != 0 || NormInf(Vector(x)) != 0 {
 		t.Errorf("zero rhs: x=%v iters=%d err=%v", x, iters, err)
 	}
@@ -152,7 +152,7 @@ func TestJacobiZeroRHS(t *testing.T) {
 
 func TestSORSolvesPoissonFasterThanJacobi(t *testing.T) {
 	m, b, want := solveAllWaysSystem(t, 5)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Tol = 1e-9
 	opts.MaxIter = 20000
 
@@ -174,7 +174,7 @@ func TestSORSolvesPoissonFasterThanJacobi(t *testing.T) {
 
 func TestSORGaussSeidelOmegaOne(t *testing.T) {
 	m, b, want := solveAllWaysSystem(t, 4)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Omega = 1.0
 	opts.MaxIter = 20000
 	x, _, err := seqSOR(m, b, opts, nil)
@@ -189,7 +189,7 @@ func TestSORGaussSeidelOmegaOne(t *testing.T) {
 func TestSORRejectsBadOmega(t *testing.T) {
 	m, b, _ := solveAllWaysSystem(t, 3)
 	for _, w := range []float64{0, -1, 2, 2.5} {
-		opts := DefaultIterOpts(m.N)
+		opts := IterDefaults(IterOpts{}, m.N, 10)
 		opts.Omega = w
 		if _, _, err := seqSOR(m, b, opts, nil); err == nil {
 			t.Errorf("SOR accepted omega = %g", w)
@@ -202,7 +202,7 @@ func TestSORZeroDiagonal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := seqSOR(m, Vector{1, 1}, DefaultIterOpts(2), nil); err == nil {
+	if _, _, err := seqSOR(m, Vector{1, 1}, IterDefaults(IterOpts{}, 2, 10), nil); err == nil {
 		t.Error("SOR with zero diagonal did not fail")
 	}
 }
@@ -216,7 +216,7 @@ func TestResidualZeroForExactSolution(t *testing.T) {
 
 func TestAllSolversAgree(t *testing.T) {
 	m, b, _ := solveAllWaysSystem(t, 6)
-	opts := DefaultIterOpts(m.N)
+	opts := IterDefaults(IterOpts{}, m.N, 10)
 	opts.Tol = 1e-10
 	opts.MaxIter = 50000
 
@@ -265,7 +265,7 @@ func TestQuickCGMatchesDirect(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float64()*2 - 1
 		}
-		x, _, err := seqCG(m, b, DefaultIterOpts(n), nil)
+		x, _, err := seqCG(m, b, IterDefaults(IterOpts{}, n, 10), nil)
 		if err != nil {
 			return false
 		}

@@ -6,9 +6,10 @@
 // requirements list "fast linear algebra operations (to extract the
 // low-level parallelism available in these operations)".  This package
 // holds those operations and the one implementation of each iterative
-// method (CG, Jacobi, SOR).  Each runs over row blocks (Blocks) and calls
-// an optional cost hook where a distributed solve pays: the halo before a
-// product, each block's work, each barrier.  The sequential backends run
+// method (CG, Jacobi, SOR), each the Kernel of its row in the method
+// table (engine.go).  Each runs over row blocks (Blocks) and calls an
+// optional cost hook where a distributed solve pays: the halo before a
+// product, each block's work, each barrier.  The sequential solve runs
 // one block and no hook; the NAVM layer runs one block per worker with a
 // hook that charges the simulated machine.  So a one-block distributed
 // solve is the sequential solve, bit for bit.

@@ -248,20 +248,51 @@ func (c *machineCost) Work(w int, flops int64) {
 // point after each parallel phase).
 func (c *machineCost) Barrier() { c.rt.machine.Barrier(c.ids) }
 
-// solve runs kernel on d's row blocks, priced on P worker PEs that each
-// host a solver task for the solve's duration.  Every exit — converged,
-// out of budget, cancelled, broken down, or a zero load — reports the
-// solve's cost: its flops (also added to navm.flops), halo words and the
-// machine's makespan.  An exhausted budget's error names backend.
-func (rt *Runtime) solve(d *DistSystem, backend string, kernel func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error)) (linalg.Vector, SolveStats, error) {
+// Solve runs the named method's distributed variant on d's row blocks
+// (the empty name selects cg), priced on P worker PEs that each host a
+// solver task for the solve's duration: each worker's flops advance its
+// own PE clock, each halo word crosses the network, and each reduction
+// costs a barrier — the Adams–Voigt analysis of the finite element
+// process on FEM-class hardware.  The kernel and its default budget are
+// the sequential method's (linalg's method table); a coloured method
+// sweeps a greedy colouring's classes, whose rows are mutually
+// independent, so each class runs fully parallel across the blocks — the
+// multi-colour SOR Adams analysed for the Finite Element Machine.
+//
+// Every exit — converged, out of budget, cancelled (the iteration loop
+// polls ctx, and a cancelled solve returns an error wrapping
+// errs.ErrCancelled), broken down, or a zero load — reports the solve's
+// cost: its flops (also added to navm.flops), halo words and the
+// machine's makespan.  An exhausted budget's error names the distributed
+// variant.
+func (rt *Runtime) Solve(ctx context.Context, d *DistSystem, backend string, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
+	m, err := linalg.Distributed(backend, opts.Precond)
+	if err != nil {
+		return nil, SolveStats{}, err
+	}
+	return rt.solve(ctx, d, m, opts)
+}
+
+// solve is Solve by the method row m.
+func (rt *Runtime) solve(ctx context.Context, d *DistSystem, m linalg.Method, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
+	var classes [][]int
+	if m.Colored {
+		classes = linalg.GreedyColoring(d.A).Rows
+	}
 	pes, err := rt.SolveWorkers(d.P)
 	if err != nil {
 		return nil, SolveStats{}, err
 	}
 	defer rt.spawnSolverTasks(pes)()
+	if m.Vectors > 0 {
+		// Distributed storage: each worker owns its block of the
+		// method's vectors plus its matrix rows (values and columns).
+		rt.ctr.wordsAlloc.Add(int64(m.Vectors*d.A.N + 2*d.A.NNZ()))
+	}
 	cost := newMachineCost(rt, d, pes)
 	var st linalg.Stats
-	x, iters, resid, err := kernel(linalg.Blocks{Lo: d.Lo, Hi: d.Hi, Cost: cost}, &st)
+	bl := linalg.Blocks{Lo: d.Lo, Hi: d.Hi, Cost: cost}
+	x, iters, resid, err := m.Kernel(ctx, d.A, d.B, nil, classes, linalg.IterDefaults(opts, d.A.N, m.Budget), bl, &st, nil)
 	rt.ctr.flops.Add(st.Flops)
 	stats := SolveStats{
 		Workers: d.P, Iterations: iters, Flops: st.Flops, HaloWords: cost.halo,
@@ -269,36 +300,9 @@ func (rt *Runtime) solve(d *DistSystem, backend string, kernel func(bl linalg.Bl
 	}
 	var ce *linalg.ConvergenceError
 	if errors.As(err, &ce) {
-		ce.Backend = backend
+		ce.Backend = m.Distributed
 	}
 	return x, stats, err
-}
-
-// ParallelCG solves the distributed system by conjugate gradients on P
-// simulated workers: each worker's flops advance its own PE clock, each
-// halo word crosses the network, and each inner product costs a barrier
-// — reproducing the Adams–Voigt analysis of the finite element process
-// on FEM-class hardware.  The iteration loop polls ctx, so a cancelled
-// solve stops promptly with an error wrapping errs.ErrCancelled.
-func (rt *Runtime) ParallelCG(ctx context.Context, d *DistSystem, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
-	return rt.solve(d, "parallel-cg", func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error) {
-		// Distributed storage: each worker owns its block of x, r, p,
-		// ap (4 vectors) plus its matrix rows (values and columns).
-		rt.ctr.wordsAlloc.Add(int64(4*d.A.N + 2*d.A.NNZ()))
-		// Same defaults as the sequential cg backend.
-		return linalg.CG(ctx, d.A, d.B, nil, linalg.IterDefaults(opts, d.A.N, 10), bl, st, nil)
-	})
-}
-
-// ParallelJacobi solves the distributed system by Jacobi iteration on P
-// simulated workers — the maximally parallel method the original Finite
-// Element Machine favoured.  Same cost model as ParallelCG, but the only
-// synchronisation per iteration is the halo exchange, the sweep's
-// barrier and the convergence check's.
-func (rt *Runtime) ParallelJacobi(ctx context.Context, d *DistSystem, opts linalg.IterOpts) (linalg.Vector, SolveStats, error) {
-	return rt.solve(d, "parallel-jacobi", func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error) {
-		return linalg.Jacobi(ctx, d.A, d.B, linalg.IterDefaults(opts, d.A.N, 200), bl, st, nil)
-	})
 }
 
 // KernelCycles measures the simulated cost of the three NAVM linear

@@ -132,8 +132,8 @@ func TestParallelCGMatchesSequential(t *testing.T) {
 	a, b, want := testSystem(8)
 	rt := newSolveRuntime(t, 4, 5)
 	d, _ := Partition(a, b, 8)
-	opts := linalg.DefaultIterOpts(a.N)
-	x, stats, err := rt.ParallelCG(context.Background(), d, opts)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
+	x, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestParallelCGMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, seqInfo, err := seqSolver.Solve(context.Background(), a, b, opts)
+	_, seqInfo, err := seqSolver.Solve(context.Background(), new(linalg.FactorCache), a, 0, b, nil, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestParallelCGZeroRHS(t *testing.T) {
 	a, _, _ := testSystem(4)
 	rt := newSolveRuntime(t, 2, 4)
 	d, _ := Partition(a, linalg.NewVector(a.N), 4)
-	x, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(a.N))
+	x, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterDefaults(linalg.IterOpts{}, a.N, 10))
 	if err != nil || stats.Iterations != 0 {
 		t.Fatalf("zero rhs: %v, %+v", err, stats)
 	}
@@ -180,10 +180,10 @@ func TestParallelCGConvergenceBudget(t *testing.T) {
 	a, b, _ := testSystem(8)
 	rt := newSolveRuntime(t, 2, 4)
 	d, _ := Partition(a, b, 4)
-	opts := linalg.DefaultIterOpts(a.N)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 	opts.MaxIter = 2
 	opts.Tol = 1e-15
-	if _, _, err := rt.ParallelCG(context.Background(), d, opts); err == nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendCG, opts); err == nil {
 		t.Error("budget exhaustion not reported")
 	}
 }
@@ -192,12 +192,12 @@ func TestParallelCGMoreWorkersReduceMakespan(t *testing.T) {
 	// The speedup shape of E2: with communication costs bounded, more
 	// clusters must cut the simulated completion time of a large solve.
 	a, b, _ := testSystem(16)
-	opts := linalg.DefaultIterOpts(a.N)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 
 	run := func(clusters, workers int) int64 {
 		rt := newSolveRuntime(t, clusters, 5)
 		d, _ := Partition(a, b, workers)
-		_, stats, err := rt.ParallelCG(context.Background(), d, opts)
+		_, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,10 +218,10 @@ func TestParallelJacobiMatchesSequential(t *testing.T) {
 	a, b, want := testSystem(5)
 	rt := newSolveRuntime(t, 2, 5)
 	d, _ := Partition(a, b, 4)
-	opts := linalg.DefaultIterOpts(a.N)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 	opts.MaxIter = 20000
 	opts.Tol = 1e-9
-	x, stats, err := rt.ParallelJacobi(context.Background(), d, opts)
+	x, stats, err := rt.Solve(context.Background(), d, linalg.BackendJacobi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestParallelJacobiZeroDiagonal(t *testing.T) {
 	}
 	rt := newSolveRuntime(t, 1, 3)
 	d, _ := Partition(m, linalg.Vector{1, 1}, 2)
-	if _, _, err := rt.ParallelJacobi(context.Background(), d, linalg.DefaultIterOpts(2)); err == nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendJacobi, linalg.IterDefaults(linalg.IterOpts{}, 2, 10)); err == nil {
 		t.Error("zero diagonal accepted")
 	}
 }
@@ -256,7 +256,7 @@ func TestParallelCGSurvivesFailedPEs(t *testing.T) {
 	m.FailPE(m.Cluster(2).Workers[0].ID)
 	m.FailPE(m.Cluster(2).Workers[1].ID)
 	d, _ := Partition(a, b, 8)
-	x, stats, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(a.N))
+	x, stats, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterDefaults(linalg.IterOpts{}, a.N, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestParallelCGAllWorkersFailed(t *testing.T) {
 		}
 	}
 	d, _ := Partition(a, b, 4)
-	if _, _, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(a.N)); err == nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)); err == nil {
 		t.Error("solve on fully failed machine succeeded")
 	}
 }

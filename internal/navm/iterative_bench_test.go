@@ -14,8 +14,8 @@ import (
 // BenchmarkIterativeSolve times the iterative methods on E16's 144-dof
 // plate (8×8 cells, clamped on the left, end load), each for a fixed 80
 // iterations: the sequential backends cg, cg+ssor, jacobi and sor, and
-// cg, jacobi and multi-colour sor on 4 row blocks of a fresh default
-// machine per solve (the machine's link schedules grow with every solve
+// cg, jacobi and multi-colour sor (its greedy colouring included) on 4
+// row blocks of a fresh default machine per solve (the machine's link schedules grow with every solve
 // it runs, so one machine would time later solves longer).
 func BenchmarkIterativeSolve(b *testing.B) {
 	o := fem.RectGridOpts{NX: 8, NY: 8, W: 8, H: 8, Mat: fem.Steel(), ClampLeft: true}
@@ -53,7 +53,7 @@ func BenchmarkIterativeSolve(b *testing.B) {
 			so := opts
 			so.Precond = c.precond
 			for b.Loop() {
-				_, _, err := s.Solve(ctx, k, rhs, so)
+				_, _, err := s.Solve(ctx, new(linalg.FactorCache), k, 0, rhs, nil, nil, so)
 				ran(b, err)
 			}
 		})
@@ -64,17 +64,9 @@ func BenchmarkIterativeSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			col := linalg.GreedyColoring(k)
 			for b.Loop() {
 				rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
-				switch method {
-				case linalg.BackendCG:
-					_, _, err = rt.ParallelCG(ctx, d, opts)
-				case linalg.BackendJacobi:
-					_, _, err = rt.ParallelJacobi(ctx, d, opts)
-				default:
-					_, _, err = rt.ParallelMultiColorSOR(ctx, d, col, opts)
-				}
+				_, _, err = rt.Solve(ctx, d, method, opts)
 				ran(b, err)
 			}
 		})

@@ -71,47 +71,35 @@ func (c IterCase) runtime() (*Runtime, *obs.Registry) {
 func (c IterCase) run(rt *Runtime, d *DistSystem, oracle bool) (linalg.Vector, SolveStats, error) {
 	ctx, cancel, opts := c.opts()
 	defer cancel()
+	if !oracle {
+		return rt.Solve(ctx, d, c.Method, opts)
+	}
 	switch c.Method {
 	case linalg.BackendCG:
-		if oracle {
-			return rt.oracleParallelCG(ctx, d, opts)
-		}
-		return rt.ParallelCG(ctx, d, opts)
+		return rt.oracleParallelCG(ctx, d, opts)
 	case linalg.BackendJacobi:
-		if oracle {
-			return rt.oracleParallelJacobi(ctx, d, opts)
-		}
-		return rt.ParallelJacobi(ctx, d, opts)
+		return rt.oracleParallelJacobi(ctx, d, opts)
 	default:
-		col := linalg.GreedyColoring(d.A)
-		if oracle {
-			return rt.oracleParallelMultiColorSOR(ctx, d, col, opts)
-		}
-		return rt.ParallelMultiColorSOR(ctx, d, col, opts)
+		return rt.oracleParallelMultiColorSOR(ctx, d, linalg.GreedyColoring(d.A), opts)
 	}
 }
 
 // runOneBlock solves a·x = b on one row block of rt.  SOR sweeps every
-// row as one class, in natural order, as the sequential backend does:
-// ParallelMultiColorSOR's colouring check would refuse that class, so
-// the solve goes through solve itself.
+// row as one class, in natural order, as the sequential solve does: the
+// sor row with its colouring switched off.
 func (c IterCase) runOneBlock(rt *Runtime, a *linalg.CSR, b linalg.Vector) (linalg.Vector, SolveStats, error) {
 	d, err := Partition(a, b, 1)
 	if err != nil {
 		panic(err)
 	}
-	if c.Method != linalg.BackendSOR {
-		return c.run(rt, d, false)
+	m, err := linalg.Distributed(c.Method, "")
+	if err != nil {
+		panic(err)
 	}
+	m.Colored = false
 	ctx, cancel, opts := c.opts()
 	defer cancel()
-	rows := make([]int, a.N)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rt.solve(d, "parallel-multicolor-sor", func(bl linalg.Blocks, st *linalg.Stats) (linalg.Vector, int, float64, error) {
-		return linalg.SOR(ctx, a, b, [][]int{rows}, linalg.IterDefaults(opts, a.N, 100), bl, st, nil)
-	})
+	return rt.solve(ctx, d, m, opts)
 }
 
 // cholTolerance bounds a converged solve's distance from the cholesky
@@ -196,7 +184,7 @@ func checkIterative(t testing.TB, a *linalg.CSR, b linalg.Vector, c IterCase) er
 		t.Fatal(err)
 	}
 	ctx, cancel, opts := c.opts()
-	xSeq, info, errSeq := solver.Solve(ctx, a, b, opts)
+	xSeq, info, errSeq := solver.Solve(ctx, new(linalg.FactorCache), a, 0, b, nil, nil, opts)
 	cancel()
 	if (err1 == nil) != (errSeq == nil) {
 		t.Fatalf("%v: one block: error %v, sequential %v", c, err1, errSeq)
@@ -212,7 +200,7 @@ func checkIterative(t testing.TB, a *linalg.CSR, b linalg.Vector, c IterCase) er
 		return errNew
 	}
 	chol, _ := linalg.Backend(linalg.BackendCholesky)
-	xc, _, err := chol.Solve(context.Background(), a, b, linalg.IterOpts{})
+	xc, _, err := chol.Solve(context.Background(), new(linalg.FactorCache), a, 0, b, nil, nil, linalg.IterOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +321,37 @@ func TestEveryExitReportsItsCost(t *testing.T) {
 		if got := reg.Counter(obs.NAVMFlops).Load(); got != st.Flops {
 			t.Errorf("%s: navm.flops = %d, want the solve's %d", tc.name, got, st.Flops)
 		}
+	}
+}
+
+// TestDefaultBudgets pins the default budget of each distributed method,
+// the sequential method's: cg 10·n floored at 200, jacobi 200·n and sor
+// 100·n, read off solves of a NaN load, which never converge and so run
+// their whole budget; and the MaxIterCeiling cap, which only a system of
+// over 20 000 unknowns reaches, off the defaults the cg row gives.
+func TestDefaultBudgets(t *testing.T) {
+	for _, c := range []struct {
+		method  string
+		n, want int
+	}{
+		{linalg.BackendCG, 2, 200},
+		{linalg.BackendCG, 10, 1000},
+		{linalg.BackendJacobi, 2, 800},
+		{linalg.BackendSOR, 2, 400},
+	} {
+		a := poisson2D(c.n)
+		b := linalg.NewVector(a.N)
+		b.Fill(math.NaN())
+		d, _ := Partition(a, b, 2)
+		rt := newSolveRuntime(t, 1, 3)
+		_, st, err := rt.Solve(context.Background(), d, c.method, linalg.IterOpts{})
+		var ce *linalg.ConvergenceError
+		if !errors.As(err, &ce) || ce.Iterations != c.want || st.Iterations != c.want {
+			t.Errorf("%s on %d unknowns: %v after %d iterations, want a budget of %d", c.method, a.N, err, st.Iterations, c.want)
+		}
+	}
+	cg, _ := linalg.Distributed(linalg.BackendCG, "")
+	if got := linalg.IterDefaults(linalg.IterOpts{}, 1_000_000, cg.Budget).MaxIter; got != linalg.MaxIterCeiling {
+		t.Errorf("huge-n budget = %d, want the %d ceiling", got, linalg.MaxIterCeiling)
 	}
 }

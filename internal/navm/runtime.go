@@ -2,12 +2,13 @@
 // the high-level parallel programming layer offering tasks
 // (programmer-defined parallel procedures) with initiate and wait, arrays
 // owned by a task, row windows on them for reading non-local data, and
-// the distributed solvers (CG, Jacobi, multi-colour SOR).  Those are
-// linalg's one iterative kernel per method, run on one row block per
-// worker with a linalg.CostHook that charges the simulated machine: the
-// halo exchange before each product, each block's work on its worker's
-// PE, each barrier.  This package only picks the workers, spawns their
-// solver tasks and reports the cost.  The paper's layer specification
+// one distributed solve (Runtime.Solve) of each iterative method of
+// linalg's method table (CG, Jacobi, multi-colour SOR).  It runs the
+// method's kernel on one row block per worker with a linalg.CostHook
+// that charges the simulated machine: the halo exchange before each
+// product, each block's work on its worker's PE, each barrier.  This
+// package only picks the workers, spawns their solver tasks and reports
+// the cost.  The paper's layer specification
 // (core.FEM2Layers) also names pause/resume, broadcast, pardo and remote
 // procedure call.  The SPVM kernels handle those messages, but no
 // program here issues them, so this layer does not offer them.

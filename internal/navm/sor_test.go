@@ -18,10 +18,10 @@ func TestParallelMultiColorSORMatchesSequential(t *testing.T) {
 	if c.NumColors != 2 {
 		t.Fatalf("expected red/black, got %d colors", c.NumColors)
 	}
-	opts := linalg.DefaultIterOpts(a.N)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 	opts.Tol = 1e-9
 	opts.MaxIter = 50000
-	x, stats, err := rt.ParallelMultiColorSOR(context.Background(), d, c, opts)
+	x, stats, err := rt.Solve(context.Background(), d, linalg.BackendSOR, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestParallelMultiColorSORMatchesSequential(t *testing.T) {
 	// The parallel arithmetic is the sequential SOR kernel's over the
 	// same colour classes, bit for bit.
 	one := linalg.Blocks{Lo: []int{0}, Hi: []int{a.N}}
-	xSeq, seqIters, _, err := linalg.SOR(context.Background(), a, b, c.Rows, opts, one, nil, nil)
+	xSeq, seqIters, _, err := linalg.SOR(context.Background(), a, b, nil, c.Rows, opts, one, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,20 +50,19 @@ func TestParallelMultiColorSORMatchesSequential(t *testing.T) {
 
 func TestParallelMultiColorSORBeatsJacobiIterations(t *testing.T) {
 	a, b, _ := testSystem(6)
-	opts := linalg.DefaultIterOpts(a.N)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 	opts.Tol = 1e-8
 	opts.MaxIter = 100000
 
 	rt1 := newSolveRuntime(t, 2, 5)
 	d1, _ := Partition(a, b, 4)
-	_, jStats, err := rt1.ParallelJacobi(context.Background(), d1, opts)
+	_, jStats, err := rt1.Solve(context.Background(), d1, linalg.BackendJacobi, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt2 := newSolveRuntime(t, 2, 5)
 	d2, _ := Partition(a, b, 4)
-	c := linalg.GreedyColoring(a)
-	_, sStats, err := rt2.ParallelMultiColorSOR(context.Background(), d2, c, opts)
+	_, sStats, err := rt2.Solve(context.Background(), d2, linalg.BackendSOR, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,28 +76,22 @@ func TestParallelMultiColorSORErrors(t *testing.T) {
 	a, b, _ := testSystem(4)
 	rt := newSolveRuntime(t, 1, 3)
 	d, _ := Partition(a, b, 2)
-	c := linalg.GreedyColoring(a)
 
-	opts := linalg.DefaultIterOpts(a.N)
+	opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 	opts.Omega = -1
-	if _, _, err := rt.ParallelMultiColorSOR(context.Background(), d, c, opts); err == nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendSOR, opts); err == nil {
 		t.Error("bad omega accepted")
 	}
-	// Corrupt coloring rejected.
-	bad := &linalg.Coloring{ColorOf: make([]int, a.N), NumColors: 1, Rows: [][]int{{}}}
-	if _, _, err := rt.ParallelMultiColorSOR(context.Background(), d, bad, linalg.DefaultIterOpts(a.N)); err == nil {
-		t.Error("invalid coloring accepted")
-	}
 	// Budget exhaustion.
-	opts = linalg.DefaultIterOpts(a.N)
+	opts = linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 	opts.MaxIter = 1
 	opts.Tol = 1e-15
-	if _, _, err := rt.ParallelMultiColorSOR(context.Background(), d, c, opts); err == nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendSOR, opts); err == nil {
 		t.Error("budget exhaustion not reported")
 	}
 	// Zero RHS short-circuits.
 	d0, _ := Partition(a, linalg.NewVector(a.N), 2)
-	if x, stats, err := rt.ParallelMultiColorSOR(context.Background(), d0, c, linalg.DefaultIterOpts(a.N)); err != nil || stats.Iterations != 0 || linalg.NormInf(x) != 0 {
+	if x, stats, err := rt.Solve(context.Background(), d0, linalg.BackendSOR, linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)); err != nil || stats.Iterations != 0 || linalg.NormInf(x) != 0 {
 		t.Error("zero rhs mishandled")
 	}
 }
@@ -135,7 +128,7 @@ func TestWorkerPEsLeastLoadedAndDisjoint(t *testing.T) {
 	a, b, _ := testSystem(6)
 	d, _ := Partition(a, b, 4)
 	// First solve occupies 4 workers.
-	if _, _, err := rt.ParallelCG(context.Background(), d, linalg.DefaultIterOpts(a.N)); err != nil {
+	if _, _, err := rt.Solve(context.Background(), d, linalg.BackendCG, linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)); err != nil {
 		t.Fatal(err)
 	}
 	busyBefore := map[int]int64{}
@@ -144,7 +137,7 @@ func TestWorkerPEsLeastLoadedAndDisjoint(t *testing.T) {
 	}
 	// Second solve must land on previously idle workers.
 	d2, _ := Partition(a, b, 4)
-	if _, _, err := rt.ParallelCG(context.Background(), d2, linalg.DefaultIterOpts(a.N)); err != nil {
+	if _, _, err := rt.Solve(context.Background(), d2, linalg.BackendCG, linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)); err != nil {
 		t.Fatal(err)
 	}
 	newlyBusy := 0
@@ -163,22 +156,7 @@ func TestWorkerPEsLeastLoadedAndDisjoint(t *testing.T) {
 // after the solve, converged or out of budget, no kernel still holds one.
 func TestSolversLeaveNoTaskInKernels(t *testing.T) {
 	a, b, _ := testSystem(6)
-	c := linalg.GreedyColoring(a)
-	solvers := map[string]func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error{
-		"cg": func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error {
-			_, _, err := rt.ParallelCG(context.Background(), d, opts)
-			return err
-		},
-		"jacobi": func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error {
-			_, _, err := rt.ParallelJacobi(context.Background(), d, opts)
-			return err
-		},
-		"multicolor-sor": func(rt *Runtime, d *DistSystem, opts linalg.IterOpts) error {
-			_, _, err := rt.ParallelMultiColorSOR(context.Background(), d, c, opts)
-			return err
-		},
-	}
-	for name, solve := range solvers {
+	for _, name := range []string{linalg.BackendCG, linalg.BackendJacobi, linalg.BackendSOR} {
 		for _, exhausted := range []bool{false, true} {
 			cfg := arch.DefaultConfig()
 			cfg.Clusters, cfg.PEsPerCluster = 2, 5
@@ -186,12 +164,12 @@ func TestSolversLeaveNoTaskInKernels(t *testing.T) {
 			reg := obs.New()
 			rt.AttachInstrumentation(reg)
 			d, _ := Partition(a, b, 4)
-			opts := linalg.DefaultIterOpts(a.N)
+			opts := linalg.IterDefaults(linalg.IterOpts{}, a.N, 10)
 			opts.Tol, opts.MaxIter = 1e-9, 50000
 			if exhausted {
 				opts.MaxIter = 2
 			}
-			err := solve(rt, d, opts)
+			_, _, err := rt.Solve(context.Background(), d, name, opts)
 			if exhausted != (err != nil) {
 				t.Errorf("%s (budget exhausted %v): err = %v", name, exhausted, err)
 			}

@@ -29,13 +29,10 @@ import (
 	"time"
 
 	"repro/internal/auvm"
-	"repro/internal/cluster"
 	"repro/internal/command"
 	"repro/internal/core"
-	"repro/internal/errs"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -610,24 +607,5 @@ func (c *conn) do(ctx context.Context, sess *auvm.Session, cmd command.Command) 
 // wireError maps a server-side error onto its wire code, carrying the
 // error text verbatim so the client renders the identical line.
 func wireError(err error) *wire.Error {
-	code := wire.CodeInternal
-	switch {
-	case errors.Is(err, auvm.ErrQuit):
-		code = wire.CodeQuit
-	case errors.Is(err, job.ErrQuota):
-		code = wire.CodeQuota
-	case errors.Is(err, job.ErrClosed):
-		code = wire.CodeClosed
-	case errors.Is(err, store.ErrDegraded):
-		code = wire.CodeDegraded
-	case errors.Is(err, cluster.ErrNotLeader):
-		code = wire.CodeNotLeader
-	case errors.Is(err, errs.ErrUsage):
-		code = wire.CodeUsage
-	case errors.Is(err, errs.ErrNotFound):
-		code = wire.CodeNotFound
-	case errors.Is(err, errs.ErrCancelled):
-		code = wire.CodeCancelled
-	}
-	return &wire.Error{Code: code, Message: err.Error()}
+	return &wire.Error{Code: wire.CodeOf(err), Message: err.Error()}
 }

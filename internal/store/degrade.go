@@ -7,12 +7,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/errs"
 	"repro/internal/obs"
 )
 
 // ErrDegraded is returned by writes while the guard holds the store in
 // read-only mode.  The server maps it to the wire code "degraded".
-var ErrDegraded = errors.New("store: degraded (read-only)")
+var ErrDegraded = errs.ErrDegraded
 
 // GuardDefaults are the zero-value substitutions for GuardOpts.
 const (

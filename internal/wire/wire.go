@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/command"
+	"repro/internal/errs"
 )
 
 // MaxFrame bounds one frame's payload.  A frame whose declared length
@@ -249,7 +250,7 @@ type Error struct {
 }
 
 // The wire error codes.  Each corresponds to one sentinel of the shared
-// taxonomy (or a protocol-level failure); the client reconstitutes
+// taxonomy (Errors) or a protocol-level failure; the client reconstitutes
 // errors.Is behaviour from them.
 const (
 	// CodeUsage maps errs.ErrUsage: a malformed or ineligible request.
@@ -286,6 +287,35 @@ const (
 	// CodeInternal reports a server-side failure matching no sentinel.
 	CodeInternal = "internal"
 )
+
+// Errors pairs each sentinel-carrying code with its sentinel, in the
+// order the server tries them: an error travels under the code of the
+// first sentinel it wraps (CodeOf), and the client's error for a code
+// matches that code's sentinel.
+var Errors = []struct {
+	Code string
+	Err  error
+}{
+	{CodeQuit, errs.ErrQuit},
+	{CodeQuota, errs.ErrQuota},
+	{CodeClosed, errs.ErrClosed},
+	{CodeDegraded, errs.ErrDegraded},
+	{CodeNotLeader, errs.ErrNotLeader},
+	{CodeUsage, errs.ErrUsage},
+	{CodeNotFound, errs.ErrNotFound},
+	{CodeCancelled, errs.ErrCancelled},
+}
+
+// CodeOf returns the wire code err travels under: the code of the first
+// sentinel in Errors it wraps, CodeInternal when it wraps none.
+func CodeOf(err error) string {
+	for _, e := range Errors {
+		if errors.Is(err, e.Err) {
+			return e.Code
+		}
+	}
+	return CodeInternal
+}
 
 // JobEvent is one job lifecycle transition, pushed to the connection
 // whose session owns the job when its Hello set Notify: submit a solve,
