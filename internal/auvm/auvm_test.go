@@ -13,6 +13,7 @@ import (
 	"repro/internal/command"
 	"repro/internal/errs"
 	"repro/internal/fem"
+	"repro/internal/linalg"
 	"repro/internal/navm"
 	"repro/internal/obs"
 )
@@ -179,6 +180,24 @@ func TestSolveParallelThroughSession(t *testing.T) {
 // solve before its first iteration, and the reply is still the parallel
 // one — the workers, no iterations, the makespan the check of the load's
 // norm cost — and that check's flops reach navm.flops.
+// TestJacobiDivergenceStopsAtOnce: plain Jacobi diverges on the clamped
+// plate, and the solve, sequential and on four workers, reports the
+// divergence at the first non-finite residual (iteration 526 of a 33 600
+// budget) instead of running out its budget.
+func TestJacobiDivergenceStopsAtOnce(t *testing.T) {
+	s := newSession(t)
+	s.RT = navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))
+	mustExec(t, s, "generate grid g 12 6 12 6 clamp-left")
+	mustExec(t, s, "load g l endload 0 -1000")
+	for _, line := range []string{"solve g l method jacobi", "solve g l method jacobi parallel 4"} {
+		_, err := s.Execute(line)
+		var ce *linalg.ConvergenceError
+		if !errors.As(err, &ce) || !ce.Diverged || ce.Iterations >= 1000 {
+			t.Errorf("%s: %v (%+v), want divergence reported below iteration 1000", line, err, ce)
+		}
+	}
+}
+
 func TestParallelZeroLoadReportsItsCost(t *testing.T) {
 	s := newSession(t)
 	rt := navm.NewRuntime(arch.MustNew(arch.DefaultConfig()))

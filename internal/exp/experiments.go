@@ -745,8 +745,8 @@ func E12SolverComparison(n, workers int) (*Table, error) {
 		ID:      "E12",
 		Title:   fmt.Sprintf("parallel solver comparison, %d dofs on %d workers", k.N, workers),
 		Columns: []string{"method", "iterations", "Mflops", "halo.Mwords", "makespan", "converged"},
-		Notes: "CG < multi-colour SOR < Jacobi in iterations; plain Jacobi often exhausts its budget " +
-			"on plate problems — the 1980s reason the FEM machines moved to coloured SOR and CG",
+		Notes: "CG < multi-colour SOR in iterations; plain Jacobi diverges on plate problems and stops at " +
+			"its first non-finite residual — the 1980s reason the FEM machines moved to coloured SOR and CG",
 	}
 	// SOR runs at ω = 1.8; an omega of 0 selects the default.
 	runs := []struct {

@@ -258,22 +258,50 @@ func TestConvergenceErrorCarriesFinalState(t *testing.T) {
 	}
 }
 
+// budgetSystem is an n×n grid system no method here solves to an
+// unreachable tolerance in finite steps, with its load e₀: the Poisson
+// stencil plus a skew-symmetric coupling of ±½ between neighbours.  Its
+// symmetric part is the Poisson matrix, so pᵀAp > 0 and CG never breaks
+// down, but CG's recurrences assume symmetry and its residual stalls;
+// Jacobi and SOR reach rounding level and stay there.
+func budgetSystem(n int) (*CSR, Vector) {
+	var ts []Triplet
+	for i := 0; i < n*n; i++ {
+		ts = append(ts, Triplet{Row: i, Col: i, Val: 4})
+		for _, nb := range []struct {
+			col  int
+			in   bool
+			coef float64
+		}{{i - n, i >= n, -0.5}, {i + n, i < n*n-n, -1.5}, {i - 1, i%n > 0, -0.5}, {i + 1, i%n < n-1, -1.5}} {
+			if nb.in {
+				ts = append(ts, Triplet{Row: i, Col: nb.col, Val: nb.coef})
+			}
+		}
+	}
+	a, err := NewCSRFromTriplets(n*n, ts)
+	if err != nil {
+		panic(err)
+	}
+	b := NewVector(n * n)
+	b[0] = 1
+	return a, b
+}
+
 // budgetOf returns the iteration budget the sequential route gives the
-// named method on an n×n Poisson grid by default: a NaN load never
-// converges, so the solve runs its whole budget.
+// named method on an n×n grid by default, read off a finite solve of
+// budgetSystem at a tolerance no residual meets, which so runs its whole
+// budget.
 func budgetOf(t *testing.T, name string, n int) int {
 	t.Helper()
-	a := poisson2D(n)
-	b := NewVector(a.N)
-	b.Fill(math.NaN())
+	a, b := budgetSystem(n)
 	s, err := Backend(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := s.Solve(context.Background(), nil, a, 0, b, nil, nil, IterOpts{})
+	_, info, err := s.Solve(context.Background(), nil, a, 0, b, nil, nil, IterOpts{Tol: math.SmallestNonzeroFloat64})
 	var ce *ConvergenceError
-	if !errors.As(err, &ce) || ce.Iterations != info.Iterations {
-		t.Fatalf("%s on a NaN load: %v after %d iterations", name, err, info.Iterations)
+	if !errors.As(err, &ce) || ce.Diverged || ce.Iterations != info.Iterations {
+		t.Fatalf("%s at an unreachable tolerance: %v after %d iterations", name, err, info.Iterations)
 	}
 	return ce.Iterations
 }

@@ -84,6 +84,9 @@ func oracleCG(ctx context.Context, a operator, b Vector, m Preconditioner, opts 
 		if resid <= opts.Tol {
 			return x, iter, resid, nil
 		}
+		if diverged(resid) {
+			return x, iter, resid, &ConvergenceError{Backend: cgName(m), Iterations: iter, Residual: resid, Diverged: true}
+		}
 		beta := rzNew / rz
 		for i := range p {
 			p[i] = z[i] + beta*p[i]
@@ -162,6 +165,9 @@ func oracleJacobi(ctx context.Context, a *CSR, b Vector, opts IterOpts, st *Stat
 		if resid <= opts.Tol {
 			return x.Clone(), iter, resid, nil
 		}
+		if diverged(resid) {
+			return x.Clone(), iter, resid, &ConvergenceError{Backend: BackendJacobi, Iterations: iter, Residual: resid, Diverged: true}
+		}
 	}
 	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: BackendJacobi, Iterations: opts.MaxIter, Residual: resid}
 }
@@ -231,6 +237,9 @@ func oracleSOR(ctx context.Context, a *CSR, b Vector, opts IterOpts, st *Stats, 
 		if resid <= opts.Tol {
 			return x.Clone(), iter, resid, nil
 		}
+		if diverged(resid) {
+			return x.Clone(), iter, resid, &ConvergenceError{Backend: BackendSOR, Iterations: iter, Residual: resid, Diverged: true}
+		}
 	}
 	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: BackendSOR, Iterations: opts.MaxIter, Residual: resid}
 }
@@ -295,6 +304,9 @@ func oracleMultiColorSOR(a *CSR, b Vector, c *Coloring, opts IterOpts, st *Stats
 		}
 		if resid <= opts.Tol {
 			return x, iter, nil
+		}
+		if diverged(resid) {
+			return x, iter, fmt.Errorf("%w: multi-colour SOR diverged at iteration %d", ErrNoConvergence, iter)
 		}
 	}
 	return x, opts.MaxIter, fmt.Errorf("%w: multi-colour SOR after %d iterations", ErrNoConvergence, opts.MaxIter)

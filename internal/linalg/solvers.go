@@ -15,27 +15,41 @@ import (
 // final residual and iteration count.
 var ErrNoConvergence = errors.New("linalg: iterative solver did not converge")
 
-// ConvergenceError reports an exhausted iteration budget.  It wraps
-// ErrNoConvergence (errors.Is matches) while carrying the state the
-// solver stopped in, so callers can decide whether the partial answer is
-// usable.
+// ConvergenceError reports an exhausted iteration budget or a diverged
+// iteration.  It wraps ErrNoConvergence (errors.Is matches) while
+// carrying the state the solver stopped in, so callers can decide whether
+// the partial answer is usable.
 type ConvergenceError struct {
 	// Backend names the solver that gave up.
 	Backend string
-	// Iterations is the budget that was exhausted.
+	// Iterations is the iteration the solver stopped at: the exhausted
+	// budget, or the first whose residual was not finite.
 	Iterations int
 	// Residual is the relative residual ‖r‖/‖b‖ at the final iteration.
 	Residual float64
+	// Diverged reports that the residual stopped being finite, which no
+	// further iteration can undo, so the solver stopped before its budget.
+	Diverged bool
 }
 
 // Error formats the failure with its final state.
 func (e *ConvergenceError) Error() string {
+	if e.Diverged {
+		return fmt.Sprintf("%v: %s diverged at iteration %d, residual %.3g",
+			ErrNoConvergence, e.Backend, e.Iterations, e.Residual)
+	}
 	return fmt.Sprintf("%v: %s after %d iterations, residual %.3g",
 		ErrNoConvergence, e.Backend, e.Iterations, e.Residual)
 }
 
 // Unwrap links the typed error to the ErrNoConvergence sentinel.
 func (e *ConvergenceError) Unwrap() error { return ErrNoConvergence }
+
+// diverged reports a residual that is no longer finite.  A NaN or an
+// infinity in the iterate stays there, so every kernel stops at the first
+// such residual, with a Diverged ConvergenceError, instead of running out
+// its budget.
+func diverged(resid float64) bool { return math.IsNaN(resid) || math.IsInf(resid, 0) }
 
 // IterOpts configures the iterative solvers.
 type IterOpts struct {
@@ -203,6 +217,9 @@ func CG(ctx context.Context, a *CSR, b Vector, m Preconditioner, _ [][]int, opts
 		if resid <= opts.Tol {
 			return x, iter, resid, nil
 		}
+		if diverged(resid) {
+			return x, iter, resid, &ConvergenceError{Backend: cgName(m), Iterations: iter, Residual: resid, Diverged: true}
+		}
 		if iter == opts.MaxIter {
 			break
 		}
@@ -242,7 +259,7 @@ func diagonal(method string, a *CSR, ws *IterWork) (Vector, error) {
 }
 
 // stationary iterates a stationary method (Jacobi, SOR) from x until the
-// relative residual meets opts.Tol: each iteration is the method's sweep,
+// relative residual meets opts.Tol or stops being finite: each iteration is the method's sweep,
 // which returns the new iterate, then the residual check, a reduction
 // every block waits for.  The returned solution is detached from the
 // workspace with a single Clone at each exit.
@@ -271,13 +288,18 @@ func stationary(ctx context.Context, backend string, a *CSR, b Vector, opts Iter
 		if resid <= opts.Tol {
 			return x.Clone(), iter, resid, nil
 		}
+		if diverged(resid) {
+			return x.Clone(), iter, resid, &ConvergenceError{Backend: backend, Iterations: iter, Residual: resid, Diverged: true}
+		}
 	}
 	return x.Clone(), opts.MaxIter, resid, &ConvergenceError{Backend: backend, Iterations: opts.MaxIter, Residual: resid}
 }
 
 // Jacobi is the Jacobi iteration kernel.  A must have non-zero diagonal;
-// convergence requires A (after constraint application) to be diagonally
-// dominant enough, which the FEM systems here are for modest meshes.
+// convergence requires the iteration matrix's spectral radius below 1,
+// which diagonal dominance gives.  A bar chain's system has it; the
+// plane-stress plates here do not, and there Jacobi diverges: it stops at
+// the first non-finite residual with a diverged ConvergenceError.
 // Jacobi is the most naturally parallel method — every component update
 // is independent — which is why the FEM-1/FEM-2 literature leaned on it:
 // a sweep reads the halo once, and the residual check is the only

@@ -324,11 +324,39 @@ func TestEveryExitReportsItsCost(t *testing.T) {
 	}
 }
 
+// budgetSystem is linalg's budget fixture: an n×n grid system no method
+// solves to an unreachable tolerance in finite steps, the Poisson stencil
+// plus a skew-symmetric coupling of ±½ between neighbours (CG's
+// recurrences assume symmetry, so its residual stalls), with load e₀.
+func budgetSystem(n int) (*linalg.CSR, linalg.Vector) {
+	var ts []linalg.Triplet
+	for i := 0; i < n*n; i++ {
+		ts = append(ts, linalg.Triplet{Row: i, Col: i, Val: 4})
+		for _, nb := range []struct {
+			col  int
+			in   bool
+			coef float64
+		}{{i - n, i >= n, -0.5}, {i + n, i < n*n-n, -1.5}, {i - 1, i%n > 0, -0.5}, {i + 1, i%n < n-1, -1.5}} {
+			if nb.in {
+				ts = append(ts, linalg.Triplet{Row: i, Col: nb.col, Val: nb.coef})
+			}
+		}
+	}
+	a, err := linalg.NewCSRFromTriplets(n*n, ts)
+	if err != nil {
+		panic(err)
+	}
+	b := linalg.NewVector(n * n)
+	b[0] = 1
+	return a, b
+}
+
 // TestDefaultBudgets pins the default budget of each distributed method,
 // the sequential method's: cg 10·n floored at 200, jacobi 200·n and sor
-// 100·n, read off solves of a NaN load, which never converge and so run
-// their whole budget; and the MaxIterCeiling cap, which only a system of
-// over 20 000 unknowns reaches, off the defaults the cg row gives.
+// 100·n, read off finite solves of budgetSystem at a tolerance no
+// residual meets, which so run their whole budget; and the MaxIterCeiling
+// cap, which only a system of over 20 000 unknowns reaches, off the
+// defaults the cg row gives.
 func TestDefaultBudgets(t *testing.T) {
 	for _, c := range []struct {
 		method  string
@@ -339,14 +367,12 @@ func TestDefaultBudgets(t *testing.T) {
 		{linalg.BackendJacobi, 2, 800},
 		{linalg.BackendSOR, 2, 400},
 	} {
-		a := poisson2D(c.n)
-		b := linalg.NewVector(a.N)
-		b.Fill(math.NaN())
+		a, b := budgetSystem(c.n)
 		d, _ := Partition(a, b, 2)
 		rt := newSolveRuntime(t, 1, 3)
-		_, st, err := rt.Solve(context.Background(), d, c.method, linalg.IterOpts{})
+		_, st, err := rt.Solve(context.Background(), d, c.method, linalg.IterOpts{Tol: math.SmallestNonzeroFloat64})
 		var ce *linalg.ConvergenceError
-		if !errors.As(err, &ce) || ce.Iterations != c.want || st.Iterations != c.want {
+		if !errors.As(err, &ce) || ce.Diverged || ce.Iterations != c.want || st.Iterations != c.want {
 			t.Errorf("%s on %d unknowns: %v after %d iterations, want a budget of %d", c.method, a.N, err, st.Iterations, c.want)
 		}
 	}

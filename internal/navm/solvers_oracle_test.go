@@ -124,6 +124,11 @@ func (rt *Runtime) oracleParallelCG(ctx context.Context, d *DistSystem, opts lin
 			stats.ResidualNorm = resid
 			break
 		}
+		if math.IsNaN(resid) || math.IsInf(resid, 0) {
+			stats.ResidualNorm = resid
+			finalizeStats(rt, &stats, st)
+			return x, stats, &linalg.ConvergenceError{Backend: "parallel-cg", Iterations: iter, Residual: resid, Diverged: true}
+		}
 		if iter == maxIter {
 			stats.ResidualNorm = resid
 			finalizeStats(rt, &stats, st)
@@ -295,6 +300,11 @@ func (rt *Runtime) oracleParallelJacobi(ctx context.Context, d *DistSystem, opts
 			stats.ResidualNorm = resid
 			break
 		}
+		if math.IsNaN(resid) || math.IsInf(resid, 0) {
+			stats.ResidualNorm = resid
+			finalizeStats(rt, &stats, st)
+			return x, stats, &linalg.ConvergenceError{Backend: "parallel-jacobi", Iterations: iter, Residual: resid, Diverged: true}
+		}
 		if iter == maxIter {
 			stats.ResidualNorm = resid
 			finalizeStats(rt, &stats, st)
@@ -398,6 +408,11 @@ func (rt *Runtime) oracleParallelMultiColorSOR(ctx context.Context, d *DistSyste
 		if resid <= opts.Tol {
 			stats.ResidualNorm = resid
 			break
+		}
+		if math.IsNaN(resid) || math.IsInf(resid, 0) {
+			stats.ResidualNorm = resid
+			finalizeStats(rt, &stats, st)
+			return x, stats, &linalg.ConvergenceError{Backend: "parallel-multicolor-sor", Iterations: iter, Residual: resid, Diverged: true}
 		}
 		if iter == maxIter {
 			stats.ResidualNorm = resid
