@@ -157,7 +157,7 @@ func TestBusyModelRefusesAndQueues(t *testing.T) {
 	localAndWire(t, func(t *testing.T, d doer) {
 		ctx := context.Background()
 		busyPlate(t, d)
-		sub, err := d.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "g", Set: "tip", Method: fem2.SolveJacobi}})
+		sub, err := d.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "g", Set: "tip", Method: fem2.SolveSOR}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func TestCancelMidSolveLeavesStateUnchanged(t *testing.T) {
 	}
 
 	// A slow iterative solve, cancelled as soon as it is running.
-	id, err := s.SubmitAsync(ctx, command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi})
+	id, err := s.SubmitAsync(ctx, command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})
 	if err != nil {
 		t.Fatal(err)
 	}

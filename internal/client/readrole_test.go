@@ -88,7 +88,7 @@ func TestPipelinedCallersGetTheirOwnReplies(t *testing.T) {
 	// A slow iterative solve, waited on while others overtake it.
 	do(fem2.GenerateGrid{Name: "big", NX: 40, NY: 40, W: 40, H: 40, ClampLeft: true})
 	do(fem2.EndLoad{Model: "big", Set: "l", FY: -1000})
-	slow := do(fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "big", Set: "l", Method: fem2.SolveJacobi}}).(*fem2.SubmitResult).ID
+	slow := do(fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "big", Set: "l", Method: fem2.SolveSOR}}).(*fem2.SubmitResult).ID
 	for do(fem2.StatusCommand{ID: slow}).(*fem2.JobStatusResult).State != fem2.JobRunningName {
 		time.Sleep(time.Millisecond)
 	}

@@ -191,17 +191,17 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 	}
 	canonical, failed := 0, 0
 	// Sorted, so that the seed decides the values.
-	verbs, kinds := make([]string, 0, len(commandVerbs)), make([]string, 0, len(resultKinds))
-	for verb := range commandVerbs {
-		verbs = append(verbs, verb)
+	names, kinds := make([]string, 0, len(cmdByVerb)), make([]string, 0, len(resultKinds))
+	for verb := range cmdByVerb {
+		names = append(names, verb)
 	}
 	for kind := range resultKinds {
 		kinds = append(kinds, kind)
 	}
-	sort.Strings(verbs)
+	sort.Strings(names)
 	sort.Strings(kinds)
-	for _, verb := range verbs {
-		row := commandVerbs[verb]
+	for _, verb := range names {
+		row := cmdByVerb[verb]
 		if row.typ == submitType {
 			continue
 		}
@@ -220,7 +220,7 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 			}
 			got, gerr = MarshalCommand(ptr.Interface().(Command))
 			same(ptr.Interface(), got, gerr, want, nil)
-			if !row.props.Has(NotAJob) {
+			if !row.row.props.Has(NotAJob) {
 				sub := Submit{Cmd: cmd}
 				got, gerr = MarshalCommand(sub)
 				want, werr = oracleMarshalCommand(sub)

@@ -22,8 +22,6 @@ package command
 import (
 	"fmt"
 	"reflect"
-	"strconv"
-	"strings"
 )
 
 // Command is one typed AUVM request: a verb plus its arguments, built
@@ -37,8 +35,8 @@ type Command interface {
 
 // Method selects a solver backend by name (see linalg.Backends).  The
 // zero value selects the interpreter's default (banded Cholesky).  The
-// parser validates names against linalg's method table, so a backend
-// added to it is immediately speakable.
+// solve row's signature lists linalg's method table, so the parser, the
+// help text and the table name the same backends.
 type Method string
 
 // The built-in solver backends of the solve verb.
@@ -187,9 +185,9 @@ type EndLoad struct {
 
 // Solve solves a model/load-set pair for displacements.  Exactly one
 // strategy applies: Substructures > 0 condenses that many substructures
-// in parallel; otherwise Parallel > 0 runs distributed CG on that many
-// simulated workers; otherwise the sequential Method runs (zero value =
-// Cholesky).
+// in parallel; otherwise Parallel > 0 runs the Method's distributed
+// variant on that many simulated workers; otherwise the sequential Method
+// runs (zero value = Cholesky).
 type Solve struct {
 	// Model and Set name the system to solve.
 	Model, Set string
@@ -386,155 +384,36 @@ func Value(cmd Command) Command {
 	return cmd
 }
 
-// g renders a float in the shortest form that round-trips through Parse.
-func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// String renders the canonical command line.
-func (Help) String() string { return "help" }
-
-// String renders the canonical command line.
-func (Ping) String() string { return "ping" }
-
-// String renders the canonical command line.
-func (Version) String() string { return "version" }
-
-// String renders the canonical command line.
-func (Stats) String() string { return "stats" }
-
-// String renders the canonical command line.
-func (Quit) String() string { return "quit" }
-
-// String renders the canonical command line.
-func (c Define) String() string { return "define structure " + c.Name }
-
-// String renders the canonical command line.
-func (c SetMaterial) String() string {
-	return fmt.Sprintf("material %s %s %s %s", g(c.E), g(c.Nu), g(c.T), g(c.A))
-}
-
-// String renders the canonical command line.
-func (c GenerateGrid) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "generate grid %s %d %d %s %s", c.Name, c.NX, c.NY, g(c.W), g(c.H))
-	if c.ClampLeft {
-		b.WriteString(" clamp-left")
-	}
-	if c.Jitter != 0 || c.Seed != 0 {
-		fmt.Fprintf(&b, " jitter %s %d", g(c.Jitter), c.Seed)
-	}
-	return b.String()
-}
-
-// String renders the canonical command line.
-func (c GenerateTruss) String() string {
-	return fmt.Sprintf("generate truss %s %d %s %s", c.Name, c.Bays, g(c.BayLen), g(c.Height))
-}
-
-// String renders the canonical command line.
-func (c GenerateBar) String() string {
-	return fmt.Sprintf("generate bar %s %d %s", c.Name, c.Segments, g(c.Length))
-}
-
-// String renders the canonical command line.
-func (c AddNode) String() string {
-	return fmt.Sprintf("node %s %s %s", c.Model, g(c.X), g(c.Y))
-}
-
-// String renders the canonical command line.
-func (c AddBar) String() string {
-	return fmt.Sprintf("element bar %s %d %d", c.Model, c.N1, c.N2)
-}
-
-// String renders the canonical command line.
-func (c AddCST) String() string {
-	return fmt.Sprintf("element cst %s %d %d %d", c.Model, c.N1, c.N2, c.N3)
-}
-
-// String renders the canonical command line.
-func (c FixNode) String() string { return fmt.Sprintf("fix node %s %d", c.Model, c.Node) }
-
-// String renders the canonical command line.
-func (c FixDOF) String() string { return fmt.Sprintf("fix dof %s %d", c.Model, c.DOF) }
-
-// String renders the canonical command line.
-func (c DefineLoadSet) String() string { return fmt.Sprintf("loadset %s %s", c.Model, c.Set) }
-
-// String renders the canonical command line.
-func (c AddLoad) String() string {
-	return fmt.Sprintf("load %s %s %d %s", c.Model, c.Set, c.DOF, g(c.Value))
-}
-
-// String renders the canonical command line.
-func (c EndLoad) String() string {
-	return fmt.Sprintf("load %s %s endload %s %s", c.Model, c.Set, g(c.FX), g(c.FY))
-}
-
-// String renders the canonical command line.
-// Every submit reply carries it, so it is appended, not formatted.
-func (c Solve) String() string {
-	var buf [64]byte
-	b := append(buf[:0], "solve "...)
-	b = append(append(append(b, c.Model...), ' '), c.Set...)
-	if c.Method != "" {
-		b = append(append(b, " method "...), c.Method...)
-	}
-	if c.Precond != "" {
-		b = append(append(b, " precond "...), c.Precond...)
-	}
-	if c.Parallel > 0 {
-		b = strconv.AppendInt(append(b, " parallel "...), int64(c.Parallel), 10)
-	}
-	if c.Substructures > 0 {
-		b = strconv.AppendInt(append(b, " substructures "...), int64(c.Substructures), 10)
-	}
-	return string(b)
-}
-
-// String renders the canonical command line.
-func (c Stresses) String() string { return "stresses " + c.Model }
-
-// String renders the canonical command line.
-func (c Display) String() string { return fmt.Sprintf("display %s %s", c.What, c.Model) }
-
-// String renders the canonical command line.
-func (c Store) String() string { return "store " + c.Model }
-
-// String renders the canonical command line.
-func (c Retrieve) String() string { return "retrieve " + c.Name }
-
-// String renders the canonical command line.
-func (c Delete) String() string { return "delete " + c.Name }
-
-// String renders the canonical command line.
-func (c List) String() string { return fmt.Sprintf("list %s", c.What) }
-
-// String renders the canonical command line.
-func (c Snapshot) String() string { return "snapshot " + c.Path }
-
-// String renders the canonical command line.
-func (c Restore) String() string { return "restore " + c.Path }
-
-// String renders the canonical command line.
-func (c Submit) String() string { return "submit " + c.Cmd.String() }
-
-// String renders the canonical command line.
-func (c Status) String() string { return fmt.Sprintf("status job-%d", c.ID) }
-
-// String renders the canonical command line.
-func (c Wait) String() string { return fmt.Sprintf("wait job-%d", c.ID) }
-
-// String renders the canonical command line.
-func (c Cancel) String() string { return fmt.Sprintf("cancel job-%d", c.ID) }
-
-// String renders the canonical command line.
-func (c Jobs) String() string {
-	var b strings.Builder
-	b.WriteString("jobs")
-	if c.Owner != "" {
-		fmt.Fprintf(&b, " user %s", c.Owner)
-	}
-	if c.State != "" {
-		fmt.Fprintf(&b, " state %s", c.State)
-	}
-	return b.String()
-}
+// String renders the canonical command line from the verb's row.
+func (c Help) String() string          { return line(c) }
+func (c Ping) String() string          { return line(c) }
+func (c Version) String() string       { return line(c) }
+func (c Stats) String() string         { return line(c) }
+func (c Quit) String() string          { return line(c) }
+func (c Define) String() string        { return line(c) }
+func (c SetMaterial) String() string   { return line(c) }
+func (c GenerateGrid) String() string  { return line(c) }
+func (c GenerateTruss) String() string { return line(c) }
+func (c GenerateBar) String() string   { return line(c) }
+func (c AddNode) String() string       { return line(c) }
+func (c AddBar) String() string        { return line(c) }
+func (c AddCST) String() string        { return line(c) }
+func (c FixNode) String() string       { return line(c) }
+func (c FixDOF) String() string        { return line(c) }
+func (c DefineLoadSet) String() string { return line(c) }
+func (c AddLoad) String() string       { return line(c) }
+func (c EndLoad) String() string       { return line(c) }
+func (c Solve) String() string         { return line(c) }
+func (c Stresses) String() string      { return line(c) }
+func (c Display) String() string       { return line(c) }
+func (c Store) String() string         { return line(c) }
+func (c Retrieve) String() string      { return line(c) }
+func (c Delete) String() string        { return line(c) }
+func (c List) String() string          { return line(c) }
+func (c Snapshot) String() string      { return line(c) }
+func (c Restore) String() string       { return line(c) }
+func (c Submit) String() string        { return line(c) }
+func (c Status) String() string        { return line(c) }
+func (c Wait) String() string          { return line(c) }
+func (c Cancel) String() string        { return line(c) }
+func (c Jobs) String() string          { return line(c) }

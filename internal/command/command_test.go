@@ -156,61 +156,6 @@ func TestParseUsageErrors(t *testing.T) {
 	}
 }
 
-// TestRoundTrip checks Parse(cmd.String()) reproduces the command for
-// every verb: the canonical rendering and the parser are inverses.
-func TestRoundTrip(t *testing.T) {
-	cmds := []Command{
-		Help{},
-		Ping{},
-		Version{},
-		Quit{},
-		Define{Name: "wing"},
-		SetMaterial{E: 200000, Nu: 0.3, T: 10, A: 2000},
-		GenerateGrid{Name: "g", NX: 16, NY: 8, W: 16.5, H: 8.25},
-		GenerateGrid{Name: "g", NX: 4, NY: 3, W: 4, H: 3, ClampLeft: true},
-		GenerateGrid{Name: "g", NX: 4, NY: 3, W: 4, H: 3, ClampLeft: true, Jitter: 0.125, Seed: 42},
-		GenerateTruss{Name: "tr", Bays: 4, BayLen: 100, Height: 80},
-		GenerateBar{Name: "b", Segments: 10, Length: 100},
-		AddNode{Model: "m", X: 1.5, Y: -2.25},
-		AddBar{Model: "m", N1: 0, N2: 1},
-		AddCST{Model: "m", N1: 0, N2: 1, N3: 2},
-		FixNode{Model: "m", Node: 0},
-		FixDOF{Model: "m", DOF: 3},
-		DefineLoadSet{Model: "m", Set: "ls"},
-		AddLoad{Model: "m", Set: "ls", DOF: 3, Value: -50.5},
-		EndLoad{Model: "m", Set: "ls", FX: 0, FY: -1000},
-		Solve{Model: "m", Set: "ls"},
-		Solve{Model: "m", Set: "ls", Method: MethodCG},
-		Solve{Model: "m", Set: "ls", Method: MethodCholeskyRCM},
-		Solve{Model: "m", Set: "ls", Method: MethodCholeskyEnv},
-		Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("jacobi")},
-		Solve{Model: "m", Set: "ls", Method: MethodCG, Precond: Precond("ssor"), Parallel: 2},
-		Solve{Model: "m", Set: "ls", Parallel: 8},
-		Solve{Model: "m", Set: "ls", Substructures: 4},
-		Solve{Model: "m", Set: "ls", Method: MethodSOR, Parallel: 2, Substructures: 3},
-		Stresses{Model: "m"},
-		Display{What: DisplayModel, Model: "m"},
-		Display{What: DisplayDisplacements, Model: "m"},
-		Display{What: DisplayStresses, Model: "m"},
-		Store{Model: "m"},
-		Retrieve{Name: "m"},
-		Delete{Name: "m"},
-		List{What: ListDB},
-		List{What: ListWorkspace},
-	}
-	for _, cmd := range cmds {
-		line := cmd.String()
-		got, err := Parse(line)
-		if err != nil {
-			t.Errorf("Parse(%v.String() = %q): %v", cmd, line, err)
-			continue
-		}
-		if !reflect.DeepEqual(got, cmd) {
-			t.Errorf("round trip via %q: got %#v, want %#v", line, got, cmd)
-		}
-	}
-}
-
 // TestResultRenderings spot-checks the result String forms the REPL
 // displays, including the variants that branch on result fields.
 func TestResultRenderings(t *testing.T) {

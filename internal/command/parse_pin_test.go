@@ -21,48 +21,48 @@ var parseErrorPins = []struct{ line, err string }{
 	{"define structure a b", "usage: define structure <name>"},
 	{"material 1 2 3", "usage: material <E> <nu> <thickness> <area>"},
 	{"material x 2 3 4", "usage: numeric argument expected, got \"x\""},
-	{"generate", "usage: generate grid|truss|bar <name> ..."},
+	{"generate", "usage: generate grid|truss|bar"},
 	{"generate grid g", "usage: generate grid <name> <nx> <ny> <w> <h> [clamp-left] [jitter <frac> <seed>]"},
-	{"generate grid g a b c d", "usage: generate grid: numeric arguments required"},
+	{"generate grid g a b c d", "usage: integer argument expected, got \"a\""},
 	{"generate grid g 1 1 1 1 wat", "usage: unknown grid option \"wat\""},
 	{"generate grid g 1 1 1 1 jitter 0.1", "usage: jitter <frac> <seed>"},
-	{"generate grid g 1 1 1 1 jitter x 1", "usage: jitter fraction \"x\""},
-	{"generate grid g 1 1 1 1 jitter 0.1 x", "usage: jitter seed \"x\""},
+	{"generate grid g 1 1 1 1 jitter x 1", "usage: numeric argument expected, got \"x\""},
+	{"generate grid g 1 1 1 1 jitter 0.1 x", "usage: integer argument expected, got \"x\""},
 	{"generate truss t 1 2", "usage: generate truss <name> <bays> <baylen> <height>"},
-	{"generate truss t a b c", "usage: generate truss: numeric arguments required"},
+	{"generate truss t a b c", "usage: integer argument expected, got \"a\""},
 	{"generate bar b 1", "usage: generate bar <name> <segments> <length>"},
-	{"generate bar b a b", "usage: generate bar: numeric arguments required"},
+	{"generate bar b a b", "usage: integer argument expected, got \"a\""},
 	{"generate sphere s 1", "usage: generate grid|truss|bar"},
 	{"node m 1", "usage: node <model> <x> <y>"},
-	{"node m a b", "usage: node coordinates must be numeric"},
-	{"element", "usage: element bar|cst <model> <nodes...>"},
+	{"node m a b", "usage: numeric argument expected, got \"a\""},
+	{"element", "usage: element bar|cst"},
 	{"element bar m 1", "usage: element bar <model> <n1> <n2>"},
 	{"element bar m a b", "usage: integer argument expected, got \"a\""},
 	{"element cst m 1 2", "usage: element cst <model> <n1> <n2> <n3>"},
 	{"element wedge m 1 2", "usage: element bar|cst"},
-	{"fix node m", "usage: fix node|dof <model> <index>"},
+	{"fix node m", "usage: fix node <model> <n>"},
 	{"fix wat m 1", "usage: fix node|dof"},
-	{"fix node m x", "usage: fix index \"x\""},
+	{"fix node m x", "usage: integer argument expected, got \"x\""},
 	{"loadset m", "usage: loadset <model> <name>"},
 	{"load m", "usage: load <model> <set> <dof> <value>"},
-	{"load m ls x 1", "usage: load dof/value must be numeric"},
-	{"load m ls endload x 1", "usage: endload forces must be numeric"},
-	{"solve m", "usage: solve <model> <set> [method <backend>] [precond <p>] [parallel <p>] [substructures <k>]"},
+	{"load m ls x 1", "usage: integer argument expected, got \"x\""},
+	{"load m ls endload x 1", "usage: numeric argument expected, got \"x\""},
+	{"solve m", "usage: solve <model> <set> [method cg|cholesky|cholesky-env|cholesky-rcm|jacobi|sor] [precond none|jacobi|ssor] [parallel <p>] [substructures <k>]"},
 	{"solve m ls method", "usage: method cg|cholesky|cholesky-env|cholesky-rcm|jacobi|sor"},
 	{"solve m ls method gauss", "usage: unknown method \"gauss\" (have cg|cholesky|cholesky-env|cholesky-rcm|jacobi|sor)"},
 	{"solve m ls parallel", "usage: parallel <p>"},
-	{"solve m ls parallel 0", "usage: parallel worker count \"0\""},
-	{"solve m ls parallel x", "usage: parallel worker count \"x\""},
-	{"solve m ls substructures 0", "usage: substructure count \"0\""},
+	{"solve m ls parallel 0", "usage: parallel wants a count of at least 1, got \"0\""},
+	{"solve m ls parallel x", "usage: integer argument expected, got \"x\""},
+	{"solve m ls substructures 0", "usage: substructures wants a count of at least 1, got \"0\""},
 	{"solve m ls wat", "usage: unknown solve option \"wat\""},
 	{"stresses", "usage: stresses <model>"},
 	{"display model", "usage: display model|displacements|stresses <model>"},
-	{"display wat m", "usage: display model|displacements|stresses"},
+	{"display wat m", "usage: unknown display \"wat\" (have model|displacements|stresses)"},
 	{"store", "usage: store <model>"},
 	{"retrieve", "usage: retrieve <name>"},
 	{"delete", "usage: delete <name>"},
 	{"list", "usage: list db|workspace"},
-	{"list wat", "usage: list db|workspace"},
+	{"list wat", "usage: unknown list \"wat\" (have db|workspace)"},
 	{"submit", "usage: submit <command>"},
 	{"submit # just a comment", "usage: submit <command>"},
 	{"submit quit", "usage: \"quit\" cannot run as a job"},
@@ -78,13 +78,13 @@ var parseErrorPins = []struct{ line, err string }{
 	{"wait", "usage: wait <job>"},
 	{"cancel 1 2", "usage: cancel <job>"},
 	{"jobs wat", "usage: unknown jobs option \"wat\""},
-	{"jobs state limbo", "usage: unknown job state \"limbo\" (have queued|running|done|failed|cancelled)"},
-	{"jobs user", "usage: jobs user <name>"},
-	{"submit solve", "usage: solve <model> <set> [method <backend>] [precond <p>] [parallel <p>] [substructures <k>]"},
-	{"help me", ""},
+	{"jobs state limbo", "usage: unknown state \"limbo\" (have queued|running|done|failed|cancelled)"},
+	{"jobs user", "usage: user <name>"},
+	{"submit solve", "usage: solve <model> <set> [method cg|cholesky|cholesky-env|cholesky-rcm|jacobi|sor] [precond none|jacobi|ssor] [parallel <p>] [substructures <k>]"},
+	{"help me", "usage: help"},
 	{"stats now", "usage: stats"},
-	{"quit now", ""},
-	{"exit now", ""},
+	{"quit now", "usage: quit"},
+	{"exit now", "usage: quit"},
 	{"define", "usage: define structure <name>"},
 	{"define structures a", "usage: define structure <name>"},
 	{"material 1 x 3 4", "usage: numeric argument expected, got \"x\""},
@@ -92,33 +92,33 @@ var parseErrorPins = []struct{ line, err string }{
 	{"material 1 2 3 x", "usage: numeric argument expected, got \"x\""},
 	{"material 1 2 3 4 5", "usage: material <E> <nu> <thickness> <area>"},
 	{"material NaN 2 3 4", "usage: numeric argument expected, got \"NaN\""},
-	{"generate grid", "usage: generate grid|truss|bar <name> ..."},
-	{"generate grid g x 1 1 1", "usage: generate grid: numeric arguments required"},
-	{"generate grid g 1 x 1 1", "usage: generate grid: numeric arguments required"},
-	{"generate grid g 1 1 x 1", "usage: generate grid: numeric arguments required"},
-	{"generate grid g 1 1 1 x", "usage: generate grid: numeric arguments required"},
-	{"generate grid g 1 1 1 Inf", "usage: generate grid: numeric arguments required"},
-	{"generate grid g 1.5 1 1 1", "usage: generate grid: numeric arguments required"},
+	{"generate grid", "usage: generate grid <name> <nx> <ny> <w> <h> [clamp-left] [jitter <frac> <seed>]"},
+	{"generate grid g x 1 1 1", "usage: integer argument expected, got \"x\""},
+	{"generate grid g 1 x 1 1", "usage: integer argument expected, got \"x\""},
+	{"generate grid g 1 1 x 1", "usage: numeric argument expected, got \"x\""},
+	{"generate grid g 1 1 1 x", "usage: numeric argument expected, got \"x\""},
+	{"generate grid g 1 1 1 Inf", "usage: numeric argument expected, got \"Inf\""},
+	{"generate grid g 1.5 1 1 1", "usage: integer argument expected, got \"1.5\""},
 	{"generate grid g 1 1 1 1 clamp-left jitter 0.1", "usage: jitter <frac> <seed>"},
 	{"generate grid g 1 1 1 1 jitter", "usage: jitter <frac> <seed>"},
-	{"generate grid g 1 1 1 1 jitter NaN 1", "usage: jitter fraction \"NaN\""},
-	{"generate grid g 1 1 1 1 jitter 0.1 1.5", "usage: jitter seed \"1.5\""},
-	{"generate truss", "usage: generate grid|truss|bar <name> ..."},
+	{"generate grid g 1 1 1 1 jitter NaN 1", "usage: numeric argument expected, got \"NaN\""},
+	{"generate grid g 1 1 1 1 jitter 0.1 1.5", "usage: integer argument expected, got \"1.5\""},
+	{"generate truss", "usage: generate truss <name> <bays> <baylen> <height>"},
 	{"generate truss t", "usage: generate truss <name> <bays> <baylen> <height>"},
-	{"generate truss t x 1 1", "usage: generate truss: numeric arguments required"},
-	{"generate truss t 1 x 1", "usage: generate truss: numeric arguments required"},
-	{"generate truss t 1 1 x", "usage: generate truss: numeric arguments required"},
+	{"generate truss t x 1 1", "usage: integer argument expected, got \"x\""},
+	{"generate truss t 1 x 1", "usage: numeric argument expected, got \"x\""},
+	{"generate truss t 1 1 x", "usage: numeric argument expected, got \"x\""},
 	{"generate truss t 1 1 1 1", "usage: generate truss <name> <bays> <baylen> <height>"},
-	{"generate bar", "usage: generate grid|truss|bar <name> ..."},
-	{"generate bar b x 1", "usage: generate bar: numeric arguments required"},
-	{"generate bar b 1 x", "usage: generate bar: numeric arguments required"},
+	{"generate bar", "usage: generate bar <name> <segments> <length>"},
+	{"generate bar b x 1", "usage: integer argument expected, got \"x\""},
+	{"generate bar b 1 x", "usage: numeric argument expected, got \"x\""},
 	{"generate bar b 1 1 1", "usage: generate bar <name> <segments> <length>"},
 	{"node", "usage: node <model> <x> <y>"},
-	{"node m x 1", "usage: node coordinates must be numeric"},
-	{"node m 1 x", "usage: node coordinates must be numeric"},
+	{"node m x 1", "usage: numeric argument expected, got \"x\""},
+	{"node m 1 x", "usage: numeric argument expected, got \"x\""},
 	{"node m 1 1 1", "usage: node <model> <x> <y>"},
-	{"element bar", "usage: element bar|cst <model> <nodes...>"},
-	{"element bar m", "usage: element bar|cst <model> <nodes...>"},
+	{"element bar", "usage: element bar <model> <n1> <n2>"},
+	{"element bar m", "usage: element bar <model> <n1> <n2>"},
 	{"element bar m x 1", "usage: integer argument expected, got \"x\""},
 	{"element bar m 1 x", "usage: integer argument expected, got \"x\""},
 	{"element bar m 1 2 3", "usage: element bar <model> <n1> <n2>"},
@@ -126,31 +126,31 @@ var parseErrorPins = []struct{ line, err string }{
 	{"element cst m 1 x 2", "usage: integer argument expected, got \"x\""},
 	{"element cst m 1 2 x", "usage: integer argument expected, got \"x\""},
 	{"element cst m 1 2 3 4", "usage: element cst <model> <n1> <n2> <n3>"},
-	{"fix", "usage: fix node|dof <model> <index>"},
-	{"fix node", "usage: fix node|dof <model> <index>"},
-	{"fix node m 1 2", "usage: fix node|dof <model> <index>"},
-	{"fix dof m", "usage: fix node|dof <model> <index>"},
-	{"fix dof m x", "usage: fix index \"x\""},
-	{"fix dof m 1 2", "usage: fix node|dof <model> <index>"},
+	{"fix", "usage: fix node|dof"},
+	{"fix node", "usage: fix node <model> <n>"},
+	{"fix node m 1 2", "usage: fix node <model> <n>"},
+	{"fix dof m", "usage: fix dof <model> <d>"},
+	{"fix dof m x", "usage: integer argument expected, got \"x\""},
+	{"fix dof m 1 2", "usage: fix dof <model> <d>"},
 	{"loadset", "usage: loadset <model> <name>"},
 	{"loadset m ls x", "usage: loadset <model> <name>"},
 	{"load", "usage: load <model> <set> <dof> <value>"},
 	{"load m ls", "usage: load <model> <set> <dof> <value>"},
 	{"load m ls 1", "usage: load <model> <set> <dof> <value>"},
-	{"load m ls 1 x", "usage: load dof/value must be numeric"},
+	{"load m ls 1 x", "usage: numeric argument expected, got \"x\""},
 	{"load m ls 1 1 1", "usage: load <model> <set> <dof> <value>"},
-	{"load m ls endload", "usage: load <model> <set> <dof> <value>"},
-	{"load m ls endload 1", "usage: load dof/value must be numeric"},
-	{"load m ls endload 1 x", "usage: endload forces must be numeric"},
-	{"load m ls endload 1 1 1", "usage: load <model> <set> <dof> <value>"},
-	{"solve", "usage: solve <model> <set> [method <backend>] [precond <p>] [parallel <p>] [substructures <k>]"},
+	{"load m ls endload", "usage: load <model> <set> endload <fx> <fy>"},
+	{"load m ls endload 1", "usage: load <model> <set> endload <fx> <fy>"},
+	{"load m ls endload 1 x", "usage: numeric argument expected, got \"x\""},
+	{"load m ls endload 1 1 1", "usage: load <model> <set> endload <fx> <fy>"},
+	{"solve", "usage: solve <model> <set> [method cg|cholesky|cholesky-env|cholesky-rcm|jacobi|sor] [precond none|jacobi|ssor] [parallel <p>] [substructures <k>]"},
 	{"solve m ls extra", "usage: unknown solve option \"extra\""},
-	{"solve m ls precond", "usage: precond jacobi|ssor"},
-	{"solve m ls precond wat", "usage: unknown preconditioner \"wat\" (have jacobi|ssor)"},
+	{"solve m ls precond", "usage: precond none|jacobi|ssor"},
+	{"solve m ls precond wat", "usage: unknown precond \"wat\" (have none|jacobi|ssor)"},
 	{"solve m ls substructures", "usage: substructures <k>"},
-	{"solve m ls substructures x", "usage: substructure count \"x\""},
-	{"solve m ls parallel -2", "usage: parallel worker count \"-2\""},
-	{"solve m ls method cg precond", "usage: precond jacobi|ssor"},
+	{"solve m ls substructures x", "usage: integer argument expected, got \"x\""},
+	{"solve m ls parallel -2", "usage: parallel wants a count of at least 1, got \"-2\""},
+	{"solve m ls method cg precond", "usage: precond none|jacobi|ssor"},
 	{"stresses m n", "usage: stresses <model>"},
 	{"display", "usage: display model|displacements|stresses <model>"},
 	{"display model m n", "usage: display model|displacements|stresses <model>"},
@@ -163,7 +163,7 @@ var parseErrorPins = []struct{ line, err string }{
 	{"snapshot a b", "usage: snapshot <file>"},
 	{"restore", "usage: restore <file>"},
 	{"restore a b", "usage: restore <file>"},
-	{"submit help me", ""},
+	{"submit help me", "usage: help"},
 	{"submit frobnicate", "usage: unknown command \"frobnicate\" (try help)"},
 	{"status 1 2", "usage: status <job>"},
 	{"status job-x", "usage: job id \"job-x\""},
@@ -172,9 +172,9 @@ var parseErrorPins = []struct{ line, err string }{
 	{"wait 0", "usage: job id \"0\""},
 	{"cancel", "usage: cancel <job>"},
 	{"cancel x", "usage: job id \"x\""},
-	{"jobs state", "usage: jobs state queued|running|done|failed|cancelled"},
-	{"jobs state wat", "usage: unknown job state \"wat\" (have queued|running|done|failed|cancelled)"},
-	{"jobs user a state", "usage: jobs state queued|running|done|failed|cancelled"},
+	{"jobs state", "usage: state queued|running|done|failed|cancelled"},
+	{"jobs state wat", "usage: unknown state \"wat\" (have queued|running|done|failed|cancelled)"},
+	{"jobs user a state", "usage: state queued|running|done|failed|cancelled"},
 	{"jobs bogus x", "usage: unknown jobs option \"bogus\""},
 }
 
@@ -205,21 +205,30 @@ const pinnedHelp = `FEM-2 workstation commands:
   node <model> <x> <y>
   element bar <model> <n1> <n2>
   element cst <model> <n1> <n2> <n3>
-  fix node <model> <n> | fix dof <model> <d>
+  fix node <model> <n>
+  fix dof <model> <d>
   loadset <model> <name>
   load <model> <set> <dof> <value>
   load <model> <set> endload <fx> <fy>   (grid models)
-  solve <model> <set> [method cholesky|cholesky-rcm|cholesky-env|cg|sor|jacobi] [precond jacobi|ssor] [parallel <p>] [substructures <k>]
+  solve <model> <set> [method cg|cholesky|cholesky-env|cholesky-rcm|jacobi|sor] [precond none|jacobi|ssor] [parallel <p>] [substructures <k>]
   stresses <model>
   display model|displacements|stresses <model>
-  store <model> | retrieve <name> | delete <name>
-  list db | list workspace
-  snapshot <file> | restore <file>       (save/load the whole workspace)
+  store <model>
+  retrieve <name>
+  delete <name>
+  list db|workspace
+  snapshot <file>                        (save the whole workspace)
+  restore <file>                         (load a saved workspace)
   submit <command>                       (run asynchronously, returns a job id)
-  status <job> | wait <job> | cancel <job>
+  status <job>
+  wait <job>
+  cancel <job>
   jobs [user <name>] [state queued|running|done|failed|cancelled]
-  ping | version | stats
-  help | quit`
+  ping
+  version
+  stats
+  help
+  quit`
 
 // TestHelpTextPinned: the help verb displays exactly the pinned text.
 func TestHelpTextPinned(t *testing.T) {

@@ -15,18 +15,18 @@ import (
 // sortedVerbs lists the verb table's keys in the order both renderings
 // below use.
 func sortedVerbs() []string {
-	verbs := make([]string, 0, len(commandVerbs))
-	for verb := range commandVerbs {
-		verbs = append(verbs, verb)
+	names := make([]string, 0, len(cmdByVerb))
+	for verb := range cmdByVerb {
+		names = append(names, verb)
 	}
-	sort.Strings(verbs)
-	return verbs
+	sort.Strings(names)
+	return names
 }
 
 // zeroOf builds the zero command of a verb; the properties depend on the
 // type alone.
 func zeroOf(verb string) Command {
-	return reflect.New(commandVerbs[verb].typ).Elem().Interface().(Command)
+	return reflect.New(cmdByVerb[verb].typ).Elem().Interface().(Command)
 }
 
 // TestVerbSetsGolden pins every verb against the eight per-verb policy
@@ -78,7 +78,7 @@ func TestVerbSetsGolden(t *testing.T) {
 }
 
 // TestEveryCommandTypeHasAVerbRow reads the AST's own source: a struct
-// that implements Command but has no commandVerbs row would otherwise
+// that implements Command but has no verbs row would otherwise
 // get no properties and be served everywhere.  (A row without a reviewed
 // line in the golden fails TestVerbSetsGolden.)
 func TestEveryCommandTypeHasAVerbRow(t *testing.T) {
@@ -87,8 +87,8 @@ func TestEveryCommandTypeHasAVerbRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := map[string]bool{}
-	for _, row := range commandVerbs {
-		rows[row.typ.Name()] = true
+	for _, row := range verbs {
+		rows[reflect.TypeOf(row.cmd).Name()] = true
 	}
 	found := 0
 	for _, decl := range file.Decls {
@@ -99,11 +99,11 @@ func TestEveryCommandTypeHasAVerbRow(t *testing.T) {
 		found++
 		name := fn.Recv.List[0].Type.(*ast.Ident).Name
 		if !rows[name] {
-			t.Errorf("command type %s has no commandVerbs row", name)
+			t.Errorf("command type %s has no verbs row", name)
 		}
 	}
-	if found != len(commandVerbs) {
-		t.Errorf("%d command types, %d verb rows", found, len(commandVerbs))
+	if found != len(verbs) || len(cmdByVerb) != len(verbs) {
+		t.Errorf("%d command types, %d verb rows, %d wire verbs", found, len(verbs), len(cmdByVerb))
 	}
 }
 
@@ -143,7 +143,7 @@ func verbPropsTable() string {
 	for _, verb := range sortedVerbs() {
 		fmt.Fprintf(&b, "| `%s` |", verb)
 		for _, c := range cols {
-			if commandVerbs[verb].props.Has(c.flag) {
+			if cmdByVerb[verb].row.props.Has(c.flag) {
 				b.WriteString(" ✓ |")
 			} else {
 				b.WriteString("  |")

@@ -15,32 +15,6 @@ type Result interface {
 	isResult()
 }
 
-// HelpText is the command-language summary the help verb displays.
-const HelpText = `FEM-2 workstation commands:
-  define structure <name>
-  material <E> <nu> <thickness> <area>
-  generate grid <name> <nx> <ny> <w> <h> [clamp-left] [jitter <frac> <seed>]
-  generate truss <name> <bays> <baylen> <height>
-  generate bar <name> <segments> <length>
-  node <model> <x> <y>
-  element bar <model> <n1> <n2>
-  element cst <model> <n1> <n2> <n3>
-  fix node <model> <n> | fix dof <model> <d>
-  loadset <model> <name>
-  load <model> <set> <dof> <value>
-  load <model> <set> endload <fx> <fy>   (grid models)
-  solve <model> <set> [method cholesky|cholesky-rcm|cholesky-env|cg|sor|jacobi] [precond jacobi|ssor] [parallel <p>] [substructures <k>]
-  stresses <model>
-  display model|displacements|stresses <model>
-  store <model> | retrieve <name> | delete <name>
-  list db | list workspace
-  snapshot <file> | restore <file>       (save/load the whole workspace)
-  submit <command>                       (run asynchronously, returns a job id)
-  status <job> | wait <job> | cancel <job>
-  jobs [user <name>] [state queued|running|done|failed|cancelled]
-  ping | version | stats
-  help | quit`
-
 // HelpResult is the reply to Help.
 type HelpResult struct{}
 
@@ -434,7 +408,7 @@ func (r StatsResult) String() string {
 }
 
 // String renders the REPL display line.
-func (HelpResult) String() string { return HelpText }
+func (HelpResult) String() string { return helpText }
 
 // String renders the REPL display line.
 func (r PingResult) String() string {

@@ -62,111 +62,6 @@ type resEnvelope struct {
 	Body json.RawMessage `json:"body,omitempty"`
 }
 
-// Props is the set of policy-relevant properties of one verb.  Every
-// per-verb decision outside the interpreter — what a draining, degraded
-// or follower server refuses, what a client may replay, what the
-// scheduler queues — is derived from these flags through PropsOf, so a
-// verb states its nature once, on its commandVerbs row.
-type Props uint8
-
-const (
-	// MutatesWorkspace: the verb creates or changes state in the
-	// session's workspace (models, load sets, solutions, material).
-	MutatesWorkspace Props = 1 << iota
-	// WritesStore: the verb writes the shared store — the model
-	// database or the job journal.
-	WritesStore
-	// LeaderOnly: in a cluster the verb is served only by the
-	// leaseholder.  Every state-changing verb is, except retrieve, which
-	// changes only the local workspace from a store read; cancel is,
-	// because every job lives on the leader.
-	LeaderOnly
-	// Replayable: idempotent and independent of workspace state, so a
-	// client may repeat it on a fresh connection after a link failure.
-	Replayable
-	// Blocks: the verb waits for something else to finish by contract,
-	// so no per-request deadline applies on either side of the wire.
-	Blocks
-	// DetachesContext: the request's context outlives the reply (as the
-	// submitted job's context), so a server-side deadline on the request
-	// would cancel the work it started.
-	DetachesContext
-	// NotAJob: the verb cannot itself run under submit (job control, and
-	// quit).
-	NotAJob
-	// Heavy: long-running, so as a job it is queued for the scheduler's
-	// worker pool instead of running inline on the front-end goroutine.
-	Heavy
-)
-
-// Has reports whether p carries any of the flags in q.
-func (p Props) Has(q Props) bool { return p&q != 0 }
-
-// RefusedDraining reports whether a draining server refuses the verb:
-// everything that would create or change state.  Job control, reads and
-// health verbs keep answering so clients can collect results; snapshot
-// is a read (it serializes the workspace to a server-side file) and
-// stays allowed — the natural last act before a shutdown.
-func (p Props) RefusedDraining() bool { return p.Has(MutatesWorkspace | WritesStore) }
-
-// RefusedDegraded reports whether a server whose store degraded to
-// read-only refuses the verb: what drain refuses, minus what a follower
-// — the other read-only view of the store — still serves.  That spares
-// retrieve (the workspace is fine and it only reads the store) and
-// leaves cancel working (job state is in memory).
-func (p Props) RefusedDegraded() bool { return p.RefusedDraining() && p.Has(LeaderOnly) }
-
-// ServerTimeoutExempt reports the verbs a server's RequestTimeout must
-// not bound: wait blocks by contract, and submit's context becomes the
-// queued job's — a deadline would cancel the job right after the submit
-// answered.
-func (p Props) ServerTimeoutExempt() bool { return p.Has(Blocks | DetachesContext) }
-
-// verbRow is one row of the verb table: the command struct a wire verb
-// decodes into, and the verb's properties.
-type verbRow struct {
-	typ   reflect.Type
-	props Props
-}
-
-// commandVerbs is the verb table: one row per wire verb.  The codec
-// handles submit's body itself (its nested command field is an
-// interface); its row carries the name and the properties.
-var commandVerbs = map[string]verbRow{
-	"help":           {reflect.TypeOf(Help{}), 0},
-	"ping":           {reflect.TypeOf(Ping{}), Replayable},
-	"version":        {reflect.TypeOf(Version{}), Replayable},
-	"quit":           {reflect.TypeOf(Quit{}), NotAJob},
-	"define":         {reflect.TypeOf(Define{}), MutatesWorkspace | LeaderOnly},
-	"material":       {reflect.TypeOf(SetMaterial{}), MutatesWorkspace | LeaderOnly},
-	"generate-grid":  {reflect.TypeOf(GenerateGrid{}), MutatesWorkspace | LeaderOnly},
-	"generate-truss": {reflect.TypeOf(GenerateTruss{}), MutatesWorkspace | LeaderOnly},
-	"generate-bar":   {reflect.TypeOf(GenerateBar{}), MutatesWorkspace | LeaderOnly},
-	"node":           {reflect.TypeOf(AddNode{}), MutatesWorkspace | LeaderOnly},
-	"element-bar":    {reflect.TypeOf(AddBar{}), MutatesWorkspace | LeaderOnly},
-	"element-cst":    {reflect.TypeOf(AddCST{}), MutatesWorkspace | LeaderOnly},
-	"fix-node":       {reflect.TypeOf(FixNode{}), MutatesWorkspace | LeaderOnly},
-	"fix-dof":        {reflect.TypeOf(FixDOF{}), MutatesWorkspace | LeaderOnly},
-	"loadset":        {reflect.TypeOf(DefineLoadSet{}), MutatesWorkspace | LeaderOnly},
-	"load":           {reflect.TypeOf(AddLoad{}), MutatesWorkspace | LeaderOnly},
-	"endload":        {reflect.TypeOf(EndLoad{}), MutatesWorkspace | LeaderOnly},
-	"solve":          {reflect.TypeOf(Solve{}), MutatesWorkspace | LeaderOnly | Heavy},
-	"stresses":       {reflect.TypeOf(Stresses{}), MutatesWorkspace | LeaderOnly},
-	"display":        {reflect.TypeOf(Display{}), 0},
-	"store":          {reflect.TypeOf(Store{}), WritesStore | LeaderOnly},
-	"retrieve":       {reflect.TypeOf(Retrieve{}), MutatesWorkspace},
-	"delete":         {reflect.TypeOf(Delete{}), WritesStore | LeaderOnly},
-	"list":           {reflect.TypeOf(List{}), 0},
-	"snapshot":       {reflect.TypeOf(Snapshot{}), 0},
-	"restore":        {reflect.TypeOf(Restore{}), MutatesWorkspace | LeaderOnly},
-	"submit":         {reflect.TypeOf(Submit{}), MutatesWorkspace | WritesStore | LeaderOnly | DetachesContext | NotAJob},
-	"status":         {reflect.TypeOf(Status{}), Replayable | NotAJob},
-	"wait":           {reflect.TypeOf(Wait{}), Replayable | Blocks | NotAJob},
-	"cancel":         {reflect.TypeOf(Cancel{}), LeaderOnly | NotAJob},
-	"jobs":           {reflect.TypeOf(Jobs{}), Replayable | NotAJob},
-	"stats":          {reflect.TypeOf(Stats{}), Replayable},
-}
-
 // resultKinds maps wire result kinds onto result struct types.
 var resultKinds = map[string]reflect.Type{
 	"help":           reflect.TypeOf(HelpResult{}),
@@ -207,10 +102,11 @@ type bodyCodec struct {
 	typ  reflect.Type
 	open []byte // {"verb":"solve","body":
 	plan *codec.Plan
+	row  *verb // a verb's row; nil for a result kind
 }
 
-// The codec tables, derived from commandVerbs and resultKinds: by wire name
-// for decoding, by struct type for encoding.
+// The codec tables, derived from verbs and resultKinds: by wire name for
+// decoding, by struct type for encoding and for a command's row.
 var (
 	cmdByVerb, cmdByType = map[string]*bodyCodec{}, map[reflect.Type]*bodyCodec{}
 	resByKind, resByType = map[string]*bodyCodec{}, map[reflect.Type]*bodyCodec{}
@@ -227,15 +123,16 @@ func init() {
 	open := func(tag []byte, name, bodyKey string) []byte {
 		return []byte(string(tag) + name + `","` + bodyKey + `":`)
 	}
-	for verb, row := range commandVerbs {
-		c := &bodyCodec{name: verb, typ: row.typ}
-		if row.typ == submitType {
+	for _, row := range verbs {
+		typ := reflect.TypeOf(row.cmd)
+		c := &bodyCodec{name: row.wire, typ: typ, row: row}
+		if typ == submitType {
 			// submit's body is its wrapped command's own envelope, under "cmd".
-			c.open = open(verbTag, verb, "cmd")
+			c.open = open(verbTag, row.wire, "cmd")
 		} else {
-			c.open, c.plan = open(verbTag, verb, "body"), codec.PlanOf(row.typ)
+			c.open, c.plan = open(verbTag, row.wire, "body"), codec.PlanOf(typ)
 		}
-		cmdByVerb[verb], cmdByType[row.typ] = c, c
+		cmdByVerb[row.wire], cmdByType[typ] = c, c
 	}
 	for kind, typ := range resultKinds {
 		c := &bodyCodec{name: kind, typ: typ, open: open(kindTag, kind, "body"), plan: codec.PlanOf(typ)}
@@ -243,17 +140,22 @@ func init() {
 	}
 }
 
-// Verb returns a command's wire verb name ("solve", "ping", …; "?" for
-// a type the codec does not know).  Per-verb metric families
-// (job.latency.*, server.request.*) key on it, so the metric vocabulary
-// and the wire vocabulary are the same vocabulary.  The pointer and
-// value spellings of a command are the same verb.
-func Verb(cmd Command) string {
+// codecOf returns a command's codec entry, nil for a type the table does
+// not know.  The pointer and value spellings of a command share one.
+func codecOf(cmd Command) *bodyCodec {
 	t := reflect.TypeOf(cmd)
 	if t != nil && t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
-	if c, ok := cmdByType[t]; ok {
+	return cmdByType[t]
+}
+
+// Verb returns a command's wire verb name ("solve", "ping", …; "?" for
+// a type the codec does not know).  Per-verb metric families
+// (job.latency.*, server.request.*) key on it, so the metric vocabulary
+// and the wire vocabulary are the same vocabulary.
+func Verb(cmd Command) string {
+	if c := codecOf(cmd); c != nil {
 		return c.name
 	}
 	return "?"
@@ -261,7 +163,12 @@ func Verb(cmd Command) string {
 
 // PropsOf returns a command's verb properties; a type the table does
 // not know has none.
-func PropsOf(cmd Command) Props { return commandVerbs[Verb(cmd)].props }
+func PropsOf(cmd Command) Props {
+	if c := codecOf(cmd); c != nil {
+		return c.row.props
+	}
+	return 0
+}
 
 // Submittable is the one check that a command may run as a job; the
 // parser, the wire decoder and the scheduler all refuse through it, so
@@ -361,7 +268,7 @@ func envelopeOf(data, tag []byte, byName map[string]*bodyCodec) (*bodyCodec, []b
 // spelling; nested is set while reading a submit's wrapped command.
 func decodeCommand(data []byte, nested bool) (cmd Command, rest []byte, ok bool) {
 	c, data, ok := envelopeOf(data, verbTag, cmdByVerb)
-	if !ok || (nested && commandVerbs[c.name].props.Has(NotAJob)) {
+	if !ok || (nested && c.row.props.Has(NotAJob)) {
 		return nil, nil, false
 	}
 	if c.typ == submitType {
@@ -407,11 +314,11 @@ func generalCommand(data []byte, nested bool) (Command, error) {
 		}
 		return Submit{Cmd: inner}, nil
 	}
-	row, ok := commandVerbs[env.Verb]
+	c, ok := cmdByVerb[env.Verb]
 	if !ok {
 		return nil, usage("wire: unknown verb %q", env.Verb)
 	}
-	ptr := reflect.New(row.typ)
+	ptr := reflect.New(c.typ)
 	if len(env.Body) > 0 {
 		if err := strictUnmarshal(env.Body, ptr.Interface()); err != nil {
 			return nil, usage("wire: bad %q body: %v", env.Verb, err)

@@ -116,7 +116,7 @@ func TestWireCommandCoversEveryVerb(t *testing.T) {
 	for _, cmd := range wireCommandSamples {
 		seen[reflect.TypeOf(cmd)] = true
 	}
-	for verb, row := range commandVerbs {
+	for verb, row := range cmdByVerb {
 		if !seen[row.typ] {
 			t.Errorf("verb %q (%v) has no round-trip sample", verb, row.typ)
 		}

@@ -189,7 +189,7 @@ func TestCloseSessionCancelsJobs(t *testing.T) {
 		}
 	}
 	// A slow iterative solve alice will never see finish.
-	id, err := alice.SubmitAsync(ctx, command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi})
+	id, err := alice.SubmitAsync(ctx, command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -733,9 +733,10 @@ func E11HGraphValidation(instances int) (*Table, error) {
 // FEM literature of the period debated — Jacobi (maximal parallelism,
 // slow convergence), multi-colour SOR (Adams' method: SOR convergence
 // with Jacobi-like parallelism within each color), and CG — on the same
-// distributed system.  Expected shape: Jacobi needs far more iterations
-// than multi-colour SOR, which needs more than CG; makespans order
-// accordingly once the problem is large enough.
+// distributed system.  Expected shape: multi-colour SOR needs more
+// iterations than CG, and plain Jacobi diverges on the plate, stopping
+// at its first non-finite residual; makespans order accordingly once the
+// problem is large enough.
 func E12SolverComparison(n, workers int) (*Table, error) {
 	k, b, err := plateSystem(n)
 	if err != nil {

@@ -144,13 +144,6 @@ func Backends() []string {
 	return out
 }
 
-// HasBackend reports whether name is in the table ("" selects the
-// default and is always valid).
-func HasBackend(name string) bool {
-	_, ok := lookup(name)
-	return ok
-}
-
 // PlanOptsFor maps a direct backend's name onto its plan configuration;
 // ok is false for iterative backends (and unknown names), which have
 // nothing to cache.

@@ -185,3 +185,20 @@ func (c *Coloring) Validate(a *CSR) error {
 	}
 	return nil
 }
+
+// HasBackend reports whether name is in the table ("" selects the
+// default and is always valid).
+func HasBackend(name string) bool {
+	_, ok := lookup(name)
+	return ok
+}
+
+// HasPrecond reports whether name is a registered preconditioner ("" and
+// "none" select no preconditioning and are always valid).
+func HasPrecond(name string) bool {
+	if name == "" || name == "none" {
+		return true
+	}
+	_, ok := precondFactories[name]
+	return ok
+}

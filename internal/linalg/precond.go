@@ -47,16 +47,6 @@ func Preconds() []string {
 	return out
 }
 
-// HasPrecond reports whether name is a registered preconditioner ("" and
-// "none" select no preconditioning and are always valid).
-func HasPrecond(name string) bool {
-	if name == "" || name == "none" {
-		return true
-	}
-	_, ok := precondFactories[name]
-	return ok
-}
-
 // NewPreconditioner builds the named preconditioner over a.  The empty
 // name and "none" return nil (no preconditioning); unknown names are a
 // usage error listing the registry.

@@ -287,9 +287,9 @@ func waitCases(t *testing.T) []waitCase {
 	}
 	done := finished(command.Solve{Model: "g", Set: "l"})
 	failed := finished(command.Solve{Model: "nope", Set: "l"})
-	// Jacobi on the 40×24 plate iterates for seconds (the system's Close
+	// SOR on the 40×24 plate iterates for seconds (the system's Close
 	// cancels it), and the one worker leaves everything behind it queued.
-	running := submit(command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi})
+	running := submit(command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})
 	for {
 		snap, err := sys.Jobs.Status(job.JobID(running))
 		if err != nil {
@@ -357,7 +357,7 @@ func TestSettledWaitRunsOnTheReader(t *testing.T) {
 }
 
 // TestBlockedWaitRunsBeside: a wait on a running job still has a
-// goroutine of its own.  With a jacobi solve running until it is
+// goroutine of its own.  With an SOR solve running until it is
 // cancelled, a wait, a ping and a status of the job sent in one write
 // answer ping and status first; the cancel then ends the job, and the
 // wait answers with its cancellation.
@@ -367,7 +367,7 @@ func TestBlockedWaitRunsBeside(t *testing.T) {
 	p.hello("eng", true)
 	p.do(command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true})
 	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
-	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi}})[0]
+	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}})[0]
 	var jobID int64
 	for answered := false; jobID == 0 || !answered; {
 		resp := p.next()
@@ -588,8 +588,8 @@ func TestPingAnswersBehindARefusedEdit(t *testing.T) {
 	p.hello("eng", true)
 	p.do(command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true})
 	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
-	// Jacobi on this plate iterates for seconds; the cancel below ends it.
-	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodJacobi}})[0]
+	// SOR on this plate iterates for seconds; the cancel below ends it.
+	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}})[0]
 	var jobID int64
 	for answered := false; jobID == 0 || !answered; {
 		resp := p.next()

@@ -139,7 +139,7 @@ func TestCancelMidSolveThroughFacade(t *testing.T) {
 	}
 	namesBefore := fmt.Sprint(sys.Database.List())
 
-	id, err := s.SubmitAsync(ctx, fem2.SolveCommand{Model: "big", Set: "tip", Method: fem2.SolveJacobi})
+	id, err := s.SubmitAsync(ctx, fem2.SolveCommand{Model: "big", Set: "tip", Method: fem2.SolveSOR})
 	if err != nil {
 		t.Fatal(err)
 	}
