@@ -224,35 +224,37 @@ func init() {
 	helpText = strings.Join(help, "\n  ")
 }
 
-// compile reads v's signature into slots bound to its struct's fields,
-// and panics where the two disagree.
+// compile reads v's signature into its words, values and options, each
+// value bound to the next field of v's struct, and panics where the two
+// disagree.
 func (v *verb) compile() {
 	typ := reflect.TypeOf(v.cmd)
+	bad := func(format string, a ...any) {
+		panic(fmt.Sprintf("command: signature %q: ", v.sig) + fmt.Sprintf(format, a...))
+	}
 	field := 0
-	value := func(text, optionKW string) slot {
-		if field >= typ.NumField() {
-			panic(fmt.Sprintf("command: %q has more values than %v has fields", v.sig, typ))
+	// bind binds a value, written text ("" for a flag), to the next field;
+	// label names it in refusals.
+	bind := func(text, label string, inOption bool) slot {
+		if field == typ.NumField() {
+			bad("more values than %v has fields", typ)
 		}
 		f := typ.Field(field)
-		s := slot{text: text, field: field}
+		s := slot{text: label, field: field}
 		field++
-		if optionKW != "" {
-			s.text = optionKW
-		}
-		isEnum := strings.Contains(text, "|")
-		if !isEnum && (!strings.HasPrefix(text, "<") || !strings.HasSuffix(text, ">")) {
-			panic(fmt.Sprintf("command: %q: %q is not a value", v.sig, text))
-		}
-		switch k := f.Type.Kind(); {
-		case isEnum && k == reflect.String:
+		k := f.Type.Kind()
+		switch {
+		case text == "" && k == reflect.Bool:
+			s.kind = flag
+		case strings.Contains(text, "|") && k == reflect.String:
 			s.kind, s.names = enum, strings.Split(text, "|")
-		case isEnum:
-			panic(fmt.Sprintf("command: %q: names %q bound to %v.%s, a %v", v.sig, text, typ, f.Name, f.Type))
+		case !strings.HasPrefix(text, "<") || !strings.HasSuffix(text, ">"):
+			bad("%q bound to %v.%s, a %v", text, typ, f.Name, f.Type)
 		case f.Type == commandType:
 			s.kind = nested
 		case k == reflect.String:
 			s.kind = name
-		case k == reflect.Int && optionKW != "":
+		case k == reflect.Int && inOption:
 			s.kind = count
 		case k == reflect.Int64 && text == "<job>":
 			s.kind = jobID
@@ -261,53 +263,35 @@ func (v *verb) compile() {
 		case k == reflect.Float64:
 			s.kind = number
 		default:
-			panic(fmt.Sprintf("command: %q: %s bound to %v.%s, a %v", v.sig, text, typ, f.Name, f.Type))
+			bad("%s bound to %v.%s, a %v", text, typ, f.Name, f.Type)
 		}
 		return s
 	}
-	var toks []string
-	for _, w := range strings.Fields(v.sig) {
-		if n := len(toks); n > 0 && strings.HasPrefix(toks[n-1], "[") && !strings.HasSuffix(toks[n-1], "]") {
-			toks[n-1] += " " + w
+	head, opts, _ := strings.Cut(v.sig, " [")
+	for _, tok := range strings.Fields(head) {
+		if strings.HasPrefix(tok, "<") || strings.Contains(tok, "|") {
+			v.head = append(v.head, bind(tok, v.head[0].text, false))
 		} else {
-			toks = append(toks, w)
-		}
-	}
-	for _, tok := range toks {
-		switch {
-		case strings.HasPrefix(tok, "["):
-			text := strings.TrimSuffix(strings.TrimPrefix(tok, "["), "]")
-			ws := strings.Fields(text)
-			o := option{kw: ws[0], text: text}
-			if len(ws) == 1 {
-				if f := typ.Field(field); f.Type.Kind() != reflect.Bool {
-					panic(fmt.Sprintf("command: %q: flag %s bound to %v.%s, a %v", v.sig, tok, typ, f.Name, f.Type))
-				}
-				o.slots = []slot{{kind: flag, text: o.kw, field: field}}
-				field++
-			}
-			for _, w := range ws[1:] {
-				o.slots = append(o.slots, value(w, o.kw))
-			}
-			v.opts = append(v.opts, o)
-		case len(v.opts) > 0:
-			panic(fmt.Sprintf("command: %q: %q follows an option", v.sig, tok))
-		case strings.HasPrefix(tok, "<") || strings.Contains(tok, "|"):
-			s := value(tok, "")
-			if s.kind == enum {
-				s.text = v.head[0].text
-			}
-			v.head = append(v.head, s)
-		default:
 			v.head = append(v.head, slot{kind: word, text: tok})
 			v.last = tok
 		}
 	}
-	if v.head[0].kind != word {
-		panic(fmt.Sprintf("command: %q does not start with a word", v.sig))
+	for _, text := range strings.Split(strings.TrimSuffix(opts, "]"), "] [") {
+		ws := strings.Fields(text)
+		if len(ws) == 0 {
+			continue
+		}
+		if len(ws) == 1 {
+			ws = append(ws, "") // a flag, bound to a bool
+		}
+		o := option{kw: ws[0], text: text}
+		for _, w := range ws[1:] {
+			o.slots = append(o.slots, bind(w, o.kw, true))
+		}
+		v.opts = append(v.opts, o)
 	}
 	if field != typ.NumField() {
-		panic(fmt.Sprintf("command: %q binds %d of the %d fields of %v", v.sig, field, typ.NumField(), typ))
+		bad("binds %d of the %d fields of %v", field, typ.NumField(), typ)
 	}
 }
 
