@@ -202,8 +202,6 @@ var (
 	// helpText is the command-language summary the help verb displays:
 	// each row's help line.
 	helpText string
-
-	commandType = reflect.TypeOf((*Command)(nil)).Elem()
 )
 
 func init() {
@@ -250,7 +248,7 @@ func (v *verb) compile() {
 			s.kind, s.names = enum, strings.Split(text, "|")
 		case !strings.HasPrefix(text, "<") || !strings.HasSuffix(text, ">"):
 			bad("%q bound to %v.%s, a %v", text, typ, f.Name, f.Type)
-		case f.Type == commandType:
+		case k == reflect.Interface:
 			s.kind = nested
 		case k == reflect.String:
 			s.kind = name
