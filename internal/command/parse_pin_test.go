@@ -150,6 +150,7 @@ var parseErrorPins = []struct{ line, err string }{
 	{"solve m ls substructures", "usage: substructures <k>"},
 	{"solve m ls substructures x", "usage: integer argument expected, got \"x\""},
 	{"solve m ls parallel -2", "usage: parallel wants a count of at least 1, got \"-2\""},
+	{"solve m ls precond none", ""},
 	{"solve m ls method cg precond", "usage: precond none|jacobi|ssor"},
 	{"stresses m n", "usage: stresses <model>"},
 	{"display", "usage: display model|displacements|stresses <model>"},
