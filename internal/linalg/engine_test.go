@@ -258,6 +258,24 @@ func TestConvergenceErrorCarriesFinalState(t *testing.T) {
 	}
 }
 
+// TestNaNLoadStopsAtOnce: a NaN in the load makes the first residual
+// non-finite, and every iterative method stops there, with a diverged
+// ConvergenceError at iteration 1, instead of running out its budget.
+func TestNaNLoadStopsAtOnce(t *testing.T) {
+	a := poisson2D(6)
+	b := NewVector(a.N)
+	b.Fill(1)
+	b[7] = math.NaN()
+	for _, name := range []string{BackendCG, BackendJacobi, BackendSOR} {
+		s, _ := Backend(name)
+		_, info, err := s.Solve(context.Background(), nil, a, 0, b, nil, nil, IterOpts{})
+		var ce *ConvergenceError
+		if !errors.As(err, &ce) || !ce.Diverged || ce.Iterations != 1 || info.Iterations != 1 {
+			t.Errorf("%s on a NaN load: %v after %d iterations, want divergence at iteration 1", name, err, info.Iterations)
+		}
+	}
+}
+
 // budgetSystem is an n×n grid system no method here solves to an
 // unreachable tolerance in finite steps, with its load e₀: the Poisson
 // stencil plus a skew-symmetric coupling of ±½ between neighbours.  Its
