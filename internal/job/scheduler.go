@@ -74,6 +74,9 @@ type job struct {
 	// marks a lost record ResubmitLost has already requeued, so a
 	// crash-restart loop never requeues the same record twice.
 	lost, resubmitted bool
+	// pooled marks a Heavy job: it takes a pool slot while it runs, on a
+	// worker or on its submitter (Own), and is counted in executing.
+	pooled bool
 	// journaled records that finishLocked's write of the terminal record
 	// reached the journal, so retention eviction has nothing to flush.  It
 	// stays false after a failed write, with no journal attached, and on a
@@ -104,8 +107,9 @@ type Scheduler struct {
 	cond *sync.Cond
 	// work is where idle workers wait for a queued job to become
 	// runnable.  One such event makes one job runnable, so it is
-	// signalled once per event — a Heavy submit, and a finish or Release
-	// with jobs queued — and broadcast only by Close.
+	// signalled once per event — a Heavy submit (by Own.Take when the
+	// submitter kept the job and does not run it), and a finish or
+	// Release with jobs queued — and broadcast only by Close.
 	work    *sync.Cond
 	started bool
 	closed  bool
@@ -134,6 +138,10 @@ type Scheduler struct {
 	// times one woke from it and found nothing to run.
 	parked    int
 	idleWakes int64
+	// executing counts the pooled jobs running, on a worker or on their
+	// submitter: a worker pops a job only while it is below workers, so
+	// the pool bound holds wherever a Heavy job runs.
+	executing int
 	// live counts each owner's queued-or-running jobs; liveTotal is
 	// their sum.  quota bounds live per owner when positive, with policy
 	// choosing reject-vs-queue at the bound (see tenant.go).
@@ -340,7 +348,8 @@ func notFound(id JobID) error {
 // Cancel, cancels the job.  Job-control commands cannot themselves run
 // as jobs.  When a per-owner quota is set (SetQuota), an owner at the
 // in-flight bound is rejected with ErrQuota or blocked until a slot
-// frees, by policy.
+// frees, by policy.  Under a context from WithOwn, a Heavy job wakes no
+// worker at submit: the submitter's Own.Take decides where it runs.
 func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd command.Command) (JobID, error) {
 	return s.submit(ctx, owner, ex, cmd, 0)
 }
@@ -357,6 +366,11 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 	}
 	if err := errs.Cancelled(ctx); err != nil {
 		return 0, err
+	}
+	heavy := command.PropsOf(cmd).Has(command.Heavy)
+	var own *Own
+	if heavy {
+		own, _ = ctx.Value(ownKey{}).(*Own)
 	}
 
 	jctx, cancel := context.WithCancel(ctx)
@@ -391,11 +405,18 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 		s.persistLocked(j)
 	}
 	s.publishLocked(j)
-	if command.PropsOf(cmd).Has(command.Heavy) {
+	if heavy {
 		s.startWorkersLocked()
+		j.pooled = true
 		s.queue = append(s.queue, j)
 		s.syncQueueGaugeLocked()
-		s.work.Signal()
+		if own != nil && own.j == nil {
+			// The submitter decides after its reply: run the job or wake a
+			// worker for it (Own.Take).
+			own.s, own.j = s, j
+		} else {
+			s.work.Signal()
+		}
 		s.mu.Unlock()
 		return j.id, nil
 	}
@@ -416,15 +437,19 @@ func (s *Scheduler) startWorkersLocked() {
 	}
 }
 
-// worker is one pool goroutine: pop a runnable job, execute it, release
-// its model, repeat until the scheduler closes.
+// worker is one pool goroutine: pop a runnable job while the pool has a
+// free slot, execute it, release its model, repeat until the scheduler
+// closes.
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
 		var j *job
 		for woke := false; ; woke = true {
-			if j = s.popLocked(); j != nil || s.closed {
+			if s.executing < s.workers {
+				j = s.popLocked()
+			}
+			if j != nil || s.closed {
 				break
 			}
 			if woke {
@@ -447,15 +472,23 @@ func (s *Scheduler) worker() {
 // execute releases the model as it records the outcome.  Called with
 // s.mu held; returns with it released.
 func (s *Scheduler) runLocked(j *job) {
+	s.startLocked(j)
+	s.mu.Unlock()
+	s.execute(j)
+}
+
+// startLocked marks a job running: it holds its model, and a pooled job
+// its pool slot, until execute records the outcome.
+func (s *Scheduler) startLocked(j *job) {
 	j.state = Running
 	s.gRunning.Add(1)
+	if j.pooled {
+		s.executing++
+	}
 	if j.model != "" {
 		s.busy[j.key()] = holder{id: j.id}
 	}
 	s.publishLocked(j)
-	s.mu.Unlock()
-
-	s.execute(j)
 }
 
 // awaitLocked blocks until key is free or ctx is done — a queued job's
@@ -591,6 +624,9 @@ func (s *Scheduler) execute(j *job) {
 		s.mCancelled.Inc()
 	}
 	s.mu.Lock()
+	if j.pooled {
+		s.executing--
+	}
 	j.state = state
 	j.res, j.err = res, err
 	j.ops = 1
@@ -777,7 +813,8 @@ func (s *Scheduler) List(f Filter) []Snapshot {
 // Close shuts the scheduler down: queued jobs are cancelled, running
 // jobs have their contexts cancelled, workers drain and exit, and
 // further Submits return ErrClosed.  Close blocks until the pool is
-// gone; it is idempotent.
+// gone and every job a submitter took (Own.Take) has run; it is
+// idempotent.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {

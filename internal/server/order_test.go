@@ -18,6 +18,7 @@ import (
 	"repro/internal/auvm"
 	"repro/internal/command"
 	"repro/internal/core"
+	"repro/internal/errs"
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -203,6 +204,11 @@ func TestRunsBesideGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "wait, %-36s %s\n", w.what, got)
 	}
+	b.WriteString("# where a submitted heavy job runs, by what the reader finds once the submit's reply is\n" +
+		"# flushed (conn.mayOwn, job.Own.Take): on the reader, or on a pool worker woken for it.\n")
+	for _, o := range ownCases(t) {
+		fmt.Fprintf(&b, "submit solve, %-31s %s\n", o.what, o.where)
+	}
 	const golden = "testdata/request_placement.golden"
 	if *update {
 		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
@@ -320,6 +326,105 @@ func waitCases(t *testing.T) []waitCase {
 		waitCase{"id not issued yet", sess, cancelled + 1},
 		waitCase{"session with no scheduler", auvm.NewSession("eng", nil), done},
 	)
+}
+
+// ownCase is where a submitted solve's job ran in one state of the
+// connection and the scheduler.
+type ownCase struct{ what, where string }
+
+// ownCases submits a solve as the reader does, under its WithOwn context
+// when mayOwn lets it, in each state that decides where the job runs: an
+// idle server, a request buffered behind the submit, the solve's model
+// held, another job queued, and a job executing on the pool's one worker.
+func ownCases(t *testing.T) []ownCase {
+	t.Helper()
+	ctx := context.Background()
+	sys := openSystem(t, core.Options{})
+	sess := sys.Session("eng")
+	solve := func(model string) command.Solve { return command.Solve{Model: model, Set: "l"} }
+	do := func(cmd command.Command) command.Result {
+		t.Helper()
+		res, err := sess.Do(ctx, cmd)
+		if err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
+		return res
+	}
+	for _, cmd := range []command.Command{
+		generate, command.EndLoad{Model: "g", Set: "l", FY: -100},
+		command.GenerateGrid{Name: "h", NX: 4, NY: 2, W: 4, H: 2, ClampLeft: true},
+		command.EndLoad{Model: "h", Set: "l", FY: -100},
+		bigGrid, command.EndLoad{Model: "big", Set: "l", FY: -100},
+		command.Wait{ID: do(command.Submit{Cmd: solve("g")}).(*command.SubmitResult).ID}, // starts the pool
+	} {
+		do(cmd)
+	}
+	reader := &conn{br: bufio.NewReader(strings.NewReader(""))}
+	buffered := &conn{br: bufio.NewReader(strings.NewReader("the next request"))}
+	if _, err := buffered.br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	// place submits a solve of g as c's reader would and reports where
+	// its job ran.  A worker not parked takes what it finds queued, so
+	// place waits for the pool to park unless its worker is busy.
+	place := func(c *conn, busy bool) (where string, id int64) {
+		t.Helper()
+		if !busy {
+			parkedWorkers(t, sys.Jobs, 1)
+		}
+		sub := command.Submit{Cmd: solve("g")}
+		if !c.mayOwn(sub) {
+			return "worker", do(sub).(*command.SubmitResult).ID
+		}
+		var own job.Own
+		res, err := sess.Do(job.WithOwn(ctx, &own), sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !own.Take() {
+			return "worker", res.(*command.SubmitResult).ID
+		}
+		own.Run()
+		return "reader", res.(*command.SubmitResult).ID
+	}
+	var cases []ownCase
+	record := func(what, where string, ids ...int64) {
+		for _, id := range ids {
+			if _, err := sys.Jobs.Wait(ctx, job.JobID(id)); err != nil && !errors.Is(err, errs.ErrCancelled) {
+				t.Fatalf("%s: job-%d: %v", what, id, err)
+			}
+		}
+		cases = append(cases, ownCase{what, where})
+	}
+
+	where, id := place(reader, false)
+	record("on an idle server", where, id)
+	where, id = place(buffered, false)
+	record("a request buffered behind it", where, id)
+
+	if err := sys.Jobs.Hold(ctx, sess.User, "g", solve("g")); err != nil {
+		t.Fatal(err)
+	}
+	where, id = place(reader, false)
+	sys.Jobs.Release(sess.User, "g")
+	record("its model held", where, id)
+
+	if err := sys.Jobs.Hold(ctx, sess.User, "h", solve("h")); err != nil {
+		t.Fatal(err)
+	}
+	queued := do(command.Submit{Cmd: solve("h")}).(*command.SubmitResult).ID
+	where, id = place(reader, false)
+	sys.Jobs.Release(sess.User, "h")
+	record("another job queued", where, id, queued)
+
+	long := do(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}}).(*command.SubmitResult).ID
+	jobState(t, sys, long, job.Running)
+	where, id = place(reader, true)
+	if _, err := sys.Jobs.Cancel(job.JobID(long)); err != nil {
+		t.Fatal(err)
+	}
+	record("a job executing", where, id, long)
+	return cases
 }
 
 // TestSettledWaitRunsOnTheReader: 200 closed-loop submit+wait jobs on a

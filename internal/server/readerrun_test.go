@@ -1,0 +1,196 @@
+package server
+
+import (
+	"context"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/command"
+	"repro/internal/core"
+	"repro/internal/job"
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+var (
+	bigGrid = command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true}
+	// sorBig iterates for seconds on bigGrid: SOR needs ~53 000 sweeps there.
+	sorBig = command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}}
+)
+
+// parkedWorkers waits until n workers of the scheduler are parked.
+func parkedWorkers(t *testing.T, jobs *job.Scheduler, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if parked, _ := jobs.Pool(); parked == n {
+			return
+		}
+	}
+	t.Fatalf("the pool never had %d workers parked", n)
+}
+
+// jobState polls until the job is in want, failing the test after 5 s.
+func jobState(t *testing.T, sys *core.System, id int64, want job.State) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if snap, err := sys.Jobs.Status(job.JobID(id)); err == nil && snap.State == want {
+			return
+		}
+	}
+	snap, err := sys.Jobs.Status(job.JobID(id))
+	t.Fatalf("job-%d never reached %v (%v, %v)", id, want, snap.State, err)
+}
+
+func submitID(resp *wire.Response) int64 { return resp.Res.(*command.SubmitResult).ID }
+
+// TestReaderJobTakesAPoolSlot: with one worker, a job running on
+// connection A's reader holds the pool's one slot, so connection B's
+// submitted job stays queued while it runs, and runs once it ends.
+func TestReaderJobTakesAPoolSlot(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	dial := serveTCP(t, srv)
+	a, b := dial(), dial()
+	a.hello("a", false)
+	b.hello("b", false)
+	a.do(bigGrid)
+	a.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	b.do(generate)
+	b.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+	solve := command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}
+	// Start the pool: a worker starting up takes any job it finds queued.
+	b.do(command.Wait{ID: submitID(b.do(solve))})
+	parkedWorkers(t, sys.Jobs, 1)
+	runs := sys.Obs.Counter(obs.ServerReaderRuns)
+	runs0 := runs.Load()
+
+	long := submitID(a.do(sorBig))
+	jobState(t, sys, long, job.Running)
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() != runs0+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s moved by %d with A's job running, want 1: the job is not on A's reader", obs.ServerReaderRuns, runs.Load()-runs0)
+		}
+	}
+	short := submitID(b.do(solve))
+	for i := 0; i < 25; i++ {
+		time.Sleep(2 * time.Millisecond)
+		if snap, _ := sys.Jobs.Status(job.JobID(short)); snap.State != job.Queued {
+			t.Fatalf("B's job is %v while A's reader runs a job on a one-worker pool, want queued", snap.State)
+		}
+	}
+	if _, err := sys.Jobs.Cancel(job.JobID(long)); err != nil {
+		t.Fatal(err)
+	}
+	if resp := b.do(command.Wait{ID: short}); resp.Res == nil {
+		t.Fatalf("wait on B's job: %+v", resp)
+	}
+	jobState(t, sys, long, job.Cancelled)
+}
+
+// TestHandOffServesBehindALongJob: an SOR solve of the 40×24 plate,
+// submitted on an idle server, runs on its connection's reader for
+// seconds.  A ping sent after the submit's reply still answers within a
+// second, because the reader hands the socket to a successor; a cancel
+// then ends the job cancelled, a second ping is served, and once the
+// connection closes every goroutine it started is gone.
+func TestHandOffServesBehindALongJob(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	dial := serveTCP(t, srv)
+	// Start the pool, so the goroutine count taken below includes it.
+	warm := sys.Session("warm")
+	ctx := context.Background()
+	for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+		if _, err := warm.Do(ctx, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, err := warm.SubmitAsync(ctx, command.Solve{Model: "g", Set: "l"})
+	if err == nil {
+		_, err = sys.Jobs.Wait(ctx, id)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	parkedWorkers(t, sys.Jobs, 1)
+	base := runtime.NumGoroutine()
+
+	p := dial()
+	p.hello("eng", false)
+	p.do(bigGrid)
+	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	long := submitID(p.do(sorBig))
+	start := time.Now()
+	p.do(command.Ping{})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("ping behind the running job answered after %v, want under 1s", d)
+	}
+	if runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns).Load(), sys.Obs.Counter(obs.ServerHandOffs).Load(); runs != 1 || handOffs != 1 {
+		t.Errorf("%s = %d, %s = %d, want 1 and 1", obs.ServerReaderRuns, runs, obs.ServerHandOffs, handOffs)
+	}
+	p.do(command.Cancel{ID: long})
+	ids := p.send(command.Wait{ID: long})
+	byID, _ := p.replies(ids)
+	if e := byID[ids[0]].Error; e == nil || e.Code != wire.CodeCancelled {
+		t.Errorf("wait on the cancelled job: %+v, want code %q", e, wire.CodeCancelled)
+	}
+	p.do(command.Ping{})
+
+	p.nc.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after the connection closed, %d before it opened", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestReaderRunsTraffic: on an idle server, 100 closed-loop submit+wait
+// jobs each run on the connection's reader — 100 reader runs, no
+// hand-off — and wake no worker: the one worker stays parked, none of
+// its wake-ups found nothing to run, and no job ran on it.  Each wait
+// finds its job finished and is answered by the reader.  A submit sent in
+// one write with a ping behind it keeps today's placement: its job runs
+// on the worker.
+func TestReaderRunsTraffic(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	p := serveTCP(t, srv)()
+	p.hello("eng", false)
+	p.do(generate)
+	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
+	solve := command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}
+	p.do(command.Wait{ID: submitID(p.do(solve))}) // starts the pool
+	parkedWorkers(t, sys.Jobs, 1)
+
+	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
+	runs0, handOffs0, beside0 := runs.Load(), handOffs.Load(), srv.placedBeside.Load()
+	_, idle0 := sys.Jobs.Pool()
+	const jobs = 100
+	for n := 0; n < jobs; n++ {
+		p.do(command.Wait{ID: submitID(p.do(solve))})
+	}
+	if got := runs.Load() - runs0; got != jobs {
+		t.Errorf("%s moved by %d over %d jobs, want %d", obs.ServerReaderRuns, got, jobs, jobs)
+	}
+	if got := handOffs.Load() - handOffs0; got != 0 {
+		t.Errorf("%s moved by %d, want 0", obs.ServerHandOffs, got)
+	}
+	if parked, idle := sys.Jobs.Pool(); parked != 1 || idle != idle0 {
+		t.Errorf("after %d jobs: %d workers parked and %d wake-ups that found nothing, want 1 and 0", jobs, parked, idle-idle0)
+	}
+	if got := srv.placedBeside.Load() - beside0; got != 0 {
+		t.Errorf("%d requests placed beside the reader, want 0", got)
+	}
+
+	runs0 = runs.Load()
+	ids := p.send(solve, command.Ping{})
+	byID, _ := p.replies(ids)
+	if byID[ids[1]].Error != nil {
+		t.Fatalf("ping: %+v", byID[ids[1]].Error)
+	}
+	p.do(command.Wait{ID: submitID(byID[ids[0]])})
+	if got := runs.Load() - runs0; got != 0 {
+		t.Errorf("a submit pipelined with a ping ran on the reader (%s moved by %d), want the worker", obs.ServerReaderRuns, got)
+	}
+}

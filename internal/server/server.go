@@ -76,11 +76,24 @@ type Server struct {
 	mEventsDropped *obs.Counter
 	mQuotaRejected *obs.Counter
 	mPanics        *obs.Counter
+	mReaderRuns    *obs.Counter
+	mHandOffs      *obs.Counter
 	hRequest       *obs.HistogramFamily // server.request.<verb>
 
 	// placedBeside counts the requests given a goroutine of their own
 	// (conn.runsBeside) — what the placement test reads.
 	placedBeside atomic.Int64
+
+	// rmu guards the state of the jobs running on readers (conn.runOwn):
+	// each conn's runStart and handed, and armed, which says handOffTimer
+	// will fire.  The one timer serves every connection: it is armed when
+	// a run starts and it is not armed already, and again when it fires
+	// with runs still young, so steady traffic arms it about once per
+	// handOff — arming a timer wakes another thread, the very cost a run
+	// on the reader saves.  Lock order: mu, then rmu.
+	rmu          sync.Mutex
+	armed        bool
+	handOffTimer *time.Timer
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -103,6 +116,8 @@ func New(sys *core.System, cfg Config) *Server {
 	s.mEventsDropped = reg.Counter(obs.ServerEventsDropped)
 	s.mQuotaRejected = reg.Counter(obs.ServerQuotaRejected)
 	s.mPanics = reg.Counter(obs.ServerPanics)
+	s.mReaderRuns = reg.Counter(obs.ServerReaderRuns)
+	s.mHandOffs = reg.Counter(obs.ServerHandOffs)
 	s.hRequest = reg.HistogramFamily(obs.ServerRequestPrefix)
 	return s
 }
@@ -205,9 +220,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // conn is one client connection and one private session in the shared
-// system.  Three kinds of goroutine touch it:
+// system.  Four kinds of goroutine touch it:
 //
-//   - The reader (serve) decodes requests in arrival order and executes
+//   - The reader (read) decodes requests in arrival order and executes
 //     each one itself, so a connection's requests take effect in the
 //     order they were sent — except those runsBeside names (solve, a wait
 //     whose job is still queued or running, submit of a command the
@@ -215,6 +230,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //     cancel, status or ping pipelined behind a long or blocked request
 //     still answers first.  runsBeside decides per request: a wait whose
 //     job has already finished is answered by the reader.
+//   - The reader also runs the job of a Heavy submit it has just
+//     answered, when nothing else is buffered on the connection, the
+//     pool is idle, the job is the only one queued and its model is free
+//     (runOwn) — instead of waking a pool worker for it.  A run still
+//     going after handOff passes the socket to a successor reader, which
+//     the server's hand-off timer starts; the old reader finishes the job
+//     and returns.  One goroutine is the reader at a time, and the one
+//     that ends the read loop tears the connection down.
 //   - Whichever goroutine has a reply writes it (write): under the write
 //     lock it first moves every queued event into the buffer, then the
 //     reply, and flushes once.  Frames therefore leave in the order they
@@ -223,7 +246,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //     before the wait reply.
 //   - The event writer writes events that have no reply behind them.
 //     notify wakes it unless the reader is executing a request, whose
-//     reply will carry the queue out on its own flush.
+//     reply will carry the queue out on its own flush, or running a job,
+//     whose end (or hand-off) flushes it.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -231,6 +255,19 @@ type conn struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// br is what the reader reads; stop undoes the hook that unblocks its
+	// read when ctx dies; writerDone closes when the event writer exits.
+	br         *bufio.Reader
+	stop       func() bool
+	writerDone chan struct{}
+
+	// runStart and handed describe a job running on the reader, under
+	// srv.rmu: when it started (zero when none runs, or once handed off),
+	// and whether the hand-off timer has passed the socket to a successor
+	// reader.
+	runStart time.Time
+	handed   bool
 
 	// wmu is the write lock: it orders the drain of events, the frames
 	// appended to bw and the flush of one writer against the next.
@@ -253,8 +290,9 @@ type conn struct {
 	// signal covers any number of events.
 	wake chan struct{}
 
-	// reqs tracks the requests running beside the reader so teardown can
-	// flush only after every one of them has written its reply.
+	// reqs tracks the requests running beside the reader, and a job still
+	// running on a reader that has handed off, so teardown can flush only
+	// after every one of them has written its reply or finished.
 	reqs sync.WaitGroup
 
 	mu       sync.Mutex
@@ -300,14 +338,13 @@ func (c *conn) runsBeside(cmd command.Command) bool {
 	return command.PropsOf(cmd).Has(command.Heavy | command.Blocks)
 }
 
-// serve runs the connection to completion.
+// serve starts the connection's event writer and its reader.
 func (c *conn) serve() {
-	defer c.srv.removeConn(c)
 	c.srv.logf("conn-%d: open from %s", c.id, c.nc.RemoteAddr())
 
-	writerDone := make(chan struct{})
+	c.writerDone = make(chan struct{})
 	go func() {
-		defer close(writerDone)
+		defer close(c.writerDone)
 		for range c.wake {
 			c.write(nil)
 		}
@@ -316,14 +353,26 @@ func (c *conn) serve() {
 	// When the connection context dies (server shutdown, write failure,
 	// quit) unblock the blocking read — the reader owns teardown — and
 	// bound any write a peer that stopped reading is holding up.
-	stop := context.AfterFunc(c.ctx, func() {
+	c.stop = context.AfterFunc(c.ctx, func() {
 		c.nc.SetReadDeadline(time.Now())
 		c.nc.SetWriteDeadline(time.Now().Add(teardownFlush))
 	})
 
-	br := bufio.NewReader(c.nc)
+	c.br = bufio.NewReader(c.nc)
+	c.read()
+}
+
+// read is the read loop: serve runs it, and a hand-off runs it again on a
+// successor goroutine while the reader before it finishes a job.  It
+// tears the connection down when the loop ends, and returns without
+// doing so once it has handed the socket off.
+func (c *conn) read() {
+	// own is this reader's hold on the Heavy job its submit just queued;
+	// ownCtx, under which such a submit leaves the job to own.Take.
+	var own job.Own
+	ownCtx := job.WithOwn(c.ctx, &own)
 	for {
-		req, err := wire.DecodeRequest(br)
+		req, err := wire.DecodeRequest(c.br)
 		if err != nil {
 			break
 		}
@@ -352,21 +401,131 @@ func (c *conn) serve() {
 			c.reqs.Add(1)
 			go func() {
 				defer c.reqs.Done()
-				c.handleCommand(req.ID, cmd)
+				c.handleCommand(c.ctx, req.ID, cmd)
 			}()
 			continue
 		}
+		ctx := c.ctx
+		if c.mayOwn(cmd) {
+			ctx = ownCtx
+		}
 		c.setInline(true)
-		c.handleCommand(req.ID, cmd)
+		c.handleCommand(ctx, req.ID, cmd)
+		if own.Take() && c.runOwn(&own) {
+			return // handed off: a successor reads on
+		}
 		c.setInline(false)
 	}
+	c.teardown()
+}
 
-	// Teardown, in dependency order: stop new frames (requests beside the
-	// reader finish, the subscription detaches, the event writer exits),
-	// flush the events still queued — terminal notifications included —
-	// then close the socket and the session — cancelling this
-	// connection's jobs, the mid-solve disconnect story.
-	stop()
+// mayOwn reports whether the job of a request the reader is about to
+// execute may run on the reader: the request is a submit (one of a Heavy
+// command — runsBeside took the rest), and nothing else is buffered on
+// the connection, so no request is kept waiting behind the job.
+func (c *conn) mayOwn(cmd command.Command) bool {
+	_, ok := command.Value(cmd).(command.Submit)
+	return ok && c.br.Buffered() == 0
+}
+
+// runOwn runs the job own.Take gave the reader, and reports whether the
+// run outlasted handOff and so handed the socket to a successor reader.
+// Events the job raises wait for the run's end (or the hand-off), where
+// the reader flushes them itself.
+func (c *conn) runOwn(own *job.Own) (handedOff bool) {
+	c.srv.mReaderRuns.Inc()
+	c.srv.startRun(c)
+	own.Run()
+	if c.srv.endRun(c) {
+		return true
+	}
+	c.write(nil)
+	return false
+}
+
+// handOff is how long a job may run on its connection's reader before a
+// successor reader takes the socket over, and so bounds how long a
+// request sent behind a submit waits for the job.  Every arming of the
+// hand-off timer wakes another thread, so it must fire rarely: on a
+// two-vCPU host, iterate_small's daemon CPU per job was about 11 % higher
+// with 1 ms than with 10 ms.
+const handOff = 10 * time.Millisecond
+
+// startRun registers a job running on c's reader, arming the hand-off
+// timer unless it is armed already.
+func (s *Server) startRun(c *conn) {
+	s.rmu.Lock()
+	c.runStart = time.Now()
+	if !s.armed {
+		s.armed = true
+		if s.handOffTimer == nil {
+			s.handOffTimer = time.AfterFunc(handOff, s.handOffDue)
+		} else {
+			s.handOffTimer.Reset(handOff)
+		}
+	}
+	s.rmu.Unlock()
+}
+
+// endRun unregisters the job that ran on c's reader and reports whether
+// the hand-off timer passed the socket on meanwhile.
+func (s *Server) endRun(c *conn) (handedOff bool) {
+	s.rmu.Lock()
+	handedOff, c.handed = c.handed, false
+	c.runStart = time.Time{}
+	s.rmu.Unlock()
+	if handedOff {
+		c.reqs.Done()
+	}
+	return handedOff
+}
+
+// handOffDue is the hand-off timer: the reader of every run that has
+// lasted handOff passes its socket to a successor, and the timer is
+// armed again for the runs still younger than that.
+func (s *Server) handOffDue() {
+	var due []*conn
+	s.mu.Lock()
+	s.rmu.Lock()
+	s.armed = false
+	now := time.Now()
+	next := time.Duration(0)
+	for c := range s.conns {
+		if c.runStart.IsZero() {
+			continue
+		}
+		if left := handOff - now.Sub(c.runStart); left > 0 {
+			if next == 0 || left < next {
+				next = left
+			}
+			continue
+		}
+		c.runStart, c.handed = time.Time{}, true
+		c.reqs.Add(1) // done by endRun: the successor's teardown waits for the job
+		due = append(due, c)
+	}
+	if next > 0 {
+		s.armed = true
+		s.handOffTimer.Reset(next)
+	}
+	s.rmu.Unlock()
+	s.mu.Unlock()
+	for _, c := range due {
+		s.mHandOffs.Inc()
+		c.setInline(false) // the events the run raised so far go out now
+		go c.read()
+	}
+}
+
+// teardown ends the connection, in dependency order: stop new frames
+// (requests beside the reader finish, and a job a handed-off reader still
+// runs; the subscription detaches; the event writer exits), flush the
+// events still queued — terminal notifications included — then close the
+// socket and the session — cancelling this connection's jobs, the
+// mid-solve disconnect story.
+func (c *conn) teardown() {
+	defer c.srv.removeConn(c)
+	c.stop()
 	c.cancel()
 	c.reqs.Wait()
 	c.mu.Lock()
@@ -376,7 +535,7 @@ func (c *conn) serve() {
 		unsub()
 	}
 	close(c.wake)
-	<-writerDone
+	<-c.writerDone
 	c.nc.SetWriteDeadline(time.Now().Add(teardownFlush))
 	c.write(nil)
 	c.nc.Close()
@@ -538,9 +697,10 @@ func (c *conn) handleHello(req *wire.Request) {
 	}})
 }
 
-// handleCommand gates, executes, and answers one decoded command
-// request.
-func (c *conn) handleCommand(id uint64, cmd command.Command) {
+// handleCommand gates, executes under ctx (the connection's, or the
+// reader's WithOwn context for a submit), and answers one decoded
+// command request.
+func (c *conn) handleCommand(ctx context.Context, id uint64, cmd command.Command) {
 	props := command.PropsOf(cmd)
 	if c.srv.draining.Load() && props.RefusedDraining() {
 		c.write(&wire.Response{ID: id, Error: &wire.Error{
@@ -565,7 +725,6 @@ func (c *conn) handleCommand(id uint64, cmd command.Command) {
 			Message: fmt.Sprintf("not the cluster leader; %q not accepted here", command.Value(cmd))}})
 		return
 	}
-	ctx := c.ctx
 	if t := c.srv.cfg.RequestTimeout; t > 0 && !props.ServerTimeoutExempt() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
