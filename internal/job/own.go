@@ -63,11 +63,3 @@ func (o *Own) Run() {
 	defer s.wg.Done()
 	s.execute(j)
 }
-
-// Pool reports the workers parked waiting for work and how many times
-// one woke from that wait and found nothing to run.
-func (s *Scheduler) Pool() (parked int, idleWakes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parked, s.idleWakes
-}

@@ -727,6 +727,14 @@ func (s *Scheduler) Settled(id JobID) bool {
 	return int64(id) <= s.next
 }
 
+// Pool reports the workers parked waiting for work and how many times
+// one woke from that wait and found nothing to run.
+func (s *Scheduler) Pool() (parked int, idleWakes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.parked, s.idleWakes
+}
+
 // Cancel stops a job: a queued job is cancelled outright; a running job
 // has its context cancelled, which the solver kernels poll, so it
 // reaches Cancelled shortly (or Done if completion won the race).  The
