@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	// 1. The formal definition of the seven SPVM message types.
+	// 1. The formal definition of the SPVM message types the NAVM sends.
 	g := hgraph.SPVMMessageGrammar()
 	fmt.Println(g)
 

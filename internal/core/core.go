@@ -49,24 +49,60 @@ type LayerSpec struct {
 	// DataObjects, Operations, SequenceControl, DataControl,
 	// StorageManagement are the five virtual machine component
 	// categories from the paper.
-	DataObjects       []string
-	Operations        []string
-	SequenceControl   []string
-	DataControl       []string
-	StorageManagement []string
+	DataObjects       []Row
+	Operations        []Row
+	SequenceControl   []Row
+	DataControl       []Row
+	StorageManagement []Row
 	// Grammars names the formal H-graph grammars (keys of
 	// hgraph.AllLevelGrammars) that define this layer's data objects.
 	Grammars []string
+}
+
+// Row is one entry of a layer specification: the paper's text and the
+// code that reproduces it.
+type Row struct {
+	Text string
+	// Backing names that code by its package under internal/, its
+	// receiver type for a method, and its identifier
+	// ("spvm.MsgInitiate", "navm.Runtime.Solve"), or is PaperOnly.  The
+	// module's surface test resolves every name and requires a non-test
+	// reference to it from outside its package.
+	Backing string
+}
+
+// PaperOnly is the backing of a row the paper specifies and no code
+// reproduces.
+const PaperOnly = "paper-only"
+
+// paper returns a row the paper specifies and no code reproduces.
+func paper(text string) Row { return Row{text, PaperOnly} }
+
+// Category is one of the paper's five component categories of a layer.
+type Category struct {
+	Name string
+	Rows []Row
+}
+
+// Categories returns the layer's five component categories in the paper's
+// order.
+func (l *LayerSpec) Categories() []Category {
+	return []Category{
+		{"Data objects", l.DataObjects},
+		{"Operations", l.Operations},
+		{"Sequence control", l.SequenceControl},
+		{"Data control", l.DataControl},
+		{"Storage management", l.StorageManagement},
+	}
 }
 
 // Validate checks the layer spec is complete and its formal grammars
 // exist and are well-formed.  Categories are checked in the paper's
 // order, so a spec missing several always reports the same one.
 func (l *LayerSpec) Validate() error {
-	names := []string{"data objects", "operations", "sequence control", "data control", "storage management"}
-	for i, cat := range [][]string{l.DataObjects, l.Operations, l.SequenceControl, l.DataControl, l.StorageManagement} {
-		if len(cat) == 0 {
-			return fmt.Errorf("core: layer %s has no %s", l.Level, names[i])
+	for _, c := range l.Categories() {
+		if len(c.Rows) == 0 {
+			return fmt.Errorf("core: layer %s has no %s", l.Level, strings.ToLower(c.Name))
 		}
 	}
 	all := hgraph.AllLevelGrammars()
@@ -82,21 +118,21 @@ func (l *LayerSpec) Validate() error {
 	return nil
 }
 
-// String renders the spec in the paper's outline style.
+// String renders the spec in the paper's outline style, marking the rows
+// no code reproduces.
 func (l *LayerSpec) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", l.Level, l.Audience)
-	section := func(title string, items []string) {
-		fmt.Fprintf(&b, "  %s:\n", title)
-		for _, it := range items {
-			fmt.Fprintf(&b, "    %s\n", it)
+	for _, c := range l.Categories() {
+		fmt.Fprintf(&b, "  %s:\n", c.Name)
+		for _, r := range c.Rows {
+			if r.Backing == PaperOnly {
+				fmt.Fprintf(&b, "    %s (specified by the paper, not reproduced)\n", r.Text)
+			} else {
+				fmt.Fprintf(&b, "    %s\n", r.Text)
+			}
 		}
 	}
-	section("Data objects", l.DataObjects)
-	section("Operations", l.Operations)
-	section("Sequence control", l.SequenceControl)
-	section("Data control", l.DataControl)
-	section("Storage management", l.StorageManagement)
 	if len(l.Grammars) > 0 {
 		fmt.Fprintf(&b, "  Formal grammars: %s\n", strings.Join(l.Grammars, ", "))
 	}
@@ -110,92 +146,113 @@ func FEM2Layers() []*LayerSpec {
 		{
 			Level:    obs.LevelAUVM,
 			Audience: "structural engineer at an interactive workstation",
-			DataObjects: []string{
-				"structure/substructure model", "grid description",
-				"node/element description", "load set",
-				"displacements of nodes", "stresses on elements",
+			DataObjects: []Row{
+				{"structure/substructure model", "fem.Model"},
+				{"grid description", "fem.RectGridOpts"},
+				{"node/element description", "fem.Element"},
+				{"load set", "fem.LoadSet"},
+				{"displacements of nodes", "fem.Solution"},
+				{"stresses on elements", "fem.VonMises"},
 			},
-			Operations: []string{
-				"define structure model", "generate grid", "define elements",
-				"solve structure model/load set for displacements",
-				"calculate stresses", "data base operations (store/retrieve)",
+			Operations: []Row{
+				{"define structure model", "command.Define"},
+				{"generate grid", "fem.RectGrid"},
+				{"define elements", "fem.Model.AddElement"},
+				{"solve structure model/load set for displacements", "fem.SolveInto"},
+				{"calculate stresses", "fem.StressesInto"},
+				{"data base operations (store/retrieve)", "command.Store"},
 			},
-			SequenceControl: []string{"direct interpretation of user commands"},
-			DataControl:     []string{"workspace (user local data)", "data base (long-term storage; shared data)"},
-			StorageManagement: []string{
-				"dynamic storage allocation for models, results, workspaces",
-				"data movement between data base and workspace",
+			SequenceControl: []Row{{"direct interpretation of user commands", "auvm.Session.Do"}},
+			DataControl: []Row{
+				{"workspace (user local data)", "auvm.Session"},
+				{"data base (long-term storage; shared data)", "auvm.Database"},
+			},
+			StorageManagement: []Row{
+				{"dynamic storage allocation for models, results, workspaces", "auvm.NewSession"},
+				{"data movement between data base and workspace", "command.Retrieve"},
 			},
 			Grammars: []string{"auvm-model"},
 		},
 		{
 			Level:    obs.LevelNAVM,
 			Audience: "numerical analyst programming the parallel linear algebra",
-			DataObjects: []string{
-				"windows on arrays (row, column, block descriptors)",
+			DataObjects: []Row{
+				{"windows on arrays: row descriptors", "navm.RowWindow"},
+				paper("windows on arrays: column, block descriptors"),
 			},
-			Operations: []string{
-				"tasks (programmer-defined parallel procedures)",
-				"window operations: create window, access/assign data visible in a window",
-				"broadcast data to a set of tasks",
-				"linear algebra operations: inner product, vector operations",
+			Operations: []Row{
+				{"tasks (programmer-defined parallel procedures)", "navm.Runtime.RegisterTaskType"},
+				{"window operations: create window, access data visible in a window", "navm.RowWindow"},
+				paper("window operations: assign data visible in a window"),
+				paper("broadcast data to a set of tasks"),
+				{"linear algebra operations: inner product, vector operations", "navm.Runtime.Solve"},
 			},
-			SequenceControl: []string{
-				"forall loops", "pardo ... end",
-				"task control: initiate, pause, resume, terminate",
-				"remote procedure call located by window",
+			SequenceControl: []Row{
+				paper("forall loops"),
+				paper("pardo ... end"),
+				{"task control: initiate, terminate", "navm.TaskCtx.Initiate"},
+				paper("task control: pause, resume"),
+				paper("remote procedure call located by window"),
 			},
-			DataControl: []string{
-				"all data owned by a single task",
-				"data accessible non-locally only via windows",
-				"windows transmitted as parameters, partitioned, stored",
-				"tasks communicate through windows",
+			DataControl: []Row{
+				{"all data owned by a single task", "navm.TaskCtx.NewArray"},
+				{"data accessible non-locally only via windows", "navm.Window.Read"},
+				paper("windows transmitted as parameters, partitioned, stored"),
+				{"tasks communicate through windows", "navm.Window.Read"},
 			},
-			StorageManagement: []string{
-				"dynamic creation of data objects by a task",
-				"data lifetime = lifetime of owner task",
-				"dynamic creation of multiple task replications",
-				"local data retained over pause/resume",
+			StorageManagement: []Row{
+				{"dynamic creation of data objects by a task", "navm.TaskCtx.NewArray"},
+				paper("data lifetime = lifetime of owner task"),
+				{"dynamic creation of multiple task replications", "navm.TaskCtx.Initiate"},
+				paper("local data retained over pause/resume"),
 			},
 			Grammars: []string{"navm-window"},
 		},
 		{
 			Level:    obs.LevelSPVM,
 			Audience: "system programmer implementing the NAVM",
-			DataObjects: []string{
-				"code blocks/constants blocks",
-				"task/procedure activation records",
-				"window descriptors", "storage representations",
-				"the seven task messages (initiate, pause, resume, terminate, remote call, remote return, load code)",
+			DataObjects: []Row{
+				{"code blocks/constants blocks", "spvm.MsgLoadCode"},
+				{"task/procedure activation records", "spvm.Kernel.Start"},
+				{"window descriptors", "spvm.WindowDesc"},
+				{"storage representations", "spvm.Message.Words"},
+				{"task message: initiate K replications of a task of type T", "spvm.MsgInitiate"},
+				{"task message: terminate and notify parent", "spvm.MsgTerminate"},
+				{"task message: load code/constants", "spvm.MsgLoadCode"},
+				paper("task messages: pause, resume, remote call, remote return"),
 			},
-			Operations: []string{
-				"sequential operations", "library linear algebra routines",
-				"format and send message", "decode and execute message",
+			Operations: []Row{
+				{"sequential operations", "navm.TaskCtx.Charge"},
+				{"library linear algebra routines", "linalg.Distributed"},
+				{"format and send message", "spvm.Message"},
+				{"decode and execute message", "spvm.Kernel.Handle"},
 			},
-			SequenceControl: []string{"usual sequential control structures"},
-			DataControl:     []string{"usual sequential language structures"},
-			StorageManagement: []string{
-				"general heap with variable size blocks",
+			SequenceControl: []Row{paper("usual sequential control structures")},
+			DataControl:     []Row{paper("usual sequential language structures")},
+			StorageManagement: []Row{
+				{"general heap with variable size blocks", "spvm.Heap.HighWater"},
 			},
 			Grammars: []string{"spvm-message", "spvm-activation"},
 		},
 		{
 			Level:    obs.LevelARCH,
 			Audience: "hardware organisation",
-			DataObjects: []string{
-				"clusters of processing elements around a shared memory",
-				"common communication network", "cluster input queues",
+			DataObjects: []Row{
+				{"clusters of processing elements around a shared memory", "arch.Machine.Clusters"},
+				{"common communication network", "arch.Machine.Network"},
+				{"cluster input queues", "arch.Machine.Send"},
 			},
-			Operations: []string{
-				"kernel PE fields incoming messages and assigns available PEs",
-				"network transfer", "shared memory access",
+			Operations: []Row{
+				{"kernel PE fields incoming messages and assigns available PEs", "arch.Machine.Send"},
+				{"network transfer", "arch.Machine.RemoteFetch"},
+				{"shared memory access", "arch.Machine.MemoryTouch"},
 			},
-			SequenceControl: []string{"message-driven dispatch"},
-			DataControl:     []string{"messages processed by any available PE"},
-			StorageManagement: []string{
-				"shared memory dynamic allocation", "reconfiguration around faults",
+			SequenceControl: []Row{{"message-driven dispatch", "arch.Machine.Send"}},
+			DataControl:     []Row{{"messages processed by any available PE", "arch.Machine.PlaceWorker"}},
+			StorageManagement: []Row{
+				{"shared memory dynamic allocation", "arch.SharedMemory.Alloc"},
+				{"reconfiguration around faults", "arch.Machine.FailPE"},
 			},
-			Grammars: nil,
 		},
 	}
 }

@@ -28,16 +28,22 @@ func TestFEM2LayersCompleteAndValid(t *testing.T) {
 			t.Errorf("layer %v invalid: %v", l.Level, err)
 		}
 	}
-	// The SPVM layer must document the seven messages.
-	spvm := layers[2]
-	found := false
-	for _, d := range spvm.DataObjects {
-		if strings.Contains(d, "seven") {
-			found = true
-		}
+	// The SPVM layer's messages: the three the NAVM sends are backed by
+	// their message types, the other four of the paper's seven are
+	// marked paper-only.
+	backing := map[string]string{}
+	for _, r := range layers[2].DataObjects {
+		backing[r.Text] = r.Backing
 	}
-	if !found {
-		t.Error("SPVM layer does not document the seven message types")
+	for text, want := range map[string]string{
+		"task message: initiate K replications of a task of type T": "spvm.MsgInitiate",
+		"task message: terminate and notify parent":                 "spvm.MsgTerminate",
+		"task message: load code/constants":                         "spvm.MsgLoadCode",
+		"task messages: pause, resume, remote call, remote return":  PaperOnly,
+	} {
+		if got, ok := backing[text]; !ok || got != want {
+			t.Errorf("SPVM data object %q backed by %q (present %v), want %q", text, got, ok, want)
+		}
 	}
 }
 

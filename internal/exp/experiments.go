@@ -616,11 +616,12 @@ func E10LinalgKernels(workerCounts []int) (*Table, error) {
 
 // E11HGraphValidation reproduces the formal-specification evaluation:
 // the live values of every specified layer validate against their H-graph
-// grammars, and mutants of each are rejected.  The values are the seven
-// SPVM message types, the activation records a kernel creates for
-// initiate and remote-call messages, NAVM row, column and block windows,
-// and models read back from the AUVM database; the mutants carry an
-// unknown message type, task state, window kind or element kind.
+// grammars, and mutants of each are rejected.  The values are the three
+// SPVM message types the NAVM sends, the activation records a kernel
+// creates for initiate messages and registers for root tasks, NAVM row,
+// column and block windows, and models read back from the AUVM database;
+// the mutants carry an unknown message type, task state, window kind or
+// element kind.
 func E11HGraphValidation(instances int) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
@@ -629,8 +630,8 @@ func E11HGraphValidation(instances int) (*Table, error) {
 		Notes: "the formal definitions are executable: the runtime's own messages, activation records, " +
 			"windows and stored models are checked",
 	}
-	k := spvm.NewKernel(0, 1<<20, spvm.NewIDSource())
-	k.RegisterRoot(0)
+	ids := spvm.NewIDSource()
+	k := spvm.NewKernel(0, 1<<20, ids)
 	if _, err := k.Handle(&spvm.Message{Type: spvm.MsgLoadCode, CodeName: "w", CodeWords: 64, LocalWords: 8}); err != nil {
 		return nil, err
 	}
@@ -657,12 +658,7 @@ func E11HGraphValidation(instances int) (*Table, error) {
 	mk := func(i int64) []*spvm.Message {
 		return []*spvm.Message{
 			{Type: spvm.MsgInitiate, TaskType: "w", Replications: i + 1, Parent: 0, Params: []float64{float64(i)}},
-			{Type: spvm.MsgPause, Task: spvm.TaskID(i), Parent: 0},
-			{Type: spvm.MsgResume, Child: spvm.TaskID(i)},
 			{Type: spvm.MsgTerminate, Task: spvm.TaskID(i), Parent: 0},
-			{Type: spvm.MsgRemoteCall, Procedure: "dot", Caller: spvm.TaskID(i),
-				Window: &spvm.WindowDesc{Array: "x", Kind: "row", Owner: 1, Rows: 1, Cols: i + 1}},
-			{Type: spvm.MsgRemoteReturn, Caller: spvm.TaskID(i), Params: []float64{1}},
 			{Type: spvm.MsgLoadCode, CodeName: "w", CodeWords: i + 1, LocalWords: i},
 		}
 	}
@@ -672,17 +668,16 @@ func E11HGraphValidation(instances int) (*Table, error) {
 			return mk(int64(i))[j].ToHGraph(), nil
 		}, retag("type", "bogus")})
 	}
-	// Records of initiate and remote-call messages in turn.
+	// Records of initiate messages and of root tasks in turn.
 	rows = append(rows, row{"activation", hgraph.ActivationRecordGrammar(), func(i int) (*hgraph.Graph, error) {
-		m := &spvm.Message{Type: spvm.MsgInitiate, TaskType: "w", Replications: 1, Params: []float64{float64(i)}}
 		if i%2 == 1 {
-			m = &spvm.Message{Type: spvm.MsgRemoteCall, Procedure: "w", Params: []float64{float64(i), 1}}
+			return k.RegisterRoot(ids.Next()).ToHGraph(), nil
 		}
-		ids, err := k.Handle(m)
+		created, err := k.Handle(&spvm.Message{Type: spvm.MsgInitiate, TaskType: "w", Replications: 1, Params: []float64{float64(i)}})
 		if err != nil {
 			return nil, err
 		}
-		return k.Task(ids[0]).ToHGraph(), nil
+		return k.Task(created[0]).ToHGraph(), nil
 	}, retag("state", "zombie")})
 	// Row, column and block windows in turn.
 	rows = append(rows, row{"window", hgraph.WindowGrammar(), func(i int) (*hgraph.Graph, error) {

@@ -12,8 +12,3 @@ func (n *Node) RemoveArc(sel string) bool {
 	delete(n.arcs, sel)
 	return true
 }
-
-// SetSub stores a nested graph in the node, clearing any atom.
-func (n *Node) SetSub(g *Graph) {
-	n.Sub, n.HasAtom = g, false
-}

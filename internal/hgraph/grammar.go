@@ -9,7 +9,7 @@ import (
 
 // TypeExpr is one alternative on the right-hand side of an H-graph grammar
 // production.  A TypeExpr constrains the shape of a node: its atom kind,
-// its outgoing arcs, its nested subgraph, or a choice among alternatives.
+// its outgoing arcs, or a choice among alternatives.
 // This plays the role BNF right-hand sides play for strings — the
 // "language" a grammar defines is a set of H-graphs.
 type TypeExpr interface {
@@ -158,25 +158,6 @@ func (t ListType) check(g *Grammar, n *Node, path string, seen map[memoKey]bool,
 	}
 }
 
-// SubgraphType requires the node's value to be a nested graph whose entry
-// conforms to the named production — the "hierarchy" dimension of H-graphs.
-type SubgraphType struct{ Prod string }
-
-// String renders the subgraph reference.
-func (t SubgraphType) String() string { return fmt.Sprintf("GRAPH<%s>", t.Prod) }
-
-func (t SubgraphType) check(g *Grammar, n *Node, path string, seen map[memoKey]bool, errs *[]error) {
-	if n.Sub == nil {
-		*errs = append(*errs, fmt.Errorf("%s: expected nested graph on node %q", path, n.Label))
-		return
-	}
-	if n.Sub.Entry() == nil {
-		*errs = append(*errs, fmt.Errorf("%s: nested graph %q has no entry node", path, n.Sub.Name))
-		return
-	}
-	Ref(t.Prod).check(g, n.Sub.Entry(), path+"↓", seen, errs)
-}
-
 // UnionType accepts a node conforming to any one alternative.
 type UnionType struct{ Alts []TypeExpr }
 
@@ -277,8 +258,7 @@ func (g *Grammar) Productions() []string {
 func (g *Grammar) Production(name string) TypeExpr { return g.prods[name] }
 
 // WellFormed checks that the start production exists and that every
-// RefType and SubgraphType target is defined, returning all dangling
-// references.
+// RefType target is defined, returning all dangling references.
 func (g *Grammar) WellFormed() []error {
 	var errs []error
 	if _, ok := g.prods[g.Start]; !ok {
@@ -290,10 +270,6 @@ func (g *Grammar) WellFormed() []error {
 		case RefType:
 			if _, ok := g.prods[t.Prod]; !ok {
 				errs = append(errs, fmt.Errorf("hgraph: grammar %q references undefined <%s>", g.Name, t.Prod))
-			}
-		case SubgraphType:
-			if _, ok := g.prods[t.Prod]; !ok {
-				errs = append(errs, fmt.Errorf("hgraph: grammar %q subgraph references undefined <%s>", g.Name, t.Prod))
 			}
 		case StructType:
 			for _, f := range t.Fields {

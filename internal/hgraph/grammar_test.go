@@ -22,10 +22,10 @@ func buildInitiateMessage(reps int64) *Graph {
 	return g
 }
 
-func buildPauseMessage() *Graph {
+func buildTerminateMessage() *Graph {
 	g := NewGraph("msg")
 	root := g.Add("message")
-	root.Arc("type", g.AddAtom("t", Str("pause")))
+	root.Arc("type", g.AddAtom("t", Str("terminate")))
 	root.Arc("task", g.AddAtom("id", Int(3)))
 	root.Arc("parent", g.AddAtom("p", Int(1)))
 	return g
@@ -52,19 +52,25 @@ func TestValidInitiateMessageAccepted(t *testing.T) {
 	}
 }
 
-func TestValidPauseMessageAccepted(t *testing.T) {
+func TestValidTerminateMessageAccepted(t *testing.T) {
 	g := SPVMMessageGrammar()
-	if errs := g.Validate(buildPauseMessage()); len(errs) > 0 {
-		t.Errorf("valid pause rejected: %v", errs)
+	if errs := g.Validate(buildTerminateMessage()); len(errs) > 0 {
+		t.Errorf("valid terminate rejected: %v", errs)
 	}
 }
 
-func TestAllSevenMessageTypesHaveProductions(t *testing.T) {
+// TestEveryMessageTypeHasAProduction: the three messages the NAVM sends
+// have productions, and the four the paper alone specifies have none.
+func TestEveryMessageTypeHasAProduction(t *testing.T) {
 	g := SPVMMessageGrammar()
-	for _, name := range []string{"initiate", "pause", "resume", "terminate",
-		"remote-call", "remote-return", "load-code"} {
+	for _, name := range []string{"initiate", "terminate", "load-code"} {
 		if g.Production(name) == nil {
-			t.Errorf("missing production for paper message type %q", name)
+			t.Errorf("missing production for message type %q", name)
+		}
+	}
+	for _, name := range []string{"pause", "resume", "remote-call", "remote-return", "window"} {
+		if g.Production(name) != nil {
+			t.Errorf("production <%s> for a message nothing sends", name)
 		}
 	}
 }
@@ -87,8 +93,8 @@ func TestWrongAtomKindRejected(t *testing.T) {
 }
 
 func TestUnknownMessageTypeRejected(t *testing.T) {
-	m := buildPauseMessage()
-	m.Entry().Arc("type", m.AddAtom("t", Str("abort"))) // not one of the 7
+	m := buildTerminateMessage()
+	m.Entry().Arc("type", m.AddAtom("t", Str("pause"))) // the paper's, not sent
 	errs := SPVMMessageGrammar().Validate(m)
 	if len(errs) == 0 {
 		t.Error("unknown message type accepted")
@@ -96,7 +102,7 @@ func TestUnknownMessageTypeRejected(t *testing.T) {
 }
 
 func TestClosedStructRejectsExtraArc(t *testing.T) {
-	m := buildPauseMessage()
+	m := buildTerminateMessage()
 	m.Entry().Arc("extra", m.AddAtom("x", Int(1)))
 	if errs := SPVMMessageGrammar().Validate(m); len(errs) == 0 {
 		t.Error("closed struct accepted extra arc")
@@ -187,46 +193,27 @@ func TestTaskStateGrammar(t *testing.T) {
 		root.Arc("params", gr.AddList("params", 1, func(int) *Node { return gr.AddAtom("p", Float(2)) }))
 		root.Arc("local-words", gr.AddAtom("lw", Int(33)))
 		root.Arc("state", gr.AddAtom("s", Str(state)))
-		root.Arc("results", gr.Add("results"))
 		return gr
 	}
-	for _, s := range []string{"ready", "running", "paused", "terminated"} {
+	for _, s := range []string{"ready", "running", "terminated"} {
 		if errs := g.Validate(mk(s)); len(errs) > 0 {
 			t.Errorf("task state %q rejected: %v", s, errs)
 		}
 	}
-	if errs := g.Validate(mk("zombie")); len(errs) == 0 {
-		t.Error("task state \"zombie\" accepted")
+	for _, s := range []string{"zombie", "paused"} {
+		if errs := g.Validate(mk(s)); len(errs) == 0 {
+			t.Errorf("task state %q accepted", s)
+		}
 	}
-	saved := mk("paused")
+	results := mk("running")
+	results.Entry().Arc("results", results.Add("results"))
+	if errs := g.Validate(results); len(errs) == 0 {
+		t.Error("activation record with a results arc accepted")
+	}
+	saved := mk("running")
 	saved.Entry().Arc("saved", saved.AddAtom("sv", Int(1)))
 	if errs := g.Validate(saved); len(errs) == 0 {
 		t.Error("activation record with a saved flag accepted")
-	}
-}
-
-func TestSubgraphTypeRequiresNestedGraph(t *testing.T) {
-	g := NewGrammar("task", "task")
-	g.Define("task", StructType{Fields: []Field{
-		{Sel: "locals", Type: SubgraphType{Prod: "locals"}},
-	}})
-	g.Define("locals", StructType{Fields: nil}) // any named set of objects
-	gr := NewGraph("task")
-	root := gr.Add("task")
-	// locals present but not a subgraph:
-	root.Arc("locals", gr.AddAtom("l", Int(0)))
-	if errs := g.Validate(gr); len(errs) == 0 {
-		t.Error("locals without nested graph accepted")
-	}
-	// Now make it a proper subgraph.
-	locals := NewGraph("locals")
-	locals.Add("objects")
-	ln := NewNode("locals")
-	ln.SetSub(locals)
-	gr.AddNode(ln)
-	root.Arc("locals", ln)
-	if errs := g.Validate(gr); len(errs) > 0 {
-		t.Errorf("proper locals rejected: %v", errs)
 	}
 }
 
@@ -370,7 +357,6 @@ func TestTypeExprStrings(t *testing.T) {
 		{Ref("foo"), "<foo>"},
 		{AnyType{}, "ANY"},
 		{ListType{Elem: AtomType{AtomInt}}, "LIST(INT)"},
-		{SubgraphType{"g"}, "GRAPH<g>"},
 		{UnionType{Alts: []TypeExpr{LitString{"a"}, LitString{"b"}}}, `"a" | "b"`},
 	}
 	for _, c := range cases {
@@ -390,12 +376,12 @@ func TestTypeExprStrings(t *testing.T) {
 
 func TestValidateNodeDirectly(t *testing.T) {
 	g := SPVMMessageGrammar()
-	m := buildPauseMessage()
-	if errs := g.ValidateNode(m.Entry(), "pause"); len(errs) > 0 {
-		t.Errorf("ValidateNode pause failed: %v", errs)
+	m := buildTerminateMessage()
+	if errs := g.ValidateNode(m.Entry(), "terminate"); len(errs) > 0 {
+		t.Errorf("ValidateNode terminate failed: %v", errs)
 	}
-	if errs := g.ValidateNode(m.Entry(), "resume"); len(errs) == 0 {
-		t.Error("pause node validated as resume")
+	if errs := g.ValidateNode(m.Entry(), "load-code"); len(errs) == 0 {
+		t.Error("terminate node validated as load-code")
 	}
 }
 

@@ -15,14 +15,17 @@
 //     invoke each other in the usual manner of subprogram calling
 //     hierarchies.
 //
-// This package implements the first two: graphs and grammars.  spec.go
-// carries the formal definitions of the FEM-2 virtual machine levels, and
-// each grammar has one builder that renders the live value it specifies:
-// spvm.Message and spvm.ActivationRecord's ToHGraph, spvm.WindowDesc's
-// (which a navm.Window renders through) and auvm.Database's ModelGraph of
-// a stored model.  Those packages' tests validate the values their layer
-// builds, and experiment E11 counts the live instances accepted and the
-// mutants rejected.
+// This package implements graphs and grammars without the hierarchy: a
+// node holds an atom or nothing, never a nested graph, because no level
+// grammar of FEM-2 needs one.  Hierarchy and transforms are specified by
+// the paper, not reproduced.  spec.go carries the formal definitions of
+// the FEM-2 virtual machine levels, and each grammar has one builder that
+// renders the live value it specifies: spvm.Message and
+// spvm.ActivationRecord's ToHGraph, spvm.WindowDesc's (which a
+// navm.Window renders through) and auvm.Database's ModelGraph of a stored
+// model.  Those packages' tests validate the values their layer builds,
+// and experiment E11 counts the live instances accepted and the mutants
+// rejected.
 package hgraph
 
 import (
@@ -33,8 +36,8 @@ import (
 )
 
 // Atom is a primitive value stored in a node: one of int64, float64 or
-// string.  An Atom distinguishes leaf storage locations from locations
-// whose value is a nested graph.
+// string.  An Atom distinguishes leaf storage locations from the
+// locations arcs lead out of.
 type Atom struct {
 	Kind AtomKind
 	I    int64
@@ -75,18 +78,15 @@ func Float(v float64) Atom { return Atom{Kind: AtomFloat, F: v} }
 // Str returns a string atom.
 func Str(v string) Atom { return Atom{Kind: AtomString, S: v} }
 
-// Node is an abstract storage location.  Its value is either an Atom
-// (leaf) or a nested *Graph (hierarchy), or empty.  Arcs to other nodes
-// are labeled with selectors and represent access paths.
+// Node is an abstract storage location.  Its value is an Atom (leaf) or
+// empty.  Arcs to other nodes are labeled with selectors and represent
+// access paths.
 type Node struct {
 	// Label is a diagnostic name; it has no semantic weight.
 	Label string
 	// Atom holds the leaf value when HasAtom is true.
 	Atom    Atom
 	HasAtom bool
-	// Sub holds a nested graph when non-nil (the "hierarchy" in
-	// H-graph).  A node may not have both an atom and a subgraph.
-	Sub *Graph
 	// arcs maps selector → target node.
 	arcs map[string]*Node
 }
@@ -167,9 +167,8 @@ func (g *Graph) AddList(label string, n int, elem func(i int) *Node) *Node {
 // Entry returns the distinguished entry node (nil for an empty graph).
 func (g *Graph) Entry() *Node { return g.entry }
 
-// Walk visits every node reachable from the entry (following arcs and
-// descending into subgraphs), in deterministic order, calling visit once
-// per node.  Cycles are handled.
+// Walk visits every node reachable from the entry by arcs, in
+// deterministic order, calling visit once per node.  Cycles are handled.
 func (g *Graph) Walk(visit func(depth int, sel string, n *Node)) {
 	if g == nil || g.entry == nil {
 		return
@@ -184,9 +183,6 @@ func (g *Graph) Walk(visit func(depth int, sel string, n *Node)) {
 		visit(depth, sel, n)
 		for _, s := range n.Selectors() {
 			rec(depth+1, s, n.Follow(s))
-		}
-		if n.Sub != nil {
-			rec(depth+1, "↓", n.Sub.entry)
 		}
 	}
 	rec(0, "", g.entry)
@@ -205,9 +201,6 @@ func (g *Graph) String() string {
 		b.WriteString(n.Label)
 		if n.HasAtom {
 			fmt.Fprintf(&b, " = %s", n.Atom)
-		}
-		if n.Sub != nil {
-			fmt.Fprintf(&b, " [subgraph %q]", n.Sub.Name)
 		}
 		b.WriteByte('\n')
 	})

@@ -43,17 +43,6 @@ func TestNodeArcFollow(t *testing.T) {
 	}
 }
 
-func TestNodeAtomVsSubExclusive(t *testing.T) {
-	n := NewAtomNode("n", Int(1))
-	if !n.HasAtom || n.Sub != nil {
-		t.Error("atom node state wrong")
-	}
-	n.SetSub(NewGraph("g"))
-	if n.HasAtom || n.Sub == nil {
-		t.Error("SetSub must clear atom")
-	}
-}
-
 func TestGraphEntryDefaultsToFirstNode(t *testing.T) {
 	g := NewGraph("g")
 	if g.Entry() != nil {
@@ -82,28 +71,12 @@ func TestWalkVisitsReachableOnceIncludingCycles(t *testing.T) {
 	}
 }
 
-func TestWalkDescendsIntoSubgraphs(t *testing.T) {
-	inner := NewGraph("inner")
-	inner.Add("deep")
-	g := NewGraph("outer")
-	root := g.Add("root")
-	root.SetSub(inner)
-	var labels []string
-	g.Walk(func(depth int, sel string, n *Node) { labels = append(labels, n.Label) })
-	if len(labels) != 2 || labels[0] != "root" || labels[1] != "deep" {
-		t.Errorf("Walk labels = %v", labels)
-	}
-}
-
-func TestGraphStringRendersAtomsAndSubgraphs(t *testing.T) {
+func TestGraphStringRendersAtoms(t *testing.T) {
 	g := NewGraph("demo")
 	root := g.Add("root")
 	root.Arc("v", g.AddAtom("val", Float(2.5)))
-	inner := NewGraph("inner")
-	inner.Add("i")
-	root.SetSub(inner)
 	s := g.String()
-	for _, want := range []string{"demo", "root", "val", "2.5", "inner"} {
+	for _, want := range []string{"demo", "root", "v -> val", "2.5"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String missing %q:\n%s", want, s)
 		}

@@ -7,20 +7,19 @@ package hgraph
 // the package doc names the builder that renders it.
 
 // SPVMMessageGrammar returns the grammar of the system programmer's VM
-// message formats.  The paper lists exactly seven messages from tasks:
+// message formats: the three of the paper's seven messages from tasks
+// that the NAVM sends,
 //
 //	initiate K replications of a task of type T
-//	pause and notify parent task
-//	resume a child task
 //	terminate and notify parent
-//	remote procedure call
-//	remote procedure return
 //	load code/constants
+//
+// Pause, resume, remote procedure call and remote procedure return are
+// specified by the paper, not reproduced.
 func SPVMMessageGrammar() *Grammar {
 	g := NewGrammar("spvm-message", "message")
 	g.Define("message", UnionType{Alts: []TypeExpr{
-		Ref("initiate"), Ref("pause"), Ref("resume"), Ref("terminate"),
-		Ref("remote-call"), Ref("remote-return"), Ref("load-code"),
+		Ref("initiate"), Ref("terminate"), Ref("load-code"),
 	}})
 	g.Define("initiate", StructType{Closed: true, Fields: []Field{
 		{Sel: "type", Type: LitString{"initiate"}},
@@ -29,31 +28,10 @@ func SPVMMessageGrammar() *Grammar {
 		{Sel: "parent", Type: AtomType{AtomInt}},
 		{Sel: "params", Type: ListType{Elem: AnyType{}}},
 	}})
-	g.Define("pause", StructType{Closed: true, Fields: []Field{
-		{Sel: "type", Type: LitString{"pause"}},
-		{Sel: "task", Type: AtomType{AtomInt}},
-		{Sel: "parent", Type: AtomType{AtomInt}},
-	}})
-	g.Define("resume", StructType{Closed: true, Fields: []Field{
-		{Sel: "type", Type: LitString{"resume"}},
-		{Sel: "child", Type: AtomType{AtomInt}},
-	}})
 	g.Define("terminate", StructType{Closed: true, Fields: []Field{
 		{Sel: "type", Type: LitString{"terminate"}},
 		{Sel: "task", Type: AtomType{AtomInt}},
 		{Sel: "parent", Type: AtomType{AtomInt}},
-	}})
-	g.Define("remote-call", StructType{Closed: true, Fields: []Field{
-		{Sel: "type", Type: LitString{"remote-call"}},
-		{Sel: "procedure", Type: AtomType{AtomString}},
-		{Sel: "caller", Type: AtomType{AtomInt}},
-		{Sel: "window", Type: Ref("window"), Optional: true},
-		{Sel: "args", Type: ListType{Elem: AnyType{}}},
-	}})
-	g.Define("remote-return", StructType{Closed: true, Fields: []Field{
-		{Sel: "type", Type: LitString{"remote-return"}},
-		{Sel: "caller", Type: AtomType{AtomInt}},
-		{Sel: "results", Type: ListType{Elem: AnyType{}}},
 	}})
 	g.Define("load-code", StructType{Closed: true, Fields: []Field{
 		{Sel: "type", Type: LitString{"load-code"}},
@@ -61,12 +39,15 @@ func SPVMMessageGrammar() *Grammar {
 		{Sel: "words", Type: AtomType{AtomInt}},
 		{Sel: "local-words", Type: AtomType{AtomInt}},
 	}})
-	g.Define("window", windowStruct())
 	return g
 }
 
-func windowStruct() TypeExpr {
-	return StructType{Closed: true, Fields: []Field{
+// WindowGrammar returns the grammar of NAVM window descriptors ("windows
+// on arrays (e.g., row, column, block descriptors, for remote access to
+// non-local data)").
+func WindowGrammar() *Grammar {
+	g := NewGrammar("navm-window", "window")
+	g.Define("window", StructType{Closed: true, Fields: []Field{
 		{Sel: "array", Type: AtomType{AtomString}},
 		{Sel: "kind", Type: UnionType{Alts: []TypeExpr{
 			LitString{"row"}, LitString{"col"}, LitString{"block"},
@@ -76,25 +57,16 @@ func windowStruct() TypeExpr {
 		{Sel: "rows", Type: AtomType{AtomInt}},
 		{Sel: "col0", Type: AtomType{AtomInt}},
 		{Sel: "cols", Type: AtomType{AtomInt}},
-	}}
-}
-
-// WindowGrammar returns the grammar of NAVM window descriptors ("windows
-// on arrays (e.g., row, column, block descriptors, for remote access to
-// non-local data)").
-func WindowGrammar() *Grammar {
-	g := NewGrammar("navm-window", "window")
-	g.Define("window", windowStruct())
+	}})
 	return g
 }
 
 // ActivationRecordGrammar returns the grammar of SPVM activation records,
 // the kernel's one representation of a task (a NAVM task is an SPVM
 // activation): the task and its parent, the code block it runs, the
-// parameters copied from its initiate or remote-call message, the size of
-// its local data, its life-cycle state under the initiate / pause /
-// resume / terminate messages, and the remote-return results delivered to
-// it.  Where the heap holds the local data is storage management's
+// parameters copied from its initiate message, the size of its local
+// data, and its life-cycle state between the initiate and terminate
+// messages.  Where the heap holds the local data is storage management's
 // business, not part of the record's type.
 func ActivationRecordGrammar() *Grammar {
 	g := NewGrammar("spvm-activation", "activation")
@@ -105,10 +77,8 @@ func ActivationRecordGrammar() *Grammar {
 		{Sel: "params", Type: ListType{Elem: AtomType{AtomFloat}}},
 		{Sel: "local-words", Type: AtomType{AtomInt}},
 		{Sel: "state", Type: UnionType{Alts: []TypeExpr{
-			LitString{"ready"}, LitString{"running"},
-			LitString{"paused"}, LitString{"terminated"},
+			LitString{"ready"}, LitString{"running"}, LitString{"terminated"},
 		}}},
-		{Sel: "results", Type: ListType{Elem: AtomType{AtomFloat}}},
 	}})
 	return g
 }

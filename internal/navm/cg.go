@@ -183,10 +183,7 @@ func (rt *Runtime) spawnSolverTasks(pes []*arch.PE) func() {
 			continue // heap pressure: the solve still runs, uninstrumented
 		}
 		for _, id := range ids {
-			kern.Ready.Remove(id)
-			if rec := kern.Task(id); rec != nil {
-				rec.State = spvm.TaskRunning
-			}
+			kern.Start(id)
 		}
 		all = append(all, spawned{kern: kern, ids: ids})
 	}

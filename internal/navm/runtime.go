@@ -8,10 +8,10 @@
 // that charges the simulated machine: the halo exchange before each
 // product, each block's work on its worker's PE, each barrier.  This
 // package only picks the workers, spawns their solver tasks and reports
-// the cost.  The paper's layer specification
-// (core.FEM2Layers) also names pause/resume, broadcast, pardo and remote
-// procedure call.  The SPVM kernels handle those messages, but no
-// program here issues them, so this layer does not offer them.
+// the cost.  The paper's layer specification (core.FEM2Layers) also names
+// pause/resume, broadcast, forall, pardo and remote procedure call; no
+// program here needs them, so they are specified by the paper and not
+// reproduced, here or in the SPVM.
 //
 // The layer is implemented on the system programmer's VM (spvm): task
 // initiation and termination each format and send an SPVM message, which
@@ -232,11 +232,7 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 		g.group.Add(1)
 		go func(child *TaskCtx, i int) {
 			defer g.group.Done()
-			// The kernel's ready->running transition.
-			if rec := kern.Task(child.ID); rec != nil {
-				kern.Ready.Remove(child.ID)
-				rec.State = spvm.TaskRunning
-			}
+			kern.Start(child.ID)
 			child.err = fn(child, i)
 			child.terminate()
 		}(child, i)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/obs"
@@ -148,6 +149,47 @@ func TestChargeAdvancesPEAndMetrics(t *testing.T) {
 	root.Charge(-5) // no-op
 	if got := reg.Counter(obs.NAVMFlops).Load(); got != 50 {
 		t.Errorf("non-positive charge changed metrics: %d", got)
+	}
+}
+
+// TestTaskStartsUnderTheKernelLock polls the kernels' task tables while
+// an initiate's children start and run.  Kernel.TaskIDs reads each
+// record's state under its kernel's lock, so a child's ready->running
+// transition made outside that lock is a data race the race detector
+// reports here.
+func TestTaskStartsUnderTheKernelLock(t *testing.T) {
+	rt, root := newTestRuntime(t)
+	rt.RegisterTaskType("nap", 16, 2, func(tc *TaskCtx, replica int) error {
+		time.Sleep(2 * time.Millisecond)
+		return nil
+	})
+	stop, polls := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				polls <- n
+				return
+			default:
+			}
+			liveTasks(rt)
+			n++
+		}
+	}()
+	g, err := root.Initiate("nap", 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Wait(root); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if n := <-polls; n == 0 {
+		t.Error("the task tables were never polled")
+	}
+	if live := liveTasks(rt); len(live) != 1 || live[0] != root.ID {
+		t.Errorf("live tasks = %v, want only root %d", live, root.ID)
 	}
 }
 

@@ -26,8 +26,8 @@ func RowWindow(a *Array, row0, rows int) (*Window, error) {
 }
 
 // Desc returns the SPVM storage representation of the window, the
-// descriptor a remote-call message carries.  Its kind is "row" when the
-// window spans every column, else "col" when it spans every row, else
+// descriptor the navm-window grammar specifies.  Its kind is "row" when
+// the window spans every column, else "col" when it spans every row, else
 // "block".
 func (w *Window) Desc() *spvm.WindowDesc {
 	kind := "block"

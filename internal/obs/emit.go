@@ -88,21 +88,17 @@ func (e *Emitter) Start() {
 	go e.run()
 }
 
-// Stop ends the loop and waits for it to exit; no line is written
-// after Stop returns.  Safe to call without Start, and more than once.
+// Stop ends the loop, which writes one closing line as it exits, so what
+// happened after the last tick is reported too, and waits for it; no
+// line is written after Stop returns.  Safe to call without Start (it
+// then writes nothing), and more than once.
 func (e *Emitter) Stop() {
 	e.mu.Lock()
-	if e.stopped {
-		started := e.started
-		e.mu.Unlock()
-		if started {
-			<-e.done
-		}
-		return
+	if !e.stopped {
+		e.stopped = true
+		close(e.stop)
 	}
-	e.stopped = true
 	started := e.started
-	close(e.stop)
 	e.mu.Unlock()
 	if started {
 		<-e.done
@@ -124,6 +120,7 @@ func (e *Emitter) run() {
 	for {
 		select {
 		case <-e.stop:
+			e.emit(time.Time{})
 			return
 		case tk := <-ticks:
 			e.emit(tk)
@@ -145,8 +142,9 @@ type emitLine struct {
 	Histograms    map[string]HistogramSnap `json:"hist,omitempty"`
 }
 
-// emit writes one line.  at is the tick time (zero with a fake ticker
-// that sends zero values — the clock hook fills in).
+// emit writes one line.  at is the tick time (zero for the closing line
+// and with a fake ticker that sends zero values — the clock hook fills
+// in).
 func (e *Emitter) emit(at time.Time) {
 	if at.IsZero() {
 		at = e.now()

@@ -134,7 +134,8 @@ func TestConcurrentObserve(t *testing.T) {
 
 // TestEmitterFakeClock drives the emitter from a hand-fed tick channel
 // and a fixed clock: one line per tick, each line valid JSON with the
-// expected fields, and a clean stop.
+// expected fields, and a stop that writes one closing line with the jobs
+// finished after the last tick.
 func TestEmitterFakeClock(t *testing.T) {
 	r := New()
 	r.Counter(JobDone).Add(10)
@@ -161,10 +162,11 @@ func TestEmitterFakeClock(t *testing.T) {
 		// for the line so Lines() is settled.
 		waitLines(t, e, int64(i))
 	}
+	r.Counter(JobDone).Add(7) // after the last tick
 	e.Stop()
 
-	if got := e.Lines(); got != n {
-		t.Fatalf("Lines() = %d, want %d", got, n)
+	if got := e.Lines(); got != n+1 {
+		t.Fatalf("Lines() = %d, want %d", got, n+1)
 	}
 	sc := bufio.NewScanner(&buf)
 	lines := 0
@@ -186,6 +188,12 @@ func TestEmitterFakeClock(t *testing.T) {
 		if line.TS == "" {
 			t.Fatalf("line %d missing ts", lines)
 		}
+		if lines == n+1 {
+			if got, want := line.Counters[JobDone], r.Counter(JobDone).Load(); got != want {
+				t.Errorf("closing line job.done = %d, want the registry's %d", got, want)
+			}
+			continue
+		}
 		// 20 completions per 1s tick.
 		if line.JobsPerSec != 20 {
 			t.Errorf("line %d jobs_per_sec = %v, want 20", lines, line.JobsPerSec)
@@ -200,13 +208,14 @@ func TestEmitterFakeClock(t *testing.T) {
 			t.Errorf("line %d solve latency count = %d", lines, line.Hist[JobLatencyPrefix+"solve"].Count)
 		}
 	}
-	if lines != n {
-		t.Fatalf("wrote %d lines, want %d", lines, n)
+	if lines != n+1 {
+		t.Fatalf("wrote %d lines, want %d", lines, n+1)
 	}
 
 	// No line after Stop, and Stop is idempotent.
+	written := buf.Len()
 	e.Stop()
-	if buf.Len() != 0 && e.Lines() != n {
+	if buf.Len() != written || e.Lines() != n+1 {
 		t.Error("emitter wrote after Stop")
 	}
 }
@@ -224,14 +233,17 @@ func TestEmitterRegistersNothing(t *testing.T) {
 	ticks <- time.Now()
 	waitLines(t, e, 1)
 	e.Stop()
-	var line struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
-		t.Fatalf("line not valid JSON: %v\n%s", err, buf.String())
-	}
-	if want := map[string]int64{ClientRetries: 1}; !reflect.DeepEqual(line.Counters, want) {
-		t.Errorf("counters = %v, want %v", line.Counters, want)
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() { // the tick's line and the closing one
+		var line struct {
+			Counters map[string]int64 `json:"counters"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("line not valid JSON: %v\n%s", err, sc.Text())
+		}
+		if want := map[string]int64{ClientRetries: 1}; !reflect.DeepEqual(line.Counters, want) {
+			t.Errorf("counters = %v, want %v", line.Counters, want)
+		}
 	}
 	if snap := r.Snapshot(); len(snap.Counters) != 1 {
 		t.Errorf("the emitter registered counters: %+v", snap.Counters)

@@ -16,15 +16,14 @@ type CodeBlock struct {
 	LocalWords int64
 }
 
-// TaskState is the SPVM view of a task's life cycle, driven by the
-// initiate / pause / resume / terminate messages.
+// TaskState is the SPVM view of a task's life cycle: an initiate message
+// makes a task ready, Kernel.Start runs it, a terminate message ends it.
 type TaskState int
 
 // Task states.
 const (
 	TaskReady TaskState = iota
 	TaskRunning
-	TaskPaused
 	TaskTerminated
 )
 
@@ -35,8 +34,6 @@ func (s TaskState) String() string {
 		return "ready"
 	case TaskRunning:
 		return "running"
-	case TaskPaused:
-		return "paused"
 	case TaskTerminated:
 		return "terminated"
 	default:
@@ -46,8 +43,8 @@ func (s TaskState) String() string {
 
 // ActivationRecord is the run-time representation of one task: its code
 // block, parameters copied from the initiating message, heap-allocated
-// local storage, and life-cycle state.  "Local data of a task retained
-// over pause/resume" — the record persists until terminate.
+// local storage, and life-cycle state.  The record persists until
+// terminate.
 type ActivationRecord struct {
 	Task      TaskID
 	Parent    TaskID
@@ -59,8 +56,6 @@ type ActivationRecord struct {
 	LocalAddr  int64
 	LocalWords int64
 	State      TaskState
-	// Results holds remote-return payloads delivered to this task.
-	Results []float64
 }
 
 // ToHGraph builds the formal H-graph model of the record, in the language
@@ -76,7 +71,6 @@ func (r *ActivationRecord) ToHGraph() *hgraph.Graph {
 	root.Arc("params", floatList(g, "params", r.Params))
 	root.Arc("local-words", g.AddAtom("lw", hgraph.Int(r.LocalWords)))
 	root.Arc("state", g.AddAtom("s", hgraph.Str(r.State.String())))
-	root.Arc("results", floatList(g, "results", r.Results))
 	return g
 }
 
@@ -123,7 +117,7 @@ func (r *ReadyQueue) Push(id TaskID) {
 }
 
 // Remove deletes the first occurrence of id, reporting whether it was
-// present (used when a paused task is cancelled).
+// present.
 func (r *ReadyQueue) Remove(id TaskID) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

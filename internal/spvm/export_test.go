@@ -152,22 +152,15 @@ func (k *Kernel) HandleEncoded(b []byte) ([]TaskID, error) {
 	return k.Handle(m)
 }
 
-// StartNext pops the ready queue and marks the task running, returning its
-// activation record; ok is false when the queue is empty.  The NAVM
-// runtime calls this when a PE becomes available.
+// StartNext pops the ready queue and starts the task (Kernel.Start),
+// returning its activation record; ok is false when the queue is empty.
 func (k *Kernel) StartNext() (*ActivationRecord, bool) {
 	id, ok := k.Ready.Pop()
 	if !ok {
 		return nil, false
 	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	rec := k.tasks[id]
-	if rec == nil || rec.State != TaskReady {
-		return nil, false
-	}
-	rec.State = TaskRunning
-	return rec, true
+	rec := k.Start(id)
+	return rec, rec != nil
 }
 
 func readString(buf *bytes.Reader) (string, error) {
@@ -245,62 +238,12 @@ func Decode(b []byte) (*Message, error) {
 		if m.Params, err = readParams(buf); err != nil {
 			return nil, err
 		}
-	case MsgPause:
-		if err = readTask(&m.Task); err != nil {
-			return nil, fmt.Errorf("%w: task", ErrBadMessage)
-		}
-		if err = readTask(&m.Parent); err != nil {
-			return nil, fmt.Errorf("%w: parent", ErrBadMessage)
-		}
-	case MsgResume:
-		if err = readTask(&m.Child); err != nil {
-			return nil, fmt.Errorf("%w: child", ErrBadMessage)
-		}
 	case MsgTerminate:
 		if err = readTask(&m.Task); err != nil {
 			return nil, fmt.Errorf("%w: task", ErrBadMessage)
 		}
 		if err = readTask(&m.Parent); err != nil {
 			return nil, fmt.Errorf("%w: parent", ErrBadMessage)
-		}
-	case MsgRemoteCall:
-		if m.Procedure, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if err = readTask(&m.Caller); err != nil {
-			return nil, fmt.Errorf("%w: caller", ErrBadMessage)
-		}
-		flag, err := buf.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: window flag", ErrBadMessage)
-		}
-		if flag == 1 {
-			w := &WindowDesc{}
-			if w.Array, err = readString(buf); err != nil {
-				return nil, err
-			}
-			if w.Kind, err = readString(buf); err != nil {
-				return nil, err
-			}
-			if err = readTask(&w.Owner); err != nil {
-				return nil, fmt.Errorf("%w: window owner", ErrBadMessage)
-			}
-			for _, dst := range []*int64{&w.Row0, &w.Rows, &w.Col0, &w.Cols} {
-				if err = readI64(dst); err != nil {
-					return nil, fmt.Errorf("%w: window extent", ErrBadMessage)
-				}
-			}
-			m.Window = w
-		}
-		if m.Params, err = readParams(buf); err != nil {
-			return nil, err
-		}
-	case MsgRemoteReturn:
-		if err = readTask(&m.Caller); err != nil {
-			return nil, fmt.Errorf("%w: caller", ErrBadMessage)
-		}
-		if m.Params, err = readParams(buf); err != nil {
-			return nil, err
 		}
 	case MsgLoadCode:
 		if m.CodeName, err = readString(buf); err != nil {

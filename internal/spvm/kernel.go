@@ -13,13 +13,9 @@ import (
 // ErrNoSuchTask is returned for control messages naming unknown tasks.
 var ErrNoSuchTask = errors.New("spvm: no such task")
 
-// ErrNoSuchCode is returned when an initiate or remote call names a code
-// block the kernel has not loaded.
+// ErrNoSuchCode is returned when an initiate message names a code block
+// the kernel has not loaded.
 var ErrNoSuchCode = errors.New("spvm: no such code block")
-
-// ErrBadTransition is returned for life-cycle violations (resuming a task
-// that is not paused, terminating twice, ...).
-var ErrBadTransition = errors.New("spvm: invalid task state transition")
 
 // IDSource hands out machine-unique task IDs to all kernels.
 type IDSource struct{ next int64 }
@@ -97,6 +93,22 @@ func (k *Kernel) TaskIDs() []TaskID {
 	return out
 }
 
+// Start moves a ready task to running, as when a PE takes it up, and
+// returns its record; it returns nil when id is no ready task of this
+// kernel.  The state changes under the kernel's lock, as every other
+// life-cycle transition does, so TaskIDs may run beside it.
+func (k *Kernel) Start(id TaskID) *ActivationRecord {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	rec := k.tasks[id]
+	if rec == nil || rec.State != TaskReady {
+		return nil
+	}
+	k.Ready.Remove(id)
+	rec.State = TaskRunning
+	return rec
+}
+
 // Decoded returns how many messages the kernel has decoded.
 func (k *Kernel) Decoded() int64 {
 	k.mu.Lock()
@@ -104,9 +116,9 @@ func (k *Kernel) Decoded() int64 {
 	return k.decoded
 }
 
-// Handle executes one message.  For initiate and remote-call messages it
-// returns the IDs of the tasks created.  Errors leave kernel state
-// unchanged except for the rejection counter.
+// Handle executes one message.  For an initiate message it returns the
+// IDs of the tasks created.  Errors leave kernel state unchanged except
+// for the rejection counter.
 func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -161,41 +173,10 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		}
 		return created, nil
 
-	case MsgPause:
-		rec := k.tasks[m.Task]
-		if rec == nil {
-			return nil, fmt.Errorf("%w: pause %d", ErrNoSuchTask, m.Task)
-		}
-		if rec.State != TaskRunning && rec.State != TaskReady {
-			return nil, fmt.Errorf("%w: pause from %s", ErrBadTransition, rec.State)
-		}
-		if rec.State == TaskReady {
-			k.Ready.Remove(m.Task)
-		}
-		rec.State = TaskPaused
-		return nil, nil
-
-	case MsgResume:
-		rec := k.tasks[m.Child]
-		if rec == nil {
-			return nil, fmt.Errorf("%w: resume %d", ErrNoSuchTask, m.Child)
-		}
-		if rec.State != TaskPaused {
-			return nil, fmt.Errorf("%w: resume from %s", ErrBadTransition, rec.State)
-		}
-		// "Local data of a task retained over pause/resume": the
-		// activation record and its heap block are untouched.
-		rec.State = TaskReady
-		k.Ready.Push(m.Child)
-		return nil, nil
-
 	case MsgTerminate:
 		rec := k.tasks[m.Task]
 		if rec == nil {
 			return nil, fmt.Errorf("%w: terminate %d", ErrNoSuchTask, m.Task)
-		}
-		if rec.State == TaskTerminated {
-			return nil, fmt.Errorf("%w: double terminate", ErrBadTransition)
 		}
 		if rec.State == TaskReady {
 			k.Ready.Remove(m.Task)
@@ -208,41 +189,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		}
 		rec.State = TaskTerminated
 		delete(k.tasks, m.Task)
-		return nil, nil
-
-	case MsgRemoteCall:
-		code := k.Codes.Find(m.Procedure)
-		if code == nil {
-			return nil, fmt.Errorf("%w: procedure %q", ErrNoSuchCode, m.Procedure)
-		}
-		words := code.LocalWords + int64(len(m.Params))
-		addr, aerr := k.Heap.Alloc(words)
-		if aerr != nil {
-			return nil, aerr
-		}
-		params := make([]float64, len(m.Params))
-		copy(params, m.Params)
-		id := k.ids.Next()
-		rec := &ActivationRecord{
-			Task: id, Parent: m.Caller, CodeBlock: code.Name,
-			Params: params, LocalAddr: addr, LocalWords: words,
-			State: TaskReady,
-		}
-		k.tasks[id] = rec
-		k.Ready.Push(id)
-		k.wordsAlloc.Add(words)
-		return []TaskID{id}, nil
-
-	case MsgRemoteReturn:
-		rec := k.tasks[m.Caller]
-		if rec == nil {
-			return nil, fmt.Errorf("%w: remote return to %d", ErrNoSuchTask, m.Caller)
-		}
-		rec.Results = append(rec.Results, m.Params...)
-		if rec.State == TaskPaused {
-			rec.State = TaskReady
-			k.Ready.Push(m.Caller)
-		}
 		return nil, nil
 
 	case MsgLoadCode:

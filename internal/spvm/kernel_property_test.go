@@ -42,7 +42,7 @@ func TestQuickKernelLifecycleInvariants(t *testing.T) {
 		}
 
 		for _, op := range opsRaw {
-			switch op % 5 {
+			switch op % 4 {
 			case 0: // initiate 1-3 replications
 				n := int64(op%3) + 1
 				ids, err := k.Handle(&Message{Type: MsgInitiate, TaskType: "w", Replications: n,
@@ -58,29 +58,19 @@ func TestQuickKernelLifecycleInvariants(t *testing.T) {
 				if rec, ok := k.StartNext(); ok {
 					state[rec.Task] = TaskRunning
 				}
-			case 2: // pause a running/ready task
+			case 2: // start a random task: only a ready one starts
 				if len(live) == 0 {
 					continue
 				}
 				id := live[rng.Intn(len(live))]
-				if state[id] == TaskRunning || state[id] == TaskReady {
-					if _, err := k.Handle(&Message{Type: MsgPause, Task: id}); err != nil {
-						return false
-					}
-					state[id] = TaskPaused
+				rec := k.Start(id)
+				if (rec != nil) != (state[id] == TaskReady) {
+					return false
 				}
-			case 3: // resume a paused task
-				if len(live) == 0 {
-					continue
+				if rec != nil {
+					state[id] = TaskRunning
 				}
-				id := live[rng.Intn(len(live))]
-				if state[id] == TaskPaused {
-					if _, err := k.Handle(&Message{Type: MsgResume, Child: id}); err != nil {
-						return false
-					}
-					state[id] = TaskReady
-				}
-			case 4: // terminate a task
+			case 3: // terminate a task
 				if len(live) == 0 {
 					continue
 				}
@@ -126,10 +116,7 @@ func TestQuickEncodedLifecycle(t *testing.T) {
 			case 0:
 				m = &Message{Type: MsgInitiate, TaskType: "w", Replications: 1}
 			case 1:
-				if len(live) == 0 {
-					continue
-				}
-				m = &Message{Type: MsgPause, Task: live[int(op)%len(live)]}
+				m = &Message{Type: MsgLoadCode, CodeName: "w", LocalWords: 8}
 			case 2:
 				if len(live) == 0 {
 					continue
@@ -148,9 +135,10 @@ func TestQuickEncodedLifecycle(t *testing.T) {
 					return false
 				}
 				live = append(live, ids...)
-			case MsgPause:
-				// May fail if already paused — that is a valid
-				// rejection, not corruption.
+			case MsgLoadCode:
+				if err != nil {
+					return false
+				}
 			case MsgTerminate:
 				if err == nil {
 					for i, id := range live {

@@ -114,7 +114,7 @@ func TestInitiateHeapExhaustionRollsBack(t *testing.T) {
 	}
 }
 
-func TestPauseResumeLifecycle(t *testing.T) {
+func TestStartTerminateLifecycle(t *testing.T) {
 	k := newTestKernel()
 	ids, _ := k.Handle(&Message{Type: MsgInitiate, TaskType: "worker", Replications: 1, Parent: 0})
 	id := ids[0]
@@ -127,49 +127,35 @@ func TestPauseResumeLifecycle(t *testing.T) {
 	if rec.State != TaskRunning {
 		t.Errorf("state = %v", rec.State)
 	}
-
-	// Pause and notify parent.
-	if _, err := k.Handle(&Message{Type: MsgPause, Task: id, Parent: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if k.Task(id).State != TaskPaused {
-		t.Errorf("state after pause = %v", k.Task(id).State)
-	}
 	checkRecords(t, k, id)
-	// Local data must survive pause ("retained over pause/resume").
-	if k.Heap.Allocated() == 0 {
-		t.Error("pause released the activation record")
+	// A running task is not started again.
+	if k.Start(id) != nil {
+		t.Error("Start of a running task succeeded")
 	}
 
-	// Double pause is invalid.
-	if _, err := k.Handle(&Message{Type: MsgPause, Task: id, Parent: 0}); !errors.Is(err, ErrBadTransition) {
-		t.Errorf("double pause: %v", err)
-	}
-
-	// Resume re-enters the ready queue.
-	if _, err := k.Handle(&Message{Type: MsgResume, Child: id}); err != nil {
+	// Terminate and notify parent: the record and its storage go.
+	if _, err := k.Handle(&Message{Type: MsgTerminate, Task: id, Parent: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if k.Task(id).State != TaskReady || k.Ready.Len() != 1 {
-		t.Error("resume did not re-queue task")
+	if k.Task(id) != nil || k.Heap.Allocated() != 0 {
+		t.Errorf("terminate left record %v, %d words", k.Task(id), k.Heap.Allocated())
 	}
-	// Resume of a non-paused task is invalid.
-	if _, err := k.Handle(&Message{Type: MsgResume, Child: id}); !errors.Is(err, ErrBadTransition) {
-		t.Errorf("resume of ready task: %v", err)
+	if k.Start(id) != nil {
+		t.Error("Start of a terminated task succeeded")
 	}
 }
 
-func TestPauseOfReadyTaskLeavesQueue(t *testing.T) {
+func TestTerminateOfReadyTaskLeavesQueue(t *testing.T) {
 	k := newTestKernel()
 	ids, _ := k.Handle(&Message{Type: MsgInitiate, TaskType: "worker", Replications: 1})
-	if _, err := k.Handle(&Message{Type: MsgPause, Task: ids[0]}); err != nil {
+	if _, err := k.Handle(&Message{Type: MsgTerminate, Task: ids[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if k.Ready.Len() != 0 {
-		t.Error("paused task still in ready queue")
+		t.Error("terminated task still in ready queue")
 	}
 	if _, ok := k.StartNext(); ok {
-		t.Error("StartNext returned a paused task")
+		t.Error("StartNext returned a terminated task")
 	}
 }
 
@@ -198,65 +184,9 @@ func TestTerminateFreesStorage(t *testing.T) {
 
 func TestControlMessagesOnUnknownTask(t *testing.T) {
 	k := newTestKernel()
-	for _, m := range []*Message{
-		{Type: MsgPause, Task: 77},
-		{Type: MsgResume, Child: 77},
-		{Type: MsgTerminate, Task: 77},
-		{Type: MsgRemoteReturn, Caller: 77},
-	} {
-		if _, err := k.Handle(m); !errors.Is(err, ErrNoSuchTask) {
-			t.Errorf("%s on unknown task: %v", m.Type, err)
-		}
-	}
-}
-
-func TestRemoteCallCreatesActivation(t *testing.T) {
-	k := newTestKernel()
-	k.Codes.Load(&CodeBlock{Name: "dot", Words: 64, LocalWords: 8})
-	root := k.RegisterRoot(0)
-	if root.State != TaskRunning {
-		t.Fatalf("root state = %v", root.State)
-	}
-	ids, err := k.Handle(&Message{Type: MsgRemoteCall, Procedure: "dot", Caller: 0, Params: []float64{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 {
-		t.Fatalf("remote call created %d tasks", len(ids))
-	}
-	rec := k.Task(ids[0])
-	if rec.Parent != 0 || rec.CodeBlock != "dot" {
-		t.Errorf("callee record %+v", rec)
-	}
-	checkRecords(t, k, 0, ids[0])
-	// Return results to the caller.
-	if _, err := k.Handle(&Message{Type: MsgRemoteReturn, Caller: 0, Params: []float64{3.5}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Task(TaskID(0)).Results; len(got) != 1 || got[0] != 3.5 {
-		t.Errorf("caller results = %v", got)
-	}
-	checkRecords(t, k, 0)
-}
-
-func TestRemoteCallUnknownProcedure(t *testing.T) {
-	k := newTestKernel()
-	if _, err := k.Handle(&Message{Type: MsgRemoteCall, Procedure: "nope", Caller: 0}); !errors.Is(err, ErrNoSuchCode) {
-		t.Errorf("want ErrNoSuchCode, got %v", err)
-	}
-}
-
-func TestRemoteReturnWakesPausedCaller(t *testing.T) {
-	k := newTestKernel()
-	ids, _ := k.Handle(&Message{Type: MsgInitiate, TaskType: "worker", Replications: 1})
-	id := ids[0]
-	k.StartNext()
-	k.Handle(&Message{Type: MsgPause, Task: id})
-	if _, err := k.Handle(&Message{Type: MsgRemoteReturn, Caller: id, Params: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if k.Task(id).State != TaskReady {
-		t.Errorf("paused caller not woken: %v", k.Task(id).State)
+	m := &Message{Type: MsgTerminate, Task: 77}
+	if _, err := k.Handle(m); !errors.Is(err, ErrNoSuchTask) {
+		t.Errorf("%s on unknown task: %v", m.Type, err)
 	}
 }
 
@@ -358,7 +288,10 @@ func TestIDSourceUniqueAcrossKernelsConcurrently(t *testing.T) {
 
 func TestRootTerminateWithoutHeapStorage(t *testing.T) {
 	k := newTestKernel()
-	k.RegisterRoot(0)
+	if root := k.RegisterRoot(0); root.State != TaskRunning {
+		t.Fatalf("root state = %v", root.State)
+	}
+	checkRecords(t, k, 0)
 	if _, err := k.Handle(&Message{Type: MsgTerminate, Task: 0}); err != nil {
 		t.Fatalf("root terminate failed: %v", err)
 	}

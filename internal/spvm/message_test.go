@@ -11,27 +11,18 @@ import (
 	"repro/internal/hgraph"
 )
 
-// sampleMessages returns one well-formed instance of each of the seven
-// message types.
+// sampleMessages returns one well-formed instance of each message type.
 func sampleMessages() []*Message {
 	return []*Message{
 		{Type: MsgInitiate, TaskType: "cg-worker", Replications: 8, Parent: 1, Params: []float64{64, 1e-8}},
-		{Type: MsgPause, Task: 5, Parent: 1},
-		{Type: MsgResume, Child: 5},
 		{Type: MsgTerminate, Task: 5, Parent: 1},
-		{Type: MsgRemoteCall, Procedure: "dot", Caller: 2,
-			Window: &WindowDesc{Array: "x", Kind: "row", Owner: 3, Row0: 0, Rows: 1, Col0: 0, Cols: 64},
-			Params: []float64{1, 2, 3}},
-		{Type: MsgRemoteReturn, Caller: 2, Params: []float64{42.5}},
 		{Type: MsgLoadCode, CodeName: "cg-worker", CodeWords: 512, LocalWords: 128},
 	}
 }
 
 func TestMsgTypeStrings(t *testing.T) {
 	want := map[MsgType]string{
-		MsgInitiate: "initiate", MsgPause: "pause", MsgResume: "resume",
-		MsgTerminate: "terminate", MsgRemoteCall: "remote-call",
-		MsgRemoteReturn: "remote-return", MsgLoadCode: "load-code",
+		MsgInitiate: "initiate", MsgTerminate: "terminate", MsgLoadCode: "load-code",
 	}
 	for ty, s := range want {
 		if ty.String() != s {
@@ -72,10 +63,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{0x01},
-		{0xFF, 0xFF, 0x01},            // bad magic
-		{0x02, 0xFE, 0x63},            // unknown type 0x63
-		{0x02, 0xFE},                  // missing type
-		{0x02, 0xFE, byte(MsgResume)}, // truncated payload
+		{0xFF, 0xFF, 0x01},               // bad magic
+		{0x02, 0xFE, 0x63},               // unknown type 0x63
+		{0x02, 0xFE},                     // missing type
+		{0x02, 0xFE, byte(MsgTerminate)}, // truncated payload
 		{0x02, 0xFE, byte(MsgInitiate), 0xFF, 0xFF, 0xFF, 0xFF}, // huge string len
 	}
 	for i, b := range cases {
@@ -86,36 +77,21 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	b, _ := (&Message{Type: MsgResume, Child: 1}).Encode()
+	b, _ := (&Message{Type: MsgTerminate, Task: 1}).Encode()
 	b = append(b, 0x00)
 	if _, err := Decode(b); !errors.Is(err, ErrBadMessage) {
 		t.Error("trailing bytes accepted")
 	}
 }
 
-func TestWindowlessRemoteCallRoundTrip(t *testing.T) {
-	m := &Message{Type: MsgRemoteCall, Procedure: "norm", Caller: 9}
-	b, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Window != nil {
-		t.Error("windowless call decoded with window")
-	}
-}
-
 func TestWordsPositiveAndTracksPayload(t *testing.T) {
-	small := &Message{Type: MsgResume, Child: 1}
-	big := &Message{Type: MsgRemoteReturn, Caller: 1, Params: make([]float64, 100)}
+	small := &Message{Type: MsgTerminate, Task: 1}
+	big := &Message{Type: MsgInitiate, TaskType: "w", Replications: 1, Params: make([]float64, 100)}
 	if small.Words() <= 0 {
 		t.Error("Words() not positive")
 	}
 	if big.Words() <= small.Words() {
-		t.Errorf("100-param message (%d words) not larger than resume (%d words)",
+		t.Errorf("100-param message (%d words) not larger than terminate (%d words)",
 			big.Words(), small.Words())
 	}
 }
@@ -144,8 +120,8 @@ func TestMessageStringsDescriptive(t *testing.T) {
 // Property: encode/decode is the identity on randomly parameterised
 // messages of every type.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(tyRaw uint8, s1, s2 string, a, b, c int64, params []float64) bool {
-		ty := MsgType(tyRaw%7) + 1
+	f := func(tyRaw uint8, s1 string, a, b int64, params []float64) bool {
+		ty := MsgType(tyRaw%3) + 1
 		for i, p := range params {
 			if math.IsNaN(p) {
 				params[i] = 0 // NaN != NaN breaks DeepEqual, not the codec
@@ -158,19 +134,8 @@ func TestQuickRoundTrip(t *testing.T) {
 		switch ty {
 		case MsgInitiate:
 			m.TaskType, m.Replications, m.Parent, m.Params = s1, a, TaskID(b), params
-		case MsgPause:
-			m.Task, m.Parent = TaskID(a), TaskID(b)
-		case MsgResume:
-			m.Child = TaskID(a)
 		case MsgTerminate:
 			m.Task, m.Parent = TaskID(a), TaskID(b)
-		case MsgRemoteCall:
-			m.Procedure, m.Caller, m.Params = s1, TaskID(a), params
-			if c%2 == 0 {
-				m.Window = &WindowDesc{Array: s2, Kind: "block", Owner: TaskID(c), Row0: a, Rows: b, Col0: c, Cols: a}
-			}
-		case MsgRemoteReturn:
-			m.Caller, m.Params = TaskID(a), params
 		case MsgLoadCode:
 			m.CodeName, m.CodeWords, m.LocalWords = s1, a, b
 		}

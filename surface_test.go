@@ -2,6 +2,7 @@ package fem2_test
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -11,11 +12,17 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
-// TestSurface keeps non-test code to code the system runs.  It
+// TestSurface keeps non-test code to code the system runs, and
+// TestSurfaceLayerBackings binds the layer specifications to it.  It
 // type-checks every non-test package of the module and of benchmark/
 // for each target CI builds, and lists the exported package-level
 // identifiers and methods of internal/ that no non-test code references.
@@ -69,6 +76,131 @@ func TestSurface(t *testing.T) {
 		len(s.unused), perReason["api"], perReason["oracle"], perReason["support"])
 }
 
+// e11Fixture is the experiment that builds values of every level only to
+// validate them against the level grammars: its references back no row
+// of a layer specification.
+const e11Fixture = "exp.E11HGraphValidation"
+
+// TestSurfaceLayerBackings checks every row of core.FEM2Layers: it is
+// core.PaperOnly, or its backing names an exported identifier of
+// internal/ that non-test code outside the identifier's package
+// references, E11's fixture aside.
+func TestSurfaceLayerBackings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	s := scanSurface(t)
+	layers := core.FEM2Layers()
+	for _, e := range layerBackingErrors(s, layers) {
+		t.Error(e)
+	}
+	backed, paper := 0, 0
+	for _, l := range layers {
+		for _, c := range l.Categories() {
+			for _, r := range c.Rows {
+				if r.Backing == core.PaperOnly {
+					paper++
+				} else {
+					backed++
+				}
+			}
+		}
+	}
+	t.Logf("layer rows: %d backed by code, %d specified by the paper only", backed, paper)
+}
+
+// TestSurfaceBackingCheckBites feeds the backing check rows it must
+// refuse, each backed by an identifier of a kind the module has: one
+// that is gone, one only E11's fixture references, one only tests
+// reference and one only its own package references.  Each must fail,
+// naming its row; a backed and a paper-only row beside them pass.
+func TestSurfaceBackingCheckBites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	s := scanSurface(t)
+	var e11Only, ownOnly, testOnly string
+	for _, id := range sortedKeys(s.used) {
+		switch sites := s.used[id]; {
+		case e11Only == "" && len(sites) == 1 && sites[e11Fixture]:
+			e11Only = id
+		case ownOnly == "" && len(sites) == 0:
+			ownOnly = id
+		}
+	}
+	for _, id := range sortedKeys(s.unused) {
+		if len(s.tests[id]) > 0 {
+			testOnly = id
+			break
+		}
+	}
+	if e11Only == "" || ownOnly == "" || testOnly == "" {
+		t.Fatalf("no identifier to build a row from: E11 only %q, own package only %q, tests only %q", e11Only, ownOnly, testOnly)
+	}
+	bad := []core.Row{
+		{Text: "refuse a resume of a task not paused", Backing: "spvm.ErrBadTransition"},
+		{Text: "a value E11 validates", Backing: e11Only},
+		{Text: "a helper tests use", Backing: testOnly},
+		{Text: "a package's own helper", Backing: ownOnly},
+	}
+	spec := &core.LayerSpec{Level: obs.LevelSPVM, Operations: append(bad,
+		core.Row{Text: "decode and execute message", Backing: "spvm.Kernel.Handle"},
+		core.Row{Text: "remote procedure call", Backing: core.PaperOnly})}
+	errs := layerBackingErrors(s, []*core.LayerSpec{spec})
+	if len(errs) != len(bad) {
+		t.Errorf("%d errors for %d bad rows:\n%s", len(errs), len(bad), strings.Join(errs, "\n"))
+	}
+	for i, r := range bad {
+		if i < len(errs) && strings.Contains(errs[i], strconv.Quote(r.Text)) && strings.Contains(errs[i], r.Backing) {
+			t.Logf("refused: %s", errs[i])
+			continue
+		}
+		t.Errorf("row %q backed by %s was not refused by name", r.Text, r.Backing)
+	}
+}
+
+// layerBackingErrors returns one line for each row of layers whose
+// backing is neither core.PaperOnly nor an identifier s.used holds with a
+// site outside its own package other than e11Fixture.
+func layerBackingErrors(s surfaceScan, layers []*core.LayerSpec) []string {
+	var errs []string
+	for _, l := range layers {
+		for _, c := range l.Categories() {
+			for _, r := range c.Rows {
+				if msg := backingProblem(s, r.Backing); msg != "" {
+					errs = append(errs, fmt.Sprintf("%s %s row %q: %s", l.Level, strings.ToLower(c.Name), r.Text, msg))
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// backingProblem says what is wrong with backing b, or returns "".
+func backingProblem(s surfaceScan, b string) string {
+	if b == core.PaperOnly {
+		return ""
+	}
+	if _, ok := s.declared[b]; !ok {
+		return fmt.Sprintf("backing %q names no exported identifier of internal/; name the code or mark the row core.PaperOnly", b)
+	}
+	for site := range s.used[b] {
+		if site != e11Fixture {
+			return ""
+		}
+	}
+	why := "only its own package references it"
+	switch {
+	case s.used[b][e11Fixture]:
+		why = e11Fixture + " references it, building values only to validate them"
+	case s.used[b] == nil && len(s.tests[b]) > 0:
+		why = "only tests reference it: " + strings.Join(sortedKeys(s.tests[b]), " ")
+	case s.used[b] == nil:
+		why = "nothing references it"
+	}
+	return fmt.Sprintf("backing %s has no non-test reference from outside its package (%s); back the row with code a program runs, or mark it core.PaperOnly", b, why)
+}
+
 // surfaceReasons are the reasons testdata/surface.txt may give.
 var surfaceReasons = map[string]bool{"api": true, "oracle": true, "support": true}
 
@@ -117,6 +249,14 @@ var surfaceTargets = [][2]string{{"linux", "amd64"}, {"linux", "arm64"}, {"windo
 // package path under internal/, a method's receiver type, and their own
 // name: "navm.TaskCtx.Charge", "codec/codectest.Fill".
 type surfaceScan struct {
+	// declared maps each exported identifier to where it is declared.
+	declared map[string]string
+	// used holds each identifier some non-test code references under
+	// some target, with the non-test sites outside its own package that
+	// do: a package ("fem2", "navm", "cmd/fem2") and its top-level
+	// function or method ("exp.E11HGraphValidation",
+	// "auvm.Session.DoHeld").
+	used map[string]map[string]bool
 	// unused maps each exported identifier no non-test code references
 	// under any target to where it is declared.
 	unused map[string]string
@@ -128,18 +268,32 @@ type surfaceScan struct {
 	api map[string]string
 }
 
+// scanSurface returns the module's scan, made once for every test that
+// reads it.
 func scanSurface(t *testing.T) surfaceScan {
 	t.Helper()
+	surfaceOnce.Do(func() { surfaceResult, surfaceErr = loadSurface() })
+	if surfaceErr != nil {
+		t.Fatal(surfaceErr)
+	}
+	return surfaceResult
+}
+
+var (
+	surfaceOnce   sync.Once
+	surfaceResult surfaceScan
+	surfaceErr    error
+)
+
+func loadSurface() (surfaceScan, error) {
 	dirs, err := modulePackages(".")
 	if err != nil {
-		t.Fatal(err)
+		return surfaceScan{}, err
 	}
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)
 	parsed := map[string]*ast.File{}
-	declared := map[string]string{}
-	used := map[string]bool{}
-	var s surfaceScan
+	s := surfaceScan{declared: map[string]string{}, used: map[string]map[string]bool{}}
 	for i, target := range surfaceTargets {
 		ctxt := build.Default
 		ctxt.GOOS, ctxt.GOARCH, ctxt.CgoEnabled = target[0], target[1], false
@@ -147,27 +301,27 @@ func scanSurface(t *testing.T) surfaceScan {
 			pkgs: map[string]*types.Package{}, files: map[string][]*ast.File{}}
 		for _, p := range sortedKeys(dirs) {
 			if _, err := l.Import(p); err != nil {
-				t.Fatalf("%s/%s: %v", target[0], target[1], err)
+				return surfaceScan{}, fmt.Errorf("%s/%s: %v", target[0], target[1], err)
 			}
 		}
 		if err := l.checkDynamic(); err != nil {
-			t.Fatal(err)
+			return surfaceScan{}, err
 		}
-		l.collect(declared, used)
+		l.collect(s.declared, s.used)
 		if i == 0 {
 			if s.tests, err = l.testUses(); err != nil {
-				t.Fatal(err)
+				return surfaceScan{}, err
 			}
 			s.api = apiTypes(l.pkgs["repro"])
 		}
 	}
 	s.unused = map[string]string{}
-	for id, pos := range declared {
-		if !used[id] {
+	for id, pos := range s.declared {
+		if s.used[id] == nil {
 			s.unused[id] = pos
 		}
 	}
-	return s
+	return s, nil
 }
 
 // modulePackages maps the import path of every directory under root
@@ -299,10 +453,7 @@ func (l *surfaceLoader) testUses() (map[string]map[string]bool, error) {
 		if _, err := (&types.Config{Importer: l.variant(path, self)}).Check(path+"_test", l.fset, ext, info); err != nil {
 			return nil, err
 		}
-		pkgName := strings.TrimPrefix(path, "repro/internal/")
-		if path == "repro" {
-			pkgName = "fem2"
-		}
+		pkgName := sitePackage(path)
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				fn := ""
@@ -411,10 +562,11 @@ type (
 
 // collect adds the target's exported internal/ identifiers to declared
 // (id -> position) and every identifier some non-test code references
-// to used.  A function's references to itself and a method's receiver
-// type do not count.  A method counts as referenced when it implements a
-// method of an interface the code uses.
-func (l *surfaceLoader) collect(declared map[string]string, used map[string]bool) {
+// to used, with the sites outside its package that do.  A function's
+// references to itself and a method's receiver type do not count.  A
+// method counts as referenced when it implements a method of an
+// interface the code uses.
+func (l *surfaceLoader) collect(declared map[string]string, used map[string]map[string]bool) {
 	var methods []*types.Func
 	for path, pkg := range l.pkgs {
 		if !strings.HasPrefix(path, "repro/internal/") {
@@ -443,20 +595,21 @@ func (l *surfaceLoader) collect(declared map[string]string, used map[string]bool
 		}
 	}
 
-	for _, files := range l.files {
+	for path, files := range l.files {
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				var self types.Object
 				var body ast.Node = decl
+				site := declSite(path, decl)
 				if fd, ok := decl.(*ast.FuncDecl); ok {
 					self = l.info.Defs[fd.Name]
 					if fd.Body == nil {
 						continue
 					}
 					body = fd.Body
-					ast.Inspect(fd.Type, l.markUses(self, used))
+					ast.Inspect(fd.Type, l.markUses(self, path, site, used))
 				}
-				ast.Inspect(body, l.markUses(self, used))
+				ast.Inspect(body, l.markUses(self, path, site, used))
 			}
 		}
 	}
@@ -470,7 +623,7 @@ func (l *surfaceLoader) collect(declared map[string]string, used map[string]bool
 	}
 	for _, m := range methods {
 		id := surfaceID(m)
-		if used[id] {
+		if used[id] != nil {
 			continue
 		}
 		recv := m.Type().(*types.Signature).Recv().Type()
@@ -480,7 +633,7 @@ func (l *surfaceLoader) collect(declared map[string]string, used map[string]bool
 		recv = types.NewPointer(recv)
 		for it := range ifaces {
 			if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, m.Name()); obj != nil && types.Implements(recv, it) {
-				used[id] = true
+				used[id] = map[string]bool{}
 				break
 			}
 		}
@@ -488,17 +641,55 @@ func (l *surfaceLoader) collect(declared map[string]string, used map[string]bool
 }
 
 // markUses returns an inspector adding each internal/ identifier
-// referenced, other than self, to used.
-func (l *surfaceLoader) markUses(self types.Object, used map[string]bool) func(ast.Node) bool {
+// referenced, other than self, to used, and site to its sites when the
+// code, of package path, is outside the identifier's package.
+func (l *surfaceLoader) markUses(self types.Object, path, site string, used map[string]map[string]bool) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && l.info.Uses[id] == self {
 			return true
 		}
 		if id, ok := internalRef(&l.info, n); ok {
-			used[id] = true
+			if used[id] == nil {
+				used[id] = map[string]bool{}
+			}
+			if path != "repro/internal/"+id[:strings.Index(id, ".")] {
+				used[id][site] = true
+			}
 		}
 		return true
 	}
+}
+
+// declSite names decl, of the package at path, as a site: its package
+// and, for a function or method, its name and receiver type.
+func declSite(path string, decl ast.Decl) string {
+	site := sitePackage(path)
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return site
+	}
+	if fd.Recv != nil {
+		recv := fd.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			site += "." + id.Name
+		}
+	}
+	return site + "." + fd.Name.Name
+}
+
+// sitePackage names the package of import path path as a site: its path
+// under internal/ or the module, and "fem2" for the module's root.
+func sitePackage(path string) string {
+	if path == "repro" {
+		return "fem2"
+	}
+	if p, ok := strings.CutPrefix(path, "repro/internal/"); ok {
+		return p
+	}
+	return strings.TrimPrefix(path, "repro/")
 }
 
 // internalRef returns the identifier of the package-level object or method
