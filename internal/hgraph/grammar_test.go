@@ -195,12 +195,13 @@ func TestTaskStateGrammar(t *testing.T) {
 		root.Arc("state", gr.AddAtom("s", Str(state)))
 		return gr
 	}
-	for _, s := range []string{"ready", "running", "terminated"} {
+	for _, s := range []string{"ready", "running"} {
 		if errs := g.Validate(mk(s)); len(errs) > 0 {
 			t.Errorf("task state %q rejected: %v", s, errs)
 		}
 	}
-	for _, s := range []string{"zombie", "paused"} {
+	// A terminated task has no record: terminate deletes it.
+	for _, s := range []string{"terminated", "zombie", "paused"} {
 		if errs := g.Validate(mk(s)); len(errs) == 0 {
 			t.Errorf("task state %q accepted", s)
 		}

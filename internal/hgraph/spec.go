@@ -77,7 +77,7 @@ func ActivationRecordGrammar() *Grammar {
 		{Sel: "params", Type: ListType{Elem: AtomType{AtomFloat}}},
 		{Sel: "local-words", Type: AtomType{AtomInt}},
 		{Sel: "state", Type: UnionType{Alts: []TypeExpr{
-			LitString{"ready"}, LitString{"running"}, LitString{"terminated"},
+			LitString{"ready"}, LitString{"running"},
 		}}},
 	}})
 	return g

@@ -727,6 +727,15 @@ func (s *Scheduler) Settled(id JobID) bool {
 	return int64(id) <= s.next
 }
 
+// Held reports whether owner's model is held right now, by a running job
+// or a synchronous command: a Heavy command would wait in Hold for it.
+func (s *Scheduler) Held(owner, model string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, held := s.busy[modelKey{owner, model}]
+	return held
+}
+
 // Pool reports the workers parked waiting for work and how many times
 // one woke from that wait and found nothing to run.
 func (s *Scheduler) Pool() (parked int, idleWakes int64) {

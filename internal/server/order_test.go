@@ -143,8 +143,8 @@ func TestRunsBesideGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject})}
-	queue := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue})}
+	reject := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject}), br: idleReader()}
+	queue := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue}), br: idleReader()}
 	place := func(c *conn, cmd command.Command) string {
 		if c.runsBeside(cmd) {
 			return "beside"
@@ -194,10 +194,15 @@ func TestRunsBesideGolden(t *testing.T) {
 	if verbs != 32 {
 		t.Errorf("verb_sets.golden lists %d verbs, want 32", verbs)
 	}
+	b.WriteString("# a synchronous solve, by what the reader finds when it decodes the request: on the\n" +
+		"# reader, as a run the hand-off timer bounds, unless it could keep something waiting.\n")
+	for _, sc := range solveCases(t) {
+		fmt.Fprintf(&b, "solve, %-35s %s\n", sc.what, place(sc.c, sc.solve))
+	}
 	b.WriteString("# wait, by what its session's scheduler knows of the job when the reader decodes the\n" +
 		"# request (job.Scheduler.Settled): a wait that would return at once runs on the reader.\n")
 	for _, w := range waitCases(t) {
-		c := &conn{srv: reject.srv, sess: w.sess}
+		c := &conn{srv: reject.srv, sess: w.sess, br: idleReader()}
 		got := place(c, command.Wait{ID: w.id})
 		if ptr := place(c, &command.Wait{ID: w.id}); ptr != got {
 			t.Errorf("wait, %s: pointer spelling runs %s, value spelling %s", w.what, ptr, got)
@@ -221,6 +226,54 @@ func TestRunsBesideGolden(t *testing.T) {
 	}
 	if b.String() != string(want) {
 		t.Errorf("request placement drifted from %s (run with -update after checking):\n%s", golden, b.String())
+	}
+}
+
+// idleReader is the buffer of a connection with nothing buffered.
+func idleReader() *bufio.Reader { return bufio.NewReader(strings.NewReader("")) }
+
+// solveCase is a synchronous solve on a connection in one state.
+type solveCase struct {
+	what  string
+	c     *conn
+	solve command.Solve
+}
+
+// solveCases builds a connection in every state that decides where a
+// synchronous solve runs: idle, a request buffered behind the solve, its
+// model held by a running job, and a reader run of the connection still
+// going after a hand-off.
+func solveCases(t *testing.T) []solveCase {
+	t.Helper()
+	ctx := context.Background()
+	sys := openSystem(t, core.Options{})
+	sess := sys.Session("eng")
+	for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100},
+		bigGrid, command.EndLoad{Model: "big", Set: "l", FY: -100}} {
+		if _, err := sess.Do(ctx, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := &conn{sess: sess, br: idleReader()}
+	buffered := &conn{sess: sess, br: bufio.NewReader(strings.NewReader("the next request"))}
+	if _, err := buffered.br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	handed := &conn{sess: sess, br: idleReader()}
+	handed.handedRuns.Store(1)
+	// SOR on the 40×24 plate iterates for seconds; the system's Close
+	// cancels it.
+	id, err := sess.SubmitAsync(ctx, command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobState(t, sys, int64(id), job.Running)
+	g, big := command.Solve{Model: "g", Set: "l"}, command.Solve{Model: "big", Set: "l"}
+	return []solveCase{
+		{"on an idle connection", idle, g},
+		{"a request buffered behind it", buffered, g},
+		{"its model held by a job", idle, big},
+		{"a handed-off run still going", handed, g},
 	}
 }
 
@@ -334,8 +387,9 @@ type ownCase struct{ what, where string }
 
 // ownCases submits a solve as the reader does, under its WithOwn context
 // when mayOwn lets it, in each state that decides where the job runs: an
-// idle server, a request buffered behind the submit, the solve's model
-// held, another job queued, and a job executing on the pool's one worker.
+// idle server, a request buffered behind the submit, a reader run of the
+// connection still going after a hand-off, the solve's model held,
+// another job queued, and a job executing on the pool's one worker.
 func ownCases(t *testing.T) []ownCase {
 	t.Helper()
 	ctx := context.Background()
@@ -359,11 +413,13 @@ func ownCases(t *testing.T) []ownCase {
 	} {
 		do(cmd)
 	}
-	reader := &conn{br: bufio.NewReader(strings.NewReader(""))}
+	reader := &conn{br: idleReader()}
 	buffered := &conn{br: bufio.NewReader(strings.NewReader("the next request"))}
 	if _, err := buffered.br.Peek(1); err != nil {
 		t.Fatal(err)
 	}
+	handed := &conn{br: idleReader()}
+	handed.handedRuns.Store(1)
 	// place submits a solve of g as c's reader would and reports where
 	// its job ran.  A worker not parked takes what it finds queued, so
 	// place waits for the pool to park unless its worker is busy.
@@ -401,6 +457,8 @@ func ownCases(t *testing.T) []ownCase {
 	record("on an idle server", where, id)
 	where, id = place(buffered, false)
 	record("a request buffered behind it", where, id)
+	where, id = place(handed, false)
+	record("a handed-off run still going", where, id)
 
 	if err := sys.Jobs.Hold(ctx, sess.User, "g", solve("g")); err != nil {
 		t.Fatal(err)
@@ -665,13 +723,21 @@ func TestInlineRequestsExecuteInArrivalOrder(t *testing.T) {
 
 // TestControlVerbsOvertakeARunningSolve: a ping and a cancel pipelined
 // behind a synchronous solve that runs for milliseconds both answer
-// before it does — solve has a goroutine of its own.
+// before it does — with requests buffered behind it, the solve has a
+// goroutine of its own.  The three frames go out in one write; should
+// they reach the reader apart, the solve would run on the reader, and the
+// placement check fails before the order of the replies is read.
 func TestControlVerbsOvertakeARunningSolve(t *testing.T) {
-	p := serveTCP(t, New(openSystem(t, core.Options{}), Config{}))()
+	srv := New(openSystem(t, core.Options{}), Config{})
+	p := serveTCP(t, srv)()
 	p.do(command.GenerateGrid{Name: "big", NX: 48, NY: 48, W: 48, H: 48, ClampLeft: true})
 	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	before := srv.placedBeside.Load()
 	ids := p.send(command.Solve{Model: "big", Set: "l"}, command.Ping{}, command.Cancel{ID: 999})
 	byID, arrival := p.replies(ids)
+	if got := srv.placedBeside.Load() - before; got != 1 {
+		t.Fatalf("%d requests placed beside the reader, want the solve alone: the three frames did not arrive together", got)
+	}
 	if arrival[2] != ids[0] {
 		t.Errorf("replies arrived in order %v, want the solve (id %d) last", arrival, ids[0])
 	}

@@ -194,3 +194,176 @@ func TestReaderRunsTraffic(t *testing.T) {
 		t.Errorf("a submit pipelined with a ping ran on the reader (%s moved by %d), want the worker", obs.ServerReaderRuns, got)
 	}
 }
+
+// readerRunStarted waits until the server has counted reader runs
+// beyond from.
+func readerRunStarted(t *testing.T, sys *core.System, from int64) {
+	t.Helper()
+	runs := sys.Obs.Counter(obs.ServerReaderRuns)
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() == from; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never moved past %d", obs.ServerReaderRuns, from)
+		}
+	}
+}
+
+// TestHandOffServesBehindASyncSolve: a synchronous SOR solve of the
+// 40×24 plate, which iterates for seconds, runs on its connection's
+// reader until the one-second request timeout ends it.  A ping sent once
+// it started is answered within handOff (plus slack) and before the
+// solve, because the reader hands the socket to a successor; a second
+// synchronous solve sent meanwhile runs beside, as the connection's first
+// run is still going; the first solve answers with the cancelled code,
+// and a solve sent after that reply runs on the reader again; and once
+// the connection closes every goroutine it started is gone.
+func TestHandOffServesBehindASyncSolve(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{RequestTimeout: time.Second})
+	dial := serveTCP(t, srv)
+	base := runtime.NumGoroutine()
+	p := dial()
+	p.hello("eng", false)
+	for _, cmd := range []command.Command{bigGrid, command.EndLoad{Model: "big", Set: "l", FY: -100},
+		generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+		p.do(cmd)
+	}
+	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
+	runs0, handOffs0, beside0 := runs.Load(), handOffs.Load(), srv.placedBeside.Load()
+
+	long := p.send(command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})[0]
+	readerRunStarted(t, sys, runs0)
+	start := time.Now()
+	ping := p.send(command.Ping{})[0]
+	if resp := p.next(); resp.ID != ping || resp.Error != nil {
+		t.Fatalf("first reply behind the running solve: %+v, want the ping's (id %d)", resp, ping)
+	}
+	if d, limit := time.Since(start), handOff+300*time.Millisecond; d > limit {
+		t.Errorf("ping behind the running solve answered after %v, want under %v", d, limit)
+	}
+	second := p.send(command.Solve{Model: "g", Set: "l"})[0]
+	byID, arrival := p.replies([]uint64{second, long})
+	if arrival[0] != second {
+		t.Errorf("replies arrived in order %v, want the second solve (id %d) first", arrival, second)
+	}
+	if e := byID[second].Error; e != nil {
+		t.Errorf("second solve: %+v", e)
+	}
+	if e := byID[long].Error; e == nil || e.Code != wire.CodeCancelled {
+		t.Errorf("solve past the request timeout: %+v, want code %q", e, wire.CodeCancelled)
+	}
+	// The first run was over before its reply went out, so a solve sent
+	// on that reply runs on the reader again.
+	p.do(command.Solve{Model: "g", Set: "l"})
+	if r, h, b := runs.Load()-runs0, handOffs.Load()-handOffs0, srv.placedBeside.Load()-beside0; r != 2 || h != 1 || b != 1 {
+		t.Errorf("%s moved by %d, %s by %d and placed beside by %d, want 2, 1 and 1 (the second solve)",
+			obs.ServerReaderRuns, r, obs.ServerHandOffs, h, b)
+	}
+
+	p.nc.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after the connection closed, %d before it opened", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestSyncSolveReaderTraffic: 100 closed-loop synchronous solves of the
+// 8×6 plate each run on the connection's reader — 100 reader runs, no
+// hand-off, none placed beside — and each reply is the very frame a
+// session's own solve encodes to.  A solve of a model a job holds runs
+// beside instead: on the reader it would wait in Hold.
+func TestSyncSolveReaderTraffic(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	p := serveTCP(t, srv)()
+	p.hello("eng", false)
+	ref := sys.Session("ref")
+	plate := command.GenerateGrid{Name: "g", NX: 8, NY: 6, W: 8, H: 6, ClampLeft: true}
+	for _, cmd := range []command.Command{plate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+		p.do(cmd)
+		if _, err := ref.Do(context.Background(), cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve := command.Solve{Model: "g", Set: "l"}
+	// The first solve factors the plate, which may outlast handOff under
+	// the race detector; the counted ones re-solve.
+	sameFrame(t, p.do(solve), ref, solve)
+	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
+	runs0, handOffs0, beside0 := runs.Load(), handOffs.Load(), srv.placedBeside.Load()
+	const solves = 100
+	for n := 0; n < solves; n++ {
+		sameFrame(t, p.do(solve), ref, solve)
+	}
+	if got := runs.Load() - runs0; got != solves {
+		t.Errorf("%s moved by %d over %d solves, want %d", obs.ServerReaderRuns, got, solves, solves)
+	}
+	if got := handOffs.Load() - handOffs0; got != 0 {
+		t.Errorf("%s moved by %d, want 0", obs.ServerHandOffs, got)
+	}
+	if got := srv.placedBeside.Load() - beside0; got != 0 {
+		t.Errorf("%d solves placed beside the reader, want 0", got)
+	}
+
+	p.do(bigGrid)
+	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	// The ping buffered behind the submit sends its job to a worker.
+	ids := p.send(sorBig, command.Ping{})
+	byID, _ := p.replies(ids)
+	long := submitID(byID[ids[0]])
+	jobState(t, sys, long, job.Running)
+	runs0, beside0 = runs.Load(), srv.placedBeside.Load()
+	held := p.send(command.Solve{Model: "big", Set: "l"})[0]
+	// The cancel goes out once the reader has placed the solve, so it is
+	// not buffered behind it.
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() == runs0 && srv.placedBeside.Load() == beside0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never placed the solve")
+		}
+	}
+	cancel := p.send(command.Cancel{ID: long})[0]
+	byID, _ = p.replies([]uint64{held, cancel})
+	if e := byID[held].Error; e != nil {
+		t.Errorf("solve after the job holding its model was cancelled: %+v", e)
+	}
+	if r, b := runs.Load()-runs0, srv.placedBeside.Load()-beside0; r != 0 || b != 1 {
+		t.Errorf("a solve of a held model moved %s by %d and placed beside by %d, want 0 and 1", obs.ServerReaderRuns, r, b)
+	}
+}
+
+// TestHangUpCancelsASyncSolve: a client that closes its connection while
+// a synchronous SOR solve runs on the reader (seconds of iteration, no
+// request timeout) has the solve cancelled within about handOff: the
+// successor reader finds the hang-up, teardown cancels the connection's
+// context, which the solver polls, and the connection is gone with its
+// model released.
+func TestHangUpCancelsASyncSolve(t *testing.T) {
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
+	p := serveTCP(t, srv)()
+	p.hello("eng", false)
+	p.do(bigGrid)
+	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
+	_, sess := connOf(t, srv)
+	conns := sys.Obs.Gauge(obs.ServerConnections)
+	runs0 := sys.Obs.Counter(obs.ServerReaderRuns).Load()
+	p.send(command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})
+	readerRunStarted(t, sys, runs0)
+	for deadline := time.Now().Add(5 * time.Second); !sys.Jobs.Held(sess.User, "big"); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the running solve never held its model")
+		}
+	}
+	start := time.Now()
+	p.nc.Close()
+	limit := handOff + time.Second
+	for conns.Load() != 0 {
+		if time.Since(start) > limit {
+			t.Fatalf("the connection is still open %v after the client hung up mid-solve", limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if sys.Jobs.Held(sess.User, "big") {
+		t.Error("the solve's model is still held after its connection closed")
+	}
+}

@@ -84,14 +84,15 @@ type Server struct {
 	// (conn.runsBeside) — what the placement test reads.
 	placedBeside atomic.Int64
 
-	// rmu guards the state of the jobs running on readers (conn.runOwn):
-	// each conn's runStart and handed, and armed, which says handOffTimer
-	// will fire.  The one timer serves every connection: it is armed when
-	// a run starts and it is not armed already, and again when it fires
-	// with runs still young, so steady traffic arms it about once per
-	// handOff — arming a timer wakes another thread, the very cost a run
-	// on the reader saves.  Lock order: mu, then rmu.
+	// rmu guards the reader runs (conn.readerRun): runs, those not handed
+	// off yet, the state of each, and armed, which says handOffTimer will
+	// fire.  The one timer serves every connection: it is armed when a run
+	// starts and it is not armed already, and again when it fires with
+	// runs still young, so steady traffic arms it about once per handOff —
+	// arming a timer wakes another thread, the very cost a run on the
+	// reader saves.
 	rmu          sync.Mutex
+	runs         map[*run]struct{}
 	armed        bool
 	handOffTimer *time.Timer
 
@@ -106,7 +107,7 @@ type Server struct {
 // the system's scheduler.
 func New(sys *core.System, cfg Config) *Server {
 	sys.Jobs.SetQuota(cfg.MaxJobsPerSession, cfg.QuotaPolicy)
-	s := &Server{sys: sys, cfg: cfg, conns: map[*conn]struct{}{}}
+	s := &Server{sys: sys, cfg: cfg, conns: map[*conn]struct{}{}, runs: map[*run]struct{}{}}
 	reg := sys.Obs
 	s.gConnections = reg.Gauge(obs.ServerConnections)
 	s.mFramesIn = reg.Counter(obs.ServerFramesIn)
@@ -224,20 +225,24 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //
 //   - The reader (read) decodes requests in arrival order and executes
 //     each one itself, so a connection's requests take effect in the
-//     order they were sent — except those runsBeside names (solve, a wait
-//     whose job is still queued or running, submit of a command the
-//     scheduler runs inline), which get a goroutine of their own so a
-//     cancel, status or ping pipelined behind a long or blocked request
-//     still answers first.  runsBeside decides per request: a wait whose
-//     job has already finished is answered by the reader.
-//   - The reader also runs the job of a Heavy submit it has just
-//     answered, when nothing else is buffered on the connection, the
-//     pool is idle, the job is the only one queued and its model is free
-//     (runOwn) — instead of waking a pool worker for it.  A run still
-//     going after handOff passes the socket to a successor reader, which
-//     the server's hand-off timer starts; the old reader finishes the job
-//     and returns.  One goroutine is the reader at a time, and the one
-//     that ends the read loop tears the connection down.
+//     order they were sent — except those runsBeside names (a solve that
+//     could keep something waiting, a wait whose job is still queued or
+//     running, submit of a command the scheduler runs inline), which get
+//     a goroutine of their own so a cancel, status or ping pipelined
+//     behind a long or blocked request still answers first.  runsBeside
+//     decides per request: a wait whose job has already finished is
+//     answered by the reader.
+//   - Two kinds of request are reader runs (readerRun), bounded by the
+//     server's hand-off timer: a synchronous solve with nothing buffered
+//     behind it, its model free and no earlier run of the connection
+//     still going; and the job of a Heavy submit the reader has just
+//     answered, when nothing else is buffered on the connection, no run
+//     of it is still going, the pool is idle, the job is the only one
+//     queued and its model is free — instead of waking a pool worker for
+//     it.  A run still going after handOff passes the socket to a
+//     successor reader, which the timer starts; the old reader finishes
+//     the run and returns.  One goroutine is the reader at a time, and
+//     the one that ends the read loop tears the connection down.
 //   - Whichever goroutine has a reply writes it (write): under the write
 //     lock it first moves every queued event into the buffer, then the
 //     reply, and flushes once.  Frames therefore leave in the order they
@@ -246,7 +251,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //     before the wait reply.
 //   - The event writer writes events that have no reply behind them.
 //     notify wakes it unless the reader is executing a request, whose
-//     reply will carry the queue out on its own flush, or running a job,
+//     reply will carry the queue out on its own flush, or a reader run,
 //     whose end (or hand-off) flushes it.
 type conn struct {
 	srv *Server
@@ -262,12 +267,9 @@ type conn struct {
 	stop       func() bool
 	writerDone chan struct{}
 
-	// runStart and handed describe a job running on the reader, under
-	// srv.rmu: when it started (zero when none runs, or once handed off),
-	// and whether the hand-off timer has passed the socket to a successor
-	// reader.
-	runStart time.Time
-	handed   bool
+	// handedRuns counts the connection's reader runs that have handed the
+	// socket off and are still going; while one is, no run starts.
+	handedRuns atomic.Int32
 
 	// wmu is the write lock: it orders the drain of events, the frames
 	// appended to bw and the flush of one writer against the next.
@@ -290,9 +292,9 @@ type conn struct {
 	// signal covers any number of events.
 	wake chan struct{}
 
-	// reqs tracks the requests running beside the reader, and a job still
-	// running on a reader that has handed off, so teardown can flush only
-	// after every one of them has written its reply or finished.
+	// reqs tracks the requests running beside the reader, and the reader
+	// runs still going after a hand-off, so teardown can flush only after
+	// every one of them has written its reply or finished.
 	reqs sync.WaitGroup
 
 	mu       sync.Mutex
@@ -316,15 +318,19 @@ func newConn(s *Server, nc net.Conn, id int64) *conn {
 }
 
 // runsBeside reports whether a request gets a goroutine of its own
-// instead of running on the connection's reader.  Three kinds do: a
-// request that may take long (Heavy: solve); a wait whose job may still
-// be queued or running — one its session's scheduler does not report
-// Settled (a settled wait, or one on a session with no scheduler,
+// instead of running on the connection's reader, where the read loop
+// executes it in arrival order.  Four kinds do: a synchronous solve that
+// could keep something waiting — a request is buffered behind it, a
+// reader run of the connection is still going after a hand-off, or its
+// model is held, so Hold would park the reader; a wait whose job may
+// still be queued or running — one its session's scheduler does not
+// report Settled (a settled wait, or one on a session with no scheduler,
 // answers at once); and a submit the scheduler will not answer at once —
 // one wrapping a command that is not Heavy, which the scheduler runs on
 // the submitter's goroutine where it may wait for a model lock, or any
 // submit when admission holds an over-quota submitter (the queue policy)
-// instead of refusing it.
+// instead of refusing it.  A solve it leaves to the reader is a reader
+// run, bounded by the hand-off timer like a job the reader owns.
 func (c *conn) runsBeside(cmd command.Command) bool {
 	switch v := command.Value(cmd).(type) {
 	case command.Submit:
@@ -335,7 +341,14 @@ func (c *conn) runsBeside(cmd command.Command) bool {
 		jobs := c.session("", false).Jobs
 		return jobs != nil && !jobs.Settled(job.JobID(v.ID))
 	}
-	return command.PropsOf(cmd).Has(command.Heavy | command.Blocks)
+	if !command.PropsOf(cmd).Has(command.Heavy) {
+		return false
+	}
+	if c.br.Buffered() > 0 || c.handedRuns.Load() > 0 {
+		return true
+	}
+	sess := c.session("", false)
+	return sess.Jobs != nil && sess.Jobs.Held(sess.User, job.ModelOf(cmd))
 }
 
 // serve starts the connection's event writer and its reader.
@@ -363,14 +376,16 @@ func (c *conn) serve() {
 }
 
 // read is the read loop: serve runs it, and a hand-off runs it again on a
-// successor goroutine while the reader before it finishes a job.  It
+// successor goroutine while the reader before it finishes its run.  It
 // tears the connection down when the loop ends, and returns without
 // doing so once it has handed the socket off.
 func (c *conn) read() {
 	// own is this reader's hold on the Heavy job its submit just queued;
-	// ownCtx, under which such a submit leaves the job to own.Take.
+	// ownCtx, under which such a submit leaves the job to own.Take; r, the
+	// state of this reader's runs, one at a time.
 	var own job.Own
 	ownCtx := job.WithOwn(c.ctx, &own)
+	r := &run{c: c}
 	for {
 		req, err := wire.DecodeRequest(c.br)
 		if err != nil {
@@ -410,9 +425,15 @@ func (c *conn) read() {
 			ctx = ownCtx
 		}
 		c.setInline(true)
-		c.handleCommand(ctx, req.ID, cmd)
-		if own.Take() && c.runOwn(&own) {
-			return // handed off: a successor reads on
+		var handedOff bool
+		if command.PropsOf(cmd).Has(command.Heavy) { // a synchronous solve runsBeside left here
+			handedOff = c.readerRun(r, func() (*wire.Response, error) { return c.execute(ctx, req.ID, cmd) })
+		} else {
+			c.handleCommand(ctx, req.ID, cmd)
+			handedOff = own.Take() && c.readerRun(r, func() (*wire.Response, error) { own.Run(); return nil, nil })
+		}
+		if handedOff {
+			return // a successor reads on
 		}
 		c.setInline(false)
 	}
@@ -421,41 +442,60 @@ func (c *conn) read() {
 
 // mayOwn reports whether the job of a request the reader is about to
 // execute may run on the reader: the request is a submit (one of a Heavy
-// command — runsBeside took the rest), and nothing else is buffered on
-// the connection, so no request is kept waiting behind the job.
+// command — runsBeside took the rest), nothing else is buffered on the
+// connection, so no request is kept waiting behind the job, and no reader
+// run of the connection is still going after a hand-off.
 func (c *conn) mayOwn(cmd command.Command) bool {
 	_, ok := command.Value(cmd).(command.Submit)
-	return ok && c.br.Buffered() == 0
+	return ok && c.br.Buffered() == 0 && c.handedRuns.Load() == 0
 }
 
-// runOwn runs the job own.Take gave the reader, and reports whether the
-// run outlasted handOff and so handed the socket to a successor reader.
-// Events the job raises wait for the run's end (or the hand-off), where
-// the reader flushes them itself.
-func (c *conn) runOwn(own *job.Own) (handedOff bool) {
+// run is the state of one reader run, under srv.rmu: its connection,
+// when it started, and whether the hand-off timer has passed the socket
+// to a successor reader.  Each reader has its own and reuses it for its
+// runs, one after another, so no run can overwrite the state of another
+// — one its predecessor still runs after a hand-off, say.
+type run struct {
+	c      *conn
+	start  time.Time
+	handed bool
+}
+
+// readerRun is the one bracket of a reader run: fn — a synchronous solve
+// runsBeside left to the reader, or the job own.Take gave it — executes
+// on the reader under the hand-off timer.  The run's reply, if it has
+// one, and the events raised during the run, which wait for its end (or
+// the hand-off), go out once the run is over: a request sent on that
+// reply never finds the run still going.  It reports whether the run
+// outlasted handOff and so handed the socket to a successor reader.
+func (c *conn) readerRun(r *run, fn func() (*wire.Response, error)) (handedOff bool) {
 	c.srv.mReaderRuns.Inc()
-	c.srv.startRun(c)
-	own.Run()
-	if c.srv.endRun(c) {
-		return true
+	c.srv.startRun(r)
+	resp, err := fn()
+	handedOff = c.srv.endRun(r)
+	if resp != nil || !handedOff {
+		c.answer(resp, err)
 	}
-	c.write(nil)
-	return false
+	if handedOff {
+		c.reqs.Done() // the successor's teardown may go on
+	}
+	return handedOff
 }
 
-// handOff is how long a job may run on its connection's reader before a
-// successor reader takes the socket over, and so bounds how long a
-// request sent behind a submit waits for the job.  Every arming of the
+// handOff is how long a reader run may go on before a successor reader
+// takes the socket over, and so bounds how long a request sent behind a
+// synchronous solve or a submit waits for it.  Every arming of the
 // hand-off timer wakes another thread, so it must fire rarely: on a
 // two-vCPU host, iterate_small's daemon CPU per job was about 11 % higher
 // with 1 ms than with 10 ms.
 const handOff = 10 * time.Millisecond
 
-// startRun registers a job running on c's reader, arming the hand-off
-// timer unless it is armed already.
-func (s *Server) startRun(c *conn) {
+// startRun registers a run starting on its connection's reader, arming
+// the hand-off timer unless it is armed already.
+func (s *Server) startRun(r *run) {
 	s.rmu.Lock()
-	c.runStart = time.Now()
+	r.start = time.Now()
+	s.runs[r] = struct{}{}
 	if !s.armed {
 		s.armed = true
 		if s.handOffTimer == nil {
@@ -467,15 +507,15 @@ func (s *Server) startRun(c *conn) {
 	s.rmu.Unlock()
 }
 
-// endRun unregisters the job that ran on c's reader and reports whether
-// the hand-off timer passed the socket on meanwhile.
-func (s *Server) endRun(c *conn) (handedOff bool) {
+// endRun unregisters a run that has ended and reports whether the
+// hand-off timer passed its socket on meanwhile.
+func (s *Server) endRun(r *run) (handedOff bool) {
 	s.rmu.Lock()
-	handedOff, c.handed = c.handed, false
-	c.runStart = time.Time{}
+	delete(s.runs, r)
+	handedOff = r.handed
 	s.rmu.Unlock()
 	if handedOff {
-		c.reqs.Done()
+		r.c.handedRuns.Add(-1)
 	}
 	return handedOff
 }
@@ -484,36 +524,33 @@ func (s *Server) endRun(c *conn) (handedOff bool) {
 // lasted handOff passes its socket to a successor, and the timer is
 // armed again for the runs still younger than that.
 func (s *Server) handOffDue() {
-	var due []*conn
-	s.mu.Lock()
+	var due []*run
 	s.rmu.Lock()
 	s.armed = false
 	now := time.Now()
 	next := time.Duration(0)
-	for c := range s.conns {
-		if c.runStart.IsZero() {
-			continue
-		}
-		if left := handOff - now.Sub(c.runStart); left > 0 {
+	for r := range s.runs {
+		if left := handOff - now.Sub(r.start); left > 0 {
 			if next == 0 || left < next {
 				next = left
 			}
 			continue
 		}
-		c.runStart, c.handed = time.Time{}, true
-		c.reqs.Add(1) // done by endRun: the successor's teardown waits for the job
-		due = append(due, c)
+		delete(s.runs, r)
+		r.handed = true
+		r.c.handedRuns.Add(1)
+		r.c.reqs.Add(1) // done by readerRun: the successor's teardown waits for the run
+		due = append(due, r)
 	}
 	if next > 0 {
 		s.armed = true
 		s.handOffTimer.Reset(next)
 	}
 	s.rmu.Unlock()
-	s.mu.Unlock()
-	for _, c := range due {
+	for _, r := range due {
 		s.mHandOffs.Inc()
-		c.setInline(false) // the events the run raised so far go out now
-		go c.read()
+		r.c.setInline(false) // the events the run raised so far go out now
+		go r.c.read()
 	}
 }
 
@@ -697,33 +734,43 @@ func (c *conn) handleHello(req *wire.Request) {
 	}})
 }
 
-// handleCommand gates, executes under ctx (the connection's, or the
-// reader's WithOwn context for a submit), and answers one decoded
-// command request.
+// handleCommand executes and answers one decoded command request.
 func (c *conn) handleCommand(ctx context.Context, id uint64, cmd command.Command) {
+	c.answer(c.execute(ctx, id, cmd))
+}
+
+// answer writes the reply to a request; quit ends the connection after
+// its reply is flushed.
+func (c *conn) answer(resp *wire.Response, err error) {
+	if c.write(resp) && errors.Is(err, auvm.ErrQuit) {
+		c.cancel()
+	}
+}
+
+// execute gates and executes one decoded command request under ctx (the
+// connection's, or the reader's WithOwn context for a submit), and
+// returns its reply with the command's error.
+func (c *conn) execute(ctx context.Context, id uint64, cmd command.Command) (*wire.Response, error) {
 	props := command.PropsOf(cmd)
 	if c.srv.draining.Load() && props.RefusedDraining() {
-		c.write(&wire.Response{ID: id, Error: &wire.Error{
+		return &wire.Response{ID: id, Error: &wire.Error{
 			Code:    wire.CodeDraining,
-			Message: fmt.Sprintf("server is draining; %q not accepted", command.Value(cmd))}})
-		return
+			Message: fmt.Sprintf("server is draining; %q not accepted", command.Value(cmd))}}, nil
 	}
 	if c.srv.sys.Degraded() && props.RefusedDegraded() {
-		c.write(&wire.Response{ID: id, Error: &wire.Error{
+		return &wire.Response{ID: id, Error: &wire.Error{
 			Code:    wire.CodeDegraded,
-			Message: fmt.Sprintf("store degraded (read-only); %q not accepted", command.Value(cmd))}})
-		return
+			Message: fmt.Sprintf("store degraded (read-only); %q not accepted", command.Value(cmd))}}, nil
 	}
 	if cl := c.srv.sys.Cluster; cl != nil && !cl.IsLeader() && props.Has(command.LeaderOnly) {
 		// Refused before execution, so the client may retry any verb on
 		// the leader — see wire.CodeNotLeader.  Reads — status, wait, jobs,
 		// retrieve, list, display — keep serving, which is the point of
 		// running followers at all.
-		c.write(&wire.Response{ID: id, Error: &wire.Error{
+		return &wire.Response{ID: id, Error: &wire.Error{
 			Code:    wire.CodeNotLeader,
 			Leader:  cl.LeaderAddr(),
-			Message: fmt.Sprintf("not the cluster leader; %q not accepted here", command.Value(cmd))}})
-		return
+			Message: fmt.Sprintf("not the cluster leader; %q not accepted here", command.Value(cmd))}}, nil
 	}
 	if t := c.srv.cfg.RequestTimeout; t > 0 && !props.ServerTimeoutExempt() {
 		var cancel context.CancelFunc
@@ -742,10 +789,7 @@ func (c *conn) handleCommand(ctx context.Context, id uint64, cmd command.Command
 	if err != nil {
 		resp.Error = wireError(err)
 	}
-	if c.write(resp) && errors.Is(err, auvm.ErrQuit) {
-		// quit ends the connection after its reply is flushed.
-		c.cancel()
-	}
+	return resp, err
 }
 
 // do executes one command on the connection's session.  A panic in there

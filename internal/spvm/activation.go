@@ -17,14 +17,14 @@ type CodeBlock struct {
 }
 
 // TaskState is the SPVM view of a task's life cycle: an initiate message
-// makes a task ready, Kernel.Start runs it, a terminate message ends it.
+// makes a task ready, Kernel.Start runs it, a terminate message ends it
+// and deletes its record.
 type TaskState int
 
 // Task states.
 const (
 	TaskReady TaskState = iota
 	TaskRunning
-	TaskTerminated
 )
 
 // String names the state using the grammar's vocabulary.
@@ -34,8 +34,6 @@ func (s TaskState) String() string {
 		return "ready"
 	case TaskRunning:
 		return "running"
-	case TaskTerminated:
-		return "terminated"
 	default:
 		return fmt.Sprintf("TaskState(%d)", int(s))
 	}

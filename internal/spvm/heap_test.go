@@ -226,7 +226,7 @@ func TestCodeStore(t *testing.T) {
 
 func TestTaskStateString(t *testing.T) {
 	for st, want := range map[TaskState]string{
-		TaskReady: "ready", TaskRunning: "running", TaskTerminated: "terminated",
+		TaskReady: "ready", TaskRunning: "running",
 	} {
 		if st.String() != want {
 			t.Errorf("TaskState %d = %q, want %q", st, st.String(), want)

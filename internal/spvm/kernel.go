@@ -79,15 +79,14 @@ func (k *Kernel) Task(id TaskID) *ActivationRecord {
 	return k.tasks[id]
 }
 
-// TaskIDs returns the IDs of all live (non-terminated) tasks, sorted.
+// TaskIDs returns the IDs of all live tasks, sorted; a terminated task's
+// record is deleted.
 func (k *Kernel) TaskIDs() []TaskID {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	out := make([]TaskID, 0, len(k.tasks))
-	for id, rec := range k.tasks {
-		if rec.State != TaskTerminated {
-			out = append(out, id)
-		}
+	for id := range k.tasks {
+		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -187,7 +186,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 			}
 			k.wordsFreed.Add(rec.LocalWords)
 		}
-		rec.State = TaskTerminated
 		delete(k.tasks, m.Task)
 		return nil, nil
 
