@@ -29,7 +29,7 @@ var ErrNotFound = errs.ErrNotFound
 type Database struct {
 	st      store.Store
 	backend string
-	mu      sync.Mutex // serializes Delete's check-then-batch
+	mu      sync.Mutex // serializes Delete's check-then-delete
 }
 
 // NewDatabaseOn builds a database over an opened store.  backend is
@@ -52,18 +52,13 @@ func (db *Database) Store(m *fem.Model, loads []*fem.LoadSet) error {
 }
 
 // Retrieve deserializes a model and its load sets out of the database
-// ("retrieve").  The caller receives fresh copies.  The stored bytes say
-// which reader they need: a record, or the gob modelDTO a format-1 store
-// still holds until the model is next stored (legacy.go).
+// ("retrieve").  The caller receives fresh copies.
 func (db *Database) Retrieve(name string) (*fem.Model, []*fem.LoadSet, error) {
 	raw, err := db.st.Get(store.ModelKey(name))
 	if err != nil {
 		return nil, nil, fmt.Errorf("auvm: model %q not in database: %w", name, err)
 	}
-	if isModelRecord(raw) {
-		return decodeModelRecord(raw)
-	}
-	return decodeGobModel(name, raw)
+	return decodeModelRecord(raw)
 }
 
 // ModelGraph builds the formal H-graph model of the model stored under
@@ -78,11 +73,8 @@ func (db *Database) ModelGraph(name string) (*hgraph.Graph, error) {
 	return modelGraph(m, loads), nil
 }
 
-// Delete removes a model, reporting whether it was there.  An older daemon
-// left an "s:<name>:<seq>" record behind every solve; nothing reads or
-// writes those any more, and a model's leftovers go with it here, in the
-// same atomic batch.  An error is a store that could not be read or
-// written, and then nothing was removed.
+// Delete removes a model, reporting whether it was there.  An error is a
+// store that could not be read or written, and then nothing was removed.
 func (db *Database) Delete(name string) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -92,15 +84,7 @@ func (db *Database) Delete(name string) (bool, error) {
 		}
 		return false, err
 	}
-	ops := []store.Op{store.Del(store.ModelKey(name))}
-	err := db.st.Seek(store.SolutionPrefix(name), func(k string, _ []byte) bool {
-		ops = append(ops, store.Del(k))
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	return true, db.st.Batch(ops)
+	return true, db.st.Delete(store.ModelKey(name))
 }
 
 // List returns the stored model names, sorted, and their total serialized

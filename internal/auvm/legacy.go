@@ -3,15 +3,20 @@ package auvm
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/fem"
+	"repro/internal/store"
 )
 
 // The gob forms of a model and a workspace, read and never written: what
-// "m:<name>" holds in a format-1 store until the model is next stored, and
-// what a FEM2SNAP1 snapshot file holds.  Gob leaves a zero struct field
-// out of the stream, so a -0 written in these forms reads back as +0.
+// "m:<name>" held before store format 2, until the upgrade at open
+// rewrites it, and what a FEM2SNAP1 snapshot file holds.  Gob leaves a
+// zero struct field out of the stream, so a -0 written in these forms
+// reads back as +0.
 
 // legacySnapshotMagic heads a snapshot file written in gob.
 const legacySnapshotMagic = "FEM2SNAP1\n"
@@ -62,13 +67,61 @@ type solutionDTO struct {
 	Refactored bool
 }
 
-// decodeGobModel reads a format-1 "m:<name>" value.
-func decodeGobModel(name string, raw []byte) (*fem.Model, []*fem.LoadSet, error) {
-	var dto modelDTO
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&dto); err != nil {
-		return nil, nil, fmt.Errorf("auvm: decode model %q: %w", name, err)
+// storeFormat is the store format this package reads and writes, kept
+// under store.KeyFormat: every "m:<name>" value is a model record.
+const storeFormat = "3"
+
+// legacySolvePrefix heads the solve-history records, "s:<name>:<seq>",
+// a format-1 or format-2 store may hold; nothing ever read them.
+const legacySolvePrefix = "s:"
+
+// UpgradeStore brings a store to the current format when a daemon opens
+// it.  A fresh store is stamped.  A format-1 or format-2 store has every
+// gob model rewritten as the record store writes for it, load sets in
+// name order, and every solve-history record deleted, in the one
+// conditional batch that stamps it; of two daemons upgrading one shared
+// file, one applies it and the other reads the new format and opens.  A
+// value neither reader accepts stays as it is, for retrieve to report.
+// A current store is not written to, and any other format is refused.
+func UpgradeStore(st store.Conditional) error {
+	was, err := st.Get(store.KeyFormat)
+	switch {
+	case errors.Is(err, ErrNotFound):
+		was = nil
+	case err != nil:
+		return fmt.Errorf("store: reading format version: %w", err)
+	case string(was) == storeFormat:
+		return nil
+	case string(was) != "1" && string(was) != "2":
+		return fmt.Errorf("store: format version %q not supported (want %q)", was, storeFormat)
 	}
-	return decodeModel(&dto)
+	var ops []store.Op
+	err = st.Seek(store.PrefixModel, func(k string, v []byte) bool {
+		var dto modelDTO
+		if _, _, err := decodeModelRecord(v); err == nil || gob.NewDecoder(bytes.NewReader(v)).Decode(&dto) != nil {
+			return true
+		}
+		if m, loads, err := decodeModel(&dto); err == nil {
+			slices.SortStableFunc(loads, func(a, b *fem.LoadSet) int { return strings.Compare(a.Name, b.Name) })
+			raw, _ := encodeModelRecord(m, loads) // bars and CSTs only: it cannot fail
+			ops = append(ops, store.Put(k, raw))
+		}
+		return true
+	})
+	if err == nil {
+		err = st.Seek(legacySolvePrefix, func(k string, _ []byte) bool {
+			ops = append(ops, store.Del(k))
+			return true
+		})
+	}
+	if err != nil {
+		return err
+	}
+	err = st.BatchIf(store.KeyFormat, was, append(ops, store.Put(store.KeyFormat, []byte(storeFormat))))
+	if errors.Is(err, store.ErrConflict) {
+		return UpgradeStore(st) // another daemon wrote the format first: read it again
+	}
+	return err
 }
 
 // decodeModel rebuilds a model and its load sets from the DTO.

@@ -44,11 +44,6 @@ const (
 // decodes to, in either format.
 var errCorruptRecord = errors.New("auvm: corrupt model record")
 
-// isModelRecord tells a record from a format-1 gob modelDTO by its first
-// byte: a gob stream opens with the byte count of its first message,
-// which is never zero.
-func isModelRecord(raw []byte) bool { return len(raw) > 0 && raw[0] == 0 }
-
 // matBits is a material as the bit patterns of E, Nu, T and A.
 type matBits [4]uint64
 

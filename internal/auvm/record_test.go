@@ -449,41 +449,51 @@ func readFixture(t testing.TB) []byte {
 	return raw
 }
 
-// TestModelRecordFormat1StaysReadable retrieves bytes a format-1 daemon
-// wrote: the first byte sends them to the gob reader.  The next store of
-// the model rewrites it as a record.
-func TestModelRecordFormat1StaysReadable(t *testing.T) {
+// oldStore is a mem store at format version holding kv, as a daemon
+// before the current format left it.
+func oldStore(t testing.TB, version string, kv map[string][]byte) *store.MemStore {
+	t.Helper()
 	st := store.NewMemStore()
-	if err := st.Put(store.ModelKey("mixed"), readFixture(t)); err != nil {
+	if version != "" {
+		kv[store.KeyFormat] = []byte(version)
+	}
+	for k, v := range kv {
+		if err := st.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+// TestModelRecordFormat1StaysReadable upgrades a store holding bytes a
+// format-1 daemon wrote: the model comes back as it was written, and the
+// key holds the record store writes for it.
+func TestModelRecordFormat1StaysReadable(t *testing.T) {
+	st := oldStore(t, "1", map[string][]byte{store.ModelKey("mixed"): readFixture(t)})
+	if err := UpgradeStore(st); err != nil {
 		t.Fatal(err)
 	}
 	db := NewDatabaseOn(st, store.BackendMem)
 	m, loads, err := db.Retrieve("mixed")
 	if err != nil {
-		t.Fatalf("Retrieve of a format-1 record: %v", err)
+		t.Fatalf("Retrieve of an upgraded format-1 model: %v", err)
 	}
 	wm, wl := format1Model()
+	wl[0], wl[1] = wl[1], wl[0] // push, tip: the upgrade writes them in name order, as store does
 	if d := diffModels(sameBits, m, loads, wm, wl); d != "" {
-		t.Fatalf("format-1 record: %s", d)
+		t.Fatalf("format-1 model: %s", d)
 	}
 	gr, err := db.ModelGraph("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkModelGrammar(t, gr)
-	if err := db.Store(m, loads); err != nil {
-		t.Fatal(err)
-	}
 	raw, err := st.Get(store.ModelKey("mixed"))
-	if err != nil || !isModelRecord(raw) {
-		t.Fatalf("after store the key holds %x..., %v; want a record", raw[:3], err)
-	}
-	m, loads, err = db.Retrieve("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffModels(sameBits, m, loads, wm, wl); d != "" {
-		t.Fatalf("rewritten as a record: %s", d)
+	if want, _ := encodeModelRecord(m, loads); !bytes.Equal(raw, want) {
+		t.Fatalf("upgraded key holds %x, want the record store writes, %x", raw, want)
 	}
 }
 
@@ -492,16 +502,17 @@ func corruptOrderDTO() modelDTO { return modelDTO{Name: "x", Order: []byte{elemC
 
 // TestModelRecordCorruptOrderIsAnError: a gob model whose Order outruns
 // Bars/CSTs used to die on an unchecked index — a dead REPL locally, a
-// server.panics and an internal reply over the wire.
+// server.panics and an internal reply over the wire.  The upgrade leaves
+// it as it is, and retrieve reports it.
 func TestModelRecordCorruptOrderIsAnError(t *testing.T) {
 	dto := corruptOrderDTO()
 	raw, err := gobModel(&dto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewMemStore()
-	if err := st.Put(store.ModelKey("x"), raw); err != nil {
-		t.Fatal(err)
+	st := oldStore(t, "1", map[string][]byte{store.ModelKey("x"): raw})
+	if err := UpgradeStore(st); err != nil {
+		t.Fatalf("upgrade of a store holding a corrupt gob model: %v", err)
 	}
 	s := NewSession("u", NewDatabaseOn(st, store.BackendMem))
 	if _, err := s.Execute("retrieve x"); !errors.Is(err, errCorruptRecord) {
@@ -582,10 +593,10 @@ func TestModelRecordRefusesDamage(t *testing.T) {
 	}
 }
 
-// FuzzModelRecord feeds the stored-model readers arbitrary bytes: neither
-// may panic, the record reader may not allocate out of proportion to its
-// input, and whatever it accepts must be in the model grammar's language
-// and re-encode to a record it accepts to an equal model.
+// FuzzModelRecord feeds retrieve arbitrary bytes: it may not panic or
+// allocate out of proportion to its input, and whatever it accepts must
+// be in the model grammar's language and re-encode to a record it
+// accepts to an equal model.  The gob fixture is a seed like any other.
 func FuzzModelRecord(f *testing.F) {
 	for _, g := range benchGrids {
 		m, loads := benchGrid(f, g.name, g.nx, g.ny)
@@ -602,10 +613,6 @@ func FuzzModelRecord(f *testing.F) {
 			t.Fatal(err)
 		}
 		db := NewDatabaseOn(st, store.BackendMem)
-		if !isModelRecord(raw) {
-			db.Retrieve("f") // the gob reader: must not panic, nothing more is promised
-			return
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		m, loads, err := db.Retrieve("f")

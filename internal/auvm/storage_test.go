@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,33 +56,85 @@ func TestDatabaseSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestDatabaseDeleteClearsSolutions pins Delete's batch semantics: the
-// model and the solve-history records an older daemon left under its name
-// vanish together, and another model's stay.
-func TestDatabaseDeleteClearsSolutions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fem2.db")
-	db, st := openFileDB(t, path)
-	defer st.Close()
-	s := NewSession("alice", db)
-	mustExec(t, s, "generate bar rod 4 10")
-	mustExec(t, s, "store rod")
-	leftovers := []string{"s:rod:00000001", "s:rod:00000002", "s:rod2:00000001"}
-	for _, k := range leftovers {
-		if err := st.Put(k, []byte(`{"seq":1}`)); err != nil {
-			t.Fatal(err)
-		}
+// TestUpgradeStore opens a store of every format: a fresh one is stamped
+// 3, a format-1 or format-2 one has its gob models rewritten as records
+// and its solve history deleted in the stamping batch, a current one gets
+// no write, and a future one is refused untouched.  A value neither
+// reader accepts stays.
+func TestUpgradeStore(t *testing.T) {
+	fixture := string(readFixture(t))
+	m, loads := format1Model()
+	raw, err := encodeModelRecord(m, []*fem.LoadSet{loads[1], loads[0]}) // in name order, as store writes them
+	if err != nil {
+		t.Fatal(err)
 	}
-	if found, err := db.Delete("rod"); !found || err != nil {
-		t.Fatalf("Delete(rod) = %v, %v; want true, nil", found, err)
+	record := string(raw)
+	dto := corruptOrderDTO()
+	badOrder, err := gobModel(&dto)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := db.Retrieve("rod"); !errors.Is(err, errs.ErrNotFound) {
-		t.Errorf("Retrieve after delete = %v, want not-found", err)
+	const junk = "\x07not a model"
+	for _, c := range []struct {
+		name    string
+		version string // "" is a fresh store
+		before  map[string]string
+		after   map[string]string // nil: as before
+		writes  int               // conditional batches; no other write is allowed
+		refusal string
+	}{
+		{name: "fresh", after: map[string]string{store.KeyFormat: "3"}, writes: 1},
+		{name: "format-1", version: "1", writes: 1,
+			before: map[string]string{"m:mixed": fixture, "s:mixed:00000001": "{}", "s:mixed2:00000002": "{}"},
+			after:  map[string]string{store.KeyFormat: "3", "m:mixed": record}},
+		{name: "format-2", version: "2", writes: 1,
+			before: map[string]string{"m:mixed": fixture, "m:kept": record, "s:kept:00000001": "{}"},
+			after:  map[string]string{store.KeyFormat: "3", "m:mixed": record, "m:kept": record}},
+		{name: "format-3", version: "3", before: map[string]string{"m:kept": record}},
+		{name: "future", version: "4", before: map[string]string{"m:mixed": fixture, "s:mixed:00000001": "{}"},
+			refusal: `store: format version "4" not supported (want "3")`},
+		{name: "undecodable", version: "2", writes: 1,
+			before: map[string]string{"m:order": string(badOrder), "m:junk": junk},
+			after:  map[string]string{store.KeyFormat: "3", "m:order": string(badOrder), "m:junk": junk}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			kv := map[string][]byte{}
+			for k, v := range c.before {
+				kv[k] = []byte(v)
+			}
+			in := fault.NewInjector(1)
+			st := fault.NewStore(oldStore(t, c.version, kv), in)
+			want := dump(t, st)
+			if c.after != nil {
+				want = c.after
+			}
+			err := UpgradeStore(st)
+			if c.refusal != "" && (err == nil || err.Error() != c.refusal) || c.refusal == "" && err != nil {
+				t.Fatalf("UpgradeStore = %v, want %q", err, c.refusal)
+			}
+			if got := dump(t, st); !reflect.DeepEqual(got, want) {
+				t.Errorf("store after the upgrade:\n%q\nwant\n%q", got, want)
+			}
+			if got := in.Calls(fault.OpBatchIf); got != c.writes {
+				t.Errorf("%d conditional batches, want %d", got, c.writes)
+			}
+			for _, op := range []string{fault.OpPut, fault.OpDelete, fault.OpBatch} {
+				if n := in.Calls(op); n != 0 {
+					t.Errorf("%d calls of %s, want none", n, op)
+				}
+			}
+		})
 	}
-	var left []string
-	st.Seek("s:", func(k string, _ []byte) bool { left = append(left, k); return true })
-	if len(left) != 1 || left[0] != "s:rod2:00000001" {
-		t.Errorf("s: keys after delete = %q, want only rod2's", left)
+}
+
+// dump returns every key and value in st.
+func dump(t *testing.T, st store.Store) map[string]string {
+	t.Helper()
+	kv := map[string]string{}
+	if err := st.Seek("", func(k string, v []byte) bool { kv[k] = string(v); return true }); err != nil {
+		t.Fatal(err)
 	}
+	return kv
 }
 
 // faultDB is a database over a mem store behind a disarmed fault
@@ -95,7 +148,7 @@ func faultDB(rule fault.Rule) (*Database, *fault.Injector) {
 // TestDeleteReportsStoreFailure: a delete the store cannot write is that
 // failure, not "not found", and the model stays.
 func TestDeleteReportsStoreFailure(t *testing.T) {
-	db, in := faultDB(fault.Rule{Op: fault.OpBatch, Fault: fault.Fault{Err: fault.ErrIO}})
+	db, in := faultDB(fault.Rule{Op: fault.OpDelete, Fault: fault.Fault{Err: fault.ErrIO}})
 	s := NewSession("alice", db)
 	mustExec(t, s, "generate grid g 2 2 2 2")
 	mustExec(t, s, "store g")

@@ -345,7 +345,7 @@ type ClusterOpts struct {
 }
 
 // Open builds the full stack: the store is opened (replaying and
-// compacting a file-backed log as needed), its format version checked,
+// compacting a file-backed log as needed), brought to the current format,
 // the model database recovered from it, and the job journal attached.
 //
 // The store layering, bottom up: backend → degradation guard → [epoch
@@ -414,10 +414,10 @@ func Open(o Options) (*System, error) {
 		})
 		s.Store = cluster.NewFenced(guard, s.Cluster, s.Obs)
 	}
-	// Format check through the guard: on a follower the fenced handle
-	// refuses the first-ever format write, and the key predates any
-	// lease by definition.
-	if err := store.EnsureFormat(guard); err != nil {
+	// The format upgrade runs through the guard, below the fence: on a
+	// follower the fenced handle refuses the first-ever format write, and
+	// the key predates any lease by definition.
+	if err := auvm.UpgradeStore(guard); err != nil {
 		s.Store.Close()
 		return nil, err
 	}

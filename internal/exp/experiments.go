@@ -618,10 +618,9 @@ func E10LinalgKernels(workerCounts []int) (*Table, error) {
 // the live values of every specified layer validate against their H-graph
 // grammars, and mutants of each are rejected.  The values are the three
 // SPVM message types the NAVM sends, the activation records a kernel
-// creates for initiate messages and registers for root tasks, NAVM row,
-// column and block windows, and models read back from the AUVM database;
-// the mutants carry an unknown message type, task state, window kind or
-// element kind.
+// creates for initiate messages and registers for root tasks, NAVM row
+// windows, and models read back from the AUVM database; the mutants carry
+// an unknown message type, task state, window kind or element kind.
 func E11HGraphValidation(instances int) (*Table, error) {
 	t := &Table{
 		ID:      "E11",
@@ -679,10 +678,11 @@ func E11HGraphValidation(instances int) (*Table, error) {
 		}
 		return k.Task(created[0]).ToHGraph(), nil
 	}, retag("state", "zombie")})
-	// Row, column and block windows in turn.
 	rows = append(rows, row{"window", hgraph.WindowGrammar(), func(i int) (*hgraph.Graph, error) {
-		w := []navm.Window{{Arr: arr, Row0: i, Rows: 1, Cols: 4}, {Arr: arr, Rows: instances, Col0: i % 4, Cols: 1},
-			{Arr: arr, Row0: i, Rows: 1, Col0: 1, Cols: 2}}[i%3]
+		w, err := navm.RowWindow(arr, i, 1)
+		if err != nil {
+			return nil, err
+		}
 		return w.Desc().ToHGraph(), nil
 	}, retag("kind", "diagonal")})
 	// Plates and trusses in turn, stored and read back.

@@ -44,14 +44,13 @@ func SPVMMessageGrammar() *Grammar {
 
 // WindowGrammar returns the grammar of NAVM window descriptors ("windows
 // on arrays (e.g., row, column, block descriptors, for remote access to
-// non-local data)").
+// non-local data)"); the runtime opens row windows only, and the column
+// and block kinds stay paper-only.
 func WindowGrammar() *Grammar {
 	g := NewGrammar("navm-window", "window")
 	g.Define("window", StructType{Closed: true, Fields: []Field{
 		{Sel: "array", Type: AtomType{AtomString}},
-		{Sel: "kind", Type: UnionType{Alts: []TypeExpr{
-			LitString{"row"}, LitString{"col"}, LitString{"block"},
-		}}},
+		{Sel: "kind", Type: LitString{"row"}},
 		{Sel: "owner", Type: AtomType{AtomInt}},
 		{Sel: "row0", Type: AtomType{AtomInt}},
 		{Sel: "rows", Type: AtomType{AtomInt}},

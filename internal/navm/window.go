@@ -26,18 +26,10 @@ func RowWindow(a *Array, row0, rows int) (*Window, error) {
 }
 
 // Desc returns the SPVM storage representation of the window, the
-// descriptor the navm-window grammar specifies.  Its kind is "row" when
-// the window spans every column, else "col" when it spans every row, else
-// "block".
+// descriptor the navm-window grammar specifies.  Its kind is "row": a task
+// opens windows with RowWindow, across every column.
 func (w *Window) Desc() *spvm.WindowDesc {
-	kind := "block"
-	switch {
-	case w.Col0 == 0 && w.Cols == w.Arr.Cols:
-		kind = "row"
-	case w.Row0 == 0 && w.Rows == w.Arr.Rows:
-		kind = "col"
-	}
-	return &spvm.WindowDesc{Array: w.Arr.Name, Kind: kind, Owner: w.Arr.Owner,
+	return &spvm.WindowDesc{Array: w.Arr.Name, Kind: "row", Owner: w.Arr.Owner,
 		Row0: int64(w.Row0), Rows: int64(w.Rows), Col0: int64(w.Col0), Cols: int64(w.Cols)}
 }
 

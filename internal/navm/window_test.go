@@ -133,16 +133,22 @@ func TestTaskRecordsAndWindowsMatchGrammars(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		col := &Window{Arr: a, Rows: a.Rows, Col0: replica % a.Cols, Cols: 1}
-		block := &Window{Arr: a, Row0: 1, Rows: 2, Col0: 1, Cols: 2}
-		for kind, w := range map[string]*Window{"row": row, "col": col, "block": block} {
+		all, err := RowWindow(a, 0, a.Rows)
+		if err != nil {
+			return err
+		}
+		two, err := RowWindow(a, 1, 2)
+		if err != nil {
+			return err
+		}
+		for _, w := range []*Window{row, all, two} {
 			w.Read(tc)
 			d := w.Desc()
-			if d.Kind != kind || d.Owner != root.ID || d.Array != "K" {
-				return fmt.Errorf("%s window described as %+v", kind, d)
+			if d.Kind != "row" || d.Owner != root.ID || d.Array != "K" || d.Row0 != int64(w.Row0) || d.Rows != int64(w.Rows) {
+				return fmt.Errorf("window %d+%d described as %+v", w.Row0, w.Rows, d)
 			}
 			if errs := window.Validate(d.ToHGraph()); len(errs) > 0 {
-				return fmt.Errorf("%s window: live descriptor violates formal grammar: %v", kind, errs)
+				return fmt.Errorf("window %d+%d: live descriptor violates formal grammar: %v", w.Row0, w.Rows, errs)
 			}
 			opened.Add(1)
 		}

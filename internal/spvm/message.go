@@ -82,7 +82,7 @@ type Message struct {
 
 // WindowDesc is the SPVM storage representation of a NAVM window on an
 // array: which array, which owner task, and the row/column extent.  Kind
-// is one of "row", "col", "block".
+// is "row", the one kind the runtime opens.
 type WindowDesc struct {
 	Array string
 	Kind  string

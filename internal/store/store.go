@@ -9,16 +9,12 @@
 // Everything the service persists goes through this package under a
 // documented key schema (see docs/storage.md):
 //
-//	meta:format        store format version ("2"), written on first open
-//	m:<name>           model topology + properties (auvm record; gob modelDTO in format-1 stores)
+//	meta:format        store format version ("3"), which auvm.UpgradeStore checks and writes at open
+//	m:<name>           model topology + properties (auvm record)
 //	j:<id>             job records, id zero-padded %016x (JSON)
 //
 // Keys are ordered by byte comparison, so zero-padding the numeric
 // components makes Seek return job records in submission order for free.
-//
-// A file written by an older daemon also holds s:<name>:<seq> records (a
-// solve history nothing ever read); they are never read or written again,
-// and deleting a model sweeps its leftovers (SolutionPrefix).
 //
 // Encodings are deterministic: the same logical value always encodes
 // to the same bytes, so snapshot/restore round-trips and crash
@@ -44,11 +40,6 @@ var ErrNotFound = errs.ErrNotFound
 // value does not match the expected bytes: somebody else won the race.
 // The batch was not applied.
 var ErrConflict = errors.New("store: conditional batch conflict")
-
-// FormatVersion is the current on-disk format, kept under KeyFormat.
-// Format 2 differs from 1 in one thing: "m:<name>" holds an auvm model
-// record where format 1 held a gob modelDTO.
-const FormatVersion = "2"
 
 // KeyFormat is the metadata key holding the store format version.
 const KeyFormat = "meta:format"
@@ -78,12 +69,6 @@ const (
 
 // ModelKey returns the key holding model name's encoded topology.
 func ModelKey(name string) string { return PrefixModel + name }
-
-// SolutionPrefix returns the prefix of the solve-history records an
-// older daemon left behind for model name; delete sweeps them with the
-// model, and nothing else knows the family.  The trailing colon keeps
-// "plate" from matching "plate2" records.
-func SolutionPrefix(name string) string { return "s:" + name + ":" }
 
 // JobKey returns the key for a job record.  The id is zero-padded hex
 // so byte order is submission order: PrefixJob then the id as fmt's
@@ -159,27 +144,4 @@ type Store interface {
 type Conditional interface {
 	Store
 	BatchIf(key string, want []byte, ops []Op) error
-}
-
-// EnsureFormat checks the store's format version, writing it on a
-// fresh store and refusing to open a store written by an incompatible
-// future format.  A format-1 store is accepted — auvm still reads its
-// gob model records — and stamped with the current version, so that a
-// format-1 daemon refuses the file here instead of failing at retrieve on
-// the first record stored into it.
-func EnsureFormat(s Store) error {
-	v, err := s.Get(KeyFormat)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return s.Put(KeyFormat, []byte(FormatVersion))
-		}
-		return fmt.Errorf("store: reading format version: %w", err)
-	}
-	switch string(v) {
-	case FormatVersion:
-		return nil
-	case "1":
-		return s.Put(KeyFormat, []byte(FormatVersion))
-	}
-	return fmt.Errorf("store: format version %q not supported (want %q)", v, FormatVersion)
 }
