@@ -56,6 +56,59 @@ func TestDatabaseSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestDatabaseDeleteClearsSolutions pins what a delete leaves of a model
+// an older daemon solved: the upgrade at open has already deleted the
+// solve-history records, so Delete removes the model with a single store
+// delete, nothing of its history is left, and another model stays.
+func TestDatabaseDeleteClearsSolutions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fem2.db")
+	db, st := openFileDB(t, path)
+	s := NewSession("alice", db)
+	mustExec(t, s, "generate bar rod 4 10")
+	mustExec(t, s, "store rod")
+	mustExec(t, s, "generate bar rod2 2 10")
+	mustExec(t, s, "store rod2")
+	old := map[string]string{store.KeyFormat: "2", "s:rod:00000001": "{}", "s:rod:00000002": "{}", "s:rod2:00000001": "{}"}
+	for k, v := range old {
+		if err := st.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	file, err := store.OpenFileStoreWith(path, store.FileOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if err := UpgradeStore(file); err != nil {
+		t.Fatal(err)
+	}
+	in := fault.NewInjector(1)
+	db = NewDatabaseOn(fault.NewStore(file, in), store.BackendFile)
+	if found, err := db.Delete("rod"); !found || err != nil {
+		t.Fatalf("Delete(rod) = %v, %v; want true, nil", found, err)
+	}
+	if n := in.Calls(fault.OpDelete); n != 1 {
+		t.Errorf("Delete made %d store deletes, want 1", n)
+	}
+	if _, _, err := db.Retrieve("rod"); !errors.Is(err, errs.ErrNotFound) {
+		t.Errorf("Retrieve after delete = %v, want not-found", err)
+	}
+	if _, _, err := db.Retrieve("rod2"); err != nil {
+		t.Errorf("Retrieve(rod2) after deleting rod: %v", err)
+	}
+	var left []string
+	if err := file.Seek("s:", func(k string, _ []byte) bool { left = append(left, k); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("s: keys after open and delete = %q, want none", left)
+	}
+}
+
 // TestUpgradeStore opens a store of every format: a fresh one is stamped
 // 3, a format-1 or format-2 one has its gob models rewritten as records
 // and its solve history deleted in the stamping batch, a current one gets

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/auvm"
 	"repro/internal/fault"
 	"repro/internal/store"
 	"repro/internal/store/storetest"
@@ -55,6 +56,60 @@ func conformanceStores(t *testing.T) map[string]func(t *testing.T) store.Store {
 func TestConformance(t *testing.T) {
 	for name, open := range conformanceStores(t) {
 		t.Run(name, func(t *testing.T) { storetest.Run(t, open) })
+	}
+}
+
+// TestEnsureFormat pins the format stamp of a file store across reopens:
+// auvm.UpgradeStore stamps a fresh file "3", leaves a current one as it
+// is, upgrades and stamps a format-1 one so the daemon that wrote it
+// refuses it from then on, and refuses a future one without restamping.
+func TestEnsureFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "format.db")
+	// ensure opens the file, puts kv, runs the format check and reports
+	// it with the stamp the file holds after a reopen.
+	ensure := func(kv map[string]string) (string, error) {
+		t.Helper()
+		s, _, err := store.Open(store.Config{Backend: store.BackendFile, Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range kv {
+			if err := s.Put(k, []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ensureErr := auvm.UpgradeStore(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, _, err = store.Open(store.Config{Backend: store.BackendFile, Path: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		v, err := s.Get(store.KeyFormat)
+		if err != nil {
+			t.Fatalf("format key: %v", err)
+		}
+		return string(v), ensureErr
+	}
+	if got, err := ensure(nil); err != nil || got != "3" {
+		t.Fatalf("fresh file: stamped %q, %v; want 3, nil", got, err)
+	}
+	if got, err := ensure(nil); err != nil || got != "3" {
+		t.Fatalf("current file: stamped %q, %v; want 3, nil", got, err)
+	}
+	if got, err := ensure(map[string]string{store.KeyFormat: "1", "s:rod:00000001": "{}"}); err != nil || got != "3" {
+		t.Fatalf("format-1 file: stamped %q, %v; want 3, nil", got, err)
+	}
+	for _, future := range []string{"4", "99"} {
+		got, err := ensure(map[string]string{store.KeyFormat: future})
+		if want := `store: format version "` + future + `" not supported (want "3")`; err == nil || err.Error() != want {
+			t.Fatalf("format %s = %v, want %s", future, err, want)
+		}
+		if got != future {
+			t.Fatalf("a refused file was restamped %q", got)
+		}
 	}
 }
 
