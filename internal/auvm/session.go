@@ -180,7 +180,7 @@ func (s *Session) SubmitAsync(ctx context.Context, cmd command.Command) (job.Job
 // model holds it while it runs, as a job would (job.Scheduler.Hold).
 func (s *Session) Do(ctx context.Context, cmd command.Command) (command.Result, error) {
 	if s.Jobs != nil {
-		if model := job.ModelOf(cmd); model != "" {
+		if model := command.ModelOf(cmd); model != "" {
 			if err := s.Jobs.Hold(ctx, s.User, model, cmd); err != nil {
 				s.countOp() // shed, but counted
 				return nil, err

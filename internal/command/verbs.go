@@ -32,7 +32,8 @@ import (
 // since an absent option is its zero; an int64 an integer, and for <job>
 // a job id, written with or without the job- prefix results render; a
 // float64 a finite number; a Command the rest of the line, a nested
-// command.  init checks every row against its struct.
+// command.  The head's first <model> or <name> names the model the
+// command touches (ModelOf).  init checks every row against its struct.
 
 // Props is the set of policy-relevant properties of one verb.  Every
 // per-verb decision outside the interpreter — what a draining, degraded
@@ -145,9 +146,10 @@ type verb struct {
 	alias string // another first word for the verb
 
 	// Compiled from sig by init.
-	head []slot   // sig's words and values up to its options, in order
-	opts []option // sig's bracketed options, in order
-	last string   // the last word of sig, which names its options
+	head  []slot   // sig's words and values up to its options, in order
+	opts  []option // sig's bracketed options, in order
+	last  string   // the last word of sig, which names its options
+	model int      // the field of head's first <model> or <name>, -1 if none
 }
 
 // kind is what a slot reads and writes.
@@ -266,7 +268,11 @@ func (v *verb) compile() {
 		return s
 	}
 	head, opts, _ := strings.Cut(v.sig, " [")
+	v.model = -1
 	for _, tok := range strings.Fields(head) {
+		if (tok == "<model>" || tok == "<name>") && v.model < 0 {
+			v.model = field
+		}
 		if strings.HasPrefix(tok, "<") || strings.Contains(tok, "|") {
 			v.head = append(v.head, bind(tok, v.head[0].text, false))
 		} else {

@@ -170,6 +170,23 @@ func PropsOf(cmd Command) Props {
 	return 0
 }
 
+// ModelOf returns the model name a command reads or writes — the
+// scheduler's serialization key: the value of the first <model> or <name>
+// in the head of its row's signature.  Commands that touch the same model
+// name run one at a time; a command whose row names none ("" key: list,
+// help, submit, the job verbs) never serializes against anything.
+func ModelOf(cmd Command) string {
+	c := codecOf(cmd)
+	if c == nil || c.row.model < 0 {
+		return ""
+	}
+	v := reflect.Indirect(reflect.ValueOf(cmd))
+	if !v.IsValid() {
+		return ""
+	}
+	return v.Field(c.row.model).String()
+}
+
 // Submittable is the one check that a command may run as a job; the
 // parser, the wire decoder and the scheduler all refuse through it, so
 // the refusal reads the same locally, over the wire and in-process.

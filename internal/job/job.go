@@ -88,53 +88,6 @@ func ParseState(name string) (State, error) {
 	return 0, errs.Usage("unknown job state %q", name)
 }
 
-// ModelOf returns the model name a command reads or writes — the
-// scheduler's serialization key.  Jobs whose commands touch the same
-// model name run one at a time; commands that touch no model ("" key,
-// e.g. list or help) never serialize against anything.
-func ModelOf(cmd command.Command) string {
-	switch c := command.Value(cmd).(type) {
-	case command.Define:
-		return c.Name
-	case command.GenerateGrid:
-		return c.Name
-	case command.GenerateTruss:
-		return c.Name
-	case command.GenerateBar:
-		return c.Name
-	case command.AddNode:
-		return c.Model
-	case command.AddBar:
-		return c.Model
-	case command.AddCST:
-		return c.Model
-	case command.FixNode:
-		return c.Model
-	case command.FixDOF:
-		return c.Model
-	case command.DefineLoadSet:
-		return c.Model
-	case command.AddLoad:
-		return c.Model
-	case command.EndLoad:
-		return c.Model
-	case command.Solve:
-		return c.Model
-	case command.Stresses:
-		return c.Model
-	case command.Display:
-		return c.Model
-	case command.Store:
-		return c.Model
-	case command.Retrieve:
-		return c.Name
-	case command.Delete:
-		return c.Name
-	default:
-		return ""
-	}
-}
-
 // Snapshot is an immutable view of one job, safe to hold after the job
 // moves on.
 type Snapshot struct {

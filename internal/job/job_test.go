@@ -299,7 +299,7 @@ func TestPerModelSerialization(t *testing.T) {
 	bRunning := make(chan struct{}, 1)
 
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
-		model := ModelOf(cmd)
+		model := command.ModelOf(cmd)
 		mu.Lock()
 		cur[model]++
 		if cur[model] > 1 {
@@ -601,7 +601,7 @@ func TestModelOfAndHeavy(t *testing.T) {
 		{command.Help{}, "", false},
 	}
 	for _, c := range cases {
-		if got := ModelOf(c.cmd); got != c.model {
+		if got := command.ModelOf(c.cmd); got != c.model {
 			t.Errorf("ModelOf(%T) = %q, want %q", c.cmd, got, c.model)
 		}
 		if got := command.PropsOf(c.cmd).Has(command.Heavy); got != c.heavy {

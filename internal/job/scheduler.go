@@ -375,7 +375,7 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 
 	jctx, cancel := context.WithCancel(ctx)
 	j := &job{
-		owner: owner, model: ModelOf(cmd), cmd: cmd, ex: ex,
+		owner: owner, model: command.ModelOf(cmd), cmd: cmd, ex: ex,
 		ctx: jctx, cancel: cancel, attempt: attempt,
 		state: Queued, done: make(chan struct{}),
 	}

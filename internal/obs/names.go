@@ -45,8 +45,8 @@ const (
 	ServerEventsDropped = "server.events_dropped" // counter: job notifications dropped because a subscribed connection's event queue was full (status/wait stay authoritative)
 	ServerQuotaRejected = "server.quota_rejected" // counter: requests answered with the quota code
 	ServerPanics        = "server.panics"         // counter: panics recovered while executing a command (request goroutine or scheduled job), answered as errors
-	ServerReaderRuns    = "server.reader_runs"    // counter: synchronous solves, and submitted Heavy jobs, a connection's reader ran itself (no goroutine, no worker woken)
-	ServerHandOffs      = "server.hand_offs"      // counter: reader runs that outlasted the hand-off time and passed the socket to a successor reader
+	ServerReaderRuns    = "server.reader_runs"    // counter: runs under the hand-off timer — synchronous solves, and submitted Heavy jobs, a connection's reader ran itself (no goroutine, no worker woken)
+	ServerHandOffs      = "server.hand_offs"      // counter: reader runs that passed the socket to a successor reader: at once, or on outlasting the hand-off time
 	ServerRequestPrefix = "server.request."       // histogram family: decode-to-reply latency per verb
 
 	// Direct-solve factor cache (internal/linalg; each fem.Model owns one).

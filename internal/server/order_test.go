@@ -132,12 +132,13 @@ func (p *tcpPeer) do(cmd command.Command) *wire.Response {
 	return resp
 }
 
-// TestRunsBesideGolden pins the one rule for where a request runs over
-// every wire verb — alone, wrapped in submit, and wrapped in submit on a
-// server whose admission queues instead of refusing — and, for wait,
-// over every state its job can be in, against a golden table.  The verb
-// list is the first column of the command package's verb_sets.golden, so
-// a new verb fails here until it has a row.
+// TestRunsBesideGolden pins the one rule for where a request runs
+// (conn.place) over every wire verb — alone, wrapped in submit, and
+// wrapped in submit on a server whose admission queues instead of
+// refusing — and, for solve and wait, over every state that decides it,
+// against a golden table.  The verb list is the first column of the
+// command package's verb_sets.golden, so a new verb fails here until it
+// has a row.
 func TestRunsBesideGolden(t *testing.T) {
 	raw, err := os.ReadFile("../command/testdata/verb_sets.golden")
 	if err != nil {
@@ -146,14 +147,14 @@ func TestRunsBesideGolden(t *testing.T) {
 	reject := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject}), br: idleReader()}
 	queue := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue}), br: idleReader()}
 	place := func(c *conn, cmd command.Command) string {
-		if c.runsBeside(cmd) {
+		if c.place(cmd) == handedRun {
 			return "beside"
 		}
 		return "reader"
 	}
 	var b strings.Builder
-	b.WriteString("# Where each wire verb's request executes: on the connection's reader goroutine, in\n" +
-		"# arrival order, or on a goroutine of its own beside what follows it (conn.runsBeside).\n" +
+	b.WriteString("# Where each wire verb's request executes (conn.place): on the connection's reader, in\n" +
+		"# arrival order, or beside what follows it, on a reader that hands the socket off at once.\n" +
 		"# \"-\" marks a verb that cannot run under submit.\n" +
 		"# columns: the verb itself / submit of it / submit of it when admission queues (quota policy \"queue\")\n")
 	verbs := 0
@@ -199,6 +200,7 @@ func TestRunsBesideGolden(t *testing.T) {
 	for _, sc := range solveCases(t) {
 		fmt.Fprintf(&b, "solve, %-35s %s\n", sc.what, place(sc.c, sc.solve))
 	}
+	fmt.Fprintf(&b, "solve, %-35s %s\n", "a blocked wait still going", solveBehindABlockedWait(t))
 	b.WriteString("# wait, by what its session's scheduler knows of the job when the reader decodes the\n" +
 		"# request (job.Scheduler.Settled): a wait that would return at once runs on the reader.\n")
 	for _, w := range waitCases(t) {
@@ -210,7 +212,7 @@ func TestRunsBesideGolden(t *testing.T) {
 		fmt.Fprintf(&b, "wait, %-36s %s\n", w.what, got)
 	}
 	b.WriteString("# where a submitted heavy job runs, by what the reader finds once the submit's reply is\n" +
-		"# flushed (conn.mayOwn, job.Own.Take): on the reader, or on a pool worker woken for it.\n")
+		"# flushed (conn.place, job.Own.Take): on the reader, or on a pool worker woken for it.\n")
 	for _, o := range ownCases(t) {
 		fmt.Fprintf(&b, "submit solve, %-31s %s\n", o.what, o.where)
 	}
@@ -381,12 +383,50 @@ func waitCases(t *testing.T) []waitCase {
 	)
 }
 
+// solveBehindABlockedWait reports where a synchronous solve sent alone
+// runs while a wait on a running job, sent alone before it, is blocked:
+// "reader" when it is a timed run, "beside" when it is handed off at once
+// — as it is, since the wait is a run that handed off at once.
+func solveBehindABlockedWait(t *testing.T) string {
+	t.Helper()
+	sys := openSystem(t, core.Options{})
+	p := serveTCP(t, New(sys, Config{}))()
+	p.hello("eng", false)
+	for _, cmd := range []command.Command{bigGrid, command.EndLoad{Model: "big", Set: "l", FY: -100},
+		generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
+		p.do(cmd)
+	}
+	// The ping buffered behind the submit sends its job to a worker.
+	ids := p.send(sorBig, command.Ping{})
+	byID, _ := p.replies(ids)
+	long := submitID(byID[ids[0]])
+	jobState(t, sys, long, job.Running)
+	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
+	runs0, handOffs0 := runs.Load(), handOffs.Load()
+	wait := p.send(command.Wait{ID: long})[0]
+	for deadline := time.Now().Add(5 * time.Second); handOffs.Load() == handOffs0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the wait on the running job never handed the socket off")
+		}
+	}
+	p.do(command.Solve{Model: "g", Set: "l"})
+	where := "reader"
+	if r, h := runs.Load()-runs0, handOffs.Load()-handOffs0; r == 0 && h == 2 {
+		where = "beside"
+	} else if r != 1 || h != 1 {
+		t.Errorf("the wait and the solve moved %s by %d and %s by %d", obs.ServerReaderRuns, r, obs.ServerHandOffs, h)
+	}
+	cancel := p.send(command.Cancel{ID: long})[0]
+	p.replies([]uint64{wait, cancel})
+	return where
+}
+
 // ownCase is where a submitted solve's job ran in one state of the
 // connection and the scheduler.
 type ownCase struct{ what, where string }
 
 // ownCases submits a solve as the reader does, under its WithOwn context
-// when mayOwn lets it, in each state that decides where the job runs: an
+// when place lets it, in each state that decides where the job runs: an
 // idle server, a request buffered behind the submit, a reader run of the
 // connection still going after a hand-off, the solve's model held,
 // another job queued, and a job executing on the pool's one worker.
@@ -413,12 +453,13 @@ func ownCases(t *testing.T) []ownCase {
 	} {
 		do(cmd)
 	}
-	reader := &conn{br: idleReader()}
-	buffered := &conn{br: bufio.NewReader(strings.NewReader("the next request"))}
+	srv := &Server{}
+	reader := &conn{srv: srv, br: idleReader()}
+	buffered := &conn{srv: srv, br: bufio.NewReader(strings.NewReader("the next request"))}
 	if _, err := buffered.br.Peek(1); err != nil {
 		t.Fatal(err)
 	}
-	handed := &conn{br: idleReader()}
+	handed := &conn{srv: srv, br: idleReader()}
 	handed.handedRuns.Store(1)
 	// place submits a solve of g as c's reader would and reports where
 	// its job ran.  A worker not parked takes what it finds queued, so
@@ -429,7 +470,7 @@ func ownCases(t *testing.T) []ownCase {
 			parkedWorkers(t, sys.Jobs, 1)
 		}
 		sub := command.Submit{Cmd: solve("g")}
-		if !c.mayOwn(sub) {
+		if c.place(sub) != inLineOwned {
 			return "worker", do(sub).(*command.SubmitResult).ID
 		}
 		var own job.Own
@@ -488,17 +529,23 @@ func ownCases(t *testing.T) []ownCase {
 // TestSettledWaitRunsOnTheReader: 200 closed-loop submit+wait jobs on a
 // subscribed connection, each wait sent only after its job's done event
 // arrived.  Every wait finds its job settled, so the reader answers it
-// and none is given a goroutine of its own (with placement by verb, all
-// 200 were).  The submits wrap a solve, which the scheduler queues and
-// answers at once, so they run on the reader too.
+// and none hands the socket off (with placement by verb, all 200 ran
+// beside the reader).  The submits wrap a solve, which the scheduler
+// queues and answers at once, so they run on the reader too; a job the
+// reader runs itself is handed off only if it lasts handOff, so the
+// hand-offs are at most the jobs that took that long from submit to
+// wait reply.
 func TestSettledWaitRunsOnTheReader(t *testing.T) {
-	srv := New(openSystem(t, core.Options{}), Config{})
+	sys := openSystem(t, core.Options{})
+	srv := New(sys, Config{})
 	p := serveTCP(t, srv)()
 	p.hello("eng", true)
 	p.do(generate)
 	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
-	before := srv.placedBeside.Load()
+	handOffs := sys.Obs.Counter(obs.ServerHandOffs)
+	before, slow := handOffs.Load(), int64(0)
 	for n := 0; n < 200; n++ {
+		start := time.Now()
 		sub := p.send(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}})[0]
 		var jobID int64
 		for answered, done := false, false; !answered || !done; {
@@ -513,33 +560,42 @@ func TestSettledWaitRunsOnTheReader(t *testing.T) {
 		if wait := p.do(command.Wait{ID: jobID}); wait.Res == nil {
 			t.Fatalf("job %d: wait answered %+v", n, wait)
 		}
+		if time.Since(start) >= handOff {
+			slow++
+		}
 	}
-	if got := srv.placedBeside.Load() - before; got != 0 {
-		t.Errorf("%d of 200 waits on finished jobs were placed beside the reader, want 0", got)
+	if got := handOffs.Load() - before; got > slow {
+		t.Errorf("%s moved by %d over 200 jobs, %d of which took %v or longer: a wait on a finished job handed the socket off",
+			obs.ServerHandOffs, got, slow, handOff)
 	}
 }
 
-// TestBlockedWaitRunsBeside: a wait on a running job still has a
-// goroutine of its own.  With an SOR solve running until it is
-// cancelled, a wait, a ping and a status of the job sent in one write
-// answer ping and status first; the cancel then ends the job, and the
-// wait answers with its cancellation.
+// TestBlockedWaitRunsBeside: a wait on a running job runs beside the
+// reader, handing the socket off at once.  With an SOR solve running on
+// the worker until it is cancelled, a wait, a ping and a status of the
+// job sent in one write answer ping and status first, and the one
+// hand-off is the wait's; the cancel then ends the job, and the wait
+// answers with its cancellation.
 func TestBlockedWaitRunsBeside(t *testing.T) {
-	srv := New(openSystem(t, core.Options{}), Config{})
-	p := serveTCP(t, srv)()
+	sys := openSystem(t, core.Options{})
+	p := serveTCP(t, New(sys, Config{}))()
 	p.hello("eng", true)
 	p.do(command.GenerateGrid{Name: "big", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true})
 	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
-	sub := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}})[0]
+	// The ping buffered behind the submit sends its job to a worker.
+	sent := p.send(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}}, command.Ping{})
 	var jobID int64
-	for answered := false; jobID == 0 || !answered; {
+	for answered := 0; jobID == 0 || answered < len(sent); {
 		resp := p.next()
 		if resp.Event != nil && resp.Event.State == "running" {
 			jobID = resp.Event.Job
 		}
-		answered = answered || resp.ID == sub
+		if resp.ID == sent[0] || resp.ID == sent[1] {
+			answered++
+		}
 	}
-	before := srv.placedBeside.Load()
+	handOffs := sys.Obs.Counter(obs.ServerHandOffs)
+	before := handOffs.Load()
 	ids := p.send(command.Wait{ID: jobID}, command.Ping{}, command.Status{ID: jobID})
 	byID, arrival := p.replies(ids[1:])
 	if fmt.Sprint(arrival) != fmt.Sprint(ids[1:]) {
@@ -551,8 +607,8 @@ func TestBlockedWaitRunsBeside(t *testing.T) {
 	if res, ok := byID[ids[2]].Res.(*command.JobStatusResult); !ok || res.State != command.JobRunning {
 		t.Errorf("status behind the blocked wait: %+v, want job-%d running", byID[ids[2]], jobID)
 	}
-	if got := srv.placedBeside.Load() - before; got != 1 {
-		t.Errorf("%d requests placed beside the reader, want the wait alone", got)
+	if got := handOffs.Load() - before; got != 1 {
+		t.Errorf("%s moved by %d, want 1: the wait's", obs.ServerHandOffs, got)
 	}
 	cancel := p.send(command.Cancel{ID: jobID})[0]
 	byID, _ = p.replies([]uint64{ids[0], cancel})
@@ -572,7 +628,7 @@ func TestSettledWaitRepliesMatchTheSession(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		sys  *core.System
-		// placed is how many of the two waits go beside the reader.
+		// placed is how many of the two waits hand the socket off.
 		placed int64
 	}{
 		{"memory store", openSystem(t, core.Options{}), 1},
@@ -586,20 +642,24 @@ func TestSettledWaitRepliesMatchTheSession(t *testing.T) {
 			p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
 			jobs := make([]int64, 2)
 			for i := range jobs {
-				res := p.do(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}).Res
-				jobs[i] = res.(*command.SubmitResult).ID
+				// The ping buffered behind the submit sends its job to a
+				// worker, so no run of the reader hands off below.
+				ids := p.send(command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}, command.Ping{})
+				byID, _ := p.replies(ids)
+				jobs[i] = submitID(byID[ids[0]])
 				p.do(command.Wait{ID: jobs[i]})
 				c.sys.Jobs.SetRetention(1) // the second submit evicts the first job
 			}
 			ref := c.sys.Session("ref")
-			before := srv.placedBeside.Load()
+			handOffs := c.sys.Obs.Counter(obs.ServerHandOffs)
+			before := handOffs.Load()
 			for _, id := range []int64{jobs[0], jobs[1] + 100} {
 				ids := p.send(command.Wait{ID: id})
 				byID, _ := p.replies(ids)
 				sameFrame(t, byID[ids[0]], ref, command.Wait{ID: id})
 			}
-			if got := srv.placedBeside.Load() - before; got != c.placed {
-				t.Errorf("%d waits placed beside the reader, want %d (the id not issued yet)", got, c.placed)
+			if got := handOffs.Load() - before; got != c.placed {
+				t.Errorf("%d waits handed the socket off, want %d (the id not issued yet)", got, c.placed)
 			}
 		})
 	}
@@ -611,18 +671,19 @@ func TestSettledWaitRepliesMatchTheSession(t *testing.T) {
 		c.mu.Lock()
 		sess.Jobs = nil
 		c.mu.Unlock()
-		before := srv.placedBeside.Load()
+		handOffs := srv.sys.Obs.Counter(obs.ServerHandOffs)
+		before := handOffs.Load()
 		ids := p.send(command.Wait{ID: 1})
 		byID, _ := p.replies(ids)
 		sameFrame(t, byID[ids[0]], auvm.NewSession("ref", nil), command.Wait{ID: 1})
-		if got := srv.placedBeside.Load() - before; got != 0 {
-			t.Errorf("%d waits placed beside the reader, want 0", got)
+		if got := handOffs.Load() - before; got != 0 {
+			t.Errorf("%d waits handed the socket off, want 0", got)
 		}
 	})
 }
 
 // sameFrame fails the test unless got encodes to the frame of ref's own
-// answer to cmd, as handleCommand would write it.
+// answer to cmd, as the reader would write it.
 func sameFrame(t *testing.T, got *wire.Response, ref *auvm.Session, cmd command.Command) {
 	t.Helper()
 	res, err := ref.Do(context.Background(), cmd)
@@ -654,7 +715,8 @@ func TestWaitRacingItsJobsFinish(t *testing.T) {
 	p.hello("eng", false)
 	p.do(generate)
 	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
-	before := srv.placedBeside.Load()
+	handOffs := sys.Obs.Counter(obs.ServerHandOffs)
+	before := handOffs.Load()
 	reps := 200
 	if testing.Short() {
 		reps = 20
@@ -674,7 +736,8 @@ func TestWaitRacingItsJobsFinish(t *testing.T) {
 			t.Fatalf("repetition %d, wait job-%d:\n got %s\nwant %s", rep, id, got.Result, want)
 		}
 	}
-	t.Logf("%d of %d waits found their job still queued or running", srv.placedBeside.Load()-before, reps)
+	t.Logf("%d hand-offs over %d jobs: waits that found their job still queued or running, and jobs run on the reader for %v or longer",
+		handOffs.Load()-before, reps, handOff)
 }
 
 // TestInlineRequestsExecuteInArrivalOrder pipelines two model builds
@@ -723,20 +786,22 @@ func TestInlineRequestsExecuteInArrivalOrder(t *testing.T) {
 
 // TestControlVerbsOvertakeARunningSolve: a ping and a cancel pipelined
 // behind a synchronous solve that runs for milliseconds both answer
-// before it does — with requests buffered behind it, the solve has a
-// goroutine of its own.  The three frames go out in one write; should
-// they reach the reader apart, the solve would run on the reader, and the
+// before it does — with requests buffered behind it, the solve hands the
+// socket off at once.  The three frames go out in one write; should they
+// reach the reader apart, the solve would be a timed run, and the
 // placement check fails before the order of the replies is read.
 func TestControlVerbsOvertakeARunningSolve(t *testing.T) {
-	srv := New(openSystem(t, core.Options{}), Config{})
-	p := serveTCP(t, srv)()
+	sys := openSystem(t, core.Options{})
+	p := serveTCP(t, New(sys, Config{}))()
 	p.do(command.GenerateGrid{Name: "big", NX: 48, NY: 48, W: 48, H: 48, ClampLeft: true})
 	p.do(command.EndLoad{Model: "big", Set: "l", FY: -100})
-	before := srv.placedBeside.Load()
+	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
+	runs0, handOffs0 := runs.Load(), handOffs.Load()
 	ids := p.send(command.Solve{Model: "big", Set: "l"}, command.Ping{}, command.Cancel{ID: 999})
 	byID, arrival := p.replies(ids)
-	if got := srv.placedBeside.Load() - before; got != 1 {
-		t.Fatalf("%d requests placed beside the reader, want the solve alone: the three frames did not arrive together", got)
+	if r, h := runs.Load()-runs0, handOffs.Load()-handOffs0; r != 0 || h != 1 {
+		t.Fatalf("%s moved by %d and %s by %d, want 0 and 1 (the solve, at once): the three frames did not arrive together",
+			obs.ServerReaderRuns, r, obs.ServerHandOffs, h)
 	}
 	if arrival[2] != ids[0] {
 		t.Errorf("replies arrived in order %v, want the solve (id %d) last", arrival, ids[0])

@@ -146,12 +146,15 @@ func TestHandOffServesBehindALongJob(t *testing.T) {
 }
 
 // TestReaderRunsTraffic: on an idle server, 100 closed-loop submit+wait
-// jobs each run on the connection's reader — 100 reader runs, no
-// hand-off — and wake no worker: the one worker stays parked, none of
-// its wake-ups found nothing to run, and no job ran on it.  Each wait
-// finds its job finished and is answered by the reader.  A submit sent in
-// one write with a ping behind it keeps today's placement: its job runs
-// on the worker.
+// jobs each run on the connection's reader — 100 reader runs — and wake
+// no worker: the one worker stays parked, none of its wake-ups found
+// nothing to run, and no job ran on it.  Only a run that lasts handOff
+// hands off, and only then can the wait behind it find its job still
+// running and hand off at once too; otherwise the wait finds its job
+// finished and the reader answers it.  So the hand-offs are at most two
+// per job the client timed at handOff or longer (on a loaded host a few
+// are).  A submit sent in one write with a ping behind it keeps today's
+// placement: its job runs on the worker.
 func TestReaderRunsTraffic(t *testing.T) {
 	sys := openSystem(t, core.Options{})
 	srv := New(sys, Config{})
@@ -164,23 +167,26 @@ func TestReaderRunsTraffic(t *testing.T) {
 	parkedWorkers(t, sys.Jobs, 1)
 
 	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
-	runs0, handOffs0, beside0 := runs.Load(), handOffs.Load(), srv.placedBeside.Load()
+	runs0, handOffs0 := runs.Load(), handOffs.Load()
 	_, idle0 := sys.Jobs.Pool()
 	const jobs = 100
+	slow := int64(0)
 	for n := 0; n < jobs; n++ {
+		start := time.Now()
 		p.do(command.Wait{ID: submitID(p.do(solve))})
+		if time.Since(start) >= handOff {
+			slow++
+		}
 	}
 	if got := runs.Load() - runs0; got != jobs {
 		t.Errorf("%s moved by %d over %d jobs, want %d", obs.ServerReaderRuns, got, jobs, jobs)
 	}
-	if got := handOffs.Load() - handOffs0; got != 0 {
-		t.Errorf("%s moved by %d, want 0", obs.ServerHandOffs, got)
+	if got := handOffs.Load() - handOffs0; got > 2*slow {
+		t.Errorf("%s moved by %d, want at most %d: two for each of the %d jobs that took %v or longer",
+			obs.ServerHandOffs, got, 2*slow, slow, handOff)
 	}
 	if parked, idle := sys.Jobs.Pool(); parked != 1 || idle != idle0 {
 		t.Errorf("after %d jobs: %d workers parked and %d wake-ups that found nothing, want 1 and 0", jobs, parked, idle-idle0)
-	}
-	if got := srv.placedBeside.Load() - beside0; got != 0 {
-		t.Errorf("%d requests placed beside the reader, want 0", got)
 	}
 
 	runs0 = runs.Load()
@@ -212,8 +218,8 @@ func readerRunStarted(t *testing.T, sys *core.System, from int64) {
 // reader until the one-second request timeout ends it.  A ping sent once
 // it started is answered within handOff (plus slack) and before the
 // solve, because the reader hands the socket to a successor; a second
-// synchronous solve sent meanwhile runs beside, as the connection's first
-// run is still going; the first solve answers with the cancelled code,
+// synchronous solve sent meanwhile hands off at once, as the connection's
+// first run is still going; the first solve answers with the cancelled code,
 // and a solve sent after that reply runs on the reader again; and once
 // the connection closes every goroutine it started is gone.
 func TestHandOffServesBehindASyncSolve(t *testing.T) {
@@ -228,7 +234,7 @@ func TestHandOffServesBehindASyncSolve(t *testing.T) {
 		p.do(cmd)
 	}
 	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
-	runs0, handOffs0, beside0 := runs.Load(), handOffs.Load(), srv.placedBeside.Load()
+	runs0, handOffs0 := runs.Load(), handOffs.Load()
 
 	long := p.send(command.Solve{Model: "big", Set: "l", Method: command.MethodSOR})[0]
 	readerRunStarted(t, sys, runs0)
@@ -254,9 +260,9 @@ func TestHandOffServesBehindASyncSolve(t *testing.T) {
 	// The first run was over before its reply went out, so a solve sent
 	// on that reply runs on the reader again.
 	p.do(command.Solve{Model: "g", Set: "l"})
-	if r, h, b := runs.Load()-runs0, handOffs.Load()-handOffs0, srv.placedBeside.Load()-beside0; r != 2 || h != 1 || b != 1 {
-		t.Errorf("%s moved by %d, %s by %d and placed beside by %d, want 2, 1 and 1 (the second solve)",
-			obs.ServerReaderRuns, r, obs.ServerHandOffs, h, b)
+	if r, h := runs.Load()-runs0, handOffs.Load()-handOffs0; r != 2 || h != 2 {
+		t.Errorf("%s moved by %d and %s by %d, want 2 and 2 (the first solve's, and the second solve's at once)",
+			obs.ServerReaderRuns, r, obs.ServerHandOffs, h)
 	}
 
 	p.nc.Close()
@@ -268,10 +274,11 @@ func TestHandOffServesBehindASyncSolve(t *testing.T) {
 }
 
 // TestSyncSolveReaderTraffic: 100 closed-loop synchronous solves of the
-// 8×6 plate each run on the connection's reader — 100 reader runs, no
-// hand-off, none placed beside — and each reply is the very frame a
-// session's own solve encodes to.  A solve of a model a job holds runs
-// beside instead: on the reader it would wait in Hold.
+// 8×6 plate each run on the connection's reader — 100 timed runs, none
+// handed off but those the client timed at handOff or longer — and each
+// reply is the very frame a session's own solve encodes to.  A solve of a
+// model a job holds hands off at once instead: on the reader it would
+// wait in Hold.
 func TestSyncSolveReaderTraffic(t *testing.T) {
 	sys := openSystem(t, core.Options{})
 	srv := New(sys, Config{})
@@ -290,19 +297,22 @@ func TestSyncSolveReaderTraffic(t *testing.T) {
 	// the race detector; the counted ones re-solve.
 	sameFrame(t, p.do(solve), ref, solve)
 	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
-	runs0, handOffs0, beside0 := runs.Load(), handOffs.Load(), srv.placedBeside.Load()
+	runs0, handOffs0 := runs.Load(), handOffs.Load()
 	const solves = 100
+	slow := int64(0)
 	for n := 0; n < solves; n++ {
-		sameFrame(t, p.do(solve), ref, solve)
+		start := time.Now()
+		resp := p.do(solve)
+		if time.Since(start) >= handOff {
+			slow++
+		}
+		sameFrame(t, resp, ref, solve)
 	}
 	if got := runs.Load() - runs0; got != solves {
 		t.Errorf("%s moved by %d over %d solves, want %d", obs.ServerReaderRuns, got, solves, solves)
 	}
-	if got := handOffs.Load() - handOffs0; got != 0 {
-		t.Errorf("%s moved by %d, want 0", obs.ServerHandOffs, got)
-	}
-	if got := srv.placedBeside.Load() - beside0; got != 0 {
-		t.Errorf("%d solves placed beside the reader, want 0", got)
+	if got := handOffs.Load() - handOffs0; got > slow {
+		t.Errorf("%s moved by %d, want at most %d: the solves that took %v or longer", obs.ServerHandOffs, got, slow, handOff)
 	}
 
 	p.do(bigGrid)
@@ -312,11 +322,11 @@ func TestSyncSolveReaderTraffic(t *testing.T) {
 	byID, _ := p.replies(ids)
 	long := submitID(byID[ids[0]])
 	jobState(t, sys, long, job.Running)
-	runs0, beside0 = runs.Load(), srv.placedBeside.Load()
+	runs0, handOffs0 = runs.Load(), handOffs.Load()
 	held := p.send(command.Solve{Model: "big", Set: "l"})[0]
 	// The cancel goes out once the reader has placed the solve, so it is
 	// not buffered behind it.
-	for deadline := time.Now().Add(5 * time.Second); runs.Load() == runs0 && srv.placedBeside.Load() == beside0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); runs.Load() == runs0 && handOffs.Load() == handOffs0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the reader never placed the solve")
 		}
@@ -326,8 +336,8 @@ func TestSyncSolveReaderTraffic(t *testing.T) {
 	if e := byID[held].Error; e != nil {
 		t.Errorf("solve after the job holding its model was cancelled: %+v", e)
 	}
-	if r, b := runs.Load()-runs0, srv.placedBeside.Load()-beside0; r != 0 || b != 1 {
-		t.Errorf("a solve of a held model moved %s by %d and placed beside by %d, want 0 and 1", obs.ServerReaderRuns, r, b)
+	if r, h := runs.Load()-runs0, handOffs.Load()-handOffs0; r != 0 || h != 1 {
+		t.Errorf("a solve of a held model moved %s by %d and %s by %d, want 0 and 1", obs.ServerReaderRuns, r, obs.ServerHandOffs, h)
 	}
 }
 

@@ -80,17 +80,13 @@ type Server struct {
 	mHandOffs      *obs.Counter
 	hRequest       *obs.HistogramFamily // server.request.<verb>
 
-	// placedBeside counts the requests given a goroutine of their own
-	// (conn.runsBeside) — what the placement test reads.
-	placedBeside atomic.Int64
-
-	// rmu guards the reader runs (conn.readerRun): runs, those not handed
-	// off yet, the state of each, and armed, which says handOffTimer will
-	// fire.  The one timer serves every connection: it is armed when a run
-	// starts and it is not armed already, and again when it fires with
-	// runs still young, so steady traffic arms it about once per handOff —
-	// arming a timer wakes another thread, the very cost a run on the
-	// reader saves.
+	// rmu guards the reader runs (conn.readerRun): runs, those the timer
+	// may still hand off, the state of each, and armed, which says
+	// handOffTimer will fire.  The one timer serves every connection: it is
+	// armed when a timed run starts and it is not armed already, and again
+	// when it fires with runs still young, so steady traffic arms it about
+	// once per handOff — arming a timer wakes another thread, the very cost
+	// a run on the reader saves.
 	rmu          sync.Mutex
 	runs         map[*run]struct{}
 	armed        bool
@@ -221,28 +217,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // conn is one client connection and one private session in the shared
-// system.  Four kinds of goroutine touch it:
+// system.  Three kinds of goroutine touch it:
 //
 //   - The reader (read) decodes requests in arrival order and executes
-//     each one itself, so a connection's requests take effect in the
-//     order they were sent — except those runsBeside names (a solve that
-//     could keep something waiting, a wait whose job is still queued or
-//     running, submit of a command the scheduler runs inline), which get
-//     a goroutine of their own so a cancel, status or ping pipelined
-//     behind a long or blocked request still answers first.  runsBeside
-//     decides per request: a wait whose job has already finished is
-//     answered by the reader.
-//   - Two kinds of request are reader runs (readerRun), bounded by the
-//     server's hand-off timer: a synchronous solve with nothing buffered
-//     behind it, its model free and no earlier run of the connection
-//     still going; and the job of a Heavy submit the reader has just
-//     answered, when nothing else is buffered on the connection, no run
-//     of it is still going, the pool is idle, the job is the only one
-//     queued and its model is free — instead of waking a pool worker for
-//     it.  A run still going after handOff passes the socket to a
-//     successor reader, which the timer starts; the old reader finishes
-//     the run and returns.  One goroutine is the reader at a time, and
-//     the one that ends the read loop tears the connection down.
+//     each one itself, where place puts it.  Most run in line, so a
+//     connection's requests take effect in the order they were sent.  The
+//     rest are reader runs (readerRun), each of which may pass the socket
+//     to a successor reader, so a cancel, status or ping pipelined behind
+//     a long or blocked request still answers first: a request that could
+//     keep what follows it waiting hands the socket off before it starts;
+//     a synchronous solve that could not, and the job of a Heavy submit
+//     the reader has just answered (job.Own), hand it off once they
+//     outlast handOff, when the server's timer does it.  The old reader
+//     finishes the run and returns.  One goroutine is the reader at a
+//     time, and the one that ends the read loop tears the connection
+//     down.
 //   - Whichever goroutine has a reply writes it (write): under the write
 //     lock it first moves every queued event into the buffer, then the
 //     reply, and flushes once.  Frames therefore leave in the order they
@@ -251,7 +240,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //     before the wait reply.
 //   - The event writer writes events that have no reply behind them.
 //     notify wakes it unless the reader is executing a request, whose
-//     reply will carry the queue out on its own flush, or a reader run,
+//     reply will carry the queue out on its own flush, or a timed run,
 //     whose end (or hand-off) flushes it.
 type conn struct {
 	srv *Server
@@ -268,7 +257,8 @@ type conn struct {
 	writerDone chan struct{}
 
 	// handedRuns counts the connection's reader runs that have handed the
-	// socket off and are still going; while one is, no run starts.
+	// socket off and are still going; while one is, every run the reader
+	// starts hands off at once.
 	handedRuns atomic.Int32
 
 	// wmu is the write lock: it orders the drain of events, the frames
@@ -292,9 +282,9 @@ type conn struct {
 	// signal covers any number of events.
 	wake chan struct{}
 
-	// reqs tracks the requests running beside the reader, and the reader
-	// runs still going after a hand-off, so teardown can flush only after
-	// every one of them has written its reply or finished.
+	// reqs tracks the reader runs still going after a hand-off, so
+	// teardown can flush only after every one of them has written its
+	// reply or finished.
 	reqs sync.WaitGroup
 
 	mu       sync.Mutex
@@ -317,38 +307,69 @@ func newConn(s *Server, nc net.Conn, id int64) *conn {
 	}
 }
 
-// runsBeside reports whether a request gets a goroutine of its own
-// instead of running on the connection's reader, where the read loop
-// executes it in arrival order.  Four kinds do: a synchronous solve that
-// could keep something waiting — a request is buffered behind it, a
-// reader run of the connection is still going after a hand-off, or its
-// model is held, so Hold would park the reader; a wait whose job may
-// still be queued or running — one its session's scheduler does not
-// report Settled (a settled wait, or one on a session with no scheduler,
-// answers at once); and a submit the scheduler will not answer at once —
-// one wrapping a command that is not Heavy, which the scheduler runs on
-// the submitter's goroutine where it may wait for a model lock, or any
-// submit when admission holds an over-quota submitter (the queue policy)
-// instead of refusing it.  A solve it leaves to the reader is a reader
-// run, bounded by the hand-off timer like a job the reader owns.
-func (c *conn) runsBeside(cmd command.Command) bool {
+// placement is where a request executes: in line on the reader, or as a
+// reader run (readerRun) that passes the socket to a successor reader
+// when the hand-off timer fires or at once.
+type placement uint8
+
+const (
+	// inLine: the reader executes the request and reads on once it has
+	// answered it.
+	inLine placement = iota
+	// inLineOwned is inLine under the reader's job.WithOwn context: the
+	// Heavy job the submit queues is left to job.Own, whose Take may run
+	// it on the reader as a timed run instead of waking a worker.
+	inLineOwned
+	// timedRun: a run the hand-off timer hands off once it outlasts
+	// handOff.
+	timedRun
+	// handedRun: a run handed off at once, before it starts.
+	handedRun
+)
+
+// place decides where a request executes, from its verb and what the
+// reader finds when it decodes it.  A request that could keep what
+// follows it waiting is a run handed off at once: a synchronous solve
+// with a request buffered behind it, a run of the connection still going
+// after a hand-off, or its model held, so Hold would park the reader; a
+// wait whose job may still be queued or running — one its session's
+// scheduler does not report Settled (a settled wait, or one on a session
+// with no scheduler, answers at once); and a submit the scheduler will
+// not answer at once — one wrapping a command that is not Heavy, which
+// the scheduler runs on the submitter's goroutine where it may wait for a
+// model lock, or any submit when admission holds an over-quota submitter
+// (the queue policy) instead of refusing it.  Any other synchronous solve
+// is a timed run.  A Heavy submit runs in line, and leaves its job to
+// job.Own when nothing is buffered behind it and no run of the connection
+// is still going after a hand-off, so no request waits for the job and a
+// connection has one run at a time on the timer.  The rest run in line.
+func (c *conn) place(cmd command.Command) placement {
 	switch v := command.Value(cmd).(type) {
 	case command.Submit:
 		cfg := c.srv.cfg
-		return !command.PropsOf(v.Cmd).Has(command.Heavy) ||
-			(cfg.MaxJobsPerSession > 0 && cfg.QuotaPolicy == job.QuotaQueue)
+		if !command.PropsOf(v.Cmd).Has(command.Heavy) || (cfg.MaxJobsPerSession > 0 && cfg.QuotaPolicy == job.QuotaQueue) {
+			return handedRun
+		}
+		if c.br.Buffered() == 0 && c.handedRuns.Load() == 0 {
+			return inLineOwned
+		}
+		return inLine
 	case command.Wait:
-		jobs := c.session("", false).Jobs
-		return jobs != nil && !jobs.Settled(job.JobID(v.ID))
+		if jobs := c.session("", false).Jobs; jobs != nil && !jobs.Settled(job.JobID(v.ID)) {
+			return handedRun
+		}
+		return inLine
 	}
 	if !command.PropsOf(cmd).Has(command.Heavy) {
-		return false
+		return inLine
 	}
 	if c.br.Buffered() > 0 || c.handedRuns.Load() > 0 {
-		return true
+		return handedRun
 	}
-	sess := c.session("", false)
-	return sess.Jobs != nil && sess.Jobs.Held(sess.User, job.ModelOf(cmd))
+	if sess := c.session("", false); sess.Jobs != nil && sess.Jobs.Held(sess.User, command.ModelOf(cmd)) {
+		return handedRun
+	}
+	return timedRun
 }
 
 // serve starts the connection's event writer and its reader.
@@ -411,26 +432,23 @@ func (c *conn) read() {
 				continue
 			}
 		}
-		if c.runsBeside(cmd) {
-			c.srv.placedBeside.Add(1)
-			c.reqs.Add(1)
-			go func() {
-				defer c.reqs.Done()
-				c.handleCommand(c.ctx, req.ID, cmd)
-			}()
-			continue
-		}
+		p := c.place(cmd)
 		ctx := c.ctx
-		if c.mayOwn(cmd) {
+		if p == inLineOwned {
 			ctx = ownCtx
+		}
+		exec := func() (*wire.Response, error) { return c.execute(ctx, req.ID, cmd) }
+		if p == handedRun {
+			c.readerRun(r, true, exec)
+			return // a successor reads on
 		}
 		c.setInline(true)
 		var handedOff bool
-		if command.PropsOf(cmd).Has(command.Heavy) { // a synchronous solve runsBeside left here
-			handedOff = c.readerRun(r, func() (*wire.Response, error) { return c.execute(ctx, req.ID, cmd) })
+		if p == timedRun {
+			handedOff = c.readerRun(r, false, exec)
 		} else {
-			c.handleCommand(ctx, req.ID, cmd)
-			handedOff = own.Take() && c.readerRun(r, func() (*wire.Response, error) { own.Run(); return nil, nil })
+			c.answer(exec())
+			handedOff = own.Take() && c.readerRun(r, false, func() (*wire.Response, error) { own.Run(); return nil, nil })
 		}
 		if handedOff {
 			return // a successor reads on
@@ -440,37 +458,34 @@ func (c *conn) read() {
 	c.teardown()
 }
 
-// mayOwn reports whether the job of a request the reader is about to
-// execute may run on the reader: the request is a submit (one of a Heavy
-// command — runsBeside took the rest), nothing else is buffered on the
-// connection, so no request is kept waiting behind the job, and no reader
-// run of the connection is still going after a hand-off.
-func (c *conn) mayOwn(cmd command.Command) bool {
-	_, ok := command.Value(cmd).(command.Submit)
-	return ok && c.br.Buffered() == 0 && c.handedRuns.Load() == 0
-}
-
 // run is the state of one reader run, under srv.rmu: its connection,
-// when it started, and whether the hand-off timer has passed the socket
-// to a successor reader.  Each reader has its own and reuses it for its
-// runs, one after another, so no run can overwrite the state of another
-// — one its predecessor still runs after a hand-off, say.
+// when it started, and whether it has passed the socket to a successor
+// reader.  Each reader has its own and reuses it for its runs, one after
+// another, so no run can overwrite the state of another — one its
+// predecessor still runs after a hand-off, say.
 type run struct {
 	c      *conn
 	start  time.Time
 	handed bool
 }
 
-// readerRun is the one bracket of a reader run: fn — a synchronous solve
-// runsBeside left to the reader, or the job own.Take gave it — executes
-// on the reader under the hand-off timer.  The run's reply, if it has
-// one, and the events raised during the run, which wait for its end (or
-// the hand-off), go out once the run is over: a request sent on that
-// reply never finds the run still going.  It reports whether the run
-// outlasted handOff and so handed the socket to a successor reader.
-func (c *conn) readerRun(r *run, fn func() (*wire.Response, error)) (handedOff bool) {
-	c.srv.mReaderRuns.Inc()
-	c.srv.startRun(r)
+// readerRun is the one bracket of a reader run: fn — a request place
+// made a run, or the job own.Take gave the reader — executes on the
+// reader, handed off at once when now is set and under the hand-off timer
+// otherwise.  The run's reply, if it has one, and the events raised
+// during a timed run, which wait for its end (or the hand-off), go out
+// once the run is over: a request sent on that reply never finds the run
+// still going.  It reports whether the run handed the socket to a
+// successor reader.
+func (c *conn) readerRun(r *run, now bool, fn func() (*wire.Response, error)) (handedOff bool) {
+	if now {
+		c.srv.rmu.Lock()
+		r.handOff()
+		c.srv.rmu.Unlock()
+	} else {
+		c.srv.mReaderRuns.Inc()
+		c.srv.startRun(r)
+	}
 	resp, err := fn()
 	handedOff = c.srv.endRun(r)
 	if resp != nil || !handedOff {
@@ -490,8 +505,8 @@ func (c *conn) readerRun(r *run, fn func() (*wire.Response, error)) (handedOff b
 // with 1 ms than with 10 ms.
 const handOff = 10 * time.Millisecond
 
-// startRun registers a run starting on its connection's reader, arming
-// the hand-off timer unless it is armed already.
+// startRun registers a timed run starting on its connection's reader,
+// arming the hand-off timer unless it is armed already.
 func (s *Server) startRun(r *run) {
 	s.rmu.Lock()
 	r.start = time.Now()
@@ -507,8 +522,8 @@ func (s *Server) startRun(r *run) {
 	s.rmu.Unlock()
 }
 
-// endRun unregisters a run that has ended and reports whether the
-// hand-off timer passed its socket on meanwhile.
+// endRun unregisters a run that has ended and reports whether it passed
+// its socket on.
 func (s *Server) endRun(r *run) (handedOff bool) {
 	s.rmu.Lock()
 	delete(s.runs, r)
@@ -524,7 +539,6 @@ func (s *Server) endRun(r *run) (handedOff bool) {
 // lasted handOff passes its socket to a successor, and the timer is
 // armed again for the runs still younger than that.
 func (s *Server) handOffDue() {
-	var due []*run
 	s.rmu.Lock()
 	s.armed = false
 	now := time.Now()
@@ -537,26 +551,29 @@ func (s *Server) handOffDue() {
 			continue
 		}
 		delete(s.runs, r)
-		r.handed = true
-		r.c.handedRuns.Add(1)
-		r.c.reqs.Add(1) // done by readerRun: the successor's teardown waits for the run
-		due = append(due, r)
+		r.handOff()
 	}
 	if next > 0 {
 		s.armed = true
 		s.handOffTimer.Reset(next)
 	}
 	s.rmu.Unlock()
-	for _, r := range due {
-		s.mHandOffs.Inc()
-		r.c.setInline(false) // the events the run raised so far go out now
-		go r.c.read()
-	}
+}
+
+// handOff passes the socket of r's connection to a successor reader,
+// while r's reader goes on with the run; it is called under srv.rmu.
+func (r *run) handOff() {
+	r.handed = true
+	r.c.handedRuns.Add(1)
+	r.c.reqs.Add(1) // done by readerRun: the successor's teardown waits for the run
+	r.c.srv.mHandOffs.Inc()
+	r.c.setInline(false) // the events the run raised so far go out now
+	go r.c.read()
 }
 
 // teardown ends the connection, in dependency order: stop new frames
-// (requests beside the reader finish, and a job a handed-off reader still
-// runs; the subscription detaches; the event writer exits), flush the
+// (the runs of handed-off readers finish; the subscription detaches; the
+// event writer exits), flush the
 // events still queued — terminal notifications included — then close the
 // socket and the session — cancelling this connection's jobs, the
 // mid-solve disconnect story.
@@ -732,11 +749,6 @@ func (c *conn) handleHello(req *wire.Request) {
 		Role:          c.srv.sys.ClusterRole(),
 		Leader:        c.srv.sys.ClusterLeader(),
 	}})
-}
-
-// handleCommand executes and answers one decoded command request.
-func (c *conn) handleCommand(ctx context.Context, id uint64, cmd command.Command) {
-	c.answer(c.execute(ctx, id, cmd))
 }
 
 // answer writes the reply to a request; quit ends the connection after
