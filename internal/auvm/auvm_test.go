@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -423,6 +424,38 @@ solve g l`
 	// Nothing after quit ran.
 	if strings.Count(text, "solved") != 1 {
 		t.Errorf("commands after quit executed:\n%s", text)
+	}
+}
+
+// writes records each Write it is given.
+type writes []string
+
+func (w *writes) Write(p []byte) (int, error) { *w = append(*w, string(p)); return len(p), nil }
+
+// TestREPLWritesACommandOnce: a command's output line and error line
+// reach the writer in one Write, so a writer shared with another
+// goroutine (the client's event printer) never sees them split; a line
+// with neither writes nothing.
+func TestREPLWritesACommandOnce(t *testing.T) {
+	replies := map[string]struct {
+		out string
+		err error
+	}{
+		"both": {"partial", errors.New("boom")},
+		"out":  {"fine", nil},
+		"err":  {"", errors.New("bad")},
+		"none": {"", nil},
+		"quit": {"bye", ErrQuit},
+	}
+	var w writes
+	err := REPL(context.Background(), strings.NewReader("both\nnone\nout\nerr\nquit\nout\n"), &w,
+		func(_ context.Context, line string) (string, error) { return replies[line].out, replies[line].err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := writes{"partial\nerror: boom\n", "fine\n", "error: bad\n", "bye\n"}
+	if !slices.Equal(w, want) {
+		t.Errorf("writes = %q, want %q", w, want)
 	}
 }
 

@@ -720,23 +720,33 @@ func (s *Session) Run(r io.Reader, w io.Writer) error {
 	return s.RunContext(context.Background(), r, w)
 }
 
-// RunContext drives the REPL under a context: every command executes
-// under ctx, so cancelling it (a SIGINT, a server shutdown) interrupts
-// an in-flight solve, and the loop itself stops — returning an error
-// wrapping errs.ErrCancelled — once ctx is done.
+// RunContext is REPL over the session: every command executes under
+// ctx, so cancelling it (a SIGINT, a server shutdown) interrupts an
+// in-flight solve and ends the loop.
 func (s *Session) RunContext(ctx context.Context, r io.Reader, w io.Writer) error {
+	return REPL(ctx, r, w, s.ExecuteContext)
+}
+
+// REPL is the loop of a local session and of a remote one (client.Run):
+// each line of r is executed, and its output and `error: ...` lines go to
+// w in one Write, until EOF, quit, or a done ctx (errs.ErrCancelled).
+func REPL(ctx context.Context, r io.Reader, w io.Writer, execute func(context.Context, string) (string, error)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		out, err := s.ExecuteContext(ctx, sc.Text())
+		out, err := execute(ctx, sc.Text())
+		quit := errors.Is(err, ErrQuit)
 		if out != "" {
-			fmt.Fprintln(w, out)
+			out += "\n"
 		}
-		if errors.Is(err, ErrQuit) {
+		if err != nil && !quit {
+			out += fmt.Sprintf("error: %v\n", err)
+		}
+		if out != "" {
+			io.WriteString(w, out)
+		}
+		if quit {
 			return nil
-		}
-		if err != nil {
-			fmt.Fprintf(w, "error: %v\n", err)
 		}
 		if ctx.Err() != nil {
 			return cancelled(ctx)

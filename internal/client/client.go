@@ -1044,41 +1044,30 @@ func (c *Client) Execute(ctx context.Context, line string) (string, error) {
 	return res.String(), err
 }
 
-// Run drives the remote session as a REPL, mirroring auvm.Session.Run
-// line for line: output then `error: ...` lines, quit returns nil.
-// When notify is true, the job-state notifications Options.Notify
-// subscribed to print as they arrive, interleaved between command
-// outputs.
+// Run drives the remote session with the local session's loop
+// (auvm.REPL).  When notify is true, the job-state notifications
+// Options.Notify subscribed to print as they arrive, each between two
+// commands' outputs: the printer and the loop share a locked writer.
 func (c *Client) Run(ctx context.Context, r io.Reader, w io.Writer, notify bool) error {
-	var wmu sync.Mutex
 	if notify {
+		w = &lockedWriter{w: w}
 		go func() {
 			for ev := range c.Events() {
-				wmu.Lock()
 				fmt.Fprintln(w, ev)
-				wmu.Unlock()
 			}
 		}()
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		out, err := c.Execute(ctx, sc.Text())
-		wmu.Lock()
-		if out != "" {
-			fmt.Fprintln(w, out)
-		}
-		if errors.Is(err, auvm.ErrQuit) {
-			wmu.Unlock()
-			return nil
-		}
-		if err != nil {
-			fmt.Fprintf(w, "error: %v\n", err)
-		}
-		wmu.Unlock()
-		if ctx.Err() != nil {
-			return errs.Cancelled(ctx)
-		}
-	}
-	return sc.Err()
+	return auvm.REPL(ctx, r, w, c.Execute)
+}
+
+// lockedWriter serializes the Writes of several goroutines to one w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

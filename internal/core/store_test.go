@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -87,10 +88,10 @@ func TestStoreGetRacingPut(t *testing.T) {
 	}
 }
 
-// TestJournalBoundedByRetention: past the retention window a mem
-// daemon's journal holds the retained jobs only, and an evicted id is not
-// found; a file daemon's journal keeps every job, durable across a
-// reopen, and answers an evicted id from it.
+// TestJournalBoundedByRetention: a mem daemon journals nothing, so past
+// the retention window an evicted id is not found, before and after a
+// smaller window; a file daemon's journal keeps every job, durable
+// across a reopen, and answers an evicted id from it.
 func TestJournalBoundedByRetention(t *testing.T) {
 	const retain, jobs = 8, 40
 	open := func(t *testing.T, sc store.Config) *System {
@@ -125,16 +126,20 @@ func TestJournalBoundedByRetention(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		sys := open(t, store.Config{})
 		solveAll(t, sys)
-		if got, want := journal(sys), ids(jobs-retain+1, jobs); !reflect.DeepEqual(got, want) {
-			t.Errorf("journal after %d jobs at retention %d:\n got %v\nwant %v", jobs, retain, got, want)
+		evicted := func(id int) {
+			t.Helper()
+			if _, err := sys.Session("eng").Execute(fmt.Sprintf("status job-%d", id)); !errors.Is(err, errs.ErrNotFound) {
+				t.Errorf("status of evicted job-%d = %v, want not found", id, err)
+			}
 		}
-		if _, err := sys.Session("eng").Execute("status job-1"); !errors.Is(err, errs.ErrNotFound) {
-			t.Errorf("status of an evicted job = %v, want not found", err)
-		}
-		// SetRetention writes the deletes of what it evicts itself.
+		evicted(1)
+		// job-33 is in the window of 8 and out of the window of 2.
+		run(t, sys.Session("eng"), fmt.Sprintf("status job-%d", jobs-retain+1))
 		sys.Jobs.SetRetention(2)
-		if got, want := journal(sys), ids(jobs-1, jobs); !reflect.DeepEqual(got, want) {
-			t.Errorf("journal after SetRetention(2): got %v, want %v", got, want)
+		evicted(1)
+		evicted(jobs - retain + 1)
+		if got := journal(sys); len(got) > 0 {
+			t.Errorf("journal after %d jobs on mem: %v, want none", jobs, got)
 		}
 	})
 
@@ -157,4 +162,38 @@ func TestJournalBoundedByRetention(t *testing.T) {
 		again.Jobs.SetRetention(retain)
 		evicted(again)
 	})
+}
+
+// TestEvictedJobNotFoundWhileAnotherRuns: on mem at retention 1, the job
+// a second submit evicts is gone at once — status, wait and cancel of it
+// answer not found while the second job, a 40×24 SOR solve of about ten
+// seconds, still runs.  When mem journalled its jobs and deleted an
+// evicted record in the next journal write, that write was the second
+// job's terminal record, and until it came status answered the evicted
+// job from the store as done.
+func TestEvictedJobNotFoundWhileAnotherRuns(t *testing.T) {
+	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.Jobs.SetRetention(1)
+	s := sys.Session("eng")
+	run(t, s, "generate grid small 4 2 4 2 clamp-left", "load small tip endload 0 -100",
+		"generate grid big 40 24 40 24 clamp-left", "load big tip endload 0 -100",
+		"submit solve small tip", "wait job-1", "submit solve big tip method sor")
+	for _, line := range []string{"status job-1", "wait job-1", "cancel job-1"} {
+		if out, err := s.Execute(line); !errors.Is(err, errs.ErrNotFound) {
+			t.Errorf("%s while job-2 runs = %q, %v, want not found", line, out, err)
+		}
+	}
+	if snap, err := sys.Jobs.Status(2); err != nil || snap.State.Terminal() {
+		t.Fatalf("job-2 after the lookups: %v, %v, want it still live", snap.State, err)
+	}
+	if _, err := sys.Jobs.Cancel(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Jobs.Wait(context.Background(), 2); !errors.Is(err, errs.ErrCancelled) {
+		t.Errorf("job-2 after cancel: %v, want cancelled", err)
+	}
 }

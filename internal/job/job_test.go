@@ -230,7 +230,9 @@ func TestCancelQueued(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()
 	release := make(chan struct{})
-	started := make(chan struct{})
+	// Buffered: the first job's start must not be lost when the worker
+	// gets there before this goroutine waits on it.
+	started := make(chan struct{}, 1)
 	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
 		select {
 		case started <- struct{}{}:

@@ -24,9 +24,9 @@ import (
 // record is in the journal before dropping it from memory (writing it
 // then if the terminal write failed or never happened), and
 // Status/Wait/Cancel fall back to the journal for ids the in-memory map
-// no longer holds.  A journal on a store that dies with the process
-// keeps only the retention window instead, and writes each job once, at
-// its terminal transition (ForgetEvicted).
+// no longer holds.  A journal is attached only to a store a restart or
+// a takeover reads (core.Open: the file backend); without one a job
+// lives in memory alone, and an evicted id is not found.
 
 // journalRecord is the JSON encoding of one job record.  Cmd and Result
 // reuse the wire envelopes (command.MarshalCommand/MarshalResult), so
@@ -91,19 +91,6 @@ func (s *Scheduler) SetJournal(st store.Store) {
 	s.journal = st
 }
 
-// ForgetEvicted makes retention eviction delete the evicted job's record
-// from the journal rather than keep it: for a store that dies with the
-// process, where no restart will read the record and only memory pays
-// for it.  An evicted id is then not found.  No queued record is written
-// either — nothing could read it: a live job is answered from memory —
-// so a job costs the store one batch, its terminal record, and the
-// deletes of the jobs evicted since the last write ride in it.
-func (s *Scheduler) ForgetEvicted() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.forget = true
-}
-
 // RecoverJournal is the cluster-takeover replay: a freshly promoted
 // leader re-reads the journal its dead predecessor wrote (the store
 // was sealed and refreshed first) and rebuilds the in-memory job map
@@ -117,6 +104,11 @@ func (s *Scheduler) ForgetEvicted() {
 func (s *Scheduler) RecoverJournal() (int, error) {
 	s.mu.Lock()
 	st := s.journal
+	if st == nil {
+		// No journal to take the history from: memory is the history.
+		s.mu.Unlock()
+		return 0, nil
+	}
 	kept := map[JobID]*job{}
 	var order []JobID
 	for _, id := range s.order {
@@ -127,9 +119,6 @@ func (s *Scheduler) RecoverJournal() (int, error) {
 	}
 	s.jobs, s.order = kept, order
 	s.mu.Unlock()
-	if st == nil {
-		return 0, nil
-	}
 	return s.loadJournal(st)
 }
 
@@ -258,27 +247,12 @@ func (s *Scheduler) persistLocked(j *job) bool {
 	}
 	raw, err := s.recordLocked(j)
 	if err == nil {
-		err = s.writeLocked(store.Put(store.JobKey(int64(j.id)), raw))
+		err = s.journal.Put(store.JobKey(int64(j.id)), raw)
 	}
 	if err != nil {
 		s.journalWriteFailedLocked(j, err)
 	}
 	return err == nil
-}
-
-// writeLocked writes one record, with the deletes of the records
-// eviction forgot in the same batch; if the batch fails they stay
-// pending for the next write.
-func (s *Scheduler) writeLocked(op store.Op) error {
-	if len(s.forgotten) == 0 {
-		return s.journal.Put(op.Key, op.Value)
-	}
-	ops := append(s.forgotten, op)
-	if err := s.journal.Batch(ops); err != nil {
-		return err
-	}
-	s.forgotten = ops[:0]
-	return nil
 }
 
 // journalWriteFailedLocked is the log-mark-continue half of the journal

@@ -101,6 +101,27 @@ func TestJournalRecoversHistory(t *testing.T) {
 	}
 }
 
+// TestRecoverJournalWithoutJournalKeepsHistory: a scheduler with no
+// journal (a clustered mem daemon) promoted to leader has nothing to
+// replay, so RecoverJournal leaves its terminal jobs in memory instead
+// of dropping them for a journal's view it does not have.
+func TestRecoverJournalWithoutJournalKeepsHistory(t *testing.T) {
+	s := NewScheduler(1)
+	defer s.Close()
+	runN(t, s, 3)
+	if n, err := s.RecoverJournal(); n != 0 || err != nil {
+		t.Fatalf("RecoverJournal = %d, %v, want 0, nil", n, err)
+	}
+	for id := JobID(1); id <= 3; id++ {
+		if snap, err := s.Status(id); err != nil || snap.State != Done {
+			t.Errorf("job-%d after RecoverJournal: %v, %v, want done", id, snap.State, err)
+		}
+	}
+	if list := s.List(Filter{}); len(list) != 3 {
+		t.Errorf("jobs after RecoverJournal: %d, want 3", len(list))
+	}
+}
+
 // TestJournalLostToRestart pins crash recovery: records still queued or
 // running in the store (the previous process died mid-job) come back
 // Failed with the deterministic lost-to-restart cause — rewritten in

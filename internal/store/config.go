@@ -25,11 +25,6 @@ type Config struct {
 	// makes a crash lose at most the unsynced tail, never corrupt it,
 	// and fsync-per-batch costs orders of magnitude in throughput.
 	Sync bool
-	// CompactAt overrides the file backend's compaction threshold:
-	// 0 keeps the default (64 KiB of dead bytes), a positive value
-	// replaces it, a negative value suppresses compaction.  Tests use
-	// it to force or forbid compaction deterministically.
-	CompactAt int64
 	// Shared opens the file backend in multi-process mode: no
 	// truncation or compaction at open, an exclusive file lock around
 	// every append, and Refresh/Seal available for followers and
@@ -55,7 +50,7 @@ func Open(cfg Config) (s Conditional, file *FileStore, err error) {
 		if cfg.Path == "" {
 			return nil, nil, fmt.Errorf("store: file backend needs a path")
 		}
-		file, err = OpenFileStoreWith(cfg.Path, FileOpts{Sync: cfg.Sync, CompactAt: cfg.CompactAt, Shared: cfg.Shared})
+		file, err = OpenFileStoreWith(cfg.Path, FileOpts{Sync: cfg.Sync, Shared: cfg.Shared})
 		if err != nil {
 			return nil, nil, err
 		}
