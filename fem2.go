@@ -134,9 +134,8 @@ func WithConfig(cfg Config) Option { return func(o *core.Options) { o.Arch = cfg
 // Workers start lazily on the first SubmitAsync / submit.
 func WithWorkers(n int) Option { return func(o *core.Options) { o.Workers = n } }
 
-// WithStore selects the storage backend the system's model database
-// persists through, and on the file backend its job journal too.  The
-// default is the in-memory backend, which keeps no job journal;
+// WithStore selects the storage backend the system's model database and
+// job journal persist through.  The default is the in-memory backend;
 // WithStore(StoreConfig{Backend: StoreFile, Path: "fem2.db"}) makes
 // models and job records survive a restart — on
 // start the store is replayed, the database recovered, and jobs that

@@ -351,11 +351,11 @@ type ClusterOpts struct {
 // The store layering, bottom up: backend → degradation guard → [epoch
 // fence].  There is no read cache: nothing re-reads the journal the
 // service writes, and each backend answers a Get from memory or one
-// pread.  The job journal is attached only on the file backend, where a
-// restart or a takeover reads it.  The memory backend dies with the
-// process, so there a job's record lives in the scheduler alone: it
-// writes nothing to the store, and an id retention has evicted is not
-// found.
+// pread.  On the memory backend, which dies with the process, the job
+// journal keeps only the retention window (job.Scheduler.ForgetEvicted):
+// an evicted id is not found, where the file backend answers it from
+// the journal, and a job's one write is its terminal record, where the
+// file backend also writes the queued record a restart would find.
 //
 // A clustered system is the same stack with two differences.  The
 // fence goes on the guard, and the coordinator's own lease traffic goes
@@ -425,17 +425,16 @@ func Open(o Options) (*System, error) {
 	s.Database = auvm.NewDatabaseOn(s.Store, o.Store.BackendName())
 	s.Jobs = job.NewScheduler(o.Workers)
 	s.Jobs.SetObs(s.Obs)
-	switch {
-	case file == nil: // no journal: nothing would read it
-	case co != nil:
+	if file == nil {
+		s.Jobs.ForgetEvicted()
+	}
+	if co != nil {
 		s.Jobs.SetJournal(s.Store)
 		s.Jobs.SetEpochSource(s.Cluster.Epoch)
-	default:
-		if _, err := s.Jobs.AttachJournal(s.Store); err != nil {
-			s.Jobs.Close()
-			s.Store.Close()
-			return nil, err
-		}
+	} else if _, err := s.Jobs.AttachJournal(s.Store); err != nil {
+		s.Jobs.Close()
+		s.Store.Close()
+		return nil, err
 	}
 	s.Runtime.AttachInstrumentation(s.Obs)
 	// Sessions resolve auvm.ops on their first command; registering it

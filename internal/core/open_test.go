@@ -252,18 +252,19 @@ func TestOpen(t *testing.T) {
 }
 
 // TestSolveStoreBatches counts what a solve writes: a synchronous solve
-// nothing; a submitted one on a file store its journal record twice
-// (queued, terminal), past the retention window too, where an evicted
-// job's record stays for a restart to read.  On mem, which no restart
-// reads, no journal is attached: a submitted solve writes nothing, an
-// evicted job leaves no record behind, and no job ever has a record —
-// not while it waits for its model, not after wait.
+// nothing; a submitted one its journal record twice on a file store
+// (queued, terminal) and once on mem, which no restart reads, so only
+// the terminal record is written.  Past the retention window a job on
+// mem also deletes the record of the job its submit evicted, at once,
+// so both backends write twice per job there.  A job waiting for its
+// model has its queued record on file and none on mem; after wait both
+// hold the terminal record (benchmark/probe.go reads it).
 func TestSolveStoreBatches(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		store func(t *testing.T) store.Config
-		// journal says whether the system journals its jobs.
-		journal bool
+		// queued says whether a submit writes the queued record.
+		queued bool
 	}{
 		{"mem", func(*testing.T) store.Config { return store.Config{} }, false},
 		{"file", func(t *testing.T) store.Config {
@@ -271,8 +272,8 @@ func TestSolveStoreBatches(t *testing.T) {
 		}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			perJob := int64(0)
-			if c.journal {
+			perJob := int64(1)
+			if c.queued {
 				perJob = 2
 			}
 			sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1, Store: c.store(t)})
@@ -296,38 +297,27 @@ func TestSolveStoreBatches(t *testing.T) {
 			sys.Jobs.SetRetention(1)
 			before = batches.Count()
 			run(t, s, "submit solve plate tip", "wait job-2", "submit solve plate tip", "wait job-3")
-			if got := batches.Count() - before; got != 2*perJob {
-				t.Errorf("two submitted solves past retention made %d store batches, want %d", got, 2*perJob)
+			if got := batches.Count() - before; got != 4 {
+				t.Errorf("two submitted solves past retention made %d store batches, want 4", got)
 			}
-			// record reports whether job id has a record in the store, and
-			// in which state.
-			record := func(id int64, state string) bool {
-				v, err := sys.Store.Get(store.JobKey(id))
-				if err != nil && !errors.Is(err, store.ErrNotFound) {
-					t.Fatal(err)
-				}
-				return err == nil && strings.Contains(string(v), `"state":"`+state+`"`)
-			}
-			if got := record(2, "done"); got != c.journal {
-				t.Errorf("job-2's record after job-3 evicted it: %v, want %v", got, c.journal)
+			_, err = sys.Store.Get(store.JobKey(2))
+			if forgotten := !c.queued; forgotten != errors.Is(err, store.ErrNotFound) {
+				t.Errorf("job-2's record after job-3 evicted it: %v, want not found: %v", err, forgotten)
 			}
 
 			if err := sys.Jobs.Hold(context.Background(), "eng", "plate", command.Solve{Model: "plate", Set: "tip"}); err != nil {
 				t.Fatal(err)
 			}
 			run(t, s, "submit solve plate tip")
-			if got := record(4, "queued"); got != c.journal {
-				t.Errorf("queued record of a job waiting for its model: %v, want %v", got, c.journal)
+			v, err := sys.Store.Get(store.JobKey(4))
+			if c.queued && !strings.Contains(string(v), `"state":"queued"`) ||
+				!c.queued && !errors.Is(err, store.ErrNotFound) {
+				t.Errorf("record of a job waiting for its model: %q, %v, want queued: %v", v, err, c.queued)
 			}
 			sys.Jobs.Release("eng", "plate")
 			run(t, s, "wait job-4")
-			if got := record(4, "done"); got != c.journal {
-				t.Errorf("terminal record after wait: %v, want %v", got, c.journal)
-			}
-			var keys []string
-			sys.Store.Seek(store.PrefixJob, func(k string, _ []byte) bool { keys = append(keys, k); return true })
-			if !c.journal && len(keys) > 0 {
-				t.Errorf("a system with no journal holds %v", keys)
+			if v, err := sys.Store.Get(store.JobKey(4)); err != nil || !strings.Contains(string(v), `"state":"done"`) {
+				t.Errorf("record after wait: %q, %v, want the terminal record", v, err)
 			}
 		})
 	}

@@ -88,10 +88,10 @@ func TestStoreGetRacingPut(t *testing.T) {
 	}
 }
 
-// TestJournalBoundedByRetention: a mem daemon journals nothing, so past
-// the retention window an evicted id is not found, before and after a
-// smaller window; a file daemon's journal keeps every job, durable
-// across a reopen, and answers an evicted id from it.
+// TestJournalBoundedByRetention: past the retention window a mem
+// daemon's journal holds the retained jobs only, and an evicted id is not
+// found; a file daemon's journal keeps every job, durable across a
+// reopen, and answers an evicted id from it.
 func TestJournalBoundedByRetention(t *testing.T) {
 	const retain, jobs = 8, 40
 	open := func(t *testing.T, sc store.Config) *System {
@@ -126,20 +126,16 @@ func TestJournalBoundedByRetention(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		sys := open(t, store.Config{})
 		solveAll(t, sys)
-		evicted := func(id int) {
-			t.Helper()
-			if _, err := sys.Session("eng").Execute(fmt.Sprintf("status job-%d", id)); !errors.Is(err, errs.ErrNotFound) {
-				t.Errorf("status of evicted job-%d = %v, want not found", id, err)
-			}
+		if got, want := journal(sys), ids(jobs-retain+1, jobs); !reflect.DeepEqual(got, want) {
+			t.Errorf("journal after %d jobs at retention %d:\n got %v\nwant %v", jobs, retain, got, want)
 		}
-		evicted(1)
-		// job-33 is in the window of 8 and out of the window of 2.
-		run(t, sys.Session("eng"), fmt.Sprintf("status job-%d", jobs-retain+1))
+		if _, err := sys.Session("eng").Execute("status job-1"); !errors.Is(err, errs.ErrNotFound) {
+			t.Errorf("status of an evicted job = %v, want not found", err)
+		}
+		// SetRetention deletes what it evicts.
 		sys.Jobs.SetRetention(2)
-		evicted(1)
-		evicted(jobs - retain + 1)
-		if got := journal(sys); len(got) > 0 {
-			t.Errorf("journal after %d jobs on mem: %v, want none", jobs, got)
+		if got, want := journal(sys), ids(jobs-1, jobs); !reflect.DeepEqual(got, want) {
+			t.Errorf("journal after SetRetention(2): got %v, want %v", got, want)
 		}
 	})
 
@@ -167,10 +163,9 @@ func TestJournalBoundedByRetention(t *testing.T) {
 // TestEvictedJobNotFoundWhileAnotherRuns: on mem at retention 1, the job
 // a second submit evicts is gone at once — status, wait and cancel of it
 // answer not found while the second job, a 40×24 SOR solve of about ten
-// seconds, still runs.  When mem journalled its jobs and deleted an
-// evicted record in the next journal write, that write was the second
-// job's terminal record, and until it came status answered the evicted
-// job from the store as done.
+// seconds, still runs.  A delete deferred to the next journal write —
+// here the second job's terminal record — would leave the evicted job's
+// record in the store until then, and status would answer it as done.
 func TestEvictedJobNotFoundWhileAnotherRuns(t *testing.T) {
 	sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1})
 	if err != nil {

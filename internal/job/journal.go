@@ -24,9 +24,10 @@ import (
 // record is in the journal before dropping it from memory (writing it
 // then if the terminal write failed or never happened), and
 // Status/Wait/Cancel fall back to the journal for ids the in-memory map
-// no longer holds.  A journal is attached only to a store a restart or
-// a takeover reads (core.Open: the file backend); without one a job
-// lives in memory alone, and an evicted id is not found.
+// no longer holds.  A journal on a store that dies with the process
+// keeps only the retention window instead, writes each job once, at its
+// terminal transition, and deletes a record when eviction drops its job
+// (ForgetEvicted).
 
 // journalRecord is the JSON encoding of one job record.  Cmd and Result
 // reuse the wire envelopes (command.MarshalCommand/MarshalResult), so
@@ -91,6 +92,20 @@ func (s *Scheduler) SetJournal(st store.Store) {
 	s.journal = st
 }
 
+// ForgetEvicted makes retention eviction delete the evicted job's record
+// from the journal rather than keep it: for a store that dies with the
+// process, where no restart will read the record and only memory pays
+// for it.  The delete is made at eviction, so an evicted id is not found
+// from then on.  No queued record is written either — nothing could
+// read it: a live job is answered from memory — so a job costs the store
+// its terminal record, and past the window the delete of the job its
+// submit evicted.
+func (s *Scheduler) ForgetEvicted() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.forget = true
+}
+
 // RecoverJournal is the cluster-takeover replay: a freshly promoted
 // leader re-reads the journal its dead predecessor wrote (the store
 // was sealed and refreshed first) and rebuilds the in-memory job map
@@ -105,7 +120,8 @@ func (s *Scheduler) RecoverJournal() (int, error) {
 	s.mu.Lock()
 	st := s.journal
 	if st == nil {
-		// No journal to take the history from: memory is the history.
+		// No journal to take the history from: memory is the history,
+		// and is kept.
 		s.mu.Unlock()
 		return 0, nil
 	}

@@ -102,9 +102,9 @@ func TestJournalRecoversHistory(t *testing.T) {
 }
 
 // TestRecoverJournalWithoutJournalKeepsHistory: a scheduler with no
-// journal (a clustered mem daemon) promoted to leader has nothing to
-// replay, so RecoverJournal leaves its terminal jobs in memory instead
-// of dropping them for a journal's view it does not have.
+// journal has nothing to replay, so RecoverJournal leaves its terminal
+// jobs in memory instead of dropping them for a journal's view it does
+// not have.
 func TestRecoverJournalWithoutJournalKeepsHistory(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()

@@ -154,9 +154,12 @@ type Scheduler struct {
 	subs    map[string]map[int]func(Snapshot)
 	subNext int
 	// journal, when non-nil, persists job records through the system's
-	// store (see journal.go): queued at submit, terminal at finish, and
-	// flushed before retention eviction.
+	// store (see journal.go): queued at submit (unless forget is set),
+	// terminal at finish, and flushed before retention eviction.
 	journal store.Store
+	// forget makes retention eviction delete the evicted job's record
+	// instead (ForgetEvicted).
+	forget bool
 	// rec is the record recordLocked encodes from, and recBuf the buffer
 	// it encodes into; the store copies what it is given, and rec is
 	// cleared after each encode.
@@ -272,8 +275,8 @@ func (s *Scheduler) logfLocked(format string, args ...any) {
 
 // SetRetention rebounds the retained job history (<= 0 keeps everything
 // — unbounded, test use only).  Ids evicted by retention are answered
-// from the journal, or ErrNotFound from Status/Wait/Cancel when none is
-// attached.
+// from the journal, or ErrNotFound from Status/Wait/Cancel when there is
+// none or it forgets them (ForgetEvicted).
 func (s *Scheduler) SetRetention(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,8 +311,14 @@ func (s *Scheduler) evictLocked() {
 		// The record must be in the journal before it leaves memory, so
 		// history survives eviction (and restart): Status and Wait keep
 		// answering for evicted ids via the journal.  finishLocked has
-		// usually put it there already.
-		if !j.journaled {
+		// usually put it there already.  A journal that forgets evicted
+		// jobs deletes it instead, at once: the id is not found from now.
+		switch {
+		case s.forget && s.journal != nil:
+			if err := s.journal.Delete(store.JobKey(int64(id))); err != nil {
+				s.journalWriteFailedLocked(j, err)
+			}
+		case !j.journaled:
 			s.persistLocked(j)
 		}
 		delete(s.jobs, id)
@@ -385,9 +394,13 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 	s.live[owner]++
 	s.liveTotal++
 	s.evictLocked()
-	// Journal the submission, for a restart or takeover to find it lost;
-	// the terminal write overwrites it.
-	s.persistLocked(j)
+	if !s.forget {
+		// Journal the submission, for a restart or takeover to find it
+		// lost; the terminal write overwrites it.  A journal that forgets
+		// evicted jobs is read by no restart, and a live job is answered
+		// from memory, so there the terminal write is the only one.
+		s.persistLocked(j)
+	}
 	s.publishLocked(j)
 	if heavy {
 		s.startWorkersLocked()
@@ -698,10 +711,10 @@ func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) 
 }
 
 // Settled reports whether Wait(id) would return at once: the job is
-// terminal in memory, or it has left memory for good — evicted, and
-// answered from the journal or, with none attached, as not found.  An
-// id the scheduler has not issued yet is not settled: a Submit racing
-// the caller could issue it and run a job under it.
+// terminal in memory, or it has left memory for good — evicted to the
+// journal, or forgotten — and is answered from the journal or as not
+// found.  An id the scheduler has not issued yet is not settled: a
+// Submit racing the caller could issue it and run a job under it.
 func (s *Scheduler) Settled(id JobID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -289,8 +289,8 @@ type waitCase struct {
 
 // waitCases builds a job in every state a wait can find: queued, running
 // and the three terminal states in memory, evicted to a file journal,
-// evicted on a memory store (no journal: not found), and not yet issued
-// — plus a session with no scheduler at all.
+// evicted from a memory store (forgotten), and not yet issued — plus a
+// session with no scheduler at all.
 func waitCases(t *testing.T) []waitCase {
 	t.Helper()
 	ctx := context.Background()
@@ -321,7 +321,7 @@ func waitCases(t *testing.T) []waitCase {
 		s.Jobs.SetRetention(0)
 		what := "evicted (file store: journal)"
 		if s == mem {
-			what = "evicted (memory store: not found)"
+			what = "evicted (memory store: forgotten)"
 		}
 		cases = append(cases, waitCase{what, sess, evicted})
 	}
@@ -619,11 +619,10 @@ func TestBlockedWaitRunsBeside(t *testing.T) {
 
 // TestSettledWaitRepliesMatchTheSession: a wait the reader answers
 // because its job is not in memory — an id the scheduler issued and then
-// evicted with no journal (memory store, retention 1: not found), one it
-// evicted to a file journal (retention 1: answered from there), an id not
-// issued yet (not found, beside), and a session with no scheduler —
-// writes the very frame the session's own answer encodes to, byte for
-// byte.
+// forgot (memory store, retention 1: not found), one it evicted to a file
+// journal (retention 1: answered from there), an id not issued yet (not
+// found, beside), and a session with no scheduler — writes the very frame
+// the session's own answer encodes to, byte for byte.
 func TestSettledWaitRepliesMatchTheSession(t *testing.T) {
 	file := openSystem(t, core.Options{Store: store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}})
 	for _, c := range []struct {
