@@ -148,10 +148,11 @@ func (e *Envelope) failAt(st *Stats, r int, s float64) error {
 // product is rounded before it is subtracted: Go does not fuse
 // s -= a*b on amd64, and the assembly uses no FMA.
 //
-// Two kernels keep the contract, and the CPU alone picks one.  A single
-// sum is a chain of dependent subtractions closed by a division the
-// row's next entry waits for, so it runs at the latency of those, not the
-// throughput; both kernels therefore carry several sums side by side.
+// Three kernels keep the contract, and CPUID and XCR0 alone pick one.  A
+// single sum is a chain of dependent subtractions closed by a division
+// the row's next entry waits for, so it runs at the latency of those, not
+// the throughput; every kernel therefore carries several sums side by
+// side.
 //
 // The pair kernel, the only one off amd64 or without AVX2, computes four
 // entries concurrently: columns j, j+1 of rows i, i+1.  Each runs alone
@@ -160,9 +161,10 @@ func (e *Envelope) failAt(st *Stats, r int, s float64) error {
 // L[j+1,k], and each row finishes its pair in order; taking the sums from
 // two rows lets one row's divisions overlap the other's.
 //
-// The panel kernel (envelope_amd64.go) takes rows four at a time and
-// computes a 4×4 block of entries, rows i..i+3 × columns j..j+3, in one
-// assembly routine with one four-lane AVX2 register per column.  Each
+// The panel kernel (envelope_amd64.go), where the CPU has AVX2, takes
+// rows four at a time and computes a 4×4 block of entries, rows i..i+3 ×
+// columns j..j+3, in one assembly routine with one four-lane AVX2
+// register per column.  Each
 // lane (r,c) is exactly entry (i+r, j+c)'s scalar chain: for each k in
 // ascending order a multiply and a separately rounded subtract, then the
 // block's own columns j..j+c-1 in ascending order, then one division by
@@ -170,8 +172,18 @@ func (e *Envelope) failAt(st *Stats, r int, s float64) error {
 // j+c starts after it — the lane's product is masked to +0, and
 // x − (+0) = x for every x, −0, infinities and NaN included, so masking
 // never changes a bit.
+//
+// The eight-row panel kernel, where the CPU has AVX-512, is the same with
+// eight rows × four columns and one eight-lane register per column, for
+// the blocks of rows i..i+7 (i ≡ 0 mod 8) that have all begun by column
+// i; the other blocks go four rows at a time.  Its tiles need not wait
+// for the rows to begin: a row begun after a tile column stores nothing
+// there, its lanes' products in the block's own columns masked to +0.
 func (e *Envelope) CholeskyFactorInPlace(st *Stats) error {
-	if haveAVX2 {
+	switch {
+	case haveAVX512:
+		return e.choleskyPanel8(st)
+	case haveAVX2:
 		return e.choleskyPanel(st)
 	}
 	return e.choleskyPairs(st)

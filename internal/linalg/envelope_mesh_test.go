@@ -2,6 +2,7 @@ package linalg_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fem"
@@ -66,6 +67,7 @@ func meshSystems(t testing.TB, plates [][2]int, truss bool) []meshSystem {
 // the benchmark's 40x24 plate as generated and with jittered nodes, and
 // a truss, each under the cholesky-env plan.
 func TestEnvelopeKernelMatchesScalarOracleOnMeshes(t *testing.T) {
+	t.Log(linalg.HostBodies())
 	for _, sys := range meshSystems(t, [][2]int{{40, 24}}, true) {
 		t.Run(sys.name, func(t *testing.T) {
 			if nnz := linalg.CheckEnvelopeKernel(t, sys.k, sys.rhs); nnz <= sys.k.N {
@@ -78,10 +80,37 @@ func TestEnvelopeKernelMatchesScalarOracleOnMeshes(t *testing.T) {
 // TestBandPlansMatchBandedOracleOnMeshes is TestBandPlansMatchBandedOracle
 // on the 8x6, 12x8 and 40x24 plates, each as generated and jittered, and
 // the truss: the cholesky and cholesky-rcm plans against the Banded
-// solver, bitwise, under both kernels.
+// solver, bitwise, under every kernel.
 func TestBandPlansMatchBandedOracleOnMeshes(t *testing.T) {
+	t.Log(linalg.HostBodies())
 	for _, sys := range meshSystems(t, [][2]int{{8, 6}, {12, 8}, {40, 24}}, true) {
 		t.Run(sys.name, func(t *testing.T) { linalg.CheckBandPlan(t, sys.k, sys.rhs) })
+	}
+}
+
+// BenchmarkEnvelopeFactor times the refactorisation alone — the layer
+// a refactor_large job spends most of its time in — of the 40x24
+// plate's envelope under the cholesky-env plan, by each kernel: go (the
+// pair kernel), avx2 and avx512 (the four- and eight-row panel kernels),
+// each skipped on a CPU without it.
+func BenchmarkEnvelopeFactor(b *testing.B) {
+	sys := meshSystems(b, [][2]int{{40, 24}}, false)[0]
+	plan, err := linalg.NewDirectPlan(sys.k, linalg.PlanOpts{Ordering: linalg.OrderRCM, Storage: linalg.StorageEnvelope})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, body := range []string{"go", "avx2", "avx512"} {
+		b.Run(body, func(b *testing.B) {
+			refactor := linalg.FactorBody(plan, body, sys.k)
+			if refactor == nil {
+				b.Skip("CPU has no " + strings.ToUpper(body))
+			}
+			for b.Loop() {
+				if err := refactor(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -106,28 +107,59 @@ func profileString(first []int) string {
 	return fmt.Sprintf("first %v", first)
 }
 
-// envelopeKernel is one of CholeskyFactorInPlace's two kernels, run
-// directly so that each is tested whichever the host would pick.
+// envelopeKernel is one of CholeskyFactorInPlace's three kernels, run
+// directly so that each is tested whichever the host would pick.  runs
+// says whether the host can run it, skip why not.
 type envelopeKernel struct {
 	name   string
 	factor func(*Envelope, *Stats) error
+	runs   bool
+	skip   string
 }
 
 var envelopeKernels = []envelopeKernel{
-	{"pair", (*Envelope).choleskyPairs},
-	{"panel", (*Envelope).choleskyPanel},
+	{"pair", (*Envelope).choleskyPairs, true, ""},
+	{"panel", (*Envelope).choleskyPanel, haveAVX2, "CPU has no AVX2"},
+	{"panel8", (*Envelope).choleskyPanel8, haveAVX512, "CPU has no AVX-512"},
 }
 
-// runs reports whether the host can run the kernel.
-func (k envelopeKernel) runs() bool { return k.name != "panel" || haveAVX2 }
+// hostBodies names the factor kernels and the solve bodies the host runs
+// and those it skips, for a test's log: a host without AVX-512 or AVX2
+// then shows what it left out.
+func hostBodies() string {
+	var ran, skipped []string
+	for _, k := range envelopeKernels {
+		if k.runs {
+			ran = append(ran, k.name)
+		} else {
+			skipped = append(skipped, k.name+" ("+k.skip+")")
+		}
+	}
+	for _, b := range solveBodies {
+		if b.runs() {
+			ran = append(ran, "solve "+b.name)
+		} else {
+			skipped = append(skipped, "solve "+b.name+" (CPU has no AVX2)")
+		}
+	}
+	if len(skipped) == 0 {
+		skipped = []string{"none"}
+	}
+	return "bodies run: " + strings.Join(ran, ", ") + "; skipped: " + strings.Join(skipped, ", ")
+}
 
-// forEachKernel runs fn as one subtest per kernel, named after it.
+// forEachKernel runs fn as one subtest per kernel, named after it; run
+// by a top-level test it logs hostBodies, which a test running it in
+// subtests logs itself.
 func forEachKernel(t *testing.T, fn func(t *testing.T, k envelopeKernel)) {
 	t.Helper()
+	if !strings.Contains(t.Name(), "/") {
+		t.Log(hostBodies())
+	}
 	for _, k := range envelopeKernels {
 		t.Run(k.name, func(t *testing.T) {
-			if !k.runs() {
-				t.Skip("CPU has no AVX2")
+			if !k.runs {
+				t.Skip(k.skip)
 			}
 			fn(t, k)
 		})
@@ -179,10 +211,11 @@ func checkSolveBodies(t testing.TB, got *Envelope, rhs, ref Vector, wantFlops in
 	}
 }
 
-// checkEnvelopeKernel factors one copy of e with kernel k and one with
-// the oracle and demands the same error, the same stored bits (of a
-// failed factorisation, the rows down to the failing one) and the same
-// flop count; when the factorisation succeeds it does the same for the
+// checkEnvelopeKernel factors one copy of e with kernel k — handed a copy
+// of e's panel scratch as it stands — and one with the oracle and
+// demands the same error, the same stored bits (of a failed
+// factorisation, the rows down to the failing one) and the same flop
+// count; when the factorisation succeeds it does the same for the
 // substitution by each solve body the host runs, into a fresh vector, a
 // caller's vector and in place.  It returns the kernel's error.
 func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector) error {
@@ -190,6 +223,7 @@ func checkEnvelopeKernel(t testing.TB, k envelopeKernel, e *Envelope, rhs Vector
 	got, want := NewEnvelope(e.first), NewEnvelope(e.first)
 	copy(got.env, e.env)
 	copy(want.env, e.env)
+	got.panel = slices.Clone(e.panel)
 	var gst, wst Stats
 	gerr, werr := k.factor(got, &gst), refEnvelopeFactor(want, &wst)
 	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
@@ -307,6 +341,21 @@ var profileKinds = []struct {
 		}
 		return max(0, i-rng.Intn(3))
 	}},
+	// Eight-row blocks whose rows begin within a dozen columns before the
+	// block, so that some begin inside the four-column tiles of the rows
+	// above them and some at the block's first column; one row in twelve
+	// begins next to its diagonal, a late column row for the blocks below
+	// (and its own block goes four rows or two at a time).
+	{"eight-row", func(rng *rand.Rand, i, _ int) int {
+		b := i &^ 7
+		switch rng.Intn(12) {
+		case 0:
+			return max(0, i-rng.Intn(3))
+		case 1:
+			return b
+		}
+		return max(0, b-rng.Intn(13))
+	}},
 }
 
 // randomEnvelope returns a diagonally dominant (hence SPD) matrix with
@@ -369,6 +418,7 @@ func randomRHS(rng *rand.Rand, n int) Vector {
 // substitution agree with the scalar loops they replaced in every stored
 // bit, in the solve output and in Stats.Flops.
 func TestEnvelopeKernelMatchesScalarOracle(t *testing.T) {
+	t.Log(hostBodies())
 	orders := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 22, 41, 63}
 	for _, kind := range profileKinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -536,68 +586,145 @@ func TestEnvelopeSolveLanesMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// TestPanelTileSetUpMatchesScalarOracle aims at the panel routine's own
-// set-up — kmin, kmax, masked, n, the column pointers, the 16 lane starts
-// — which it derives from first and ptr.  In 12 rows, the block of rows
-// 8..11 runs one tile off the diagonal, columns 4..7 (column rows 4..7),
-// and the diagonal one.  Each of the eight rows begins at each column
-// 0..4, in every combination a tile at column 4 can meet: all block rows
-// at column 0 (rows 0..3 are then dense and the loop takes columns 0..3
-// as a tile first), or a block row or one of rows 4..6 at column 4 (rows
-// 0..3 then begin at their diagonals, so columns 0..3 go alone).  In the
-// others the loop runs columns 3..6 as the tile, and those are skipped.
-// All of them take about 2 s on a two-vCPU x86-64 host, more than the
-// rest of the package's tests together, so a seeded quarter runs; it
-// includes masked = 0 with sums to run (every row at column 0), kmin set
-// by the block rows and by the column rows, and lanes beginning at
-// column 4.
-// The values are drawn as randomEnvelope draws them, exact −0 included.
-// Factor, solution and flops must equal the scalar loops' bit for bit.
+// TestPanelTileSetUpMatchesScalarOracle aims at the panel routines' own
+// set-up — kmin, kmax, the masked steps, the column pointers, the lane
+// starts and, in the eight-row routine, the opmasks of the rows not yet
+// begun — which they derive from first and ptr.  The values are drawn as
+// randomEnvelope draws them, exact −0 included.  Factor, solution and
+// flops must equal the scalar loops' bit for bit.
+//
+// panel: in 12 rows, the block of rows 8..11 runs one tile off the
+// diagonal, columns 4..7 (column rows 4..7), and the diagonal one.  Each
+// of the eight rows begins at each column 0..4, in every combination a
+// tile at column 4 can meet: all block rows at column 0 (rows 0..3 are
+// then dense and the loop takes columns 0..3 as a tile first), or a block
+// row or one of rows 4..6 at column 4 (rows 0..3 then begin at their
+// diagonals, so columns 0..3 go alone).  In the others the loop runs
+// columns 3..6 as the tile, and those are skipped.  All of them take
+// about 2 s on a two-vCPU x86-64 host, more than the rest of the
+// package's tests together, so a seeded quarter runs; it includes
+// masked = 0 with sums to run (every row at column 0), kmin set by the
+// block rows and by the column rows, and lanes beginning at column 4.
+//
+// panel8: in 16 rows, the block of rows 8..15 runs the tiles of columns
+// 0..3 and 4..7 and the two of its diagonal.  Seeded draws put each
+// block row's first column anywhere in 0..8 — so rows begin inside a
+// tile, after both, or all at column 0 — each of the column rows 4..7 at
+// 0..4, or one in four anywhere up to its diagonal (a quadruple that
+// goes alone), and rows 0..3 anywhere.  Every other draw fills the
+// panel's scratch with NaN before the factorisation, and every other
+// pair plants a +Inf diagonal in one of rows 0..7: it factors to +Inf,
+// which the masked lanes of the column row below it read as L[j+c,k]
+// before that row begins, so an unmasked product there is 0·Inf = NaN.
 func TestPanelTileSetUpMatchesScalarOracle(t *testing.T) {
-	k := envelopeKernel{"panel", (*Envelope).choleskyPanel}
-	if !k.runs() {
-		t.Skip("CPU has no AVX2")
-	}
-	const j, i, n = 4, 8, 12
-	rng := rand.New(rand.NewSource(37))
-	first := make([]int, n)
-	var firsts [8]int // first[i..i+3], then first[j..j+3]
-	for combo := range 625 * 625 {
-		if combo > 0 && rng.Intn(4) > 0 {
-			continue
+	t.Log(hostBodies())
+	t.Run("panel", func(t *testing.T) {
+		k := envelopeKernels[1]
+		if !k.runs {
+			t.Skip(k.skip)
 		}
-		for r, c := 0, combo; r < 8; r, c = r+1, c/5 {
-			firsts[r] = c % 5
-		}
-		rows, cols := firsts[:4], firsts[4:]
-		late := max(rows[0], rows[1], rows[2], rows[3])
-		switch {
-		case late == 0:
-			clear(first[:j])
-		case max(late, cols[0], cols[1], cols[2]) == j:
-			for m := range j {
-				first[m] = m
+		const j, i, n = 4, 8, 12
+		rng := rand.New(rand.NewSource(37))
+		first := make([]int, n)
+		var firsts [8]int // first[i..i+3], then first[j..j+3]
+		for combo := range 625 * 625 {
+			if combo > 0 && rng.Intn(4) > 0 {
+				continue
 			}
-		default:
-			continue
+			for r, c := 0, combo; r < 8; r, c = r+1, c/5 {
+				firsts[r] = c % 5
+			}
+			rows, cols := firsts[:4], firsts[4:]
+			late := max(rows[0], rows[1], rows[2], rows[3])
+			switch {
+			case late == 0:
+				clear(first[:j])
+			case max(late, cols[0], cols[1], cols[2]) == j:
+				for m := range j {
+					first[m] = m
+				}
+			default:
+				continue
+			}
+			copy(first[i:], rows)
+			copy(first[j:], cols)
+			if err := checkEnvelopeKernel(t, k, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
+				t.Fatalf("block rows from %v, column rows from %v: %v", rows, cols, err)
+			}
 		}
-		copy(first[i:], rows)
-		copy(first[j:], cols)
-		if err := checkEnvelopeKernel(t, k, randomEnvelope(rng, first), randomRHS(rng, n)); err != nil {
-			t.Fatalf("block rows from %v, column rows from %v: %v", rows, cols, err)
+	})
+	t.Run("panel8", func(t *testing.T) {
+		k := envelopeKernels[2]
+		if !k.runs {
+			t.Skip(k.skip)
 		}
-	}
+		const n, draws = 16, 20000
+		rng := rand.New(rand.NewSource(53))
+		first := make([]int, n)
+		// inside counts the draws with a block row beginning inside a
+		// tile, after, those with every block row at column 0, alone
+		// those with a column row beginning after column 4.
+		var inside, after, dense, alone int
+		for d := range draws {
+			for m := range 4 {
+				first[m] = rng.Intn(m + 1)
+			}
+			for m := 4; m < 8; m++ {
+				first[m] = rng.Intn(5)
+				if rng.Intn(4) == 0 {
+					first[m] = rng.Intn(m + 1)
+				}
+			}
+			rows := first[8:]
+			switch rng.Intn(4) {
+			case 0:
+				clear(rows)
+			default:
+				for r := range rows {
+					rows[r] = rng.Intn(9)
+				}
+			}
+			if slices.ContainsFunc(rows, func(f int) bool { return f%4 != 0 }) {
+				inside++
+			}
+			if slices.Contains(rows, 8) {
+				after++
+			}
+			if slices.Max(rows) == 0 {
+				dense++
+			}
+			if slices.Max(first[4:8]) > 4 {
+				alone++
+			}
+			e := randomEnvelope(rng, first)
+			if d&1 == 1 {
+				e.panel = make([]float64, 8*n)
+				for k := range e.panel {
+					e.panel[k] = math.NaN()
+				}
+			}
+			if d&2 == 2 {
+				m := rng.Intn(8)
+				e.Set(m, m, math.Inf(1))
+			}
+			_ = checkEnvelopeKernel(t, k, e, randomRHS(rng, n))
+		}
+		t.Logf("%d draws: a block row beginning inside a tile in %d, after both in %d, every one at column 0 in %d; a column quadruple alone in %d", draws, inside, after, dense, alone)
+		if inside == 0 || after == 0 || dense == 0 || alone == 0 {
+			t.Fatal("the draws missed a case")
+		}
+	})
 }
 
 // TestEnvelopeKernelFailsWhereOracleFails plants a non-positive pivot at
-// every row of a matrix — the first and the second row of a pair, the
-// odd last row — in each way a pivot can be unusable: the kernel must stop
+// every row of a matrix — the first and the second row of a pair, each
+// row of a four- and an eight-row block, the odd last row — in each way a pivot can be unusable: the kernel must stop
 // at the same row with the same message, the same factor down to that row
 // and the same flop total as the scalar loop.
 func TestEnvelopeKernelFailsWhereOracleFails(t *testing.T) {
 	forEachKernel(t, func(t *testing.T, k envelopeKernel) {
 		rng := rand.New(rand.NewSource(23))
-		const n = 15
+		const n = 27
 		for _, kind := range profileKinds {
 			first := make([]int, n)
 			for i := 1; i < n; i++ {
@@ -623,7 +750,8 @@ func TestEnvelopeKernelFailsWhereOracleFails(t *testing.T) {
 }
 
 // envelopeFromFuzz decodes a profile and values from fuzz bytes: the
-// first byte's low seven bits are the order (mod 24), then one byte per
+// first byte's low seven bits are the order (mod 40, so that three
+// eight-row blocks below the first have tiles), then one byte per
 // row for its width, then one byte per stored value.  When the first
 // byte's top bit is set the profile is a band instead: the second byte is
 // the half-width w, every row begins at max(0, i−w), the envelope sums
@@ -641,7 +769,7 @@ func envelopeFromFuzz(data []byte) (*Envelope, *Banded, Vector) {
 		return b
 	}
 	head := next()
-	n := int(head&0x7f) % 24
+	n := int(head&0x7f) % 40
 	band, w := head&0x80 != 0, 0
 	if band {
 		w = int(next())
@@ -707,11 +835,12 @@ func FuzzEnvelopeCholesky(f *testing.F) {
 	f.Add([]byte{0x80 | 10, 1, 200, 17, 33, 250, 4, 90, 12, 180, 5, 16, 240, 33, 8, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150, 44, 60, 61})
 	f.Add([]byte{0x80 | 13, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 255, 1, 255, 1, 255, 1, 255, 1, 16, 240, 33, 7, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150, 44, 16, 240, 33, 7, 200, 9, 65, 3, 90, 12, 180})
 	f.Add([]byte{0x80 | 7, 255, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 200, 17, 33, 250, 4, 90, 16, 240, 33, 7, 200, 9, 64, 3, 90, 12, 180, 5, 77, 31, 2, 150})
+	f.Log(hostBodies())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, b, rhs := envelopeFromFuzz(data)
 		for _, k := range envelopeKernels {
 			switch {
-			case !k.runs():
+			case !k.runs:
 			case b != nil:
 				_ = checkBandKernel(t, k, e, b, rhs)
 			default:

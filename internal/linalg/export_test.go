@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -25,6 +26,10 @@ func CheckEnvelopeKernel(t *testing.T, a *CSR, rhs Vector) int {
 	return plan.env.NNZ()
 }
 
+// HostBodies is hostBodies of envelope_test.go, for the external test
+// package's log.
+var HostBodies = hostBodies
+
 // CheckBandPlan is checkBandPlan of factor_test.go — a's band plans in
 // natural and RCM order against the Banded oracle — for the external
 // test package.
@@ -45,6 +50,22 @@ func SolveBody(p *DirectPlan, name string, rhs Vector) func(out Vector) {
 		}
 	}
 	return nil
+}
+
+// FactorBody returns a refactorisation of p from a's values, as Refactor
+// does it, by the named kernel of CholeskyFactorInPlace ("go" for the
+// pair kernel, "avx2" and "avx512" for the four- and eight-row panel
+// kernels), or nil when the host cannot run that kernel: the handle
+// BenchmarkEnvelopeFactor times each kernel by.
+func FactorBody(p *DirectPlan, name string, a *CSR) func() error {
+	k := envelopeKernels[slices.Index([]string{"go", "avx2", "avx512"}, name)]
+	if !k.runs {
+		return nil
+	}
+	return func() error {
+		loadPlan(p, a)
+		return k.factor(p.env, nil)
+	}
 }
 
 // IsSymmetric reports whether the matrix equals its transpose within tol.

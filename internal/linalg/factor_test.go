@@ -259,11 +259,12 @@ func checkBandPlan(t *testing.T, a *CSR, rhs Vector) {
 // TestBandPlansMatchBandedOracle is the band profile's contract as a
 // seeded differential test: on the poisson system, its badly numbered
 // shuffle, and random SPD systems of every profile shape (with exact −0
-// entries), a band plan in natural and in RCM order, factored by either
+// entries), a band plan in natural and in RCM order, factored by each
 // kernel, equals the Banded solver it replaced in every factor bit,
 // every solution bit and both halves' flops.  The meshes are in
 // envelope_mesh_test.go.
 func TestBandPlansMatchBandedOracle(t *testing.T) {
+	t.Log(hostBodies())
 	rng := rand.New(rand.NewSource(43))
 	systems := []struct {
 		name string
@@ -291,7 +292,7 @@ func TestBandPlansMatchBandedOracle(t *testing.T) {
 
 // TestBandPlanFailsWhereBandedFails plants a pivot of −1, 0 or NaN at
 // every row of a 9-row band of half-width 3: a band plan, factored by
-// either kernel and by Refactor, fails with the Banded oracle's message —
+// each kernel and by Refactor, fails with the Banded oracle's message —
 // the same row and pivot — and books the flops of the row order,
 // refEnvelopeFactor's count, where Banded books its column order.
 func TestBandPlanFailsWhereBandedFails(t *testing.T) {

@@ -34,7 +34,9 @@ import (
 //     which solve of a model factored it, which concurrent solves decide);
 //   - a subscribed connection hears a job's queued before its submit
 //     reply, and its terminal event before the reply to a wait on it;
-//   - a ping is answered within handOff plus streamSlack of its sending;
+//   - a ping is answered within handOff plus streamSlack of its sending,
+//     less the longest stall of the test's own 1 ms watcher during its
+//     flight: a host that starves the watcher starves the server too;
 //   - while the stream runs: no reader run is on its reader streamSlack
 //     past handOff, none starts while a run of its connection that handed
 //     off is going, and no more Heavy jobs run than the pool has workers;
@@ -393,13 +395,14 @@ func runStream(t *testing.T, data []byte) {
 	}
 	go srv.Serve(ln)
 	var f findings
-	stop := watchRuns(srv, sys, &f)
+	var stalled stalls
+	stop := watchRuns(srv, sys, &f, &stalled)
 	var wg sync.WaitGroup
 	for i, cs := range st.conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runConn(srv, addr, ref.Session(fmt.Sprintf("ref-%d", i)), i, cs, !st.slow, &f)
+			runConn(srv, addr, ref.Session(fmt.Sprintf("ref-%d", i)), i, cs, !st.slow, &f, &stalled)
 		}()
 	}
 	wg.Wait()
@@ -473,22 +476,61 @@ func describeStream(st stream) string {
 	return b.String()
 }
 
+// watchTick is the watcher's period.
+const watchTick = time.Millisecond
+
+// stalls are the times the watcher woke late: each gap between two of its
+// ticks longer than twice its period.
+type stalls struct {
+	mu   sync.Mutex
+	gaps [][2]time.Time
+}
+
+// longest returns the longest stall during [from, to], less the tick
+// period: the part of a gap inside the interval by which it outlasts a
+// tick.
+func (s *stalls) longest(from, to time.Time) time.Duration {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var d time.Duration
+	for _, g := range s.gaps {
+		start, end := g[0], g[1]
+		if start.Before(from) {
+			start = from
+		}
+		if end.After(to) {
+			end = to
+		}
+		d = max(d, end.Sub(start)-watchTick)
+	}
+	return d
+}
+
 // watchRuns checks, every millisecond until stop is called, that no
 // reader run is on its reader streamSlack past handOff, none runs while a
 // run of its connection that handed off is going, and no more Heavy jobs
-// run than the pool has workers.
-func watchRuns(srv *Server, sys *core.System, f *findings) (stop func()) {
+// run than the pool has workers.  It records in stalled each gap between
+// its ticks longer than twice the period.
+func watchRuns(srv *Server, sys *core.System, f *findings, stalled *stalls) (stop func()) {
 	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(exited)
-		tick := time.NewTicker(time.Millisecond)
+		tick := time.NewTicker(watchTick)
 		defer tick.Stop()
+		last := time.Now()
 		for {
 			select {
 			case <-done:
 				return
 			case <-tick.C:
 			}
+			now := time.Now()
+			if now.Sub(last) > 2*watchTick {
+				stalled.mu.Lock()
+				stalled.gaps = append(stalled.gaps, [2]time.Time{last, now})
+				stalled.mu.Unlock()
+			}
+			last = now
 			srv.rmu.Lock()
 			for r := range srv.runs {
 				if n := r.c.handedRuns.Load(); n > 0 {
@@ -541,7 +583,7 @@ type streamJob struct {
 
 // runConn drives one connection of a stream: the set-up, closed-loop,
 // then each batch, checking every reply against the local session ref.
-func runConn(srv *Server, addr string, ref *auvm.Session, n int, cs connStream, timed bool, f *findings) {
+func runConn(srv *Server, addr string, ref *auvm.Session, n int, cs connStream, timed bool, f *findings, stalled *stalls) {
 	ctx := context.Background()
 	name := fmt.Sprintf("conn %d", n)
 	nc, err := net.Dial("tcp", addr)
@@ -613,7 +655,8 @@ func runConn(srv *Server, addr string, ref *auvm.Session, n int, cs connStream, 
 				continue
 			}
 			delete(want, resp.ID)
-			if msg := checkReply(e, resp, a.at, jobs, events, cs.notify, timed, ending); msg != "" {
+			stall := stalled.longest(e.sent, a.at)
+			if msg := checkReply(e, resp, a.at, stall, jobs, events, cs.notify, timed, ending); msg != "" {
 				f.add("%s: %q (id %d): %s", name, e.s.cmd, resp.ID, msg)
 			}
 			if sub, ok := resp.Res.(*command.SubmitResult); ok && resp.Error == nil {
@@ -839,9 +882,10 @@ func serverConn(srv *Server, nc net.Conn) *conn {
 
 // checkReply checks one reply against what was expected of it, and
 // returns what is wrong, "" when nothing is.  timed says a ping's reply
-// must come within handOff plus streamSlack; ending, that the connection
-// hung up behind the request, which may then answer cancelled.
-func checkReply(e *expected, got *wire.Response, at time.Time, jobs []streamJob, events map[int64][]string, notify, timed, ending bool) string {
+// must come within handOff plus streamSlack, the watcher's longest stall
+// between its sending and at aside; ending, that the connection hung up
+// behind the request, which may then answer cancelled.
+func checkReply(e *expected, got *wire.Response, at time.Time, stall time.Duration, jobs []streamJob, events map[int64][]string, notify, timed, ending bool) string {
 	code := ""
 	if got.Error != nil {
 		code = got.Error.Code
@@ -858,8 +902,8 @@ func checkReply(e *expected, got *wire.Response, at time.Time, jobs []streamJob,
 		if _, ok := got.Res.(*command.PingResult); !ok || code != "" {
 			return fmt.Sprintf("answered %+v, want pong", got)
 		}
-		if d := at.Sub(e.sent); timed && d > handOff+streamSlack {
-			return fmt.Sprintf("answered %v after it was sent, want within %v", d, handOff+streamSlack)
+		if d := at.Sub(e.sent); timed && d-stall > handOff+streamSlack {
+			return fmt.Sprintf("answered %v after it was sent, %v of it the watcher's longest stall, want within %v", d, stall, handOff+streamSlack)
 		}
 	case stepSolveLong:
 		if code != wire.CodeCancelled {
