@@ -11,16 +11,17 @@
 //	      [-store mem|file] [-store-path fem2.db] [-store-sync]
 //	      [-advertise host:port] [-lease-ttl 2s]
 //	      [-max-jobs N] [-quota-policy reject|queue]
-//	      [-request-timeout 0] [-resubmit-lost N] [-resubmit-backoff 1s]
+//	      [-request-timeout 0]
 //	      [-drain-timeout 30s] [-metrics 0] [-metrics-out file]
 //
 // With -store file -store-path fem2.db the daemon is durable: stored
 // models and the job journal live in the store file, so a restarted daemon serves everything its predecessor did —
 // jobs in flight at a crash come back deterministically failed with a
-// "lost to restart" cause.  -store-sync additionally fsyncs every
+// "lost to restart" cause.  Such a job is not run again: sessions and
+// their workspaces do not outlive the process, so its owner retrieves
+// the model and submits anew.  -store-sync additionally fsyncs every
 // batch (durable through power loss, not just process death) at a
-// throughput cost; -resubmit-lost N opts lost jobs into automatic
-// resubmission, up to N attempts each with exponential backoff.
+// throughput cost.
 //
 // The daemon degrades instead of dying when its store does: after
 // persistent write failures it flips to read-only (mutating verbs
@@ -85,8 +86,6 @@ func main() {
 	advertise := flag.String("advertise", "", "join a cluster over the shared -store file, advertising this address to redirected clients")
 	leaseTTL := flag.Duration("lease-ttl", 0, "with -advertise: cluster lease lifetime (0 = default)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-command server-side execution bound (0 = none; wait and submit are exempt)")
-	resubmitLost := flag.Int("resubmit-lost", 0, "auto-resubmit jobs lost to a crash, up to N attempts each (0 = off)")
-	resubmitBackoff := flag.Duration("resubmit-backoff", time.Second, "base backoff between lost-job resubmissions")
 	metricsInterval := flag.Duration("metrics", 0, "emit one JSON metrics line per interval (0 = off)")
 	metricsOut := flag.String("metrics-out", "", "with -metrics: append metric lines to this file instead of stderr")
 	flag.Parse()
@@ -165,18 +164,6 @@ func main() {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	if *resubmitLost > 0 {
-		go func() {
-			ids, err := sys.ResubmitLost(ctx, fem2.ResubmitPolicy{
-				MaxAttempts: *resubmitLost, Backoff: *resubmitBackoff})
-			if err != nil {
-				logger.Printf("lost-job resubmission stopped: %v", err)
-			}
-			if len(ids) > 0 {
-				logger.Printf("resubmitted %d job(s) lost to restart", len(ids))
-			}
-		}()
-	}
 
 	select {
 	case err := <-errc:

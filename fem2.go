@@ -450,10 +450,6 @@ type GuardOpts = store.GuardOpts
 // WithStoreGuard adjusts the degradation guard's thresholds and hooks.
 func WithStoreGuard(g GuardOpts) Option { return func(o *core.Options) { o.Guard = g } }
 
-// ResubmitPolicy bounds System.ResubmitLost's automatic requeue of
-// jobs lost to a crash; the zero value resubmits nothing.
-type ResubmitPolicy = job.ResubmitPolicy
-
 // The network layer: fem2d serves a System over TCP (length-prefixed
 // JSON frames carrying the typed command language — docs/protocol.md),
 // and Client speaks the same typed Do surface back, rendering results

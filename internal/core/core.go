@@ -335,8 +335,8 @@ type ClusterOpts struct {
 	// leader renews, and a follower polls, every TTL/3.
 	TTL time.Duration
 	// OnPromote, when non-nil, runs after the system finished takeover
-	// recovery (store sealed, journal replayed) —
-	// the daemon logs and optionally resubmits lost jobs from it.
+	// recovery (store sealed, journal replayed); the daemon logs the
+	// promotion from it.
 	OnPromote func(epoch int64)
 	// OnDemote, when non-nil, runs when this daemon loses the lease.
 	OnDemote func(reason string)
@@ -562,14 +562,6 @@ func (s *System) CloseSession(user string) bool {
 	delete(s.sessions, user)
 	s.Jobs.CancelOwner(user)
 	return true
-}
-
-// ResubmitLost requeues jobs the last crash destroyed ("lost to
-// restart"), bounded by policy, executing each under its original
-// owner's session.  Opt-in via the daemon's -resubmit-lost flag; see
-// job.ResubmitPolicy for the bounds and backoff.
-func (s *System) ResubmitLost(ctx context.Context, p job.ResubmitPolicy) ([]job.JobID, error) {
-	return s.Jobs.ResubmitLost(ctx, func(owner string) job.Executor { return s.Session(owner) }, p)
 }
 
 // Drain waits for every live job to reach a terminal state, or for ctx

@@ -322,3 +322,55 @@ func TestSolveStoreBatches(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenLoadsRecordsWithRetiredFields reopens a journal whose records
+// carry the "attempt" and "resubmitted" keys an automatic resubmission
+// of lost jobs once wrote: a lost job marked resubmitted, its
+// replacement done at attempt 1, and a second replacement still running
+// when its daemon died.  The decoder ignores the keys, and status and
+// jobs render what they rendered while the keys were read.
+func TestOpenLoadsRecordsWithRetiredFields(t *testing.T) {
+	const (
+		cmd = `{"verb":"solve","body":{"Model":"plate","Set":"tip","Method":"","Precond":"","Parallel":0,"Substructures":0}}`
+		res = `{"kind":"solve","body":{"Model":"plate","Set":"tip","Backend":"cholesky","Precond":"","Parallel":0,"Substructures":0,` +
+			`"Iterations":0,"Residual":0,"HaloWords":0,"Makespan":0,"Flops":120,"Refactored":false,"MaxDisp":0.25,"MaxDOF":7}}`
+	)
+	records := map[int64]string{
+		1: `{"id":1,"owner":"eng@conn-1","model":"plate","cmd":` + cmd + `,"state":"failed","err":"job-1 lost to restart","resubmitted":true}`,
+		2: `{"id":2,"owner":"eng@conn-1","model":"plate","cmd":` + cmd + `,"state":"done","result":` + res + `,"ops":1,"flops":120,"attempt":1}`,
+		3: `{"id":3,"owner":"eng@conn-1","model":"plate","cmd":` + cmd + `,"state":"running","attempt":1}`,
+	}
+	sc := store.Config{Backend: store.BackendFile, Path: filepath.Join(t.TempDir(), "fem2.db")}
+	open := func() *System {
+		t.Helper()
+		sys, err := Open(Options{Arch: arch.DefaultConfig(), Workers: 1, Store: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := open()
+	for id, rec := range records {
+		if err := sys.Store.Put(store.JobKey(id), []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Close()
+
+	sys = open()
+	defer sys.Close()
+	s := sys.Session("later")
+	for _, c := range []struct{ line, want string }{
+		{"status job-1", `job-1 failed (owner "eng@conn-1"): solve plate tip — job-1 lost to restart`},
+		{"status job-2", `job-2 done (owner "eng@conn-1"): solve plate tip [120 flops, 0 cycles]`},
+		{"status job-3", `job-3 failed (owner "eng@conn-1"): solve plate tip — job-3 lost to restart`},
+		{"jobs", "jobs (3):\n" +
+			"  job-1    failed    eng@conn-1 solve plate tip\n" +
+			"  job-2    done      eng@conn-1 solve plate tip\n" +
+			"  job-3    failed    eng@conn-1 solve plate tip"},
+	} {
+		if got := run(t, s, c.line); got != c.want {
+			t.Errorf("%s after reopen:\n%s\nwant\n%s", c.line, got, c.want)
+		}
+	}
+}

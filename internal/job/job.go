@@ -111,10 +111,6 @@ type Snapshot struct {
 	// cancelled before it ran), solver floating point operations, and
 	// simulated machine cycles (parallel solves only).
 	Ops, Flops, Cycles int64
-	// Attempt is the auto-resubmission generation: 0 for a job submitted
-	// by a user, n for the n'th bounded resubmission of a job recovered
-	// as lost to restart (see ResubmitLost).
-	Attempt int
 }
 
 // Filter selects jobs for List.  Zero fields match everything.

@@ -43,11 +43,6 @@ type journalRecord struct {
 	Ops    int64           `json:"ops,omitempty"`
 	Flops  int64           `json:"flops,omitempty"`
 	Cycles int64           `json:"cycles,omitempty"`
-	// Attempt is the auto-resubmission generation (see ResubmitLost);
-	// Resubmitted marks a lost record whose work has already been
-	// requeued as a fresh job, so recovery never requeues it again.
-	Attempt     int  `json:"attempt,omitempty"`
-	Resubmitted bool `json:"resubmitted,omitempty"`
 	// Epoch is the cluster lease epoch the writing daemon held (see
 	// internal/cluster); 0 outside a cluster.  A takeover's journal
 	// replay can tell which leadership stint wrote each record.
@@ -65,7 +60,7 @@ type journalRecord struct {
 var recordPlan = codec.PlanOf(reflect.TypeOf(journalRecord{}), command.CommandCodec, command.ResultCodec)
 
 // lostErr is the deterministic failure text recovery writes on a job
-// the crash destroyed; ResubmitLost recognizes candidates by it.
+// the crash destroyed.
 func lostErr(id int64) string { return fmt.Sprintf("job-%d lost to restart", id) }
 
 // AttachJournal connects the scheduler to a store and recovers the job
@@ -227,7 +222,6 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 		ID: int64(j.id), Owner: j.owner, Model: j.model, Command: j.cmd,
 		State: j.state.String(), Res: j.res,
 		Ops: j.ops, Flops: j.flops, Cycles: j.cycles,
-		Attempt: j.attempt, Resubmitted: j.resubmitted,
 	}
 	if s.epoch != nil {
 		rec.Epoch = s.epoch()
@@ -297,8 +291,6 @@ func jobFromRecord(rec journalRecord) (*job, error) {
 		id: JobID(rec.ID), owner: rec.Owner, model: rec.Model, cmd: cmd,
 		cancel: func() {}, state: st,
 		ops: rec.Ops, flops: rec.Flops, cycles: rec.Cycles,
-		attempt: rec.Attempt, resubmitted: rec.Resubmitted,
-		lost: st == Failed && rec.Err == lostErr(rec.ID),
 		done: make(chan struct{}),
 	}
 	close(j.done) // recovered records are terminal by construction

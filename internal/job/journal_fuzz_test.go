@@ -25,7 +25,6 @@ func FuzzJournalRecord(f *testing.F) {
 		{id: 2, owner: "eng", model: "m", cmd: solveOn("m"), state: Failed, err: errors.New("fem: singular stiffness"), ops: 1},
 		{id: 3, owner: "ann", model: "p", cmd: solveOn("p"), state: Cancelled, err: fmt.Errorf("job-3: %w", errs.ErrCancelled)},
 		{id: 4, owner: "eng", model: "m", cmd: solveOn("m"), state: Queued},
-		{id: 5, owner: "eng", model: "m", cmd: solveOn("m"), state: Running, attempt: 1},
 	} {
 		s.mu.Lock()
 		raw, err := s.recordLocked(j)
@@ -36,6 +35,9 @@ func FuzzJournalRecord(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	// A record with the "attempt" key that automatic resubmission of lost
+	// jobs once wrote; the decoder ignores it.
+	f.Add([]byte(`{"id":5,"owner":"eng","model":"m","cmd":{"verb":"solve","body":{"Model":"m","Set":"l","Method":"","Precond":"","Parallel":0,"Substructures":0}},"state":"running","attempt":1}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		st := store.NewMemStore()
 		if err := st.Put(store.JobKey(1), raw); err != nil {
@@ -97,8 +99,8 @@ func statusRendering(t *testing.T, s *Scheduler) string {
 	if err != nil {
 		t.Fatalf("Status of a recovered job: %v", err)
 	}
-	out := fmt.Sprintf("job-%d owner=%q model=%q state=%s cmd=%q ops=%d flops=%d cycles=%d attempt=%d",
-		snap.ID, snap.Owner, snap.Model, snap.State, snap.Cmd.String(), snap.Ops, snap.Flops, snap.Cycles, snap.Attempt)
+	out := fmt.Sprintf("job-%d owner=%q model=%q state=%s cmd=%q ops=%d flops=%d cycles=%d",
+		snap.ID, snap.Owner, snap.Model, snap.State, snap.Cmd.String(), snap.Ops, snap.Flops, snap.Cycles)
 	if snap.Err != nil {
 		out += fmt.Sprintf(" err=%q", snap.Err)
 	}

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/command"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -331,7 +333,7 @@ func TestJournalRecordAllocationFree(t *testing.T) {
 	defer s.Close()
 	s.SetEpochSource(func() int64 { return 3 })
 	j := &job{
-		id: 7, owner: "eng", model: "a", cmd: solveOn("a"), state: Done, attempt: 1,
+		id: 7, owner: "eng", model: "a", cmd: solveOn("a"), state: Done,
 		res: &command.SolveResult{Model: "a", Set: "l", Backend: "cholesky",
 			Residual: 1.5e-12, Flops: 120, Refactored: true, MaxDisp: 2.25, MaxDOF: 3},
 		ops: 1, flops: 120, cycles: 40,
@@ -346,5 +348,53 @@ func TestJournalRecordAllocationFree(t *testing.T) {
 	}
 	if !reflect.ValueOf(s.rec).IsZero() {
 		t.Errorf("the scheduler's record still holds %+v after the encode", s.rec)
+	}
+}
+
+// TestJournalWriteFailureDoesNotStopScheduler pins the journal's jobs
+// contract: a store that fails every write must not fail the jobs it
+// records — the scheduler counts and logs the misses and the jobs
+// themselves still run to Done.
+func TestJournalWriteFailureDoesNotStopScheduler(t *testing.T) {
+	in := fault.NewInjector(1, fault.Rule{Op: fault.OpPut, Fault: fault.Fault{Err: fault.ErrIO}})
+	st := fault.NewStore(store.NewMemStore(), in)
+	s := NewScheduler(2)
+	defer s.Close()
+	if _, err := s.AttachJournal(st); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var lines []string
+	s.SetLogf(func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	})
+	in.Arm()
+
+	runN(t, s, 3)
+	for id := JobID(1); id <= 3; id++ {
+		snap, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.State != Done {
+			t.Errorf("job-%d under journal faults = %v, want done", id, snap.State)
+		}
+	}
+	if got := s.JournalErrors(); got < 6 { // submit + terminal write per job
+		t.Errorf("JournalErrors() = %d, want >= 6", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	// Rate-limited: first three misses log, the fourth through 99th are
+	// silent.
+	if len(lines) != 3 {
+		t.Errorf("logged %d lines, want 3 (rate-limited): %q", len(lines), lines)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, "journal write") || !strings.Contains(l, "continuing") {
+			t.Errorf("log line %q does not describe a tolerated journal miss", l)
+		}
 	}
 }

@@ -61,27 +61,18 @@ type job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// attempt is the auto-resubmission generation (0 = user-submitted),
-	// immutable after submit like the identity fields above.
-	attempt int
-
 	// Guarded by Scheduler.mu.
 	state              State
 	res                command.Result
 	err                error
 	ops, flops, cycles int64
-	// lost marks a record recovered as "lost to restart"; resubmitted
-	// marks a lost record ResubmitLost has already requeued, so a
-	// crash-restart loop never requeues the same record twice.
-	lost, resubmitted bool
 	// pooled marks a Heavy job: it takes a pool slot while it runs, on a
 	// worker or on its submitter (Own), and is counted in executing.
 	pooled bool
 	// journaled records that finishLocked's write of the terminal record
 	// reached the journal, so retention eviction has nothing to flush.  It
 	// stays false after a failed write, with no journal attached, and on a
-	// record recovered from a journal (lost, or resubmitted later): those
-	// are written at eviction.
+	// record recovered from a journal: those are written at eviction.
 	journaled bool
 	// done is closed exactly once, when the job reaches a terminal
 	// state.
@@ -258,8 +249,8 @@ func (s *Scheduler) syncQueueGaugeLocked() {
 }
 
 // SetLogf installs the scheduler's diagnostic log sink (the daemon's
-// logger).  Only journal failures and resubmission activity log; nil
-// silences them.
+// logger).  Only journal write failures and panics in executed
+// commands log; nil silences them.
 func (s *Scheduler) SetLogf(f func(format string, args ...any)) {
 	s.mu.Lock()
 	s.logf = f
@@ -348,12 +339,6 @@ func notFound(id JobID) error {
 // frees, by policy.  Under a context from WithOwn, a Heavy job wakes no
 // worker at submit: the submitter's Own.Take decides where it runs.
 func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd command.Command) (JobID, error) {
-	return s.submit(ctx, owner, ex, cmd, 0)
-}
-
-// submit is Submit with the resubmission generation threaded through —
-// ResubmitLost requeues lost jobs at attempt n+1.
-func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd command.Command, attempt int) (JobID, error) {
 	if cmd == nil || ex == nil {
 		return 0, errs.Usage("submit needs a command and an executor")
 	}
@@ -373,7 +358,7 @@ func (s *Scheduler) submit(ctx context.Context, owner string, ex Executor, cmd c
 	jctx, cancel := context.WithCancel(ctx)
 	j := &job{
 		owner: owner, model: command.ModelOf(cmd), cmd: cmd, ex: ex,
-		ctx: jctx, cancel: cancel, attempt: attempt,
+		ctx: jctx, cancel: cancel,
 		state: Queued, done: make(chan struct{}),
 	}
 
@@ -680,7 +665,6 @@ func (s *Scheduler) snapshotLocked(j *job) Snapshot {
 		ID: j.id, Owner: j.owner, Cmd: j.cmd, Model: j.model,
 		State: j.state, Result: j.res, Err: j.err,
 		Ops: j.ops, Flops: j.flops, Cycles: j.cycles,
-		Attempt: j.attempt,
 	}
 }
 

@@ -68,7 +68,7 @@ type stepKind uint8
 const (
 	stepPing       stepKind = iota
 	stepSolve               // a synchronous solve of g
-	stepSolveLong           // a synchronous SOR solve of wide or tall, ended by streamTimeout
+	stepSolveLong           // a synchronous SOR solve of wide or wide2, ended by streamTimeout
 	stepEndLoad             // g's load set, redrawn
 	stepMaterial            // the session's material
 	stepGenerate            // g, regenerated
@@ -92,17 +92,20 @@ var stepKinds = []stepKind{stepPing, stepPing, stepSolve, stepSolve, stepSolveLo
 var (
 	streamPlate = command.GenerateGrid{Name: "g", NX: 8, NY: 6, W: 8, H: 6, ClampLeft: true}
 	solveG      = command.Solve{Model: "g", Set: "l"}
-	// A connection's two synchronous SOR solves iterate on wide and tall,
-	// and a submitted one on big, so none waits for another's model.
-	sorSolves = []command.Solve{{Model: "wide", Set: "l", Method: command.MethodSOR}, {Model: "tall", Set: "l", Method: command.MethodSOR}}
+	// A connection's two synchronous SOR solves iterate on wide and wide2,
+	// and a submitted one on big, so none waits for another's model.  Both
+	// are the 40×24 plate: SOR needs ~53 000 iterations (seconds) on it,
+	// far past streamTimeout, where on the 24×40 plate it converges in
+	// 6 765 (~0.4 s), at times before the timeout.
+	sorSolves = []command.Solve{{Model: "wide", Set: "l", Method: command.MethodSOR}, {Model: "wide2", Set: "l", Method: command.MethodSOR}}
 	sorJob    = command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}}
 	// streamSetup opens every connection's session, closed-loop.
 	streamSetup = []command.Command{streamPlate, command.EndLoad{Model: "g", Set: "l", FY: -100}, solveG,
 		bigGrid, command.EndLoad{Model: "big", Set: "l", FY: -100},
 		command.GenerateGrid{Name: "wide", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true},
 		command.EndLoad{Model: "wide", Set: "l", FY: -100},
-		command.GenerateGrid{Name: "tall", NX: 24, NY: 40, W: 24, H: 40, ClampLeft: true},
-		command.EndLoad{Model: "tall", Set: "l", FY: -100}}
+		command.GenerateGrid{Name: "wide2", NX: 40, NY: 24, W: 40, H: 24, ClampLeft: true},
+		command.EndLoad{Model: "wide2", Set: "l", FY: -100}}
 	// unissued is a job id no stream reaches.
 	unissued int64 = 1 << 40
 )

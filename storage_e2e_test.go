@@ -14,6 +14,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -143,6 +145,8 @@ func startDaemon(t testing.TB, bin, storePath string) (*exec.Cmd, string) {
 // fem2d daemon on a file store is SIGKILLed mid-workload; its restart
 // serves every stored model and the job history, with the job that was
 // in flight at the kill deterministically failed as lost to restart.
+// The restart starts no job by itself: its job list holds exactly the
+// ids issued before the kill, and the next submit gets the next id.
 func TestDaemonKillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real daemon")
@@ -165,10 +169,12 @@ func TestDaemonKillRecovery(t *testing.T) {
 	mustRemote(t, cl, "load big heavy endload 0 -1000")
 	// Two heavy solves on one worker: the first occupies it, so the
 	// second is still queued (non-terminal) whenever the kill lands.
-	if _, err := cl.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "big", Set: "heavy"}}); err != nil {
+	res, err := cl.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "big", Set: "heavy"}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "plate", Set: "tip"}})
+	bigID := res.(*fem2.SubmitResult).ID
+	res, err = cl.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "plate", Set: "tip"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +200,28 @@ func TestDaemonKillRecovery(t *testing.T) {
 	if got := cl2.Storage(); got != "file" {
 		t.Errorf("restarted daemon storage = %q, want file", got)
 	}
+	jobsOut := mustRemote(t, cl2, "jobs")
+	var listed []int64
+	for _, m := range regexp.MustCompile(`(?m)^\s*job-(\d+) `).FindAllStringSubmatch(jobsOut, -1) {
+		id, _ := strconv.ParseInt(m[1], 10, 64)
+		listed = append(listed, id)
+	}
+	if want := []int64{bigID, lostID}; !slices.Equal(listed, want) {
+		t.Errorf("jobs after restart list %v, want exactly the ids issued before the kill %v:\n%s", listed, want, jobsOut)
+	}
 	if out := mustRemote(t, cl2, "list db"); !strings.Contains(out, "plate") {
 		t.Errorf("list db after kill = %q", out)
 	}
 	mustRemote(t, cl2, "retrieve plate")
 	if out := mustRemote(t, cl2, "solve plate tip"); !strings.Contains(out, "plate") {
 		t.Errorf("solve on recovered model = %q", out)
+	}
+	res, err = cl2.Do(ctx, fem2.SubmitCommand{Cmd: fem2.SolveCommand{Model: "plate", Set: "tip"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := res.(*fem2.SubmitResult).ID; id != lostID+1 {
+		t.Errorf("first submit after restart got job-%d, want job-%d", id, lostID+1)
 	}
 	out := mustRemote(t, cl2, fmt.Sprintf("status job-%d", lostID))
 	wantErr := fmt.Sprintf("job-%d lost to restart", lostID)
