@@ -29,8 +29,13 @@ var ErrNotFound = errs.ErrNotFound
 type Database struct {
 	st      store.Store
 	backend string
-	mu      sync.Mutex // serializes Delete's check-then-delete
+	mu      sync.Mutex // serializes Delete's check-then-delete and guards rec
+	rec     []byte     // Store's record buffer, reused: Put copies what it keeps
 }
+
+// maxRetainedRecord is the largest record buffer Store keeps for the next
+// store; a larger model's record is built in a buffer of its own.
+const maxRetainedRecord = 1 << 20
 
 // NewDatabaseOn builds a database over an opened store.  backend is
 // the configured backend name, reported by the version verb.
@@ -44,9 +49,14 @@ func (db *Database) Backend() string { return db.backend }
 // Store serializes a model and its load sets into the database ("store
 // model in DB").
 func (db *Database) Store(m *fem.Model, loads []*fem.LoadSet) error {
-	raw, err := encodeModelRecord(m, loads)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	raw, err := appendModelRecord(db.rec[:0], m, loads)
 	if err != nil {
 		return err
+	}
+	if cap(raw) <= maxRetainedRecord {
+		db.rec = raw
 	}
 	return db.st.Put(store.ModelKey(m.Name), raw)
 }

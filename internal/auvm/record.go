@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/fem"
@@ -53,13 +54,20 @@ func materialBits(m fem.Material) matBits {
 
 // encodeModelRecord writes a model and its load sets as a record.
 func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
+	return appendModelRecord(nil, m, loads)
+}
+
+// appendModelRecord appends the record of a model and its load sets to
+// b, growing it at most once for a record that fits the size guess.
+func appendModelRecord(b []byte, m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
+	fixed := m.FixedDOFs()
 	// Exact for the nodes, a guess for the rest (ids and indices of one
 	// or two bytes, a handful of materials); append grows a short guess.
-	size := 64 + len(m.Name) + 16*len(m.Nodes) + 8*len(m.Elements) + 2*m.NumFixed() + 4*32
+	size := 64 + len(m.Name) + 16*len(m.Nodes) + 8*len(m.Elements) + 2*len(fixed) + 4*32
 	for _, ls := range loads {
 		size += 12 + len(ls.Name) + 11*len(ls.Entries)
 	}
-	b := append(make([]byte, 0, size), 0, recordTag, recordVersion)
+	b = append(slices.Grow(b, size), 0, recordTag, recordVersion)
 	b = appendString(b, m.Name)
 
 	b = binary.AppendUvarint(b, uint64(len(m.Nodes)))
@@ -68,7 +76,7 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(m.Elements)))
-	mats := map[matBits]int{}
+	var mats materialTable
 	for _, e := range m.Elements {
 		var mat fem.Material
 		switch el := e.(type) {
@@ -86,12 +94,7 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("auvm: cannot serialize element kind %q", e.Kind())
 		}
-		key := materialBits(mat)
-		idx, seen := mats[key]
-		if !seen {
-			idx = len(mats)
-			mats[key] = idx
-		}
+		idx, seen := mats.index(materialBits(mat))
 		b = binary.AppendUvarint(b, uint64(idx))
 		if !seen {
 			b = appendMaterial(b, mat)
@@ -99,11 +102,9 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 	}
 
 	prev := -1
-	for d := 0; d < m.NumDOF(); d++ {
-		if m.Fixed(d) {
-			b = binary.AppendUvarint(b, uint64(d-prev))
-			prev = d
-		}
+	for _, d := range fixed {
+		b = binary.AppendUvarint(b, uint64(d-prev))
+		prev = d
 	}
 	b = append(b, 0)
 
@@ -116,6 +117,39 @@ func encodeModelRecord(m *fem.Model, loads []*fem.LoadSet) ([]byte, error) {
 		}
 	}
 	return b, nil
+}
+
+// materialTable numbers materials in first-use order.  The material of
+// the element before answers without a map: a plate of one material
+// encodes with no map access, and a map is made only for a second
+// material.
+type materialTable struct {
+	last    matBits
+	lastIdx int
+	n       int // entries so far
+	idx     map[matBits]int
+}
+
+// index returns key's entry, adding it when it is new (seen false).
+func (t *materialTable) index(key matBits) (idx int, seen bool) {
+	if t.n > 0 && key == t.last {
+		return t.lastIdx, true
+	}
+	if t.n > 0 {
+		if t.idx == nil {
+			t.idx = map[matBits]int{t.last: t.lastIdx}
+		}
+		idx, seen = t.idx[key]
+	}
+	if !seen {
+		idx = t.n
+		t.n++
+		if t.idx != nil {
+			t.idx[key] = idx
+		}
+	}
+	t.last, t.lastIdx = key, idx
+	return idx, seen
 }
 
 // modelGraph builds the H-graph of a model and its load sets.  Elements
@@ -158,12 +192,7 @@ func modelGraph(m *fem.Model, loads []*fem.LoadSet) *hgraph.Graph {
 		n.Arc("material", mn)
 		return n
 	}))
-	var fixed []int
-	for d := 0; d < m.NumDOF(); d++ {
-		if m.Fixed(d) {
-			fixed = append(fixed, d)
-		}
-	}
+	fixed := m.FixedDOFs()
 	root.Arc("fixed", g.AddList("fixed", len(fixed), func(i int) *hgraph.Node {
 		return g.AddAtom("dof", hgraph.Int(int64(fixed[i])))
 	}))
@@ -232,15 +261,27 @@ func decodeModelRecord(raw []byte) (*fem.Model, []*fem.LoadSet, error) {
 		m.AddNode(r.float(), r.float())
 	}
 
+	// The elements of a kind share one array, sized at the kind's first
+	// element for every element still to come, so it never moves.
 	n = r.count(4)
 	m.Elements = make([]fem.Element, 0, n)
+	var bars []fem.Bar
+	var csts []fem.CST
 	for i := 0; i < n; i++ {
 		var e fem.Element
 		switch r.byte() {
 		case elemBar:
-			e = &fem.Bar{N1: int(r.uvarint()), N2: int(r.uvarint()), Mat: r.material()}
+			if bars == nil {
+				bars = make([]fem.Bar, 0, n-i)
+			}
+			bars = append(bars, fem.Bar{N1: int(r.uvarint()), N2: int(r.uvarint()), Mat: r.material()})
+			e = &bars[len(bars)-1]
 		case elemCST:
-			e = &fem.CST{N1: int(r.uvarint()), N2: int(r.uvarint()), N3: int(r.uvarint()), Mat: r.material()}
+			if csts == nil {
+				csts = make([]fem.CST, 0, n-i)
+			}
+			csts = append(csts, fem.CST{N1: int(r.uvarint()), N2: int(r.uvarint()), N3: int(r.uvarint()), Mat: r.material()})
+			e = &csts[len(csts)-1]
 		default:
 			r.bad = true
 		}
@@ -252,6 +293,7 @@ func decodeModelRecord(raw []byte) (*fem.Model, []*fem.LoadSet, error) {
 		}
 	}
 
+	m.GrowFixed(r.gaps())
 	for d := -1; ; {
 		gap := r.uvarint()
 		if gap == 0 {
@@ -347,6 +389,22 @@ func (r *recordReader) count(size int) int {
 		return 0
 	}
 	return int(n)
+}
+
+// gaps counts the fixed-dof gaps ahead of the 0 that ends them, without
+// reading them: each uvarint ends in its one byte below 0x80, and no
+// uvarint the reader accepts has a 0 byte but the value 0 itself.
+func (r *recordReader) gaps() int {
+	n := 0
+	for _, c := range r.b {
+		if c == 0 {
+			break
+		}
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 func (r *recordReader) str() string { return string(r.bytes()) }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -407,6 +408,145 @@ func TestModelRecordStoreAllocs(t *testing.T) {
 	}
 }
 
+// TestStoreRetrieveAllocationCeiling holds a model's trip through a
+// file-backed database to costs that do not grow with its elements.
+// Retrieve reads the elements of a kind into one array, so the 12×8 and
+// the 40×24 plate take the same count of allocations: 14 (15 under
+// -race), where an object per element took 403 and 3 861.  A steady-state Store encodes into the database's record
+// buffer and frames into the file store's, so it allocates no buffer of
+// the record's size: a few bytes, against 7 302 and 65 669 when each
+// store made both anew.
+func TestStoreRetrieveAllocationCeiling(t *testing.T) {
+	const retrieveAllocs, storeBytes, runs = 16, 64, 50
+	db, st := openFileDB(t, filepath.Join(t.TempDir(), "db"))
+	defer st.Close()
+	var counts []float64
+	for _, g := range []struct {
+		name   string
+		nx, ny int
+	}{{"t", 12, 8}, {"l", 40, 24}} {
+		m, loads := benchGrid(t, g.name, g.nx, g.ny)
+		if err := db.Store(m, loads); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if _, _, err := db.Retrieve(g.name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > retrieveAllocs {
+			t.Errorf("Retrieve of the %dx%d plate allocates %v times, ceiling %d", g.nx, g.ny, n, retrieveAllocs)
+		}
+		counts = append(counts, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := db.Store(m, loads); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > storeBytes {
+			t.Errorf("a steady-state Store of the %dx%d plate allocates %d B, ceiling %d B", g.nx, g.ny, per, storeBytes)
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("Retrieve allocates %v times for the 12x8 plate and %v for the 40x24: the count grows with the model", counts[0], counts[1])
+	}
+}
+
+// TestReusedRecordBufferLeaksNoBytes stores the 40×24 plate, then a 2×1
+// plate, through one file-backed database, whose record buffer and frame
+// buffer the second store reuses: the stored values, the index the file
+// replays to on reopen and a record encoded into no reused buffer agree,
+// and so do the models read back.
+func TestReusedRecordBufferLeaksNoBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db")
+	db, st := openFileDB(t, path)
+	var models []*fem.Model
+	var sets [][]*fem.LoadSet
+	for _, g := range []struct {
+		name   string
+		nx, ny int
+	}{{"l", 40, 24}, {"s", 2, 1}} {
+		m, loads := benchGrid(t, g.name, g.nx, g.ny)
+		if err := db.Store(m, loads); err != nil {
+			t.Fatal(err)
+		}
+		models, sets = append(models, m), append(sets, loads)
+	}
+	check := func(when string, st store.Store, db *Database) {
+		t.Helper()
+		for i, m := range models {
+			want, err := encodeModelRecord(m, sets[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := st.Get(store.ModelKey(m.Name))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: %q holds %d bytes (%v), a fresh encoding %d: they differ", when, m.Name, len(got), err, len(want))
+			}
+			rm, rl, err := db.Retrieve(m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffModels(sameBits, m, sets[i], rm, rl); d != "" {
+				t.Fatalf("%s: %q reads back differently: %s", when, m.Name, d)
+			}
+		}
+		names, _, err := db.List()
+		if err != nil || fmt.Sprint(names) != "[l s]" {
+			t.Fatalf("%s: List = %v, %v", when, names, err)
+		}
+	}
+	check("after the stores", st, db)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, st = openFileDB(t, path)
+	defer st.Close()
+	check("after reopen", st, db)
+}
+
+// TestModelRecordOfDescendingFixes pins a record byte for byte to what
+// the encoder wrote when the model kept its fixes in a map: the fixes go
+// in descending, with a repeat, and two of them belong to a node the
+// truncated model no longer has, so the record leaves them out.
+func TestModelRecordOfDescendingFixes(t *testing.T) {
+	m := fem.NewModel("desc")
+	for i := 0; i < 5; i++ {
+		m.AddNode(float64(i), float64(i%2))
+	}
+	tie := fem.Material{E: 70000, Nu: 0.33, T: 2, A: 450}
+	for _, e := range []fem.Element{
+		&fem.CST{N1: 0, N2: 1, N3: 2, Mat: fem.Steel()},
+		&fem.Bar{N1: 2, N2: 3, Mat: tie},
+		&fem.CST{N1: 1, N2: 3, N3: 2, Mat: fem.Steel()},
+	} {
+		if err := m.AddElement(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []int{9, 8, 7, 6, 3, 1, 0, 3} {
+		if err := m.FixDOF(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Nodes = m.Nodes[:4]
+	got, err := encodeModelRecord(m, []*fem.LoadSet{{Name: "l", Entries: []fem.LoadEntry{{DOF: 5, Value: -10}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Written by the map-keeping model's encoder (f112044).
+	const want = "004d0204646573630400000000000000000000000000000000000000000000f03f000000000000f03f0000000000000040" +
+		"00000000000000000000000000000840000000000000f03f03010001020000000000006a0841333333333333d33f0000000000002440" +
+		"000000000000594000020301000000000017f1401f85eb51b81ed53f00000000000000400000000000207c40010103020001010203" +
+		"010001016c010a00000000000024c0"
+	if hex.EncodeToString(got) != want {
+		t.Errorf("record\n got %x\nwant %s", got, want)
+	}
+}
+
 // format1Model is the model internal/auvm/testdata/model_format1.gob and
 // internal/core/testdata/store_format1.db hold.  Both files were written
 // by the last format-1 commit's gobModel and are never regenerated.
@@ -607,6 +747,7 @@ func FuzzModelRecord(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Add(readFixture(f))
+	var dirty []byte
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		st := store.NewMemStore()
 		if err := st.Put(store.ModelKey("f"), raw); err != nil {
@@ -630,6 +771,13 @@ func FuzzModelRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of an accepted record: %v", err)
 		}
+		// Database.Store encodes into the buffer the last store left
+		// behind, dirty with that record's bytes.
+		reused, err := appendModelRecord(dirty[:0], m, loads)
+		if err != nil || !bytes.Equal(reused, again) {
+			t.Fatalf("re-encode into a reused buffer: %v, %d bytes against %d, equal %v", err, len(reused), len(again), bytes.Equal(reused, again))
+		}
+		dirty = reused
 		m2, loads2, err := decodeModelRecord(again)
 		if err != nil {
 			t.Fatalf("re-encoded record refused: %v", err)

@@ -37,15 +37,10 @@ func RectGrid(name string, o RectGridOpts) (*Model, error) {
 	if o.W <= 0 || o.H <= 0 {
 		return nil, fmt.Errorf("%w: grid extent %gx%g", ErrModel, o.W, o.H)
 	}
-	nfix := 0
-	if o.ClampLeft {
-		nfix = DOFPerNode * (o.NY + 1)
-	}
 	m := &Model{
 		Name:     name,
 		Nodes:    make([]NodeCoord, 0, (o.NX+1)*(o.NY+1)),
 		Elements: make([]Element, 0, 2*o.NX*o.NY),
-		fixed:    make(map[int]bool, nfix),
 	}
 	dx, dy := o.W/float64(o.NX), o.H/float64(o.NY)
 	var rng *rand.Rand
@@ -77,6 +72,7 @@ func RectGrid(name string, o RectGridOpts) (*Model, error) {
 		}
 	}
 	if o.ClampLeft {
+		m.GrowFixed(DOFPerNode * (o.NY + 1))
 		for j := 0; j <= o.NY; j++ {
 			if err := m.FixNode(id(0, j)); err != nil {
 				return nil, err

@@ -14,6 +14,7 @@ package fem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -85,7 +86,10 @@ type Model struct {
 	// Elements is the element description list.
 	Elements []Element
 
-	fixed map[int]bool
+	// fixed is the constrained dofs, ascending and without repeats.  It
+	// may hold dofs past NumDOF: truncating Nodes leaves the fixes of the
+	// nodes it dropped behind, and Validate refuses them.
+	fixed []int
 	// retained is everything a re-solve reuses; see retainedSolve.
 	retained struct {
 		mu sync.Mutex
@@ -161,7 +165,7 @@ func (m *Model) assembleRetained() (*Assembled, error) {
 
 // NewModel returns an empty model.
 func NewModel(name string) *Model {
-	return &Model{Name: name, fixed: map[int]bool{}}
+	return &Model{Name: name}
 }
 
 // AddNode appends a grid node and returns its index.
@@ -172,12 +176,29 @@ func (m *Model) AddNode(x, y float64) int {
 
 // AddElement appends an element after validating its connectivity.
 func (m *Model) AddElement(e Element) error {
-	for _, n := range e.AppendNodes(nil) {
+	var err error
+	switch e := e.(type) {
+	case *CST:
+		err = m.checkNodes(e.N1, e.N2, e.N3)
+	case *Bar:
+		err = m.checkNodes(e.N1, e.N2)
+	default:
+		err = m.checkNodes(e.AppendNodes(nil)...)
+	}
+	if err != nil {
+		return err
+	}
+	m.Elements = append(m.Elements, e)
+	return nil
+}
+
+// checkNodes refuses the first node id the model does not have.
+func (m *Model) checkNodes(ids ...int) error {
+	for _, n := range ids {
 		if n < 0 || n >= len(m.Nodes) {
 			return fmt.Errorf("%w: element references node %d of %d", ErrModel, n, len(m.Nodes))
 		}
 	}
-	m.Elements = append(m.Elements, e)
 	return nil
 }
 
@@ -269,17 +290,26 @@ func (m *Model) NumDOF() int { return DOFPerNode * len(m.Nodes) }
 // DOF returns the global index of node n's d'th local freedom.
 func DOF(n, d int) int { return DOFPerNode*n + d }
 
-// FixDOF constrains one degree of freedom to zero displacement.
+// FixDOF constrains one degree of freedom to zero displacement.  Dofs
+// fixed in ascending order are appended; any other is inserted in its
+// place, and one fixed already is left alone.
 func (m *Model) FixDOF(dof int) error {
 	if dof < 0 || dof >= m.NumDOF() {
 		return fmt.Errorf("%w: fix dof %d of %d", ErrModel, dof, m.NumDOF())
 	}
-	if m.fixed == nil {
-		m.fixed = map[int]bool{}
+	if n := len(m.fixed); n == 0 || m.fixed[n-1] < dof {
+		m.fixed = append(m.fixed, dof)
+	} else if i, found := slices.BinarySearch(m.fixed, dof); !found {
+		m.fixed = slices.Insert(m.fixed, i, dof)
 	}
-	m.fixed[dof] = true
 	return nil
 }
+
+// GrowFixed makes room for n more fixed dofs, so that many FixDOF calls
+// in ascending order allocate nothing: a reader that knows the count
+// before it fixes (the record decoder) sizes the list once, as RectGrid
+// does.
+func (m *Model) GrowFixed(n int) { m.fixed = slices.Grow(m.fixed, n) }
 
 // FixNode constrains both freedoms of a node (a pin support).
 func (m *Model) FixNode(n int) error {
@@ -290,7 +320,18 @@ func (m *Model) FixNode(n int) error {
 }
 
 // Fixed reports whether a dof is constrained.
-func (m *Model) Fixed(dof int) bool { return m.fixed[dof] }
+func (m *Model) Fixed(dof int) bool {
+	_, found := slices.BinarySearch(m.fixed, dof)
+	return found
+}
+
+// FixedDOFs returns the constrained dofs of the model's nodes, ascending.
+// The slice is the model's own: the caller reads it and does not keep it
+// past the model's next FixDOF.
+func (m *Model) FixedDOFs() []int {
+	n, _ := slices.BinarySearch(m.fixed, m.NumDOF())
+	return m.fixed[:n]
+}
 
 // NumFixed returns the number of constrained freedoms.
 func (m *Model) NumFixed() int { return len(m.fixed) }
@@ -301,12 +342,11 @@ func (m *Model) NumFixed() int { return len(m.fixed) }
 func (m *Model) FreeDOFs() (free []int, index []int) {
 	n := m.NumDOF()
 	index = make([]int, n)
-	for d, fixed := range m.fixed {
-		if fixed && d < n {
-			index[d] = -1
-		}
+	fixed := m.FixedDOFs()
+	for _, d := range fixed {
+		index[d] = -1
 	}
-	free = make([]int, 0, max(n-len(m.fixed), 0))
+	free = make([]int, 0, n-len(fixed))
 	for d := range index {
 		if index[d] == 0 {
 			index[d] = len(free)
@@ -327,14 +367,8 @@ func (m *Model) Validate() error {
 	if len(m.Elements) == 0 {
 		return fmt.Errorf("%w: no elements", ErrModel)
 	}
-	n, stale := m.NumDOF(), -1
-	for d := range m.fixed {
-		if d >= n && (stale < 0 || d < stale) {
-			stale = d
-		}
-	}
-	if stale >= 0 {
-		return fmt.Errorf("%w: fixed dof %d of %d (its node is gone)", ErrModel, stale, n)
+	if n, fixed := m.NumDOF(), m.FixedDOFs(); len(fixed) < len(m.fixed) {
+		return fmt.Errorf("%w: fixed dof %d of %d (its node is gone)", ErrModel, m.fixed[len(fixed)], n)
 	}
 	if len(m.fixed) < 3 {
 		return fmt.Errorf("%w: only %d constrained freedoms; 2D statics needs >= 3", ErrModel, len(m.fixed))

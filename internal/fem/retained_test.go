@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -34,9 +35,7 @@ func deepCopy(t testing.TB, m *Model) *Model {
 			t.Fatalf("deepCopy: element %d is %T", i, e)
 		}
 	}
-	for d, fixed := range m.fixed {
-		c.fixed[d] = fixed
-	}
+	c.fixed = slices.Clone(m.fixed)
 	return c
 }
 

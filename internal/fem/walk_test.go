@@ -46,13 +46,13 @@ func (o *twoWalk) matches(ws *Workspace, m *Model) bool {
 	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
 		return false
 	}
-	// FixDOF only ever adds true entries, so equal counts plus every
-	// fixed dof being one the workspace eliminated means equal sets.
+	// The fixed list holds no repeats, so equal counts plus every fixed
+	// dof being one the workspace eliminated means equal sets.
 	if len(m.fixed) != len(ws.index)-len(ws.free) {
 		return false
 	}
-	for d, fixed := range m.fixed {
-		if !fixed || ws.index[d] >= 0 {
+	for _, d := range m.fixed {
+		if ws.index[d] >= 0 {
 			return false
 		}
 	}

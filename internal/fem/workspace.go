@@ -255,13 +255,13 @@ func (ws *Workspace) walk(m *Model) (topo, same bool) {
 	if m.NumDOF() != len(ws.index) || len(m.Elements) != len(ws.ndof) {
 		return false, false
 	}
-	// FixDOF only ever adds true entries, so equal counts plus every
-	// fixed dof being one the workspace eliminated means equal sets.
+	// The fixed list holds no repeats, so equal counts plus every fixed
+	// dof being one the workspace eliminated means equal sets.
 	if len(m.fixed) != len(ws.index)-len(ws.free) {
 		return false, false
 	}
-	for d, fixed := range m.fixed {
-		if !fixed || d >= len(ws.index) || ws.index[d] >= 0 {
+	for _, d := range m.fixed {
+		if d >= len(ws.index) || ws.index[d] >= 0 {
 			return false, false
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -64,6 +65,7 @@ type FileStore struct {
 	sync   bool  // fsync after every Batch (-store-sync)
 	shared bool  // multi-process mode: flock writes, never truncate/compact
 	closed bool
+	frame  []byte // batch's frame buffer, reused under mu
 }
 
 type valueLoc struct {
@@ -80,6 +82,10 @@ const (
 	// compactMinGarbage is the least dead-byte count worth rewriting
 	// the file for; below it Open leaves even 100%-garbage logs alone.
 	compactMinGarbage = 1 << 16
+
+	// maxRetainedFrame is the largest frame buffer a store keeps for its
+	// next batch; a larger batch is framed in a buffer of its own.
+	maxRetainedFrame = 1 << 20
 )
 
 // FileOpts bundles the file-backend knobs beyond the path.
@@ -321,8 +327,9 @@ func (s *FileStore) applyPayload(payload []byte, base int64) error {
 	return nil
 }
 
-// encodeFrame serializes ops into one framed batch ready to append.
-func encodeFrame(ops []Op) []byte {
+// appendFrame appends ops to dst as one framed batch ready to append to
+// the log.
+func appendFrame(dst []byte, ops []Op) []byte {
 	plen := 0
 	for _, op := range ops {
 		plen += 5 + len(op.Key)
@@ -330,26 +337,22 @@ func encodeFrame(ops []Op) []byte {
 			plen += 4 + len(op.Value)
 		}
 	}
-	buf := make([]byte, 4+plen+4)
-	binary.BigEndian.PutUint32(buf, uint32(plen))
-	i := 4
+	start := len(dst)
+	buf := slices.Grow(dst, 4+plen+4)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(plen))
 	for _, op := range ops {
+		kind := byte(opPut)
 		if op.Delete {
-			buf[i] = opDelete
-		} else {
-			buf[i] = opPut
+			kind = opDelete
 		}
-		binary.BigEndian.PutUint32(buf[i+1:], uint32(len(op.Key)))
-		i += 5
-		i += copy(buf[i:], op.Key)
+		buf = binary.BigEndian.AppendUint32(append(buf, kind), uint32(len(op.Key)))
+		buf = append(buf, op.Key...)
 		if !op.Delete {
-			binary.BigEndian.PutUint32(buf[i:], uint32(len(op.Value)))
-			i += 4
-			i += copy(buf[i:], op.Value)
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Value)))
+			buf = append(buf, op.Value...)
 		}
 	}
-	binary.BigEndian.PutUint32(buf[4+plen:], crc32.ChecksumIEEE(buf[4:4+plen]))
-	return buf
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start+4:]))
 }
 
 // Batch appends ops as one frame — a single write, so the batch is
@@ -368,7 +371,6 @@ func (s *FileStore) BatchIf(key string, want []byte, ops []Op) error {
 }
 
 func (s *FileStore) batch(key string, want []byte, cond bool, ops []Op) error {
-	frame := encodeFrame(ops)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -403,6 +405,13 @@ func (s *FileStore) batch(key string, want []byte, cond bool, ops []Op) error {
 				return fmt.Errorf("store: truncating torn tail of %s: %w", s.path, err)
 			}
 		}
+	}
+	// The frame is built in the store's own buffer: the index copies the
+	// keys out of it and keeps only offsets, so nothing points into it
+	// once the batch returns.
+	frame := appendFrame(s.frame[:0], ops)
+	if cap(frame) <= maxRetainedFrame {
+		s.frame = frame
 	}
 	n, err := s.f.WriteAt(frame, s.size)
 	if err != nil {
@@ -541,6 +550,7 @@ func (s *FileStore) compact() error {
 	}
 	newIndex := make(map[string]valueLoc, len(keys))
 	off := int64(len(fileMagic))
+	var frame []byte
 	for _, k := range keys {
 		loc := s.index[k]
 		v := make([]byte, loc.len)
@@ -548,7 +558,7 @@ func (s *FileStore) compact() error {
 			tmp.Close()
 			return fmt.Errorf("store: compacting %s: %w", s.path, err)
 		}
-		frame := encodeFrame([]Op{Put(k, v)})
+		frame = appendFrame(frame[:0], []Op{Put(k, v)})
 		if _, err := tmp.Write(frame); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: compacting %s: %w", s.path, err)

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/errs"
@@ -45,6 +49,58 @@ func TestFileStoreReopen(t *testing.T) {
 	if n != 49 {
 		t.Errorf("reopened store has %d keys, want 49", n)
 	}
+}
+
+// TestFileStoreShortBatchAfterALongOne frames a short batch in the buffer
+// a long one left behind: what Get reads, what the file replays to on
+// reopen and the frames appendFrame writes into no reused buffer agree.
+func TestFileStoreShortBatchAfterALongOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "frames.db")
+	s, err := OpenFileStoreWith(path, FileOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := []Op{Put("m:long", bytes.Repeat([]byte("L"), 40<<10)), Put("m:other", bytes.Repeat([]byte("o"), 300)), Del("m:none")}
+	short := []Op{Put("m:s", []byte("short")), Del("m:other")}
+	want := map[string]string{"m:long": string(long[0].Value), "m:s": "short"}
+	for _, ops := range [][]Op{long, short} {
+		if err := s.Batch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string, s *FileStore) {
+		t.Helper()
+		got := map[string]string{}
+		if err := s.Seek("", func(k string, v []byte) bool { got[k] = string(v); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the store holds %d keys, want %v", when, len(got), slices.Sorted(maps.Keys(want)))
+		}
+		for k, v := range want {
+			if g, err := s.Get(k); err != nil || string(g) != v {
+				t.Fatalf("%s: Get(%s) = %d bytes, %v", when, k, len(g), err)
+			}
+		}
+	}
+	check("after the batches", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := append(append([]byte(fileMagic), appendFrame(nil, long)...), appendFrame(nil, short)...)
+	if !bytes.Equal(raw, log) {
+		t.Fatalf("the log is %d bytes, two fresh frames %d: they differ", len(raw), len(log))
+	}
+	s, err = OpenFileStoreWith(path, FileOpts{CompactAt: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("after reopen", s)
 }
 
 // A torn tail — the partial frame a kill -9 mid-write leaves — must be

@@ -106,10 +106,10 @@ func repairCRCs(tail []byte) {
 // by Seal.
 func FuzzFileStoreLog(f *testing.F) {
 	log := bytes.Join([][]byte{
-		encodeFrame([]Op{Put("m:plate", bytes.Repeat([]byte{0, 'M', 2}, 40))}),
-		encodeFrame([]Op{Put("j:0000000000000001", []byte(`{"id":1,"state":"queued"}`))}),
-		encodeFrame([]Op{Put("j:0000000000000001", []byte(`{"id":1,"state":"done"}`)), Put("s:plate:00000001", []byte(`{"seq":1}`))}),
-		encodeFrame([]Op{Del("m:plate"), Del("s:plate:00000001"), Put("", nil)}),
+		appendFrame(nil, []Op{Put("m:plate", bytes.Repeat([]byte{0, 'M', 2}, 40))}),
+		appendFrame(nil, []Op{Put("j:0000000000000001", []byte(`{"id":1,"state":"queued"}`))}),
+		appendFrame(nil, []Op{Put("j:0000000000000001", []byte(`{"id":1,"state":"done"}`)), Put("s:plate:00000001", []byte(`{"seq":1}`))}),
+		appendFrame(nil, []Op{Del("m:plate"), Del("s:plate:00000001"), Put("", nil)}),
 	}, nil)
 	f.Add([]byte{}, false)
 	f.Add(log, false)

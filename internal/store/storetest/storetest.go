@@ -175,4 +175,17 @@ func BufferOwnership(t *testing.T, s store.Store) {
 	if v2, _ := s.Get("k"); string(v2) != "original" {
 		t.Fatalf("mutating a Get result corrupted the store: %q", v2)
 	}
+	// A Batch after a longer Batch: a store that builds its writes in a
+	// buffer it reuses keeps no byte of the first in the second.
+	if err := s.Batch([]store.Op{store.Put("long", []byte("a much longer value")), store.Put("k2", []byte("second"))}); err != nil {
+		t.Fatalf("long Batch: %v", err)
+	}
+	if err := s.Batch([]store.Op{store.Put("k2", []byte("2nd"))}); err != nil {
+		t.Fatalf("short Batch: %v", err)
+	}
+	for k, want := range map[string]string{"k": "original", "long": "a much longer value", "k2": "2nd"} {
+		if v, err := s.Get(k); err != nil || string(v) != want {
+			t.Fatalf("after a Batch after a longer Batch, Get(%s) = %q, %v, want %q", k, v, err, want)
+		}
+	}
 }
