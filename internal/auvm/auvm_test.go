@@ -388,6 +388,23 @@ func TestWorkspaceAccounting(t *testing.T) {
 	}
 }
 
+// TestListWorkspaceAllocations bounds what "list workspace" allocates
+// with a model in the workspace: a few allocations for the reply, none
+// per element, so the 40×24 plate stays under the 8×6 plate's ceiling.
+func TestListWorkspaceAllocations(t *testing.T) {
+	// 9 for either plate on go1.24; under -race sync.Pool drops some of
+	// fmt's printers, which reads one more now and then.
+	const ceiling = 12
+	for _, size := range []string{"8 6 8 6", "40 24 40 24"} {
+		s := newSession(t)
+		mustExec(t, s, "generate grid g "+size+" clamp-left")
+		mustExec(t, s, "load g l endload 1 0")
+		if n := testing.AllocsPerRun(50, func() { mustExec(t, s, "list workspace") }); n > ceiling {
+			t.Errorf("list workspace with a %s grid allocates %v times, ceiling %d", size, n, ceiling)
+		}
+	}
+}
+
 func TestAUVMOperationCounting(t *testing.T) {
 	s := newSession(t)
 	s.Obs = obs.New()

@@ -320,10 +320,12 @@ func (w *Workspace) Words() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var words int64
+	var nodes []int // one element's connectivity, reused
 	for _, e := range w.entries {
 		words += int64(2 * len(e.model.Nodes))
 		for _, el := range e.model.Elements {
-			words += int64(len(el.AppendNodes(nil)) + 1)
+			nodes = el.AppendNodes(nodes[:0])
+			words += int64(len(nodes) + 1)
 		}
 		for _, ls := range e.loads {
 			words += int64(2 * len(ls.Entries))

@@ -49,15 +49,42 @@ type journalRecord struct {
 	Epoch int64 `json:"epoch,omitempty"`
 	// Command and Res are the job's own command and result, written in
 	// place of Cmd and Result: the record of a live job is encoded in one
-	// pass with no envelope built in between.  A record read back carries
-	// the bytes only.
+	// pass with no envelope built in between.  decodeRecord fills them
+	// from the bytes it reads.
 	Command command.Command `json:"-" codec:"cmd"`
 	Res     command.Result  `json:"-" codec:"result"`
+	// cmdErr is why a record read by encoding/json has no Command: its
+	// command envelope does not decode.  Recovery reports it for a record
+	// it loads, as it reports any other damage there.
+	cmdErr error
 }
 
-// recordPlan writes a journalRecord byte for byte as encoding/json did;
-// records are read with encoding/json still.
+// recordPlan writes a journalRecord byte for byte as encoding/json did,
+// and reads back the canonical form it writes (decodeRecord).
 var recordPlan = codec.PlanOf(reflect.TypeOf(journalRecord{}), command.CommandCodec, command.ResultCodec)
+
+// decodeRecord reads one job record into rec, a zero record: through
+// recordPlan when the bytes are in the form recordLocked writes, else with
+// encoding/json (a record carrying a key no longer written, one spelt some
+// other way), as wire.DecodeRequest does.  Either way the Command and Res
+// twins come back set from the bytes — Res nil when the result does not
+// decode, as recovery has always treated it.  When the plan read the
+// record, its raw Cmd and Result alias raw.  The error is encoding/json's,
+// for bytes that are not a record at all.
+func decodeRecord(raw []byte, rec *journalRecord) error {
+	if rest, ok := recordPlan.Decode(raw, reflect.ValueOf(rec).Elem()); ok && len(rest) == 0 {
+		return nil
+	}
+	*rec = journalRecord{}
+	if err := json.Unmarshal(raw, rec); err != nil {
+		return err
+	}
+	rec.Command, rec.cmdErr = command.UnmarshalCommand(rec.Cmd)
+	if len(rec.Result) > 0 {
+		rec.Res, _ = command.UnmarshalResult(rec.Result)
+	}
+	return nil
+}
 
 // lostErr is the deterministic failure text recovery writes on a job
 // the crash destroyed.
@@ -147,38 +174,41 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 	}
 	s.mu.Unlock()
 
+	// Crash-interrupted records are rewritten before any job is loaded,
+	// so the store and the in-memory view agree even if we crash again
+	// mid-recovery.  The rewrite keeps the command's own bytes, so it is
+	// built while the Seek value they are read from is still ours.
 	var recs []journalRecord
-	var decodeErr error
+	var fixups []store.Op
+	var scanErr error
 	st.Seek(store.PrefixJob, func(k string, v []byte) bool {
 		var rec journalRecord
-		if err := json.Unmarshal(v, &rec); err != nil {
-			decodeErr = fmt.Errorf("job: corrupt journal record %q: %w", k, err)
+		if err := decodeRecord(v, &rec); err != nil {
+			scanErr = fmt.Errorf("job: corrupt journal record %q: %w", k, err)
 			return false
 		}
-		if !liveIDs[rec.ID] {
-			recs = append(recs, rec)
+		if liveIDs[rec.ID] {
+			return true
 		}
+		if st, err := ParseState(rec.State); err != nil || !st.Terminal() {
+			lost := rec
+			lost.State, lost.Err, lost.Result, lost.Command, lost.Res = Failed.String(), lostErr(rec.ID), nil, nil, nil
+			raw, err := recordPlan.Append(nil, reflect.ValueOf(&lost).Elem())
+			if err != nil {
+				scanErr = fmt.Errorf("job: re-encode journal record: %w", err)
+				return false
+			}
+			fixups = append(fixups, store.Put(store.JobKey(rec.ID), raw))
+			rec.State, rec.Err, rec.Res = lost.State, lost.Err, nil
+		}
+		// The twins carry what the raw fields hold, and those may alias
+		// v, which is the store's again once this call returns.
+		rec.Cmd, rec.Result = nil, nil
+		recs = append(recs, rec)
 		return true
 	})
-	if decodeErr != nil {
-		return 0, decodeErr
-	}
-
-	// Rewrite crash-interrupted records first, so the store and the
-	// in-memory view agree even if we crash again mid-recovery.
-	var fixups []store.Op
-	for i := range recs {
-		st, err := ParseState(recs[i].State)
-		if err != nil || !st.Terminal() {
-			recs[i].State = Failed.String()
-			recs[i].Err = lostErr(recs[i].ID)
-			recs[i].Result = nil
-			raw, err := recordPlan.Append(nil, reflect.ValueOf(&recs[i]).Elem())
-			if err != nil {
-				return 0, fmt.Errorf("job: re-encode journal record: %w", err)
-			}
-			fixups = append(fixups, store.Put(store.JobKey(recs[i].ID), raw))
-		}
+	if scanErr != nil {
+		return 0, scanErr
 	}
 	if len(fixups) > 0 {
 		if err := st.Batch(fixups); err != nil {
@@ -195,8 +225,8 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 	if s.retain > 0 && len(recs) > s.retain {
 		first = len(recs) - s.retain
 	}
-	for _, rec := range recs[first:] {
-		j, err := jobFromRecord(rec)
+	for i := range recs[first:] {
+		j, err := jobFromRecord(&recs[first+i])
 		if err != nil {
 			return 0, err
 		}
@@ -277,30 +307,24 @@ func (s *Scheduler) journalWriteFailedLocked(j *job, err error) {
 }
 
 // jobFromRecord rebuilds an in-memory terminal job from its journal
-// record.
-func jobFromRecord(rec journalRecord) (*job, error) {
+// record, as decodeRecord read it.
+func jobFromRecord(rec *journalRecord) (*job, error) {
 	st, err := ParseState(rec.State)
 	if err != nil {
 		return nil, fmt.Errorf("job: journal record %d: %w", rec.ID, err)
 	}
-	cmd, err := command.UnmarshalCommand(rec.Cmd)
-	if err != nil {
-		return nil, fmt.Errorf("job: journal record %d: %w", rec.ID, err)
+	if rec.cmdErr != nil {
+		return nil, fmt.Errorf("job: journal record %d: %w", rec.ID, rec.cmdErr)
 	}
 	j := &job{
-		id: JobID(rec.ID), owner: rec.Owner, model: rec.Model, cmd: cmd,
-		cancel: func() {}, state: st,
+		id: JobID(rec.ID), owner: rec.Owner, model: rec.Model, cmd: rec.Command,
+		cancel: func() {}, state: st, res: rec.Res,
 		ops: rec.Ops, flops: rec.Flops, cycles: rec.Cycles,
 		done: make(chan struct{}),
 	}
 	close(j.done) // recovered records are terminal by construction
 	if rec.Err != "" {
 		j.err = errors.New(rec.Err)
-	}
-	if len(rec.Result) > 0 {
-		if res, err := command.UnmarshalResult(rec.Result); err == nil {
-			j.res = res
-		}
 	}
 	return j, nil
 }
@@ -320,10 +344,10 @@ func (s *Scheduler) journalLookup(id JobID) (*job, bool) {
 		return nil, false
 	}
 	var rec journalRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	if err := decodeRecord(raw, &rec); err != nil {
 		return nil, false
 	}
-	j, err := jobFromRecord(rec)
+	j, err := jobFromRecord(&rec)
 	if err != nil {
 		return nil, false
 	}

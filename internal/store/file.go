@@ -86,7 +86,21 @@ const (
 	// maxRetainedFrame is the largest frame buffer a store keeps for its
 	// next batch; a larger batch is framed in a buffer of its own.
 	maxRetainedFrame = 1 << 20
+
+	// windowSize is how much of the log one read takes in: the scan of
+	// the frames at open reads windows this large, Seek reads a run of
+	// values spanning up to this much with one pread, and compaction
+	// writes its frames this much at a time.
+	windowSize = 1 << 20
+
+	// seekGap is the most bytes of other frames Seek reads over to keep
+	// two values in one run: about what one more pread costs to copy.
+	seekGap = 4 << 10
 )
+
+// window is windowSize; tests shrink it so that frames and runs of
+// values straddle reads.
+var window = windowSize
 
 // FileOpts bundles the file-backend knobs beyond the path.
 type FileOpts struct {
@@ -202,32 +216,34 @@ func (s *FileStore) replay() error {
 // folds every complete frame — length header, payload within the file,
 // CRC — into the index and advances s.size past it, stopping at the first
 // incomplete or corrupt one (a torn tail, or a frame another process is
-// still appending).  It never truncates; it returns the file's size so a
-// caller that may can tell whether a tail is left.
+// still appending).  The frames are parsed out of a logWindow, so a scan
+// costs one pread per window, not three per frame.  It never truncates; it
+// returns the file's size so a caller that may can tell whether a tail is
+// left.
 func (s *FileStore) scanLocked() (fileSize int64, err error) {
 	info, err := s.f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("store: stat %s: %w", s.path, err)
 	}
+	size := info.Size()
+	w := logWindow{f: s.f}
 	off := s.size
-	var hdr [4]byte
-	for off+8 <= info.Size() {
-		if _, err := s.f.ReadAt(hdr[:], off); err != nil {
+	for off+8 <= size {
+		hdr, err := w.at(off, 4, size)
+		if err != nil {
 			break
 		}
-		plen := int64(binary.BigEndian.Uint32(hdr[:]))
+		plen := int64(binary.BigEndian.Uint32(hdr))
 		frameEnd := off + 4 + plen + 4
-		if frameEnd > info.Size() {
+		if frameEnd > size {
 			break // torn payload
 		}
-		payload := make([]byte, plen)
-		if _, err := s.f.ReadAt(payload, off+4); err != nil {
+		body, err := w.at(off+4, int(plen)+4, size)
+		if err != nil {
 			break
 		}
-		if _, err := s.f.ReadAt(hdr[:], off+4+plen); err != nil {
-			break
-		}
-		if binary.BigEndian.Uint32(hdr[:]) != crc32.ChecksumIEEE(payload) {
+		payload := body[:plen]
+		if binary.BigEndian.Uint32(body[plen:]) != crc32.ChecksumIEEE(payload) {
 			break // torn or corrupt frame
 		}
 		if err := s.applyPayload(payload, off+4); err != nil {
@@ -236,7 +252,42 @@ func (s *FileStore) scanLocked() (fileSize int64, err error) {
 		off = frameEnd
 	}
 	s.size = off
-	return info.Size(), nil
+	return size, nil
+}
+
+// logWindow is the log as its readers — the frame scan and Seek — see it:
+// the bytes from file offset off on, refilled by one pread whenever a
+// read runs past them.  A refill starts at the read and takes in up to
+// window bytes (more only for a read that is itself longer) but never
+// past the end the caller names, so a reader takes in nothing beyond what
+// it will parse.  The buffer lives as long as the reader, which makes it
+// garbage when the scan or the Seek ends.
+type logWindow struct {
+	f   *os.File
+	buf []byte
+	off int64
+}
+
+// at returns the n bytes of the log at off, off+n <= end.  They are good
+// until the next call.
+func (w *logWindow) at(off int64, n int, end int64) ([]byte, error) {
+	if off >= w.off && off+int64(n) <= w.off+int64(len(w.buf)) {
+		i := off - w.off
+		return w.buf[i : i+int64(n)], nil
+	}
+	size := max(n, int(min(int64(window), end-off)))
+	if cap(w.buf) < size {
+		w.buf = make([]byte, size)
+	}
+	m, err := w.f.ReadAt(w.buf[:size], off)
+	w.buf, w.off = w.buf[:m], off
+	if m < n {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return w.buf[:n], nil
 }
 
 // Refresh folds in frames committed by another process sharing the
@@ -491,7 +542,14 @@ func (s *FileStore) Get(key string) ([]byte, error) {
 	return out, nil
 }
 
-// Seek visits keys with the given prefix in ascending byte order.
+// Seek visits keys with the given prefix in ascending byte order.  A run
+// of values that are consecutive in key order and near each other in the
+// file — each within seekGap bytes of the span of the run's values before
+// it, in either direction, the run spanning at most window bytes — is
+// read with one pread; a value further from its neighbours is read alone,
+// so a Seek over a few keys scattered through the log reads only their
+// values.  A value is fn's only for the call: the next run is read into
+// the same buffer.
 func (s *FileStore) Seek(prefix string, fn func(key string, value []byte) bool) error {
 	s.mu.RLock()
 	if s.closed {
@@ -509,21 +567,35 @@ func (s *FileStore) Seek(prefix string, fn func(key string, value []byte) bool) 
 	for i, k := range keys {
 		locs[i] = s.index[k]
 	}
+	w := logWindow{f: s.f}
 	s.mu.RUnlock()
-	for i, k := range keys {
-		v := make([]byte, locs[i].len)
+	for i := 0; i < len(keys); {
+		// The run is the span [lo, hi) of the values from i on that each
+		// lie within seekGap of the span of those before them.
+		lo, hi := locs[i].off, locs[i].off+int64(locs[i].len)
+		j := i + 1
+		for ; j < len(keys); j++ {
+			off, end := locs[j].off, locs[j].off+int64(locs[j].len)
+			if off > hi+seekGap || end < lo-seekGap || max(hi, end)-min(lo, off) > int64(window) {
+				break
+			}
+			lo, hi = min(lo, off), max(hi, end)
+		}
 		s.mu.RLock()
 		if s.closed {
 			s.mu.RUnlock()
 			return ErrClosed
 		}
-		_, err := s.f.ReadAt(v, locs[i].off)
+		run, err := w.at(lo, int(hi-lo), hi)
 		s.mu.RUnlock()
 		if err != nil {
 			return fmt.Errorf("store: reading %s: %w", s.path, err)
 		}
-		if !fn(k, v) {
-			return nil
+		for ; i < j; i++ {
+			at := locs[i].off - lo
+			if !fn(keys[i], run[at:at+int64(locs[i].len):at+int64(locs[i].len)]) {
+				return nil
+			}
 		}
 	}
 	return nil
@@ -531,51 +603,49 @@ func (s *FileStore) Seek(prefix string, fn func(key string, value []byte) bool) 
 
 // compact rewrites the live records — sorted, one frame per key, so
 // the output is deterministic for a given logical state — to a temp
-// file and renames it over the log.  Called from Open with the store
-// still private to the opener, so no locking.
+// file and renames it over the log.  The values are read by Seek, in
+// runs, and the frames written a window at a time.  Called from Open
+// with the store still private to the opener.
 func (s *FileStore) compact() error {
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	tmp, err := os.CreateTemp(filepath.Dir(s.path), filepath.Base(s.path)+".compact-*")
 	if err != nil {
 		return fmt.Errorf("store: compacting %s: %w", s.path, err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write([]byte(fileMagic)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compacting %s: %w", s.path, err)
+	newIndex := make(map[string]valueLoc, len(s.index))
+	buf := append(make([]byte, 0, min(int64(window), s.size)), fileMagic...)
+	var off int64 // of buf[0] in the new file
+	var werr error
+	flush := func() {
+		if werr == nil {
+			_, werr = tmp.Write(buf)
+		}
+		off += int64(len(buf))
+		buf = buf[:0]
 	}
-	newIndex := make(map[string]valueLoc, len(keys))
-	off := int64(len(fileMagic))
-	var frame []byte
-	for _, k := range keys {
-		loc := s.index[k]
-		v := make([]byte, loc.len)
-		if _, err := s.f.ReadAt(v, loc.off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compacting %s: %w", s.path, err)
-		}
-		frame = appendFrame(frame[:0], []Op{Put(k, v)})
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compacting %s: %w", s.path, err)
-		}
-		// Value sits after frame len (4) + op kind (1) + key len (4) +
+	err = s.Seek("", func(k string, v []byte) bool {
+		// The value sits after frame len (4) + op kind (1) + key len (4) +
 		// key + value len (4).
-		newIndex[k] = valueLoc{off: off + 4 + 5 + int64(len(k)) + 4, len: loc.len}
-		off += int64(len(frame))
+		newIndex[k] = valueLoc{off: off + int64(len(buf)) + 4 + 5 + int64(len(k)) + 4, len: int32(len(v))}
+		if buf = appendFrame(buf, []Op{Put(k, v)}); len(buf) >= window {
+			flush()
+		}
+		return werr == nil
+	})
+	flush()
+	if err == nil {
+		err = werr
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: compacting %s: %w", s.path, err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: compacting %s: %w", s.path, err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.path)
+	}
+	if err != nil {
 		return fmt.Errorf("store: compacting %s: %w", s.path, err)
 	}
 	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)

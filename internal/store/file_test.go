@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/errs"
@@ -222,5 +223,47 @@ func TestFileStoreBadMagic(t *testing.T) {
 	os.WriteFile(path, []byte("#!/bin/sh\necho hi\n"), 0o644)
 	if _, err := OpenFileStoreWith(path, FileOpts{}); err == nil {
 		t.Fatal("opened a non-store file")
+	}
+}
+
+// TestFileStoreSparseSeekReadsItsValues seeks two small values with a
+// large one between them in the log: Seek reads them alone, not the span
+// between, so it reads about their own bytes (rchar in /proc/self/io,
+// skipped where that file is missing).
+func TestFileStoreSparseSeekReadsItsValues(t *testing.T) {
+	readBytes := func() int64 {
+		stats, err := os.ReadFile("/proc/self/io")
+		if err != nil {
+			t.Skip("no /proc/self/io")
+		}
+		_, line, _ := bytes.Cut(stats, []byte("rchar: "))
+		line, _, _ = bytes.Cut(line, []byte("\n"))
+		n, err := strconv.ParseInt(string(line), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	s, err := OpenFileStoreWith(filepath.Join(t.TempDir(), "sparse.db"), FileOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, op := range []Op{Put("m:a", []byte("first")), Put("x:big", make([]byte, 64<<10)), Put("m:b", []byte("second"))} {
+		if err := s.Batch([]Op{op}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	before := readBytes()
+	err = s.Seek("m:", func(k string, v []byte) bool { got = append(got, k+"="+string(v)); return true })
+	read := readBytes() - before
+	if err != nil || !slices.Equal(got, []string{"m:a=first", "m:b=second"}) {
+		t.Fatalf("Seek(m:) = %q, %v", got, err)
+	}
+	// The second reading of /proc/self/io counts itself: a few hundred
+	// bytes.
+	if read > 4<<10 {
+		t.Errorf("Seek of two values 64 KiB apart read %d bytes", read)
 	}
 }

@@ -103,7 +103,8 @@ func repairCRCs(tail []byte) {
 // (and an open fails exactly when the oracle does); every indexed value
 // reads back as the file's own bytes; a torn tail is cut off by the
 // exclusive open, left alone by the shared one and by Refresh, and cut off
-// by Seal.
+// by Seal.  All of it at the production read window and at a window of a
+// few bytes.
 func FuzzFileStoreLog(f *testing.F) {
 	log := bytes.Join([][]byte{
 		appendFrame(nil, []Op{Put("m:plate", bytes.Repeat([]byte{0, 'M', 2}, 40))}),
@@ -169,48 +170,56 @@ func FuzzFileStoreLog(f *testing.F) {
 			}
 		}
 
-		excl := write("exclusive.db")
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		x, err := OpenFileStoreWith(excl, FileOpts{CompactAt: -1})
-		runtime.ReadMemStats(&after)
-		// A key costs at least five bytes of log and a map entry; the slack
-		// covers the empty log and the runtime's own goroutines.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+(1<<16)); got > limit {
-			t.Fatalf("opening %d bytes allocated %d, limit %d", len(data), got, limit)
-		}
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("exclusive open: %v, oracle: %v", err, wantErr)
-		}
-		shared := write("shared.db")
-		sh, sherr := OpenFileStoreWith(shared, FileOpts{Shared: true})
-		if (sherr != nil) != (wantErr != nil) {
-			t.Fatalf("shared open: %v, oracle: %v", sherr, wantErr)
-		}
-		if wantErr != nil {
-			return
-		}
-		defer x.Close()
-		defer sh.Close()
+		// The scan and Seek read the log in windows; at a few bytes every
+		// frame and every run of values straddles reads.
+		for _, w := range []int{windowSize, 7} {
+			setWindow(t, w)
+			t.Logf("read window: %d bytes", w) // shown with a failure
+			func() {
+				excl := write("exclusive.db")
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				x, err := OpenFileStoreWith(excl, FileOpts{CompactAt: -1})
+				runtime.ReadMemStats(&after)
+				// A key costs at least five bytes of log and a map entry; the slack
+				// covers the empty log and the runtime's own goroutines.
+				if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+(1<<16)); got > limit {
+					t.Fatalf("opening %d bytes allocated %d, limit %d", len(data), got, limit)
+				}
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("exclusive open: %v, oracle: %v", err, wantErr)
+				}
+				shared := write("shared.db")
+				sh, sherr := OpenFileStoreWith(shared, FileOpts{Shared: true})
+				if (sherr != nil) != (wantErr != nil) {
+					t.Fatalf("shared open: %v, oracle: %v", sherr, wantErr)
+				}
+				if wantErr != nil {
+					return
+				}
+				defer x.Close()
+				defer sh.Close()
 
-		same("exclusive", x)
-		if got := diskSize(excl); got != x.size {
-			t.Fatalf("exclusive open left %d bytes on disk, the log ends at %d", got, x.size)
-		}
-		same("shared", sh)
-		if err := sh.Refresh(); err != nil {
-			t.Fatalf("Refresh: %v", err)
-		}
-		same("shared, refreshed", sh)
-		if got := diskSize(shared); got != int64(len(data)) {
-			t.Fatalf("shared open and Refresh changed the file: %d bytes, was %d", got, len(data))
-		}
-		if err := sh.Seal(); err != nil {
-			t.Fatalf("Seal: %v", err)
-		}
-		same("shared, sealed", sh)
-		if got := diskSize(shared); got != sh.size {
-			t.Fatalf("Seal left %d bytes on disk, the log ends at %d", got, sh.size)
+				same("exclusive", x)
+				if got := diskSize(excl); got != x.size {
+					t.Fatalf("exclusive open left %d bytes on disk, the log ends at %d", got, x.size)
+				}
+				same("shared", sh)
+				if err := sh.Refresh(); err != nil {
+					t.Fatalf("Refresh: %v", err)
+				}
+				same("shared, refreshed", sh)
+				if got := diskSize(shared); got != int64(len(data)) {
+					t.Fatalf("shared open and Refresh changed the file: %d bytes, was %d", got, len(data))
+				}
+				if err := sh.Seal(); err != nil {
+					t.Fatalf("Seal: %v", err)
+				}
+				same("shared, sealed", sh)
+				if got := diskSize(shared); got != sh.size {
+					t.Fatalf("Seal left %d bytes on disk, the log ends at %d", got, sh.size)
+				}
+			}()
 		}
 	})
 }
