@@ -274,3 +274,88 @@ func regenerateSolve(b *testing.B, generate string) {
 		job(i)
 	}
 }
+
+// BenchmarkColdSolve is the in-process twin of a large-plate daemon's
+// set-up, which resolve_large's daemon_rss_mb reads: a fresh system's
+// session generates the 40×24 plate, loads its end and solves it once by
+// cholesky-env, paying the symbolic assembly, the plan and the factor in
+// full.  Run it with -benchmem: B/op is what a cold solve hands the
+// collector (TestColdSolveAllocationCeiling bounds the solve itself).
+func BenchmarkColdSolve(b *testing.B) {
+	cmds := coldSolveCommands(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys, err := fem2.New()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := sys.Session("bench")
+		for _, cmd := range cmds {
+			if _, err := s.Do(ctx, cmd); err != nil {
+				b.Fatal(err)
+			}
+		}
+		sys.Close()
+	}
+}
+
+// coldSolveCommands parses BenchmarkColdSolve's commands: generate the
+// 40×24 plate, load its end, solve it by cholesky-env.
+func coldSolveCommands(tb testing.TB) []fem2.Command {
+	tb.Helper()
+	var cmds []fem2.Command
+	for _, line := range []string{
+		"generate grid g 40 24 40 24 clamp-left",
+		"load g l endload 0 -1000",
+		"solve g l method cholesky-env",
+	} {
+		cmd, err := fem2.Parse(line)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cmds = append(cmds, cmd)
+	}
+	return cmds
+}
+
+// TestColdSolveAllocationCeiling bounds the first cholesky-env solve of
+// the 40×24 plate in a fresh session: it allocates at most 3.3 MiB in all
+// (MemStats.TotalAlloc around the call) and keeps at most 2.2 MiB live
+// once the collector has run with the session alive (HeapAlloc): 2.9 MiB
+// and 2.1 MiB.  The symbolic phase's []int coordinates and sort buffers,
+// its second scatter map and its ColIdx at the coordinate count made
+// that 5.1 MiB and 2.4 MiB.
+func TestColdSolveAllocationCeiling(t *testing.T) {
+	const allocCeiling, keptCeiling = 33 << 20 / 10, 22 << 20 / 10
+	cmds := coldSolveCommands(t)
+	sys, err := fem2.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	s := sys.Session("eng")
+	ctx := context.Background()
+	for _, cmd := range cmds[:2] {
+		if _, err := s.Do(ctx, cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, mid, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := s.Do(ctx, cmds[2]); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&mid)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	alloc := int64(mid.TotalAlloc - before.TotalAlloc)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if alloc > allocCeiling || kept > keptCeiling {
+		t.Errorf("a cold cholesky-env solve of the 40×24 plate allocates %d B and keeps %d B; ceilings %d B and %d B", alloc, kept, allocCeiling, keptCeiling)
+	}
+	t.Logf("a cold solve allocates %d B and keeps %d B", alloc, kept)
+	runtime.KeepAlive(s)
+}

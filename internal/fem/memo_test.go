@@ -33,17 +33,17 @@ func (sc *oracleScratch) stiffness(m *Model, e Element, nd int) (*linalg.Dense, 
 }
 
 // oracleScatter is Workspace.scatter as it was before the CST memo,
-// verbatim but for the input record: every element's stiffness is
+// verbatim but for the input record and the walk along the map: every element's stiffness is
 // evaluated, then scattered into val through ws's map.
 func oracleScatter(ws *Workspace, val []float64) error {
 	var scratch oracleScratch
+	s := ws.scat
 	for ei, e := range ws.m.Elements {
 		nd := ws.ndof[ei]
 		ke, err := scratch.stiffness(ws.m, e, nd)
 		if err != nil {
 			return fmt.Errorf("fem: element %d: %w", ei, err)
 		}
-		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
 		for i := 0; i < nd; i++ {
 			row := ke.Row(i)
 			base := i * nd
@@ -53,6 +53,7 @@ func oracleScatter(ws *Workspace, val []float64) error {
 				}
 			}
 		}
+		s = s[nd*nd:]
 	}
 	return nil
 }

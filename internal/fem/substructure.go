@@ -162,19 +162,20 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 		}
 		pairs += in * in
 	}
-	rows, cols := make([]int, 0, pairs), make([]int, 0, pairs)
+	rows, cols := make([]int32, 0, pairs), make([]int32, 0, pairs)
 	for _, dofs := range elemDOFs {
 		for _, gi := range dofs {
 			if ii := idxI[gi]; ii >= 0 {
 				for _, gj := range dofs {
 					if ji := idxI[gj]; ji >= 0 {
-						rows, cols = append(rows, ii), append(cols, ji)
+						rows, cols = append(rows, int32(ii)), append(cols, int32(ji))
 					}
 				}
 			}
 		}
 	}
-	pat, at, err := linalg.NewPattern(ni, rows, cols)
+	at := make([]int32, pairs)
+	pat, err := linalg.NewPattern(ni, rows, cols, at)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func condense(m *Model, sub *Substructure, ls *LoadSet) (*condensed, error) {
 				v := ke.At(i, j)
 				p := -1 // the K_ii entry of an interior pair
 				if ii >= 0 && ji >= 0 {
-					p = at[next]
+					p = int(at[next])
 					next++
 				}
 				if v == 0 {

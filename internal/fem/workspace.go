@@ -11,8 +11,8 @@ import (
 // Workspace is the symbolic half of direct-stiffness assembly, retained
 // across solves: the reduced sparsity Pattern of the mesh topology and a
 // per-element scatter map from local (i,j) stiffness entries to flat
-// positions in the CSR value array.  Building it costs one counting sort
-// of the element connectivity; after that every numeric re-assembly —
+// positions in the CSR value array.  Building it costs one sort of the
+// element connectivity; after that every numeric re-assembly —
 // new load step, changed node coordinates, another backend row of an
 // experiment table — is a scatter-add that allocates nothing.
 //
@@ -32,10 +32,10 @@ type Workspace struct {
 	index []int
 	pat   *linalg.Pattern
 	asm   *Assembled
-	// scat[off[e]:off[e+1]] maps element e's dense-local (i*nd+j) entry
-	// to its flat index in K.Val, -1 where either dof is fixed.
+	// scat maps each element's dense-local (i*nd+j) entries, element
+	// after element, to their flat indices in K.Val, -1 where either dof
+	// is fixed; element e has ndof[e] dofs, so ndof[e]² entries.
 	scat []int32
-	off  []int
 	ndof []int
 	// conn is the connectivity the maps were built from, element after
 	// element — what walk compares a model against.
@@ -158,21 +158,21 @@ func (sc *stiffScratch) cstStiffness(m *Model, t *CST) (*linalg.Dense, error) {
 }
 
 // NewWorkspace runs the symbolic assembly phase: it validates the model,
-// reduces out the fixed dofs, builds the CSR sparsity pattern of the
-// free-dof system with a two-pass counting sort, and records where every
-// element stiffness entry scatters.  No element stiffness is evaluated —
-// the symbolic phase depends on topology alone.  A first pass over the
-// elements only counts, so every array is allocated once at its final
-// size: a session's first solve, a topology change and every one-shot
-// Assemble pay this phase in full.
+// reduces out the fixed dofs, and builds the CSR sparsity pattern of the
+// free-dof system with linalg.NewPattern, which writes where every
+// element stiffness entry scatters straight into the workspace's map.
+// No element stiffness is evaluated — the symbolic phase depends on
+// topology alone.  A first pass over the elements only counts, so every
+// array is allocated once at its final size: a session's first solve, a
+// topology change and every one-shot Assemble pay this phase in full.
 func NewWorkspace(m *Model) (*Workspace, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	free, index := m.FreeDOFs()
 	ne := len(m.Elements)
-	ws := &Workspace{m: m, free: free, index: index, ndof: make([]int, ne), off: make([]int, ne+1)}
-	nconn, ncoord := 0, 0
+	ws := &Workspace{m: m, free: free, index: index, ndof: make([]int, ne)}
+	nconn, nscat, ncoord := 0, 0, 0
 	for ei, e := range m.Elements {
 		ws.nodes = e.AppendNodes(ws.nodes[:0])
 		nfree := 0
@@ -188,51 +188,45 @@ func NewWorkspace(m *Model) (*Workspace, error) {
 		}
 		nd := DOFPerNode * len(ws.nodes)
 		ws.ndof[ei] = nd
-		ws.off[ei+1] = ws.off[ei] + nd*nd
+		nscat += nd * nd
 		nconn += len(ws.nodes)
 		ncoord += nfree * nfree
 	}
 	ws.conn = make([]int32, 0, nconn)
-	ws.scat = make([]int32, ws.off[ne])
-	rows, cols := make([]int, 0, ncoord), make([]int, 0, ncoord)
-	var reduced []int
-	for ei, e := range m.Elements {
+	ws.scat = make([]int32, nscat)
+	// The coordinates are laid out as scat is: scat[t] is where
+	// (rows[t], cols[t]) scatters, and a pair with a fixed dof is a hole,
+	// -1 in scat, that NewPattern leaves as it is.
+	rows, cols := make([]int32, len(ws.scat)), make([]int32, len(ws.scat))
+	var reduced []int32
+	t := 0
+	for _, e := range m.Elements {
 		ws.nodes = e.AppendNodes(ws.nodes[:0])
 		// reduced holds the element's dofs as reduced indices, local order.
 		reduced = reduced[:0]
 		for _, n := range ws.nodes {
 			ws.conn = append(ws.conn, int32(n))
 			for d := 0; d < DOFPerNode; d++ {
-				reduced = append(reduced, index[DOF(n, d)])
+				reduced = append(reduced, int32(index[DOF(n, d)]))
 			}
 		}
-		nd := ws.ndof[ei]
-		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
-		for i, ri := range reduced {
-			for j, rj := range reduced {
+		for _, ri := range reduced {
+			for _, rj := range reduced {
 				if ri < 0 || rj < 0 {
-					s[i*nd+j] = -1
-					continue
+					ws.scat[t] = -1
+				} else {
+					rows[t], cols[t] = ri, rj
 				}
-				// Temporarily store the coordinate index; remapped to
-				// the flat value index once the pattern exists.
-				s[i*nd+j] = int32(len(rows))
-				rows = append(rows, ri)
-				cols = append(cols, rj)
+				t++
 			}
 		}
 	}
-	pat, scatter, err := linalg.NewPattern(len(free), rows, cols)
+	pat, err := linalg.NewPattern(len(free), rows, cols, ws.scat)
 	if err != nil {
 		return nil, err
 	}
-	for t, v := range ws.scat {
-		if v >= 0 {
-			ws.scat[t] = int32(scatter[v])
-		}
-	}
 	ws.pat = pat
-	ws.flops = int64(len(rows))
+	ws.flops = int64(ncoord)
 	ws.asm = &Assembled{K: pat.NewCSR(), Free: free, Index: index}
 	return ws, nil
 }
@@ -358,6 +352,7 @@ func (ws *Workspace) assemble(record bool) (*Assembled, error) {
 // scatter evaluates every element and scatters it into val.  With record
 // set it also records each element's kind and material as it goes.
 func (ws *Workspace) scatter(val []float64, record bool) error {
+	s := ws.scat
 	for ei, e := range ws.m.Elements {
 		if record {
 			ws.recordElement(ei, e)
@@ -367,7 +362,6 @@ func (ws *Workspace) scatter(val []float64, record bool) error {
 		if err != nil {
 			return fmt.Errorf("fem: element %d: %w", ei, err)
 		}
-		s := ws.scat[ws.off[ei]:ws.off[ei+1]]
 		for i := 0; i < nd; i++ {
 			row := ke.Row(i)
 			base := i * nd
@@ -377,6 +371,7 @@ func (ws *Workspace) scatter(val []float64, record bool) error {
 				}
 			}
 		}
+		s = s[nd*nd:]
 	}
 	return nil
 }

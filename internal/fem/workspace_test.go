@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/linalg"
@@ -236,4 +237,63 @@ func TestWorkspaceRejectsInvalidModel(t *testing.T) {
 	if _, err := NewWorkspace(NewModel("empty")); err == nil {
 		t.Error("workspace built over empty model")
 	}
+}
+
+// TestWorkspaceScatterNamesItsEntry: every element entry with both dofs
+// free scatters to the one slot of K holding its (row, col), and every
+// entry with a fixed dof is -1, on the clamped plate and on random
+// models.
+func TestWorkspaceScatterNamesItsEntry(t *testing.T) {
+	plate, _ := largePlate(t)
+	models := []*Model{plate}
+	rng := rand.New(rand.NewSource(65))
+	for i := 0; i < 10; i++ {
+		models = append(models, randomModel(t, rng))
+	}
+	for _, m := range models {
+		ws, err := NewWorkspace(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, s := ws.pat, ws.scat
+		for ei, e := range m.Elements {
+			dofs := ElementDOFs(e)
+			nd := len(dofs)
+			for i, gi := range dofs {
+				for j, gj := range dofs {
+					ri, rj, got := ws.index[gi], ws.index[gj], s[i*nd+j]
+					if ri < 0 || rj < 0 {
+						if got != -1 {
+							t.Fatalf("%s: element %d entry (%d,%d) has a fixed dof but scatters to %d", m.Name, ei, i, j, got)
+						}
+						continue
+					}
+					want := -1
+					for k := p.RowPtr[ri]; k < p.RowPtr[ri+1]; k++ {
+						if p.ColIdx[k] == rj {
+							want = k
+						}
+					}
+					if int(got) != want {
+						t.Fatalf("%s: element %d entry (%d,%d) scatters to %d, the slot of (%d,%d) is %d", m.Name, ei, i, j, got, ri, rj, want)
+					}
+				}
+			}
+			s = s[nd*nd:]
+		}
+	}
+}
+
+// measureAlloc reports what f allocates (MemStats.TotalAlloc around the
+// call) and what of it is live after a collection (HeapAlloc), for an f
+// that keeps its results reachable from its caller.
+func measureAlloc(f func()) (alloc, kept int64) {
+	var before, mid, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&mid)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(mid.TotalAlloc - before.TotalAlloc), int64(after.HeapAlloc) - int64(before.HeapAlloc)
 }

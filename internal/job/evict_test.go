@@ -174,7 +174,7 @@ func runEvictionSchedule(t *testing.T, retain int, seed int64, steps int) {
 	finish := func(j liveJob, how func(e *evictSide)) {
 		for _, e := range sides {
 			how(e)
-			<-mustJob(t, e.s, j.id).done
+			<-doneOf(t, e.s, j.id)
 			// done closes before finishLocked's journal write; the
 			// scheduler's mutex orders the check below after it.
 		}
@@ -278,7 +278,9 @@ func runEvictionSchedule(t *testing.T, retain int, seed int64, steps int) {
 	}
 }
 
-func mustJob(t *testing.T, s *Scheduler, id JobID) *job {
+// doneOf is the done channel of a job in the map, read under the lock
+// finishLocked replaces it under.
+func doneOf(t *testing.T, s *Scheduler, id JobID) chan struct{} {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,7 +288,7 @@ func mustJob(t *testing.T, s *Scheduler, id JobID) *job {
 	if !ok {
 		t.Fatalf("%v is live but not in the job map", id)
 	}
-	return j
+	return j.done
 }
 
 // TestEvictionPassesOverStaleIDs: an id in order with no record behind

@@ -101,6 +101,8 @@ func lostErr(id int64) string { return fmt.Sprintf("job-%d lost to restart", id)
 // the scheduler sees traffic.
 func (s *Scheduler) AttachJournal(st store.Store) (int, error) {
 	s.SetJournal(st)
+	s.recovery.Lock()
+	defer s.recovery.Unlock()
 	return s.loadJournal(st)
 }
 
@@ -139,6 +141,33 @@ func (s *Scheduler) ForgetEvicted() {
 // demoted-then-repromoted leader) are kept and shielded from the
 // replay.
 func (s *Scheduler) RecoverJournal() (int, error) {
+	s.recovery.Lock()
+	defer s.recovery.Unlock()
+	return s.recoverJournal()
+}
+
+// rereadJournal runs the recovery again after a scan that failed, for
+// Submit: a store whose read failed once, at a promotion or at attach,
+// takes jobs as soon as it reads again.  It returns the scan's error
+// while the scan still fails, and nil at once when another caller's scan
+// has succeeded meanwhile.  With no job submitted since the failed scan,
+// the in-memory jobs are those RecoverJournal keeps, so the rerun is the
+// recovery that failed.
+func (s *Scheduler) rereadJournal() error {
+	s.recovery.Lock()
+	defer s.recovery.Unlock()
+	s.mu.Lock()
+	failed := s.unread != nil
+	s.mu.Unlock()
+	if !failed {
+		return nil
+	}
+	_, err := s.recoverJournal()
+	return err
+}
+
+// recoverJournal is RecoverJournal under s.recovery.
+func (s *Scheduler) recoverJournal() (int, error) {
 	s.mu.Lock()
 	st := s.journal
 	if st == nil {
@@ -163,9 +192,13 @@ func (s *Scheduler) RecoverJournal() (int, error) {
 // loadJournal is the shared recovery scan behind AttachJournal and
 // RecoverJournal.  Records whose id is currently live in memory are
 // skipped entirely — they are this process's own running jobs, not the
-// dead writer's leftovers.
+// dead writer's leftovers.  A scan that fails — the store's read, a
+// record that does not decode, the rewrite — loads nothing, and is
+// returned and kept in Scheduler.unread until a scan succeeds.  The
+// caller holds s.recovery.
 func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 	s.mu.Lock()
+	retain := s.retain
 	liveIDs := map[int64]bool{}
 	for id, j := range s.jobs {
 		if !j.state.Terminal() {
@@ -181,7 +214,7 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 	var recs []journalRecord
 	var fixups []store.Op
 	var scanErr error
-	st.Seek(store.PrefixJob, func(k string, v []byte) bool {
+	seekErr := st.Seek(store.PrefixJob, func(k string, v []byte) bool {
 		var rec journalRecord
 		if err := decodeRecord(v, &rec); err != nil {
 			scanErr = fmt.Errorf("job: corrupt journal record %q: %w", k, err)
@@ -207,29 +240,41 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 		recs = append(recs, rec)
 		return true
 	})
-	if scanErr != nil {
-		return 0, scanErr
+	if scanErr == nil && seekErr != nil {
+		scanErr = fmt.Errorf("job: reading the journal: %w", seekErr)
 	}
-	if len(fixups) > 0 {
+	// Build the most recent records' jobs, oldest first so order and
+	// eviction behave exactly as if the jobs had run here, before any is
+	// loaded: one that does not decode fails the scan.
+	var loaded []*job
+	if scanErr == nil {
+		sort.Slice(recs, func(i, k int) bool { return recs[i].ID < recs[k].ID })
+		first := 0
+		if retain > 0 && len(recs) > retain {
+			first = len(recs) - retain
+		}
+		loaded = make([]*job, 0, len(recs)-first)
+		for i := range recs[first:] {
+			j, err := jobFromRecord(&recs[first+i])
+			if err != nil {
+				scanErr = err
+				break
+			}
+			loaded = append(loaded, j)
+		}
+	}
+	if scanErr == nil && len(fixups) > 0 {
 		if err := st.Batch(fixups); err != nil {
-			return 0, fmt.Errorf("job: rewriting crashed jobs: %w", err)
+			scanErr = fmt.Errorf("job: rewriting crashed jobs: %w", err)
 		}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Load the most recent records into memory, oldest first so order
-	// and eviction behave exactly as if the jobs had run here.
-	sort.Slice(recs, func(i, k int) bool { return recs[i].ID < recs[k].ID })
-	first := 0
-	if s.retain > 0 && len(recs) > s.retain {
-		first = len(recs) - s.retain
+	if s.unread = scanErr; scanErr != nil {
+		return 0, scanErr
 	}
-	for i := range recs[first:] {
-		j, err := jobFromRecord(&recs[first+i])
-		if err != nil {
-			return 0, err
-		}
+	for _, j := range loaded {
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 	}
@@ -316,13 +361,14 @@ func jobFromRecord(rec *journalRecord) (*job, error) {
 	if rec.cmdErr != nil {
 		return nil, fmt.Errorf("job: journal record %d: %w", rec.ID, rec.cmdErr)
 	}
+	// Recovered records are terminal by construction: finished, and with
+	// nothing to run them.
 	j := &job{
 		id: JobID(rec.ID), owner: rec.Owner, model: rec.Model, cmd: rec.Command,
-		cancel: func() {}, state: st, res: rec.Res,
+		state: st, res: rec.Res,
 		ops: rec.Ops, flops: rec.Flops, cycles: rec.Cycles,
-		done: make(chan struct{}),
+		done: finished,
 	}
-	close(j.done) // recovered records are terminal by construction
 	if rec.Err != "" {
 		j.err = errors.New(rec.Err)
 	}

@@ -53,10 +53,16 @@ func (h holder) String() string {
 // scheduler's mutex; the immutable identity fields are set at submit
 // time and never written again.
 type job struct {
-	id     JobID
-	owner  string
-	model  string
-	cmd    command.Command
+	id    JobID
+	owner string
+	model string
+	cmd   command.Command
+
+	// What runs the job: its executor, and its context and that
+	// context's cancel.  finishLocked drops them, under Scheduler.mu, so
+	// whoever reads them outside the lock reads them before the job can
+	// finish (execute) or copies them under the lock (Cancel); a job
+	// recovered from the journal never has them.
 	ex     Executor
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -75,9 +81,19 @@ type job struct {
 	// record recovered from a journal: those are written at eviction.
 	journaled bool
 	// done is closed exactly once, when the job reaches a terminal
-	// state.
+	// state; then finishLocked points it at finished.  Read under
+	// Scheduler.mu.
 	done chan struct{}
 }
+
+// finished is the done channel of every finished job: closed, so a wait
+// on it returns at once, and shared, so a finished job keeps no channel
+// of its own.
+var finished = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func (j *job) key() modelKey { return modelKey{j.owner, j.model} }
 
@@ -156,6 +172,14 @@ type Scheduler struct {
 	// cleared after each encode.
 	rec    journalRecord
 	recBuf []byte
+	// unread is why the last recovery scan of the journal failed, nil
+	// once one has succeeded.  While it is set the journal's highest id
+	// is unknown, so an id issued could be one it already holds, and the
+	// job's record would overwrite that one: Submit scans again first
+	// (rereadJournal) and refuses while the scan fails.  recovery
+	// serializes the scans, so no two load the same records.
+	unread   error
+	recovery sync.Mutex
 	// journalErrs counts journal writes that failed.  A journal failure
 	// never takes down the scheduler — the write is logged through logf
 	// and the job carries on — but the count surfaces the rot.
@@ -363,6 +387,14 @@ func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd c
 	}
 
 	s.mu.Lock()
+	for s.unread != nil {
+		s.mu.Unlock()
+		if err := s.rereadJournal(); err != nil {
+			cancel()
+			return 0, err
+		}
+		s.mu.Lock()
+	}
 	if err := s.admitLocked(ctx, owner); err != nil {
 		if errors.Is(err, ErrQuota) {
 			s.mQuotaRejected.Inc()
@@ -563,10 +595,12 @@ func (s *Scheduler) popLocked() *job {
 // finalizes Cancelled instead of blocking the submitter past its ctx.
 func (s *Scheduler) runInline(j *job) {
 	s.mu.Lock()
-	if j.model != "" {
+	if j.state == Queued && j.model != "" {
+		// A job cancelled since Submit unlocked is finished, and holds no
+		// context to wait with.
 		s.awaitLocked(j.ctx, j.key())
 	}
-	if j.state != Queued { // cancelled (or closed) while waiting
+	if j.state != Queued { // cancelled (or closed) since Submit or while waiting
 		s.mu.Unlock()
 		return
 	}
@@ -620,7 +654,6 @@ func (s *Scheduler) execute(j *job) {
 	// follows a wait on the same model is never refused on its account.
 	// finishLocked wakes whoever waited for it.
 	delete(s.busy, j.key())
-	close(j.done)
 	s.finishLocked(j)
 	s.mu.Unlock()
 }
@@ -675,8 +708,8 @@ func (s *Scheduler) snapshotLocked(j *job) Snapshot {
 func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		// An evicted terminal job is already finished: answer its stored
 		// outcome from the journal immediately.
 		if j, ok := s.journalLookup(id); ok {
@@ -684,8 +717,10 @@ func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) 
 		}
 		return nil, notFound(id)
 	}
+	done := j.done
+	s.mu.Unlock()
 	select {
-	case <-j.done:
+	case <-done:
 	case <-ctx.Done():
 		return nil, errs.Cancelled(ctx)
 	}
@@ -748,8 +783,9 @@ func (s *Scheduler) Cancel(id JobID) (State, error) {
 		s.mu.Unlock()
 		return Cancelled, nil
 	case Running:
+		cancel := j.cancel
 		s.mu.Unlock()
-		j.cancel()
+		cancel()
 		return Running, nil
 	default:
 		st := j.state
@@ -763,7 +799,6 @@ func (s *Scheduler) cancelQueuedLocked(j *job) {
 	j.state = Cancelled
 	s.mCancelled.Inc()
 	j.err = fmt.Errorf("%w: %s cancelled before it started", errs.ErrCancelled, j.id)
-	close(j.done)
 	j.cancel()
 	s.finishLocked(j)
 }
@@ -772,7 +807,7 @@ func (s *Scheduler) cancelQueuedLocked(j *job) {
 // returns how many it touched — session teardown's bulk cancel.
 func (s *Scheduler) CancelOwner(owner string) int {
 	s.mu.Lock()
-	var running []*job
+	var running []context.CancelFunc
 	n := 0
 	for _, j := range s.jobs {
 		if j.owner != owner {
@@ -783,13 +818,13 @@ func (s *Scheduler) CancelOwner(owner string) int {
 			s.cancelQueuedLocked(j)
 			n++
 		case Running:
-			running = append(running, j)
+			running = append(running, j.cancel)
 			n++
 		}
 	}
 	s.mu.Unlock()
-	for _, j := range running {
-		j.cancel()
+	for _, cancel := range running {
+		cancel()
 	}
 	return n
 }
@@ -821,20 +856,20 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	var running []*job
+	var running []context.CancelFunc
 	for _, j := range s.jobs {
 		switch j.state {
 		case Queued:
 			s.cancelQueuedLocked(j)
 		case Running:
-			running = append(running, j)
+			running = append(running, j.cancel)
 		}
 	}
 	s.cond.Broadcast()
 	s.work.Broadcast()
 	s.mu.Unlock()
-	for _, j := range running {
-		j.cancel()
+	for _, cancel := range running {
+		cancel()
 	}
 	s.wg.Wait()
 }

@@ -146,13 +146,16 @@ func (s *Scheduler) publishLocked(j *job) {
 	}
 }
 
-// finishLocked settles the owner-keyed bookkeeping of a job that just
-// reached a terminal state: release the owner's quota slot, wake
-// model waiters, quota-blocked submitters and Drain, wake one worker
-// when jobs are queued (the job's model may be what one of them waited
-// for), journal the outcome and publish the transition.  Called exactly
-// once per job, from execute or cancelQueuedLocked.
+// finishLocked settles a job that just reached a terminal state: wake
+// its waiters and drop what ran it (its executor, context and cancel;
+// the caller has cancelled the context), release the owner's quota slot,
+// wake model waiters, quota-blocked submitters and Drain, wake one
+// worker when jobs are queued (the job's model may be what one of them
+// waited for), journal the outcome and publish the transition.  Called
+// exactly once per job, from execute or cancelQueuedLocked.
 func (s *Scheduler) finishLocked(j *job) {
+	close(j.done)
+	j.done, j.ex, j.ctx, j.cancel = finished, nil, nil, nil
 	if n := s.live[j.owner]; n > 1 {
 		s.live[j.owner] = n - 1
 	} else {

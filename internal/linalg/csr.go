@@ -34,12 +34,17 @@ type CSR struct {
 // always agrees with a from-scratch build.  Duplicates sum in input
 // order, making the result bit-identical to a direct scatter-add.
 func NewCSRFromTriplets(n int, ts []Triplet) (*CSR, error) {
-	rows := make([]int, len(ts))
-	cols := make([]int, len(ts))
+	rows := make([]int32, len(ts))
+	cols := make([]int32, len(ts))
 	for k, t := range ts {
-		rows[k], cols[k] = t.Row, t.Col
+		// Checked here, before an index past int32 could wrap into range.
+		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
+			return nil, outside(t.Row, t.Col, n)
+		}
+		rows[k], cols[k] = int32(t.Row), int32(t.Col)
 	}
-	pat, scatter, err := NewPattern(n, rows, cols)
+	scatter := make([]int32, len(ts))
+	pat, err := NewPattern(n, rows, cols, scatter)
 	if err != nil {
 		return nil, err
 	}
