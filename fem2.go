@@ -658,9 +658,11 @@ func Stresses(m *Model, sol *Solution) ([][]float64, error) { return fem.Stresse
 // unchanged model cost one triangular solve (Solution.Refactored /
 // SolveResult.Refactored report which happened), and a model whose
 // values changed is re-factored in place with no allocation.  The
-// cache never trades correctness for reuse — a hit requires the
-// assembled values, skipped assembly or not, to match the factored ones
-// bit for bit, and cached solutions are bit-identical to cold solves.
+// cache never trades correctness for reuse: a factor is reused only
+// when the solve's walk over the model found every stiffness input bit
+// for bit as the assembly that was factored read it (the recording
+// pass's token proves it), and cached solutions are bit-identical to
+// cold solves.
 //
 // Allocate-once: the load vector, reduced solution and residual of a
 // solve are scratch of the retained assembly, so Solve allocates only the

@@ -208,10 +208,50 @@ func TestHandOverCarriesFactor(t *testing.T) {
 	}
 }
 
-// TestFactorReuseComparesBitPatterns pins "bit for bit": the factor is
-// reused only when every assembled value has the bit pattern it was
-// factored from, by the stiffness witness's rule — a zero that changed
-// sign is a change, and a NaN equals nothing, itself included.
+// TestUnreadInputEditRefactors pins the one cost a factor's token proof
+// pays over comparing values: an edit the walk sees that leaves K bit
+// for bit as it was — every CST's Mat.A, a bar area a CST does not
+// read, doubled — refactors the 8×6 plate, and the answer keeps its
+// bits.
+func TestUnreadInputEditRefactors(t *testing.T) {
+	o := RectGridOpts{NX: 8, NY: 6, W: 8, H: 6, Mat: Steel(), ClampLeft: true}
+	m, err := RectGrid("plate", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := EndLoad("tip", o, 0, -500)
+	reg := obs.New()
+	refactors := reg.Counter(obs.FactorRefactors)
+	m.Instrument(reg)
+	ctx := context.Background()
+	opts := SolveOpts{Backend: linalg.BackendCholeskyEnv}
+	first, err := Solve(ctx, m, ls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Elements {
+		e.(*CST).Mat.A *= 2
+	}
+	before := refactors.Load()
+	again, err := Solve(ctx, m, ls, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Refactored || refactors.Load() != before+1 {
+		t.Errorf("after doubling every CST's Mat.A: Refactored %v, %d more refactors; want true, 1", again.Refactored, refactors.Load()-before)
+	}
+	if i := firstDiff(again.U, first.U); i >= 0 {
+		t.Errorf("U differs from the first solve at dof %d", i)
+	}
+}
+
+// TestFactorReuseComparesBitPatterns pins the cache's side of "bit for
+// bit" at the model's factor cache: the walk compares the stiffness
+// inputs' bit patterns, and the cache trusts the token it leaves, so a
+// value change the walk saw — a zero that changed sign, a NaN — reaches
+// the cache as a new token and refactors, an equal token reuses whatever
+// the values, and pass 0 always factors.  Every answer has the bits of a
+// solve through a fresh cache.
 func TestFactorReuseComparesBitPatterns(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	// SPD with one stored off-diagonal zero pair, entries 2 and 6.
@@ -228,37 +268,45 @@ func TestFactorReuseComparesBitPatterns(t *testing.T) {
 	}
 	b := linalg.Vector{1, 2, 3}
 	for _, backend := range []string{linalg.BackendCholesky, linalg.BackendCholeskyEnv} {
+		// up is the entry of the zero pair that backend's ordering puts
+		// above the diagonal, where a NaN is stored but never factored:
+		// the one a fresh factor survives a NaN in.  lo is its twin.
+		up := 2
+		k.Val[up] = math.NaN()
+		if _, _, err := new(linalg.FactorCache).SolveCached(backend, k, 1, b, nil, nil); err != nil {
+			up = 6
+		}
+		k.Val[2], k.Val[6] = 0, 0
+		lo := 8 - up
 		m := NewModel("bits")
 		for i, step := range []struct {
 			name       string
 			edit       func()
+			pass       uint64
 			refactored bool
 		}{
-			{"cold", func() {}, true},
-			{"unchanged", func() {}, false},
-			{"+0 to -0", func() { k.Val[2], k.Val[6] = negZero, negZero }, true},
-			{"unchanged -0", func() {}, false},
-			{"-0 back to +0", func() { k.Val[2], k.Val[6] = 0, 0 }, true},
-			{"NaN", func() { k.Val[2], k.Val[6] = math.NaN(), math.NaN() }, true},
-			{"the same NaN again", func() {}, true},
-			{"restored", func() { k.Val[2], k.Val[6] = 0, 0 }, true},
-			{"unchanged again", func() {}, false},
+			{"cold", func() {}, 1, true},
+			{"unchanged", func() {}, 1, false},
+			{"+0 to -0", func() { k.Val[2], k.Val[6] = negZero, negZero }, 2, true},
+			{"unchanged -0", func() {}, 2, false},
+			{"-0 back to +0, no token", func() { k.Val[2], k.Val[6] = 0, 0 }, 0, true},
+			{"unchanged, no token", func() {}, 0, true},
+			{"NaN above the diagonal", func() { k.Val[up] = math.NaN() }, 3, true},
+			{"the same NaN again", func() {}, 3, false},
+			// Below it the factorisation fails, and leaves no token.
+			{"NaN on both sides", func() { k.Val[lo] = math.NaN() }, 4, true},
+			{"the same NaNs again", func() {}, 4, true},
+			{"restored", func() { k.Val[2], k.Val[6] = 0, 0 }, 5, true},
+			{"unchanged again", func() {}, 5, false},
 		} {
 			step.edit()
-			x, refactored, err := m.Factors().SolveCached(backend, k, 0, b, nil, nil)
-			if refactored != step.refactored {
-				t.Errorf("%s step %d (%s): refactored = %v, want %v (err %v)", backend, i, step.name, refactored, step.refactored, err)
+			x, refactored, err := m.Factors().SolveCached(backend, k, step.pass, b, nil, nil)
+			want, _, wantErr := new(linalg.FactorCache).SolveCached(backend, k, step.pass, b, nil, nil)
+			if refactored != step.refactored || (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s step %d (%s): refactored = %v, err %v; want %v, err %v", backend, i, step.name, refactored, err, step.refactored, wantErr)
 			}
-			if err == nil && k.Val[2] == 0 {
-				want, _, err := new(linalg.FactorCache).SolveCached(linalg.BackendCholeskyRCM, k, 0, b, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j := range want {
-					if math.Abs(x[j]-want[j]) > 1e-12 {
-						t.Errorf("%s step %d (%s): x[%d] = %g, want %g", backend, i, step.name, j, x[j], want[j])
-					}
-				}
+			if j := firstDiff(x, want); j >= 0 {
+				t.Errorf("%s step %d (%s): x[%d] = %g, a fresh cache's %g", backend, i, step.name, j, x[j], want[j])
 			}
 		}
 	}

@@ -173,8 +173,9 @@ func runRetainedScript(t *testing.T, script []byte) *differential {
 // unmemoised oracle scatter.  The seed corpus replays the rows of
 // TestStiffnessWitnessCannotLie on the plate (pick 0) and the truss
 // (pick 1), two material copies (op 13), unproven callers of the
-// model's factor cache between retained solves (op 14), and a NaN on a
-// node no element uses (op 15, then op 2).
+// model's factor cache between retained solves (op 14; twice in a row,
+// the second must refactor too), and a NaN on a node no element uses
+// (op 15, then op 2).
 func FuzzRetainedSolve(f *testing.F) {
 	for _, ops := range [][]byte{
 		{},                                // as generated
@@ -206,6 +207,7 @@ func FuzzRetainedSolve(f *testing.F) {
 		// 116 is the new node of the plate (12 mod 13) and the truss (8 mod 9).
 		{15, 0, 0, 2, 116, 1, 0, 0, 0},
 		{15, 5, 5, 0x12, 116, 1, 1, 5, 0}, // … then a used node moved too, one solve
+		{0x1e, 3, 0, 14, 3, 0},            // two unproven callers with the same system, no solve between
 	} {
 		f.Add(append([]byte{0}, ops...))
 		f.Add(append([]byte{1}, ops...))

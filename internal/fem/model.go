@@ -137,8 +137,8 @@ func (r *retainedSolve) factorCache() *linalg.FactorCache {
 // coordinates and every element's kind and Material as the last
 // recording pass read them — which proves each element stiffness is the
 // one already summed into K.  Either way the workspace's pass token then
-// names the values in K, so the factor cache can trust it instead of
-// comparing them again.  The caller holds m.retained.mu, and keeps
+// names the values in K, and the factor cache reuses a factor on that
+// proof alone.  The caller holds m.retained.mu, and keeps
 // holding it while it reads the returned K.
 func (m *Model) assembleRetained() (*Assembled, error) {
 	r := &m.retained
@@ -213,12 +213,11 @@ func (m *Model) checkNodes(ids ...int) error {
 // assembly is skipped only when all are identical).  The factor is
 // chained to that proof: each recording pass leaves a token no other
 // pass shares, a factor remembers the token of the values it was
-// computed from, and a solve that presents the same token rides the
-// factor without comparing the values; any other call of the cache
-// compares the assembled values bit for bit with the factored ones.
-// Mutating the model — through its methods or its exported
-// fields — therefore always triggers a re-assembly and an in-place
-// refactor on the next solve rather than a stale answer.  The model is
+// computed from, and only a solve that presents the same token rides
+// the factor; any other call of the cache factors afresh.  Mutating the
+// model — through its methods or its exported fields — therefore always
+// triggers a re-assembly and an in-place refactor on the next solve
+// rather than a stale answer.  The model is
 // the cache's only owner: it lives with the Model object and follows the
 // name to a replacement by AdoptAssembly, together with the assembly
 // under it (so the plan's pattern check stays a pointer compare); two

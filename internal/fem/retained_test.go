@@ -201,13 +201,12 @@ var retainedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 61
 // property: over random interleavings of value edits, topology edits
 // and solves on random grids and trusses, a solve through the model's
 // retained assembly equals — bitwise in U, Residual, Stats.Flops and
-// Refactored — a solve of a deep-copied fresh model assembled one-shot
-// (the reference's factor cache is seeded into every deep copy, so it
-// refactors exactly when the assembled values moved or the retained
-// state was dropped).  Some steps replace the model object instead of editing
-// it, the way generate and retrieve do: the replacement adopts the
-// retained assembly and factors, and a same-topology one must solve
-// without a symbolic phase — or, unedited, a refactor.
+// Refactored — a solve of a deep-copied fresh model assembled one-shot,
+// with Refactored predicted from the two-walk oracle (differential.solve).
+// Some steps replace the model object instead of editing it, the way
+// generate and retrieve do: the replacement adopts the retained assembly
+// and factors, and a same-topology one must solve without a symbolic
+// phase — or, unedited, a refactor.
 func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 	backends := []string{linalg.BackendCholesky, linalg.BackendCholeskyRCM, linalg.BackendCholeskyEnv, linalg.BackendCG}
 	solved, failed, warm, adopted := 0, 0, 0, 0
@@ -227,11 +226,9 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			m := randomModel(t, rng)
 			ls := randomLoads(rng, m)
-			reg := obs.New()
-			symbolic, unchanged := reg.Counter(obs.AssembleSymbolic), reg.Counter(obs.AssembleUnchanged)
-			defer func() { skipped += unchanged.Load() }()
-			m.Instrument(reg)
-			refCache := &linalg.FactorCache{}
+			d := newDifferential()
+			symbolic := d.reg.Counter(obs.AssembleSymbolic)
+			defer func() { skipped += d.unchanged.Load() }()
 			for step := 0; step < 12; step++ {
 				var what string
 				// wantSymbolic is the symbolic count a replacement that must
@@ -248,50 +245,23 @@ func TestRetainedSolveMatchesFreshModel(t *testing.T) {
 						wantSymbolic = symbolic.Load()
 						adopted++
 					}
-					next.Instrument(reg)
 					next.AdoptAssembly(m)
 					if m.retained.ws != nil {
 						t.Fatalf("seed %d step %d: the replaced model kept its workspace", seed, step)
 					}
-					m = next // and the factors came along: refCache stays as it is
-				} else if what = mutateRandomly(t, rng, m); what == "touch" {
-					refCache = &linalg.FactorCache{} // the model's factors were dropped too
+					m = next // and the factors came along
+				} else {
+					what = mutateRandomly(t, rng, m, d)
 				}
 				for _, backend := range backends {
 					label := fmt.Sprintf("seed %d step %d (%s) backend %s", seed, step, what, backend)
-					opts := SolveOpts{Backend: backend}
-					got, gotErr := Solve(context.Background(), m, ls, opts)
-					fresh := deepCopy(t, m)
-					fresh.retained.factors = refCache
-					var want *Solution
-					asm, wantErr := Assemble(fresh)
-					if wantErr == nil {
-						want, wantErr = solveUnproven(fresh, asm, ls, opts)
-					}
-					if gotErr != nil || wantErr != nil {
-						if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
-							t.Fatalf("%s: err %v vs fresh %v", label, gotErr, wantErr)
-						}
+					if _, err := d.solve(t, label, m, ls, backend); err != nil {
 						failed++
 						continue
 					}
 					solved++
-					if !got.Refactored {
+					if !d.sol.Refactored {
 						warm++
-					}
-					if got.Refactored != want.Refactored || got.Stats.Flops != want.Stats.Flops ||
-						got.Residual != want.Residual || got.Iterations != want.Iterations {
-						t.Fatalf("%s: refactored/flops/residual/iterations %v/%d/%g/%d vs fresh %v/%d/%g/%d", label,
-							got.Refactored, got.Stats.Flops, got.Residual, got.Iterations,
-							want.Refactored, want.Stats.Flops, want.Residual, want.Iterations)
-					}
-					if len(got.U) != len(want.U) {
-						t.Fatalf("%s: %d dofs vs fresh %d", label, len(got.U), len(want.U))
-					}
-					for i := range want.U {
-						if got.U[i] != want.U[i] {
-							t.Fatalf("%s: U[%d] = %.17g vs fresh %.17g", label, i, got.U[i], want.U[i])
-						}
 					}
 				}
 				if wantSymbolic >= 0 && symbolic.Load() != wantSymbolic {
@@ -316,8 +286,9 @@ func randomLoads(rng *rand.Rand, m *Model) *LoadSet {
 // are plain warm re-solves — and names it for the failure message.
 // Edits keep the structure stable (nothing is removed that the
 // generators put there), so most steps solve; the rest must fail the
-// same way on both sides.
-func mutateRandomly(t *testing.T, rng *rand.Rand, m *Model) string {
+// same way on both sides.  A touch goes through d, the differential m
+// is solved through.
+func mutateRandomly(t *testing.T, rng *rand.Rand, m *Model, d *differential) string {
 	t.Helper()
 	bar := func(n1, n2 int) string {
 		if n1 == n2 {
@@ -382,7 +353,7 @@ func mutateRandomly(t *testing.T, rng *rand.Rand, m *Model) string {
 		}
 		return "replace element object"
 	case 7:
-		dropRetained(m)
+		d.touch(m)
 		return "touch"
 	}
 	return "none"

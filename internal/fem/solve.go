@@ -109,11 +109,11 @@ type Solution struct {
 // rebuilt when the topology changed, and the numeric scatter runs unless
 // all values are identical.  The recording pass's token then stands for
 // the values in K, so the factor cache reuses a factor computed from the
-// same token without comparing them again, and compares them bit for bit
-// otherwise.  The load vector, the reduced solution and the residual are
-// the workspace's scratch, so the only vector a warm solve allocates is
-// the returned U (none under SolveInto).  Results are bit-identical to
-// solving a fresh copy of the model.
+// same token and refactors otherwise.  The load vector, the reduced
+// solution and the residual are the workspace's scratch, so the only
+// vector a warm solve allocates is the returned U (none under
+// SolveInto).  Results are bit-identical to solving a fresh copy of the
+// model.
 func Solve(ctx context.Context, m *Model, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	return SolveInto(ctx, m, ls, opts, nil)
 }

@@ -108,12 +108,13 @@ const (
 )
 
 // checkWalk demands that the retained workspace's walk of m return
-// exactly the two-walk oracle's (topo, same), and counts the outcome.
-func (d *differential) checkWalk(t testing.TB, label string, m *Model) {
+// exactly the two-walk oracle's (topo, same), counts the outcome, and
+// returns the oracle's same: false when m has no workspace.
+func (d *differential) checkWalk(t testing.TB, label string, m *Model) bool {
 	t.Helper()
 	ws := m.retained.ws
 	if ws == nil {
-		return
+		return false
 	}
 	wantTopo := d.oracle.matches(ws, m)
 	wantSame := wantTopo && d.oracle.unchanged(ws, m)
@@ -129,6 +130,7 @@ func (d *differential) checkWalk(t testing.TB, label string, m *Model) {
 	default:
 		d.walks[walkSame]++
 	}
+	return wantSame
 }
 
 // recordPass brings the oracle's record up to the workspace's: after a
@@ -231,7 +233,7 @@ func (t *CST) AppendStiffnessInputs(m *Model, dst []float64) []float64 {
 
 // solveUnproven stands in for SolveAssembled: it solves asm, a caller's
 // assembly of m, through m's factor cache with no pass token, so the
-// cache compares asm's values before it reuses a factor.
+// cache factors asm's values afresh.
 func solveUnproven(m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts) (*Solution, error) {
 	meth, err := opts.method()
 	if err != nil {

@@ -13,38 +13,57 @@ import (
 // differential solves one model two ways and demands the same bits: the
 // way Solve does, through the model's retained assembly and factors, and
 // from scratch on a deep copy; the retained K.Val must also equal the
-// unmemoised oracle scatter's (memo_test.go).  The reference's factor cache is seeded
-// into each deep copy, so it outlives them the way the model's own
-// follows the hand-over, and Refactored must agree too: the reference
-// refactors exactly when the assembled values moved, or touch dropped
-// the factors.  Before and after every solve the retained workspace's
-// walk is compared with the two-walk oracle (walk_test.go).  The retained
-// side recycles as a session's workspace entry does: each solve writes
-// over the solution the previous one replaced (SolveInto), whatever model
-// and topology that one had.
+// unmemoised oracle scatter's (memo_test.go).  Before and after every
+// solve the retained workspace's walk is compared with the two-walk
+// oracle (walk_test.go), and Refactored is predicted from that oracle: a
+// direct solve reuses its backend's factor if and only if every
+// stiffness input is unchanged since the last successful factor — the
+// oracle's record is still the one that factor was computed under, and
+// finds the model unchanged.  The reference solves its deep copy through
+// a factor cache of its own, twice under one token when the prediction
+// is a reuse, so flops are predicted with it.  Every reuse the retained
+// side reports must also pass the value proof the factor cache no longer
+// makes: the retained K holds, bit for bit, the values last factored,
+// and none of them is a NaN.  The retained side recycles as a session's
+// workspace entry does: each solve writes over the solution the previous
+// one replaced (SolveInto), whatever model and topology that one had.
 type differential struct {
 	reg               *obs.Registry
-	ref               *linalg.FactorCache
 	reused, unchanged *obs.Counter
 	oracle            twoWalk
-	walks             [3]int
-	sol, spare        *Solution
+	// factors holds, per direct backend, what the oracle knows of that
+	// backend's factor in the model's cache; no entry for none it trusts.
+	factors    map[string]*factorRecord
+	walks      [3]int
+	sol, spare *Solution
+}
+
+// factorRecord is the oracle's account of one retained factor: the
+// two-walk record it was computed under, and a copy of the values it was
+// computed from.
+type factorRecord struct {
+	pass uint64
+	vals []float64
+	// nan records a NaN among vals: it equals nothing, itself included,
+	// so a reuse of such a factor is never proven by its values.
+	nan bool
 }
 
 func newDifferential() *differential {
 	reg := obs.New()
 	return &differential{
 		reg:       reg,
-		ref:       &linalg.FactorCache{},
 		reused:    reg.Counter(obs.AssembleReused),
 		unchanged: reg.Counter(obs.AssembleUnchanged),
+		factors:   map[string]*factorRecord{},
 	}
 }
 
-// touch drops the retained state on both sides (dropRetained).
+// touch drops the retained state (dropRetained), and with it every
+// factor the oracle knew of.
 func (d *differential) touch(m *Model) {
 	dropRetained(m)
-	d.ref = &linalg.FactorCache{}
+	clear(d.factors)
 }
 
 // firstDiff returns the first index at which a and b differ in length or
@@ -71,7 +90,10 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 	m.Instrument(d.reg)
 	opts := SolveOpts{Backend: backend}
 	before := d.unchanged.Load()
-	d.checkWalk(t, label+", before", m)
+	_, direct := linalg.PlanOptsFor(backend)
+	same := d.checkWalk(t, label+", before", m)
+	f := d.factors[backend]
+	warm := direct && same && f != nil && f.pass == d.oracle.pass
 	got, gotErr := SolveInto(context.Background(), m, ls, opts, d.spare)
 	d.spare = nil
 	if gotErr == nil {
@@ -83,9 +105,11 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 	}
 	d.recordPass(t, m)
 	d.checkWalk(t, label+", after", m)
+	if direct {
+		d.factored(t, label, m, backend, got, gotErr)
+	}
 
 	fresh := deepCopy(t, m)
-	fresh.retained.factors = d.ref
 	var want *Solution
 	oracle, oracleErr := oracleK(fresh)
 	asm, wantErr := Assemble(fresh)
@@ -101,10 +125,82 @@ func (d *differential) solve(t testing.TB, label string, m *Model, ls *LoadSet, 
 		if i := firstDiff(k.Val, oracle); i >= 0 {
 			t.Fatalf("%s: K.Val differs from the unmemoised oracle at entry %d of %d/%d (skipped %v)", label, i, len(k.Val), len(oracle), skipped)
 		}
-		want, wantErr = solveUnproven(fresh, asm, ls, opts)
+		want, wantErr = solveReference(fresh, asm, ls, opts, warm)
 	}
-	sameSolution(t, fmt.Sprintf("%s (skipped %v)", label, skipped), got, gotErr, want, wantErr)
+	sameSolution(t, fmt.Sprintf("%s (skipped %v, warm %v)", label, skipped, warm), got, gotErr, want, wantErr)
 	return skipped, gotErr
+}
+
+// factored brings the oracle's account of backend's factor up to a
+// retained direct solve, got or err, and fails the test when the solve
+// reused a factor whose values were not, bit for bit, the retained K's.
+// A failed solve leaves no factor the oracle trusts: it either withdrew
+// the factor's token or assembled under a new one.
+func (d *differential) factored(t testing.TB, label string, m *Model, backend string, got *Solution, err error) {
+	t.Helper()
+	if err != nil {
+		delete(d.factors, backend)
+		return
+	}
+	k := m.retained.ws.asm.K.Val
+	f := d.factors[backend]
+	if !got.Refactored {
+		if f == nil || f.nan || !valuesEqual(f.vals, k) {
+			t.Fatalf("%s: reused a factor of other values than K's", label)
+		}
+		return
+	}
+	if f == nil {
+		f = &factorRecord{}
+		d.factors[backend] = f
+	}
+	f.pass = d.oracle.pass
+	if len(f.vals) != len(k) {
+		f.vals = make([]float64, len(k))
+	}
+	copy(f.vals, k)
+	f.nan = hasNaN(f.vals)
+}
+
+// valuesEqual reports whether two value arrays hold the same bit
+// patterns (-0 differs from +0) — the stiffness witness's rule, but for
+// the NaNs, which are hasNaN's to find.
+func valuesEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hasNaN reports whether any value is a NaN.
+func hasNaN(vals []float64) bool {
+	for _, v := range vals {
+		if v != v {
+			return true
+		}
+	}
+	return false
+}
+
+// solveReference solves asm, a one-shot assembly of m, through m's
+// factor cache under one token: once, or twice when warm, so that the
+// second solve rides the factor the first computed.
+func solveReference(m *Model, asm *Assembled, ls *LoadSet, opts SolveOpts, warm bool) (*Solution, error) {
+	meth, err := opts.method()
+	if err != nil {
+		return nil, err
+	}
+	const pass = 1
+	sol, err := solveAssembled(context.Background(), m, asm, pass, ls, meth, opts, m.Factors(), &solveScratch{}, &Solution{})
+	if err != nil || !warm {
+		return sol, err
+	}
+	return solveAssembled(context.Background(), m, asm, pass, ls, meth, opts, m.Factors(), &solveScratch{}, &Solution{})
 }
 
 // sameSolution fails the test unless two solves failed with the same
@@ -132,9 +228,9 @@ func sameSolution(t testing.TB, label string, got *Solution, gotErr error, want 
 // unproven is a caller between retained solves that vouches for nothing:
 // it solves a system of its own — the retained K with entry entry's value
 // scaled — through solveUnproven on m, and so through m's factor cache,
-// and the same system through the reference cache, and demands the same
-// bits of both.  The next retained solve must not take the factor this
-// left behind for the one its token names.
+// and the same system through a deep copy's, and demands the same bits
+// of both and a refactor of each.  The factor this leaves behind carries
+// no token, so the next retained solve of its backend must refactor.
 func (d *differential) unproven(t testing.TB, label string, m *Model, entry int, scale float64, ls *LoadSet) {
 	t.Helper()
 	ws := m.retained.ws
@@ -149,9 +245,11 @@ func (d *differential) unproven(t testing.TB, label string, m *Model, entry int,
 	asm := &Assembled{K: &k, Free: ws.asm.Free, Index: ws.asm.Index}
 	opts := SolveOpts{Backend: linalg.BackendCholeskyEnv}
 	got, gotErr := solveUnproven(m, asm, ls, opts)
-	fresh := deepCopy(t, m)
-	fresh.retained.factors = d.ref
-	want, wantErr := solveUnproven(fresh, asm, ls, opts)
+	delete(d.factors, opts.Backend)
+	if gotErr == nil && !got.Refactored {
+		t.Fatalf("%s: a pass 0 solve reused a factor", label)
+	}
+	want, wantErr := solveUnproven(deepCopy(t, m), asm, ls, opts)
 	sameSolution(t, label, got, gotErr, want, wantErr)
 }
 

@@ -98,12 +98,12 @@ func lostErr(id int64) string { return fmt.Sprintf("job-%d lost to restart", id)
 // retention bound) are loaded into memory so the jobs verb lists them;
 // everything stays readable through the journal fallback regardless.
 // It returns the number of records recovered.  Call it once, before
-// the scheduler sees traffic.
+// the scheduler sees traffic: it is SetJournal followed by
+// RecoverJournal, which on a fresh scheduler has no terminal job in
+// memory to drop.
 func (s *Scheduler) AttachJournal(st store.Store) (int, error) {
 	s.SetJournal(st)
-	s.recovery.Lock()
-	defer s.recovery.Unlock()
-	return s.loadJournal(st)
+	return s.RecoverJournal()
 }
 
 // SetJournal attaches the store handle without the recovery scan.  The
@@ -189,13 +189,12 @@ func (s *Scheduler) recoverJournal() (int, error) {
 	return s.loadJournal(st)
 }
 
-// loadJournal is the shared recovery scan behind AttachJournal and
-// RecoverJournal.  Records whose id is currently live in memory are
-// skipped entirely — they are this process's own running jobs, not the
-// dead writer's leftovers.  A scan that fails — the store's read, a
-// record that does not decode, the rewrite — loads nothing, and is
-// returned and kept in Scheduler.unread until a scan succeeds.  The
-// caller holds s.recovery.
+// loadJournal is recoverJournal's scan of st.  Records whose id is
+// currently live in memory are skipped entirely — they are this
+// process's own running jobs, not the dead writer's leftovers.  A scan
+// that fails — the store's read, a record that does not decode, the
+// rewrite — loads nothing, and is returned and kept in Scheduler.unread
+// until a scan succeeds.  The caller holds s.recovery.
 func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 	s.mu.Lock()
 	retain := s.retain

@@ -200,9 +200,10 @@ var iterWorkPool = sync.Pool{New: func() any { return new(IterWork) }}
 
 // Solve runs the method sequentially on a·x = b.  A direct row solves
 // through fc's plan for it (FactorCache.SolveCached, with pass as there),
-// factoring only when it must — a fresh cache is the one-shot solve — into
-// x, with r the residual's scratch (each allocated when nil); a direct solve
-// is one indivisible step, so ctx is honoured only before it.  An
+// reusing its factor only when pass proves it current — pass 0 or a
+// fresh cache is the one-shot solve — into x, with r the residual's
+// scratch (each allocated when nil); a direct solve is one indivisible
+// step, so ctx is honoured only before it.  An
 // iterative row runs its kernel on one block under the row's defaults
 // for opts' zero fields, returns a new vector, and ignores fc, pass, x
 // and r.  Info is reported on success, on cancellation and on

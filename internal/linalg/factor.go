@@ -12,7 +12,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/errs"
@@ -277,10 +276,9 @@ func (p *DirectPlan) SolveMatrixInto(c, out *Dense, st *Stats) (*Dense, error) {
 // FactorCache retains one DirectPlan per direct backend for a model's
 // system, so repeated solves of an unchanged matrix reuse the factor
 // and solves after a value change refactor in place instead of
-// replanning.  A cached hit requires the incoming values to be
-// bit-identical to the values the factor was computed from — the cache
-// never trades correctness for reuse, so callers that mutate a model
-// behind its back still get exact answers (at refactor cost).  All
+// replanning.  The cache never reads the values to decide: a factor is
+// reused only on its caller's proof that they are unchanged, a pass
+// token (see SolveCached), and every call without one factors.  All
 // methods are safe for concurrent use; solves on one cache serialize,
 // which is the per-model serialization the job layer already imposes.
 type FactorCache struct {
@@ -307,18 +305,13 @@ func (fc *FactorCache) Instrument(hits, misses, refactors, flops *obs.Counter) {
 	fc.mu.Unlock()
 }
 
-// factorEntry is one backend's cached plan plus the exact values the
-// current factor was computed from.
+// factorEntry is one backend's cached plan and the token of the values
+// its factor was computed from.
 type factorEntry struct {
 	plan *DirectPlan
-	vals []float64
-	// nan records a NaN among vals: it equals nothing, itself included,
-	// so such a factor is never reused.  Looked for once per refactor,
-	// which keeps the per-solve comparison one integer compare a value.
-	nan bool
-	// pass is the token of the solve the factor was computed for or last
-	// found its values equal in, 0 for none (see SolveCached).  It is
-	// cleared before Refactor runs and set only after it succeeds.
+	// pass is the token of the solve the factor was computed for, 0 for
+	// none (see SolveCached).  It is cleared before Refactor runs and set
+	// only after it succeeds.
 	pass uint64
 }
 
@@ -332,8 +325,8 @@ func (fc *FactorCache) Generation() uint64 {
 }
 
 // SolveCached solves A·x = b through backend's cached plan, factoring
-// only when it must: a missing or pattern-mismatched entry replans, a
-// value change refactors in place, and unchanged values ride the warm
+// only when it must: a missing or pattern-mismatched entry replans, an
+// unproven call refactors in place, and a proven one rides the warm
 // factor (refactored reports which happened).  Warm results are
 // bit-identical to the solve performed when the factor was computed.
 // x receives the solution (allocated when nil; may alias b).  st
@@ -343,11 +336,9 @@ func (fc *FactorCache) Generation() uint64 {
 // pass is the caller's proof that a.Val is unchanged, 0 for none.  A
 // non-zero pass is a token the caller never hands out for two different
 // contents of a.Val (fem's retained assembly: one per recording pass,
-// withdrawn before the buffer is written again).  When it equals the
-// token the current factor was computed from or last matched, the values
-// are not compared; any other call — every pass 0 included — compares
-// them bit for bit (-0 differs from +0, and a factor of values with a
-// NaN is never reused), so reuse never rests on anything weaker.
+// withdrawn before the buffer is written again).  The factor is reused
+// only when pass is non-zero and equals the token it was computed for;
+// any other call — every pass 0 included — factors a.Val afresh.
 func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b, x Vector, st *Stats) (_ Vector, refactored bool, err error) {
 	po, ok := PlanOptsFor(backend)
 	if !ok {
@@ -368,8 +359,7 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b, x Vec
 		e = &factorEntry{plan: plan}
 		fc.entries[backend] = e
 	}
-	proven := pass != 0 && pass == e.pass && e.plan.factored && !e.nan
-	if !proven && (!e.plan.factored || e.nan || !valuesEqual(e.vals, a.Val)) {
+	if pass == 0 || pass != e.pass || !e.plan.factored {
 		fc.refactors.Inc()
 		e.pass = 0
 		var spent Stats
@@ -379,11 +369,6 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b, x Vec
 		if err != nil {
 			return nil, true, err
 		}
-		if len(e.vals) != len(a.Val) {
-			e.vals = make([]float64, len(a.Val))
-		}
-		copy(e.vals, a.Val)
-		e.nan = hasNaN(e.vals)
 		fc.gen++
 		refactored = true
 	} else {
@@ -392,29 +377,4 @@ func (fc *FactorCache) SolveCached(backend string, a *CSR, pass uint64, b, x Vec
 	e.pass = pass
 	x, err = e.plan.SolveInto(b, x, st)
 	return x, refactored, err
-}
-
-// valuesEqual reports whether two value arrays hold the same bit
-// patterns (-0 differs from +0) — the stiffness witness's rule, but for
-// the NaNs, which are hasNaN's to find.
-func valuesEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if math.Float64bits(v) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// hasNaN reports whether any value is a NaN.
-func hasNaN(vals []float64) bool {
-	for _, v := range vals {
-		if v != v {
-			return true
-		}
-	}
-	return false
 }

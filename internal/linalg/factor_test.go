@@ -531,13 +531,13 @@ func TestDirectPlanErrors(t *testing.T) {
 }
 
 // TestFactorCacheSolveCached covers the cache protocol: cold plan build,
-// warm reuse on identical values, in-place refactor on changed values,
-// and generation accounting.
+// warm reuse under an equal token, in-place refactor under a new one and
+// on every pass 0 call, and generation accounting.
 func TestFactorCacheSolveCached(t *testing.T) {
 	m := poisson2D(8)
 	b := rhsFor(m)
 	fc := &FactorCache{}
-	x1, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
+	x1, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 1, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,12 +547,12 @@ func TestFactorCacheSolveCached(t *testing.T) {
 	if g := fc.Generation(); g != 1 {
 		t.Errorf("generation after cold solve = %d, want 1", g)
 	}
-	x2, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
+	x2, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 1, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if refac {
-		t.Error("repeat solve refactored despite unchanged values")
+		t.Error("repeat solve refactored despite an equal token")
 	}
 	if g := fc.Generation(); g != 1 {
 		t.Errorf("generation after warm solve = %d, want 1", g)
@@ -562,22 +562,41 @@ func TestFactorCacheSolveCached(t *testing.T) {
 			t.Fatalf("warm cached solve differs at %d", i)
 		}
 	}
-	// Changed values: must refactor and match a cold solve of the new
-	// system exactly.
+	// Unchanged values without a proof: factored again, to the same bits.
+	x2, refac, err = fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !refac {
+		t.Error("a pass 0 solve reused the factor")
+	}
+	for i := range x1 {
+		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
+			t.Fatalf("refactored solve of unchanged values differs at %d", i)
+		}
+	}
+	if _, refac, err = fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil); err != nil || !refac {
+		t.Errorf("a second pass 0 solve: refactored %v, err %v; want a refactor", refac, err)
+	}
+	if g := fc.Generation(); g != 3 {
+		t.Errorf("generation after two pass 0 solves = %d, want 3", g)
+	}
+	// Changed values under a new token: must refactor and match a cold
+	// solve of the new system exactly.
 	m.Val[0] *= 3
 	want, err := solveCholeskyRCM(m, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x3, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 0, b, nil, nil)
+	x3, refac, err := fc.SolveCached(BackendCholeskyRCM, m, 2, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !refac {
-		t.Error("solve after value change did not refactor")
+		t.Error("solve under a new token did not refactor")
 	}
-	if g := fc.Generation(); g != 2 {
-		t.Errorf("generation after value change = %d, want 2", g)
+	if g := fc.Generation(); g != 4 {
+		t.Errorf("generation after value change = %d, want 4", g)
 	}
 	for i := range want {
 		if x3[i] != want[i] {
@@ -585,17 +604,19 @@ func TestFactorCacheSolveCached(t *testing.T) {
 		}
 	}
 	// Iterative backends have nothing to cache.
-	if _, _, err := fc.SolveCached(BackendCG, m, 0, b, nil, nil); err == nil {
+	if _, _, err := fc.SolveCached(BackendCG, m, 2, b, nil, nil); err == nil {
 		t.Error("SolveCached accepted an iterative backend")
 	}
 }
 
 // TestFactorCachePassToken pins what a pass token buys and what it does
-// not.  Values go uncompared only on an equal, non-zero token, which is
-// shown by changing them behind an unchanged token: the hit must not
-// notice.  A pass 0 call after a token factor still compares them and
-// refactors when they differ, a failed Refactor leaves no token behind,
-// and a factor of values with a NaN never rides one.
+// not.  Values are never read to decide: an equal, non-zero token reuses,
+// which is shown by changing them behind an unchanged token — the hit
+// must not notice — and any other call factors, pass 0 every time.  A
+// pass 0 call withdraws the token the factor had, a failed Refactor
+// leaves none behind, and a NaN the plan does not scatter (above its
+// diagonal), reused under one token, answers with exactly the bits a
+// refactor gives.
 func TestFactorCachePassToken(t *testing.T) {
 	for _, backend := range []string{BackendCholesky, BackendCholeskyEnv} {
 		t.Run(backend, func(t *testing.T) {
@@ -621,15 +642,13 @@ func TestFactorCachePassToken(t *testing.T) {
 			solve("token 6", 6, true, false)
 			solve("token 6 again", 6, false, false)
 			a.Val[0] = orig
-			solve("pass 0 after a token factor, values changed", 0, true, false)
-			solve("pass 0, values unchanged", 0, false, false)
-			a.Val[0] *= 2
-			solve("pass 0 again, values changed", 0, true, false)
-			a.Val[0] = orig
+			solve("pass 0 after a token factor", 0, true, false)
+			solve("pass 0, values unchanged", 0, true, false)
 			solve("token 6 after a pass 0 factor", 6, true, false)
-			solve("token 7, values unchanged", 7, false, false)
+			solve("token 7, values unchanged", 7, true, false)
+			solve("token 7 again", 7, false, false)
 			if p := entry().pass; p != 7 {
-				t.Fatalf("a value match left token %d, want 7", p)
+				t.Fatalf("a hit left token %d, want 7", p)
 			}
 
 			a.Val[0] = -1
@@ -637,11 +656,12 @@ func TestFactorCachePassToken(t *testing.T) {
 			if p := entry().pass; p != 0 {
 				t.Fatalf("a failed Refactor left token %d behind", p)
 			}
+			solve("not positive definite again, token 8", 8, true, true)
 			a.Val[0] = orig
 			solve("restored, token 8", 8, true, false)
 
-			// A NaN the plan does not scatter (above its diagonal) factors
-			// fine, and is still never reused.
+			// A NaN the plan does not scatter factors fine, and a factor
+			// of it rides its token like any other.
 			k := 0
 			for k < len(a.Val) && entry().plan.scatter[k] >= 0 {
 				k++
@@ -650,16 +670,23 @@ func TestFactorCachePassToken(t *testing.T) {
 				t.Fatal("the plan scatters every entry")
 			}
 			a.Val[k] = math.NaN()
-			solve("a NaN above the diagonal, token 9", 9, true, false)
-			solve("the same NaN, token 9", 9, true, false)
-			if !entry().nan {
-				t.Fatal("the entry does not know of its NaN")
+			refactored := solve("a NaN above the diagonal, token 9", 9, true, false)
+			reused := solve("the same NaN, token 9", 9, false, false)
+			fresh, _, err := new(FactorCache).SolveCached(backend, a, 9, b, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range fresh {
+				if math.Float64bits(reused[i]) != math.Float64bits(refactored[i]) ||
+					math.Float64bits(reused[i]) != math.Float64bits(fresh[i]) {
+					t.Fatalf("x[%d]: reused %v, refactored %v, a fresh cache's %v", i, reused[i], refactored[i], fresh[i])
+				}
 			}
 		})
 	}
-	// Concurrent callers, each with tokens of its own for the same
-	// values: every call compares and hits, and -race sees the entry's
-	// token change hands under the cache's lock.
+	// Concurrent callers presenting one token for the same values: the
+	// first call factors, every later one hits, and -race sees the
+	// entry's token rewritten under the cache's lock.
 	t.Run("concurrent", func(t *testing.T) {
 		a := poisson2D(6)
 		b := rhsFor(a)
@@ -674,9 +701,9 @@ func TestFactorCachePassToken(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < 50; i++ {
-					x, _, err := fc.SolveCached(BackendCholeskyEnv, a, uint64(1+(g+i)%3), b, nil, nil)
-					if err != nil || MaxAbsDiff(x, want) != 0 {
-						t.Errorf("goroutine %d call %d: err %v, or another answer", g, i, err)
+					x, refac, err := fc.SolveCached(BackendCholeskyEnv, a, 1, b, nil, nil)
+					if err != nil || refac || MaxAbsDiff(x, want) != 0 {
+						t.Errorf("goroutine %d call %d: err %v, refactored %v, or another answer", g, i, err, refac)
 						return
 					}
 				}
@@ -684,7 +711,7 @@ func TestFactorCachePassToken(t *testing.T) {
 		}
 		wg.Wait()
 		if g := fc.Generation(); g != 1 {
-			t.Errorf("generation %d after concurrent calls on unchanged values, want 1", g)
+			t.Errorf("generation %d after concurrent calls under one token, want 1", g)
 		}
 	})
 }
@@ -761,11 +788,12 @@ func TestFactorCacheRejectsPatternImpostor(t *testing.T) {
 		t.Fatalf("fixtures differ in nnz: %d vs %d", a1.NNZ(), a2.NNZ())
 	}
 	b := Vector{1, 2, 3}
+	// One token for both: only the pattern check can refuse the factor.
 	fc := &FactorCache{}
-	if _, _, err := fc.SolveCached(BackendCholesky, a1, 0, b, nil, nil); err != nil {
+	if _, _, err := fc.SolveCached(BackendCholesky, a1, 1, b, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	x, refac, err := fc.SolveCached(BackendCholesky, a2, 0, b, nil, nil)
+	x, refac, err := fc.SolveCached(BackendCholesky, a2, 1, b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
