@@ -1,7 +1,6 @@
 package auvm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -88,10 +87,8 @@ func (db *Database) ModelGraph(name string) (*hgraph.Graph, error) {
 func (db *Database) Delete(name string) (bool, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, err := db.st.Get(store.ModelKey(name)); err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return false, nil
-		}
+	ok, err := db.st.Has(store.ModelKey(name))
+	if !ok || err != nil {
 		return false, err
 	}
 	return true, db.st.Delete(store.ModelKey(name))

@@ -361,7 +361,10 @@ func (s *Session) doJobs(c command.Jobs) (command.Result, error) {
 		}
 		f.States = []job.State{st}
 	}
-	snaps := s.Jobs.List(f)
+	snaps, err := s.Jobs.List(f)
+	if err != nil {
+		return nil, err
+	}
 	res := &command.JobsResult{Rows: make([]command.JobRow, len(snaps))}
 	for i, snap := range snaps {
 		res.Rows[i] = command.JobRow{

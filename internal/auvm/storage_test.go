@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,6 +107,56 @@ func TestDatabaseDeleteClearsSolutions(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("s: keys after open and delete = %q, want none", left)
+	}
+}
+
+// TestDatabaseDeleteReadsNoValue: Delete learns that a model is stored
+// from the store's index alone.  On a file store a delete of the 40×24
+// plate, a record of about 32 KB, reads none of it (rchar in
+// /proc/self/io, skipped where that file is missing), and no Get is made
+// of any store; a delete of a model never stored reports false.
+func TestDatabaseDeleteReadsNoValue(t *testing.T) {
+	readBytes := func() int64 {
+		stats, err := os.ReadFile("/proc/self/io")
+		if err != nil {
+			t.Skip("no /proc/self/io")
+		}
+		_, line, _ := bytes.Cut(stats, []byte("rchar: "))
+		line, _, _ = bytes.Cut(line, []byte("\n"))
+		n, err := strconv.ParseInt(string(line), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	db, st := openFileDB(t, filepath.Join(t.TempDir(), "fem2.db"))
+	defer st.Close()
+	s := NewSession("alice", db)
+	mustExec(t, s, "generate grid plate 40 24 40 24 clamp-left")
+	mustExec(t, s, "load plate tip endload 0 -100")
+	mustExec(t, s, "store plate")
+	raw, err := st.Get(store.ModelKey("plate"))
+	if err != nil || len(raw) < 16<<10 {
+		t.Fatalf("the plate's record: %d bytes, %v", len(raw), err)
+	}
+	in := fault.NewInjector(1)
+	db = NewDatabaseOn(fault.NewStore(st.(*store.FileStore), in), store.BackendFile)
+	before := readBytes()
+	found, err := db.Delete("plate")
+	read := readBytes() - before
+	if !found || err != nil {
+		t.Fatalf("Delete(plate) = %v, %v; want true, nil", found, err)
+	}
+	// The second reading of /proc/self/io counts itself: a few hundred
+	// bytes.
+	if read > 4<<10 {
+		t.Errorf("deleting a %d-byte record read %d bytes", len(raw), read)
+	}
+	if n := in.Calls(fault.OpGet); n != 0 {
+		t.Errorf("Delete made %d store reads, want 0", n)
+	}
+	if found, err := db.Delete("plate"); found || err != nil {
+		t.Errorf("second Delete(plate) = %v, %v; want false, nil", found, err)
 	}
 }
 

@@ -27,6 +27,9 @@ func NewFenced(inner store.Conditional, coord *Coordinator, reg *obs.Registry) *
 // Get passes through: followers serve reads.
 func (f *Fenced) Get(key string) ([]byte, error) { return f.inner.Get(key) }
 
+// Has passes through like Get.
+func (f *Fenced) Has(key string) (bool, error) { return f.inner.Has(key) }
+
 // Seek passes through like Get.
 func (f *Fenced) Seek(prefix string, fn func(key string, value []byte) bool) error {
 	return f.inner.Seek(prefix, fn)

@@ -9,6 +9,7 @@ import (
 // Store op names, as seen by Injector rules.
 const (
 	OpGet     = "get"
+	OpHas     = "has"
 	OpPut     = "put"
 	OpDelete  = "delete"
 	OpSeek    = "seek"
@@ -42,6 +43,13 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("get %q: %w", key, f.Err)
 	}
 	return s.inner.Get(key)
+}
+
+func (s *Store) Has(key string) (bool, error) {
+	if f := s.in.check(OpHas); f != nil && f.Err != nil {
+		return false, fmt.Errorf("has %q: %w", key, f.Err)
+	}
+	return s.inner.Has(key)
 }
 
 func (s *Store) Put(key string, value []byte) error {

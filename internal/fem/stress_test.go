@@ -231,8 +231,9 @@ func TestStressesMatchDenseReference(t *testing.T) {
 	}
 }
 
-// checkStresses compares Stresses and each element's AppendStress at u
-// with the references, bit for bit.
+// checkStresses compares Stresses, StressesInto writing over rows of
+// NaNs, and each element's AppendStress at u with the references, bit for
+// bit.
 func checkStresses(t *testing.T, name string, m *Model, u linalg.Vector) {
 	t.Helper()
 	got, err := Stresses(m, &Solution{U: u})
@@ -241,6 +242,14 @@ func checkStresses(t *testing.T, name string, m *Model, u linalg.Vector) {
 	}
 	if len(got) != len(m.Elements) {
 		t.Fatalf("%s: %d stress rows for %d elements", name, len(got), len(m.Elements))
+	}
+	rows := make([][]float64, len(m.Elements))
+	for i := range rows {
+		rows[i] = []float64{math.NaN(), math.NaN(), math.NaN()}
+	}
+	into, err := StressesInto(m, &Solution{U: u}, rows)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, e := range m.Elements {
 		var refs [][]float64
@@ -269,10 +278,13 @@ func checkStresses(t *testing.T, name string, m *Model, u linalg.Vector) {
 		if n := len(refs[0]); len(got[i]) != n || cap(got[i]) != 3 || len(one) != n {
 			t.Fatalf("%s element %d: row len %d cap %d, AppendStress len %d, want len %d cap 3", name, i, len(got[i]), cap(got[i]), len(one), n)
 		}
+		if len(into[i]) != len(refs[0]) {
+			t.Fatalf("%s element %d: StressesInto row len %d, want %d", name, i, len(into[i]), len(refs[0]))
+		}
 		for _, want := range refs {
 			for c := range want {
-				if !sameBits(got[i][c], want[c]) || !sameBits(one[c], want[c]) {
-					t.Fatalf("%s element %d component %d: Stresses %v, AppendStress %v, reference %v", name, i, c, got[i][c], one[c], want[c])
+				if !sameBits(got[i][c], want[c]) || !sameBits(into[i][c], want[c]) || !sameBits(one[c], want[c]) {
+					t.Fatalf("%s element %d component %d: Stresses %v, StressesInto %v, AppendStress %v, reference %v", name, i, c, got[i][c], into[i][c], one[c], want[c])
 				}
 			}
 		}
@@ -306,7 +318,8 @@ var fuzzDisplacements = [16]float64{
 }
 
 // FuzzCSTStress searches corners, material and displacements for an
-// input on which CST.AppendStress and its three references part ways:
+// input on which CST.AppendStress, StressesInto and the three references
+// part ways:
 // in any stress bit (NaNs as a class, see sameBits), or in the error of
 // a degenerate triangle.  sel picks the six displacements from
 // fuzzDisplacements, four bits each, entry 15 being v.  T is read by no
@@ -355,19 +368,23 @@ func FuzzCSTStress(f *testing.F) {
 		}
 		refs, refErr := cstStressRefs(c, m, u)
 		got, err := c.AppendStress(m, u, nil)
-		if refErr != nil || err != nil {
+		rows, intoErr := StressesInto(m, &Solution{U: u}, nil)
+		if refErr != nil || err != nil || intoErr != nil {
 			if refErr == nil || err == nil || err.Error() != refErr.Error() || !errors.Is(err, ErrModel) {
 				t.Fatalf("AppendStress error %v, references' %v", err, refErr)
+			}
+			if intoErr == nil || intoErr.Error() != "fem: stress of element 0: "+refErr.Error() || !errors.Is(intoErr, ErrModel) {
+				t.Fatalf("StressesInto error %v, references' %v", intoErr, refErr)
 			}
 			return
 		}
 		for _, want := range refs {
-			if len(got) != len(want) {
-				t.Fatalf("AppendStress %v, reference %v", got, want)
+			if len(got) != len(want) || len(rows[0]) != len(want) {
+				t.Fatalf("AppendStress %v, StressesInto %v, reference %v", got, rows[0], want)
 			}
 			for i := range want {
-				if !sameBits(got[i], want[i]) {
-					t.Fatalf("component %d: AppendStress %v, reference %v (u %v)", i, got, want, u)
+				if !sameBits(got[i], want[i]) || !sameBits(rows[0][i], want[i]) {
+					t.Fatalf("component %d: AppendStress %v, StressesInto %v, reference %v (u %v)", i, got, rows[0], want, u)
 				}
 			}
 		}

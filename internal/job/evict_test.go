@@ -291,8 +291,10 @@ func doneOf(t *testing.T, s *Scheduler, id JobID) chan struct{} {
 	return j.done
 }
 
-// TestEvictionPassesOverStaleIDs: an id in order with no record behind
-// it is dropped when eviction reaches it, as the full scan dropped it.
+// TestEvictionPassesOverStaleIDs: an id in order with no job in the map
+// is a settled job's, here one with no record behind it.  It counts
+// against the bound and is dropped when eviction reaches it, as the full
+// scan dropped it; the order left is the same.
 func TestEvictionPassesOverStaleIDs(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()
@@ -310,10 +312,10 @@ func TestEvictionPassesOverStaleIDs(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The third submit reached job-1 past the two stale heads; the fourth
-	// evicted job-2.
+	// The first two submits evicted the stale heads, the third job-1 and
+	// the fourth job-2.
 	if want := []JobID{3, 4}; !slices.Equal(s.order, want) {
-		t.Errorf("order = %v, want %v: the stale ids dropped on the way to the first victim", s.order, want)
+		t.Errorf("order = %v, want %v: the stale ids dropped before the first job", s.order, want)
 	}
 }
 

@@ -121,7 +121,9 @@ func TestFinishedAndRecoveredJobsAnswer(t *testing.T) {
 						t.Errorf("status %s: %v", id, err)
 					}
 				case 2:
-					s.List(Filter{})
+					if _, err := s.List(Filter{}); err != nil {
+						t.Errorf("list: %v", err)
+					}
 				case 3:
 					if _, err := s.Cancel(id); err != nil {
 						t.Errorf("cancel %s: %v", id, err)
@@ -259,7 +261,7 @@ func TestJournalScanFailureRefusesSubmits(t *testing.T) {
 				if err := recover.first(s, fault.NewStore(mem, in)); !fail.want(err) {
 					t.Fatalf("recovery: error %v, want the scan's", err)
 				}
-				if jobs := s.List(Filter{}); len(jobs) != 0 {
+				if jobs := list(t, s, Filter{}); len(jobs) != 0 {
 					t.Fatalf("the failed recovery loaded %d jobs", len(jobs))
 				}
 				for i := 0; i < fail.refusals; i++ {
@@ -280,7 +282,7 @@ func TestJournalScanFailureRefusesSubmits(t *testing.T) {
 				if _, err := s.Wait(ctx, id); err != nil {
 					t.Fatal(err)
 				}
-				if jobs := s.List(Filter{}); len(jobs) != 4 {
+				if jobs := list(t, s, Filter{}); len(jobs) != 4 {
 					t.Fatalf("%d jobs listed, want job-1..4", len(jobs))
 				}
 			})

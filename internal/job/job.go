@@ -146,3 +146,16 @@ func (f Filter) match(s Snapshot) bool {
 	}
 	return true
 }
+
+// admitsTerminal reports whether the filter can match a terminal job.
+func (f Filter) admitsTerminal() bool {
+	if len(f.States) == 0 {
+		return true
+	}
+	for _, st := range f.States {
+		if st.Terminal() {
+			return true
+		}
+	}
+	return false
+}

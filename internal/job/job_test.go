@@ -20,6 +20,16 @@ func (f execFunc) DoHeld(ctx context.Context, cmd command.Command) (command.Resu
 	return f(ctx, cmd)
 }
 
+// list is s.List(f), failing the test on a journal read error.
+func list(t testing.TB, s *Scheduler, f Filter) []Snapshot {
+	t.Helper()
+	snaps, err := s.List(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snaps
+}
+
 // solveOn is the canonical heavy command on a model.
 func solveOn(model string) command.Command { return command.Solve{Model: model, Set: "l"} }
 
@@ -398,16 +408,16 @@ func TestListFilter(t *testing.T) {
 	for _, id := range []JobID{a, b} {
 		s.Wait(context.Background(), id)
 	}
-	if got := s.List(Filter{}); len(got) != 2 || got[0].ID != a || got[1].ID != b {
+	if got := list(t, s, Filter{}); len(got) != 2 || got[0].ID != a || got[1].ID != b {
 		t.Errorf("List(all) = %+v", got)
 	}
-	if got := s.List(Filter{Owner: "alice"}); len(got) != 1 || got[0].ID != a {
+	if got := list(t, s, Filter{Owner: "alice"}); len(got) != 1 || got[0].ID != a {
 		t.Errorf("List(alice) = %+v", got)
 	}
-	if got := s.List(Filter{States: []State{Failed}}); len(got) != 1 || got[0].ID != b {
+	if got := list(t, s, Filter{States: []State{Failed}}); len(got) != 1 || got[0].ID != b {
 		t.Errorf("List(failed) = %+v", got)
 	}
-	if got := s.List(Filter{Model: "b"}); len(got) != 1 || got[0].ID != b {
+	if got := list(t, s, Filter{Model: "b"}); len(got) != 1 || got[0].ID != b {
 		t.Errorf("List(model b) = %+v", got)
 	}
 }
@@ -718,7 +728,7 @@ func TestRetentionEvictsOldTerminalJobs(t *testing.T) {
 		}
 		last = id
 	}
-	if got := s.List(Filter{}); len(got) > 3 {
+	if got := list(t, s, Filter{}); len(got) > 3 {
 		t.Errorf("retained %d job records, want <= retention bound (+ in-flight)", len(got))
 	}
 	// The newest job survives; the oldest was evicted to NotFound.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/command"
+	"repro/internal/errs"
 	"repro/internal/store"
 )
 
@@ -19,6 +20,14 @@ import (
 // a record still non-terminal when a process is killed is, by
 // definition, a job the crash destroyed — recovery rewrites it as
 // Failed with a deterministic "lost to restart" cause.
+//
+// Within the retention window a Done job is held once: after the Wait
+// that delivers its outcome its record is its only full copy, and the
+// scheduler keeps only its id, in its retention order (settleLocked); a
+// recovered job is held that way from the start.  Status, Wait, Cancel
+// and List read a settled job from the journal (journalLookup), and
+// Close reads the settled jobs back, so they answer from memory once
+// the store has closed.
 //
 // The journal also outlives retention eviction: evictLocked makes sure a
 // record is in the journal before dropping it from memory (writing it
@@ -57,6 +66,9 @@ type journalRecord struct {
 	// command envelope does not decode.  Recovery reports it for a record
 	// it loads, as it reports any other damage there.
 	cmdErr error
+	// filed is set by recovery on a record it found under its own id's
+	// key, or rewrote there: a lookup of the id reads it.
+	filed bool
 }
 
 // recordPlan writes a journalRecord byte for byte as encoding/json did,
@@ -100,7 +112,8 @@ func lostErr(id int64) string { return fmt.Sprintf("job-%d lost to restart", id)
 // It returns the number of records recovered.  Call it once, before
 // the scheduler sees traffic: it is SetJournal followed by
 // RecoverJournal, which on a fresh scheduler has no terminal job in
-// memory to drop.
+// memory to drop.  The recovered jobs are settled: their records answer
+// for them.
 func (s *Scheduler) AttachJournal(st store.Store) (int, error) {
 	s.SetJournal(st)
 	return s.RecoverJournal()
@@ -185,6 +198,7 @@ func (s *Scheduler) recoverJournal() (int, error) {
 		}
 	}
 	s.jobs, s.order = kept, order
+	s.syncSettledGaugeLocked()
 	s.mu.Unlock()
 	return s.loadJournal(st)
 }
@@ -232,6 +246,9 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 			}
 			fixups = append(fixups, store.Put(store.JobKey(rec.ID), raw))
 			rec.State, rec.Err, rec.Res = lost.State, lost.Err, nil
+			rec.filed = true
+		} else {
+			rec.filed = k == store.JobKey(rec.ID)
 		}
 		// The twins carry what the raw fields hold, and those may alias
 		// v, which is the store's again once this call returns.
@@ -244,7 +261,10 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 	}
 	// Build the most recent records' jobs, oldest first so order and
 	// eviction behave exactly as if the jobs had run here, before any is
-	// loaded: one that does not decode fails the scan.
+	// loaded: one that does not decode fails the scan.  They load settled,
+	// but for a record found under another id's key, which no lookup of
+	// its own id reads: that job is held in full, and written under its
+	// key at eviction, as a job whose terminal write failed is.
 	var loaded []*job
 	if scanErr == nil {
 		sort.Slice(recs, func(i, k int) bool { return recs[i].ID < recs[k].ID })
@@ -259,6 +279,7 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 				scanErr = err
 				break
 			}
+			j.journaled = recs[first+i].filed
 			loaded = append(loaded, j)
 		}
 	}
@@ -274,9 +295,12 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 		return 0, scanErr
 	}
 	for _, j := range loaded {
-		s.jobs[j.id] = j
+		if !j.journaled {
+			s.jobs[j.id] = j
+		}
 		s.order = append(s.order, j.id)
 	}
+	s.syncSettledGaugeLocked()
 	if len(recs) > 0 {
 		if max := recs[len(recs)-1].ID; max > s.next {
 			s.next = max
@@ -290,7 +314,8 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 // scheduler's record buffer: it is good until the next call.  The record
 // is the scheduler's own, so encoding one allocates nothing; it is
 // cleared after the encode so it keeps no job's command or result alive.
-func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
+// whole is false when the job's result had to be left out.
+func (s *Scheduler) recordLocked(j *job) (raw []byte, whole bool, err error) {
 	rec := &s.rec
 	*rec = journalRecord{
 		ID: int64(j.id), Owner: j.owner, Model: j.model, Command: j.cmd,
@@ -304,18 +329,19 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 		rec.Err = j.err.Error()
 	}
 	v := reflect.ValueOf(rec).Elem()
-	raw, err := recordPlan.Append(s.recBuf[:0], v)
+	whole = true
+	raw, err = recordPlan.Append(s.recBuf[:0], v)
 	if err != nil && rec.Res != nil {
 		// A result JSON cannot carry (a NaN field) is left out of the
 		// record; it must not cost the job its record.
-		rec.Res = nil
+		rec.Res, whole = nil, false
 		raw, err = recordPlan.Append(s.recBuf[:0], v)
 	}
 	*rec = journalRecord{}
 	if err == nil {
 		s.recBuf = raw
 	}
-	return raw, err
+	return raw, whole, err
 }
 
 // persistLocked writes a job's current record through the journal.
@@ -324,29 +350,30 @@ func (s *Scheduler) recordLocked(j *job) ([]byte, error) {
 // scheduler — the failure is counted, logged, and the job carries on;
 // the record simply stays at its previous state and recovery treats it
 // accordingly.  No-op when no journal is attached.  It reports whether
-// the journal now holds the record.
-func (s *Scheduler) persistLocked(j *job) bool {
+// the journal now holds the record, and whether the record carries the
+// job's result as well.
+func (s *Scheduler) persistLocked(j *job) (written, whole bool) {
 	if s.journal == nil {
-		return false
+		return false, false
 	}
-	raw, err := s.recordLocked(j)
+	raw, whole, err := s.recordLocked(j)
 	if err == nil {
 		err = s.journal.Put(store.JobKey(int64(j.id)), raw)
 	}
 	if err != nil {
-		s.journalWriteFailedLocked(j, err)
+		s.journalWriteFailedLocked(j.id, err)
 	}
-	return err == nil
+	return err == nil, err == nil && whole
 }
 
 // journalWriteFailedLocked is the log-mark-continue half of the journal
 // contract.  The log rate-limits itself: a degraded store fails every
 // write, and one line per job beats one line per write.
-func (s *Scheduler) journalWriteFailedLocked(j *job, err error) {
+func (s *Scheduler) journalWriteFailedLocked(id JobID, err error) {
 	s.journalErrs++
 	s.mJournalErrs.Inc()
 	if s.journalErrs <= 3 || s.journalErrs%100 == 0 {
-		s.logfLocked("job: journal write for %s failed (%d so far, continuing): %v", j.id, s.journalErrs, err)
+		s.logfLocked("job: journal write for %s failed (%d so far, continuing): %v", id, s.journalErrs, err)
 	}
 }
 
@@ -374,27 +401,29 @@ func jobFromRecord(rec *journalRecord) (*job, error) {
 	return j, nil
 }
 
-// journalLookup reads one job straight from the journal — the fallback
-// for ids retention has evicted from memory.  Callers must not hold
-// s.mu (the store read can hit disk).
-func (s *Scheduler) journalLookup(id JobID) (*job, bool) {
+// journalLookup reads one job straight from the journal — how a settled
+// job is answered, and the fallback for ids retention has evicted from
+// memory.  An id the journal does not hold (or no journal) is not
+// found; a store that fails the read, or a record that does not decode,
+// returns that error instead, since the job may well exist.  Callers
+// must not hold s.mu (the store read can hit disk).
+func (s *Scheduler) journalLookup(id JobID) (*job, error) {
 	s.mu.Lock()
 	st := s.journal
 	s.mu.Unlock()
 	if st == nil {
-		return nil, false
+		return nil, notFound(id)
 	}
 	raw, err := st.Get(store.JobKey(int64(id)))
+	if errors.Is(err, errs.ErrNotFound) {
+		return nil, notFound(id)
+	}
 	if err != nil {
-		return nil, false
+		return nil, fmt.Errorf("job: reading %s from the journal: %w", id, err)
 	}
 	var rec journalRecord
 	if err := decodeRecord(raw, &rec); err != nil {
-		return nil, false
+		return nil, fmt.Errorf("job: corrupt journal record of %s: %w", id, err)
 	}
-	j, err := jobFromRecord(&rec)
-	if err != nil {
-		return nil, false
-	}
-	return j, true
+	return jobFromRecord(&rec)
 }

@@ -147,9 +147,18 @@ func FuzzJournalRecord(f *testing.F) {
 			}
 		}
 
+		// A recovered job is settled when its record lies under its own
+		// key, and held in full otherwise.
 		s.mu.Lock()
-		j := s.jobs[s.order[0]]
-		again, err := s.recordLocked(j)
+		j, full := s.jobs[want.id]
+		s.mu.Unlock()
+		if !full {
+			if j, err = s.journalLookup(want.id); err != nil {
+				t.Fatalf("lookup of the recovered record: %v", err)
+			}
+		}
+		s.mu.Lock()
+		again, _, err := s.recordLocked(j)
 		again = bytes.Clone(again)
 		s.mu.Unlock()
 		if err != nil {

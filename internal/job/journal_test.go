@@ -119,7 +119,7 @@ func TestRecoverJournalWithoutJournalKeepsHistory(t *testing.T) {
 			t.Errorf("job-%d after RecoverJournal: %v, %v, want done", id, snap.State, err)
 		}
 	}
-	if list := s.List(Filter{}); len(list) != 3 {
+	if list := list(t, s, Filter{}); len(list) != 3 {
 		t.Errorf("jobs after RecoverJournal: %d, want 3", len(list))
 	}
 }
@@ -187,7 +187,7 @@ func TestJournalOutlivesEviction(t *testing.T) {
 	runN(t, s, 5)
 
 	// Only the newest two survive in memory...
-	if got := len(s.List(Filter{})); got != 2 {
+	if got := len(list(t, s, Filter{})); got != 2 {
 		t.Fatalf("in-memory records = %d, want 2", got)
 	}
 	// ...but every id still answers.
@@ -227,7 +227,7 @@ func TestJournalRetentionLoad(t *testing.T) {
 	if _, err := s2.AttachJournal(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(s2.List(Filter{})); got != 2 {
+	if got := len(list(t, s2, Filter{})); got != 2 {
 		t.Errorf("in-memory records after recovery = %d, want 2", got)
 	}
 	if snap, err := s2.Status(1); err != nil || snap.State != Done {
@@ -340,7 +340,7 @@ func TestJournalRecordAllocationFree(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.recordLocked(j); err != nil {
+	if _, _, err := s.recordLocked(j); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() { s.recordLocked(j) }); n != 0 {

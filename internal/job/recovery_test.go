@@ -18,7 +18,7 @@ func recordOf(t testing.TB, j *job) []byte {
 	defer s.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	raw, err := s.recordLocked(j)
+	raw, _, err := s.recordLocked(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestJournalRecoveryKeepsNoSeekValue(t *testing.T) {
 			t.Fatalf("recovered %d of %d records: %v", n, len(records), err)
 		}
 		var out strings.Builder
-		for _, snap := range s.List(Filter{}) {
+		for _, snap := range list(t, s, Filter{}) {
 			fmt.Fprintln(&out, snapshotRendering(snap))
 		}
 		left := map[string]string{}

@@ -78,8 +78,11 @@ type job struct {
 	// journaled records that finishLocked's write of the terminal record
 	// reached the journal, so retention eviction has nothing to flush.  It
 	// stays false after a failed write, with no journal attached, and on a
-	// record recovered from a journal: those are written at eviction.
-	journaled bool
+	// job recovered from a record under another id's key: those are
+	// written at eviction.  whole adds that the record carries the
+	// job's result too (recordLocked did not leave it out), so the record
+	// answers everything the job does and a Wait may settle it.
+	journaled, whole bool
 	// done is closed exactly once, when the job reaches a terminal
 	// state; then finishLocked points it at finished.  Read under
 	// Scheduler.mu.
@@ -121,15 +124,20 @@ type Scheduler struct {
 	started bool
 	closed  bool
 	next    int64
-	jobs    map[JobID]*job
-	// order remembers submission order for retention eviction: a queue
-	// evictLocked consumes from the head.
+	// jobs holds the retained jobs in full.
+	jobs map[JobID]*job
+	// order holds the ids of every retained job in submission order, for
+	// retention eviction: a queue evictLocked consumes from the head.  An
+	// id in order but not in jobs is settled: a terminal job whose
+	// journal record is its only full copy, settled once delivered
+	// (settleLocked) or recovered.
 	order []JobID
 	// orderExamined counts the entries of order evictLocked has looked at
 	// — what the scaling test reads in place of a clock.
 	orderExamined int64
-	// retain bounds the job records kept: when the map outgrows it, the
-	// oldest terminal jobs are evicted (live jobs never are).
+	// retain bounds the jobs kept, full and settled alike (order): when
+	// they outnumber it, the oldest terminal jobs are evicted (live jobs
+	// never are).
 	retain int
 	queue  []*job
 	// busy holds the models currently held, by a running job or by a
@@ -162,7 +170,8 @@ type Scheduler struct {
 	subNext int
 	// journal, when non-nil, persists job records through the system's
 	// store (see journal.go): queued at submit (unless forget is set),
-	// terminal at finish, and flushed before retention eviction.
+	// terminal at finish, and flushed before retention eviction.  It is
+	// set before traffic: a settled job is read back from it.
 	journal store.Store
 	// forget makes retention eviction delete the evicted job's record
 	// instead (ForgetEvicted).
@@ -180,6 +189,9 @@ type Scheduler struct {
 	// serializes the scans, so no two load the same records.
 	unread   error
 	recovery sync.Mutex
+	// closing serializes Close, so a second Close returns only once the
+	// first has unsettled the retained jobs.
+	closing sync.Mutex
 	// journalErrs counts journal writes that failed.  A journal failure
 	// never takes down the scheduler — the write is logged through logf
 	// and the job carries on — but the count surfaces the rot.
@@ -206,6 +218,7 @@ type Scheduler struct {
 	gQueueDepth    *obs.Gauge
 	gRunning       *obs.Gauge
 	gWorkers       *obs.Gauge
+	gSettled       *obs.Gauge
 }
 
 // DefaultRetainedJobs bounds the job history a scheduler keeps by
@@ -263,6 +276,25 @@ func (s *Scheduler) SetObs(reg *obs.Registry) {
 	s.gRunning = reg.Gauge(obs.JobRunning)
 	s.gWorkers = reg.Gauge(obs.JobWorkers)
 	s.gWorkers.Set(int64(s.workers))
+	s.gSettled = reg.Gauge(obs.JobSettled)
+	s.syncSettledGaugeLocked()
+}
+
+// settledLocked returns the settled ids, oldest first: the retained ids
+// not held in full.
+func (s *Scheduler) settledLocked() []JobID {
+	var settled []JobID
+	for _, id := range s.order {
+		if _, full := s.jobs[id]; !full {
+			settled = append(settled, id)
+		}
+	}
+	return settled
+}
+
+// syncSettledGaugeLocked publishes the number of settled jobs.
+func (s *Scheduler) syncSettledGaugeLocked() {
+	s.gSettled.Set(int64(len(s.order) - len(s.jobs)))
 }
 
 // syncQueueGaugeLocked publishes the current heavy-queue length.  Jobs
@@ -290,8 +322,9 @@ func (s *Scheduler) logfLocked(format string, args ...any) {
 
 // SetRetention rebounds the retained job history (<= 0 keeps everything
 // — unbounded, test use only).  Ids evicted by retention are answered
-// from the journal, or ErrNotFound from Status/Wait/Cancel when there is
-// none or it forgets them (ForgetEvicted).
+// from the journal, as settled ones are, or ErrNotFound from
+// Status/Wait/Cancel when there is none or it forgets them
+// (ForgetEvicted).
 func (s *Scheduler) SetRetention(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -299,26 +332,23 @@ func (s *Scheduler) SetRetention(n int) {
 	s.evictLocked()
 }
 
-// evictLocked drops the oldest terminal job records until the map is
-// back within the retention bound.  Live (queued/running) jobs are
-// never evicted, so under a burst the map can exceed the bound by the
-// number of in-flight jobs.  It walks order from the head and stops as
-// soon as the bound holds: the cost is the records evicted plus the live
-// jobs (and ids no longer in the map) passed over on the way, which keep
-// their place at the head.
+// evictLocked drops the oldest terminal jobs, full or settled, until
+// they are back within the retention bound.  Live (queued/running) jobs
+// are never evicted, so under a burst the count can exceed the bound by
+// the number of in-flight jobs.  It walks order from the head and stops
+// as soon as the bound holds: the cost is the jobs evicted plus the live
+// jobs passed over on the way, which keep their place at the head.
 func (s *Scheduler) evictLocked() {
-	if s.retain <= 0 || len(s.jobs) <= s.retain {
+	if s.retain <= 0 || len(s.order) <= s.retain {
 		return
 	}
 	i, kept := 0, 0
-	for ; i < len(s.order) && len(s.jobs) > s.retain; i++ {
+	// len(s.order)-(i-kept) jobs are retained once i entries are examined.
+	for ; i < len(s.order) && len(s.order)-(i-kept) > s.retain; i++ {
 		s.orderExamined++
 		id := s.order[i]
-		j, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		if !j.state.Terminal() {
+		j, full := s.jobs[id]
+		if full && !j.state.Terminal() {
 			s.order[kept] = id
 			kept++
 			continue
@@ -326,14 +356,15 @@ func (s *Scheduler) evictLocked() {
 		// The record must be in the journal before it leaves memory, so
 		// history survives eviction (and restart): Status and Wait keep
 		// answering for evicted ids via the journal.  finishLocked has
-		// usually put it there already.  A journal that forgets evicted
-		// jobs deletes it instead, at once: the id is not found from now.
+		// usually put it there already, and a settled job's is there.  A
+		// journal that forgets evicted jobs deletes it instead, at once:
+		// the id is not found from now.
 		switch {
 		case s.forget && s.journal != nil:
 			if err := s.journal.Delete(store.JobKey(int64(id))); err != nil {
-				s.journalWriteFailedLocked(j, err)
+				s.journalWriteFailedLocked(id, err)
 			}
-		case !j.journaled:
+		case full && !j.journaled:
 			s.persistLocked(j)
 		}
 		delete(s.jobs, id)
@@ -342,6 +373,7 @@ func (s *Scheduler) evictLocked() {
 	// the unexamined tail.
 	copy(s.order[i-kept:i], s.order[:kept])
 	s.order = s.order[i-kept:]
+	s.syncSettledGaugeLocked()
 }
 
 // notFound builds the taxonomy error for an unknown job id.
@@ -675,8 +707,9 @@ func (s *Scheduler) do(j *job) (res command.Result, err error) {
 	return j.ex.DoHeld(j.ctx, j.cmd)
 }
 
-// Status returns a snapshot of one job.  Ids retention has evicted
-// from memory are answered from the journal when one is attached.
+// Status returns a snapshot of one job.  Settled ids, and ids retention
+// has evicted from memory, are answered from the journal when one is
+// attached.
 func (s *Scheduler) Status(id JobID) (Snapshot, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -686,13 +719,15 @@ func (s *Scheduler) Status(id JobID) (Snapshot, error) {
 		return snap, nil
 	}
 	s.mu.Unlock()
-	if j, ok := s.journalLookup(id); ok {
-		return s.snapshotLocked(j), nil
+	j, err := s.journalLookup(id)
+	if err != nil {
+		return Snapshot{}, err
 	}
-	return Snapshot{}, notFound(id)
+	return s.snapshotLocked(j), nil
 }
 
-// snapshotLocked copies a job's current state.
+// snapshotLocked copies a job's current state (a job read from the
+// journal is the caller's own, and needs no lock).
 func (s *Scheduler) snapshotLocked(j *job) Snapshot {
 	return Snapshot{
 		ID: j.id, Owner: j.owner, Cmd: j.cmd, Model: j.model,
@@ -704,18 +739,20 @@ func (s *Scheduler) snapshotLocked(j *job) Snapshot {
 // Wait blocks until the job reaches a terminal state (or ctx is done)
 // and returns the stored result and error — for a Done job, exactly what
 // the synchronous command would have returned; for a cancelled job, an
-// error wrapping errs.ErrCancelled.
+// error wrapping errs.ErrCancelled.  The Wait that delivers a Done job's
+// outcome settles it (settleLocked).
 func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		// An evicted terminal job is already finished: answer its stored
+		// A settled or evicted job is already finished: answer its stored
 		// outcome from the journal immediately.
-		if j, ok := s.journalLookup(id); ok {
-			return j.res, j.err
+		j, err := s.journalLookup(id)
+		if err != nil {
+			return nil, err
 		}
-		return nil, notFound(id)
+		return j.res, j.err
 	}
 	done := j.done
 	s.mu.Unlock()
@@ -726,14 +763,33 @@ func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.settleLocked(j)
 	return j.res, j.err
 }
 
+// settleLocked drops a Done job from memory once a Wait has its outcome,
+// when its terminal record carries that outcome whole: from then on the
+// record is the job's one full copy, and the scheduler keeps only its
+// id, in order.  Jobs that failed or were cancelled, a record written
+// without its result, a scheduler with no journal and a closed one keep
+// the job in memory, as does a Wait whose job has left the map (evicted,
+// or replaced by a recovery) since it looked.  Settling after the
+// delivery, not at finish, is what keeps the journal unread in a
+// submit+wait cycle.
+func (s *Scheduler) settleLocked(j *job) {
+	if j.state != Done || !j.whole || s.journal == nil || s.closed || s.jobs[j.id] != j {
+		return
+	}
+	delete(s.jobs, j.id)
+	s.syncSettledGaugeLocked()
+}
+
 // Settled reports whether Wait(id) would return at once: the job is
-// terminal in memory, or it has left memory for good — evicted to the
-// journal, or forgotten — and is answered from the journal or as not
-// found.  An id the scheduler has not issued yet is not settled: a
-// Submit racing the caller could issue it and run a job under it.
+// terminal in memory, or it has left memory for good — settled or
+// evicted to the journal, or forgotten — and is answered from the
+// journal or as not found.  An id the scheduler has not issued yet is
+// not settled: a Submit racing the caller could issue it and run a job
+// under it.
 func (s *Scheduler) Settled(id JobID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -771,11 +827,13 @@ func (s *Scheduler) Cancel(id JobID) (State, error) {
 	j, ok := s.jobs[id]
 	if !ok {
 		s.mu.Unlock()
-		// An evicted job is terminal; cancelling it reports its state.
-		if j, ok := s.journalLookup(id); ok {
-			return j.state, nil
+		// A settled or evicted job is terminal; cancelling it reports its
+		// state.
+		j, err := s.journalLookup(id)
+		if err != nil {
+			return 0, err
 		}
-		return 0, notFound(id)
+		return j.state, nil
 	}
 	switch j.state {
 	case Queued:
@@ -829,26 +887,51 @@ func (s *Scheduler) CancelOwner(owner string) int {
 	return n
 }
 
-// List returns snapshots of the jobs matching f, ascending id.
-func (s *Scheduler) List(f Filter) []Snapshot {
+// List returns snapshots of the retained jobs matching f, ascending id.
+// A settled job is read from the journal after the scheduler's lock is
+// released, and matched then; one evicted meanwhile by a journal that
+// forgets evicted jobs is left out.  Settled jobs are terminal, so a
+// filter of live states reads none.  The error is the first journal
+// read that failed.
+func (s *Scheduler) List(f Filter) ([]Snapshot, error) {
 	s.mu.Lock()
-	out := make([]Snapshot, 0, len(s.jobs))
+	out := make([]Snapshot, 0, len(s.order))
 	for _, j := range s.jobs {
 		if snap := s.snapshotLocked(j); f.match(snap) {
 			out = append(out, snap)
 		}
 	}
+	var settled []JobID
+	if f.admitsTerminal() {
+		settled = s.settledLocked()
+	}
 	s.mu.Unlock()
+	for _, id := range settled {
+		j, err := s.journalLookup(id)
+		if errors.Is(err, errs.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			return nil, err
+		}
+		if snap := s.snapshotLocked(j); f.match(snap) {
+			out = append(out, snap)
+		}
+	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
+	return out, nil
 }
 
 // Close shuts the scheduler down: queued jobs are cancelled, running
 // jobs have their contexts cancelled, workers drain and exit, and
 // further Submits return ErrClosed.  Close blocks until the pool is
 // gone and every job a submitter took (Own.Take) has run; it is
-// idempotent.
+// idempotent.  Then it reads the settled jobs back from the journal
+// (unsettle), so they answer from memory once the journal's store has
+// closed, as every retained job did before it settled.
 func (s *Scheduler) Close() {
+	s.closing.Lock()
+	defer s.closing.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -872,4 +955,31 @@ func (s *Scheduler) Close() {
 		cancel()
 	}
 	s.wg.Wait()
+	s.unsettle()
+}
+
+// unsettle holds every settled job in full again, read from its
+// journal record; a record that does not read leaves its job settled,
+// answering the read's error.  Close calls it once no job can settle.
+func (s *Scheduler) unsettle() {
+	s.mu.Lock()
+	settled := s.settledLocked()
+	s.mu.Unlock()
+	read := make(map[JobID]*job, len(settled))
+	for _, id := range settled {
+		if j, err := s.journalLookup(id); err == nil {
+			j.journaled, j.whole = true, true
+			read[id] = j
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Only ids still retained are held again (SetRetention may have
+	// evicted some meanwhile).
+	for _, id := range s.order {
+		if _, full := s.jobs[id]; !full && read[id] != nil {
+			s.jobs[id] = read[id]
+		}
+	}
+	s.syncSettledGaugeLocked()
 }

@@ -166,7 +166,7 @@ func (s *Scheduler) finishLocked(j *job) {
 	if len(s.queue) > 0 {
 		s.work.Signal()
 	}
-	j.journaled = s.persistLocked(j)
+	j.journaled, j.whole = s.persistLocked(j)
 	s.publishLocked(j)
 }
 

@@ -18,6 +18,7 @@ const (
 	JobQueueDepth    = "job.queue_depth"    // gauge: heavy jobs waiting for a worker or a model lock
 	JobRunning       = "job.running"        // gauge: jobs executing right now (worker utilization numerator)
 	JobWorkers       = "job.workers"        // gauge: worker pool bound (utilization denominator)
+	JobSettled       = "job.settled"        // gauge: retained jobs held by their journal record alone
 	JobLatencyPrefix = "job.latency."       // histogram family: execution time per verb
 
 	// Per-solver-backend solve cost (internal/auvm doSolve): one

@@ -428,7 +428,11 @@ func runStream(t *testing.T, data []byte) {
 		f.add("%d reader runs registered after shutdown", n)
 	}
 	srv.rmu.Unlock()
-	for _, snap := range sys.Jobs.List(job.Filter{}) {
+	jobs, err := sys.Jobs.List(job.Filter{})
+	if err != nil {
+		f.add("jobs after shutdown: %v", err)
+	}
+	for _, snap := range jobs {
 		if !snap.State.Terminal() {
 			f.add("%s is %v after shutdown", snap.ID, snap.State)
 		}
@@ -545,7 +549,8 @@ func watchRuns(srv *Server, sys *core.System, f *findings, stalled *stalls) (sto
 			}
 			srv.rmu.Unlock()
 			heavy := 0
-			for _, snap := range sys.Jobs.List(job.Filter{States: []job.State{job.Running}}) {
+			running, _ := sys.Jobs.List(job.Filter{States: []job.State{job.Running}})
+			for _, snap := range running {
 				if command.PropsOf(snap.Cmd).Has(command.Heavy) {
 					heavy++
 				}
@@ -630,7 +635,8 @@ func runConn(srv *Server, addr string, ref *auvm.Session, n int, cs connStream, 
 				}
 				slices.Sort(cmds)
 				var live []string
-				for _, snap := range srv.sys.Jobs.List(job.Filter{States: []job.State{job.Queued, job.Running}}) {
+				jobs, _ := srv.sys.Jobs.List(job.Filter{States: []job.State{job.Queued, job.Running}})
+				for _, snap := range jobs {
 					live = append(live, fmt.Sprintf("%s %v %q", snap.ID, snap.State, snap.Cmd))
 				}
 				parked, idle := srv.sys.Jobs.Pool()

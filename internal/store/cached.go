@@ -97,6 +97,9 @@ func (s *CachedStore) Batch(ops []Op) error {
 	return nil
 }
 
+// Has delegates to the backend, which holds every key the cache does.
+func (s *CachedStore) Has(key string) (bool, error) { return s.backend.Has(key) }
+
 // Seek delegates to the backend; write-through keeps it coherent.
 func (s *CachedStore) Seek(prefix string, fn func(key string, value []byte) bool) error {
 	return s.backend.Seek(prefix, fn)

@@ -137,6 +137,10 @@ func (g *Guard) Get(key string) ([]byte, error) {
 	return g.inner.Get(key)
 }
 
+// Has passes through like Get; it reads no value, so store.get does not
+// count it.
+func (g *Guard) Has(key string) (bool, error) { return g.inner.Has(key) }
+
 // Seek passes through like Get.
 func (g *Guard) Seek(prefix string, fn func(key string, value []byte) bool) error {
 	return g.inner.Seek(prefix, fn)

@@ -542,6 +542,17 @@ func (s *FileStore) Get(key string) ([]byte, error) {
 	return out, nil
 }
 
+// Has reports whether key holds a value, from the index: no read.
+func (s *FileStore) Has(key string) (bool, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return false, ErrClosed
+	}
+	_, ok := s.index[key]
+	return ok, nil
+}
+
 // Seek visits keys with the given prefix in ascending byte order.  A run
 // of values that are consecutive in key order and near each other in the
 // file — each within seekGap bytes of the span of the run's values before

@@ -37,6 +37,17 @@ func (s *MemStore) Get(key string) ([]byte, error) {
 	return out, nil
 }
 
+// Has reports whether key holds a value.
+func (s *MemStore) Has(key string) (bool, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return false, ErrClosed
+	}
+	_, ok := s.m[key]
+	return ok, nil
+}
+
 // Put stores a copy of value under key.
 func (s *MemStore) Put(key string, value []byte) error {
 	return s.Batch([]Op{Put(key, value)})

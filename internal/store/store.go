@@ -112,6 +112,8 @@ func Del(key string) Op { return Op{Key: key, Delete: true} }
 //
 //   - Get returns a copy the caller owns; a missing key reports an
 //     error satisfying errors.Is(err, ErrNotFound).
+//   - Has reports whether a key holds a value, an empty one included,
+//     from the backend's index alone: it reads and copies no value.
 //   - Put stores a copy of value; the caller may reuse its buffer.
 //   - Delete of a missing key is a no-op, not an error.
 //   - Seek visits keys with the given prefix in ascending byte order
@@ -123,6 +125,7 @@ func Del(key string) Op { return Op{Key: key, Delete: true} }
 //     it, Get wraps it).
 type Store interface {
 	Get(key string) ([]byte, error)
+	Has(key string) (bool, error)
 	Put(key string, value []byte) error
 	Delete(key string) error
 	Seek(prefix string, fn func(key string, value []byte) bool) error

@@ -19,6 +19,7 @@ import (
 // checked on a fresh store.
 func Run(t *testing.T, open func(t *testing.T) store.Store) {
 	t.Run("get-put-delete", func(t *testing.T) { GetPutDelete(t, open(t)) })
+	t.Run("has", func(t *testing.T) { Has(t, open(t)) })
 	t.Run("seek-prefix-order", func(t *testing.T) { SeekPrefixOrder(t, open(t)) })
 	t.Run("batch-atomic", func(t *testing.T) { Batch(t, open(t)) })
 	t.Run("closed", func(t *testing.T) { Closed(t, open(t)) })
@@ -60,6 +61,34 @@ func GetPutDelete(t *testing.T, s store.Store) {
 	}
 	if err := s.Delete("never-existed"); err != nil {
 		t.Fatalf("Delete of missing key = %v, want nil", err)
+	}
+}
+
+// Has pins the key-only lookup: it sees a put (an empty value too),
+// misses a key never written and one deleted, and reports ErrClosed on a
+// closed store.
+func Has(t *testing.T, s store.Store) {
+	has := func(key string, want bool) {
+		t.Helper()
+		if ok, err := s.Has(key); ok != want || err != nil {
+			t.Fatalf("Has(%s) = %v, %v, want %v", key, ok, err, want)
+		}
+	}
+	has("k", false)
+	if err := s.Batch([]store.Op{store.Put("k", []byte("v")), store.Put("empty", nil)}); err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	has("k", true)
+	has("empty", true)
+	if err := s.Delete("k"); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	has("k", false)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := s.Has("empty"); !errors.Is(err, store.ErrClosed) {
+		t.Errorf("Has after close = %v, want ErrClosed", err)
 	}
 }
 

@@ -114,7 +114,10 @@ func TestConcurrentSessionsThroughScheduler(t *testing.T) {
 	}
 
 	// The scheduler saw every job and all of them finished.
-	done := sys.Jobs.List(fem2.JobFilter{States: []fem2.JobState{fem2.JobDone}})
+	done, err := sys.Jobs.List(fem2.JobFilter{States: []fem2.JobState{fem2.JobDone}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(done) != sessions {
 		t.Errorf("done jobs = %d, want %d", len(done), sessions)
 	}
