@@ -11,8 +11,11 @@ package fem2_test
 
 import (
 	"context"
+	"math"
 	"net"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	fem2 "repro"
@@ -59,28 +62,7 @@ func BenchmarkSubstructureSolve(b *testing.B) {
 // the ceiling a service-path change must not raise.
 func BenchmarkServerThroughput(b *testing.B) {
 	b.Run("submit-wait-steady", func(b *testing.B) {
-		sys, err := fem2.New(fem2.WithWorkers(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := fem2.NewServer(sys, fem2.ServerConfig{})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(ln)
-		defer srv.Shutdown(context.Background())
-		cl, err := fem2.Dial(ln.Addr().String(), "steady")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		remotePlate(b, cl, "plate", 8, 6)
-		for n := 0; n <= job.DefaultRetainedJobs; n++ {
-			if _, _, err := submitAndWait(cl, "plate"); err != nil {
-				b.Fatal(err)
-			}
-		}
+		cl := steadyClient(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
@@ -91,6 +73,75 @@ func BenchmarkServerThroughput(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
 	})
+}
+
+// steadyClient serves a one-worker system on loopback and returns a client
+// of it whose 8x6 plate has filled the scheduler's retention window with
+// submit+wait jobs: the steady state of BenchmarkServerThroughput's
+// submit-wait-steady.  Both close when tb ends.
+func steadyClient(tb testing.TB) *fem2.Client {
+	tb.Helper()
+	sys, err := fem2.New(fem2.WithWorkers(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := fem2.NewServer(sys, fem2.ServerConfig{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	tb.Cleanup(func() { srv.Shutdown(context.Background()) })
+	cl, err := fem2.Dial(ln.Addr().String(), "steady")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cl.Close() })
+	remotePlate(tb, cl, "plate", 8, 6)
+	for n := 0; n <= job.DefaultRetainedJobs; n++ {
+		if _, _, err := submitAndWait(cl, "plate"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cl
+}
+
+// TestSubmitWaitSteadyAllocations holds submit-wait-steady's job, client
+// and server in one process, at its counts: 48 allocations and 3 128 B a
+// job (linux/amd64, go1.24).  The mean count reads 48.00–48.01 and the
+// bytes wander by a few with the window's amortised growth, so the byte
+// ceiling has one 16-byte block of slack; an allocation in each socket
+// read or write, four of them a job, is 4 more allocations and 64 B or
+// more.  The race detector's instrumentation allocates on its own.
+func TestSubmitWaitSteadyAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a 4 096-job window")
+	}
+	if raceBuild() {
+		t.Skip("-race allocates on the service path")
+	}
+	const allocsCeiling, bytesCeiling, jobs = 48, 3128 + 16, 2000
+	cl := steadyClient(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < jobs; n++ {
+		if _, _, err := submitAndWait(cl, "plate"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / jobs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / jobs
+	t.Logf("a submit+wait job allocates %.2f times, %.1f B", allocs, bytes)
+	if math.Round(allocs) > allocsCeiling || bytes > bytesCeiling {
+		t.Errorf("a submit+wait job allocates %.2f times, %.1f B; ceiling %d, %d B", allocs, bytes, allocsCeiling, bytesCeiling)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // BenchmarkWarmResolve is kept as the in-process twin of the benchmark's

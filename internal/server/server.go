@@ -97,6 +97,9 @@ type Server struct {
 	conns   map[*conn]struct{}
 	connSeq int64
 	wg      sync.WaitGroup
+	// stopMonitor ends keepMonitorWaking's timer, which runs while a
+	// connection is open.
+	stopMonitor func()
 }
 
 // New builds a server over a system, installing the per-tenant quota on
@@ -165,6 +168,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.connSeq++
 		c := newConn(s, nc, s.connSeq)
+		if len(s.conns) == 0 {
+			s.stopMonitor = keepMonitorWaking()
+		}
 		s.conns[c] = struct{}{}
 		s.gConnections.Add(1)
 		s.wg.Add(1)
@@ -177,6 +183,10 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) removeConn(c *conn) {
 	s.mu.Lock()
 	delete(s.conns, c)
+	if len(s.conns) == 0 && s.stopMonitor != nil {
+		s.stopMonitor()
+		s.stopMonitor = nil
+	}
 	s.gConnections.Add(-1)
 	s.mu.Unlock()
 	s.wg.Done()
@@ -250,8 +260,9 @@ type conn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// br is what the reader reads; stop undoes the hook that unblocks its
-	// read when ctx dies; writerDone closes when the event writer exits.
+	// br is what the reader reads, over rawIO's reader; stop undoes the
+	// hook that unblocks its read when ctx dies; writerDone closes when
+	// the event writer exits.
 	br         *bufio.Reader
 	stop       func() bool
 	writerDone chan struct{}
@@ -262,7 +273,8 @@ type conn struct {
 	handedRuns atomic.Int32
 
 	// wmu is the write lock: it orders the drain of events, the frames
-	// appended to bw and the flush of one writer against the next.
+	// appended to bw (over rawIO's writer) and the flush of one writer
+	// against the next.
 	wmu sync.Mutex
 	bw  *bufio.Writer
 	// drained is the slice the last drain emptied, kept for the next.
@@ -299,10 +311,12 @@ const outboundQueue = 256
 
 func newConn(s *Server, nc net.Conn, id int64) *conn {
 	ctx, cancel := context.WithCancel(context.Background())
+	r, w := rawIO(nc)
 	return &conn{
 		srv: s, nc: nc, id: id,
 		ctx: ctx, cancel: cancel,
-		bw:   bufio.NewWriter(nc),
+		br:   bufio.NewReader(r),
+		bw:   bufio.NewWriter(w),
 		wake: make(chan struct{}, 1),
 	}
 }
@@ -392,7 +406,6 @@ func (c *conn) serve() {
 		c.nc.SetWriteDeadline(time.Now().Add(teardownFlush))
 	})
 
-	c.br = bufio.NewReader(c.nc)
 	c.read()
 }
 

@@ -108,8 +108,14 @@ func buildFem2d(t testing.TB, dir string) string {
 // and address.
 func startDaemon(t testing.TB, bin, storePath string) (*exec.Cmd, string) {
 	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "1",
-		"-store", "file", "-store-path", storePath)
+	return startFem2d(t, exec.Command(bin, "-addr", "127.0.0.1:0", "-workers", "1",
+		"-store", "file", "-store-path", storePath))
+}
+
+// startFem2d starts cmd, a fem2d serving on a loopback port, and returns
+// it with the address its log reports.
+func startFem2d(t testing.TB, cmd *exec.Cmd) (*exec.Cmd, string) {
+	t.Helper()
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
