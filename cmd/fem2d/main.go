@@ -44,12 +44,12 @@
 // fail fast or block for a slot.  On SIGINT/SIGTERM the daemon drains
 // gracefully: it stops accepting, refuses new mutating commands while
 // job control still answers, waits up to -drain-timeout for running
-// jobs (then cancels the rest), flushes pending notifications, and
-// exits.
+// jobs and synchronous commands (then cancels the rest), flushes pending
+// notifications, and exits.
 //
 // With -metrics <interval> the daemon streams one JSON line of live
-// metrics per interval — jobs/s, queue depth, cache hit rates,
-// per-verb latency histograms — to stderr, or appended to the
+// metrics per interval — jobs/s, queue depth, the factor cache's hit
+// rate, per-verb latency histograms — to stderr, or appended to the
 // -metrics-out file.  See docs/observability.md.
 package main
 
@@ -78,7 +78,7 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 16, "max in-flight jobs per connection (0 = unlimited)")
 	policy := flag.String("quota-policy", "reject", "at the per-connection job bound: reject | queue")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
-		"how long shutdown waits for running jobs before cancelling them")
+		"how long shutdown waits for running jobs and synchronous commands before cancelling them")
 	quiet := flag.Bool("quiet", false, "suppress per-connection log lines")
 	storeBackend := flag.String("store", "mem", "storage backend: mem | file")
 	storePath := flag.String("store-path", "", "with -store file: the store's file path")

@@ -66,8 +66,8 @@ type Ping struct{}
 type Version struct{}
 
 // Stats returns a point-in-time snapshot of the serving system's live
-// metrics — job throughput, queue depth, cache hit rates, per-verb
-// latency histograms (see internal/obs).  Read-only and answerable
+// metrics — job throughput, queue depth, the factor cache's hit rate,
+// per-verb latency histograms (see internal/obs).  Read-only and answerable
 // while draining or degraded, like ping.
 type Stats struct{}
 

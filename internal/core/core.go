@@ -564,8 +564,9 @@ func (s *System) CloseSession(user string) bool {
 	return true
 }
 
-// Drain waits for every live job to reach a terminal state, or for ctx
-// to die — the graceful half of shutdown.  Drain does not stop new
+// Drain waits for every live job to reach a terminal state and every
+// synchronous command to release its model, or for ctx to die — the
+// graceful half of shutdown.  Drain does not stop new
 // submissions; a serving front end stops accepting first, then drains,
 // then Closes (which cancels whatever a timed-out drain left behind).
 func (s *System) Drain(ctx context.Context) error { return s.Jobs.Drain(ctx) }

@@ -3,6 +3,7 @@ package exp
 import (
 	"flag"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,26 +11,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
 
-// tablesGolden holds RunAll's tables as fem2sim prints them.  E5's
-// makespan and cycles/task cells are masked: how the cluster kernels'
-// goroutines interleave moves them from run to run.
+// tablesGolden holds RunAll's tables as fem2sim prints them.
 const tablesGolden = "testdata/tables.golden"
 
-// renderMasked renders tabs as fem2sim does, with the cells that vary
-// between runs replaced by "*".
-func renderMasked(tabs []*Table) string {
+// render renders tabs as fem2sim prints them.
+func render(tabs []*Table) string {
 	var b strings.Builder
 	for _, tab := range tabs {
-		if tab.ID == "E5" {
-			masked := *tab
-			masked.Rows = nil
-			for _, r := range tab.Rows {
-				r = append([]string(nil), r...)
-				r[4], r[5] = "*", "*"
-				masked.Rows = append(masked.Rows, r)
-			}
-			tab = &masked
-		}
 		b.WriteString(tab.String())
 		b.WriteByte('\n')
 	}
@@ -155,6 +143,31 @@ func TestE5LinearInK(t *testing.T) {
 	h10, h100 := cell(t, tab, 0, 2), cell(t, tab, 1, 2)
 	if h100 < 9*h10 || h100 > 11*h10 {
 		t.Errorf("heap words not ~linear: %g vs %g", h10, h100)
+	}
+}
+
+// TestE5SameAtEveryGOMAXPROCS: E5's table, makespan included, is a
+// function of its workload alone.  A task group's replicas run one after
+// another once all are placed, so neither the host's parallelism nor how
+// its goroutines interleave can move a replica onto another PE.
+func TestE5SameAtEveryGOMAXPROCS(t *testing.T) {
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want string
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < runs; i++ {
+			tab, err := E5TaskInitiation([]int{10, 100, 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := tab.String()
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("E5 at GOMAXPROCS=%d, run %d:\n%s\ndiffers from the first run's:\n%s", procs, i+1, got, want)
+			}
+		}
 	}
 }
 
@@ -393,7 +406,7 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 			t.Errorf("missing table %s", want)
 		}
 	}
-	got := renderMasked(tabs)
+	got := render(tabs)
 	if *update {
 		if err := os.WriteFile(tablesGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)

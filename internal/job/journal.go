@@ -279,7 +279,7 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 				scanErr = err
 				break
 			}
-			j.journaled = recs[first+i].filed
+			j.filed = recs[first+i].filed
 			loaded = append(loaded, j)
 		}
 	}
@@ -295,7 +295,7 @@ func (s *Scheduler) loadJournal(st store.Store) (int, error) {
 		return 0, scanErr
 	}
 	for _, j := range loaded {
-		if !j.journaled {
+		if !j.filed {
 			s.jobs[j.id] = j
 		}
 		s.order = append(s.order, j.id)
@@ -350,11 +350,10 @@ func (s *Scheduler) recordLocked(j *job) (raw []byte, whole bool, err error) {
 // scheduler — the failure is counted, logged, and the job carries on;
 // the record simply stays at its previous state and recovery treats it
 // accordingly.  No-op when no journal is attached.  It reports whether
-// the journal now holds the record, and whether the record carries the
-// job's result as well.
-func (s *Scheduler) persistLocked(j *job) (written, whole bool) {
+// the journal now holds the whole record, the job's result included.
+func (s *Scheduler) persistLocked(j *job) (filed bool) {
 	if s.journal == nil {
-		return false, false
+		return false
 	}
 	raw, whole, err := s.recordLocked(j)
 	if err == nil {
@@ -363,7 +362,7 @@ func (s *Scheduler) persistLocked(j *job) (written, whole bool) {
 	if err != nil {
 		s.journalWriteFailedLocked(j.id, err)
 	}
-	return err == nil, err == nil && whole
+	return err == nil && whole
 }
 
 // journalWriteFailedLocked is the log-mark-continue half of the journal

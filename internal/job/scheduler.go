@@ -75,14 +75,14 @@ type job struct {
 	// pooled marks a Heavy job: it takes a pool slot while it runs, on a
 	// worker or on its submitter (Own), and is counted in executing.
 	pooled bool
-	// journaled records that finishLocked's write of the terminal record
-	// reached the journal, so retention eviction has nothing to flush.  It
-	// stays false after a failed write, with no journal attached, and on a
-	// job recovered from a record under another id's key: those are
-	// written at eviction.  whole adds that the record carries the
-	// job's result too (recordLocked did not leave it out), so the record
-	// answers everything the job does and a Wait may settle it.
-	journaled, whole bool
+	// filed records that the journal holds the job's whole terminal
+	// record, result included (recordLocked did not leave it out): it
+	// answers everything the job does, so a Wait may settle the job and
+	// retention eviction has nothing to flush.  It stays false after a
+	// failed write, with no journal attached, on a record written without
+	// its result, and on a job recovered from a record under another id's
+	// key: those are written at eviction.
+	filed bool
 	// done is closed exactly once, when the job reaches a terminal
 	// state; then finishLocked points it at finished.  Read under
 	// Scheduler.mu.
@@ -113,7 +113,8 @@ type Scheduler struct {
 	// synchronous solves), quota-queued submitters (admitLocked) and
 	// Drain.  Each waiter re-checks its own condition, so it is broadcast
 	// at every change that may satisfy one — a finish, a Release with a
-	// model waiter, a quota change, Close, a waiter's dead context.
+	// model waiter or a Drain waiting, a quota change, Close, a waiter's
+	// dead context.
 	cond *sync.Cond
 	// work is where idle workers wait for a queued job to become
 	// runnable.  One such event makes one job runnable, so it is
@@ -149,6 +150,9 @@ type Scheduler struct {
 	// a work signal for the queue and a cond broadcast for them.
 	waiting int
 	wakes   int64
+	// draining counts the Drain calls waiting on cond; Release wakes
+	// them, since a synchronous command's hold keeps a drain waiting.
+	draining int
 	// parked counts the workers waiting on work; idleWakes counts the
 	// times one woke from it and found nothing to run.
 	parked    int
@@ -364,7 +368,7 @@ func (s *Scheduler) evictLocked() {
 			if err := s.journal.Delete(store.JobKey(int64(id))); err != nil {
 				s.journalWriteFailedLocked(id, err)
 			}
-		case full && !j.journaled:
+		case full && !j.filed:
 			s.persistLocked(j)
 		}
 		delete(s.jobs, id)
@@ -585,8 +589,8 @@ func (s *Scheduler) Hold(ctx context.Context, owner, model string, cmd command.C
 // Release ends a Hold, waking those who may be waiting for the model: one
 // worker when jobs are queued (the freed model makes at most one of them
 // runnable), and every inline job and synchronous solve waiting for a
-// model.  An idle pool sleeps on — most requests release a model nobody
-// wanted.
+// model, and Drain.  An idle pool sleeps on — most requests release a
+// model nobody wanted.
 func (s *Scheduler) Release(owner, model string) {
 	s.mu.Lock()
 	delete(s.busy, modelKey{owner, model})
@@ -594,7 +598,7 @@ func (s *Scheduler) Release(owner, model string) {
 		s.wakes++
 		s.work.Signal()
 	}
-	if s.waiting > 0 {
+	if s.waiting > 0 || s.draining > 0 {
 		s.wakes++
 		s.cond.Broadcast()
 	}
@@ -777,7 +781,7 @@ func (s *Scheduler) Wait(ctx context.Context, id JobID) (command.Result, error) 
 // delivery, not at finish, is what keeps the journal unread in a
 // submit+wait cycle.
 func (s *Scheduler) settleLocked(j *job) {
-	if j.state != Done || !j.whole || s.journal == nil || s.closed || s.jobs[j.id] != j {
+	if j.state != Done || !j.filed || s.journal == nil || s.closed || s.jobs[j.id] != j {
 		return
 	}
 	delete(s.jobs, j.id)
@@ -968,7 +972,7 @@ func (s *Scheduler) unsettle() {
 	read := make(map[JobID]*job, len(settled))
 	for _, id := range settled {
 		if j, err := s.journalLookup(id); err == nil {
-			j.journaled, j.whole = true, true
+			j.filed = true
 			read[id] = j
 		}
 	}

@@ -166,18 +166,20 @@ func (s *Scheduler) finishLocked(j *job) {
 	if len(s.queue) > 0 {
 		s.work.Signal()
 	}
-	j.journaled, j.whole = s.persistLocked(j)
+	j.filed = s.persistLocked(j)
 	s.publishLocked(j)
 }
 
-// Drain blocks until every live job reaches a terminal state or ctx
-// dies, whichever is first — the graceful-shutdown wait.  Drain does
-// not stop new submissions; the caller decides what "no new work"
-// means (a server stops accepting, then drains, then Closes).
+// Drain blocks until no work is in flight or ctx dies, whichever is
+// first — the graceful-shutdown wait.  Work is in flight while a job is
+// live, a synchronous command holds a model (Hold), or one waits for its
+// model.  Drain does not stop new submissions; the caller decides what
+// "no new work" means (a server stops accepting, then drains, then
+// Closes).
 func (s *Scheduler) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.liveTotal == 0 {
+	if !s.inFlightLocked() {
 		return nil
 	}
 	stop := context.AfterFunc(ctx, func() {
@@ -186,11 +188,28 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		s.mu.Unlock()
 	})
 	defer stop()
-	for s.liveTotal > 0 {
+	s.draining++
+	defer func() { s.draining-- }()
+	for s.inFlightLocked() {
 		if err := errs.Cancelled(ctx); err != nil {
 			return err
 		}
 		s.cond.Wait()
 	}
 	return nil
+}
+
+// inFlightLocked reports whether Drain has work to wait for: a live job,
+// a model held by a synchronous command, or a goroutine waiting for a
+// model.
+func (s *Scheduler) inFlightLocked() bool {
+	if s.liveTotal > 0 || s.waiting > 0 {
+		return true
+	}
+	for _, h := range s.busy {
+		if h.id == 0 {
+			return true
+		}
+	}
+	return false
 }

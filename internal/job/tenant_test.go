@@ -314,6 +314,55 @@ func TestDrainWaitsForLiveJobs(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForSynchronousHolds: a model held by a synchronous
+// command (Hold), and a synchronous solve waiting for it, keep a drain
+// waiting as a live job does; the last Release ends it.
+func TestDrainWaitsForSynchronousHolds(t *testing.T) {
+	s := NewScheduler(1)
+	defer s.Close()
+	ctx := context.Background()
+	if err := s.Hold(ctx, "alice", "a", solveOn("a")); err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- s.Hold(ctx, "alice", "a", solveOn("a")) }()
+	for {
+		s.mu.Lock()
+		waiting := s.waiting
+		s.mu.Unlock()
+		if waiting == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	mustWait := func(what string) {
+		t.Helper()
+		select {
+		case err := <-drained:
+			t.Fatalf("Drain returned (%v) while %s", err, what)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	mustWait("a synchronous command held the model and another waited for it")
+	s.Release("alice", "a")
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	mustWait("the waiting command held the model")
+	s.Release("alice", "a")
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Errorf("Drain = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain never returned after the last Release")
+	}
+}
+
 func TestDrainHonoursContext(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()

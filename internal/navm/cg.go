@@ -154,11 +154,12 @@ const solverType = "__solver"
 
 // spawnSolverTasks runs the SPVM side of a distributed solve: each
 // cluster hosting workers receives one initiate message creating that
-// cluster's solver task replications (activation records in the kernel
-// heap, entries in the ready queue), and the returned cleanup sends the
-// matching terminate-and-notify-parent messages.  The numerical phases
-// are then costed directly on the PEs; this keeps the kernel-level task
-// life cycle faithful without simulating every inner loop as messages.
+// cluster's solver task replications (ready activation records in the
+// kernel's task table and heap), which start at once, and the returned
+// cleanup sends the matching terminate-and-notify-parent messages.  The
+// numerical phases are then costed directly on the PEs; this keeps the
+// kernel-level task life cycle faithful without simulating every inner
+// loop as messages.
 func (rt *Runtime) spawnSolverTasks(pes []*arch.PE) func() {
 	counts := map[int]int64{}
 	var clusterOrder []int

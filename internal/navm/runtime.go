@@ -16,10 +16,10 @@
 // The layer is implemented on the system programmer's VM (spvm): task
 // initiation and termination each format and send an SPVM message, which
 // a cluster kernel executes; the kernels' task tables are the one task
-// registry.  Tasks then run as goroutines bound to simulated PEs of the
-// hardware layer (arch), so the numerical results are real while
-// processing, storage, and communication costs accrue on the simulated
-// machine exactly as the paper's evaluation-by-simulation calls for.
+// registry.  Tasks then run bound to simulated PEs of the hardware layer
+// (arch), so the numerical results are real while processing, storage,
+// and communication costs accrue on the simulated machine exactly as the
+// paper's evaluation-by-simulation calls for.
 package navm
 
 import (
@@ -183,15 +183,17 @@ func (rt *Runtime) NewRootTask() (*TaskCtx, error) {
 
 // TaskGroup is a handle on a set of initiated task replications.
 type TaskGroup struct {
-	IDs   []spvm.TaskID
-	ctxs  []*TaskCtx
-	group *sync.WaitGroup
+	IDs  []spvm.TaskID
+	ctxs []*TaskCtx
 }
 
 // Initiate performs the NAVM "initiate a task" operation: it formats an
 // initiate-K-replications message, sends it through the machine to a
 // destination cluster's kernel, and binds each created task to a placed
-// worker PE where its registered body runs on its own goroutine.
+// worker PE.  Once every replica is placed, their registered bodies run
+// on the initiator's goroutine, one after another in replica order: the
+// parallelism the machine models lives in the PE clocks, so a group's
+// simulated cost is a function of its work alone.
 func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGroup, error) {
 	rt := tc.rt
 	fn := rt.taskFunc(taskType)
@@ -218,24 +220,21 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 	if err != nil {
 		return nil, err
 	}
-	g := &TaskGroup{IDs: ids, group: &sync.WaitGroup{}}
+	g := &TaskGroup{IDs: ids}
 	for i, id := range ids {
 		pe, perr := rt.machine.PlaceWorker()
 		if perr != nil {
 			return nil, perr
 		}
-		child := &TaskCtx{
+		g.ctxs = append(g.ctxs, &TaskCtx{
 			ID: id, Type: taskType, Parent: tc.ID, Replica: i,
 			rt: rt, pe: pe, kern: kern,
-		}
-		g.ctxs = append(g.ctxs, child)
-		g.group.Add(1)
-		go func(child *TaskCtx, i int) {
-			defer g.group.Done()
-			kern.Start(child.ID)
-			child.err = fn(child, i)
-			child.terminate()
-		}(child, i)
+		})
+	}
+	for i, child := range g.ctxs {
+		kern.Start(child.ID)
+		child.err = fn(child, i)
+		child.terminate()
 	}
 	return g, nil
 }
@@ -248,11 +247,10 @@ func (tc *TaskCtx) terminate() {
 	tc.rt.ctr.message(msg.Words())
 }
 
-// Wait blocks until every task in the group has terminated and returns
-// the first error any body reported.  The waiting task's PE synchronizes
-// to the completion time of the slowest child (a join is a barrier).
+// Wait returns the first error any body reported (all have run once
+// Initiate returns).  The waiting task's PE synchronizes to the
+// completion time of the slowest child (a join is a barrier).
 func (g *TaskGroup) Wait(tc *TaskCtx) error {
-	g.group.Wait()
 	var firstErr error
 	peIDs := []int{tc.pe.ID}
 	for _, c := range g.ctxs {

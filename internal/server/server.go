@@ -194,11 +194,11 @@ func (s *Server) removeConn(c *conn) {
 
 // Shutdown drains the server gracefully: stop accepting, reject
 // mutating commands (job control, reads, and health verbs still
-// answer), wait for live jobs to reach terminal states — or until ctx
-// dies, after which the remaining jobs are cancelled through their
-// contexts — then flush every connection's outbound queue and close.
-// It returns the drain error: nil when every job finished, the ctx's
-// cancellation otherwise.
+// answer), wait for live jobs to reach terminal states and synchronous
+// commands to finish — or until ctx dies, after which the remaining
+// work is cancelled through its contexts — then flush every
+// connection's outbound queue and close.  It returns the drain error:
+// nil when all of that work finished, the ctx's cancellation otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()

@@ -2,7 +2,6 @@ package spvm
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/hgraph"
 )
@@ -70,60 +69,4 @@ func (r *ActivationRecord) ToHGraph() *hgraph.Graph {
 	root.Arc("local-words", g.AddAtom("lw", hgraph.Int(r.LocalWords)))
 	root.Arc("state", g.AddAtom("s", hgraph.Str(r.State.String())))
 	return g
-}
-
-// CodeStore holds the code blocks a kernel has loaded.
-type CodeStore struct {
-	mu sync.Mutex
-	m  map[string]*CodeBlock
-}
-
-// NewCodeStore returns an empty store.
-func NewCodeStore() *CodeStore {
-	return &CodeStore{m: map[string]*CodeBlock{}}
-}
-
-// Load registers a code block (idempotent; later loads replace).
-func (s *CodeStore) Load(b *CodeBlock) {
-	s.mu.Lock()
-	s.m[b.Name] = b
-	s.mu.Unlock()
-}
-
-// Find returns the named code block, or nil ("find code for task").
-func (s *CodeStore) Find(name string) *CodeBlock {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m[name]
-}
-
-// ReadyQueue is the kernel's FIFO of tasks awaiting a PE ("enter task in
-// ready queue").
-type ReadyQueue struct {
-	mu sync.Mutex
-	q  []TaskID
-}
-
-// NewReadyQueue returns an empty queue.
-func NewReadyQueue() *ReadyQueue { return &ReadyQueue{} }
-
-// Push appends a task.
-func (r *ReadyQueue) Push(id TaskID) {
-	r.mu.Lock()
-	r.q = append(r.q, id)
-	r.mu.Unlock()
-}
-
-// Remove deletes the first occurrence of id, reporting whether it was
-// present.
-func (r *ReadyQueue) Remove(id TaskID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, t := range r.q {
-		if t == id {
-			r.q = append(r.q[:i], r.q[i+1:]...)
-			return true
-		}
-	}
-	return false
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Size returns the arena size in words.
@@ -95,34 +94,33 @@ func (h *Heap) CheckInvariants() error {
 	return nil
 }
 
-// Names returns the sorted loaded block names.
-func (s *CodeStore) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// LoadCode registers a code block directly, as a load-code message
+// would, without counting a message.
+func (k *Kernel) LoadCode(b *CodeBlock) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.codes[b.Name] = b
 }
 
-// TotalWords returns the storage held by loaded code blocks.
-func (s *CodeStore) TotalWords() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t int64
-	for _, b := range s.m {
-		t += b.Words
-	}
-	return t
+// Code returns the loaded code block of that name, or nil ("find code
+// for task").
+func (k *Kernel) Code(name string) *CodeBlock {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.codes[name]
 }
 
-// Len returns the queue length.
-func (r *ReadyQueue) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.q)
+// ReadyCount returns how many tasks are ready: the ready queue's length.
+func (k *Kernel) ReadyCount() int {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	n := 0
+	for _, rec := range k.tasks {
+		if rec.State == TaskReady {
+			n++
+		}
+	}
+	return n
 }
 
 // Handled returns the per-type count of successfully executed messages.
@@ -152,15 +150,23 @@ func (k *Kernel) HandleEncoded(b []byte) ([]TaskID, error) {
 	return k.Handle(m)
 }
 
-// StartNext pops the ready queue and starts the task (Kernel.Start),
-// returning its activation record; ok is false when the queue is empty.
+// StartNext starts the oldest ready task, the one with the lowest id, as
+// Kernel.Start does, and returns its activation record; ok is false when
+// no task is ready.
 func (k *Kernel) StartNext() (*ActivationRecord, bool) {
-	id, ok := k.Ready.Pop()
-	if !ok {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	var next *ActivationRecord
+	for _, rec := range k.tasks {
+		if rec.State == TaskReady && (next == nil || rec.Task < next.Task) {
+			next = rec
+		}
+	}
+	if next == nil {
 		return nil, false
 	}
-	rec := k.Start(id)
-	return rec, rec != nil
+	next.State = TaskRunning
+	return next, true
 }
 
 func readString(buf *bytes.Reader) (string, error) {
@@ -262,16 +268,4 @@ func Decode(b []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, buf.Len())
 	}
 	return m, nil
-}
-
-// Pop removes and returns the oldest task; ok is false when empty.
-func (r *ReadyQueue) Pop() (TaskID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.q) == 0 {
-		return NoTask, false
-	}
-	id := r.q[0]
-	r.q = r.q[1:]
-	return id, true
 }

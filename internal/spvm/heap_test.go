@@ -176,54 +176,6 @@ func TestQuickHeapInvariants(t *testing.T) {
 	}
 }
 
-func TestReadyQueueFIFOAndRemove(t *testing.T) {
-	q := NewReadyQueue()
-	if _, ok := q.Pop(); ok {
-		t.Error("empty queue popped")
-	}
-	q.Push(1)
-	q.Push(2)
-	q.Push(3)
-	if q.Len() != 3 {
-		t.Errorf("Len = %d", q.Len())
-	}
-	if !q.Remove(2) {
-		t.Error("Remove failed")
-	}
-	if q.Remove(2) {
-		t.Error("Remove of absent id succeeded")
-	}
-	a, _ := q.Pop()
-	b, _ := q.Pop()
-	if a != 1 || b != 3 {
-		t.Errorf("Pop order = %d, %d", a, b)
-	}
-}
-
-func TestCodeStore(t *testing.T) {
-	s := NewCodeStore()
-	s.Load(&CodeBlock{Name: "b", Words: 100, LocalWords: 10})
-	s.Load(&CodeBlock{Name: "a", Words: 50, LocalWords: 5})
-	if s.Find("missing") != nil {
-		t.Error("Find of missing block non-nil")
-	}
-	if got := s.Find("a"); got == nil || got.Words != 50 {
-		t.Error("Find failed")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Names = %v", names)
-	}
-	if s.TotalWords() != 150 {
-		t.Errorf("TotalWords = %d", s.TotalWords())
-	}
-	// Reload replaces.
-	s.Load(&CodeBlock{Name: "a", Words: 70})
-	if s.TotalWords() != 170 {
-		t.Errorf("TotalWords after reload = %d", s.TotalWords())
-	}
-}
-
 func TestTaskStateString(t *testing.T) {
 	for st, want := range map[TaskState]string{
 		TaskReady: "ready", TaskRunning: "running",

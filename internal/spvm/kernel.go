@@ -29,24 +29,28 @@ func (s *IDSource) Next() TaskID { return TaskID(atomic.AddInt64(&s.next, 1)) }
 
 // Kernel is the operating system kernel run by one PE in each cluster: it
 // fields incoming messages, decodes and executes them, and maintains the
-// cluster's task table, code store, ready queue, and heap.
+// cluster's task table, loaded code blocks and heap.  The task table is
+// the one record of a task: a ready task is a record in state TaskReady,
+// so the ready queue is the table's ready records in id order (ids
+// ascend, so the lowest is the oldest).
 type Kernel struct {
 	// ClusterID is the cluster this kernel serves.
 	ClusterID int
-	// Codes holds loaded code/constants blocks.
-	Codes *CodeStore
-	// Heap is the cluster's variable-size-block storage manager.
+	// Heap is the cluster's variable-size-block storage manager.  It
+	// keeps a lock of its own: its statistics are read outside the
+	// kernel's.
 	Heap *Heap
-	// Ready is the cluster's ready queue.
-	Ready *ReadyQueue
 
 	ids *IDSource
 	// The spvm.* counters, resolved by AttachInstrumentation; nil until
 	// then (no-op sinks).
 	ops, tasksInitiated, wordsAlloc, wordsFreed *obs.Counter
 
-	mu       sync.Mutex
-	tasks    map[TaskID]*ActivationRecord
+	mu    sync.Mutex
+	tasks map[TaskID]*ActivationRecord
+	// codes holds the loaded code/constants blocks by name; a later load
+	// of a name replaces the earlier.
+	codes    map[string]*CodeBlock
 	decoded  int64
 	handled  map[MsgType]int64
 	rejected int64
@@ -56,11 +60,10 @@ type Kernel struct {
 func NewKernel(clusterID int, heapWords int64, ids *IDSource) *Kernel {
 	return &Kernel{
 		ClusterID: clusterID,
-		Codes:     NewCodeStore(),
 		Heap:      NewHeap(heapWords),
-		Ready:     NewReadyQueue(),
 		ids:       ids,
 		tasks:     map[TaskID]*ActivationRecord{},
+		codes:     map[string]*CodeBlock{},
 		handled:   map[MsgType]int64{},
 	}
 }
@@ -103,7 +106,6 @@ func (k *Kernel) Start(id TaskID) *ActivationRecord {
 	if rec == nil || rec.State != TaskReady {
 		return nil
 	}
-	k.Ready.Remove(id)
 	rec.State = TaskRunning
 	return rec
 }
@@ -136,7 +138,7 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		if m.Replications < 1 {
 			return nil, fmt.Errorf("spvm: initiate with %d replications", m.Replications)
 		}
-		code := k.Codes.Find(m.TaskType)
+		code := k.codes[m.TaskType]
 		if code == nil {
 			return nil, fmt.Errorf("%w: %q", ErrNoSuchCode, m.TaskType)
 		}
@@ -152,7 +154,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 					rec := k.tasks[id]
 					k.Heap.Free(rec.LocalAddr)
 					delete(k.tasks, id)
-					k.Ready.Remove(id)
 				}
 				return nil, fmt.Errorf("spvm: initiate replication %d: %w", i, aerr)
 			}
@@ -165,7 +166,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 				State: TaskReady,
 			}
 			k.tasks[id] = rec
-			k.Ready.Push(id)
 			created = append(created, id)
 			k.tasksInitiated.Inc()
 			k.wordsAlloc.Add(words)
@@ -176,9 +176,6 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		rec := k.tasks[m.Task]
 		if rec == nil {
 			return nil, fmt.Errorf("%w: terminate %d", ErrNoSuchTask, m.Task)
-		}
-		if rec.State == TaskReady {
-			k.Ready.Remove(m.Task)
 		}
 		if rec.LocalAddr >= 0 {
 			if err := k.Heap.Free(rec.LocalAddr); err != nil {
@@ -193,7 +190,7 @@ func (k *Kernel) Handle(m *Message) (created []TaskID, err error) {
 		if m.CodeWords < 0 || m.LocalWords < 0 {
 			return nil, fmt.Errorf("spvm: load-code with negative sizes")
 		}
-		k.Codes.Load(&CodeBlock{Name: m.CodeName, Words: m.CodeWords, LocalWords: m.LocalWords})
+		k.codes[m.CodeName] = &CodeBlock{Name: m.CodeName, Words: m.CodeWords, LocalWords: m.LocalWords}
 		k.wordsAlloc.Add(m.CodeWords)
 		return nil, nil
 

@@ -19,7 +19,7 @@ func TestQuickKernelLifecycleInvariants(t *testing.T) {
 	f := func(seed int64, opsRaw []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := NewKernel(0, 1<<14, NewIDSource())
-		k.Codes.Load(&CodeBlock{Name: "w", Words: 64, LocalWords: 16})
+		k.LoadCode(&CodeBlock{Name: "w", Words: 64, LocalWords: 16})
 		var live []TaskID
 		state := map[TaskID]TaskState{}
 
@@ -108,7 +108,7 @@ func TestQuickKernelLifecycleInvariants(t *testing.T) {
 func TestQuickEncodedLifecycle(t *testing.T) {
 	f := func(opsRaw []uint8) bool {
 		k := NewKernel(0, 1<<14, NewIDSource())
-		k.Codes.Load(&CodeBlock{Name: "w", LocalWords: 8})
+		k.LoadCode(&CodeBlock{Name: "w", LocalWords: 8})
 		var live []TaskID
 		for _, op := range opsRaw {
 			var m *Message

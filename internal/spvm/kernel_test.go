@@ -12,7 +12,7 @@ import (
 func newTestKernel() *Kernel {
 	k := NewKernel(0, 1<<16, NewIDSource())
 	k.AttachInstrumentation(obs.New())
-	k.Codes.Load(&CodeBlock{Name: "worker", Words: 256, LocalWords: 32})
+	k.LoadCode(&CodeBlock{Name: "worker", Words: 256, LocalWords: 32})
 	return k
 }
 
@@ -39,8 +39,8 @@ func TestInitiateCreatesReplications(t *testing.T) {
 		t.Fatalf("created %d tasks, want 4", len(ids))
 	}
 	checkRecords(t, k, ids...)
-	if k.Ready.Len() != 4 {
-		t.Errorf("ready queue has %d, want 4", k.Ready.Len())
+	if k.ReadyCount() != 4 {
+		t.Errorf("ready queue has %d, want 4", k.ReadyCount())
 	}
 	for _, id := range ids {
 		rec := k.Task(id)
@@ -98,7 +98,7 @@ func TestInitiateZeroReplications(t *testing.T) {
 
 func TestInitiateHeapExhaustionRollsBack(t *testing.T) {
 	k := NewKernel(0, 100, NewIDSource())
-	k.Codes.Load(&CodeBlock{Name: "big", LocalWords: 40})
+	k.LoadCode(&CodeBlock{Name: "big", LocalWords: 40})
 	_, err := k.Handle(&Message{Type: MsgInitiate, TaskType: "big", Replications: 3})
 	if !errors.Is(err, ErrHeapFull) {
 		t.Fatalf("want ErrHeapFull, got %v", err)
@@ -106,8 +106,8 @@ func TestInitiateHeapExhaustionRollsBack(t *testing.T) {
 	if k.Heap.Allocated() != 0 {
 		t.Errorf("rollback left %d words allocated", k.Heap.Allocated())
 	}
-	if k.Ready.Len() != 0 {
-		t.Errorf("rollback left %d ready tasks", k.Ready.Len())
+	if k.ReadyCount() != 0 {
+		t.Errorf("rollback left %d ready tasks", k.ReadyCount())
 	}
 	if len(k.TaskIDs()) != 0 {
 		t.Errorf("rollback left task records: %v", k.TaskIDs())
@@ -151,7 +151,7 @@ func TestTerminateOfReadyTaskLeavesQueue(t *testing.T) {
 	if _, err := k.Handle(&Message{Type: MsgTerminate, Task: ids[0]}); err != nil {
 		t.Fatal(err)
 	}
-	if k.Ready.Len() != 0 {
+	if k.ReadyCount() != 0 {
 		t.Error("terminated task still in ready queue")
 	}
 	if _, ok := k.StartNext(); ok {
@@ -195,12 +195,62 @@ func TestLoadCodeRegistersBlock(t *testing.T) {
 	if _, err := k.Handle(&Message{Type: MsgLoadCode, CodeName: "solve", CodeWords: 1024, LocalWords: 64}); err != nil {
 		t.Fatal(err)
 	}
-	cb := k.Codes.Find("solve")
+	cb := k.Code("solve")
 	if cb == nil || cb.Words != 1024 || cb.LocalWords != 64 {
 		t.Errorf("loaded block %+v", cb)
 	}
 	if _, err := k.Handle(&Message{Type: MsgLoadCode, CodeName: "bad", CodeWords: -1}); err == nil {
 		t.Error("negative code size accepted")
+	}
+}
+
+// TestLoadCodeReloadReplaces: a second load-code message for a name
+// replaces the first block, and the next initiate of that code allocates
+// the new block's local words.
+func TestLoadCodeReloadReplaces(t *testing.T) {
+	k := newTestKernel()
+	for _, lw := range []int64{10, 25} {
+		if _, err := k.Handle(&Message{Type: MsgLoadCode, CodeName: "a", CodeWords: 50, LocalWords: lw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cb := k.Code("a"); cb == nil || cb.LocalWords != 25 {
+		t.Fatalf("code block after reload = %+v, want LocalWords 25", cb)
+	}
+	if k.Code("missing") != nil {
+		t.Error("lookup of a block never loaded is non-nil")
+	}
+	ids, err := k.Handle(&Message{Type: MsgInitiate, TaskType: "a", Replications: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := k.Task(ids[0]); rec.LocalWords != 25 || k.Heap.Allocated() != 25 {
+		t.Errorf("initiate after reload: record %d words, heap %d; want 25 each", rec.LocalWords, k.Heap.Allocated())
+	}
+}
+
+// TestStartNextStartsTheOldestReadyTask: the ready queue is the task
+// table's ready records, oldest first; a terminated task leaves it and a
+// started one is not started again.
+func TestStartNextStartsTheOldestReadyTask(t *testing.T) {
+	k := newTestKernel()
+	ids, err := k.Handle(&Message{Type: MsgInitiate, TaskType: "worker", Replications: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Handle(&Message{Type: MsgTerminate, Task: ids[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if n := k.ReadyCount(); n != 2 {
+		t.Errorf("ready count = %d, want 2", n)
+	}
+	for _, want := range []TaskID{ids[0], ids[2]} {
+		if rec, ok := k.StartNext(); !ok || rec.Task != want {
+			t.Fatalf("StartNext = %v, %v; want task %d", rec, ok, want)
+		}
+	}
+	if rec, ok := k.StartNext(); ok {
+		t.Errorf("StartNext with no ready task started %d", rec.Task)
 	}
 }
 
@@ -253,7 +303,7 @@ func TestIDSourceUniqueAcrossKernelsConcurrently(t *testing.T) {
 	k1 := NewKernel(0, 1<<16, ids)
 	k2 := NewKernel(1, 1<<16, ids)
 	for _, k := range []*Kernel{k1, k2} {
-		k.Codes.Load(&CodeBlock{Name: "w", LocalWords: 1})
+		k.LoadCode(&CodeBlock{Name: "w", LocalWords: 1})
 	}
 	var wg sync.WaitGroup
 	results := make([][]TaskID, 2)

@@ -426,6 +426,56 @@ func TestServerDrainGates(t *testing.T) {
 	}
 }
 
+// TestServerDrainFinishesASynchronousSolve: a synchronous solve in
+// flight when Shutdown starts is work the drain waits for, as it waits
+// for a job.  One that ends within the drain's context gets its result,
+// and Shutdown returns nil.
+func TestServerDrainFinishesASynchronousSolve(t *testing.T) {
+	sys, srv, addr, _ := startServer(t, fem2.ServerConfig{})
+	cl, err := fem2.Dial(addr, "eng")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	remotePlate(t, cl, "big", 100, 100)
+
+	type outcome struct {
+		res fem2.Result
+		err error
+	}
+	solved := make(chan outcome, 1)
+	go func() {
+		res, err := cl.Do(context.Background(), fem2.SolveCommand{Model: "big", Set: "tip"})
+		solved <- outcome{res, err}
+	}()
+	// The server's only connection is conn-1; its session owns the model.
+	for !sys.Jobs.Held("eng@conn-1", "big") {
+		select {
+		case o := <-solved:
+			t.Fatalf("the solve ended (%v) before it was seen holding its model", o.err)
+		default:
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("Shutdown = %v, want nil: the solve ends well within the drain", err)
+	}
+	select {
+	case o := <-solved:
+		if o.err != nil {
+			t.Fatalf("the synchronous solve in flight at Shutdown: %v; want its result", o.err)
+		}
+		if _, ok := o.res.(*fem2.SolveResult); !ok {
+			t.Errorf("the synchronous solve returned %T, want *fem2.SolveResult", o.res)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the synchronous solve never returned after Shutdown")
+	}
+}
+
 // TestServerPingVersionOverWire pins the health verbs' remote
 // renderings.
 func TestServerPingVersionOverWire(t *testing.T) {
