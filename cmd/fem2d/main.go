@@ -10,7 +10,7 @@
 //	fem2d [-addr :7432] [-clusters N] [-pes N] [-workers N]
 //	      [-store mem|file] [-store-path fem2.db] [-store-sync]
 //	      [-advertise host:port] [-lease-ttl 2s]
-//	      [-max-jobs N] [-quota-policy reject|queue]
+//	      [-max-jobs N]
 //	      [-request-timeout 0]
 //	      [-drain-timeout 30s] [-metrics 0] [-metrics-out file]
 //
@@ -40,12 +40,11 @@
 // docs/cluster.md.
 //
 // Each connection is one tenant: -max-jobs bounds its in-flight jobs,
-// with -quota-policy choosing whether a saturated connection's submits
-// fail fast or block for a slot.  On SIGINT/SIGTERM the daemon drains
-// gracefully: it stops accepting, refuses new mutating commands while
-// job control still answers, waits up to -drain-timeout for running
-// jobs and synchronous commands (then cancels the rest), flushes pending
-// notifications, and exits.
+// and a submit past the bound is refused at once with the quota code.
+// On SIGINT/SIGTERM the daemon drains gracefully: it stops accepting,
+// refuses new mutating commands while job control still answers, waits
+// up to -drain-timeout for running jobs and synchronous commands (then
+// cancels the rest), flushes pending notifications, and exits.
 //
 // With -metrics <interval> the daemon streams one JSON line of live
 // metrics per interval — jobs/s, queue depth, the factor cache's hit
@@ -65,7 +64,6 @@ import (
 	"time"
 
 	fem2 "repro"
-	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -76,7 +74,6 @@ func main() {
 	pes := flag.Int("pes", 8, "PEs per cluster (including the kernel PE)")
 	workers := flag.Int("workers", 0, "job scheduler worker pool bound (0 = GOMAXPROCS)")
 	maxJobs := flag.Int("max-jobs", 16, "max in-flight jobs per connection (0 = unlimited)")
-	policy := flag.String("quota-policy", "reject", "at the per-connection job bound: reject | queue")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long shutdown waits for running jobs and synchronous commands before cancelling them")
 	quiet := flag.Bool("quiet", false, "suppress per-connection log lines")
@@ -90,11 +87,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "with -metrics: append metric lines to this file instead of stderr")
 	flag.Parse()
 
-	qp, err := job.ParseQuotaPolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fem2d:", err)
-		os.Exit(2)
-	}
 	logger := log.New(os.Stderr, "fem2d: ", log.LstdFlags)
 	opts := []fem2.Option{fem2.WithClusters(*clusters), fem2.WithPEsPerCluster(*pes),
 		fem2.WithWorkers(*workers),
@@ -141,8 +133,7 @@ func main() {
 		defer stopMetrics()
 	}
 
-	cfg := server.Config{MaxJobsPerSession: *maxJobs, QuotaPolicy: qp,
-		RequestTimeout: *requestTimeout}
+	cfg := server.Config{MaxJobsPerSession: *maxJobs, RequestTimeout: *requestTimeout}
 	if !*quiet {
 		cfg.Logf = logger.Printf
 	}

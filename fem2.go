@@ -401,20 +401,8 @@ const (
 type JobFilter = job.Filter
 
 // ErrJobQuota is returned by Submit when a tenant is at its in-flight
-// job bound under the reject policy.
+// job bound.
 var ErrJobQuota = job.ErrQuota
-
-// QuotaPolicy selects what Submit does when a tenant is at its
-// in-flight job bound: fail fast or block for a slot.
-type QuotaPolicy = job.QuotaPolicy
-
-// The quota policies.
-const (
-	// QuotaReject fails an over-quota submission with ErrJobQuota.
-	QuotaReject = job.QuotaReject
-	// QuotaQueue blocks an over-quota submission until a slot frees.
-	QuotaQueue = job.QuotaQueue
-)
 
 // The durable storage layer: a pluggable KV store under the model
 // database and the job journal — see docs/storage.md for the key
@@ -466,7 +454,7 @@ const ProtocolVersion = command.ProtocolVersion
 type Server = server.Server
 
 // ServerConfig parameterises a Server: per-connection job quota,
-// quota policy, default user, and logging.
+// request timeout and logging.
 type ServerConfig = server.Config
 
 // NewServer builds a network front end over a system, installing the

@@ -148,8 +148,8 @@ func TestE5LinearInK(t *testing.T) {
 
 // TestE5SameAtEveryGOMAXPROCS: E5's table, makespan included, is a
 // function of its workload alone.  A task group's replicas run one after
-// another once all are placed, so neither the host's parallelism nor how
-// its goroutines interleave can move a replica onto another PE.
+// another, each placed as it starts, so neither the host's parallelism
+// nor how its goroutines interleave can move a replica onto another PE.
 func TestE5SameAtEveryGOMAXPROCS(t *testing.T) {
 	const runs = 20
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

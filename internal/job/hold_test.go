@@ -66,8 +66,13 @@ func TestHoldRefusesCheapAndWaitsHeavy(t *testing.T) {
 	case <-time.After(20 * time.Millisecond):
 	}
 	release()
-	if err := <-held; err != nil {
-		t.Fatalf("Hold for a solve after the job ended: %v", err)
+	select {
+	case err := <-held:
+		if err != nil {
+			t.Fatalf("Hold for a solve after the job ended: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Hold for a solve still waits 5 s after the job holding its model ended")
 	}
 	// The synchronous solve is the holder now, and says so.
 	err = s.Hold(ctx, "eng", "a", command.AddNode{Model: "a"})

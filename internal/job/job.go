@@ -117,9 +117,6 @@ type Snapshot struct {
 type Filter struct {
 	// Owner, when non-empty, matches jobs submitted by that user.
 	Owner string
-	// Model, when non-empty, matches jobs whose serialization key is
-	// that model name.
-	Model string
 	// States, when non-empty, matches jobs in any of the given states.
 	States []State
 }
@@ -127,9 +124,6 @@ type Filter struct {
 // match reports whether a snapshot passes the filter.
 func (f Filter) match(s Snapshot) bool {
 	if f.Owner != "" && s.Owner != f.Owner {
-		return false
-	}
-	if f.Model != "" && s.Model != f.Model {
 		return false
 	}
 	if len(f.States) > 0 {

@@ -417,9 +417,6 @@ func TestListFilter(t *testing.T) {
 	if got := list(t, s, Filter{States: []State{Failed}}); len(got) != 1 || got[0].ID != b {
 		t.Errorf("List(failed) = %+v", got)
 	}
-	if got := list(t, s, Filter{Model: "b"}); len(got) != 1 || got[0].ID != b {
-		t.Errorf("List(model b) = %+v", got)
-	}
 }
 
 func TestCancelOwner(t *testing.T) {
@@ -670,6 +667,54 @@ func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("inline Submit still blocked long after its ctx expired")
+	}
+}
+
+// awaitWaiters polls until n goroutines wait on s.cond for a model.
+func awaitWaiters(s *Scheduler, n int) {
+	for {
+		s.mu.Lock()
+		waiting := s.waiting
+		s.mu.Unlock()
+		if waiting == n {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestInlineSubmitRunsWhenTheJobHoldingItsModelEnds: a cheap inline
+// submit waiting for a model a running solve holds runs as soon as the
+// solve ends — the solve's finish is the only event that wakes it.
+func TestInlineSubmitRunsWhenTheJobHoldingItsModelEnds(t *testing.T) {
+	s := NewScheduler(1)
+	defer s.Close()
+	ctx := context.Background()
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	if _, err := s.Submit(ctx, "eng", blockingExec(started, release), solveOn("a")); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the solve holds model "a"
+	cheap := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
+		return &command.StoreResult{}, nil
+	})
+	submitted := make(chan JobID, 1)
+	go func() {
+		id, err := s.Submit(ctx, "eng", cheap, command.Store{Model: "a"})
+		if err != nil {
+			t.Error(err)
+		}
+		submitted <- id
+	}()
+	awaitWaiters(s, 1)
+	close(release)
+	select {
+	case id := <-submitted:
+		if snap, err := s.Status(id); err != nil || snap.State != Done {
+			t.Errorf("inline job = %+v, %v, want done", snap, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("inline Submit still waits 5 s after the solve holding its model ended")
 	}
 }
 

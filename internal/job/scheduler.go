@@ -110,11 +110,10 @@ type Scheduler struct {
 	mu sync.Mutex
 	// cond is where everyone but an idle worker waits for a change of
 	// scheduler state: model-lock waiters (awaitLocked: inline jobs and
-	// synchronous solves), quota-queued submitters (admitLocked) and
-	// Drain.  Each waiter re-checks its own condition, so it is broadcast
-	// at every change that may satisfy one — a finish, a Release with a
-	// model waiter or a Drain waiting, a quota change, Close, a waiter's
-	// dead context.
+	// synchronous solves), counted in waiting, and Drain, counted in
+	// draining.  Each waiter re-checks its own condition, so it is
+	// broadcast at every change that may satisfy one while one waits — a
+	// finish or a Release — and at Close and a waiter's dead context.
 	cond *sync.Cond
 	// work is where idle workers wait for a queued job to become
 	// runnable.  One such event makes one job runnable, so it is
@@ -162,12 +161,11 @@ type Scheduler struct {
 	// the pool bound holds wherever a Heavy job runs.
 	executing int
 	// live counts each owner's queued-or-running jobs; liveTotal is
-	// their sum.  quota bounds live per owner when positive, with policy
-	// choosing reject-vs-queue at the bound (see tenant.go).
+	// their sum.  quota bounds live per owner when positive: a submit
+	// past it is refused (see tenant.go).
 	live      map[string]int
 	liveTotal int
 	quota     int
-	policy    QuotaPolicy
 	// subs are the job-event subscribers, keyed by owner and then by
 	// registration id.
 	subs    map[string]map[int]func(Snapshot)
@@ -395,9 +393,9 @@ func notFound(id JobID) error {
 // job runs under a context derived from ctx: cancelling ctx, like
 // Cancel, cancels the job.  Job-control commands cannot themselves run
 // as jobs.  When a per-owner quota is set (SetQuota), an owner at the
-// in-flight bound is rejected with ErrQuota or blocked until a slot
-// frees, by policy.  Under a context from WithOwn, a Heavy job wakes no
-// worker at submit: the submitter's Own.Take decides where it runs.
+// in-flight bound is refused at once with ErrQuota.  Under a context
+// from WithOwn, a Heavy job wakes no worker at submit: the submitter's
+// Own.Take decides where it runs.
 func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd command.Command) (JobID, error) {
 	if cmd == nil || ex == nil {
 		return 0, errs.Usage("submit needs a command and an executor")
@@ -431,7 +429,7 @@ func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd c
 		}
 		s.mu.Lock()
 	}
-	if err := s.admitLocked(ctx, owner); err != nil {
+	if err := s.admitLocked(owner); err != nil {
 		if errors.Is(err, ErrQuota) {
 			s.mQuotaRejected.Inc()
 		}

@@ -16,92 +16,27 @@ import (
 // cost nothing when unused.
 
 // ErrQuota is returned by Submit when the per-owner admission control
-// rejects a submission (QuotaReject policy, owner at the in-flight
-// bound).
+// refuses a submission: its owner is at the in-flight bound.
 var ErrQuota = errs.ErrQuota
 
-// QuotaPolicy selects what Submit does when an owner is at the
-// in-flight bound.
-type QuotaPolicy int
-
-const (
-	// QuotaReject fails the submission immediately with ErrQuota — the
-	// saturated tenant is told to back off.
-	QuotaReject QuotaPolicy = iota
-	// QuotaQueue blocks the submitting goroutine until one of the
-	// owner's live jobs finishes (or the submit context dies) — the
-	// saturated tenant is slowed down instead of refused.
-	QuotaQueue
-)
-
-// String renders the canonical policy name.
-func (p QuotaPolicy) String() string {
-	switch p {
-	case QuotaReject:
-		return "reject"
-	case QuotaQueue:
-		return "queue"
-	default:
-		return fmt.Sprintf("QuotaPolicy(%d)", int(p))
-	}
-}
-
-// ParseQuotaPolicy maps a canonical policy name back to its
-// QuotaPolicy.
-func ParseQuotaPolicy(name string) (QuotaPolicy, error) {
-	switch name {
-	case "reject":
-		return QuotaReject, nil
-	case "queue":
-		return QuotaQueue, nil
-	default:
-		return 0, errs.Usage("unknown quota policy %q (want reject or queue)", name)
-	}
-}
-
-// SetQuota bounds each owner's live (queued or running) jobs at max,
-// with policy deciding between rejecting and blocking at the bound.
-// max <= 0 disables admission control (the default).  Raising or
-// disabling the quota releases submitters blocked under QuotaQueue.
-func (s *Scheduler) SetQuota(max int, policy QuotaPolicy) {
+// SetQuota bounds each owner's live (queued or running) jobs at max: a
+// submit past the bound is refused at once with ErrQuota.  max <= 0
+// disables admission control (the default).
+func (s *Scheduler) SetQuota(max int) {
 	s.mu.Lock()
-	s.quota, s.policy = max, policy
-	s.cond.Broadcast()
+	s.quota = max
 	s.mu.Unlock()
 }
 
 // admitLocked gates one submission by owner: closed scheduler, then the
-// per-owner quota.  Under QuotaQueue it waits on the scheduler's cond —
-// releasing the mutex — until a slot frees, the quota changes, the
-// scheduler closes, or ctx dies, and re-checks from the top.
-func (s *Scheduler) admitLocked(ctx context.Context, owner string) error {
+// per-owner quota.
+func (s *Scheduler) admitLocked(owner string) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.quota <= 0 || s.live[owner] < s.quota {
-		return nil
-	}
-	if s.policy == QuotaReject {
+	if s.quota > 0 && s.live[owner] >= s.quota {
 		return fmt.Errorf("%w: %s has %d jobs in flight (max %d)",
 			ErrQuota, owner, s.live[owner], s.quota)
-	}
-	// The cond has no ctx case of its own; wake the wait loop when the
-	// submit context dies so a blocked tenant is never stuck behind work
-	// it no longer wants to wait for.
-	stop := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer stop()
-	for !s.closed && s.quota > 0 && s.live[owner] >= s.quota {
-		if err := errs.Cancelled(ctx); err != nil {
-			return err
-		}
-		s.cond.Wait()
-	}
-	if s.closed {
-		return ErrClosed
 	}
 	return nil
 }
@@ -149,10 +84,10 @@ func (s *Scheduler) publishLocked(j *job) {
 // finishLocked settles a job that just reached a terminal state: wake
 // its waiters and drop what ran it (its executor, context and cancel;
 // the caller has cancelled the context), release the owner's quota slot,
-// wake model waiters, quota-blocked submitters and Drain, wake one
-// worker when jobs are queued (the job's model may be what one of them
-// waited for), journal the outcome and publish the transition.  Called
-// exactly once per job, from execute or cancelQueuedLocked.
+// wake the model waiters and Drain when one waits, wake one worker when
+// jobs are queued (the job's model may be what one of them waited for),
+// journal the outcome and publish the transition.  Called exactly once
+// per job, from execute or cancelQueuedLocked.
 func (s *Scheduler) finishLocked(j *job) {
 	close(j.done)
 	j.done, j.ex, j.ctx, j.cancel = finished, nil, nil, nil
@@ -162,7 +97,9 @@ func (s *Scheduler) finishLocked(j *job) {
 		delete(s.live, j.owner)
 	}
 	s.liveTotal--
-	s.cond.Broadcast()
+	if s.waiting > 0 || s.draining > 0 {
+		s.cond.Broadcast()
+	}
 	if len(s.queue) > 0 {
 		s.work.Signal()
 	}

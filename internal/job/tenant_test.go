@@ -32,7 +32,7 @@ func blockingExec(started chan struct{}, release chan struct{}) execFunc {
 func TestQuotaRejectPolicy(t *testing.T) {
 	s := NewScheduler(4)
 	defer s.Close()
-	s.SetQuota(2, QuotaReject)
+	s.SetQuota(2)
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
 	defer close(release)
@@ -61,80 +61,6 @@ func TestQuotaRejectPolicy(t *testing.T) {
 	waitState(t, s, ids[0], Cancelled)
 	if _, err := s.Submit(context.Background(), "alice", ex, solveOn("m4")); err != nil {
 		t.Errorf("Submit after slot freed = %v", err)
-	}
-}
-
-func TestQuotaQueuePolicyBlocks(t *testing.T) {
-	s := NewScheduler(4)
-	defer s.Close()
-	s.SetQuota(1, QuotaQueue)
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	ex := blockingExec(started, release)
-
-	first, err := s.Submit(context.Background(), "alice", ex, solveOn("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	// The second submission blocks at the bound rather than failing.
-	submitted := make(chan JobID, 1)
-	go func() {
-		id, err := s.Submit(context.Background(), "alice", ex, solveOn("b"))
-		if err != nil {
-			t.Error(err)
-		}
-		submitted <- id
-	}()
-	select {
-	case <-submitted:
-		t.Fatal("quota-queued Submit returned while the owner was saturated")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	close(release) // first job finishes, slot frees, blocked submit admits
-	select {
-	case id := <-submitted:
-		if _, err := s.Wait(context.Background(), id); err != nil {
-			t.Errorf("queued-then-admitted job: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Submit never unblocked after a slot freed")
-	}
-	if _, err := s.Wait(context.Background(), first); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuotaQueueHonoursContext(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Close()
-	s.SetQuota(1, QuotaQueue)
-	started := make(chan struct{}, 2)
-	release := make(chan struct{})
-	defer close(release)
-	ex := blockingExec(started, release)
-
-	if _, err := s.Submit(context.Background(), "alice", ex, solveOn("a")); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Submit(ctx, "alice", ex, solveOn("b"))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, errs.ErrCancelled) {
-			t.Errorf("Submit under dead ctx = %v, want ErrCancelled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("quota-blocked Submit ignored its dying context")
 	}
 }
 
@@ -326,15 +252,7 @@ func TestDrainWaitsForSynchronousHolds(t *testing.T) {
 	}
 	second := make(chan error, 1)
 	go func() { second <- s.Hold(ctx, "alice", "a", solveOn("a")) }()
-	for {
-		s.mu.Lock()
-		waiting := s.waiting
-		s.mu.Unlock()
-		if waiting == 1 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiters(s, 1)
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(ctx) }()
@@ -378,17 +296,5 @@ func TestDrainHonoursContext(t *testing.T) {
 	defer cancel()
 	if err := s.Drain(ctx); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("Drain under dead ctx = %v, want ErrCancelled", err)
-	}
-}
-
-func TestQuotaPolicyRoundTrip(t *testing.T) {
-	for _, p := range []QuotaPolicy{QuotaReject, QuotaQueue} {
-		got, err := ParseQuotaPolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParseQuotaPolicy(%q) = %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParseQuotaPolicy("maybe"); !errors.Is(err, errs.ErrUsage) {
-		t.Errorf("ParseQuotaPolicy(maybe) = %v, want ErrUsage", err)
 	}
 }

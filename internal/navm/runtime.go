@@ -189,11 +189,13 @@ type TaskGroup struct {
 
 // Initiate performs the NAVM "initiate a task" operation: it formats an
 // initiate-K-replications message, sends it through the machine to a
-// destination cluster's kernel, and binds each created task to a placed
-// worker PE.  Once every replica is placed, their registered bodies run
-// on the initiator's goroutine, one after another in replica order: the
-// parallelism the machine models lives in the PE clocks, so a group's
-// simulated cost is a function of its work alone.
+// destination cluster's kernel, and runs the registered body of each
+// created task on the initiator's goroutine, one after another in
+// replica order.  Each replica is placed on a worker PE as it starts,
+// after the previous one has charged its own, so a group spreads over
+// the workers the way its work loads them: the parallelism the machine
+// models lives in the PE clocks, and a group's simulated cost is a
+// function of its work alone.
 func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGroup, error) {
 	rt := tc.rt
 	fn := rt.taskFunc(taskType)
@@ -226,13 +228,12 @@ func (tc *TaskCtx) Initiate(taskType string, k int, params []float64) (*TaskGrou
 		if perr != nil {
 			return nil, perr
 		}
-		g.ctxs = append(g.ctxs, &TaskCtx{
+		child := &TaskCtx{
 			ID: id, Type: taskType, Parent: tc.ID, Replica: i,
 			rt: rt, pe: pe, kern: kern,
-		})
-	}
-	for i, child := range g.ctxs {
-		kern.Start(child.ID)
+		}
+		g.ctxs = append(g.ctxs, child)
+		kern.Start(id)
 		child.err = fn(child, i)
 		child.terminate()
 	}

@@ -120,6 +120,41 @@ func TestTaskParamsAndReplicaIndex(t *testing.T) {
 	}
 }
 
+// TestReplicasSpreadOverWorkers runs a 16-replica group on 2 clusters of
+// 3 workers each.  Every replica must start on the least-loaded live
+// worker of its cluster, as the clocks stand once the replicas before it
+// have charged their work, so the group spreads over the workers instead
+// of piling onto the worker each cluster offered first.
+func TestReplicasSpreadOverWorkers(t *testing.T) {
+	rt, root := newTestRuntime(t)
+	workers := rt.Machine().LiveWorkers()
+	perPE := map[int]int{}
+	rt.RegisterTaskType("spread", 16, 2, func(tc *TaskCtx, replica int) error {
+		pe := tc.PE()
+		for _, w := range workers {
+			if w.Cluster == pe.Cluster && w.Clock() < pe.Clock() {
+				t.Errorf("replica %d started on PE %d at clock %d while PE %d stood at %d",
+					replica, pe.ID, pe.Clock(), w.ID, w.Clock())
+			}
+		}
+		perPE[pe.ID]++
+		tc.Charge(100)
+		return nil
+	})
+	g, err := root.Initiate("spread", 16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Wait(root); err != nil {
+		t.Fatal(err)
+	}
+	for pe, n := range perPE {
+		if n > 3 {
+			t.Errorf("PE %d ran %d of 16 replicas (%v)", pe, n, perPE)
+		}
+	}
+}
+
 func TestWaitPropagatesBodyError(t *testing.T) {
 	rt, root := newTestRuntime(t)
 	boom := errors.New("boom")

@@ -44,7 +44,6 @@ const (
 	ServerFramesGeneral = "server.frames_general" // counter: request frames not in canonical form, decoded by the general path (docs/protocol.md); 0 when every client is ours
 	ServerFlushes       = "server.flushes"        // counter: socket flushes; frames_out / flushes is how many frames share one write
 	ServerEventsDropped = "server.events_dropped" // counter: job notifications dropped because a subscribed connection's event queue was full (status/wait stay authoritative)
-	ServerQuotaRejected = "server.quota_rejected" // counter: requests answered with the quota code
 	ServerPanics        = "server.panics"         // counter: panics recovered while executing a command (request goroutine or scheduled job), answered as errors
 	ServerReaderRuns    = "server.reader_runs"    // counter: runs under the hand-off timer — synchronous solves, and submitted Heavy jobs, a connection's reader ran itself (no goroutine, no worker woken)
 	ServerHandOffs      = "server.hand_offs"      // counter: reader runs that passed the socket to a successor reader: at once, or on outlasting the hand-off time

@@ -133,19 +133,17 @@ func (p *tcpPeer) do(cmd command.Command) *wire.Response {
 }
 
 // TestRunsBesideGolden pins the one rule for where a request runs
-// (conn.place) over every wire verb — alone, wrapped in submit, and
-// wrapped in submit on a server whose admission queues instead of
-// refusing — and, for solve and wait, over every state that decides it,
-// against a golden table.  The verb list is the first column of the
-// command package's verb_sets.golden, so a new verb fails here until it
-// has a row.
+// (conn.place) over every wire verb — alone and wrapped in submit, on a
+// server with a per-connection quota — and, for solve and wait, over
+// every state that decides it, against a golden table.  The verb list is
+// the first column of the command package's verb_sets.golden, so a new
+// verb fails here until it has a row.
 func TestRunsBesideGolden(t *testing.T) {
 	raw, err := os.ReadFile("../command/testdata/verb_sets.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reject := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaReject}), br: idleReader()}
-	queue := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2, QuotaPolicy: job.QuotaQueue}), br: idleReader()}
+	bounded := &conn{srv: New(openSystem(t, core.Options{}), Config{MaxJobsPerSession: 2}), br: idleReader()}
 	place := func(c *conn, cmd command.Command) string {
 		if c.place(cmd) == handedRun {
 			return "beside"
@@ -156,7 +154,7 @@ func TestRunsBesideGolden(t *testing.T) {
 	b.WriteString("# Where each wire verb's request executes (conn.place): on the connection's reader, in\n" +
 		"# arrival order, or beside what follows it, on a reader that hands the socket off at once.\n" +
 		"# \"-\" marks a verb that cannot run under submit.\n" +
-		"# columns: the verb itself / submit of it / submit of it when admission queues (quota policy \"queue\")\n")
+		"# columns: the verb itself / submit of it\n")
 	verbs := 0
 	for _, line := range strings.Split(string(raw), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -179,18 +177,14 @@ func TestRunsBesideGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", verb, err)
 		}
-		if place(reject, cmd) != place(queue, cmd) {
-			t.Errorf("%s: where it runs depends on the quota policy", verb)
-		}
-		wrapped, wrappedQueue := "-", "-"
+		wrapped := "-"
 		if command.Submittable(cmd) == nil {
-			wrapped = place(reject, command.Submit{Cmd: cmd})
-			wrappedQueue = place(queue, command.Submit{Cmd: cmd})
-			if ptr := place(reject, &command.Submit{Cmd: cmd}); ptr != wrapped {
+			wrapped = place(bounded, command.Submit{Cmd: cmd})
+			if ptr := place(bounded, &command.Submit{Cmd: cmd}); ptr != wrapped {
 				t.Errorf("submit %s: pointer spelling runs %s, value spelling %s", verb, ptr, wrapped)
 			}
 		}
-		fmt.Fprintf(&b, "%-14s %-6s %-6s %s\n", verb, place(reject, cmd), wrapped, wrappedQueue)
+		fmt.Fprintf(&b, "%-14s %-6s %s\n", verb, place(bounded, cmd), wrapped)
 	}
 	if verbs != 32 {
 		t.Errorf("verb_sets.golden lists %d verbs, want 32", verbs)
@@ -204,7 +198,7 @@ func TestRunsBesideGolden(t *testing.T) {
 	b.WriteString("# wait, by what its session's scheduler knows of the job when the reader decodes the\n" +
 		"# request (job.Scheduler.Settled): a wait that would return at once runs on the reader.\n")
 	for _, w := range waitCases(t) {
-		c := &conn{srv: reject.srv, sess: w.sess, br: idleReader()}
+		c := &conn{srv: bounded.srv, sess: w.sess, br: idleReader()}
 		got := place(c, command.Wait{ID: w.id})
 		if ptr := place(c, &command.Wait{ID: w.id}); ptr != got {
 			t.Errorf("wait, %s: pointer spelling runs %s, value spelling %s", w.what, ptr, got)

@@ -42,12 +42,9 @@ var ErrServerClosed = errors.New("server: closed")
 
 // Config parameterises one server.
 type Config struct {
-	// MaxJobsPerSession bounds each connection's live jobs; <= 0
-	// disables admission control.
+	// MaxJobsPerSession bounds each connection's live jobs: a submit past
+	// it is refused with the quota code.  <= 0 disables admission control.
 	MaxJobsPerSession int
-	// QuotaPolicy picks reject-vs-queue when a connection saturates its
-	// bound.
-	QuotaPolicy job.QuotaPolicy
 	// RequestTimeout bounds each command's execution server-side; a
 	// request past it answers with the cancelled code.  <= 0 disables.
 	// wait and submit are exempt (command.Props.ServerTimeoutExempt):
@@ -74,7 +71,6 @@ type Server struct {
 	mFramesGeneral *obs.Counter
 	mFlushes       *obs.Counter
 	mEventsDropped *obs.Counter
-	mQuotaRejected *obs.Counter
 	mPanics        *obs.Counter
 	mReaderRuns    *obs.Counter
 	mHandOffs      *obs.Counter
@@ -105,7 +101,7 @@ type Server struct {
 // New builds a server over a system, installing the per-tenant quota on
 // the system's scheduler.
 func New(sys *core.System, cfg Config) *Server {
-	sys.Jobs.SetQuota(cfg.MaxJobsPerSession, cfg.QuotaPolicy)
+	sys.Jobs.SetQuota(cfg.MaxJobsPerSession)
 	s := &Server{sys: sys, cfg: cfg, conns: map[*conn]struct{}{}, runs: map[*run]struct{}{}}
 	reg := sys.Obs
 	s.gConnections = reg.Gauge(obs.ServerConnections)
@@ -114,7 +110,6 @@ func New(sys *core.System, cfg Config) *Server {
 	s.mFramesGeneral = reg.Counter(obs.ServerFramesGeneral)
 	s.mFlushes = reg.Counter(obs.ServerFlushes)
 	s.mEventsDropped = reg.Counter(obs.ServerEventsDropped)
-	s.mQuotaRejected = reg.Counter(obs.ServerQuotaRejected)
 	s.mPanics = reg.Counter(obs.ServerPanics)
 	s.mReaderRuns = reg.Counter(obs.ServerReaderRuns)
 	s.mHandOffs = reg.Counter(obs.ServerHandOffs)
@@ -351,8 +346,7 @@ const (
 // with no scheduler, answers at once); and a submit the scheduler will
 // not answer at once — one wrapping a command that is not Heavy, which
 // the scheduler runs on the submitter's goroutine where it may wait for a
-// model lock, or any submit when admission holds an over-quota submitter
-// (the queue policy) instead of refusing it.  Any other synchronous solve
+// model lock.  Any other synchronous solve
 // is a timed run.  A Heavy submit runs in line, and leaves its job to
 // job.Own when nothing is buffered behind it and no run of the connection
 // is still going after a hand-off, so no request waits for the job and a
@@ -360,8 +354,7 @@ const (
 func (c *conn) place(cmd command.Command) placement {
 	switch v := command.Value(cmd).(type) {
 	case command.Submit:
-		cfg := c.srv.cfg
-		if !command.PropsOf(v.Cmd).Has(command.Heavy) || (cfg.MaxJobsPerSession > 0 && cfg.QuotaPolicy == job.QuotaQueue) {
+		if !command.PropsOf(v.Cmd).Has(command.Heavy) {
 			return handedRun
 		}
 		if c.br.Buffered() == 0 && c.handedRuns.Load() == 0 {
@@ -806,9 +799,6 @@ func (c *conn) execute(ctx context.Context, id uint64, cmd command.Command) (*wi
 	start := time.Now()
 	res, err := c.do(ctx, sess, cmd)
 	c.srv.hRequest.Get(command.Verb(cmd)).Observe(time.Since(start))
-	if errors.Is(err, job.ErrQuota) {
-		c.srv.mQuotaRejected.Inc()
-	}
 
 	resp := &wire.Response{ID: id, Res: res}
 	if err != nil {

@@ -152,7 +152,7 @@ func TestDegradedGate(t *testing.T) {
 	in.Disarm()
 	sys := openSystem(t, core.Options{
 		Store: store.Config{Wrap: fault.WrapStore(in)},
-		Guard: store.GuardOpts{Threshold: 1, ProbeInterval: -1},
+		Guard: store.GuardOpts{ProbeInterval: -1},
 	})
 	p := serve(t, New(sys, Config{}))()
 	for _, cmd := range []command.Command{generate, storeG} {
@@ -161,8 +161,13 @@ func TestDegradedGate(t *testing.T) {
 		}
 	}
 	in.Arm()
-	if err := sys.Store.Put("x", nil); err == nil || !sys.Degraded() {
-		t.Fatalf("one failed write at threshold 1: err %v, degraded %v", err, sys.Degraded())
+	for i := 0; i < store.GuardThreshold; i++ {
+		if err := sys.Store.Put("x", nil); err == nil {
+			t.Fatalf("write %d on a failing store succeeded", i)
+		}
+	}
+	if !sys.Degraded() {
+		t.Fatalf("not degraded after %d failed writes", store.GuardThreshold)
 	}
 	for _, cmd := range []command.Command{generate, storeG, command.Delete{Name: "g"}, command.Submit{Cmd: listDB}} {
 		if code, _ := p.do(cmd); code != wire.CodeDegraded {

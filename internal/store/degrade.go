@@ -15,26 +15,22 @@ import (
 // read-only mode.  The server maps it to the wire code "degraded".
 var ErrDegraded = errs.ErrDegraded
 
-// GuardDefaults are the zero-value substitutions for GuardOpts.
 const (
-	// GuardDefaultThreshold is how many consecutive write failures trip
-	// the guard.  One flaky sector should not take a daemon read-only;
-	// three in a row is no longer flaky.
-	GuardDefaultThreshold = 3
+	// GuardThreshold is how many consecutive write failures trip the
+	// guard.  One flaky sector should not take a daemon read-only; three
+	// in a row is no longer flaky.
+	GuardThreshold = 3
 	// GuardDefaultProbeInterval is how often the background probe
 	// retries a write while degraded.
 	GuardDefaultProbeInterval = 250 * time.Millisecond
 )
 
-// GuardOpts parameterizes NewGuard.  Zero values take the defaults
-// above.
+// GuardOpts parameterizes NewGuard.
 type GuardOpts struct {
-	// Threshold is the consecutive-write-failure count that trips the
-	// guard into degraded mode.
-	Threshold int
-	// ProbeInterval is the cadence of the background recovery probe.
-	// Negative disables the background probe entirely (tests drive
-	// recovery through Probe instead).
+	// ProbeInterval is the cadence of the background recovery probe,
+	// GuardDefaultProbeInterval when zero.  Negative disables the
+	// background probe entirely (tests drive recovery through Probe
+	// instead).
 	ProbeInterval time.Duration
 	// OnChange, when non-nil, is called (off the caller's lock, on the
 	// goroutine that flipped the state) with true when the guard trips
@@ -47,7 +43,7 @@ type GuardOpts struct {
 // store read-only instead.
 //
 //   - A write error (Put/Delete/Batch, excluding ErrClosed) counts one
-//     consecutive failure; a success resets the count.  At Threshold
+//     consecutive failure; a success resets the count.  At GuardThreshold
 //     consecutive failures the guard trips: it is now *degraded*.
 //   - While degraded, writes fail fast with ErrDegraded without
 //     touching the backend; reads pass through untouched (the backend's
@@ -86,9 +82,6 @@ type Guard struct {
 
 // NewGuard wraps inner with the degradation policy.
 func NewGuard(inner Conditional, opts GuardOpts) *Guard {
-	if opts.Threshold <= 0 {
-		opts.Threshold = GuardDefaultThreshold
-	}
 	if opts.ProbeInterval == 0 {
 		opts.ProbeInterval = GuardDefaultProbeInterval
 	}
@@ -193,7 +186,7 @@ func (g *Guard) write(op func() error) error {
 		return err // lifecycle, lookup, and lost-race outcomes are not store health
 	}
 	g.fails++
-	if !g.degraded && g.fails >= g.opts.Threshold {
+	if !g.degraded && g.fails >= GuardThreshold {
 		g.tripLocked()
 	}
 	return err

@@ -25,15 +25,15 @@ func guardOverFaults(t *testing.T, in *fault.Injector, opts store.GuardOpts) *st
 func TestGuardTripsAfterConsecutiveFailures(t *testing.T) {
 	in := fault.NewInjector(1, fault.Rule{Op: fault.OpPut, Fault: fault.Fault{Err: fault.ErrIO}})
 	in.Disarm()
-	g := guardOverFaults(t, in, store.GuardOpts{Threshold: 3})
+	g := guardOverFaults(t, in, store.GuardOpts{})
 
 	if err := g.Put("k", []byte("v")); err != nil {
 		t.Fatalf("healthy Put: %v", err)
 	}
 	in.Arm()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < store.GuardThreshold; i++ {
 		if g.Degraded() {
-			t.Fatalf("degraded after only %d failures (threshold 3)", i)
+			t.Fatalf("degraded after only %d failures (threshold %d)", i, store.GuardThreshold)
 		}
 		if err := g.Put("k", []byte("v")); !errors.Is(err, fault.ErrIO) {
 			t.Fatalf("failure %d: err = %v, want ErrIO", i, err)
@@ -85,7 +85,7 @@ func TestGuardSuccessResetsFailureCount(t *testing.T) {
 	// Fail, fail, succeed, fail, fail, succeed, ... — never 3 in a row,
 	// so the guard must never trip.
 	in := fault.NewInjector(1, fault.Rule{Op: fault.OpPut, Every: 3, Fault: fault.Fault{Err: fault.ErrIO}})
-	g := guardOverFaults(t, in, store.GuardOpts{Threshold: 3})
+	g := guardOverFaults(t, in, store.GuardOpts{})
 	for i := 0; i < 30; i++ {
 		g.Put("k", []byte("v"))
 		if g.Degraded() {
@@ -98,14 +98,15 @@ func TestGuardBackgroundProbeRecovers(t *testing.T) {
 	in := fault.NewInjector(1, fault.Rule{Op: fault.OpPut, Fault: fault.Fault{Err: fault.ErrIO}})
 	flips := make(chan bool, 4)
 	g := store.NewGuard(fault.NewStore(store.NewMemStore(), in), store.GuardOpts{
-		Threshold:     1,
 		ProbeInterval: 5 * time.Millisecond,
 		OnChange:      func(d bool) { flips <- d },
 	})
 	defer g.Close()
 
-	if err := g.Put("k", nil); !errors.Is(err, fault.ErrIO) {
-		t.Fatalf("Put = %v, want ErrIO", err)
+	for i := 0; i < store.GuardThreshold; i++ {
+		if err := g.Put("k", nil); !errors.Is(err, fault.ErrIO) {
+			t.Fatalf("failure %d: Put = %v, want ErrIO", i, err)
+		}
 	}
 	select {
 	case d := <-flips:
@@ -140,14 +141,15 @@ func TestGuardProbeGoroutineStopsOnClose(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		in := fault.NewInjector(1, fault.Rule{Op: fault.OpPut, Fault: fault.Fault{Err: fault.ErrIO}})
 		g := store.NewGuard(fault.NewStore(store.NewMemStore(), in), store.GuardOpts{
-			Threshold:     1,
 			ProbeInterval: time.Millisecond,
 		})
-		if err := g.Put("k", nil); !errors.Is(err, fault.ErrIO) {
-			t.Fatalf("iteration %d: Put = %v, want ErrIO", i, err)
+		for k := 0; k < store.GuardThreshold; k++ {
+			if err := g.Put("k", nil); !errors.Is(err, fault.ErrIO) {
+				t.Fatalf("iteration %d: Put = %v, want ErrIO", i, err)
+			}
 		}
 		if !g.Degraded() {
-			t.Fatalf("iteration %d: guard not degraded at threshold 1", i)
+			t.Fatalf("iteration %d: guard not degraded after %d failures", i, store.GuardThreshold)
 		}
 		// Close with the probe loop live and the weather still bad: the
 		// loop must exit on the stop channel, not on recovery.
@@ -164,7 +166,7 @@ func TestGuardProbeGoroutineStopsOnClose(t *testing.T) {
 }
 
 func TestGuardNotFoundIsNotAFailure(t *testing.T) {
-	g := store.NewGuard(store.NewMemStore(), store.GuardOpts{Threshold: 1, ProbeInterval: -1})
+	g := store.NewGuard(store.NewMemStore(), store.GuardOpts{ProbeInterval: -1})
 	defer g.Close()
 	// Reads of missing keys and deletes of missing keys must not count
 	// toward degradation.

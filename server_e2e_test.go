@@ -265,12 +265,12 @@ func TestServerConcurrentClientsRace(t *testing.T) {
 	}
 }
 
-// TestServerQuotaEnforced: with a one-job-per-connection bound under
-// the reject policy, a saturated connection's submit fails with
-// ErrJobQuota while other connections are unaffected.
+// TestServerQuotaEnforced: with a one-job-per-connection bound, a
+// saturated connection's submit fails with ErrJobQuota at once while
+// other connections are unaffected.
 func TestServerQuotaEnforced(t *testing.T) {
 	_, srv, addr, _ := startServer(t,
-		fem2.ServerConfig{MaxJobsPerSession: 1, QuotaPolicy: fem2.QuotaReject},
+		fem2.ServerConfig{MaxJobsPerSession: 1},
 		fem2.WithWorkers(4))
 	defer srv.Shutdown(context.Background())
 
