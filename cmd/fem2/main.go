@@ -62,7 +62,7 @@ import (
 func main() {
 	clusters := flag.Int("clusters", 4, "number of PE clusters")
 	pes := flag.Int("pes", 8, "PEs per cluster (including the kernel PE)")
-	workers := flag.Int("workers", 0, "job scheduler worker pool bound (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "most jobs the scheduler executes at once (0 = GOMAXPROCS)")
 	script := flag.String("script", "", "command script to run instead of stdin")
 	user := flag.String("user", "engineer", "user name for the session")
 	report := flag.Bool("report", false, "print the machine report on exit")

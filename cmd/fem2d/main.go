@@ -72,7 +72,7 @@ func main() {
 	addr := flag.String("addr", ":7432", "TCP address to listen on")
 	clusters := flag.Int("clusters", 4, "number of PE clusters")
 	pes := flag.Int("pes", 8, "PEs per cluster (including the kernel PE)")
-	workers := flag.Int("workers", 0, "job scheduler worker pool bound (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "most jobs the scheduler executes at once (0 = GOMAXPROCS)")
 	maxJobs := flag.Int("max-jobs", 16, "max in-flight jobs per connection (0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"how long shutdown waits for running jobs and synchronous commands before cancelling them")

@@ -28,7 +28,7 @@ func main() {
 	// Four engineers, four independent problems on one machine.  Model
 	// building is cheap and synchronous; the solves are heavy, so each
 	// session submits its solve as a job and all four run concurrently
-	// on the worker pool (distinct models never serialize).
+	// on the scheduler's workers (distinct models never serialize).
 	users := []string{"alice", "bob", "chen", "dana"}
 	ids := make([]fem2.JobID, len(users))
 	for i, u := range users {

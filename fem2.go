@@ -129,9 +129,9 @@ func WithCostModel(netLatency, netCyclesPerWord, memCyclesPerWord, kernelDecodeC
 // adjust it further.
 func WithConfig(cfg Config) Option { return func(o *core.Options) { o.Arch = cfg } }
 
-// WithWorkers bounds the job scheduler's worker pool: at most n
-// asynchronous jobs execute at once (0, the default, selects GOMAXPROCS).
-// Workers start lazily on the first SubmitAsync / submit.
+// WithWorkers bounds the job scheduler: at most n asynchronous jobs
+// execute at once (0, the default, selects GOMAXPROCS).  A worker
+// goroutine runs only while a job can.
 func WithWorkers(n int) Option { return func(o *core.Options) { o.Workers = n } }
 
 // WithStore selects the storage backend the system's model database and
@@ -429,10 +429,10 @@ const (
 // backend recovers.  See docs/robustness.md.
 var ErrStoreDegraded = store.ErrDegraded
 
-// GuardOpts tunes the store degradation guard New installs between the
-// backend and the cache: the consecutive-write-failure threshold, the
-// recovery probe interval, and an optional health-transition hook.
-// The zero value selects the defaults.
+// GuardOpts tunes the store degradation guard New installs over the
+// backend: the recovery probe interval and an optional health-transition
+// hook.  The guard trips at store.GuardThreshold consecutive write
+// failures.  The zero value selects the defaults.
 type GuardOpts = store.GuardOpts
 
 // WithStoreGuard adjusts the degradation guard's thresholds and hooks.

@@ -31,7 +31,7 @@ var ErrQuit = errs.ErrQuit
 // The session's own command loop is one goroutine, but a session with a
 // job scheduler attached (Jobs non-nil) is a concurrent front end:
 // SubmitAsync — and the submit verb — route heavy commands through the
-// scheduler's worker pool, which re-enters the interpreter (DoHeld) on
+// scheduler's workers, which re-enter the interpreter (DoHeld) on
 // worker goroutines, and cheap commands run inline on each submitter's
 // goroutine.  That is safe because every piece of session state a verb
 // touches is mutex-guarded — the workspace, the database, and the
@@ -160,7 +160,7 @@ func (s *Session) ExecuteContext(ctx context.Context, line string) (string, erro
 
 // SubmitAsync hands a command to the system's job scheduler and returns
 // its job id immediately.  Heavy verbs (solves) run on the scheduler's
-// worker pool, serialized per model; cheap verbs run inline before
+// workers, serialized per model; cheap verbs run inline before
 // SubmitAsync returns, but still leave a job record, so the
 // submit→status→wait surface is uniform.  The job runs under a context
 // derived from ctx — cancelling ctx, or Jobs.Cancel, cancels it.
@@ -297,7 +297,7 @@ func (s *Session) doSubmit(ctx context.Context, c command.Submit) (command.Resul
 		return nil, err
 	}
 	// Report the state as of submit time: a heavy command was queued
-	// (re-reading it here would race the worker pool and make the reply
+	// (re-reading it here would race the workers and make the reply
 	// nondeterministic); a cheap command ran inline and is terminal.
 	res := &command.SubmitResult{ID: int64(id), State: command.JobQueued,
 		Cmd: command.Value(c.Cmd).String()}

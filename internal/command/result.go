@@ -264,7 +264,7 @@ type SubmitResult struct {
 	// ID is the new job's id.
 	ID int64
 	// State is the job's state at reply time: "queued" for heavy
-	// commands handed to the worker pool, a terminal state for cheap
+	// commands handed to the scheduler's workers, a terminal state for cheap
 	// commands the scheduler ran inline.
 	State JobState
 	// Cmd is the submitted command's canonical line.

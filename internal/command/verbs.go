@@ -68,7 +68,7 @@ const (
 	// quit).
 	NotAJob
 	// Heavy: long-running, so as a job it is queued for the scheduler's
-	// worker pool instead of running inline on the front-end goroutine.
+	// workers instead of running inline on the front-end goroutine.
 	Heavy
 )
 

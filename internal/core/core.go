@@ -306,17 +306,17 @@ type System struct {
 type Options struct {
 	// Arch is the simulated hardware configuration.
 	Arch arch.Config
-	// Workers bounds the job scheduler's worker pool (<= 0 selects
-	// GOMAXPROCS).  Workers start lazily on the first asynchronous
-	// submission.
+	// Workers bounds the asynchronous jobs the scheduler executes at once
+	// (<= 0 selects GOMAXPROCS).  A worker goroutine runs only while a job
+	// can.
 	Workers int
 	// Store selects the storage backend; the zero value is the in-memory
 	// one.  With the file backend a restarted system serves every
 	// previously-stored model and the complete terminal job history, with
 	// jobs that were in flight at the crash deterministically failed.
 	Store store.Config
-	// Guard is the degradation policy: the guard's failure threshold,
-	// probe cadence, and state-change hook (the daemon logs from it).
+	// Guard is the degradation policy: the guard's probe cadence and
+	// state-change hook (the daemon logs from it).
 	Guard store.GuardOpts
 	// Cluster, when non-nil, builds the system as one member of a
 	// multi-daemon cluster sharing Store.

@@ -2,8 +2,10 @@ package exp
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,6 +145,34 @@ func TestE5LinearInK(t *testing.T) {
 	h10, h100 := cell(t, tab, 0, 2), cell(t, tab, 1, 2)
 	if h100 < 9*h10 || h100 > 11*h10 {
 		t.Errorf("heap words not ~linear: %g vs %g", h10, h100)
+	}
+}
+
+// TestE5NoteReadsItsColumns: E5's note names the PE kind whose busiest
+// PE the last row shows busier, and that PE's share of the makespan.
+func TestE5NoteReadsItsColumns(t *testing.T) {
+	tab, err := E5TaskInitiation([]int{10, 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(tab.Rows) - 1
+	column := func(name string) float64 {
+		t.Helper()
+		i := slices.Index(tab.Columns, name)
+		if i < 0 {
+			t.Fatalf("E5 has no %s column: %v", name, tab.Columns)
+		}
+		return cell(t, tab, last, i)
+	}
+	kernel, worker, span := column("kernel.busy"), column("worker.busy"), column("makespan")
+	kind, busy := "worker", worker
+	if kernel > worker {
+		kind, busy = "kernel", kernel
+	}
+	want := fmt.Sprintf("at K=1000 the busiest PE is a %s PE, busy %.0f%% of the makespan", kind, 100*busy/span)
+	if tab.Notes != want {
+		t.Errorf("E5's note %q contradicts its last row (kernel.busy %g, worker.busy %g, makespan %g): want %q",
+			tab.Notes, kernel, worker, span, want)
 	}
 }
 

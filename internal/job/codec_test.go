@@ -102,7 +102,7 @@ func TestJournalKeepsTheJobWhenItsResultCannotBeEncoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Wait(context.Background(), id); err != nil {
+	if _, err := waitJob(t, s, id); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := st.Get(store.JobKey(int64(id)))

@@ -35,7 +35,7 @@ func TestFinishedJobsKeepNoRunMachinery(t *testing.T) {
 	// The first job starts the pool; what that allocates is not a job's.
 	if id, err := s.Submit(ctx, "eng", ex, solveOn("m")); err != nil {
 		t.Fatal(err)
-	} else if _, err := s.Wait(ctx, id); err != nil {
+	} else if _, err := waitJob(t, s, id); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -46,7 +46,7 @@ func TestFinishedJobsKeepNoRunMachinery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Wait(ctx, id); err != nil {
+		if _, err := waitJob(t, s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,12 +133,12 @@ func TestFinishedAndRecoveredJobsAnswer(t *testing.T) {
 		}()
 	}
 	for g := 0; g < 4; g++ {
-		<-started
+		within(t, "the job's start", func() { <-started })
 	}
 	close(gate)
-	wg.Wait()
+	within(t, "the racing Wait, Status, List and Cancel", wg.Wait)
 	for _, id := range ids {
-		s.Wait(ctx, id)
+		waitJob(t, s, id)
 		st, err := s.Cancel(id)
 		if err != nil || !st.Terminal() {
 			t.Errorf("cancel of finished %s: %v, %v", id, st, err)
@@ -279,7 +279,7 @@ func TestJournalScanFailureRefusesSubmits(t *testing.T) {
 				if err != nil || id != 4 {
 					t.Fatalf("submit once the store reads: %v, %v; want job-4", id, err)
 				}
-				if _, err := s.Wait(ctx, id); err != nil {
+				if _, err := waitJob(t, s, id); err != nil {
 					t.Fatal(err)
 				}
 				if jobs := list(t, s, Filter{}); len(jobs) != 4 {

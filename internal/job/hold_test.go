@@ -25,7 +25,7 @@ func holdWithJob(t *testing.T, s *Scheduler) (id JobID, release func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	return id, func() { close(gate) }
 }
 
@@ -109,7 +109,7 @@ func TestFinishedJobHasReleasedItsModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Wait(ctx, id); err != nil {
+		if _, err := waitJob(t, s, id); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Hold(ctx, "eng", "a", command.Stresses{Model: "a"}); err != nil {
@@ -125,23 +125,12 @@ func TestFinishedJobHasReleasedItsModel(t *testing.T) {
 }
 
 // TestReleaseLeavesAnIdlePoolAsleep: releasing a model nobody waits for
-// broadcasts nothing, however many requests hold and release; with a job
-// queued behind the hold, the release wakes the pool once and the job
-// runs.
+// wakes no one, however many requests hold and release; with a job queued
+// behind the hold, the release starts a worker once and the job runs.
 func TestReleaseLeavesAnIdlePoolAsleep(t *testing.T) {
 	s := NewScheduler(2)
 	defer s.Close()
-	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
-		return &command.SolveResult{}, nil
-	})
 	ctx := context.Background()
-	id, err := s.Submit(ctx, "eng", ex, solveOn("a")) // starts the pool
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(ctx, id); err != nil {
-		t.Fatal(err)
-	}
 	wakes := func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -161,17 +150,16 @@ func TestReleaseLeavesAnIdlePoolAsleep(t *testing.T) {
 	if err := s.Hold(ctx, "eng", "a", command.Stresses{Model: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	id, err = s.Submit(ctx, "eng", ex, solveOn("a"))
+	id, err := s.Submit(ctx, "eng", quickExec, solveOn("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	settledPool(t, s, 2) // a worker looked, found "a" held, parked again
 	if snap, _ := s.Status(id); snap.State != Queued {
 		t.Fatalf("job beside a synchronous hold is %v, want queued", snap.State)
 	}
 	s.Release("eng", "a")
 	waitState(t, s, id, Done)
 	if got := wakes() - before; got != 1 {
-		t.Errorf("the release a job waited for woke the pool %d times, want 1", got)
+		t.Errorf("the release a job waited for woke %d times, want 1", got)
 	}
 }

@@ -5,12 +5,14 @@
 // submit, monitor, and cancel long-running work concurrently instead of
 // blocking each caller's goroutine for the length of a solve.
 //
-// A Scheduler owns a bounded worker pool.  Submit enqueues a heavy
-// command (a solve) as a job and returns its JobID immediately; cheap
+// A Scheduler runs a bounded number of jobs at once.  Submit enqueues a
+// heavy command (a solve) as a job and returns its JobID immediately; the
+// job starts on a worker goroutine of its own once it can run, and that
+// worker takes the next runnable job when it ends or exits.  Cheap
 // commands run inline on the caller's goroutine but still leave a job
 // record, so the submit→status→wait surface is uniform.  Per-model
 // locking serializes jobs that touch the same model name while jobs on
-// different models proceed in parallel across the pool.  Cancellation
+// different models proceed in parallel up to the bound.  Cancellation
 // rides the context plumbing every solver kernel already polls: Cancel
 // (or cancelling the context passed to Submit) cancels a queued job
 // outright and interrupts a running one mid-solve.

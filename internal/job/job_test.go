@@ -1,9 +1,11 @@
 package job
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +35,54 @@ func list(t testing.TB, s *Scheduler, f Filter) []Snapshot {
 // solveOn is the canonical heavy command on a model.
 func solveOn(model string) command.Command { return command.Solve{Model: model, Set: "l"} }
 
+// patience bounds every wait in this package's tests: one that runs out
+// fails its test by what it waited for, where a hang would hold the whole
+// package until go test's -timeout.
+const patience = 10 * time.Second
+
+// within runs wait on a goroutine of its own and fails the test, naming
+// what it waited for, unless wait returns within patience.
+func within(t testing.TB, what string, wait func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(patience):
+		t.Fatalf("still waiting for %s after %v", what, patience)
+	}
+}
+
+// waitJob is s.Wait of id under patience.
+func waitJob(t testing.TB, s *Scheduler, id JobID) (res command.Result, err error) {
+	t.Helper()
+	within(t, "the wait for "+id.String(), func() { res, err = s.Wait(context.Background(), id) })
+	return res, err
+}
+
+// workerGoroutines counts the goroutines running Scheduler.worker, in
+// every scheduler of the process.
+func workerGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for runtime.Stack(buf, true) == len(buf) {
+		buf = make([]byte, 2*len(buf))
+	}
+	return bytes.Count(buf, []byte("job.(*Scheduler).worker("))
+}
+
+// noWorkers waits until no worker goroutine is left.
+func noWorkers(t testing.TB) {
+	t.Helper()
+	within(t, "every worker to exit", func() {
+		for workerGoroutines() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+}
+
 // waitState polls until the job reaches want or the deadline passes.
 func waitState(t *testing.T, s *Scheduler, id JobID, want State) {
 	t.Helper()
@@ -51,51 +101,6 @@ func waitState(t *testing.T, s *Scheduler, id JobID, want State) {
 	t.Fatalf("job %s never reached %v (stuck at %v)", id, want, snap.State)
 }
 
-// settledPool waits until n workers are parked and the pool has been
-// still for 20ms — time enough for a worker woken for nothing to look
-// through the queue and park again — and returns the wake-ups so far
-// that found nothing to run.
-func settledPool(t *testing.T, s *Scheduler, n int) int64 {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var since time.Time
-	last := struct {
-		parked int
-		idle   int64
-	}{-1, -1}
-	for time.Now().Before(deadline) {
-		s.mu.Lock()
-		parked, idle := s.parked, s.idleWakes
-		s.mu.Unlock()
-		switch {
-		case parked != last.parked || idle != last.idle:
-			last.parked, last.idle, since = parked, idle, time.Now()
-		case parked == n && time.Since(since) >= 20*time.Millisecond:
-			return idle
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("pool never settled with %d workers parked (%d parked)", n, last.parked)
-	return 0
-}
-
-// parkedPool returns a scheduler of n workers whose pool has started,
-// run one job and parked.
-func parkedPool(t *testing.T, n int) *Scheduler {
-	t.Helper()
-	s := NewScheduler(n)
-	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
-		return &command.SolveResult{}, nil
-	})
-	id, err := s.Submit(context.Background(), "eng", ex, solveOn("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, id, Done)
-	settledPool(t, s, n)
-	return s
-}
-
 func TestSubmitWaitDone(t *testing.T) {
 	s := NewScheduler(2)
 	defer s.Close()
@@ -110,7 +115,8 @@ func TestSubmitWaitDone(t *testing.T) {
 	if id != 1 {
 		t.Errorf("first id = %v, want job-1", id)
 	}
-	res, err := s.Wait(context.Background(), id)
+	waitState(t, s, id, Done)
+	res, err := waitJob(t, s, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +130,9 @@ func TestSubmitWaitDone(t *testing.T) {
 	if snap.State != Done || snap.Owner != "eng" || snap.Model != "a" {
 		t.Errorf("snapshot = %+v", snap)
 	}
-	// The first job found the pool starting; the next finds it parked,
-	// and its submit must wake a worker.
-	settledPool(t, s, 2)
+	// Each submit starts the worker its job runs on: the next finds the
+	// first's worker gone.
+	noWorkers(t)
 	id, err = s.Submit(context.Background(), "eng", ex, solveOn("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -134,35 +140,70 @@ func TestSubmitWaitDone(t *testing.T) {
 	waitState(t, s, id, Done)
 }
 
-// TestIdleWorkersSleepThroughOneJob: with the pool parked, a submitted
-// job wakes the one worker that runs it, and its finish wakes none.
-func TestIdleWorkersSleepThroughOneJob(t *testing.T) {
-	s := parkedPool(t, 4)
+// TestWorkersExitWithNothingRunnable: a worker exists only while it has
+// a job.  Jobs on four models start one worker each, and a fifth waits
+// for a free slot; once the four end, a worker runs the fifth, and with a
+// job still queued behind a held model none is left.  The release starts
+// one for that job, which exits after it, and a worker whose job Close
+// cancels is gone once Close returns.
+func TestWorkersExitWithNothingRunnable(t *testing.T) {
+	noWorkers(t)
+	s := NewScheduler(4)
 	defer s.Close()
 	ctx := context.Background()
-	before := settledPool(t, s, 4)
-
-	gate, started := make(chan struct{}), make(chan struct{})
-	blocking := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
-		close(started)
-		<-gate
-		return &command.SolveResult{}, nil
-	})
-	id, err := s.Submit(ctx, "eng", blocking, solveOn("a"))
+	if err := s.Hold(ctx, "eng", "q", solveOn("q")); err != nil {
+		t.Fatal(err)
+	}
+	queued, err := s.Submit(ctx, "eng", quickExec, solveOn("q"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
-	if got := settledPool(t, s, 3) - before; got != 0 {
-		t.Errorf("one job submitted to a parked pool of 4 woke %d workers with nothing to run, want 0", got)
+	started, release := make(chan struct{}, 4), make(chan struct{})
+	var ids []JobID
+	for i := 0; i < 4; i++ {
+		id, err := s.Submit(ctx, "eng", blockingExec(started, release), solveOn(fmt.Sprintf("m%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
-	close(gate)
-	if _, err := s.Wait(ctx, id); err != nil {
+	for i := 0; i < 4; i++ {
+		within(t, "four starts", func() { <-started })
+	}
+	fifth, err := s.Submit(ctx, "eng", quickExec, solveOn("m4"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := settledPool(t, s, 4) - before; got != 0 {
-		t.Errorf("one job submitted and finished woke %d workers with nothing to run, want 0", got)
+	if n := workerGoroutines(); n != 4 {
+		t.Errorf("four running jobs and one queued have %d workers, want 4", n)
 	}
+	close(release)
+	waitState(t, s, fifth, Done) // taken by a worker whose job ended
+	for _, id := range ids {
+		if _, err := waitJob(t, s, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	noWorkers(t)
+	if snap, _ := s.Status(queued); snap.State != Queued {
+		t.Fatalf("job behind the held model is %v, want queued", snap.State)
+	}
+	s.Release("eng", "q")
+	if _, err := waitJob(t, s, queued); err != nil {
+		t.Fatal(err)
+	}
+	noWorkers(t)
+
+	cancelled, err := s.Submit(ctx, "eng", blockingExec(started, nil), solveOn("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	within(t, "the last job's start", func() { <-started })
+	s.Close()
+	if snap, _ := s.Status(cancelled); snap.State != Cancelled {
+		t.Errorf("job running at Close is %v, want cancelled", snap.State)
+	}
+	noWorkers(t)
 }
 
 func TestCheapCommandRunsInline(t *testing.T) {
@@ -201,7 +242,7 @@ func TestFailureState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Wait(context.Background(), id); !errors.Is(err, boom) {
+	if _, err := waitJob(t, s, id); !errors.Is(err, boom) {
 		t.Errorf("Wait error = %v, want boom", err)
 	}
 	snap, _ := s.Status(id)
@@ -223,11 +264,11 @@ func TestCancelRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	if st, err := s.Cancel(id); err != nil || st != Running {
 		t.Errorf("Cancel(running) = %v, %v", st, err)
 	}
-	if _, err := s.Wait(context.Background(), id); !errors.Is(err, errs.ErrCancelled) {
+	if _, err := waitJob(t, s, id); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("Wait after cancel = %v, want ErrCancelled", err)
 	}
 	snap, _ := s.Status(id)
@@ -256,7 +297,7 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	second, err := s.Submit(context.Background(), "eng", ex, solveOn("b"))
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +305,11 @@ func TestCancelQueued(t *testing.T) {
 	if st, err := s.Cancel(second); err != nil || st != Cancelled {
 		t.Fatalf("Cancel(queued) = %v, %v", st, err)
 	}
-	if _, err := s.Wait(context.Background(), second); !errors.Is(err, errs.ErrCancelled) {
+	if _, err := waitJob(t, s, second); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("Wait(cancelled-queued) = %v, want ErrCancelled", err)
 	}
 	close(release)
-	if _, err := s.Wait(context.Background(), first); err != nil {
+	if _, err := waitJob(t, s, first); err != nil {
 		t.Fatal(err)
 	}
 	// Cancel of a finished job reports its terminal state.
@@ -291,9 +332,9 @@ func TestSubmitCtxCancelsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	cancel() // cancellation rides the submit context
-	if _, err := s.Wait(context.Background(), id); !errors.Is(err, errs.ErrCancelled) {
+	if _, err := waitJob(t, s, id); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("Wait = %v, want ErrCancelled", err)
 	}
 }
@@ -349,7 +390,7 @@ func TestPerModelSerialization(t *testing.T) {
 		ids = append(ids, id)
 	}
 	for _, id := range ids {
-		if _, err := s.Wait(context.Background(), id); err != nil {
+		if _, err := waitJob(t, s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -388,7 +429,7 @@ func TestWorkerPoolBound(t *testing.T) {
 	}
 	close(release)
 	for _, id := range ids {
-		if _, err := s.Wait(context.Background(), id); err != nil {
+		if _, err := waitJob(t, s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,7 +447,7 @@ func TestListFilter(t *testing.T) {
 	a, _ := s.Submit(context.Background(), "alice", ok, solveOn("a"))
 	b, _ := s.Submit(context.Background(), "bob", bad, solveOn("b"))
 	for _, id := range []JobID{a, b} {
-		s.Wait(context.Background(), id)
+		waitJob(t, s, id)
 	}
 	if got := list(t, s, Filter{}); len(got) != 2 || got[0].ID != a || got[1].ID != b {
 		t.Errorf("List(all) = %+v", got)
@@ -434,19 +475,19 @@ func TestCancelOwner(t *testing.T) {
 		}
 	})
 	r, _ := s.Submit(context.Background(), "alice", ex, solveOn("a"))
-	<-started
+	within(t, "the job's start", func() { <-started })
 	q, _ := s.Submit(context.Background(), "alice", ex, solveOn("b"))
 	other, _ := s.Submit(context.Background(), "bob", ex, solveOn("c"))
 	if n := s.CancelOwner("alice"); n != 2 {
 		t.Errorf("CancelOwner = %d, want 2", n)
 	}
 	for _, id := range []JobID{r, q} {
-		if _, err := s.Wait(context.Background(), id); !errors.Is(err, errs.ErrCancelled) {
+		if _, err := waitJob(t, s, id); !errors.Is(err, errs.ErrCancelled) {
 			t.Errorf("alice job %v after CancelOwner: %v", id, err)
 		}
 	}
 	close(release)
-	if _, err := s.Wait(context.Background(), other); err != nil {
+	if _, err := waitJob(t, s, other); err != nil {
 		t.Errorf("bob's job was cancelled too: %v", err)
 	}
 }
@@ -532,7 +573,7 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 		}
 	})
 	r, _ := s.Submit(context.Background(), "eng", ex, solveOn("a"))
-	<-started
+	within(t, "the first job's start", func() { <-started })
 	q, _ := s.Submit(context.Background(), "eng", ex, solveOn("b"))
 	s.Close()
 	for _, id := range []JobID{r, q} {
@@ -549,20 +590,6 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	}
 	s.Close() // idempotent
 	close(release)
-
-	// A parked pool has nothing queued and nothing running: only Close
-	// itself can wake its workers to exit.
-	idle := parkedPool(t, 2)
-	closed := make(chan struct{})
-	go func() {
-		idle.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close of a parked pool never returned")
-	}
 }
 
 func TestStatusUnknownJob(t *testing.T) {
@@ -571,7 +598,7 @@ func TestStatusUnknownJob(t *testing.T) {
 	if _, err := s.Status(99); !errors.Is(err, errs.ErrNotFound) {
 		t.Errorf("Status(99) = %v, want ErrNotFound", err)
 	}
-	if _, err := s.Wait(context.Background(), 99); !errors.Is(err, errs.ErrNotFound) {
+	if _, err := waitJob(t, s, 99); !errors.Is(err, errs.ErrNotFound) {
 		t.Errorf("Wait(99) = %v, want ErrNotFound", err)
 	}
 	if _, err := s.Cancel(99); !errors.Is(err, errs.ErrNotFound) {
@@ -637,7 +664,7 @@ func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
 	if _, err := s.Submit(context.Background(), "eng", ex, solveOn("a")); err != nil {
 		t.Fatal(err)
 	}
-	<-started // the solve holds model "a"
+	within(t, "the job's start", func() { <-started }) // the solve holds model "a"
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -662,7 +689,7 @@ func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
 		if snap.State != Cancelled {
 			t.Errorf("inline job state = %v, want cancelled", snap.State)
 		}
-		if _, err := s.Wait(context.Background(), id); !errors.Is(err, errs.ErrCancelled) {
+		if _, err := waitJob(t, s, id); !errors.Is(err, errs.ErrCancelled) {
 			t.Errorf("Wait = %v, want ErrCancelled", err)
 		}
 	case <-time.After(5 * time.Second):
@@ -671,16 +698,19 @@ func TestInlineSubmitHonoursCtxBehindModelLock(t *testing.T) {
 }
 
 // awaitWaiters polls until n goroutines wait on s.cond for a model.
-func awaitWaiters(s *Scheduler, n int) {
-	for {
-		s.mu.Lock()
-		waiting := s.waiting
-		s.mu.Unlock()
-		if waiting == n {
-			return
+func awaitWaiters(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	within(t, fmt.Sprintf("%d model waiters", n), func() {
+		for {
+			s.mu.Lock()
+			waiting := s.waiting
+			s.mu.Unlock()
+			if waiting == n {
+				return
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 }
 
 // TestInlineSubmitRunsWhenTheJobHoldingItsModelEnds: a cheap inline
@@ -694,7 +724,7 @@ func TestInlineSubmitRunsWhenTheJobHoldingItsModelEnds(t *testing.T) {
 	if _, err := s.Submit(ctx, "eng", blockingExec(started, release), solveOn("a")); err != nil {
 		t.Fatal(err)
 	}
-	<-started // the solve holds model "a"
+	within(t, "the job's start", func() { <-started }) // the solve holds model "a"
 	cheap := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
 		return &command.StoreResult{}, nil
 	})
@@ -706,7 +736,7 @@ func TestInlineSubmitRunsWhenTheJobHoldingItsModelEnds(t *testing.T) {
 		}
 		submitted <- id
 	}()
-	awaitWaiters(s, 1)
+	awaitWaiters(t, s, 1)
 	close(release)
 	select {
 	case id := <-submitted:
@@ -719,11 +749,11 @@ func TestInlineSubmitRunsWhenTheJobHoldingItsModelEnds(t *testing.T) {
 }
 
 // TestInlineSubmitFinishRunsTheJobQueuedBehindIt: a solve queued behind
-// an inline job on the same model, with every worker parked, runs once
-// the inline job finishes — its finish is the only event that can wake a
+// an inline job on the same model, with no worker running, runs once the
+// inline job finishes — its finish is the only event that can start a
 // worker for it.
 func TestInlineSubmitFinishRunsTheJobQueuedBehindIt(t *testing.T) {
-	s := parkedPool(t, 2)
+	s := NewScheduler(2)
 	defer s.Close()
 	ctx := context.Background()
 	gate, started := make(chan struct{}), make(chan struct{})
@@ -737,20 +767,17 @@ func TestInlineSubmitFinishRunsTheJobQueuedBehindIt(t *testing.T) {
 		_, err := s.Submit(ctx, "eng", inline, command.Store{Model: "a"})
 		submitted <- err
 	}()
-	<-started // the inline job holds model "a"
-	ex := execFunc(func(ctx context.Context, cmd command.Command) (command.Result, error) {
-		return &command.SolveResult{}, nil
-	})
-	id, err := s.Submit(ctx, "eng", ex, solveOn("a"))
+	within(t, "the inline job's start", func() { <-started }) // it holds model "a"
+	id, err := s.Submit(ctx, "eng", quickExec, solveOn("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	settledPool(t, s, 2) // a worker looked, found "a" held, parked again
 	if snap, _ := s.Status(id); snap.State != Queued {
 		t.Fatalf("solve behind the inline job is %v, want queued", snap.State)
 	}
 	close(gate)
-	if err := <-submitted; err != nil {
+	within(t, "the inline submit", func() { err = <-submitted })
+	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, id, Done)

@@ -39,7 +39,7 @@ func runN(t *testing.T, s *Scheduler, n int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Wait(context.Background(), id); err != nil {
+		if _, err := waitJob(t, s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestJournalRecoversHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Wait(context.Background(), fid)
+	waitJob(t, s, fid)
 	s.Close()
 
 	s2 := NewScheduler(2)
@@ -77,7 +77,7 @@ func TestJournalRecoversHistory(t *testing.T) {
 	if snap.State != Done || snap.Owner != "eng" || snap.Model != "m0" {
 		t.Errorf("recovered job-1 = %+v", snap)
 	}
-	res, err := s2.Wait(context.Background(), 1)
+	res, err := waitJob(t, s2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestJournalRecoversHistory(t *testing.T) {
 	if snap, _ := s2.Status(fid); snap.State != Failed {
 		t.Errorf("recovered failed job state = %v", snap.State)
 	}
-	if _, err := s2.Wait(context.Background(), fid); err == nil || err.Error() != "boom" {
+	if _, err := waitJob(t, s2, fid); err == nil || err.Error() != "boom" {
 		t.Errorf("recovered failure = %v, want boom", err)
 	}
 	// The id counter resumes past the recovered history.
@@ -199,7 +199,7 @@ func TestJournalOutlivesEviction(t *testing.T) {
 		if snap.State != Done {
 			t.Errorf("job-%d state = %v, want done", id, snap.State)
 		}
-		if res, err := s.Wait(context.Background(), id); err != nil || res == nil {
+		if res, err := waitJob(t, s, id); err != nil || res == nil {
 			t.Errorf("Wait(job-%d) after eviction = %v, %v", id, res, err)
 		}
 		if state, err := s.Cancel(id); err != nil || state != Done {
@@ -280,7 +280,7 @@ func TestPanickingExecutorFailsTheJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, panicErr := s.Wait(ctx, id)
+			_, panicErr := waitJob(t, s, id)
 			if panicErr == nil || !strings.Contains(panicErr.Error(), "panic executing") || !strings.Contains(panicErr.Error(), "index out of range") {
 				t.Fatalf("Wait on the panicked job: err = %v, want the panic text", panicErr)
 			}
@@ -305,7 +305,7 @@ func TestPanickingExecutorFailsTheJob(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Wait(ctx, next); err != nil {
+			if _, err := waitJob(t, s, next); err != nil {
 				t.Errorf("job after the panic: %v", err)
 			}
 			s.Close()
@@ -318,7 +318,7 @@ func TestPanickingExecutorFailsTheJob(t *testing.T) {
 			if snap, _ := s2.Status(id); snap.State != Failed {
 				t.Errorf("recovered state = %v, want failed", snap.State)
 			}
-			if _, err := s2.Wait(ctx, id); err == nil || err.Error() != panicErr.Error() {
+			if _, err := waitJob(t, s2, id); err == nil || err.Error() != panicErr.Error() {
 				t.Errorf("recovered failure = %v, want %v", err, panicErr)
 			}
 		})

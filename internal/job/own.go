@@ -3,13 +3,13 @@ package job
 import "context"
 
 // Own lets the goroutine that submits a Heavy job run it itself, instead
-// of waking a pool worker for it: a network front end's connection
-// reader, which has nothing to do between answering a submit and reading
-// the next request.  A Submit under WithOwn(ctx, o) queues its Heavy job
-// without waking a worker and records it in o; the submitter then calls
-// Take once, and Run if Take says so.  Every job recorded in an Own thus
-// either runs on its submitter or wakes one worker, as a plain Submit
-// would have.  An Own holds one job at a time and is used by one
+// of starting a worker for it: a network front end's connection reader,
+// which has nothing to do between answering a submit and reading the
+// next request.  A Submit under WithOwn(ctx, o) queues its Heavy job
+// without starting a worker and records it in o; the submitter then
+// calls Take once, and Run if Take says so.  Every job recorded in an Own
+// thus either runs on its submitter or is dispatched as a plain Submit's
+// would have been.  An Own holds one job at a time and is used by one
 // goroutine.
 type Own struct {
 	s *Scheduler
@@ -31,8 +31,9 @@ func WithOwn(ctx context.Context, o *Own) context.Context {
 // pooled job executing on a worker or on another submitter — the job is
 // the only one queued, and its model is free; the job is then running
 // and takes a pool slot, so the worker bound still holds.  Otherwise it
-// wakes one worker, the job waits its turn in the queue, and o is
-// emptied.  Take of an empty Own reports false and does nothing.
+// starts a worker if the job can run now, or leaves it to wait its turn
+// in the queue, and o is emptied.  Take of an empty Own reports false and
+// does nothing.
 func (o *Own) Take() bool {
 	s, j := o.s, o.j
 	if j == nil {
@@ -43,9 +44,7 @@ func (o *Own) Take() bool {
 	if _, held := s.busy[j.key()]; s.executing > 0 || len(s.queue) != 1 ||
 		s.queue[0] != j || j.state != Queued || (j.model != "" && held) {
 		o.j = nil
-		if len(s.queue) > 0 {
-			s.work.Signal()
-		}
+		s.dispatchLocked()
 		return false
 	}
 	s.queue = s.queue[:0]
@@ -62,4 +61,7 @@ func (o *Own) Run() {
 	o.j = nil
 	defer s.wg.Done()
 	s.execute(j)
+	// The job's end freed a pool slot and its model.
+	s.dispatchLocked()
+	s.mu.Unlock()
 }

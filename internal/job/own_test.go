@@ -22,14 +22,14 @@ var quickExec = execFunc(func(ctx context.Context, cmd command.Command) (command
 	return &command.SolveResult{}, nil
 })
 
-// TestOwnRunsOnTheSubmitter: on a parked pool, a job submitted under
-// WithOwn is the submitter's to run — Take says so, Run finishes it on
-// the submitter's goroutine — and no worker wakes, for it or for its
+// TestOwnRunsOnTheSubmitter: on an idle scheduler, a job submitted
+// under WithOwn is the submitter's to run — Take says so, Run finishes it
+// on the submitter's goroutine — and no worker starts, for it or for its
 // finish.
 func TestOwnRunsOnTheSubmitter(t *testing.T) {
-	s := parkedPool(t, 2)
+	noWorkers(t)
+	s := NewScheduler(2)
 	defer s.Close()
-	before := settledPool(t, s, 2)
 	var o Own
 	id := submitOwn(t, s, &o, quickExec, solveOn("a"))
 	if !o.Take() {
@@ -42,8 +42,8 @@ func TestOwnRunsOnTheSubmitter(t *testing.T) {
 	if snap, _ := s.Status(id); snap.State != Done {
 		t.Errorf("job after Run is %v, want done", snap.State)
 	}
-	if got := settledPool(t, s, 2) - before; got != 0 {
-		t.Errorf("a job run by its submitter woke %d workers with nothing to run, want 0", got)
+	if n := workerGoroutines(); n != 0 {
+		t.Errorf("a job run by its submitter left %d workers, want 0", n)
 	}
 	if o.Take() {
 		t.Error("Take of an emptied Own reported a job")
@@ -51,11 +51,11 @@ func TestOwnRunsOnTheSubmitter(t *testing.T) {
 }
 
 // TestOwnDeclinedWakesAWorker: with a job executing on a worker the pool
-// is not idle, so Take refuses the submitter's job and wakes a worker
-// for it, which runs it beside the first.  Dropping that wake-up leaves
+// is not idle, so Take refuses the submitter's job and starts a worker
+// for it, which runs it beside the first.  Dropping that dispatch leaves
 // the job queued until the first job ends.
 func TestOwnDeclinedWakesAWorker(t *testing.T) {
-	s := parkedPool(t, 2)
+	s := NewScheduler(2)
 	defer s.Close()
 	started, gate := make(chan struct{}, 1), make(chan struct{})
 	ex := blockingExec(started, gate)
@@ -63,7 +63,7 @@ func TestOwnDeclinedWakesAWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	var o Own
 	id := submitOwn(t, s, &o, quickExec, solveOn("b"))
 	if o.Take() {
@@ -79,10 +79,10 @@ func TestOwnDeclinedWakesAWorker(t *testing.T) {
 
 // TestOwnTakesAPoolSlot: a job its submitter runs counts against the
 // pool bound.  With one worker, a second job submitted while the first
-// runs on its submitter stays queued — the worker it wakes finds the
-// pool full — and runs when the first ends.
+// runs on its submitter stays queued — the pool is full, so its submit
+// starts no worker — and runs when the first ends, its Run dispatching.
 func TestOwnTakesAPoolSlot(t *testing.T) {
-	s := parkedPool(t, 1)
+	s := NewScheduler(1)
 	defer s.Close()
 	started, gate := make(chan struct{}, 1), make(chan struct{})
 	ex := blockingExec(started, gate)
@@ -96,17 +96,16 @@ func TestOwnTakesAPoolSlot(t *testing.T) {
 		defer close(ran)
 		o.Run()
 	}()
-	<-started
+	within(t, "the job's start", func() { <-started })
 	second, err := s.Submit(context.Background(), "eng", ex, solveOn("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	settledPool(t, s, 1)
 	if snap, _ := s.Status(second); snap.State != Queued {
 		t.Errorf("second job is %v while the submitter's job holds the pool's one slot, want queued", snap.State)
 	}
 	close(gate)
-	<-ran
+	within(t, "the submitter's Run", func() { <-ran })
 	waitState(t, s, first, Done)
 	waitState(t, s, second, Done)
 }
@@ -115,7 +114,7 @@ func TestOwnTakesAPoolSlot(t *testing.T) {
 // or whose model is held, is not the submitter's: Take refuses it and
 // it runs on a worker once it can.
 func TestOwnDeclinesBehindAQueue(t *testing.T) {
-	s := parkedPool(t, 1)
+	s := NewScheduler(1)
 	defer s.Close()
 	if err := s.Hold(context.Background(), "eng", "a", solveOn("a")); err != nil {
 		t.Fatal(err)

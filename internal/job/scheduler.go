@@ -22,8 +22,8 @@ var ErrClosed = errs.ErrClosed
 
 // Executor runs one typed command — auvm.Session satisfies it, and the
 // scheduler never needs to know about sessions beyond this.  A job's
-// DoHeld is invoked on a worker goroutine (inline on the submitter's
-// goroutine for cheap commands) with the command's model already held
+// DoHeld is invoked on a worker goroutine (on the submitter's goroutine
+// for cheap commands and Own) with the command's model already held
 // for it; the context it receives is the job's own cancellable context
 // and carries nothing else.
 type Executor interface {
@@ -100,30 +100,24 @@ var finished = func() chan struct{} {
 
 func (j *job) key() modelKey { return modelKey{j.owner, j.model} }
 
-// Scheduler is the multi-tenant job service: a bounded worker pool over
-// a queue of submitted commands, with per-model serialization and full
-// job bookkeeping.  All methods are safe for concurrent use by any
+// Scheduler is the multi-tenant job service: a queue of submitted
+// commands run by at most workers goroutines at once, with per-model
+// serialization and full job bookkeeping.  A worker goroutine exists only
+// while it has a job.  All methods are safe for concurrent use by any
 // number of sessions.
 type Scheduler struct {
 	workers int
 
 	mu sync.Mutex
-	// cond is where everyone but an idle worker waits for a change of
-	// scheduler state: model-lock waiters (awaitLocked: inline jobs and
-	// synchronous solves), counted in waiting, and Drain, counted in
-	// draining.  Each waiter re-checks its own condition, so it is
-	// broadcast at every change that may satisfy one while one waits — a
-	// finish or a Release — and at Close and a waiter's dead context.
-	cond *sync.Cond
-	// work is where idle workers wait for a queued job to become
-	// runnable.  One such event makes one job runnable, so it is
-	// signalled once per event — a Heavy submit (by Own.Take when the
-	// submitter kept the job and does not run it), and a finish or
-	// Release with jobs queued — and broadcast only by Close.
-	work    *sync.Cond
-	started bool
-	closed  bool
-	next    int64
+	// cond is where everyone waits for a change of scheduler state:
+	// model-lock waiters (awaitLocked: inline jobs and synchronous
+	// solves), counted in waiting, and Drain, counted in draining.  Each
+	// waiter re-checks its own condition, so it is broadcast at every
+	// change that may satisfy one while one waits — a finish or a
+	// Release — and at Close and a waiter's dead context.
+	cond   *sync.Cond
+	closed bool
+	next   int64
 	// jobs holds the retained jobs in full.
 	jobs map[JobID]*job
 	// order holds the ids of every retained job in submission order, for
@@ -146,19 +140,15 @@ type Scheduler struct {
 	busy map[modelKey]holder
 	// waiting counts the goroutines blocked on cond for a model — inline
 	// jobs and synchronous solves; wakes counts the wake-ups Release made,
-	// a work signal for the queue and a cond broadcast for them.
+	// a dispatch for the queue and a cond broadcast for them.
 	waiting int
 	wakes   int64
 	// draining counts the Drain calls waiting on cond; Release wakes
 	// them, since a synchronous command's hold keeps a drain waiting.
 	draining int
-	// parked counts the workers waiting on work; idleWakes counts the
-	// times one woke from it and found nothing to run.
-	parked    int
-	idleWakes int64
 	// executing counts the pooled jobs running, on a worker or on their
-	// submitter: a worker pops a job only while it is below workers, so
-	// the pool bound holds wherever a Heavy job runs.
+	// submitter: nextLocked starts a job only while it is below workers,
+	// so the bound holds wherever a Heavy job runs.
 	executing int
 	// live counts each owner's queued-or-running jobs; liveTotal is
 	// their sum.  quota bounds live per owner when positive: a submit
@@ -228,10 +218,10 @@ type Scheduler struct {
 // long-lived multi-tenant service's memory flat.
 const DefaultRetainedJobs = 4096
 
-// NewScheduler returns a scheduler whose pool is bounded at workers
-// goroutines (<= 0 selects GOMAXPROCS).  Worker goroutines start lazily
-// on the first heavy submission, so a scheduler that only ever sees
-// synchronous traffic costs nothing.
+// NewScheduler returns a scheduler that runs at most workers Heavy jobs
+// at once (<= 0 selects GOMAXPROCS).  A worker goroutine starts when a
+// queued job can run and exits when no queued job can, so an idle
+// scheduler has none.
 func NewScheduler(workers int) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -245,7 +235,6 @@ func NewScheduler(workers int) *Scheduler {
 		subs:    map[string]map[int]func(Snapshot){},
 	}
 	s.cond = sync.NewCond(&s.mu)
-	s.work = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -300,7 +289,7 @@ func (s *Scheduler) syncSettledGaugeLocked() {
 }
 
 // syncQueueGaugeLocked publishes the current heavy-queue length.  Jobs
-// cancelled while queued stay in the slice until a worker pops past
+// cancelled while queued stay in the slice until popLocked passes
 // them, so the gauge can briefly overcount by the cancelled stragglers.
 func (s *Scheduler) syncQueueGaugeLocked() {
 	s.gQueueDepth.Set(int64(len(s.queue)))
@@ -384,17 +373,17 @@ func notFound(id JobID) error {
 }
 
 // Submit registers cmd as a job owned by owner and executed by ex.
-// Heavy commands (command.Heavy) are enqueued for the worker pool and Submit
-// returns their JobID immediately; cheap commands run inline on the
-// caller's goroutine — synchronously, but under the same job record, so
-// Status and Wait work uniformly.  An inline command that touches a
+// Heavy commands (command.Heavy) are queued to start on a worker once
+// they can run, and Submit returns their JobID immediately; cheap
+// commands run inline on the caller's goroutine — synchronously, but
+// under the same job record, so Status and Wait work uniformly.  An inline command that touches a
 // model a running job holds waits its turn, but never past its context:
 // once ctx is done the job finalizes Cancelled and Submit returns.  The
 // job runs under a context derived from ctx: cancelling ctx, like
 // Cancel, cancels the job.  Job-control commands cannot themselves run
 // as jobs.  When a per-owner quota is set (SetQuota), an owner at the
 // in-flight bound is refused at once with ErrQuota.  Under a context
-// from WithOwn, a Heavy job wakes no worker at submit: the submitter's
+// from WithOwn, a Heavy job starts no worker at submit: the submitter's
 // Own.Take decides where it runs.
 func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd command.Command) (JobID, error) {
 	if cmd == nil || ex == nil {
@@ -454,16 +443,15 @@ func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd c
 	}
 	s.publishLocked(j)
 	if heavy {
-		s.startWorkersLocked()
 		j.pooled = true
 		s.queue = append(s.queue, j)
 		s.syncQueueGaugeLocked()
 		if own != nil && own.j == nil {
-			// The submitter decides after its reply: run the job or wake a
+			// The submitter decides after its reply: run the job or start a
 			// worker for it (Own.Take).
 			own.s, own.j = s, j
 		} else {
-			s.work.Signal()
+			s.dispatchLocked()
 		}
 		s.mu.Unlock()
 		return j.id, nil
@@ -473,56 +461,40 @@ func (s *Scheduler) Submit(ctx context.Context, owner string, ex Executor, cmd c
 	return j.id, nil
 }
 
-// startWorkersLocked launches the pool on first use.
-func (s *Scheduler) startWorkersLocked() {
-	if s.started {
-		return
-	}
-	s.started = true
-	for i := 0; i < s.workers; i++ {
+// dispatchLocked starts a worker for each queued job that can run now.
+// It is called wherever a queued job may have become runnable: a Heavy
+// submit, Own.Take's decline, a Release, and the end of a job run on its
+// submitter; a worker takes the next job itself when its own ends.
+func (s *Scheduler) dispatchLocked() {
+	for j := s.nextLocked(); j != nil; j = s.nextLocked() {
 		s.wg.Add(1)
-		go s.worker()
+		go s.worker(j)
 	}
 }
 
-// worker is one pool goroutine: pop a runnable job while the pool has a
-// free slot, execute it, release its model, repeat until the scheduler
-// closes.
-func (s *Scheduler) worker() {
+// nextLocked starts and returns the first queued job that can run now —
+// the scheduler is open, the pool has a free slot and the job's model is
+// free — or returns nil when there is none.
+func (s *Scheduler) nextLocked() *job {
+	if s.closed || s.executing >= s.workers {
+		return nil
+	}
+	j := s.popLocked()
+	if j != nil {
+		s.startLocked(j)
+	}
+	return j
+}
+
+// worker runs j, then each job that can run when the one before ends,
+// and exits when none can.
+func (s *Scheduler) worker(j *job) {
 	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		var j *job
-		for woke := false; ; woke = true {
-			if s.executing < s.workers {
-				j = s.popLocked()
-			}
-			if j != nil || s.closed {
-				break
-			}
-			if woke {
-				s.idleWakes++
-			}
-			s.parked++
-			s.work.Wait()
-			s.parked--
-		}
-		if j == nil {
-			s.mu.Unlock()
-			return
-		}
-		s.runLocked(j)
+	for j != nil {
+		s.execute(j)
+		j = s.nextLocked()
+		s.mu.Unlock()
 	}
-}
-
-// runLocked runs a queued job the caller has chosen, holding the job's
-// model for the duration: mark it running and execute it unlocked;
-// execute releases the model as it records the outcome.  Called with
-// s.mu held; returns with it released.
-func (s *Scheduler) runLocked(j *job) {
-	s.startLocked(j)
-	s.mu.Unlock()
-	s.execute(j)
 }
 
 // startLocked marks a job running: it holds its model, and a pooled job
@@ -584,17 +556,17 @@ func (s *Scheduler) Hold(ctx context.Context, owner, model string, cmd command.C
 	return nil
 }
 
-// Release ends a Hold, waking those who may be waiting for the model: one
-// worker when jobs are queued (the freed model makes at most one of them
-// runnable), and every inline job and synchronous solve waiting for a
-// model, and Drain.  An idle pool sleeps on — most requests release a
+// Release ends a Hold, waking those who may be waiting for the model: a
+// worker for a queued job the freed model lets run, and every inline job
+// and synchronous solve waiting for a model, and Drain.  With nothing
+// queued and nobody waiting it wakes no one — most requests release a
 // model nobody wanted.
 func (s *Scheduler) Release(owner, model string) {
 	s.mu.Lock()
 	delete(s.busy, modelKey{owner, model})
 	if len(s.queue) > 0 {
 		s.wakes++
-		s.work.Signal()
+		s.dispatchLocked()
 	}
 	if s.waiting > 0 || s.draining > 0 {
 		s.wakes++
@@ -643,13 +615,20 @@ func (s *Scheduler) runInline(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	s.runLocked(j)
+	s.startLocked(j)
+	s.mu.Unlock()
+	s.execute(j)
+	// The job's end freed its model, which a queued job may wait for.
+	s.dispatchLocked()
+	s.mu.Unlock()
 }
 
-// execute runs the job's command and stores its terminal state.  The
-// executor sees the job's context and nothing else; a dispatched job is
-// one AUVM operation (the executor counts it in its own auvm.ops), and
-// solver flops and machine cycles come back on the typed result.
+// execute runs a started job's command and stores its terminal state.
+// The executor sees the job's context and nothing else; a dispatched job
+// is one AUVM operation (the executor counts it in its own auvm.ops), and
+// solver flops and machine cycles come back on the typed result.  It
+// returns with s.mu held, so the caller picks what runs next in the
+// critical section that finished the job.
 func (s *Scheduler) execute(j *job) {
 	start := time.Now()
 	res, err := s.do(j)
@@ -689,7 +668,6 @@ func (s *Scheduler) execute(j *job) {
 	// finishLocked wakes whoever waited for it.
 	delete(s.busy, j.key())
 	s.finishLocked(j)
-	s.mu.Unlock()
 }
 
 // do runs the job's command on its executor.  A panic in there becomes
@@ -810,14 +788,6 @@ func (s *Scheduler) Held(owner, model string) bool {
 	return held
 }
 
-// Pool reports the workers parked waiting for work and how many times
-// one woke from that wait and found nothing to run.
-func (s *Scheduler) Pool() (parked int, idleWakes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parked, s.idleWakes
-}
-
 // Cancel stops a job: a queued job is cancelled outright; a running job
 // has its context cancelled, which the solver kernels poll, so it
 // reaches Cancelled shortly (or Done if completion won the race).  The
@@ -925,8 +895,8 @@ func (s *Scheduler) List(f Filter) ([]Snapshot, error) {
 }
 
 // Close shuts the scheduler down: queued jobs are cancelled, running
-// jobs have their contexts cancelled, workers drain and exit, and
-// further Submits return ErrClosed.  Close blocks until the pool is
+// jobs have their contexts cancelled, workers finish them and exit, and
+// further Submits return ErrClosed.  Close blocks until every worker is
 // gone and every job a submitter took (Own.Take) has run; it is
 // idempotent.  Then it reads the settled jobs back from the journal
 // (unsettle), so they answer from memory once the journal's store has
@@ -951,7 +921,6 @@ func (s *Scheduler) Close() {
 		}
 	}
 	s.cond.Broadcast()
-	s.work.Broadcast()
 	s.mu.Unlock()
 	for _, cancel := range running {
 		cancel()

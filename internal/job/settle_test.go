@@ -75,7 +75,7 @@ func answers(t *testing.T, s *Scheduler, id JobID) string {
 	if err != nil {
 		t.Fatalf("status %s: %v", id, err)
 	}
-	res, werr := s.Wait(context.Background(), id)
+	res, werr := waitJob(t, s, id)
 	st, err := s.Cancel(id)
 	if err != nil {
 		t.Fatalf("cancel %s: %v", id, err)
@@ -119,7 +119,7 @@ func TestSubmitWaitReadsNoJournal(t *testing.T) {
 					t.Fatal(err)
 				}
 				waitState(t, s, id, Done)
-				if _, err := s.Wait(ctx, id); err != nil {
+				if _, err := waitJob(t, s, id); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -156,7 +156,7 @@ func TestSettledJobsAnswerAsBefore(t *testing.T) {
 			if settledCount(t, s) != 0 {
 				t.Fatal("a job settled before any wait")
 			}
-			res, err := s.Wait(ctx, id)
+			res, err := waitJob(t, s, id)
 			if err != nil || settledCount(t, s) != 1 {
 				t.Fatalf("first wait: %v; %d jobs settled, want 1", err, settledCount(t, s))
 			}
@@ -224,7 +224,7 @@ func TestJobsThatNeverSettle(t *testing.T) {
 				s.SetJournal(nil)
 			}
 			for i := 0; i < 2; i++ {
-				res, err := s.Wait(ctx, id)
+				res, err := waitJob(t, s, id)
 				if res != tc.res || !errors.Is(err, tc.err) {
 					t.Fatalf("wait %d: %v, %v; want %v, %v", i, res, err, tc.res, tc.err)
 				}
@@ -255,7 +255,7 @@ func TestSettledJobReadFailure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Wait(ctx, id); err != nil || settledCount(t, s) != 1 {
+			if _, err := waitJob(t, s, id); err != nil || settledCount(t, s) != 1 {
 				t.Fatalf("wait: %v; the job did not settle", err)
 			}
 			in.Arm()
@@ -267,7 +267,7 @@ func TestSettledJobReadFailure(t *testing.T) {
 			}
 			_, err = s.Status(id)
 			check("status", err)
-			_, err = s.Wait(ctx, id)
+			_, err = waitJob(t, s, id)
 			check("wait", err)
 			_, err = s.Cancel(id)
 			check("cancel", err)
@@ -306,7 +306,7 @@ func TestRetentionCountsSettledJobs(t *testing.T) {
 				}
 				// One job of the window is left unwaited, held in full.
 				if i != n-2 {
-					if _, err := s.Wait(ctx, id); err != nil {
+					if _, err := waitJob(t, s, id); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -413,7 +413,7 @@ func TestSettleRaces(t *testing.T) {
 						}
 					}()
 				}
-				wg.Wait()
+				within(t, "the racing Waits, Status, List and submit", wg.Wait)
 			}
 		})
 	}
@@ -476,7 +476,7 @@ func TestSettledJobsAnswerAfterClose(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i != 5 {
-					if _, err := s.Wait(ctx, id); err != nil {
+					if _, err := waitJob(t, s, id); err != nil {
 						t.Fatal(err)
 					}
 				}

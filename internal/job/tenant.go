@@ -84,10 +84,10 @@ func (s *Scheduler) publishLocked(j *job) {
 // finishLocked settles a job that just reached a terminal state: wake
 // its waiters and drop what ran it (its executor, context and cancel;
 // the caller has cancelled the context), release the owner's quota slot,
-// wake the model waiters and Drain when one waits, wake one worker when
-// jobs are queued (the job's model may be what one of them waited for),
-// journal the outcome and publish the transition.  Called exactly once
-// per job, from execute or cancelQueuedLocked.
+// wake the model waiters and Drain when one waits, journal the outcome
+// and publish the transition.  What runs next in the queue is execute's
+// caller's to start.  Called exactly once per job, from execute or
+// cancelQueuedLocked.
 func (s *Scheduler) finishLocked(j *job) {
 	close(j.done)
 	j.done, j.ex, j.ctx, j.cancel = finished, nil, nil, nil
@@ -99,9 +99,6 @@ func (s *Scheduler) finishLocked(j *job) {
 	s.liveTotal--
 	if s.waiting > 0 || s.draining > 0 {
 		s.cond.Broadcast()
-	}
-	if len(s.queue) > 0 {
-		s.work.Signal()
 	}
 	j.filed = s.persistLocked(j)
 	s.publishLocked(j)

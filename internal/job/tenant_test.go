@@ -86,7 +86,7 @@ func TestSubscribeEventOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Wait(context.Background(), id); err != nil {
+	if _, err := waitJob(t, s, id); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, s, id, Done)
@@ -106,7 +106,7 @@ func TestSubscribeEventOrder(t *testing.T) {
 
 	unsub()
 	id2, _ := s.Submit(context.Background(), "alice", ex, solveOn("b"))
-	s.Wait(context.Background(), id2)
+	waitJob(t, s, id2)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(events[id2]) != 0 {
@@ -134,7 +134,7 @@ func TestSubscribeSeesCancelledQueuedJob(t *testing.T) {
 	if _, err := s.Submit(context.Background(), "alice", ex, solveOn("a")); err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	q, err := s.Submit(context.Background(), "alice", ex, solveOn("a")) // same model: must queue
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestSubscribeHearsOnlyItsOwner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Wait(ctx, id); err != nil {
+		if _, err := waitJob(t, s, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,7 +210,7 @@ func TestDrainWaitsForLiveJobs(t *testing.T) {
 	if _, err := s.Submit(context.Background(), "alice", ex, solveOn("a")); err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	if n := s.Live(); n != 1 {
 		t.Errorf("Live = %d, want 1", n)
 	}
@@ -252,7 +252,7 @@ func TestDrainWaitsForSynchronousHolds(t *testing.T) {
 	}
 	second := make(chan error, 1)
 	go func() { second <- s.Hold(ctx, "alice", "a", solveOn("a")) }()
-	awaitWaiters(s, 1)
+	awaitWaiters(t, s, 1)
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(ctx) }()
@@ -291,7 +291,7 @@ func TestDrainHonoursContext(t *testing.T) {
 	if _, err := s.Submit(context.Background(), "alice", ex, solveOn("a")); err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	within(t, "the job's start", func() { <-started })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := s.Drain(ctx); !errors.Is(err, errs.ErrCancelled) {

@@ -17,7 +17,7 @@ const (
 	JobJournalErrors = "job.journal_errors" // counter: journal writes that failed (scheduler carried on)
 	JobQueueDepth    = "job.queue_depth"    // gauge: heavy jobs waiting for a worker or a model lock
 	JobRunning       = "job.running"        // gauge: jobs executing right now (worker utilization numerator)
-	JobWorkers       = "job.workers"        // gauge: worker pool bound (utilization denominator)
+	JobWorkers       = "job.workers"        // gauge: bound on jobs executing at once (utilization denominator)
 	JobSettled       = "job.settled"        // gauge: retained jobs held by their journal record alone
 	JobLatencyPrefix = "job.latency."       // histogram family: execution time per verb
 

@@ -443,10 +443,11 @@ func ownCases(t *testing.T) []ownCase {
 		command.GenerateGrid{Name: "h", NX: 4, NY: 2, W: 4, H: 2, ClampLeft: true},
 		command.EndLoad{Model: "h", Set: "l", FY: -100},
 		bigGrid, command.EndLoad{Model: "big", Set: "l", FY: -100},
-		command.Wait{ID: do(command.Submit{Cmd: solve("g")}).(*command.SubmitResult).ID}, // starts the pool
 	} {
 		do(cmd)
 	}
+	// One job on g before the cases, submitted once g is loaded.
+	do(command.Wait{ID: do(command.Submit{Cmd: solve("g")}).(*command.SubmitResult).ID})
 	srv := &Server{}
 	reader := &conn{srv: srv, br: idleReader()}
 	buffered := &conn{srv: srv, br: bufio.NewReader(strings.NewReader("the next request"))}
@@ -456,13 +457,11 @@ func ownCases(t *testing.T) []ownCase {
 	handed := &conn{srv: srv, br: idleReader()}
 	handed.handedRuns.Store(1)
 	// place submits a solve of g as c's reader would and reports where
-	// its job ran.  A worker not parked takes what it finds queued, so
-	// place waits for the pool to park unless its worker is busy.
-	place := func(c *conn, busy bool) (where string, id int64) {
+	// its job ran.  A worker picks its next job as its last one ends, so
+	// none takes this one before Take decides: the jobs before it have
+	// ended, or run for seconds.
+	place := func(c *conn) (where string, id int64) {
 		t.Helper()
-		if !busy {
-			parkedWorkers(t, sys.Jobs, 1)
-		}
 		sub := command.Submit{Cmd: solve("g")}
 		if c.place(sub) != inLineOwned {
 			return "worker", do(sub).(*command.SubmitResult).ID
@@ -488,17 +487,17 @@ func ownCases(t *testing.T) []ownCase {
 		cases = append(cases, ownCase{what, where})
 	}
 
-	where, id := place(reader, false)
+	where, id := place(reader)
 	record("on an idle server", where, id)
-	where, id = place(buffered, false)
+	where, id = place(buffered)
 	record("a request buffered behind it", where, id)
-	where, id = place(handed, false)
+	where, id = place(handed)
 	record("a handed-off run still going", where, id)
 
 	if err := sys.Jobs.Hold(ctx, sess.User, "g", solve("g")); err != nil {
 		t.Fatal(err)
 	}
-	where, id = place(reader, false)
+	where, id = place(reader)
 	sys.Jobs.Release(sess.User, "g")
 	record("its model held", where, id)
 
@@ -506,13 +505,13 @@ func ownCases(t *testing.T) []ownCase {
 		t.Fatal(err)
 	}
 	queued := do(command.Submit{Cmd: solve("h")}).(*command.SubmitResult).ID
-	where, id = place(reader, false)
+	where, id = place(reader)
 	sys.Jobs.Release(sess.User, "h")
 	record("another job queued", where, id, queued)
 
 	long := do(command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}}).(*command.SubmitResult).ID
 	jobState(t, sys, long, job.Running)
-	where, id = place(reader, true)
+	where, id = place(reader)
 	if _, err := sys.Jobs.Cancel(job.JobID(long)); err != nil {
 		t.Fatal(err)
 	}

@@ -19,17 +19,6 @@ var (
 	sorBig = command.Submit{Cmd: command.Solve{Model: "big", Set: "l", Method: command.MethodSOR}}
 )
 
-// parkedWorkers waits until n workers of the scheduler are parked.
-func parkedWorkers(t *testing.T, jobs *job.Scheduler, n int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if parked, _ := jobs.Pool(); parked == n {
-			return
-		}
-	}
-	t.Fatalf("the pool never had %d workers parked", n)
-}
-
 // jobState polls until the job is in want, failing the test after 5 s.
 func jobState(t *testing.T, sys *core.System, id int64, want job.State) {
 	t.Helper()
@@ -59,9 +48,6 @@ func TestReaderJobTakesAPoolSlot(t *testing.T) {
 	b.do(generate)
 	b.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
 	solve := command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}
-	// Start the pool: a worker starting up takes any job it finds queued.
-	b.do(command.Wait{ID: submitID(b.do(solve))})
-	parkedWorkers(t, sys.Jobs, 1)
 	runs := sys.Obs.Counter(obs.ServerReaderRuns)
 	runs0 := runs.Load()
 
@@ -98,22 +84,6 @@ func TestHandOffServesBehindALongJob(t *testing.T) {
 	sys := openSystem(t, core.Options{})
 	srv := New(sys, Config{})
 	dial := serveTCP(t, srv)
-	// Start the pool, so the goroutine count taken below includes it.
-	warm := sys.Session("warm")
-	ctx := context.Background()
-	for _, cmd := range []command.Command{generate, command.EndLoad{Model: "g", Set: "l", FY: -100}} {
-		if _, err := warm.Do(ctx, cmd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	id, err := warm.SubmitAsync(ctx, command.Solve{Model: "g", Set: "l"})
-	if err == nil {
-		_, err = sys.Jobs.Wait(ctx, id)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	parkedWorkers(t, sys.Jobs, 1)
 	base := runtime.NumGoroutine()
 
 	p := dial()
@@ -146,9 +116,8 @@ func TestHandOffServesBehindALongJob(t *testing.T) {
 }
 
 // TestReaderRunsTraffic: on an idle server, 100 closed-loop submit+wait
-// jobs each run on the connection's reader — 100 reader runs — and wake
-// no worker: the one worker stays parked, none of its wake-ups found
-// nothing to run, and no job ran on it.  Only a run that lasts handOff
+// jobs each run on the connection's reader — 100 reader runs — so none
+// ran on a worker.  Only a run that lasts handOff
 // hands off, and only then can the wait behind it find its job still
 // running and hand off at once too; otherwise the wait finds its job
 // finished and the reader answers it.  So the hand-offs are at most two
@@ -163,12 +132,9 @@ func TestReaderRunsTraffic(t *testing.T) {
 	p.do(generate)
 	p.do(command.EndLoad{Model: "g", Set: "l", FY: -100})
 	solve := command.Submit{Cmd: command.Solve{Model: "g", Set: "l"}}
-	p.do(command.Wait{ID: submitID(p.do(solve))}) // starts the pool
-	parkedWorkers(t, sys.Jobs, 1)
 
 	runs, handOffs := sys.Obs.Counter(obs.ServerReaderRuns), sys.Obs.Counter(obs.ServerHandOffs)
 	runs0, handOffs0 := runs.Load(), handOffs.Load()
-	_, idle0 := sys.Jobs.Pool()
 	const jobs = 100
 	slow := int64(0)
 	for n := 0; n < jobs; n++ {
@@ -184,9 +150,6 @@ func TestReaderRunsTraffic(t *testing.T) {
 	if got := handOffs.Load() - handOffs0; got > 2*slow {
 		t.Errorf("%s moved by %d, want at most %d: two for each of the %d jobs that took %v or longer",
 			obs.ServerHandOffs, got, 2*slow, slow, handOff)
-	}
-	if parked, idle := sys.Jobs.Pool(); parked != 1 || idle != idle0 {
-		t.Errorf("after %d jobs: %d workers parked and %d wake-ups that found nothing, want 1 and 0", jobs, parked, idle-idle0)
 	}
 
 	runs0 = runs.Load()

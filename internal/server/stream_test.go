@@ -639,8 +639,7 @@ func runConn(srv *Server, addr string, ref *auvm.Session, n int, cs connStream, 
 				for _, snap := range jobs {
 					live = append(live, fmt.Sprintf("%s %v %q", snap.ID, snap.State, snap.Cmd))
 				}
-				parked, idle := srv.sys.Jobs.Pool()
-				f.add("%s: no reply after 20s to %v; live jobs %v, %d workers parked, %d idle wake-ups", name, cmds, live, parked, idle)
+				f.add("%s: no reply after 20s to %v; live jobs %v", name, cmds, live)
 				return false
 			}
 			if a.err != nil {
